@@ -66,8 +66,8 @@ fn synthesize_independent() -> SystemSchedule {
     let backend = IlpSynthesizer::from_scratch();
     let mut result = SystemSchedule::new();
     for (mode, _) in sys.modes() {
-        let schedule = backend
-            .synthesize(&sys, mode, &config(), &InheritedOffsets::none())
+        let (schedule, _) = backend
+            .synthesize(&sys, mode, &config(), &InheritedOffsets::none(), None)
             .expect("feasible");
         result.stats.insert(mode, schedule.stats.clone());
         result.schedules.insert(mode, schedule);

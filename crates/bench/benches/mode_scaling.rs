@@ -31,7 +31,7 @@ use std::time::Instant;
 use ttw_analyze::analyze_system;
 use ttw_core::json::Value;
 use ttw_core::synthesis::{
-    synthesize_mode_gated, synthesize_system, synthesize_system_sequential, IlpSynthesizer,
+    synthesize_mode, synthesize_system, synthesize_system_sequential, IlpSynthesizer,
 };
 use ttw_core::validate::validate_system_schedule;
 use ttw_core::SystemSchedule;
@@ -193,12 +193,11 @@ fn measure_infeasible(kind: InfeasibleKind, samples: usize) -> InfeasibleMeasure
     let config = GeneratorConfig::infeasible(num_modes, GraphShape::Chain, kind);
     let scenario = generate(&config, SEED);
     let scheduler = scenario.scheduler_config();
-    let backend = IlpSynthesizer::default();
 
     let mut fast_failed = 0usize;
     let mut milp_nodes = 0usize;
     for mode in scenario.modes() {
-        match synthesize_mode_gated(&scenario.system, mode, &scheduler, &backend) {
+        match synthesize_mode(&scenario.system, mode, &scheduler) {
             Ok(_) => panic!(
                 "{} mode {mode} synthesized although the family is infeasible by \
                  construction ({})",

@@ -82,9 +82,7 @@ use crate::ids::ModeId;
 use crate::json::{JsonError, Value};
 use crate::modegraph::ModeGraph;
 use crate::schedule::SystemSchedule;
-use crate::synthesis::{
-    synthesize_system_with_artifacts, ModeWarmStart, Synthesizer, SystemSynthesisError,
-};
+use crate::synthesis::{synthesize_waves, ModeWarmStart, Synthesizer, SystemSynthesisError};
 use crate::system::System;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::fmt::Write as _;
@@ -227,10 +225,12 @@ pub enum CacheProbe {
 }
 
 impl CacheProbe {
-    /// The schedule, when the probe hit either tier.
-    pub fn schedule(&self) -> Option<&Arc<SystemSchedule>> {
+    /// The hit schedule together with its tier — `true` when the disk tier
+    /// served it, `false` for the memory tier.
+    pub fn hit(self) -> Option<(Arc<SystemSchedule>, bool)> {
         match self {
-            CacheProbe::Memory(s) | CacheProbe::Disk(s) => Some(s),
+            CacheProbe::Memory(s) => Some((s, false)),
+            CacheProbe::Disk(s) => Some((s, true)),
             CacheProbe::Corrupt | CacheProbe::Absent => None,
         }
     }
@@ -570,11 +570,10 @@ impl ScheduleCache {
         }
     }
 
-    /// Probes both tiers and classifies the result; see [`CacheProbe`].
-    ///
-    /// This is the accounting point: every probe bumps exactly one of the
-    /// hit/miss/corrupt counters.
-    pub fn probe(&self, key: &str) -> CacheProbe {
+    /// The two-tier fetch behind [`ScheduleCache::probe`] and
+    /// [`ScheduleCache::peek`]: memory first, then disk, promoting a disk
+    /// hit into the memory tier. Bumps no counter.
+    fn fetch(&self, key: &str) -> CacheProbe {
         if let Some(entry) = self
             .shard(key)
             .read()
@@ -582,37 +581,45 @@ impl ScheduleCache {
             .map
             .get(key)
         {
-            self.mem_hits.fetch_add(1, Ordering::Relaxed);
-            self.hits.fetch_add(1, Ordering::Relaxed);
             return CacheProbe::Memory(Arc::clone(&entry.schedule));
         }
-        let Some(path) = self.path_for(key) else {
-            self.misses.fetch_add(1, Ordering::Relaxed);
+        let Some(text) = self
+            .path_for(key)
+            .and_then(|path| std::fs::read_to_string(path).ok())
+        else {
             return CacheProbe::Absent;
         };
-        let Ok(text) = std::fs::read_to_string(path) else {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            return CacheProbe::Absent;
+        let Ok(schedule) = system_schedule_from_json(&text) else {
+            return CacheProbe::Corrupt;
         };
-        match system_schedule_from_json(&text) {
-            Ok(schedule) => {
-                let entry = Arc::new(schedule);
-                self.insert_memory(
-                    key,
-                    CacheEntry {
-                        schedule: Arc::clone(&entry),
-                        artifacts: None,
-                    },
-                );
-                self.disk_hits.fetch_add(1, Ordering::Relaxed);
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                CacheProbe::Disk(entry)
-            }
-            Err(_) => {
-                self.corrupt.fetch_add(1, Ordering::Relaxed);
-                CacheProbe::Corrupt
-            }
+        let entry = Arc::new(schedule);
+        self.insert_memory(
+            key,
+            CacheEntry {
+                schedule: Arc::clone(&entry),
+                artifacts: None,
+            },
+        );
+        CacheProbe::Disk(entry)
+    }
+
+    /// Probes both tiers and classifies the result; see [`CacheProbe`].
+    ///
+    /// This is the accounting point: every probe bumps exactly one of the
+    /// hit/miss/corrupt counters.
+    pub fn probe(&self, key: &str) -> CacheProbe {
+        let probe = self.fetch(key);
+        let (counter, is_hit) = match probe {
+            CacheProbe::Memory(_) => (&self.mem_hits, true),
+            CacheProbe::Disk(_) => (&self.disk_hits, true),
+            CacheProbe::Corrupt => (&self.corrupt, false),
+            CacheProbe::Absent => (&self.misses, false),
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        if is_hit {
+            self.hits.fetch_add(1, Ordering::Relaxed);
         }
+        probe
     }
 
     /// Fetches a key's warm-start artifacts, memory tier first, then the
@@ -646,36 +653,12 @@ impl ScheduleCache {
         Some(artifacts)
     }
 
-    /// Looks a key up in either tier; a missing or corrupt entry is `None`
-    /// (a corrupt entry simply behaves as a miss — `store` overwrites it).
-    pub fn lookup(&self, key: &str) -> Option<SystemSchedule> {
-        self.probe(key).schedule().map(|s| (**s).clone())
-    }
-
     /// [`ScheduleCache::probe`] without the accounting: checks both tiers
     /// (promoting a disk hit) but bumps no counter. Used for *auxiliary*
     /// lookups — fetching a resynthesis request's predecessor — that must
     /// not show up as hits or misses of the request stream.
     pub fn peek(&self, key: &str) -> Option<Arc<SystemSchedule>> {
-        if let Some(entry) = self
-            .shard(key)
-            .read()
-            .unwrap_or_else(|e| e.into_inner())
-            .map
-            .get(key)
-        {
-            return Some(Arc::clone(&entry.schedule));
-        }
-        let text = std::fs::read_to_string(self.path_for(key)?).ok()?;
-        let entry = Arc::new(system_schedule_from_json(&text).ok()?);
-        self.insert_memory(
-            key,
-            CacheEntry {
-                schedule: Arc::clone(&entry),
-                artifacts: None,
-            },
-        );
-        Some(entry)
+        self.fetch(key).hit().map(|(schedule, _)| schedule)
     }
 
     /// Stores a schedule under a key: the memory tier is updated
@@ -724,6 +707,29 @@ impl ScheduleCache {
             // but stay safe): publish inline instead of losing the entry.
             persist_entry(&dir, &key, &schedule, artifacts.as_deref());
         }
+    }
+
+    /// Stores a freshly synthesized schedule under the key of its own
+    /// inputs, together with the [`SynthesisArtifacts`] (those inputs plus
+    /// the per-mode `warm` bases) a later re-synthesis starts from.
+    pub(crate) fn store_synthesis(
+        &self,
+        system: &System,
+        graph: &ModeGraph,
+        config: &SchedulerConfig,
+        backend: &dyn Synthesizer,
+        schedule: &SystemSchedule,
+        warm: BTreeMap<ModeId, ModeWarmStart>,
+    ) {
+        let key = synthesis_key(system, graph, config, backend.name());
+        let artifacts = SynthesisArtifacts {
+            system: system.clone(),
+            graph: graph.clone(),
+            config: config.clone(),
+            backend: backend.name().to_string(),
+            warm,
+        };
+        self.store_with_artifacts(&key, schedule, Some(&artifacts));
     }
 
     fn shard(&self, key: &str) -> &RwLock<Shard> {
@@ -889,15 +895,8 @@ pub fn synthesize_system_cached(
         CacheProbe::Corrupt => CacheOutcome::Corrupt,
         CacheProbe::Absent => CacheOutcome::Miss,
     };
-    let (schedule, warm) = synthesize_system_with_artifacts(system, graph, config, backend)?;
-    let artifacts = SynthesisArtifacts {
-        system: system.clone(),
-        graph: graph.clone(),
-        config: config.clone(),
-        backend: backend.name().to_string(),
-        warm,
-    };
-    cache.store_with_artifacts(&key, &schedule, Some(&artifacts));
+    let (schedule, warm, _) = synthesize_waves(system, graph, config, backend, true, None)?;
+    cache.store_synthesis(system, graph, config, backend, &schedule, warm);
     Ok((schedule, outcome))
 }
 
@@ -1158,7 +1157,7 @@ mod tests {
 
         // The published entry is complete and correct.
         let reader = ScheduleCache::new(&dir);
-        let served = reader.lookup(&key).expect("entry published");
+        let (served, _) = reader.probe(&key).hit().expect("entry published");
         assert_eq!(
             system_schedule_to_json(&served).expect("serialize"),
             system_schedule_to_json(&schedule).expect("serialize"),
@@ -1234,9 +1233,8 @@ mod tests {
     fn warm_artifacts_round_trip_through_json_and_sidecar() {
         let (sys, graph, _, _) = fixtures::two_mode_graph();
         let backend = IlpSynthesizer::default();
-        let (schedule, warm) =
-            crate::synthesis::synthesize_system_with_artifacts(&sys, &graph, &config(), &backend)
-                .expect("feasible");
+        let (schedule, warm, _) =
+            synthesize_waves(&sys, &graph, &config(), &backend, true, None).expect("feasible");
         assert!(!warm.is_empty(), "ILP synthesis yields root bases");
         let artifacts = SynthesisArtifacts {
             system: sys.clone(),

@@ -13,12 +13,19 @@
 //!   applications shared between modes keep identical offsets, so mode
 //!   changes never re-time a running application.
 //! * [`synthesis`] — Algorithm 1 (minimal number of rounds, then minimal
-//!   end-to-end latency) per mode, lifted to the mode graph by
-//!   [`synthesis::synthesize_system`] with inherited offsets pinned through
-//!   the solver's bound-tightening API.
-//! * [`cache`] — a fingerprint-keyed on-disk schedule cache:
-//!   [`cache::synthesize_system_cached`] skips synthesis entirely when the
-//!   same system/graph/config/backend was already solved by this build.
+//!   end-to-end latency) per mode ([`synthesis::synthesize_mode`]), lifted to
+//!   the mode graph by [`synthesis::synthesize_system`] with inherited
+//!   offsets pinned through the solver's bound-tightening API. One wave
+//!   driver solves every mode; the other system-level doors
+//!   ([`synthesis::synthesize_system_sequential`],
+//!   [`synthesis::synthesize_all_modes`], the two below) wrap it.
+//! * [`cache`] — a fingerprint-keyed two-tier (memory, then disk) schedule
+//!   cache: [`cache::synthesize_system_cached`] skips synthesis entirely when
+//!   the same system/graph/config/backend was already solved by this build.
+//! * [`resynth`] — [`resynth::resynthesize_system`]: the same driver started
+//!   from a cached predecessor — unchanged modes kept verbatim, edited ones
+//!   re-solved from their cached root basis — and [`delta`], the per-node
+//!   patches that ship the difference.
 //! * [`validate`] — an independent checker that re-verifies every synthesized
 //!   schedule against the model semantics.
 //! * [`heuristic`] — a greedy co-scheduler used as an ablation baseline.
@@ -32,7 +39,7 @@
 //! use ttw_core::{fixtures, synthesis, SchedulerConfig};
 //! use ttw_core::time::millis;
 //!
-//! # fn main() -> Result<(), ttw_core::ScheduleError> {
+//! # fn main() -> Result<(), ttw_core::synthesis::SynthesisFailure> {
 //! let (system, mode) = fixtures::fig3_system();
 //! let config = SchedulerConfig::new(millis(10), 5);
 //! let schedule = synthesis::synthesize_mode(&system, mode, &config)?;

@@ -5,9 +5,10 @@
 //! application and redeploy — a first-class operation, but a full
 //! [`crate::synthesis::synthesize_system`] run re-pays the MILP cost of
 //! *every* mode even when the edit touches one. [`resynthesize_system`]
-//! closes that gap with two reuse levels, both anchored on the
-//! [`crate::cache::SynthesisArtifacts`] the schedule cache stores alongside
-//! each entry:
+//! closes that gap by starting the same wave driver from the cached
+//! predecessor — load predecessor, run driver, store — which gives two reuse
+//! levels, both anchored on the [`crate::cache::SynthesisArtifacts`] the
+//! schedule cache stores alongside each entry:
 //!
 //! 1. **Schedule reuse** — the predecessor and successor systems are diffed
 //!    mode-by-mode ([`mode_fingerprint`]); a mode whose content, inheritance
@@ -27,15 +28,12 @@
 //! which optimum the tie-broken ILP selects. The differential harness pins
 //! exactly that invariant.
 
-use crate::cache::{synthesis_key, ScheduleCache, SynthesisArtifacts};
+use crate::cache::{ScheduleCache, SynthesisArtifacts};
 use crate::config::SchedulerConfig;
 use crate::ids::{AppId, ModeId};
 use crate::modegraph::{InheritedOffsets, ModeGraph};
-use crate::schedule::SystemSchedule;
-use crate::synthesis::{
-    analyze_gate, synthesize_system_with_artifacts, ModeWarmStart, Synthesizer,
-    SystemSynthesisError,
-};
+use crate::schedule::{ModeSchedule, SystemSchedule};
+use crate::synthesis::{synthesize_waves, Synthesizer, SystemSynthesisError};
 use crate::system::System;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -138,82 +136,25 @@ pub fn resynthesize_system(
     cache: &ScheduleCache,
     predecessor_key: &str,
 ) -> Result<(SystemSchedule, ResynthesisReport), Box<SystemSynthesisError>> {
-    let (predecessor, artifacts) = match (
-        cache.peek(predecessor_key),
-        cache.artifacts(predecessor_key),
-    ) {
-        (Some(predecessor), Some(artifacts))
-            if artifacts.backend == backend.name()
-                && format!("{:?}", artifacts.config) == format!("{config:?}") =>
-        {
-            (predecessor, artifacts)
-        }
-        _ => return full_fallback(system, graph, config, backend, cache),
-    };
-
-    let plan = graph.inheritance_plan(system);
-    let mut result = SystemSchedule::new();
-    let mut new_warm: BTreeMap<ModeId, ModeWarmStart> = BTreeMap::new();
-    let mut report = ResynthesisReport {
-        predecessor_found: true,
-        ..ResynthesisReport::default()
-    };
-
-    for wave in graph.waves_of_plan(&plan) {
-        for mode in wave {
-            let sources = plan.get(&mode).cloned().unwrap_or_default();
-            let mut inherited = InheritedOffsets::none();
-            for (&app, &source) in &sources {
-                if let Some(donor) = result.get(source) {
-                    inherited.import_application(system, app, donor);
-                }
-            }
-
-            if let Some(reused) =
-                reusable_schedule(system, mode, &sources, &inherited, &artifacts, &predecessor)
-            {
-                report.modes_reused += 1;
-                result.stats.insert(mode, reused.stats.clone());
-                result.inheritance.insert(mode, sources);
-                result.schedules.insert(mode, reused);
-                if let Some(warm) = artifacts.warm.get(&mode) {
-                    new_warm.insert(mode, warm.clone());
-                }
-                continue;
-            }
-
-            let warm = artifacts.warm.get(&mode);
-            let outcome = match analyze_gate(system, mode, config) {
-                Some(failure) => Err(failure),
-                None => backend.synthesize_with_artifacts(system, mode, config, &inherited, warm),
-            };
-            match outcome {
-                Ok((schedule, artifact)) => {
-                    report.modes_resolved += 1;
-                    report.warm_started_modes += usize::from(warm.is_some());
-                    report.solved_milp_nodes += schedule.stats.milp_nodes;
-                    report.solved_simplex_iterations += schedule.stats.simplex_iterations;
-                    result.stats.insert(mode, schedule.stats.clone());
-                    result.inheritance.insert(mode, sources);
-                    result.schedules.insert(mode, schedule);
-                    if let Some(artifact) = artifact {
-                        new_warm.insert(mode, artifact);
-                    }
-                }
-                Err(failure) => {
-                    result.stats.insert(mode, failure.stats);
-                    return Err(Box::new(SystemSynthesisError {
-                        mode,
-                        error: failure.error,
-                        partial: result,
-                    }));
-                }
-            }
-        }
-    }
-
-    store_result(system, graph, config, backend, cache, &result, new_warm);
-    Ok((result, report))
+    // An entry produced by a different backend or configuration is no
+    // predecessor: the driver then solves every mode cold.
+    let predecessor = cache
+        .peek(predecessor_key)
+        .zip(cache.artifacts(predecessor_key))
+        .filter(|(_, artifacts)| {
+            artifacts.backend == backend.name()
+                && format!("{:?}", artifacts.config) == format!("{config:?}")
+        });
+    let (schedule, warm, report) = synthesize_waves(
+        system,
+        graph,
+        config,
+        backend,
+        true,
+        predecessor.as_ref().map(|(s, a)| (&**s, &**a)),
+    )?;
+    cache.store_synthesis(system, graph, config, backend, &schedule, warm);
+    Ok((schedule, report))
 }
 
 /// The cached predecessor schedule of `mode`, when it is provably reusable:
@@ -222,14 +163,14 @@ pub fn resynthesize_system(
 /// schedule. Under those conditions the successor's ILP for the mode is the
 /// predecessor's ILP, and the deterministic pipeline would reproduce the
 /// cached schedule bit for bit — so it is returned for verbatim reuse.
-fn reusable_schedule(
+pub(crate) fn reusable_schedule<'a>(
     system: &System,
     mode: ModeId,
     sources: &BTreeMap<AppId, ModeId>,
     inherited: &InheritedOffsets,
     artifacts: &SynthesisArtifacts,
-    predecessor: &SystemSchedule,
-) -> Option<crate::schedule::ModeSchedule> {
+    predecessor: &'a SystemSchedule,
+) -> Option<&'a ModeSchedule> {
     let old = predecessor.get(mode)?;
     if mode.index() >= artifacts.system.modes().count() {
         return None;
@@ -254,48 +195,5 @@ fn reusable_schedule(
             .message_deadlines
             .iter()
             .all(|(m, &d)| old.message_deadlines.get(m) == Some(&d));
-    agrees.then(|| old.clone())
-}
-
-/// Plain full synthesis (predecessor unusable), stored with artifacts under
-/// the successor key so the *next* edit does get the incremental path.
-fn full_fallback(
-    system: &System,
-    graph: &ModeGraph,
-    config: &SchedulerConfig,
-    backend: &dyn Synthesizer,
-    cache: &ScheduleCache,
-) -> Result<(SystemSchedule, ResynthesisReport), Box<SystemSynthesisError>> {
-    let (schedule, warm) = synthesize_system_with_artifacts(system, graph, config, backend)?;
-    let report = ResynthesisReport {
-        predecessor_found: false,
-        modes_resolved: schedule.num_modes(),
-        solved_milp_nodes: schedule.total_milp_nodes(),
-        solved_simplex_iterations: schedule.total_simplex_iterations(),
-        ..ResynthesisReport::default()
-    };
-    store_result(system, graph, config, backend, cache, &schedule, warm);
-    Ok((schedule, report))
-}
-
-/// Stores a (re)synthesized schedule plus its warm material under the
-/// successor's own cache key.
-fn store_result(
-    system: &System,
-    graph: &ModeGraph,
-    config: &SchedulerConfig,
-    backend: &dyn Synthesizer,
-    cache: &ScheduleCache,
-    schedule: &SystemSchedule,
-    warm: BTreeMap<ModeId, ModeWarmStart>,
-) {
-    let key = synthesis_key(system, graph, config, backend.name());
-    let artifacts = SynthesisArtifacts {
-        system: system.clone(),
-        graph: graph.clone(),
-        config: config.clone(),
-        backend: backend.name().to_string(),
-        warm,
-    };
-    cache.store_with_artifacts(&key, schedule, Some(&artifacts));
+    agrees.then_some(old)
 }

@@ -15,12 +15,17 @@
 //! application already scheduled in an earlier mode has its task and message
 //! offsets pinned when later modes are synthesized, so all modes sharing an
 //! application agree on its timing — the switch-consistency property the
-//! runtime's two-phase mode change relies on.
+//! runtime's two-phase mode change relies on. One private wave driver does
+//! that walk for every system-level entry point, cached
+//! ([`crate::cache::synthesize_system_cached`]) and incremental
+//! ([`crate::resynth::resynthesize_system`]) ones included, and is the only
+//! place a mode is ever solved.
 //!
 //! The actual per-mode backend is abstracted behind the [`Synthesizer`]
 //! trait, with the exact ILP ([`IlpSynthesizer`]) and the greedy list
 //! scheduler ([`HeuristicSynthesizer`]) as the two implementations.
 
+use crate::cache::SynthesisArtifacts;
 use crate::config::SchedulerConfig;
 use crate::error::ScheduleError;
 use crate::feasibility;
@@ -28,6 +33,7 @@ use crate::heuristic;
 use crate::ids::{AppId, ModeId};
 use crate::ilp;
 use crate::modegraph::{InheritedOffsets, ModeGraph};
+use crate::resynth::{reusable_schedule, ResynthesisReport};
 use crate::schedule::{ModeSchedule, SynthesisStats, SystemSchedule};
 use crate::system::System;
 use std::collections::BTreeMap;
@@ -94,7 +100,17 @@ pub trait Synthesizer: Sync {
     /// Human-readable backend name (used in reports and benches).
     fn name(&self) -> &'static str;
 
-    /// Synthesizes the schedule of one mode under the given inherited offsets.
+    /// Synthesizes the schedule of one mode under the given inherited
+    /// offsets, consuming and producing MILP warm-start material.
+    ///
+    /// `warm` seeds the attempt at the matching round count from a cached
+    /// basis (a stale basis degrades to a cold start, never an error); the
+    /// returned [`ModeWarmStart`] is the root basis of the winning attempt,
+    /// ready to be cached. A warm start changes how fast the solver gets to
+    /// the optimum, not which optimum the deterministic tie-breaking selects:
+    /// the schedule is **identical** with and without it. Backends with no
+    /// LP underneath (the greedy heuristic) ignore `warm` and return no
+    /// basis.
     ///
     /// # Errors
     ///
@@ -111,39 +127,8 @@ pub trait Synthesizer: Sync {
         mode: ModeId,
         config: &SchedulerConfig,
         inherited: &InheritedOffsets,
-    ) -> Result<ModeSchedule, SynthesisFailure>;
-
-    /// Like [`Synthesizer::synthesize`], but additionally consumes and
-    /// produces MILP warm-start material.
-    ///
-    /// `warm` seeds the attempt at the matching round count from a cached
-    /// basis (a stale basis degrades to a cold start, never an error); the
-    /// returned [`ModeWarmStart`] is the root basis of the winning attempt,
-    /// ready to be cached. The schedule returned is **identical** to what
-    /// [`Synthesizer::synthesize`] produces — a warm start changes how fast
-    /// the solver gets to the optimum, not which optimum the deterministic
-    /// tie-breaking selects.
-    ///
-    /// The default implementation ignores `warm`, delegates to `synthesize`
-    /// and reports no artifacts — the right behaviour for backends with no
-    /// LP underneath (the greedy heuristic).
-    ///
-    /// # Errors
-    ///
-    /// As [`Synthesizer::synthesize`].
-    #[allow(clippy::result_large_err)]
-    fn synthesize_with_artifacts(
-        &self,
-        system: &System,
-        mode: ModeId,
-        config: &SchedulerConfig,
-        inherited: &InheritedOffsets,
         warm: Option<&ModeWarmStart>,
-    ) -> Result<(ModeSchedule, Option<ModeWarmStart>), SynthesisFailure> {
-        let _ = warm;
-        self.synthesize(system, mode, config, inherited)
-            .map(|schedule| (schedule, None))
-    }
+    ) -> Result<(ModeSchedule, Option<ModeWarmStart>), SynthesisFailure>;
 }
 
 /// The exact backend: Algorithm 1 over the ILP of Sec. IV.
@@ -170,11 +155,18 @@ impl IlpSynthesizer {
     }
 }
 
-impl IlpSynthesizer {
-    /// The `R_M` sweep shared by both trait entry points, optionally seeding
-    /// the attempt at `warm.rounds` rounds from a cached basis.
-    #[allow(clippy::result_large_err)]
-    fn sweep(
+impl Synthesizer for IlpSynthesizer {
+    fn name(&self) -> &'static str {
+        if self.incremental {
+            "ilp-incremental"
+        } else {
+            "ilp-from-scratch"
+        }
+    }
+
+    /// The `R_M` sweep, optionally seeding the attempt at `warm.rounds`
+    /// rounds from a cached basis.
+    fn synthesize(
         &self,
         system: &System,
         mode: ModeId,
@@ -229,13 +221,10 @@ impl IlpSynthesizer {
                     }
                     current
                 }
-                None => {
-                    instance = Some(
-                        ilp::build_ilp_inherited(system, mode, config, num_rounds, inherited)
-                            .map_err(SynthesisFailure::from)?,
-                    );
-                    instance.as_mut().expect("just built")
-                }
+                None => instance.insert(
+                    ilp::build_ilp_inherited(system, mode, config, num_rounds, inherited)
+                        .map_err(SynthesisFailure::from)?,
+                ),
             };
             // Seed the cached predecessor basis into the attempt at its own
             // round count. The seed replaces the basis chained from smaller
@@ -288,38 +277,6 @@ impl IlpSynthesizer {
     }
 }
 
-impl Synthesizer for IlpSynthesizer {
-    fn name(&self) -> &'static str {
-        if self.incremental {
-            "ilp-incremental"
-        } else {
-            "ilp-from-scratch"
-        }
-    }
-
-    fn synthesize(
-        &self,
-        system: &System,
-        mode: ModeId,
-        config: &SchedulerConfig,
-        inherited: &InheritedOffsets,
-    ) -> Result<ModeSchedule, SynthesisFailure> {
-        self.sweep(system, mode, config, inherited, None)
-            .map(|(schedule, _)| schedule)
-    }
-
-    fn synthesize_with_artifacts(
-        &self,
-        system: &System,
-        mode: ModeId,
-        config: &SchedulerConfig,
-        inherited: &InheritedOffsets,
-        warm: Option<&ModeWarmStart>,
-    ) -> Result<(ModeSchedule, Option<ModeWarmStart>), SynthesisFailure> {
-        self.sweep(system, mode, config, inherited, warm)
-    }
-}
-
 /// The greedy list-scheduling backend (ablation baseline and fast
 /// approximate pipeline for large mode graphs).
 ///
@@ -341,14 +298,18 @@ impl Synthesizer for HeuristicSynthesizer {
         mode: ModeId,
         config: &SchedulerConfig,
         inherited: &InheritedOffsets,
-    ) -> Result<ModeSchedule, SynthesisFailure> {
+        _warm: Option<&ModeWarmStart>,
+    ) -> Result<(ModeSchedule, Option<ModeWarmStart>), SynthesisFailure> {
         heuristic::synthesize_mode_heuristic_inherited(system, mode, config, inherited)
+            .map(|schedule| (schedule, None))
             .map_err(SynthesisFailure::from)
     }
 }
 
-/// Synthesizes the schedule of one mode (Algorithm 1) with the default exact
-/// backend and no inheritance.
+/// Synthesizes the schedule of one pin-free mode (Algorithm 1) with the
+/// default exact backend, exactly as the system pipeline would: the
+/// `AnalyzeFirst` gate first (when [`SchedulerConfig::analyze_first`] is
+/// set), the `R_M` sweep second.
 ///
 /// Tries `R_M = 0, 1, …, R_max` rounds, where
 /// `R_max = ⌊LCM / T_r⌋` (or the explicit cap from the configuration), and
@@ -356,44 +317,23 @@ impl Synthesizer for HeuristicSynthesizer {
 ///
 /// # Errors
 ///
+/// A [`SynthesisFailure`] whose `stats` carry the work of the failed attempt
+/// (`analyze_fast_fails`, solver counters) and whose `error` is
+///
 /// * [`ScheduleError::Infeasible`] if no round count up to `R_max` admits a
-///   feasible schedule.
-/// * [`ScheduleError::InvalidConfig`] if the configuration is malformed.
+///   feasible schedule — with the certificate as its explanation and zero
+///   solver work when the gate certified it;
+/// * [`ScheduleError::InvalidConfig`] if the configuration is malformed;
 /// * [`ScheduleError::Solver`] if the MILP solver exhausts its budgets.
+// Same unboxed-Err trade-off as `Synthesizer::synthesize`.
+#[allow(clippy::result_large_err)]
 pub fn synthesize_mode(
     system: &System,
     mode: ModeId,
     config: &SchedulerConfig,
-) -> Result<ModeSchedule, ScheduleError> {
-    synthesize_mode_gated(system, mode, config, &IlpSynthesizer::default()).map_err(|f| f.error)
-}
-
-/// Synthesizes one pin-free mode exactly as the system pipeline would: the
-/// `AnalyzeFirst` gate first (when [`SchedulerConfig::analyze_first`] is
-/// set), the backend's `R_M` sweep second.
-///
-/// Unlike [`synthesize_mode`] this keeps the full [`SynthesisFailure`] on
-/// the error path, so callers (the scaling bench, the differential harness)
-/// can observe `analyze_fast_fails` and the solver work counters of the
-/// failed attempt.
-///
-/// # Errors
-///
-/// The same failure modes as [`Synthesizer::synthesize`]; a certified-
-/// infeasible mode fails with [`ScheduleError::Infeasible`] carrying the
-/// certificate as its explanation and zero solver work in the stats.
-// Same unboxed-Err trade-off as `Synthesizer::synthesize`.
-#[allow(clippy::result_large_err)]
-pub fn synthesize_mode_gated(
-    system: &System,
-    mode: ModeId,
-    config: &SchedulerConfig,
-    backend: &dyn Synthesizer,
 ) -> Result<ModeSchedule, SynthesisFailure> {
-    match analyze_gate(system, mode, config) {
-        Some(failure) => Err(failure),
-        None => backend.synthesize(system, mode, config, &InheritedOffsets::none()),
-    }
+    let (backend, pins) = (IlpSynthesizer::default(), InheritedOffsets::none());
+    solve_mode(system, mode, config, &backend, &pins, None).map(|(schedule, _)| schedule)
 }
 
 /// A multi-mode synthesis failure: which mode failed, why, and everything that
@@ -456,27 +396,7 @@ pub fn synthesize_system(
     config: &SchedulerConfig,
     backend: &dyn Synthesizer,
 ) -> Result<SystemSchedule, Box<SystemSynthesisError>> {
-    synthesize_waves(system, graph, config, backend, true).map(|(schedule, _)| schedule)
-}
-
-/// Like [`synthesize_system`], but also returns the per-mode MILP warm-start
-/// material ([`ModeWarmStart`]) captured from each successful mode solve.
-///
-/// The artifact map is what the schedule cache persists alongside the
-/// schedule so a later [`crate::resynth::resynthesize_system`] can warm
-/// start the modes it has to re-solve. Backends without an LP underneath
-/// (the greedy heuristic) report an empty map.
-///
-/// # Errors
-///
-/// Exactly as [`synthesize_system`].
-pub fn synthesize_system_with_artifacts(
-    system: &System,
-    graph: &ModeGraph,
-    config: &SchedulerConfig,
-    backend: &dyn Synthesizer,
-) -> Result<(SystemSchedule, BTreeMap<ModeId, ModeWarmStart>), Box<SystemSynthesisError>> {
-    synthesize_waves(system, graph, config, backend, true)
+    synthesize_waves(system, graph, config, backend, true, None).map(|(schedule, ..)| schedule)
 }
 
 /// The sequential twin of [`synthesize_system`]: identical wave structure,
@@ -497,7 +417,7 @@ pub fn synthesize_system_sequential(
     config: &SchedulerConfig,
     backend: &dyn Synthesizer,
 ) -> Result<SystemSchedule, Box<SystemSynthesisError>> {
-    synthesize_waves(system, graph, config, backend, false).map(|(schedule, _)| schedule)
+    synthesize_waves(system, graph, config, backend, false, None).map(|(schedule, ..)| schedule)
 }
 
 /// The `AnalyzeFirst` gate: when enabled, converts a mode with a static
@@ -507,7 +427,7 @@ pub fn synthesize_system_sequential(
 /// Every certificate of [`crate::feasibility`] is a *sound* necessary
 /// condition and is independent of any inherited pins, so the gate can never
 /// reject a mode any backend would have scheduled.
-pub(crate) fn analyze_gate(
+fn analyze_gate(
     system: &System,
     mode: ModeId,
     config: &SchedulerConfig,
@@ -529,21 +449,73 @@ pub(crate) fn analyze_gate(
     })
 }
 
-fn synthesize_waves(
+/// The one place a mode is solved: gate, then backend (warm-started when a
+/// basis is cached for the mode).
+// Same unboxed-Err trade-off as `Synthesizer::synthesize`.
+#[allow(clippy::result_large_err)]
+fn solve_mode(
+    system: &System,
+    mode: ModeId,
+    config: &SchedulerConfig,
+    backend: &dyn Synthesizer,
+    inherited: &InheritedOffsets,
+    warm: Option<&ModeWarmStart>,
+) -> Result<(ModeSchedule, Option<ModeWarmStart>), SynthesisFailure> {
+    match analyze_gate(system, mode, config) {
+        Some(failure) => Err(failure),
+        None => backend.synthesize(system, mode, config, inherited, warm),
+    }
+}
+
+/// One wave member: its pins, and what the predecessor offers for it.
+struct WaveJob<'a> {
+    mode: ModeId,
+    sources: BTreeMap<AppId, ModeId>,
+    inherited: InheritedOffsets,
+    /// The predecessor's schedule of the mode, when provably reusable.
+    reused: Option<&'a ModeSchedule>,
+    /// The predecessor's root basis of the mode: carried over verbatim with a
+    /// reused schedule, the warm start of a re-solve.
+    warm: Option<&'a ModeWarmStart>,
+}
+
+/// The wave driver behind every system-level entry point: walks the mode
+/// graph wave by wave, pins the inherited offsets, and per mode either keeps
+/// the `predecessor`'s schedule verbatim (see
+/// [`crate::resynth::reusable_schedule`]) or solves it through
+/// [`solve_mode`] — on scoped worker threads when `parallel` is set and the
+/// wave has more than one mode to solve. Returns the schedule, each mode's
+/// warm-start material and what was reused against what was solved.
+// The per-mode closures' Err is `SynthesisFailure` — see the size note on
+// `Synthesizer::synthesize`.
+#[allow(clippy::result_large_err)]
+pub(crate) fn synthesize_waves(
     system: &System,
     graph: &ModeGraph,
     config: &SchedulerConfig,
     backend: &dyn Synthesizer,
     parallel: bool,
-) -> Result<(SystemSchedule, BTreeMap<ModeId, ModeWarmStart>), Box<SystemSynthesisError>> {
+    predecessor: Option<(&SystemSchedule, &SynthesisArtifacts)>,
+) -> Result<
+    (
+        SystemSchedule,
+        BTreeMap<ModeId, ModeWarmStart>,
+        ResynthesisReport,
+    ),
+    Box<SystemSynthesisError>,
+> {
     let plan = graph.inheritance_plan(system);
     let mut result = SystemSchedule::new();
     let mut artifacts = BTreeMap::new();
+    let mut report = ResynthesisReport {
+        predecessor_found: predecessor.is_some(),
+        ..ResynthesisReport::default()
+    };
 
     for wave in graph.waves_of_plan(&plan) {
         // Pin the inherited offsets for the whole wave up front (every donor
         // lies in an earlier wave), then synthesize the wave members.
-        let jobs: Vec<(ModeId, BTreeMap<AppId, ModeId>, InheritedOffsets)> = wave
+        let jobs: Vec<WaveJob> = wave
             .into_iter()
             .map(|mode| {
                 let sources = plan.get(&mode).cloned().unwrap_or_default();
@@ -553,58 +525,59 @@ fn synthesize_waves(
                         inherited.import_application(system, app, donor);
                     }
                 }
-                (mode, sources, inherited)
+                let reused = predecessor.and_then(|(schedule, artifacts)| {
+                    reusable_schedule(system, mode, &sources, &inherited, artifacts, schedule)
+                });
+                let warm = predecessor.and_then(|(_, artifacts)| artifacts.warm.get(&mode));
+                WaveJob {
+                    mode,
+                    sources,
+                    inherited,
+                    reused,
+                    warm,
+                }
             })
             .collect();
 
-        type Outcome = Result<(ModeSchedule, Option<ModeWarmStart>), SynthesisFailure>;
-        let outcomes: Vec<(ModeId, BTreeMap<AppId, ModeId>, Outcome)> =
-            if !parallel || jobs.len() == 1 {
-                jobs.into_iter()
-                    .map(|(mode, sources, inherited)| {
-                        let outcome = match analyze_gate(system, mode, config) {
-                            Some(failure) => Err(failure),
-                            None => backend
-                                .synthesize_with_artifacts(system, mode, config, &inherited, None),
-                        };
-                        (mode, sources, outcome)
+        let run = |job: &WaveJob| match job.reused {
+            Some(schedule) => Ok((schedule.clone(), job.warm.cloned())),
+            None => solve_mode(system, job.mode, config, backend, &job.inherited, job.warm),
+        };
+        let to_solve = jobs.iter().filter(|job| job.reused.is_none()).count();
+        let outcomes: Vec<_> = if !parallel || to_solve <= 1 {
+            jobs.iter().map(run).collect()
+        } else {
+            std::thread::scope(|scope| {
+                let workers: Vec<_> = jobs
+                    .iter()
+                    .map(|job| job.reused.is_none().then(|| scope.spawn(|| run(job))))
+                    .collect();
+                jobs.iter()
+                    .zip(workers)
+                    .map(|(job, worker)| match worker {
+                        Some(worker) => worker.join().expect("synthesis worker panicked"),
+                        None => run(job),
                     })
                     .collect()
-            } else {
-                std::thread::scope(|scope| {
-                    let handles: Vec<_> = jobs
-                        .into_iter()
-                        .map(|(mode, sources, inherited)| {
-                            // The closure's Err is `SynthesisFailure` — see the
-                            // size note on `Synthesizer::synthesize`.
-                            #[allow(clippy::result_large_err)]
-                            let worker =
-                                scope.spawn(move || match analyze_gate(system, mode, config) {
-                                    Some(failure) => Err(failure),
-                                    None => backend.synthesize_with_artifacts(
-                                        system, mode, config, &inherited, None,
-                                    ),
-                                });
-                            (mode, sources, worker)
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|(mode, sources, worker)| {
-                            let outcome = worker.join().expect("synthesis worker panicked");
-                            (mode, sources, outcome)
-                        })
-                        .collect()
-                })
-            };
+            })
+        };
 
         // Merge in synthesis order; the first failure wins and discards any
         // later-in-order wave results, exactly like the sequential driver.
-        for (mode, sources, outcome) in outcomes {
+        for (job, outcome) in jobs.into_iter().zip(outcomes) {
+            let mode = job.mode;
             match outcome {
                 Ok((schedule, artifact)) => {
+                    if job.reused.is_some() {
+                        report.modes_reused += 1;
+                    } else {
+                        report.modes_resolved += 1;
+                        report.warm_started_modes += usize::from(job.warm.is_some());
+                        report.solved_milp_nodes += schedule.stats.milp_nodes;
+                        report.solved_simplex_iterations += schedule.stats.simplex_iterations;
+                    }
                     result.stats.insert(mode, schedule.stats.clone());
-                    result.inheritance.insert(mode, sources);
+                    result.inheritance.insert(mode, job.sources);
                     result.schedules.insert(mode, schedule);
                     if let Some(artifact) = artifact {
                         artifacts.insert(mode, artifact);
@@ -621,7 +594,7 @@ fn synthesize_waves(
             }
         }
     }
-    Ok((result, artifacts))
+    Ok((result, artifacts, report))
 }
 
 /// Synthesizes the schedules of every mode of the system with the same
@@ -691,11 +664,11 @@ mod tests {
     fn incremental_and_from_scratch_backends_agree() {
         let (sys, mode) = fixtures::fig3_system();
         let pins = InheritedOffsets::none();
-        let incremental = IlpSynthesizer::default()
-            .synthesize(&sys, mode, &config(), &pins)
+        let (incremental, _) = IlpSynthesizer::default()
+            .synthesize(&sys, mode, &config(), &pins, None)
             .expect("feasible");
-        let scratch = IlpSynthesizer::from_scratch()
-            .synthesize(&sys, mode, &config(), &pins)
+        let (scratch, _) = IlpSynthesizer::from_scratch()
+            .synthesize(&sys, mode, &config(), &pins, None)
             .expect("feasible");
         assert_eq!(incremental.num_rounds(), scratch.num_rounds());
         assert!((incremental.total_latency - scratch.total_latency).abs() < 1e-6);
@@ -718,7 +691,7 @@ mod tests {
         // Period 5 ms with 10 ms rounds: R_max = 0 but messages exist.
         let (sys, mode) = fixtures::synthetic_mode(1, 2, 2, millis(5));
         let err = synthesize_mode(&sys, mode, &config()).unwrap_err();
-        assert!(matches!(err, ScheduleError::Infeasible { .. }));
+        assert!(matches!(err.error, ScheduleError::Infeasible { .. }));
     }
 
     #[test]
@@ -947,8 +920,8 @@ mod tests {
         let app = sys.application_id("ctrl").expect("app exists");
         let mut pins = InheritedOffsets::none();
         pins.import_application(&sys, app, &schedule);
-        let pinned = HeuristicSynthesizer
-            .synthesize(&sys, mode, &config(), &pins)
+        let (pinned, _) = HeuristicSynthesizer
+            .synthesize(&sys, mode, &config(), &pins, None)
             .expect("pins honored");
         for (t, &offset) in &schedule.task_offsets {
             assert!(
@@ -958,8 +931,8 @@ mod tests {
             );
         }
         // Without pins the heuristic backend works through the same trait.
-        let greedy = HeuristicSynthesizer
-            .synthesize(&sys, mode, &config(), &InheritedOffsets::none())
+        let (greedy, _) = HeuristicSynthesizer
+            .synthesize(&sys, mode, &config(), &InheritedOffsets::none(), None)
             .expect("feasible");
         assert!(greedy.num_rounds() >= 2);
     }

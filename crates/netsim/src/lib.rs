@@ -1,4 +1,4 @@
-//! # ttw-netsim — discrete-event simulator of a Glossy-based multi-hop network
+//! # ttw-netsim — slot-stepped simulator of a Glossy-based multi-hop network
 //!
 //! TTW executes its static schedules over a low-power wireless multi-hop
 //! network in which every communication is a network-wide [Glossy] flood.
@@ -18,8 +18,7 @@
 //! * [`faults`] — declarative, seeded fault plans: burst loss, partitions,
 //!   clock drift, beacon corruption, host crash windows;
 //! * [`radio`] — per-node radio-on time accounting consistent with the
-//!   `ttw-timing` model;
-//! * [`event`] — a small discrete-event queue used by higher layers.
+//!   `ttw-timing` model.
 //!
 //! [Glossy]: https://doi.org/10.1109/IPSN.2011.5779066
 //!
@@ -38,7 +37,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod event;
 pub mod faults;
 pub mod flood;
 pub mod link;

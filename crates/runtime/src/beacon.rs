@@ -73,7 +73,8 @@ impl Beacon {
     }
 
     /// Parses a beacon from its checksummed wire format, rejecting frames
-    /// whose CRC does not match.
+    /// whose CRC does not match. Any non-zero trigger byte under a valid CRC
+    /// is interpreted as `true`.
     pub fn decode(bytes: [u8; Self::WIRE_LENGTH]) -> Result<Self, BeaconDecodeError> {
         let expected = crc8(&bytes[..3]);
         if bytes[3] != expected {
@@ -82,28 +83,15 @@ impl Beacon {
                 found: bytes[3],
             });
         }
-        Ok(Self::decode_legacy([bytes[0], bytes[1], bytes[2]]))
-    }
-
-    /// Parses a beacon from the original, checksum-less 3-byte format
-    /// (`L_beacon` in Table I) — the compat constructor for pre-checksum
-    /// deployments and for the timing model's payload assumption.
-    ///
-    /// Any non-zero trigger byte is interpreted as `true`, mirroring how a
-    /// robust implementation would treat the flag.
-    pub fn decode_legacy(bytes: [u8; Self::LEGACY_WIRE_LENGTH]) -> Self {
-        Beacon {
+        Ok(Beacon {
             round_id: bytes[0],
             mode_id: bytes[1],
             trigger: bytes[2] != 0,
-        }
+        })
     }
 
     /// Length of the checksummed encoded beacon in bytes.
     pub const WIRE_LENGTH: usize = 4;
-
-    /// Length of the paper's checksum-less beacon (`L_beacon` in Table I).
-    pub const LEGACY_WIRE_LENGTH: usize = 3;
 }
 
 #[cfg(test)]
@@ -122,13 +110,6 @@ mod tests {
     }
 
     #[test]
-    fn nonzero_trigger_bytes_decode_to_true() {
-        assert!(Beacon::decode_legacy([0, 0, 1]).trigger);
-        assert!(Beacon::decode_legacy([0, 0, 255]).trigger);
-        assert!(!Beacon::decode_legacy([0, 0, 0]).trigger);
-    }
-
-    #[test]
     fn round_trip_for_all_values() {
         // The whole input space is small enough to check exhaustively
         // (256 round ids × 256 mode ids × 2 trigger values).
@@ -141,14 +122,14 @@ mod tests {
                         trigger,
                     };
                     assert_eq!(Beacon::decode(b.encode()), Ok(b));
-                    let wire = b.encode();
-                    assert_eq!(
-                        Beacon::decode_legacy([wire[0], wire[1], wire[2]]),
-                        b,
-                        "legacy decode ignores the checksum byte"
-                    );
                 }
             }
+        }
+        // Any non-zero trigger byte under a valid CRC decodes to `true`.
+        for trigger_byte in 1..=u8::MAX {
+            let body = [7, 2, trigger_byte];
+            let decoded = Beacon::decode([body[0], body[1], body[2], crc8(&body)]);
+            assert_eq!(decoded.map(|b| b.trigger), Ok(true));
         }
     }
 

@@ -133,32 +133,23 @@ fn serve_connection(
 /// Turns one request payload into a response; the bool asks the connection
 /// loop to initiate server shutdown.
 fn dispatch(payload: &[u8], service: &SchedulerService) -> (Response, bool) {
-    match Request::from_json(payload) {
-        Ok(Request::Synthesize(request)) => match service.handle_synthesize(&request) {
-            Ok(reply) => (Response::Schedule(Box::new(reply)), false),
-            Err(error @ (ServiceError::Overloaded(_) | ServiceError::Synthesis(_))) => (
-                Response::Error {
-                    message: error.to_string(),
-                },
-                false,
-            ),
-        },
-        Ok(Request::Resynthesize(request)) => match service.handle_resynthesize(&request) {
-            Ok(reply) => (Response::Schedule(Box::new(reply)), false),
-            Err(error @ (ServiceError::Overloaded(_) | ServiceError::Synthesis(_))) => (
-                Response::Error {
-                    message: error.to_string(),
-                },
-                false,
-            ),
-        },
-        Ok(Request::Stats) => (Response::Stats(service.snapshot()), false),
-        Ok(Request::Shutdown) => (Response::ShutdownAck, true),
-        Err(error) => (
+    let served = match Request::from_json(payload) {
+        Ok(Request::Synthesize(request)) => service.handle_synthesize(&request),
+        Ok(Request::Resynthesize(request)) => service.handle_resynthesize(&request),
+        Ok(Request::Stats) => return (Response::Stats(service.snapshot()), false),
+        Ok(Request::Shutdown) => return (Response::ShutdownAck, true),
+        Err(error) => {
+            let message = format!("bad request: {error}");
+            return (Response::Error { message }, false);
+        }
+    };
+    let response = match served {
+        Ok(reply) => Response::Schedule(Box::new(reply)),
+        Err(error @ (ServiceError::Overloaded(_) | ServiceError::Synthesis(_))) => {
             Response::Error {
-                message: format!("bad request: {error}"),
-            },
-            false,
-        ),
-    }
+                message: error.to_string(),
+            }
+        }
+    };
+    (response, false)
 }

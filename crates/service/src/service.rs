@@ -2,8 +2,10 @@
 //!
 //! [`SchedulerService`] is the transport-independent core — the TCP server
 //! of [`crate::server`] is a thin framing loop around
-//! [`SchedulerService::handle_synthesize`], and the load bench drives the
-//! same entry point. A request flows:
+//! [`SchedulerService::handle_synthesize`] and
+//! [`SchedulerService::handle_resynthesize`], and the load bench drives the
+//! same entry points. Both are one pipeline that differs only in the
+//! leader's solve step (5). A request flows:
 //!
 //! 1. **Budget caps** — the request's own [`BudgetCaps`](crate::protocol::BudgetCaps) and the
 //!    service-wide caps are folded into the request config (minimum wins),
@@ -18,8 +20,9 @@
 //!    requests solve exactly once" a hard invariant rather than a race.
 //! 4. **Admission** — leaders that still need a solver acquire a slot from
 //!    the bounded [`AdmissionQueue`] (or bounce with `overloaded`).
-//! 5. **Solve, store, publish** — the backend runs, the result lands in the
-//!    cache *before* the flight retires, and followers wake.
+//! 5. **Solve, store, publish** — the backend runs (from scratch, or
+//!    incrementally from the request's predecessor entry), the result lands
+//!    in the cache *before* the flight retires, and followers wake.
 
 use crate::admission::AdmissionQueue;
 use crate::coalesce::{InflightTable, Role};
@@ -31,9 +34,10 @@ use std::fmt;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Instant;
-use ttw_core::cache::{synthesis_key, CacheProbe, ScheduleCache};
+use ttw_core::cache::{synthesis_key, ScheduleCache};
 use ttw_core::config::SchedulerConfig;
 use ttw_core::resynth::resynthesize_system;
+use ttw_core::schedule::SystemSchedule;
 use ttw_core::synthesis::{synthesize_system, HeuristicSynthesizer, IlpSynthesizer, Synthesizer};
 
 /// Tuning knobs of a [`SchedulerService`].
@@ -180,88 +184,7 @@ impl SchedulerService {
         &self,
         request: &SynthesizeRequest,
     ) -> Result<ScheduleReply, ServiceError> {
-        ServiceStats::bump(&self.stats.requests);
-        let start = Instant::now();
-        let config = self.effective_config(request);
-        let backend = self.backend(request.backend);
-        let key = synthesis_key(&request.system, &request.graph, &config, backend.name());
-
-        // 1. Cold probe: both cache tiers, before any coordination.
-        match self.cache.probe(&key) {
-            CacheProbe::Memory(schedule) => {
-                return Ok(self.warm_reply(&schedule, ServedFrom::Memory, start))
-            }
-            CacheProbe::Disk(schedule) => {
-                return Ok(self.warm_reply(&schedule, ServedFrom::Disk, start))
-            }
-            CacheProbe::Corrupt | CacheProbe::Absent => {}
-        }
-
-        // 2. Coalesce: one flight per key.
-        match self.inflight.join(&key) {
-            Role::Follower(token) => match token.wait() {
-                Ok(schedule) => {
-                    ServiceStats::bump(&self.stats.coalesced);
-                    Ok(self.warm_reply(&schedule, ServedFrom::Coalesced, start))
-                }
-                Err(message) => {
-                    ServiceStats::bump(&self.stats.solve_errors);
-                    Err(ServiceError::Synthesis(message))
-                }
-            },
-            Role::Leader(token) => {
-                // 3. Leadership re-probe: the previous leader may have
-                // stored + retired between our probe and our join. Without
-                // this, that interleaving would solve the same key twice.
-                let raced_in = match self.cache.probe(&key) {
-                    CacheProbe::Memory(schedule) => Some((schedule, ServedFrom::Memory)),
-                    CacheProbe::Disk(schedule) => Some((schedule, ServedFrom::Disk)),
-                    CacheProbe::Corrupt | CacheProbe::Absent => None,
-                };
-                if let Some((schedule, served)) = raced_in {
-                    let reply = self.warm_reply(&schedule, served, start);
-                    self.inflight.complete(token, Ok(schedule));
-                    return Ok(reply);
-                }
-
-                // 4. Admission: bounded solver concurrency.
-                let permit = match self.admission.admit() {
-                    Ok(permit) => permit,
-                    Err(overloaded) => {
-                        ServiceStats::bump(&self.stats.rejected);
-                        let message = overloaded.to_string();
-                        self.inflight.complete(token, Err(message.clone()));
-                        return Err(ServiceError::Overloaded(message));
-                    }
-                };
-
-                // 5. Solve, store, publish — in that order, so by the time
-                // followers wake (and the key frees up) the cache is warm.
-                let result = synthesize_system(&request.system, &request.graph, &config, backend);
-                drop(permit);
-                match result {
-                    Ok(schedule) => {
-                        self.cache.store(&key, &schedule);
-                        let schedule = Arc::new(schedule);
-                        ServiceStats::bump(&self.stats.solved);
-                        let reply = ScheduleReply {
-                            request_milp_nodes: schedule.total_milp_nodes(),
-                            schedule: (*schedule).clone(),
-                            served: ServedFrom::Solved,
-                            service_micros: start.elapsed().as_micros() as u64,
-                        };
-                        self.inflight.complete(token, Ok(schedule));
-                        Ok(reply)
-                    }
-                    Err(error) => {
-                        ServiceStats::bump(&self.stats.solve_errors);
-                        let message = error.to_string();
-                        self.inflight.complete(token, Err(message.clone()));
-                        Err(ServiceError::Synthesis(message))
-                    }
-                }
-            }
-        }
+        self.serve(request, None)
     }
 
     /// The cache key this request resolves to after budget-cap folding —
@@ -295,110 +218,113 @@ impl SchedulerService {
         &self,
         request: &ResynthesizeRequest,
     ) -> Result<ScheduleReply, ServiceError> {
+        self.serve(&request.base, Some(&request.predecessor))
+    }
+
+    /// The pipeline of the module docs. `predecessor` selects the leader's
+    /// solve-and-store step — a from-scratch solve, or an incremental one
+    /// from that cache entry — and nothing else.
+    fn serve(
+        &self,
+        request: &SynthesizeRequest,
+        predecessor: Option<&str>,
+    ) -> Result<ScheduleReply, ServiceError> {
         ServiceStats::bump(&self.stats.requests);
         let start = Instant::now();
-        let config = self.effective_config(&request.base);
-        let backend = self.backend(request.base.backend);
-        let key = synthesis_key(
-            &request.base.system,
-            &request.base.graph,
-            &config,
-            backend.name(),
-        );
+        let config = self.effective_config(request);
+        let backend = self.backend(request.backend);
+        let key = synthesis_key(&request.system, &request.graph, &config, backend.name());
+        let reply = |schedule: &SystemSchedule, served, request_milp_nodes| ScheduleReply {
+            schedule: schedule.clone(),
+            served,
+            request_milp_nodes,
+            service_micros: start.elapsed().as_micros() as u64,
+        };
+        let probe = || {
+            let (schedule, from_disk) = self.cache.probe(&key).hit()?;
+            let served = if from_disk {
+                ServedFrom::Disk
+            } else {
+                ServedFrom::Memory
+            };
+            Some((reply(&schedule, served, 0), schedule))
+        };
 
-        // Same single-solve discipline as the synthesize path: the successor
-        // key may already be cached (the same edit submitted twice) or in
-        // flight (concurrent identical edits coalesce onto one leader).
-        match self.cache.probe(&key) {
-            CacheProbe::Memory(schedule) => {
-                return Ok(self.warm_reply(&schedule, ServedFrom::Memory, start))
-            }
-            CacheProbe::Disk(schedule) => {
-                return Ok(self.warm_reply(&schedule, ServedFrom::Disk, start))
-            }
-            CacheProbe::Corrupt | CacheProbe::Absent => {}
+        // 1. Cold probe: both cache tiers, before any coordination.
+        if let Some((warm, _)) = probe() {
+            return Ok(warm);
         }
 
-        match self.inflight.join(&key) {
-            Role::Follower(token) => match token.wait() {
-                Ok(schedule) => {
-                    ServiceStats::bump(&self.stats.coalesced);
-                    Ok(self.warm_reply(&schedule, ServedFrom::Coalesced, start))
-                }
-                Err(message) => {
-                    ServiceStats::bump(&self.stats.solve_errors);
-                    Err(ServiceError::Synthesis(message))
-                }
-            },
-            Role::Leader(token) => {
-                let raced_in = match self.cache.probe(&key) {
-                    CacheProbe::Memory(schedule) => Some((schedule, ServedFrom::Memory)),
-                    CacheProbe::Disk(schedule) => Some((schedule, ServedFrom::Disk)),
-                    CacheProbe::Corrupt | CacheProbe::Absent => None,
-                };
-                if let Some((schedule, served)) = raced_in {
-                    let reply = self.warm_reply(&schedule, served, start);
-                    self.inflight.complete(token, Ok(schedule));
-                    return Ok(reply);
-                }
-
-                let permit = match self.admission.admit() {
-                    Ok(permit) => permit,
-                    Err(overloaded) => {
-                        ServiceStats::bump(&self.stats.rejected);
-                        let message = overloaded.to_string();
-                        self.inflight.complete(token, Err(message.clone()));
-                        return Err(ServiceError::Overloaded(message));
+        // 2. Coalesce: one flight per key.
+        let token = match self.inflight.join(&key) {
+            Role::Follower(token) => {
+                return match token.wait() {
+                    Ok(schedule) => {
+                        ServiceStats::bump(&self.stats.coalesced);
+                        Ok(reply(&schedule, ServedFrom::Coalesced, 0))
                     }
-                };
-
-                // resynthesize_system stores the result (and fresh warm
-                // artifacts) under the successor key itself, so followers
-                // and later probes find it exactly as after a full solve.
-                let result = resynthesize_system(
-                    &request.base.system,
-                    &request.base.graph,
-                    &config,
-                    backend,
-                    &self.cache,
-                    &request.predecessor,
-                );
-                drop(permit);
-                match result {
-                    Ok((schedule, report)) => {
-                        let schedule = Arc::new(schedule);
-                        ServiceStats::bump(&self.stats.incremental);
-                        let reply = ScheduleReply {
-                            request_milp_nodes: report.solved_milp_nodes,
-                            schedule: (*schedule).clone(),
-                            served: ServedFrom::Incremental,
-                            service_micros: start.elapsed().as_micros() as u64,
-                        };
-                        self.inflight.complete(token, Ok(schedule));
-                        Ok(reply)
-                    }
-                    Err(error) => {
+                    Err(message) => {
                         ServiceStats::bump(&self.stats.solve_errors);
-                        let message = error.to_string();
-                        self.inflight.complete(token, Err(message.clone()));
                         Err(ServiceError::Synthesis(message))
                     }
                 }
             }
-        }
-    }
+            Role::Leader(token) => token,
+        };
 
-    fn warm_reply(
-        &self,
-        schedule: &Arc<ttw_core::schedule::SystemSchedule>,
-        served: ServedFrom,
-        start: Instant,
-    ) -> ScheduleReply {
-        ScheduleReply {
-            schedule: (**schedule).clone(),
-            served,
-            request_milp_nodes: 0,
-            service_micros: start.elapsed().as_micros() as u64,
+        // 3. Leadership re-probe: the previous leader may have stored +
+        // retired between our probe and our join. Without this, that
+        // interleaving would solve the same key twice.
+        if let Some((warm, schedule)) = probe() {
+            self.inflight.complete(token, Ok(schedule));
+            return Ok(warm);
+        }
+
+        // 4. Admission: bounded solver concurrency.
+        let permit = match self.admission.admit() {
+            Ok(permit) => permit,
+            Err(overloaded) => {
+                ServiceStats::bump(&self.stats.rejected);
+                let message = overloaded.to_string();
+                self.inflight.complete(token, Err(message.clone()));
+                return Err(ServiceError::Overloaded(message));
+            }
+        };
+
+        // 5. Solve, store, publish — in that order, so by the time followers
+        // wake (and the key frees up) the cache is warm. A plain solve stores
+        // the schedule alone; `resynthesize_system` stores it, with fresh
+        // warm artifacts, under the successor key itself.
+        let (system, graph) = (&request.system, &request.graph);
+        let result = match predecessor {
+            None => synthesize_system(system, graph, &config, backend).map(|schedule| {
+                self.cache.store(&key, &schedule);
+                let nodes = schedule.total_milp_nodes();
+                (schedule, nodes)
+            }),
+            Some(predecessor) => {
+                resynthesize_system(system, graph, &config, backend, &self.cache, predecessor)
+                    .map(|(schedule, report)| (schedule, report.solved_milp_nodes))
+            }
+        };
+        drop(permit);
+        match result {
+            Ok((schedule, nodes)) => {
+                let (served, counter) = match predecessor {
+                    None => (ServedFrom::Solved, &self.stats.solved),
+                    Some(_) => (ServedFrom::Incremental, &self.stats.incremental),
+                };
+                ServiceStats::bump(counter);
+                let solved = reply(&schedule, served, nodes);
+                self.inflight.complete(token, Ok(Arc::new(schedule)));
+                Ok(solved)
+            }
+            Err(error) => {
+                ServiceStats::bump(&self.stats.solve_errors);
+                let message = error.to_string();
+                self.inflight.complete(token, Err(message.clone()));
+                Err(ServiceError::Synthesis(message))
+            }
         }
     }
 }
@@ -419,6 +345,23 @@ mod tests {
             backend,
             budget: BudgetCaps::default(),
         }
+    }
+
+    /// Sends `base` as either request kind. The resynthesize predecessor
+    /// does not exist, so the incremental path degrades to a cold solve and
+    /// both kinds run the solver.
+    fn send(
+        service: &SchedulerService,
+        resynthesize: bool,
+        base: &SynthesizeRequest,
+    ) -> Result<ScheduleReply, ServiceError> {
+        if !resynthesize {
+            return service.handle_synthesize(base);
+        }
+        service.handle_resynthesize(&ResynthesizeRequest {
+            base: base.clone(),
+            predecessor: "absent".into(),
+        })
     }
 
     #[test]
@@ -455,20 +398,22 @@ mod tests {
 
     #[test]
     fn budget_caps_change_the_cache_key_and_can_fail_the_solve() {
-        let service = SchedulerService::in_memory();
-        let mut req = request(BackendKind::Ilp);
-        service.handle_synthesize(&req).expect("uncapped feasible");
-        // A starved budget must not alias the uncapped entry: it has to
-        // run (and fail) rather than hit the cache.
-        req.budget = BudgetCaps {
-            max_nodes: Some(0),
-            max_simplex_iterations: Some(1),
-        };
-        let starved = service.handle_synthesize(&req);
-        assert!(matches!(starved, Err(ServiceError::Synthesis(_))));
-        let stats = service.snapshot();
-        assert_eq!(stats.solve_errors, 1);
-        assert!(stats.reconciles(), "{stats:?}");
+        for resynthesize in [false, true] {
+            let service = SchedulerService::in_memory();
+            let mut req = request(BackendKind::Ilp);
+            service.handle_synthesize(&req).expect("uncapped feasible");
+            // A starved budget must not alias the uncapped entry: it has to
+            // run (and fail) rather than hit the cache.
+            req.budget = BudgetCaps {
+                max_nodes: Some(0),
+                max_simplex_iterations: Some(1),
+            };
+            let starved = send(&service, resynthesize, &req);
+            assert!(matches!(starved, Err(ServiceError::Synthesis(_))));
+            let stats = service.snapshot();
+            assert_eq!(stats.solve_errors, 1);
+            assert!(stats.reconciles(), "{stats:?}");
+        }
     }
 
     #[test]
@@ -485,91 +430,86 @@ mod tests {
 
     #[test]
     fn concurrent_identical_requests_solve_exactly_once() {
-        let service = Arc::new(SchedulerService::in_memory());
-        let req = request(BackendKind::Ilp);
         const CLIENTS: usize = 6;
-        let replies: Vec<ScheduleReply> = std::thread::scope(|scope| {
-            let workers: Vec<_> = (0..CLIENTS)
-                .map(|_| {
-                    let service = Arc::clone(&service);
-                    let req = req.clone();
-                    scope.spawn(move || service.handle_synthesize(&req).expect("feasible"))
-                })
-                .collect();
-            workers
-                .into_iter()
-                .map(|w| w.join().expect("worker"))
-                .collect()
-        });
-        let stats = service.snapshot();
-        assert_eq!(stats.requests, CLIENTS);
-        // The hard invariant: one solve total, however the rest of the
-        // requests split between coalescing and cache hits.
-        assert_eq!(stats.solved, 1, "{stats:?}");
-        assert_eq!(stats.coalesced + stats.cache_hits, CLIENTS - 1, "{stats:?}");
-        assert!(stats.reconciles(), "{stats:?}");
-        let solved: Vec<_> = replies
-            .iter()
-            .filter(|r| r.served == ServedFrom::Solved)
-            .collect();
-        assert_eq!(solved.len(), 1);
-        for reply in &replies {
-            assert_eq!(reply.schedule, solved[0].schedule);
-            if reply.served.is_warm() {
-                assert_eq!(reply.request_milp_nodes, 0);
+        // All synthesize, all resynthesize, and the two kinds racing for the
+        // same successor key.
+        let mixed = [false, true, false, true, false, true];
+        for kinds in [[false; CLIENTS], [true; CLIENTS], mixed] {
+            let service = Arc::new(SchedulerService::in_memory());
+            let req = request(BackendKind::Ilp);
+            let replies: Vec<ScheduleReply> = std::thread::scope(|scope| {
+                let workers: Vec<_> = kinds
+                    .iter()
+                    .map(|&resynthesize| {
+                        let (service, req) = (&service, &req);
+                        scope.spawn(move || send(service, resynthesize, req).expect("feasible"))
+                    })
+                    .collect();
+                workers
+                    .into_iter()
+                    .map(|w| w.join().expect("worker"))
+                    .collect()
+            });
+            let stats = service.snapshot();
+            assert_eq!(stats.requests, CLIENTS);
+            // The hard invariant: one solve total, however the rest of the
+            // requests split between coalescing and cache hits.
+            assert_eq!(stats.solved + stats.incremental, 1, "{stats:?}");
+            assert_eq!(stats.coalesced + stats.cache_hits, CLIENTS - 1, "{stats:?}");
+            assert!(stats.reconciles(), "{stats:?}");
+            let solved: Vec<_> = replies.iter().filter(|r| !r.served.is_warm()).collect();
+            assert_eq!(solved.len(), 1);
+            for reply in &replies {
+                assert_eq!(reply.schedule, solved[0].schedule);
+                if reply.served.is_warm() {
+                    assert_eq!(reply.request_milp_nodes, 0);
+                }
             }
         }
     }
 
     #[test]
     fn zero_wait_line_bounces_the_overflow() {
-        let config = ServiceConfig {
-            max_active_solves: 1,
-            max_waiting: 0,
-            ..ServiceConfig::default()
-        };
-        let service = Arc::new(SchedulerService::new(config));
         // Distinct systems so the requests cannot coalesce.
-        let (system_a, graph_a, _, _) = fixtures::two_mode_graph();
         let (system_b, graph_b, _) = fixtures::four_mode_diamond();
         let reqs = [
-            SynthesizeRequest {
-                system: system_a,
-                graph: graph_a,
-                config: SchedulerConfig::new(millis(10), 5),
-                backend: BackendKind::Ilp,
-                budget: BudgetCaps::default(),
-            },
+            request(BackendKind::Ilp),
             SynthesizeRequest {
                 system: system_b,
                 graph: graph_b,
-                config: SchedulerConfig::new(millis(10), 5),
-                backend: BackendKind::Ilp,
-                budget: BudgetCaps::default(),
+                ..request(BackendKind::Ilp)
             },
         ];
-        let outcomes: Vec<_> = std::thread::scope(|scope| {
-            let workers: Vec<_> = reqs
+        for resynthesize in [false, true] {
+            let config = ServiceConfig {
+                max_active_solves: 1,
+                max_waiting: 0,
+                ..ServiceConfig::default()
+            };
+            let service = Arc::new(SchedulerService::new(config));
+            let outcomes: Vec<_> = std::thread::scope(|scope| {
+                let workers: Vec<_> = reqs
+                    .iter()
+                    .map(|req| {
+                        let service = &service;
+                        scope.spawn(move || send(service, resynthesize, req).map(|r| r.served))
+                    })
+                    .collect();
+                workers
+                    .into_iter()
+                    .map(|w| w.join().expect("worker"))
+                    .collect()
+            });
+            let stats = service.snapshot();
+            assert!(stats.reconciles(), "{stats:?}");
+            // Either both squeezed through sequentially or one was bounced;
+            // what must never happen is a lost request.
+            let rejected = outcomes
                 .iter()
-                .map(|req| {
-                    let service = Arc::clone(&service);
-                    scope.spawn(move || service.handle_synthesize(req).map(|r| r.served))
-                })
-                .collect();
-            workers
-                .into_iter()
-                .map(|w| w.join().expect("worker"))
-                .collect()
-        });
-        let stats = service.snapshot();
-        assert!(stats.reconciles(), "{stats:?}");
-        // Either both squeezed through sequentially or one was bounced;
-        // what must never happen is a lost request.
-        let rejected = outcomes
-            .iter()
-            .filter(|o| matches!(o, Err(ServiceError::Overloaded(_))))
-            .count();
-        assert_eq!(stats.rejected, rejected);
-        assert_eq!(stats.requests, 2);
+                .filter(|o| matches!(o, Err(ServiceError::Overloaded(_))))
+                .count();
+            assert_eq!(stats.rejected, rejected);
+            assert_eq!(stats.requests, 2);
+        }
     }
 }

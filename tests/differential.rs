@@ -43,7 +43,9 @@
 
 use ttw::core::cache::{synthesize_system_cached, CacheOutcome, ScheduleCache};
 use ttw::core::export::system_schedule_to_json;
-use ttw::core::synthesis::{synthesize_system, HeuristicSynthesizer, IlpSynthesizer, Synthesizer};
+use ttw::core::synthesis::{
+    synthesize_mode, synthesize_system, HeuristicSynthesizer, IlpSynthesizer, Synthesizer,
+};
 use ttw::core::validate::{validate_schedule, validate_system_schedule};
 use ttw::core::{feasibility, ilp, InheritedOffsets, ScheduleError};
 use ttw::testkit::{generate, GeneratorConfig, GraphShape, InfeasibleKind, Scenario};
@@ -170,7 +172,8 @@ fn generated_scenarios_uphold_the_differential_invariants() {
                         let donor = result.get(donor_mode).expect("donor precedes heir");
                         pins.import_application(sys, app, donor);
                     }
-                    let Ok(greedy) = HeuristicSynthesizer.synthesize(sys, mode, &config, &pins)
+                    let Ok((greedy, _)) =
+                        HeuristicSynthesizer.synthesize(sys, mode, &config, &pins, None)
                     else {
                         continue; // incompleteness is allowed; wrongness is not
                     };
@@ -379,9 +382,8 @@ fn generated_multi_rate_modes_are_rejected_not_mis_scheduled() {
 
         for mode in scenario.multi_rate_modes() {
             multi_rate_modes_seen += 1;
-            let outcome =
-                HeuristicSynthesizer.synthesize(sys, mode, &config, &InheritedOffsets::none());
-            match outcome {
+            let pins = InheritedOffsets::none();
+            match HeuristicSynthesizer.synthesize(sys, mode, &config, &pins, None) {
                 Err(failure) => assert!(
                     matches!(failure.error, ScheduleError::Unsupported { .. }),
                     "heuristic rejected multi-rate {mode} with the wrong error \
@@ -804,9 +806,7 @@ fn analyzer_infeasible_implies_ilp_infeasible() {
             certified += 1;
             // Pin-free solve: certificates are pin-independent, so the
             // strongest (least constrained) instance is the right oracle.
-            let outcome =
-                IlpSynthesizer::default().synthesize(sys, mode, &config, &InheritedOffsets::none());
-            match outcome {
+            match synthesize_mode(sys, mode, &config) {
                 Ok(schedule) => panic!(
                     "analyzer certified {mode} infeasible ({certificate}) but the \
                      ILP found a {}-round schedule ({repro})",
@@ -989,78 +989,103 @@ fn numerically_hard_cut_root_degrades_instead_of_failing() {
 #[test]
 fn incremental_resynthesis_matches_from_scratch() {
     use ttw::core::cache::synthesis_key;
-    use ttw::core::resynth::resynthesize_system;
+    use ttw::core::resynth::{resynthesize_system, ResynthesisReport};
+    use ttw::core::{fixtures, ModeGraph, SchedulerConfig, System, TaskId};
+
+    // Solves `system`, bumps the WCET of every task in `edit` by one, then
+    // compares a from-scratch solve of the edited system with its incremental
+    // re-synthesis. Returns the report when both are feasible.
+    let check = |system: &System,
+                 graph: &ModeGraph,
+                 config: &SchedulerConfig,
+                 edit: &[TaskId],
+                 repro: &str|
+     -> Option<ResynthesisReport> {
+        let backend = IlpSynthesizer::default();
+        let cache = ScheduleCache::in_memory();
+        // An infeasible predecessor leaves nothing to resynthesize from.
+        synthesize_system_cached(system, graph, config, &backend, &cache).ok()?;
+        let predecessor_key = synthesis_key(system, graph, config, backend.name());
+
+        let mut edited = system.clone();
+        for &task in edit {
+            let wcet = edited.task(task).wcet;
+            edited
+                .set_task_wcet(task, wcet + 1)
+                .expect("bumped WCET is non-zero");
+        }
+
+        let scratch = synthesize_system(&edited, graph, config, &backend);
+        let incremental =
+            resynthesize_system(&edited, graph, config, &backend, &cache, &predecessor_key);
+        match (scratch, incremental) {
+            (Ok(scratch), Ok((incremental, report))) => {
+                assert!(report.predecessor_found, "{repro}");
+                assert_eq!(
+                    report.modes_reused + report.modes_resolved,
+                    scratch.num_modes(),
+                    "{repro}"
+                );
+                assert!(report.modes_resolved >= 1, "{repro}");
+                assert_eq!(
+                    system_schedule_to_json(&scratch.content_only()).expect("serialize"),
+                    system_schedule_to_json(&incremental.content_only()).expect("serialize"),
+                    "incremental result diverged from scratch: {repro}"
+                );
+                Some(report)
+            }
+            (Err(_), Err(_)) => None,
+            (scratch, incremental) => panic!(
+                "verdict mismatch: scratch {:?} vs incremental {:?} ({repro})",
+                scratch.map(|_| "ok"),
+                incremental.map(|_| "ok"),
+            ),
+        }
+    };
 
     let start = seed_start();
     let mut exercised = 0usize;
     for seed in start..start + seed_count(8) as u64 {
         let scenario = scenario_for_seed(seed, false);
-        let config = scenario.scheduler_config();
-        let backend = IlpSynthesizer::default();
-        let cache = ScheduleCache::in_memory();
-        if synthesize_system_cached(&scenario.system, &scenario.graph, &config, &backend, &cache)
-            .is_err()
-        {
-            continue; // infeasible predecessor: nothing to resynthesize from
-        }
-        let predecessor_key =
-            synthesis_key(&scenario.system, &scenario.graph, &config, backend.name());
-
         // The admission edit: bump one WCET in the last mode, preferring an
         // application private to that mode (the smallest possible edit).
-        let mut edited = scenario.system.clone();
+        let system = &scenario.system;
         let last_mode = *scenario.modes().last().expect("modes exist");
-        let apps = &edited.mode(last_mode).applications;
+        let apps = &system.mode(last_mode).applications;
         let app = apps
             .iter()
             .copied()
-            .find(|&a| edited.modes_of_application(a).len() == 1)
+            .find(|&a| system.modes_of_application(a).len() == 1)
             .unwrap_or(apps[0]);
-        let task = edited.application(app).tasks[0];
-        let wcet = edited.task(task).wcet;
-        edited
-            .set_task_wcet(task, wcet + 1)
-            .expect("bumped WCET is non-zero");
-
-        let scratch = synthesize_system(&edited, &scenario.graph, &config, &backend);
-        let incremental = resynthesize_system(
-            &edited,
-            &scenario.graph,
-            &config,
-            &backend,
-            &cache,
-            &predecessor_key,
-        );
-        match (scratch, incremental) {
-            (Ok(scratch), Ok((incremental, report))) => {
-                assert!(report.predecessor_found, "{}", scenario.repro());
-                assert_eq!(
-                    report.modes_reused + report.modes_resolved,
-                    scratch.num_modes(),
-                    "{}",
-                    scenario.repro()
-                );
-                assert!(report.modes_resolved >= 1, "{}", scenario.repro());
-                assert_eq!(
-                    system_schedule_to_json(&scratch.content_only()).expect("serialize"),
-                    system_schedule_to_json(&incremental.content_only()).expect("serialize"),
-                    "incremental result diverged from scratch: {}",
-                    scenario.repro()
-                );
-                exercised += 1;
-            }
-            (Err(_), Err(_)) => {}
-            (scratch, incremental) => panic!(
-                "verdict mismatch: scratch {:?} vs incremental {:?} ({})",
-                scratch.map(|_| "ok"),
-                incremental.map(|_| "ok"),
-                scenario.repro()
-            ),
-        }
+        let task = system.application(app).tasks[0];
+        let config = scenario.scheduler_config();
+        let report = check(system, &scenario.graph, &config, &[task], &scenario.repro());
+        exercised += usize::from(report.is_some());
     }
     if !knobs_overridden() {
         assert!(exercised >= 3, "sweep was vacuous: {exercised} scenarios");
     }
+
+    // The four-mode diamond, with the private applications of `normal` and
+    // `maintenance` edited: its width-3 wave then holds two modes to re-solve
+    // around one kept verbatim, the only shape that runs the wave driver's
+    // worker threads with a predecessor. The report is pinned to what the
+    // sequential pre-merge implementation produced.
+    let (system, graph, _) = fixtures::four_mode_diamond();
+    let edit = ["tele.sample", "maint.poll"].map(|name| system.task_id(name).expect("fixture"));
+    let config = SchedulerConfig::new(10_000, 5);
+    let report = check(&system, &graph, &config, &edit, "four-mode diamond");
+    assert_eq!(
+        report,
+        Some(ResynthesisReport {
+            predecessor_found: true,
+            modes_reused: 2,
+            modes_resolved: 2,
+            warm_started_modes: 2,
+            solved_milp_nodes: 26,
+            solved_simplex_iterations: 134,
+        })
+    );
 }
 
 /// Stale warm material must be harmless: re-synthesizing system B from
