@@ -33,6 +33,11 @@
 //! 1. **Memory** — a sharded `RwLock` map of entries. This is the hot path
 //!    of the scheduler service: many worker threads probe concurrently, and
 //!    a hit is a shard read-lock plus an `Arc` clone — no parsing, no I/O.
+//!    An entry also keeps the compact JSON of its schedule once a hit has
+//!    been served over the wire ([`ScheduleCache::wire_body`]), so later
+//!    hits ship those bytes instead of encoding the schedule again; the
+//!    text is built by the first such hit, not by the store, and goes with
+//!    the entry when it is evicted or overwritten.
 //!    The tier is optionally bounded ([`ScheduleCache::with_memory_cap`]):
 //!    beyond the cap the oldest-inserted entries are evicted (memory copy
 //!    only — the disk tier is the archive), and the
@@ -76,7 +81,7 @@ use crate::config::SchedulerConfig;
 use crate::export::{
     mode_graph_from_value, mode_graph_to_value, scheduler_config_from_value,
     scheduler_config_to_value, system_from_value, system_schedule_from_json,
-    system_schedule_to_json, system_to_value,
+    system_schedule_to_json, system_schedule_to_value, system_to_value,
 };
 use crate::ids::ModeId;
 use crate::json::{JsonError, Value};
@@ -85,10 +90,10 @@ use crate::schedule::SystemSchedule;
 use crate::synthesis::{synthesize_waves, ModeWarmStart, Synthesizer, SystemSynthesisError};
 use crate::system::System;
 use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex, RwLock};
+use std::sync::{mpsc, Arc, Mutex, OnceLock, RwLock};
 use ttw_milp::Basis;
 
 /// Bumped whenever the cached representation (or anything influencing the
@@ -116,52 +121,60 @@ static STORE_SEQ: AtomicU64 = AtomicU64::new(0);
 /// reproducibility and cache keying share one definition.
 pub fn system_fingerprint(system: &System, graph: &ModeGraph) -> String {
     let mut out = String::new();
+    // Writing into a `String` cannot fail.
+    let _ = write_fingerprint(&mut out, system, graph);
+    out
+}
+
+fn write_fingerprint(out: &mut impl fmt::Write, system: &System, graph: &ModeGraph) -> fmt::Result {
     for (id, node) in system.nodes() {
-        let _ = writeln!(out, "node {id} {}", node.name);
+        writeln!(out, "node {id} {}", node.name)?;
     }
     for (id, task) in system.tasks() {
-        let _ = writeln!(
+        writeln!(
             out,
             "task {id} {} node={} wcet={} app={}",
             task.name, task.node, task.wcet, task.app
-        );
+        )?;
     }
     for (id, msg) in system.messages() {
-        let _ = writeln!(
+        writeln!(
             out,
             "message {id} {} app={} prec={:?} succ={:?}",
             msg.name, msg.app, msg.preceding_tasks, msg.successor_tasks
-        );
+        )?;
     }
     for (id, app) in system.applications() {
-        let _ = writeln!(
+        writeln!(
             out,
             "app {id} {} period={} deadline={} tasks={:?} messages={:?}",
             app.name, app.period, app.deadline, app.tasks, app.messages
-        );
+        )?;
     }
     for (id, mode) in system.modes() {
-        let _ = writeln!(out, "mode {id} {} apps={:?}", mode.name, mode.applications);
+        writeln!(out, "mode {id} {} apps={:?}", mode.name, mode.applications)?;
     }
     for (from, to) in graph.edges() {
-        let _ = writeln!(out, "edge {from} -> {to}");
+        writeln!(out, "edge {from} -> {to}")?;
     }
-    out
+    Ok(())
 }
 
 /// The full key text a cache entry is hashed from: system/graph fingerprint
 /// plus everything else the synthesized bytes depend on.
-fn key_text(
+fn write_key_text(
+    out: &mut impl fmt::Write,
     system: &System,
     graph: &ModeGraph,
     config: &SchedulerConfig,
     backend_name: &str,
-) -> String {
-    format!(
-        "format={CACHE_FORMAT_VERSION}\nversion={}\nbackend={backend_name}\nconfig={config:?}\n{}",
+) -> fmt::Result {
+    write!(
+        out,
+        "format={CACHE_FORMAT_VERSION}\nversion={}\nbackend={backend_name}\nconfig={config:?}\n",
         env!("CARGO_PKG_VERSION"),
-        system_fingerprint(system, graph),
-    )
+    )?;
+    write_fingerprint(out, system, graph)
 }
 
 /// FNV-1a 64-bit over the key text — stable across platforms and runs, and
@@ -169,13 +182,26 @@ fn key_text(
 /// self-describing (a collision would merely serve a valid schedule of a
 /// different system, and the key text includes every byte the schedule
 /// depends on, making that astronomically unlikely within one cache dir).
-fn fnv1a64(text: &str) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in text.bytes() {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x1000_0000_01b3);
+///
+/// The state is a [`fmt::Write`] sink, so the key text is hashed as it is
+/// rendered and never materialised; the value depends only on the byte
+/// stream, not on how it is cut into `write_str` calls.
+struct Fnv1a64(u64);
+
+impl Fnv1a64 {
+    fn new() -> Self {
+        Fnv1a64(0xcbf2_9ce4_8422_2325)
     }
-    hash
+}
+
+impl fmt::Write for Fnv1a64 {
+    fn write_str(&mut self, text: &str) -> fmt::Result {
+        for byte in text.bytes() {
+            self.0 ^= u64::from(byte);
+            self.0 = self.0.wrapping_mul(0x1000_0000_01b3);
+        }
+        Ok(())
+    }
 }
 
 /// Computes the cache key for a synthesis request.
@@ -185,10 +211,10 @@ pub fn synthesis_key(
     config: &SchedulerConfig,
     backend_name: &str,
 ) -> String {
-    format!(
-        "{:016x}",
-        fnv1a64(&key_text(system, graph, config, backend_name))
-    )
+    let mut hash = Fnv1a64::new();
+    // The sink never fails.
+    let _ = write_key_text(&mut hash, system, graph, config, backend_name);
+    format!("{:016x}", hash.0)
 }
 
 /// Whether a cached-synthesis call was served from the cache or had to run
@@ -342,12 +368,18 @@ pub fn artifacts_from_json(text: &str) -> Result<SynthesisArtifacts, JsonError> 
 }
 
 /// One memory-tier entry: the schedule plus (when the entry came through
-/// [`ScheduleCache::store_with_artifacts`]) its warm-start material. The two
-/// live and die together under the eviction policy.
-#[derive(Debug, Clone)]
+/// [`ScheduleCache::store_with_artifacts`]) its warm-start material and
+/// (once a hit has been served over the wire) its encoded reply body. They
+/// live and die together under the eviction policy, and a later store under
+/// the same key replaces all three.
+#[derive(Debug)]
 struct CacheEntry {
     schedule: Arc<SystemSchedule>,
     artifacts: Option<Arc<SynthesisArtifacts>>,
+    /// See [`ScheduleCache::wire_body`]. Empty until the first caller asks:
+    /// most entries of an edit stream are stored and never read again, and
+    /// must not pay memory for bytes nobody requests.
+    wire_body: OnceLock<Arc<str>>,
 }
 
 /// One memory-tier shard: the entry map plus the insertion-order queue the
@@ -593,13 +625,7 @@ impl ScheduleCache {
             return CacheProbe::Corrupt;
         };
         let entry = Arc::new(schedule);
-        self.insert_memory(
-            key,
-            CacheEntry {
-                schedule: Arc::clone(&entry),
-                artifacts: None,
-            },
-        );
+        self.insert_memory(key, Arc::clone(&entry), None);
         CacheProbe::Disk(entry)
     }
 
@@ -653,6 +679,32 @@ impl ScheduleCache {
         Some(artifacts)
     }
 
+    /// The compact JSON of `schedule` — `system_schedule_to_value(s).to_json()`,
+    /// the `"schedule"` member of a service reply — for a schedule a probe of
+    /// `key` returned.
+    ///
+    /// While that schedule is still the memory tier's entry under `key`, the
+    /// text is built once, by the first caller (concurrent first callers wait
+    /// for it and share it), and kept with the entry: it goes when the entry
+    /// is evicted or a later store replaces it. A schedule that is no longer
+    /// the resident entry is encoded for this caller alone, so the answer is
+    /// always the encoding of the schedule passed in, never of its successor.
+    ///
+    /// The one cached encode runs under the shard's read lock: other readers
+    /// of the shard go on, a store into it waits that once.
+    pub fn wire_body(&self, key: &str, schedule: &Arc<SystemSchedule>) -> Arc<str> {
+        let encode = || Arc::from(system_schedule_to_value(schedule).to_json());
+        let cached = self
+            .shard(key)
+            .read()
+            .unwrap_or_else(|e| e.into_inner())
+            .map
+            .get(key)
+            .filter(|entry| Arc::ptr_eq(&entry.schedule, schedule))
+            .map(|entry| Arc::clone(entry.wire_body.get_or_init(encode)));
+        cached.unwrap_or_else(encode)
+    }
+
     /// [`ScheduleCache::probe`] without the accounting: checks both tiers
     /// (promoting a disk hit) but bumps no counter. Used for *auxiliary*
     /// lookups — fetching a resynthesis request's predecessor — that must
@@ -680,13 +732,7 @@ impl ScheduleCache {
     ) {
         let schedule = Arc::new(schedule.clone());
         let artifacts = artifacts.map(|a| Arc::new(a.clone()));
-        self.insert_memory(
-            key,
-            CacheEntry {
-                schedule: Arc::clone(&schedule),
-                artifacts: artifacts.clone(),
-            },
-        );
+        self.insert_memory(key, Arc::clone(&schedule), artifacts.clone());
         let Some(dir) = self.dir.clone() else {
             return;
         };
@@ -733,11 +779,23 @@ impl ScheduleCache {
     }
 
     fn shard(&self, key: &str) -> &RwLock<Shard> {
-        let index = (fnv1a64(key) as usize) % self.shards.len();
+        let mut hash = Fnv1a64::new();
+        let _ = hash.write_str(key);
+        let index = (hash.0 as usize) % self.shards.len();
         &self.shards[index]
     }
 
-    fn insert_memory(&self, key: &str, entry: CacheEntry) {
+    fn insert_memory(
+        &self,
+        key: &str,
+        schedule: Arc<SystemSchedule>,
+        artifacts: Option<Arc<SynthesisArtifacts>>,
+    ) {
+        let entry = CacheEntry {
+            schedule,
+            artifacts,
+            wire_body: OnceLock::new(),
+        };
         let mut shard = self.shard(key).write().unwrap_or_else(|e| e.into_inner());
         if shard.map.insert(key.to_string(), entry).is_some() {
             // Overwrite of a resident key: neither an insertion nor an
@@ -1039,6 +1097,108 @@ mod tests {
             synthesis_key(&diamond_sys, &diamond_graph, &config(), "ilp-incremental"),
             "system structure must be part of the key"
         );
+    }
+
+    /// Disk entries and `request_key` predecessors outlive a build, so the
+    /// key values are part of the format. The literals are what the
+    /// `String`-materialising implementation returned for these inputs; they
+    /// move only with `CACHE_FORMAT_VERSION`, the crate version, or a change
+    /// to what the key text says.
+    #[test]
+    fn key_values_are_pinned_and_do_not_depend_on_how_the_text_is_streamed() {
+        let (sys, graph, _, _) = fixtures::two_mode_graph();
+        assert_eq!(
+            synthesis_key(&sys, &graph, &config(), "ilp-incremental"),
+            "13e927d99e3816b2"
+        );
+        let (diamond_sys, diamond_graph, _) = fixtures::four_mode_diamond();
+        assert_eq!(
+            synthesis_key(&diamond_sys, &diamond_graph, &config(), "greedy-heuristic"),
+            "7a3ae3258b86e1d5"
+        );
+        // One `write_str` of the whole text hashes like the many small ones
+        // `write!` makes of it.
+        let mut text = String::new();
+        write_key_text(&mut text, &sys, &graph, &config(), "ilp-incremental").expect("string sink");
+        assert!(text.starts_with("format=1\nversion="));
+        assert!(text.ends_with(&system_fingerprint(&sys, &graph)));
+        let mut whole = Fnv1a64::new();
+        whole.write_str(&text).expect("hash sink");
+        assert_eq!(
+            format!("{:016x}", whole.0),
+            synthesis_key(&sys, &graph, &config(), "ilp-incremental")
+        );
+    }
+
+    #[test]
+    fn wire_body_is_built_once_and_dies_with_its_entry() {
+        let (sys, graph, _, _) = fixtures::two_mode_graph();
+        let first = synthesize_system(&sys, &graph, &config(), &IlpSynthesizer::default())
+            .expect("feasible");
+        let mut second = first.clone();
+        second.inheritance.clear();
+        let body_of = |s: &SystemSchedule| system_schedule_to_value(s).to_json();
+        assert_ne!(body_of(&first), body_of(&second));
+
+        // One shard slot per key: the 17th key evicts at least one other.
+        let cache = ScheduleCache::in_memory().with_memory_cap(1);
+        cache.store("key", &first);
+        let (hit, _) = cache.probe("key").hit().expect("resident");
+        let body = cache.wire_body("key", &hit);
+        assert_eq!(&*body, body_of(&first));
+        assert!(Arc::ptr_eq(&body, &cache.wire_body("key", &hit)));
+        assert_eq!(Arc::strong_count(&body), 2, "the entry and this test");
+
+        // A second store under the key replaces the entry, body included.
+        cache.store_with_artifacts("key", &second, None);
+        assert_eq!(Arc::strong_count(&body), 1, "overwrite dropped the body");
+        let (new_hit, _) = cache.probe("key").hit().expect("resident");
+        let new_body = cache.wire_body("key", &new_hit);
+        assert_eq!(&*new_body, body_of(&second));
+        // A holder of the replaced schedule still gets *its* encoding, and
+        // leaves the entry's body alone.
+        let stale = cache.wire_body("key", &hit);
+        assert_eq!(&*stale, body_of(&first));
+        assert_eq!(Arc::strong_count(&stale), 1);
+        assert!(Arc::ptr_eq(&new_body, &cache.wire_body("key", &new_hit)));
+
+        // Eviction by the entry cap drops it too.
+        for i in 0..4 * MEMORY_SHARDS {
+            cache.store(&format!("{i:016x}"), &first);
+        }
+        assert!(cache.peek("key").is_none(), "evicted");
+        assert_eq!(Arc::strong_count(&new_body), 1, "eviction dropped the body");
+        assert_eq!(&*cache.wire_body("key", &new_hit), body_of(&second));
+    }
+
+    #[test]
+    fn concurrent_first_hits_share_one_wire_body() {
+        let (sys, graph, _, _) = fixtures::two_mode_graph();
+        let schedule = synthesize_system(&sys, &graph, &config(), &IlpSynthesizer::default())
+            .expect("feasible");
+        let cache = ScheduleCache::in_memory();
+        cache.store("key", &schedule);
+        const THREADS: usize = 4;
+        let barrier = std::sync::Barrier::new(THREADS);
+        let bodies: Vec<Arc<str>> = std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..THREADS)
+                .map(|_| {
+                    scope.spawn(|| {
+                        let (hit, _) = cache.probe("key").hit().expect("resident");
+                        barrier.wait();
+                        cache.wire_body("key", &hit)
+                    })
+                })
+                .collect();
+            workers
+                .into_iter()
+                .map(|w| w.join().expect("worker"))
+                .collect()
+        });
+        for body in &bodies {
+            assert!(Arc::ptr_eq(body, &bodies[0]), "one body, shared");
+        }
+        assert_eq!(Arc::strong_count(&bodies[0]), THREADS + 1);
     }
 
     #[test]

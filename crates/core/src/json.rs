@@ -6,9 +6,21 @@
 //! a [`Value`] tree, a strict recursive-descent [`Value::parse`] and a
 //! pretty-printing [`Value::to_json_pretty`] / compact [`Value::to_json`]
 //! writer. Object keys are kept in a `BTreeMap`, so output is deterministic.
+//!
+//! Both directions are linear in the size of the text. The parser's input is
+//! a `&str`, so it is valid UTF-8 already and the two bytes that end a run
+//! of plain string content (`"` and `\`) are ASCII: runs are copied whole,
+//! never re-validated. Nesting is limited to 128 containers, so a
+//! hostile document costs an error, not the parsing thread's stack.
 
 use std::collections::BTreeMap;
-use std::fmt;
+use std::fmt::{self, Write as _};
+
+/// Deepest nesting of arrays and objects [`Value::parse`] accepts. The
+/// documents of this workspace nest fewer than ten levels; the parser
+/// recurses once per level, and without a limit a frame of `[` characters
+/// overflows the stack — which aborts the process, not just the thread.
+const MAX_DEPTH: usize = 128;
 
 /// A JSON document: the usual six value kinds.
 ///
@@ -70,15 +82,22 @@ impl std::error::Error for JsonError {}
 
 impl Value {
     /// Parses a JSON document, requiring that the whole input is consumed.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`JsonError`] with the byte offset of the first violation
+    /// of the grammar, or of the array or object that would nest deeper
+    /// than 128 levels.
     pub fn parse(input: &str) -> Result<Value, JsonError> {
         let mut parser = Parser {
-            bytes: input.as_bytes(),
+            input,
             pos: 0,
+            depth: 0,
         };
         parser.skip_whitespace();
         let value = parser.parse_value()?;
         parser.skip_whitespace();
-        if parser.pos != parser.bytes.len() {
+        if parser.pos != input.len() {
             return Err(JsonError::at("trailing characters", parser.pos));
         }
         Ok(value)
@@ -157,7 +176,7 @@ impl Value {
                 // `{}` on f64 prints the shortest representation that parses
                 // back to the same value; integers print without a fraction.
                 if n.is_finite() {
-                    out.push_str(&format!("{n}"));
+                    let _ = write!(out, "{n}");
                 } else {
                     out.push_str("null");
                 }
@@ -215,42 +234,50 @@ fn newline_indent(out: &mut String, indent: Option<usize>, depth: usize) {
 
 fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            '\u{8}' => out.push_str("\\b"),
-            '\u{c}' => out.push_str("\\f"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
+    // Every byte that needs an escape is ASCII, so the text between two of
+    // them is a whole number of code points and is copied in one piece.
+    let mut plain_from = 0;
+    for (i, byte) in s.bytes().enumerate() {
+        let escape = match byte {
+            b'"' => Some("\\\""),
+            b'\\' => Some("\\\\"),
+            b'\n' => Some("\\n"),
+            b'\r' => Some("\\r"),
+            b'\t' => Some("\\t"),
+            0x08 => Some("\\b"),
+            0x0c => Some("\\f"),
+            0x00..=0x1f => None,
+            _ => continue,
+        };
+        out.push_str(&s[plain_from..i]);
+        match escape {
+            Some(escape) => out.push_str(escape),
+            None => {
+                let _ = write!(out, "\\u{byte:04x}");
             }
-            c => out.push(c),
         }
+        plain_from = i + 1;
     }
+    out.push_str(&s[plain_from..]);
     out.push('"');
 }
 
 struct Parser<'a> {
-    bytes: &'a [u8],
+    input: &'a str,
     pos: usize,
+    /// Arrays and objects currently open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
     fn skip_whitespace(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b == b' ' || b == b'\t' || b == b'\n' || b == b'\r' {
-                self.pos += 1;
-            } else {
-                break;
-            }
+        while let Some(b' ' | b'\t' | b'\n' | b'\r') = self.peek() {
+            self.pos += 1;
         }
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.input.as_bytes().get(self.pos).copied()
     }
 
     fn expect(&mut self, byte: u8) -> Result<(), JsonError> {
@@ -271,16 +298,34 @@ impl Parser<'_> {
             Some(b't') => self.parse_literal("true", Value::Bool(true)),
             Some(b'f') => self.parse_literal("false", Value::Bool(false)),
             Some(b'"') => Ok(Value::String(self.parse_string()?)),
-            Some(b'[') => self.parse_array(),
-            Some(b'{') => self.parse_object(),
+            Some(b'[') => self.nested(Self::parse_array),
+            Some(b'{') => self.nested(Self::parse_object),
             Some(b) if b == b'-' || b.is_ascii_digit() => self.parse_number(),
             Some(_) => Err(JsonError::at("unexpected character", self.pos)),
             None => Err(JsonError::at("unexpected end of input", self.pos)),
         }
     }
 
+    /// Parses one array or object, refusing to open more than [`MAX_DEPTH`]
+    /// of them around each other.
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Value, JsonError>,
+    ) -> Result<Value, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(JsonError::at(
+                format!("nesting deeper than {MAX_DEPTH} levels"),
+                self.pos,
+            ));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
+    }
+
     fn parse_literal(&mut self, literal: &str, value: Value) -> Result<Value, JsonError> {
-        if self.bytes[self.pos..].starts_with(literal.as_bytes()) {
+        if self.input.as_bytes()[self.pos..].starts_with(literal.as_bytes()) {
             self.pos += literal.len();
             Ok(value)
         } else {
@@ -310,7 +355,7 @@ impl Parser<'_> {
         }
         let int_start = self.pos;
         self.parse_digits()?;
-        if self.bytes[int_start] == b'0' && self.pos > int_start + 1 {
+        if self.input.as_bytes()[int_start] == b'0' && self.pos > int_start + 1 {
             return Err(JsonError::at("leading zeros are not allowed", int_start));
         }
         if self.peek() == Some(b'.') {
@@ -324,9 +369,8 @@ impl Parser<'_> {
             }
             self.parse_digits()?;
         }
-        let text =
-            std::str::from_utf8(&self.bytes[start..self.pos]).expect("number bytes are ASCII");
-        text.parse::<f64>()
+        self.input[start..self.pos]
+            .parse::<f64>()
             .map(Value::Number)
             .map_err(|_| JsonError::at("invalid number", start))
     }
@@ -335,78 +379,75 @@ impl Parser<'_> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // A run of plain content ends at the next quote or backslash.
+            // Both are ASCII, so the run is whole code points of an input
+            // that is valid UTF-8 by type: one copy, nothing to validate.
+            let rest = &self.input[self.pos..];
+            let run = rest
+                .bytes()
+                .position(|b| b == b'"' || b == b'\\')
+                .unwrap_or(rest.len());
+            out.push_str(&rest[..run]);
+            self.pos += run;
             match self.peek() {
                 None => return Err(JsonError::at("unterminated string", self.pos)),
                 Some(b'"') => {
                     self.pos += 1;
                     return Ok(out);
                 }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'u') => {
-                            self.pos += 1;
-                            let code = self.parse_hex4()?;
-                            // Surrogate pairs: a high surrogate must be
-                            // followed by an escaped low surrogate.
-                            let c = if (0xD800..0xDC00).contains(&code) {
-                                self.expect(b'\\')?;
-                                self.expect(b'u')?;
-                                let low = self.parse_hex4()?;
-                                if !(0xDC00..0xE000).contains(&low) {
-                                    return Err(JsonError::at("invalid low surrogate", self.pos));
-                                }
-                                let combined = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
-                                char::from_u32(combined)
-                            } else {
-                                char::from_u32(code)
-                            };
-                            match c {
-                                Some(c) => out.push(c),
-                                None => {
-                                    return Err(JsonError::at("invalid unicode escape", self.pos))
-                                }
-                            }
-                            // parse_hex4 advanced past the digits; skip the
-                            // shared `pos += 1` below.
-                            continue;
-                        }
-                        _ => return Err(JsonError::at("invalid escape", self.pos)),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 code point.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| JsonError::at("invalid UTF-8", self.pos))?;
-                    let c = rest.chars().next().expect("non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
+                Some(_) => self.pos += 1,
             }
+            let unescaped = match self.peek() {
+                Some(b'"') => '"',
+                Some(b'\\') => '\\',
+                Some(b'/') => '/',
+                Some(b'b') => '\u{8}',
+                Some(b'f') => '\u{c}',
+                Some(b'n') => '\n',
+                Some(b'r') => '\r',
+                Some(b't') => '\t',
+                Some(b'u') => {
+                    self.pos += 1;
+                    out.push(self.parse_unicode_escape()?);
+                    continue;
+                }
+                _ => return Err(JsonError::at("invalid escape", self.pos)),
+            };
+            out.push(unescaped);
+            self.pos += 1;
         }
     }
 
+    /// The code point of a `\u` escape, `pos` just past the `u`. A high
+    /// surrogate must be followed by an escaped low surrogate.
+    fn parse_unicode_escape(&mut self) -> Result<char, JsonError> {
+        let code = self.parse_hex4()?;
+        let scalar = if (0xD800..0xDC00).contains(&code) {
+            self.expect(b'\\')?;
+            self.expect(b'u')?;
+            let low = self.parse_hex4()?;
+            if !(0xDC00..0xE000).contains(&low) {
+                return Err(JsonError::at("invalid low surrogate", self.pos));
+            }
+            0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00)
+        } else {
+            code
+        };
+        char::from_u32(scalar).ok_or_else(|| JsonError::at("invalid unicode escape", self.pos))
+    }
+
+    /// Exactly four hex digits (no sign, no whitespace).
     fn parse_hex4(&mut self) -> Result<u32, JsonError> {
-        if self.pos + 4 > self.bytes.len() {
+        let Some(digits) = self.input.as_bytes().get(self.pos..self.pos + 4) else {
             return Err(JsonError::at("truncated unicode escape", self.pos));
+        };
+        let mut code = 0;
+        for &digit in digits {
+            let value = char::from(digit)
+                .to_digit(16)
+                .ok_or_else(|| JsonError::at("invalid unicode escape", self.pos))?;
+            code = code * 16 + value;
         }
-        let digits = &self.bytes[self.pos..self.pos + 4];
-        // from_str_radix also accepts a sign, which JSON forbids.
-        if !digits.iter().all(u8::is_ascii_hexdigit) {
-            return Err(JsonError::at("invalid unicode escape", self.pos));
-        }
-        let text = std::str::from_utf8(digits).expect("hex digits are ASCII");
-        let code = u32::from_str_radix(text, 16)
-            .map_err(|_| JsonError::at("invalid unicode escape", self.pos))?;
         self.pos += 4;
         Ok(code)
     }
@@ -543,6 +584,66 @@ mod tests {
             Value::parse("\"\\u0061\"").unwrap(),
             Value::String("a".to_owned())
         );
+    }
+
+    #[test]
+    fn nesting_is_limited_and_the_error_names_the_offset() {
+        let nest = |open: &str, close: &str, levels: usize| {
+            format!("{}0{}", open.repeat(levels), close.repeat(levels))
+        };
+        for (open, close, offset) in [("[", "]", MAX_DEPTH), ("{\"k\":", "}", 5 * MAX_DEPTH)] {
+            assert!(Value::parse(&nest(open, close, MAX_DEPTH)).is_ok());
+            let error = Value::parse(&nest(open, close, MAX_DEPTH + 1)).unwrap_err();
+            assert_eq!(
+                error.to_string(),
+                format!("nesting deeper than {MAX_DEPTH} levels at byte {offset}")
+            );
+        }
+        // The frame that used to overflow the connection thread's stack.
+        assert!(Value::parse(&"[".repeat(200_000)).is_err());
+        // Depth counts containers around a position, not containers seen.
+        let wide = format!("[{}]", vec!["[[]]"; 1000].join(","));
+        assert!(Value::parse(&wide).is_ok());
+    }
+
+    #[test]
+    fn plain_runs_and_escapes_meet_at_every_boundary() {
+        for (text, expected) in [
+            (r#""""#, ""),
+            (r#""\n""#, "\n"),
+            (r#""ab\ncd""#, "ab\ncd"),
+            (r#""\\\"é\u00e9\t""#, "\\\"éé\t"),
+            (r#""é\ud83d\ude00é\/""#, "é😀é/"),
+            ("\"raw\ttab\"", "raw\ttab"),
+        ] {
+            assert_eq!(
+                Value::parse(text).unwrap(),
+                Value::String(expected.to_owned()),
+                "{text}"
+            );
+        }
+        for bad in [
+            r#""\"#,
+            r#""a\x""#,
+            r#""\ud83d""#,
+            r#""\ud83d\u0041""#,
+            r#""\udc00""#,
+        ] {
+            assert!(Value::parse(bad).is_err(), "accepted: {bad}");
+        }
+    }
+
+    #[test]
+    fn writer_escapes_controls_and_copies_the_rest_verbatim() {
+        let original = Value::String("\u{1}a\"b\\c\n\r\t\u{8}\u{c}\u{1f}é😀\u{7f}".to_owned());
+        assert_eq!(
+            original.to_json(),
+            "\"\\u0001a\\\"b\\\\c\\n\\r\\t\\b\\f\\u001fé😀\u{7f}\""
+        );
+        assert_eq!(Value::parse(&original.to_json()).unwrap(), original);
+        assert_eq!(Value::Number(40000.5).to_json(), "40000.5");
+        assert_eq!(Value::Number(-3.0).to_json(), "-3");
+        assert_eq!(Value::Number(f64::NAN).to_json(), "null");
     }
 
     #[test]

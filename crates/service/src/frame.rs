@@ -16,6 +16,51 @@ use std::io::{self, Read, Write};
 /// try to allocate it.
 pub const MAX_FRAME_LEN: usize = 64 << 20;
 
+/// How much payload buffer a length word alone may reserve. A frame longer
+/// than this grows its buffer with the bytes that actually arrive, so a
+/// connection that sends four bytes and goes quiet pins one chunk, not
+/// [`MAX_FRAME_LEN`].
+const READ_CHUNK: usize = 64 << 10;
+
+const HEADER_LEN: usize = 4;
+
+fn check_payload_len(len: usize) -> io::Result<()> {
+    if len > MAX_FRAME_LEN {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            format!("frame of {len} bytes exceeds MAX_FRAME_LEN"),
+        ));
+    }
+    Ok(())
+}
+
+/// Starts a frame: room for the length prefix, after which the caller
+/// appends the payload and hands the buffer to [`send_frame`]. Building the
+/// payload in place saves the copy [`write_frame`] makes of a finished one.
+pub(crate) fn begin_frame(payload_capacity: usize) -> Vec<u8> {
+    let mut frame = Vec::with_capacity(HEADER_LEN + payload_capacity);
+    frame.extend_from_slice(&[0; HEADER_LEN]);
+    frame
+}
+
+/// Fills in the length prefix of a frame started by [`begin_frame`], writes
+/// it and flushes the writer. Returns the payload length.
+///
+/// # Errors
+///
+/// As [`write_frame`].
+pub(crate) fn send_frame(writer: &mut impl Write, frame: &mut [u8]) -> io::Result<usize> {
+    let len = frame.len() - HEADER_LEN;
+    check_payload_len(len)?;
+    frame[..HEADER_LEN].copy_from_slice(&(len as u32).to_be_bytes());
+    // One contiguous write: splitting header and payload into separate
+    // syscalls lets Nagle's algorithm hold the payload hostage to the
+    // peer's delayed ACK of the header segment (~40 ms per round trip).
+    writer.write_all(frame)?;
+    writer.flush()?;
+    Ok(len)
+}
+
 /// Writes one length-prefixed frame and flushes the writer.
 ///
 /// # Errors
@@ -23,21 +68,11 @@ pub const MAX_FRAME_LEN: usize = 64 << 20;
 /// Returns an error if the payload exceeds [`MAX_FRAME_LEN`] or on any
 /// underlying I/O failure.
 pub fn write_frame(writer: &mut impl Write, payload: &[u8]) -> io::Result<()> {
-    if payload.len() > MAX_FRAME_LEN {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidInput,
-            format!("frame of {} bytes exceeds MAX_FRAME_LEN", payload.len()),
-        ));
-    }
-    // One contiguous write: splitting header and payload into separate
-    // syscalls lets Nagle's algorithm hold the payload hostage to the
-    // peer's delayed ACK of the header segment (~40 ms per round trip).
-    let len = payload.len() as u32;
-    let mut frame = Vec::with_capacity(4 + payload.len());
-    frame.extend_from_slice(&len.to_be_bytes());
+    // Refuse before copying what cannot be sent.
+    check_payload_len(payload.len())?;
+    let mut frame = begin_frame(payload.len());
     frame.extend_from_slice(payload);
-    writer.write_all(&frame)?;
-    writer.flush()
+    send_frame(writer, &mut frame).map(|_| ())
 }
 
 /// Reads one length-prefixed frame.
@@ -51,7 +86,7 @@ pub fn write_frame(writer: &mut impl Write, payload: &[u8]) -> io::Result<()> {
 /// Returns an error on truncated frames, oversized length prefixes
 /// (> [`MAX_FRAME_LEN`]) and any underlying I/O failure.
 pub fn read_frame(reader: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
-    let mut header = [0u8; 4];
+    let mut header = [0u8; HEADER_LEN];
     let mut filled = 0;
     while filled < header.len() {
         match reader.read(&mut header[filled..]) {
@@ -74,9 +109,22 @@ pub fn read_frame(reader: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
             format!("frame length {len} exceeds MAX_FRAME_LEN"),
         ));
     }
-    let mut payload = vec![0u8; len];
-    reader.read_exact(&mut payload)?;
+    let mut payload = Vec::new();
+    read_payload(reader, len, &mut payload)?;
     Ok(Some(payload))
+}
+
+/// Reads exactly `len` payload bytes into the empty `payload`. The length
+/// word is a promise, not data: the buffer grows one chunk ahead of the
+/// bytes that have arrived, never to `len` up front. A frame of up to one
+/// chunk is a single `read_exact`, as it always was.
+fn read_payload(reader: &mut impl Read, len: usize, payload: &mut Vec<u8>) -> io::Result<()> {
+    while payload.len() < len {
+        let filled = payload.len();
+        payload.resize(filled + (len - filled).min(READ_CHUNK), 0);
+        reader.read_exact(&mut payload[filled..])?;
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -123,6 +171,57 @@ mod tests {
             read_frame(&mut reader).unwrap_err().kind(),
             io::ErrorKind::UnexpectedEof
         );
+    }
+
+    /// Counts the reads a frame costs the underlying stream.
+    struct CountingReader<'a> {
+        bytes: &'a [u8],
+        reads: usize,
+    }
+
+    impl Read for CountingReader<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.reads += 1;
+            self.bytes.read(buf)
+        }
+    }
+
+    #[test]
+    fn a_length_word_alone_reserves_one_chunk_at_most() {
+        // Four bytes promise 64 MiB, ten arrive, then the peer goes away.
+        let mut reader: &[u8] = b"ten bytes.";
+        let mut payload = Vec::new();
+        let error = read_payload(&mut reader, MAX_FRAME_LEN, &mut payload).unwrap_err();
+        assert_eq!(error.kind(), io::ErrorKind::UnexpectedEof);
+        assert!(payload.capacity() <= READ_CHUNK, "{}", payload.capacity());
+
+        // The same through the public entry point.
+        let mut wire = (MAX_FRAME_LEN as u32).to_be_bytes().to_vec();
+        wire.extend_from_slice(b"ten bytes.");
+        assert_eq!(
+            read_frame(&mut wire.as_slice()).unwrap_err().kind(),
+            io::ErrorKind::UnexpectedEof
+        );
+    }
+
+    #[test]
+    fn a_frame_costs_one_read_for_the_header_and_one_per_chunk() {
+        for len in [0, 1, 16 << 10, READ_CHUNK, READ_CHUNK + 1, 3 * READ_CHUNK] {
+            let payload: Vec<u8> = (0..len).map(|i| i as u8).collect();
+            let mut wire = Vec::new();
+            write_frame(&mut wire, &payload).unwrap();
+            let mut reader = CountingReader {
+                bytes: &wire,
+                reads: 0,
+            };
+            assert_eq!(read_frame(&mut reader).unwrap(), Some(payload));
+            // One for the header, one per chunk of payload.
+            assert_eq!(
+                reader.reads,
+                1 + len.div_ceil(READ_CHUNK),
+                "{len}-byte frame"
+            );
+        }
     }
 
     #[test]

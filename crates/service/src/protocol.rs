@@ -27,6 +27,8 @@
 
 use crate::stats::StatsSnapshot;
 use std::collections::BTreeMap;
+use std::io::Write as _;
+use std::sync::Arc;
 use ttw_core::config::SchedulerConfig;
 use ttw_core::export::{
     mode_graph_from_value, mode_graph_to_value, scheduler_config_from_value,
@@ -187,6 +189,44 @@ pub struct ScheduleReply {
     pub service_micros: u64,
 }
 
+/// A served schedule whose `"schedule"` member is already compact JSON — the
+/// form the TCP front end ships, so that a memory-tier hit costs a copy of
+/// the cached text instead of a deep clone and a re-encode of the schedule.
+#[derive(Debug)]
+pub(crate) struct EncodedReply {
+    /// As [`ScheduleReply::served`].
+    pub served: ServedFrom,
+    /// As [`ScheduleReply::request_milp_nodes`].
+    pub request_milp_nodes: usize,
+    /// As [`ScheduleReply::service_micros`].
+    pub service_micros: u64,
+    /// `system_schedule_to_value(schedule).to_json()`.
+    pub body: Arc<str>,
+}
+
+impl EncodedReply {
+    /// Appends the bytes [`Response::to_json`] renders for the
+    /// [`Response::Schedule`] with these fields: the envelope members in
+    /// the writer's sorted key order around the spliced body, numbers
+    /// formatted as the `f64`s the [`Value`] tree would hold.
+    pub(crate) fn write_json(&self, out: &mut Vec<u8>) {
+        out.reserve(self.body.len() + 128);
+        // Writing into a `Vec` cannot fail.
+        let _ = write!(
+            out,
+            "{{\"request_milp_nodes\":{},\"schedule\":",
+            self.request_milp_nodes as f64
+        );
+        out.extend_from_slice(self.body.as_bytes());
+        let _ = write!(
+            out,
+            ",\"served\":\"{}\",\"service_micros\":{},\"type\":\"schedule\"}}",
+            self.served.wire_name(),
+            self.service_micros as f64
+        );
+    }
+}
+
 /// A response frame.
 #[derive(Debug, Clone)]
 pub enum Response {
@@ -203,11 +243,10 @@ pub enum Response {
     ShutdownAck,
 }
 
-fn obj(value: &Value, what: &str) -> Result<BTreeMap<String, Value>, JsonError> {
-    match value {
-        Value::Object(map) => Ok(map.clone()),
-        _ => Err(JsonError::custom(format!("{what} must be a JSON object"))),
-    }
+fn obj<'a>(value: &'a Value, what: &str) -> Result<&'a BTreeMap<String, Value>, JsonError> {
+    value
+        .as_object()
+        .ok_or_else(|| JsonError::custom(format!("{what} must be a JSON object")))
 }
 
 fn field<'a>(map: &'a BTreeMap<String, Value>, name: &str) -> Result<&'a Value, JsonError> {
@@ -215,10 +254,9 @@ fn field<'a>(map: &'a BTreeMap<String, Value>, name: &str) -> Result<&'a Value, 
         .ok_or_else(|| JsonError::custom(format!("missing field `{name}`")))
 }
 
-fn field_str(map: &BTreeMap<String, Value>, name: &str) -> Result<String, JsonError> {
+fn field_str<'a>(map: &'a BTreeMap<String, Value>, name: &str) -> Result<&'a str, JsonError> {
     field(map, name)?
         .as_str()
-        .map(str::to_owned)
         .ok_or_else(|| JsonError::custom(format!("`{name}` must be a string")))
 }
 
@@ -266,8 +304,8 @@ fn synthesize_body_from_map(map: &BTreeMap<String, Value>) -> Result<SynthesizeR
         Some(value) => {
             let budget = obj(value, "`budget`")?;
             BudgetCaps {
-                max_nodes: optional_usize(&budget, "max_nodes")?,
-                max_simplex_iterations: optional_usize(&budget, "max_simplex_iterations")?,
+                max_nodes: optional_usize(budget, "max_nodes")?,
+                max_simplex_iterations: optional_usize(budget, "max_simplex_iterations")?,
             }
         }
     };
@@ -275,7 +313,7 @@ fn synthesize_body_from_map(map: &BTreeMap<String, Value>) -> Result<SynthesizeR
         system: system_from_value(field(map, "system")?)?,
         graph: mode_graph_from_value(field(map, "mode_graph")?)?,
         config: scheduler_config_from_value(field(map, "config")?)?,
-        backend: BackendKind::from_wire(&field_str(map, "backend")?)?,
+        backend: BackendKind::from_wire(field_str(map, "backend")?)?,
         budget,
     })
 }
@@ -329,13 +367,13 @@ impl Request {
     /// As [`Request::from_json`].
     pub fn from_value(value: &Value) -> Result<Self, JsonError> {
         let map = obj(value, "request")?;
-        match field_str(&map, "type")?.as_str() {
+        match field_str(map, "type")? {
             "synthesize" => Ok(Request::Synthesize(Box::new(synthesize_body_from_map(
-                &map,
+                map,
             )?))),
             "resynthesize" => Ok(Request::Resynthesize(Box::new(ResynthesizeRequest {
-                base: synthesize_body_from_map(&map)?,
-                predecessor: field_str(&map, "predecessor")?,
+                base: synthesize_body_from_map(map)?,
+                predecessor: field_str(map, "predecessor")?.to_owned(),
             }))),
             "stats" => Ok(Request::Stats),
             "shutdown" => Ok(Request::Shutdown),
@@ -406,18 +444,18 @@ impl Response {
     /// As [`Response::from_json`].
     pub fn from_value(value: &Value) -> Result<Self, JsonError> {
         let map = obj(value, "response")?;
-        match field_str(&map, "type")?.as_str() {
+        match field_str(map, "type")? {
             "schedule" => Ok(Response::Schedule(Box::new(ScheduleReply {
-                schedule: system_schedule_from_value(field(&map, "schedule")?)?,
-                served: ServedFrom::from_wire(&field_str(&map, "served")?)?,
-                request_milp_nodes: field_usize(&map, "request_milp_nodes")?,
-                service_micros: field_usize(&map, "service_micros")? as u64,
+                schedule: system_schedule_from_value(field(map, "schedule")?)?,
+                served: ServedFrom::from_wire(field_str(map, "served")?)?,
+                request_milp_nodes: field_usize(map, "request_milp_nodes")?,
+                service_micros: field_usize(map, "service_micros")? as u64,
             }))),
             "stats" => Ok(Response::Stats(StatsSnapshot::from_fields(|name| {
-                field_usize(&map, name)
+                field_usize(map, name)
             })?)),
             "error" => Ok(Response::Error {
-                message: field_str(&map, "message")?,
+                message: field_str(map, "message")?.to_owned(),
             }),
             "shutdown-ack" => Ok(Response::ShutdownAck),
             other => Err(JsonError::custom(format!(
@@ -537,6 +575,51 @@ mod tests {
         assert_eq!(parsed.schedule, original.schedule);
         assert_eq!(parsed.served, ServedFrom::Solved);
         assert_eq!(parsed.service_micros, 1234);
+    }
+
+    #[test]
+    fn spliced_reply_is_byte_identical_to_the_value_codec() {
+        let (system, graph, _, _) = fixtures::two_mode_graph();
+        let schedule = ttw_core::synthesis::synthesize_system(
+            &system,
+            &graph,
+            &SchedulerConfig::new(millis(10), 5),
+            &ttw_core::synthesis::IlpSynthesizer::default(),
+        )
+        .expect("feasible");
+        let body: Arc<str> = Arc::from(system_schedule_to_value(&schedule).to_json());
+        // Numbers at and beyond f64's integer range print as the tree's do.
+        let numbers = [
+            (0, 0),
+            (117, 42),
+            (usize::MAX, u64::MAX),
+            (1 << 53, (1 << 53) + 1),
+        ];
+        for (request_milp_nodes, service_micros) in numbers {
+            for served in [
+                ServedFrom::Solved,
+                ServedFrom::Coalesced,
+                ServedFrom::Incremental,
+                ServedFrom::Memory,
+                ServedFrom::Disk,
+            ] {
+                let mut spliced = Vec::new();
+                EncodedReply {
+                    served,
+                    request_milp_nodes,
+                    service_micros,
+                    body: Arc::clone(&body),
+                }
+                .write_json(&mut spliced);
+                let reply = Response::Schedule(Box::new(ScheduleReply {
+                    schedule: schedule.clone(),
+                    served,
+                    request_milp_nodes,
+                    service_micros,
+                }));
+                assert_eq!(String::from_utf8(spliced).expect("utf-8"), reply.to_json());
+            }
+        }
     }
 
     #[test]

@@ -7,9 +7,9 @@
 //! flag and pokes the listener with a throwaway connection so the accept
 //! loop observes it without resorting to non-blocking accept polling.
 
-use crate::frame::{read_frame, write_frame};
+use crate::frame::{begin_frame, read_frame, send_frame};
 use crate::protocol::{Request, Response};
-use crate::service::{SchedulerService, ServiceError};
+use crate::service::SchedulerService;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -113,10 +113,10 @@ fn serve_connection(
     server_addr: Option<SocketAddr>,
 ) -> io::Result<()> {
     while let Some(payload) = read_frame(&mut stream)? {
-        let (response, shutdown) = dispatch(&payload, service);
-        let reply = response.to_json();
-        write_frame(&mut stream, reply.as_bytes())?;
-        service.note_reply_bytes(reply.len());
+        let mut frame = begin_frame(0);
+        let shutdown = respond(&payload, service, &mut frame);
+        let written = send_frame(&mut stream, &mut frame)?;
+        service.note_reply_bytes(written);
         if shutdown {
             if !stop.swap(true, Ordering::SeqCst) {
                 // First to request shutdown: poke the accept loop awake.
@@ -130,26 +130,37 @@ fn serve_connection(
     Ok(())
 }
 
-/// Turns one request payload into a response; the bool asks the connection
-/// loop to initiate server shutdown.
-fn dispatch(payload: &[u8], service: &SchedulerService) -> (Response, bool) {
+/// Appends the response to one request payload to `frame`; the bool asks
+/// the connection loop to initiate server shutdown. A served schedule is
+/// spliced — envelope around the already encoded body — and every other
+/// response goes through the [`Response`] codec.
+fn respond(payload: &[u8], service: &SchedulerService, frame: &mut Vec<u8>) -> bool {
+    let mut encode = |response: Response| frame.extend_from_slice(response.to_json().as_bytes());
     let served = match Request::from_json(payload) {
-        Ok(Request::Synthesize(request)) => service.handle_synthesize(&request),
-        Ok(Request::Resynthesize(request)) => service.handle_resynthesize(&request),
-        Ok(Request::Stats) => return (Response::Stats(service.snapshot()), false),
-        Ok(Request::Shutdown) => return (Response::ShutdownAck, true),
+        Ok(Request::Synthesize(request)) => service.serve_encoded(&request, None),
+        Ok(Request::Resynthesize(request)) => {
+            service.serve_encoded(&request.base, Some(&request.predecessor))
+        }
+        Ok(Request::Stats) => {
+            encode(Response::Stats(service.snapshot()));
+            return false;
+        }
+        Ok(Request::Shutdown) => {
+            encode(Response::ShutdownAck);
+            return true;
+        }
         Err(error) => {
             let message = format!("bad request: {error}");
-            return (Response::Error { message }, false);
+            encode(Response::Error { message });
+            return false;
         }
     };
-    let response = match served {
-        Ok(reply) => Response::Schedule(Box::new(reply)),
-        Err(error @ (ServiceError::Overloaded(_) | ServiceError::Synthesis(_))) => {
-            Response::Error {
-                message: error.to_string(),
-            }
+    match served {
+        Ok(reply) => reply.write_json(frame),
+        Err(error) => {
+            let message = error.to_string();
+            encode(Response::Error { message });
         }
-    };
-    (response, false)
+    }
+    false
 }

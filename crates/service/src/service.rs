@@ -27,7 +27,7 @@
 use crate::admission::AdmissionQueue;
 use crate::coalesce::{InflightTable, Role};
 use crate::protocol::{
-    BackendKind, ResynthesizeRequest, ScheduleReply, ServedFrom, SynthesizeRequest,
+    BackendKind, EncodedReply, ResynthesizeRequest, ScheduleReply, ServedFrom, SynthesizeRequest,
 };
 use crate::stats::{ServiceStats, StatsSnapshot};
 use std::fmt;
@@ -36,6 +36,7 @@ use std::sync::Arc;
 use std::time::Instant;
 use ttw_core::cache::{synthesis_key, ScheduleCache};
 use ttw_core::config::SchedulerConfig;
+use ttw_core::export::system_schedule_to_value;
 use ttw_core::resynth::resynthesize_system;
 use ttw_core::schedule::SystemSchedule;
 use ttw_core::synthesis::{synthesize_system, HeuristicSynthesizer, IlpSynthesizer, Synthesizer};
@@ -91,6 +92,28 @@ impl fmt::Display for ServiceError {
 }
 
 impl std::error::Error for ServiceError {}
+
+/// What the pipeline produced, before it is shaped for a caller: the
+/// schedule is still the one shared with the cache entry or the flight.
+struct Served {
+    key: String,
+    schedule: Arc<SystemSchedule>,
+    served: ServedFrom,
+    request_milp_nodes: usize,
+    service_micros: u64,
+}
+
+impl Served {
+    /// The owned reply of the in-process entry points.
+    fn into_reply(self) -> ScheduleReply {
+        ScheduleReply {
+            schedule: Arc::try_unwrap(self.schedule).unwrap_or_else(|shared| (*shared).clone()),
+            served: self.served,
+            request_milp_nodes: self.request_milp_nodes,
+            service_micros: self.service_micros,
+        }
+    }
+}
 
 /// The transport-independent scheduler service.
 #[derive(Debug)]
@@ -184,7 +207,7 @@ impl SchedulerService {
         &self,
         request: &SynthesizeRequest,
     ) -> Result<ScheduleReply, ServiceError> {
-        self.serve(request, None)
+        self.serve(request, None).map(Served::into_reply)
     }
 
     /// The cache key this request resolves to after budget-cap folding —
@@ -219,6 +242,40 @@ impl SchedulerService {
         request: &ResynthesizeRequest,
     ) -> Result<ScheduleReply, ServiceError> {
         self.serve(&request.base, Some(&request.predecessor))
+            .map(Served::into_reply)
+    }
+
+    /// The pipeline for the TCP front end: the same request served, with
+    /// the schedule as the compact JSON the reply frame carries.
+    ///
+    /// # Errors
+    ///
+    /// As [`SchedulerService::handle_synthesize`].
+    pub(crate) fn serve_encoded(
+        &self,
+        request: &SynthesizeRequest,
+        predecessor: Option<&str>,
+    ) -> Result<EncodedReply, ServiceError> {
+        let served = self.serve(request, predecessor)?;
+        let body = match served.served {
+            // A hit's schedule is the memory tier's entry (a disk hit was
+            // promoted into it): the first such reply builds the body, the
+            // entry keeps it, and every later hit is a copy of those bytes.
+            ServedFrom::Memory | ServedFrom::Disk => {
+                self.cache.wire_body(&served.key, &served.schedule)
+            }
+            // A fresh result is encoded for this reply alone: an edit stream
+            // stores entry after entry that nobody asks for again.
+            ServedFrom::Solved | ServedFrom::Coalesced | ServedFrom::Incremental => {
+                Arc::from(system_schedule_to_value(&served.schedule).to_json())
+            }
+        };
+        Ok(EncodedReply {
+            served: served.served,
+            request_milp_nodes: served.request_milp_nodes,
+            service_micros: served.service_micros,
+            body,
+        })
     }
 
     /// The pipeline of the module docs. `predecessor` selects the leader's
@@ -228,14 +285,15 @@ impl SchedulerService {
         &self,
         request: &SynthesizeRequest,
         predecessor: Option<&str>,
-    ) -> Result<ScheduleReply, ServiceError> {
+    ) -> Result<Served, ServiceError> {
         ServiceStats::bump(&self.stats.requests);
         let start = Instant::now();
         let config = self.effective_config(request);
         let backend = self.backend(request.backend);
         let key = synthesis_key(&request.system, &request.graph, &config, backend.name());
-        let reply = |schedule: &SystemSchedule, served, request_milp_nodes| ScheduleReply {
-            schedule: schedule.clone(),
+        let reply = |schedule: Arc<SystemSchedule>, served, request_milp_nodes| Served {
+            key: key.clone(),
+            schedule,
             served,
             request_milp_nodes,
             service_micros: start.elapsed().as_micros() as u64,
@@ -247,11 +305,11 @@ impl SchedulerService {
             } else {
                 ServedFrom::Memory
             };
-            Some((reply(&schedule, served, 0), schedule))
+            Some(reply(schedule, served, 0))
         };
 
         // 1. Cold probe: both cache tiers, before any coordination.
-        if let Some((warm, _)) = probe() {
+        if let Some(warm) = probe() {
             return Ok(warm);
         }
 
@@ -261,7 +319,7 @@ impl SchedulerService {
                 return match token.wait() {
                     Ok(schedule) => {
                         ServiceStats::bump(&self.stats.coalesced);
-                        Ok(reply(&schedule, ServedFrom::Coalesced, 0))
+                        Ok(reply(schedule, ServedFrom::Coalesced, 0))
                     }
                     Err(message) => {
                         ServiceStats::bump(&self.stats.solve_errors);
@@ -275,8 +333,9 @@ impl SchedulerService {
         // 3. Leadership re-probe: the previous leader may have stored +
         // retired between our probe and our join. Without this, that
         // interleaving would solve the same key twice.
-        if let Some((warm, schedule)) = probe() {
-            self.inflight.complete(token, Ok(schedule));
+        if let Some(warm) = probe() {
+            self.inflight
+                .complete(token, Ok(Arc::clone(&warm.schedule)));
             return Ok(warm);
         }
 
@@ -315,8 +374,9 @@ impl SchedulerService {
                     Some(_) => (ServedFrom::Incremental, &self.stats.incremental),
                 };
                 ServiceStats::bump(counter);
-                let solved = reply(&schedule, served, nodes);
-                self.inflight.complete(token, Ok(Arc::new(schedule)));
+                let solved = reply(Arc::new(schedule), served, nodes);
+                self.inflight
+                    .complete(token, Ok(Arc::clone(&solved.schedule)));
                 Ok(solved)
             }
             Err(error) => {
@@ -380,6 +440,130 @@ mod tests {
         assert_eq!(stats.solved, 1);
         assert_eq!(stats.cache_mem_hits, 1);
         assert!(stats.reconciles(), "{stats:?}");
+    }
+
+    /// The bytes the TCP front end ships for a served request, checked
+    /// against the `Value` codec: decoding them and encoding the result
+    /// again must give the same bytes, and the schedule must be the one the
+    /// in-process entry point returns.
+    fn encoded(
+        service: &SchedulerService,
+        base: &SynthesizeRequest,
+        predecessor: Option<&str>,
+    ) -> ScheduleReply {
+        use crate::protocol::Response;
+        let mut bytes = Vec::new();
+        service
+            .serve_encoded(base, predecessor)
+            .expect("served")
+            .write_json(&mut bytes);
+        let Ok(Response::Schedule(reply)) = Response::from_json(&bytes) else {
+            panic!(
+                "not a schedule response: {}",
+                String::from_utf8_lossy(&bytes)
+            );
+        };
+        assert_eq!(
+            Response::Schedule(reply.clone()).to_json().as_bytes(),
+            bytes,
+            "spliced {:?} reply is not what the codec renders",
+            reply.served
+        );
+        *reply
+    }
+
+    #[test]
+    fn every_provenance_encodes_to_the_response_codec_bytes() {
+        let dir = std::env::temp_dir().join(format!("ttw-service-splice-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let disk_backed = || {
+            SchedulerService::new(ServiceConfig {
+                cache_dir: Some(dir.clone()),
+                ..ServiceConfig::default()
+            })
+        };
+        let req = request(BackendKind::Ilp);
+
+        let service = disk_backed();
+        let solved = encoded(&service, &req, None);
+        assert_eq!(solved.served, ServedFrom::Solved);
+        // The first hit builds the entry's body, the second copies it.
+        for _ in 0..2 {
+            let hit = encoded(&service, &req, None);
+            assert_eq!(hit.served, ServedFrom::Memory);
+            assert_eq!(hit.schedule, solved.schedule);
+        }
+        let owned = service.handle_synthesize(&req).expect("cached");
+        assert_eq!(owned.schedule, solved.schedule);
+
+        // One WCET microsecond on: an incremental solve from that entry.
+        let mut edited = req.clone();
+        let task = edited
+            .system
+            .tasks()
+            .map(|(id, _)| id)
+            .next()
+            .expect("task");
+        let wcet = edited.system.task(task).wcet;
+        edited
+            .system
+            .set_task_wcet(task, wcet + 1)
+            .expect("non-zero");
+        let incremental = encoded(&service, &edited, Some(&service.request_key(&req)));
+        assert_eq!(incremental.served, ServedFrom::Incremental);
+        assert_ne!(incremental.schedule, solved.schedule);
+        assert!(service.snapshot().reconciles());
+        service.cache().flush();
+        drop(service);
+
+        // A new process over the same directory: a disk hit, promoted, whose
+        // body the promoted entry then keeps.
+        let restarted = disk_backed();
+        let disk = encoded(&restarted, &req, None);
+        assert_eq!(disk.served, ServedFrom::Disk);
+        assert_eq!(disk.schedule, solved.schedule);
+        assert_eq!(encoded(&restarted, &req, None).served, ServedFrom::Memory);
+        drop(restarted);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_coalesced_reply_encodes_to_the_response_codec_bytes() {
+        let req = request(BackendKind::Ilp);
+        let schedule = Arc::new(
+            synthesize_system(
+                &req.system,
+                &req.graph,
+                &req.config,
+                &IlpSynthesizer::default(),
+            )
+            .expect("feasible"),
+        );
+        // This test is the leader, so the request below can only follow —
+        // provided it joins before the flight lands. Nothing outside the
+        // follower says when it has joined; a late one solves for itself,
+        // which is a correct reply of another kind, and the round is re-run.
+        let coalesced = (0..50).find_map(|_| {
+            let service = SchedulerService::in_memory();
+            let Role::Leader(token) = service.inflight.join(&service.request_key(&req)) else {
+                unreachable!("fresh table")
+            };
+            std::thread::scope(|scope| {
+                let follower = scope.spawn(|| encoded(&service, &req, None));
+                // Its cold probe is the last thing it does before joining.
+                while service.cache().misses() == 0 {
+                    std::thread::yield_now();
+                }
+                std::thread::sleep(std::time::Duration::from_millis(20));
+                service.inflight.complete(token, Ok(Arc::clone(&schedule)));
+                let reply = follower.join().expect("follower");
+                assert!(service.snapshot().reconciles());
+                (reply.served == ServedFrom::Coalesced).then_some(reply)
+            })
+        });
+        let coalesced = coalesced.expect("a follower joined in time in one of 50 rounds");
+        assert_eq!(coalesced.schedule, *schedule);
+        assert_eq!(coalesced.request_milp_nodes, 0);
     }
 
     #[test]

@@ -318,3 +318,195 @@ fn resynthesize_over_tcp_reports_incremental_provenance() {
     assert!(stats.reply_bytes > 0, "server counts bytes on the wire");
     assert!(stats.reconciles(), "{stats:?}");
 }
+
+/// One frame kills the server: the JSON parser used to recurse once per `[`
+/// with no limit, and a stack overflow aborts the process, not the thread.
+#[test]
+fn deeply_nested_frame_gets_an_error_and_the_server_keeps_serving() {
+    use ttw_service::frame::{read_frame, write_frame};
+    let server = start_server();
+    let mut hostile = std::net::TcpStream::connect(server.addr()).expect("connect");
+    write_frame(&mut hostile, &vec![b'['; 200_000]).expect("write");
+    let payload = read_frame(&mut hostile).expect("read").expect("response");
+    let text = String::from_utf8(payload).expect("utf-8");
+    assert!(text.contains("\"error\""), "{text}");
+    assert!(text.contains("nesting deeper than 128 levels"), "{text}");
+
+    // The same connection and a second client are both still served.
+    write_frame(&mut hostile, br#"{"type":"stats"}"#).expect("write");
+    assert!(read_frame(&mut hostile).expect("read").is_some());
+    let mut client = Client::connect(server.addr()).expect("connect");
+    let served = client
+        .synthesize(fig3_request(BackendKind::Ilp))
+        .expect("the server survived");
+    assert_eq!(served.served, ServedFrom::Solved);
+    let stats = client.stats().expect("stats");
+    assert_eq!(
+        stats.requests, 1,
+        "the hostile frame never became a request"
+    );
+    assert!(stats.reconciles(), "{stats:?}");
+}
+
+/// The server splices a served schedule's envelope around an already encoded
+/// body instead of running the response codec. Whatever produced the reply,
+/// the frame must be the codec's bytes exactly, and `reply_bytes` must count
+/// what was written.
+#[test]
+fn reply_frames_are_the_codec_bytes_and_are_counted() {
+    use ttw_service::frame::{read_frame, write_frame};
+    use ttw_service::{Request, Response, ResynthesizeRequest};
+    let dir = std::env::temp_dir().join(format!("ttw-service-frames-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let bind = || {
+        let config = ServiceConfig {
+            cache_dir: Some(dir.clone()),
+            ..ServiceConfig::default()
+        };
+        ServerHandle::bind(Arc::new(SchedulerService::new(config)), "127.0.0.1:0").expect("bind")
+    };
+    // Sends one request as a raw frame; returns the reply's kind and length.
+    let exchange = |stream: &mut std::net::TcpStream, request: &Request| {
+        write_frame(stream, request.to_json().as_bytes()).expect("write");
+        let payload = read_frame(stream).expect("read").expect("response");
+        let response = Response::from_json(&payload).expect("decodes");
+        assert_eq!(
+            response.to_json().as_bytes(),
+            payload,
+            "frame differs from the codec's rendering of what it decodes to"
+        );
+        let Response::Schedule(reply) = response else {
+            panic!("not a schedule: {}", String::from_utf8_lossy(&payload));
+        };
+        (reply.served, payload.len())
+    };
+
+    // The connection's thread counts a reply after writing it, so only a
+    // later request on the same connection is sure to see it counted; a
+    // stats reply reports the bytes before its own.
+    let counted = |stream: &mut std::net::TcpStream| {
+        write_frame(stream, Request::Stats.to_json().as_bytes()).expect("write");
+        let payload = read_frame(stream).expect("read").expect("response");
+        match Response::from_json(&payload).expect("decodes") {
+            Response::Stats(stats) => {
+                assert!(stats.reconciles(), "{stats:?}");
+                stats.reply_bytes
+            }
+            other => panic!("not stats: {other:?}"),
+        }
+    };
+
+    let base = fig3_request(BackendKind::Ilp);
+    let mut edited = base.clone();
+    let task = edited
+        .system
+        .tasks()
+        .map(|(id, _)| id)
+        .next()
+        .expect("task");
+    let wcet = edited.system.task(task).wcet;
+    edited
+        .system
+        .set_task_wcet(task, wcet + 1)
+        .expect("non-zero");
+
+    let server = bind();
+    let synthesize = Request::Synthesize(Box::new(base.clone()));
+    let resynthesize = Request::Resynthesize(Box::new(ResynthesizeRequest {
+        base: edited,
+        predecessor: server.service().request_key(&base),
+    }));
+    let mut stream = std::net::TcpStream::connect(server.addr()).expect("connect");
+    let mut written = 0;
+    for (request, expected) in [
+        (&synthesize, ServedFrom::Solved),
+        (&synthesize, ServedFrom::Memory),
+        (&synthesize, ServedFrom::Memory),
+        (&resynthesize, ServedFrom::Incremental),
+        (&resynthesize, ServedFrom::Memory),
+    ] {
+        let (served, len) = exchange(&mut stream, request);
+        assert_eq!(served, expected);
+        written += len;
+    }
+    // An error response goes through the codec and is counted too.
+    write_frame(&mut stream, b"not json").expect("write");
+    written += read_frame(&mut stream).expect("read").expect("error").len();
+    assert_eq!(counted(&mut stream), written);
+    server.service().cache().flush();
+    drop((stream, server));
+
+    // After a restart the first reply comes off the disk tier.
+    let server = bind();
+    let mut stream = std::net::TcpStream::connect(server.addr()).expect("connect");
+    let (from_disk, disk_len) = exchange(&mut stream, &synthesize);
+    assert_eq!(from_disk, ServedFrom::Disk);
+    let (promoted, memory_len) = exchange(&mut stream, &synthesize);
+    assert_eq!(promoted, ServedFrom::Memory);
+    assert_eq!(counted(&mut stream), disk_len + memory_len);
+    drop((stream, server));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The encoded body belongs to its cache entry: a later store under the key
+/// replaces it, and the next hit serves the new schedule, not stale bytes.
+#[test]
+fn a_hit_after_an_overwrite_serves_the_new_schedule() {
+    let server = start_server();
+    let mut client = Client::connect(server.addr()).expect("connect");
+    let request = fig3_request(BackendKind::Ilp);
+    let solved = client.synthesize(request.clone()).expect("solves");
+    let hit = client.synthesize(request.clone()).expect("hit");
+    assert_eq!(hit.served, ServedFrom::Memory);
+    assert_eq!(hit.schedule, solved.schedule);
+
+    let mut replaced = solved.schedule.clone();
+    replaced.inheritance.clear();
+    assert_ne!(replaced, solved.schedule);
+    let key = server.service().request_key(&request);
+    server
+        .service()
+        .cache()
+        .store_with_artifacts(&key, &replaced, None);
+    let after = client.synthesize(request).expect("hit");
+    assert_eq!(after.served, ServedFrom::Memory);
+    assert_eq!(after.schedule, replaced);
+}
+
+/// Two connections take the first hit of one entry at the same moment: one
+/// of them builds the body, both get the same schedule.
+#[test]
+fn concurrent_first_hits_of_one_entry_get_identical_replies() {
+    let server = start_server();
+    let addr = server.addr();
+    let solved = Client::connect(addr)
+        .expect("connect")
+        .synthesize(fig3_request(BackendKind::Ilp))
+        .expect("solves");
+    const CLIENTS: usize = 4;
+    let barrier = std::sync::Barrier::new(CLIENTS);
+    let hits: Vec<_> = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..CLIENTS)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut client = Client::connect(addr).expect("connect");
+                    barrier.wait();
+                    client
+                        .synthesize(fig3_request(BackendKind::Ilp))
+                        .expect("hit")
+                })
+            })
+            .collect();
+        workers
+            .into_iter()
+            .map(|w| w.join().expect("client thread"))
+            .collect()
+    });
+    for hit in &hits {
+        assert_eq!(hit.served, ServedFrom::Memory);
+        assert_eq!(hit.schedule, solved.schedule);
+    }
+    let stats = server.service().snapshot();
+    assert_eq!(stats.cache_mem_hits, CLIENTS);
+    assert!(stats.reconciles(), "{stats:?}");
+}

@@ -43,8 +43,17 @@
 //! assert_eq!(scenario.fingerprint(), again.fingerprint());
 //! ```
 
+//!
+//! ## Decoder fuzzing
+//!
+//! [`json_fuzz`] is the same idea pointed at a decoder instead of the
+//! synthesis pipeline: seeded random documents and byte-level mutations of
+//! them, checked for exact round trips and for errors instead of panics.
+
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+
+pub mod json_fuzz;
 
 use ttw_core::ids::{AppId, ModeId};
 use ttw_core::spec::ApplicationSpec;
