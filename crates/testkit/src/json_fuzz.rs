@@ -11,14 +11,46 @@
 //! 2. every string, written with *every* character as a `\uXXXX` escape
 //!    (surrogate pairs above the BMP), parses back to itself;
 //! 3. byte-level mutations of the rendered text — flips, insertions of
-//!    structural bytes, deletions, truncation — return `Ok` or `Err` and
-//!    never panic, whether or not the result is still UTF-8.
+//!    structural bytes, deletions, truncation, a `0` or `+` in front of a
+//!    string's leading digit (how an index key stops being canonical) —
+//!    return `Ok` or `Err` and never panic, whether or not the result is
+//!    still UTF-8.
 //!
-//! Like the scenario generator it is deterministic in its seed, and a
-//! failure names the seed and case that reproduce it.
+//! [`check_typed_documents`] points the same mutator one layer up, at the
+//! typed documents built on [`Value`]: for the system, mode graph and
+//! scheduler configuration of a generated [`Scenario`](crate::Scenario), its
+//! synthesized mode and system schedules, the warm-start artifacts sidecar
+//! and a [`ScheduleDelta`](ttw_core::delta::ScheduleDelta) between two
+//! schedules, [`check_document`] asserts
+//!
+//! 1. `decode(encode(x)) == x`;
+//! 2. `encode(decode(encode(x)))` is byte-identical to `encode(x)`;
+//! 3. eight byte-level mutations of the text decode to `Ok` or `Err` and
+//!    never panic.
+//!
+//! The wire protocol of `ttw-service` sits above this crate, so its
+//! documents are checked by the caller: [`check_typed_documents`] hands every
+//! [`TypedSample`] to a closure that runs [`check_document`] on whatever it
+//! builds from it.
+//!
+//! Like the scenario generator both sweeps are deterministic in their seed,
+//! and a failure names the seed and case that reproduce it.
 
+use crate::{generate, GeneratorConfig, GraphShape, Scenario};
 use std::fmt::Write as _;
-use ttw_core::json::Value;
+use ttw_core::cache::{
+    artifacts_from_json, artifacts_to_json, synthesize_system_cached, system_fingerprint,
+    ScheduleCache, SynthesisArtifacts,
+};
+use ttw_core::delta::{delta_from_json, delta_to_json, diff, node_deployments, ScheduleDelta};
+use ttw_core::export::{
+    mode_graph_from_json, mode_graph_to_json, schedule_from_json, schedule_to_json,
+    scheduler_config_from_json, scheduler_config_to_json, system_from_json,
+    system_schedule_from_json, system_schedule_to_json, system_to_json,
+};
+use ttw_core::json::{JsonError, Value};
+use ttw_core::synthesis::{synthesize_system, HeuristicSynthesizer, IlpSynthesizer, Synthesizer};
+use ttw_core::{SchedulerConfig, SystemSchedule};
 use ttw_netsim::rng::SplitMix64;
 
 /// Characters chosen for where they land in the codec: the two run
@@ -60,7 +92,10 @@ fn below(rng: &mut SplitMix64, bound: usize) -> usize {
     rng.next_u64() as usize % bound
 }
 
-fn random_string(rng: &mut SplitMix64) -> String {
+/// A short string biased towards the [seam characters](SEAM_CHARS) — also
+/// what the free-text members of the typed documents (an error message, a
+/// predecessor key) are drawn from.
+pub fn random_string(rng: &mut SplitMix64) -> String {
     let len = below(rng, 12);
     (0..len)
         .map(|_| {
@@ -107,7 +142,9 @@ fn random_value(rng: &mut SplitMix64, depth: usize) -> Value {
 }
 
 /// One byte-level mutation of `text`: a substitution, an insertion, a
-/// deletion or a truncation.
+/// deletion, a truncation, or a `0` or `+` pushed in front of the digit that
+/// opens a string — the index keys of the typed documents are such strings,
+/// and `"07"` and `"+7"` are how two keys come to name one index.
 fn mutate(rng: &mut SplitMix64, text: &[u8]) -> Vec<u8> {
     let mut bytes = text.to_vec();
     let byte = if below(rng, 2) == 0 {
@@ -116,12 +153,24 @@ fn mutate(rng: &mut SplitMix64, text: &[u8]) -> Vec<u8> {
         rng.next_u64() as u8
     };
     let at = below(rng, bytes.len() + 1);
-    match below(rng, 4) {
+    match below(rng, 5) {
         0 if at < bytes.len() => bytes[at] = byte,
         1 if at < bytes.len() => {
             bytes.remove(at);
         }
         2 => bytes.truncate(at),
+        3 => {
+            let digit_strings: Vec<usize> = bytes
+                .windows(2)
+                .enumerate()
+                .filter(|(_, pair)| pair[0] == b'"' && pair[1].is_ascii_digit())
+                .map(|(at, _)| at + 1)
+                .collect();
+            match digit_strings.get(below(rng, digit_strings.len().max(1))) {
+                Some(&digit) => bytes.insert(digit, b"0+"[below(rng, 2)]),
+                None => bytes.insert(at, byte),
+            }
+        }
         _ => bytes.insert(at, byte),
     }
     bytes
@@ -198,6 +247,288 @@ pub fn check_json_codec(seed: u64, cases: usize) -> Result<(), String> {
     Ok(())
 }
 
+/// Checks one typed document against the three properties of the
+/// [module docs](self): `decode(encode(value))` is `same` as `value`,
+/// encoding that again reproduces the bytes, and eight mutations of the
+/// bytes decode without panicking.
+///
+/// `decode` takes bytes because a frame payload is bytes; [`utf8`] adapts a
+/// `&str` decoder.
+///
+/// # Errors
+///
+/// Returns a description of the first violated property, prefixed with
+/// `what`.
+pub fn check_document<T>(
+    what: &str,
+    value: &T,
+    encode: impl Fn(&T) -> String,
+    decode: impl Fn(&[u8]) -> Result<T, JsonError>,
+    same: impl Fn(&T, &T) -> bool,
+    rng: &mut SplitMix64,
+) -> Result<(), String> {
+    let text = encode(value);
+    let back = decode(text.as_bytes())
+        .map_err(|error| format!("{what}: decode(encode(x)) failed: {error}: {text}"))?;
+    if !same(value, &back) {
+        return Err(format!("{what}: decode(encode(x)) != x: {text}"));
+    }
+    let again = encode(&back);
+    if again != text {
+        return Err(format!(
+            "{what}: encode(decode(encode(x))) differs: {text} became {again}"
+        ));
+    }
+    for _ in 0..8 {
+        let _ = decode(&mutate(rng, text.as_bytes()));
+    }
+    Ok(())
+}
+
+/// Adapts a `&str` decoder to the byte decoder [`check_document`] takes:
+/// bytes that are not UTF-8 are an error, as they are at the frame layer.
+pub fn utf8<T>(
+    decode: impl Fn(&str) -> Result<T, JsonError>,
+) -> impl Fn(&[u8]) -> Result<T, JsonError> {
+    move |bytes| match std::str::from_utf8(bytes) {
+        Ok(text) => decode(text),
+        Err(_) => Err(JsonError::custom("document is not UTF-8")),
+    }
+}
+
+/// What one generated scenario contributes to the typed sweep: its inputs
+/// and everything synthesized from them.
+#[derive(Debug)]
+pub struct TypedSample {
+    /// The generated system and mode graph.
+    pub scenario: Scenario,
+    /// The scenario's scheduler configuration with every optional field and
+    /// solver parameter drawn at random — for the codec only, never solved.
+    pub config: SchedulerConfig,
+    /// The ILP schedule of the scenario (under its own configuration).
+    pub schedule: SystemSchedule,
+    /// The warm-start artifacts the schedule cache keeps for `schedule`.
+    pub artifacts: SynthesisArtifacts,
+}
+
+/// A configuration whose every field differs from the default somewhere in
+/// the stream: both states of each optional field and switch, fractions
+/// with long shortest forms, integers of every size.
+fn random_config(rng: &mut SplitMix64, base: &SchedulerConfig) -> SchedulerConfig {
+    let mut config = base.clone();
+    let coin = |rng: &mut SplitMix64| below(rng, 2) == 0;
+    config.max_inter_round_gap = coin(rng).then(|| rng.next_u64() >> 20);
+    config.max_rounds = coin(rng).then(|| below(rng, 64));
+    config.epsilon = rng.next_f64();
+    config.big_m_factor = 1.0 + rng.next_f64() * 100.0;
+    config.analyze_first = coin(rng);
+    let solver = &mut config.solver;
+    solver.max_nodes = below(rng, 1 << 20);
+    solver.max_simplex_iterations = (rng.next_u64() >> 12) as usize;
+    solver.integrality_tolerance = rng.next_f64() * 1e-6;
+    solver.feasibility_tolerance = rng.next_f64() * 1e-7;
+    solver.relative_gap = rng.next_f64() * 1e-4;
+    solver.presolve = coin(rng);
+    solver.cuts = coin(rng);
+    solver.max_cut_rounds = below(rng, 16);
+    solver.pump = coin(rng);
+    solver.pseudocost = coin(rng);
+    solver.strong_branch_limit = below(rng, 32);
+    solver.reliability = below(rng, 8);
+    config
+}
+
+fn same_artifacts(a: &SynthesisArtifacts, b: &SynthesisArtifacts) -> bool {
+    let warm = |x: &SynthesisArtifacts| -> Vec<_> {
+        x.warm
+            .iter()
+            .map(|(mode, start)| (*mode, start.rounds, start.basis.encode()))
+            .collect()
+    };
+    a.backend == b.backend
+        && format!("{:?}", a.config) == format!("{:?}", b.config)
+        && system_fingerprint(&a.system, &a.graph) == system_fingerprint(&b.system, &b.graph)
+        && warm(a) == warm(b)
+}
+
+/// Runs the typed documents of `scenarios` generated scenarios of `seed`'s
+/// stream through [`check_document`], then hands each [`TypedSample`] to
+/// `extra` for the documents of the layers above this crate.
+///
+/// A scenario the ILP cannot schedule within the family's budget is skipped
+/// (the next seed is drawn), so `scenarios` is the number actually checked.
+///
+/// # Errors
+///
+/// Returns the first failure of [`check_document`] or of `extra`, with the
+/// seed and scenario index that reproduce it.
+pub fn check_typed_documents(
+    seed: u64,
+    scenarios: usize,
+    mut extra: impl FnMut(&TypedSample, &mut SplitMix64) -> Result<(), String>,
+) -> Result<(), String> {
+    let mut rng = SplitMix64::new(seed);
+    let mut previous: Option<TypedSample> = None;
+    let mut checked = 0;
+    let mut draw = 0;
+    while checked < scenarios {
+        let scenario = draw_scenario(seed, draw);
+        draw += 1;
+        if draw > 8 * scenarios + 8 {
+            return Err(format!(
+                "typed documents: too few schedulable scenarios (seed {seed})"
+            ));
+        }
+        let Some(sample) = synthesize_sample(scenario, &mut rng) else {
+            continue;
+        };
+        let at = |failure: String| format!("{failure} (seed {seed}, scenario {checked})");
+        check_sample(&sample, previous.as_ref(), &mut rng).map_err(at)?;
+        extra(&sample, &mut rng).map_err(at)?;
+        previous = Some(sample);
+        checked += 1;
+    }
+    Ok(())
+}
+
+/// The `draw`-th scenario of `seed`'s stream: two to four modes, every graph
+/// shape in turn, so consecutive samples differ in their modes and nodes.
+fn draw_scenario(seed: u64, draw: usize) -> Scenario {
+    let shape = GraphShape::ALL[draw % GraphShape::ALL.len()];
+    let family = GeneratorConfig::small(2 + draw % 3, shape);
+    generate(&family, seed.wrapping_mul(1000).wrapping_add(draw as u64))
+}
+
+fn synthesize_sample(scenario: Scenario, rng: &mut SplitMix64) -> Option<TypedSample> {
+    let solve_config = scenario.scheduler_config();
+    let backend = IlpSynthesizer::default();
+    let cache = ScheduleCache::in_memory();
+    let (schedule, _) = synthesize_system_cached(
+        &scenario.system,
+        &scenario.graph,
+        &solve_config,
+        &backend,
+        &cache,
+    )
+    .ok()?;
+    let key = ttw_core::cache::synthesis_key(
+        &scenario.system,
+        &scenario.graph,
+        &solve_config,
+        backend.name(),
+    );
+    let artifacts = SynthesisArtifacts::clone(&*cache.artifacts(&key)?);
+    Some(TypedSample {
+        config: random_config(rng, &solve_config),
+        scenario,
+        schedule,
+        artifacts,
+    })
+}
+
+/// Deltas of every op kind: the sample's deployment against the heuristic's
+/// schedule of the same system (retimed tasks, replaced and truncated
+/// rounds), against nothing (whole mode tables), and against the previous
+/// scenario's deployment (modes and nodes that come and go) — each in both
+/// directions.
+fn sample_deltas(sample: &TypedSample, previous: Option<&TypedSample>) -> Vec<ScheduleDelta> {
+    let Scenario { system, graph, .. } = &sample.scenario;
+    let deployed = node_deployments(system, &sample.schedule);
+    let mut baselines = vec![Default::default()];
+    let config = sample.scenario.scheduler_config();
+    if let Ok(other) = synthesize_system(system, graph, &config, &HeuristicSynthesizer) {
+        baselines.push(node_deployments(system, &other));
+    }
+    if let Some(previous) = previous {
+        baselines.push(node_deployments(
+            &previous.scenario.system,
+            &previous.schedule,
+        ));
+    }
+    baselines
+        .iter()
+        .flat_map(|baseline| [diff(baseline, &deployed), diff(&deployed, baseline)])
+        .collect()
+}
+
+fn check_sample(
+    sample: &TypedSample,
+    previous: Option<&TypedSample>,
+    rng: &mut SplitMix64,
+) -> Result<(), String> {
+    let TypedSample {
+        scenario,
+        config,
+        schedule,
+        artifacts,
+    } = sample;
+    let (system, graph) = (&scenario.system, &scenario.graph);
+    let infallible = |result: Result<String, JsonError>| result.unwrap_or_default();
+
+    check_document(
+        "system",
+        system,
+        |s| infallible(system_to_json(s)),
+        utf8(system_from_json),
+        |a, b| system_fingerprint(a, graph) == system_fingerprint(b, graph),
+        rng,
+    )?;
+    check_document(
+        "mode graph",
+        graph,
+        |g| infallible(mode_graph_to_json(g)),
+        utf8(mode_graph_from_json),
+        |a, b| a == b,
+        rng,
+    )?;
+    check_document(
+        "scheduler config",
+        config,
+        |c| infallible(scheduler_config_to_json(c)),
+        utf8(scheduler_config_from_json),
+        |a, b| format!("{a:?}") == format!("{b:?}"),
+        rng,
+    )?;
+    for (_, mode_schedule) in schedule.iter() {
+        check_document(
+            "mode schedule",
+            mode_schedule,
+            |s| infallible(schedule_to_json(s)),
+            utf8(schedule_from_json),
+            |a, b| a == b,
+            rng,
+        )?;
+    }
+    check_document(
+        "system schedule",
+        schedule,
+        |s| infallible(system_schedule_to_json(s)),
+        utf8(system_schedule_from_json),
+        |a, b| a == b,
+        rng,
+    )?;
+    check_document(
+        "artifacts sidecar",
+        artifacts,
+        artifacts_to_json,
+        utf8(artifacts_from_json),
+        same_artifacts,
+        rng,
+    )?;
+
+    for delta in sample_deltas(sample, previous) {
+        check_document(
+            "schedule delta",
+            &delta,
+            delta_to_json,
+            utf8(delta_from_json),
+            |a, b| a == b,
+            rng,
+        )?;
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -208,6 +539,60 @@ mod tests {
         for seed in 0..16 {
             check_json_codec(seed, 400).unwrap_or_else(|failure| panic!("{failure}"));
         }
+    }
+
+    /// The large budget of the typed sweep; tier-1 runs two scenarios.
+    #[test]
+    fn typed_documents_survive_the_seeded_sweep() {
+        for seed in 0..4 {
+            check_typed_documents(seed, 6, |_, _| Ok(()))
+                .unwrap_or_else(|failure| panic!("{failure}"));
+        }
+    }
+
+    #[test]
+    fn typed_samples_reach_every_patch_op() {
+        let mut rng = SplitMix64::new(0);
+        let mut previous = None;
+        let mut rendered = String::new();
+        for draw in 0..6 {
+            let Some(sample) = synthesize_sample(draw_scenario(0, draw), &mut rng) else {
+                continue;
+            };
+            for delta in sample_deltas(&sample, previous.as_ref()) {
+                rendered.push_str(&delta_to_json(&delta));
+            }
+            previous = Some(sample);
+        }
+        for op in [
+            "set_mode",
+            "remove_mode",
+            "set_task",
+            "remove_task",
+            "set_round",
+            "truncate_rounds",
+        ] {
+            assert!(rendered.contains(op), "never generated {op}");
+        }
+        assert!(
+            rendered.contains("\"removed_nodes\":[0,"),
+            "no node ever left"
+        );
+    }
+
+    #[test]
+    fn typed_sweep_reports_a_decoder_that_loses_data() {
+        let mut rng = SplitMix64::new(1);
+        let failure = check_document(
+            "lossy",
+            &7usize,
+            |n| n.to_string(),
+            utf8(|_| Ok(8usize)),
+            |a, b| a == b,
+            &mut rng,
+        )
+        .expect_err("8 is not 7");
+        assert!(failure.contains("decode(encode(x)) != x"), "{failure}");
     }
 
     #[test]

@@ -1,11 +1,36 @@
 //! Tier-1 gates on the JSON codec every wire and disk format sits on: its
-//! complexity class, without a stopwatch, and the seeded fuzz sweep of
-//! `ttw_testkit::json_fuzz` on a small budget (the testkit's own unit test
-//! runs the large one).
+//! complexity class, without a stopwatch; the seeded fuzz sweeps of
+//! `ttw_testkit::json_fuzz` on a small budget (the testkit's own unit tests
+//! run the large one) — over `Value` and over every typed document, the
+//! service's request and response frames included; and the committed
+//! documents of `tests/fixtures/codec`, each of which must decode and encode
+//! back to its own bytes.
 
 use std::collections::BTreeMap;
-use ttw::core::json::Value;
-use ttw::testkit::json_fuzz::check_json_codec;
+use std::path::{Path, PathBuf};
+use ttw::core::cache::{
+    artifacts_from_json, artifacts_to_json, synthesis_key, synthesize_system_cached,
+    system_fingerprint, CacheProbe, ScheduleCache,
+};
+use ttw::core::delta::{delta_from_json, delta_to_json, diff, node_deployments};
+use ttw::core::export::{
+    app_spec_from_json, app_spec_to_json, mode_graph_from_json, mode_graph_to_json,
+    schedule_from_json, schedule_to_json, scheduler_config_from_json, scheduler_config_to_json,
+    system_from_json, system_schedule_from_json, system_schedule_to_json, system_schedule_to_value,
+    system_to_json,
+};
+use ttw::core::json::{JsonError, Value};
+use ttw::core::synthesis::{synthesize_system, HeuristicSynthesizer, IlpSynthesizer};
+use ttw::core::time::millis;
+use ttw::core::{fixtures, ApplicationSpec, NodePatchOp, SchedulerConfig};
+use ttw::netsim::rng::SplitMix64;
+use ttw::service::{
+    BackendKind, BudgetCaps, Request, Response, ResynthesizeRequest, ScheduleReply, ServedFrom,
+    StatsSnapshot, SynthesizeRequest,
+};
+use ttw::testkit::json_fuzz::{
+    check_document, check_json_codec, check_typed_documents, random_string, TypedSample,
+};
 
 /// ~4 MiB of long strings. The parser used to re-validate the rest of the
 /// document for every character of every string — about 10^13 byte visits
@@ -36,5 +61,392 @@ fn four_mebibyte_document_of_long_strings_round_trips() {
 fn seeded_json_fuzz_small_budget() {
     for seed in [1, 2, 3] {
         check_json_codec(seed, 120).unwrap_or_else(|failure| panic!("{failure}"));
+    }
+}
+
+const SERVED: [ServedFrom; 5] = [
+    ServedFrom::Solved,
+    ServedFrom::Coalesced,
+    ServedFrom::Incremental,
+    ServedFrom::Memory,
+    ServedFrom::Disk,
+];
+
+/// A counter as the wire carries one: small, large, and at the edge of what
+/// an `f64` holds exactly.
+fn random_count(rng: &mut SplitMix64) -> usize {
+    match rng.next_u64() % 3 {
+        0 => (rng.next_u64() % 100) as usize,
+        1 => (rng.next_u64() >> 24) as usize,
+        _ => 1 << 53,
+    }
+}
+
+fn same_request(a: &SynthesizeRequest, b: &SynthesizeRequest) -> bool {
+    system_fingerprint(&a.system, &a.graph) == system_fingerprint(&b.system, &b.graph)
+        && format!("{:?}", a.config) == format!("{:?}", b.config)
+        && a.backend == b.backend
+        && a.budget == b.budget
+}
+
+/// A snapshot whose counters are `value(position)`, position as in
+/// [`StatsSnapshot::fields`], built from the names `fields` lists and checked
+/// to hold each value under its own name.
+fn stats_with(mut value: impl FnMut(usize) -> usize) -> Result<StatsSnapshot, String> {
+    let mut position = 0;
+    let drawn = StatsSnapshot::default().fields().map(|(name, _)| {
+        position += 1;
+        (name, value(position))
+    });
+    let members: Vec<String> = drawn
+        .iter()
+        .map(|(name, value)| format!("\"{name}\":{value}"))
+        .collect();
+    let text = format!("{{\"type\":\"stats\",{}}}", members.join(","));
+    match Response::from_json(text.as_bytes()) {
+        Ok(Response::Stats(snapshot)) if snapshot.fields() == drawn => Ok(snapshot),
+        other => Err(format!("stats: {text} decoded to {other:?}")),
+    }
+}
+
+/// The frames of `ttw-service` built from one sample: every request and
+/// response variant, the envelope fields (backend, budget, predecessor,
+/// provenance, counters, message) drawn at random around the sample's
+/// system, mode graph, configuration and schedule.
+fn check_protocol_documents(sample: &TypedSample, rng: &mut SplitMix64) -> Result<(), String> {
+    let cap = |rng: &mut SplitMix64| (rng.next_u64() % 2 == 0).then(|| random_count(rng));
+    let base = SynthesizeRequest {
+        system: sample.scenario.system.clone(),
+        graph: sample.scenario.graph.clone(),
+        config: sample.config.clone(),
+        backend: [BackendKind::Ilp, BackendKind::Heuristic][(rng.next_u64() % 2) as usize],
+        budget: BudgetCaps {
+            max_nodes: cap(rng),
+            max_simplex_iterations: cap(rng),
+        },
+    };
+    let requests = [
+        Request::Synthesize(Box::new(base.clone())),
+        Request::Resynthesize(Box::new(ResynthesizeRequest {
+            base,
+            predecessor: random_string(rng),
+        })),
+        Request::Stats,
+        Request::Shutdown,
+    ];
+    for request in &requests {
+        check_document(
+            "request",
+            request,
+            Request::to_json,
+            Request::from_json,
+            |a, b| match (a, b) {
+                (Request::Synthesize(a), Request::Synthesize(b)) => same_request(a, b),
+                (Request::Resynthesize(a), Request::Resynthesize(b)) => {
+                    same_request(&a.base, &b.base) && a.predecessor == b.predecessor
+                }
+                (Request::Stats, Request::Stats) | (Request::Shutdown, Request::Shutdown) => true,
+                _ => false,
+            },
+            rng,
+        )?;
+    }
+
+    let responses = [
+        Response::Schedule(Box::new(ScheduleReply {
+            schedule: sample.schedule.clone(),
+            served: SERVED[(rng.next_u64() % 5) as usize],
+            request_milp_nodes: random_count(rng),
+            service_micros: random_count(rng) as u64,
+        })),
+        Response::Stats(stats_with(|_| random_count(rng))?),
+        Response::Error {
+            message: random_string(rng),
+        },
+        Response::ShutdownAck,
+    ];
+    for response in &responses {
+        check_document(
+            "response",
+            response,
+            Response::to_json,
+            Response::from_json,
+            |a, b| match (a, b) {
+                (Response::Schedule(a), Response::Schedule(b)) => {
+                    a.schedule == b.schedule
+                        && a.served == b.served
+                        && a.request_milp_nodes == b.request_milp_nodes
+                        && a.service_micros == b.service_micros
+                }
+                (Response::Stats(a), Response::Stats(b)) => a == b,
+                (Response::Error { message: a }, Response::Error { message: b }) => a == b,
+                (Response::ShutdownAck, Response::ShutdownAck) => true,
+                _ => false,
+            },
+            rng,
+        )?;
+    }
+    Ok(())
+}
+
+#[test]
+fn seeded_typed_fuzz_small_budget() {
+    check_typed_documents(1, 3, check_protocol_documents)
+        .unwrap_or_else(|failure| panic!("{failure}"));
+}
+
+fn fixture_dir() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/codec")
+}
+
+type Recode = fn(&str) -> Result<String, JsonError>;
+
+/// The key `examples/mode_change` stores its schedule under.
+const MODE_CHANGE_KEY: &str = "13e927d99e3816b2";
+
+/// Every committed document with the decoder and encoder that own it. The
+/// files were written by the build that preceded the field-table codec (see
+/// `write_codec_fixtures`), so what they pin is the format, not a build.
+const FIXTURES: &[(&str, Recode)] = &[
+    ("app_spec.json", |text| {
+        app_spec_to_json(&app_spec_from_json(text)?)
+    }),
+    ("system.json", |text| {
+        system_to_json(&system_from_json(text)?)
+    }),
+    ("mode_graph.json", |text| {
+        mode_graph_to_json(&mode_graph_from_json(text)?)
+    }),
+    ("scheduler_config.json", |text| {
+        scheduler_config_to_json(&scheduler_config_from_json(text)?)
+    }),
+    ("mode_schedule.json", |text| {
+        schedule_to_json(&schedule_from_json(text)?)
+    }),
+    ("system_schedule.json", |text| {
+        system_schedule_to_json(&system_schedule_from_json(text)?)
+    }),
+    ("system_schedule.compact.json", |text| {
+        Ok(system_schedule_to_value(&system_schedule_from_json(text)?).to_json())
+    }),
+    ("schedule_delta.json", |text| {
+        Ok(delta_to_json(&delta_from_json(text)?))
+    }),
+    ("request_synthesize.json", recode_request),
+    ("request_resynthesize.json", recode_request),
+    ("request_stats.json", recode_request),
+    ("request_shutdown.json", recode_request),
+    ("response_schedule.json", recode_response),
+    ("response_stats.json", recode_response),
+    ("response_error.json", recode_response),
+    ("response_shutdown_ack.json", recode_response),
+    ("ttw-13e927d99e3816b2.json", |text| {
+        system_schedule_to_json(&system_schedule_from_json(text)?)
+    }),
+    ("ttw-13e927d99e3816b2.warm.json", |text| {
+        Ok(artifacts_to_json(&artifacts_from_json(text)?))
+    }),
+];
+
+fn recode_request(text: &str) -> Result<String, JsonError> {
+    Ok(Request::from_json(text.as_bytes())?.to_json())
+}
+
+fn recode_response(text: &str) -> Result<String, JsonError> {
+    Ok(Response::from_json(text.as_bytes())?.to_json())
+}
+
+#[test]
+fn every_fixture_decodes_and_encodes_back_to_its_bytes() {
+    for (name, recode) in FIXTURES {
+        let path = fixture_dir().join(name);
+        let text = std::fs::read_to_string(&path)
+            .unwrap_or_else(|error| panic!("{}: {error}", path.display()));
+        let again = recode(&text).unwrap_or_else(|error| panic!("{name} does not decode: {error}"));
+        assert_eq!(again, text, "{name} does not encode back to its bytes");
+    }
+    let mut committed: Vec<_> = std::fs::read_dir(fixture_dir())
+        .expect("fixture directory")
+        .map(|entry| {
+            entry
+                .expect("entry")
+                .file_name()
+                .into_string()
+                .expect("utf-8")
+        })
+        .collect();
+    committed.sort();
+    let mut listed: Vec<_> = FIXTURES.iter().map(|(name, _)| name.to_string()).collect();
+    listed.sort();
+    assert_eq!(
+        committed, listed,
+        "a fixture without a decoder, or the reverse"
+    );
+}
+
+/// A cache directory written before this build is still warm: the entry
+/// `examples/mode_change` stored is found under the key this build computes
+/// for the same inputs, by the first probe, with its warm-start sidecar.
+#[test]
+fn disk_entry_written_by_the_previous_build_is_a_first_probe_hit() {
+    let dir = std::env::temp_dir().join(format!("ttw-codec-fixture-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    for suffix in ["json", "warm.json"] {
+        let name = format!("ttw-{MODE_CHANGE_KEY}.{suffix}");
+        std::fs::copy(fixture_dir().join(&name), dir.join(&name)).expect("copy");
+    }
+    let cache = ScheduleCache::new(&dir);
+    let artifacts = cache.artifacts(MODE_CHANGE_KEY).expect("sidecar decodes");
+    assert_eq!(
+        synthesis_key(
+            &artifacts.system,
+            &artifacts.graph,
+            &artifacts.config,
+            &artifacts.backend
+        ),
+        MODE_CHANGE_KEY
+    );
+    assert!(matches!(cache.probe(MODE_CHANGE_KEY), CacheProbe::Disk(_)));
+    assert_eq!((cache.hits(), cache.misses(), cache.corrupt()), (1, 0, 0));
+    drop(cache);
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+/// Writes `tests/fixtures/codec` from this build:
+/// `cargo test --test json_codec -- --ignored write_codec_fixtures`. Only a
+/// deliberate change of a wire or disk format is a reason to run it; the
+/// committed files came from the last build with the hand-written codec.
+#[test]
+#[ignore = "overwrites the committed fixtures"]
+fn write_codec_fixtures() {
+    let (system, graph, _, _) = fixtures::two_mode_graph();
+    let mut config = SchedulerConfig::new(millis(10), 5);
+    let backend = IlpSynthesizer::default();
+    let schedule = synthesize_system(&system, &graph, &config, &backend).expect("feasible");
+    let greedy =
+        synthesize_system(&system, &graph, &config, &HeuristicSynthesizer).expect("feasible");
+    // What the ILP changes against the greedy deployment (retimed tasks,
+    // replaced and truncated rounds), plus the op kinds that only a change
+    // of the system itself produces.
+    let deployed = node_deployments(&system, &schedule);
+    let mut delta = diff(&node_deployments(&system, &greedy), &deployed);
+    let (node, deployment) = deployed.iter().next().expect("a node");
+    let (mode, table) = deployment.modes.iter().next().expect("a mode");
+    let task = *table.task_offsets.keys().next().expect("a task");
+    delta.nodes.entry(*node).or_default().extend([
+        NodePatchOp::SetMode(*mode, table.clone()),
+        NodePatchOp::RemoveTask(*mode, task),
+        NodePatchOp::RemoveMode(*mode),
+    ]);
+    delta.removed_nodes.push(*node);
+
+    // The entry pair `examples/mode_change` leaves in its cache directory.
+    let dir = std::env::temp_dir().join(format!("ttw-codec-write-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let cache = ScheduleCache::new(&dir);
+    synthesize_system_cached(&system, &graph, &config, &backend, &cache).expect("feasible");
+    cache.flush();
+    let entry = |suffix: &str| {
+        let name = format!("ttw-{MODE_CHANGE_KEY}.{suffix}");
+        let text = std::fs::read_to_string(dir.join(&name)).expect("entry written");
+        (name, text)
+    };
+    let (entry, sidecar) = (entry("json"), entry("warm.json"));
+    drop(cache);
+    let _ = std::fs::remove_dir_all(dir);
+
+    // Every optional field of the configuration set, for the standalone
+    // document and the requests.
+    config.max_inter_round_gap = Some(millis(70));
+    config.max_rounds = Some(12);
+    config.solver.relative_gap = 1e-7;
+    let base = SynthesizeRequest {
+        system: system.clone(),
+        graph: graph.clone(),
+        config: config.clone(),
+        backend: BackendKind::Ilp,
+        budget: BudgetCaps {
+            max_nodes: Some(500),
+            max_simplex_iterations: None,
+        },
+    };
+    let app = ApplicationSpec::new("control", millis(100), millis(80))
+        .with_task("sense", "sensor", millis(2))
+        .with_task("act", "actuator", millis(1))
+        .with_message("measurement", ["sense"], ["act"]);
+    let mode_schedule = schedule.iter().next().expect("a mode").1;
+    let documents = [
+        ("app_spec.json".to_owned(), app_spec_to_json(&app)),
+        ("system.json".to_owned(), system_to_json(&system)),
+        ("mode_graph.json".to_owned(), mode_graph_to_json(&graph)),
+        (
+            "scheduler_config.json".to_owned(),
+            scheduler_config_to_json(&config),
+        ),
+        (
+            "mode_schedule.json".to_owned(),
+            schedule_to_json(mode_schedule),
+        ),
+        (
+            "system_schedule.json".to_owned(),
+            system_schedule_to_json(&schedule),
+        ),
+        (
+            "system_schedule.compact.json".to_owned(),
+            Ok(system_schedule_to_value(&schedule).to_json()),
+        ),
+        ("schedule_delta.json".to_owned(), Ok(delta_to_json(&delta))),
+        (
+            "request_synthesize.json".to_owned(),
+            Ok(Request::Synthesize(Box::new(base.clone())).to_json()),
+        ),
+        (
+            "request_resynthesize.json".to_owned(),
+            Ok(Request::Resynthesize(Box::new(ResynthesizeRequest {
+                base,
+                predecessor: MODE_CHANGE_KEY.to_owned(),
+            }))
+            .to_json()),
+        ),
+        (
+            "request_stats.json".to_owned(),
+            Ok(Request::Stats.to_json()),
+        ),
+        (
+            "request_shutdown.json".to_owned(),
+            Ok(Request::Shutdown.to_json()),
+        ),
+        (
+            "response_schedule.json".to_owned(),
+            Ok(Response::Schedule(Box::new(ScheduleReply {
+                schedule: schedule.clone(),
+                served: ServedFrom::Disk,
+                request_milp_nodes: 117,
+                service_micros: 4242,
+            }))
+            .to_json()),
+        ),
+        (
+            "response_stats.json".to_owned(),
+            Ok(Response::Stats(stats_with(|position| position).expect("decodes")).to_json()),
+        ),
+        (
+            "response_error.json".to_owned(),
+            Ok(Response::Error {
+                message: "synthesis failed: \"quoted\" \\ é 😀\n".to_owned(),
+            }
+            .to_json()),
+        ),
+        (
+            "response_shutdown_ack.json".to_owned(),
+            Ok(Response::ShutdownAck.to_json()),
+        ),
+        (entry.0, Ok(entry.1)),
+        (sidecar.0, Ok(sidecar.1)),
+    ];
+    std::fs::create_dir_all(fixture_dir()).expect("mkdir");
+    for (name, text) in documents {
+        std::fs::write(fixture_dir().join(name), text.expect("encodes")).expect("write");
     }
 }
