@@ -184,10 +184,11 @@ fn run_case(num_modes: usize) -> Case {
     // same compact JSON encoding (verified byte-for-byte inside).
     let (delta, delta_bytes, full_bytes) = verified_delta(&edited, &predecessor, &incremental);
 
+    let scratch_totals = scratch.totals();
     Case {
         num_modes,
-        scratch_milp_nodes: scratch.total_milp_nodes(),
-        scratch_simplex_iterations: scratch.total_simplex_iterations(),
+        scratch_milp_nodes: scratch_totals.nodes_explored,
+        scratch_simplex_iterations: scratch_totals.simplex_iterations,
         incremental_milp_nodes: report.solved_milp_nodes,
         incremental_simplex_iterations: report.solved_simplex_iterations,
         modes_reused: report.modes_reused,

@@ -217,46 +217,15 @@ fn write_bench_json(
         let mut map = BTreeMap::new();
         map.insert("median_seconds".into(), num(median_s));
         map.insert("max_shared_offset_gap_us".into(), num(gap));
-        map.insert("milp_nodes".into(), num(result.total_milp_nodes() as f64));
-        map.insert(
-            "simplex_iterations".into(),
-            num(result.total_simplex_iterations() as f64),
-        );
         map.insert("total_rounds".into(), num(total_rounds(result) as f64));
-        map.insert(
-            "presolve_rows_removed".into(),
-            num(result.total_presolve_rows_removed() as f64),
-        );
-        map.insert(
-            "presolve_cols_removed".into(),
-            num(result.total_presolve_cols_removed() as f64),
-        );
-        map.insert(
-            "devex_resets".into(),
-            num(result.total_devex_resets() as f64),
-        );
-        map.insert(
-            "candidate_list_size".into(),
-            num(result.max_candidate_list_size() as f64),
-        );
+        let totals = result.totals();
         map.insert(
             "analyze_fast_fails".into(),
-            num(result.total_analyze_fast_fails() as f64),
+            num(totals.analyze_fast_fails as f64),
         );
-        map.insert("cuts_added".into(), num(result.total_cuts_added() as f64));
-        map.insert("cut_rounds".into(), num(result.total_cut_rounds() as f64));
-        map.insert(
-            "pseudocost_branchings".into(),
-            num(result.total_pseudocost_branchings() as f64),
-        );
-        map.insert(
-            "strong_branch_probes".into(),
-            num(result.total_strong_branch_probes() as f64),
-        );
-        map.insert(
-            "pump_incumbents".into(),
-            num(result.total_pump_incumbents() as f64),
-        );
+        for (name, value) in totals.fields() {
+            map.insert(name.into(), num(value as f64));
+        }
         Value::Object(map)
     };
     let mut strategies = BTreeMap::new();
@@ -291,10 +260,14 @@ fn write_bench_json(
     let mut diamond_map = BTreeMap::new();
     diamond_map.insert("modes".into(), num(diamond.num_modes() as f64));
     diamond_map.insert("median_seconds".into(), num(diamond_s));
-    diamond_map.insert("milp_nodes".into(), num(diamond.total_milp_nodes() as f64));
+    let diamond_totals = diamond.totals();
+    diamond_map.insert(
+        "milp_nodes".into(),
+        num(diamond_totals.nodes_explored as f64),
+    );
     diamond_map.insert(
         "simplex_iterations".into(),
-        num(diamond.total_simplex_iterations() as f64),
+        num(diamond_totals.simplex_iterations as f64),
     );
     diamond_map.insert("total_rounds".into(), num(total_rounds(diamond) as f64));
     diamond_map.insert("switch_consistent".into(), Value::Bool(diamond_consistent));
@@ -380,6 +353,8 @@ fn bench_mode_graph(c: &mut Criterion) {
     let dense_vs_sparse = dense_vs_sparse_relaxations();
     let cache = cache_cold_vs_warm();
 
+    let (independent_totals, inherited_totals, diamond_totals) =
+        (independent.totals(), inherited.totals(), diamond.totals());
     eprintln!("\n=== Mode-graph synthesis: inherited + incremental vs independent ===");
     eprintln!(
         "{:<28} {:>12} {:>12} {:>14} {:>22}",
@@ -389,24 +364,24 @@ fn bench_mode_graph(c: &mut Criterion) {
         "{:<28} {:>9.3} s {:>12} {:>14} {:>19.3} µs",
         "independent (from scratch)",
         independent_s,
-        independent.total_milp_nodes(),
-        independent.total_simplex_iterations(),
+        independent_totals.nodes_explored,
+        independent_totals.simplex_iterations,
         independent_gap,
     );
     eprintln!(
         "{:<28} {:>9.3} s {:>12} {:>14} {:>19.3} µs",
         "inherited (incremental)",
         inherited_s,
-        inherited.total_milp_nodes(),
-        inherited.total_simplex_iterations(),
+        inherited_totals.nodes_explored,
+        inherited_totals.simplex_iterations,
         inherited_gap,
     );
     eprintln!(
         "{:<28} {:>9.3} s {:>12} {:>14} {:>19} µs",
         "diamond (4 modes, parallel)",
         diamond_s,
-        diamond.total_milp_nodes(),
-        diamond.total_simplex_iterations(),
+        diamond_totals.nodes_explored,
+        diamond_totals.simplex_iterations,
         "-",
     );
     let (dense_pivots, dense_s, sparse_pivots, sparse_s) = dense_vs_sparse;
@@ -422,10 +397,10 @@ fn bench_mode_graph(c: &mut Criterion) {
     eprintln!(
         "presolve on inherited workload: {} rows / {} cols removed, {} Devex resets, \
          candidate list {}",
-        inherited.total_presolve_rows_removed(),
-        inherited.total_presolve_cols_removed(),
-        inherited.total_devex_resets(),
-        inherited.max_candidate_list_size(),
+        inherited_totals.presolve_rows_removed,
+        inherited_totals.presolve_cols_removed,
+        inherited_totals.devex_resets,
+        inherited_totals.candidate_list_size,
     );
     eprintln!(
         "speedup: {:.1}x; inherited is switch-consistent (gap < 1e-3 µs): {}\n",
@@ -436,16 +411,16 @@ fn bench_mode_graph(c: &mut Criterion) {
     // solver is deterministic, so node/pivot counts are stable across runs
     // and noisy CI runners cannot flip them.
     assert!(
-        inherited.total_milp_nodes() < independent.total_milp_nodes(),
+        inherited_totals.nodes_explored < independent_totals.nodes_explored,
         "inherited synthesis must explore fewer B&B nodes ({} vs {})",
-        inherited.total_milp_nodes(),
-        independent.total_milp_nodes()
+        inherited_totals.nodes_explored,
+        independent_totals.nodes_explored
     );
     assert!(
-        inherited.total_simplex_iterations() < independent.total_simplex_iterations(),
+        inherited_totals.simplex_iterations < independent_totals.simplex_iterations,
         "inherited synthesis must need fewer simplex pivots ({} vs {})",
-        inherited.total_simplex_iterations(),
-        independent.total_simplex_iterations()
+        inherited_totals.simplex_iterations,
+        independent_totals.simplex_iterations
     );
     if inherited_s > independent_s {
         eprintln!(

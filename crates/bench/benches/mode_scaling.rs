@@ -34,7 +34,7 @@ use ttw_core::synthesis::{
     synthesize_mode, synthesize_system, synthesize_system_sequential, IlpSynthesizer,
 };
 use ttw_core::validate::validate_system_schedule;
-use ttw_core::SystemSchedule;
+use ttw_core::{SynthesisStats, SystemSchedule};
 use ttw_testkit::{generate, GeneratorConfig, GraphShape, InfeasibleKind, Scenario};
 
 /// Fixed generator seed: the sweep is a benchmark, not a property test, so
@@ -85,20 +85,10 @@ struct Measurement {
     max_wave_width: usize,
     sequential_s: f64,
     parallel_s: f64,
-    simplex_iterations: usize,
-    milp_nodes: usize,
     total_rounds: usize,
-    presolve_rows_removed: usize,
-    presolve_cols_removed: usize,
-    devex_resets: usize,
-    candidate_list_size: usize,
-    analyze_fast_fails: usize,
     analyze_micros: f64,
-    cuts_added: usize,
-    cut_rounds: usize,
-    pseudocost_branchings: usize,
-    strong_branch_probes: usize,
-    pump_incumbents: usize,
+    /// Every work counter, totalled over the modes.
+    totals: SynthesisStats,
 }
 
 /// Median wall time (µs) of the full `ttw-analyze` static pass — timed at
@@ -159,20 +149,9 @@ fn measure(shape: GraphShape, num_modes: usize, samples: usize) -> Measurement {
         max_wave_width: waves.iter().map(Vec::len).max().unwrap_or(0),
         sequential_s,
         parallel_s,
-        simplex_iterations: parallel.total_simplex_iterations(),
-        milp_nodes: parallel.total_milp_nodes(),
         total_rounds: parallel.iter().map(|(_, s)| s.num_rounds()).sum(),
-        presolve_rows_removed: parallel.total_presolve_rows_removed(),
-        presolve_cols_removed: parallel.total_presolve_cols_removed(),
-        devex_resets: parallel.total_devex_resets(),
-        candidate_list_size: parallel.max_candidate_list_size(),
-        analyze_fast_fails: parallel.total_analyze_fast_fails(),
         analyze_micros: analyze_micros(&scenario, samples),
-        cuts_added: parallel.total_cuts_added(),
-        cut_rounds: parallel.total_cut_rounds(),
-        pseudocost_branchings: parallel.total_pseudocost_branchings(),
-        strong_branch_probes: parallel.total_strong_branch_probes(),
-        pump_incumbents: parallel.total_pump_incumbents(),
+        totals: parallel.totals(),
     }
 }
 
@@ -206,7 +185,7 @@ fn measure_infeasible(kind: InfeasibleKind, samples: usize) -> InfeasibleMeasure
             ),
             Err(failure) => {
                 fast_failed += failure.stats.analyze_fast_fails;
-                milp_nodes += failure.stats.milp_nodes;
+                milp_nodes += failure.stats.nodes_explored;
             }
         }
     }
@@ -233,41 +212,15 @@ fn write_bench_json(measurements: &[Measurement], infeasible: &[InfeasibleMeasur
             "speedup".into(),
             num(m.sequential_s / m.parallel_s.max(1e-12)),
         );
-        map.insert(
-            "simplex_iterations".into(),
-            num(m.simplex_iterations as f64),
-        );
-        map.insert("milp_nodes".into(), num(m.milp_nodes as f64));
         map.insert("total_rounds".into(), num(m.total_rounds as f64));
-        map.insert(
-            "presolve_rows_removed".into(),
-            num(m.presolve_rows_removed as f64),
-        );
-        map.insert(
-            "presolve_cols_removed".into(),
-            num(m.presolve_cols_removed as f64),
-        );
-        map.insert("devex_resets".into(), num(m.devex_resets as f64));
-        map.insert(
-            "candidate_list_size".into(),
-            num(m.candidate_list_size as f64),
-        );
+        map.insert("analyze_micros".into(), num(m.analyze_micros));
         map.insert(
             "analyze_fast_fails".into(),
-            num(m.analyze_fast_fails as f64),
+            num(m.totals.analyze_fast_fails as f64),
         );
-        map.insert("analyze_micros".into(), num(m.analyze_micros));
-        map.insert("cuts_added".into(), num(m.cuts_added as f64));
-        map.insert("cut_rounds".into(), num(m.cut_rounds as f64));
-        map.insert(
-            "pseudocost_branchings".into(),
-            num(m.pseudocost_branchings as f64),
-        );
-        map.insert(
-            "strong_branch_probes".into(),
-            num(m.strong_branch_probes as f64),
-        );
-        map.insert("pump_incumbents".into(), num(m.pump_incumbents as f64));
+        for (name, value) in m.totals.fields() {
+            map.insert(name.into(), num(value as f64));
+        }
         scenarios.insert(format!("{}_n{}", m.shape, m.num_modes), Value::Object(map));
     }
 
@@ -335,7 +288,7 @@ fn bench_mode_scaling(c: &mut Criterion) {
                 m.sequential_s,
                 m.parallel_s,
                 m.sequential_s / m.parallel_s.max(1e-12),
-                m.simplex_iterations,
+                m.totals.simplex_iterations,
             );
             measurements.push(m);
         }

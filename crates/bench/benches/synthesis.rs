@@ -24,7 +24,7 @@ fn bench_synthesis(c: &mut Criterion) {
         "ILP      : {} rounds, total latency {:.1} ms, {} B&B nodes, {} simplex pivots",
         optimal.num_rounds(),
         optimal.total_latency / 1e3,
-        optimal.stats.milp_nodes,
+        optimal.stats.nodes_explored,
         optimal.stats.simplex_iterations
     );
     eprintln!(

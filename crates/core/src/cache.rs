@@ -78,13 +78,9 @@
 //! represent).
 
 use crate::config::SchedulerConfig;
-use crate::export::{
-    mode_graph_from_value, mode_graph_to_value, scheduler_config_from_value,
-    scheduler_config_to_value, system_from_value, system_schedule_from_json,
-    system_schedule_to_json, system_schedule_to_value, system_to_value,
-};
+use crate::export::{system_schedule_from_json, system_schedule_to_json, system_schedule_to_value};
 use crate::ids::ModeId;
-use crate::json::{JsonError, Value};
+use crate::json::{string, Json, JsonError, Value};
 use crate::modegraph::ModeGraph;
 use crate::schedule::SystemSchedule;
 use crate::synthesis::{synthesize_waves, ModeWarmStart, Synthesizer, SystemSynthesisError};
@@ -285,86 +281,43 @@ pub struct SynthesisArtifacts {
     pub warm: BTreeMap<ModeId, ModeWarmStart>,
 }
 
+/// A basis travels as the one-line text of [`Basis::encode`].
+impl Json for Basis {
+    fn to_value(&self) -> Value {
+        Value::String(self.encode())
+    }
+
+    fn from_value(value: &Value) -> Result<Self, JsonError> {
+        Basis::decode(string(value)?)
+            .ok_or_else(|| JsonError::custom("expected a basis snapshot of this solver build"))
+    }
+}
+
+crate::json_object!(ModeWarmStart as "warm entry" { rounds, basis });
+crate::json_object!(SynthesisArtifacts as "artifacts entry" {
+    system, graph, config, backend, warm
+} check graph_covers_system);
+
+fn graph_covers_system(artifacts: &SynthesisArtifacts) -> Result<(), JsonError> {
+    Ok(artifacts.graph.check_covers(&artifacts.system)?)
+}
+
 /// Serializes cached warm-start artifacts to pretty-printed JSON.
 pub fn artifacts_to_json(artifacts: &SynthesisArtifacts) -> String {
-    let mut warm = BTreeMap::new();
-    for (mode, start) in &artifacts.warm {
-        let mut entry = BTreeMap::new();
-        entry.insert("rounds".into(), Value::Number(start.rounds as f64));
-        entry.insert("basis".into(), Value::String(start.basis.encode()));
-        warm.insert(mode.index().to_string(), Value::Object(entry));
-    }
-    let mut map = BTreeMap::new();
-    map.insert("system".into(), system_to_value(&artifacts.system));
-    map.insert("graph".into(), mode_graph_to_value(&artifacts.graph));
-    map.insert(
-        "config".into(),
-        scheduler_config_to_value(&artifacts.config),
-    );
-    map.insert("backend".into(), Value::String(artifacts.backend.clone()));
-    map.insert("warm".into(), Value::Object(warm));
-    Value::Object(map).to_json_pretty()
+    artifacts.to_value().to_json_pretty()
 }
 
 /// Parses warm-start artifacts back from their JSON form.
 ///
-/// A per-mode basis that no longer decodes (written by a different solver
-/// build, tampered with) is dropped silently — that mode simply solves cold
-/// — while a malformed document as a whole is an error.
-///
 /// # Errors
 ///
-/// Returns a [`JsonError`] when the document is not a valid artifacts entry.
+/// Returns a [`JsonError`] when the document is not a valid artifacts entry:
+/// malformed, a mode graph over other modes than the system's, or a basis
+/// that no longer decodes (written by a different solver build, tampered
+/// with). [`ScheduleCache::artifacts`] reads all of them as "no artifacts",
+/// and the re-synthesis solves cold.
 pub fn artifacts_from_json(text: &str) -> Result<SynthesisArtifacts, JsonError> {
-    let value = Value::parse(text)?;
-    let map = value
-        .as_object()
-        .ok_or_else(|| JsonError::custom("artifacts entry must be an object"))?;
-    let field = |name: &str| {
-        map.get(name)
-            .ok_or_else(|| JsonError::custom(format!("artifacts entry lacks `{name}`")))
-    };
-    let system = system_from_value(field("system")?)?;
-    let graph = mode_graph_from_value(field("graph")?)?;
-    let config = scheduler_config_from_value(field("config")?)?;
-    let backend = field("backend")?
-        .as_str()
-        .ok_or_else(|| JsonError::custom("`backend` must be a string"))?
-        .to_string();
-    let mut warm = BTreeMap::new();
-    let warm_map = field("warm")?
-        .as_object()
-        .ok_or_else(|| JsonError::custom("`warm` must be an object"))?;
-    for (mode_text, entry) in warm_map {
-        let mode = mode_text
-            .parse::<usize>()
-            .map(ModeId::from_index)
-            .map_err(|_| JsonError::custom("warm keys must be mode indices"))?;
-        let entry = entry
-            .as_object()
-            .ok_or_else(|| JsonError::custom("each warm entry must be an object"))?;
-        let rounds = entry
-            .get("rounds")
-            .and_then(Value::as_u64)
-            .ok_or_else(|| JsonError::custom("warm entry lacks `rounds`"))?
-            as usize;
-        let Some(basis) = entry
-            .get("basis")
-            .and_then(Value::as_str)
-            .and_then(Basis::decode)
-        else {
-            // Stale or unreadable basis: degrade this mode to a cold start.
-            continue;
-        };
-        warm.insert(mode, ModeWarmStart { rounds, basis });
-    }
-    Ok(SynthesisArtifacts {
-        system,
-        graph,
-        config,
-        backend,
-        warm,
-    })
+    SynthesisArtifacts::from_value(&Value::parse(text)?)
 }
 
 /// One memory-tier entry: the schedule plus (when the entry came through
@@ -1233,6 +1186,40 @@ mod tests {
         let _ = std::fs::remove_dir_all(dir);
     }
 
+    /// A disk entry that parses but files a schedule under another mode's key
+    /// is corrupt like one that does not parse: counted, not served, and
+    /// overwritten by the fresh result.
+    #[test]
+    fn entry_with_a_schedule_under_the_wrong_mode_counts_as_corrupt() {
+        let (sys, graph, _, _) = fixtures::two_mode_graph();
+        let cache = temp_cache("wrong-mode");
+        let backend = IlpSynthesizer::default();
+        let key = synthesis_key(&sys, &graph, &config(), backend.name());
+        let mut schedule = synthesize_system(&sys, &graph, &config(), &backend).expect("feasible");
+        let (first, second) = (ModeId::from_index(0), ModeId::from_index(1));
+        let misfiled = schedule.schedules[&second].clone();
+        schedule.schedules.insert(first, misfiled);
+        let dir = cache.dir().expect("disk-backed").to_path_buf();
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        std::fs::write(
+            cache.path_for(&key).expect("path"),
+            system_schedule_to_json(&schedule).expect("serialize"),
+        )
+        .expect("write");
+        assert!(matches!(cache.probe(&key), CacheProbe::Corrupt));
+        let (_, outcome) =
+            synthesize_system_cached(&sys, &graph, &config(), &backend, &cache).expect("feasible");
+        assert_eq!(outcome, CacheOutcome::Corrupt);
+        assert_eq!((cache.corrupt(), cache.misses(), cache.hits()), (2, 0, 0));
+        cache.flush();
+        assert!(matches!(
+            ScheduleCache::new(&dir).probe(&key),
+            CacheProbe::Disk(_)
+        ));
+        drop(cache);
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
     #[test]
     fn evict_forces_a_cold_run() {
         let (sys, graph, _, _) = fixtures::two_mode_graph();
@@ -1445,6 +1432,28 @@ mod tests {
         assert_eq!(reopened.hits() + reopened.misses() + reopened.corrupt(), 0);
         drop(reopened);
         let _ = std::fs::remove_dir_all(dir);
+    }
+
+    /// A sidecar whose mode graph covers other modes than its system's would
+    /// send the re-synthesis that trusts it past the system's mode table.
+    #[test]
+    fn artifacts_with_a_mode_graph_over_other_modes_are_rejected() {
+        let (sys, graph, _, _) = fixtures::two_mode_graph();
+        let (_, diamond, _) = fixtures::four_mode_diamond();
+        let artifacts = |graph: ModeGraph| SynthesisArtifacts {
+            system: sys.clone(),
+            graph,
+            config: config(),
+            backend: "ilp-incremental".into(),
+            warm: BTreeMap::new(),
+        };
+        assert!(artifacts_from_json(&artifacts_to_json(&artifacts(graph))).is_ok());
+        let error = artifacts_from_json(&artifacts_to_json(&artifacts(diamond)))
+            .expect_err("four modes in the graph, two in the system");
+        assert_eq!(
+            error.to_string(),
+            "the mode graph covers 4 modes, the system has 2"
+        );
     }
 
     /// Counter accounting under concurrency: hits + misses + corrupt equals

@@ -17,8 +17,8 @@
 //! `apply(diff(old, new), old) == new`, always, and the delta is the empty
 //! patch iff the deployments are identical.
 
-use crate::ids::{MessageId, ModeId, NodeId, TaskId};
-use crate::json::{JsonError, Value};
+use crate::ids::{ModeId, NodeId, TaskId};
+use crate::json::{field, object, tag, Json, JsonError, Object, Value};
 use crate::schedule::{ScheduledRound, SystemSchedule};
 use crate::system::System;
 use crate::time::Micros;
@@ -293,229 +293,70 @@ fn apply_op(deployment: &mut NodeDeployment, op: &NodePatchOp) -> Result<(), Str
 // JSON wire codec
 // ---------------------------------------------------------------------------
 
-fn round_to_value(round: &ScheduledRound) -> Value {
-    let mut map = BTreeMap::new();
-    map.insert("start".into(), Value::Number(round.start));
-    map.insert(
-        "slots".into(),
-        Value::Array(
-            round
-                .slots
-                .iter()
-                .map(|m| Value::Number(m.index() as f64))
-                .collect(),
-        ),
-    );
-    Value::Object(map)
-}
+crate::json_object!(NodeModeTable as "mode table" {
+    hyperperiod, round_duration, slots_per_round, task_offsets, rounds
+});
+crate::json_object!(ScheduleDelta as "delta" { nodes, removed_nodes });
 
-fn round_from_value(value: &Value) -> Result<ScheduledRound, JsonError> {
-    let map = value
-        .as_object()
-        .ok_or_else(|| JsonError::custom("round must be an object"))?;
-    let start = map
-        .get("start")
-        .and_then(Value::as_f64)
-        .ok_or_else(|| JsonError::custom("round lacks `start`"))?;
-    let slots = map
-        .get("slots")
-        .and_then(Value::as_array)
-        .ok_or_else(|| JsonError::custom("round lacks `slots`"))?
-        .iter()
-        .map(|v| {
-            v.as_u64()
-                .map(|i| MessageId::from_index(i as usize))
-                .ok_or_else(|| JsonError::custom("slots must be message indices"))
-        })
-        .collect::<Result<_, _>>()?;
-    Ok(ScheduledRound { start, slots })
-}
-
-fn table_to_value(table: &NodeModeTable) -> Value {
-    let mut map = BTreeMap::new();
-    map.insert(
-        "hyperperiod".into(),
-        Value::Number(table.hyperperiod as f64),
-    );
-    map.insert(
-        "round_duration".into(),
-        Value::Number(table.round_duration as f64),
-    );
-    map.insert(
-        "slots_per_round".into(),
-        Value::Number(table.slots_per_round as f64),
-    );
-    map.insert(
-        "task_offsets".into(),
-        Value::Object(
-            table
-                .task_offsets
-                .iter()
-                .map(|(t, &o)| (t.index().to_string(), Value::Number(o)))
-                .collect(),
-        ),
-    );
-    map.insert(
-        "rounds".into(),
-        Value::Array(table.rounds.iter().map(round_to_value).collect()),
-    );
-    Value::Object(map)
-}
-
-fn table_from_value(value: &Value) -> Result<NodeModeTable, JsonError> {
-    let map = value
-        .as_object()
-        .ok_or_else(|| JsonError::custom("mode table must be an object"))?;
-    let number = |name: &str| {
-        map.get(name)
-            .and_then(Value::as_u64)
-            .ok_or_else(|| JsonError::custom(format!("mode table lacks `{name}`")))
-    };
-    let task_offsets = map
-        .get("task_offsets")
-        .and_then(Value::as_object)
-        .ok_or_else(|| JsonError::custom("mode table lacks `task_offsets`"))?
-        .iter()
-        .map(|(k, v)| {
-            let task = k
-                .parse::<usize>()
-                .map(TaskId::from_index)
-                .map_err(|_| JsonError::custom("task keys must be indices"))?;
-            let offset = v
-                .as_f64()
-                .ok_or_else(|| JsonError::custom("task offsets must be numbers"))?;
-            Ok((task, offset))
-        })
-        .collect::<Result<_, JsonError>>()?;
-    let rounds = map
-        .get("rounds")
-        .and_then(Value::as_array)
-        .ok_or_else(|| JsonError::custom("mode table lacks `rounds`"))?
-        .iter()
-        .map(round_from_value)
-        .collect::<Result<_, _>>()?;
-    Ok(NodeModeTable {
-        hyperperiod: number("hyperperiod")?,
-        round_duration: number("round_duration")?,
-        slots_per_round: number("slots_per_round")? as usize,
-        task_offsets,
-        rounds,
-    })
-}
-
-fn op_to_value(op: &NodePatchOp) -> Value {
-    let mut map = BTreeMap::new();
-    let mut put = |k: &str, v: Value| map.insert(k.into(), v);
-    match op {
-        NodePatchOp::SetMode(mode, table) => {
-            put("op", Value::String("set_mode".into()));
-            put("mode", Value::Number(mode.index() as f64));
-            put("table", table_to_value(table));
-        }
-        NodePatchOp::RemoveMode(mode) => {
-            put("op", Value::String("remove_mode".into()));
-            put("mode", Value::Number(mode.index() as f64));
-        }
-        NodePatchOp::SetTask(mode, task, offset) => {
-            put("op", Value::String("set_task".into()));
-            put("mode", Value::Number(mode.index() as f64));
-            put("task", Value::Number(task.index() as f64));
-            put("offset", Value::Number(*offset));
-        }
-        NodePatchOp::RemoveTask(mode, task) => {
-            put("op", Value::String("remove_task".into()));
-            put("mode", Value::Number(mode.index() as f64));
-            put("task", Value::Number(task.index() as f64));
-        }
-        NodePatchOp::SetRound(mode, index, round) => {
-            put("op", Value::String("set_round".into()));
-            put("mode", Value::Number(mode.index() as f64));
-            put("index", Value::Number(*index as f64));
-            put("round", round_to_value(round));
-        }
-        NodePatchOp::TruncateRounds(mode, len) => {
-            put("op", Value::String("truncate_rounds".into()));
-            put("mode", Value::Number(mode.index() as f64));
-            put("len", Value::Number(*len as f64));
-        }
+/// A patch op is an object tagged by `"op"`, always with the `"mode"` it
+/// patches, plus the members its kind needs.
+impl Json for NodePatchOp {
+    fn to_value(&self) -> Value {
+        let (kind, mode, rest) = match self {
+            NodePatchOp::SetMode(mode, table) => {
+                ("set_mode", mode, [Some(("table", table.to_value())), None])
+            }
+            NodePatchOp::RemoveMode(mode) => ("remove_mode", mode, [None, None]),
+            NodePatchOp::SetTask(mode, task, offset) => (
+                "set_task",
+                mode,
+                [
+                    Some(("task", task.to_value())),
+                    Some(("offset", offset.to_value())),
+                ],
+            ),
+            NodePatchOp::RemoveTask(mode, task) => {
+                ("remove_task", mode, [Some(("task", task.to_value())), None])
+            }
+            NodePatchOp::SetRound(mode, index, round) => (
+                "set_round",
+                mode,
+                [
+                    Some(("index", index.to_value())),
+                    Some(("round", round.to_value())),
+                ],
+            ),
+            NodePatchOp::TruncateRounds(mode, len) => (
+                "truncate_rounds",
+                mode,
+                [Some(("len", len.to_value())), None],
+            ),
+        };
+        let mut map = Object::new();
+        map.insert("op".into(), Value::String(kind.into()));
+        map.insert("mode".into(), mode.to_value());
+        map.extend(rest.into_iter().flatten().map(|(k, v)| (k.into(), v)));
+        Value::Object(map)
     }
-    Value::Object(map)
-}
 
-fn op_from_value(value: &Value) -> Result<NodePatchOp, JsonError> {
-    let map = value
-        .as_object()
-        .ok_or_else(|| JsonError::custom("patch op must be an object"))?;
-    let kind = map
-        .get("op")
-        .and_then(Value::as_str)
-        .ok_or_else(|| JsonError::custom("patch op lacks `op`"))?;
-    let index_field = |name: &str| {
-        map.get(name)
-            .and_then(Value::as_u64)
-            .map(|i| i as usize)
-            .ok_or_else(|| JsonError::custom(format!("patch op lacks `{name}`")))
-    };
-    let mode = ModeId::from_index(index_field("mode")?);
-    Ok(match kind {
-        "set_mode" => NodePatchOp::SetMode(
-            mode,
-            table_from_value(
-                map.get("table")
-                    .ok_or_else(|| JsonError::custom("set_mode lacks `table`"))?,
-            )?,
-        ),
-        "remove_mode" => NodePatchOp::RemoveMode(mode),
-        "set_task" => NodePatchOp::SetTask(
-            mode,
-            TaskId::from_index(index_field("task")?),
-            map.get("offset")
-                .and_then(Value::as_f64)
-                .ok_or_else(|| JsonError::custom("set_task lacks `offset`"))?,
-        ),
-        "remove_task" => NodePatchOp::RemoveTask(mode, TaskId::from_index(index_field("task")?)),
-        "set_round" => NodePatchOp::SetRound(
-            mode,
-            index_field("index")?,
-            round_from_value(
-                map.get("round")
-                    .ok_or_else(|| JsonError::custom("set_round lacks `round`"))?,
-            )?,
-        ),
-        "truncate_rounds" => NodePatchOp::TruncateRounds(mode, index_field("len")?),
-        other => return Err(JsonError::custom(format!("unknown patch op `{other}`"))),
-    })
+    fn from_value(value: &Value) -> Result<Self, JsonError> {
+        let map = object(value, "patch op")?;
+        let mode = field(map, "mode")?;
+        Ok(match tag(map, "op")? {
+            "set_mode" => NodePatchOp::SetMode(mode, field(map, "table")?),
+            "remove_mode" => NodePatchOp::RemoveMode(mode),
+            "set_task" => NodePatchOp::SetTask(mode, field(map, "task")?, field(map, "offset")?),
+            "remove_task" => NodePatchOp::RemoveTask(mode, field(map, "task")?),
+            "set_round" => NodePatchOp::SetRound(mode, field(map, "index")?, field(map, "round")?),
+            "truncate_rounds" => NodePatchOp::TruncateRounds(mode, field(map, "len")?),
+            other => return Err(JsonError::custom(format!("unknown patch op `{other}`"))),
+        })
+    }
 }
 
 /// Serializes a delta to its compact JSON wire form.
 pub fn delta_to_json(delta: &ScheduleDelta) -> String {
-    let mut map = BTreeMap::new();
-    map.insert(
-        "nodes".into(),
-        Value::Object(
-            delta
-                .nodes
-                .iter()
-                .map(|(node, ops)| {
-                    (
-                        node.index().to_string(),
-                        Value::Array(ops.iter().map(op_to_value).collect()),
-                    )
-                })
-                .collect(),
-        ),
-    );
-    map.insert(
-        "removed_nodes".into(),
-        Value::Array(
-            delta
-                .removed_nodes
-                .iter()
-                .map(|n| Value::Number(n.index() as f64))
-                .collect(),
-        ),
-    );
-    Value::Object(map).to_json()
+    delta.to_value().to_json()
 }
 
 /// Parses a delta back from its JSON wire form.
@@ -524,44 +365,7 @@ pub fn delta_to_json(delta: &ScheduleDelta) -> String {
 ///
 /// [`JsonError`] on any malformed document.
 pub fn delta_from_json(text: &str) -> Result<ScheduleDelta, JsonError> {
-    let value = Value::parse(text)?;
-    let map = value
-        .as_object()
-        .ok_or_else(|| JsonError::custom("delta must be an object"))?;
-    let nodes = map
-        .get("nodes")
-        .and_then(Value::as_object)
-        .ok_or_else(|| JsonError::custom("delta lacks `nodes`"))?
-        .iter()
-        .map(|(k, v)| {
-            let node = k
-                .parse::<usize>()
-                .map(NodeId::from_index)
-                .map_err(|_| JsonError::custom("node keys must be indices"))?;
-            let ops = v
-                .as_array()
-                .ok_or_else(|| JsonError::custom("node ops must be an array"))?
-                .iter()
-                .map(op_from_value)
-                .collect::<Result<_, _>>()?;
-            Ok((node, ops))
-        })
-        .collect::<Result<_, JsonError>>()?;
-    let removed_nodes = map
-        .get("removed_nodes")
-        .and_then(Value::as_array)
-        .ok_or_else(|| JsonError::custom("delta lacks `removed_nodes`"))?
-        .iter()
-        .map(|v| {
-            v.as_u64()
-                .map(|i| NodeId::from_index(i as usize))
-                .ok_or_else(|| JsonError::custom("removed nodes must be indices"))
-        })
-        .collect::<Result<_, _>>()?;
-    Ok(ScheduleDelta {
-        nodes,
-        removed_nodes,
-    })
+    ScheduleDelta::from_value(&Value::parse(text)?)
 }
 
 /// Bytes of a delta on the wire (its compact JSON form).
@@ -575,17 +379,7 @@ pub fn delta_bytes(delta: &ScheduleDelta) -> usize {
 pub fn full_deployment_bytes(deployments: &BTreeMap<NodeId, NodeDeployment>) -> usize {
     deployments
         .values()
-        .map(|deployment| {
-            Value::Object(
-                deployment
-                    .modes
-                    .iter()
-                    .map(|(mode, table)| (mode.index().to_string(), table_to_value(table)))
-                    .collect(),
-            )
-            .to_json()
-            .len()
-        })
+        .map(|deployment| deployment.modes.to_value().to_json().len())
         .sum()
 }
 
@@ -632,6 +426,7 @@ pub fn verified_delta(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ids::MessageId;
 
     fn table(tasks: &[(usize, f64)], rounds: &[(f64, &[usize])]) -> NodeModeTable {
         NodeModeTable {

@@ -73,6 +73,15 @@ pub enum ModelError {
         /// Name of the offending mode.
         name: String,
     },
+    /// A mode graph was paired with a system it was not built over: every
+    /// walk of the graph indexes the system's modes, so the two must agree
+    /// on how many there are.
+    ModeCountMismatch {
+        /// Modes the graph covers.
+        graph: usize,
+        /// Modes the system has.
+        system: usize,
+    },
 }
 
 impl fmt::Display for ModelError {
@@ -110,11 +119,22 @@ impl fmt::Display for ModelError {
                 write!(f, "application {app} is listed twice in the same mode")
             }
             ModelError::EmptyMode { name } => write!(f, "mode `{name}` contains no application"),
+            ModelError::ModeCountMismatch { graph, system } => write!(
+                f,
+                "the mode graph covers {graph} modes, the system has {system}"
+            ),
         }
     }
 }
 
 impl Error for ModelError {}
+
+/// A decoded document that breaks a model rule is a malformed document.
+impl From<ModelError> for crate::json::JsonError {
+    fn from(e: ModelError) -> Self {
+        crate::json::JsonError::custom(e.to_string())
+    }
+}
 
 /// Errors raised by schedule synthesis (Algorithm 1) and validation.
 #[derive(Debug, Clone, PartialEq)]

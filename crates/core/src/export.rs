@@ -4,218 +4,182 @@
 //! convenient in practice: a JSON document that can be shipped to the nodes at
 //! deployment time (Sec. II.B: "the node's task and communication schedule is
 //! loaded into its memory"), and a human-readable text timeline for inspecting
-//! what the optimizer produced. The JSON codec is hand-rolled on
-//! [`crate::json`] because the build environment has no crates.io access.
+//! what the optimizer produced.
+//!
+//! The JSON form of every model and schedule type is declared here, once per
+//! type, on the field-table mechanism of [`crate::json`]: a
+//! [`json_object!`](crate::json_object) table where the document mirrors the
+//! struct, a hand-written [`Json`] impl for [`System`] and [`ModeGraph`],
+//! whose decoders replay the checked constructors. The functions below are
+//! those impls plus a parser and a writer.
 
 use crate::config::SchedulerConfig;
-use crate::ids::{AppId, MessageId, ModeId, TaskId};
-use crate::json::{JsonError, Value};
+use crate::ids::{AppId, ModeId};
+use crate::json::{
+    elements, field, field_or_default, object, Json, JsonError, JsonObject, Object, Value,
+};
 use crate::modegraph::ModeGraph;
 use crate::schedule::{ModeSchedule, ScheduledRound, SynthesisStats, SystemSchedule};
 use crate::spec::{ApplicationSpec, MessageSpec, TaskSpec};
-use crate::system::System;
-use std::collections::BTreeMap;
+use crate::system::{Mode, System};
 use std::fmt::Write as _;
-use ttw_milp::SolveParams;
+use ttw_milp::{SolveParams, SolverCounters};
 
-/// Serializes a schedule to pretty-printed JSON.
-///
-/// The output contains everything a node needs at deployment time: round start
-/// times, slot allocations, task offsets and message offsets/deadlines.
-///
-/// # Errors
-///
-/// Infallible in practice; the `Result` is kept so the signature survives a
-/// swap back to a serde-based codec.
-pub fn schedule_to_json(schedule: &ModeSchedule) -> Result<String, JsonError> {
-    Ok(schedule_to_value(schedule).to_json_pretty())
-}
+crate::json_object!(TaskSpec as "task" { name, node, wcet });
+crate::json_object!(MessageSpec as "message" { name, sources, destinations });
+crate::json_object!(ApplicationSpec as "application spec" {
+    name, period, deadline, tasks, messages
+});
+crate::json_object!(Mode as "mode" { name, applications });
 
-/// Parses a schedule back from its JSON form.
-///
-/// # Errors
-///
-/// Returns a [`JsonError`] if the document is not a valid schedule.
-pub fn schedule_from_json(json: &str) -> Result<ModeSchedule, JsonError> {
-    schedule_from_value(&Value::parse(json)?)
-}
+crate::json_object!(SolveParams as "`solver`" {
+    max_nodes, max_simplex_iterations, integrality_tolerance, feasibility_tolerance,
+    relative_gap, presolve, cuts, max_cut_rounds, pump, pseudocost, strong_branch_limit,
+    reliability
+});
+crate::json_object!(SchedulerConfig as "scheduler config" {
+    round_duration, slots_per_round, max_inter_round_gap, epsilon, big_m_factor, max_rounds,
+    analyze_first, solver
+});
 
-/// Serializes a complete [`SystemSchedule`] — every mode schedule plus the
-/// inheritance metadata and per-mode statistics — to pretty-printed JSON.
-///
-/// # Errors
-///
-/// Infallible in practice; see [`schedule_to_json`].
-pub fn system_schedule_to_json(schedule: &SystemSchedule) -> Result<String, JsonError> {
-    Ok(system_schedule_to_value(schedule).to_json_pretty())
-}
+/// The solver's counters sit directly in the stats object, under the wire
+/// names [`SolverCounters::fields`] declares.
+impl JsonObject for SolverCounters {
+    const WHAT: &'static str = "solver counters";
 
-/// Parses a [`SystemSchedule`] back from its JSON form.
-///
-/// # Errors
-///
-/// Returns a [`JsonError`] if the document is not a valid system schedule.
-pub fn system_schedule_from_json(json: &str) -> Result<SystemSchedule, JsonError> {
-    system_schedule_from_value(&Value::parse(json)?)
-}
+    fn write_fields(&self, map: &mut Object) {
+        for (name, value) in self.fields() {
+            map.insert(name.into(), value.to_value());
+        }
+    }
 
-/// Serializes a [`ModeGraph`] (mode count, root and switch edges) to
-/// pretty-printed JSON.
-///
-/// # Errors
-///
-/// Infallible in practice; see [`schedule_to_json`].
-pub fn mode_graph_to_json(graph: &ModeGraph) -> Result<String, JsonError> {
-    Ok(mode_graph_to_value(graph).to_json_pretty())
-}
-
-/// The [`Value`]-level form of [`mode_graph_to_json`], for embedding a mode
-/// graph inside a larger document (the `ttw-service` wire protocol).
-pub fn mode_graph_to_value(graph: &ModeGraph) -> Value {
-    let mut map = BTreeMap::new();
-    map.insert("num_modes".into(), Value::Number(graph.num_modes() as f64));
-    map.insert("root".into(), Value::Number(graph.root().index() as f64));
-    map.insert(
-        "edges".into(),
-        Value::Array(
-            graph
-                .edges()
-                .map(|(from, to)| {
-                    Value::Array(vec![
-                        Value::Number(from.index() as f64),
-                        Value::Number(to.index() as f64),
-                    ])
-                })
-                .collect(),
-        ),
-    );
-    Value::Object(map)
-}
-
-/// Parses a [`ModeGraph`] back from its JSON form.
-///
-/// # Errors
-///
-/// Returns a [`JsonError`] if the document is not a valid mode graph (bad
-/// shape, or edges/root outside the mode range).
-pub fn mode_graph_from_json(json: &str) -> Result<ModeGraph, JsonError> {
-    mode_graph_from_value(&Value::parse(json)?)
-}
-
-/// The [`Value`]-level form of [`mode_graph_from_json`].
-///
-/// # Errors
-///
-/// Returns a [`JsonError`] if the value is not a valid mode graph.
-pub fn mode_graph_from_value(value: &Value) -> Result<ModeGraph, JsonError> {
-    let map = require_object(value, "mode graph")?;
-    let num_modes = require_usize(map, "num_modes")?;
-    let root = ModeId::from_index(require_usize(map, "root")?);
-    let edges = require_field(map, "edges")?
-        .as_array()
-        .ok_or_else(|| JsonError::custom("`edges` must be an array"))?
-        .iter()
-        .map(|edge| {
-            let pair = edge
-                .as_array()
-                .filter(|p| p.len() == 2)
-                .ok_or_else(|| JsonError::custom("each edge must be a `[from, to]` pair"))?;
-            let endpoint = |v: &Value| {
-                v.as_u64()
-                    .map(|i| ModeId::from_index(i as usize))
-                    .ok_or_else(|| JsonError::custom("edge endpoints must be mode indices"))
-            };
-            Ok((endpoint(&pair[0])?, endpoint(&pair[1])?))
+    fn read_fields(map: &Object) -> Result<Self, JsonError> {
+        SolverCounters::from_fields(|name, required| {
+            if required {
+                field(map, name)
+            } else {
+                field_or_default(map, name)
+            }
         })
-        .collect::<Result<Vec<_>, JsonError>>()?;
-    ModeGraph::from_parts(num_modes, root, edges)
-        .map_err(|e| JsonError::custom(format!("invalid mode graph: {e}")))
+    }
 }
 
-/// Serializes an application specification to pretty-printed JSON.
-///
-/// # Errors
-///
-/// Infallible in practice; see [`schedule_to_json`].
-pub fn app_spec_to_json(spec: &ApplicationSpec) -> Result<String, JsonError> {
-    Ok(app_spec_to_value(spec).to_json_pretty())
+crate::json_object!(SynthesisStats as "stats" {
+    rounds_attempted, variables, constraints, analyze_fast_fails or default;
+    ..solver
+});
+crate::json_object!(ScheduledRound as "round" { start, slots });
+crate::json_object!(ModeSchedule as "schedule" {
+    mode, hyperperiod, round_duration, slots_per_round, task_offsets, message_offsets,
+    message_deadlines, rounds, app_latencies, total_latency, stats
+});
+crate::json_object!(SystemSchedule as "system schedule" { schedules, inheritance, stats }
+    check schedules_sit_under_their_own_mode);
+
+/// A schedule filed under another mode's key would reach the runtime as that
+/// mode's slot table while announcing its own mode id.
+fn schedules_sit_under_their_own_mode(schedule: &SystemSchedule) -> Result<(), JsonError> {
+    match schedule.iter().find(|(key, inner)| inner.mode != *key) {
+        Some((key, inner)) => Err(JsonError::custom(format!(
+            "`schedules` entry `{}` holds the schedule of mode {}",
+            key.index(),
+            inner.mode.index()
+        ))),
+        None => Ok(()),
+    }
 }
 
-/// Parses an application specification back from its JSON form.
-///
-/// # Errors
-///
-/// Returns a [`JsonError`] if the document is not a valid specification.
-pub fn app_spec_from_json(json: &str) -> Result<ApplicationSpec, JsonError> {
-    app_spec_from_value(&Value::parse(json)?)
+/// A mode graph is its mode count, root and `[from, to]` edge list; decoding
+/// goes through [`ModeGraph::from_parts`], which range-checks all three.
+impl Json for ModeGraph {
+    fn to_value(&self) -> Value {
+        let mut map = Object::new();
+        map.insert("num_modes".into(), self.num_modes().to_value());
+        map.insert("root".into(), self.root().to_value());
+        map.insert(
+            "edges".into(),
+            Value::Array(self.edges().map(|edge| edge.to_value()).collect()),
+        );
+        Value::Object(map)
+    }
+
+    fn from_value(value: &Value) -> Result<Self, JsonError> {
+        let map = object(value, "mode graph")?;
+        let edges: Vec<(ModeId, ModeId)> = field(map, "edges")?;
+        ModeGraph::from_parts(field(map, "num_modes")?, field(map, "root")?, edges)
+            .map_err(|e| JsonError::custom(format!("invalid mode graph: {e}")))
+    }
 }
 
-/// Serializes a complete [`System`] — nodes, applications (as
-/// [`ApplicationSpec`] documents) and modes — to pretty-printed JSON.
-///
-/// The representation is the *construction order*: nodes, applications and
-/// modes appear in id order, so [`system_from_json`] rebuilds a system whose
-/// entity ids (and therefore [`crate::cache::system_fingerprint`]) are
-/// identical to the original's. This is the request payload of the
-/// `ttw-service` wire protocol.
-///
-/// # Errors
-///
-/// Infallible in practice; see [`schedule_to_json`].
-pub fn system_to_json(system: &System) -> Result<String, JsonError> {
-    Ok(system_to_value(system).to_json_pretty())
-}
+/// A system is its *construction order*: nodes, applications (as
+/// [`ApplicationSpec`] documents) and modes in id order. Decoding replays
+/// `add_node` / `add_application` / `add_mode`, so the model rules of
+/// Sec. III are checked and every entity gets the id it had.
+impl Json for System {
+    fn to_value(&self) -> Value {
+        let mut map = Object::new();
+        map.insert(
+            "nodes".into(),
+            Value::Array(self.nodes().map(|(_, node)| node.name.to_value()).collect()),
+        );
+        map.insert(
+            "applications".into(),
+            Value::Array(
+                self.applications()
+                    .map(|(id, _)| application_spec_of(self, id).to_value())
+                    .collect(),
+            ),
+        );
+        map.insert(
+            "modes".into(),
+            Value::Array(self.modes().map(|(_, mode)| mode.to_value()).collect()),
+        );
+        Value::Object(map)
+    }
 
-/// The [`Value`]-level form of [`system_to_json`].
-pub fn system_to_value(system: &System) -> Value {
-    let mut map = BTreeMap::new();
-    map.insert(
-        "nodes".into(),
-        Value::Array(
+    fn from_value(value: &Value) -> Result<Self, JsonError> {
+        let map = object(value, "system")?;
+        let mut system = System::new();
+        for node in elements(map, "nodes")? {
+            let name = node
+                .as_str()
+                .ok_or_else(|| JsonError::custom("`nodes`: expected a string"))?;
             system
-                .nodes()
-                .map(|(_, node)| Value::String(node.name.clone()))
-                .collect(),
-        ),
-    );
-    map.insert(
-        "applications".into(),
-        Value::Array(
+                .add_node(name)
+                .map_err(|e| JsonError::custom(format!("invalid node `{name}`: {e}")))?;
+        }
+        for app in elements(map, "applications")? {
+            let spec = ApplicationSpec::from_value(app)?;
+            system.add_application(&spec).map_err(|e| {
+                JsonError::custom(format!("invalid application `{}`: {e}", spec.name))
+            })?;
+        }
+        let num_apps = system.applications().count();
+        for mode in elements(map, "modes")? {
+            let Mode { name, applications } = Mode::from_value(mode)?;
+            if applications.iter().any(|app| app.index() >= num_apps) {
+                return Err(JsonError::custom(format!(
+                    "mode `{name}` lists an application the system does not have"
+                )));
+            }
             system
-                .applications()
-                .map(|(id, _)| app_spec_to_value(&application_spec_of(system, id)))
-                .collect(),
-        ),
-    );
-    map.insert(
-        "modes".into(),
-        Value::Array(
-            system
-                .modes()
-                .map(|(_, mode)| {
-                    let mut m = BTreeMap::new();
-                    m.insert("name".into(), Value::String(mode.name.clone()));
-                    m.insert(
-                        "applications".into(),
-                        Value::Array(
-                            mode.applications
-                                .iter()
-                                .map(|app| Value::Number(app.index() as f64))
-                                .collect(),
-                        ),
-                    );
-                    Value::Object(m)
-                })
-                .collect(),
-        ),
-    );
-    Value::Object(map)
+                .add_mode(&name, &applications)
+                .map_err(|e| JsonError::custom(format!("invalid mode `{name}`: {e}")))?;
+        }
+        Ok(system)
+    }
 }
 
 /// Reconstructs the [`ApplicationSpec`] an application was built from: task
 /// and message entries in id order with all name references resolved.
 fn application_spec_of(system: &System, app: AppId) -> ApplicationSpec {
     let application = system.application(app);
+    let task_names = |tasks: &[crate::ids::TaskId]| {
+        tasks
+            .iter()
+            .map(|&task| system.task(task).name.clone())
+            .collect()
+    };
     ApplicationSpec {
         name: application.name.clone(),
         period: application.period,
@@ -239,25 +203,122 @@ fn application_spec_of(system: &System, app: AppId) -> ApplicationSpec {
                 let m = system.message(message);
                 MessageSpec {
                     name: m.name.clone(),
-                    sources: m
-                        .preceding_tasks
-                        .iter()
-                        .map(|&t| system.task(t).name.clone())
-                        .collect(),
-                    destinations: m
-                        .successor_tasks
-                        .iter()
-                        .map(|&t| system.task(t).name.clone())
-                        .collect(),
+                    sources: task_names(&m.preceding_tasks),
+                    destinations: task_names(&m.successor_tasks),
                 }
             })
             .collect(),
     }
 }
 
-/// Parses a [`System`] back from its JSON form, replaying the construction
-/// sequence (`add_node` / `add_application` / `add_mode`) so entity ids
-/// match the serialized system exactly.
+/// The pretty-printed document of `value`. Infallible; the `Result` is the
+/// signature the `*_to_json` functions have always had.
+fn pretty<T: Json>(value: &T) -> Result<String, JsonError> {
+    Ok(value.to_value().to_json_pretty())
+}
+
+fn parse<T: Json>(json: &str) -> Result<T, JsonError> {
+    T::from_value(&Value::parse(json)?)
+}
+
+/// Serializes a schedule to pretty-printed JSON.
+///
+/// The output contains everything a node needs at deployment time: round start
+/// times, slot allocations, task offsets and message offsets/deadlines.
+///
+/// # Errors
+///
+/// Infallible in practice, like every `*_to_json` function of this module.
+pub fn schedule_to_json(schedule: &ModeSchedule) -> Result<String, JsonError> {
+    pretty(schedule)
+}
+
+/// Parses a schedule back from its JSON form.
+///
+/// # Errors
+///
+/// Returns a [`JsonError`] if the document is not a valid schedule.
+pub fn schedule_from_json(json: &str) -> Result<ModeSchedule, JsonError> {
+    parse(json)
+}
+
+/// Serializes a complete [`SystemSchedule`] — every mode schedule plus the
+/// inheritance metadata and per-mode statistics — to pretty-printed JSON.
+///
+/// # Errors
+///
+/// Infallible in practice; see [`schedule_to_json`].
+pub fn system_schedule_to_json(schedule: &SystemSchedule) -> Result<String, JsonError> {
+    pretty(schedule)
+}
+
+/// The [`Value`] a [`SystemSchedule`] encodes to, for the callers that render
+/// it compactly (the `"schedule"` member of a service reply).
+pub fn system_schedule_to_value(schedule: &SystemSchedule) -> Value {
+    schedule.to_value()
+}
+
+/// Parses a [`SystemSchedule`] back from its JSON form.
+///
+/// # Errors
+///
+/// Returns a [`JsonError`] if the document is not a valid system schedule —
+/// which includes a mode schedule filed under another mode's key.
+pub fn system_schedule_from_json(json: &str) -> Result<SystemSchedule, JsonError> {
+    parse(json)
+}
+
+/// Serializes a [`ModeGraph`] (mode count, root and switch edges) to
+/// pretty-printed JSON.
+///
+/// # Errors
+///
+/// Infallible in practice; see [`schedule_to_json`].
+pub fn mode_graph_to_json(graph: &ModeGraph) -> Result<String, JsonError> {
+    pretty(graph)
+}
+
+/// Parses a [`ModeGraph`] back from its JSON form.
+///
+/// # Errors
+///
+/// Returns a [`JsonError`] if the document is not a valid mode graph (bad
+/// shape, or edges/root outside the mode range).
+pub fn mode_graph_from_json(json: &str) -> Result<ModeGraph, JsonError> {
+    parse(json)
+}
+
+/// Serializes an application specification to pretty-printed JSON.
+///
+/// # Errors
+///
+/// Infallible in practice; see [`schedule_to_json`].
+pub fn app_spec_to_json(spec: &ApplicationSpec) -> Result<String, JsonError> {
+    pretty(spec)
+}
+
+/// Parses an application specification back from its JSON form.
+///
+/// # Errors
+///
+/// Returns a [`JsonError`] if the document is not a valid specification.
+pub fn app_spec_from_json(json: &str) -> Result<ApplicationSpec, JsonError> {
+    parse(json)
+}
+
+/// Serializes a complete [`System`] — nodes, applications and modes in
+/// construction order — to pretty-printed JSON, so that
+/// [`system_from_json`] rebuilds a system whose entity ids (and therefore
+/// [`crate::cache::system_fingerprint`]) are identical to the original's.
+///
+/// # Errors
+///
+/// Infallible in practice; see [`schedule_to_json`].
+pub fn system_to_json(system: &System) -> Result<String, JsonError> {
+    pretty(system)
+}
+
+/// Parses a [`System`] back from its JSON form.
 ///
 /// # Errors
 ///
@@ -265,62 +326,7 @@ fn application_spec_of(system: &System, app: AppId) -> ApplicationSpec {
 /// described system violates the model rules of Sec. III (the
 /// [`crate::ModelError`] is folded into the message).
 pub fn system_from_json(json: &str) -> Result<System, JsonError> {
-    system_from_value(&Value::parse(json)?)
-}
-
-/// The [`Value`]-level form of [`system_from_json`].
-///
-/// # Errors
-///
-/// As [`system_from_json`].
-pub fn system_from_value(value: &Value) -> Result<System, JsonError> {
-    let map = require_object(value, "system")?;
-    let mut system = System::new();
-    for node in require_field(map, "nodes")?
-        .as_array()
-        .ok_or_else(|| JsonError::custom("`nodes` must be an array"))?
-    {
-        let name = node
-            .as_str()
-            .ok_or_else(|| JsonError::custom("`nodes` entries must be strings"))?;
-        system
-            .add_node(name)
-            .map_err(|e| JsonError::custom(format!("invalid node `{name}`: {e}")))?;
-    }
-    for app in require_field(map, "applications")?
-        .as_array()
-        .ok_or_else(|| JsonError::custom("`applications` must be an array"))?
-    {
-        let spec = app_spec_from_value(app)?;
-        system
-            .add_application(&spec)
-            .map_err(|e| JsonError::custom(format!("invalid application `{}`: {e}", spec.name)))?;
-    }
-    for mode in require_field(map, "modes")?
-        .as_array()
-        .ok_or_else(|| JsonError::custom("`modes` must be an array"))?
-    {
-        let m = require_object(mode, "mode")?;
-        let name = require_string(m, "name")?;
-        let num_apps = system.applications().count();
-        let applications = require_field(m, "applications")?
-            .as_array()
-            .ok_or_else(|| JsonError::custom("mode `applications` must be an array"))?
-            .iter()
-            .map(|app| {
-                app.as_u64()
-                    .filter(|&i| (i as usize) < num_apps)
-                    .map(|i| AppId::from_index(i as usize))
-                    .ok_or_else(|| {
-                        JsonError::custom("mode `applications` entries must be application indices")
-                    })
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        system
-            .add_mode(&name, &applications)
-            .map_err(|e| JsonError::custom(format!("invalid mode `{name}`: {e}")))?;
-    }
-    Ok(system)
+    parse(json)
 }
 
 /// Serializes a [`SchedulerConfig`] — including every [`SolveParams`] budget
@@ -334,75 +340,7 @@ pub fn system_from_value(value: &Value) -> Result<System, JsonError> {
 ///
 /// Infallible in practice; see [`schedule_to_json`].
 pub fn scheduler_config_to_json(config: &SchedulerConfig) -> Result<String, JsonError> {
-    Ok(scheduler_config_to_value(config).to_json_pretty())
-}
-
-/// The [`Value`]-level form of [`scheduler_config_to_json`].
-pub fn scheduler_config_to_value(config: &SchedulerConfig) -> Value {
-    let optional = |v: Option<u64>| match v {
-        Some(n) => Value::Number(n as f64),
-        None => Value::Null,
-    };
-    let mut solver = BTreeMap::new();
-    solver.insert(
-        "max_nodes".into(),
-        Value::Number(config.solver.max_nodes as f64),
-    );
-    solver.insert(
-        "max_simplex_iterations".into(),
-        Value::Number(config.solver.max_simplex_iterations as f64),
-    );
-    solver.insert(
-        "integrality_tolerance".into(),
-        Value::Number(config.solver.integrality_tolerance),
-    );
-    solver.insert(
-        "feasibility_tolerance".into(),
-        Value::Number(config.solver.feasibility_tolerance),
-    );
-    solver.insert(
-        "relative_gap".into(),
-        Value::Number(config.solver.relative_gap),
-    );
-    solver.insert("presolve".into(), Value::Bool(config.solver.presolve));
-    solver.insert("cuts".into(), Value::Bool(config.solver.cuts));
-    solver.insert(
-        "max_cut_rounds".into(),
-        Value::Number(config.solver.max_cut_rounds as f64),
-    );
-    solver.insert("pump".into(), Value::Bool(config.solver.pump));
-    solver.insert("pseudocost".into(), Value::Bool(config.solver.pseudocost));
-    solver.insert(
-        "strong_branch_limit".into(),
-        Value::Number(config.solver.strong_branch_limit as f64),
-    );
-    solver.insert(
-        "reliability".into(),
-        Value::Number(config.solver.reliability as f64),
-    );
-
-    let mut map = BTreeMap::new();
-    map.insert(
-        "round_duration".into(),
-        Value::Number(config.round_duration as f64),
-    );
-    map.insert(
-        "slots_per_round".into(),
-        Value::Number(config.slots_per_round as f64),
-    );
-    map.insert(
-        "max_inter_round_gap".into(),
-        optional(config.max_inter_round_gap),
-    );
-    map.insert("epsilon".into(), Value::Number(config.epsilon));
-    map.insert("big_m_factor".into(), Value::Number(config.big_m_factor));
-    map.insert(
-        "max_rounds".into(),
-        optional(config.max_rounds.map(|n| n as u64)),
-    );
-    map.insert("analyze_first".into(), Value::Bool(config.analyze_first));
-    map.insert("solver".into(), Value::Object(solver));
-    Value::Object(map)
+    pretty(config)
 }
 
 /// Parses a [`SchedulerConfig`] back from its JSON form.
@@ -411,563 +349,7 @@ pub fn scheduler_config_to_value(config: &SchedulerConfig) -> Value {
 ///
 /// Returns a [`JsonError`] if the document is not a valid configuration.
 pub fn scheduler_config_from_json(json: &str) -> Result<SchedulerConfig, JsonError> {
-    scheduler_config_from_value(&Value::parse(json)?)
-}
-
-/// The [`Value`]-level form of [`scheduler_config_from_json`].
-///
-/// # Errors
-///
-/// As [`scheduler_config_from_json`].
-pub fn scheduler_config_from_value(value: &Value) -> Result<SchedulerConfig, JsonError> {
-    let map = require_object(value, "scheduler config")?;
-    let solver_map = require_object(require_field(map, "solver")?, "`solver`")?;
-    let solver = SolveParams {
-        max_nodes: require_usize(solver_map, "max_nodes")?,
-        max_simplex_iterations: require_usize(solver_map, "max_simplex_iterations")?,
-        integrality_tolerance: require_f64(solver_map, "integrality_tolerance")?,
-        feasibility_tolerance: require_f64(solver_map, "feasibility_tolerance")?,
-        relative_gap: require_f64(solver_map, "relative_gap")?,
-        presolve: require_bool(solver_map, "presolve")?,
-        cuts: require_bool(solver_map, "cuts")?,
-        max_cut_rounds: require_usize(solver_map, "max_cut_rounds")?,
-        pump: require_bool(solver_map, "pump")?,
-        pseudocost: require_bool(solver_map, "pseudocost")?,
-        strong_branch_limit: require_usize(solver_map, "strong_branch_limit")?,
-        reliability: require_usize(solver_map, "reliability")?,
-    };
-    let mut config = SchedulerConfig::new(
-        require_u64(map, "round_duration")?,
-        require_usize(map, "slots_per_round")?,
-    );
-    config.max_inter_round_gap = optional_u64(map, "max_inter_round_gap")?;
-    config.epsilon = require_f64(map, "epsilon")?;
-    config.big_m_factor = require_f64(map, "big_m_factor")?;
-    config.max_rounds = optional_u64(map, "max_rounds")?.map(|n| n as usize);
-    config.analyze_first = require_bool(map, "analyze_first")?;
-    config.solver = solver;
-    Ok(config)
-}
-
-/// Reads an optional non-negative integer field (`null` or absent = `None`).
-fn optional_u64(map: &BTreeMap<String, Value>, field: &str) -> Result<Option<u64>, JsonError> {
-    match map.get(field) {
-        None | Some(Value::Null) => Ok(None),
-        Some(value) => value
-            .as_u64()
-            .map(Some)
-            .ok_or_else(|| JsonError::custom(format!("`{field}` must be null or an integer"))),
-    }
-}
-
-fn require_bool(map: &BTreeMap<String, Value>, field: &str) -> Result<bool, JsonError> {
-    require_field(map, field)?
-        .as_bool()
-        .ok_or_else(|| JsonError::custom(format!("`{field}` must be a boolean")))
-}
-
-fn schedule_to_value(schedule: &ModeSchedule) -> Value {
-    let mut map = BTreeMap::new();
-    map.insert("mode".into(), Value::Number(schedule.mode.index() as f64));
-    map.insert(
-        "hyperperiod".into(),
-        Value::Number(schedule.hyperperiod as f64),
-    );
-    map.insert(
-        "round_duration".into(),
-        Value::Number(schedule.round_duration as f64),
-    );
-    map.insert(
-        "slots_per_round".into(),
-        Value::Number(schedule.slots_per_round as f64),
-    );
-    map.insert(
-        "task_offsets".into(),
-        index_map_to_value(schedule.task_offsets.iter().map(|(k, &v)| (k.index(), v))),
-    );
-    map.insert(
-        "message_offsets".into(),
-        index_map_to_value(
-            schedule
-                .message_offsets
-                .iter()
-                .map(|(k, &v)| (k.index(), v)),
-        ),
-    );
-    map.insert(
-        "message_deadlines".into(),
-        index_map_to_value(
-            schedule
-                .message_deadlines
-                .iter()
-                .map(|(k, &v)| (k.index(), v)),
-        ),
-    );
-    map.insert(
-        "rounds".into(),
-        Value::Array(
-            schedule
-                .rounds
-                .iter()
-                .map(|round| {
-                    let mut r = BTreeMap::new();
-                    r.insert("start".into(), Value::Number(round.start));
-                    r.insert(
-                        "slots".into(),
-                        Value::Array(
-                            round
-                                .slots
-                                .iter()
-                                .map(|m| Value::Number(m.index() as f64))
-                                .collect(),
-                        ),
-                    );
-                    Value::Object(r)
-                })
-                .collect(),
-        ),
-    );
-    map.insert(
-        "app_latencies".into(),
-        index_map_to_value(schedule.app_latencies.iter().map(|(k, &v)| (k.index(), v))),
-    );
-    map.insert(
-        "total_latency".into(),
-        Value::Number(schedule.total_latency),
-    );
-    map.insert("stats".into(), stats_to_value(&schedule.stats));
-    Value::Object(map)
-}
-
-fn stats_to_value(stats: &SynthesisStats) -> Value {
-    let mut map = BTreeMap::new();
-    map.insert(
-        "rounds_attempted".into(),
-        Value::Array(
-            stats
-                .rounds_attempted
-                .iter()
-                .map(|&n| Value::Number(n as f64))
-                .collect(),
-        ),
-    );
-    map.insert("milp_nodes".into(), Value::Number(stats.milp_nodes as f64));
-    map.insert(
-        "simplex_iterations".into(),
-        Value::Number(stats.simplex_iterations as f64),
-    );
-    map.insert("variables".into(), Value::Number(stats.variables as f64));
-    map.insert(
-        "constraints".into(),
-        Value::Number(stats.constraints as f64),
-    );
-    map.insert(
-        "presolve_rows_removed".into(),
-        Value::Number(stats.presolve_rows_removed as f64),
-    );
-    map.insert(
-        "presolve_cols_removed".into(),
-        Value::Number(stats.presolve_cols_removed as f64),
-    );
-    map.insert(
-        "devex_resets".into(),
-        Value::Number(stats.devex_resets as f64),
-    );
-    map.insert(
-        "candidate_list_size".into(),
-        Value::Number(stats.candidate_list_size as f64),
-    );
-    map.insert(
-        "analyze_fast_fails".into(),
-        Value::Number(stats.analyze_fast_fails as f64),
-    );
-    map.insert("cuts_added".into(), Value::Number(stats.cuts_added as f64));
-    map.insert("cut_rounds".into(), Value::Number(stats.cut_rounds as f64));
-    map.insert(
-        "pseudocost_branchings".into(),
-        Value::Number(stats.pseudocost_branchings as f64),
-    );
-    map.insert(
-        "strong_branch_probes".into(),
-        Value::Number(stats.strong_branch_probes as f64),
-    );
-    map.insert(
-        "pump_incumbents".into(),
-        Value::Number(stats.pump_incumbents as f64),
-    );
-    Value::Object(map)
-}
-
-/// Reads an optional non-negative integer field, defaulting to 0 — the
-/// backward-compatibility rule for counters added after schedules were first
-/// persisted (pre-presolve cache entries and exports simply lack them).
-fn optional_usize(map: &BTreeMap<String, Value>, field: &str) -> Result<usize, JsonError> {
-    match map.get(field) {
-        None => Ok(0),
-        Some(value) => value
-            .as_u64()
-            .map(|n| n as usize)
-            .ok_or_else(|| JsonError::custom(format!("`{field}` must be a non-negative integer"))),
-    }
-}
-
-fn stats_from_value(value: &Value) -> Result<SynthesisStats, JsonError> {
-    let map = require_object(value, "stats")?;
-    Ok(SynthesisStats {
-        rounds_attempted: require_field(map, "rounds_attempted")?
-            .as_array()
-            .ok_or_else(|| JsonError::custom("`rounds_attempted` must be an array"))?
-            .iter()
-            .map(|n| {
-                n.as_u64()
-                    .map(|n| n as usize)
-                    .ok_or_else(|| JsonError::custom("`rounds_attempted` entries must be integers"))
-            })
-            .collect::<Result<_, _>>()?,
-        milp_nodes: require_usize(map, "milp_nodes")?,
-        simplex_iterations: require_usize(map, "simplex_iterations")?,
-        variables: require_usize(map, "variables")?,
-        constraints: require_usize(map, "constraints")?,
-        presolve_rows_removed: optional_usize(map, "presolve_rows_removed")?,
-        presolve_cols_removed: optional_usize(map, "presolve_cols_removed")?,
-        devex_resets: optional_usize(map, "devex_resets")?,
-        candidate_list_size: optional_usize(map, "candidate_list_size")?,
-        analyze_fast_fails: optional_usize(map, "analyze_fast_fails")?,
-        cuts_added: optional_usize(map, "cuts_added")?,
-        cut_rounds: optional_usize(map, "cut_rounds")?,
-        pseudocost_branchings: optional_usize(map, "pseudocost_branchings")?,
-        strong_branch_probes: optional_usize(map, "strong_branch_probes")?,
-        pump_incumbents: optional_usize(map, "pump_incumbents")?,
-    })
-}
-
-fn schedule_from_value(value: &Value) -> Result<ModeSchedule, JsonError> {
-    let map = require_object(value, "schedule")?;
-    let rounds_value = require_field(map, "rounds")?;
-    let rounds = rounds_value
-        .as_array()
-        .ok_or_else(|| JsonError::custom("`rounds` must be an array"))?
-        .iter()
-        .map(|round| {
-            let r = require_object(round, "round")?;
-            Ok(ScheduledRound {
-                start: require_f64(r, "start")?,
-                slots: require_field(r, "slots")?
-                    .as_array()
-                    .ok_or_else(|| JsonError::custom("`slots` must be an array"))?
-                    .iter()
-                    .map(|slot| {
-                        slot.as_u64()
-                            .map(|i| MessageId::from_index(i as usize))
-                            .ok_or_else(|| {
-                                JsonError::custom("slot entries must be message indices")
-                            })
-                    })
-                    .collect::<Result<_, _>>()?,
-            })
-        })
-        .collect::<Result<_, JsonError>>()?;
-    Ok(ModeSchedule {
-        mode: ModeId::from_index(require_usize(map, "mode")?),
-        hyperperiod: require_u64(map, "hyperperiod")?,
-        round_duration: require_u64(map, "round_duration")?,
-        slots_per_round: require_usize(map, "slots_per_round")?,
-        task_offsets: index_map_from_value(map, "task_offsets", TaskId::from_index)?,
-        message_offsets: index_map_from_value(map, "message_offsets", MessageId::from_index)?,
-        message_deadlines: index_map_from_value(map, "message_deadlines", MessageId::from_index)?,
-        rounds,
-        app_latencies: index_map_from_value(map, "app_latencies", AppId::from_index)?,
-        total_latency: require_f64(map, "total_latency")?,
-        stats: stats_from_value(require_field(map, "stats")?)?,
-    })
-}
-
-/// The [`Value`]-level form of [`system_schedule_to_json`], for embedding a
-/// system schedule inside a larger document (the `ttw-service` wire
-/// protocol).
-pub fn system_schedule_to_value(schedule: &SystemSchedule) -> Value {
-    let mut map = BTreeMap::new();
-    map.insert(
-        "schedules".into(),
-        Value::Object(
-            schedule
-                .schedules
-                .iter()
-                .map(|(mode, s)| (mode.index().to_string(), schedule_to_value(s)))
-                .collect(),
-        ),
-    );
-    map.insert(
-        "inheritance".into(),
-        Value::Object(
-            schedule
-                .inheritance
-                .iter()
-                .map(|(mode, sources)| {
-                    (
-                        mode.index().to_string(),
-                        Value::Object(
-                            sources
-                                .iter()
-                                .map(|(app, source)| {
-                                    (
-                                        app.index().to_string(),
-                                        Value::Number(source.index() as f64),
-                                    )
-                                })
-                                .collect(),
-                        ),
-                    )
-                })
-                .collect(),
-        ),
-    );
-    map.insert(
-        "stats".into(),
-        Value::Object(
-            schedule
-                .stats
-                .iter()
-                .map(|(mode, s)| (mode.index().to_string(), stats_to_value(s)))
-                .collect(),
-        ),
-    );
-    Value::Object(map)
-}
-
-/// The [`Value`]-level form of [`system_schedule_from_json`].
-///
-/// # Errors
-///
-/// As [`system_schedule_from_json`].
-pub fn system_schedule_from_value(value: &Value) -> Result<SystemSchedule, JsonError> {
-    let map = require_object(value, "system schedule")?;
-    let parse_index = |field: &str, key: &str| -> Result<usize, JsonError> {
-        key.parse()
-            .map_err(|_| JsonError::custom(format!("`{field}` key `{key}` is not an index")))
-    };
-
-    let schedules = require_field(map, "schedules")?
-        .as_object()
-        .ok_or_else(|| JsonError::custom("`schedules` must be an object"))?
-        .iter()
-        .map(|(key, s)| {
-            Ok((
-                ModeId::from_index(parse_index("schedules", key)?),
-                schedule_from_value(s)?,
-            ))
-        })
-        .collect::<Result<_, JsonError>>()?;
-
-    let inheritance = require_field(map, "inheritance")?
-        .as_object()
-        .ok_or_else(|| JsonError::custom("`inheritance` must be an object"))?
-        .iter()
-        .map(|(key, sources)| {
-            let mode = ModeId::from_index(parse_index("inheritance", key)?);
-            let sources = sources
-                .as_object()
-                .ok_or_else(|| JsonError::custom("inheritance entries must be objects"))?
-                .iter()
-                .map(|(app_key, source)| {
-                    let app = AppId::from_index(parse_index("inheritance", app_key)?);
-                    let source = source
-                        .as_u64()
-                        .map(|i| ModeId::from_index(i as usize))
-                        .ok_or_else(|| {
-                            JsonError::custom("inheritance sources must be mode indices")
-                        })?;
-                    Ok((app, source))
-                })
-                .collect::<Result<_, JsonError>>()?;
-            Ok((mode, sources))
-        })
-        .collect::<Result<_, JsonError>>()?;
-
-    let stats = require_field(map, "stats")?
-        .as_object()
-        .ok_or_else(|| JsonError::custom("`stats` must be an object"))?
-        .iter()
-        .map(|(key, s)| {
-            Ok((
-                ModeId::from_index(parse_index("stats", key)?),
-                stats_from_value(s)?,
-            ))
-        })
-        .collect::<Result<_, JsonError>>()?;
-
-    Ok(SystemSchedule {
-        schedules,
-        inheritance,
-        stats,
-    })
-}
-
-fn app_spec_to_value(spec: &ApplicationSpec) -> Value {
-    let mut map = BTreeMap::new();
-    map.insert("name".into(), Value::String(spec.name.clone()));
-    map.insert("period".into(), Value::Number(spec.period as f64));
-    map.insert("deadline".into(), Value::Number(spec.deadline as f64));
-    map.insert(
-        "tasks".into(),
-        Value::Array(
-            spec.tasks
-                .iter()
-                .map(|task| {
-                    let mut t = BTreeMap::new();
-                    t.insert("name".into(), Value::String(task.name.clone()));
-                    t.insert("node".into(), Value::String(task.node.clone()));
-                    t.insert("wcet".into(), Value::Number(task.wcet as f64));
-                    Value::Object(t)
-                })
-                .collect(),
-        ),
-    );
-    map.insert(
-        "messages".into(),
-        Value::Array(
-            spec.messages
-                .iter()
-                .map(|message| {
-                    let mut m = BTreeMap::new();
-                    m.insert("name".into(), Value::String(message.name.clone()));
-                    m.insert("sources".into(), string_array_to_value(&message.sources));
-                    m.insert(
-                        "destinations".into(),
-                        string_array_to_value(&message.destinations),
-                    );
-                    Value::Object(m)
-                })
-                .collect(),
-        ),
-    );
-    Value::Object(map)
-}
-
-fn app_spec_from_value(value: &Value) -> Result<ApplicationSpec, JsonError> {
-    let map = require_object(value, "application spec")?;
-    let tasks = require_field(map, "tasks")?
-        .as_array()
-        .ok_or_else(|| JsonError::custom("`tasks` must be an array"))?
-        .iter()
-        .map(|task| {
-            let t = require_object(task, "task")?;
-            Ok(TaskSpec {
-                name: require_string(t, "name")?,
-                node: require_string(t, "node")?,
-                wcet: require_u64(t, "wcet")?,
-            })
-        })
-        .collect::<Result<_, JsonError>>()?;
-    let messages = require_field(map, "messages")?
-        .as_array()
-        .ok_or_else(|| JsonError::custom("`messages` must be an array"))?
-        .iter()
-        .map(|message| {
-            let m = require_object(message, "message")?;
-            Ok(MessageSpec {
-                name: require_string(m, "name")?,
-                sources: string_array_from_value(m, "sources")?,
-                destinations: string_array_from_value(m, "destinations")?,
-            })
-        })
-        .collect::<Result<_, JsonError>>()?;
-    Ok(ApplicationSpec {
-        name: require_string(map, "name")?,
-        period: require_u64(map, "period")?,
-        deadline: require_u64(map, "deadline")?,
-        tasks,
-        messages,
-    })
-}
-
-fn index_map_to_value(entries: impl Iterator<Item = (usize, f64)>) -> Value {
-    Value::Object(
-        entries
-            .map(|(index, value)| (index.to_string(), Value::Number(value)))
-            .collect(),
-    )
-}
-
-fn index_map_from_value<K: Ord>(
-    map: &BTreeMap<String, Value>,
-    field: &str,
-    make_key: impl Fn(usize) -> K,
-) -> Result<BTreeMap<K, f64>, JsonError> {
-    require_field(map, field)?
-        .as_object()
-        .ok_or_else(|| JsonError::custom(format!("`{field}` must be an object")))?
-        .iter()
-        .map(|(key, value)| {
-            let index: usize = key
-                .parse()
-                .map_err(|_| JsonError::custom(format!("`{field}` key `{key}` is not an index")))?;
-            let number = value
-                .as_f64()
-                .ok_or_else(|| JsonError::custom(format!("`{field}` values must be numbers")))?;
-            Ok((make_key(index), number))
-        })
-        .collect()
-}
-
-fn string_array_to_value(strings: &[String]) -> Value {
-    Value::Array(strings.iter().cloned().map(Value::String).collect())
-}
-
-fn string_array_from_value(
-    map: &BTreeMap<String, Value>,
-    field: &str,
-) -> Result<Vec<String>, JsonError> {
-    require_field(map, field)?
-        .as_array()
-        .ok_or_else(|| JsonError::custom(format!("`{field}` must be an array")))?
-        .iter()
-        .map(|item| {
-            item.as_str()
-                .map(str::to_owned)
-                .ok_or_else(|| JsonError::custom(format!("`{field}` entries must be strings")))
-        })
-        .collect()
-}
-
-fn require_object<'a>(
-    value: &'a Value,
-    what: &str,
-) -> Result<&'a BTreeMap<String, Value>, JsonError> {
-    value
-        .as_object()
-        .ok_or_else(|| JsonError::custom(format!("{what} must be a JSON object")))
-}
-
-fn require_field<'a>(
-    map: &'a BTreeMap<String, Value>,
-    field: &str,
-) -> Result<&'a Value, JsonError> {
-    map.get(field)
-        .ok_or_else(|| JsonError::custom(format!("missing field `{field}`")))
-}
-
-fn require_f64(map: &BTreeMap<String, Value>, field: &str) -> Result<f64, JsonError> {
-    require_field(map, field)?
-        .as_f64()
-        .ok_or_else(|| JsonError::custom(format!("`{field}` must be a number")))
-}
-
-fn require_u64(map: &BTreeMap<String, Value>, field: &str) -> Result<u64, JsonError> {
-    require_field(map, field)?
-        .as_u64()
-        .ok_or_else(|| JsonError::custom(format!("`{field}` must be a non-negative integer")))
-}
-
-fn require_usize(map: &BTreeMap<String, Value>, field: &str) -> Result<usize, JsonError> {
-    require_u64(map, field).map(|n| n as usize)
-}
-
-fn require_string(map: &BTreeMap<String, Value>, field: &str) -> Result<String, JsonError> {
-    require_field(map, field)?
-        .as_str()
-        .map(str::to_owned)
-        .ok_or_else(|| JsonError::custom(format!("`{field}` must be a string")))
+    parse(json)
 }
 
 /// Renders a schedule as a human-readable text report: one line per round with
@@ -1115,7 +497,7 @@ mod tests {
         assert_eq!(back.inherited_source(emergency, ctrl), Some(normal));
         // Per-mode stats survived too.
         assert_eq!(back.stats.len(), 2);
-        assert_eq!(back.total_milp_nodes(), schedule.total_milp_nodes());
+        assert_eq!(back.totals(), schedule.totals());
     }
 
     #[test]
@@ -1125,6 +507,32 @@ mod tests {
         assert!(
             system_schedule_from_json(r#"{"schedules": 3, "inheritance": {}, "stats": {}}"#)
                 .is_err()
+        );
+    }
+
+    /// `ttw_runtime::slot_table` announces the mode id *inside* a schedule, so
+    /// one filed under another mode's key would run as that mode's table
+    /// under the wrong name.
+    #[test]
+    fn schedule_under_another_modes_key_is_rejected() {
+        let (sys, graph, _, _) = fixtures::two_mode_graph();
+        let schedule = crate::synthesis::synthesize_system(
+            &sys,
+            &graph,
+            &SchedulerConfig::new(millis(10), 5),
+            &crate::synthesis::HeuristicSynthesizer,
+        )
+        .expect("feasible");
+        let mut swapped = schedule.clone();
+        let modes: Vec<ModeId> = schedule.schedules.keys().copied().collect();
+        swapped
+            .schedules
+            .insert(modes[0], schedule.schedules[&modes[1]].clone());
+        let error = system_schedule_from_json(&system_schedule_to_json(&swapped).expect("json"))
+            .expect_err("mode 1's schedule under key 0");
+        assert_eq!(
+            error.to_string(),
+            "`schedules` entry `0` holds the schedule of mode 1"
         );
     }
 

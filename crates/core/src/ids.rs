@@ -30,6 +30,28 @@ macro_rules! define_id {
             }
         }
 
+        /// On the wire an id is its index: a number as a value, the decimal
+        /// digits as the key of an object.
+        impl crate::json::Json for $name {
+            fn to_value(&self) -> crate::json::Value {
+                self.0.to_value()
+            }
+
+            fn from_value(value: &crate::json::Value) -> Result<Self, crate::json::JsonError> {
+                usize::from_value(value).map(Self)
+            }
+        }
+
+        impl crate::json::JsonKey for $name {
+            fn index(&self) -> usize {
+                self.0
+            }
+
+            fn from_index(index: usize) -> Self {
+                Self(index)
+            }
+        }
+
         impl fmt::Display for $name {
             fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
                 write!(f, concat!($prefix, "{}"), self.0)

@@ -7,6 +7,12 @@
 //! pretty-printing [`Value::to_json_pretty`] / compact [`Value::to_json`]
 //! writer. Object keys are kept in a `BTreeMap`, so output is deterministic.
 //!
+//! Typed documents sit on [`Value`] through one mechanism: the [`Json`] trait
+//! (implemented here for the primitives, `Option`, `Vec`, pairs and
+//! index-keyed maps) and one [`json_object!`](crate::json_object) field table
+//! per struct, which lists each member once and yields both directions. The
+//! README's "The codec" section says how to add a field or a wire type.
+//!
 //! Both directions are linear in the size of the text. The parser's input is
 //! a `&str`, so it is valid UTF-8 already and the two bytes that end a run
 //! of plain string content (`"` and `\`) are ASCII: runs are copied whole,
@@ -65,6 +71,14 @@ impl JsonError {
         JsonError {
             message: message.into(),
             offset: Some(offset),
+        }
+    }
+
+    /// The same error, named as having occurred inside member `name`.
+    fn within(self, name: &str) -> Self {
+        JsonError {
+            message: format!("`{name}`: {}", self.message),
+            offset: self.offset,
         }
     }
 }
@@ -504,6 +518,371 @@ impl Parser<'_> {
     }
 }
 
+/// The members of a JSON object, as [`Value::Object`] holds them.
+pub type Object = BTreeMap<String, Value>;
+
+/// A type with one JSON form: the single encode path and the single decode
+/// path of every wire and disk document.
+pub trait Json: Sized {
+    /// The JSON form of `self`.
+    fn to_value(&self) -> Value;
+
+    /// Decodes the JSON form.
+    ///
+    /// # Errors
+    ///
+    /// A [`JsonError`] naming what was expected, prefixed by [`field`] with
+    /// the members it was found under.
+    fn from_value(value: &Value) -> Result<Self, JsonError>;
+
+    /// What an object member of this type decodes to when it is absent: an
+    /// error, except for `Option` (absent or `null` is `None`).
+    ///
+    /// # Errors
+    ///
+    /// A [`JsonError`] naming the missing `field`.
+    fn from_absent(field: &str) -> Result<Self, JsonError> {
+        Err(missing(field))
+    }
+}
+
+fn missing(field: &str) -> JsonError {
+    JsonError::custom(format!("missing field `{field}`"))
+}
+
+/// A struct whose JSON form is an object with one member per field. A
+/// [`json_object!`](crate::json_object) table implements it; [`Json`] follows
+/// from it. The two methods exist on their own for the types that share an
+/// object with something else: a struct flattened into its parent, the body
+/// of a tagged enum variant next to its `"type"`.
+pub trait JsonObject: Sized {
+    /// What a value of the wrong kind is reported as ("`WHAT` must be a JSON
+    /// object").
+    const WHAT: &'static str;
+
+    /// Inserts one member per field.
+    fn write_fields(&self, map: &mut Object);
+
+    /// Reads the fields back; members the type does not know are ignored.
+    ///
+    /// # Errors
+    ///
+    /// A [`JsonError`] for a missing or mistyped member.
+    fn read_fields(map: &Object) -> Result<Self, JsonError>;
+}
+
+impl<T: JsonObject> Json for T {
+    fn to_value(&self) -> Value {
+        let mut map = Object::new();
+        self.write_fields(&mut map);
+        Value::Object(map)
+    }
+
+    fn from_value(value: &Value) -> Result<Self, JsonError> {
+        Self::read_fields(object(value, Self::WHAT)?)
+    }
+}
+
+/// The members of `value`, which must be an object.
+///
+/// # Errors
+///
+/// "`what` must be a JSON object" otherwise.
+pub fn object<'a>(value: &'a Value, what: &str) -> Result<&'a Object, JsonError> {
+    value
+        .as_object()
+        .ok_or_else(|| JsonError::custom(format!("{what} must be a JSON object")))
+}
+
+/// The elements of member `name` of `map`, which must be an array — for a
+/// decoder that consumes them one at a time.
+///
+/// # Errors
+///
+/// A [`JsonError`] when the member is absent or not an array.
+pub fn elements<'a>(map: &'a Object, name: &str) -> Result<&'a [Value], JsonError> {
+    map.get(name)
+        .ok_or_else(|| missing(name))?
+        .as_array()
+        .ok_or_else(|| JsonError::custom(format!("`{name}`: expected an array")))
+}
+
+/// Decodes member `name` of `map`; an absent member is what
+/// [`Json::from_absent`] says.
+///
+/// # Errors
+///
+/// The member's decode error, prefixed with `name`.
+pub fn field<T: Json>(map: &Object, name: &str) -> Result<T, JsonError> {
+    match map.get(name) {
+        Some(value) => T::from_value(value).map_err(|error| error.within(name)),
+        None => T::from_absent(name),
+    }
+}
+
+/// [`field`] for a member a document may leave out — one added after
+/// documents were first persisted, or one with a natural default: absent or
+/// `null` is `T::default()`.
+///
+/// # Errors
+///
+/// As [`field`], for a member that is present.
+pub fn field_or_default<T: Json + Default>(map: &Object, name: &str) -> Result<T, JsonError> {
+    match map.get(name) {
+        None | Some(Value::Null) => Ok(T::default()),
+        Some(value) => T::from_value(value).map_err(|error| error.within(name)),
+    }
+}
+
+/// Member `name` of `map` as a borrowed string — the discriminator of a
+/// tagged enum, matched without copying it.
+///
+/// # Errors
+///
+/// A [`JsonError`] when the member is absent or not a string.
+pub fn tag<'a>(map: &'a Object, name: &str) -> Result<&'a str, JsonError> {
+    string(map.get(name).ok_or_else(|| missing(name))?).map_err(|error| error.within(name))
+}
+
+/// `value` as a borrowed string — what a type that travels as a string (an
+/// enum's wire name, an encoded snapshot) decodes from.
+///
+/// # Errors
+///
+/// "expected a string" for any other kind of value.
+pub fn string(value: &Value) -> Result<&str, JsonError> {
+    value
+        .as_str()
+        .ok_or_else(|| JsonError::custom("expected a string"))
+}
+
+/// Implements [`JsonObject`] (and with it [`Json`]) for a struct from a table
+/// of its fields. Each field is listed once:
+///
+/// * `field` — member `"field"`, required;
+/// * `field as "name"` — the member is called `"name"` on the wire;
+/// * `field or default` — an absent or `null` member decodes to
+///   `Default::default()` (a field added after documents were first
+///   persisted, or one a sender may leave out);
+/// * `; ..field` (last) — the field's own members are written into this
+///   object instead of a nested one (the field's type is a [`JsonObject`]);
+/// * `check function` (after the fields) — `function(&Self) -> Result<(),
+///   JsonError>` runs on every decoded value: the place for an invariant
+///   between fields.
+///
+/// A field of type `Option<T>` is written as `null` when `None` and reads an
+/// absent or `null` member as `None` — that rule is [`Option`]'s, not the
+/// table's.
+///
+/// ```
+/// use ttw_core::json::{Json, Value};
+///
+/// #[derive(Debug, PartialEq, Default)]
+/// struct Limits {
+///     nodes: usize,
+///     gap: Option<f64>,
+///     retries: usize,
+/// }
+/// ttw_core::json_object!(Limits as "limits" { nodes as "max_nodes", gap, retries or default });
+///
+/// let limits = Limits { nodes: 7, gap: None, retries: 0 };
+/// assert_eq!(limits.to_value().to_json(), r#"{"gap":null,"max_nodes":7,"retries":0}"#);
+/// let sparse = Value::parse(r#"{"max_nodes":7}"#).unwrap();
+/// assert_eq!(Limits::from_value(&sparse).unwrap(), limits);
+/// ```
+#[macro_export]
+macro_rules! json_object {
+    (
+        $type:ty as $what:literal {
+            $( $field:ident $(as $wire:literal)? $(or $rule:ident)? ),* $(,)?
+            $(; ..$flat:ident)?
+        }
+        $(check $check:path)?
+    ) => {
+        impl $crate::json::JsonObject for $type {
+            const WHAT: &'static str = $what;
+
+            fn write_fields(&self, map: &mut $crate::json::Object) {
+                $(
+                    map.insert(
+                        $crate::json_object!(@name $field $($wire)?).into(),
+                        $crate::json::Json::to_value(&self.$field),
+                    );
+                )*
+                $( $crate::json::JsonObject::write_fields(&self.$flat, map); )?
+            }
+
+            fn read_fields(
+                map: &$crate::json::Object,
+            ) -> ::std::result::Result<Self, $crate::json::JsonError> {
+                let decoded = Self {
+                    $(
+                        $field: $crate::json_object!(
+                            @read map, $crate::json_object!(@name $field $($wire)?) $(, $rule)?
+                        )?,
+                    )*
+                    $( $flat: $crate::json::JsonObject::read_fields(map)?, )?
+                };
+                $( $check(&decoded)?; )?
+                Ok(decoded)
+            }
+        }
+    };
+    (@name $field:ident) => { stringify!($field) };
+    (@name $field:ident $wire:literal) => { $wire };
+    (@read $map:ident, $name:expr) => { $crate::json::field($map, $name) };
+    (@read $map:ident, $name:expr, default) => { $crate::json::field_or_default($map, $name) };
+}
+
+impl Json for bool {
+    fn to_value(&self) -> Value {
+        Value::Bool(*self)
+    }
+
+    fn from_value(value: &Value) -> Result<Self, JsonError> {
+        value
+            .as_bool()
+            .ok_or_else(|| JsonError::custom("expected a boolean"))
+    }
+}
+
+impl Json for f64 {
+    fn to_value(&self) -> Value {
+        Value::Number(*self)
+    }
+
+    fn from_value(value: &Value) -> Result<Self, JsonError> {
+        value
+            .as_f64()
+            .ok_or_else(|| JsonError::custom("expected a number"))
+    }
+}
+
+impl Json for u64 {
+    fn to_value(&self) -> Value {
+        Value::Number(*self as f64)
+    }
+
+    fn from_value(value: &Value) -> Result<Self, JsonError> {
+        value
+            .as_u64()
+            .ok_or_else(|| JsonError::custom("expected a non-negative integer"))
+    }
+}
+
+impl Json for usize {
+    fn to_value(&self) -> Value {
+        Value::Number(*self as f64)
+    }
+
+    fn from_value(value: &Value) -> Result<Self, JsonError> {
+        u64::from_value(value).map(|n| n as usize)
+    }
+}
+
+impl Json for String {
+    fn to_value(&self) -> Value {
+        Value::String(self.clone())
+    }
+
+    fn from_value(value: &Value) -> Result<Self, JsonError> {
+        string(value).map(str::to_owned)
+    }
+}
+
+/// `None` is written as `null`; an absent member and `null` both read as
+/// `None`.
+impl<T: Json> Json for Option<T> {
+    fn to_value(&self) -> Value {
+        self.as_ref().map_or(Value::Null, T::to_value)
+    }
+
+    fn from_value(value: &Value) -> Result<Self, JsonError> {
+        match value {
+            Value::Null => Ok(None),
+            present => T::from_value(present).map(Some),
+        }
+    }
+
+    fn from_absent(_field: &str) -> Result<Self, JsonError> {
+        Ok(None)
+    }
+}
+
+impl<T: Json> Json for Vec<T> {
+    fn to_value(&self) -> Value {
+        Value::Array(self.iter().map(T::to_value).collect())
+    }
+
+    fn from_value(value: &Value) -> Result<Self, JsonError> {
+        value
+            .as_array()
+            .ok_or_else(|| JsonError::custom("expected an array"))?
+            .iter()
+            .map(T::from_value)
+            .collect()
+    }
+}
+
+/// A pair is a two-element array (a mode-graph edge is `[from, to]`).
+impl<A: Json, B: Json> Json for (A, B) {
+    fn to_value(&self) -> Value {
+        Value::Array(vec![self.0.to_value(), self.1.to_value()])
+    }
+
+    fn from_value(value: &Value) -> Result<Self, JsonError> {
+        match value.as_array() {
+            Some([first, second]) => Ok((A::from_value(first)?, B::from_value(second)?)),
+            _ => Err(JsonError::custom("expected a two-element array")),
+        }
+    }
+}
+
+/// A type that keys a JSON object: the entity ids, written as their index.
+pub trait JsonKey: Ord + Sized {
+    /// The index the key is written as.
+    fn index(&self) -> usize;
+
+    /// The key with this index.
+    fn from_index(index: usize) -> Self;
+}
+
+/// The index an object key spells. Only the canonical decimal form is a key:
+/// `"+7"` and `"007"` would otherwise both be index 7, and of two members
+/// that name one index the later silently replaces the earlier.
+fn parse_index_key(key: &str) -> Result<usize, JsonError> {
+    let canonical =
+        key.bytes().all(|b| b.is_ascii_digit()) && (key.len() == 1 || !key.starts_with('0'));
+    key.parse()
+        .ok()
+        .filter(|_| canonical)
+        .ok_or_else(|| JsonError::custom(format!("key `{key}` is not an index")))
+}
+
+/// An index-keyed map is an object whose keys are the indices in decimal.
+impl<K: JsonKey, V: Json> Json for BTreeMap<K, V> {
+    fn to_value(&self) -> Value {
+        Value::Object(
+            self.iter()
+                .map(|(key, value)| (key.index().to_string(), value.to_value()))
+                .collect(),
+        )
+    }
+
+    fn from_value(value: &Value) -> Result<Self, JsonError> {
+        value
+            .as_object()
+            .ok_or_else(|| JsonError::custom("expected an object"))?
+            .iter()
+            .map(|(key, value)| {
+                let index = parse_index_key(key)?;
+                let value = V::from_value(value).map_err(|error| error.within(key))?;
+                Ok((K::from_index(index), value))
+            })
+            .collect()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -651,5 +1030,120 @@ mod tests {
         assert_eq!(Value::Number(5.0).as_u64(), Some(5));
         assert_eq!(Value::Number(5.5).as_u64(), None);
         assert_eq!(Value::Number(-1.0).as_u64(), None);
+    }
+
+    #[derive(Debug, PartialEq, Default)]
+    struct Inner {
+        count: usize,
+    }
+    json_object!(Inner as "inner" { count });
+
+    #[derive(Debug, PartialEq, Default)]
+    struct Sample {
+        name: String,
+        gap: Option<u64>,
+        later: usize,
+        inner: Inner,
+    }
+    fn named(sample: &Sample) -> Result<(), JsonError> {
+        match sample.name.is_empty() {
+            true => Err(JsonError::custom("a sample has a name")),
+            false => Ok(()),
+        }
+    }
+    json_object!(Sample as "sample" { name as "id", gap, later or default; ..inner } check named);
+
+    #[test]
+    fn field_table_writes_and_reads_every_rule() {
+        let sample = Sample {
+            name: "s".into(),
+            gap: None,
+            later: 3,
+            inner: Inner { count: 9 },
+        };
+        // Renamed, `None` as null, and the flattened member beside the rest.
+        assert_eq!(
+            sample.to_value().to_json(),
+            r#"{"count":9,"gap":null,"id":"s","later":3}"#
+        );
+        assert_eq!(Sample::from_value(&sample.to_value()), Ok(sample));
+
+        let decode = |text: &str| Sample::from_value(&Value::parse(text).expect("json"));
+        // Absent and null are the default, or `None`, where the table says so.
+        let sparse = decode(r#"{"id":"s","count":1}"#).expect("optional members left out");
+        assert_eq!((sparse.gap, sparse.later), (None, 0));
+        let nulls = decode(r#"{"id":"s","count":1,"gap":null,"later":null}"#).expect("nulls");
+        assert_eq!(nulls, sparse);
+        assert_eq!(
+            decode(r#"{"id":"s","count":1,"gap":7}"#).expect("set").gap,
+            Some(7)
+        );
+        // Everything else is required, typed, and checked.
+        for (bad, why) in [
+            (r#"{"count":1}"#, "missing field `id`"),
+            (r#"{"id":"s"}"#, "missing field `count`"),
+            (
+                r#"{"id":"s","count":null}"#,
+                "`count`: expected a non-negative integer",
+            ),
+            (
+                r#"{"id":"s","count":1,"gap":"x"}"#,
+                "`gap`: expected a non-negative integer",
+            ),
+            (
+                r#"{"id":"s","count":1,"later":-1}"#,
+                "`later`: expected a non-negative integer",
+            ),
+            (r#"{"id":"","count":1}"#, "a sample has a name"),
+            (r#"[]"#, "sample must be a JSON object"),
+        ] {
+            assert_eq!(decode(bad).expect_err(bad).to_string(), why, "{bad}");
+        }
+    }
+
+    #[test]
+    fn index_keys_are_canonical_decimal_only() {
+        use crate::ids::TaskId;
+        type Offsets = BTreeMap<TaskId, f64>;
+        let decode = |text: &str| Offsets::from_value(&Value::parse(text).expect("json"));
+        let offsets = decode(r#"{"0":1.5,"7":2,"10":3}"#).expect("canonical keys");
+        assert_eq!(offsets[&TaskId::from_index(10)], 3.0);
+        // Keys sort as strings; the map is by index either way.
+        assert_eq!(offsets.to_value().to_json(), r#"{"0":1.5,"10":3,"7":2}"#);
+        for key in [
+            "+7",
+            "007",
+            "07",
+            "-0",
+            "00",
+            " 7",
+            "7 ",
+            "",
+            "７",
+            "99999999999999999999",
+        ] {
+            let error = decode(&format!(r#"{{"{key}":1}}"#)).expect_err(key);
+            assert!(
+                error.to_string().contains("is not an index"),
+                "{key}: {error}"
+            );
+        }
+        // The case that mattered: two spellings of one index, one entry lost.
+        assert!(decode(r#"{"7":1,"07":2}"#).is_err());
+        assert_eq!(
+            decode(r#"{"3":"x"}"#).expect_err("mistyped").to_string(),
+            "`3`: expected a number"
+        );
+    }
+
+    #[test]
+    fn pairs_and_arrays_decode_elementwise() {
+        let edges =
+            <Vec<(usize, usize)>>::from_value(&Value::parse("[[0,1],[1,0]]").expect("json"));
+        assert_eq!(edges, Ok(vec![(0, 1), (1, 0)]));
+        for bad in ["[[0]]", "[[0,1,2]]", "[0]", "{}", "[[0,\"1\"]]"] {
+            let value = Value::parse(bad).expect("json");
+            assert!(<Vec<(usize, usize)>>::from_value(&value).is_err(), "{bad}");
+        }
     }
 }

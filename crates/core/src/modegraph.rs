@@ -125,6 +125,27 @@ impl ModeGraph {
         Ok(())
     }
 
+    /// Checks that the graph covers exactly the modes of `system` — what
+    /// [`ModeGraph::new`] guarantees, and what a graph and a system that
+    /// arrived separately (two members of a request, two arguments of a
+    /// library call) have yet to show. Every walk below indexes the system by
+    /// the graph's mode ids and sizes its tables by the graph's mode count.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ModelError::ModeCountMismatch`] otherwise.
+    pub fn check_covers(&self, system: &System) -> Result<(), ModelError> {
+        let modes = system.modes().count();
+        if self.num_modes == modes {
+            Ok(())
+        } else {
+            Err(ModelError::ModeCountMismatch {
+                graph: self.num_modes,
+                system: modes,
+            })
+        }
+    }
+
     fn check_mode(&self, mode: ModeId) -> Result<(), ModelError> {
         if mode.index() >= self.num_modes {
             return Err(ModelError::UnknownName {

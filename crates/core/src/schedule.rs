@@ -3,6 +3,7 @@
 use crate::ids::{AppId, MessageId, ModeId, TaskId};
 use crate::time::Micros;
 use std::collections::BTreeMap;
+use ttw_milp::SolverCounters;
 
 /// One communication round of a mode schedule.
 #[derive(Debug, Clone, PartialEq)]
@@ -26,45 +27,38 @@ impl ScheduledRound {
     }
 }
 
-/// Counters describing how a schedule was synthesized.
+/// Counters describing how a schedule was synthesized: what Algorithm 1 and
+/// the `AnalyzeFirst` gate did, and the solver's own [`SolverCounters`] —
+/// reached through the stats directly (`stats.simplex_iterations`).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SynthesisStats {
     /// Round counts attempted by Algorithm 1 (in order, last one succeeded).
     pub rounds_attempted: Vec<usize>,
-    /// Total branch-and-bound nodes explored over all attempts.
-    pub milp_nodes: usize,
-    /// Total simplex pivots over all attempts.
-    pub simplex_iterations: usize,
     /// Number of decision variables of the final (successful) ILP.
     pub variables: usize,
     /// Number of constraints of the final (successful) ILP.
     pub constraints: usize,
-    /// Constraint rows removed by the LP presolve of the final attempt.
-    pub presolve_rows_removed: usize,
-    /// Structural columns eliminated by the LP presolve of the final attempt.
-    pub presolve_cols_removed: usize,
-    /// Devex reference-framework resets over all attempts.
-    pub devex_resets: usize,
-    /// Partial-pricing segment size of the final attempt's root LP (columns
-    /// scanned per pricing chunk).
-    pub candidate_list_size: usize,
     /// `1` when the `AnalyzeFirst` gate rejected this mode on a static
     /// infeasibility certificate before any ILP was built (in which case every
     /// other counter stays 0), `0` otherwise.
     pub analyze_fast_fails: usize,
-    /// Cutting planes accepted into the root LP over all attempts.
-    pub cuts_added: usize,
-    /// Root cut-separation rounds that added at least one cut, over all
-    /// attempts.
-    pub cut_rounds: usize,
-    /// Branching decisions taken from pseudocost averages alone, over all
-    /// attempts.
-    pub pseudocost_branchings: usize,
-    /// Strong-branching dual-simplex probes spent initializing pseudocosts,
-    /// over all attempts.
-    pub strong_branch_probes: usize,
-    /// Incumbents contributed by the feasibility pump over all attempts.
-    pub pump_incumbents: usize,
+    /// The solver's counters over all attempts; the ones that describe the
+    /// shape of a model are those of the final attempt.
+    pub solver: SolverCounters,
+}
+
+impl std::ops::Deref for SynthesisStats {
+    type Target = SolverCounters;
+
+    fn deref(&self) -> &SolverCounters {
+        &self.solver
+    }
+}
+
+impl std::ops::DerefMut for SynthesisStats {
+    fn deref_mut(&mut self) -> &mut SolverCounters {
+        &mut self.solver
+    }
 }
 
 /// The complete static schedule of one operation mode: task offsets, message
@@ -230,69 +224,18 @@ impl SystemSchedule {
         copy
     }
 
-    /// Total branch-and-bound nodes over every attempted mode.
-    pub fn total_milp_nodes(&self) -> usize {
-        self.stats.values().map(|s| s.milp_nodes).sum()
-    }
-
-    /// Total simplex pivots over every attempted mode.
-    pub fn total_simplex_iterations(&self) -> usize {
-        self.stats.values().map(|s| s.simplex_iterations).sum()
-    }
-
-    /// Total presolve-removed constraint rows over every attempted mode.
-    pub fn total_presolve_rows_removed(&self) -> usize {
-        self.stats.values().map(|s| s.presolve_rows_removed).sum()
-    }
-
-    /// Total presolve-eliminated columns over every attempted mode.
-    pub fn total_presolve_cols_removed(&self) -> usize {
-        self.stats.values().map(|s| s.presolve_cols_removed).sum()
-    }
-
-    /// Total Devex reference-framework resets over every attempted mode.
-    pub fn total_devex_resets(&self) -> usize {
-        self.stats.values().map(|s| s.devex_resets).sum()
-    }
-
-    /// Number of modes the `AnalyzeFirst` gate rejected without building an
-    /// ILP (each such mode contributes zero branch-and-bound nodes).
-    pub fn total_analyze_fast_fails(&self) -> usize {
-        self.stats.values().map(|s| s.analyze_fast_fails).sum()
-    }
-
-    /// Total cutting planes accepted into root LPs over every attempted mode.
-    pub fn total_cuts_added(&self) -> usize {
-        self.stats.values().map(|s| s.cuts_added).sum()
-    }
-
-    /// Total root cut-separation rounds over every attempted mode.
-    pub fn total_cut_rounds(&self) -> usize {
-        self.stats.values().map(|s| s.cut_rounds).sum()
-    }
-
-    /// Total pseudocost-only branching decisions over every attempted mode.
-    pub fn total_pseudocost_branchings(&self) -> usize {
-        self.stats.values().map(|s| s.pseudocost_branchings).sum()
-    }
-
-    /// Total strong-branching probes over every attempted mode.
-    pub fn total_strong_branch_probes(&self) -> usize {
-        self.stats.values().map(|s| s.strong_branch_probes).sum()
-    }
-
-    /// Total feasibility-pump incumbents over every attempted mode.
-    pub fn total_pump_incumbents(&self) -> usize {
-        self.stats.values().map(|s| s.pump_incumbents).sum()
-    }
-
-    /// Largest partial-pricing segment any attempted mode used.
-    pub fn max_candidate_list_size(&self) -> usize {
-        self.stats
-            .values()
-            .map(|s| s.candidate_list_size)
-            .max()
-            .unwrap_or(0)
+    /// The counters of every attempted mode in one block: sums, except that
+    /// `candidate_list_size` is the largest any mode used, and
+    /// `rounds_attempted` stays empty.
+    pub fn totals(&self) -> SynthesisStats {
+        let mut totals = SynthesisStats::default();
+        for stats in self.stats.values() {
+            totals.variables += stats.variables;
+            totals.constraints += stats.constraints;
+            totals.analyze_fast_fails += stats.analyze_fast_fails;
+            totals.solver.add_mode(&stats.solver);
+        }
+        totals
     }
 }
 
@@ -363,11 +306,12 @@ mod tests {
         let mut ss = SystemSchedule::new();
         let mode = ModeId::from_index(0);
         let mut sched = sample_schedule();
-        sched.stats.milp_nodes = 7;
+        sched.stats.nodes_explored = 7;
         sched.stats.simplex_iterations = 11;
         sched.stats.cuts_added = 4;
         sched.stats.cut_rounds = 2;
         sched.stats.pump_incumbents = 1;
+        sched.stats.candidate_list_size = 4;
         ss.stats.insert(mode, sched.stats.clone());
         ss.schedules.insert(mode, sched);
         ss.inheritance.insert(mode, BTreeMap::new());
@@ -377,23 +321,32 @@ mod tests {
             failed,
             SynthesisStats {
                 rounds_attempted: vec![1, 2],
-                milp_nodes: 3,
-                simplex_iterations: 5,
-                cuts_added: 1,
-                strong_branch_probes: 6,
+                analyze_fast_fails: 1,
+                solver: SolverCounters {
+                    nodes_explored: 3,
+                    simplex_iterations: 5,
+                    cuts_added: 1,
+                    strong_branch_probes: 6,
+                    candidate_list_size: 9,
+                    ..SolverCounters::default()
+                },
                 ..SynthesisStats::default()
             },
         );
         assert_eq!(ss.num_modes(), 1);
         assert!(ss.get(mode).is_some());
         assert!(ss.get(failed).is_none());
-        assert_eq!(ss.total_milp_nodes(), 10);
-        assert_eq!(ss.total_simplex_iterations(), 16);
-        assert_eq!(ss.total_cuts_added(), 5);
-        assert_eq!(ss.total_cut_rounds(), 2);
-        assert_eq!(ss.total_pseudocost_branchings(), 0);
-        assert_eq!(ss.total_strong_branch_probes(), 6);
-        assert_eq!(ss.total_pump_incumbents(), 1);
+        let totals = ss.totals();
+        assert_eq!(totals.nodes_explored, 10);
+        assert_eq!(totals.simplex_iterations, 16);
+        assert_eq!(totals.cuts_added, 5);
+        assert_eq!(totals.cut_rounds, 2);
+        assert_eq!(totals.pseudocost_branchings, 0);
+        assert_eq!(totals.strong_branch_probes, 6);
+        assert_eq!(totals.pump_incumbents, 1);
+        assert_eq!(totals.analyze_fast_fails, 1);
+        assert_eq!(totals.candidate_list_size, 9, "the widest, not the sum");
+        assert!(totals.rounds_attempted.is_empty());
         assert_eq!(ss.to_vec().len(), 1);
         assert_eq!(
             ss.inherited_source(mode, crate::ids::AppId::from_index(0)),

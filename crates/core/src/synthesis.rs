@@ -247,18 +247,7 @@ impl Synthesizer for IlpSynthesizer {
                     })
                 }
             };
-            stats.milp_nodes += solution.nodes_explored;
-            stats.simplex_iterations += solution.simplex_iterations;
-            stats.devex_resets += solution.devex_resets;
-            stats.cuts_added += solution.cuts_added;
-            stats.cut_rounds += solution.cut_rounds;
-            stats.pseudocost_branchings += solution.pseudocost_branchings;
-            stats.strong_branch_probes += solution.strong_branch_probes;
-            stats.pump_incumbents += solution.pump_incumbents;
-            // Shape-dependent counters reflect the final (largest) attempt.
-            stats.presolve_rows_removed = solution.presolve_rows_removed;
-            stats.presolve_cols_removed = solution.presolve_cols_removed;
-            stats.candidate_list_size = solution.candidate_list_size;
+            stats.solver.add_attempt(&solution.counters);
             if solution.is_optimal() {
                 let artifact = current.root_basis().cloned().map(|basis| ModeWarmStart {
                     rounds: num_rounds,
@@ -504,6 +493,16 @@ pub(crate) fn synthesize_waves(
     ),
     Box<SystemSynthesisError>,
 > {
+    // The single door of every system-level entry point: a graph over other
+    // modes than the system's would index past them, or size a table by a
+    // count nobody checked.
+    graph
+        .check_covers(system)
+        .map_err(|error| SystemSynthesisError {
+            mode: graph.root(),
+            error: error.into(),
+            partial: SystemSchedule::new(),
+        })?;
     let plan = graph.inheritance_plan(system);
     let mut result = SystemSchedule::new();
     let mut artifacts = BTreeMap::new();
@@ -573,7 +572,7 @@ pub(crate) fn synthesize_waves(
                     } else {
                         report.modes_resolved += 1;
                         report.warm_started_modes += usize::from(job.warm.is_some());
-                        report.solved_milp_nodes += schedule.stats.milp_nodes;
+                        report.solved_milp_nodes += schedule.stats.nodes_explored;
                         report.solved_simplex_iterations += schedule.stats.simplex_iterations;
                     }
                     result.stats.insert(mode, schedule.stats.clone());
@@ -641,6 +640,33 @@ mod tests {
         assert!(schedule.stats.rounds_attempted.contains(&2));
         let violations = validate_schedule(&sys, mode, &config(), &schedule);
         assert!(violations.is_empty(), "validator found: {violations:?}");
+    }
+
+    /// A graph built over another system used to index past this system's
+    /// modes inside `inheritance_plan`; every driver entry point now refuses
+    /// the pair before walking it.
+    #[test]
+    fn mode_graph_over_another_system_is_refused_at_the_door() {
+        let (sys, _, _, _) = fixtures::two_mode_graph();
+        let (_, diamond, _) = fixtures::four_mode_diamond();
+        let expected = ScheduleError::Model(crate::error::ModelError::ModeCountMismatch {
+            graph: 4,
+            system: 2,
+        });
+        let backend = IlpSynthesizer::default();
+        let error = synthesize_system(&sys, &diamond, &config(), &backend).expect_err("mismatch");
+        assert_eq!(error.error, expected);
+        assert!(error.partial.stats.is_empty(), "nothing was attempted");
+        let error = synthesize_system_sequential(&sys, &diamond, &config(), &backend)
+            .expect_err("mismatch");
+        assert_eq!(error.error, expected);
+        let cache = crate::cache::ScheduleCache::in_memory();
+        let cached =
+            crate::cache::synthesize_system_cached(&sys, &diamond, &config(), &backend, &cache);
+        assert_eq!(cached.expect_err("mismatch").error, expected);
+        let resynthesized =
+            crate::resynth::resynthesize_system(&sys, &diamond, &config(), &backend, &cache, "k");
+        assert_eq!(resynthesized.expect_err("mismatch").error, expected);
     }
 
     #[test]
@@ -712,9 +738,9 @@ mod tests {
         // The gate did all the work: no ILP, no branch-and-bound.
         let stats = &err.partial.stats[&mode];
         assert_eq!(stats.analyze_fast_fails, 1);
-        assert_eq!(stats.milp_nodes, 0);
+        assert_eq!(stats.nodes_explored, 0);
         assert!(stats.rounds_attempted.is_empty());
-        assert_eq!(err.partial.total_analyze_fast_fails(), 1);
+        assert_eq!(err.partial.totals().analyze_fast_fails, 1);
     }
 
     #[test]
@@ -747,7 +773,7 @@ mod tests {
         )
         .expect("feasible");
         assert_eq!(on, off);
-        assert_eq!(on.total_analyze_fast_fails(), 0);
+        assert_eq!(on.totals().analyze_fast_fails, 0);
     }
 
     #[test]
@@ -776,7 +802,7 @@ mod tests {
         );
         // Stats were recorded for both modes.
         assert_eq!(result.stats.len(), 2);
-        assert!(result.total_milp_nodes() > 0);
+        assert!(result.totals().nodes_explored > 0);
     }
 
     #[test]

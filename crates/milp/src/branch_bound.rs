@@ -33,7 +33,7 @@ use crate::error::SolveError;
 use crate::model::{Model, SolveParams};
 use crate::presolve::NodeSolver;
 use crate::simplex::{solve_sparse, Basis, LpStatus, SparseLp, Warm};
-use crate::solution::{Solution, Status};
+use crate::solution::{Solution, SolverCounters, Status};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::rc::Rc;
@@ -199,19 +199,6 @@ enum BranchDecision {
     Fathom,
 }
 
-/// Mutable solve-wide counters threaded through the tree search.
-#[derive(Default)]
-struct Counters {
-    nodes_explored: usize,
-    simplex_iterations: usize,
-    devex_resets: usize,
-    cuts_added: usize,
-    cut_rounds: usize,
-    pseudocost_branchings: usize,
-    strong_branch_probes: usize,
-    pump_incumbents: usize,
-}
-
 /// Solves the mixed-integer program by branch-and-bound.
 ///
 /// The returned objective is expressed in the user's optimization sense.
@@ -260,10 +247,14 @@ pub(crate) fn solve_warm(
     let Some(base_solver) = NodeSolver::build(&base_lp, &root_bounds, &integral, params.presolve)
     else {
         // Presolve proved the root infeasible before a single pivot.
-        return Ok((Solution::infeasible(0, 0), None));
+        let untouched = SolverCounters::default();
+        return Ok((
+            Solution::without_values(Status::Infeasible, untouched),
+            None,
+        ));
     };
 
-    let mut counters = Counters::default();
+    let mut counters = SolverCounters::default();
 
     // Strong-branching probe order follows the solve's provenance: a warm
     // basis or pinned (fixed-bound) columns mark an incremental-style
@@ -278,49 +269,34 @@ pub(crate) fn solve_warm(
     let (root_lp, root_basis) = base_solver.solve(&base_lp, &root_bounds, max_iters, root_warm)?;
     counters.simplex_iterations += root_lp.iterations;
     counters.devex_resets += root_lp.devex_resets;
-    let candidate_list_size = root_lp.candidate_list_size;
-    let (presolve_rows, presolve_cols) = base_solver.presolve_stats();
+    counters.candidate_list_size = root_lp.candidate_list_size;
+    (
+        counters.presolve_rows_removed,
+        counters.presolve_cols_removed,
+    ) = base_solver.presolve_stats();
 
     // Pure LPs never need branching.
     if integer_vars.is_empty() {
         let solution = match root_lp.status {
-            LpStatus::Optimal => Solution::new(
-                Status::Optimal,
+            LpStatus::Optimal => Solution::optimal(
                 model.signed_objective(root_lp.objective),
                 root_lp.values,
-                0,
-                counters.simplex_iterations,
+                counters,
             ),
-            LpStatus::Infeasible => Solution::infeasible(0, counters.simplex_iterations),
-            LpStatus::Unbounded => Solution::unbounded(0, counters.simplex_iterations),
+            LpStatus::Infeasible => Solution::without_values(Status::Infeasible, counters),
+            LpStatus::Unbounded => Solution::without_values(Status::Unbounded, counters),
         };
-        let solution = solution.with_counters(
-            presolve_rows,
-            presolve_cols,
-            counters.devex_resets,
-            candidate_list_size,
-        );
         return Ok((solution, root_basis));
     }
 
+    // From here on the root counts as a node, whatever ends the solve.
+    counters.nodes_explored = 1;
     match root_lp.status {
         LpStatus::Infeasible => {
-            let solution = Solution::infeasible(1, counters.simplex_iterations).with_counters(
-                presolve_rows,
-                presolve_cols,
-                counters.devex_resets,
-                candidate_list_size,
-            );
-            return Ok((solution, None));
+            return Ok((Solution::without_values(Status::Infeasible, counters), None));
         }
         LpStatus::Unbounded => {
-            let solution = Solution::unbounded(1, counters.simplex_iterations).with_counters(
-                presolve_rows,
-                presolve_cols,
-                counters.devex_resets,
-                candidate_list_size,
-            );
-            return Ok((solution, None));
+            return Ok((Solution::without_values(Status::Unbounded, counters), None));
         }
         LpStatus::Optimal => {}
     }
@@ -363,7 +339,7 @@ pub(crate) fn solve_warm(
                 // Every cut is valid for every integer point, so an
                 // infeasible tightened root proves the MILP infeasible.
                 return Ok((
-                    finish_infeasible(&counters, presolve_rows, presolve_cols, candidate_list_size),
+                    Solution::without_values(Status::Infeasible, counters),
                     caller_basis,
                 ));
             };
@@ -387,12 +363,7 @@ pub(crate) fn solve_warm(
             match res.status {
                 LpStatus::Infeasible => {
                     return Ok((
-                        finish_infeasible(
-                            &counters,
-                            presolve_rows,
-                            presolve_cols,
-                            candidate_list_size,
-                        ),
+                        Solution::without_values(Status::Infeasible, counters),
                         caller_basis,
                     ));
                 }
@@ -473,7 +444,6 @@ pub(crate) fn solve_warm(
     let mut heap = BinaryHeap::new();
     let shared_root_basis = basis.clone().map(Rc::new);
 
-    counters.nodes_explored += 1;
     expand_node(
         lp,
         solver,
@@ -579,55 +549,11 @@ pub(crate) fn solve_warm(
             for &vi in &integer_vars {
                 values[vi] = values[vi].round();
             }
-            Solution::new(
-                Status::Optimal,
-                model.signed_objective(objective),
-                values,
-                counters.nodes_explored,
-                counters.simplex_iterations,
-            )
+            Solution::optimal(model.signed_objective(objective), values, counters)
         }
-        None => Solution::infeasible(counters.nodes_explored, counters.simplex_iterations),
+        None => Solution::without_values(Status::Infeasible, counters),
     };
-    let solution = solution
-        .with_counters(
-            presolve_rows,
-            presolve_cols,
-            counters.devex_resets,
-            candidate_list_size,
-        )
-        .with_tree_counters(
-            counters.cuts_added,
-            counters.cut_rounds,
-            counters.pseudocost_branchings,
-            counters.strong_branch_probes,
-            counters.pump_incumbents,
-        );
     Ok((solution, caller_basis))
-}
-
-/// Infeasibility outcome carrying every counter accumulated so far (used by
-/// the cut loop when a valid cut proves the integer hull empty).
-fn finish_infeasible(
-    counters: &Counters,
-    presolve_rows: usize,
-    presolve_cols: usize,
-    candidate_list_size: usize,
-) -> Solution {
-    Solution::infeasible(1, counters.simplex_iterations)
-        .with_counters(
-            presolve_rows,
-            presolve_cols,
-            counters.devex_resets,
-            candidate_list_size,
-        )
-        .with_tree_counters(
-            counters.cuts_added,
-            counters.cut_rounds,
-            counters.pseudocost_branchings,
-            counters.strong_branch_probes,
-            counters.pump_incumbents,
-        )
 }
 
 /// Accepts an integral LP solution as incumbent or branches: selects the
@@ -648,7 +574,7 @@ fn expand_node(
     warm: Option<Rc<Basis>>,
     probe_structural: bool,
     probes_left: &mut usize,
-    counters: &mut Counters,
+    counters: &mut SolverCounters,
 ) {
     let int_tol = params.integrality_tolerance;
     let fractional: Vec<(usize, f64)> = integer_vars
@@ -744,7 +670,7 @@ fn select_branch_var(
     probe_structural: bool,
     depth: usize,
     probes_left: &mut usize,
-    counters: &mut Counters,
+    counters: &mut SolverCounters,
 ) -> BranchDecision {
     let (&(first_var, first_value), rest) = fractional
         .split_first()
@@ -941,7 +867,7 @@ fn probe_child(
     is_upper: bool,
     warm: Option<&Basis>,
     max_iters: usize,
-    counters: &mut Counters,
+    counters: &mut SolverCounters,
 ) -> ProbeOutcome {
     let mut child = bounds.to_vec();
     if is_upper {
@@ -983,7 +909,7 @@ fn feasibility_pump(
     root_basis: Option<&Basis>,
     int_tol: f64,
     max_iters: usize,
-    counters: &mut Counters,
+    counters: &mut SolverCounters,
 ) -> Option<(f64, Vec<f64>)> {
     if integer_vars.is_empty() || root_values.is_empty() {
         return None;

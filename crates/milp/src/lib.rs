@@ -142,4 +142,4 @@ pub use error::SolveError;
 pub use expr::{LinExpr, Term, VarId};
 pub use model::{Constraint, ConstraintId, ConstraintOp, Model, Sense, SolveParams, VarKind};
 pub use simplex::Basis;
-pub use solution::{Solution, Status};
+pub use solution::{Solution, SolverCounters, Status};

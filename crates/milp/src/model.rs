@@ -4,7 +4,7 @@ use crate::branch_bound;
 use crate::error::SolveError;
 use crate::expr::{LinExpr, VarId};
 use crate::simplex;
-use crate::solution::{Solution, Status};
+use crate::solution::{Solution, SolverCounters, Status};
 
 /// The kind of a decision variable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -502,16 +502,16 @@ impl Model {
         self.validate()?;
         let bounds: Vec<(f64, f64)> = self.variables.iter().map(|v| (v.lower, v.upper)).collect();
         let lp = simplex::solve_lp(self, &bounds)?;
+        let counters = SolverCounters {
+            simplex_iterations: lp.iterations,
+            ..SolverCounters::default()
+        };
         Ok(match lp.status {
-            simplex::LpStatus::Optimal => Solution::new(
-                Status::Optimal,
-                self.signed_objective(lp.objective),
-                lp.values,
-                0,
-                lp.iterations,
-            ),
-            simplex::LpStatus::Infeasible => Solution::infeasible(0, lp.iterations),
-            simplex::LpStatus::Unbounded => Solution::unbounded(0, lp.iterations),
+            simplex::LpStatus::Optimal => {
+                Solution::optimal(self.signed_objective(lp.objective), lp.values, counters)
+            }
+            simplex::LpStatus::Infeasible => Solution::without_values(Status::Infeasible, counters),
+            simplex::LpStatus::Unbounded => Solution::without_values(Status::Unbounded, counters),
         })
     }
 

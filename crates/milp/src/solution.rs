@@ -13,7 +13,102 @@ pub enum Status {
     Unbounded,
 }
 
-/// Result of solving a [`crate::Model`].
+/// Declares [`SolverCounters`] from one table: per counter its docs, field
+/// name, wire name, whether a document without it still decodes, and how
+/// values combine. Adding or removing a counter is one line here plus the
+/// place in the solver that counts it.
+///
+/// Combination rules — across the attempts of one mode's round sweep
+/// ([`SolverCounters::add_attempt`]) and across the modes of a system
+/// ([`SolverCounters::add_mode`]):
+///
+/// * `summed` — added up in both;
+/// * `of_last_attempt` — describes the shape of one model, so the last
+///   attempt's value stands for the mode; added up across modes;
+/// * `widest` — as `of_last_attempt`, but the largest value across modes.
+macro_rules! solver_counters {
+    ($( $(#[$doc:meta])* $field:ident: $wire:literal, $presence:ident, $rule:ident; )*) => {
+        /// The work counters of a solve — one type from the branch-and-bound
+        /// loop through [`Solution`] to the synthesis statistics, the wire and
+        /// the bench reports.
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        pub struct SolverCounters {
+            $( $(#[$doc])* pub $field: usize, )*
+        }
+
+        impl SolverCounters {
+            /// `(wire name, value)` of every counter, in declaration order.
+            pub fn fields(&self) -> [(&'static str, usize); [$($wire),*].len()] {
+                [$( ($wire, self.$field) ),*]
+            }
+
+            /// The dual of [`SolverCounters::fields`]: pulls every counter
+            /// through `get(wire name, required)`. A counter that is not
+            /// `required` was added after documents were first persisted;
+            /// `get` is expected to read its absence as 0.
+            ///
+            /// # Errors
+            ///
+            /// The first error `get` returns.
+            pub fn from_fields<E>(
+                mut get: impl FnMut(&'static str, bool) -> Result<usize, E>,
+            ) -> Result<Self, E> {
+                Ok(SolverCounters {
+                    $( $field: get($wire, solver_counters!(@required $presence))?, )*
+                })
+            }
+
+            /// Folds the counters of one more solve of the same mode in.
+            pub fn add_attempt(&mut self, attempt: &SolverCounters) {
+                $( solver_counters!(@attempt $rule, self.$field, attempt.$field); )*
+            }
+
+            /// Folds the counters of one more mode of the same system in.
+            pub fn add_mode(&mut self, mode: &SolverCounters) {
+                $( solver_counters!(@mode $rule, self.$field, mode.$field); )*
+            }
+        }
+    };
+    (@required required) => { true };
+    (@required optional) => { false };
+    (@attempt summed, $total:expr, $value:expr) => { $total += $value };
+    (@attempt $shape:ident, $total:expr, $value:expr) => { $total = $value };
+    (@mode widest, $total:expr, $value:expr) => { $total = $total.max($value) };
+    (@mode $sum:ident, $total:expr, $value:expr) => { $total += $value };
+}
+
+solver_counters! {
+    /// Branch-and-bound nodes explored (0 for pure LP solves).
+    nodes_explored: "milp_nodes", required, summed;
+    /// Simplex pivots across all LP solves.
+    simplex_iterations: "simplex_iterations", required, summed;
+    /// Constraint rows removed by the LP presolve (0 when presolve is off).
+    presolve_rows_removed: "presolve_rows_removed", optional, of_last_attempt;
+    /// Structural columns eliminated by the LP presolve (0 when presolve is
+    /// off).
+    presolve_cols_removed: "presolve_cols_removed", optional, of_last_attempt;
+    /// Devex reference-framework resets across all LP solves.
+    devex_resets: "devex_resets", optional, summed;
+    /// Partial-pricing segment size of the root LP solve (columns scanned per
+    /// pricing chunk).
+    candidate_list_size: "candidate_list_size", optional, widest;
+    /// Cutting planes accepted into the root LP across all separation rounds
+    /// (0 when [`crate::SolveParams::cuts`] is off or the root is integral).
+    cuts_added: "cuts_added", optional, summed;
+    /// Root separation rounds that added at least one cut.
+    cut_rounds: "cut_rounds", optional, summed;
+    /// Branching decisions taken from pseudocost averages alone (without
+    /// spending strong-branching probes on the chosen variable).
+    pseudocost_branchings: "pseudocost_branchings", optional, summed;
+    /// Strong-branching dual-simplex probes spent initializing pseudocosts.
+    strong_branch_probes: "strong_branch_probes", optional, summed;
+    /// Incumbents contributed by the feasibility-pump heuristic (0 or 1 per
+    /// solve; 0 when [`crate::SolveParams::pump`] is off or the pump failed).
+    pump_incumbents: "pump_incumbents", optional, summed;
+}
+
+/// Result of solving a [`crate::Model`]. The work counters are reached
+/// through it directly (`solution.nodes_explored`).
 #[derive(Debug, Clone)]
 pub struct Solution {
     /// Solve outcome.
@@ -23,136 +118,42 @@ pub struct Solution {
     /// `f64::INFINITY` for infeasible minimization problems (and symmetric
     /// conventions for the other non-optimal outcomes).
     pub objective: f64,
-    /// Number of branch-and-bound nodes explored (0 for pure LP solves).
-    pub nodes_explored: usize,
-    /// Total simplex pivots across all LP solves.
-    pub simplex_iterations: usize,
-    /// Constraint rows removed by the LP presolve (0 when presolve is off).
-    pub presolve_rows_removed: usize,
-    /// Structural columns eliminated by the LP presolve (0 when presolve is
-    /// off).
-    pub presolve_cols_removed: usize,
-    /// Devex reference-framework resets across all LP solves.
-    pub devex_resets: usize,
-    /// Partial-pricing segment size of the root LP solve (columns scanned per
-    /// pricing chunk).
-    pub candidate_list_size: usize,
-    /// Cutting planes accepted into the root LP across all separation rounds
-    /// (0 when [`crate::SolveParams::cuts`] is off or the root is integral).
-    pub cuts_added: usize,
-    /// Root separation rounds that added at least one cut.
-    pub cut_rounds: usize,
-    /// Branching decisions taken from pseudocost averages alone (without
-    /// spending strong-branching probes on the chosen variable).
-    pub pseudocost_branchings: usize,
-    /// Strong-branching dual-simplex probes spent initializing pseudocosts.
-    pub strong_branch_probes: usize,
-    /// Incumbents contributed by the feasibility-pump heuristic (0 or 1 per
-    /// solve; 0 when [`crate::SolveParams::pump`] is off or the pump failed).
-    pub pump_incumbents: usize,
+    /// What the solve cost.
+    pub counters: SolverCounters,
     values: Vec<f64>,
+}
+
+impl std::ops::Deref for Solution {
+    type Target = SolverCounters;
+
+    fn deref(&self) -> &SolverCounters {
+        &self.counters
+    }
 }
 
 impl Solution {
     /// Builds an optimal solution record.
-    pub(crate) fn new(
-        status: Status,
-        objective: f64,
-        values: Vec<f64>,
-        nodes_explored: usize,
-        simplex_iterations: usize,
-    ) -> Self {
+    pub(crate) fn optimal(objective: f64, values: Vec<f64>, counters: SolverCounters) -> Self {
+        Solution {
+            status: Status::Optimal,
+            objective,
+            counters,
+            values,
+        }
+    }
+
+    /// Builds a record of an outcome without values: infeasible (objective
+    /// `+∞`) or unbounded (`-∞`).
+    pub(crate) fn without_values(status: Status, counters: SolverCounters) -> Self {
         Solution {
             status,
-            objective,
-            values,
-            nodes_explored,
-            simplex_iterations,
-            presolve_rows_removed: 0,
-            presolve_cols_removed: 0,
-            devex_resets: 0,
-            candidate_list_size: 0,
-            cuts_added: 0,
-            cut_rounds: 0,
-            pseudocost_branchings: 0,
-            strong_branch_probes: 0,
-            pump_incumbents: 0,
-        }
-    }
-
-    /// Builds an infeasible-outcome record.
-    pub(crate) fn infeasible(nodes_explored: usize, simplex_iterations: usize) -> Self {
-        Solution {
-            status: Status::Infeasible,
-            objective: f64::INFINITY,
+            objective: match status {
+                Status::Unbounded => f64::NEG_INFINITY,
+                Status::Optimal | Status::Infeasible => f64::INFINITY,
+            },
+            counters,
             values: Vec::new(),
-            nodes_explored,
-            simplex_iterations,
-            presolve_rows_removed: 0,
-            presolve_cols_removed: 0,
-            devex_resets: 0,
-            candidate_list_size: 0,
-            cuts_added: 0,
-            cut_rounds: 0,
-            pseudocost_branchings: 0,
-            strong_branch_probes: 0,
-            pump_incumbents: 0,
         }
-    }
-
-    /// Builds an unbounded-outcome record.
-    pub(crate) fn unbounded(nodes_explored: usize, simplex_iterations: usize) -> Self {
-        Solution {
-            status: Status::Unbounded,
-            objective: f64::NEG_INFINITY,
-            values: Vec::new(),
-            nodes_explored,
-            simplex_iterations,
-            presolve_rows_removed: 0,
-            presolve_cols_removed: 0,
-            devex_resets: 0,
-            candidate_list_size: 0,
-            cuts_added: 0,
-            cut_rounds: 0,
-            pseudocost_branchings: 0,
-            strong_branch_probes: 0,
-            pump_incumbents: 0,
-        }
-    }
-
-    /// Attaches the presolve/pricing counters of a solve (builder style, used
-    /// by branch-and-bound after the tree finishes).
-    pub(crate) fn with_counters(
-        mut self,
-        presolve_rows_removed: usize,
-        presolve_cols_removed: usize,
-        devex_resets: usize,
-        candidate_list_size: usize,
-    ) -> Self {
-        self.presolve_rows_removed = presolve_rows_removed;
-        self.presolve_cols_removed = presolve_cols_removed;
-        self.devex_resets = devex_resets;
-        self.candidate_list_size = candidate_list_size;
-        self
-    }
-
-    /// Attaches the tree-shrinking counters of a solve (cutting planes,
-    /// pseudocost branching and the feasibility pump; builder style, same
-    /// call site as [`Solution::with_counters`]).
-    pub(crate) fn with_tree_counters(
-        mut self,
-        cuts_added: usize,
-        cut_rounds: usize,
-        pseudocost_branchings: usize,
-        strong_branch_probes: usize,
-        pump_incumbents: usize,
-    ) -> Self {
-        self.cuts_added = cuts_added;
-        self.cut_rounds = cut_rounds;
-        self.pseudocost_branchings = pseudocost_branchings;
-        self.strong_branch_probes = strong_branch_probes;
-        self.pump_incumbents = pump_incumbents;
-        self
     }
 
     /// Returns `true` if the solve reached an optimal solution.
@@ -194,7 +195,12 @@ mod tests {
 
     #[test]
     fn optimal_accessors() {
-        let s = Solution::new(Status::Optimal, 3.5, vec![1.0, 2.49], 4, 17);
+        let counters = SolverCounters {
+            nodes_explored: 4,
+            simplex_iterations: 17,
+            ..SolverCounters::default()
+        };
+        let s = Solution::optimal(3.5, vec![1.0, 2.49], counters);
         assert!(s.is_optimal());
         assert_eq!(s.value(VarId::from_index_for_test(0)), 1.0);
         assert_eq!(s.int_value(VarId::from_index_for_test(1)), 2);
@@ -204,8 +210,57 @@ mod tests {
     }
 
     #[test]
+    fn counters_list_their_wire_names_and_rebuild_from_them() {
+        let mut counters = SolverCounters::default();
+        let names: Vec<&str> = counters.fields().iter().map(|(name, _)| *name).collect();
+        assert_eq!(names.len(), 11);
+        assert_eq!(
+            names[0], "milp_nodes",
+            "the wire name is not the field name"
+        );
+        counters.nodes_explored = 3;
+        counters.pump_incumbents = 1;
+        let fields = counters.fields();
+        let back = SolverCounters::from_fields(|name, _| {
+            fields
+                .iter()
+                .find(|(field, _)| *field == name)
+                .map(|(_, value)| *value)
+                .ok_or(name)
+        });
+        assert_eq!(back, Ok(counters));
+        // Only the two counters every persisted document has are required.
+        let mut required = Vec::new();
+        let _ = SolverCounters::from_fields(|name, is_required| {
+            if is_required {
+                required.push(name);
+            }
+            Ok::<_, ()>(0)
+        });
+        assert_eq!(required, ["milp_nodes", "simplex_iterations"]);
+    }
+
+    #[test]
+    fn counters_combine_by_their_declared_rule() {
+        let attempt = |nodes, rows, width| SolverCounters {
+            nodes_explored: nodes,
+            presolve_rows_removed: rows,
+            candidate_list_size: width,
+            ..SolverCounters::default()
+        };
+        let mut mode = SolverCounters::default();
+        mode.add_attempt(&attempt(2, 10, 64));
+        mode.add_attempt(&attempt(5, 7, 32));
+        assert_eq!(mode, attempt(7, 7, 32), "work adds up, shape is the last");
+        let mut system = SolverCounters::default();
+        system.add_mode(&mode);
+        system.add_mode(&attempt(1, 4, 48));
+        assert_eq!(system, attempt(8, 11, 48), "sums, and the widest list");
+    }
+
+    #[test]
     fn infeasible_has_infinite_objective() {
-        let s = Solution::infeasible(2, 9);
+        let s = Solution::without_values(Status::Infeasible, SolverCounters::default());
         assert!(!s.is_optimal());
         assert!(s.objective.is_infinite() && s.objective > 0.0);
         assert!(s.values().is_empty());
@@ -213,7 +268,7 @@ mod tests {
 
     #[test]
     fn unbounded_has_negative_infinite_objective() {
-        let s = Solution::unbounded(0, 3);
+        let s = Solution::without_values(Status::Unbounded, SolverCounters::default());
         assert_eq!(s.status, Status::Unbounded);
         assert!(s.objective.is_infinite() && s.objective < 0.0);
     }

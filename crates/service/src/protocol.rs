@@ -1,10 +1,13 @@
 //! Wire protocol: JSON request/response documents carried in frames.
 //!
 //! Each frame of [`crate::frame`] holds one JSON document with a `"type"`
-//! discriminator. Entity payloads reuse the `Value`-level codecs of
-//! [`ttw_core::export`] verbatim, so anything that round-trips through the
-//! deployment JSON also round-trips through the service — including the
-//! f64 formatting that the cache key depends on.
+//! discriminator. Every struct below declares its members in a
+//! [`json_object!`](ttw_core::json_object) table and embeds the entity types
+//! through the [`Json`] impls `ttw_core` gives them, so anything that
+//! round-trips through the deployment JSON also round-trips through the
+//! service — including the f64 formatting that the cache key depends on. The
+//! two tagged enums, [`Request`] and [`Response`], are written by hand around
+//! those tables.
 //!
 //! Requests:
 //!
@@ -26,16 +29,10 @@
 //! ```
 
 use crate::stats::StatsSnapshot;
-use std::collections::BTreeMap;
 use std::io::Write as _;
 use std::sync::Arc;
 use ttw_core::config::SchedulerConfig;
-use ttw_core::export::{
-    mode_graph_from_value, mode_graph_to_value, scheduler_config_from_value,
-    scheduler_config_to_value, system_from_value, system_schedule_from_value,
-    system_schedule_to_value, system_to_value,
-};
-use ttw_core::json::{JsonError, Value};
+use ttw_core::json::{field, object, string, tag, Json, JsonError, JsonObject, Object, Value};
 use ttw_core::modegraph::ModeGraph;
 use ttw_core::schedule::SystemSchedule;
 use ttw_core::system::System;
@@ -72,6 +69,16 @@ impl BackendKind {
     }
 }
 
+impl Json for BackendKind {
+    fn to_value(&self) -> Value {
+        Value::String(self.wire_name().into())
+    }
+
+    fn from_value(value: &Value) -> Result<Self, JsonError> {
+        Self::from_wire(string(value)?)
+    }
+}
+
 /// Per-request solver budget caps, applied *on top of* the request's own
 /// [`SchedulerConfig`] and the service-wide caps: the effective budget is
 /// the minimum of all three. `None` leaves the corresponding config value
@@ -83,6 +90,8 @@ pub struct BudgetCaps {
     /// Cap on total simplex iterations for this request.
     pub max_simplex_iterations: Option<usize>,
 }
+
+ttw_core::json_object!(BudgetCaps as "`budget`" { max_nodes, max_simplex_iterations });
 
 /// A synthesis request: the full problem statement plus routing and budget.
 #[derive(Debug, Clone)]
@@ -99,6 +108,17 @@ pub struct SynthesizeRequest {
     pub budget: BudgetCaps,
 }
 
+// A request without a `budget`, or with `null` for one, is uncapped.
+ttw_core::json_object!(SynthesizeRequest as "request" {
+    system, graph as "mode_graph", config, backend, budget or default
+} check graph_covers_system);
+
+/// A mode graph over other modes than the system's would send every walk of
+/// it past the system's mode table.
+fn graph_covers_system(request: &SynthesizeRequest) -> Result<(), JsonError> {
+    Ok(request.graph.check_covers(&request.system)?)
+}
+
 /// An incremental re-synthesis request: the successor problem statement
 /// plus the cache key of the predecessor entry to re-synthesize from.
 #[derive(Debug, Clone)]
@@ -110,6 +130,8 @@ pub struct ResynthesizeRequest {
     /// an error.
     pub predecessor: String,
 }
+
+ttw_core::json_object!(ResynthesizeRequest as "request" { predecessor; ..base });
 
 /// A request frame.
 #[derive(Debug, Clone)]
@@ -175,6 +197,16 @@ impl ServedFrom {
     }
 }
 
+impl Json for ServedFrom {
+    fn to_value(&self) -> Value {
+        Value::String(self.wire_name().into())
+    }
+
+    fn from_value(value: &Value) -> Result<Self, JsonError> {
+        Self::from_wire(string(value)?)
+    }
+}
+
 /// A successfully served schedule plus per-request service metadata.
 #[derive(Debug, Clone)]
 pub struct ScheduleReply {
@@ -188,6 +220,10 @@ pub struct ScheduleReply {
     /// Wall-clock service time of this request in microseconds.
     pub service_micros: u64,
 }
+
+ttw_core::json_object!(ScheduleReply as "response" {
+    schedule, served, request_milp_nodes, service_micros
+});
 
 /// A served schedule whose `"schedule"` member is already compact JSON — the
 /// form the TCP front end ships, so that a memory-tier hit costs a copy of
@@ -243,79 +279,37 @@ pub enum Response {
     ShutdownAck,
 }
 
-fn obj<'a>(value: &'a Value, what: &str) -> Result<&'a BTreeMap<String, Value>, JsonError> {
-    value
-        .as_object()
-        .ok_or_else(|| JsonError::custom(format!("{what} must be a JSON object")))
-}
-
-fn field<'a>(map: &'a BTreeMap<String, Value>, name: &str) -> Result<&'a Value, JsonError> {
-    map.get(name)
-        .ok_or_else(|| JsonError::custom(format!("missing field `{name}`")))
-}
-
-fn field_str<'a>(map: &'a BTreeMap<String, Value>, name: &str) -> Result<&'a str, JsonError> {
-    field(map, name)?
-        .as_str()
-        .ok_or_else(|| JsonError::custom(format!("`{name}` must be a string")))
-}
-
-fn field_usize(map: &BTreeMap<String, Value>, name: &str) -> Result<usize, JsonError> {
-    field(map, name)?
-        .as_u64()
-        .map(|n| n as usize)
-        .ok_or_else(|| JsonError::custom(format!("`{name}` must be a non-negative integer")))
-}
-
-fn optional_usize(map: &BTreeMap<String, Value>, name: &str) -> Result<Option<usize>, JsonError> {
-    match map.get(name) {
-        None | Some(Value::Null) => Ok(None),
-        Some(value) => value
-            .as_u64()
-            .map(|n| Some(n as usize))
-            .ok_or_else(|| JsonError::custom(format!("`{name}` must be null or an integer"))),
-    }
-}
-
-fn synthesize_body_to_map(req: &SynthesizeRequest, map: &mut BTreeMap<String, Value>) {
-    map.insert("system".into(), system_to_value(&req.system));
-    map.insert("mode_graph".into(), mode_graph_to_value(&req.graph));
-    map.insert("config".into(), scheduler_config_to_value(&req.config));
-    map.insert(
-        "backend".into(),
-        Value::String(req.backend.wire_name().into()),
-    );
-    let mut budget = BTreeMap::new();
-    let optional = |v: Option<usize>| match v {
-        Some(n) => Value::Number(n as f64),
-        None => Value::Null,
-    };
-    budget.insert("max_nodes".into(), optional(req.budget.max_nodes));
-    budget.insert(
-        "max_simplex_iterations".into(),
-        optional(req.budget.max_simplex_iterations),
-    );
-    map.insert("budget".into(), Value::Object(budget));
-}
-
-fn synthesize_body_from_map(map: &BTreeMap<String, Value>) -> Result<SynthesizeRequest, JsonError> {
-    let budget = match map.get("budget") {
-        None | Some(Value::Null) => BudgetCaps::default(),
-        Some(value) => {
-            let budget = obj(value, "`budget`")?;
-            BudgetCaps {
-                max_nodes: optional_usize(budget, "max_nodes")?,
-                max_simplex_iterations: optional_usize(budget, "max_simplex_iterations")?,
+impl Json for Request {
+    fn to_value(&self) -> Value {
+        let mut map = Object::new();
+        let kind = match self {
+            Request::Synthesize(request) => {
+                request.write_fields(&mut map);
+                "synthesize"
             }
+            Request::Resynthesize(request) => {
+                request.write_fields(&mut map);
+                "resynthesize"
+            }
+            Request::Stats => "stats",
+            Request::Shutdown => "shutdown",
+        };
+        map.insert("type".into(), Value::String(kind.into()));
+        Value::Object(map)
+    }
+
+    fn from_value(value: &Value) -> Result<Self, JsonError> {
+        let map = object(value, "request")?;
+        match tag(map, "type")? {
+            "synthesize" => JsonObject::read_fields(map).map(|r| Request::Synthesize(Box::new(r))),
+            "resynthesize" => {
+                JsonObject::read_fields(map).map(|r| Request::Resynthesize(Box::new(r)))
+            }
+            "stats" => Ok(Request::Stats),
+            "shutdown" => Ok(Request::Shutdown),
+            other => Err(JsonError::custom(format!("unknown request type `{other}`"))),
         }
-    };
-    Ok(SynthesizeRequest {
-        system: system_from_value(field(map, "system")?)?,
-        graph: mode_graph_from_value(field(map, "mode_graph")?)?,
-        config: scheduler_config_from_value(field(map, "config")?)?,
-        backend: BackendKind::from_wire(field_str(map, "backend")?)?,
-        budget,
-    })
+    }
 }
 
 impl Request {
@@ -324,60 +318,55 @@ impl Request {
         self.to_value().to_json()
     }
 
-    /// The [`Value`]-level form of [`Request::to_json`].
-    pub fn to_value(&self) -> Value {
-        let mut map = BTreeMap::new();
-        match self {
-            Request::Synthesize(req) => {
-                map.insert("type".into(), Value::String("synthesize".into()));
-                synthesize_body_to_map(req, &mut map);
-            }
-            Request::Resynthesize(req) => {
-                map.insert("type".into(), Value::String("resynthesize".into()));
-                synthesize_body_to_map(&req.base, &mut map);
-                map.insert("predecessor".into(), Value::String(req.predecessor.clone()));
-            }
-            Request::Stats => {
-                map.insert("type".into(), Value::String("stats".into()));
-            }
-            Request::Shutdown => {
-                map.insert("type".into(), Value::String("shutdown".into()));
-            }
-        }
-        Value::Object(map)
-    }
-
     /// Parses a request frame payload.
     ///
     /// # Errors
     ///
     /// Returns a [`JsonError`] for malformed JSON, unknown request types and
     /// invalid entity payloads (including model-rule violations in the
-    /// system document).
+    /// system document, and a mode graph over other modes than the
+    /// system's).
     pub fn from_json(payload: &[u8]) -> Result<Self, JsonError> {
         let text = std::str::from_utf8(payload)
             .map_err(|_| JsonError::custom("request frame is not UTF-8"))?;
         Self::from_value(&Value::parse(text)?)
     }
+}
 
-    /// The [`Value`]-level form of [`Request::from_json`].
-    ///
-    /// # Errors
-    ///
-    /// As [`Request::from_json`].
-    pub fn from_value(value: &Value) -> Result<Self, JsonError> {
-        let map = obj(value, "request")?;
-        match field_str(map, "type")? {
-            "synthesize" => Ok(Request::Synthesize(Box::new(synthesize_body_from_map(
-                map,
-            )?))),
-            "resynthesize" => Ok(Request::Resynthesize(Box::new(ResynthesizeRequest {
-                base: synthesize_body_from_map(map)?,
-                predecessor: field_str(map, "predecessor")?.to_owned(),
-            }))),
-            "stats" => Ok(Request::Stats),
-            "shutdown" => Ok(Request::Shutdown),
-            other => Err(JsonError::custom(format!("unknown request type `{other}`"))),
+impl Json for Response {
+    fn to_value(&self) -> Value {
+        let mut map = Object::new();
+        let kind = match self {
+            Response::Schedule(reply) => {
+                reply.write_fields(&mut map);
+                "schedule"
+            }
+            Response::Stats(snapshot) => {
+                snapshot.write_fields(&mut map);
+                "stats"
+            }
+            Response::Error { message } => {
+                map.insert("message".into(), message.to_value());
+                "error"
+            }
+            Response::ShutdownAck => "shutdown-ack",
+        };
+        map.insert("type".into(), Value::String(kind.into()));
+        Value::Object(map)
+    }
+
+    fn from_value(value: &Value) -> Result<Self, JsonError> {
+        let map = object(value, "response")?;
+        match tag(map, "type")? {
+            "schedule" => JsonObject::read_fields(map).map(|r| Response::Schedule(Box::new(r))),
+            "stats" => JsonObject::read_fields(map).map(Response::Stats),
+            "error" => Ok(Response::Error {
+                message: field(map, "message")?,
+            }),
+            "shutdown-ack" => Ok(Response::ShutdownAck),
+            other => Err(JsonError::custom(format!(
+                "unknown response type `{other}`"
+            ))),
         }
     }
 }
@@ -386,43 +375,6 @@ impl Response {
     /// Serializes the response to a compact JSON document.
     pub fn to_json(&self) -> String {
         self.to_value().to_json()
-    }
-
-    /// The [`Value`]-level form of [`Response::to_json`].
-    pub fn to_value(&self) -> Value {
-        let mut map = BTreeMap::new();
-        match self {
-            Response::Schedule(reply) => {
-                map.insert("type".into(), Value::String("schedule".into()));
-                map.insert(
-                    "served".into(),
-                    Value::String(reply.served.wire_name().into()),
-                );
-                map.insert(
-                    "request_milp_nodes".into(),
-                    Value::Number(reply.request_milp_nodes as f64),
-                );
-                map.insert(
-                    "service_micros".into(),
-                    Value::Number(reply.service_micros as f64),
-                );
-                map.insert("schedule".into(), system_schedule_to_value(&reply.schedule));
-            }
-            Response::Stats(snapshot) => {
-                map.insert("type".into(), Value::String("stats".into()));
-                for (name, value) in snapshot.fields() {
-                    map.insert(name.into(), Value::Number(value as f64));
-                }
-            }
-            Response::Error { message } => {
-                map.insert("type".into(), Value::String("error".into()));
-                map.insert("message".into(), Value::String(message.clone()));
-            }
-            Response::ShutdownAck => {
-                map.insert("type".into(), Value::String("shutdown-ack".into()));
-            }
-        }
-        Value::Object(map)
     }
 
     /// Parses a response frame payload.
@@ -436,38 +388,12 @@ impl Response {
             .map_err(|_| JsonError::custom("response frame is not UTF-8"))?;
         Self::from_value(&Value::parse(text)?)
     }
-
-    /// The [`Value`]-level form of [`Response::from_json`].
-    ///
-    /// # Errors
-    ///
-    /// As [`Response::from_json`].
-    pub fn from_value(value: &Value) -> Result<Self, JsonError> {
-        let map = obj(value, "response")?;
-        match field_str(map, "type")? {
-            "schedule" => Ok(Response::Schedule(Box::new(ScheduleReply {
-                schedule: system_schedule_from_value(field(map, "schedule")?)?,
-                served: ServedFrom::from_wire(field_str(map, "served")?)?,
-                request_milp_nodes: field_usize(map, "request_milp_nodes")?,
-                service_micros: field_usize(map, "service_micros")? as u64,
-            }))),
-            "stats" => Ok(Response::Stats(StatsSnapshot::from_fields(|name| {
-                field_usize(map, name)
-            })?)),
-            "error" => Ok(Response::Error {
-                message: field_str(map, "message")?.to_owned(),
-            }),
-            "shutdown-ack" => Ok(Response::ShutdownAck),
-            other => Err(JsonError::custom(format!(
-                "unknown response type `{other}`"
-            ))),
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ttw_core::export::system_schedule_to_value;
     use ttw_core::fixtures;
     use ttw_core::time::millis;
 
@@ -560,7 +486,7 @@ mod tests {
         )
         .expect("feasible");
         let reply = Response::Schedule(Box::new(ScheduleReply {
-            request_milp_nodes: schedule.total_milp_nodes(),
+            request_milp_nodes: schedule.totals().nodes_explored,
             schedule,
             served: ServedFrom::Solved,
             service_micros: 1234,

@@ -358,7 +358,7 @@ impl SchedulerService {
         let result = match predecessor {
             None => synthesize_system(system, graph, &config, backend).map(|schedule| {
                 self.cache.store(&key, &schedule);
-                let nodes = schedule.total_milp_nodes();
+                let nodes = schedule.totals().nodes_explored;
                 (schedule, nodes)
             }),
             Some(predecessor) => {

@@ -11,27 +11,95 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use ttw_core::cache::ScheduleCache;
-use ttw_core::json::JsonError;
 
-/// Live request-path counters. All loads/stores are relaxed: the counters
-/// are monotonic telemetry, never control flow.
-#[derive(Debug, Default)]
-pub struct ServiceStats {
-    /// Synthesis requests accepted off the wire.
-    pub requests: AtomicUsize,
-    /// Requests that ran a solver to completion.
-    pub solved: AtomicUsize,
-    /// Resynthesis requests served by the incremental path (schedule reuse
-    /// plus warm-started re-solves of the dirty modes).
-    pub incremental: AtomicUsize,
-    /// Requests that piggybacked on an identical in-flight solve.
-    pub coalesced: AtomicUsize,
-    /// Requests bounced by the admission queue.
-    pub rejected: AtomicUsize,
-    /// Requests whose solve (own or coalesced) failed.
-    pub solve_errors: AtomicUsize,
-    /// Response-payload bytes written to the wire (all response types).
-    pub reply_bytes: AtomicUsize,
+/// Declares the service's counters from one table: the `live` ones are
+/// atomics of [`ServiceStats`] bumped on the request path, the `cache` ones
+/// are read off the [`ScheduleCache`] getter named after `=` at snapshot
+/// time. The table yields both structs, [`ServiceStats::snapshot`],
+/// [`StatsSnapshot::fields`] and the snapshot's wire form (one member per
+/// counter, named like the field), so a counter is added or removed in one
+/// line.
+macro_rules! service_counters {
+    (
+        live { $( $(#[$live_doc:meta])* $live:ident, )* }
+        cache { $( $(#[$cache_doc:meta])* $cached:ident = $getter:ident, )* }
+    ) => {
+        /// Live request-path counters. All loads/stores are relaxed: the
+        /// counters are monotonic telemetry, never control flow.
+        #[derive(Debug, Default)]
+        pub struct ServiceStats {
+            $( $(#[$live_doc])* pub $live: AtomicUsize, )*
+        }
+
+        impl ServiceStats {
+            /// Copies the live counters, folding in the cache-tier counters.
+            pub fn snapshot(&self, cache: &ScheduleCache) -> StatsSnapshot {
+                StatsSnapshot {
+                    $( $live: self.$live.load(Ordering::Relaxed), )*
+                    $( $cached: cache.$getter(), )*
+                }
+            }
+        }
+
+        /// A point-in-time copy of every service and cache counter.
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        pub struct StatsSnapshot {
+            $( $(#[$live_doc])* pub $live: usize, )*
+            $( $(#[$cache_doc])* pub $cached: usize, )*
+        }
+
+        impl StatsSnapshot {
+            /// Field names and values in a stable order, for serialization.
+            pub fn fields(
+                &self,
+            ) -> [(&'static str, usize); [$(stringify!($live),)* $(stringify!($cached),)*].len()] {
+                [
+                    $( (stringify!($live), self.$live), )*
+                    $( (stringify!($cached), self.$cached), )*
+                ]
+            }
+        }
+
+        ttw_core::json_object!(StatsSnapshot as "stats" { $($live,)* $($cached,)* });
+    };
+}
+
+service_counters! {
+    live {
+        /// Synthesis requests accepted off the wire.
+        requests,
+        /// Requests that ran a solver to completion.
+        solved,
+        /// Resynthesis requests served by the incremental path (schedule
+        /// reuse plus warm-started re-solves of the dirty modes).
+        incremental,
+        /// Requests that piggybacked on an identical in-flight solve.
+        coalesced,
+        /// Requests bounced by the admission queue.
+        rejected,
+        /// Requests whose solve (own or coalesced) failed.
+        solve_errors,
+        /// Response-payload bytes written to the wire (all response types).
+        reply_bytes,
+    }
+    cache {
+        /// Cache probes served from either tier.
+        cache_hits = hits,
+        /// Cache hits served by the in-process memory tier.
+        cache_mem_hits = mem_hits,
+        /// Cache hits served by the disk tier.
+        cache_disk_hits = disk_hits,
+        /// Cache probes that found nothing.
+        cache_misses = misses,
+        /// Cache probes that found an unparsable disk entry.
+        cache_corrupt = corrupt,
+        /// Distinct keys ever inserted into the memory tier.
+        cache_insertions = insertions,
+        /// Memory-tier entries evicted (capacity or explicit).
+        cache_evictions = evictions,
+        /// Entries resident in the memory tier right now.
+        cache_resident = resident,
+    }
 }
 
 impl ServiceStats {
@@ -44,115 +112,9 @@ impl ServiceStats {
     pub fn add(counter: &AtomicUsize, n: usize) {
         counter.fetch_add(n, Ordering::Relaxed);
     }
-
-    /// Copies the live counters, folding in the cache-tier counters.
-    pub fn snapshot(&self, cache: &ScheduleCache) -> StatsSnapshot {
-        StatsSnapshot {
-            requests: self.requests.load(Ordering::Relaxed),
-            solved: self.solved.load(Ordering::Relaxed),
-            incremental: self.incremental.load(Ordering::Relaxed),
-            coalesced: self.coalesced.load(Ordering::Relaxed),
-            rejected: self.rejected.load(Ordering::Relaxed),
-            solve_errors: self.solve_errors.load(Ordering::Relaxed),
-            reply_bytes: self.reply_bytes.load(Ordering::Relaxed),
-            cache_hits: cache.hits(),
-            cache_mem_hits: cache.mem_hits(),
-            cache_disk_hits: cache.disk_hits(),
-            cache_misses: cache.misses(),
-            cache_corrupt: cache.corrupt(),
-            cache_insertions: cache.insertions(),
-            cache_evictions: cache.evictions(),
-            cache_resident: cache.resident(),
-        }
-    }
-}
-
-/// A point-in-time copy of every service and cache counter.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StatsSnapshot {
-    /// Synthesis requests accepted off the wire.
-    pub requests: usize,
-    /// Requests that ran a solver to completion.
-    pub solved: usize,
-    /// Resynthesis requests served by the incremental path.
-    pub incremental: usize,
-    /// Requests that piggybacked on an identical in-flight solve.
-    pub coalesced: usize,
-    /// Requests bounced by the admission queue.
-    pub rejected: usize,
-    /// Requests whose solve (own or coalesced) failed.
-    pub solve_errors: usize,
-    /// Response-payload bytes written to the wire.
-    pub reply_bytes: usize,
-    /// Cache probes served from either tier.
-    pub cache_hits: usize,
-    /// Cache hits served by the in-process memory tier.
-    pub cache_mem_hits: usize,
-    /// Cache hits served by the disk tier.
-    pub cache_disk_hits: usize,
-    /// Cache probes that found nothing.
-    pub cache_misses: usize,
-    /// Cache probes that found an unparsable disk entry.
-    pub cache_corrupt: usize,
-    /// Distinct keys ever inserted into the memory tier.
-    pub cache_insertions: usize,
-    /// Memory-tier entries evicted (capacity or explicit).
-    pub cache_evictions: usize,
-    /// Entries resident in the memory tier right now.
-    pub cache_resident: usize,
 }
 
 impl StatsSnapshot {
-    /// Field names and values in a stable order, for serialization.
-    pub fn fields(&self) -> [(&'static str, usize); 15] {
-        [
-            ("requests", self.requests),
-            ("solved", self.solved),
-            ("incremental", self.incremental),
-            ("coalesced", self.coalesced),
-            ("rejected", self.rejected),
-            ("solve_errors", self.solve_errors),
-            ("reply_bytes", self.reply_bytes),
-            ("cache_hits", self.cache_hits),
-            ("cache_mem_hits", self.cache_mem_hits),
-            ("cache_disk_hits", self.cache_disk_hits),
-            ("cache_misses", self.cache_misses),
-            ("cache_corrupt", self.cache_corrupt),
-            ("cache_insertions", self.cache_insertions),
-            ("cache_evictions", self.cache_evictions),
-            ("cache_resident", self.cache_resident),
-        ]
-    }
-
-    /// Rebuilds a snapshot by pulling each field through `get` — the
-    /// deserialization dual of [`StatsSnapshot::fields`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first error `get` returns (a missing or mistyped
-    /// field in the wire document).
-    pub fn from_fields(
-        mut get: impl FnMut(&'static str) -> Result<usize, JsonError>,
-    ) -> Result<Self, JsonError> {
-        Ok(StatsSnapshot {
-            requests: get("requests")?,
-            solved: get("solved")?,
-            incremental: get("incremental")?,
-            coalesced: get("coalesced")?,
-            rejected: get("rejected")?,
-            solve_errors: get("solve_errors")?,
-            reply_bytes: get("reply_bytes")?,
-            cache_hits: get("cache_hits")?,
-            cache_mem_hits: get("cache_mem_hits")?,
-            cache_disk_hits: get("cache_disk_hits")?,
-            cache_misses: get("cache_misses")?,
-            cache_corrupt: get("cache_corrupt")?,
-            cache_insertions: get("cache_insertions")?,
-            cache_evictions: get("cache_evictions")?,
-            cache_resident: get("cache_resident")?,
-        })
-    }
-
     /// Checks the pipeline-wide accounting identities: every accepted
     /// request is explained by exactly one outcome, every cache hit by
     /// exactly one tier, and every memory-tier insertion is either still
@@ -175,7 +137,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn snapshot_round_trips_through_fields() {
+    fn snapshot_round_trips_through_its_wire_form() {
+        use ttw_core::json::Json;
         let snapshot = StatsSnapshot {
             requests: 11,
             solved: 2,
@@ -193,15 +156,14 @@ mod tests {
             cache_evictions: 2,
             cache_resident: 4,
         };
-        let fields: std::collections::BTreeMap<_, _> = snapshot.fields().into_iter().collect();
-        let back = StatsSnapshot::from_fields(|name| {
-            fields
-                .get(name)
-                .copied()
-                .ok_or_else(|| JsonError::custom(format!("missing {name}")))
-        })
-        .expect("all fields present");
-        assert_eq!(snapshot, back);
+        let value = snapshot.to_value();
+        // One member per counter, under the name `fields` gives it.
+        let members = value.as_object().expect("an object");
+        assert_eq!(members.len(), 15);
+        for (name, count) in snapshot.fields() {
+            assert_eq!(members[name].as_u64(), Some(count as u64), "{name}");
+        }
+        assert_eq!(StatsSnapshot::from_value(&value), Ok(snapshot));
         assert!(snapshot.reconciles());
     }
 

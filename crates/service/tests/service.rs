@@ -348,6 +348,73 @@ fn deeply_nested_frame_gets_an_error_and_the_server_keeps_serving() {
     assert!(stats.reconciles(), "{stats:?}");
 }
 
+/// A well-formed request whose mode graph and system disagree on the mode
+/// count used to take the server down: one mode too many indexed past the
+/// system's mode table (the connection thread panicked, no error frame, and
+/// `requests` stayed bumped with no outcome), and a count of 2^53 aborted
+/// the process in `vec![…; num_modes]`. Both are now bad requests.
+#[test]
+fn mode_graph_over_other_modes_than_the_systems_is_a_bad_request() {
+    use ttw_core::json::{Json, Value};
+    use ttw_service::frame::{read_frame, write_frame};
+    use ttw_service::Request;
+    let server = start_server();
+    let mut stream = std::net::TcpStream::connect(server.addr()).expect("connect");
+    let honest = Request::Synthesize(Box::new(fig3_request(BackendKind::Ilp))).to_value();
+    for (kind, num_modes) in [
+        ("synthesize", 3.0),
+        ("resynthesize", 3.0),
+        ("synthesize", 9007199254740992.0),
+        ("synthesize", 1.0),
+    ] {
+        let Value::Object(mut request) = honest.clone() else {
+            panic!("a request is an object")
+        };
+        request.insert("type".into(), Value::String(kind.into()));
+        request.insert("predecessor".into(), Value::String("none".into()));
+        let Some(Value::Object(graph)) = request.get_mut("mode_graph") else {
+            panic!("a request has a mode graph")
+        };
+        // Two modes in the system; the edges stay inside both counts.
+        graph.insert("num_modes".into(), Value::Number(num_modes));
+        graph.insert("edges".into(), Value::Array(Vec::new()));
+        write_frame(&mut stream, Value::Object(request).to_json().as_bytes()).expect("write");
+        let payload = read_frame(&mut stream).expect("read").expect("a response");
+        let text = String::from_utf8(payload).expect("utf-8");
+        assert!(text.contains("\"error\""), "{text}");
+        assert!(
+            text.contains("the system has 2"),
+            "{kind} with {num_modes} modes: {text}"
+        );
+    }
+
+    // The same connection still serves, and every request has an outcome.
+    write_frame(&mut stream, honest.to_json().as_bytes()).expect("write");
+    let payload = read_frame(&mut stream).expect("read").expect("a response");
+    assert!(String::from_utf8_lossy(&payload).contains("\"served\":\"solved\""));
+    let mut client = Client::connect(server.addr()).expect("connect");
+    let stats = client.stats().expect("stats");
+    assert_eq!(stats.requests, 1, "a bad request never becomes a request");
+    assert!(stats.reconciles(), "{stats:?}");
+}
+
+/// The same pair handed to the service in process (no decoder in front of
+/// it) is a failed solve with an outcome, not a panic with none.
+#[test]
+fn mismatched_mode_graph_in_process_is_a_counted_solve_error() {
+    let service = SchedulerService::in_memory();
+    let mut request = fig3_request(BackendKind::Ilp);
+    let (_, diamond, _) = fixtures::four_mode_diamond();
+    request.graph = diamond;
+    let error = service
+        .handle_synthesize(&request)
+        .expect_err("four modes in the graph, two in the system");
+    assert!(error.to_string().contains("the system has 2"), "{error}");
+    let stats = service.snapshot();
+    assert_eq!((stats.requests, stats.solve_errors), (1, 1));
+    assert!(stats.reconciles(), "{stats:?}");
+}
+
 /// The server splices a served schedule's envelope around an already encoded
 /// body instead of running the response codec. Whatever produced the reply,
 /// the frame must be the codec's bytes exactly, and `reply_bytes` must count

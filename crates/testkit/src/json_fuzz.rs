@@ -18,9 +18,9 @@
 //!
 //! [`check_typed_documents`] points the same mutator one layer up, at the
 //! typed documents built on [`Value`]: for the system, mode graph and
-//! scheduler configuration of a generated [`Scenario`](crate::Scenario), its
+//! scheduler configuration of a generated [`Scenario`], its
 //! synthesized mode and system schedules, the warm-start artifacts sidecar
-//! and a [`ScheduleDelta`](ttw_core::delta::ScheduleDelta) between two
+//! and a [`ScheduleDelta`] between two
 //! schedules, [`check_document`] asserts
 //!
 //! 1. `decode(encode(x)) == x`;
@@ -92,7 +92,7 @@ fn below(rng: &mut SplitMix64, bound: usize) -> usize {
     rng.next_u64() as usize % bound
 }
 
-/// A short string biased towards the [seam characters](SEAM_CHARS) — also
+/// A short string biased towards the parser's seam characters — also
 /// what the free-text members of the typed documents (an error message, a
 /// predecessor key) are drawn from.
 pub fn random_string(rng: &mut SplitMix64) -> String {

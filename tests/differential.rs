@@ -871,7 +871,7 @@ fn analyzer_gate_on_off_agree() {
                     "gate-on schedule diverged from gate-off ({repro})"
                 );
                 assert_eq!(
-                    on.total_analyze_fast_fails(),
+                    on.totals().analyze_fast_fails,
                     0,
                     "feasible system counted an analyzer fast-fail ({repro})"
                 );

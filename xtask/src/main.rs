@@ -1,7 +1,7 @@
 //! Repository source lints, run in CI as `cargo run -p xtask -- lint`.
 //!
 //! Hand-rolled on `std::fs` only (the build image has no network, so no
-//! external lint crates). Three invariants are enforced:
+//! external lint crates). Four invariants are enforced:
 //!
 //! 1. **Crate-root headers** — every crate root (`src/lib.rs` of the facade,
 //!    of each `crates/*` member and of each `vendor/*` shim) carries both
@@ -14,6 +14,14 @@
 //!    `BENCH_*.json` artifacts are diffed by the perf-regression gate, so
 //!    bench sources must not embed `SystemTime`/epoch-derived values
 //!    (`Instant` for duration measurement is fine and expected).
+//! 4. **One JSON codec mechanism** — typed documents reach `Value` through
+//!    the `Json` trait and the `json_object!` field tables of
+//!    `crates/core/src/json.rs`. Naming `Value::Object(` or
+//!    `BTreeMap<String, Value>` anywhere else in non-test library or bench
+//!    code is hand-building (or hand-reading) an object; the few vetted
+//!    sites — decoders that replay checked constructors, tagged enums, the
+//!    bench report writers — are counted per file in
+//!    `xtask/codec-allow.txt`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -22,6 +30,12 @@ use std::collections::BTreeMap;
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+
+/// The file that owns the JSON object representation.
+const CODEC_HOME: &str = "crates/core/src/json.rs";
+
+/// What hand-written object construction and reading looks like.
+const HAND_BUILT_OBJECT: &[&str] = &["Value::Object(", "BTreeMap<String, Value>"];
 
 /// Substrings banned from bench sources: each one injects wall-clock or
 /// entropy state into artifacts that must be reproducible run to run.
@@ -35,15 +49,16 @@ fn main() -> ExitCode {
     }
 
     let root = workspace_root();
-    let allowlist = match load_allowlist(&root.join("xtask/lint-allow.txt")) {
-        Ok(allowlist) => allowlist,
-        Err(message) => {
+    let load = |name: &str| load_allowlist(&root.join("xtask").join(name));
+    let (unwraps, codec) = match (load("lint-allow.txt"), load("codec-allow.txt")) {
+        (Ok(unwraps), Ok(codec)) => (unwraps, codec),
+        (Err(message), _) | (_, Err(message)) => {
             eprintln!("xtask lint: {message}");
             return ExitCode::FAILURE;
         }
     };
 
-    let violations = run_lints(&root, &allowlist);
+    let violations = run_lints(&root, &unwraps, &codec);
     if violations.is_empty() {
         println!("xtask lint: OK");
         ExitCode::SUCCESS
@@ -64,22 +79,29 @@ fn workspace_root() -> PathBuf {
         .to_path_buf()
 }
 
-/// Runs all three lints rooted at `root` and returns every violation found.
-fn run_lints(root: &Path, allowlist: &BTreeMap<String, usize>) -> Vec<String> {
+/// Runs all four lints rooted at `root` and returns every violation found.
+fn run_lints(
+    root: &Path,
+    unwraps: &BTreeMap<String, usize>,
+    codec: &BTreeMap<String, usize>,
+) -> Vec<String> {
     let mut violations = lint_crate_root_headers(root);
-    violations.extend(lint_no_unwrap(root, allowlist));
+    violations.extend(lint_no_unwrap(root, unwraps));
     violations.extend(lint_bench_determinism(root));
+    violations.extend(lint_one_codec(root, codec));
     violations
 }
 
-/// Parses `lint-allow.txt`: `#` comments, blank lines, and `path = budget`
-/// entries granting a file a fixed number of vetted `unwrap`/`expect` uses.
+/// Parses an allow-list (`lint-allow.txt`, `codec-allow.txt`): `#` comments,
+/// blank lines, and `path = budget` entries granting a file a fixed number
+/// of vetted occurrences of what the lint counts.
 fn load_allowlist(path: &Path) -> Result<BTreeMap<String, usize>, String> {
     let mut allowlist = BTreeMap::new();
     let text = match fs::read_to_string(path) {
         Ok(text) => text,
         Err(_) => return Ok(allowlist), // no allowlist file: empty budgets
     };
+    let at = |number: usize| format!("{}:{}", path.display(), number + 1);
     for (number, line) in text.lines().enumerate() {
         let line = line.trim();
         if line.is_empty() || line.starts_with('#') {
@@ -87,11 +109,11 @@ fn load_allowlist(path: &Path) -> Result<BTreeMap<String, usize>, String> {
         }
         let (file, budget) = line
             .split_once('=')
-            .ok_or_else(|| format!("lint-allow.txt:{}: expected `path = count`", number + 1))?;
+            .ok_or_else(|| format!("{}: expected `path = count`", at(number)))?;
         let budget: usize = budget
             .trim()
             .parse()
-            .map_err(|_| format!("lint-allow.txt:{}: count must be an integer", number + 1))?;
+            .map_err(|_| format!("{}: count must be an integer", at(number)))?;
         allowlist.insert(file.trim().to_string(), budget);
     }
     Ok(allowlist)
@@ -192,11 +214,17 @@ fn collect_rs_files(dir: &Path, files: &mut Vec<PathBuf>) {
 
 /// Counts `.unwrap()` / `.expect(` occurrences in the non-test, non-comment
 /// part of `text`.
+fn count_unwraps(text: &str) -> usize {
+    count_in_code(text, &[".unwrap()", ".expect("])
+}
+
+/// Counts occurrences of `needles` in the non-test, non-comment part of
+/// `text`.
 ///
 /// Test code is recognized by the repo-wide convention that `#[cfg(test)]`
 /// introduces the trailing test module: everything from the first
 /// `#[cfg(test)]` line onward is ignored.
-fn count_unwraps(text: &str) -> usize {
+fn count_in_code(text: &str, needles: &[&str]) -> usize {
     let mut count = 0;
     for line in text.lines() {
         let trimmed = line.trim_start();
@@ -206,10 +234,40 @@ fn count_unwraps(text: &str) -> usize {
         if trimmed.starts_with("//") {
             continue; // doc and line comments
         }
-        count += trimmed.matches(".unwrap()").count();
-        count += trimmed.matches(".expect(").count();
+        for needle in needles {
+            count += trimmed.matches(needle).count();
+        }
     }
     count
+}
+
+/// Lint 4: JSON objects are built and read by the codec mechanism; every
+/// other non-test mention of their representation is budgeted per file.
+fn lint_one_codec(root: &Path, allowlist: &BTreeMap<String, usize>) -> Vec<String> {
+    let mut files = library_sources(root);
+    collect_rs_files(&root.join("crates/bench/benches"), &mut files);
+    files.sort();
+    let mut violations = Vec::new();
+    for file in files {
+        let path = rel(root, &file);
+        let Ok(text) = fs::read_to_string(&file) else {
+            continue;
+        };
+        if path == CODEC_HOME {
+            continue;
+        }
+        let count = count_in_code(&text, HAND_BUILT_OBJECT);
+        let budget = allowlist.get(&path).copied().unwrap_or(0);
+        if count > budget {
+            violations.push(format!(
+                "{path}: {count} hand-built JSON object(s) (`Value::Object(` / \
+                 `BTreeMap<String, Value>`) in non-test code (codec-allow.txt budget \
+                 {budget}); declare the type in a `json_object!` table, or vet the \
+                 site in xtask/codec-allow.txt"
+            ));
+        }
+    }
+    violations
 }
 
 /// Lint 3: bench sources must not use wall-clock dates or entropy.
@@ -336,6 +394,29 @@ mod tests {
     }
 
     #[test]
+    fn hand_built_objects_outside_the_codec_are_a_violation_and_budgets_vet_them() {
+        let scratch = Scratch::new("codec");
+        let hand_built = "fn f(map: BTreeMap<String, Value>) -> Value { Value::Object(map) }\n\
+                          // Value::Object( in a comment is fine\n\
+                          #[cfg(test)]\nmod tests { fn t() { Value::Object(m); } }\n";
+        scratch.write(CODEC_HOME, hand_built);
+        scratch.write("crates/core/src/export.rs", hand_built);
+        scratch.write(
+            "crates/bench/benches/report.rs",
+            "fn f() { Value::Object(m); }\n",
+        );
+        let violations = lint_one_codec(&scratch.0, &BTreeMap::new());
+        assert_eq!(violations.len(), 2, "{violations:?}");
+        assert!(violations[0].contains("crates/bench/benches/report.rs: 1 hand-built"));
+        assert!(violations[1].contains("crates/core/src/export.rs: 2 hand-built"));
+
+        let mut vetted = BTreeMap::new();
+        vetted.insert("crates/core/src/export.rs".to_string(), 2);
+        vetted.insert("crates/bench/benches/report.rs".to_string(), 1);
+        assert!(lint_one_codec(&scratch.0, &vetted).is_empty());
+    }
+
+    #[test]
     fn allowlist_parses_budgets_and_rejects_garbage() {
         let scratch = Scratch::new("allow");
         scratch.write(
@@ -360,8 +441,9 @@ mod tests {
     #[test]
     fn repository_is_lint_clean() {
         let root = workspace_root();
-        let allowlist = load_allowlist(&root.join("xtask/lint-allow.txt")).expect("parses");
-        let violations = run_lints(&root, &allowlist);
+        let unwraps = load_allowlist(&root.join("xtask/lint-allow.txt")).expect("parses");
+        let codec = load_allowlist(&root.join("xtask/codec-allow.txt")).expect("parses");
+        let violations = run_lints(&root, &unwraps, &codec);
         assert!(
             violations.is_empty(),
             "repo lint violations: {violations:#?}"
@@ -378,7 +460,7 @@ mod tests {
             "//! Docs.\n#![forbid(unsafe_code)]\n#![warn(missing_docs)]\n\
              fn f() { Some(1).unwrap(); }\n",
         );
-        let violations = run_lints(&scratch.0, &BTreeMap::new());
+        let violations = run_lints(&scratch.0, &BTreeMap::new(), &BTreeMap::new());
         assert_eq!(violations.len(), 1, "{violations:?}");
     }
 }
