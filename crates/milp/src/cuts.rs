@@ -248,13 +248,15 @@ pub(crate) fn lp_with_cuts<'c>(
 /// `bounds` are the structural bounds the relaxation was solved under (the
 /// root bounds of the tree) and `integral` flags the integer-constrained
 /// structural columns. Candidates are returned unfiltered — the caller runs
-/// them through the [`CutPool`].
+/// them through the [`CutPool`]. The basis factorization the tableau rows are
+/// read through is added to `lu_factorizations`.
 pub(crate) fn separate_round(
     lp: &SparseLp,
     bounds: &[(f64, f64)],
     integral: &[bool],
     basis: &Basis,
     values: &[f64],
+    lu_factorizations: &mut usize,
 ) -> Vec<Cut> {
     debug_assert_eq!(bounds.len(), lp.nstruct);
     debug_assert_eq!(integral.len(), lp.nstruct);
@@ -272,7 +274,15 @@ pub(crate) fn separate_round(
         }
     }
 
-    let mut cuts = gomory_cuts(lp, bounds, integral, basis, values, &rows_struct);
+    let mut cuts = gomory_cuts(
+        lp,
+        bounds,
+        integral,
+        basis,
+        values,
+        &rows_struct,
+        lu_factorizations,
+    );
     cuts.extend(cover_cuts(lp, bounds, integral, values, &rows_struct));
     cuts
 }
@@ -299,6 +309,7 @@ fn gomory_cuts(
     basis: &Basis,
     values: &[f64],
     rows_struct: &[Vec<(usize, f64)>],
+    lu_factorizations: &mut usize,
 ) -> Vec<Cut> {
     let (nstruct, nrows) = (lp.nstruct, lp.nrows);
     if basis.dims() != (nstruct, nrows) || nrows == 0 {
@@ -307,10 +318,8 @@ fn gomory_cuts(
     let (status, basic, _) = basis.parts();
 
     let mut factor = BasisFactor::default();
-    let basis_columns = basic.iter().map(|&j| {
-        let (rows, vals) = lp.cols.column(j);
-        (rows.to_vec(), vals.to_vec())
-    });
+    let basis_columns = basic.iter().map(|&j| lp.cols.column(j));
+    *lu_factorizations += 1;
     if factor.refactorize(nrows, basis_columns).is_err() {
         return Vec::new();
     }
@@ -800,7 +809,17 @@ mod tests {
             }
             rs
         };
-        let cuts = gomory_cuts(&lp, &bounds, &integral, &basis, &values, &rows);
+        let mut factorized = 0;
+        let cuts = gomory_cuts(
+            &lp,
+            &bounds,
+            &integral,
+            &basis,
+            &values,
+            &rows,
+            &mut factorized,
+        );
+        assert_eq!(factorized, 1);
         assert_cuts_valid(&cuts, &values, &integer_feasible_points(&m));
     }
 
@@ -814,7 +833,7 @@ mod tests {
         m.add_ge(&[(x, 2.0)], 3.0);
         let (lp, bounds, integral, basis, values) = root_relaxation(&m);
         assert!((values[0] - 1.5).abs() < 1e-9);
-        let cuts = separate_round(&lp, &bounds, &integral, &basis, &values);
+        let cuts = separate_round(&lp, &bounds, &integral, &basis, &values, &mut 0);
         assert_cuts_valid(&cuts, &values, &integer_feasible_points(&m));
     }
 

@@ -349,6 +349,7 @@ impl Tableau {
                 iterations: self.iterations,
                 devex_resets: 0,
                 candidate_list_size: 0,
+                lu_factorizations: 0,
             });
         }
         self.drive_out_artificials();
@@ -366,6 +367,7 @@ impl Tableau {
                 iterations: self.iterations,
                 devex_resets: 0,
                 candidate_list_size: 0,
+                lu_factorizations: 0,
             });
         }
 
@@ -394,6 +396,7 @@ impl Tableau {
             iterations: self.iterations,
             devex_resets: 0,
             candidate_list_size: 0,
+            lu_factorizations: 0,
         })
     }
 

@@ -34,7 +34,22 @@
 //!   kept current between refactorizations with product-form eta updates.
 //!   The refactorization policy is: refactorize (and recompute the basic
 //!   solution, purging drift) after 60 eta updates or whenever a pivot is too
-//!   small for a stable update.
+//!   small for a stable update. The factorization kernel is driven by the
+//!   nonzero pattern — the TTW bases are small and mostly logical unit
+//!   columns — so its pivot search, harvest and reset cost `O(rows touched)`
+//!   per column, a row swap is `O(1)`, and `L`/`U` are flat CSC buffers an
+//!   engine reuses; a singular basis leaves the previous factors in force.
+//! * **One factorization per basis and tree.** The factorization a warm
+//!   start begins with depends on the tree's LP and the snapshot's basic set
+//!   alone, and a tree installs one snapshot many times (a node's
+//!   strong-branching probes, then its children). The tree keeps a small memo
+//!   from its most recently installed snapshots to their shared factors; a
+//!   hit adopts them with an empty eta file. Because a hit *is* the
+//!   from-scratch factorization of exactly that basis (debug builds recompute
+//!   it and compare the bits), the dual simplex keeps its entry invariant —
+//!   a state certified from scratch, which an `Infeasible` verdict needs —
+//!   and the search is the memo-less search node for node. Counter:
+//!   `lu_factorizations`.
 //! * **Devex pricing with partial pricing.** Entering columns are selected
 //!   by Devex reference weights (`d²/w`, an approximation of steepest-edge
 //!   norms updated from the pivot row after every basis change) over a

@@ -558,10 +558,13 @@ impl Presolve {
                 }
                 None => Warm::Cold,
             },
-            Warm::Dual(b) => match self.map_basis(b) {
+            // The mapping depends on `self` and the snapshot alone, so a
+            // factorization shared per (solver, snapshot) is one per
+            // (reduced LP, mapped basis).
+            Warm::Dual(b, shared) => match self.map_basis(b) {
                 Some(m) => {
                     mapped = m;
-                    Warm::Dual(&mapped)
+                    Warm::Dual(&mapped, shared)
                 }
                 None => Warm::Cold,
             },
@@ -778,7 +781,7 @@ mod tests {
             panic!("feasible instance");
         };
         assert!(p.cols_removed() >= 1);
-        for warm in [Warm::Primal(&basis), Warm::Dual(&basis)] {
+        for warm in [Warm::Primal(&basis), Warm::Dual(&basis, &mut None)] {
             let (res, _) = p.solve(&lp2, &bounds2, 10_000, warm).expect("warm solve");
             assert_eq!(res.status, LpStatus::Optimal);
             // x = 2 pinned, so y = 3 and the objective is 2 + 6.

@@ -42,7 +42,8 @@
 
 use crate::error::SolveError;
 use crate::model::{ConstraintOp, Model};
-use crate::sparse::{BasisFactor, CscMatrix};
+use crate::sparse::{BasisFactor, CscMatrix, LuFactors};
+use std::rc::Rc;
 
 /// Reduced-cost and pivot tolerance.
 const EPS: f64 = 1e-9;
@@ -88,6 +89,9 @@ pub struct LpResult {
     /// pricing chunk; equals the column count when the problem is small
     /// enough for full pricing).
     pub candidate_list_size: usize,
+    /// From-scratch LU factorizations of the basis this solve computed (a
+    /// warm start that adopts a shared factorization computes none).
+    pub lu_factorizations: usize,
 }
 
 impl LpResult {
@@ -101,6 +105,7 @@ impl LpResult {
             iterations: 0,
             devex_resets: 0,
             candidate_list_size: 0,
+            lu_factorizations: 0,
         }
     }
 }
@@ -266,7 +271,13 @@ pub(crate) enum Warm<'a> {
     /// Dual simplex from a snapshot that is dual feasible for the current
     /// costs (bound changes only since the snapshot was taken). Falls back to
     /// a cold primal solve when the snapshot cannot be applied.
-    Dual(&'a Basis),
+    ///
+    /// The slot is for a caller that installs one snapshot over one LP again
+    /// and again (a tree node's basis: its probes, then both children): it
+    /// carries the from-scratch factorization of the snapshot's basis from
+    /// the install that computes it to the ones that follow. It must be kept
+    /// per (LP, snapshot); `&mut None` asks for nothing to be shared.
+    Dual(&'a Basis, &'a mut Option<Rc<LuFactors>>),
 }
 
 /// Solves the LP relaxation of `model` with the variable bounds overridden by
@@ -307,34 +318,23 @@ pub(crate) fn solve_sparse(
     }
 
     let mut engine = Engine::new(lp, bounds, max_iters);
-    let mut started_cold = false;
-    match warm {
-        Warm::Cold => {
-            engine.install_cold_basis();
-            started_cold = true;
+    // A snapshot that cannot be applied degrades to the cold basis.
+    let (installed, dual) = match warm {
+        Warm::Cold => (false, false),
+        Warm::Primal(basis) => (engine.install_warm_basis(basis, None), false),
+        Warm::Dual(basis, shared) => (engine.install_warm_basis(basis, Some(shared)), true),
+    };
+    let mut started_cold = !installed;
+    if installed && dual {
+        match engine.dual()? {
+            DualOutcome::Optimal => return engine.finish(LpStatus::Optimal),
+            DualOutcome::Infeasible => return engine.finish(LpStatus::Infeasible),
+            // Numerical trouble: restart from scratch below.
+            DualOutcome::Stuck => started_cold = true,
         }
-        Warm::Primal(basis) => {
-            if !engine.install_warm_basis(basis) {
-                engine.install_cold_basis();
-                started_cold = true;
-            }
-        }
-        Warm::Dual(basis) => {
-            if engine.install_warm_basis(basis) {
-                match engine.dual()? {
-                    DualOutcome::Optimal => return engine.finish(LpStatus::Optimal),
-                    DualOutcome::Infeasible => return engine.finish(LpStatus::Infeasible),
-                    DualOutcome::Stuck => {
-                        // Numerical trouble: restart from scratch below.
-                        engine.install_cold_basis();
-                        started_cold = true;
-                    }
-                }
-            } else {
-                engine.install_cold_basis();
-                started_cold = true;
-            }
-        }
+    }
+    if started_cold {
+        engine.install_cold_basis();
     }
 
     // Two-phase primal; one numerical dead end is answered by restarting
@@ -398,6 +398,8 @@ struct Engine<'a> {
     /// Basic values per row.
     xb: Vec<f64>,
     factor: BasisFactor,
+    /// From-scratch factorizations computed so far (adopted ones excluded).
+    lu_factorizations: usize,
     iterations: usize,
     max_iters: usize,
     /// Dense workspaces (length `nrows`).
@@ -437,6 +439,7 @@ impl<'a> Engine<'a> {
             basic: Vec::new(),
             xb: Vec::new(),
             factor: BasisFactor::default(),
+            lu_factorizations: 0,
             iterations: 0,
             max_iters,
             w: vec![0.0; lp.nrows],
@@ -503,7 +506,16 @@ impl<'a> Engine<'a> {
     /// Installs a snapshot, extending it if the problem has grown since it
     /// was taken. Returns `false` (leaving the engine unusable until another
     /// install) when the snapshot does not fit or its basis is singular.
-    fn install_warm_basis(&mut self, basis: &Basis) -> bool {
+    ///
+    /// The factorization of the installed basis is a function of `lp` and the
+    /// snapshot's basic set alone. With a `shared` slot, one that an earlier
+    /// install of the same snapshot over the same `lp` left there is adopted
+    /// instead of recomputed, and one computed here is left for the next.
+    fn install_warm_basis(
+        &mut self,
+        basis: &Basis,
+        shared: Option<&mut Option<Rc<LuFactors>>>,
+    ) -> bool {
         let (s0, r0) = (basis.nstruct, basis.nrows);
         let (s1, r1) = (self.lp.nstruct, self.lp.nrows);
         if s0 > s1 || r0 > r1 || basis.basic.len() != r0 {
@@ -557,8 +569,20 @@ impl<'a> Engine<'a> {
                 _ => {}
             }
         }
-        if !self.refactorize() {
-            return false;
+        match shared {
+            Some(Some(lu)) => {
+                let lp = self.lp;
+                let columns = self.basic.iter().map(|&j| lp.cols.column(j));
+                self.factor.adopt(lu, columns);
+            }
+            slot => {
+                if !self.refactorize() {
+                    return false;
+                }
+                if let Some(slot) = slot {
+                    *slot = Some(self.factor.share());
+                }
+            }
         }
         self.compute_xb();
         true
@@ -567,10 +591,8 @@ impl<'a> Engine<'a> {
     /// Factorizes the current basis from scratch. Returns `false` if singular.
     fn refactorize(&mut self) -> bool {
         let lp = self.lp;
-        let columns = self.basic.iter().map(|&j| {
-            let (rows, vals) = lp.cols.column(j);
-            (rows.to_vec(), vals.to_vec())
-        });
+        let columns = self.basic.iter().map(|&j| lp.cols.column(j));
+        self.lu_factorizations += 1;
         self.factor.refactorize(lp.nrows, columns).is_ok()
     }
 
@@ -1053,8 +1075,11 @@ impl<'a> Engine<'a> {
         // which certifies the Optimal bound check. `hard_fresh` means the
         // factorization itself was rebuilt from scratch — required for an
         // Infeasible verdict, which branch-and-bound treats as a pruning
-        // proof. Both hold on entry: `install_warm_basis` refactorizes from
-        // scratch and recomputes `xb` as its last step.
+        // proof. Both hold on entry: `install_warm_basis` ends on a
+        // from-scratch factorization of exactly the installed basis — its
+        // own, or the bit-identical one an earlier install of the same
+        // snapshot shared, with an empty eta file either way — and
+        // recomputes `xb` through it as its last step.
         let mut fresh = true;
         let mut hard_fresh = true;
         loop {
@@ -1240,6 +1265,7 @@ impl<'a> Engine<'a> {
                     iterations: self.iterations,
                     devex_resets: self.devex_resets,
                     candidate_list_size: self.price_segment,
+                    lu_factorizations: self.lu_factorizations,
                 }
             }
             LpStatus::Infeasible => LpResult {
@@ -1249,6 +1275,7 @@ impl<'a> Engine<'a> {
                 iterations: self.iterations,
                 devex_resets: self.devex_resets,
                 candidate_list_size: self.price_segment,
+                lu_factorizations: self.lu_factorizations,
             },
             LpStatus::Unbounded => LpResult {
                 status,
@@ -1257,6 +1284,7 @@ impl<'a> Engine<'a> {
                 iterations: self.iterations,
                 devex_resets: self.devex_resets,
                 candidate_list_size: self.price_segment,
+                lu_factorizations: self.lu_factorizations,
             },
         };
         let basis = if status == LpStatus::Optimal {
@@ -1419,9 +1447,10 @@ mod tests {
         let basis = basis.expect("optimal basis");
 
         // Tighten x <= 1: dual simplex should recover x=1, y=3 → obj 5.
+        let tightened = [(0.0, 1.0), (0.0, 3.0)];
+        let mut shared = None;
         let (child, child_basis) =
-            solve_sparse(&lp, &[(0.0, 1.0), (0.0, 3.0)], 10_000, Warm::Dual(&basis))
-                .expect("child");
+            solve_sparse(&lp, &tightened, 10_000, Warm::Dual(&basis, &mut shared)).expect("child");
         assert_eq!(child.status, LpStatus::Optimal);
         assert!(
             (-child.objective - 5.0).abs() < 1e-6,
@@ -1433,6 +1462,15 @@ mod tests {
         assert!(child_basis.is_some());
         // The warm solve should take at most a couple of pivots.
         assert!(child.iterations <= 4, "took {} pivots", child.iterations);
+
+        // A second install of the snapshot adopts the factorization the
+        // first left in the slot, and solves the same LP the same way.
+        assert!(shared.is_some());
+        let (again, _) =
+            solve_sparse(&lp, &tightened, 10_000, Warm::Dual(&basis, &mut shared)).expect("again");
+        assert_eq!(again.lu_factorizations + 1, child.lu_factorizations);
+        assert_eq!(again.iterations, child.iterations);
+        assert_eq!(again.values, child.values);
     }
 
     #[test]
@@ -1448,8 +1486,13 @@ mod tests {
             solve_sparse(&lp, &[(0.0, 3.0), (0.0, 3.0)], 10_000, Warm::Cold).expect("root");
         assert_eq!(root.status, LpStatus::Optimal);
         let basis = basis.expect("optimal basis");
-        let (child, _) = solve_sparse(&lp, &[(0.0, 1.0), (0.0, 1.0)], 10_000, Warm::Dual(&basis))
-            .expect("child");
+        let (child, _) = solve_sparse(
+            &lp,
+            &[(0.0, 1.0), (0.0, 1.0)],
+            10_000,
+            Warm::Dual(&basis, &mut None),
+        )
+        .expect("child");
         assert_eq!(child.status, LpStatus::Infeasible);
     }
 
@@ -1472,7 +1515,7 @@ mod tests {
         assert_eq!(root.values[0], 0.0, "free column parks at 0");
         let basis = basis.expect("optimal basis");
 
-        for warm in [Warm::Dual(&basis), Warm::Primal(&basis)] {
+        for warm in [Warm::Dual(&basis, &mut None), Warm::Primal(&basis)] {
             let (child, _) =
                 solve_sparse(&lp, &[(2.0, 10.0), (0.0, 10.0)], 10_000, warm).expect("child");
             assert_eq!(child.status, LpStatus::Optimal);

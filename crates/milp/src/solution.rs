@@ -105,6 +105,12 @@ solver_counters! {
     /// Incumbents contributed by the feasibility-pump heuristic (0 or 1 per
     /// solve; 0 when [`crate::SolveParams::pump`] is off or the pump failed).
     pump_incumbents: "pump_incumbents", optional, summed;
+    /// From-scratch LU factorizations of a basis, across the LP solves that
+    /// returned and the Gomory separator. A warm start that adopts the
+    /// factorization an earlier install of the same snapshot computed (see
+    /// [`crate::branch_bound`]) counts none, so this is the counter that
+    /// moves if the tree's factorization memo stops being hit.
+    lu_factorizations: "lu_factorizations", optional, summed;
 }
 
 /// Result of solving a [`crate::Model`]. The work counters are reached
@@ -213,7 +219,7 @@ mod tests {
     fn counters_list_their_wire_names_and_rebuild_from_them() {
         let mut counters = SolverCounters::default();
         let names: Vec<&str> = counters.fields().iter().map(|(name, _)| *name).collect();
-        assert_eq!(names.len(), 11);
+        assert_eq!(names.len(), 12);
         assert_eq!(
             names[0], "milp_nodes",
             "the wire name is not the field name"

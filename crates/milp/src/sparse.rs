@@ -10,6 +10,30 @@
 //! append instead of an `O(m·n)` tableau update. The [`BasisFactor`] wrapper
 //! owns the refactorization policy: refactorize after a fixed number of eta
 //! updates or when an eta pivot becomes too small to trust.
+//!
+//! The factorization is left-looking and its work follows the nonzero
+//! pattern of the basis, not its dimension. The TTW bases are small and
+//! mostly logical unit vectors, so a column touches a handful of rows: the
+//! accumulator is indexed by *original* row and every row it touches is
+//! listed, which makes pivot search, harvest and reset `O(touched)`;
+//! elimination starts at the first pivot the scattered column reaches (a unit
+//! column whose row is still free does none); a row swap is two index writes,
+//! because `L` keeps original row ids until the last column is done and is
+//! mapped to final positions once. `L` and `U` are themselves [`CscMatrix`]es
+//! whose buffers — like the [`LuWorkspace`] — are reused from one
+//! refactorization of an engine to the next, and FTRAN/BTRAN walk them front
+//! to back.
+//!
+//! [`BasisFactor`] holds its factors behind an `Rc`, separate from its own eta
+//! file. A from-scratch factorization is a pure function of the basis
+//! columns, so a branch-and-bound tree computes the one a warm start begins
+//! with once per snapshot and lets every later install of that snapshot
+//! [adopt](BasisFactor::adopt) it (the memo in `branch_bound`). An adopted
+//! factorization is indistinguishable from a computed one — same bits, empty
+//! eta file — which is what lets the dual simplex keep treating its starting
+//! state as certified from scratch (`hard_fresh`).
+
+use std::rc::Rc;
 
 /// Numerical zero threshold for dropping entries from sparse vectors.
 const DROP_TOL: f64 = 1e-12;
@@ -34,6 +58,15 @@ impl CscMatrix {
         }
     }
 
+    /// Empties the matrix to `nrows` rows and no columns, keeping its buffers.
+    fn reset(&mut self, nrows: usize) {
+        self.nrows = nrows;
+        self.col_ptr.clear();
+        self.col_ptr.push(0);
+        self.row_idx.clear();
+        self.values.clear();
+    }
+
     /// Number of columns.
     #[cfg(test)]
     pub(crate) fn ncols(&self) -> usize {
@@ -55,10 +88,20 @@ impl CscMatrix {
         }
         for (r, v) in merged {
             if v.abs() > DROP_TOL {
-                self.row_idx.push(r);
-                self.values.push(v);
+                self.push_entry(r, v);
             }
         }
+        self.end_column();
+    }
+
+    /// Appends one entry, as given, to the column under construction.
+    fn push_entry(&mut self, row: usize, value: f64) {
+        self.row_idx.push(row);
+        self.values.push(value);
+    }
+
+    /// Closes the column under construction.
+    fn end_column(&mut self) {
         self.col_ptr.push(self.row_idx.len());
     }
 
@@ -88,34 +131,63 @@ impl CscMatrix {
     pub(crate) fn nnz(&self) -> usize {
         self.values.len()
     }
+
+    /// Whether both matrices store the same entries in the same slots, values
+    /// compared bit for bit.
+    fn same_bits(&self, other: &CscMatrix) -> bool {
+        self.nrows == other.nrows
+            && self.col_ptr == other.col_ptr
+            && self.row_idx == other.row_idx
+            && same_bits(&self.values, &other.values)
+    }
 }
 
-/// A sparse vector stored as parallel `(index, value)` arrays.
-#[derive(Debug, Clone, Default)]
-struct SparseVec {
-    idx: Vec<usize>,
-    val: Vec<f64>,
+/// Bitwise equality of two float slices (`==` would equate `0.0` and `-0.0`).
+fn same_bits(a: &[f64], b: &[f64]) -> bool {
+    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
 /// LU factors of the (row-permuted) basis: `P·B = L·U`.
 ///
-/// `L` is unit lower triangular and `U` upper triangular, both stored as
-/// sparse columns in elimination order. `perm[k]` is the original row placed
-/// at permuted position `k`.
+/// `L` is unit lower triangular and `U` upper triangular, one stored column
+/// per elimination step, indexed by permuted position. `perm[k]` is the
+/// original row placed at permuted position `k`.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct LuFactors {
     m: usize,
     /// `perm[k]` = original row index occupying permuted row `k`.
     perm: Vec<usize>,
-    /// `perm_inv[original row] = permuted position`.
-    perm_inv: Vec<usize>,
     /// Column `k` of `L` below the diagonal (unit diagonal implicit), in
     /// permuted row indices `> k`.
-    l_cols: Vec<SparseVec>,
-    /// Column `k` of `U` up to and including the diagonal, permuted indices.
-    u_cols: Vec<SparseVec>,
+    l: CscMatrix,
+    /// Column `k` of `U` above the diagonal, in permuted row indices `< k`.
+    u: CscMatrix,
     /// Diagonal of `U`.
     u_diag: Vec<f64>,
+}
+
+/// Scratch state of [`LuFactors::factorize`], reused across factorizations.
+/// Between two columns — and on return, singular or not — `work` is all
+/// zero, `mark` all false and `touched` empty.
+#[derive(Debug, Default)]
+pub(crate) struct LuWorkspace {
+    /// Dense accumulator of the current column, by *original* row.
+    work: Vec<f64>,
+    /// Whether a row is listed in `touched`.
+    mark: Vec<bool>,
+    /// Rows of the current column that may hold a nonzero.
+    touched: Vec<usize>,
+    /// Permuted position of every original row (the inverse of `perm`).
+    pos: Vec<usize>,
+}
+
+impl LuWorkspace {
+    fn touch(&mut self, row: usize) {
+        if !self.mark[row] {
+            self.mark[row] = true;
+            self.touched.push(row);
+        }
+    }
 }
 
 /// Error raised when the basis matrix is numerically singular.
@@ -124,117 +196,111 @@ pub(crate) struct SingularBasis;
 
 impl LuFactors {
     /// Factorizes the basis given by `columns` (each a sparse column of the
-    /// full constraint matrix) with partial pivoting.
-    pub(crate) fn factorize(
+    /// full constraint matrix; a row may repeat inside a column) with partial
+    /// pivoting, into `self`'s buffers.
+    ///
+    /// On `Err` the contents of `self` are unspecified and must not be used;
+    /// `ws` is clean either way.
+    pub(crate) fn factorize<'c>(
+        &mut self,
         m: usize,
-        columns: impl Iterator<Item = (Vec<usize>, Vec<f64>)>,
-    ) -> Result<Self, SingularBasis> {
-        let mut lu = LuFactors {
-            m,
-            perm: (0..m).collect(),
-            perm_inv: (0..m).collect(),
-            l_cols: Vec::with_capacity(m),
-            u_cols: Vec::with_capacity(m),
-            u_diag: Vec::with_capacity(m),
-        };
-        // Dense accumulator reused across columns.
-        let mut work = vec![0.0f64; m];
+        columns: impl Iterator<Item = (&'c [usize], &'c [f64])>,
+        ws: &mut LuWorkspace,
+    ) -> Result<(), SingularBasis> {
+        self.m = m;
+        self.perm.clear();
+        self.perm.extend(0..m);
+        self.l.reset(m);
+        self.u.reset(m);
+        self.u_diag.clear();
+        ws.work.resize(m, 0.0);
+        ws.mark.resize(m, false);
+        ws.pos.clear();
+        ws.pos.extend(0..m);
         for (k, (rows, vals)) in columns.enumerate() {
-            // Scatter the column in *current* permuted row order.
-            for (&r, &v) in rows.iter().zip(vals.iter()) {
-                work[lu.perm_inv[r]] += v;
+            // Scatter the column; `first` is the earliest pivot it reaches.
+            let mut first = k;
+            for (&r, &v) in rows.iter().zip(vals) {
+                ws.touch(r);
+                ws.work[r] += v;
+                first = first.min(ws.pos[r]);
             }
-            // Eliminate with the already-computed L columns, in order.
-            for j in 0..k {
-                let pivot_val = work[j];
+            // Eliminate with the already-computed L columns, in pivot order
+            // (fill-in only ever lands on later pivots or free rows).
+            for j in first..k {
+                let pivot_val = ws.work[self.perm[j]];
                 if pivot_val.abs() > DROP_TOL {
-                    let col = &lu.l_cols[j];
-                    for (&i, &lv) in col.idx.iter().zip(&col.val) {
-                        work[i] -= pivot_val * lv;
+                    let (idx, val) = self.l.column(j);
+                    for (&r, &lv) in idx.iter().zip(val) {
+                        ws.touch(r);
+                        ws.work[r] -= pivot_val * lv;
                     }
                 }
             }
-            // Partial pivoting: largest magnitude at or below the diagonal.
+            // Partial pivoting: largest magnitude at or below the diagonal,
+            // ties to the smallest permuted position.
             let mut best = k;
-            let mut best_abs = work[k].abs();
-            for (i, w) in work.iter().enumerate().take(m).skip(k + 1) {
-                let a = w.abs();
-                if a > best_abs {
-                    best = i;
+            let mut best_abs = 0.0;
+            for &r in &ws.touched {
+                let (p, a) = (ws.pos[r], ws.work[r].abs());
+                if p >= k && (a > best_abs || (a == best_abs && p < best)) {
+                    best = p;
                     best_abs = a;
                 }
             }
             if best_abs <= DROP_TOL * 10.0 {
+                for r in ws.touched.drain(..) {
+                    ws.work[r] = 0.0;
+                    ws.mark[r] = false;
+                }
                 return Err(SingularBasis);
             }
-            if best != k {
-                work.swap(k, best);
-                // Permuted positions k and best swap. U columns only reference
-                // positions < k and are unaffected; entries of earlier L
-                // columns at positions k/best must swap alongside.
-                for col in lu.l_cols.iter_mut() {
-                    let mut pos_k = None;
-                    let mut pos_b = None;
-                    for (slot, &i) in col.idx.iter().enumerate() {
-                        if i == k {
-                            pos_k = Some(slot);
-                        } else if i == best {
-                            pos_b = Some(slot);
-                        }
-                    }
-                    match (pos_k, pos_b) {
-                        (Some(a), Some(b)) => col.val.swap(a, b),
-                        (Some(a), None) => col.idx[a] = best,
-                        (None, Some(b)) => col.idx[b] = k,
-                        (None, None) => {}
-                    }
-                }
-                lu.perm.swap(k, best);
-                lu.perm_inv[lu.perm[k]] = k;
-                lu.perm_inv[lu.perm[best]] = best;
-            }
-            let diag = work[k];
-            // Harvest U (rows 0..=k) and L (rows k+1..) from the accumulator.
-            let mut u_col = SparseVec::default();
-            for (i, w) in work.iter_mut().enumerate().take(k) {
+            // Permuted positions k and best swap. L is still in original row
+            // ids and U only references positions < k: nothing to relabel.
+            self.perm.swap(k, best);
+            ws.pos[self.perm[k]] = k;
+            ws.pos[self.perm[best]] = best;
+            let diag = ws.work[self.perm[k]];
+            // Harvest U (positions < k) and L (positions > k), resetting the
+            // accumulator on the way. BTRAN sums a column's products in
+            // stored order, so that order is part of the numerics: ascending
+            // position, as a dense sweep of the accumulator would leave it.
+            ws.touched.sort_unstable_by_key(|&r| ws.pos[r]);
+            for r in ws.touched.drain(..) {
+                let w = std::mem::take(&mut ws.work[r]);
+                ws.mark[r] = false;
                 if w.abs() > DROP_TOL {
-                    u_col.idx.push(i);
-                    u_col.val.push(*w);
+                    match ws.pos[r].cmp(&k) {
+                        std::cmp::Ordering::Less => self.u.push_entry(ws.pos[r], w),
+                        std::cmp::Ordering::Equal => {}
+                        std::cmp::Ordering::Greater => self.l.push_entry(r, w / diag),
+                    }
                 }
-                *w = 0.0;
             }
-            work[k] = 0.0;
-            let mut l_col = SparseVec::default();
-            for (i, w) in work.iter_mut().enumerate().take(m).skip(k + 1) {
-                if w.abs() > DROP_TOL {
-                    l_col.idx.push(i);
-                    l_col.val.push(*w / diag);
-                }
-                *w = 0.0;
-            }
-            lu.u_cols.push(u_col);
-            lu.u_diag.push(diag);
-            lu.l_cols.push(l_col);
+            self.u.end_column();
+            self.l.end_column();
+            self.u_diag.push(diag);
         }
-        Ok(lu)
+        // Every row has its final position now.
+        for r in &mut self.l.row_idx {
+            *r = ws.pos[*r];
+        }
+        Ok(())
     }
 
     /// Solves `B x = b` in place: `x` enters holding `b` (original row
     /// indexing) and leaves holding the solution (basis-position indexing).
     pub(crate) fn ftran(&self, x: &mut [f64], scratch: &mut Vec<f64>) {
         let m = self.m;
-        scratch.clear();
-        scratch.resize(m, 0.0);
         // Apply the row permutation: scratch = P b.
-        for k in 0..m {
-            scratch[k] = x[self.perm[k]];
-        }
+        scratch.clear();
+        scratch.extend(self.perm.iter().map(|&r| x[r]));
         // Forward solve L y = P b (unit diagonal).
         for k in 0..m {
             let yk = scratch[k];
             if yk.abs() > DROP_TOL {
-                let col = &self.l_cols[k];
-                for (&i, &lv) in col.idx.iter().zip(&col.val) {
+                let (idx, val) = self.l.column(k);
+                for (&i, &lv) in idx.iter().zip(val) {
                     scratch[i] -= yk * lv;
                 }
             }
@@ -244,13 +310,13 @@ impl LuFactors {
             let xk = scratch[k] / self.u_diag[k];
             scratch[k] = xk;
             if xk.abs() > DROP_TOL {
-                let col = &self.u_cols[k];
-                for (&i, &uv) in col.idx.iter().zip(&col.val) {
+                let (idx, val) = self.u.column(k);
+                for (&i, &uv) in idx.iter().zip(val) {
                     scratch[i] -= xk * uv;
                 }
             }
         }
-        x[..m].copy_from_slice(&scratch[..m]);
+        x[..m].copy_from_slice(scratch);
     }
 
     /// Solves `Bᵀ y = c` in place: `y` enters holding `c` indexed by basis
@@ -258,30 +324,38 @@ impl LuFactors {
     pub(crate) fn btran(&self, y: &mut [f64], scratch: &mut Vec<f64>) {
         let m = self.m;
         scratch.clear();
-        scratch.resize(m, 0.0);
-        scratch[..m].copy_from_slice(&y[..m]);
+        scratch.extend_from_slice(&y[..m]);
         // Uᵀ z = c (forward, Uᵀ is lower triangular).
         for k in 0..m {
-            let col = &self.u_cols[k];
+            let (idx, val) = self.u.column(k);
             let mut acc = scratch[k];
-            for (&i, &uv) in col.idx.iter().zip(&col.val) {
+            for (&i, &uv) in idx.iter().zip(val) {
                 acc -= uv * scratch[i];
             }
             scratch[k] = acc / self.u_diag[k];
         }
         // Lᵀ w = z (backward, unit diagonal).
         for k in (0..m).rev() {
-            let col = &self.l_cols[k];
+            let (idx, val) = self.l.column(k);
             let mut acc = scratch[k];
-            for (&i, &lv) in col.idx.iter().zip(&col.val) {
+            for (&i, &lv) in idx.iter().zip(val) {
                 acc -= lv * scratch[i];
             }
             scratch[k] = acc;
         }
         // y = Pᵀ w: the permuted position k speaks for original row perm[k].
-        for k in 0..m {
-            y[self.perm[k]] = scratch[k];
+        for (&r, &w) in self.perm.iter().zip(scratch.iter()) {
+            y[r] = w;
         }
+    }
+
+    /// Whether both are the same factorization slot for slot, values compared
+    /// bit for bit.
+    fn same_bits(&self, other: &LuFactors) -> bool {
+        self.perm == other.perm
+            && self.l.same_bits(&other.l)
+            && self.u.same_bits(&other.u)
+            && same_bits(&self.u_diag, &other.u_diag)
     }
 }
 
@@ -299,11 +373,17 @@ pub(crate) struct Eta {
 }
 
 /// The factorized basis plus its eta file and refactorization policy.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub(crate) struct BasisFactor {
-    lu: LuFactors,
+    /// The last from-scratch factorization; possibly shared with the memo of
+    /// the tree this engine solves a node of, hence never written in place.
+    lu: Rc<LuFactors>,
+    /// Where the next factorization is built, so that a singular basis leaves
+    /// `lu` and the eta file as they were.
+    spare: Rc<LuFactors>,
     etas: Vec<Eta>,
     scratch: Vec<f64>,
+    workspace: LuWorkspace,
 }
 
 /// Refactorize after this many eta updates (empirically a good trade-off
@@ -315,14 +395,51 @@ pub(crate) const MIN_ETA_PIVOT: f64 = 1e-8;
 
 impl BasisFactor {
     /// Factorizes the basis columns from scratch and clears the eta file.
-    pub(crate) fn refactorize(
+    ///
+    /// # Errors
+    ///
+    /// On a singular basis the previous factors and eta file stay in force.
+    pub(crate) fn refactorize<'c>(
         &mut self,
         m: usize,
-        columns: impl Iterator<Item = (Vec<usize>, Vec<f64>)>,
+        columns: impl Iterator<Item = (&'c [usize], &'c [f64])>,
     ) -> Result<(), SingularBasis> {
-        self.lu = LuFactors::factorize(m, columns)?;
+        if Rc::strong_count(&self.spare) > 1 {
+            // Still held by a memo: leave it alone and build in a fresh one.
+            self.spare = Rc::default();
+        }
+        Rc::make_mut(&mut self.spare).factorize(m, columns, &mut self.workspace)?;
+        std::mem::swap(&mut self.lu, &mut self.spare);
         self.etas.clear();
         Ok(())
+    }
+
+    /// The current from-scratch factorization, for a later
+    /// [`BasisFactor::adopt`] of the same basis. Only meaningful while the
+    /// eta file is empty.
+    pub(crate) fn share(&self) -> Rc<LuFactors> {
+        debug_assert!(self.etas.is_empty());
+        Rc::clone(&self.lu)
+    }
+
+    /// Installs `lu`, the from-scratch factorization of exactly the basis
+    /// `columns`, as if [`BasisFactor::refactorize`] had just computed it.
+    /// Debug builds recompute it and insist on the same bits.
+    pub(crate) fn adopt<'c>(
+        &mut self,
+        lu: &Rc<LuFactors>,
+        columns: impl Iterator<Item = (&'c [usize], &'c [f64])>,
+    ) {
+        if cfg!(debug_assertions) {
+            let mut fresh = LuFactors::default();
+            let verdict = fresh.factorize(lu.m, columns, &mut self.workspace);
+            assert!(
+                verdict.is_ok() && fresh.same_bits(lu),
+                "a shared factorization differs from a fresh one of the same basis"
+            );
+        }
+        self.lu = Rc::clone(lu);
+        self.etas.clear();
     }
 
     /// Returns `true` when the eta file is long enough to warrant a
@@ -363,9 +480,7 @@ impl BasisFactor {
 
     /// FTRAN through the LU factors and the eta file: `x ← B⁻¹ x`.
     pub(crate) fn ftran(&mut self, x: &mut [f64]) {
-        let mut scratch = std::mem::take(&mut self.scratch);
-        self.lu.ftran(x, &mut scratch);
-        self.scratch = scratch;
+        self.lu.ftran(x, &mut self.scratch);
         for eta in &self.etas {
             let xr = x[eta.row];
             if xr.abs() > DROP_TOL {
@@ -388,9 +503,7 @@ impl BasisFactor {
             }
             y[eta.row] = acc / eta.pivot;
         }
-        let mut scratch = std::mem::take(&mut self.scratch);
-        self.lu.btran(y, &mut scratch);
-        self.scratch = scratch;
+        self.lu.btran(y, &mut self.scratch);
     }
 }
 
@@ -398,7 +511,9 @@ impl BasisFactor {
 mod tests {
     use super::*;
 
-    fn dense_to_columns(a: &[&[f64]]) -> Vec<(Vec<usize>, Vec<f64>)> {
+    type Columns = Vec<(Vec<usize>, Vec<f64>)>;
+
+    fn dense_to_columns(a: &[&[f64]]) -> Columns {
         let m = a.len();
         let n = a[0].len();
         (0..n)
@@ -414,6 +529,28 @@ mod tests {
                 (rows, vals)
             })
             .collect()
+    }
+
+    fn borrowed(columns: &Columns) -> impl Iterator<Item = (&[usize], &[f64])> {
+        columns.iter().map(|(r, v)| (r.as_slice(), v.as_slice()))
+    }
+
+    fn factorize_in(columns: &Columns, ws: &mut LuWorkspace) -> Result<LuFactors, SingularBasis> {
+        let mut lu = LuFactors::default();
+        lu.factorize(columns.len(), borrowed(columns), ws)?;
+        Ok(lu)
+    }
+
+    fn factorize(columns: &Columns) -> Result<LuFactors, SingularBasis> {
+        factorize_in(columns, &mut LuWorkspace::default())
+    }
+
+    fn factor_of(columns: &Columns) -> BasisFactor {
+        let mut factor = BasisFactor::default();
+        factor
+            .refactorize(columns.len(), borrowed(columns))
+            .expect("nonsingular");
+        factor
     }
 
     #[test]
@@ -438,7 +575,7 @@ mod tests {
     fn lu_solves_a_small_system() {
         // A = [[2,1,0],[1,3,1],[0,1,4]], b chosen so x = [1,2,3].
         let a: &[&[f64]] = &[&[2.0, 1.0, 0.0], &[1.0, 3.0, 1.0], &[0.0, 1.0, 4.0]];
-        let lu = LuFactors::factorize(3, dense_to_columns(a).into_iter()).expect("nonsingular");
+        let lu = factorize(&dense_to_columns(a)).expect("nonsingular");
         let mut scratch = Vec::new();
         let mut x = [4.0, 10.0, 14.0];
         lu.ftran(&mut x, &mut scratch);
@@ -458,7 +595,7 @@ mod tests {
     fn lu_needs_pivoting() {
         // Leading zero forces a row swap.
         let a: &[&[f64]] = &[&[0.0, 1.0], &[1.0, 0.0]];
-        let lu = LuFactors::factorize(2, dense_to_columns(a).into_iter()).expect("nonsingular");
+        let lu = factorize(&dense_to_columns(a)).expect("nonsingular");
         let mut scratch = Vec::new();
         let mut x = [5.0, 7.0]; // A x = b → x = [7, 5]
         lu.ftran(&mut x, &mut scratch);
@@ -468,17 +605,75 @@ mod tests {
     #[test]
     fn singular_basis_is_detected() {
         let a: &[&[f64]] = &[&[1.0, 2.0], &[2.0, 4.0]];
-        assert!(LuFactors::factorize(2, dense_to_columns(a).into_iter()).is_err());
+        assert!(factorize(&dense_to_columns(a)).is_err());
+    }
+
+    #[test]
+    fn singular_refactorization_keeps_the_previous_factors() {
+        let regular: &[&[f64]] = &[&[2.0, 1.0, 0.0], &[1.0, 3.0, 1.0], &[0.0, 1.0, 4.0]];
+        let singular: &[&[f64]] = &[&[1.0, 2.0, 3.0], &[2.0, 4.0, 6.0], &[0.0, 1.0, 1.0]];
+        let mut factor = factor_of(&dense_to_columns(regular));
+        assert!(factor.push_eta(1, &[0.5, 2.0, 0.25]));
+        let answers = |factor: &mut BasisFactor| {
+            let (mut x, mut y) = ([4.0, 10.0, 14.0], [1.0, -2.0, 3.0]);
+            factor.ftran(&mut x);
+            factor.btran(&mut y);
+            (x.map(f64::to_bits), y.map(f64::to_bits))
+        };
+        let before = answers(&mut factor);
+        // Twice: the second failure builds in what the first left behind.
+        for _ in 0..2 {
+            let failed = factor.refactorize(3, borrowed(&dense_to_columns(singular)));
+            assert_eq!(failed, Err(SingularBasis));
+            assert_eq!(factor.eta_count(), 1, "the eta file survives as well");
+            assert_eq!(answers(&mut factor), before);
+        }
+    }
+
+    #[test]
+    fn a_failed_factorization_leaves_the_workspace_clean() {
+        // The singular column is met after fill-in has touched every row.
+        let singular: &[&[f64]] = &[&[1.0, 1.0, 2.0], &[2.0, 1.0, 3.0], &[3.0, 1.0, 4.0]];
+        let regular: &[&[f64]] = &[&[0.0, 1.0, 2.0], &[1.0, 3.0, 1.0], &[4.0, 1.0, 0.5]];
+        let mut ws = LuWorkspace::default();
+        assert!(factorize_in(&dense_to_columns(singular), &mut ws).is_err());
+        assert!(ws.touched.is_empty());
+        assert!(ws.work.iter().all(|&w| w == 0.0) && !ws.mark.contains(&true));
+        let reused = factorize_in(&dense_to_columns(regular), &mut ws).expect("nonsingular");
+        let fresh = factorize(&dense_to_columns(regular)).expect("nonsingular");
+        assert!(reused.same_bits(&fresh));
+    }
+
+    #[test]
+    fn adopted_factors_answer_like_computed_ones() {
+        let a: &[&[f64]] = &[&[0.0, 1.0, 2.0], &[1.0, 3.0, 1.0], &[4.0, 1.0, 0.5]];
+        let columns = dense_to_columns(a);
+        let mut computed = factor_of(&columns);
+        let shared = computed.share();
+        let mut adopter = factor_of(&dense_to_columns(&[&[1.0]]));
+        adopter.adopt(&shared, borrowed(&columns));
+        let (mut x0, mut x1) = ([1.0, 2.0, 3.0], [1.0, 2.0, 3.0]);
+        computed.ftran(&mut x0);
+        adopter.ftran(&mut x1);
+        assert_eq!(x0.map(f64::to_bits), x1.map(f64::to_bits));
+        // The adopter moving on never writes into the factors it shares.
+        adopter
+            .refactorize(1, borrowed(&dense_to_columns(&[&[2.0]])))
+            .expect("nonsingular");
+        adopter
+            .refactorize(1, borrowed(&dense_to_columns(&[&[4.0]])))
+            .expect("nonsingular");
+        let mut x2 = [1.0, 2.0, 3.0];
+        computed.ftran(&mut x2);
+        assert_eq!(x0.map(f64::to_bits), x2.map(f64::to_bits));
+        assert!(shared.same_bits(&factorize(&columns).expect("nonsingular")));
     }
 
     #[test]
     fn eta_update_matches_refactorization() {
         // Start from B = I, replace column 1 with w = [1, 2, 1]ᵀ.
         let id: &[&[f64]] = &[&[1.0, 0.0, 0.0], &[0.0, 1.0, 0.0], &[0.0, 0.0, 1.0]];
-        let mut factor = BasisFactor::default();
-        factor
-            .refactorize(3, dense_to_columns(id).into_iter())
-            .expect("identity");
+        let mut factor = factor_of(&dense_to_columns(id));
         let w = [1.0, 2.0, 1.0];
         assert!(factor.push_eta(1, &w));
         // New basis B' = [e0, w, e2]; solve B' x = [3, 8, 5] → x = [3-?, ...]:
@@ -501,11 +696,256 @@ mod tests {
     #[test]
     fn tiny_eta_pivot_is_rejected() {
         let id: &[&[f64]] = &[&[1.0, 0.0], &[0.0, 1.0]];
-        let mut factor = BasisFactor::default();
-        factor
-            .refactorize(2, dense_to_columns(id).into_iter())
-            .expect("identity");
+        let mut factor = factor_of(&dense_to_columns(id));
         assert!(!factor.push_eta(0, &[1e-12, 1.0]));
         assert_eq!(factor.eta_count(), 0);
+    }
+
+    /// SplitMix64, as everywhere else in the workspace.
+    struct Rng(u64);
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+        /// A coefficient like the TTW models': mostly small integers.
+        fn coeff(&mut self) -> f64 {
+            let magnitude = match self.below(4) {
+                0 => 1.0,
+                1 => (1 + self.below(9)) as f64,
+                2 => (1 + self.below(2000)) as f64 / 8.0,
+                _ => (1 + self.below(1_000_000)) as f64 / 1000.0,
+            };
+            if self.below(2) == 0 {
+                magnitude
+            } else {
+                -magnitude
+            }
+        }
+        fn vector(&mut self, m: usize) -> Vec<f64> {
+            (0..m).map(|_| self.coeff()).collect()
+        }
+    }
+
+    /// What a generated basis is built to be.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Shape {
+        Regular,
+        /// Two columns agree up to a relative 1e-5 in one entry.
+        NearSingular,
+        /// Two columns agree exactly (or two unit columns name one row).
+        Singular,
+    }
+
+    /// A random basis shaped like the ones the tree factorizes: 50–80 % unit
+    /// columns, the rest sparse structural columns (each through one row no
+    /// unit column covers, some with a row entered twice), at shuffled
+    /// positions, so that most pivots need a row swap.
+    fn random_basis(rng: &mut Rng, shape: Shape) -> Columns {
+        let m = 2 + rng.below(39);
+        let mut rows: Vec<usize> = (0..m).collect();
+        for i in (1..m).rev() {
+            rows.swap(i, rng.below(i + 1));
+        }
+        let free_rows = rows.split_off(m * (50 + rng.below(31)) / 100);
+        let mut columns: Columns = rows.iter().map(|&r| (vec![r], vec![1.0])).collect();
+        for own_row in free_rows {
+            let mut rows = vec![own_row];
+            let mut vals = vec![rng.coeff()];
+            for _ in 0..rng.below(6) {
+                rows.push(rng.below(m));
+                vals.push(rng.coeff());
+            }
+            if rng.below(4) == 0 {
+                // The same row once more, as `factorize` allows.
+                rows.push(rows[rng.below(rows.len())]);
+                vals.push(rng.coeff());
+            }
+            columns.push((rows, vals));
+        }
+        for i in (1..m).rev() {
+            columns.swap(i, rng.below(i + 1));
+        }
+        if shape != Shape::Regular {
+            let (from, to) = (rng.below(m), rng.below(m - 1));
+            let to = if to >= from { to + 1 } else { to };
+            columns[to] = columns[from].clone();
+            if shape == Shape::NearSingular {
+                columns[to].1[0] *= 1.0 + 1e-5;
+            }
+        }
+        columns
+    }
+
+    fn to_dense(columns: &Columns) -> Vec<Vec<f64>> {
+        let m = columns.len();
+        let mut b = vec![vec![0.0; m]; m];
+        for (c, (rows, vals)) in columns.iter().enumerate() {
+            for (&r, &v) in rows.iter().zip(vals) {
+                b[r][c] += v;
+            }
+        }
+        b
+    }
+
+    /// Dense Gaussian elimination with the kernel's pivot rule and
+    /// threshold; `true` when every pivot passes.
+    fn dense_elimination_succeeds(mut b: Vec<Vec<f64>>) -> bool {
+        let m = b.len();
+        for k in 0..m {
+            let mut best = k;
+            for i in k + 1..m {
+                if b[i][k].abs() > b[best][k].abs() {
+                    best = i;
+                }
+            }
+            if b[best][k].abs() <= DROP_TOL * 10.0 {
+                return false;
+            }
+            b.swap(k, best);
+            let (pivot_row, below) = b[k..].split_first_mut().expect("k < m");
+            for row in below {
+                let factor = row[k] / pivot_row[k];
+                if factor != 0.0 {
+                    for (x, p) in row[k..].iter_mut().zip(&pivot_row[k..]) {
+                        *x -= factor * p;
+                    }
+                }
+            }
+        }
+        true
+    }
+
+    fn max_abs(v: &[f64]) -> f64 {
+        v.iter().fold(0.0f64, |s, x| s.max(x.abs()))
+    }
+
+    /// `got ≈ want` within 1e-9 of `scale` (floored at 1).
+    fn assert_close(got: &[f64], want: &[f64], scale: f64, what: &str, case: u64) {
+        for (g, w) in got.iter().zip(want) {
+            assert!(
+                (g - w).abs() <= 1e-9 * scale.max(1.0),
+                "case {case}: {what}: got {got:?}, want {want:?}"
+            );
+        }
+    }
+
+    /// Normwise backward error: `B·x = rhs` (`transposed`: `Bᵀ·x = rhs`)
+    /// within 1e-9 of `‖B‖·‖x‖ + ‖rhs‖`.
+    fn assert_solves(b: &[Vec<f64>], x: &[f64], rhs: &[f64], transposed: bool, case: u64) {
+        let m = b.len();
+        let product: Vec<f64> = (0..m)
+            .map(|i| {
+                (0..m)
+                    .map(|j| if transposed { b[j][i] } else { b[i][j] } * x[j])
+                    .sum()
+            })
+            .collect();
+        let norm_b = b.iter().map(|row| max_abs(row)).fold(0.0, f64::max);
+        let scale = norm_b * max_abs(x) * m as f64 + max_abs(rhs);
+        let what = if transposed {
+            "Bᵀ·y = c"
+        } else {
+            "B·x = b"
+        };
+        assert_close(&product, rhs, scale, what, case);
+    }
+
+    fn check_one_basis(rng: &mut Rng, case: u64, ws: &mut LuWorkspace) {
+        let shape = match case % 8 {
+            6 => Shape::NearSingular,
+            7 => Shape::Singular,
+            _ => Shape::Regular,
+        };
+        let columns = random_basis(rng, shape);
+        let m = columns.len();
+        let b = to_dense(&columns);
+        let factorized = factorize_in(&columns, ws);
+        assert_eq!(
+            factorized.is_ok(),
+            dense_elimination_succeeds(b.clone()),
+            "case {case}: the verdict differs from dense elimination's"
+        );
+        assert!(
+            shape != Shape::Singular || factorized.is_err(),
+            "case {case}"
+        );
+        let Ok(lu) = factorized else { return };
+
+        // P·B = L·U, column by column: (L·U)[·][c] = Σ_j U[j][c]·L[·][j].
+        for (c, u_cc) in lu.u_diag.iter().enumerate() {
+            let mut product = vec![0.0; m];
+            let (u_idx, u_val) = lu.u.column(c);
+            let diagonal = (&c, u_cc);
+            for (&j, &u_jc) in u_idx.iter().zip(u_val).chain([diagonal]) {
+                assert!(j <= c, "case {case}: U is upper triangular");
+                product[j] += u_jc;
+                let (l_idx, l_val) = lu.l.column(j);
+                for (&i, &l_ij) in l_idx.iter().zip(l_val) {
+                    assert!(i > j, "case {case}: L is strictly lower triangular");
+                    product[i] += l_ij * u_jc;
+                }
+            }
+            let permuted: Vec<f64> = lu.perm.iter().map(|&r| b[r][c]).collect();
+            let scale = max_abs(&permuted).max(max_abs(u_val)) * m as f64;
+            assert_close(&product, &permuted, scale, "P·B = L·U", case);
+        }
+
+        // FTRAN / BTRAN residuals.
+        let mut scratch = Vec::new();
+        let rhs = rng.vector(m);
+        let mut x = rhs.clone();
+        lu.ftran(&mut x, &mut scratch);
+        assert_solves(&b, &x, &rhs, false, case);
+        let mut y = rhs.clone();
+        lu.btran(&mut y, &mut scratch);
+        assert_solves(&b, &y, &rhs, true, case);
+
+        // One eta update solves the exchanged basis as its refactorization
+        // would.
+        if shape == Shape::Regular {
+            let row = rng.below(m);
+            let entering = (vec![rng.below(m), row], rng.vector(2));
+            let mut w = vec![0.0; m];
+            for (&r, &v) in entering.0.iter().zip(&entering.1) {
+                w[r] += v;
+            }
+            let mut updated = factor_of(&columns);
+            updated.ftran(&mut w);
+            if w[row].abs() > 1e-3 && updated.push_eta(row, &w) {
+                let mut exchanged = columns;
+                exchanged[row] = entering;
+                let b = to_dense(&exchanged);
+                let (mut x, mut y) = (rhs.clone(), rhs.clone());
+                updated.ftran(&mut x);
+                assert_solves(&b, &x, &rhs, false, case);
+                updated.btran(&mut y);
+                assert_solves(&b, &y, &rhs, true, case);
+            }
+        }
+    }
+
+    /// Seeded sweep over random bases; one workspace throughout, so every
+    /// factorization also runs on what the previous ones — the singular ones
+    /// among them — left behind. The `dense-reference` CI job runs the large
+    /// budget.
+    #[test]
+    fn kernel_properties_hold_on_random_bases() {
+        let cases = if cfg!(feature = "dense-reference") {
+            20_000
+        } else {
+            1_000
+        };
+        let mut rng = Rng(0x7717_2018);
+        let mut ws = LuWorkspace::default();
+        for case in 0..cases {
+            check_one_basis(&mut rng, case, &mut ws);
+        }
     }
 }

@@ -2,13 +2,16 @@
 """Perf-regression gate for the benchmark JSON artifacts.
 
 Walks the freshly generated benchmark JSON (``current``), collects every
-``simplex_iterations`` and ``milp_nodes`` counter (at any nesting depth), and
-compares each against the same dotted path in the committed ``baseline``. The
-gate fails (exit 1) when any counter regressed by more than the allowed
-fraction. Iteration and node counts are deterministic — unlike wall time — so
-this is safe to run on noisy CI machines. Gating ``milp_nodes`` alongside the
-pivot counts means a branching or cutting-plane change that blows up the
-branch-and-bound tree fails CI even if each node got cheaper.
+``simplex_iterations``, ``milp_nodes`` and ``lu_factorizations`` counter (at
+any nesting depth), and compares each against the same dotted path in the
+committed ``baseline``. The gate fails (exit 1) when any counter regressed by
+more than the allowed fraction. These counts are deterministic — unlike wall
+time — so this is safe to run on noisy CI machines. Gating ``milp_nodes``
+alongside the pivot counts means a branching or cutting-plane change that
+blows up the branch-and-bound tree fails CI even if each node got cheaper;
+gating ``lu_factorizations`` means a change that silently defeats the tree's
+factorization memo (every warm start factorizing its basis again, about twice
+the count) fails CI even though nodes and pivots stay put.
 
 Keys present in ``current`` but absent from the baseline are treated as
 "no baseline, pass": a PR that *adds* a benchmark scenario must not fail the
@@ -63,7 +66,7 @@ import json
 import sys
 
 #: Leaf keys treated as smaller-is-better deterministic work counters.
-COUNTER_KEYS = ("simplex_iterations", "milp_nodes")
+COUNTER_KEYS = ("simplex_iterations", "milp_nodes", "lu_factorizations")
 
 #: Leaf keys that must be exactly zero in the current run (safety counters
 #: of the fault-matrix bench, the service bench's coalescing/cache

@@ -132,6 +132,35 @@ class CollectCountersTest(unittest.TestCase):
             },
         )
 
+    def test_lu_factorizations_is_a_gated_counter(self):
+        # The third gated family: with the factorization memo defeated every
+        # warm start factorizes again and the count about doubles, while
+        # nodes and pivots do not move at all.
+        data = {
+            "scenarios": {
+                "chain_n8": {
+                    "simplex_iterations": 3350,
+                    "milp_nodes": 120,
+                    "lu_factorizations": 260,
+                    "strong_branch_probes": 64,
+                }
+            }
+        }
+        self.assertEqual(
+            cbr.collect_counters(data),
+            {
+                "scenarios.chain_n8.simplex_iterations": 3350.0,
+                "scenarios.chain_n8.milp_nodes": 120.0,
+                "scenarios.chain_n8.lu_factorizations": 260.0,
+            },
+        )
+        baseline = {"scenarios.chain_n8.lu_factorizations": 260.0}
+        failures = cbr.check(baseline, {"scenarios.chain_n8.lu_factorizations": 510.0}, 0.20)
+        self.assertEqual(len(failures), 1)
+        self.assertIn("lu_factorizations", failures[0])
+        # A baseline from before the counter existed gates nothing.
+        self.assertEqual(cbr.check({}, {"scenarios.chain_n8.lu_factorizations": 510.0}, 0.20), [])
+
     def test_cut_and_pump_counters_are_informational(self):
         # The tree-shrinking counters (`cuts_added`, `cut_rounds`,
         # `pseudocost_branchings`, `strong_branch_probes`, `pump_incumbents`)
