@@ -6,24 +6,18 @@
 //! The headline numbers are the per-fault-kind safety counters:
 //!
 //! * `safety_violations_skip` / `safety_violations_resync` — must be **zero**
-//!   for every kind; the CI perf-regression job gates these at exactly zero
-//!   via `scripts/check_bench_regression.py` (they are also asserted here,
-//!   so the bench itself fails fast on a regression);
+//!   for every kind: asserted below, so a violation under a safe policy makes
+//!   this program exit non-zero before it writes anything;
 //! * `legacy_violations` — how often the same faults break the unsafe
 //!   `LegacyTransmit` baseline (the quantified value of the paper's
 //!   missed-beacon silence rule);
-//! * delivery ratios and the `Resync` recovery economics (average rejoin
-//!   latency in rounds, continuous-listen rounds paid for it) are recorded
-//!   as informational metrics, never gated.
-//!
-//! `TTW_BENCH_QUICK=1` trims the per-kind fault-seed sweep from 10 to 3
-//! seeds; the zero-gated safety counters are unaffected (zero is zero at any
-//! sweep width).
+//! * delivered / attempted message counts per policy and the `Resync`
+//!   recovery economics (rejoins, the rounds they took in total, the
+//!   continuous-listen rounds paid for them, radio duty in parts per
+//!   million) — all integers, so the file repeats byte for byte and the CI
+//!   perf-regression job can diff it against the committed copy.
 
-use criterion::{criterion_group, criterion_main, Criterion};
-use std::collections::BTreeMap;
-use std::hint::black_box;
-use ttw_core::json::Value;
+use ttw_bench::Report;
 use ttw_core::synthesis::{synthesize_system, IlpSynthesizer};
 use ttw_core::{ModeId, System, SystemSchedule};
 use ttw_netsim::rng::SplitMix64;
@@ -38,18 +32,8 @@ const STORM_HYPERPERIODS: usize = 8;
 const RESYNC_MAX_MISSES: u32 = 2;
 /// Fault-free per-link loss floor of every run.
 const BASE_LINK_LOSS: f64 = 0.05;
-
-fn quick() -> bool {
-    std::env::var_os("TTW_BENCH_QUICK").is_some()
-}
-
-fn fault_seeds() -> u64 {
-    if quick() {
-        3
-    } else {
-        10
-    }
-}
+/// Fault-plan seeds swept per fault kind and fixture.
+const FAULT_SEEDS: u64 = 10;
 
 struct Fixture {
     system: System,
@@ -195,15 +179,17 @@ impl PolicyAggregate {
         self.delivered as f64 / (self.attempted as f64).max(1.0)
     }
 
-    fn avg_duty(&self) -> f64 {
-        self.duty_sum / (self.runs as f64).max(1.0)
+    /// Mean radio duty cycle over the runs in parts per million — rounded, so
+    /// the last bits of the on-time sums stay out of the snapshot.
+    fn avg_duty_ppm(&self) -> usize {
+        (self.duty_sum / (self.runs as f64).max(1.0) * 1e6).round() as usize
     }
 }
 
 fn sweep_kind(fixtures: &[Fixture], kind: FaultKind, policy: BeaconLossPolicy) -> PolicyAggregate {
     let mut agg = PolicyAggregate::default();
     for fixture in fixtures {
-        for fault_seed in 0..fault_seeds() {
+        for fault_seed in 0..FAULT_SEEDS {
             let sim = run_cell(fixture, kind, fault_seed, policy);
             agg.absorb(&sim);
         }
@@ -211,74 +197,34 @@ fn sweep_kind(fixtures: &[Fixture], kind: FaultKind, policy: BeaconLossPolicy) -
     agg
 }
 
-fn write_bench_json(kinds: &[(FaultKind, PolicyAggregate, PolicyAggregate, PolicyAggregate)]) {
-    let num = |v: f64| Value::Number(v);
-    let mut kinds_map = BTreeMap::new();
-    for (kind, skip, resync, legacy) in kinds {
-        let mut map = BTreeMap::new();
-        map.insert("runs_per_policy".into(), num(skip.runs as f64));
-        // Zero-gated in CI: the safe policies must never violate safety.
-        map.insert("safety_violations_skip".into(), num(skip.violations as f64));
-        map.insert(
-            "safety_violations_resync".into(),
-            num(resync.violations as f64),
-        );
-        map.insert("legacy_violations".into(), num(legacy.violations as f64));
-        map.insert("legacy_collisions".into(), num(legacy.collisions as f64));
-        map.insert("delivery_ratio_skip".into(), num(skip.delivery_ratio()));
-        map.insert("delivery_ratio_resync".into(), num(resync.delivery_ratio()));
-        map.insert("delivery_ratio_legacy".into(), num(legacy.delivery_ratio()));
-        map.insert(
-            "beacons_missed_skip".into(),
-            num(skip.beacons_missed as f64),
-        );
-        map.insert(
-            "beacons_corrupted_skip".into(),
-            num(skip.beacons_corrupted as f64),
-        );
-        map.insert(
-            "host_crash_rounds_skip".into(),
-            num(skip.host_crash_rounds as f64),
-        );
-        map.insert("resync_rejoins".into(), num(resync.rejoins as f64));
-        map.insert(
-            "avg_rejoin_latency_rounds".into(),
-            num(resync.rejoin_rounds_total as f64 / (resync.rejoins as f64).max(1.0)),
-        );
-        map.insert(
-            "rejoin_listen_rounds".into(),
-            num(resync.rejoin_listen_rounds as f64),
-        );
-        map.insert("avg_radio_duty_skip".into(), num(skip.avg_duty()));
-        map.insert("avg_radio_duty_resync".into(), num(resync.avg_duty()));
-        kinds_map.insert(kind.name().to_string(), Value::Object(map));
-    }
-
-    let mut root = BTreeMap::new();
-    root.insert("bench".into(), Value::String("fault_matrix".into()));
-    root.insert(
-        "workload".into(),
-        Value::String(
-            "ttw-testkit GeneratorConfig::small(2, _) chain/diamond scenarios with \
-             divergent mode pairs, seeded FaultPlan per kind, 8-change mode storm, \
-             SkipRound vs Resync{max_misses: 2} vs LegacyTransmit"
-                .into(),
-        ),
-    );
-    root.insert(
-        "fault_seeds_per_kind".into(),
-        num(fault_seeds() as f64 * 2.0),
-    );
-    root.insert("kinds".into(), Value::Object(kinds_map));
-
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_faults.json");
-    match std::fs::write(path, Value::Object(root).to_json_pretty() + "\n") {
-        Ok(()) => eprintln!("wrote {path}"),
-        Err(e) => eprintln!("could not write {path}: {e}"),
-    }
+fn kind_report(
+    skip: &PolicyAggregate,
+    resync: &PolicyAggregate,
+    legacy: &PolicyAggregate,
+) -> Report {
+    Report::default()
+        .set("runs_per_policy", skip.runs)
+        .set("safety_violations_skip", skip.violations)
+        .set("safety_violations_resync", resync.violations)
+        .set("legacy_violations", legacy.violations)
+        .set("legacy_collisions", legacy.collisions)
+        .set("messages_attempted_skip", skip.attempted)
+        .set("messages_delivered_skip", skip.delivered)
+        .set("messages_attempted_resync", resync.attempted)
+        .set("messages_delivered_resync", resync.delivered)
+        .set("messages_attempted_legacy", legacy.attempted)
+        .set("messages_delivered_legacy", legacy.delivered)
+        .set("beacons_missed_skip", skip.beacons_missed)
+        .set("beacons_corrupted_skip", skip.beacons_corrupted)
+        .set("host_crash_rounds_skip", skip.host_crash_rounds)
+        .set("resync_rejoins", resync.rejoins)
+        .set("rejoin_rounds_total", resync.rejoin_rounds_total)
+        .set("rejoin_listen_rounds", resync.rejoin_listen_rounds)
+        .set("avg_radio_duty_ppm_skip", skip.avg_duty_ppm())
+        .set("avg_radio_duty_ppm_resync", resync.avg_duty_ppm())
 }
 
-fn bench_fault_matrix(c: &mut Criterion) {
+fn main() {
     let fixtures = [
         build_fixture(GraphShape::Chain),
         build_fixture(GraphShape::Diamond),
@@ -289,7 +235,8 @@ fn bench_fault_matrix(c: &mut Criterion) {
         "{:<18} {:>6} {:>6} {:>8} {:>10} {:>10} {:>10} {:>12}",
         "kind", "skip", "resync", "legacy", "del skip", "del legacy", "rejoins", "rejoin lat"
     );
-    let mut results = Vec::new();
+    let mut kinds = Report::default();
+    let mut legacy_total = 0;
     for kind in FaultKind::ALL {
         let skip = sweep_kind(&fixtures, kind, BeaconLossPolicy::SkipRound);
         let resync = sweep_kind(
@@ -311,9 +258,8 @@ fn bench_fault_matrix(c: &mut Criterion) {
             resync.rejoins,
             resync.rejoin_rounds_total as f64 / (resync.rejoins as f64).max(1.0),
         );
-        // The acceptance bar, asserted on deterministic counters: the safe
-        // policies survive every fault kind with zero violations and zero
-        // collisions.
+        // The acceptance bar: the safe policies survive every fault kind
+        // with zero violations and zero collisions.
         assert_eq!(
             skip.violations,
             0,
@@ -328,34 +274,23 @@ fn bench_fault_matrix(c: &mut Criterion) {
             kind.name()
         );
         assert_eq!(resync.collisions, 0, "{}: Resync collided", kind.name());
-        results.push((kind, skip, resync, legacy));
+        legacy_total += legacy.violations;
+        kinds = kinds.section(kind.name(), kind_report(&skip, &resync, &legacy));
     }
-    let legacy_total: usize = results.iter().map(|(_, _, _, l)| l.violations).sum();
     assert!(
         legacy_total >= 1,
         "the matrix reproduced no LegacyTransmit violation at all"
     );
     eprintln!();
-    write_bench_json(&results);
 
-    // One registered timing sample: the compound-fault storm under the
-    // recovery policy — the most expensive cell of the matrix.
-    let mut group = c.benchmark_group("fault_matrix");
-    group.sample_size(10);
-    group.bench_function("compound_resync_storm", |b| {
-        b.iter(|| {
-            black_box(run_cell(
-                &fixtures[0],
-                FaultKind::Compound,
-                0,
-                BeaconLossPolicy::Resync {
-                    max_misses: RESYNC_MAX_MISSES,
-                },
-            ))
-        })
-    });
-    group.finish();
+    Report::new(
+        "fault_matrix",
+        "ttw-testkit GeneratorConfig::small(2, _) chain/diamond scenarios with \
+         divergent mode pairs, seeded FaultPlan per kind, 8-change mode storm, \
+         SkipRound vs Resync{max_misses: 2} vs LegacyTransmit",
+    )
+    .set("fault_seeds_per_kind", FAULT_SEEDS * fixtures.len() as u64)
+    .section("kinds", kinds)
+    .write("BENCH_faults.json")
+    .expect("write the snapshot");
 }
-
-criterion_group!(benches, bench_fault_matrix);
-criterion_main!(benches);

@@ -1,14 +1,11 @@
 //! Fig. 6 — round length `T_r` as a function of the network diameter `H` and
 //! the number of slots per round `B` (payload 10 B, N = 2).
 //!
-//! The bench prints the reproduced grid (milliseconds) and measures the cost
-//! of evaluating the timing model over the paper's parameter ranges.
+//! Prints the reproduced grid (milliseconds) and the paper's anchor point.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use std::hint::black_box;
-use ttw_timing::{round, sweep, GlossyConstants, NetworkParams};
+use ttw_timing::{round, GlossyConstants, NetworkParams};
 
-fn bench_fig6(c: &mut Criterion) {
+fn main() {
     eprintln!("\n=== Fig. 6: round length T_r [ms], payload 10 B, N = 2 ===");
     for row in ttw_bench::fig6_rows() {
         eprintln!("{row}");
@@ -24,19 +21,4 @@ fn bench_fig6(c: &mut Criterion) {
         "paper anchor: H=4, B=5 -> T_r = {:.1} ms (paper reports ~50 ms)\n",
         anchor * 1e3
     );
-
-    let mut group = c.benchmark_group("fig6_round_length");
-    group.bench_function("paper_grid_8x10", |b| {
-        b.iter(|| black_box(sweep::fig6_paper_grid(&constants)))
-    });
-    for h in [1usize, 4, 8] {
-        let network = NetworkParams::with_paper_retransmissions(h);
-        group.bench_with_input(BenchmarkId::new("single_point", h), &h, |b, _| {
-            b.iter(|| black_box(round::round_length(&constants, &network, 5, 10)))
-        });
-    }
-    group.finish();
 }
-
-criterion_group!(benches, bench_fig6);
-criterion_main!(benches);

@@ -3,14 +3,11 @@
 //! payload size.
 //!
 //! The paper's headline is a 33–40 % saving for 5-slot rounds with small
-//! payloads; the bench prints the full grid and measures the model evaluation.
+//! payloads; the program prints the full grid and the anchor points.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use std::hint::black_box;
 use ttw_baselines::NoRoundsDesign;
-use ttw_timing::{sweep, GlossyConstants};
 
-fn bench_fig7(c: &mut Criterion) {
+fn main() {
     eprintln!("\n=== Fig. 7: relative radio-on-time saving, H = 4, N = 2 ===");
     for row in ttw_bench::fig7_rows() {
         eprintln!("{row}");
@@ -21,21 +18,4 @@ fn bench_fig7(c: &mut Criterion) {
         design.ttw_saving(5, 10) * 100.0,
         design.ttw_saving(10_000, 10) * 100.0
     );
-
-    let constants = GlossyConstants::table1();
-    let mut group = c.benchmark_group("fig7_energy_saving");
-    group.bench_function("paper_grid_10x5", |b| {
-        b.iter(|| black_box(sweep::fig7_paper_grid(&constants)))
-    });
-    for payload in [8usize, 32, 128] {
-        group.bench_with_input(
-            BenchmarkId::new("saving_b5", payload),
-            &payload,
-            |b, &payload| b.iter(|| black_box(design.ttw_saving(5, payload))),
-        );
-    }
-    group.finish();
 }
-
-criterion_group!(benches, bench_fig7);
-criterion_main!(benches);

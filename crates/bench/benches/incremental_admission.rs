@@ -1,7 +1,7 @@
 //! Online-admission benchmark: edit one application of an N-mode system and
 //! compare incremental re-synthesis against a from-scratch solve.
 //!
-//! For each N ∈ {4, 8, 16} (quick mode: {4}) the bench generates a feasible
+//! For each N ∈ {4, 8, 16} the bench generates a feasible
 //! N-mode chain, solves it cold (populating the cache with schedules *and*
 //! warm-start artifacts), bumps one WCET in the last mode's private
 //! application — the canonical admission edit — and then resolves the edited
@@ -12,12 +12,12 @@
 //!   untouched modes reuse their cached schedules verbatim, the dirty mode
 //!   re-solves from its cached root basis.
 //!
-//! `BENCH_incremental.json` records, per N, the deterministic solver
-//! counters (`milp_nodes`/`simplex_iterations` for scratch — riding the
-//! +20% ratio gate — and their incremental counterparts) and the
-//! bytes-on-wire of the per-node delta versus a full redeployment. The
-//! acceptance bars are encoded as **derived zero keys** consumed by
-//! `scripts/check_bench_regression.py`:
+//! `BENCH_incremental.json` records, per N, the solver counters
+//! (`milp_nodes`/`simplex_iterations` for scratch and their incremental
+//! counterparts) and the bytes-on-wire of the per-node delta versus a full
+//! redeployment; the CI perf-regression job regenerates the file and diffs it
+//! against the committed copy. The acceptance bars are **derived zero keys**,
+//! asserted below so a miss makes this program exit non-zero:
 //!
 //! * `warm_node_budget_excess = max(0, 2·incremental_milp_nodes −
 //!   milp_nodes)` — the one-app edit must cost at most *half* the
@@ -25,35 +25,22 @@
 //! * `delta_byte_excess = max(0, 2·delta_bytes − full_bytes)` — the delta
 //!   must ship under half the full redeployment bytes.
 //!
-//! Both bars are gated on counters and byte counts, never wall time, so the
-//! gate is deterministic on noisy CI runners. The bench also asserts the
-//! differential invariant inline: the incremental schedule content-matches
-//! the from-scratch schedule byte for byte (work counters stripped).
+//! Both bars are on counters and byte counts, never wall time. The bench
+//! also asserts the differential invariant inline: the incremental schedule
+//! content-matches the from-scratch schedule byte for byte (work counters
+//! stripped).
 
-use criterion::{criterion_group, criterion_main, Criterion};
-use std::collections::BTreeMap;
-use std::hint::black_box;
+use ttw_bench::Report;
 use ttw_core::cache::{synthesis_key, synthesize_system_cached, ScheduleCache};
 use ttw_core::delta::verified_delta;
 use ttw_core::export::system_schedule_to_json;
-use ttw_core::json::Value;
 use ttw_core::resynth::resynthesize_system;
 use ttw_core::synthesis::{synthesize_system, IlpSynthesizer, Synthesizer};
 use ttw_core::system::System;
 use ttw_core::TaskId;
 use ttw_testkit::{generate, GeneratorConfig, GraphShape, Scenario};
 
-fn quick() -> bool {
-    std::env::var_os("TTW_BENCH_QUICK").is_some()
-}
-
-fn mode_counts() -> Vec<usize> {
-    if quick() {
-        vec![4]
-    } else {
-        vec![4, 8, 16]
-    }
-}
+const MODE_COUNTS: [usize; 3] = [4, 8, 16];
 
 /// The first seed whose generated N-mode chain is feasible end to end (the
 /// bench measures incremental admission, not infeasibility detection).
@@ -124,29 +111,27 @@ impl Case {
         (2 * self.delta_bytes).saturating_sub(self.full_bytes)
     }
 
-    fn to_value(&self) -> Value {
-        let mut map = BTreeMap::new();
-        let mut num = |k: &str, v: usize| map.insert(k.to_string(), Value::Number(v as f64));
-        num("num_modes", self.num_modes);
-        // `milp_nodes`/`simplex_iterations` are the from-scratch cost of the
-        // edited system: they ride the ordinary +20% ratio gate.
-        num("milp_nodes", self.scratch_milp_nodes);
-        num("simplex_iterations", self.scratch_simplex_iterations);
-        num("incremental_milp_nodes", self.incremental_milp_nodes);
-        num(
-            "incremental_simplex_iterations",
-            self.incremental_simplex_iterations,
-        );
-        num("modes_reused", self.modes_reused);
-        num("modes_resolved", self.modes_resolved);
-        num("warm_started_modes", self.warm_started_modes);
-        num("delta_bytes", self.delta_bytes);
-        num("full_bytes", self.full_bytes);
-        num("delta_ops", self.delta_ops);
-        num("warm_node_budget_excess", self.warm_node_budget_excess());
-        num("delta_byte_excess", self.delta_byte_excess());
-        map.insert("content_match".into(), Value::Bool(self.content_match));
-        Value::Object(map)
+    fn report(&self) -> Report {
+        Report::default()
+            .set("num_modes", self.num_modes)
+            // `milp_nodes`/`simplex_iterations` are the from-scratch cost of
+            // the edited system.
+            .set("milp_nodes", self.scratch_milp_nodes)
+            .set("simplex_iterations", self.scratch_simplex_iterations)
+            .set("incremental_milp_nodes", self.incremental_milp_nodes)
+            .set(
+                "incremental_simplex_iterations",
+                self.incremental_simplex_iterations,
+            )
+            .set("modes_reused", self.modes_reused)
+            .set("modes_resolved", self.modes_resolved)
+            .set("warm_started_modes", self.warm_started_modes)
+            .set("delta_bytes", self.delta_bytes)
+            .set("full_bytes", self.full_bytes)
+            .set("delta_ops", self.delta_ops)
+            .set("warm_node_budget_excess", self.warm_node_budget_excess())
+            .set("delta_byte_excess", self.delta_byte_excess())
+            .set("content_match", self.content_match)
     }
 }
 
@@ -201,37 +186,9 @@ fn run_case(num_modes: usize) -> Case {
     }
 }
 
-fn write_bench_json(cases: &[Case]) {
-    let mut root = BTreeMap::new();
-    root.insert(
-        "bench".into(),
-        Value::String("incremental_admission".into()),
-    );
-    root.insert(
-        "workload".into(),
-        Value::String(
-            "edit one private application of an N-mode chain; incremental \
-             re-synthesis (cached schedules + basis warm starts) vs \
-             from-scratch solve; per-node delta vs full redeployment bytes"
-                .into(),
-        ),
-    );
-    let mut by_n = BTreeMap::new();
-    for case in cases {
-        by_n.insert(format!("modes{}", case.num_modes), case.to_value());
-    }
-    root.insert("cases".into(), Value::Object(by_n));
-
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_incremental.json");
-    match std::fs::write(path, Value::Object(root).to_json_pretty() + "\n") {
-        Ok(()) => eprintln!("wrote {path}"),
-        Err(e) => eprintln!("could not write {path}: {e}"),
-    }
-}
-
-fn bench_incremental_admission(c: &mut Criterion) {
+fn main() {
     eprintln!("\n=== Incremental admission: one-app edit, N-mode chain ===");
-    let cases: Vec<Case> = mode_counts().into_iter().map(run_case).collect();
+    let cases: Vec<Case> = MODE_COUNTS.into_iter().map(run_case).collect();
     for case in &cases {
         eprintln!(
             "N={:<3} scratch {:>5} nodes {:>7} pivots | incremental {:>5} nodes \
@@ -252,8 +209,6 @@ fn bench_incremental_admission(c: &mut Criterion) {
     }
     eprintln!();
 
-    // The acceptance bars the JSON gate re-checks in CI, asserted here so a
-    // local `cargo bench` fails loudly.
     for case in &cases {
         assert!(
             case.content_match,
@@ -278,30 +233,17 @@ fn bench_incremental_admission(c: &mut Criterion) {
         );
     }
 
-    write_bench_json(&cases);
-
-    // One registered timing function: the incremental path end to end on
-    // the smallest case (cache probe + diff + one warm re-solve).
-    let scenario = feasible_scenario(4);
-    let config = scenario.scheduler_config();
-    let backend = IlpSynthesizer::default();
-    let cache = ScheduleCache::in_memory();
-    synthesize_system_cached(&scenario.system, &scenario.graph, &config, &backend, &cache)
-        .expect("feasible");
-    let key = synthesis_key(&scenario.system, &scenario.graph, &config, backend.name());
-    let (edited, _) = edited_system(&scenario);
-    let mut group = c.benchmark_group("incremental_admission");
-    group.sample_size(10);
-    group.bench_function("one_app_edit_4_modes", |b| {
-        b.iter(|| {
-            black_box(
-                resynthesize_system(&edited, &scenario.graph, &config, &backend, &cache, &key)
-                    .expect("incremental admission"),
-            )
-        })
-    });
-    group.finish();
+    let mut by_n = Report::default();
+    for case in &cases {
+        by_n = by_n.section(&format!("modes{}", case.num_modes), case.report());
+    }
+    Report::new(
+        "incremental_admission",
+        "edit one private application of an N-mode chain; incremental \
+         re-synthesis (cached schedules + basis warm starts) vs \
+         from-scratch solve; per-node delta vs full redeployment bytes",
+    )
+    .section("cases", by_n)
+    .write("BENCH_incremental.json")
+    .expect("write the snapshot");
 }
-
-criterion_group!(benches, bench_incremental_admission);
-criterion_main!(benches);

@@ -6,13 +6,11 @@
 //! round lengths and for pipelines of growing length, showing the factor-2
 //! improvement the paper reports.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use std::hint::black_box;
 use ttw_baselines::{latency_improvement_factor, loose_min_latency_bound};
 use ttw_core::time::millis;
 use ttw_core::{analysis, fixtures};
 
-fn bench_latency(c: &mut Criterion) {
+fn main() {
     let (sys, app) = fixtures::fig3_system_single_app();
 
     eprintln!("\n=== Latency bounds: TTW (Eq. 13) vs loosely-coupled [16] ===");
@@ -52,25 +50,4 @@ fn bench_latency(c: &mut Criterion) {
         );
     }
     eprintln!("per-message communication factor: 2.00 (paper headline)\n");
-
-    let mut group = c.benchmark_group("latency_comparison");
-    group.bench_function("ttw_bound_fig3", |b| {
-        b.iter(|| black_box(analysis::min_latency_bound(&sys, app, millis(10))))
-    });
-    group.bench_function("loose_bound_fig3", |b| {
-        b.iter(|| black_box(loose_min_latency_bound(&sys, app, millis(10))))
-    });
-    for tasks in [3usize, 8] {
-        let (psys, pmode) = fixtures::synthetic_mode(1, tasks, 2, millis(1000));
-        let papp = psys.mode(pmode).applications[0];
-        group.bench_with_input(
-            BenchmarkId::new("factor_pipeline", tasks),
-            &tasks,
-            |b, _| b.iter(|| black_box(latency_improvement_factor(&psys, papp, millis(10)))),
-        );
-    }
-    group.finish();
 }
-
-criterion_group!(benches, bench_latency);
-criterion_main!(benches);

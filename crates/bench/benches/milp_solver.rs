@@ -1,12 +1,11 @@
-//! MILP solver substrate — solve-time of the simplex / branch-and-bound
-//! engine that replaces Gurobi in this reproduction.
+//! MILP solver substrate — the simplex / branch-and-bound engine that
+//! replaces Gurobi in this reproduction.
 //!
-//! This is an ablation/engineering bench (not a paper figure): it tracks the
-//! cost of the LP relaxation and of full MILP solves on representative
-//! instances so regressions in the substrate are visible.
+//! This is an engineering report (not a paper figure): it solves the LP
+//! relaxation and the full MILP of representative instances once each and
+//! prints their work counters, so a change in the substrate's tree size or
+//! cut activity is visible.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use std::hint::black_box;
 use ttw_milp::{Model, Sense};
 
 /// A small knapsack-style MILP with `n` binary variables.
@@ -30,8 +29,7 @@ fn fig3_ilp() -> ttw_core::ilp::IlpInstance {
     ttw_core::ilp::build_ilp(&sys, mode, &config, 2).expect("valid instance")
 }
 
-/// Prints the deterministic work counters of one MILP solve so the bench log
-/// shows tree size and cut activity next to the wall-clock samples.
+/// Prints the work counters of one solve: tree size and cut activity.
 fn report_counters(name: &str, solution: &ttw_milp::Solution) {
     eprintln!(
         "{name}: milp_nodes={} simplex_iterations={} cuts_added={} cut_rounds={} \
@@ -46,38 +44,21 @@ fn report_counters(name: &str, solution: &ttw_milp::Solution) {
     );
 }
 
-fn bench_milp(c: &mut Criterion) {
+fn main() {
     let instance = fig3_ilp();
     eprintln!(
         "\n=== MILP substrate === Fig. 3 scheduling ILP: {} variables, {} constraints\n",
         instance.model.num_vars(),
         instance.model.num_constraints()
     );
-    // One counted solve per scenario up front: nodes and cuts are
-    // deterministic, so a single solve characterizes every timed iteration.
     for n in [10usize, 30] {
         let model = knapsack(n);
         report_counters(&format!("knapsack{n}"), &model.solve().unwrap());
     }
+    report_counters(
+        "fig3_relaxation",
+        &instance.model.solve_relaxation().unwrap(),
+    );
     report_counters("fig3_full_milp", &instance.model.solve().unwrap());
     eprintln!();
-
-    let mut group = c.benchmark_group("milp_solver");
-    group.sample_size(10);
-    for n in [10usize, 30] {
-        let model = knapsack(n);
-        group.bench_with_input(BenchmarkId::new("knapsack", n), &n, |b, _| {
-            b.iter(|| black_box(model.solve().unwrap()))
-        });
-    }
-    group.bench_function("fig3_relaxation", |b| {
-        b.iter(|| black_box(instance.model.solve_relaxation().unwrap()))
-    });
-    group.bench_function("fig3_full_milp", |b| {
-        b.iter(|| black_box(instance.model.solve().unwrap()))
-    });
-    group.finish();
 }
-
-criterion_group!(benches, bench_milp);
-criterion_main!(benches);

@@ -7,8 +7,6 @@
 //! prints, for the safe TTW policy and the unsafe legacy policy, the number of
 //! missed beacons, collisions and the end-to-end delivery ratio.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use std::hint::black_box;
 use ttw_core::time::millis;
 use ttw_core::{fixtures, synthesis, SchedulerConfig};
 use ttw_runtime::{BeaconLossPolicy, Simulation, SimulationConfig};
@@ -50,7 +48,7 @@ fn run_once(
     sim.stats().clone()
 }
 
-fn bench_runtime(c: &mut Criterion) {
+fn main() {
     let (sys, schedules, normal, emergency) = build_inputs();
 
     eprintln!("\n=== Runtime reliability under loss (mode change after 3 hyperperiods) ===");
@@ -102,30 +100,4 @@ fn bench_runtime(c: &mut Criterion) {
         assert_eq!(safe.collisions, 0, "TTW must never collide");
     }
     eprintln!();
-
-    let mut group = c.benchmark_group("runtime_reliability");
-    group.sample_size(20);
-    for loss in [0.0f64, 0.5] {
-        group.bench_with_input(
-            BenchmarkId::new("ttw_safe_policy", format!("loss{loss}")),
-            &loss,
-            |b, &loss| {
-                b.iter(|| {
-                    black_box(run_once(
-                        &sys,
-                        &schedules,
-                        normal,
-                        emergency,
-                        loss,
-                        BeaconLossPolicy::SkipRound,
-                        7,
-                    ))
-                })
-            },
-        );
-    }
-    group.finish();
 }
-
-criterion_group!(benches, bench_runtime);
-criterion_main!(benches);

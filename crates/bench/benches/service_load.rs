@@ -3,33 +3,32 @@
 //! Starts a real server on loopback TCP and drives it with concurrent
 //! client threads through three phases:
 //!
-//! 1. **cold** — every client requests a *distinct* generated scenario, so
-//!    each unique fingerprint solves exactly once and the cache fills.
+//! 1. **cold** — every client requests every generated scenario, so each
+//!    unique fingerprint solves exactly once and the cache fills.
 //! 2. **warm** — every client re-requests every scenario; all of these must
 //!    be served from the in-process cache with zero solver nodes.
 //! 3. **coalesce** — all clients fire the *same* cold fingerprint
 //!    simultaneously; exactly one solve may run, everyone else coalesces
 //!    onto the flight (or hits the just-filled cache).
 //!
-//! `BENCH_service.json` records throughput and p50/p95/p99 latency per
-//! phase (informational — wall time flaps on shared runners) plus each
-//! phase's reply bytes-on-wire (deterministic: framed JSON replies), next
-//! to the deterministic counters the CI gate consumes:
+//! `BENCH_service.json` holds what the racing clients cannot reorder, so the
+//! file repeats byte for byte and the CI perf-regression job can diff it
+//! against the committed copy: requests per phase, `milp_nodes` (total
+//! solver nodes across the run) and the service counters. Which of two
+//! racing requests hit the cache and which coalesced onto the flight differs
+//! run to run, so of [`RACING`] only the two combinations every interleaving
+//! agrees on are written. The invariants are assertions that make this
+//! program exit non-zero:
 //!
-//! * `milp_nodes` — total solver nodes across the run, gated at +20% by
-//!   `scripts/check_bench_regression.py`.
 //! * `duplicate_solves` (solves beyond one per unique fingerprint) and
-//!   `warm_milp_nodes` (solver nodes spent in the warm phase) — **exactly
-//!   zero**, the service's coalescing/cache invariants as absolute gates.
+//!   `warm_milp_nodes` (solver nodes spent in the warm phase) are **exactly
+//!   zero** — the service's coalescing and cache guarantees;
+//! * the counters reconcile (`StatsSnapshot::reconciles`).
 //!
-//! `TTW_BENCH_QUICK=1` trims clients and scenarios for the CI smoke lane.
+//! Throughput per phase is printed on stderr; `benchmark/` measures it.
 
-use criterion::{criterion_group, criterion_main, Criterion};
-use std::collections::BTreeMap;
-use std::hint::black_box;
 use std::sync::Arc;
-use std::time::Instant;
-use ttw_core::json::Value;
+use ttw_bench::{timed, Report};
 use ttw_service::{
     BackendKind, BudgetCaps, Client, SchedulerService, ServedFrom, ServerHandle, ServiceConfig,
     SynthesizeRequest,
@@ -40,26 +39,19 @@ use ttw_testkit::{generate, GeneratorConfig, GraphShape, Scenario};
 /// this list generates a feasible 2-mode chain (the bench measures the
 /// service, not the solver's failure paths).
 const SEEDS: [u64; 4] = [1, 2, 3, 4];
-
-fn quick() -> bool {
-    std::env::var_os("TTW_BENCH_QUICK").is_some()
-}
-
-fn num_clients() -> usize {
-    if quick() {
-        2
-    } else {
-        4
-    }
-}
-
-fn scenarios() -> Vec<Scenario> {
-    let take = if quick() { 2 } else { SEEDS.len() };
-    SEEDS[..take]
-        .iter()
-        .map(|&seed| generate(&GeneratorConfig::small(2, GraphShape::Chain), seed))
-        .collect()
-}
+/// Concurrent client connections per phase.
+const CLIENTS: usize = 4;
+/// Counters split by who wins a race: a request that finds its fingerprint
+/// in flight coalesces, one that arrives a moment later hits the cache. A
+/// reply's length follows its provenance string and the digits of its
+/// `service_micros`, so no byte count repeats either.
+const RACING: [&str; 5] = [
+    "coalesced",
+    "cache_hits",
+    "cache_mem_hits",
+    "cache_misses",
+    "reply_bytes",
+];
 
 fn request_for(scenario: &Scenario) -> SynthesizeRequest {
     SynthesizeRequest {
@@ -71,307 +63,162 @@ fn request_for(scenario: &Scenario) -> SynthesizeRequest {
     }
 }
 
-/// Latency percentiles over one phase's request latencies, in microseconds,
-/// plus the reply bytes the server shipped during the phase (deterministic —
-/// framed JSON replies — unlike the wall-clock leaves).
-struct PhaseStats {
+/// What one phase did: replies received, the solver nodes they reported and
+/// how long it took.
+struct Phase {
     requests: usize,
-    elapsed_s: f64,
-    p50: f64,
-    p95: f64,
-    p99: f64,
-    reply_bytes: usize,
+    milp_nodes: usize,
+    seconds: f64,
 }
 
-impl PhaseStats {
-    fn from_latencies(mut micros: Vec<f64>, elapsed_s: f64) -> Self {
-        micros.sort_by(|a, b| a.total_cmp(b));
-        let pct = |p: f64| -> f64 {
-            if micros.is_empty() {
-                return 0.0;
-            }
-            let rank = (p * (micros.len() - 1) as f64).round() as usize;
-            micros[rank.min(micros.len() - 1)]
-        };
-        PhaseStats {
-            requests: micros.len(),
-            elapsed_s,
-            p50: pct(0.50),
-            p95: pct(0.95),
-            p99: pct(0.99),
-            reply_bytes: 0,
-        }
-    }
-
-    fn throughput_rps(&self) -> f64 {
-        self.requests as f64 / self.elapsed_s.max(1e-9)
-    }
-
-    fn to_value(&self) -> Value {
-        let mut map = BTreeMap::new();
-        map.insert("requests".into(), Value::Number(self.requests as f64));
-        map.insert(
-            "throughput_rps".into(),
-            Value::Number(self.throughput_rps()),
-        );
-        map.insert("p50_micros".into(), Value::Number(self.p50));
-        map.insert("p95_micros".into(), Value::Number(self.p95));
-        map.insert("p99_micros".into(), Value::Number(self.p99));
-        map.insert("reply_bytes".into(), Value::Number(self.reply_bytes as f64));
-        Value::Object(map)
-    }
-}
-
-/// Runs one phase: every client thread runs `work`, collecting per-request
-/// latencies; returns the merged latencies and per-request solver nodes.
+/// Runs one phase: every client thread runs `work`, which returns the
+/// `(replies, solver nodes)` it saw.
 fn run_phase(
     addr: std::net::SocketAddr,
-    clients: usize,
-    work: impl Fn(&mut Client, &mut Vec<f64>, &mut usize) + Sync,
-) -> (PhaseStats, usize) {
-    let started = Instant::now();
-    let results: Vec<(Vec<f64>, usize)> = std::thread::scope(|scope| {
-        let work = &work;
-        let workers: Vec<_> = (0..clients)
-            .map(|_| {
-                scope.spawn(move || {
-                    let mut client = Client::connect(addr).expect("connect to bench server");
-                    let mut latencies = Vec::new();
-                    let mut nodes = 0usize;
-                    work(&mut client, &mut latencies, &mut nodes);
-                    (latencies, nodes)
+    work: impl Fn(&mut Client) -> (usize, usize) + Sync,
+) -> Phase {
+    let (results, seconds) = timed(|| {
+        std::thread::scope(|scope| {
+            let work = &work;
+            let workers: Vec<_> = (0..CLIENTS)
+                .map(|_| {
+                    scope.spawn(move || {
+                        let mut client = Client::connect(addr).expect("connect to bench server");
+                        work(&mut client)
+                    })
                 })
-            })
-            .collect();
-        workers
-            .into_iter()
-            .map(|w| w.join().expect("bench client thread"))
-            .collect()
+                .collect();
+            workers
+                .into_iter()
+                .map(|w| w.join().expect("bench client thread"))
+                .collect::<Vec<(usize, usize)>>()
+        })
     });
-    let elapsed = started.elapsed().as_secs_f64();
-    let mut latencies = Vec::new();
-    let mut nodes = 0;
-    for (mut lats, n) in results {
-        latencies.append(&mut lats);
-        nodes += n;
+    Phase {
+        requests: results.iter().map(|(requests, _)| requests).sum(),
+        milp_nodes: results.iter().map(|(_, nodes)| nodes).sum(),
+        seconds,
     }
-    (PhaseStats::from_latencies(latencies, elapsed), nodes)
 }
 
-fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
-    let start = Instant::now();
-    let value = f();
-    (value, start.elapsed().as_micros() as f64)
-}
-
-struct LoadReport {
-    cold: PhaseStats,
-    warm: PhaseStats,
-    coalesce: PhaseStats,
-    milp_nodes: usize,
-    warm_milp_nodes: usize,
-    duplicate_solves: usize,
-    unique_fingerprints: usize,
-    snapshot: ttw_service::StatsSnapshot,
-}
-
-fn run_load() -> LoadReport {
+fn main() {
     let service = Arc::new(SchedulerService::new(ServiceConfig::default()));
     let server = ServerHandle::bind(Arc::clone(&service), "127.0.0.1:0").expect("bind loopback");
     let addr = server.addr();
-    let scenarios = scenarios();
-    let clients = num_clients();
+    let scenarios: Vec<Scenario> = SEEDS
+        .iter()
+        .map(|&seed| generate(&GeneratorConfig::small(2, GraphShape::Chain), seed))
+        .collect();
 
-    // Per-phase bytes-on-wire: the server counts every framed reply it
-    // ships; the difference across a phase is that phase's reply traffic.
-    let reply_bytes_so_far = || service.snapshot().reply_bytes;
-
-    // Phase 1: cold fill. Clients stripe over the scenario list so every
-    // scenario is requested by every client; the first request per
-    // fingerprint solves, the rest coalesce or hit.
-    let scenario_refs = &scenarios;
-    let bytes_before_cold = reply_bytes_so_far();
-    let (mut cold, cold_nodes) = run_phase(addr, clients, |client, latencies, nodes| {
-        for scenario in scenario_refs {
-            let (reply, micros) = timed(|| {
-                client
-                    .synthesize(request_for(scenario))
-                    .expect("bench scenario feasible")
-            });
-            latencies.push(micros);
-            *nodes += reply.request_milp_nodes;
+    // Phase 1: cold fill. Every client requests every scenario in the same
+    // order; the first request per fingerprint solves, the rest coalesce or
+    // hit.
+    let cold = run_phase(addr, |client| {
+        let mut nodes = 0;
+        for scenario in &scenarios {
+            let reply = client
+                .synthesize(request_for(scenario))
+                .expect("bench scenario feasible");
+            nodes += reply.request_milp_nodes;
         }
+        (scenarios.len(), nodes)
     });
-    cold.reply_bytes = reply_bytes_so_far() - bytes_before_cold;
 
     // Phase 2: warm sweep — every request must be served without solving.
-    let bytes_before_warm = reply_bytes_so_far();
-    let (mut warm, warm_milp_nodes) = run_phase(addr, clients, |client, latencies, nodes| {
-        for scenario in scenario_refs {
-            let (reply, micros) = timed(|| {
-                client
-                    .synthesize(request_for(scenario))
-                    .expect("warm request")
-            });
+    let warm = run_phase(addr, |client| {
+        let mut nodes = 0;
+        for scenario in &scenarios {
+            let reply = client
+                .synthesize(request_for(scenario))
+                .expect("warm request");
             assert!(
                 reply.served.is_warm(),
                 "warm-phase request was served by a fresh solve"
             );
-            latencies.push(micros);
-            *nodes += reply.request_milp_nodes;
+            nodes += reply.request_milp_nodes;
         }
+        (scenarios.len(), nodes)
     });
-    warm.reply_bytes = reply_bytes_so_far() - bytes_before_warm;
 
     // Phase 3: coalescing burst on one brand-new fingerprint. Seed 8 is
     // outside SEEDS, so the key is cold; all clients race it at once.
     let burst = generate(&GeneratorConfig::small(3, GraphShape::Chain), 8);
-    let burst_ref = &burst;
-    let bytes_before_burst = reply_bytes_so_far();
-    let (mut coalesce, burst_nodes) = run_phase(addr, clients, |client, latencies, nodes| {
-        let (reply, micros) = timed(|| {
-            client
-                .synthesize(request_for(burst_ref))
-                .expect("burst scenario feasible")
-        });
-        if reply.served == ServedFrom::Solved {
-            *nodes += reply.request_milp_nodes;
-        }
-        latencies.push(micros);
+    let coalesce = run_phase(addr, |client| {
+        let reply = client
+            .synthesize(request_for(&burst))
+            .expect("burst scenario feasible");
+        let solved = reply.served == ServedFrom::Solved;
+        (1, if solved { reply.request_milp_nodes } else { 0 })
     });
-    coalesce.reply_bytes = reply_bytes_so_far() - bytes_before_burst;
 
     let snapshot = service.snapshot();
-    assert!(snapshot.reconciles(), "counters drifted: {snapshot:?}");
     let unique_fingerprints = scenarios.len() + 1; // + the burst scenario
     let duplicate_solves = snapshot.solved.saturating_sub(unique_fingerprints);
 
-    LoadReport {
-        cold,
-        warm,
-        coalesce,
-        milp_nodes: cold_nodes + burst_nodes,
-        warm_milp_nodes,
-        duplicate_solves,
-        unique_fingerprints,
-        snapshot,
-    }
-}
-
-fn write_bench_json(report: &LoadReport) {
-    let num = |v: f64| Value::Number(v);
-    let mut root = BTreeMap::new();
-    root.insert("bench".into(), Value::String("service_load".into()));
-    root.insert(
-        "workload".into(),
-        Value::String(
-            "ttw-service TCP server on loopback; concurrent clients over \
-             ttw-testkit 2-mode chain scenarios: cold fill, warm sweep, \
-             coalescing burst"
-                .into(),
-        ),
-    );
-    root.insert("clients".into(), num(num_clients() as f64));
-    root.insert(
-        "unique_fingerprints".into(),
-        num(report.unique_fingerprints as f64),
-    );
-
-    let mut phases = BTreeMap::new();
-    phases.insert("cold".into(), report.cold.to_value());
-    phases.insert("warm".into(), report.warm.to_value());
-    phases.insert("coalesce".into(), report.coalesce.to_value());
-    root.insert("phases".into(), Value::Object(phases));
-
-    // Deterministic counters: `milp_nodes` rides the +20% gate next to the
-    // other benches; the two invariant counters are absolute zero-gates.
-    root.insert("milp_nodes".into(), num(report.milp_nodes as f64));
-    root.insert("warm_milp_nodes".into(), num(report.warm_milp_nodes as f64));
-    root.insert(
-        "duplicate_solves".into(),
-        num(report.duplicate_solves as f64),
-    );
-
-    let mut counters = BTreeMap::new();
-    for (name, value) in report.snapshot.fields() {
-        counters.insert(name.to_string(), num(value as f64));
-    }
-    root.insert("service_counters".into(), Value::Object(counters));
-
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_service.json");
-    match std::fs::write(path, Value::Object(root).to_json_pretty() + "\n") {
-        Ok(()) => eprintln!("wrote {path}"),
-        Err(e) => eprintln!("could not write {path}: {e}"),
-    }
-}
-
-fn bench_service_load(c: &mut Criterion) {
     eprintln!("\n=== Scheduler service under concurrent load ===");
-    let report = run_load();
-    for (name, phase) in [
-        ("cold", &report.cold),
-        ("warm", &report.warm),
-        ("coalesce", &report.coalesce),
-    ] {
+    for (name, phase) in [("cold", &cold), ("warm", &warm), ("coalesce", &coalesce)] {
         eprintln!(
-            "{name:<9} {:>4} requests {:>10.0} req/s  p50 {:>8.0} us  p95 {:>8.0} us  p99 {:>8.0} us  {:>9} reply B",
+            "{name:<9} {:>4} requests {:>10.0} req/s",
             phase.requests,
-            phase.throughput_rps(),
-            phase.p50,
-            phase.p95,
-            phase.p99,
-            phase.reply_bytes,
+            phase.requests as f64 / phase.seconds.max(1e-9),
         );
     }
     eprintln!(
         "counters: solved={} coalesced={} cache_hits={} (mem={} disk={}) \
-         duplicate_solves={} warm_milp_nodes={}",
-        report.snapshot.solved,
-        report.snapshot.coalesced,
-        report.snapshot.cache_hits,
-        report.snapshot.cache_mem_hits,
-        report.snapshot.cache_disk_hits,
-        report.duplicate_solves,
-        report.warm_milp_nodes,
+         duplicate_solves={duplicate_solves} warm_milp_nodes={}\n",
+        snapshot.solved,
+        snapshot.coalesced,
+        snapshot.cache_hits,
+        snapshot.cache_mem_hits,
+        snapshot.cache_disk_hits,
+        warm.milp_nodes,
     );
-    eprintln!();
 
-    // The invariants the JSON gate re-checks in CI, asserted here too so a
-    // local `cargo bench` fails loudly.
+    assert!(snapshot.reconciles(), "counters drifted: {snapshot:?}");
     assert_eq!(
-        report.duplicate_solves, 0,
+        duplicate_solves, 0,
         "some fingerprint solved more than once"
     );
-    assert_eq!(
-        report.warm_milp_nodes, 0,
-        "warm requests spent solver nodes"
-    );
-    assert_eq!(report.snapshot.solved, report.unique_fingerprints);
+    assert_eq!(warm.milp_nodes, 0, "warm requests spent solver nodes");
+    assert_eq!(snapshot.solved, unique_fingerprints);
 
-    write_bench_json(&report);
+    let mut counters = Report::default()
+        .set(
+            "cache_hits_plus_coalesced",
+            snapshot.cache_hits + snapshot.coalesced,
+        )
+        .set(
+            "cache_misses_minus_coalesced",
+            snapshot.cache_misses - snapshot.coalesced,
+        );
+    for (name, value) in snapshot.fields() {
+        if !RACING.contains(&name) {
+            counters = counters.set(name, value);
+        }
+    }
 
-    // One registered timing function: the end-to-end warm round trip
-    // (frame → cache probe → frame), the steady-state hot path.
-    let service = Arc::new(SchedulerService::in_memory());
-    let server = ServerHandle::bind(service, "127.0.0.1:0").expect("bind loopback");
-    let scenario = generate(&GeneratorConfig::small(2, GraphShape::Chain), 1);
-    let mut client = Client::connect(server.addr()).expect("connect");
-    client
-        .synthesize(request_for(&scenario))
-        .expect("prime the cache");
-    let mut group = c.benchmark_group("service_load");
-    group.sample_size(10);
-    group.bench_function("warm_roundtrip", |b| {
-        b.iter(|| {
-            black_box(
-                client
-                    .synthesize(request_for(&scenario))
-                    .expect("warm request"),
-            )
-        })
-    });
-    group.finish();
+    Report::new(
+        "service_load",
+        "ttw-service TCP server on loopback; concurrent clients over \
+         ttw-testkit 2-mode chain scenarios: cold fill, warm sweep, \
+         coalescing burst",
+    )
+    .set("clients", CLIENTS)
+    .set("unique_fingerprints", unique_fingerprints)
+    .set("milp_nodes", cold.milp_nodes + coalesce.milp_nodes)
+    .set("warm_milp_nodes", warm.milp_nodes)
+    .set("duplicate_solves", duplicate_solves)
+    .section(
+        "phases",
+        Report::default()
+            .section("cold", Report::default().set("requests", cold.requests))
+            .section("warm", Report::default().set("requests", warm.requests))
+            .section(
+                "coalesce",
+                Report::default().set("requests", coalesce.requests),
+            ),
+    )
+    .section("service_counters", counters)
+    .write("BENCH_service.json")
+    .expect("write the snapshot");
 }
-
-criterion_group!(benches, bench_service_load);
-criterion_main!(benches);

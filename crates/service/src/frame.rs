@@ -20,7 +20,7 @@ pub const MAX_FRAME_LEN: usize = 64 << 20;
 /// than this grows its buffer with the bytes that actually arrive, so a
 /// connection that sends four bytes and goes quiet pins one chunk, not
 /// [`MAX_FRAME_LEN`].
-const READ_CHUNK: usize = 64 << 10;
+pub const READ_CHUNK: usize = 64 << 10;
 
 const HEADER_LEN: usize = 4;
 
@@ -43,22 +43,26 @@ pub(crate) fn begin_frame(payload_capacity: usize) -> Vec<u8> {
     frame
 }
 
+/// The payload bytes appended so far to a frame started by [`begin_frame`].
+pub(crate) fn payload_len(frame: &[u8]) -> usize {
+    frame.len() - HEADER_LEN
+}
+
 /// Fills in the length prefix of a frame started by [`begin_frame`], writes
-/// it and flushes the writer. Returns the payload length.
+/// it and flushes the writer.
 ///
 /// # Errors
 ///
 /// As [`write_frame`].
-pub(crate) fn send_frame(writer: &mut impl Write, frame: &mut [u8]) -> io::Result<usize> {
-    let len = frame.len() - HEADER_LEN;
+pub(crate) fn send_frame(writer: &mut impl Write, frame: &mut [u8]) -> io::Result<()> {
+    let len = payload_len(frame);
     check_payload_len(len)?;
     frame[..HEADER_LEN].copy_from_slice(&(len as u32).to_be_bytes());
     // One contiguous write: splitting header and payload into separate
     // syscalls lets Nagle's algorithm hold the payload hostage to the
     // peer's delayed ACK of the header segment (~40 ms per round trip).
     writer.write_all(frame)?;
-    writer.flush()?;
-    Ok(len)
+    writer.flush()
 }
 
 /// Writes one length-prefixed frame and flushes the writer.
@@ -72,7 +76,7 @@ pub fn write_frame(writer: &mut impl Write, payload: &[u8]) -> io::Result<()> {
     check_payload_len(payload.len())?;
     let mut frame = begin_frame(payload.len());
     frame.extend_from_slice(payload);
-    send_frame(writer, &mut frame).map(|_| ())
+    send_frame(writer, &mut frame)
 }
 
 /// Reads one length-prefixed frame.

@@ -7,7 +7,7 @@
 //! flag and pokes the listener with a throwaway connection so the accept
 //! loop observes it without resorting to non-blocking accept polling.
 
-use crate::frame::{begin_frame, read_frame, send_frame};
+use crate::frame::{begin_frame, payload_len, read_frame, send_frame};
 use crate::protocol::{Request, Response};
 use crate::service::SchedulerService;
 use std::io;
@@ -115,8 +115,10 @@ fn serve_connection(
     while let Some(payload) = read_frame(&mut stream)? {
         let mut frame = begin_frame(0);
         let shutdown = respond(&payload, service, &mut frame);
-        let written = send_frame(&mut stream, &mut frame)?;
-        service.note_reply_bytes(written);
+        // Booked before the write: once a client has read its reply, every
+        // snapshot it can take contains that reply's bytes.
+        service.note_reply_bytes(payload_len(&frame));
+        send_frame(&mut stream, &mut frame)?;
         if shutdown {
             if !stop.swap(true, Ordering::SeqCst) {
                 // First to request shutdown: poke the accept loop awake.

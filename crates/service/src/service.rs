@@ -219,8 +219,8 @@ impl SchedulerService {
         synthesis_key(&request.system, &request.graph, &config, backend.name())
     }
 
-    /// Counts response-payload bytes written to the wire; called by the
-    /// framing layer per response.
+    /// Counts the payload bytes of a response; called by the framing layer
+    /// per response, before it hands the frame to the socket.
     pub fn note_reply_bytes(&self, bytes: usize) {
         ServiceStats::add(&self.stats.reply_bytes, bytes);
     }

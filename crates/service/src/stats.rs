@@ -79,7 +79,9 @@ service_counters! {
         rejected,
         /// Requests whose solve (own or coalesced) failed.
         solve_errors,
-        /// Response-payload bytes written to the wire (all response types).
+        /// Response-payload bytes handed to the wire (all response types),
+        /// booked before the write so a reply a client holds is in every
+        /// snapshot taken after it.
         reply_bytes,
     }
     cache {

@@ -448,9 +448,8 @@ fn reply_frames_are_the_codec_bytes_and_are_counted() {
         (reply.served, payload.len())
     };
 
-    // The connection's thread counts a reply after writing it, so only a
-    // later request on the same connection is sure to see it counted; a
-    // stats reply reports the bytes before its own.
+    // A stats reply is built before its own frame is booked, so it reports
+    // the bytes of every reply before it.
     let counted = |stream: &mut std::net::TcpStream| {
         write_frame(stream, Request::Stats.to_json().as_bytes()).expect("write");
         let payload = read_frame(stream).expect("read").expect("response");

@@ -144,8 +144,10 @@ fn random_value(rng: &mut SplitMix64, depth: usize) -> Value {
 /// One byte-level mutation of `text`: a substitution, an insertion, a
 /// deletion, a truncation, or a `0` or `+` pushed in front of the digit that
 /// opens a string — the index keys of the typed documents are such strings,
-/// and `"07"` and `"+7"` are how two keys come to name one index.
-fn mutate(rng: &mut SplitMix64, text: &[u8]) -> Vec<u8> {
+/// and `"07"` and `"+7"` are how two keys come to name one index. Public for
+/// the decoders that sit below and beside JSON (basis snapshots, frame
+/// headers), whose sweeps live where their crates are visible.
+pub fn mutate(rng: &mut SplitMix64, text: &[u8]) -> Vec<u8> {
     let mut bytes = text.to_vec();
     let byte = if below(rng, 2) == 0 {
         STRUCTURAL_BYTES[below(rng, STRUCTURAL_BYTES.len())]

@@ -3,24 +3,25 @@
 //! Hand-rolled on `std::fs` only (the build image has no network, so no
 //! external lint crates). Four invariants are enforced:
 //!
-//! 1. **Crate-root headers** — every crate root (`src/lib.rs` of the facade,
-//!    of each `crates/*` member and of each `vendor/*` shim) carries both
-//!    `#![forbid(unsafe_code)]` and `#![warn(missing_docs)]`.
+//! 1. **Crate-root headers** — every crate root (`src/lib.rs` of the facade
+//!    and of each `crates/*` member) carries both `#![forbid(unsafe_code)]`
+//!    and `#![warn(missing_docs)]`.
 //! 2. **No `unwrap()`/`expect()` in non-test library code** — panicking
 //!    escape hatches are confined to `#[cfg(test)]` modules; vetted
 //!    exceptions live in `xtask/lint-allow.txt` as per-file budgets
 //!    (`path = count` lines), so new ones cannot slip in unreviewed.
-//! 3. **No wall-clock/date nondeterminism in bench code** — the committed
-//!    `BENCH_*.json` artifacts are diffed by the perf-regression gate, so
-//!    bench sources must not embed `SystemTime`/epoch-derived values
-//!    (`Instant` for duration measurement is fine and expected).
+//! 3. **No wall-clock/date nondeterminism in bench code** — the
+//!    perf-regression gate regenerates the committed `BENCH_*.json` snapshots
+//!    and fails on any `git diff`, so bench sources must not embed
+//!    `SystemTime`/epoch-derived values or entropy (`Instant` for a duration
+//!    printed on stderr is fine).
 //! 4. **One JSON codec mechanism** — typed documents reach `Value` through
 //!    the `Json` trait and the `json_object!` field tables of
 //!    `crates/core/src/json.rs`. Naming `Value::Object(` or
 //!    `BTreeMap<String, Value>` anywhere else in non-test library or bench
 //!    code is hand-building (or hand-reading) an object; the few vetted
 //!    sites — decoders that replay checked constructors, tagged enums, the
-//!    bench report writers — are counted per file in
+//!    one bench report writer — are counted per file in
 //!    `xtask/codec-allow.txt`.
 
 #![forbid(unsafe_code)]
@@ -122,10 +123,7 @@ fn load_allowlist(path: &Path) -> Result<BTreeMap<String, usize>, String> {
 /// Crate roots that must carry the lint headers.
 fn crate_roots(root: &Path) -> Vec<PathBuf> {
     let mut roots = vec![root.join("src/lib.rs")];
-    for dir in ["crates", "vendor"] {
-        let Ok(entries) = fs::read_dir(root.join(dir)) else {
-            continue;
-        };
+    if let Ok(entries) = fs::read_dir(root.join("crates")) {
         for entry in entries.flatten() {
             let lib = entry.path().join("src/lib.rs");
             if lib.is_file() {
@@ -180,8 +178,7 @@ fn lint_no_unwrap(root: &Path, allowlist: &BTreeMap<String, usize>) -> Vec<Strin
 }
 
 /// Library sources subject to the unwrap lint: the facade's `src/` and every
-/// `crates/*/src/` tree. Vendored shims, tests, benches and examples are out
-/// of scope.
+/// `crates/*/src/` tree. Tests, benches and examples are out of scope.
 fn library_sources(root: &Path) -> Vec<PathBuf> {
     let mut files = Vec::new();
     let mut dirs = vec![root.join("src")];
@@ -437,7 +434,7 @@ mod tests {
         assert!(allowlist.is_empty());
     }
 
-    /// The acceptance criterion: the real repository passes its own lint.
+    /// The acceptance test: the real repository passes its own lint.
     #[test]
     fn repository_is_lint_clean() {
         let root = workspace_root();
