@@ -45,7 +45,10 @@ impl Report {
     /// `json_object!` table (or, for the solver's counters, its
     /// `solver_counters!` table) declares.
     pub fn fields(mut self, table: &impl JsonObject) -> Self {
-        table.write_fields(&mut self.0);
+        let members = table.to_value();
+        let members = members.as_object().into_iter().flatten();
+        self.0
+            .extend(members.map(|(key, value)| (key.clone(), value.clone())));
         self
     }
 

@@ -78,9 +78,9 @@
 //! represent).
 
 use crate::config::SchedulerConfig;
-use crate::export::{system_schedule_from_json, system_schedule_to_json, system_schedule_to_value};
+use crate::export::{system_schedule_from_json, system_schedule_to_json};
 use crate::ids::ModeId;
-use crate::json::{string, Json, JsonError, Value};
+use crate::json::{Json, JsonError, Reader, Writer};
 use crate::modegraph::ModeGraph;
 use crate::schedule::SystemSchedule;
 use crate::synthesis::{synthesize_waves, ModeWarmStart, Synthesizer, SystemSynthesisError};
@@ -283,13 +283,15 @@ pub struct SynthesisArtifacts {
 
 /// A basis travels as the one-line text of [`Basis::encode`].
 impl Json for Basis {
-    fn to_value(&self) -> Value {
-        Value::String(self.encode())
+    fn write(&self, w: &mut Writer<'_>) {
+        w.string(&self.encode());
     }
 
-    fn from_value(value: &Value) -> Result<Self, JsonError> {
-        Basis::decode(string(value)?)
-            .ok_or_else(|| JsonError::custom("expected a basis snapshot of this solver build"))
+    fn read(r: &mut Reader<'_>) -> Result<Self, JsonError> {
+        let at = r.offset();
+        Basis::decode(&r.string()?).ok_or_else(|| {
+            JsonError::custom("expected a basis snapshot of this solver build").at(at)
+        })
     }
 }
 
@@ -304,7 +306,7 @@ fn graph_covers_system(artifacts: &SynthesisArtifacts) -> Result<(), JsonError> 
 
 /// Serializes cached warm-start artifacts to pretty-printed JSON.
 pub fn artifacts_to_json(artifacts: &SynthesisArtifacts) -> String {
-    artifacts.to_value().to_json_pretty()
+    artifacts.to_json_pretty()
 }
 
 /// Parses warm-start artifacts back from their JSON form.
@@ -317,7 +319,7 @@ pub fn artifacts_to_json(artifacts: &SynthesisArtifacts) -> String {
 /// with). [`ScheduleCache::artifacts`] reads all of them as "no artifacts",
 /// and the re-synthesis solves cold.
 pub fn artifacts_from_json(text: &str) -> Result<SynthesisArtifacts, JsonError> {
-    SynthesisArtifacts::from_value(&Value::parse(text)?)
+    SynthesisArtifacts::from_json(text)
 }
 
 /// One memory-tier entry: the schedule plus (when the entry came through
@@ -632,9 +634,8 @@ impl ScheduleCache {
         Some(artifacts)
     }
 
-    /// The compact JSON of `schedule` — `system_schedule_to_value(s).to_json()`,
-    /// the `"schedule"` member of a service reply — for a schedule a probe of
-    /// `key` returned.
+    /// The compact JSON of `schedule` — [`Json::to_json`], the `"schedule"`
+    /// member of a service reply — for a schedule a probe of `key` returned.
     ///
     /// While that schedule is still the memory tier's entry under `key`, the
     /// text is built once, by the first caller (concurrent first callers wait
@@ -646,7 +647,7 @@ impl ScheduleCache {
     /// The one cached encode runs under the shard's read lock: other readers
     /// of the shard go on, a store into it waits that once.
     pub fn wire_body(&self, key: &str, schedule: &Arc<SystemSchedule>) -> Arc<str> {
-        let encode = || Arc::from(system_schedule_to_value(schedule).to_json());
+        let encode = || Arc::from(schedule.to_json());
         let cached = self
             .shard(key)
             .read()
@@ -1090,7 +1091,7 @@ mod tests {
             .expect("feasible");
         let mut second = first.clone();
         second.inheritance.clear();
-        let body_of = |s: &SystemSchedule| system_schedule_to_value(s).to_json();
+        let body_of = |s: &SystemSchedule| s.to_json();
         assert_ne!(body_of(&first), body_of(&second));
 
         // One shard slot per key: the 17th key evicts at least one other.
@@ -1452,7 +1453,7 @@ mod tests {
             .expect_err("four modes in the graph, two in the system");
         assert_eq!(
             error.to_string(),
-            "the mode graph covers 4 modes, the system has 2"
+            "the mode graph covers 4 modes, the system has 2 at byte 0"
         );
     }
 

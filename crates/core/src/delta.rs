@@ -18,7 +18,7 @@
 //! patch iff the deployments are identical.
 
 use crate::ids::{ModeId, NodeId, TaskId};
-use crate::json::{field, object, tag, Json, JsonError, Object, Value};
+use crate::json::{Json, JsonError, MemberWriter, Reader, Slot, Writer};
 use crate::schedule::{ScheduledRound, SystemSchedule};
 use crate::system::System;
 use crate::time::Micros;
@@ -301,62 +301,82 @@ crate::json_object!(ScheduleDelta as "delta" { nodes, removed_nodes });
 /// A patch op is an object tagged by `"op"`, always with the `"mode"` it
 /// patches, plus the members its kind needs.
 impl Json for NodePatchOp {
-    fn to_value(&self) -> Value {
-        let (kind, mode, rest) = match self {
-            NodePatchOp::SetMode(mode, table) => {
-                ("set_mode", mode, [Some(("table", table.to_value())), None])
-            }
-            NodePatchOp::RemoveMode(mode) => ("remove_mode", mode, [None, None]),
-            NodePatchOp::SetTask(mode, task, offset) => (
-                "set_task",
-                mode,
-                [
-                    Some(("task", task.to_value())),
-                    Some(("offset", offset.to_value())),
-                ],
-            ),
-            NodePatchOp::RemoveTask(mode, task) => {
-                ("remove_task", mode, [Some(("task", task.to_value())), None])
-            }
-            NodePatchOp::SetRound(mode, index, round) => (
-                "set_round",
-                mode,
-                [
-                    Some(("index", index.to_value())),
-                    Some(("round", round.to_value())),
-                ],
-            ),
-            NodePatchOp::TruncateRounds(mode, len) => (
-                "truncate_rounds",
-                mode,
-                [Some(("len", len.to_value())), None],
-            ),
+    fn write(&self, w: &mut Writer<'_>) {
+        let tagged = |w: &mut Writer<'_>, kind: &str, mode: &ModeId, rest: &[MemberWriter<'_>]| {
+            let (op, mode) = (
+                |w: &mut Writer<'_>| w.string(kind),
+                |w: &mut Writer<'_>| mode.write(w),
+            );
+            let mut members: Vec<MemberWriter<'_>> = vec![("op", &op), ("mode", &mode)];
+            members.extend_from_slice(rest);
+            w.object(&mut members);
         };
-        let mut map = Object::new();
-        map.insert("op".into(), Value::String(kind.into()));
-        map.insert("mode".into(), mode.to_value());
-        map.extend(rest.into_iter().flatten().map(|(k, v)| (k.into(), v)));
-        Value::Object(map)
+        match self {
+            NodePatchOp::SetMode(mode, table) => {
+                tagged(w, "set_mode", mode, &[("table", &|w| table.write(w))]);
+            }
+            NodePatchOp::RemoveMode(mode) => tagged(w, "remove_mode", mode, &[]),
+            NodePatchOp::SetTask(mode, task, offset) => {
+                let rest: [MemberWriter<'_>; 2] = [
+                    ("task", &|w| task.write(w)),
+                    ("offset", &|w| offset.write(w)),
+                ];
+                tagged(w, "set_task", mode, &rest);
+            }
+            NodePatchOp::RemoveTask(mode, task) => {
+                tagged(w, "remove_task", mode, &[("task", &|w| task.write(w))]);
+            }
+            NodePatchOp::SetRound(mode, index, round) => {
+                let rest: [MemberWriter<'_>; 2] = [
+                    ("index", &|w| index.write(w)),
+                    ("round", &|w| round.write(w)),
+                ];
+                tagged(w, "set_round", mode, &rest);
+            }
+            NodePatchOp::TruncateRounds(mode, len) => {
+                tagged(w, "truncate_rounds", mode, &[("len", &|w| len.write(w))]);
+            }
+        }
     }
 
-    fn from_value(value: &Value) -> Result<Self, JsonError> {
-        let map = object(value, "patch op")?;
-        let mode = field(map, "mode")?;
-        Ok(match tag(map, "op")? {
-            "set_mode" => NodePatchOp::SetMode(mode, field(map, "table")?),
-            "remove_mode" => NodePatchOp::RemoveMode(mode),
-            "set_task" => NodePatchOp::SetTask(mode, field(map, "task")?, field(map, "offset")?),
-            "remove_task" => NodePatchOp::RemoveTask(mode, field(map, "task")?),
-            "set_round" => NodePatchOp::SetRound(mode, field(map, "index")?, field(map, "round")?),
-            "truncate_rounds" => NodePatchOp::TruncateRounds(mode, field(map, "len")?),
-            other => return Err(JsonError::custom(format!("unknown patch op `{other}`"))),
-        })
+    fn read(r: &mut Reader<'_>) -> Result<Self, JsonError> {
+        let (mut op, mut mode) = (Slot::<String>::new(), Slot::new());
+        let (mut table, mut task, mut offset) = (Slot::new(), Slot::new(), Slot::new());
+        let (mut index, mut round, mut len) = (Slot::new(), Slot::new(), Slot::new());
+        let at = r.object("patch op must be a JSON object", |key, r| match key {
+            "op" => op.read(r, key),
+            "mode" => mode.read(r, key),
+            "table" => table.read(r, key),
+            "task" => task.read(r, key),
+            "offset" => offset.read(r, key),
+            "index" => index.read(r, key),
+            "round" => round.read(r, key),
+            "len" => len.read(r, key),
+            _ => r.skip(),
+        })?;
+        let mut build = || {
+            let mode = mode.take("mode")?;
+            Ok(match op.take("op")?.as_str() {
+                "set_mode" => NodePatchOp::SetMode(mode, table.take("table")?),
+                "remove_mode" => NodePatchOp::RemoveMode(mode),
+                "set_task" => {
+                    NodePatchOp::SetTask(mode, task.take("task")?, offset.take("offset")?)
+                }
+                "remove_task" => NodePatchOp::RemoveTask(mode, task.take("task")?),
+                "set_round" => {
+                    NodePatchOp::SetRound(mode, index.take("index")?, round.take("round")?)
+                }
+                "truncate_rounds" => NodePatchOp::TruncateRounds(mode, len.take("len")?),
+                other => return Err(JsonError::custom(format!("unknown patch op `{other}`"))),
+            })
+        };
+        build().map_err(|error: JsonError| error.at(at))
     }
 }
 
 /// Serializes a delta to its compact JSON wire form.
 pub fn delta_to_json(delta: &ScheduleDelta) -> String {
-    delta.to_value().to_json()
+    delta.to_json()
 }
 
 /// Parses a delta back from its JSON wire form.
@@ -365,7 +385,7 @@ pub fn delta_to_json(delta: &ScheduleDelta) -> String {
 ///
 /// [`JsonError`] on any malformed document.
 pub fn delta_from_json(text: &str) -> Result<ScheduleDelta, JsonError> {
-    ScheduleDelta::from_value(&Value::parse(text)?)
+    ScheduleDelta::from_json(text)
 }
 
 /// Bytes of a delta on the wire (its compact JSON form).
@@ -379,7 +399,7 @@ pub fn delta_bytes(delta: &ScheduleDelta) -> usize {
 pub fn full_deployment_bytes(deployments: &BTreeMap<NodeId, NodeDeployment>) -> usize {
     deployments
         .values()
-        .map(|deployment| deployment.modes.to_value().to_json().len())
+        .map(|deployment| deployment.modes.to_json().len())
         .sum()
 }
 

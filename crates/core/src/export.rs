@@ -10,19 +10,22 @@
 //! type, on the field-table mechanism of [`crate::json`]: a
 //! [`json_object!`](crate::json_object) table where the document mirrors the
 //! struct, a hand-written [`Json`] impl for [`System`] and [`ModeGraph`],
-//! whose decoders replay the checked constructors. The functions below are
-//! those impls plus a parser and a writer.
+//! which read their members as typed vectors and then replay the checked
+//! constructors. The functions below are those impls behind the names they
+//! have always had.
 
 use crate::config::SchedulerConfig;
 use crate::ids::{AppId, ModeId};
 use crate::json::{
-    elements, field, field_or_default, object, Json, JsonError, JsonObject, Object, Value,
+    fields_partial, sorted_members, Json, JsonError, JsonObject, Member, Partial, Progress, Reader,
+    Slot, Step, Value, Writer,
 };
 use crate::modegraph::ModeGraph;
 use crate::schedule::{ModeSchedule, ScheduledRound, SynthesisStats, SystemSchedule};
 use crate::spec::{ApplicationSpec, MessageSpec, TaskSpec};
 use crate::system::{Mode, System};
 use std::fmt::Write as _;
+use std::sync::OnceLock;
 use ttw_milp::{SolveParams, SolverCounters};
 
 crate::json_object!(TaskSpec as "task" { name, node, wcet });
@@ -43,22 +46,39 @@ crate::json_object!(SchedulerConfig as "scheduler config" {
 });
 
 /// The solver's counters sit directly in the stats object, under the wire
-/// names [`SolverCounters::fields`] declares.
+/// names [`SolverCounters::FIELDS`] declares.
 impl JsonObject for SolverCounters {
     const WHAT: &'static str = "solver counters";
 
-    fn write_fields(&self, map: &mut Object) {
-        for (name, value) in self.fields() {
-            map.insert(name.into(), value.to_value());
-        }
+    fn members() -> &'static [Member] {
+        static MEMBERS: OnceLock<Vec<Member>> = OnceLock::new();
+        MEMBERS.get_or_init(|| sorted_members(&SolverCounters::FIELDS.map(|(name, _)| name), &[]))
     }
 
-    fn read_fields(map: &Object) -> Result<Self, JsonError> {
-        SolverCounters::from_fields(|name, required| {
-            if required {
-                field(map, name)
-            } else {
-                field_or_default(map, name)
+    fn write_member(&self, index: usize, w: &mut Writer<'_>) {
+        self.fields()[index].1.write(w);
+    }
+
+    fn partial() -> impl Partial<Self> {
+        let mut slots = SolverCounters::FIELDS.map(|_| Slot::<usize>::new());
+        fields_partial(move |step| match step {
+            Step::Member(key, r) => {
+                let field = SolverCounters::FIELDS.iter().zip(&mut slots);
+                match field.into_iter().find(|((name, _), _)| *name == key) {
+                    Some(((name, true), slot)) => slot.read(r, name)?,
+                    Some(((name, false), slot)) => slot.read_or_default(r, name)?,
+                    None => return Ok(Progress::Unknown),
+                }
+                Ok(Progress::Taken)
+            }
+            Step::End => {
+                let mut slots = slots.iter_mut();
+                SolverCounters::from_fields(|name, required| match (slots.next(), required) {
+                    (Some(slot), true) => slot.take(name),
+                    (Some(slot), false) => slot.take_or_default(),
+                    (None, _) => usize::from_absent(name),
+                })
+                .map(Progress::Done)
             }
         })
     }
@@ -92,81 +112,92 @@ fn schedules_sit_under_their_own_mode(schedule: &SystemSchedule) -> Result<(), J
 /// A mode graph is its mode count, root and `[from, to]` edge list; decoding
 /// goes through [`ModeGraph::from_parts`], which range-checks all three.
 impl Json for ModeGraph {
-    fn to_value(&self) -> Value {
-        let mut map = Object::new();
-        map.insert("num_modes".into(), self.num_modes().to_value());
-        map.insert("root".into(), self.root().to_value());
-        map.insert(
-            "edges".into(),
-            Value::Array(self.edges().map(|edge| edge.to_value()).collect()),
-        );
-        Value::Object(map)
+    fn write(&self, w: &mut Writer<'_>) {
+        w.object(&mut [
+            ("num_modes", &|w| self.num_modes().write(w)),
+            ("root", &|w| self.root().write(w)),
+            ("edges", &|w| w.array(self.edges(), |w, edge| edge.write(w))),
+        ]);
     }
 
-    fn from_value(value: &Value) -> Result<Self, JsonError> {
-        let map = object(value, "mode graph")?;
-        let edges: Vec<(ModeId, ModeId)> = field(map, "edges")?;
-        ModeGraph::from_parts(field(map, "num_modes")?, field(map, "root")?, edges)
-            .map_err(|e| JsonError::custom(format!("invalid mode graph: {e}")))
+    fn read(r: &mut Reader<'_>) -> Result<Self, JsonError> {
+        let mut num_modes = Slot::new();
+        let mut root = Slot::new();
+        let mut edges = Slot::<Vec<(ModeId, ModeId)>>::new();
+        let at = r.object("mode graph must be a JSON object", |key, r| match key {
+            "num_modes" => num_modes.read(r, key),
+            "root" => root.read(r, key),
+            "edges" => edges.read(r, key),
+            _ => r.skip(),
+        })?;
+        let mut build = || {
+            let edges = edges.take("edges")?;
+            ModeGraph::from_parts(num_modes.take("num_modes")?, root.take("root")?, edges)
+                .map_err(|e| JsonError::custom(format!("invalid mode graph: {e}")))
+        };
+        build().map_err(|error| error.at(at))
     }
 }
 
 /// A system is its *construction order*: nodes, applications (as
-/// [`ApplicationSpec`] documents) and modes in id order. Decoding replays
-/// `add_node` / `add_application` / `add_mode`, so the model rules of
-/// Sec. III are checked and every entity gets the id it had.
+/// [`ApplicationSpec`] documents) and modes in id order. Decoding reads the
+/// three lists — `"applications"` sorts before the `"nodes"` it refers to, so
+/// nothing can be built while reading — and then replays `add_node` /
+/// `add_application` / `add_mode`, so the model rules of Sec. III are checked
+/// and every entity gets the id it had.
 impl Json for System {
-    fn to_value(&self) -> Value {
-        let mut map = Object::new();
-        map.insert(
-            "nodes".into(),
-            Value::Array(self.nodes().map(|(_, node)| node.name.to_value()).collect()),
-        );
-        map.insert(
-            "applications".into(),
-            Value::Array(
-                self.applications()
-                    .map(|(id, _)| application_spec_of(self, id).to_value())
-                    .collect(),
-            ),
-        );
-        map.insert(
-            "modes".into(),
-            Value::Array(self.modes().map(|(_, mode)| mode.to_value()).collect()),
-        );
-        Value::Object(map)
+    fn write(&self, w: &mut Writer<'_>) {
+        w.object(&mut [
+            ("nodes", &|w| {
+                w.array(self.nodes(), |w, (_, node)| node.name.write(w));
+            }),
+            ("applications", &|w| {
+                w.array(self.applications(), |w, (id, _)| {
+                    application_spec_of(self, id).write(w);
+                });
+            }),
+            ("modes", &|w| {
+                w.array(self.modes(), |w, (_, mode)| mode.write(w));
+            }),
+        ]);
     }
 
-    fn from_value(value: &Value) -> Result<Self, JsonError> {
-        let map = object(value, "system")?;
-        let mut system = System::new();
-        for node in elements(map, "nodes")? {
-            let name = node
-                .as_str()
-                .ok_or_else(|| JsonError::custom("`nodes`: expected a string"))?;
-            system
-                .add_node(name)
-                .map_err(|e| JsonError::custom(format!("invalid node `{name}`: {e}")))?;
-        }
-        for app in elements(map, "applications")? {
-            let spec = ApplicationSpec::from_value(app)?;
-            system.add_application(&spec).map_err(|e| {
-                JsonError::custom(format!("invalid application `{}`: {e}", spec.name))
-            })?;
-        }
-        let num_apps = system.applications().count();
-        for mode in elements(map, "modes")? {
-            let Mode { name, applications } = Mode::from_value(mode)?;
-            if applications.iter().any(|app| app.index() >= num_apps) {
-                return Err(JsonError::custom(format!(
-                    "mode `{name}` lists an application the system does not have"
-                )));
+    fn read(r: &mut Reader<'_>) -> Result<Self, JsonError> {
+        let mut nodes = Slot::<Vec<String>>::new();
+        let mut applications = Slot::<Vec<ApplicationSpec>>::new();
+        let mut modes = Slot::<Vec<Mode>>::new();
+        let at = r.object("system must be a JSON object", |key, r| match key {
+            "nodes" => nodes.read(r, key),
+            "applications" => applications.read(r, key),
+            "modes" => modes.read(r, key),
+            _ => r.skip(),
+        })?;
+        let mut replay = || {
+            let mut system = System::new();
+            for name in nodes.take("nodes")? {
+                system
+                    .add_node(&name)
+                    .map_err(|e| JsonError::custom(format!("invalid node `{name}`: {e}")))?;
             }
-            system
-                .add_mode(&name, &applications)
-                .map_err(|e| JsonError::custom(format!("invalid mode `{name}`: {e}")))?;
-        }
-        Ok(system)
+            for spec in applications.take("applications")? {
+                system.add_application(&spec).map_err(|e| {
+                    JsonError::custom(format!("invalid application `{}`: {e}", spec.name))
+                })?;
+            }
+            let num_apps = system.applications().count();
+            for Mode { name, applications } in modes.take("modes")? {
+                if applications.iter().any(|app| app.index() >= num_apps) {
+                    return Err(JsonError::custom(format!(
+                        "mode `{name}` lists an application the system does not have"
+                    )));
+                }
+                system
+                    .add_mode(&name, &applications)
+                    .map_err(|e| JsonError::custom(format!("invalid mode `{name}`: {e}")))?;
+            }
+            Ok(system)
+        };
+        replay().map_err(|error| error.at(at))
     }
 }
 
@@ -214,11 +245,7 @@ fn application_spec_of(system: &System, app: AppId) -> ApplicationSpec {
 /// The pretty-printed document of `value`. Infallible; the `Result` is the
 /// signature the `*_to_json` functions have always had.
 fn pretty<T: Json>(value: &T) -> Result<String, JsonError> {
-    Ok(value.to_value().to_json_pretty())
-}
-
-fn parse<T: Json>(json: &str) -> Result<T, JsonError> {
-    T::from_value(&Value::parse(json)?)
+    Ok(value.to_json_pretty())
 }
 
 /// Serializes a schedule to pretty-printed JSON.
@@ -239,7 +266,7 @@ pub fn schedule_to_json(schedule: &ModeSchedule) -> Result<String, JsonError> {
 ///
 /// Returns a [`JsonError`] if the document is not a valid schedule.
 pub fn schedule_from_json(json: &str) -> Result<ModeSchedule, JsonError> {
-    parse(json)
+    Json::from_json(json)
 }
 
 /// Serializes a complete [`SystemSchedule`] — every mode schedule plus the
@@ -252,8 +279,9 @@ pub fn system_schedule_to_json(schedule: &SystemSchedule) -> Result<String, Json
     pretty(schedule)
 }
 
-/// The [`Value`] a [`SystemSchedule`] encodes to, for the callers that render
-/// it compactly (the `"schedule"` member of a service reply).
+/// The generic document a [`SystemSchedule`] encodes to, for a test or tool
+/// that picks it apart by member name. A wire path calls
+/// [`Json::to_json`] on the schedule instead.
 pub fn system_schedule_to_value(schedule: &SystemSchedule) -> Value {
     schedule.to_value()
 }
@@ -265,7 +293,7 @@ pub fn system_schedule_to_value(schedule: &SystemSchedule) -> Value {
 /// Returns a [`JsonError`] if the document is not a valid system schedule —
 /// which includes a mode schedule filed under another mode's key.
 pub fn system_schedule_from_json(json: &str) -> Result<SystemSchedule, JsonError> {
-    parse(json)
+    Json::from_json(json)
 }
 
 /// Serializes a [`ModeGraph`] (mode count, root and switch edges) to
@@ -285,7 +313,7 @@ pub fn mode_graph_to_json(graph: &ModeGraph) -> Result<String, JsonError> {
 /// Returns a [`JsonError`] if the document is not a valid mode graph (bad
 /// shape, or edges/root outside the mode range).
 pub fn mode_graph_from_json(json: &str) -> Result<ModeGraph, JsonError> {
-    parse(json)
+    Json::from_json(json)
 }
 
 /// Serializes an application specification to pretty-printed JSON.
@@ -303,7 +331,7 @@ pub fn app_spec_to_json(spec: &ApplicationSpec) -> Result<String, JsonError> {
 ///
 /// Returns a [`JsonError`] if the document is not a valid specification.
 pub fn app_spec_from_json(json: &str) -> Result<ApplicationSpec, JsonError> {
-    parse(json)
+    Json::from_json(json)
 }
 
 /// Serializes a complete [`System`] — nodes, applications and modes in
@@ -326,7 +354,7 @@ pub fn system_to_json(system: &System) -> Result<String, JsonError> {
 /// described system violates the model rules of Sec. III (the
 /// [`crate::ModelError`] is folded into the message).
 pub fn system_from_json(json: &str) -> Result<System, JsonError> {
-    parse(json)
+    Json::from_json(json)
 }
 
 /// Serializes a [`SchedulerConfig`] — including every [`SolveParams`] budget
@@ -349,7 +377,7 @@ pub fn scheduler_config_to_json(config: &SchedulerConfig) -> Result<String, Json
 ///
 /// Returns a [`JsonError`] if the document is not a valid configuration.
 pub fn scheduler_config_from_json(json: &str) -> Result<SchedulerConfig, JsonError> {
-    parse(json)
+    Json::from_json(json)
 }
 
 /// Renders a schedule as a human-readable text report: one line per round with
@@ -478,6 +506,23 @@ mod tests {
         assert!(schedule_from_json("{}").is_err());
     }
 
+    /// Infinity would decode as a round start and encode as `null`, which
+    /// does not: the document is refused at the token.
+    #[test]
+    fn a_round_start_no_f64_holds_is_rejected() {
+        let (_, _, schedule) = fig3_schedule();
+        let json = schedule_to_json(&schedule).expect("serializes");
+        let start = json.find("\"start\": ").expect("a round") + 9;
+        let end = start + json[start..].find('\n').expect("pretty");
+        let hostile = format!("{}1e999{}", &json[..start], &json[end..]);
+        assert_eq!(
+            schedule_from_json(&hostile)
+                .expect_err("infinite start")
+                .to_string(),
+            format!("number out of range at byte {start}")
+        );
+    }
+
     #[test]
     fn system_schedule_round_trips_with_inheritance_metadata() {
         let (sys, graph, normal, emergency) = fixtures::two_mode_graph();
@@ -532,7 +577,7 @@ mod tests {
             .expect_err("mode 1's schedule under key 0");
         assert_eq!(
             error.to_string(),
-            "`schedules` entry `0` holds the schedule of mode 1"
+            "`schedules` entry `0` holds the schedule of mode 1 at byte 0"
         );
     }
 

@@ -33,12 +33,12 @@ macro_rules! define_id {
         /// On the wire an id is its index: a number as a value, the decimal
         /// digits as the key of an object.
         impl crate::json::Json for $name {
-            fn to_value(&self) -> crate::json::Value {
-                self.0.to_value()
+            fn write(&self, w: &mut crate::json::Writer<'_>) {
+                self.0.write(w);
             }
 
-            fn from_value(value: &crate::json::Value) -> Result<Self, crate::json::JsonError> {
-                usize::from_value(value).map(Self)
+            fn read(r: &mut crate::json::Reader<'_>) -> Result<Self, crate::json::JsonError> {
+                usize::read(r).map(Self)
             }
         }
 

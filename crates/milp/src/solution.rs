@@ -37,6 +37,12 @@ macro_rules! solver_counters {
         }
 
         impl SolverCounters {
+            /// `(wire name, required)` of every counter, in declaration
+            /// order: a counter that is not required was added after
+            /// documents were first persisted, and its absence reads as 0.
+            pub const FIELDS: [(&'static str, bool); [$($wire),*].len()] =
+                [$( ($wire, solver_counters!(@required $presence)) ),*];
+
             /// `(wire name, value)` of every counter, in declaration order.
             pub fn fields(&self) -> [(&'static str, usize); [$($wire),*].len()] {
                 [$( ($wire, self.$field) ),*]

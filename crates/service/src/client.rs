@@ -5,12 +5,13 @@
 //! the CI smoke test. Multiple clients multiplex server-side through the
 //! per-connection threads.
 
-use crate::frame::{read_frame, write_frame};
+use crate::frame::{begin_frame, read_frame, send_frame};
 use crate::protocol::{Request, Response, ResynthesizeRequest, ScheduleReply, SynthesizeRequest};
 use crate::stats::StatsSnapshot;
 use std::fmt;
 use std::io;
 use std::net::{TcpStream, ToSocketAddrs};
+use ttw_core::json::{Json, Writer};
 
 /// Why a client call failed.
 #[derive(Debug)]
@@ -72,7 +73,9 @@ impl Client {
     /// closing the connection mid-exchange), [`ClientError::Protocol`] if
     /// the response does not parse.
     pub fn roundtrip(&mut self, request: &Request) -> Result<Response, ClientError> {
-        write_frame(&mut self.stream, request.to_json().as_bytes())?;
+        let mut frame = begin_frame(0);
+        request.write(&mut Writer::compact(&mut frame));
+        send_frame(&mut self.stream, &mut frame)?;
         let payload = read_frame(&mut self.stream)?.ok_or_else(|| {
             ClientError::Io(io::Error::new(
                 io::ErrorKind::UnexpectedEof,

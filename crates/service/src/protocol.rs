@@ -7,7 +7,14 @@
 //! round-trips through the deployment JSON also round-trips through the
 //! service — including the f64 formatting that the cache key depends on. The
 //! two tagged enums, [`Request`] and [`Response`], are written by hand around
-//! those tables.
+//! those tables: a variant is its table's members with `"type"` merged in at
+//! its sorted place, and a frame is read with the tables of every variant
+//! held open until `"type"` — the last member our own writer emits — says
+//! which one to finish.
+//!
+//! Documents are written straight into the frame buffer and read straight
+//! from the payload ([`ttw_core::json::Writer`] / [`ttw_core::json::Reader`]);
+//! no document tree is built on either side.
 //!
 //! Requests:
 //!
@@ -29,10 +36,9 @@
 //! ```
 
 use crate::stats::StatsSnapshot;
-use std::io::Write as _;
 use std::sync::Arc;
 use ttw_core::config::SchedulerConfig;
-use ttw_core::json::{field, object, string, tag, Json, JsonError, JsonObject, Object, Value};
+use ttw_core::json::{Json, JsonError, JsonObject, Partial, Reader, Slot, Writer};
 use ttw_core::modegraph::ModeGraph;
 use ttw_core::schedule::SystemSchedule;
 use ttw_core::system::System;
@@ -70,12 +76,13 @@ impl BackendKind {
 }
 
 impl Json for BackendKind {
-    fn to_value(&self) -> Value {
-        Value::String(self.wire_name().into())
+    fn write(&self, w: &mut Writer<'_>) {
+        w.string(self.wire_name());
     }
 
-    fn from_value(value: &Value) -> Result<Self, JsonError> {
-        Self::from_wire(string(value)?)
+    fn read(r: &mut Reader<'_>) -> Result<Self, JsonError> {
+        let at = r.offset();
+        Self::from_wire(&r.string()?).map_err(|error| error.at(at))
     }
 }
 
@@ -198,12 +205,13 @@ impl ServedFrom {
 }
 
 impl Json for ServedFrom {
-    fn to_value(&self) -> Value {
-        Value::String(self.wire_name().into())
+    fn write(&self, w: &mut Writer<'_>) {
+        w.string(self.wire_name());
     }
 
-    fn from_value(value: &Value) -> Result<Self, JsonError> {
-        Self::from_wire(string(value)?)
+    fn read(r: &mut Reader<'_>) -> Result<Self, JsonError> {
+        let at = r.offset();
+        Self::from_wire(&r.string()?).map_err(|error| error.at(at))
     }
 }
 
@@ -236,29 +244,29 @@ pub(crate) struct EncodedReply {
     pub request_milp_nodes: usize,
     /// As [`ScheduleReply::service_micros`].
     pub service_micros: u64,
-    /// `system_schedule_to_value(schedule).to_json()`.
+    /// [`Json::to_json`] of the schedule.
     pub body: Arc<str>,
 }
 
 impl EncodedReply {
     /// Appends the bytes [`Response::to_json`] renders for the
-    /// [`Response::Schedule`] with these fields: the envelope members in
-    /// the writer's sorted key order around the spliced body, numbers
-    /// formatted as the `f64`s the [`Value`] tree would hold.
+    /// [`Response::Schedule`] with these fields: the [`ScheduleReply`] table
+    /// writes the envelope, with the body spliced in where it would encode
+    /// its schedule.
     pub(crate) fn write_json(&self, out: &mut Vec<u8>) {
         out.reserve(self.body.len() + 128);
-        // Writing into a `Vec` cannot fail.
-        let _ = write!(
-            out,
-            "{{\"request_milp_nodes\":{},\"schedule\":",
-            self.request_milp_nodes as f64
-        );
-        out.extend_from_slice(self.body.as_bytes());
-        let _ = write!(
-            out,
-            ",\"served\":\"{}\",\"service_micros\":{},\"type\":\"schedule\"}}",
-            self.served.wire_name(),
-            self.service_micros as f64
+        let envelope = ScheduleReply {
+            schedule: SystemSchedule::default(),
+            served: self.served,
+            request_milp_nodes: self.request_milp_nodes,
+            service_micros: self.service_micros,
+        };
+        Writer::compact(out).table(
+            &envelope,
+            &[
+                ("schedule", &|w| w.raw(&self.body)),
+                ("type", &tag("schedule")),
+            ],
         );
     }
 }
@@ -279,43 +287,53 @@ pub enum Response {
     ShutdownAck,
 }
 
+/// What writes the `"type"` member of a tagged document.
+fn tag(kind: &'static str) -> impl Fn(&mut Writer<'_>) {
+    move |w| w.string(kind)
+}
+
 impl Json for Request {
-    fn to_value(&self) -> Value {
-        let mut map = Object::new();
-        let kind = match self {
-            Request::Synthesize(request) => {
-                request.write_fields(&mut map);
-                "synthesize"
-            }
+    fn write(&self, w: &mut Writer<'_>) {
+        match self {
+            Request::Synthesize(request) => w.table(&**request, &[("type", &tag("synthesize"))]),
             Request::Resynthesize(request) => {
-                request.write_fields(&mut map);
-                "resynthesize"
+                w.table(&**request, &[("type", &tag("resynthesize"))]);
             }
-            Request::Stats => "stats",
-            Request::Shutdown => "shutdown",
-        };
-        map.insert("type".into(), Value::String(kind.into()));
-        Value::Object(map)
+            Request::Stats => w.object(&mut [("type", &tag("stats"))]),
+            Request::Shutdown => w.object(&mut [("type", &tag("shutdown"))]),
+        }
     }
 
-    fn from_value(value: &Value) -> Result<Self, JsonError> {
-        let map = object(value, "request")?;
-        match tag(map, "type")? {
-            "synthesize" => JsonObject::read_fields(map).map(|r| Request::Synthesize(Box::new(r))),
+    fn read(r: &mut Reader<'_>) -> Result<Self, JsonError> {
+        let (mut kind, mut predecessor) = (Slot::<String>::new(), Slot::new());
+        let mut base = SynthesizeRequest::partial();
+        let at = r.object("request must be a JSON object", |key, r| match key {
+            "type" => kind.read(r, key),
+            "predecessor" => predecessor.read(r, key),
+            _ => base.offer_or_skip(key, r),
+        })?;
+        let mut finish = || match kind.take("type")?.as_str() {
+            "synthesize" => Ok(Request::Synthesize(Box::new(base.finish()?))),
             "resynthesize" => {
-                JsonObject::read_fields(map).map(|r| Request::Resynthesize(Box::new(r)))
+                let predecessor = predecessor.take("predecessor")?;
+                let base = base.finish()?;
+                Ok(Request::Resynthesize(Box::new(ResynthesizeRequest {
+                    base,
+                    predecessor,
+                })))
             }
             "stats" => Ok(Request::Stats),
             "shutdown" => Ok(Request::Shutdown),
             other => Err(JsonError::custom(format!("unknown request type `{other}`"))),
-        }
+        };
+        finish().map_err(|error| error.at(at))
     }
 }
 
 impl Request {
     /// Serializes the request to a compact JSON document.
     pub fn to_json(&self) -> String {
-        self.to_value().to_json()
+        Json::to_json(self)
     }
 
     /// Parses a request frame payload.
@@ -329,52 +347,52 @@ impl Request {
     pub fn from_json(payload: &[u8]) -> Result<Self, JsonError> {
         let text = std::str::from_utf8(payload)
             .map_err(|_| JsonError::custom("request frame is not UTF-8"))?;
-        Self::from_value(&Value::parse(text)?)
+        Json::from_json(text)
     }
 }
 
 impl Json for Response {
-    fn to_value(&self) -> Value {
-        let mut map = Object::new();
-        let kind = match self {
-            Response::Schedule(reply) => {
-                reply.write_fields(&mut map);
-                "schedule"
-            }
-            Response::Stats(snapshot) => {
-                snapshot.write_fields(&mut map);
-                "stats"
-            }
+    fn write(&self, w: &mut Writer<'_>) {
+        match self {
+            Response::Schedule(reply) => w.table(&**reply, &[("type", &tag("schedule"))]),
+            Response::Stats(snapshot) => w.table(snapshot, &[("type", &tag("stats"))]),
             Response::Error { message } => {
-                map.insert("message".into(), message.to_value());
-                "error"
+                w.object(&mut [("message", &|w| message.write(w)), ("type", &tag("error"))])
             }
-            Response::ShutdownAck => "shutdown-ack",
-        };
-        map.insert("type".into(), Value::String(kind.into()));
-        Value::Object(map)
+            Response::ShutdownAck => w.object(&mut [("type", &tag("shutdown-ack"))]),
+        }
     }
 
-    fn from_value(value: &Value) -> Result<Self, JsonError> {
-        let map = object(value, "response")?;
-        match tag(map, "type")? {
-            "schedule" => JsonObject::read_fields(map).map(|r| Response::Schedule(Box::new(r))),
-            "stats" => JsonObject::read_fields(map).map(Response::Stats),
+    fn read(r: &mut Reader<'_>) -> Result<Self, JsonError> {
+        let (mut kind, mut message) = (Slot::<String>::new(), Slot::new());
+        let (mut reply, mut stats) = (ScheduleReply::partial(), StatsSnapshot::partial());
+        let at = r.object("response must be a JSON object", |key, r| match key {
+            "type" => kind.read(r, key),
+            "message" => message.read(r, key),
+            _ => match reply.offer(key, r)? {
+                true => Ok(()),
+                false => stats.offer_or_skip(key, r),
+            },
+        })?;
+        let mut finish = || match kind.take("type")?.as_str() {
+            "schedule" => Ok(Response::Schedule(Box::new(reply.finish()?))),
+            "stats" => Ok(Response::Stats(stats.finish()?)),
             "error" => Ok(Response::Error {
-                message: field(map, "message")?,
+                message: message.take("message")?,
             }),
             "shutdown-ack" => Ok(Response::ShutdownAck),
             other => Err(JsonError::custom(format!(
                 "unknown response type `{other}`"
             ))),
-        }
+        };
+        finish().map_err(|error| error.at(at))
     }
 }
 
 impl Response {
     /// Serializes the response to a compact JSON document.
     pub fn to_json(&self) -> String {
-        self.to_value().to_json()
+        Json::to_json(self)
     }
 
     /// Parses a response frame payload.
@@ -386,14 +404,13 @@ impl Response {
     pub fn from_json(payload: &[u8]) -> Result<Self, JsonError> {
         let text = std::str::from_utf8(payload)
             .map_err(|_| JsonError::custom("response frame is not UTF-8"))?;
-        Self::from_value(&Value::parse(text)?)
+        Json::from_json(text)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ttw_core::export::system_schedule_to_value;
     use ttw_core::fixtures;
     use ttw_core::time::millis;
 
@@ -513,7 +530,7 @@ mod tests {
             &ttw_core::synthesis::IlpSynthesizer::default(),
         )
         .expect("feasible");
-        let body: Arc<str> = Arc::from(system_schedule_to_value(&schedule).to_json());
+        let body: Arc<str> = Arc::from(schedule.to_json());
         // Numbers at and beyond f64's integer range print as the tree's do.
         let numbers = [
             (0, 0),
@@ -563,6 +580,30 @@ mod tests {
             Response::from_json(Response::ShutdownAck.to_json().as_bytes()),
             Ok(Response::ShutdownAck)
         ));
+    }
+
+    #[test]
+    fn a_mistyped_member_is_named_by_path_and_byte_offset() {
+        let honest = sample_request().to_json();
+        let member = "\"max_nodes\":200000";
+        let at = honest.find(member).expect("the solver's node limit") + 12;
+        let hostile = honest.replacen(member, "\"max_nodes\":-1", 1);
+        assert_eq!(
+            Request::from_json(hostile.as_bytes())
+                .expect_err("a negative limit")
+                .to_string(),
+            format!(
+                "`config`: `solver`: `max_nodes`: expected a non-negative integer at byte {at}"
+            )
+        );
+        // A member the variant has no use for may hold anything that is JSON.
+        assert!(Request::from_json(br#"{"system":7,"type":"stats","config":[{}]}"#).is_ok());
+        assert_eq!(
+            Request::from_json(br#" {"type":"resynthesize"}"#)
+                .expect_err("no members")
+                .to_string(),
+            "missing field `predecessor` at byte 1"
+        );
     }
 
     #[test]

@@ -15,6 +15,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
+use ttw_core::json::{Json, Writer};
 
 /// A running scheduler server bound to a local address.
 #[derive(Debug)]
@@ -135,9 +136,9 @@ fn serve_connection(
 /// Appends the response to one request payload to `frame`; the bool asks
 /// the connection loop to initiate server shutdown. A served schedule is
 /// spliced — envelope around the already encoded body — and every other
-/// response goes through the [`Response`] codec.
+/// response is written into the frame by the [`Response`] codec.
 fn respond(payload: &[u8], service: &SchedulerService, frame: &mut Vec<u8>) -> bool {
-    let mut encode = |response: Response| frame.extend_from_slice(response.to_json().as_bytes());
+    let mut encode = |response: Response| response.write(&mut Writer::compact(frame));
     let served = match Request::from_json(payload) {
         Ok(Request::Synthesize(request)) => service.serve_encoded(&request, None),
         Ok(Request::Resynthesize(request)) => {

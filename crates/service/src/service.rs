@@ -36,7 +36,7 @@ use std::sync::Arc;
 use std::time::Instant;
 use ttw_core::cache::{synthesis_key, ScheduleCache};
 use ttw_core::config::SchedulerConfig;
-use ttw_core::export::system_schedule_to_value;
+use ttw_core::json::Json;
 use ttw_core::resynth::resynthesize_system;
 use ttw_core::schedule::SystemSchedule;
 use ttw_core::synthesis::{synthesize_system, HeuristicSynthesizer, IlpSynthesizer, Synthesizer};
@@ -267,7 +267,7 @@ impl SchedulerService {
             // A fresh result is encoded for this reply alone: an edit stream
             // stores entry after entry that nobody asks for again.
             ServedFrom::Solved | ServedFrom::Coalesced | ServedFrom::Incremental => {
-                Arc::from(system_schedule_to_value(&served.schedule).to_json())
+                Arc::from(served.schedule.to_json())
             }
         };
         Ok(EncodedReply {

@@ -332,6 +332,23 @@ fn deeply_nested_frame_gets_an_error_and_the_server_keeps_serving() {
     assert!(text.contains("\"error\""), "{text}");
     assert!(text.contains("nesting deeper than 128 levels"), "{text}");
 
+    // The limit holds where the typed reader only passes over a value: in a
+    // member no table knows, and in a known one of the wrong kind.
+    let bomb = "[".repeat(200_000);
+    for frame in [
+        format!(r#"{{"type":"stats","x":{bomb}"#),
+        format!(r#"{{"type":"synthesize","backend":{bomb}"#),
+    ] {
+        write_frame(&mut hostile, frame.as_bytes()).expect("write");
+        let payload = read_frame(&mut hostile).expect("read").expect("response");
+        let text = String::from_utf8(payload).expect("utf-8");
+        // The request object is the first level, so the 128th `[` is one
+        // too many.
+        let offset = frame.find('[').expect("a bomb") + 127;
+        let expected = format!("bad request: nesting deeper than 128 levels at byte {offset}");
+        assert!(text.contains(&expected), "{text}");
+    }
+
     // The same connection and a second client are both still served.
     write_frame(&mut hostile, br#"{"type":"stats"}"#).expect("write");
     assert!(read_frame(&mut hostile).expect("read").is_some());
@@ -345,6 +362,42 @@ fn deeply_nested_frame_gets_an_error_and_the_server_keeps_serving() {
         stats.requests, 1,
         "the hostile frame never became a request"
     );
+    assert!(stats.reconciles(), "{stats:?}");
+}
+
+/// `1e999` used to read as infinity, pass for an `f64` member and be written
+/// back as `null`, which no such member reads. The tokenizer now refuses the
+/// token, wherever it stands.
+#[test]
+fn a_number_no_f64_holds_is_a_bad_request_and_the_server_keeps_serving() {
+    use ttw_service::frame::{read_frame, write_frame};
+    use ttw_service::Request;
+    let server = start_server();
+    let mut stream = std::net::TcpStream::connect(server.addr()).expect("connect");
+    let honest = Request::Synthesize(Box::new(fig3_request(BackendKind::Ilp))).to_json();
+    let epsilon = honest
+        .find("\"epsilon\":")
+        .expect("a config has an epsilon")
+        + 10;
+    let end = epsilon + honest[epsilon..].find(',').expect("more members follow");
+    let hostile = format!("{}1e999{}", &honest[..epsilon], &honest[end..]);
+    for frame in [hostile.as_str(), r#"{"type":"stats","unknown":[-1e999]}"#] {
+        write_frame(&mut stream, frame.as_bytes()).expect("write");
+        let payload = read_frame(&mut stream).expect("read").expect("a response");
+        let text = String::from_utf8(payload).expect("utf-8");
+        assert!(text.contains("\"error\""), "{text}");
+        assert!(
+            text.contains("bad request: number out of range at byte "),
+            "{text}"
+        );
+    }
+
+    write_frame(&mut stream, honest.as_bytes()).expect("write");
+    let payload = read_frame(&mut stream).expect("read").expect("a response");
+    assert!(String::from_utf8_lossy(&payload).contains("\"served\":\"solved\""));
+    let mut client = Client::connect(server.addr()).expect("connect");
+    let stats = client.stats().expect("stats");
+    assert_eq!(stats.requests, 1, "a bad request never becomes a request");
     assert!(stats.reconciles(), "{stats:?}");
 }
 

@@ -17,16 +17,23 @@
 //!    still UTF-8.
 //!
 //! [`check_typed_documents`] points the same mutator one layer up, at the
-//! typed documents built on [`Value`]: for the system, mode graph and
-//! scheduler configuration of a generated [`Scenario`], its
-//! synthesized mode and system schedules, the warm-start artifacts sidecar
-//! and a [`ScheduleDelta`] between two
+//! typed documents: for the system, mode graph and scheduler configuration of
+//! a generated [`Scenario`], its synthesized mode and system schedules, the
+//! warm-start artifacts sidecar and a [`ScheduleDelta`] between two
 //! schedules, [`check_document`] asserts
 //!
 //! 1. `decode(encode(x)) == x`;
 //! 2. `encode(decode(encode(x)))` is byte-identical to `encode(x)`;
 //! 3. eight byte-level mutations of the text decode to `Ok` or `Err` and
-//!    never panic.
+//!    never panic;
+//! 4. `encode(x)` is what the generic tree renders for it —
+//!    `Value::parse(encode(x))` written compact or pretty gives the same
+//!    bytes — so the typed writer, which never builds that tree, is pinned
+//!    from outside: sorted members, number and string forms and all;
+//! 5. the text of a foreign writer decodes to the same value: members
+//!    shuffled at every object level, a duplicate of a member (as often as
+//!    not of the wrong shape) in front of the original, members no table
+//!    knows (scalars and nested containers) in between, and either layout.
 //!
 //! The wire protocol of `ttw-service` sits above this crate, so its
 //! documents are checked by the caller: [`check_typed_documents`] hands every
@@ -48,7 +55,7 @@ use ttw_core::export::{
     scheduler_config_from_json, scheduler_config_to_json, system_from_json,
     system_schedule_from_json, system_schedule_to_json, system_to_json,
 };
-use ttw_core::json::{JsonError, Value};
+use ttw_core::json::{JsonError, Object, Value};
 use ttw_core::synthesis::{synthesize_system, HeuristicSynthesizer, IlpSynthesizer, Synthesizer};
 use ttw_core::{SchedulerConfig, SystemSchedule};
 use ttw_netsim::rng::SplitMix64;
@@ -249,10 +256,78 @@ pub fn check_json_codec(seed: u64, cases: usize) -> Result<(), String> {
     Ok(())
 }
 
-/// Checks one typed document against the three properties of the
+/// Whether every key of `map` is an index in decimal: the object is an
+/// index-keyed map, which takes no member by another name. (An empty object
+/// is one, too; no table is empty.)
+fn is_index_keyed(map: &Object) -> bool {
+    map.keys()
+        .all(|key| !key.is_empty() && key.bytes().all(|b| b.is_ascii_digit()))
+}
+
+/// `value` as a writer other than ours might send it, and any reader must
+/// take it: at every object level the members in random order, half the time
+/// a second copy of one of them — or something else entirely under its name
+/// — ahead of the original, and up to two members nobody knows.
+fn scrambled(value: &Value, rng: &mut SplitMix64, out: &mut String) {
+    if let Some(items) = value.as_array() {
+        out.push('[');
+        for (i, item) in items.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            scrambled(item, rng, out);
+        }
+        out.push(']');
+        return;
+    }
+    let Some(map) = value.as_object() else {
+        return out.push_str(&value.to_json());
+    };
+    let mut members: Vec<(String, String)> = map
+        .iter()
+        .map(|(key, member)| {
+            let mut text = String::new();
+            scrambled(member, rng, &mut text);
+            (key.clone(), text)
+        })
+        .collect();
+    for i in (1..members.len()).rev() {
+        members.swap(i, below(rng, i + 1));
+    }
+    if !members.is_empty() && below(rng, 2) == 0 {
+        let original = below(rng, members.len());
+        let (key, text) = members[original].clone();
+        let text = match below(rng, 2) {
+            0 => text,
+            _ => random_value(rng, 2).to_json(),
+        };
+        members.insert(below(rng, original + 1), (key, text));
+    }
+    if !is_index_keyed(map) {
+        for _ in 0..below(rng, 3) {
+            let key = format!("unknown {}", random_string(rng));
+            let member = (key, random_value(rng, 3).to_json());
+            members.insert(below(rng, members.len() + 1), member);
+        }
+    }
+    out.push('{');
+    for (i, (key, text)) in members.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push_str(&Value::String(key.clone()).to_json());
+        out.push(':');
+        out.push_str(text);
+    }
+    out.push('}');
+}
+
+/// Checks one typed document against the five properties of the
 /// [module docs](self): `decode(encode(value))` is `same` as `value`,
-/// encoding that again reproduces the bytes, and eight mutations of the
-/// bytes decode without panicking.
+/// encoding that again reproduces the bytes, eight mutations of the bytes
+/// decode without panicking, the bytes are the generic tree's, and four
+/// foreign renderings of the document — and both of ours — decode to the
+/// same value.
 ///
 /// `decode` takes bytes because a frame payload is bytes; [`utf8`] adapts a
 /// `&str` decoder.
@@ -283,6 +358,28 @@ pub fn check_document<T>(
     }
     for _ in 0..8 {
         let _ = decode(&mutate(rng, text.as_bytes()));
+    }
+
+    let tree = Value::parse(&text)
+        .map_err(|error| format!("{what}: encode(x) is not JSON: {error}: {text}"))?;
+    let mut renderings = vec![tree.to_json(), tree.to_json_pretty()];
+    if !renderings.contains(&text) {
+        return Err(format!(
+            "{what}: encode(x) is not how the generic tree renders it: {text} against {}",
+            renderings[0]
+        ));
+    }
+    renderings.extend((0..4).map(|_| {
+        let mut foreign = String::new();
+        scrambled(&tree, rng, &mut foreign);
+        foreign
+    }));
+    for rendering in renderings {
+        match decode(rendering.as_bytes()) {
+            Ok(decoded) if same(&back, &decoded) => {}
+            Ok(_) => return Err(format!("{what}: another value from {rendering}")),
+            Err(error) => return Err(format!("{what}: {error}: {rendering}")),
+        }
     }
     Ok(())
 }

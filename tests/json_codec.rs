@@ -1,7 +1,8 @@
 //! Tier-1 gates on the JSON codec every wire and disk format sits on: its
 //! complexity class, without a stopwatch; the seeded fuzz sweeps of
 //! `ttw_testkit::json_fuzz` on a small budget (the testkit's own unit tests
-//! run the large one) — over `Value` and over every typed document, the
+//! run the large one; `typed_fuzz_large_budget` here, ignored, runs it with
+//! the service's frames) — over `Value` and over every typed document, the
 //! service's request and response frames included; and the committed
 //! documents of `tests/fixtures/codec`, each of which must decode and encode
 //! back to its own bytes.
@@ -193,6 +194,19 @@ fn check_protocol_documents(sample: &TypedSample, rng: &mut SplitMix64) -> Resul
 fn seeded_typed_fuzz_small_budget() {
     check_typed_documents(1, 3, check_protocol_documents)
         .unwrap_or_else(|failure| panic!("{failure}"));
+}
+
+/// The same sweep — every property of `check_document`, the direct writer
+/// against the generic tree and the foreign renderings included — over every
+/// typed and protocol document of 4 seeds × 6 scenarios. A CI step:
+/// `cargo test --release -q --test json_codec -- --ignored typed_fuzz_large_budget`.
+#[test]
+#[ignore = "large budget; run by name in CI"]
+fn typed_fuzz_large_budget() {
+    for seed in 0..4 {
+        check_typed_documents(seed, 6, check_protocol_documents)
+            .unwrap_or_else(|failure| panic!("{failure}"));
+    }
 }
 
 fn fixture_dir() -> PathBuf {

@@ -15,14 +15,16 @@
 //!    and fails on any `git diff`, so bench sources must not embed
 //!    `SystemTime`/epoch-derived values or entropy (`Instant` for a duration
 //!    printed on stderr is fine).
-//! 4. **One JSON codec mechanism** — typed documents reach `Value` through
-//!    the `Json` trait and the `json_object!` field tables of
-//!    `crates/core/src/json.rs`. Naming `Value::Object(` or
-//!    `BTreeMap<String, Value>` anywhere else in non-test library or bench
-//!    code is hand-building (or hand-reading) an object; the few vetted
-//!    sites — decoders that replay checked constructors, tagged enums, the
-//!    one bench report writer — are counted per file in
-//!    `xtask/codec-allow.txt`.
+//! 4. **One JSON codec mechanism, and no document tree on a typed path** —
+//!    typed documents are written and read through the `Json` trait and the
+//!    `json_object!` field tables of `crates/core/src/json.rs`, straight to
+//!    and from text. Naming `Value::Object(` or `BTreeMap<String, Value>`
+//!    anywhere else in non-test library or bench code is hand-building (or
+//!    hand-reading) an object; the vetted sites — the one bench report
+//!    writer, the fuzzer's generator and walker — are counted per file in
+//!    `xtask/codec-allow.txt`. `Value::parse(` outside the codec, the bench
+//!    crate and the testkit (the fuzz oracle) is a typed path growing a tree
+//!    again: its budget is 0 everywhere.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -37,6 +39,11 @@ const CODEC_HOME: &str = "crates/core/src/json.rs";
 
 /// What hand-written object construction and reading looks like.
 const HAND_BUILT_OBJECT: &[&str] = &["Value::Object(", "BTreeMap<String, Value>"];
+
+/// What parsing a text into the generic document looks like, and the crates
+/// that may: the report writer's and the fuzz oracle's.
+const TREE_PARSE: &[&str] = &["Value::parse("];
+const TREE_USERS: &[&str] = &["crates/bench/", "crates/testkit/"];
 
 /// Substrings banned from bench sources: each one injects wall-clock or
 /// entropy state into artifacts that must be reproducible run to run.
@@ -239,7 +246,8 @@ fn count_in_code(text: &str, needles: &[&str]) -> usize {
 }
 
 /// Lint 4: JSON objects are built and read by the codec mechanism; every
-/// other non-test mention of their representation is budgeted per file.
+/// other non-test mention of their representation is budgeted per file, and
+/// no typed path parses a text into a tree.
 fn lint_one_codec(root: &Path, allowlist: &BTreeMap<String, usize>) -> Vec<String> {
     let mut files = library_sources(root);
     collect_rs_files(&root.join("crates/bench/benches"), &mut files);
@@ -261,6 +269,13 @@ fn lint_one_codec(root: &Path, allowlist: &BTreeMap<String, usize>) -> Vec<Strin
                  `BTreeMap<String, Value>`) in non-test code (codec-allow.txt budget \
                  {budget}); declare the type in a `json_object!` table, or vet the \
                  site in xtask/codec-allow.txt"
+            ));
+        }
+        let parses = count_in_code(&text, TREE_PARSE);
+        if parses > 0 && !TREE_USERS.iter().any(|user| path.starts_with(user)) {
+            violations.push(format!(
+                "{path}: {parses} `Value::parse(` call(s) in non-test code; a typed \
+                 document is read with `Json::from_json`, which builds no tree"
             ));
         }
     }
@@ -411,6 +426,27 @@ mod tests {
         vetted.insert("crates/core/src/export.rs".to_string(), 2);
         vetted.insert("crates/bench/benches/report.rs".to_string(), 1);
         assert!(lint_one_codec(&scratch.0, &vetted).is_empty());
+    }
+
+    #[test]
+    fn parsing_into_a_tree_on_a_typed_path_is_a_violation_no_budget_vets() {
+        let scratch = Scratch::new("tree");
+        let parses = "fn f(text: &str) { let _ = Value::parse(text); }\n\
+                      // Value::parse( in a comment is fine\n\
+                      #[cfg(test)]\nmod tests { fn t() { Value::parse(\"1\"); } }\n";
+        for path in [
+            CODEC_HOME,
+            "crates/bench/src/lib.rs",
+            "crates/testkit/src/json_fuzz.rs",
+            "crates/service/src/protocol.rs",
+        ] {
+            scratch.write(path, parses);
+        }
+        let mut vetted = BTreeMap::new();
+        vetted.insert("crates/service/src/protocol.rs".to_string(), 5);
+        let violations = lint_one_codec(&scratch.0, &vetted);
+        assert_eq!(violations.len(), 1, "{violations:?}");
+        assert!(violations[0].contains("crates/service/src/protocol.rs: 1 `Value::parse(`"));
     }
 
     #[test]
