@@ -743,12 +743,22 @@ mod tests {
         Singular,
     }
 
-    /// A random basis shaped like the ones the tree factorizes: 50–80 % unit
-    /// columns, the rest sparse structural columns (each through one row no
-    /// unit column covers, some with a row entered twice), at shuffled
-    /// positions, so that most pivots need a row swap.
-    fn random_basis(rng: &mut Rng, shape: Shape) -> Columns {
-        let m = 2 + rng.below(39);
+    /// The size of the `case`-th basis of a sweep: mostly 2–40 rows, the size
+    /// of a node LP's basis, and one case in sixteen 41–200 rows, so that the
+    /// position sets of the kernel span one, two, three and four words.
+    fn basis_size(rng: &mut Rng, case: u64) -> usize {
+        if case % 16 == 9 {
+            41 + rng.below(160)
+        } else {
+            2 + rng.below(39)
+        }
+    }
+
+    /// A random `m`-row basis shaped like the ones the tree factorizes:
+    /// 50–80 % unit columns, the rest sparse structural columns (each through
+    /// one row no unit column covers, some with a row entered twice), at
+    /// shuffled positions, so that most pivots need a row swap.
+    fn random_basis(rng: &mut Rng, m: usize, shape: Shape) -> Columns {
         let mut rows: Vec<usize> = (0..m).collect();
         for i in (1..m).rev() {
             rows.swap(i, rng.below(i + 1));
@@ -863,8 +873,8 @@ mod tests {
             7 => Shape::Singular,
             _ => Shape::Regular,
         };
-        let columns = random_basis(rng, shape);
-        let m = columns.len();
+        let m = basis_size(rng, case);
+        let columns = random_basis(rng, m, shape);
         let b = to_dense(&columns);
         let factorized = factorize_in(&columns, ws);
         assert_eq!(
@@ -947,5 +957,95 @@ mod tests {
         for case in 0..cases {
             check_one_basis(&mut rng, case, &mut ws);
         }
+    }
+
+    /// FNV-1a over 64-bit words.
+    struct Fnv(u64);
+    impl Fnv {
+        fn word(&mut self, w: u64) {
+            for byte in w.to_le_bytes() {
+                self.0 = (self.0 ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+        fn words(&mut self, ws: impl IntoIterator<Item = usize>) {
+            for w in ws {
+                self.word(w as u64);
+            }
+        }
+        fn floats(&mut self, fs: &[f64]) {
+            for f in fs {
+                self.word(f.to_bits());
+            }
+        }
+        fn csc(&mut self, a: &CscMatrix) {
+            self.words(a.col_ptr.iter().copied());
+            self.words(a.row_idx.iter().copied());
+            self.floats(&a.values);
+        }
+    }
+
+    /// Every bit the kernel produces, pinned: permutation, `L`, `U` (slot
+    /// order included — BTRAN sums in it), the diagonal, the singular
+    /// verdicts, and FTRAN/BTRAN of one seeded right-hand side per basis
+    /// before and after one eta update. Sizes cycle through the word
+    /// boundaries of the position sets. A kernel change that moves any of
+    /// these moves a pivot somewhere in a tree; the literal was recorded from
+    /// the `touched`/sort kernel this one replaced, and a change that means
+    /// to move it is a numerics change, not a refactor.
+    #[test]
+    fn lu_kernel_bits_are_pinned() {
+        let (cases, pinned): (usize, u64) = if cfg!(feature = "dense-reference") {
+            (20_000, 0xae0d_4c83_75b2_b876)
+        } else {
+            (1_000, 0xf10d_23fc_7bbb_1771)
+        };
+        const EDGES: [usize; 6] = [63, 64, 65, 127, 128, 129];
+        let mut rng = Rng(0x0DA7_A5E7);
+        let mut ws = LuWorkspace::default();
+        let mut digest = Fnv(0xcbf2_9ce4_8422_2325);
+        for case in 0..cases {
+            let shape = match case % 8 {
+                6 => Shape::NearSingular,
+                7 => Shape::Singular,
+                _ => Shape::Regular,
+            };
+            let m = if case % 3 == 0 {
+                EDGES[(case / 3) % EDGES.len()]
+            } else {
+                2 + rng.below(199)
+            };
+            let columns = random_basis(&mut rng, m, shape);
+            let Ok(lu) = factorize_in(&columns, &mut ws) else {
+                digest.word(0);
+                continue;
+            };
+            digest.word(1);
+            digest.words(lu.perm.iter().copied());
+            digest.csc(&lu.l);
+            digest.csc(&lu.u);
+            digest.floats(&lu.u_diag);
+
+            let rhs = rng.vector(m);
+            let mut factor = factor_of(&columns);
+            let solve = |factor: &mut BasisFactor, digest: &mut Fnv| {
+                let (mut x, mut y) = (rhs.clone(), rhs.clone());
+                factor.ftran(&mut x);
+                factor.btran(&mut y);
+                digest.floats(&x);
+                digest.floats(&y);
+            };
+            solve(&mut factor, &mut digest);
+            let row = rng.below(m);
+            let mut w = vec![0.0; m];
+            w[rng.below(m)] += rng.coeff();
+            w[row] += rng.coeff();
+            factor.ftran(&mut w);
+            if factor.push_eta(row, &w) {
+                solve(&mut factor, &mut digest);
+            } else {
+                digest.word(2);
+            }
+        }
+        assert_eq!(digest.0, pinned, "the kernel's bits moved");
     }
 }
