@@ -13,16 +13,29 @@
 //!
 //! The factorization is left-looking and its work follows the nonzero
 //! pattern of the basis, not its dimension. The TTW bases are small and
-//! mostly logical unit vectors, so a column touches a handful of rows: the
-//! accumulator is indexed by *original* row and every row it touches is
-//! listed, which makes pivot search, harvest and reset `O(touched)`;
-//! elimination starts at the first pivot the scattered column reaches (a unit
-//! column whose row is still free does none); a row swap is two index writes,
-//! because `L` keeps original row ids until the last column is done and is
-//! mapped to final positions once. `L` and `U` are themselves [`CscMatrix`]es
-//! whose buffers — like the [`LuWorkspace`] — are reused from one
-//! refactorization of an engine to the next, and FTRAN/BTRAN walk them front
-//! to back.
+//! mostly logical unit vectors, so a column reaches a handful of positions.
+//! The accumulator is indexed by *original* row; the permuted positions the
+//! current column reaches are a bitset, one `u64` per 64 rows
+//! ([`LuWorkspace`]). Elimination takes the lowest marked position below the
+//! diagonal, applies that `L` column — its fill lands only on positions above
+//! it — and looks again; the pivot is the largest marked entry at or below
+//! the diagonal, the first one met in ascending order on a tie; and the
+//! harvest walks the marks once, in position order, clearing them. A row
+//! swap is two index writes plus swapping the two positions' marks, because
+//! `L` keeps original row ids until the last column is done and is mapped to
+//! final positions once.
+//!
+//! **Harvest order is numerics.** BTRAN sums each column's products in
+//! stored order, so `U` and `L` entries are stored in ascending position —
+//! what a dense sweep of the accumulator would leave — and `L` is relabelled
+//! to final positions only at the end. `lu_kernel_bits_are_pinned` holds the
+//! kernel to the bits of every factor, verdict and solve.
+//!
+//! `L` and `U` are themselves [`CscMatrix`]es whose buffers — like the
+//! [`LuWorkspace`] and the eta file, one entries buffer plus a range per eta
+//! — are reused from one refactorization to the next, and across the LPs of a
+//! whole branch-and-bound tree (the `SimplexWorkspace` in `simplex` owns the
+//! [`BasisFactor`]). FTRAN/BTRAN walk them front to back.
 //!
 //! [`BasisFactor`] holds its factors behind an `Rc`, separate from its own eta
 //! file. A from-scratch factorization is a pure function of the basis
@@ -31,7 +44,10 @@
 //! [adopt](BasisFactor::adopt) it (the memo in `branch_bound`). An adopted
 //! factorization is indistinguishable from a computed one — same bits, empty
 //! eta file — which is what lets the dual simplex keep treating its starting
-//! state as certified from scratch (`hard_fresh`).
+//! state as certified from scratch (`hard_fresh`). A shared factorization is
+//! never written; once its last other holder lets go, its buffers come back
+//! as the spare the next factorization is built in
+//! ([`recycle`](BasisFactor::recycle)).
 
 use std::rc::Rc;
 
@@ -168,24 +184,57 @@ pub(crate) struct LuFactors {
 
 /// Scratch state of [`LuFactors::factorize`], reused across factorizations.
 /// Between two columns — and on return, singular or not — `work` is all
-/// zero, `mark` all false and `touched` empty.
+/// zero and no position is marked.
 #[derive(Debug, Default)]
 pub(crate) struct LuWorkspace {
     /// Dense accumulator of the current column, by *original* row.
     work: Vec<f64>,
-    /// Whether a row is listed in `touched`.
-    mark: Vec<bool>,
-    /// Rows of the current column that may hold a nonzero.
-    touched: Vec<usize>,
+    /// The permuted positions the current column reaches, as a bitset: bit
+    /// `p % 64` of word `p / 64`. An unmarked position's accumulator entry
+    /// is exactly zero.
+    marks: Vec<u64>,
     /// Permuted position of every original row (the inverse of `perm`).
     pos: Vec<usize>,
 }
 
 impl LuWorkspace {
-    fn touch(&mut self, row: usize) {
-        if !self.mark[row] {
-            self.mark[row] = true;
-            self.touched.push(row);
+    /// Marks the position original row `r` occupies.
+    fn mark_row(&mut self, r: usize) {
+        let p = self.pos[r];
+        self.marks[p / 64] |= 1 << (p % 64);
+    }
+
+    /// The lowest marked position at or after `from`.
+    fn next_mark(&self, from: usize) -> Option<usize> {
+        let mut word = from / 64;
+        let mut bits = self.marks.get(word)? & (u64::MAX << (from % 64));
+        while bits == 0 {
+            word += 1;
+            bits = *self.marks.get(word)?;
+        }
+        Some(word * 64 + bits.trailing_zeros() as usize)
+    }
+
+    /// Exchanges the marks of positions `a` and `b`.
+    fn swap_marks(&mut self, a: usize, b: usize) {
+        let bit = |p: usize| (self.marks[p / 64] >> (p % 64)) & 1;
+        if bit(a) != bit(b) {
+            self.marks[a / 64] ^= 1 << (a % 64);
+            self.marks[b / 64] ^= 1 << (b % 64);
+        }
+    }
+
+    /// Visits every marked position in ascending order with the original
+    /// row occupying it and that row's accumulator entry, clearing both.
+    fn drain_marks(&mut self, perm: &[usize], mut visit: impl FnMut(usize, usize, f64)) {
+        for (word, bits) in self.marks.iter_mut().enumerate() {
+            let mut rest = std::mem::take(bits);
+            while rest != 0 {
+                let p = word * 64 + rest.trailing_zeros() as usize;
+                rest &= rest - 1;
+                let r = perm[p];
+                visit(p, r, std::mem::take(&mut self.work[r]));
+            }
         }
     }
 }
@@ -214,69 +263,69 @@ impl LuFactors {
         self.u.reset(m);
         self.u_diag.clear();
         ws.work.resize(m, 0.0);
-        ws.mark.resize(m, false);
+        ws.marks.resize(m.div_ceil(64), 0);
         ws.pos.clear();
         ws.pos.extend(0..m);
         for (k, (rows, vals)) in columns.enumerate() {
-            // Scatter the column; `first` is the earliest pivot it reaches.
-            let mut first = k;
             for (&r, &v) in rows.iter().zip(vals) {
-                ws.touch(r);
+                ws.mark_row(r);
                 ws.work[r] += v;
-                first = first.min(ws.pos[r]);
             }
-            // Eliminate with the already-computed L columns, in pivot order
-            // (fill-in only ever lands on later pivots or free rows).
-            for j in first..k {
+            // Eliminate with the already-computed L columns, in pivot order.
+            // Fill from L column `j` only lands on positions above `j`, so
+            // the next marked position is looked up after each column.
+            let mut from = 0;
+            while let Some(j) = ws.next_mark(from).filter(|&j| j < k) {
                 let pivot_val = ws.work[self.perm[j]];
                 if pivot_val.abs() > DROP_TOL {
                     let (idx, val) = self.l.column(j);
                     for (&r, &lv) in idx.iter().zip(val) {
-                        ws.touch(r);
+                        ws.mark_row(r);
                         ws.work[r] -= pivot_val * lv;
                     }
                 }
+                from = j + 1;
             }
             // Partial pivoting: largest magnitude at or below the diagonal,
             // ties to the smallest permuted position.
             let mut best = k;
             let mut best_abs = 0.0;
-            for &r in &ws.touched {
-                let (p, a) = (ws.pos[r], ws.work[r].abs());
-                if p >= k && (a > best_abs || (a == best_abs && p < best)) {
+            let mut from = k;
+            while let Some(p) = ws.next_mark(from) {
+                let a = ws.work[self.perm[p]].abs();
+                if a > best_abs {
                     best = p;
                     best_abs = a;
                 }
+                from = p + 1;
             }
             if best_abs <= DROP_TOL * 10.0 {
-                for r in ws.touched.drain(..) {
-                    ws.work[r] = 0.0;
-                    ws.mark[r] = false;
-                }
+                ws.drain_marks(&self.perm, |_, _, _| {});
                 return Err(SingularBasis);
             }
-            // Permuted positions k and best swap. L is still in original row
-            // ids and U only references positions < k: nothing to relabel.
+            // Permuted positions k and best swap, and their marks with them
+            // (the row leaving k may be one the column never reached). L is
+            // still in original row ids and U only references positions < k:
+            // nothing to relabel.
             self.perm.swap(k, best);
             ws.pos[self.perm[k]] = k;
             ws.pos[self.perm[best]] = best;
+            ws.swap_marks(k, best);
             let diag = ws.work[self.perm[k]];
             // Harvest U (positions < k) and L (positions > k), resetting the
             // accumulator on the way. BTRAN sums a column's products in
             // stored order, so that order is part of the numerics: ascending
             // position, as a dense sweep of the accumulator would leave it.
-            ws.touched.sort_unstable_by_key(|&r| ws.pos[r]);
-            for r in ws.touched.drain(..) {
-                let w = std::mem::take(&mut ws.work[r]);
-                ws.mark[r] = false;
+            let (l, u) = (&mut self.l, &mut self.u);
+            ws.drain_marks(&self.perm, |p, r, w| {
                 if w.abs() > DROP_TOL {
-                    match ws.pos[r].cmp(&k) {
-                        std::cmp::Ordering::Less => self.u.push_entry(ws.pos[r], w),
+                    match p.cmp(&k) {
+                        std::cmp::Ordering::Less => u.push_entry(p, w),
                         std::cmp::Ordering::Equal => {}
-                        std::cmp::Ordering::Greater => self.l.push_entry(r, w / diag),
+                        std::cmp::Ordering::Greater => l.push_entry(r, w / diag),
                     }
                 }
-            }
+            });
             self.u.end_column();
             self.l.end_column();
             self.u_diag.push(diag);
@@ -363,13 +412,14 @@ impl LuFactors {
 /// with FTRAN'd entering column `w` is `E⁻¹·B⁻¹` with `E = I` except column
 /// `r` replaced by `w`.
 #[derive(Debug, Clone)]
-pub(crate) struct Eta {
+struct Eta {
     /// Pivotal row (basis position).
     row: usize,
     /// Pivot element `w[row]`.
     pivot: f64,
-    /// Off-pivot entries of `w` as `(basis position, value)` pairs.
-    entries: Vec<(usize, f64)>,
+    /// Where its off-pivot entries of `w` sit in the eta file's entries
+    /// buffer, as `(basis position, value)` pairs.
+    entries: std::ops::Range<usize>,
 }
 
 /// The factorized basis plus its eta file and refactorization policy.
@@ -382,6 +432,8 @@ pub(crate) struct BasisFactor {
     /// `lu` and the eta file as they were.
     spare: Rc<LuFactors>,
     etas: Vec<Eta>,
+    /// The entries of every eta vector, one after another.
+    eta_entries: Vec<(usize, f64)>,
     scratch: Vec<f64>,
     workspace: LuWorkspace,
 }
@@ -410,7 +462,7 @@ impl BasisFactor {
         }
         Rc::make_mut(&mut self.spare).factorize(m, columns, &mut self.workspace)?;
         std::mem::swap(&mut self.lu, &mut self.spare);
-        self.etas.clear();
+        self.clear_etas();
         Ok(())
     }
 
@@ -438,8 +490,25 @@ impl BasisFactor {
                 "a shared factorization differs from a fresh one of the same basis"
             );
         }
-        self.lu = Rc::clone(lu);
+        let replaced = std::mem::replace(&mut self.lu, Rc::clone(lu));
+        self.recycle(replaced);
+        self.clear_etas();
+    }
+
+    /// Takes a factorization nobody reads any more — the one an adoption
+    /// replaced, or one a memo evicted — as the spare, when it is the last
+    /// holder and the spare is still shared: its buffers then serve the next
+    /// factorization instead of being freed while a fresh one is allocated.
+    pub(crate) fn recycle(&mut self, lu: Rc<LuFactors>) {
+        if Rc::strong_count(&lu) == 1 && Rc::strong_count(&self.spare) > 1 {
+            self.spare = lu;
+        }
+    }
+
+    /// Empties the eta file, keeping its buffers.
+    pub(crate) fn clear_etas(&mut self) {
         self.etas.clear();
+        self.eta_entries.clear();
     }
 
     /// Returns `true` when the eta file is long enough to warrant a
@@ -464,16 +533,16 @@ impl BasisFactor {
         if pivot.abs() < MIN_ETA_PIVOT {
             return false;
         }
-        let mut entries = Vec::new();
+        let start = self.eta_entries.len();
         for (i, &v) in w.iter().enumerate() {
             if i != row && v.abs() > DROP_TOL {
-                entries.push((i, v));
+                self.eta_entries.push((i, v));
             }
         }
         self.etas.push(Eta {
             row,
             pivot,
-            entries,
+            entries: start..self.eta_entries.len(),
         });
         true
     }
@@ -486,7 +555,7 @@ impl BasisFactor {
             if xr.abs() > DROP_TOL {
                 let t = xr / eta.pivot;
                 x[eta.row] = t;
-                for &(i, v) in &eta.entries {
+                for &(i, v) in &self.eta_entries[eta.entries.clone()] {
                     x[i] -= v * t;
                 }
             }
@@ -498,7 +567,7 @@ impl BasisFactor {
     pub(crate) fn btran(&mut self, y: &mut [f64]) {
         for eta in self.etas.iter().rev() {
             let mut acc = y[eta.row];
-            for &(i, v) in &eta.entries {
+            for &(i, v) in &self.eta_entries[eta.entries.clone()] {
                 acc -= v * y[i];
             }
             y[eta.row] = acc / eta.pivot;
@@ -637,8 +706,7 @@ mod tests {
         let regular: &[&[f64]] = &[&[0.0, 1.0, 2.0], &[1.0, 3.0, 1.0], &[4.0, 1.0, 0.5]];
         let mut ws = LuWorkspace::default();
         assert!(factorize_in(&dense_to_columns(singular), &mut ws).is_err());
-        assert!(ws.touched.is_empty());
-        assert!(ws.work.iter().all(|&w| w == 0.0) && !ws.mark.contains(&true));
+        assert!(ws.work.iter().all(|&w| w == 0.0) && ws.marks.iter().all(|&w| w == 0));
         let reused = factorize_in(&dense_to_columns(regular), &mut ws).expect("nonsingular");
         let fresh = factorize(&dense_to_columns(regular)).expect("nonsingular");
         assert!(reused.same_bits(&fresh));
