@@ -32,7 +32,7 @@ use crate::cuts::{lp_with_cuts, separate_round, CutPool};
 use crate::error::SolveError;
 use crate::model::{Model, SolveParams};
 use crate::presolve::NodeSolver;
-use crate::simplex::{solve_sparse, Basis, LpResult, LpStatus, SparseLp, Warm};
+use crate::simplex::{solve_sparse, Basis, LpResult, LpStatus, SimplexWorkspace, SparseLp, Warm};
 use crate::solution::{Solution, SolverCounters, Status};
 use crate::sparse::LuFactors;
 use std::cmp::Ordering;
@@ -100,9 +100,17 @@ struct Node {
     branched: Option<(usize, bool, f64, f64)>,
 }
 
-/// The LP every node of one tree solves — the equality form (cut rows
-/// included) and its presolve reduction — with the tree's memo of warm-start
-/// factorizations.
+/// The LPs of one tree — the base equality form and its presolve reduction,
+/// then the base extended by the root cuts once the cut loop keeps a round —
+/// with the tree's memo of warm-start factorizations and the one
+/// [`SimplexWorkspace`] every LP of the tree runs in.
+///
+/// The workspace serves the root, the cut rounds, the pump, the probes and
+/// every node, and is dropped with the tree: per-LP buffers, LU buffers and
+/// the eta file are allocated once per tree instead of once per LP, and
+/// every LP resets them as it starts, so reuse cannot change an answer. It
+/// also counts every pivot charged in it, which is what lets `solve_tree`
+/// check that the counters book them all.
 ///
 /// Installing a snapshot starts with a from-scratch LU factorization of its
 /// basis, which depends on the LP and the snapshot alone, not on the node
@@ -112,25 +120,54 @@ struct Node {
 /// the install would have computed (debug builds recompute it and compare
 /// the bits), which is why the dual simplex may still treat its starting
 /// state as certified from scratch, and why the memo cannot move a node, a
-/// pivot or a schedule. It lives and dies with the tree.
+/// pivot or a schedule. An evicted factorization's buffers go back to the
+/// workspace.
 struct TreeLp<'a> {
-    lp: &'a SparseLp,
-    solver: &'a NodeSolver,
+    base_lp: &'a SparseLp,
+    base_solver: &'a NodeSolver,
+    /// The base LP with the kept cut rows appended, and its presolve.
+    cut: Option<(SparseLp, NodeSolver)>,
     /// Least recently installed first. The key is held, not just compared:
     /// while the memo owns the `Rc`, its address cannot be recycled for
     /// another snapshot.
     memo: Vec<(Rc<Basis>, Rc<LuFactors>)>,
     memo_capacity: usize,
+    workspace: SimplexWorkspace,
 }
 
 impl<'a> TreeLp<'a> {
-    fn new(lp: &'a SparseLp, solver: &'a NodeSolver, memo_capacity: usize) -> Self {
+    fn new(base_lp: &'a SparseLp, base_solver: &'a NodeSolver, memo_capacity: usize) -> Self {
         TreeLp {
-            lp,
-            solver,
+            base_lp,
+            base_solver,
+            cut: None,
             memo: Vec::with_capacity(memo_capacity + 1),
             memo_capacity,
+            workspace: SimplexWorkspace::default(),
         }
+    }
+
+    /// The LP the tree's nodes solve: the cut LP once there is one.
+    fn lp(&self) -> &SparseLp {
+        self.cut.as_ref().map_or(self.base_lp, |(lp, _)| lp)
+    }
+
+    /// Makes `lp` (the base LP plus cut rows) and its presolve the LP the
+    /// tree's nodes solve.
+    fn install_cuts(&mut self, lp: SparseLp, solver: NodeSolver) {
+        // Memo entries are factorizations of bases over the previous LP.
+        self.memo.clear();
+        self.cut = Some((lp, solver));
+    }
+
+    /// Solves the base LP — cut rows excluded — under `bounds` from `warm`.
+    fn solve_base(
+        &mut self,
+        bounds: &[(f64, f64)],
+        max_iters: usize,
+        warm: Warm<'_>,
+    ) -> Result<(LpResult, Option<Basis>), SolveError> {
+        self.base_solver.solve(self.base_lp, bounds, max_iters, warm, &mut self.workspace)
     }
 
     /// Solves the LP under `bounds`: by the dual simplex from `warm` — the
@@ -142,17 +179,22 @@ impl<'a> TreeLp<'a> {
         max_iters: usize,
         warm: Option<&Rc<Basis>>,
     ) -> Result<(LpResult, Option<Basis>), SolveError> {
+        let (lp, solver) = match &self.cut {
+            Some((lp, solver)) => (lp, solver),
+            None => (self.base_lp, self.base_solver),
+        };
         let Some(snapshot) = warm else {
-            return self.solver.solve(self.lp, bounds, max_iters, Warm::Cold);
+            return solver.solve(lp, bounds, max_iters, Warm::Cold, &mut self.workspace);
         };
         let known = (self.memo.iter()).position(|(key, _)| Rc::ptr_eq(key, snapshot));
         let mut lu = known.map(|at| self.memo.remove(at).1);
         let warm = Warm::Dual(snapshot, &mut lu);
-        let solved = self.solver.solve(self.lp, bounds, max_iters, warm);
+        let solved = solver.solve(lp, bounds, max_iters, warm, &mut self.workspace);
         if let Some(lu) = lu {
             self.memo.push((Rc::clone(snapshot), lu));
             if self.memo.len() > self.memo_capacity {
-                self.memo.remove(0);
+                let (_, evicted) = self.memo.remove(0);
+                self.workspace.recycle(evicted);
             }
         }
         solved
@@ -164,6 +206,16 @@ fn count_lp(counters: &mut SolverCounters, lp: &LpResult) {
     counters.simplex_iterations += lp.iterations;
     counters.devex_resets += lp.devex_resets;
     counters.lu_factorizations += lp.lu_factorizations;
+}
+
+/// Books the pivots of an LP solve that failed: a budget or a numerical dead
+/// end reports how many it charged before it stopped.
+fn count_failed_lp(counters: &mut SolverCounters, error: &SolveError) {
+    if let SolveError::IterationLimitReached { iterations }
+    | SolveError::NumericalInstability { iterations } = *error
+    {
+        counters.simplex_iterations += iterations;
+    }
 }
 
 /// Orders nodes so the [`BinaryHeap`] pops the smallest LP bound first
@@ -302,16 +354,6 @@ fn solve_tree(
     warm: Option<&Basis>,
     memo_capacity: usize,
 ) -> Result<(Solution, Option<Basis>), SolveError> {
-    let params = model.params().clone();
-    let int_tol = params.integrality_tolerance;
-    let max_iters = params.max_simplex_iterations;
-
-    let integer_vars: Vec<usize> = model
-        .variables()
-        .filter(|(_, v)| v.kind.is_integral())
-        .map(|(id, _)| id.index())
-        .collect();
-
     let root_bounds: Vec<(f64, f64)> = model
         .variables()
         .map(|(_, v)| match v.kind {
@@ -330,7 +372,8 @@ fn solve_tree(
         .variables()
         .map(|(_, v)| v.kind.is_integral())
         .collect();
-    let Some(base_solver) = NodeSolver::build(&base_lp, &root_bounds, &integral, params.presolve)
+    let Some(base_solver) =
+        NodeSolver::build(&base_lp, &root_bounds, &integral, model.params().presolve)
     else {
         // Presolve proved the root infeasible before a single pivot.
         let untouched = SolverCounters::default();
@@ -339,6 +382,41 @@ fn solve_tree(
             None,
         ));
     };
+
+    let mut tree = TreeLp::new(&base_lp, &base_solver, memo_capacity);
+    let searched = search(model, warm, &mut tree, &root_bounds, &integral);
+    // Every LP of the search ran in the tree's workspace, which counts the
+    // pivots it charged; whichever way the search ended, the counters must
+    // have booked every one of them.
+    if let Ok((solution, _)) = &searched {
+        debug_assert_eq!(
+            solution.counters.simplex_iterations,
+            tree.workspace.pivots(),
+            "a pivot charged in the tree's workspace went unbooked"
+        );
+    }
+    searched
+}
+
+/// The search of [`solve_tree`] over `tree`: root LP, cut loop, pump and
+/// best-first branch-and-bound.
+fn search(
+    model: &Model,
+    warm: Option<&Basis>,
+    tree: &mut TreeLp<'_>,
+    root_bounds: &[(f64, f64)],
+    integral: &[bool],
+) -> Result<(Solution, Option<Basis>), SolveError> {
+    let params = model.params().clone();
+    let int_tol = params.integrality_tolerance;
+    let max_iters = params.max_simplex_iterations;
+    let (base_lp, base_solver) = (tree.base_lp, tree.base_solver);
+
+    let integer_vars: Vec<usize> = model
+        .variables()
+        .filter(|(_, v)| v.kind.is_integral())
+        .map(|(id, _)| id.index())
+        .collect();
 
     let mut counters = SolverCounters::default();
 
@@ -352,7 +430,7 @@ fn solve_tree(
         Some(basis) => Warm::Primal(basis),
         None => Warm::Cold,
     };
-    let (root_lp, root_basis) = base_solver.solve(&base_lp, &root_bounds, max_iters, root_warm)?;
+    let (root_lp, root_basis) = tree.solve_base(root_bounds, max_iters, root_warm)?;
     count_lp(&mut counters, &root_lp);
     counters.candidate_list_size = root_lp.candidate_list_size;
     (
@@ -394,8 +472,6 @@ fn solve_tree(
     // ------------------------------------------------------------------
     // Root cutting loop: separate, filter through the pool, reoptimize.
     // ------------------------------------------------------------------
-    let mut tree_lp: Option<SparseLp> = None;
-    let mut tree_solver: Option<NodeSolver> = None;
     let mut root = root_lp;
     let mut basis = root_basis;
     let mut pool = CutPool::new();
@@ -403,11 +479,10 @@ fn solve_tree(
     if params.cuts {
         for _ in 0..params.max_cut_rounds {
             let Some(b) = basis.as_ref() else { break };
-            let lp_ref = tree_lp.as_ref().unwrap_or(&base_lp);
             let candidates = separate_round(
-                lp_ref,
-                &root_bounds,
-                &integral,
+                tree.lp(),
+                root_bounds,
+                integral,
                 b,
                 &root.values,
                 &mut counters.lu_factorizations,
@@ -424,9 +499,9 @@ fn solve_tree(
             counters.cuts_added += added;
             counters.cut_rounds += 1;
 
-            let new_lp = lp_with_cuts(&base_lp, pool.cuts());
+            let new_lp = lp_with_cuts(base_lp, pool.cuts());
             let Some(new_solver) =
-                NodeSolver::build(&new_lp, &root_bounds, &integral, params.presolve)
+                NodeSolver::build(&new_lp, root_bounds, integral, params.presolve)
             else {
                 // Every cut is valid for every integer point, so an
                 // infeasible tightened root proves the MILP infeasible.
@@ -438,18 +513,24 @@ fn solve_tree(
             // The extended LP only ever *grew* relative to the basis (rows
             // appended), so a primal warm start applies directly.
             let warm_primal = basis.as_ref().map_or(Warm::Cold, Warm::Primal);
-            let (res, new_basis) =
-                match new_solver.solve(&new_lp, &root_bounds, max_iters, warm_primal) {
-                    Ok(solved) => solved,
-                    // A tightened root can be numerically harder than the
-                    // model itself. A dead end here only rejects this cut
-                    // round — the previous root and LP stay valid.
-                    Err(SolveError::NumericalInstability { iterations }) => {
-                        counters.simplex_iterations += iterations;
-                        break;
-                    }
-                    Err(e) => return Err(e),
-                };
+            let solved = new_solver.solve(
+                &new_lp,
+                root_bounds,
+                max_iters,
+                warm_primal,
+                &mut tree.workspace,
+            );
+            let (res, new_basis) = match solved {
+                Ok(solved) => solved,
+                // A tightened root can be numerically harder than the
+                // model itself. A dead end here only rejects this cut
+                // round — the previous root and LP stay valid.
+                Err(e @ SolveError::NumericalInstability { .. }) => {
+                    count_failed_lp(&mut counters, &e);
+                    break;
+                }
+                Err(e) => return Err(e),
+            };
             count_lp(&mut counters, &res);
             match res.status {
                 LpStatus::Infeasible => {
@@ -465,44 +546,45 @@ fn solve_tree(
             }
             root = res;
             basis = new_basis;
-            tree_lp = Some(new_lp);
-            tree_solver = Some(new_solver);
+            tree.install_cuts(new_lp, new_solver);
             pool.age_and_purge(&root.values);
         }
 
         // Age-based purging may have shrunk the pool below the rows baked
         // into the tree LP; rebuild and reoptimize once so the tree never
         // drags purged rows along.
-        if let Some(current) = tree_lp.as_ref() {
-            if base_lp.nrows + pool.len() < current.nrows {
-                let new_lp = lp_with_cuts(&base_lp, pool.cuts());
-                if let Some(new_solver) =
-                    NodeSolver::build(&new_lp, &root_bounds, &integral, params.presolve)
-                {
-                    // The old basis has more rows than the slimmed LP, so it
-                    // cannot seed it; the base-space caller basis can.
-                    let warm_primal = caller_basis.as_ref().map_or(Warm::Cold, Warm::Primal);
-                    if let Ok((res, new_basis)) =
-                        new_solver.solve(&new_lp, &root_bounds, max_iters, warm_primal)
-                    {
+        if base_lp.nrows + pool.len() < tree.lp().nrows {
+            let new_lp = lp_with_cuts(base_lp, pool.cuts());
+            if let Some(new_solver) =
+                NodeSolver::build(&new_lp, root_bounds, integral, params.presolve)
+            {
+                // The old basis has more rows than the slimmed LP, so it
+                // cannot seed it; the base-space caller basis can.
+                let warm_primal = caller_basis.as_ref().map_or(Warm::Cold, Warm::Primal);
+                let solved = new_solver.solve(
+                    &new_lp,
+                    root_bounds,
+                    max_iters,
+                    warm_primal,
+                    &mut tree.workspace,
+                );
+                match solved {
+                    Ok((res, new_basis)) => {
                         count_lp(&mut counters, &res);
                         if res.status == LpStatus::Optimal {
                             root = res;
                             basis = new_basis;
-                            tree_lp = Some(new_lp);
-                            tree_solver = Some(new_solver);
+                            tree.install_cuts(new_lp, new_solver);
                         }
                     }
+                    // The previous root and LP stay valid; the pivots spent
+                    // finding that out are booked all the same.
+                    Err(e) => count_failed_lp(&mut counters, &e),
                 }
             }
         }
     }
 
-    let mut tree = TreeLp::new(
-        tree_lp.as_ref().unwrap_or(&base_lp),
-        tree_solver.as_ref().unwrap_or(&base_solver),
-        memo_capacity,
-    );
     let root_basis = basis.map(Rc::new);
 
     // ------------------------------------------------------------------
@@ -511,8 +593,8 @@ fn solve_tree(
     let mut incumbent: Option<(f64, Vec<f64>)> = None;
     if params.pump {
         if let Some(found) = feasibility_pump(
-            &mut tree,
-            &root_bounds,
+            tree,
+            root_bounds,
             &integer_vars,
             &root.values,
             root_basis.as_ref(),
@@ -537,13 +619,13 @@ fn solve_tree(
     let mut heap = BinaryHeap::new();
 
     expand_node(
-        &mut tree,
+        tree,
         &params,
         &integer_vars,
         &mut pseudo,
         &mut heap,
         &mut incumbent,
-        &root_bounds,
+        root_bounds,
         root.objective,
         root.values.clone(),
         0,
@@ -576,9 +658,9 @@ fn solve_tree(
             // its internal cold restart is re-solved on the uncut relaxation
             // — a valid (if weaker) bound, and exact on integral points, so
             // the search stays sound instead of aborting the whole tree.
-            Err(SolveError::NumericalInstability { iterations }) if tree_lp.is_some() => {
-                counters.simplex_iterations += iterations;
-                base_solver.solve(&base_lp, &node.bounds, max_iters, Warm::Cold)?
+            Err(e @ SolveError::NumericalInstability { .. }) if tree.cut.is_some() => {
+                count_failed_lp(&mut counters, &e);
+                tree.solve_base(&node.bounds, max_iters, Warm::Cold)?
             }
             Err(e) => return Err(e),
         };
@@ -612,7 +694,7 @@ fn solve_tree(
         }
 
         expand_node(
-            &mut tree,
+            tree,
             &params,
             &integer_vars,
             &mut pseudo,
@@ -968,14 +1050,10 @@ fn probe_child(
                 LpStatus::Unbounded => ProbeOutcome::Unknown,
             }
         }
-        Err(
-            SolveError::IterationLimitReached { iterations }
-            | SolveError::NumericalInstability { iterations },
-        ) => {
-            counters.simplex_iterations += iterations;
+        Err(e) => {
+            count_failed_lp(counters, &e);
             ProbeOutcome::Unknown
         }
-        Err(_) => ProbeOutcome::Unknown,
     }
 }
 
@@ -1020,6 +1098,9 @@ fn feasibility_pump(
     let pump_iters = max_iters.min(PUMP_ITER_CAP);
     let mut relax = root_values.to_vec();
     let mut target = round_to(&relax);
+    // The projection LP: the tree's LP under a distance objective, built on
+    // the first projection and re-costed on every later one.
+    let mut dist: Option<SparseLp> = None;
     for _ in 0..PUMP_MAX_ROUNDS {
         // Does the rounding extend to a feasible point? Fix the integers and
         // optimize the *true* objective over the continuous rest.
@@ -1034,20 +1115,23 @@ fn feasibility_pump(
                     return Some((res.objective, res.values));
                 }
             }
-            Err(SolveError::IterationLimitReached { iterations }) => {
-                // Checking this rounding is too expensive — count it as a
-                // miss and let the projection steer toward the next one.
-                counters.simplex_iterations += iterations;
+            // Checking this rounding is too expensive — count it as a miss
+            // and let the projection steer toward the next one.
+            Err(e @ SolveError::IterationLimitReached { .. }) => count_failed_lp(counters, &e),
+            Err(e) => {
+                count_failed_lp(counters, &e);
+                return None;
             }
-            Err(_) => return None,
         }
 
         // Projection: minimize the L1 distance to the rounding over the
         // relaxation. For a target at a bound the distance is exactly linear;
         // interior targets use the pull direction from the last projection.
-        let mut dist = tree.lp.clone();
+        let dist = dist.get_or_insert_with(|| SparseLp {
+            obj_offset: 0.0,
+            ..tree.lp().clone()
+        });
         dist.cost.iter_mut().for_each(|c| *c = 0.0);
-        dist.obj_offset = 0.0;
         for (t, &vi) in target.iter().zip(integer_vars) {
             let (lo, hi) = bounds[vi];
             dist.cost[vi] = if (*t - lo).abs() < 0.5 {
@@ -1060,21 +1144,19 @@ fn feasibility_pump(
                 -1.0
             };
         }
-        match solve_sparse(
-            &dist,
-            bounds,
-            pump_iters,
-            root_basis.map_or(Warm::Cold, |basis| Warm::Primal(basis)),
-        ) {
-            Ok((res, _)) if res.status == LpStatus::Optimal => {
+        let warm = root_basis.map_or(Warm::Cold, |basis| Warm::Primal(basis));
+        match solve_sparse(dist, bounds, pump_iters, warm, &mut tree.workspace) {
+            Ok((res, _)) => {
                 count_lp(counters, &res);
+                if res.status != LpStatus::Optimal {
+                    return None;
+                }
                 relax = res.values;
             }
-            Err(SolveError::IterationLimitReached { iterations }) => {
-                counters.simplex_iterations += iterations;
+            Err(e) => {
+                count_failed_lp(counters, &e);
                 return None;
             }
-            Ok(_) | Err(_) => return None,
         }
 
         let mut next = round_to(&relax);
@@ -1382,7 +1464,8 @@ mod tests {
         let bounds: Vec<(f64, f64)> = m.variables().map(|(_, v)| (v.lower, v.upper)).collect();
         let integral = vec![true; bounds.len()];
         let solver = NodeSolver::build(&lp, &bounds, &integral, true).expect("feasible root");
-        let (root, basis) = solver.solve(&lp, &bounds, 10_000, Warm::Cold).unwrap();
+        let ws = &mut SimplexWorkspace::default();
+        let (root, basis) = solver.solve(&lp, &bounds, 10_000, Warm::Cold, ws).unwrap();
         let basis = Rc::new(basis.expect("optimal root"));
         let mut tree = TreeLp::new(&lp, &solver, MEMO_CAPACITY);
         let mut probe = |var: usize, bound: f64, is_upper: bool, budget: usize| {
@@ -1414,6 +1497,52 @@ mod tests {
         let (outcome, booked) = probe(var, bound, is_upper, 1);
         assert!(matches!(outcome, ProbeOutcome::Unknown));
         assert!(booked >= 1, "the spent pivots were dropped");
+    }
+
+    #[test]
+    fn a_pump_projection_that_ends_unbounded_books_its_pivots() {
+        // Without presolve: min −y s.t. 2y ≤ 1, x ≥ 2.5, x − 2w ≤ 3.7 over
+        // integer y ∈ [0, 1] and x, w ∈ [0, ∞). The root is y = 0.5,
+        // x = 2.5, and its rounding y = 1, x = 3 does not extend to a
+        // feasible point. The projection toward that rounding first pivots
+        // x up to the third row's bound, then finds the ray along which w
+        // lets x grow for ever, and the pump gives up.
+        let mut m = Model::new("pump-ray");
+        let y = m.add_integer("y", 0.0, 1.0);
+        let x = m.add_integer("x", 0.0, f64::INFINITY);
+        let w = m.add_integer("w", 0.0, f64::INFINITY);
+        m.set_objective(Sense::Minimize, &[(y, -1.0)]);
+        m.add_le(&[(y, 2.0)], 1.0);
+        m.add_ge(&[(x, 1.0)], 2.5);
+        m.add_le(&[(x, 1.0), (w, -2.0)], 3.7);
+        let lp = SparseLp::from_model(&m);
+        let bounds: Vec<(f64, f64)> = m.variables().map(|(_, v)| (v.lower, v.upper)).collect();
+        let solver = NodeSolver::build(&lp, &bounds, &[true; 3], false).expect("presolve is off");
+        let mut tree = TreeLp::new(&lp, &solver, MEMO_CAPACITY);
+        let mut counters = SolverCounters::default();
+        let (root, basis) = tree.solve_base(&bounds, 10_000, Warm::Cold).unwrap();
+        count_lp(&mut counters, &root);
+        let root_pivots = tree.workspace.pivots();
+        let found = feasibility_pump(
+            &mut tree,
+            &bounds,
+            &[y.index(), x.index(), w.index()],
+            &root.values,
+            basis.map(Rc::new).as_ref(),
+            1e-6,
+            10_000,
+            &mut counters,
+        );
+        assert!(found.is_none());
+        assert!(
+            tree.workspace.pivots() > root_pivots,
+            "the pump never pivoted"
+        );
+        assert_eq!(
+            counters.simplex_iterations,
+            tree.workspace.pivots(),
+            "the pump dropped pivots it charged"
+        );
     }
 
     #[test]

@@ -706,7 +706,7 @@ fn cover_cut_from_row(
 mod tests {
     use super::*;
     use crate::model::{Model, Sense};
-    use crate::simplex::{solve_sparse, LpStatus, Warm};
+    use crate::simplex::{solve_sparse, LpStatus, SimplexWorkspace, Warm};
 
     /// Everything cut separation needs about a solved root relaxation:
     /// the LP, its bounds, integrality flags, optimal basis and point.
@@ -726,7 +726,8 @@ mod tests {
             .variables()
             .map(|(_, v)| v.kind.is_integral())
             .collect();
-        let (res, basis) = solve_sparse(&lp, &bounds, 10_000, Warm::Cold).expect("solve");
+        let ws = &mut SimplexWorkspace::default();
+        let (res, basis) = solve_sparse(&lp, &bounds, 10_000, Warm::Cold, ws).expect("solve");
         assert_eq!(res.status, LpStatus::Optimal);
         (lp, bounds, integral, basis.expect("basis"), res.values)
     }

@@ -42,7 +42,10 @@
 //! bounds with the derived ones per node.
 
 use crate::error::SolveError;
-use crate::simplex::{solve_sparse, Basis, LpResult, LpStatus, SparseLp, VarStatus, Warm};
+use crate::simplex::{
+    solve_in, solve_sparse, Basis, EngineState, LpResult, LpStatus, SimplexWorkspace, SparseLp,
+    VarStatus, Warm,
+};
 
 /// Feasibility tolerance used when presolve checks a dropped row.
 const FEAS_TOL: f64 = 1e-7;
@@ -385,12 +388,12 @@ impl Presolve {
         }))
     }
 
-    /// Maps node bounds into the reduced column space, intersecting with the
-    /// presolve-derived bounds. `None` means the node is infeasible outright
-    /// (crossed bounds, or a node bound excludes an eliminated column's fixed
-    /// value).
-    fn map_bounds(&self, bounds: &[(f64, f64)]) -> Option<Vec<(f64, f64)>> {
-        let mut reduced = Vec::with_capacity(self.kept_cols.len());
+    /// Maps node bounds into `out`, in the reduced column space, intersected
+    /// with the presolve-derived bounds. `false` means the node is infeasible
+    /// outright (crossed bounds, or a node bound excludes an eliminated
+    /// column's fixed value).
+    fn map_bounds(&self, bounds: &[(f64, f64)], out: &mut Vec<(f64, f64)>) -> bool {
+        out.clear();
         for (j, &(node_lo, node_hi)) in bounds.iter().enumerate() {
             let (dlo, dhi) = self.derived[j];
             match self.col_fate[j] {
@@ -398,38 +401,38 @@ impl Presolve {
                     let lo = node_lo.max(dlo);
                     let hi = node_hi.min(dhi);
                     if lo > hi {
-                        return None;
+                        return false;
                     }
-                    reduced.push((lo, hi));
+                    out.push((lo, hi));
                 }
                 ColFate::Fixed(v) => {
                     if v < node_lo - FEAS_TOL || v > node_hi + FEAS_TOL {
-                        return None;
+                        return false;
                     }
                 }
             }
         }
-        Some(reduced)
+        true
     }
 
-    /// Maps an original-space basis snapshot into the reduced space.
+    /// Maps an original-space basis snapshot into `out`, in the reduced
+    /// space; `used` is scratch.
     ///
     /// The snapshot may predate the current problem shape (fewer columns or
     /// rows, or it may reference presolve-eliminated columns as basic). Every
     /// such mismatch is *sanitized* rather than rejected: missing statuses
     /// default to `AtLower` (the install step re-pins them against the actual
     /// bounds), and a hole in the basic set is plugged with the row's own
-    /// logical column. Returns `None` only when two rows compete for the same
-    /// logical column, in which case the caller falls back to a cold start.
-    fn map_basis(&self, basis: &Basis) -> Option<Basis> {
+    /// logical column. Returns `false` only when two rows compete for the
+    /// same logical column, in which case the caller falls back to a cold
+    /// start.
+    fn map_basis(&self, basis: &Basis, out: &mut Basis, used: &mut Vec<bool>) -> bool {
         let (s0, r0) = basis.dims();
         let (status0, basic0, devex0) = basis.parts();
         let red_n = self.reduced.nstruct;
         let red_m = self.reduced.nrows;
-        let red_ncols = red_n + red_m;
+        let (status, basic, devex) = out.refill(red_n, red_m);
 
-        let mut status = vec![VarStatus::AtLower; red_ncols];
-        let mut devex = vec![1.0; red_ncols];
         for (rc, &j) in self.kept_cols.iter().enumerate() {
             if j < s0 {
                 status[rc] = status0[j];
@@ -447,8 +450,8 @@ impl Presolve {
 
         // Translate the basic column of every kept row; eliminated or unknown
         // columns leave a hole plugged by the row's own logical column.
-        let mut basic = Vec::with_capacity(red_m);
-        let mut used = vec![false; red_ncols];
+        used.clear();
+        used.resize(red_n + red_m, false);
         for (rr, &i) in self.kept_rows.iter().enumerate() {
             let translated: Option<usize> = if i < r0 {
                 let bj = basic0[i];
@@ -474,7 +477,7 @@ impl Presolve {
                 _ => {
                     let logical = red_n + rr;
                     if used[logical] {
-                        return None;
+                        return false;
                     }
                     logical
                 }
@@ -490,19 +493,20 @@ impl Presolve {
                 *s = VarStatus::AtLower;
             }
         }
-        for &c in &basic {
+        for &c in basic.iter() {
             status[c] = VarStatus::Basic;
         }
-        Some(Basis::from_parts(red_n, red_m, status, basic, devex))
+        true
     }
 
-    /// Maps a reduced-space optimal basis back to the original numbering:
-    /// eliminated columns park nonbasic at their (equal) bounds and dropped
-    /// rows carry their own logical column, which keeps the original-space
-    /// basis square, nonsingular and primal feasible.
-    fn unmap_basis(&self, basis: Basis, n_orig: usize, m_orig: usize) -> Basis {
-        let (red_n, _red_m) = basis.dims();
-        let (status_r, basic_r, devex_r) = basis.parts();
+    /// Maps the reduced-space optimal basis the last solve left in `state`
+    /// back to the original numbering: eliminated columns park nonbasic at
+    /// their (equal) bounds and dropped rows carry their own logical column,
+    /// which keeps the original-space basis square, nonsingular and primal
+    /// feasible.
+    fn unmap_basis(&self, state: &EngineState, n_orig: usize, m_orig: usize) -> Basis {
+        let red_n = self.reduced.nstruct;
+        let (status_r, basic_r, devex_r) = state.basis_parts();
         let ncols = n_orig + m_orig;
         let mut status = vec![VarStatus::AtLower; ncols];
         let mut devex = vec![1.0; ncols];
@@ -536,52 +540,53 @@ impl Presolve {
         Basis::from_parts(n_orig, m_orig, status, basic, devex)
     }
 
-    /// Solves one node subproblem through the reduced LP, returning the
-    /// result and basis in the **original** space.
+    /// Solves one node subproblem through the reduced LP in `workspace`,
+    /// returning the result and basis in the **original** space. The node
+    /// bounds and the warm basis are mapped into the workspace's buffers, and
+    /// values and basis are read out of its final state straight into the
+    /// original numbering.
     pub(crate) fn solve(
         &self,
         lp: &SparseLp,
         bounds: &[(f64, f64)],
         max_iters: usize,
         warm: Warm<'_>,
+        workspace: &mut SimplexWorkspace,
     ) -> Result<(LpResult, Option<Basis>), SolveError> {
-        let Some(reduced_bounds) = self.map_bounds(bounds) else {
+        let SimplexWorkspace {
+            engine,
+            mapped_bounds,
+            mapped_basis,
+            mapped_used,
+        } = workspace;
+        if !self.map_bounds(bounds, mapped_bounds) {
             return Ok((LpResult::infeasible_without_pivots(), None));
-        };
-        let mapped;
+        }
+        let mut map = |b: &Basis| self.map_basis(b, mapped_basis, mapped_used);
         let warm = match warm {
             Warm::Cold => Warm::Cold,
-            Warm::Primal(b) => match self.map_basis(b) {
-                Some(m) => {
-                    mapped = m;
-                    Warm::Primal(&mapped)
-                }
-                None => Warm::Cold,
-            },
+            Warm::Primal(b) if map(b) => Warm::Primal(mapped_basis),
             // The mapping depends on `self` and the snapshot alone, so a
             // factorization shared per (solver, snapshot) is one per
             // (reduced LP, mapped basis).
-            Warm::Dual(b, shared) => match self.map_basis(b) {
-                Some(m) => {
-                    mapped = m;
-                    Warm::Dual(&mapped, shared)
-                }
-                None => Warm::Cold,
-            },
+            Warm::Dual(b, shared) if map(b) => Warm::Dual(mapped_basis, shared),
+            Warm::Primal(_) | Warm::Dual(..) => Warm::Cold,
         };
-        let (mut result, basis) = solve_sparse(&self.reduced, &reduced_bounds, max_iters, warm)?;
-        if result.status == LpStatus::Optimal {
-            let mut values = vec![0.0; lp.nstruct];
-            for (j, fate) in self.col_fate.iter().enumerate() {
-                values[j] = match *fate {
-                    ColFate::Kept(rc) => result.values[rc],
-                    ColFate::Fixed(v) => v,
-                };
-            }
-            result.values = values;
+        let mut result = solve_in(&self.reduced, mapped_bounds, max_iters, warm, engine)?;
+        if result.status != LpStatus::Optimal {
+            return Ok((result, None));
         }
-        let basis = basis.map(|b| self.unmap_basis(b, lp.nstruct, lp.nrows));
-        Ok((result, basis))
+        let mut values = vec![0.0; lp.nstruct];
+        for (value, fate) in values.iter_mut().zip(&self.col_fate) {
+            if let ColFate::Fixed(v) = *fate {
+                *value = v;
+            }
+        }
+        engine.structural_values(self.reduced.nstruct, |rc, v| {
+            values[self.kept_cols[rc]] = v;
+        });
+        result.values = values;
+        Ok((result, Some(self.unmap_basis(engine, lp.nstruct, lp.nrows))))
     }
 }
 
@@ -622,17 +627,19 @@ impl NodeSolver {
         }
     }
 
-    /// Solves one node subproblem (original-space bounds, result and basis).
+    /// Solves one node subproblem (original-space bounds, result and basis)
+    /// in `workspace`.
     pub(crate) fn solve(
         &self,
         lp: &SparseLp,
         bounds: &[(f64, f64)],
         max_iters: usize,
         warm: Warm<'_>,
+        workspace: &mut SimplexWorkspace,
     ) -> Result<(LpResult, Option<Basis>), SolveError> {
         match self {
-            NodeSolver::Direct => solve_sparse(lp, bounds, max_iters, warm),
-            NodeSolver::Reduced(p) => p.solve(lp, bounds, max_iters, warm),
+            NodeSolver::Direct => solve_sparse(lp, bounds, max_iters, warm, workspace),
+            NodeSolver::Reduced(p) => p.solve(lp, bounds, max_iters, warm, workspace),
         }
     }
 }
@@ -641,7 +648,7 @@ impl NodeSolver {
 mod tests {
     use super::*;
     use crate::model::{Model, Sense};
-    use crate::simplex::SparseLp;
+    use crate::simplex::{SimplexWorkspace, SparseLp};
 
     fn bounds_of(model: &Model) -> Vec<(f64, f64)> {
         model.variables().map(|(_, v)| (v.lower, v.upper)).collect()
@@ -654,12 +661,13 @@ mod tests {
     fn solve_both(model: &Model) -> (LpResult, LpResult) {
         let lp = SparseLp::from_model(model);
         let bounds = bounds_of(model);
-        let direct = solve_sparse(&lp, &bounds, 10_000, Warm::Cold)
+        let ws = &mut SimplexWorkspace::default();
+        let direct = solve_sparse(&lp, &bounds, 10_000, Warm::Cold, ws)
             .expect("direct solve")
             .0;
         let reduced = match Presolve::build(&lp, &bounds, &continuous(model)) {
             PresolveOutcome::Reduced(p) => {
-                p.solve(&lp, &bounds, 10_000, Warm::Cold)
+                p.solve(&lp, &bounds, 10_000, Warm::Cold, ws)
                     .expect("presolved solve")
                     .0
             }
@@ -769,7 +777,8 @@ mod tests {
         m.add_ge(&[(x, 1.0), (y, 1.0)], 5.0);
         let lp = SparseLp::from_model(&m);
         let bounds = bounds_of(&m);
-        let (root, basis) = solve_sparse(&lp, &bounds, 10_000, Warm::Cold).expect("root");
+        let ws = &mut SimplexWorkspace::default();
+        let (root, basis) = solve_sparse(&lp, &bounds, 10_000, Warm::Cold, ws).expect("root");
         assert_eq!(root.status, LpStatus::Optimal);
         let basis = basis.expect("optimal basis");
 
@@ -782,7 +791,9 @@ mod tests {
         };
         assert!(p.cols_removed() >= 1);
         for warm in [Warm::Primal(&basis), Warm::Dual(&basis, &mut None)] {
-            let (res, _) = p.solve(&lp2, &bounds2, 10_000, warm).expect("warm solve");
+            let (res, _) = p
+                .solve(&lp2, &bounds2, 10_000, warm, ws)
+                .expect("warm solve");
             assert_eq!(res.status, LpStatus::Optimal);
             // x = 2 pinned, so y = 3 and the objective is 2 + 6.
             assert!((res.objective - 8.0).abs() < 1e-6, "{}", res.objective);
@@ -802,8 +813,9 @@ mod tests {
             panic!("feasible instance");
         };
         // A branch-style child bound [3, 10] excludes the pinned 2.5.
+        let ws = &mut SimplexWorkspace::default();
         let (res, basis) = p
-            .solve(&lp, &[(3.0, 10.0)], 10_000, Warm::Cold)
+            .solve(&lp, &[(3.0, 10.0)], 10_000, Warm::Cold, ws)
             .expect("solve");
         assert_eq!(res.status, LpStatus::Infeasible);
         assert!(basis.is_none());

@@ -183,6 +183,22 @@ impl Basis {
     pub(crate) fn parts(&self) -> (&[VarStatus], &[usize], &[f64]) {
         (&self.status, &self.basic, &self.devex)
     }
+
+    /// Empties the snapshot into an `nstruct × nrows` one — every status
+    /// `AtLower`, every weight 1, no basic column — keeping its buffers, and
+    /// hands out its parts for the presolve mapping layer to fill.
+    pub(crate) fn refill(
+        &mut self,
+        nstruct: usize,
+        nrows: usize,
+    ) -> (&mut [VarStatus], &mut Vec<usize>, &mut [f64]) {
+        self.nstruct = nstruct;
+        self.nrows = nrows;
+        refill(&mut self.status, nstruct + nrows, VarStatus::AtLower);
+        self.basic.clear();
+        refill(&mut self.devex, nstruct + nrows, 1.0);
+        (&mut self.status, &mut self.basic, &mut self.devex)
+    }
 }
 
 /// Equality-form sparse LP extracted from a [`Model`].
@@ -280,6 +296,149 @@ pub(crate) enum Warm<'a> {
     Dual(&'a Basis, &'a mut Option<Rc<LuFactors>>),
 }
 
+/// Every per-LP buffer of the simplex, kept from one LP to the next.
+///
+/// A branch-and-bound tree solves tens of thousands of small LPs, each a
+/// few dozen pivots long; allocating an engine's vectors, its LU buffers and
+/// its eta file afresh for each was a measurable share of the solve. One
+/// workspace serves every LP of a tree (`TreeLp` in `branch_bound` owns it
+/// and drops it with the tree); [`solve_lp`] makes a local one.
+///
+/// Reuse is invisible: an LP's answer never depends on what ran in the
+/// workspace before it. Every per-LP field is reset when an LP starts —
+/// bounds, statuses, the basic list, `x_B`, the dense work vectors, phase-1
+/// costs, Devex weights back to 1, the `α` row, the eta file — and the
+/// per-LP counts and the pricing cursor live in the engine, which is built
+/// per LP. Only buffer capacity and the factorization buffers carry over,
+/// and a factorization is a pure function of the basis it is computed from.
+#[derive(Debug)]
+pub(crate) struct SimplexWorkspace {
+    /// The engine's buffers; after an optimal solve, its final state.
+    pub(crate) engine: EngineState,
+    /// Node bounds mapped into the presolve-reduced column space.
+    pub(crate) mapped_bounds: Vec<(f64, f64)>,
+    /// A warm basis mapped into the presolve-reduced numbering.
+    pub(crate) mapped_basis: Basis,
+    /// Which reduced columns the mapped basis has made basic so far.
+    pub(crate) mapped_used: Vec<bool>,
+}
+
+impl Default for SimplexWorkspace {
+    fn default() -> Self {
+        SimplexWorkspace {
+            engine: EngineState::default(),
+            mapped_bounds: Vec::new(),
+            mapped_basis: Basis::from_parts(0, 0, Vec::new(), Vec::new(), Vec::new()),
+            mapped_used: Vec::new(),
+        }
+    }
+}
+
+impl SimplexWorkspace {
+    /// Pivots and bound flips charged by every LP solved in this workspace
+    /// so far, the ones of solves that ended in an error included.
+    pub(crate) fn pivots(&self) -> usize {
+        self.engine.pivots
+    }
+
+    /// Offers the buffers of a factorization a memo let go of
+    /// ([`BasisFactor::recycle`]).
+    pub(crate) fn recycle(&mut self, lu: Rc<LuFactors>) {
+        self.engine.factor.recycle(lu);
+    }
+}
+
+/// The engine's buffers, owned by a [`SimplexWorkspace`].
+#[derive(Debug, Default)]
+pub(crate) struct EngineState {
+    /// Bounds for every column (structural overridden, logical fixed).
+    lower: Vec<f64>,
+    upper: Vec<f64>,
+    status: Vec<VarStatus>,
+    /// Basic column per row.
+    basic: Vec<usize>,
+    /// Basic values per row.
+    xb: Vec<f64>,
+    factor: BasisFactor,
+    /// Dense workspaces (length `nrows`).
+    w: Vec<f64>,
+    y: Vec<f64>,
+    /// Phase-1 cost workspace (length `ncols`) and the entries set last
+    /// iteration, so the vector is cleared in `O(touched)` instead of being
+    /// reallocated per pivot.
+    c1: Vec<f64>,
+    c1_touched: Vec<usize>,
+    /// Devex reference weights per column (approximate steepest-edge norms).
+    devex: Vec<f64>,
+    /// `α_j = ρ·a_j` of the last pivot row `ρ`, for every column the Devex
+    /// update visits (nonbasic, not fixed); the dual ratio test stores what
+    /// it computes here and the update reads it back.
+    alpha: Vec<f64>,
+    /// Running total behind [`SimplexWorkspace::pivots`].
+    pivots: usize,
+}
+
+/// Empties `v` into `len` copies of `value`, keeping its buffer.
+fn refill<T: Copy>(v: &mut Vec<T>, len: usize, value: T) {
+    v.clear();
+    v.resize(len, value);
+}
+
+impl EngineState {
+    /// Preferred nonbasic status for a column given its bounds.
+    fn default_status(&self, j: usize) -> VarStatus {
+        if self.lower[j].is_finite() {
+            VarStatus::AtLower
+        } else if self.upper[j].is_finite() {
+            VarStatus::AtUpper
+        } else {
+            VarStatus::Free
+        }
+    }
+
+    /// Value of a nonbasic column.
+    fn nonbasic_value(&self, j: usize) -> f64 {
+        match self.status[j] {
+            VarStatus::AtLower => self.lower[j],
+            VarStatus::AtUpper => self.upper[j],
+            VarStatus::Free => 0.0,
+            VarStatus::Basic => unreachable!("basic column asked for nonbasic value"),
+        }
+    }
+
+    /// Hands `set(j, x_j)` the value of every structural column `j <
+    /// nstruct` of the last solve's final basic solution.
+    pub(crate) fn structural_values(&self, nstruct: usize, mut set: impl FnMut(usize, f64)) {
+        for j in 0..nstruct {
+            if self.status[j] != VarStatus::Basic {
+                set(j, self.nonbasic_value(j));
+            }
+        }
+        for (i, &j) in self.basic.iter().enumerate() {
+            if j < nstruct {
+                set(j, self.xb[i]);
+            }
+        }
+    }
+
+    /// The final basis of the last solve as `(status, basic, devex)`, in the
+    /// numbering of the LP it solved.
+    pub(crate) fn basis_parts(&self) -> (&[VarStatus], &[usize], &[f64]) {
+        (&self.status, &self.basic, &self.devex)
+    }
+
+    /// The final basis of the last solve, over `lp`, as a snapshot.
+    fn snapshot(&self, lp: &SparseLp) -> Basis {
+        Basis {
+            nstruct: lp.nstruct,
+            nrows: lp.nrows,
+            status: self.status.clone(),
+            basic: self.basic.clone(),
+            devex: self.devex.clone(),
+        }
+    }
+}
+
 /// Solves the LP relaxation of `model` with the variable bounds overridden by
 /// `bounds` (one `(lower, upper)` pair per model variable, in column order).
 ///
@@ -295,14 +454,18 @@ pub(crate) fn solve_lp(model: &Model, bounds: &[(f64, f64)]) -> Result<LpResult,
     // presolve must not round derived bounds onto the integer lattice.
     let integral = vec![false; lp.nstruct];
     match crate::presolve::NodeSolver::build(&lp, bounds, &integral, model.params().presolve) {
-        Some(solver) => solver
-            .solve(&lp, bounds, max_iters, Warm::Cold)
-            .map(|(r, _)| r),
+        Some(solver) => {
+            let mut workspace = SimplexWorkspace::default();
+            solver
+                .solve(&lp, bounds, max_iters, Warm::Cold, &mut workspace)
+                .map(|(r, _)| r)
+        }
         None => Ok(LpResult::infeasible_without_pivots()),
     }
 }
 
-/// Solves a prepared [`SparseLp`] under the given structural bounds.
+/// Solves a prepared [`SparseLp`] under the given structural bounds, in
+/// `workspace`.
 ///
 /// On an optimal outcome the returned [`Basis`] snapshot can warm-start the
 /// next related solve.
@@ -311,13 +474,36 @@ pub(crate) fn solve_sparse(
     bounds: &[(f64, f64)],
     max_iters: usize,
     warm: Warm<'_>,
+    workspace: &mut SimplexWorkspace,
 ) -> Result<(LpResult, Option<Basis>), SolveError> {
+    let state = &mut workspace.engine;
+    let mut result = solve_in(lp, bounds, max_iters, warm, state)?;
+    if result.status != LpStatus::Optimal {
+        return Ok((result, None));
+    }
+    let mut values = vec![0.0; lp.nstruct];
+    state.structural_values(lp.nstruct, |j, v| values[j] = v);
+    result.values = values;
+    Ok((result, Some(state.snapshot(lp))))
+}
+
+/// Solves `lp` under `bounds` in `state` and returns the outcome without
+/// values; after an optimal outcome `state` holds the final basis and basic
+/// solution ([`EngineState::structural_values`],
+/// [`EngineState::basis_parts`]).
+pub(crate) fn solve_in(
+    lp: &SparseLp,
+    bounds: &[(f64, f64)],
+    max_iters: usize,
+    warm: Warm<'_>,
+    state: &mut EngineState,
+) -> Result<LpResult, SolveError> {
     // A bound pair with lower > upper makes the subproblem trivially infeasible.
     if bounds.iter().any(|(l, u)| l > u) {
-        return Ok((LpResult::infeasible_without_pivots(), None));
+        return Ok(LpResult::infeasible_without_pivots());
     }
 
-    let mut engine = Engine::new(lp, bounds, max_iters);
+    let mut engine = Engine::new(lp, bounds, max_iters, state);
     // A snapshot that cannot be applied degrades to the cold basis.
     let (installed, dual) = match warm {
         Warm::Cold => (false, false),
@@ -327,8 +513,8 @@ pub(crate) fn solve_sparse(
     let mut started_cold = !installed;
     if installed && dual {
         match engine.dual()? {
-            DualOutcome::Optimal => return engine.finish(LpStatus::Optimal),
-            DualOutcome::Infeasible => return engine.finish(LpStatus::Infeasible),
+            DualOutcome::Optimal => return Ok(engine.result(LpStatus::Optimal)),
+            DualOutcome::Infeasible => return Ok(engine.result(LpStatus::Infeasible)),
             // Numerical trouble: restart from scratch below.
             DualOutcome::Stuck => started_cold = true,
         }
@@ -349,7 +535,7 @@ pub(crate) fn solve_sparse(
                 started_cold = true;
                 engine.install_cold_basis();
             }
-            Ok(status) => return engine.finish(status),
+            Ok(status) => return Ok(engine.result(status)),
             Err(EngineError::Budget(e)) => return Err(e),
             Err(EngineError::Numerical) => {
                 if started_cold {
@@ -386,32 +572,15 @@ impl From<SolveError> for EngineError {
     }
 }
 
-/// The revised-simplex engine: factorized basis, statuses and workspaces.
+/// The revised-simplex engine of one LP: its counts and pricing cursor, over
+/// the buffers of a workspace.
 struct Engine<'a> {
     lp: &'a SparseLp,
-    /// Bounds for every column (structural overridden, logical fixed).
-    lower: Vec<f64>,
-    upper: Vec<f64>,
-    status: Vec<VarStatus>,
-    /// Basic column per row.
-    basic: Vec<usize>,
-    /// Basic values per row.
-    xb: Vec<f64>,
-    factor: BasisFactor,
+    ws: &'a mut EngineState,
     /// From-scratch factorizations computed so far (adopted ones excluded).
     lu_factorizations: usize,
     iterations: usize,
     max_iters: usize,
-    /// Dense workspaces (length `nrows`).
-    w: Vec<f64>,
-    y: Vec<f64>,
-    /// Phase-1 cost workspace (length `ncols`) and the entries set last
-    /// iteration, so the vector is cleared in `O(touched)` instead of being
-    /// reallocated per pivot.
-    c1: Vec<f64>,
-    c1_touched: Vec<usize>,
-    /// Devex reference weights per column (approximate steepest-edge norms).
-    devex: Vec<f64>,
     /// Number of reference-framework resets performed.
     devex_resets: usize,
     /// Rotating partial-pricing cursor (next column to scan).
@@ -421,32 +590,36 @@ struct Engine<'a> {
 }
 
 impl<'a> Engine<'a> {
-    fn new(lp: &'a SparseLp, bounds: &[(f64, f64)], max_iters: usize) -> Self {
-        let ncols = lp.ncols();
-        let mut lower = Vec::with_capacity(ncols);
-        let mut upper = Vec::with_capacity(ncols);
-        for &(l, u) in bounds {
-            lower.push(l);
-            upper.push(u);
-        }
-        lower.extend_from_slice(&lp.logical_lower);
-        upper.extend_from_slice(&lp.logical_upper);
+    /// Starts an LP in `ws`, resetting every per-LP buffer.
+    fn new(
+        lp: &'a SparseLp,
+        bounds: &[(f64, f64)],
+        max_iters: usize,
+        ws: &'a mut EngineState,
+    ) -> Self {
+        let (nrows, ncols) = (lp.nrows, lp.ncols());
+        ws.lower.clear();
+        ws.lower.extend(bounds.iter().map(|&(l, _)| l));
+        ws.lower.extend_from_slice(&lp.logical_lower);
+        ws.upper.clear();
+        ws.upper.extend(bounds.iter().map(|&(_, u)| u));
+        ws.upper.extend_from_slice(&lp.logical_upper);
+        refill(&mut ws.status, ncols, VarStatus::AtLower);
+        ws.basic.clear();
+        ws.xb.clear();
+        refill(&mut ws.w, nrows, 0.0);
+        refill(&mut ws.y, nrows, 0.0);
+        refill(&mut ws.c1, ncols, 0.0);
+        ws.c1_touched.clear();
+        refill(&mut ws.devex, ncols, 1.0);
+        refill(&mut ws.alpha, ncols, 0.0);
+        ws.factor.clear_etas();
         Engine {
             lp,
-            lower,
-            upper,
-            status: vec![VarStatus::AtLower; ncols],
-            basic: Vec::new(),
-            xb: Vec::new(),
-            factor: BasisFactor::default(),
+            ws,
             lu_factorizations: 0,
             iterations: 0,
             max_iters,
-            w: vec![0.0; lp.nrows],
-            y: vec![0.0; lp.nrows],
-            c1: vec![0.0; ncols],
-            c1_touched: Vec::new(),
-            devex: vec![1.0; ncols],
             devex_resets: 0,
             // A quarter of the columns per chunk keeps the entering choice
             // close to full Devex (at most four chunks per rotation) while
@@ -464,39 +637,19 @@ impl<'a> Engine<'a> {
         self.phase2()
     }
 
-    /// Preferred nonbasic status for a column given its bounds.
-    fn default_status(&self, j: usize) -> VarStatus {
-        if self.lower[j].is_finite() {
-            VarStatus::AtLower
-        } else if self.upper[j].is_finite() {
-            VarStatus::AtUpper
-        } else {
-            VarStatus::Free
-        }
-    }
-
-    /// Value of a nonbasic column.
-    fn nonbasic_value(&self, j: usize) -> f64 {
-        match self.status[j] {
-            VarStatus::AtLower => self.lower[j],
-            VarStatus::AtUpper => self.upper[j],
-            VarStatus::Free => 0.0,
-            VarStatus::Basic => unreachable!("basic column asked for nonbasic value"),
-        }
-    }
-
     /// All-logical starting basis.
     fn install_cold_basis(&mut self) {
-        let ncols = self.lp.ncols();
+        let (nstruct, ncols) = (self.lp.nstruct, self.lp.ncols());
+        let ws = &mut *self.ws;
         // Fresh reference framework: the nonbasic set changed wholesale.
-        self.devex.iter_mut().for_each(|w| *w = 1.0);
-        for j in 0..self.lp.nstruct {
-            self.status[j] = self.default_status(j);
+        ws.devex.iter_mut().for_each(|w| *w = 1.0);
+        for j in 0..nstruct {
+            ws.status[j] = ws.default_status(j);
         }
-        self.basic = (self.lp.nstruct..ncols).collect();
-        for (i, &j) in self.basic.iter().enumerate() {
-            debug_assert_eq!(j, self.lp.nstruct + i);
-            self.status[j] = VarStatus::Basic;
+        ws.basic.clear();
+        ws.basic.extend(nstruct..ncols);
+        for j in nstruct..ncols {
+            ws.status[j] = VarStatus::Basic;
         }
         let ok = self.refactorize();
         debug_assert!(ok, "the all-logical basis is the identity");
@@ -521,33 +674,35 @@ impl<'a> Engine<'a> {
         if s0 > s1 || r0 > r1 || basis.basic.len() != r0 {
             return false;
         }
+        let ws = &mut *self.ws;
         // Map a snapshot column index to the current numbering.
         let remap = |j: usize| if j < s0 { j } else { s1 + (j - s0) };
         for j in 0..s1 {
-            self.status[j] = if j < s0 {
+            ws.status[j] = if j < s0 {
                 basis.status[j]
             } else {
-                self.default_status(j)
+                ws.default_status(j)
             };
-            self.devex[j] = if j < s0 { basis.devex[j].max(1.0) } else { 1.0 };
+            ws.devex[j] = if j < s0 { basis.devex[j].max(1.0) } else { 1.0 };
         }
         for i in 0..r1 {
             let j = s1 + i;
-            self.status[j] = if i < r0 {
+            ws.status[j] = if i < r0 {
                 basis.status[s0 + i]
             } else {
                 VarStatus::Basic
             };
-            self.devex[j] = if i < r0 {
+            ws.devex[j] = if i < r0 {
                 basis.devex[s0 + i].max(1.0)
             } else {
                 1.0
             };
         }
-        self.basic = basis.basic.iter().map(|&j| remap(j)).collect();
-        self.basic.extend((r0..r1).map(|i| s1 + i));
-        for &j in &self.basic {
-            self.status[j] = VarStatus::Basic;
+        ws.basic.clear();
+        ws.basic.extend(basis.basic.iter().map(|&j| remap(j)));
+        ws.basic.extend((r0..r1).map(|i| s1 + i));
+        for &j in &ws.basic {
+            ws.status[j] = VarStatus::Basic;
         }
         // Sanitize nonbasic statuses against the current bounds (a bound may
         // have appeared, moved to infinity or become fixed since the
@@ -556,15 +711,15 @@ impl<'a> Engine<'a> {
         // otherwise be held at 0 outside its range without any phase
         // noticing (only basic columns are feasibility-checked).
         for j in 0..self.lp.ncols() {
-            match self.status[j] {
-                VarStatus::AtLower if !self.lower[j].is_finite() => {
-                    self.status[j] = self.default_status(j);
+            match ws.status[j] {
+                VarStatus::AtLower if !ws.lower[j].is_finite() => {
+                    ws.status[j] = ws.default_status(j);
                 }
-                VarStatus::AtUpper if !self.upper[j].is_finite() => {
-                    self.status[j] = self.default_status(j);
+                VarStatus::AtUpper if !ws.upper[j].is_finite() => {
+                    ws.status[j] = ws.default_status(j);
                 }
-                VarStatus::Free if self.lower[j].is_finite() || self.upper[j].is_finite() => {
-                    self.status[j] = self.default_status(j);
+                VarStatus::Free if ws.lower[j].is_finite() || ws.upper[j].is_finite() => {
+                    ws.status[j] = ws.default_status(j);
                 }
                 _ => {}
             }
@@ -572,15 +727,15 @@ impl<'a> Engine<'a> {
         match shared {
             Some(Some(lu)) => {
                 let lp = self.lp;
-                let columns = self.basic.iter().map(|&j| lp.cols.column(j));
-                self.factor.adopt(lu, columns);
+                let columns = ws.basic.iter().map(|&j| lp.cols.column(j));
+                ws.factor.adopt(lu, columns);
             }
             slot => {
                 if !self.refactorize() {
                     return false;
                 }
                 if let Some(slot) = slot {
-                    *slot = Some(self.factor.share());
+                    *slot = Some(self.ws.factor.share());
                 }
             }
         }
@@ -591,32 +746,34 @@ impl<'a> Engine<'a> {
     /// Factorizes the current basis from scratch. Returns `false` if singular.
     fn refactorize(&mut self) -> bool {
         let lp = self.lp;
-        let columns = self.basic.iter().map(|&j| lp.cols.column(j));
+        let columns = self.ws.basic.iter().map(|&j| lp.cols.column(j));
         self.lu_factorizations += 1;
-        self.factor.refactorize(lp.nrows, columns).is_ok()
+        self.ws.factor.refactorize(lp.nrows, columns).is_ok()
     }
 
-    /// Recomputes the basic values `x_B = B⁻¹ (b − N·x_N)`.
+    /// Recomputes the basic values `x_B = B⁻¹ (b − N·x_N)` in place: `rhs`
+    /// first, then the nonbasic columns in ascending order.
     fn compute_xb(&mut self) {
         let lp = self.lp;
-        let mut r = lp.rhs.clone();
+        let ws = &mut *self.ws;
+        ws.xb.clear();
+        ws.xb.extend_from_slice(&lp.rhs);
         for j in 0..lp.ncols() {
-            if self.status[j] != VarStatus::Basic {
-                let v = self.nonbasic_value(j);
+            if ws.status[j] != VarStatus::Basic {
+                let v = ws.nonbasic_value(j);
                 if v != 0.0 {
-                    lp.cols.scatter_column(j, -v, &mut r);
+                    lp.cols.scatter_column(j, -v, &mut ws.xb);
                 }
             }
         }
-        self.factor.ftran(&mut r);
-        self.xb = r;
+        ws.factor.ftran(&mut ws.xb);
     }
 
     /// Refactorizes (recomputing `x_B` to purge drift) when the eta file is
     /// long. Returns `false` on a singular basis, which callers treat as
     /// numerical trouble.
     fn maybe_refactorize(&mut self) -> bool {
-        if self.factor.should_refactorize() {
+        if self.ws.factor.should_refactorize() {
             if !self.refactorize() {
                 return false;
             }
@@ -628,6 +785,7 @@ impl<'a> Engine<'a> {
     /// Counts one pivot/flip against the budget.
     fn charge_iteration(&mut self) -> Result<(), SolveError> {
         self.iterations += 1;
+        self.ws.pivots += 1;
         if self.iterations > self.max_iters {
             return Err(SolveError::IterationLimitReached {
                 iterations: self.iterations,
@@ -640,8 +798,8 @@ impl<'a> Engine<'a> {
     /// returns the entering direction and the violation magnitude when the
     /// column can improve the phase objective. Fixed columns never enter.
     fn eligibility(&self, j: usize, y: &[f64], cost: &[f64]) -> Option<(f64, f64)> {
-        let status = self.status[j];
-        if status == VarStatus::Basic || self.lower[j] == self.upper[j] {
+        let status = self.ws.status[j];
+        if status == VarStatus::Basic || self.ws.lower[j] == self.ws.upper[j] {
             return None;
         }
         let d = cost[j] - self.lp.cols.column_dot(j, y);
@@ -686,7 +844,7 @@ impl<'a> Engine<'a> {
             for k in 0..chunk {
                 let j = (start + k) % ncols;
                 if let Some((dir, violation)) = self.eligibility(j, y, cost) {
-                    let score = violation * violation / self.devex[j];
+                    let score = violation * violation / self.ws.devex[j];
                     if best.map_or(true, |(_, _, s)| score > s) {
                         best = Some((j, dir, score));
                     }
@@ -703,72 +861,75 @@ impl<'a> Engine<'a> {
         None
     }
 
-    /// Devex reference-weight update for the basis change `basic[row] := q`,
-    /// executed against the *outgoing* basis (before [`Engine::pivot`]): the
-    /// pivot row `ρ = B⁻ᵀ e_row` is formed with one BTRAN and the weights are
-    /// updated by [`Engine::update_devex_with_rho`]. The dual simplex, which
-    /// has already BTRAN'd the very same `ρ` for its ratio test, calls the
-    /// `_with_rho` variant directly instead of paying the BTRAN twice.
-    fn update_devex(&mut self, q: usize, row: usize) {
-        self.y.iter_mut().for_each(|v| *v = 0.0);
-        self.y[row] = 1.0;
-        let mut rho = std::mem::take(&mut self.y);
-        self.factor.btran(&mut rho);
-        self.update_devex_with_rho(q, row, &rho);
-        self.y = rho;
+    /// Devex update of a primal pivot `basic[row] := q`, against the
+    /// *outgoing* basis (before [`Engine::pivot`]): forms the pivot row
+    /// `ρ = B⁻ᵀ e_row` with one BTRAN and `α_j = ρ·a_j` for every column the
+    /// update visits, then runs [`Engine::update_devex`]. The dual simplex
+    /// has both already, from its ratio test, and goes to the update
+    /// directly.
+    fn update_devex_primal(&mut self, q: usize, row: usize) {
+        let lp = self.lp;
+        let ws = &mut *self.ws;
+        ws.y.iter_mut().for_each(|v| *v = 0.0);
+        ws.y[row] = 1.0;
+        ws.factor.btran(&mut ws.y);
+        for j in 0..lp.ncols() {
+            if ws.status[j] != VarStatus::Basic && ws.lower[j] != ws.upper[j] {
+                ws.alpha[j] = lp.cols.column_dot(j, &ws.y);
+            }
+        }
+        self.update_devex(q, row);
     }
 
-    /// Core of the Devex update, given the pivot row `ρ = B⁻ᵀ e_row` of the
-    /// outgoing basis: every nonbasic weight is lifted to
-    /// `(α_ρj / α_ρq)² · w_q` where it falls short, and the leaving variable
+    /// Core of the Devex update, given `α_j` of the outgoing basis's pivot
+    /// row for every nonbasic, non-fixed column: every such weight is lifted
+    /// to `(α_j / α_q)² · w_q` where it falls short, and the leaving variable
     /// re-enters the nonbasic set with the entering column's weight seen
     /// through the pivot. Weights only steer column *selection*, never
     /// eligibility, so any drift here costs pivots, not correctness.
-    fn update_devex_with_rho(&mut self, q: usize, row: usize, rho: &[f64]) {
-        let alpha_rq = self.w[row];
+    fn update_devex(&mut self, q: usize, row: usize) {
+        let ws = &mut *self.ws;
+        let alpha_rq = ws.w[row];
         if alpha_rq.abs() <= PIVOT_TOL {
             return;
         }
-        let scale = self.devex[q].max(1.0) / (alpha_rq * alpha_rq);
-        let lp = self.lp;
+        let scale = ws.devex[q].max(1.0) / (alpha_rq * alpha_rq);
         let mut max_weight = 0.0f64;
-        for j in 0..lp.ncols() {
-            if self.status[j] == VarStatus::Basic || self.lower[j] == self.upper[j] || j == q {
+        for j in 0..self.lp.ncols() {
+            if ws.status[j] == VarStatus::Basic || ws.lower[j] == ws.upper[j] || j == q {
                 continue;
             }
-            let alpha = lp.cols.column_dot(j, rho);
+            let alpha = ws.alpha[j];
             if alpha != 0.0 {
                 let candidate = alpha * alpha * scale;
-                if candidate > self.devex[j] {
-                    self.devex[j] = candidate;
+                if candidate > ws.devex[j] {
+                    ws.devex[j] = candidate;
                 }
             }
-            max_weight = max_weight.max(self.devex[j]);
+            max_weight = max_weight.max(ws.devex[j]);
         }
-        self.devex[self.basic[row]] = scale.max(1.0);
+        ws.devex[ws.basic[row]] = scale.max(1.0);
         if max_weight > DEVEX_RESET_LIMIT {
-            self.devex.iter_mut().for_each(|w| *w = 1.0);
+            ws.devex.iter_mut().for_each(|w| *w = 1.0);
             self.devex_resets += 1;
         }
     }
 
     /// Dual vector `y = B⁻ᵀ c_B` for the given per-column costs.
     fn btran_costs(&mut self, cost: &[f64]) {
-        for i in 0..self.lp.nrows {
-            self.y[i] = cost[self.basic[i]];
+        let ws = &mut *self.ws;
+        for (yi, &j) in ws.y.iter_mut().zip(&ws.basic) {
+            *yi = cost[j];
         }
-        let mut y = std::mem::take(&mut self.y);
-        self.factor.btran(&mut y);
-        self.y = y;
+        ws.factor.btran(&mut ws.y);
     }
 
     /// FTRANs column `q` into the `w` workspace.
     fn ftran_column(&mut self, q: usize) {
-        self.w.iter_mut().for_each(|v| *v = 0.0);
-        self.lp.cols.scatter_column(q, 1.0, &mut self.w);
-        let mut w = std::mem::take(&mut self.w);
-        self.factor.ftran(&mut w);
-        self.w = w;
+        let ws = &mut *self.ws;
+        ws.w.iter_mut().for_each(|v| *v = 0.0);
+        self.lp.cols.scatter_column(q, 1.0, &mut ws.w);
+        ws.factor.ftran(&mut ws.w);
     }
 
     /// Executes the basis change `basic[row] := q` after the entering column
@@ -778,29 +939,30 @@ impl<'a> Engine<'a> {
     /// Returns `false` when the eta pivot is numerically unacceptable even
     /// after a refactorization (caller treats this as numerical trouble).
     fn pivot(&mut self, row: usize, q: usize, step: f64, leave_status: VarStatus) -> bool {
-        let entering_prev_status = self.status[q];
-        let entering_value = self.nonbasic_value(q) + step;
+        let ws = &mut *self.ws;
+        let entering_prev_status = ws.status[q];
+        let entering_value = ws.nonbasic_value(q) + step;
         if step != 0.0 {
-            for i in 0..self.lp.nrows {
-                let wi = self.w[i];
+            for (x, &wi) in ws.xb.iter_mut().zip(&ws.w) {
                 if wi != 0.0 {
-                    self.xb[i] -= step * wi;
+                    *x -= step * wi;
                 }
             }
         }
-        let leaving = self.basic[row];
-        if !self.factor.push_eta(row, &self.w) {
+        let leaving = ws.basic[row];
+        if !ws.factor.push_eta(row, &ws.w) {
             // Pivot too small for an eta update: commit the exchange and
             // refactorize the whole basis instead.
-            self.status[leaving] = leave_status;
-            self.basic[row] = q;
-            self.status[q] = VarStatus::Basic;
+            ws.status[leaving] = leave_status;
+            ws.basic[row] = q;
+            ws.status[q] = VarStatus::Basic;
             if !self.refactorize() {
                 // The exchanged basis is singular — roll back and signal
                 // numerical trouble to the caller.
-                self.status[q] = entering_prev_status;
-                self.basic[row] = leaving;
-                self.status[leaving] = VarStatus::Basic;
+                let ws = &mut *self.ws;
+                ws.status[q] = entering_prev_status;
+                ws.basic[row] = leaving;
+                ws.status[leaving] = VarStatus::Basic;
                 let _ = self.refactorize();
                 self.compute_xb();
                 return false;
@@ -808,22 +970,23 @@ impl<'a> Engine<'a> {
             self.compute_xb();
             return true;
         }
-        self.status[leaving] = leave_status;
-        self.basic[row] = q;
-        self.status[q] = VarStatus::Basic;
-        self.xb[row] = entering_value;
+        ws.status[leaving] = leave_status;
+        ws.basic[row] = q;
+        ws.status[q] = VarStatus::Basic;
+        ws.xb[row] = entering_value;
         true
     }
 
     /// Total primal infeasibility of the basic solution.
     fn infeasibility(&self) -> f64 {
+        let ws = &*self.ws;
         let mut total = 0.0;
-        for (i, &j) in self.basic.iter().enumerate() {
-            let x = self.xb[i];
-            if x < self.lower[j] - FEAS_TOL {
-                total += self.lower[j] - x;
-            } else if x > self.upper[j] + FEAS_TOL {
-                total += x - self.upper[j];
+        for (i, &j) in ws.basic.iter().enumerate() {
+            let x = ws.xb[i];
+            if x < ws.lower[j] - FEAS_TOL {
+                total += ws.lower[j] - x;
+            } else if x > ws.upper[j] + FEAS_TOL {
+                total += x - ws.upper[j];
             }
         }
         total
@@ -845,20 +1008,21 @@ impl<'a> Engine<'a> {
         phase1: bool,
         bland: bool,
     ) -> (f64, Option<(usize, VarStatus)>) {
-        let mut t_best = if self.lower[q].is_finite() && self.upper[q].is_finite() {
-            self.upper[q] - self.lower[q]
+        let ws = &*self.ws;
+        let mut t_best = if ws.lower[q].is_finite() && ws.upper[q].is_finite() {
+            ws.upper[q] - ws.lower[q]
         } else {
             f64::INFINITY
         };
         let mut blocking: Option<(usize, VarStatus, f64)> = None; // (row, leave status, |w|)
         for i in 0..self.lp.nrows {
-            let wi = self.w[i];
+            let wi = ws.w[i];
             let delta = dir * wi; // rate of *decrease* of xb[i]
             if delta.abs() <= PIVOT_TOL {
                 continue;
             }
-            let bj = self.basic[i];
-            let (l, u, x) = (self.lower[bj], self.upper[bj], self.xb[i]);
+            let bj = ws.basic[i];
+            let (l, u, x) = (ws.lower[bj], ws.upper[bj], ws.xb[i]);
             let (limit, leave) = if phase1 && x < l - FEAS_TOL {
                 if delta < 0.0 {
                     ((l - x) / -delta, VarStatus::AtLower)
@@ -890,7 +1054,7 @@ impl<'a> Engine<'a> {
                     if limit < t_best - EPS {
                         true
                     } else if bland {
-                        self.basic[i] < self.basic[bi]
+                        ws.basic[i] < ws.basic[bi]
                     } else {
                         wi.abs() > babs
                     }
@@ -906,10 +1070,11 @@ impl<'a> Engine<'a> {
 
     /// Flips the entering column to its opposite bound (no basis change).
     fn bound_flip(&mut self, q: usize, dir: f64, t: f64) {
-        for i in 0..self.lp.nrows {
-            self.xb[i] -= dir * self.w[i] * t;
+        let ws = &mut *self.ws;
+        for (x, &wi) in ws.xb.iter_mut().zip(&ws.w) {
+            *x -= dir * wi * t;
         }
-        self.status[q] = match self.status[q] {
+        ws.status[q] = match ws.status[q] {
             VarStatus::AtLower => VarStatus::AtUpper,
             VarStatus::AtUpper => VarStatus::AtLower,
             other => other,
@@ -942,25 +1107,26 @@ impl<'a> Engine<'a> {
             // Phase-1 costs: −1 below the lower bound, +1 above the upper.
             // Only basic columns can be infeasible, so nonbasic costs are 0;
             // the workspace is cleared entry-wise instead of reallocated.
-            let mut c1 = std::mem::take(&mut self.c1);
-            for &j in &self.c1_touched {
+            let ws = &mut *self.ws;
+            let mut c1 = std::mem::take(&mut ws.c1);
+            for &j in &ws.c1_touched {
                 c1[j] = 0.0;
             }
-            self.c1_touched.clear();
-            for (i, &j) in self.basic.iter().enumerate() {
-                if self.xb[i] < self.lower[j] - FEAS_TOL {
+            ws.c1_touched.clear();
+            for (i, &j) in ws.basic.iter().enumerate() {
+                if ws.xb[i] < ws.lower[j] - FEAS_TOL {
                     c1[j] = -1.0;
-                    self.c1_touched.push(j);
-                } else if self.xb[i] > self.upper[j] + FEAS_TOL {
+                    ws.c1_touched.push(j);
+                } else if ws.xb[i] > ws.upper[j] + FEAS_TOL {
                     c1[j] = 1.0;
-                    self.c1_touched.push(j);
+                    ws.c1_touched.push(j);
                 }
             }
             self.btran_costs(&c1);
-            let y = std::mem::take(&mut self.y);
+            let y = std::mem::take(&mut self.ws.y);
             let entering = self.price(&y, &c1, bland);
-            self.y = y;
-            self.c1 = c1;
+            self.ws.y = y;
+            self.ws.c1 = c1;
             let Some((q, dir)) = entering else {
                 // No improving column: the violation sum is minimal. The
                 // verdict is only trustworthy when `xb` matches a fresh
@@ -986,7 +1152,7 @@ impl<'a> Engine<'a> {
             fresh = false;
             match blocking {
                 Some((row, leave)) => {
-                    self.update_devex(q, row);
+                    self.update_devex_primal(q, row);
                     if !self.pivot(row, q, dir * t_best, leave) {
                         if retried {
                             return Err(EngineError::Numerical);
@@ -1032,9 +1198,9 @@ impl<'a> Engine<'a> {
 
             let lp = self.lp;
             self.btran_costs(&lp.cost);
-            let y = std::mem::take(&mut self.y);
+            let y = std::mem::take(&mut self.ws.y);
             let entering = self.price(&y, &lp.cost, bland);
-            self.y = y;
+            self.ws.y = y;
             let Some((q, dir)) = entering else {
                 return Ok(LpStatus::Optimal);
             };
@@ -1048,7 +1214,7 @@ impl<'a> Engine<'a> {
             self.charge_iteration()?;
             match blocking {
                 Some((row, leave)) => {
-                    self.update_devex(q, row);
+                    self.update_devex_primal(q, row);
                     if !self.pivot(row, q, dir * t_best, leave) {
                         if retried {
                             return Err(EngineError::Numerical);
@@ -1085,10 +1251,10 @@ impl<'a> Engine<'a> {
         loop {
             // Leaving row: the worst bound violation.
             let mut leaving: Option<(usize, bool, f64)> = None; // (row, below, violation)
-            for (i, &j) in self.basic.iter().enumerate() {
-                let x = self.xb[i];
-                let viol_lo = self.lower[j] - x;
-                let viol_hi = x - self.upper[j];
+            for (i, &j) in self.ws.basic.iter().enumerate() {
+                let x = self.ws.xb[i];
+                let viol_lo = self.ws.lower[j] - x;
+                let viol_hi = x - self.ws.upper[j];
                 if viol_lo > FEAS_TOL && leaving.map_or(true, |(_, _, v)| viol_lo > v) {
                     leaving = Some((i, true, viol_lo));
                 }
@@ -1115,31 +1281,32 @@ impl<'a> Engine<'a> {
             }
             let bland = stall > STALL_LIMIT;
 
-            // ρ = B⁻ᵀ e_row, then α_j = ρ·a_j for the candidate columns.
-            self.y.iter_mut().for_each(|v| *v = 0.0);
-            self.y[row] = 1.0;
-            let mut rho = std::mem::take(&mut self.y);
-            self.factor.btran(&mut rho);
-
-            // Reduced costs for the dual ratio test.
-            for i in 0..self.lp.nrows {
-                self.w[i] = self.lp.cost[self.basic[i]];
-            }
-            let mut yc = std::mem::take(&mut self.w);
-            self.factor.btran(&mut yc);
-
+            // ρ = B⁻ᵀ e_row into `y`, then the dual vector of the costs into
+            // `w` for the reduced costs of the ratio test.
             let lp = self.lp;
+            let ws = &mut *self.ws;
+            ws.y.iter_mut().for_each(|v| *v = 0.0);
+            ws.y[row] = 1.0;
+            ws.factor.btran(&mut ws.y);
+            for (wi, &j) in ws.w.iter_mut().zip(&ws.basic) {
+                *wi = lp.cost[j];
+            }
+            ws.factor.btran(&mut ws.w);
+            let (rho, yc) = (&ws.y, &ws.w);
+
             let mut entering: Option<(usize, f64, f64)> = None; // (col, alpha, ratio)
             for j in 0..lp.ncols() {
-                let status = self.status[j];
+                let status = ws.status[j];
                 // Fixed columns (Eq-row logicals, pinned offsets) cannot move
                 // and so cannot repair a primal infeasibility — entering one
                 // would only ping-pong the violation. Skip them, as pricing
                 // does.
-                if status == VarStatus::Basic || self.lower[j] == self.upper[j] {
+                if status == VarStatus::Basic || ws.lower[j] == ws.upper[j] {
                     continue;
                 }
-                let alpha = lp.cols.column_dot(j, &rho);
+                // α_j = ρ·a_j, kept for the Devex update of this pivot.
+                let alpha = lp.cols.column_dot(j, rho);
+                ws.alpha[j] = alpha;
                 if alpha.abs() <= PIVOT_TOL {
                     continue;
                 }
@@ -1154,7 +1321,7 @@ impl<'a> Engine<'a> {
                 if !admissible {
                     continue;
                 }
-                let d = lp.cost[j] - lp.cols.column_dot(j, &yc);
+                let d = lp.cost[j] - lp.cols.column_dot(j, yc);
                 let dval = match status {
                     VarStatus::AtLower => d.max(0.0),
                     VarStatus::AtUpper => (-d).max(0.0),
@@ -1176,10 +1343,8 @@ impl<'a> Engine<'a> {
                     entering = Some((j, alpha, ratio));
                 }
             }
-            self.y = rho;
-            self.w = yc;
 
-            let Some((q, alpha, _)) = entering else {
+            let Some((q, _, _)) = entering else {
                 // Dual unbounded ⇒ primal infeasible — certify from a
                 // from-scratch factorization before surfacing the proof.
                 if hard_fresh {
@@ -1194,17 +1359,17 @@ impl<'a> Engine<'a> {
                 continue;
             };
 
-            let _ = alpha;
             self.ftran_column(q);
-            if self.w[row].abs() <= PIVOT_TOL / 10.0 {
+            let ws = &*self.ws;
+            if ws.w[row].abs() <= PIVOT_TOL / 10.0 {
                 return Ok(DualOutcome::Stuck);
             }
             let target = if below {
-                self.lower[self.basic[row]]
+                ws.lower[ws.basic[row]]
             } else {
-                self.upper[self.basic[row]]
+                ws.upper[ws.basic[row]]
             };
-            let step = (self.xb[row] - target) / self.w[row];
+            let step = (ws.xb[row] - target) / ws.w[row];
             let leave_status = if below {
                 VarStatus::AtLower
             } else {
@@ -1213,11 +1378,9 @@ impl<'a> Engine<'a> {
             self.charge_iteration()?;
             fresh = false;
             hard_fresh = false;
-            // `y` still holds ρ = B⁻ᵀ e_row from the ratio test above — no
-            // second BTRAN for the weight update.
-            let rho = std::mem::take(&mut self.y);
-            self.update_devex_with_rho(q, row, &rho);
-            self.y = rho;
+            // The ratio test above stored α_j for exactly the columns the
+            // update visits: no second BTRAN and no second column pass.
+            self.update_devex(q, row);
             if !self.pivot(row, q, step, leave_status) {
                 return Ok(DualOutcome::Stuck);
             }
@@ -1229,76 +1392,36 @@ impl<'a> Engine<'a> {
 
     /// Objective of the current (not necessarily feasible) basic solution.
     fn objective_value(&self) -> f64 {
-        let lp = self.lp;
+        let (lp, ws) = (self.lp, &*self.ws);
         let mut obj = lp.obj_offset;
-        for (i, &j) in self.basic.iter().enumerate() {
-            obj += lp.cost[j] * self.xb[i];
+        for (i, &j) in ws.basic.iter().enumerate() {
+            obj += lp.cost[j] * ws.xb[i];
         }
         for j in 0..lp.ncols() {
-            if self.status[j] != VarStatus::Basic && lp.cost[j] != 0.0 {
-                obj += lp.cost[j] * self.nonbasic_value(j);
+            if ws.status[j] != VarStatus::Basic && lp.cost[j] != 0.0 {
+                obj += lp.cost[j] * ws.nonbasic_value(j);
             }
         }
         obj
     }
 
-    /// Packages the result and the basis snapshot.
-    fn finish(self, status: LpStatus) -> Result<(LpResult, Option<Basis>), SolveError> {
-        let result = match status {
-            LpStatus::Optimal => {
-                let mut values = vec![0.0; self.lp.nstruct];
-                for (j, value) in values.iter_mut().enumerate() {
-                    *value = match self.status[j] {
-                        VarStatus::Basic => 0.0, // filled below
-                        _ => self.nonbasic_value(j),
-                    };
-                }
-                for (i, &j) in self.basic.iter().enumerate() {
-                    if j < self.lp.nstruct {
-                        values[j] = self.xb[i];
-                    }
-                }
-                LpResult {
-                    status,
-                    objective: self.objective_value(),
-                    values,
-                    iterations: self.iterations,
-                    devex_resets: self.devex_resets,
-                    candidate_list_size: self.price_segment,
-                    lu_factorizations: self.lu_factorizations,
-                }
-            }
-            LpStatus::Infeasible => LpResult {
-                status,
-                objective: f64::INFINITY,
-                values: Vec::new(),
-                iterations: self.iterations,
-                devex_resets: self.devex_resets,
-                candidate_list_size: self.price_segment,
-                lu_factorizations: self.lu_factorizations,
-            },
-            LpStatus::Unbounded => LpResult {
-                status,
-                objective: f64::NEG_INFINITY,
-                values: Vec::new(),
-                iterations: self.iterations,
-                devex_resets: self.devex_resets,
-                candidate_list_size: self.price_segment,
-                lu_factorizations: self.lu_factorizations,
-            },
+    /// The LP's outcome and counts; the values and the basis stay in the
+    /// workspace for the caller to read in its own numbering.
+    fn result(&self, status: LpStatus) -> LpResult {
+        let objective = match status {
+            LpStatus::Optimal => self.objective_value(),
+            LpStatus::Infeasible => f64::INFINITY,
+            LpStatus::Unbounded => f64::NEG_INFINITY,
         };
-        let basis = if status == LpStatus::Optimal {
-            Some(Basis {
-                nstruct: self.lp.nstruct,
-                nrows: self.lp.nrows,
-                status: self.status,
-                basic: self.basic,
-                devex: self.devex,
-            })
-        } else {
-            None
-        };
-        Ok((result, basis))
+        LpResult {
+            status,
+            objective,
+            values: Vec::new(),
+            iterations: self.iterations,
+            devex_resets: self.devex_resets,
+            candidate_list_size: self.price_segment,
+            lu_factorizations: self.lu_factorizations,
+        }
     }
 }
 
@@ -1310,6 +1433,17 @@ mod tests {
     fn solve(model: &Model) -> LpResult {
         let bounds: Vec<(f64, f64)> = model.variables().map(|(_, v)| (v.lower, v.upper)).collect();
         solve_lp(model, &bounds).expect("lp solve")
+    }
+
+    /// [`super::solve_sparse`] in a fresh workspace of its own.
+    fn solve_sparse(
+        lp: &SparseLp,
+        bounds: &[(f64, f64)],
+        max_iters: usize,
+        warm: Warm<'_>,
+    ) -> Result<(LpResult, Option<Basis>), SolveError> {
+        let mut workspace = SimplexWorkspace::default();
+        super::solve_sparse(lp, bounds, max_iters, warm, &mut workspace)
     }
 
     #[test]
@@ -1557,6 +1691,238 @@ mod tests {
             (second.objective - 5.0).abs() < 1e-6,
             "{}",
             second.objective
+        );
+    }
+
+    /// SplitMix64, as everywhere else in the workspace.
+    struct Rng(u64);
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+        /// A nonzero small integer in `-k..=k`.
+        fn small(&mut self, k: usize) -> f64 {
+            let v = 1 + self.below(k);
+            if self.below(2) == 0 {
+                v as f64
+            } else {
+                -(v as f64)
+            }
+        }
+    }
+
+    /// A random `m`-row LP with its bounds: sparse rows of every relation
+    /// through a random point inside the bounds, so that most LPs are
+    /// feasible; finite and infinite upper bounds, so that some are
+    /// unbounded. Structural column 1 is a copy of column 0, so a basis
+    /// holding both is singular.
+    fn random_lp(rng: &mut Rng, m: usize) -> (SparseLp, Vec<(f64, f64)>) {
+        let mut model = Model::new("reuse");
+        let n = 2 + m / 2 + rng.below(m);
+        let mut point = Vec::with_capacity(n);
+        let vars: Vec<_> = (0..n)
+            .map(|j| {
+                let upper = (1 + rng.below(20)) as f64;
+                point.push(rng.below(upper as usize + 1) as f64);
+                let upper = if rng.below(6) == 0 {
+                    f64::INFINITY
+                } else {
+                    upper
+                };
+                model.add_continuous(format!("x{j}"), 0.0, upper)
+            })
+            .collect();
+        let bounds_of: Vec<(f64, f64)> =
+            model.variables().map(|(_, v)| (v.lower, v.upper)).collect();
+        point[1] = point[0];
+        // An unbounded column mostly costs to raise: a few LPs unbounded.
+        let objective: Vec<_> = (vars.iter().zip(&bounds_of))
+            .map(|(&v, &(_, upper))| match rng.small(5) {
+                c if upper.is_infinite() && rng.below(10) > 0 => (v, c.abs()),
+                c => (v, c),
+            })
+            .collect();
+        model.set_objective(Sense::Minimize, &objective);
+        for _ in 0..m {
+            let mut terms = std::collections::BTreeMap::new();
+            for _ in 0..2 + rng.below(4) {
+                let j = rng.below(n);
+                let c = rng.small(3);
+                terms.insert(if j == 1 { 0 } else { j }, c);
+            }
+            if let Some(&c) = terms.get(&0) {
+                terms.insert(1, c);
+            }
+            let activity: f64 = terms.iter().map(|(&j, &c)| c * point[j]).sum();
+            let terms: Vec<_> = terms.into_iter().map(|(j, c)| (vars[j], c)).collect();
+            let slack = rng.below(6) as f64;
+            match rng.below(8) {
+                0 => model.add_eq(&terms, activity),
+                1..=3 => model.add_ge(&terms, activity - slack),
+                _ => model.add_le(&terms, activity + slack),
+            };
+        }
+        (SparseLp::from_model(&model), bounds_of)
+    }
+
+    type Outcome = Result<(LpResult, Option<Basis>), SolveError>;
+
+    /// Field-by-field equality of two outcomes, floats bit for bit.
+    fn assert_same(reused: &Outcome, fresh: &Outcome, what: &str) {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        match (reused, fresh) {
+            (Ok((a, a_basis)), Ok((b, b_basis))) => {
+                assert_eq!(a.status, b.status, "{what}: status");
+                assert_eq!(a.objective.to_bits(), b.objective.to_bits(), "{what}");
+                assert_eq!(bits(&a.values), bits(&b.values), "{what}: values");
+                assert_eq!(a.iterations, b.iterations, "{what}: iterations");
+                assert_eq!(a.devex_resets, b.devex_resets, "{what}: devex resets");
+                assert_eq!(a.lu_factorizations, b.lu_factorizations, "{what}");
+                assert_eq!(a.candidate_list_size, b.candidate_list_size, "{what}");
+                match (a_basis, b_basis) {
+                    (Some(a), Some(b)) => {
+                        assert_eq!(a.dims(), b.dims(), "{what}: basis dims");
+                        assert_eq!(a.status, b.status, "{what}: basis statuses");
+                        assert_eq!(a.basic, b.basic, "{what}: basic columns");
+                        assert_eq!(bits(&a.devex), bits(&b.devex), "{what}: Devex weights");
+                    }
+                    (None, None) => {}
+                    _ => panic!("{what}: one outcome has a basis, the other none"),
+                }
+            }
+            (Err(a), Err(b)) => assert_eq!(a, b, "{what}"),
+            _ => panic!("{what}: {reused:?} against {fresh:?}"),
+        }
+    }
+
+    /// Solves with `mine` in the reused workspace and with `theirs` — the
+    /// same start — in a fresh one, and insists on the same outcome.
+    fn reused_against_fresh(
+        lp: &SparseLp,
+        bounds: &[(f64, f64)],
+        max_iters: usize,
+        reused: &mut SimplexWorkspace,
+        (mine, theirs): (Warm<'_>, Warm<'_>),
+        what: &str,
+    ) -> Option<(LpResult, Option<Basis>)> {
+        let fresh = &mut SimplexWorkspace::default();
+        let outcome = super::solve_sparse(lp, bounds, max_iters, mine, reused);
+        assert_same(
+            &outcome,
+            &super::solve_sparse(lp, bounds, max_iters, theirs, fresh),
+            what,
+        );
+        outcome.ok()
+    }
+
+    /// One workspace through a seeded sequence of unrelated LPs — sizes
+    /// alternating below and above 64 rows; cold, primal-warm and dual-warm
+    /// starts; a dual start that adopts a shared factorization; singular
+    /// warm bases; solves stopped by the pivot budget — answers every LP
+    /// exactly as a fresh workspace does. The `dense-reference` CI job runs
+    /// the large budget.
+    #[test]
+    fn a_reused_workspace_answers_like_a_fresh_one() {
+        let cases = if cfg!(feature = "dense-reference") {
+            400
+        } else {
+            40
+        };
+        let mut rng = Rng(0x5EED_2018);
+        let reused = &mut SimplexWorkspace::default();
+        let (mut adopted, mut budget_stops) = (0, 0);
+        for case in 0..cases {
+            let m = if case % 2 == 0 {
+                3 + rng.below(60)
+            } else {
+                65 + rng.below(80)
+            };
+            let (lp, bounds) = random_lp(&mut rng, m);
+            let what = |step: &str| format!("case {case} (m = {m}), {step}");
+            let cold = (Warm::Cold, Warm::Cold);
+            let root = reused_against_fresh(&lp, &bounds, 10_000, reused, cold, &what("cold"));
+
+            // The same LP again, stopped halfway.
+            let pivots = root.as_ref().map_or(0, |(r, _)| r.iterations);
+            if pivots >= 2 {
+                let cold = (Warm::Cold, Warm::Cold);
+                let stopped =
+                    reused_against_fresh(&lp, &bounds, pivots / 2, reused, cold, &what("budget"));
+                assert!(
+                    stopped.is_none(),
+                    "{}: the budget did not stop it",
+                    what("budget")
+                );
+                budget_stops += 1;
+            }
+
+            // A singular warm basis: the all-logical one with structural
+            // columns 0 and 1, which are equal, in place of two logicals.
+            let ncols = lp.ncols();
+            let mut status = vec![VarStatus::AtLower; ncols];
+            let mut basic: Vec<usize> = (lp.nstruct..ncols).collect();
+            basic[0] = 0;
+            basic[m - 1] = 1;
+            for &j in &basic {
+                status[j] = VarStatus::Basic;
+            }
+            let singular = Basis::from_parts(lp.nstruct, m, status, basic, vec![1.0; ncols]);
+            let dual = (
+                Warm::Dual(&singular, &mut None),
+                Warm::Dual(&singular, &mut None),
+            );
+            reused_against_fresh(&lp, &bounds, 10_000, reused, dual, &what("singular dual"));
+            let primal = (Warm::Primal(&singular), Warm::Primal(&singular));
+            reused_against_fresh(
+                &lp,
+                &bounds,
+                10_000,
+                reused,
+                primal,
+                &what("singular primal"),
+            );
+
+            let Some((root, Some(basis))) = root else {
+                continue;
+            };
+            // Tighten one column below its optimal value, as a branch does,
+            // and reoptimize twice: the second start adopts the
+            // factorization the first one left in the slot.
+            let j = rng.below(lp.nstruct);
+            let mut child = bounds.clone();
+            child[j].1 = (root.values[j] * 0.5).floor();
+            let mut shared = None;
+            let dual = (
+                Warm::Dual(&basis, &mut shared),
+                Warm::Dual(&basis, &mut None),
+            );
+            reused_against_fresh(&lp, &child, 10_000, reused, dual, &what("dual"));
+            if let Some(lu) = shared {
+                let (mut mine, mut theirs) = (Some(Rc::clone(&lu)), Some(lu));
+                let dual = (
+                    Warm::Dual(&basis, &mut mine),
+                    Warm::Dual(&basis, &mut theirs),
+                );
+                reused_against_fresh(&lp, &child, 10_000, reused, dual, &what("adopted dual"));
+                adopted += 1;
+            }
+            // Raise another column's lower bound: a primal restart.
+            let k = rng.below(lp.nstruct);
+            let mut other = bounds.clone();
+            other[k].0 = (root.values[k] + 1.0).min(other[k].1);
+            let primal = (Warm::Primal(&basis), Warm::Primal(&basis));
+            reused_against_fresh(&lp, &other, 10_000, reused, primal, &what("primal"));
+        }
+        assert!(
+            adopted > 0 && budget_stops > 0,
+            "{adopted} adoptions, {budget_stops} budget stops"
         );
     }
 }
