@@ -27,6 +27,15 @@
 //!    provenance — cold solves with pinned columns trust the structural
 //!    (lowest-index) variable order as a prior, while pin-free or warm
 //!    solves probe in pseudocost-score order.
+//!
+//! Every LP of a tree — the root, the cut rounds, the pump, the probes and
+//! the nodes — runs in the one `SimplexWorkspace` its `TreeLp` owns, so the
+//! simplex buffers, LU buffers and eta file are allocated once per tree and
+//! freed with it; each LP resets what it uses as it starts. The workspace
+//! also counts the pivots charged in it, and at every successful return of
+//! `solve_tree` debug builds check that `simplex_iterations` booked them
+//! all — failed probes, failed pump LPs and failed cut reoptimizations
+//! included.
 
 use crate::cuts::{lp_with_cuts, separate_round, CutPool};
 use crate::error::SolveError;
@@ -167,7 +176,8 @@ impl<'a> TreeLp<'a> {
         max_iters: usize,
         warm: Warm<'_>,
     ) -> Result<(LpResult, Option<Basis>), SolveError> {
-        self.base_solver.solve(self.base_lp, bounds, max_iters, warm, &mut self.workspace)
+        self.base_solver
+            .solve(self.base_lp, bounds, max_iters, warm, &mut self.workspace)
     }
 
     /// Solves the LP under `bounds`: by the dual simplex from `warm` — the

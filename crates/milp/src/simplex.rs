@@ -20,9 +20,11 @@
 //! scanned per iteration (a full rotation without an eligible column proves
 //! optimality, so partial pricing never affects correctness — the weights are
 //! a selection heuristic only). After each basis change the weights of the
-//! nonbasic columns are updated from the pivot row (one extra BTRAN); when a
-//! weight overflows the reset limit the reference framework is reset to
-//! all-ones and the reset is counted. Weights travel inside [`Basis`]
+//! nonbasic columns are updated from the pivot row — one extra BTRAN and
+//! column pass in the primal phases, none in the dual simplex, whose ratio
+//! test has formed that row and every `α_j` already; when a weight overflows
+//! the reset limit the reference framework is reset to all-ones and the
+//! reset is counted. Weights travel inside [`Basis`]
 //! snapshots so warm-started reoptimizations (branch-and-bound children, the
 //! incremental `R_M` sweep) keep the accumulated edge information instead of
 //! restarting from Dantzig-equivalent unit weights.
@@ -39,6 +41,22 @@
 //! * **warm dual**: for bound-change-only reoptimization (branch-and-bound
 //!   children), the parent's optimal basis stays dual feasible, so the dual
 //!   simplex drives out the primal infeasibilities directly.
+//!
+//! Every per-LP buffer — bounds, statuses, the basic list, `x_B`, the dense
+//! work vectors, phase-1 costs, Devex weights, the dual ratio test's `α`
+//! row, the presolve layer's mapped bounds and basis, and the
+//! `BasisFactor` with its LU buffers, spare and LU workspace — lives in a
+//! `SimplexWorkspace` that outlives the LP (the eta file's buffer, whose
+//! length follows an LP's pivots rather than its size, is freed as each LP
+//! starts). A branch-and-bound
+//! tree owns one for all its LPs (`TreeLp` in `branch_bound`) and drops it
+//! with the tree; `solve_lp` makes a local one. An LP resets every per-LP
+//! field as it starts (`Engine::new`: statuses, Devex weights back to 1, the
+//! eta file) and keeps its counts and pricing cursor in the `Engine`, which
+//! is built per LP, so a reused workspace answers exactly as a fresh one.
+//! After an optimal solve the final basis and basic solution stay in the
+//! workspace, and the caller reads values and snapshot out of it in its own
+//! numbering (`presolve` straight into the original one).
 
 use crate::error::SolveError;
 use crate::model::{ConstraintOp, Model};
@@ -299,8 +317,8 @@ pub(crate) enum Warm<'a> {
 /// Every per-LP buffer of the simplex, kept from one LP to the next.
 ///
 /// A branch-and-bound tree solves tens of thousands of small LPs, each a
-/// few dozen pivots long; allocating an engine's vectors, its LU buffers and
-/// its eta file afresh for each was a measurable share of the solve. One
+/// handful of pivots long; allocating an engine's vectors and its LU buffers
+/// afresh for each was a measurable share of the solve. One
 /// workspace serves every LP of a tree (`TreeLp` in `branch_bound` owns it
 /// and drops it with the tree); [`solve_lp`] makes a local one.
 ///
@@ -613,7 +631,7 @@ impl<'a> Engine<'a> {
         ws.c1_touched.clear();
         refill(&mut ws.devex, ncols, 1.0);
         refill(&mut ws.alpha, ncols, 0.0);
-        ws.factor.clear_etas();
+        ws.factor.release_etas();
         Engine {
             lp,
             ws,
