@@ -1474,10 +1474,9 @@ mod tests {
         let bounds: Vec<(f64, f64)> = m.variables().map(|(_, v)| (v.lower, v.upper)).collect();
         let integral = vec![true; bounds.len()];
         let solver = NodeSolver::build(&lp, &bounds, &integral, true).expect("feasible root");
-        let ws = &mut SimplexWorkspace::default();
-        let (root, basis) = solver.solve(&lp, &bounds, 10_000, Warm::Cold, ws).unwrap();
-        let basis = Rc::new(basis.expect("optimal root"));
         let mut tree = TreeLp::new(&lp, &solver, MEMO_CAPACITY);
+        let (root, basis) = tree.solve_base(&bounds, 10_000, Warm::Cold).unwrap();
+        let basis = Rc::new(basis.expect("optimal root"));
         let mut probe = |var: usize, bound: f64, is_upper: bool, budget: usize| {
             let mut counters = SolverCounters::default();
             let outcome = probe_child(

@@ -750,6 +750,27 @@ mod tests {
     }
 
     #[test]
+    fn a_factorization_let_go_of_is_built_over_not_a_shared_one() {
+        let a: &[&[f64]] = &[&[0.0, 1.0, 2.0], &[1.0, 3.0, 1.0], &[4.0, 1.0, 0.5]];
+        let columns = dense_to_columns(a);
+        let mut factor = factor_of(&columns);
+        let shared = factor.share();
+        // The shared factors become the spare: a memo still holds them.
+        factor
+            .refactorize(1, borrowed(&dense_to_columns(&[&[2.0]])))
+            .expect("nonsingular");
+        factor.recycle(Rc::clone(&shared));
+        let let_go = Rc::new(factorize(&columns).expect("nonsingular"));
+        let buffers = Rc::as_ptr(&let_go);
+        factor.recycle(let_go);
+        factor
+            .refactorize(1, borrowed(&dense_to_columns(&[&[4.0]])))
+            .expect("nonsingular");
+        assert!(std::ptr::eq(Rc::as_ptr(&factor.lu), buffers));
+        assert!(shared.same_bits(&factorize(&columns).expect("nonsingular")));
+    }
+
+    #[test]
     fn eta_update_matches_refactorization() {
         // Start from B = I, replace column 1 with w = [1, 2, 1]ᵀ.
         let id: &[&[f64]] = &[&[1.0, 0.0, 0.0], &[0.0, 1.0, 0.0], &[0.0, 0.0, 1.0]];
