@@ -33,14 +33,12 @@ fn fig3_ilp() -> ttw_core::ilp::IlpInstance {
 fn report_counters(name: &str, solution: &ttw_milp::Solution) {
     eprintln!(
         "{name}: milp_nodes={} simplex_iterations={} cuts_added={} cut_rounds={} \
-         pseudocost_branchings={} strong_branch_probes={} pump_incumbents={}",
+         pseudocost_branchings={}",
         solution.nodes_explored,
         solution.simplex_iterations,
         solution.cuts_added,
         solution.cut_rounds,
         solution.pseudocost_branchings,
-        solution.strong_branch_probes,
-        solution.pump_incumbents,
     );
 }
 

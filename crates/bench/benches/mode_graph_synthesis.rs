@@ -28,8 +28,9 @@
 //!
 //! Every strategy is solved once. The solver counters (simplex pivots, B&B
 //! nodes, LU factorizations, presolve rows/cols removed, Devex resets,
-//! partial-pricing segment, cuts, probes), the shared-offset gaps, the round
-//! totals and the cache hit/miss counts go to `BENCH_synthesis.json` at the
+//! partial-pricing segment, cuts, pseudocost branchings), the shared-offset
+//! gaps, the round totals and the cache hit/miss counts go to
+//! `BENCH_synthesis.json` at the
 //! workspace root, which the CI perf-regression job regenerates and diffs
 //! against the committed copy; the wall times of the one run are printed next
 //! to them on stderr and nowhere else.

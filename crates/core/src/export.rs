@@ -36,9 +36,7 @@ crate::json_object!(ApplicationSpec as "application spec" {
 crate::json_object!(Mode as "mode" { name, applications });
 
 crate::json_object!(SolveParams as "`solver`" {
-    max_nodes, max_simplex_iterations, integrality_tolerance, feasibility_tolerance,
-    relative_gap, presolve, cuts, max_cut_rounds, pump, pseudocost, strong_branch_limit,
-    reliability
+    max_nodes, max_simplex_iterations, relative_gap, presolve, cuts, max_cut_rounds, pseudocost
 });
 crate::json_object!(SchedulerConfig as "scheduler config" {
     round_duration, slots_per_round, max_inter_round_gap, epsilon, big_m_factor, max_rounds,
@@ -646,7 +644,7 @@ mod tests {
         config.analyze_first = true;
         config.solver.max_nodes = 999;
         config.solver.relative_gap = 1e-7;
-        config.solver.pump = false;
+        config.solver.pseudocost = false;
         let json = scheduler_config_to_json(&config).expect("serializes");
         let back = scheduler_config_from_json(&json).expect("parses");
         // The cache key hashes the Debug form, so the round trip must be

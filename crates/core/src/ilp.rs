@@ -409,8 +409,8 @@ pub fn build_ilp_inherited(
     // optima at the beginning of the hyperperiod, which makes the synthesized
     // schedules deterministic and easier to read — and, crucially,
     // *search-path independent*: solver features that only reshape the
-    // branch-and-bound tree (cutting planes, branching order, the feasibility
-    // pump) land on the same vertex, which the differential harness checks
+    // branch-and-bound tree (cutting planes, branching order, warm starts)
+    // land on the same vertex, which the differential harness checks
     // byte-for-byte. The weight is small enough never to trade latency for
     // offset (latencies are ≥ 1 round = 1 time unit, the tie-break sums to
     // far less than 1e-3 time units). It is normalized against the *largest*

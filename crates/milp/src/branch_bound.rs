@@ -7,96 +7,55 @@
 //! parent basis stays dual feasible, so a child typically needs a handful of
 //! pivots instead of a full two-phase solve.
 //!
-//! Three tree-shrinking layers run before and during the search (each
+//! Two tree-shrinking layers run before and during the search (each
 //! toggleable via [`crate::SolveParams`]):
 //!
 //! 1. **Root cutting planes** (the private `cuts` module): rounds of Gomory
-//!    mixed-integer and lifted cover cuts tighten the root relaxation, so the
-//!    whole tree starts from a stronger bound.
-//! 2. **A feasibility pump** rounds the root optimum into an early incumbent,
-//!    giving best-bound pruning teeth from node 1.
-//! 3. **Pseudocost branching** with reliability-initialized strong-branching
-//!    probes replaces lowest-index-first variable selection; probe objectives
-//!    double as child bounds and can fathom a node outright. Every node LP
-//!    additionally feeds the realized objective degradation of the branching
-//!    that created it back into the pseudocost averages, so the selector
-//!    keeps learning even where probes never ran. Probes themselves are
-//!    rationed: they start only once the tree outgrows `PROBE_MIN_NODES`
-//!    (small trees close faster than probes pay for themselves), stop below
-//!    depth `PROBE_MAX_DEPTH`, and their *order* follows the solve's
-//!    provenance — cold solves with pinned columns trust the structural
-//!    (lowest-index) variable order as a prior, while pin-free or warm
-//!    solves probe in pseudocost-score order.
+//!    mixed-integer cuts tighten the root relaxation, so the whole tree
+//!    starts from a stronger bound.
+//! 2. **Pseudocost branching** replaces lowest-index-first variable
+//!    selection: fractional candidates are ranked by the product of their
+//!    estimated down and up objective degradations, ties going to the lowest
+//!    index. Every node LP feeds the realized degradation of the branching
+//!    that created it back into the averages, so the estimates are learned
+//!    from the search itself at no extra LP.
 //!
-//! Every LP of a tree — the root, the cut rounds, the pump, the probes and
-//! the nodes — runs in the one `SimplexWorkspace` its `TreeLp` owns, so the
-//! simplex buffers, LU buffers and eta file are allocated once per tree and
-//! freed with it; each LP resets what it uses as it starts. The workspace
-//! also counts the pivots charged in it, and at every successful return of
-//! `solve_tree` debug builds check that `simplex_iterations` booked them
-//! all — failed probes, failed pump LPs and failed cut reoptimizations
+//! Every LP of a tree — the root, the cut rounds and the nodes — runs in the
+//! one `SimplexWorkspace` its `TreeLp` owns, so the simplex buffers, LU
+//! buffers and eta file are allocated once per tree and freed with it; each
+//! LP resets what it uses as it starts. The workspace also counts the pivots
+//! charged in it, and at every successful return of `solve_tree` debug
+//! builds check that `simplex_iterations` booked them all — failed cut
+//! reoptimizations and node LPs that fell back to the uncut relaxation
 //! included.
 
 use crate::cuts::{lp_with_cuts, separate_round, CutPool};
 use crate::error::SolveError;
-use crate::model::{Model, SolveParams};
+use crate::model::{Model, SolveParams, INTEGRALITY_TOL};
 use crate::presolve::NodeSolver;
-use crate::simplex::{solve_sparse, Basis, LpResult, LpStatus, SimplexWorkspace, SparseLp, Warm};
+use crate::simplex::{Basis, LpResult, LpStatus, SimplexWorkspace, SparseLp, Warm};
 use crate::solution::{Solution, SolverCounters, Status};
 use crate::sparse::LuFactors;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::rc::Rc;
 
-/// Feasibility-pump iteration budget (projection/rounding alternations).
-const PUMP_MAX_ROUNDS: usize = 6;
-/// Pivot budget of a single pump LP (fixed-integer check or L1 projection).
-/// The pump is a heuristic: a rounding whose check LP cannot be reoptimized
-/// within this budget is treated as a miss, and a projection that cannot is
-/// abandoned outright — the tree search never depends on either answer.
-const PUMP_ITER_CAP: usize = 32;
-/// Most fractional coordinates flipped to escape a pump cycle.
-const PUMP_FLIPS: usize = 3;
-/// Pivot budget of a single strong-branching probe LP. Probes are
-/// estimators, not solvers: a probe that cannot reoptimize within this many
-/// dual pivots returns [`ProbeOutcome::Unknown`] instead of burning the
-/// node budget (the child solve will pay the full price exactly once,
-/// if the branch is ever taken).
-const PROBE_ITER_CAP: usize = 64;
-/// Strong-branching candidates probed per node (two LP probes each).
-const PROBE_CANDIDATES_PER_NODE: usize = 4;
-/// Deepest node at which strong-branching probes run. The top of the tree
-/// is where a bad branching choice multiplies; below this depth the
-/// accumulated pseudocost averages are used as-is, so small trees stop
-/// paying probe LPs for decisions that barely matter.
-const PROBE_MAX_DEPTH: usize = 8;
-/// Tree size before strong-branching probes start. A tree this small
-/// closes faster than the probe LPs it would buy; once it outgrows the
-/// trigger, the realized-degradation observations gathered meanwhile give
-/// the probe order (and the product rule) real measurements to work with.
-const PROBE_MIN_NODES: usize = 24;
-/// Tree size at which cold solves stop probing in structural order and
-/// switch to score order: past this many nodes the structural prior has
-/// demonstrably not closed the tree, and the accumulated pseudocosts are
-/// the better guide.
-const PROBE_STRUCTURAL_NODE_LIMIT: usize = 128;
 /// Score floor for the pseudocost product rule.
 const SCORE_EPS: f64 = 1e-12;
-/// Snapshots whose factorization a tree remembers ([`TreeLp`]). The installs
-/// of one snapshot come in a burst — up to eight probes from a node's basis,
-/// then its two children — so the memo can be tiny: over the 103 systems of
-/// the repo benchmark's `cold_solve` workload, the 51.5 k factorizations of a
-/// memo-less run fall to 28.4 k with 1 entry, 27.2 k with 2, 27.0 k with 4
-/// and 26.5 k with 16, and the lap's wall time stops moving at 2. An entry
-/// is a few KB, and more of them buy nothing.
+/// Snapshots whose factorization a tree remembers ([`TreeLp`]). A node's
+/// basis is installed by both its children, and best-first search usually
+/// pops the second child soon after the first, so the memo can be tiny: over
+/// the 103 systems of the repo benchmark's `cold_solve` workload, the
+/// 39,287 factorizations of a memo-less run fall to 25,928 with 1 entry,
+/// 25,640 with 2, 25,560 with 4 and 25,559 with 8 or 16. An entry is a few
+/// KB.
 const MEMO_CAPACITY: usize = 4;
 
 /// A subproblem: the variable bounds of the node and the LP bound of its parent.
 #[derive(Debug, Clone)]
 struct Node {
     bounds: Vec<(f64, f64)>,
-    /// Lower bound on the node's optimal value (its parent's LP objective,
-    /// or the tighter strong-branching probe objective when one was run).
+    /// Lower bound on the node's optimal value: its parent's LP objective.
     bound: f64,
     depth: usize,
     /// The parent's optimal basis, used to warm-start the dual simplex.
@@ -104,8 +63,7 @@ struct Node {
     /// The branching that created this node — (variable, down-branch?,
     /// parent fractionality, parent LP objective). Once this node's own LP
     /// solves, the measured objective degradation is fed back into the
-    /// pseudocost averages, so branching teaches the selector even where
-    /// probes never ran.
+    /// pseudocost averages.
     branched: Option<(usize, bool, f64, f64)>,
 }
 
@@ -114,8 +72,8 @@ struct Node {
 /// with the tree's memo of warm-start factorizations and the one
 /// [`SimplexWorkspace`] every LP of the tree runs in.
 ///
-/// The workspace serves the root, the cut rounds, the pump, the probes and
-/// every node, and is dropped with the tree: per-LP buffers, LU buffers and
+/// The workspace serves the root, the cut rounds and every node, and is
+/// dropped with the tree: per-LP buffers, LU buffers and
 /// the eta file are allocated once per tree instead of once per LP, and
 /// every LP resets them as it starts, so reuse cannot change an answer. It
 /// also counts every pivot charged in it, which is what lets `solve_tree`
@@ -312,28 +270,6 @@ impl Pseudocosts {
         };
         avg * (1.0 - frac)
     }
-
-    /// `true` once both directions have enough observations to skip probing.
-    fn reliable(&self, var: usize, reliability: usize) -> bool {
-        self.down_count[var] >= reliability && self.up_count[var] >= reliability
-    }
-}
-
-/// Outcome of branching-variable selection at one node.
-enum BranchDecision {
-    /// Branch on `var` (fractional LP value `value`); the child bounds and
-    /// feasibility flags come from strong-branching probes when they ran.
-    Branch {
-        var: usize,
-        value: f64,
-        down_bound: f64,
-        down_feasible: bool,
-        up_bound: f64,
-        up_feasible: bool,
-    },
-    /// Strong branching proved both children infeasible: the node holds no
-    /// integer point at all.
-    Fathom,
 }
 
 /// Solves the mixed-integer program by branch-and-bound.
@@ -408,7 +344,7 @@ fn solve_tree(
     searched
 }
 
-/// The search of [`solve_tree`] over `tree`: root LP, cut loop, pump and
+/// The search of [`solve_tree`] over `tree`: root LP, cut loop and
 /// best-first branch-and-bound.
 fn search(
     model: &Model,
@@ -418,7 +354,6 @@ fn search(
     integral: &[bool],
 ) -> Result<(Solution, Option<Basis>), SolveError> {
     let params = model.params().clone();
-    let int_tol = params.integrality_tolerance;
     let max_iters = params.max_simplex_iterations;
     let (base_lp, base_solver) = (tree.base_lp, tree.base_solver);
 
@@ -430,12 +365,6 @@ fn search(
 
     let mut counters = SolverCounters::default();
 
-    // Strong-branching probe order follows the solve's provenance: a warm
-    // basis or pinned (fixed-bound) columns mark an incremental-style
-    // instance whose structural variable order is a trustworthy prior; a
-    // pin-free cold instance is a fresh problem, probed by score instead.
-    // See `select_branch_var`.
-    let probe_structural = warm.is_none() && root_bounds.iter().any(|&(lo, hi)| lo >= hi);
     let root_warm = match warm {
         Some(basis) => Warm::Primal(basis),
         None => Warm::Cold,
@@ -595,53 +524,24 @@ fn search(
         }
     }
 
-    let root_basis = basis.map(Rc::new);
-
-    // ------------------------------------------------------------------
-    // Feasibility pump: round the root optimum into an early incumbent.
-    // ------------------------------------------------------------------
-    let mut incumbent: Option<(f64, Vec<f64>)> = None;
-    if params.pump {
-        if let Some(found) = feasibility_pump(
-            tree,
-            root_bounds,
-            &integer_vars,
-            &root.values,
-            root_basis.as_ref(),
-            int_tol,
-            max_iters,
-            &mut counters,
-        ) {
-            counters.pump_incumbents = 1;
-            incumbent = Some(found);
-        }
-    }
-
     // ------------------------------------------------------------------
     // Best-first tree search.
     // ------------------------------------------------------------------
+    let mut incumbent: Option<(f64, Vec<f64>)> = None;
     let mut pseudo = Pseudocosts::new(base_lp.nstruct);
-    let mut probes_left = if params.pseudocost {
-        params.strong_branch_limit
-    } else {
-        0
-    };
     let mut heap = BinaryHeap::new();
 
     expand_node(
-        tree,
         &params,
         &integer_vars,
-        &mut pseudo,
+        &pseudo,
         &mut heap,
         &mut incumbent,
         root_bounds,
         root.objective,
-        root.values.clone(),
+        root.values,
         0,
-        root_basis,
-        probe_structural,
-        &mut probes_left,
+        basis.map(Rc::new),
         &mut counters,
     );
 
@@ -704,10 +604,9 @@ fn search(
         }
 
         expand_node(
-            tree,
             &params,
             &integer_vars,
-            &mut pseudo,
+            &pseudo,
             &mut heap,
             &mut incumbent,
             &node.bounds,
@@ -715,8 +614,6 @@ fn search(
             lp_result.values,
             node.depth,
             node_basis.map(Rc::new),
-            probe_structural,
-            &mut probes_left,
             &mut counters,
         );
     }
@@ -735,13 +632,13 @@ fn search(
 }
 
 /// Accepts an integral LP solution as incumbent or branches: selects the
-/// branching variable, probes it if needed, and pushes the children.
+/// branching variable and pushes the children, each bounded by this node's
+/// LP objective.
 #[allow(clippy::too_many_arguments)]
 fn expand_node(
-    tree: &mut TreeLp<'_>,
     params: &SolveParams,
     integer_vars: &[usize],
-    pseudo: &mut Pseudocosts,
+    pseudo: &Pseudocosts,
     heap: &mut BinaryHeap<Node>,
     incumbent: &mut Option<(f64, Vec<f64>)>,
     bounds: &[(f64, f64)],
@@ -749,15 +646,12 @@ fn expand_node(
     lp_values: Vec<f64>,
     depth: usize,
     warm: Option<Rc<Basis>>,
-    probe_structural: bool,
-    probes_left: &mut usize,
     counters: &mut SolverCounters,
 ) {
-    let int_tol = params.integrality_tolerance;
     let fractional: Vec<(usize, f64)> = integer_vars
         .iter()
         .map(|&vi| (vi, lp_values[vi]))
-        .filter(|&(_, val)| (val - val.round()).abs() > int_tol)
+        .filter(|&(_, val)| (val - val.round()).abs() > INTEGRALITY_TOL)
         .collect();
 
     if fractional.is_empty() {
@@ -772,436 +666,66 @@ fn expand_node(
         return;
     }
 
-    let decision = select_branch_var(
-        tree,
-        params,
-        pseudo,
-        bounds,
-        lp_objective,
-        &fractional,
-        warm.as_ref(),
-        probe_structural,
-        depth,
-        probes_left,
-        counters,
-    );
-
-    match decision {
-        BranchDecision::Fathom => {}
-        BranchDecision::Branch {
-            var,
-            value,
-            down_bound,
-            down_feasible,
-            up_bound,
-            up_feasible,
-        } => {
-            let floor = value.floor();
-            let ceil = value.ceil();
-            let frac = value - floor;
-            let (lo, hi) = bounds[var];
-            if down_feasible && floor >= lo {
-                let mut b = bounds.to_vec();
-                b[var].1 = floor;
-                heap.push(Node {
-                    bounds: b,
-                    bound: down_bound.max(lp_objective),
-                    depth: depth + 1,
-                    warm: warm.clone(),
-                    branched: Some((var, true, frac, lp_objective)),
-                });
-            }
-            if up_feasible && ceil <= hi {
-                let mut b = bounds.to_vec();
-                b[var].0 = ceil;
-                heap.push(Node {
-                    bounds: b,
-                    bound: up_bound.max(lp_objective),
-                    depth: depth + 1,
-                    warm,
-                    branched: Some((var, false, frac, lp_objective)),
-                });
-            }
-        }
+    let (var, value) = select_branch_var(params, pseudo, &fractional, counters);
+    let floor = value.floor();
+    let ceil = value.ceil();
+    let frac = value - floor;
+    let (lo, hi) = bounds[var];
+    if floor >= lo {
+        let mut b = bounds.to_vec();
+        b[var].1 = floor;
+        heap.push(Node {
+            bounds: b,
+            bound: lp_objective,
+            depth: depth + 1,
+            warm: warm.clone(),
+            branched: Some((var, true, frac, lp_objective)),
+        });
+    }
+    if ceil <= hi {
+        let mut b = bounds.to_vec();
+        b[var].0 = ceil;
+        heap.push(Node {
+            bounds: b,
+            bound: lp_objective,
+            depth: depth + 1,
+            warm,
+            branched: Some((var, false, frac, lp_objective)),
+        });
     }
 }
 
-/// Chooses the branching variable among the fractional candidates.
+/// Chooses the branching variable among the fractional candidates (listed
+/// in index order) and returns it with its LP value.
 ///
-/// With [`crate::SolveParams::pseudocost`] off this is the legacy
-/// lowest-index rule. Otherwise candidates are scored by the pseudocost
-/// product rule; unreliable candidates are measured by strong-branching
-/// dual-simplex probes (within the global probe budget), whose objectives
-/// feed the pseudocost averages *and* tighten the child bounds.
-#[allow(clippy::too_many_arguments)]
+/// With [`crate::SolveParams::pseudocost`] off this is the lowest-index
+/// rule. Otherwise the candidate with the largest pseudocost product score
+/// wins, ties going to the lowest index.
 fn select_branch_var(
-    tree: &mut TreeLp<'_>,
     params: &SolveParams,
-    pseudo: &mut Pseudocosts,
-    bounds: &[(f64, f64)],
-    lp_objective: f64,
+    pseudo: &Pseudocosts,
     fractional: &[(usize, f64)],
-    warm: Option<&Rc<Basis>>,
-    probe_structural: bool,
-    depth: usize,
-    probes_left: &mut usize,
     counters: &mut SolverCounters,
-) -> BranchDecision {
-    let (&(first_var, first_value), rest) = fractional
-        .split_first()
-        .expect("select_branch_var requires at least one fractional candidate");
-    if !params.pseudocost || (rest.is_empty() && pseudo.reliable(first_var, params.reliability)) {
-        if params.pseudocost {
-            counters.pseudocost_branchings += 1;
-        }
-        return BranchDecision::Branch {
-            var: first_var,
-            value: first_value,
-            down_bound: lp_objective,
-            down_feasible: true,
-            up_bound: lp_objective,
-            up_feasible: true,
-        };
+) -> (usize, f64) {
+    if !params.pseudocost {
+        return fractional[0];
     }
-
-    /// Per-candidate branching information (estimated or measured).
-    struct Candidate {
-        var: usize,
-        value: f64,
-        score: f64,
-        probed: bool,
-        down_bound: f64,
-        down_feasible: bool,
-        up_bound: f64,
-        up_feasible: bool,
-    }
-
-    let mut candidates: Vec<Candidate> = fractional
-        .iter()
-        .map(|&(var, value)| {
-            let frac = value - value.floor();
-            let down = pseudo.estimate_down(var, frac);
-            let up = pseudo.estimate_up(var, frac);
-            Candidate {
-                var,
-                value,
-                score: down.max(SCORE_EPS) * up.max(SCORE_EPS),
-                probed: false,
-                down_bound: lp_objective,
-                down_feasible: true,
-                up_bound: lp_objective,
-                up_feasible: true,
-            }
-        })
-        .collect();
-
-    // Which unreliable candidates get the probe budget depends on the
-    // solve's provenance. A cold solve starts with no measurements, and on
-    // this model family the structural (lowest-index) variable order *is*
-    // the domain prior — offsets before round binaries — so probes go
-    // where the tree will actually descend. A warm-started solve is a
-    // re-solve of an incrementally grown model: the decisive fractional
-    // variables are the freshly appended high-index columns, which
-    // lowest-index probing reaches last, so there the probes chase the
-    // pseudocost estimates (score-descending) instead. Cold solves also
-    // fall back to score order once the tree outgrows
-    // [`PROBE_STRUCTURAL_NODE_LIMIT`] — by then the prior has had its
-    // chance and the pseudocosts hold real measurements.
-    let structural = probe_structural && counters.nodes_explored <= PROBE_STRUCTURAL_NODE_LIMIT;
-    let mut order: Vec<usize> =
-        if depth > PROBE_MAX_DEPTH || counters.nodes_explored < PROBE_MIN_NODES {
-            Vec::new()
-        } else {
-            (0..candidates.len())
-                .filter(|&i| !pseudo.reliable(candidates[i].var, params.reliability))
-                .collect()
-        };
-    if !structural {
-        order.sort_by(|&a, &b| {
-            candidates[b]
-                .score
-                .partial_cmp(&candidates[a].score)
-                .unwrap_or(Ordering::Equal)
-                .then(candidates[a].var.cmp(&candidates[b].var))
-        });
-    }
-    for &i in order.iter().take(PROBE_CANDIDATES_PER_NODE) {
-        if *probes_left < 2 {
-            break;
-        }
-        *probes_left -= 2;
-        counters.strong_branch_probes += 2;
-        let c = &mut candidates[i];
-        let frac = c.value - c.value.floor();
-
-        let probe_iters = params.max_simplex_iterations.min(PROBE_ITER_CAP);
-        let down = probe_child(
-            tree,
-            bounds,
-            c.var,
-            c.value.floor(),
-            true,
-            warm,
-            probe_iters,
-            counters,
-        );
-        let up = probe_child(
-            tree,
-            bounds,
-            c.var,
-            c.value.ceil(),
-            false,
-            warm,
-            probe_iters,
-            counters,
-        );
-
-        let mut down_degrade = 0.0;
-        match down {
-            ProbeOutcome::Optimal(obj) => {
-                down_degrade = (obj - lp_objective).max(0.0);
-                c.down_bound = obj;
-                if frac > 0.0 {
-                    pseudo.record_down(c.var, down_degrade / frac);
-                }
-            }
-            ProbeOutcome::Infeasible => {
-                c.down_feasible = false;
-                down_degrade = f64::INFINITY;
-            }
-            ProbeOutcome::Unknown => {}
-        }
-        let mut up_degrade = 0.0;
-        match up {
-            ProbeOutcome::Optimal(obj) => {
-                up_degrade = (obj - lp_objective).max(0.0);
-                c.up_bound = obj;
-                if frac < 1.0 {
-                    pseudo.record_up(c.var, up_degrade / (1.0 - frac));
-                }
-            }
-            ProbeOutcome::Infeasible => {
-                c.up_feasible = false;
-                up_degrade = f64::INFINITY;
-            }
-            ProbeOutcome::Unknown => {}
-        }
-
-        c.probed = true;
-        if !c.down_feasible && !c.up_feasible {
-            // Neither rounding admits a feasible relaxation: no integer
-            // point exists under this node at all.
-            return BranchDecision::Fathom;
-        }
-        c.score = down_degrade.max(SCORE_EPS) * up_degrade.max(SCORE_EPS);
-    }
-
-    // Product-rule winner; ties break toward the structural lowest index.
-    let winner = candidates
-        .iter()
+    counters.pseudocost_branchings += 1;
+    let scored = fractional.iter().map(|&(var, value)| {
+        let frac = value - value.floor();
+        let down = pseudo.estimate_down(var, frac);
+        let up = pseudo.estimate_up(var, frac);
+        (var, value, down.max(SCORE_EPS) * up.max(SCORE_EPS))
+    });
+    // On equal scores the lower index compares as the larger.
+    let (var, value, _) = scored
         .max_by(|a, b| {
-            a.score
-                .partial_cmp(&b.score)
+            a.2.partial_cmp(&b.2)
                 .unwrap_or(Ordering::Equal)
-                .then(b.var.cmp(&a.var))
+                .then(b.0.cmp(&a.0))
         })
-        .expect("candidates is non-empty");
-    if !winner.probed {
-        counters.pseudocost_branchings += 1;
-    }
-    BranchDecision::Branch {
-        var: winner.var,
-        value: winner.value,
-        down_bound: winner.down_bound,
-        down_feasible: winner.down_feasible,
-        up_bound: winner.up_bound,
-        up_feasible: winner.up_feasible,
-    }
-}
-
-/// Outcome of one strong-branching probe.
-enum ProbeOutcome {
-    Optimal(f64),
-    Infeasible,
-    /// Budget/numerical failure: no information, treated conservatively.
-    Unknown,
-}
-
-/// Solves one child relaxation (a single bound change) with the dual simplex
-/// warm-started from the node basis. Failures are swallowed — a probe is an
-/// oracle, never a correctness dependency — but the pivots they spent are
-/// booked like anyone else's.
-#[allow(clippy::too_many_arguments)]
-fn probe_child(
-    tree: &mut TreeLp<'_>,
-    bounds: &[(f64, f64)],
-    var: usize,
-    bound: f64,
-    is_upper: bool,
-    warm: Option<&Rc<Basis>>,
-    max_iters: usize,
-    counters: &mut SolverCounters,
-) -> ProbeOutcome {
-    let mut child = bounds.to_vec();
-    if is_upper {
-        child[var].1 = bound;
-    } else {
-        child[var].0 = bound;
-    }
-    if child[var].0 > child[var].1 {
-        return ProbeOutcome::Infeasible;
-    }
-    match tree.solve(&child, max_iters, warm) {
-        Ok((res, _)) => {
-            count_lp(counters, &res);
-            match res.status {
-                LpStatus::Optimal => ProbeOutcome::Optimal(res.objective),
-                LpStatus::Infeasible => ProbeOutcome::Infeasible,
-                LpStatus::Unbounded => ProbeOutcome::Unknown,
-            }
-        }
-        Err(e) => {
-            count_failed_lp(counters, &e);
-            ProbeOutcome::Unknown
-        }
-    }
-}
-
-/// The feasibility pump: alternates integer rounding with an L1-projection
-/// LP until a rounding admits a feasible (fixed-integer) relaxation, which
-/// is then optimized on the true objective and returned as an incumbent.
-///
-/// Purely heuristic: every failure path returns `None` and the tree search
-/// proceeds exactly as without the pump.
-#[allow(clippy::too_many_arguments)]
-fn feasibility_pump(
-    tree: &mut TreeLp<'_>,
-    bounds: &[(f64, f64)],
-    integer_vars: &[usize],
-    root_values: &[f64],
-    root_basis: Option<&Rc<Basis>>,
-    int_tol: f64,
-    max_iters: usize,
-    counters: &mut SolverCounters,
-) -> Option<(f64, Vec<f64>)> {
-    if integer_vars.is_empty() || root_values.is_empty() {
-        return None;
-    }
-    // An already-integral root needs no pump — the tree accepts it at node 1.
-    if integer_vars
-        .iter()
-        .all(|&vi| (root_values[vi] - root_values[vi].round()).abs() <= int_tol)
-    {
-        return None;
-    }
-
-    let round_to = |x: &[f64]| -> Vec<f64> {
-        integer_vars
-            .iter()
-            .map(|&vi| {
-                let (lo, hi) = bounds[vi];
-                x[vi].round().clamp(lo, hi)
-            })
-            .collect()
-    };
-
-    let pump_iters = max_iters.min(PUMP_ITER_CAP);
-    let mut relax = root_values.to_vec();
-    let mut target = round_to(&relax);
-    // The projection LP: the tree's LP under a distance objective, built on
-    // the first projection and re-costed on every later one.
-    let mut dist: Option<SparseLp> = None;
-    for _ in 0..PUMP_MAX_ROUNDS {
-        // Does the rounding extend to a feasible point? Fix the integers and
-        // optimize the *true* objective over the continuous rest.
-        let mut fixed = bounds.to_vec();
-        for (t, &vi) in target.iter().zip(integer_vars) {
-            fixed[vi] = (*t, *t);
-        }
-        match tree.solve(&fixed, pump_iters, root_basis) {
-            Ok((res, _)) => {
-                count_lp(counters, &res);
-                if res.status == LpStatus::Optimal {
-                    return Some((res.objective, res.values));
-                }
-            }
-            // Checking this rounding is too expensive — count it as a miss
-            // and let the projection steer toward the next one.
-            Err(e @ SolveError::IterationLimitReached { .. }) => count_failed_lp(counters, &e),
-            Err(e) => {
-                count_failed_lp(counters, &e);
-                return None;
-            }
-        }
-
-        // Projection: minimize the L1 distance to the rounding over the
-        // relaxation. For a target at a bound the distance is exactly linear;
-        // interior targets use the pull direction from the last projection.
-        let dist = dist.get_or_insert_with(|| SparseLp {
-            obj_offset: 0.0,
-            ..tree.lp().clone()
-        });
-        dist.cost.iter_mut().for_each(|c| *c = 0.0);
-        for (t, &vi) in target.iter().zip(integer_vars) {
-            let (lo, hi) = bounds[vi];
-            dist.cost[vi] = if (*t - lo).abs() < 0.5 {
-                1.0
-            } else if (hi - *t).abs() < 0.5 {
-                -1.0
-            } else if relax[vi] > *t {
-                1.0
-            } else {
-                -1.0
-            };
-        }
-        let warm = root_basis.map_or(Warm::Cold, |basis| Warm::Primal(basis));
-        match solve_sparse(dist, bounds, pump_iters, warm, &mut tree.workspace) {
-            Ok((res, _)) => {
-                count_lp(counters, &res);
-                if res.status != LpStatus::Optimal {
-                    return None;
-                }
-                relax = res.values;
-            }
-            Err(e) => {
-                count_failed_lp(counters, &e);
-                return None;
-            }
-        }
-
-        let mut next = round_to(&relax);
-        if next == target {
-            // Cycle: flip the most fractional coordinates away from their
-            // rounding, deterministically.
-            let mut order: Vec<usize> = (0..integer_vars.len()).collect();
-            order.sort_by(|&a, &b| {
-                let fa = (relax[integer_vars[a]] - relax[integer_vars[a]].round()).abs();
-                let fb = (relax[integer_vars[b]] - relax[integer_vars[b]].round()).abs();
-                fb.partial_cmp(&fa)
-                    .unwrap_or(Ordering::Equal)
-                    .then(integer_vars[a].cmp(&integer_vars[b]))
-            });
-            let mut flipped = false;
-            for &idx in order.iter().take(PUMP_FLIPS) {
-                let vi = integer_vars[idx];
-                let (lo, hi) = bounds[vi];
-                let alt = if relax[vi] >= next[idx] {
-                    (next[idx] + 1.0).min(hi)
-                } else {
-                    (next[idx] - 1.0).max(lo)
-                };
-                if alt != next[idx] {
-                    next[idx] = alt;
-                    flipped = true;
-                }
-            }
-            if !flipped {
-                return None;
-            }
-        }
-        target = next;
-    }
-    None
+        .expect("select_branch_var requires at least one fractional candidate");
+    (var, value)
 }
 
 #[cfg(test)]
@@ -1398,8 +922,8 @@ mod tests {
         );
     }
 
-    /// A model with enough integer structure that cuts, the pump and
-    /// pseudocost branching all get exercised.
+    /// A model with enough integer structure that cuts and pseudocost
+    /// branching both get exercised.
     fn busy_fixture() -> Model {
         let mut m = Model::new("busy");
         let mut vars = Vec::new();
@@ -1418,7 +942,7 @@ mod tests {
     }
 
     /// A multi-row knapsack the root cuts do not close: a tree of some
-    /// dozens of nodes, deep enough for strong-branching probes to start.
+    /// dozens of nodes, enough for the factorization memo to be hit.
     fn tree_fixture() -> Model {
         let mut m = Model::new("tree");
         let vars: Vec<_> = (0..14)
@@ -1468,103 +992,15 @@ mod tests {
     }
 
     #[test]
-    fn a_probe_that_runs_out_of_budget_books_its_pivots() {
-        let m = tree_fixture();
-        let lp = SparseLp::from_model(&m);
-        let bounds: Vec<(f64, f64)> = m.variables().map(|(_, v)| (v.lower, v.upper)).collect();
-        let integral = vec![true; bounds.len()];
-        let solver = NodeSolver::build(&lp, &bounds, &integral, true).expect("feasible root");
-        let mut tree = TreeLp::new(&lp, &solver, MEMO_CAPACITY);
-        let (root, basis) = tree.solve_base(&bounds, 10_000, Warm::Cold).unwrap();
-        let basis = Rc::new(basis.expect("optimal root"));
-        let mut probe = |var: usize, bound: f64, is_upper: bool, budget: usize| {
-            let mut counters = SolverCounters::default();
-            let outcome = probe_child(
-                &mut tree,
-                &bounds,
-                var,
-                bound,
-                is_upper,
-                Some(&basis),
-                budget,
-                &mut counters,
-            );
-            (outcome, counters.simplex_iterations)
-        };
-        // A child of the root that needs more than one dual pivot …
-        let (var, bound, is_upper) = (root.values.iter().enumerate())
-            .filter(|(_, v)| (*v - v.round()).abs() > 1e-6)
-            .flat_map(|(var, v)| [(var, v.floor(), true), (var, v.ceil(), false)])
-            .find(|&(var, bound, is_upper)| {
-                matches!(
-                    probe(var, bound, is_upper, 10_000),
-                    (ProbeOutcome::Optimal(_), 2..)
-                )
-            })
-            .expect("some child of the root needs two pivots");
-        // … probed with a budget of one.
-        let (outcome, booked) = probe(var, bound, is_upper, 1);
-        assert!(matches!(outcome, ProbeOutcome::Unknown));
-        assert!(booked >= 1, "the spent pivots were dropped");
-    }
-
-    #[test]
-    fn a_pump_projection_that_ends_unbounded_books_its_pivots() {
-        // Without presolve: min −y s.t. 2y ≤ 1, x ≥ 2.5, x − 2w ≤ 3.7 over
-        // integer y ∈ [0, 1] and x, w ∈ [0, ∞). The root is y = 0.5,
-        // x = 2.5, and its rounding y = 1, x = 3 does not extend to a
-        // feasible point. The projection toward that rounding first pivots
-        // x up to the third row's bound, then finds the ray along which w
-        // lets x grow for ever, and the pump gives up.
-        let mut m = Model::new("pump-ray");
-        let y = m.add_integer("y", 0.0, 1.0);
-        let x = m.add_integer("x", 0.0, f64::INFINITY);
-        let w = m.add_integer("w", 0.0, f64::INFINITY);
-        m.set_objective(Sense::Minimize, &[(y, -1.0)]);
-        m.add_le(&[(y, 2.0)], 1.0);
-        m.add_ge(&[(x, 1.0)], 2.5);
-        m.add_le(&[(x, 1.0), (w, -2.0)], 3.7);
-        let lp = SparseLp::from_model(&m);
-        let bounds: Vec<(f64, f64)> = m.variables().map(|(_, v)| (v.lower, v.upper)).collect();
-        let solver = NodeSolver::build(&lp, &bounds, &[true; 3], false).expect("presolve is off");
-        let mut tree = TreeLp::new(&lp, &solver, MEMO_CAPACITY);
-        let mut counters = SolverCounters::default();
-        let (root, basis) = tree.solve_base(&bounds, 10_000, Warm::Cold).unwrap();
-        count_lp(&mut counters, &root);
-        let root_pivots = tree.workspace.pivots();
-        let found = feasibility_pump(
-            &mut tree,
-            &bounds,
-            &[y.index(), x.index(), w.index()],
-            &root.values,
-            basis.map(Rc::new).as_ref(),
-            1e-6,
-            10_000,
-            &mut counters,
-        );
-        assert!(found.is_none());
-        assert!(
-            tree.workspace.pivots() > root_pivots,
-            "the pump never pivoted"
-        );
-        assert_eq!(
-            counters.simplex_iterations,
-            tree.workspace.pivots(),
-            "the pump dropped pivots it charged"
-        );
-    }
-
-    #[test]
-    fn cuts_and_pump_off_match_defaults_on_verdict_and_objective() {
+    fn tree_layers_off_match_defaults_on_verdict_and_objective() {
         // The tree-shrinking layers must never change the answer, only the
         // amount of work: solve the same model with everything on, then with
-        // cuts/pump/pseudocost all off, and compare.
+        // cuts and pseudocost branching off, and compare.
         let m_on = busy_fixture();
         let mut m_off = busy_fixture();
         {
             let p = m_off.params_mut();
             p.cuts = false;
-            p.pump = false;
             p.pseudocost = false;
         }
         let on = m_on.solve().unwrap();
@@ -1580,8 +1016,6 @@ mod tests {
         assert_eq!(off.cuts_added, 0);
         assert_eq!(off.cut_rounds, 0);
         assert_eq!(off.pseudocost_branchings, 0);
-        assert_eq!(off.strong_branch_probes, 0);
-        assert_eq!(off.pump_incumbents, 0);
     }
 
     #[test]
@@ -1591,22 +1025,10 @@ mod tests {
         // The root relaxation of the busy fixture is fractional, so at least
         // one layer must have done something.
         assert!(
-            s.cuts_added > 0 || s.strong_branch_probes > 0 || s.pump_incumbents > 0,
+            s.cuts_added > 0 || s.pseudocost_branchings > 0,
             "no tree-shrinking layer engaged: {s:?}"
         );
-    }
-
-    #[test]
-    fn strong_branch_budget_is_respected() {
-        let mut m = busy_fixture();
-        m.params_mut().strong_branch_limit = 2;
-        let s = m.solve().unwrap();
-        assert_eq!(s.status, Status::Optimal);
-        assert!(
-            s.strong_branch_probes <= 2,
-            "budget exceeded: {}",
-            s.strong_branch_probes
-        );
+        assert_eq!((s.strong_branch_probes, s.pump_incumbents), (0, 0));
     }
 
     #[test]
@@ -1617,11 +1039,7 @@ mod tests {
         on.add_ge(&[(x, 1.0)], 0.4);
         on.add_le(&[(x, 1.0)], 0.6);
         let mut off = on.clone();
-        {
-            let p = off.params_mut();
-            p.cuts = false;
-            p.pump = false;
-        }
+        off.params_mut().cuts = false;
         assert_eq!(on.solve().unwrap().status, Status::Infeasible);
         assert_eq!(off.solve().unwrap().status, Status::Infeasible);
     }
@@ -1704,7 +1122,6 @@ mod cut_differential_tests {
             {
                 let p = off.params_mut();
                 p.cuts = false;
-                p.pump = false;
                 p.pseudocost = false;
             }
             let (Ok(on_sol), Ok(off_sol)) = (on.solve(), off.solve()) else {

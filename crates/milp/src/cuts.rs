@@ -1,20 +1,14 @@
-//! Root cutting planes: Gomory mixed-integer cuts and lifted cover cuts.
+//! Root cutting planes: Gomory mixed-integer cuts.
 //!
 //! Branch-and-bound calls [`separate_round`] on the optimal basis of the root
-//! relaxation. Two families are derived:
-//!
-//! * **Gomory mixed-integer (GMI) cuts** from tableau rows whose basic
-//!   variable is integral but fractional. The derivation works on the exact
-//!   row identity `x_k + Σ α_j x_j = β_r` (`α = B⁻¹A`, valid for *every*
-//!   feasible point, not just the current vertex), shifts each nonbasic
-//!   column to its bound and applies the standard GMI coefficient map, so a
-//!   cut is valid even when the warm-started basis is slightly stale — a
-//!   stale basis merely produces an unviolated cut, which the pool filters
-//!   out.
-//! * **Lifted cover cuts** from `≤`-rows whose support is binary (the TTW
-//!   round-capacity / knapsack rows): a greedy minimal cover maximizing the
-//!   LP violation, extended ("lifted by extension") with every out-of-cover
-//!   item at least as heavy as the heaviest cover item.
+//! relaxation. It derives **Gomory mixed-integer (GMI) cuts** from tableau
+//! rows whose basic variable is integral but fractional. The derivation
+//! works on the exact row identity `x_k + Σ α_j x_j = β_r` (`α = B⁻¹A`,
+//! valid for *every* feasible point, not just the current vertex), shifts
+//! each nonbasic column to its bound and applies the standard GMI
+//! coefficient map, so a cut is valid even when the warm-started basis is
+//! slightly stale — a stale basis merely produces an unviolated cut, which
+//! the pool filters out.
 //!
 //! Accepted cuts live in a [`CutPool`] which enforces a minimum violation, a
 //! maximum pairwise parallelism, and purges cuts that stayed slack at the
@@ -242,8 +236,9 @@ pub(crate) fn lp_with_cuts<'c>(
     }
 }
 
-/// Derives one round of candidate cuts (GMI + cover) from the optimal basis
-/// of `lp` at the structural point `values`.
+/// Derives one round of candidate GMI cuts from the fractional basic integer
+/// variables of `basis`, the optimal basis of `lp` at the structural point
+/// `values`.
 ///
 /// `bounds` are the structural bounds the relaxation was solved under (the
 /// root bounds of the tree) and `integral` flags the integer-constrained
@@ -260,59 +255,8 @@ pub(crate) fn separate_round(
 ) -> Vec<Cut> {
     debug_assert_eq!(bounds.len(), lp.nstruct);
     debug_assert_eq!(integral.len(), lp.nstruct);
-    if values.len() != lp.nstruct {
-        return Vec::new();
-    }
-
-    // Row-major view of the structural part (needed to substitute logical
-    // columns out of GMI cuts and to scan rows for covers).
-    let mut rows_struct: Vec<Vec<(usize, f64)>> = vec![Vec::new(); lp.nrows];
-    for j in 0..lp.nstruct {
-        let (rows, vals) = lp.cols.column(j);
-        for (&r, &v) in rows.iter().zip(vals) {
-            rows_struct[r].push((j, v));
-        }
-    }
-
-    let mut cuts = gomory_cuts(
-        lp,
-        bounds,
-        integral,
-        basis,
-        values,
-        &rows_struct,
-        lu_factorizations,
-    );
-    cuts.extend(cover_cuts(lp, bounds, integral, values, &rows_struct));
-    cuts
-}
-
-/// Full column bounds: structural overridden by `bounds`, logical from `lp`.
-fn full_bounds(lp: &SparseLp, bounds: &[(f64, f64)]) -> (Vec<f64>, Vec<f64>) {
-    let mut lower = Vec::with_capacity(lp.ncols());
-    let mut upper = Vec::with_capacity(lp.ncols());
-    for &(l, u) in bounds {
-        lower.push(l);
-        upper.push(u);
-    }
-    lower.extend_from_slice(&lp.logical_lower);
-    upper.extend_from_slice(&lp.logical_upper);
-    (lower, upper)
-}
-
-/// Gomory mixed-integer cuts from the fractional basic integer variables of
-/// the given basis.
-fn gomory_cuts(
-    lp: &SparseLp,
-    bounds: &[(f64, f64)],
-    integral: &[bool],
-    basis: &Basis,
-    values: &[f64],
-    rows_struct: &[Vec<(usize, f64)>],
-    lu_factorizations: &mut usize,
-) -> Vec<Cut> {
     let (nstruct, nrows) = (lp.nstruct, lp.nrows);
-    if basis.dims() != (nstruct, nrows) || nrows == 0 {
+    if values.len() != nstruct || basis.dims() != (nstruct, nrows) || nrows == 0 {
         return Vec::new();
     }
     let (status, basic, _) = basis.parts();
@@ -329,6 +273,16 @@ fn gomory_cuts(
     factor.ftran(&mut beta);
 
     let (lower, upper) = full_bounds(lp, bounds);
+
+    // Row-major view of the structural part, to substitute logical columns
+    // out of the cuts.
+    let mut rows_struct: Vec<Vec<(usize, f64)>> = vec![Vec::new(); nrows];
+    for j in 0..nstruct {
+        let (rows, vals) = lp.cols.column(j);
+        for (&r, &v) in rows.iter().zip(vals) {
+            rows_struct[r].push((j, v));
+        }
+    }
 
     // Candidate rows: basic structural integer variable with a usefully
     // fractional value, most fractional first.
@@ -365,12 +319,25 @@ fn gomory_cuts(
             &rho,
             beta[r],
             values[k],
-            rows_struct,
+            &rows_struct,
         ) {
             cuts.push(cut);
         }
     }
     cuts
+}
+
+/// Full column bounds: structural overridden by `bounds`, logical from `lp`.
+fn full_bounds(lp: &SparseLp, bounds: &[(f64, f64)]) -> (Vec<f64>, Vec<f64>) {
+    let mut lower = Vec::with_capacity(lp.ncols());
+    let mut upper = Vec::with_capacity(lp.ncols());
+    for &(l, u) in bounds {
+        lower.push(l);
+        upper.push(u);
+    }
+    lower.extend_from_slice(&lp.logical_lower);
+    upper.extend_from_slice(&lp.logical_upper);
+    (lower, upper)
 }
 
 /// Derives one GMI cut from the tableau row `x_k + Σ α_j x_j = β_r` given by
@@ -540,168 +507,6 @@ fn gmi_from_row(
     cut.well_scaled().then_some(cut)
 }
 
-/// Lifted (extended) cover cuts from `≤`-rows with all-binary support.
-fn cover_cuts(
-    lp: &SparseLp,
-    bounds: &[(f64, f64)],
-    integral: &[bool],
-    values: &[f64],
-    rows_struct: &[Vec<(usize, f64)>],
-) -> Vec<Cut> {
-    let mut cuts = Vec::new();
-    for (i, row) in rows_struct.iter().enumerate() {
-        // Only `≤` rows (logical slack in [0, ∞)).
-        if lp.logical_lower[i] != 0.0 || lp.logical_upper[i] != f64::INFINITY {
-            continue;
-        }
-        if let Some(cut) = cover_cut_from_row(row, lp.rhs[i], bounds, integral, values) {
-            cuts.push(cut);
-        }
-    }
-    cuts
-}
-
-/// One knapsack item in complemented (all-positive-coefficient) space.
-#[derive(Debug, Clone, Copy)]
-struct CoverItem {
-    col: usize,
-    weight: f64,
-    /// LP value of the complemented binary.
-    value: f64,
-    complemented: bool,
-}
-
-/// Derives an extended cover cut from one knapsack row `Σ a_p x_p ≤ b`, if
-/// its support is all-binary, a violated minimal cover exists at `values`.
-fn cover_cut_from_row(
-    row: &[(usize, f64)],
-    b: f64,
-    bounds: &[(f64, f64)],
-    integral: &[bool],
-    values: &[f64],
-) -> Option<Cut> {
-    if row.len() < 2 {
-        return None;
-    }
-    let mut items = Vec::with_capacity(row.len());
-    let mut rhs = b;
-    for &(p, a) in row {
-        if a == 0.0 {
-            continue;
-        }
-        let (l, u) = bounds[p];
-        // Binary support only: integral with bounds inside [0, 1].
-        if !integral[p] || l < -1e-9 || u > 1.0 + 1e-9 {
-            return None;
-        }
-        let x = values[p].clamp(0.0, 1.0);
-        if a > 0.0 {
-            items.push(CoverItem {
-                col: p,
-                weight: a,
-                value: x,
-                complemented: false,
-            });
-        } else {
-            // x = 1 − x̄ turns a negative weight positive.
-            rhs -= a;
-            items.push(CoverItem {
-                col: p,
-                weight: -a,
-                value: 1.0 - x,
-                complemented: true,
-            });
-        }
-    }
-    if rhs < 0.0 {
-        return None;
-    }
-    let total: f64 = items.iter().map(|it| it.weight).sum();
-    if total <= rhs + 1e-9 {
-        return None;
-    }
-
-    // Greedy cover maximizing violation: cheapest (1 − x̄)/a first.
-    items.sort_by(|p, q| {
-        let sp = (1.0 - p.value) / p.weight;
-        let sq = (1.0 - q.value) / q.weight;
-        sp.partial_cmp(&sq)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(p.col.cmp(&q.col))
-    });
-    let mut cover: Vec<CoverItem> = Vec::new();
-    let mut weight = 0.0;
-    for &it in &items {
-        if weight > rhs + 1e-9 {
-            break;
-        }
-        cover.push(it);
-        weight += it.weight;
-    }
-    if weight <= rhs + 1e-9 {
-        return None;
-    }
-    // Make the cover minimal: drop members (least fractional first) while
-    // the remainder still overflows the capacity.
-    cover.sort_by(|p, q| {
-        p.value
-            .partial_cmp(&q.value)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(p.col.cmp(&q.col))
-    });
-    let mut keep: Vec<CoverItem> = Vec::new();
-    for (idx, &it) in cover.iter().enumerate() {
-        let rest: f64 = cover[idx + 1..].iter().map(|c| c.weight).sum();
-        let kept: f64 = keep.iter().map(|c| c.weight).sum();
-        if kept + rest > rhs + 1e-9 {
-            // Still a cover without this item.
-            continue;
-        }
-        keep.push(it);
-    }
-    let cover = keep;
-    if cover.len() < 2 {
-        return None;
-    }
-
-    // Violation check: Σ_{C} x̄ > |C| − 1.
-    let lhs: f64 = cover.iter().map(|c| c.value).sum();
-    let k = cover.len() as f64 - 1.0;
-    if lhs <= k + MIN_VIOLATION {
-        return None;
-    }
-
-    // Extension lifting: every item at least as heavy as the heaviest cover
-    // member joins with coefficient 1.
-    let amax = cover.iter().map(|c| c.weight).fold(0.0f64, f64::max);
-    let in_cover: Vec<usize> = cover.iter().map(|c| c.col).collect();
-    let mut extended = cover;
-    for &it in &items {
-        if !in_cover.contains(&it.col) && it.weight >= amax - 1e-12 {
-            extended.push(it);
-        }
-    }
-
-    // Map the complemented space back: x̄ = 1 − x flips the sign and the
-    // right-hand side.
-    let mut coeffs: Vec<(usize, f64)> = Vec::with_capacity(extended.len());
-    let mut rhs_cut = k;
-    for it in &extended {
-        if it.complemented {
-            coeffs.push((it.col, -1.0));
-            rhs_cut -= 1.0;
-        } else {
-            coeffs.push((it.col, 1.0));
-        }
-    }
-    coeffs.sort_by_key(|&(j, _)| j);
-    let cut = Cut {
-        coeffs,
-        rhs: rhs_cut + RHS_RELAX * (1.0 + rhs_cut.abs()),
-    };
-    cut.well_scaled().then_some(cut)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -800,26 +605,8 @@ mod tests {
     fn gomory_cuts_separate_fractional_knapsack_vertex() {
         let m = knapsack_fixture();
         let (lp, bounds, integral, basis, values) = root_relaxation(&m);
-        let rows: Vec<Vec<(usize, f64)>> = {
-            let mut rs = vec![Vec::new(); lp.nrows];
-            for j in 0..lp.nstruct {
-                let (ri, vi) = lp.cols.column(j);
-                for (&r, &v) in ri.iter().zip(vi) {
-                    rs[r].push((j, v));
-                }
-            }
-            rs
-        };
         let mut factorized = 0;
-        let cuts = gomory_cuts(
-            &lp,
-            &bounds,
-            &integral,
-            &basis,
-            &values,
-            &rows,
-            &mut factorized,
-        );
+        let cuts = separate_round(&lp, &bounds, &integral, &basis, &values, &mut factorized);
         assert_eq!(factorized, 1);
         assert_cuts_valid(&cuts, &values, &integer_feasible_points(&m));
     }
@@ -836,51 +623,6 @@ mod tests {
         assert!((values[0] - 1.5).abs() < 1e-9);
         let cuts = separate_round(&lp, &bounds, &integral, &basis, &values, &mut 0);
         assert_cuts_valid(&cuts, &values, &integer_feasible_points(&m));
-    }
-
-    #[test]
-    fn cover_cut_from_knapsack_row_is_violated_and_valid() {
-        let m = knapsack_fixture();
-        let (lp, bounds, integral, _basis, values) = root_relaxation(&m);
-        let rows: Vec<Vec<(usize, f64)>> = {
-            let mut rs = vec![Vec::new(); lp.nrows];
-            for j in 0..lp.nstruct {
-                let (ri, vi) = lp.cols.column(j);
-                for (&r, &v) in ri.iter().zip(vi) {
-                    rs[r].push((j, v));
-                }
-            }
-            rs
-        };
-        let cuts = cover_cuts(&lp, &bounds, &integral, &values, &rows);
-        assert_cuts_valid(&cuts, &values, &integer_feasible_points(&m));
-    }
-
-    #[test]
-    fn cover_cut_handles_negative_coefficients_via_complement() {
-        // 5x − 3y + 4z ≤ 4 with binaries: complementing y gives the knapsack
-        // 5x + 3ȳ + 4z ≤ 7. Drive the LP into a fractional corner by reward.
-        let mut m = Model::new("negcover");
-        let x = m.add_binary("x");
-        let y = m.add_binary("y");
-        let z = m.add_binary("z");
-        m.set_objective(Sense::Maximize, &[(x, 6.0), (y, -1.0), (z, 5.0)]);
-        m.add_le(&[(x, 5.0), (y, -3.0), (z, 4.0)], 4.0);
-        let (lp, bounds, integral, _basis, values) = root_relaxation(&m);
-        let rows: Vec<Vec<(usize, f64)>> = {
-            let mut rs = vec![Vec::new(); lp.nrows];
-            for j in 0..lp.nstruct {
-                let (ri, vi) = lp.cols.column(j);
-                for (&r, &v) in ri.iter().zip(vi) {
-                    rs[r].push((j, v));
-                }
-            }
-            rs
-        };
-        let cuts = cover_cuts(&lp, &bounds, &integral, &values, &rows);
-        if !cuts.is_empty() {
-            assert_cuts_valid(&cuts, &values, &integer_feasible_points(&m));
-        }
     }
 
     #[test]

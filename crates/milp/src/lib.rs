@@ -41,8 +41,8 @@
 //!   engine reuses; a singular basis leaves the previous factors in force.
 //! * **One factorization per basis and tree.** The factorization a warm
 //!   start begins with depends on the tree's LP and the snapshot's basic set
-//!   alone, and a tree installs one snapshot many times (a node's
-//!   strong-branching probes, then its children). The tree keeps a small memo
+//!   alone, and a tree installs one snapshot more than once (once per
+//!   child of the node it belongs to). The tree keeps a small memo
 //!   from its most recently installed snapshots to their shared factors; a
 //!   hit adopts them with an empty eta file. Because a hit *is* the
 //!   from-scratch factorization of exactly that basis (debug builds recompute
@@ -65,8 +65,7 @@
 //!   relaxation is tightened by separation rounds (enabled by
 //!   [`SolveParams::cuts`], bounded by [`SolveParams::max_cut_rounds`]):
 //!   **Gomory mixed-integer cuts** are derived from tableau rows whose basic
-//!   integer variable is fractional, and **lifted cover cuts** from the
-//!   binary knapsack rows (the TTW round-capacity family). Candidates pass a
+//!   integer variable is fractional. Candidates pass a
 //!   violation filter and a parallelism filter before entering the cut pool;
 //!   cuts that stay slack at the root optimum for consecutive rounds are
 //!   purged (age-based purging), and the surviving pool is appended to the
@@ -76,22 +75,18 @@
 //!   asserts exactly that. Counters: `cuts_added`, `cut_rounds`.
 //! * **Pseudocost branching.** Branching variables are chosen by pseudocost
 //!   scores (per-variable up/down objective degradation averages, combined
-//!   with the product rule) instead of the lowest fractional index. Until a
-//!   variable has [`SolveParams::reliability`] observations per direction,
-//!   its degradations are measured directly by **strong-branching
-//!   dual-simplex probes** (bounded globally by
-//!   [`SolveParams::strong_branch_limit`]); probe results double as child
-//!   bounds, and a probe that proves both children infeasible fathoms the
-//!   node on the spot. Set [`SolveParams::pseudocost`] to `false` to fall
-//!   back to lowest-index-first. Counters: `pseudocost_branchings`,
-//!   `strong_branch_probes`.
-//! * **Feasibility pump.** After the cut loop, a rounding heuristic
-//!   (enabled by [`SolveParams::pump`]) alternates integer rounding with an
-//!   L1-projection LP (minimizing the distance to the rounding over the
-//!   relaxation) and, on success, installs the resulting point as the first
-//!   incumbent — so best-bound pruning has teeth from node 1. The pump is a
-//!   pure accelerator: it only ever *adds* an incumbent that branch-and-bound
-//!   verifies against the same bound logic. Counter: `pump_incumbents`.
+//!   with the product rule, ties to the lowest index) instead of the lowest
+//!   fractional index. Every node LP feeds the degradation it realized back
+//!   into the averages, and a variable not yet observed borrows the average
+//!   over all variables. Set [`SolveParams::pseudocost`] to `false` to fall
+//!   back to lowest-index-first. Counter: `pseudocost_branchings`.
+//!
+//!   An ablation over the repo benchmark's `cold_solve` and `admission_edit`
+//!   workloads removed the layers that never paid for themselves there: a
+//!   feasibility pump (its incumbents saved no nodes), strong-branching
+//!   probes (fewer nodes, more time) and a lifted cover separator (no cut in
+//!   the workload). The `strong_branch_probes` and `pump_incumbents`
+//!   counters remain on the wire, always 0.
 //! * **Warm starts.** An optimal solve returns an opaque [`Basis`] snapshot.
 //!   [`Model::solve_with_basis`] accepts it back: branch-and-bound children
 //!   reoptimize bound changes with the **dual simplex** from the parent basis,

@@ -77,17 +77,23 @@ pub struct Constraint {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ConstraintId(pub(crate) usize);
 
-/// Resource budgets and numeric tolerances of the solver.
+/// Absolute distance from the nearest integer below which branch-and-bound
+/// treats an LP value as integral, and which presolve absorbs when it rounds
+/// a derived bound of an integral column to the lattice.
+///
+/// A constant, not a [`SolveParams`] field: with the tolerance a caller's
+/// choice, a loose one accepted fractional LP points as integer solutions
+/// (rounded into schedules that miss deadlines or overlap tasks) and a
+/// negative or very large one made feasible systems report infeasible.
+pub(crate) const INTEGRALITY_TOL: f64 = 1e-6;
+
+/// Resource budgets of the solver and the layers it may switch off.
 #[derive(Debug, Clone)]
 pub struct SolveParams {
     /// Maximum number of branch-and-bound nodes to explore.
     pub max_nodes: usize,
     /// Maximum number of simplex pivots per LP solve.
     pub max_simplex_iterations: usize,
-    /// Absolute tolerance below which a value is considered integral.
-    pub integrality_tolerance: f64,
-    /// Absolute feasibility tolerance for constraint satisfaction.
-    pub feasibility_tolerance: f64,
     /// Relative gap at which branch-and-bound accepts an incumbent as optimal.
     pub relative_gap: f64,
     /// Run the LP presolve (fixed-column substitution, empty/singleton row
@@ -95,33 +101,21 @@ pub struct SolveParams {
     /// Enabled by default; disable to get the raw equality-form solve (used
     /// by the differential harness to cross-check the reduction).
     pub presolve: bool,
-    /// Separate cutting planes (Gomory mixed-integer and lifted cover cuts)
-    /// at the root of the branch-and-bound tree. Enabled by default; disable
-    /// to get the pure relaxation tree (used by the differential harness to
-    /// prove cuts never change the verdict or the objective).
+    /// Separate Gomory mixed-integer cutting planes at the root of the
+    /// branch-and-bound tree. Enabled by default; disable to get the pure
+    /// relaxation tree (used by the differential harness to prove cuts never
+    /// change the verdict or the objective).
     pub cuts: bool,
     /// Maximum number of root separation rounds when [`SolveParams::cuts`] is
     /// enabled. Each round derives cuts from the current fractional root
     /// optimum, filters them through the cut pool and reoptimizes the root.
     pub max_cut_rounds: usize,
-    /// Run the feasibility-pump rounding heuristic on the root relaxation to
-    /// find an early incumbent before the tree search starts. Enabled by
-    /// default; toggleable for the same parity checks as
-    /// [`SolveParams::cuts`].
-    pub pump: bool,
     /// Branch on pseudocost scores (per-variable up/down objective
-    /// degradation averages, reliability-initialized by strong-branching
-    /// probes) instead of the lowest-index fractional variable. Enabled by
-    /// default.
+    /// degradation averages, learned from every node LP) instead of the
+    /// lowest-index fractional variable. Enabled by default; disabled, the
+    /// lowest-index rule is the reference the differential harness compares
+    /// against.
     pub pseudocost: bool,
-    /// Total budget of strong-branching dual-simplex probes per
-    /// branch-and-bound tree (two probes — down and up — per candidate
-    /// variable). Once exhausted, branching falls back to the accumulated
-    /// pseudocost averages.
-    pub strong_branch_limit: usize,
-    /// Number of observations per direction after which a variable's
-    /// pseudocost average is considered reliable and no longer probed.
-    pub reliability: usize,
 }
 
 impl Default for SolveParams {
@@ -129,16 +123,11 @@ impl Default for SolveParams {
         SolveParams {
             max_nodes: 200_000,
             max_simplex_iterations: 50_000,
-            integrality_tolerance: 1e-6,
-            feasibility_tolerance: 1e-6,
             relative_gap: 1e-9,
             presolve: true,
             cuts: true,
             max_cut_rounds: 8,
-            pump: true,
             pseudocost: true,
-            strong_branch_limit: 128,
-            reliability: 4,
         }
     }
 }

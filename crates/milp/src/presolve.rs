@@ -42,6 +42,7 @@
 //! bounds with the derived ones per node.
 
 use crate::error::SolveError;
+use crate::model::INTEGRALITY_TOL;
 use crate::simplex::{
     solve_in, solve_sparse, Basis, EngineState, LpResult, LpStatus, SimplexWorkspace, SparseLp,
     VarStatus, Warm,
@@ -54,10 +55,6 @@ const MAX_PASSES: usize = 4;
 /// A derived bound must improve the old one by this much to count as
 /// progress (prevents churning on noise).
 const IMPROVE_TOL: f64 = 1e-7;
-/// Integrality slack absorbed when rounding a derived bound of an integral
-/// column inward to the lattice (mirrors the solver's default
-/// `integrality_tolerance`).
-const INT_SNAP_TOL: f64 = 1e-6;
 
 /// What happened to an original structural column.
 #[derive(Debug, Clone, Copy)]
@@ -131,17 +128,18 @@ impl Presolve {
         let mut upper: Vec<f64> = root_bounds.iter().map(|&(_, u)| u).collect();
         // Integral columns admit only lattice points, so any derived bound
         // rounds inward to the next integer (the MILP-level half of the
-        // tightening — a binary capped at 0.97 is a binary fixed at 0).
+        // tightening — a binary capped at 0.97 is a binary fixed at 0),
+        // absorbing the slack branch-and-bound allows an integral value.
         let snap_lo = |j: usize, lo: f64| {
             if integral[j] && lo.is_finite() {
-                (lo - INT_SNAP_TOL).ceil()
+                (lo - INTEGRALITY_TOL).ceil()
             } else {
                 lo
             }
         };
         let snap_hi = |j: usize, hi: f64| {
             if integral[j] && hi.is_finite() {
-                (hi + INT_SNAP_TOL).floor()
+                (hi + INTEGRALITY_TOL).floor()
             } else {
                 hi
             }

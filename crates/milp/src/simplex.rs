@@ -307,7 +307,7 @@ pub(crate) enum Warm<'a> {
     /// a cold primal solve when the snapshot cannot be applied.
     ///
     /// The slot is for a caller that installs one snapshot over one LP again
-    /// and again (a tree node's basis: its probes, then both children): it
+    /// and again (a tree node's basis, once per child): it
     /// carries the from-scratch factorization of the snapshot's basis from
     /// the install that computes it to the ones that follow. It must be kept
     /// per (LP, snapshot); `&mut None` asks for nothing to be shared.

@@ -103,13 +103,16 @@ solver_counters! {
     cuts_added: "cuts_added", optional, summed;
     /// Root separation rounds that added at least one cut.
     cut_rounds: "cut_rounds", optional, summed;
-    /// Branching decisions taken from pseudocost averages alone (without
-    /// spending strong-branching probes on the chosen variable).
+    /// Branching decisions taken from pseudocost averages alone (0 when
+    /// [`crate::SolveParams::pseudocost`] is off).
     pseudocost_branchings: "pseudocost_branchings", optional, summed;
-    /// Strong-branching dual-simplex probes spent initializing pseudocosts.
+    /// Always 0: the solver no longer runs strong-branching probes. Kept on
+    /// the wire only because the repo benchmark
+    /// (`benchmark/src/service_lap.rs`) reads it; it goes when that
+    /// benchmark next changes.
     strong_branch_probes: "strong_branch_probes", optional, summed;
-    /// Incumbents contributed by the feasibility-pump heuristic (0 or 1 per
-    /// solve; 0 when [`crate::SolveParams::pump`] is off or the pump failed).
+    /// Always 0: the solver no longer runs a feasibility pump. Kept for the
+    /// same reason as `strong_branch_probes`.
     pump_incumbents: "pump_incumbents", optional, summed;
     /// From-scratch LU factorizations of a basis, across the LP solves that
     /// returned and the Gomory separator. A warm start that adopts the

@@ -5,8 +5,10 @@
 //! OS-assigned ports, so the tests run in parallel without port clashes.
 
 use std::sync::Arc;
+use ttw_core::cache::SynthesisArtifacts;
 use ttw_core::config::SchedulerConfig;
 use ttw_core::fixtures;
+use ttw_core::synthesis::{IlpSynthesizer, Synthesizer};
 use ttw_core::time::millis;
 use ttw_service::{
     BackendKind, BudgetCaps, Client, ClientError, SchedulerService, ServedFrom, ServerHandle,
@@ -237,7 +239,7 @@ fn resynthesize_over_tcp_reports_incremental_provenance() {
     let server = ServerHandle::bind(Arc::clone(&service), "127.0.0.1:0").expect("bind loopback");
     let mut client = Client::connect(server.addr()).expect("connect");
 
-    // Predecessor: a 4-mode chain solved cold (artifacts land in the cache).
+    // Predecessor: a 4-mode chain solved cold.
     let scenario = generate(&GeneratorConfig::small(4, GraphShape::Chain), 3);
     let base = SynthesizeRequest {
         system: scenario.system.clone(),
@@ -249,6 +251,18 @@ fn resynthesize_over_tcp_reports_incremental_provenance() {
     let cold = client.synthesize(base.clone()).expect("predecessor solves");
     assert_eq!(cold.served, ServedFrom::Solved);
     let predecessor = service.request_key(&base);
+    // A plain `synthesize` stores no artifacts, and without them the edit
+    // below would find no predecessor and solve every mode again. Attach the
+    // inputs the schedule came from (no warm bases): unchanged modes are then
+    // reused and only the edited one is solved.
+    let artifacts = SynthesisArtifacts {
+        system: base.system.clone(),
+        graph: base.graph.clone(),
+        config: base.config.clone(),
+        backend: IlpSynthesizer::default().name().to_owned(),
+        warm: Default::default(),
+    };
+    (service.cache()).store_with_artifacts(&predecessor, &cold.schedule, Some(&artifacts));
 
     // The edit: bump one WCET in the last mode's private application.
     let mut edited = scenario.system.clone();

@@ -424,16 +424,11 @@ fn random_config(rng: &mut SplitMix64, base: &SchedulerConfig) -> SchedulerConfi
     let solver = &mut config.solver;
     solver.max_nodes = below(rng, 1 << 20);
     solver.max_simplex_iterations = (rng.next_u64() >> 12) as usize;
-    solver.integrality_tolerance = rng.next_f64() * 1e-6;
-    solver.feasibility_tolerance = rng.next_f64() * 1e-7;
     solver.relative_gap = rng.next_f64() * 1e-4;
     solver.presolve = coin(rng);
     solver.cuts = coin(rng);
     solver.max_cut_rounds = below(rng, 16);
-    solver.pump = coin(rng);
     solver.pseudocost = coin(rng);
-    solver.strong_branch_limit = below(rng, 32);
-    solver.reliability = below(rng, 8);
     config
 }
 

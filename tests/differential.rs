@@ -19,8 +19,7 @@
 //! * presolved solves agree with presolve-disabled solves (status and
 //!   objective) on generated instances — the reduction can reshape the
 //!   search but never the answer;
-//! * root cutting planes, the feasibility pump and pseudocost branching are
-//!   pure accelerators: solves with the tree-shrinking layers on and off
+//! * root cutting planes and pseudocost branching are pure accelerators: solves with the tree-shrinking layers on and off
 //!   agree on status and objective per instance, whole-system synthesis
 //!   produces identical schedules (work counters aside), and every MILP
 //!   optimum respects the dense oracle's relaxation bound;
@@ -506,10 +505,10 @@ fn normalize_stats(mut result: ttw::core::SystemSchedule) -> ttw::core::SystemSc
 }
 
 #[test]
-fn cuts_and_pump_preserve_verdicts() {
-    // The tree-shrinking invariant: Gomory/cover cuts, the feasibility pump
-    // and pseudocost branching may only change how much work branch-and-bound
-    // does, never what it returns. Per generated instance, on/off solves must
+fn tree_layers_preserve_verdicts() {
+    // The tree-shrinking invariant: Gomory cuts and pseudocost branching may
+    // only change how much work branch-and-bound does, never what it
+    // returns. Per generated instance, on/off solves must
     // agree on status and objective — and the dense oracle's relaxation
     // objective must lower-bound the (minimization) MILP optimum, anchoring
     // both against a solver-independent reference. Per system, full synthesis
@@ -524,7 +523,6 @@ fn cuts_and_pump_preserve_verdicts() {
 
     let disable_tree_layers = |config: &mut ttw::core::SchedulerConfig| {
         config.solver.cuts = false;
-        config.solver.pump = false;
         config.solver.pseudocost = false;
     };
 
@@ -543,7 +541,6 @@ fn cuts_and_pump_preserve_verdicts() {
                 {
                     let p = without.params_mut();
                     p.cuts = false;
-                    p.pump = false;
                     p.pseudocost = false;
                 }
                 let (Ok(on), Ok(off)) = (with.solve(), without.solve()) else {
@@ -552,25 +549,21 @@ fn cuts_and_pump_preserve_verdicts() {
                 };
                 assert_eq!(
                     on.status, off.status,
-                    "MILP status diverged with cuts/pump on vs off at R={rounds} \
+                    "MILP status diverged with tree layers on vs off at R={rounds} \
                      for {mode} ({repro})"
                 );
                 if on.is_optimal() {
                     assert!(
                         (on.objective - off.objective).abs() < 1e-6,
-                        "MILP objective {} (cuts/pump on) vs {} (off) at R={rounds} \
+                        "MILP objective {} (tree layers on) vs {} (off) at R={rounds} \
                          for {mode} ({repro})",
                         on.objective,
                         off.objective
                     );
                     // The legacy path must report zeroed tree counters.
                     assert_eq!(
-                        (
-                            off.cuts_added,
-                            off.pump_incumbents,
-                            off.strong_branch_probes
-                        ),
-                        (0, 0, 0),
+                        (off.cuts_added, off.pseudocost_branchings),
+                        (0, 0),
                         "disabled layers still counted work ({repro})"
                     );
                 }
@@ -615,7 +608,7 @@ fn cuts_and_pump_preserve_verdicts() {
                 let off_json = system_schedule_to_json(&normalize_stats(off)).expect("serialize");
                 assert_eq!(
                     on_json, off_json,
-                    "cuts/pump changed the synthesized schedule ({repro})"
+                    "tree layers changed the synthesized schedule ({repro})"
                 );
                 systems_compared += 1;
             }
@@ -627,7 +620,7 @@ fn cuts_and_pump_preserve_verdicts() {
                 } else {
                     assert_eq!(
                         on.mode, off.mode,
-                        "cuts/pump on and off failed different modes ({repro})"
+                        "tree layers on and off failed different modes ({repro})"
                     );
                 }
             }
@@ -637,7 +630,7 @@ fn cuts_and_pump_preserve_verdicts() {
                 // verdict change. A genuine infeasibility claim is one.
                 assert!(
                     matches!(off.error, ScheduleError::Solver(_)),
-                    "cuts/pump on synthesized a system the legacy solver proved \
+                    "tree layers on synthesized a system the legacy solver proved \
                      infeasible ({repro}): {}",
                     off.error
                 );
@@ -646,7 +639,7 @@ fn cuts_and_pump_preserve_verdicts() {
             (Err(on), Ok(_)) => {
                 assert!(
                     matches!(on.error, ScheduleError::Solver(_)),
-                    "cuts/pump on rejected a system the legacy solver synthesized \
+                    "tree layers on rejected a system the legacy solver synthesized \
                      ({repro}): {}",
                     on.error
                 );
@@ -664,7 +657,7 @@ fn cuts_and_pump_preserve_verdicts() {
         );
     }
     eprintln!(
-        "cuts/pump sweep: {milp_compared} MILPs agreed, {dense_checked} dense bounds held, \
+        "tree layers sweep: {milp_compared} MILPs agreed, {dense_checked} dense bounds held, \
          {systems_compared} system schedules byte-matched, {budget_skips} budget skips"
     );
 }
@@ -1083,7 +1076,7 @@ fn incremental_resynthesis_matches_from_scratch() {
             modes_resolved: 2,
             warm_started_modes: 2,
             solved_milp_nodes: 26,
-            solved_simplex_iterations: 134,
+            solved_simplex_iterations: 62,
         })
     );
 }

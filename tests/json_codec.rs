@@ -216,7 +216,7 @@ fn fixture_dir() -> PathBuf {
 type Recode = fn(&str) -> Result<String, JsonError>;
 
 /// The key `examples/mode_change` stores its schedule under.
-const MODE_CHANGE_KEY: &str = "13e927d99e3816b2";
+const MODE_CHANGE_KEY: &str = "c686169aee1ffce2";
 
 /// Every committed document with the decoder and encoder that own it. The
 /// files were written by the build that preceded the field-table codec (see
@@ -254,10 +254,10 @@ const FIXTURES: &[(&str, Recode)] = &[
     ("response_stats.json", recode_response),
     ("response_error.json", recode_response),
     ("response_shutdown_ack.json", recode_response),
-    ("ttw-13e927d99e3816b2.json", |text| {
+    ("ttw-c686169aee1ffce2.json", |text| {
         system_schedule_to_json(&system_schedule_from_json(text)?)
     }),
-    ("ttw-13e927d99e3816b2.warm.json", |text| {
+    ("ttw-c686169aee1ffce2.warm.json", |text| {
         Ok(artifacts_to_json(&artifacts_from_json(text)?))
     }),
 ];

@@ -4,7 +4,9 @@
 //! `ttw_testkit::json_fuzz` — `decode(encode(x)) == x`, and hostile bytes get
 //! `None` or an error, never a panic or an allocation the bytes did not pay
 //! for — and the server's reply-byte accounting, which a client must never be
-//! able to observe behind the replies it already holds.
+//! able to observe behind the replies it already holds. Last, solver
+//! settings a request may carry cannot make the service serve an invalid
+//! schedule.
 //!
 //! The three sweeps run a small budget here; CI runs the large one
 //! (`-- --ignored decoder_fuzz_large_budget`).
@@ -12,6 +14,7 @@
 use std::io::{self, Read};
 use std::sync::Arc;
 use ttw::core::time::millis;
+use ttw::core::validate::validate_system_schedule;
 use ttw::core::{fixtures, SchedulerConfig};
 use ttw::milp::{Basis, Model, Sense};
 use ttw::netsim::rng::SplitMix64;
@@ -21,6 +24,7 @@ use ttw::service::{
     BackendKind, BudgetCaps, Request, SchedulerService, ServerHandle, SynthesizeRequest,
 };
 use ttw::testkit::json_fuzz::mutate;
+use ttw::testkit::{generate, GeneratorConfig, GraphShape};
 
 fn below(rng: &mut SplitMix64, bound: usize) -> usize {
     (rng.next_u64() % bound as u64) as usize
@@ -286,4 +290,57 @@ fn a_reply_the_client_has_read_is_already_counted() {
         assert!(snapshot.reconciles(), "{snapshot:?}");
     }
     assert_eq!(service.snapshot().reply_bytes, received);
+}
+
+/// The integrality tolerance is the solver's, not the client's. A request
+/// whose `solver` object still names it — with the other members the solver
+/// has dropped — decodes, the members are skipped, and the schedule served
+/// is valid. Taken from the request, a tolerance of 0.01 let branch-and-bound
+/// accept a fractional LP point as integral: on this seed the rounded
+/// schedule missed an application deadline (125.5 ms against 100 ms).
+#[test]
+fn a_request_carrying_a_loose_integrality_tolerance_gets_a_valid_schedule() {
+    let scenario = generate(&GeneratorConfig::small(2, GraphShape::Chain), 6);
+    let request = Request::Synthesize(Box::new(SynthesizeRequest {
+        system: scenario.system.clone(),
+        graph: scenario.graph.clone(),
+        config: scenario.scheduler_config(),
+        backend: BackendKind::Ilp,
+        budget: BudgetCaps::default(),
+    }))
+    .to_json();
+    // The solver object holds no nested object: its members end at the
+    // first `}`. Each removed member is set once, whatever the encoder wrote.
+    let removed = [
+        ("feasibility_tolerance", "0.000001"),
+        ("integrality_tolerance", "0.01"),
+        ("pump", "true"),
+        ("reliability", "4"),
+        ("strong_branch_limit", "128"),
+    ];
+    let start = request.find("\"solver\":{").expect("a solver object") + "\"solver\":{".len();
+    let end = start + request[start..].find('}').expect("a closed solver object");
+    let kept = request[start..end].split(',').filter(|member| {
+        !(removed.iter()).any(|(name, _)| member.starts_with(&format!("\"{name}\":")))
+    });
+    let members: Vec<String> = (removed.iter())
+        .map(|(name, value)| format!("\"{name}\":{value}"))
+        .chain(kept.map(str::to_owned))
+        .collect();
+    let request = format!(
+        "{}{}{}",
+        &request[..start],
+        members.join(","),
+        &request[end..]
+    );
+
+    let Request::Synthesize(request) = Request::from_json(request.as_bytes()).expect("decodes")
+    else {
+        panic!("not a synthesize request");
+    };
+    let reply = SchedulerService::in_memory()
+        .handle_synthesize(&request)
+        .expect("the scenario is feasible");
+    let violations = validate_system_schedule(&request.system, &request.config, &reply.schedule);
+    assert!(violations.is_empty(), "{violations:?}");
 }
