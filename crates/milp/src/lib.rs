@@ -39,17 +39,17 @@
 //!   columns — so its pivot search, harvest and reset cost `O(rows touched)`
 //!   per column, a row swap is `O(1)`, and `L`/`U` are flat CSC buffers an
 //!   engine reuses; a singular basis leaves the previous factors in force.
-//! * **One factorization per basis and tree.** The factorization a warm
-//!   start begins with depends on the tree's LP and the snapshot's basic set
-//!   alone, and a tree installs one snapshot more than once (once per
-//!   child of the node it belongs to). The tree keeps a small memo
-//!   from its most recently installed snapshots to their shared factors; a
-//!   hit adopts them with an empty eta file. Because a hit *is* the
-//!   from-scratch factorization of exactly that basis (debug builds recompute
-//!   it and compare the bits), the dual simplex keeps its entry invariant —
-//!   a state certified from scratch, which an `Infeasible` verdict needs —
-//!   and the search is the memo-less search node for node. Counter:
-//!   `lu_factorizations`.
+//! * **Node LPs without from-scratch factorizations.** A node's children
+//!   start from the basis its LP ended on, so the tree keeps a small memo
+//!   from the most recent parent snapshots to the factor state their LPs
+//!   ended on — LU factors, eta file and the dual simplex's reduced costs —
+//!   and a child restores it instead of factorizing. The dual simplex keeps
+//!   its reduced costs across pivots (one BTRAN per iteration), and proves a
+//!   node infeasible from the ray of its dual-unbounded row: a Farkas check
+//!   against the node's bounds, straight from the data, so that neither a
+//!   restored start nor an eta file needs a refactorization before a prune.
+//!   Debug builds check every restored state and re-certify every such
+//!   verdict from a fresh factorization. Counter: `lu_factorizations`.
 //! * **Devex pricing with partial pricing.** Entering columns are selected
 //!   by Devex reference weights (`d²/w`, an approximation of steepest-edge
 //!   norms updated from the pivot row after every basis change) over a

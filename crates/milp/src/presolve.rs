@@ -564,10 +564,10 @@ impl Presolve {
         let warm = match warm {
             Warm::Cold => Warm::Cold,
             Warm::Primal(b) if map(b) => Warm::Primal(mapped_basis),
-            // The mapping depends on `self` and the snapshot alone, so a
-            // factorization shared per (solver, snapshot) is one per
-            // (reduced LP, mapped basis).
-            Warm::Dual(b, shared) if map(b) => Warm::Dual(mapped_basis, shared),
+            // A snapshot this solver unmapped from its final reduced basis
+            // maps back to that basis, basic order included, so the factor
+            // state captured when that solve ended fits the install.
+            Warm::Dual(b, restored) if map(b) => Warm::Dual(mapped_basis, restored),
             Warm::Primal(_) | Warm::Dual(..) => Warm::Cold,
         };
         let mut result = solve_in(&self.reduced, mapped_bounds, max_iters, warm, engine)?;
@@ -788,7 +788,7 @@ mod tests {
             panic!("feasible instance");
         };
         assert!(p.cols_removed() >= 1);
-        for warm in [Warm::Primal(&basis), Warm::Dual(&basis, &mut None)] {
+        for warm in [Warm::Primal(&basis), Warm::Dual(&basis, None)] {
             let (res, _) = p
                 .solve(&lp2, &bounds2, 10_000, warm, ws)
                 .expect("warm solve");

@@ -42,26 +42,45 @@
 //!   children), the parent's optimal basis stays dual feasible, so the dual
 //!   simplex drives out the primal infeasibilities directly.
 //!
+//! The dual simplex keeps the nonbasic reduced costs `d_j` across its
+//! pivots: each iteration BTRANs the pivot row `ρ` once, forms `α_j = ρ·a_j`
+//! for the ratio test, and updates `d_j −= θ_d·α_j` from that same row; the
+//! costs are recomputed from scratch only where the factorization is
+//! rebuilt. A branch-and-bound child starts from the basis its parent's LP
+//! ended on, so it can also start from the parent's [`FactorState`] — LU
+//! factors, eta file and, when the parent ended through the dual, its
+//! reduced costs — instead of factorizing that basis from scratch.
+//!
+//! A dual-unbounded row proves the LP infeasible. Reached from a
+//! factorization computed from scratch, the verdict stands; otherwise the
+//! ray `ρ` is checked as a **Farkas certificate** straight from the data:
+//! `ρᵀA·x = ρᵀb` holds at every feasible point, so when the least value of
+//! the (signed) left side over the bound box exceeds the right side, no
+//! point exists, whatever drift the factorization carries. Only a ray that
+//! cannot certify — one with an infinite term — costs a refactorization and
+//! another round.
+//!
 //! Every per-LP buffer — bounds, statuses, the basic list, `x_B`, the dense
 //! work vectors, phase-1 costs, Devex weights, the dual ratio test's `α`
 //! row, the presolve layer's mapped bounds and basis, and the
-//! `BasisFactor` with its LU buffers, spare and LU workspace — lives in a
-//! `SimplexWorkspace` that outlives the LP (the eta file's buffer, whose
-//! length follows an LP's pivots rather than its size, is freed as each LP
-//! starts). A branch-and-bound
+//! `BasisFactor` with its LU buffers, spare and LU workspace, the reduced
+//! costs — lives in a `SimplexWorkspace` that outlives the LP (the eta
+//! file's buffer, whose length follows an LP's pivots rather than its size,
+//! is freed as each LP starts). A branch-and-bound
 //! tree owns one for all its LPs (`TreeLp` in `branch_bound`) and drops it
 //! with the tree; `solve_lp` makes a local one. An LP resets every per-LP
 //! field as it starts (`Engine::new`: statuses, Devex weights back to 1, the
-//! eta file) and keeps its counts and pricing cursor in the `Engine`, which
-//! is built per LP, so a reused workspace answers exactly as a fresh one.
-//! After an optimal solve the final basis and basic solution stay in the
-//! workspace, and the caller reads values and snapshot out of it in its own
-//! numbering (`presolve` straight into the original one).
+//! eta file, the reduced costs) and keeps its counts and pricing cursor in
+//! the `Engine`, which is built per LP, so a reused workspace answers
+//! exactly as a fresh one. After an optimal solve the final basis, basic
+//! solution and factor state stay in the workspace, and the caller reads
+//! values and snapshot out of it in its own numbering (`presolve` straight
+//! into the original one), and the factor state with
+//! [`SimplexWorkspace::capture`].
 
 use crate::error::SolveError;
 use crate::model::{ConstraintOp, Model};
-use crate::sparse::{BasisFactor, CscMatrix, LuFactors};
-use std::rc::Rc;
+use crate::sparse::{BasisFactor, CscMatrix, FactorSnapshot, LuFactors, LuWorkspace};
 
 /// Reduced-cost and pivot tolerance.
 const EPS: f64 = 1e-9;
@@ -108,7 +127,7 @@ pub struct LpResult {
     /// enough for full pricing).
     pub candidate_list_size: usize,
     /// From-scratch LU factorizations of the basis this solve computed (a
-    /// warm start that adopts a shared factorization computes none).
+    /// warm start that restores a captured [`FactorState`] computes none).
     pub lu_factorizations: usize,
 }
 
@@ -306,12 +325,35 @@ pub(crate) enum Warm<'a> {
     /// costs (bound changes only since the snapshot was taken). Falls back to
     /// a cold primal solve when the snapshot cannot be applied.
     ///
-    /// The slot is for a caller that installs one snapshot over one LP again
-    /// and again (a tree node's basis, once per child): it
-    /// carries the from-scratch factorization of the snapshot's basis from
-    /// the install that computes it to the ones that follow. It must be kept
-    /// per (LP, snapshot); `&mut None` asks for nothing to be shared.
-    Dual(&'a Basis, &'a mut Option<Rc<LuFactors>>),
+    /// The slot is for a caller that starts LPs over one LP from one
+    /// snapshot again and again (a tree node's children, `TreeLp` in
+    /// `branch_bound`), kept per (LP, snapshot). When it holds a
+    /// [`FactorState`] — the one the solve that produced the snapshot ended
+    /// on, or the start an earlier LP from the snapshot left — the start
+    /// restores it instead of factorizing the snapshot's basis from scratch.
+    /// When it is empty, the start factorizes and leaves its state there for
+    /// the next. `None` factorizes and keeps nothing.
+    Dual(&'a Basis, Option<&'a mut FactorState>),
+}
+
+/// The factorization of a basis as an engine held it, for the LPs that
+/// start from that basis: its LU factors and eta file ([`FactorSnapshot`])
+/// and — when the dual simplex kept them — the reduced costs of its
+/// nonbasic columns. Filled by [`SimplexWorkspace::capture`] from the state
+/// an LP ended on, or by a [`Warm::Dual`] start from its own factorization;
+/// read by [`Warm::Dual`].
+#[derive(Debug, Default)]
+pub(crate) struct FactorState {
+    factor: FactorSnapshot,
+    /// `d_j` per column of the LP; empty when not carried.
+    dj: Vec<f64>,
+}
+
+impl FactorState {
+    /// Whether a state was captured into it.
+    pub(crate) fn is_captured(&self) -> bool {
+        self.factor.is_captured()
+    }
 }
 
 /// Every per-LP buffer of the simplex, kept from one LP to the next.
@@ -325,10 +367,12 @@ pub(crate) enum Warm<'a> {
 /// Reuse is invisible: an LP's answer never depends on what ran in the
 /// workspace before it. Every per-LP field is reset when an LP starts —
 /// bounds, statuses, the basic list, `x_B`, the dense work vectors, phase-1
-/// costs, Devex weights back to 1, the `α` row, the eta file — and the
-/// per-LP counts and the pricing cursor live in the engine, which is built
-/// per LP. Only buffer capacity and the factorization buffers carry over,
-/// and a factorization is a pure function of the basis it is computed from.
+/// costs, Devex weights back to 1, the `α` row, the eta file, the reduced
+/// costs — and the per-LP counts and the pricing cursor live in the engine,
+/// which is built per LP. Only buffer capacity and the factorization
+/// buffers carry over, and a factorization is a pure function of the basis
+/// it is computed from. What an LP starts from besides is what its caller
+/// hands it: a snapshot, and possibly a [`FactorState`].
 #[derive(Debug)]
 pub(crate) struct SimplexWorkspace {
     /// The engine's buffers; after an optimal solve, its final state.
@@ -359,10 +403,20 @@ impl SimplexWorkspace {
         self.engine.pivots
     }
 
-    /// Offers the buffers of a factorization a memo let go of
-    /// ([`BasisFactor::recycle`]).
-    pub(crate) fn recycle(&mut self, lu: Rc<LuFactors>) {
-        self.engine.factor.recycle(lu);
+    /// Copies the factor state the last LP solved here ended on into `into`,
+    /// reusing its buffers; the factors `into` held before are recycled
+    /// ([`BasisFactor::recycle`]). Meaningful after an optimal solve, for
+    /// the LPs that start from its final basis over the same LP.
+    pub(crate) fn capture(&mut self, into: &mut FactorState) {
+        self.engine.capture(into);
+    }
+
+    /// Empties `state`, keeping its buffers, and offers the factors it held
+    /// to [`BasisFactor::recycle`].
+    pub(crate) fn recycle(&mut self, state: &mut FactorState) {
+        if let Some(lu) = state.factor.release() {
+            self.engine.factor.recycle(lu);
+        }
     }
 }
 
@@ -392,6 +446,10 @@ pub(crate) struct EngineState {
     /// update visits (nonbasic, not fixed); the dual ratio test stores what
     /// it computes here and the update reads it back.
     alpha: Vec<f64>,
+    /// Reduced costs `d_j = c_j − a_j·B⁻ᵀc_B` of the nonbasic, non-fixed
+    /// columns while the dual simplex keeps them (other entries are not
+    /// read); empty when they are not kept.
+    dj: Vec<f64>,
     /// Running total behind [`SimplexWorkspace::pivots`].
     pivots: usize,
 }
@@ -443,6 +501,13 @@ impl EngineState {
     /// numbering of the LP it solved.
     pub(crate) fn basis_parts(&self) -> (&[VarStatus], &[usize], &[f64]) {
         (&self.status, &self.basic, &self.devex)
+    }
+
+    /// Copies the current factor state into `into` (see
+    /// [`SimplexWorkspace::capture`]).
+    fn capture(&mut self, into: &mut FactorState) {
+        self.factor.capture(&mut into.factor);
+        into.dj.clone_from(&self.dj);
     }
 
     /// The final basis of the last solve, over `lp`, as a snapshot.
@@ -523,20 +588,31 @@ pub(crate) fn solve_in(
 
     let mut engine = Engine::new(lp, bounds, max_iters, state);
     // A snapshot that cannot be applied degrades to the cold basis.
-    let (installed, dual) = match warm {
-        Warm::Cold => (false, false),
-        Warm::Primal(basis) => (engine.install_warm_basis(basis, None), false),
-        Warm::Dual(basis, shared) => (engine.install_warm_basis(basis, Some(shared)), true),
+    let mut started_cold = match warm {
+        Warm::Cold => true,
+        Warm::Primal(basis) => engine.install_warm_basis(basis, None).is_none(),
+        Warm::Dual(basis, slot) => match engine.install_warm_basis(basis, slot) {
+            None => true,
+            Some(start) => {
+                let mut outcome = engine.dual(start == Start::Factorized)?;
+                // A restored start that gets stuck tries once more from a
+                // from-scratch factorization of the same basis before going
+                // cold: the trouble is usually the drift it carried.
+                if start == Start::Restored
+                    && outcome == DualOutcome::Stuck
+                    && engine.install_warm_basis(basis, None).is_some()
+                {
+                    outcome = engine.dual(true)?;
+                }
+                match outcome {
+                    DualOutcome::Optimal => return Ok(engine.result(LpStatus::Optimal)),
+                    DualOutcome::Infeasible => return Ok(engine.result(LpStatus::Infeasible)),
+                    // Numerical trouble: restart from scratch below.
+                    DualOutcome::Stuck => true,
+                }
+            }
+        },
     };
-    let mut started_cold = !installed;
-    if installed && dual {
-        match engine.dual()? {
-            DualOutcome::Optimal => return Ok(engine.result(LpStatus::Optimal)),
-            DualOutcome::Infeasible => return Ok(engine.result(LpStatus::Infeasible)),
-            // Numerical trouble: restart from scratch below.
-            DualOutcome::Stuck => started_cold = true,
-        }
-    }
     if started_cold {
         engine.install_cold_basis();
     }
@@ -569,10 +645,20 @@ pub(crate) fn solve_in(
 }
 
 /// Outcome of a dual-simplex run.
+#[derive(Debug, PartialEq, Eq)]
 enum DualOutcome {
     Optimal,
     Infeasible,
     Stuck,
+}
+
+/// Where an installed warm basis got its factorization.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Start {
+    /// Computed from scratch for exactly the installed basis.
+    Factorized,
+    /// Restored from a [`FactorState`].
+    Restored,
 }
 
 /// Internal failure of a primal phase.
@@ -595,7 +681,8 @@ impl From<SolveError> for EngineError {
 struct Engine<'a> {
     lp: &'a SparseLp,
     ws: &'a mut EngineState,
-    /// From-scratch factorizations computed so far (adopted ones excluded).
+    /// From-scratch factorizations computed so far (restored states
+    /// excluded).
     lu_factorizations: usize,
     iterations: usize,
     max_iters: usize,
@@ -631,6 +718,7 @@ impl<'a> Engine<'a> {
         ws.c1_touched.clear();
         refill(&mut ws.devex, ncols, 1.0);
         refill(&mut ws.alpha, ncols, 0.0);
+        ws.dj.clear();
         ws.factor.release_etas();
         Engine {
             lp,
@@ -649,6 +737,9 @@ impl<'a> Engine<'a> {
 
     /// Runs phase 1 then phase 2 from the currently installed basis.
     fn two_phase(&mut self) -> Result<LpStatus, EngineError> {
+        // The primal phases price against fresh duals and keep no reduced
+        // costs, so none are left for a capture to carry.
+        self.ws.dj.clear();
         if !self.phase1()? {
             return Ok(LpStatus::Infeasible);
         }
@@ -675,22 +766,26 @@ impl<'a> Engine<'a> {
     }
 
     /// Installs a snapshot, extending it if the problem has grown since it
-    /// was taken. Returns `false` (leaving the engine unusable until another
-    /// install) when the snapshot does not fit or its basis is singular.
+    /// was taken, and says where its factorization came from. Returns `None`
+    /// (leaving the engine unusable until another install) when the snapshot
+    /// does not fit or its basis is singular.
     ///
-    /// The factorization of the installed basis is a function of `lp` and the
-    /// snapshot's basic set alone. With a `shared` slot, one that an earlier
-    /// install of the same snapshot over the same `lp` left there is adopted
-    /// instead of recomputed, and one computed here is left for the next.
+    /// A captured state in the `slot` ([`Warm::Dual`]) is the factorization
+    /// of exactly the installed basis over this `lp` — the snapshot is the
+    /// final basis of the solve it was captured from, or the start of one
+    /// installed from the same snapshot — and is restored, with its reduced
+    /// costs, instead of a from-scratch factorization. An empty slot is
+    /// filled with the from-scratch one. A snapshot of another size neither
+    /// takes nor leaves a state.
     fn install_warm_basis(
         &mut self,
         basis: &Basis,
-        shared: Option<&mut Option<Rc<LuFactors>>>,
-    ) -> bool {
+        slot: Option<&mut FactorState>,
+    ) -> Option<Start> {
         let (s0, r0) = (basis.nstruct, basis.nrows);
         let (s1, r1) = (self.lp.nstruct, self.lp.nrows);
         if s0 > s1 || r0 > r1 || basis.basic.len() != r0 {
-            return false;
+            return None;
         }
         let ws = &mut *self.ws;
         // Map a snapshot column index to the current numbering.
@@ -742,23 +837,28 @@ impl<'a> Engine<'a> {
                 _ => {}
             }
         }
-        match shared {
-            Some(Some(lu)) => {
+        let slot = slot.filter(|_| (s0, r0) == (s1, r1));
+        let start = match slot {
+            Some(state) if state.is_captured() => {
                 let lp = self.lp;
                 let columns = ws.basic.iter().map(|&j| lp.cols.column(j));
-                ws.factor.adopt(lu, columns);
+                ws.factor.restore(&state.factor, columns);
+                ws.dj.clone_from(&state.dj);
+                Start::Restored
             }
             slot => {
+                ws.dj.clear();
                 if !self.refactorize() {
-                    return false;
+                    return None;
                 }
-                if let Some(slot) = slot {
-                    *slot = Some(self.ws.factor.share());
+                if let Some(state) = slot {
+                    self.ws.capture(state);
                 }
+                Start::Factorized
             }
-        }
+        };
         self.compute_xb();
-        true
+        Some(start)
     }
 
     /// Factorizes the current basis from scratch. Returns `false` if singular.
@@ -931,6 +1031,125 @@ impl<'a> Engine<'a> {
             ws.devex.iter_mut().for_each(|w| *w = 1.0);
             self.devex_resets += 1;
         }
+    }
+
+    /// Reduced costs of the current basis from scratch: `y = B⁻ᵀ c_B` (in
+    /// the `w` workspace), then `d_j = c_j − a_j·y` for every nonbasic,
+    /// non-fixed column.
+    fn compute_dj(&mut self) {
+        let lp = self.lp;
+        let ws = &mut *self.ws;
+        for (wi, &j) in ws.w.iter_mut().zip(&ws.basic) {
+            *wi = lp.cost[j];
+        }
+        ws.factor.btran(&mut ws.w);
+        ws.dj.clear();
+        ws.dj.extend((0..lp.ncols()).map(|j| {
+            if ws.status[j] == VarStatus::Basic || ws.lower[j] == ws.upper[j] {
+                0.0
+            } else {
+                lp.cost[j] - lp.cols.column_dot(j, &ws.w)
+            }
+        }));
+    }
+
+    /// The dual step of the pivot `basic[row] := q` on the kept reduced
+    /// costs, against the outgoing basis: with `θ_d = d_q / α_q`, every
+    /// nonbasic, non-fixed column moves by `−θ_d·α_j` (the `α` row the ratio
+    /// test stored), `q` becomes basic at 0 and the leaving column, whose
+    /// `α` is 1, leaves at `−θ_d`.
+    fn update_dj(&mut self, q: usize, row: usize, alpha_q: f64) {
+        let ws = &mut *self.ws;
+        let theta = ws.dj[q] / alpha_q;
+        if theta != 0.0 {
+            for j in 0..self.lp.ncols() {
+                if ws.status[j] != VarStatus::Basic && ws.lower[j] != ws.upper[j] {
+                    ws.dj[j] -= theta * ws.alpha[j];
+                }
+            }
+        }
+        ws.dj[q] = 0.0;
+        ws.dj[ws.basic[row]] = -theta;
+    }
+
+    /// Whether `rho`, the ray of a dual-unbounded row (`below`: its basic
+    /// variable is under its lower bound), certifies the LP infeasible
+    /// straight from the data: every feasible `x` satisfies `ρᵀA·x = ρᵀb`,
+    /// so with `s = +1` when `below` and `−1` otherwise, no `x` exists when
+    /// the least value of `s·Σ_j α_j·x_j` over the bound box exceeds
+    /// `s·ρᵀb` — by more than `FEAS_TOL·(1 + EPS·Σ|terms|)`, for the
+    /// rounding of the sums.
+    ///
+    /// `α_j = ρ·a_j` is formed over every column; with `cached`, the ratio
+    /// test's stored `α` serves the nonbasic, non-fixed ones. `|α_j| ≤ zero`
+    /// counts as zero — the dual passes `PIVOT_TOL`, as its ratio test
+    /// does: such a column adds its bound term when that bound is finite,
+    /// nothing otherwise. Any other term at an infinite bound makes the
+    /// check inconclusive (`false`).
+    fn ray_certifies(&self, rho: &[f64], below: bool, cached: bool, zero: f64) -> bool {
+        let (lp, ws) = (self.lp, &*self.ws);
+        let sign = if below { 1.0 } else { -1.0 };
+        let (mut least, mut magnitude) = (0.0f64, 0.0f64);
+        for j in 0..lp.ncols() {
+            let (lower, upper) = (ws.lower[j], ws.upper[j]);
+            let alpha = if cached && ws.status[j] != VarStatus::Basic && lower != upper {
+                ws.alpha[j]
+            } else {
+                lp.cols.column_dot(j, rho)
+            };
+            let a = sign * alpha;
+            // `a·x_j` is least at the lower bound when `a > 0`, at the upper
+            // one when `a < 0`.
+            let bound = match a {
+                a if a > 0.0 => lower,
+                a if a < 0.0 => upper,
+                _ => continue,
+            };
+            if !bound.is_finite() {
+                if alpha.abs() <= zero {
+                    continue;
+                }
+                return false;
+            }
+            let term = a * bound;
+            least += term;
+            magnitude += term.abs();
+        }
+        let mut target = 0.0f64;
+        for (&r, &b) in rho.iter().zip(&lp.rhs) {
+            let term = sign * r * b;
+            target += term;
+            magnitude += term.abs();
+        }
+        least - target > FEAS_TOL * (1.0 + EPS * magnitude)
+    }
+
+    /// Debug cross-check of a certified ray: the ray of the same row under
+    /// a from-scratch factorization of the same basis, built in scratch
+    /// buffers so that the engine's state is untouched, must certify too.
+    /// The two rays' `α` differ by the drift and by rounding, both relative
+    /// to the ray's size, and near the zero cut-off that decides whether an
+    /// infinite bound blocks: an `α` of 0.99999999e-8 against 1.0000084e-8
+    /// on the tests' scheduler instances, and 5e-16 against 1.2e-7 on a
+    /// fuzzed one whose ray runs to 1e9. So the re-check counts
+    /// `|α| ≤ 10·PIVOT_TOL + EPS·‖ρ‖∞` as zero.
+    fn assert_fresh_ray_certifies(&self, row: usize, below: bool) {
+        let (lp, ws) = (self.lp, &*self.ws);
+        let mut lu = LuFactors::default();
+        let columns = ws.basic.iter().map(|&j| lp.cols.column(j));
+        assert!(
+            lu.factorize(lp.nrows, columns, &mut LuWorkspace::default())
+                .is_ok(),
+            "a basis certified infeasible is singular"
+        );
+        let mut rho = vec![0.0; lp.nrows];
+        rho[row] = 1.0;
+        lu.btran(&mut rho, &mut Vec::new());
+        let size = rho.iter().fold(0.0f64, |m, r| m.max(r.abs()));
+        assert!(
+            self.ray_certifies(&rho, below, false, 10.0 * PIVOT_TOL + EPS * size),
+            "a certified ray is not certified again from a fresh factorization"
+        );
     }
 
     /// Dual vector `y = B⁻ᵀ c_B` for the given per-column costs.
@@ -1248,24 +1467,29 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// Dual simplex from the installed (dual-feasible) basis.
-    fn dual(&mut self) -> Result<DualOutcome, SolveError> {
+    /// Dual simplex from the installed (dual-feasible) basis; `from_scratch`
+    /// says its factorization was computed from scratch for exactly that
+    /// basis, rather than restored.
+    fn dual(&mut self, from_scratch: bool) -> Result<DualOutcome, SolveError> {
         let mut stall = 0usize;
         let mut last_inf = f64::INFINITY;
         // Incremental `xb` updates drift over long pivot sequences, so both
         // verdicts below are only trusted from a re-synced state. `fresh`
         // means `xb` was re-derived through the factorization (one FTRAN —
         // cheap, the eta chain is length-bounded by `maybe_refactorize`),
-        // which certifies the Optimal bound check. `hard_fresh` means the
-        // factorization itself was rebuilt from scratch — required for an
-        // Infeasible verdict, which branch-and-bound treats as a pruning
-        // proof. Both hold on entry: `install_warm_basis` ends on a
-        // from-scratch factorization of exactly the installed basis — its
-        // own, or the bit-identical one an earlier install of the same
-        // snapshot shared, with an empty eta file either way — and
-        // recomputes `xb` through it as its last step.
+        // which certifies the Optimal bound check; it holds on entry, since
+        // `install_warm_basis` recomputes `xb` as its last step.
+        // `hard_fresh` means the factorization itself was just computed from
+        // scratch, so that a dual-unbounded row is an Infeasible verdict as
+        // it stands. Otherwise — after a pivot, or from a restored start —
+        // the verdict needs the ray's Farkas certificate, which holds
+        // whatever the factorization's drift; branch-and-bound treats it as
+        // a pruning proof.
         let mut fresh = true;
-        let mut hard_fresh = true;
+        let mut hard_fresh = from_scratch;
+        if self.ws.dj.is_empty() {
+            self.compute_dj();
+        }
         loop {
             // Leaving row: the worst bound violation.
             let mut leaving: Option<(usize, bool, f64)> = None; // (row, below, violation)
@@ -1299,18 +1523,14 @@ impl<'a> Engine<'a> {
             }
             let bland = stall > STALL_LIMIT;
 
-            // ρ = B⁻ᵀ e_row into `y`, then the dual vector of the costs into
-            // `w` for the reduced costs of the ratio test.
+            // ρ = B⁻ᵀ e_row into `y`, the only BTRAN of the iteration: the
+            // reduced costs of the ratio test are kept in `dj`.
             let lp = self.lp;
             let ws = &mut *self.ws;
             ws.y.iter_mut().for_each(|v| *v = 0.0);
             ws.y[row] = 1.0;
             ws.factor.btran(&mut ws.y);
-            for (wi, &j) in ws.w.iter_mut().zip(&ws.basic) {
-                *wi = lp.cost[j];
-            }
-            ws.factor.btran(&mut ws.w);
-            let (rho, yc) = (&ws.y, &ws.w);
+            let rho = &ws.y;
 
             let mut entering: Option<(usize, f64, f64)> = None; // (col, alpha, ratio)
             for j in 0..lp.ncols() {
@@ -1322,7 +1542,8 @@ impl<'a> Engine<'a> {
                 if status == VarStatus::Basic || ws.lower[j] == ws.upper[j] {
                     continue;
                 }
-                // α_j = ρ·a_j, kept for the Devex update of this pivot.
+                // α_j = ρ·a_j, kept for the reduced-cost and Devex updates of
+                // this pivot and for a Farkas check.
                 let alpha = lp.cols.column_dot(j, rho);
                 ws.alpha[j] = alpha;
                 if alpha.abs() <= PIVOT_TOL {
@@ -1339,7 +1560,7 @@ impl<'a> Engine<'a> {
                 if !admissible {
                     continue;
                 }
-                let d = lp.cost[j] - lp.cols.column_dot(j, yc);
+                let d = ws.dj[j];
                 let dval = match status {
                     VarStatus::AtLower => d.max(0.0),
                     VarStatus::AtUpper => (-d).max(0.0),
@@ -1362,16 +1583,25 @@ impl<'a> Engine<'a> {
                 }
             }
 
-            let Some((q, _, _)) = entering else {
-                // Dual unbounded ⇒ primal infeasible — certify from a
-                // from-scratch factorization before surfacing the proof.
+            let Some((q, alpha_q, _)) = entering else {
+                // Dual unbounded ⇒ primal infeasible: as it stands from a
+                // from-scratch factorization, else when the ray certifies
+                // it. An inconclusive ray is retried from a from-scratch
+                // factorization.
                 if hard_fresh {
+                    return Ok(DualOutcome::Infeasible);
+                }
+                if self.ray_certifies(&self.ws.y, below, true, PIVOT_TOL) {
+                    if cfg!(debug_assertions) {
+                        self.assert_fresh_ray_certifies(row, below);
+                    }
                     return Ok(DualOutcome::Infeasible);
                 }
                 if !self.refactorize() {
                     return Ok(DualOutcome::Stuck);
                 }
                 self.compute_xb();
+                self.compute_dj();
                 fresh = true;
                 hard_fresh = true;
                 continue;
@@ -1396,14 +1626,20 @@ impl<'a> Engine<'a> {
             self.charge_iteration()?;
             fresh = false;
             hard_fresh = false;
-            // The ratio test above stored α_j for exactly the columns the
-            // update visits: no second BTRAN and no second column pass.
+            // The ratio test above stored α_j for exactly the columns both
+            // updates visit: no second BTRAN and no second column pass.
+            self.update_dj(q, row, alpha_q);
             self.update_devex(q, row);
+            let factorizations = self.lu_factorizations;
             if !self.pivot(row, q, step, leave_status) {
                 return Ok(DualOutcome::Stuck);
             }
             if !self.maybe_refactorize() {
                 return Ok(DualOutcome::Stuck);
+            }
+            // A rebuilt factorization re-derives the reduced costs with it.
+            if self.lu_factorizations != factorizations {
+                self.compute_dj();
             }
         }
     }
@@ -1588,8 +1824,10 @@ mod tests {
         m.set_objective(Sense::Maximize, &[(x, 2.0), (y, 1.0)]);
         m.add_le(&[(x, 1.0), (y, 1.0)], 4.0);
         let lp = SparseLp::from_model(&m);
+        let ws = &mut SimplexWorkspace::default();
         let (root, basis) =
-            solve_sparse(&lp, &[(0.0, 3.0), (0.0, 3.0)], 10_000, Warm::Cold).expect("root");
+            super::solve_sparse(&lp, &[(0.0, 3.0), (0.0, 3.0)], 10_000, Warm::Cold, ws)
+                .expect("root");
         assert_eq!(root.status, LpStatus::Optimal);
         assert!(
             (-root.objective - 7.0).abs() < 1e-6,
@@ -1597,12 +1835,13 @@ mod tests {
             root.objective
         );
         let basis = basis.expect("optimal basis");
+        let mut ended = FactorState::default();
+        ws.capture(&mut ended);
 
         // Tighten x <= 1: dual simplex should recover x=1, y=3 → obj 5.
         let tightened = [(0.0, 1.0), (0.0, 3.0)];
-        let mut shared = None;
         let (child, child_basis) =
-            solve_sparse(&lp, &tightened, 10_000, Warm::Dual(&basis, &mut shared)).expect("child");
+            solve_sparse(&lp, &tightened, 10_000, Warm::Dual(&basis, None)).expect("child");
         assert_eq!(child.status, LpStatus::Optimal);
         assert!(
             (-child.objective - 5.0).abs() < 1e-6,
@@ -1615,14 +1854,164 @@ mod tests {
         // The warm solve should take at most a couple of pivots.
         assert!(child.iterations <= 4, "took {} pivots", child.iterations);
 
-        // A second install of the snapshot adopts the factorization the
-        // first left in the slot, and solves the same LP the same way.
-        assert!(shared.is_some());
-        let (again, _) =
-            solve_sparse(&lp, &tightened, 10_000, Warm::Dual(&basis, &mut shared)).expect("again");
-        assert_eq!(again.lu_factorizations + 1, child.lu_factorizations);
-        assert_eq!(again.iterations, child.iterations);
-        assert_eq!(again.values, child.values);
+        assert_eq!(child.lu_factorizations, 1);
+
+        // An empty slot takes the start's factorization. From it, and from
+        // the factor state the root ended on, the same start computes none
+        // and reaches the same optimum.
+        let mut slot = FactorState::default();
+        let (first, _) = solve_sparse(&lp, &tightened, 10_000, Warm::Dual(&basis, Some(&mut slot)))
+            .expect("first");
+        assert_eq!(first.lu_factorizations, 1);
+        assert!(slot.is_captured());
+        for state in [&mut slot, &mut ended] {
+            let (again, _) = solve_sparse(&lp, &tightened, 10_000, Warm::Dual(&basis, Some(state)))
+                .expect("again");
+            assert_eq!(again.lu_factorizations, 0);
+            assert_eq!(again.status, LpStatus::Optimal);
+            assert!((again.objective - child.objective).abs() < 1e-9);
+            for (a, c) in again.values.iter().zip(&child.values) {
+                assert!(
+                    (a - c).abs() < 1e-9,
+                    "{:?} vs {:?}",
+                    again.values,
+                    child.values
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_dual_that_pivots_into_infeasibility_is_certified_without_refactorizing() {
+        // The child's bounds x0, x1 ≤ 1 cut off the parent optimum x1 = 4
+        // and leave no point: the dual pivots first, then finds a
+        // dual-unbounded row.
+        let mut m = Model::new("pivot-then-infeasible");
+        let x: Vec<_> = (0..3)
+            .map(|i| m.add_continuous(format!("x{i}"), 0.0, 4.0))
+            .collect();
+        m.set_objective(Sense::Minimize, &[(x[0], 1.0), (x[1], 1.5), (x[2], 1.0)]);
+        m.add_ge(&[(x[0], 1.0), (x[1], 1.0)], 4.0);
+        m.add_ge(&[(x[1], 1.0), (x[2], 1.0)], 4.0);
+        let lp = SparseLp::from_model(&m);
+        let parent = [(0.0, 4.0); 3];
+        let child = [(0.0, 1.0), (0.0, 1.0), (0.0, 4.0)];
+        let ws = &mut SimplexWorkspace::default();
+        let (root, basis) =
+            super::solve_sparse(&lp, &parent, 10_000, Warm::Cold, ws).expect("root");
+        assert_eq!(root.status, LpStatus::Optimal);
+        let basis = basis.expect("optimal basis");
+        let mut ended = FactorState::default();
+        ws.capture(&mut ended);
+        // From a from-scratch factorization and from the restored one: the
+        // ray certifies the verdict after the pivots, and the start's
+        // factorization is the only one either solve computes.
+        for restore in [false, true] {
+            let slot = restore.then_some(&mut ended);
+            let (r, _) =
+                solve_sparse(&lp, &child, 10_000, Warm::Dual(&basis, slot)).expect("child");
+            assert_eq!(r.status, LpStatus::Infeasible);
+            assert!(r.iterations >= 1, "no pivot before the verdict");
+            assert_eq!(r.lu_factorizations, usize::from(!restore));
+        }
+    }
+
+    #[test]
+    fn a_ray_with_an_infinite_blocker_is_inconclusive_and_falls_back() {
+        // Rows x + y ≥ 5 and z − x = 0 with x, y ∈ [0, 1]: infeasible. The
+        // basis holds y on row 0 and z on row 1; x and the first row's
+        // logical sit at their upper bounds. The engine's factorization is
+        // then swapped for one of a perturbed basis — z's column read as
+        // (0.5, 1) — standing in for drift: the ray of row 0 becomes
+        // (1, −0.5) and gives the basic z an α of −0.5. The leaving y is
+        // above its bound, so the ray's aggregate is least at z's lower
+        // bound. When that bound is −1 the ray still certifies; when z is
+        // free it cannot, and the verdict costs a refactorization.
+        for (z_bounds, factorizations) in
+            [((-1.0, 1.0), 1), ((f64::NEG_INFINITY, f64::INFINITY), 2)]
+        {
+            let mut m = Model::new("blocker");
+            let x = m.add_continuous("x", 0.0, 1.0);
+            let y = m.add_continuous("y", 0.0, 1.0);
+            let z = m.add_continuous("z", z_bounds.0, z_bounds.1);
+            m.add_ge(&[(x, 1.0), (y, 1.0)], 5.0);
+            m.add_eq(&[(z, 1.0), (x, -1.0)], 0.0);
+            let lp = SparseLp::from_model(&m);
+            let bounds = [(0.0, 1.0), (0.0, 1.0), z_bounds];
+            use VarStatus::{AtLower, AtUpper, Basic};
+            let status = vec![AtUpper, Basic, Basic, AtUpper, AtLower];
+            let basis = Basis::from_parts(3, 2, status, vec![1, 2], vec![1.0; 5]);
+            let mut state = EngineState::default();
+            let mut engine = Engine::new(&lp, &bounds, 100, &mut state);
+            assert_eq!(
+                engine.install_warm_basis(&basis, None),
+                Some(Start::Factorized)
+            );
+            let drifted = [(&[0usize][..], &[1.0][..]), (&[0, 1][..], &[0.5, 1.0][..])];
+            engine
+                .ws
+                .factor
+                .refactorize(2, drifted.into_iter())
+                .expect("nonsingular");
+            engine.compute_xb();
+            assert_eq!(engine.dual(false), Ok(DualOutcome::Infeasible));
+            assert_eq!(
+                engine.lu_factorizations, factorizations,
+                "z in {z_bounds:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn certified_infeasible_children_are_infeasible_for_the_dense_reference() {
+        let cases = if cfg!(feature = "dense-reference") {
+            600
+        } else {
+            150
+        };
+        let mut rng = Rng(0x00FA_2CA5);
+        let (mut certified, mut infeasible) = (0, 0);
+        for case in 0..cases {
+            let m = 3 + rng.below(12);
+            let (model, lp, bounds) = random_lp(&mut rng, m);
+            let ws = &mut SimplexWorkspace::default();
+            let Ok((root, Some(basis))) = super::solve_sparse(&lp, &bounds, 10_000, Warm::Cold, ws)
+            else {
+                continue;
+            };
+            let mut ended = FactorState::default();
+            ws.capture(&mut ended);
+            // Pin a few columns at a bound away from their optimal values,
+            // as a run of branchings would.
+            let mut child = bounds.clone();
+            for _ in 0..1 + rng.below(3) {
+                let j = rng.below(lp.nstruct);
+                let (lower, upper) = child[j];
+                let pin = if root.values[j] > lower || !upper.is_finite() {
+                    lower
+                } else {
+                    upper
+                };
+                child[j] = (pin, pin);
+            }
+            let warm = Warm::Dual(&basis, Some(&mut ended));
+            let Ok((r, _)) = super::solve_sparse(&lp, &child, 10_000, warm, ws) else {
+                continue;
+            };
+            if r.status != LpStatus::Infeasible {
+                continue;
+            }
+            infeasible += 1;
+            if r.lu_factorizations == 0 {
+                certified += 1;
+            }
+            let dense = crate::dense::solve_lp_dense(&model, &child).expect("dense solve");
+            assert_eq!(dense.status, LpStatus::Infeasible, "case {case}: {child:?}");
+        }
+        assert!(
+            certified >= cases / 10 && certified * 10 >= infeasible * 9,
+            "{certified} of {infeasible} infeasible children certified"
+        );
     }
 
     #[test]
@@ -1642,7 +2031,7 @@ mod tests {
             &lp,
             &[(0.0, 1.0), (0.0, 1.0)],
             10_000,
-            Warm::Dual(&basis, &mut None),
+            Warm::Dual(&basis, None),
         )
         .expect("child");
         assert_eq!(child.status, LpStatus::Infeasible);
@@ -1667,7 +2056,7 @@ mod tests {
         assert_eq!(root.values[0], 0.0, "free column parks at 0");
         let basis = basis.expect("optimal basis");
 
-        for warm in [Warm::Dual(&basis, &mut None), Warm::Primal(&basis)] {
+        for warm in [Warm::Dual(&basis, None), Warm::Primal(&basis)] {
             let (child, _) =
                 solve_sparse(&lp, &[(2.0, 10.0), (0.0, 10.0)], 10_000, warm).expect("child");
             assert_eq!(child.status, LpStatus::Optimal);
@@ -1736,12 +2125,12 @@ mod tests {
         }
     }
 
-    /// A random `m`-row LP with its bounds: sparse rows of every relation
+    /// A random `m`-row LP with its model and bounds: sparse rows of every relation
     /// through a random point inside the bounds, so that most LPs are
     /// feasible; finite and infinite upper bounds, so that some are
     /// unbounded. Structural column 1 is a copy of column 0, so a basis
     /// holding both is singular.
-    fn random_lp(rng: &mut Rng, m: usize) -> (SparseLp, Vec<(f64, f64)>) {
+    fn random_lp(rng: &mut Rng, m: usize) -> (Model, SparseLp, Vec<(f64, f64)>) {
         let mut model = Model::new("reuse");
         let n = 2 + m / 2 + rng.below(m);
         let mut point = Vec::with_capacity(n);
@@ -1787,7 +2176,8 @@ mod tests {
                 _ => model.add_le(&terms, activity + slack),
             };
         }
-        (SparseLp::from_model(&model), bounds_of)
+        let lp = SparseLp::from_model(&model);
+        (model, lp, bounds_of)
     }
 
     type Outcome = Result<(LpResult, Option<Basis>), SolveError>;
@@ -1842,7 +2232,7 @@ mod tests {
 
     /// One workspace through a seeded sequence of unrelated LPs — sizes
     /// alternating below and above 64 rows; cold, primal-warm and dual-warm
-    /// starts; a dual start that adopts a shared factorization; singular
+    /// starts; a dual start that restores the factor state a solve ended on; singular
     /// warm bases; solves stopped by the pivot budget — answers every LP
     /// exactly as a fresh workspace does. The `dense-reference` CI job runs
     /// the large budget.
@@ -1855,17 +2245,20 @@ mod tests {
         };
         let mut rng = Rng(0x5EED_2018);
         let reused = &mut SimplexWorkspace::default();
-        let (mut adopted, mut budget_stops) = (0, 0);
+        let (mut restored, mut budget_stops) = (0, 0);
         for case in 0..cases {
             let m = if case % 2 == 0 {
                 3 + rng.below(60)
             } else {
                 65 + rng.below(80)
             };
-            let (lp, bounds) = random_lp(&mut rng, m);
+            let (_, lp, bounds) = random_lp(&mut rng, m);
             let what = |step: &str| format!("case {case} (m = {m}), {step}");
             let cold = (Warm::Cold, Warm::Cold);
             let root = reused_against_fresh(&lp, &bounds, 10_000, reused, cold, &what("cold"));
+            let (mut mine, mut theirs) = (FactorState::default(), FactorState::default());
+            reused.capture(&mut mine);
+            reused.capture(&mut theirs);
 
             // The same LP again, stopped halfway.
             let pivots = root.as_ref().map_or(0, |(r, _)| r.iterations);
@@ -1892,10 +2285,7 @@ mod tests {
                 status[j] = VarStatus::Basic;
             }
             let singular = Basis::from_parts(lp.nstruct, m, status, basic, vec![1.0; ncols]);
-            let dual = (
-                Warm::Dual(&singular, &mut None),
-                Warm::Dual(&singular, &mut None),
-            );
+            let dual = (Warm::Dual(&singular, None), Warm::Dual(&singular, None));
             reused_against_fresh(&lp, &bounds, 10_000, reused, dual, &what("singular dual"));
             let primal = (Warm::Primal(&singular), Warm::Primal(&singular));
             reused_against_fresh(
@@ -1911,26 +2301,27 @@ mod tests {
                 continue;
             };
             // Tighten one column below its optimal value, as a branch does,
-            // and reoptimize twice: the second start adopts the
-            // factorization the first one left in the slot.
+            // and reoptimize three times: from a from-scratch factorization
+            // into empty slots, from the states it left there, and from the
+            // factor state the cold solve ended on, which the LPs between
+            // have not written into.
             let j = rng.below(lp.nstruct);
             let mut child = bounds.clone();
             child[j].1 = (root.values[j] * 0.5).floor();
-            let mut shared = None;
-            let dual = (
-                Warm::Dual(&basis, &mut shared),
-                Warm::Dual(&basis, &mut None),
-            );
-            reused_against_fresh(&lp, &child, 10_000, reused, dual, &what("dual"));
-            if let Some(lu) = shared {
-                let (mut mine, mut theirs) = (Some(Rc::clone(&lu)), Some(lu));
+            let mut slots = (FactorState::default(), FactorState::default());
+            for what in [what("dual"), what("dual from the start it left")] {
                 let dual = (
-                    Warm::Dual(&basis, &mut mine),
-                    Warm::Dual(&basis, &mut theirs),
+                    Warm::Dual(&basis, Some(&mut slots.0)),
+                    Warm::Dual(&basis, Some(&mut slots.1)),
                 );
-                reused_against_fresh(&lp, &child, 10_000, reused, dual, &what("adopted dual"));
-                adopted += 1;
+                reused_against_fresh(&lp, &child, 10_000, reused, dual, &what);
             }
+            let dual = (
+                Warm::Dual(&basis, Some(&mut mine)),
+                Warm::Dual(&basis, Some(&mut theirs)),
+            );
+            reused_against_fresh(&lp, &child, 10_000, reused, dual, &what("restored dual"));
+            restored += 1;
             // Raise another column's lower bound: a primal restart.
             let k = rng.below(lp.nstruct);
             let mut other = bounds.clone();
@@ -1939,8 +2330,8 @@ mod tests {
             reused_against_fresh(&lp, &other, 10_000, reused, primal, &what("primal"));
         }
         assert!(
-            adopted > 0 && budget_stops > 0,
-            "{adopted} adoptions, {budget_stops} budget stops"
+            restored > 0 && budget_stops > 0,
+            "{restored} restored starts, {budget_stops} budget stops"
         );
     }
 }

@@ -115,10 +115,11 @@ solver_counters! {
     /// same reason as `strong_branch_probes`.
     pump_incumbents: "pump_incumbents", optional, summed;
     /// From-scratch LU factorizations of a basis, across the LP solves that
-    /// returned and the Gomory separator. A warm start that adopts the
-    /// factorization an earlier install of the same snapshot computed (see
-    /// [`crate::branch_bound`]) counts none, so this is the counter that
-    /// moves if the tree's factorization memo stops being hit.
+    /// returned and the Gomory separator. A node LP that restores the factor
+    /// state its parent's LP ended on (see [`crate::branch_bound`]) counts
+    /// none, so this is the counter that moves if the tree's memo stops
+    /// being hit; a dual-unbounded verdict certified by its Farkas ray
+    /// counts none either.
     lu_factorizations: "lu_factorizations", optional, summed;
 }
 

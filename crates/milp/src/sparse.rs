@@ -39,15 +39,16 @@
 //! the refactorizations of one LP and freed when the next LP starts.
 //!
 //! [`BasisFactor`] holds its factors behind an `Rc`, separate from its own eta
-//! file. A from-scratch factorization is a pure function of the basis
-//! columns, so a branch-and-bound tree computes the one a warm start begins
-//! with once per snapshot and lets every later install of that snapshot
-//! [adopt](BasisFactor::adopt) it (the memo in `branch_bound`). An adopted
-//! factorization is indistinguishable from a computed one — same bits, empty
-//! eta file — which is what lets the dual simplex keep treating its starting
-//! state as certified from scratch (`hard_fresh`). A shared factorization is
-//! never written; once its last other holder lets go, its buffers come back
-//! as the spare the next factorization is built in
+//! file. A branch-and-bound node's children start from the basis its LP
+//! ended on, so the tree [captures](BasisFactor::capture) the factors and eta
+//! file that LP ended with — an `Rc` clone and a copy of a few eta vectors —
+//! and each child [restores](BasisFactor::restore) them instead of
+//! factorizing that basis from scratch (the memo in `branch_bound`). A
+//! restored state represents the same basis up to the drift of its eta file,
+//! not bit for bit a fresh factorization; debug builds check that it FTRANs
+//! every basic column to its unit vector (to a backward error of 1e-7). A
+//! shared factorization is never written; once its last other holder lets
+//! go, its buffers come back as the spare the next factorization is built in
 //! ([`recycle`](BasisFactor::recycle)).
 
 use std::rc::Rc;
@@ -151,6 +152,7 @@ impl CscMatrix {
 
     /// Whether both matrices store the same entries in the same slots, values
     /// compared bit for bit.
+    #[cfg(test)]
     fn same_bits(&self, other: &CscMatrix) -> bool {
         self.nrows == other.nrows
             && self.col_ptr == other.col_ptr
@@ -160,6 +162,7 @@ impl CscMatrix {
 }
 
 /// Bitwise equality of two float slices (`==` would equate `0.0` and `-0.0`).
+#[cfg(test)]
 fn same_bits(a: &[f64], b: &[f64]) -> bool {
     a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
 }
@@ -401,6 +404,7 @@ impl LuFactors {
 
     /// Whether both are the same factorization slot for slot, values compared
     /// bit for bit.
+    #[cfg(test)]
     fn same_bits(&self, other: &LuFactors) -> bool {
         self.perm == other.perm
             && self.l.same_bits(&other.l)
@@ -421,6 +425,30 @@ struct Eta {
     /// Where its off-pivot entries of `w` sit in the eta file's entries
     /// buffer, as `(basis position, value)` pairs.
     entries: std::ops::Range<usize>,
+}
+
+/// The factors and eta file a [`BasisFactor`] held when it was
+/// [captured](BasisFactor::capture), for a later
+/// [`BasisFactor::restore`] over the same basis.
+#[derive(Debug, Default)]
+pub(crate) struct FactorSnapshot {
+    /// `None` until a capture, and after [`FactorSnapshot::release`].
+    lu: Option<Rc<LuFactors>>,
+    etas: Vec<Eta>,
+    eta_entries: Vec<(usize, f64)>,
+}
+
+impl FactorSnapshot {
+    /// Whether a state was captured into it (and not released since).
+    pub(crate) fn is_captured(&self) -> bool {
+        self.lu.is_some()
+    }
+
+    /// Lets go of the captured factors, keeping the eta buffers, and
+    /// returns them for [`BasisFactor::recycle`].
+    pub(crate) fn release(&mut self) -> Option<Rc<LuFactors>> {
+        self.lu.take()
+    }
 }
 
 /// The factorized basis plus its eta file and refactorization policy.
@@ -467,36 +495,80 @@ impl BasisFactor {
         Ok(())
     }
 
-    /// The current from-scratch factorization, for a later
-    /// [`BasisFactor::adopt`] of the same basis. Only meaningful while the
-    /// eta file is empty.
-    pub(crate) fn share(&self) -> Rc<LuFactors> {
-        debug_assert!(self.etas.is_empty());
-        Rc::clone(&self.lu)
+    /// Copies the current factors (shared, not cloned) and eta file into
+    /// `into`, for a later [`BasisFactor::restore`] of the same basis. The
+    /// factors `into` held before are offered to [`BasisFactor::recycle`].
+    pub(crate) fn capture(&mut self, into: &mut FactorSnapshot) {
+        if let Some(old) = into.lu.replace(Rc::clone(&self.lu)) {
+            self.recycle(old);
+        }
+        into.etas.clone_from(&self.etas);
+        into.eta_entries.clone_from(&self.eta_entries);
     }
 
-    /// Installs `lu`, the from-scratch factorization of exactly the basis
-    /// `columns`, as if [`BasisFactor::refactorize`] had just computed it.
-    /// Debug builds recompute it and insist on the same bits.
-    pub(crate) fn adopt<'c>(
+    /// Installs a captured state as the factorization of the basis
+    /// `columns`, which must be the basis it was captured on. Debug builds
+    /// check that it FTRANs every basic column to its unit vector, to a
+    /// backward error of 1e-7.
+    ///
+    /// # Panics
+    ///
+    /// When `from` holds no captured state.
+    pub(crate) fn restore<'c>(
         &mut self,
-        lu: &Rc<LuFactors>,
+        from: &FactorSnapshot,
         columns: impl Iterator<Item = (&'c [usize], &'c [f64])>,
     ) {
-        if cfg!(debug_assertions) {
-            let mut fresh = LuFactors::default();
-            let verdict = fresh.factorize(lu.m, columns, &mut self.workspace);
-            assert!(
-                verdict.is_ok() && fresh.same_bits(lu),
-                "a shared factorization differs from a fresh one of the same basis"
-            );
-        }
+        let lu = from.lu.as_ref().expect("restore from a captured state");
         let replaced = std::mem::replace(&mut self.lu, Rc::clone(lu));
         self.recycle(replaced);
-        self.clear_etas();
+        self.etas.clone_from(&from.etas);
+        self.eta_entries.clone_from(&from.eta_entries);
+        if cfg!(debug_assertions) {
+            self.assert_solves_basic_columns(&columns.collect::<Vec<_>>());
+        }
     }
 
-    /// Takes a factorization nobody reads any more — the one an adoption
+    /// Debug check of [`BasisFactor::restore`]: FTRAN maps every basic
+    /// column `a_k` to its unit vector `e_k`, measured as a backward error —
+    /// `B·x = a_k` within 1e-7, the simplex's primal feasibility tolerance,
+    /// of the largest product it sums (at least 1). The forward error would
+    /// fail ill-conditioned bases whose fresh factorization misses `e_k` by
+    /// 1e-8, and the bound leaves room for an eta file's drift (a 16-eta
+    /// state on the tests' scheduler instances solves a unit column to a
+    /// residual of 1.2e-9 where a fresh factorization gives 5e-13). A state
+    /// restored onto another basis misses by the size of the columns.
+    fn assert_solves_basic_columns(&mut self, columns: &[(&[usize], &[f64])]) {
+        let m = columns.len();
+        let (mut x, mut residual) = (vec![0.0; m], vec![0.0; m]);
+        for (k, &(rows, vals)) in columns.iter().enumerate() {
+            x.iter_mut().for_each(|v| *v = 0.0);
+            for (&r, &a) in rows.iter().zip(vals) {
+                x[r] += a;
+            }
+            self.ftran(&mut x);
+            // `B·x − a_k`, and the largest product it sums.
+            residual.iter_mut().for_each(|v| *v = 0.0);
+            let mut scale = 1.0f64;
+            for (&r, &a) in rows.iter().zip(vals) {
+                residual[r] -= a;
+                scale = scale.max(a.abs());
+            }
+            for (&xi, &(rows, vals)) in x.iter().zip(columns).filter(|(&xi, _)| xi != 0.0) {
+                for (&r, &a) in rows.iter().zip(vals) {
+                    residual[r] += xi * a;
+                    scale = scale.max((xi * a).abs());
+                }
+            }
+            let worst = residual.iter().fold(0.0f64, |w, r| w.max(r.abs()));
+            assert!(
+                worst <= 1e-7 * scale,
+                "a restored factor state solves basic column {k} to a residual of {worst}"
+            );
+        }
+    }
+
+    /// Takes a factorization nobody reads any more — the one a restore
     /// replaced, or one a memo evicted — as the spare, when it is the last
     /// holder and the spare is still shared: its buffers then serve the next
     /// factorization instead of being freed while a fresh one is allocated.
@@ -725,28 +797,50 @@ mod tests {
     }
 
     #[test]
-    fn adopted_factors_answer_like_computed_ones() {
+    fn restored_factors_answer_like_the_captured_ones() {
         let a: &[&[f64]] = &[&[0.0, 1.0, 2.0], &[1.0, 3.0, 1.0], &[4.0, 1.0, 0.5]];
-        let columns = dense_to_columns(a);
+        let mut columns = dense_to_columns(a);
         let mut computed = factor_of(&columns);
-        let shared = computed.share();
-        let mut adopter = factor_of(&dense_to_columns(&[&[1.0]]));
-        adopter.adopt(&shared, borrowed(&columns));
-        let (mut x0, mut x1) = ([1.0, 2.0, 3.0], [1.0, 2.0, 3.0]);
-        computed.ftran(&mut x0);
-        adopter.ftran(&mut x1);
-        assert_eq!(x0.map(f64::to_bits), x1.map(f64::to_bits));
-        // The adopter moving on never writes into the factors it shares.
-        adopter
+        // One eta update: column 1 of the basis becomes (1, 2, 0).
+        let mut w = [1.0, 2.0, 0.0];
+        computed.ftran(&mut w);
+        assert!(computed.push_eta(1, &w));
+        columns[1] = (vec![0, 1], vec![1.0, 2.0]);
+        let mut state = FactorSnapshot::default();
+        computed.capture(&mut state);
+        let mut restorer = factor_of(&dense_to_columns(&[&[1.0]]));
+        restorer.restore(&state, borrowed(&columns));
+        assert_eq!(restorer.eta_count(), 1);
+        let answers = |factor: &mut BasisFactor| {
+            let (mut x, mut y) = ([1.0, 2.0, 3.0], [3.0, -1.0, 0.5]);
+            factor.ftran(&mut x);
+            factor.btran(&mut y);
+            (x.map(f64::to_bits), y.map(f64::to_bits))
+        };
+        let before = answers(&mut computed);
+        assert_eq!(answers(&mut restorer), before);
+        // The restorer moving on never writes into the factors it shares.
+        restorer
             .refactorize(1, borrowed(&dense_to_columns(&[&[2.0]])))
             .expect("nonsingular");
-        adopter
+        restorer
             .refactorize(1, borrowed(&dense_to_columns(&[&[4.0]])))
             .expect("nonsingular");
-        let mut x2 = [1.0, 2.0, 3.0];
-        computed.ftran(&mut x2);
-        assert_eq!(x0.map(f64::to_bits), x2.map(f64::to_bits));
-        assert!(shared.same_bits(&factorize(&columns).expect("nonsingular")));
+        assert_eq!(answers(&mut computed), before);
+        let shared = state.release().expect("captured");
+        assert!(shared.same_bits(&factorize(&dense_to_columns(a)).expect("nonsingular")));
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "a restored factor state solves basic column")]
+    fn restoring_onto_another_basis_is_caught_in_debug_builds() {
+        let a: &[&[f64]] = &[&[0.0, 1.0, 2.0], &[1.0, 3.0, 1.0], &[4.0, 1.0, 0.5]];
+        let mut state = FactorSnapshot::default();
+        factor_of(&dense_to_columns(a)).capture(&mut state);
+        let other: &[&[f64]] = &[&[0.0, 1.0, 2.0], &[1.0, 3.0, 1.0], &[4.0, 1.0, 0.75]];
+        let mut restorer = BasisFactor::default();
+        restorer.restore(&state, borrowed(&dense_to_columns(other)));
     }
 
     #[test]
@@ -754,7 +848,9 @@ mod tests {
         let a: &[&[f64]] = &[&[0.0, 1.0, 2.0], &[1.0, 3.0, 1.0], &[4.0, 1.0, 0.5]];
         let columns = dense_to_columns(a);
         let mut factor = factor_of(&columns);
-        let shared = factor.share();
+        let mut state = FactorSnapshot::default();
+        factor.capture(&mut state);
+        let shared = state.release().expect("captured");
         // The shared factors become the spare: a memo still holds them.
         factor
             .refactorize(1, borrowed(&dense_to_columns(&[&[2.0]])))
