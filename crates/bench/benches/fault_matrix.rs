@@ -76,7 +76,7 @@ fn build_fixture(shape: GraphShape) -> Fixture {
             &scenario.system,
             &scenario.graph,
             &scenario.scheduler_config(),
-            &IlpSynthesizer::default(),
+            &IlpSynthesizer,
         );
         if let Ok(schedule) = result {
             if !modes_diverge(&scenario.system, &schedule) {

@@ -48,7 +48,7 @@ fn feasible_scenario(num_modes: usize) -> Scenario {
     let family = GeneratorConfig::small(num_modes, GraphShape::Chain);
     for seed in 0..64 {
         let scenario = generate(&family, seed);
-        let backend = IlpSynthesizer::default();
+        let backend = IlpSynthesizer;
         if synthesize_system(
             &scenario.system,
             &scenario.graph,
@@ -138,7 +138,7 @@ impl Case {
 fn run_case(num_modes: usize) -> Case {
     let scenario = feasible_scenario(num_modes);
     let config = scenario.scheduler_config();
-    let backend = IlpSynthesizer::default();
+    let backend = IlpSynthesizer;
     let cache = ScheduleCache::in_memory();
 
     // Predecessor: cold solve, schedules + warm artifacts into the cache.

@@ -1,5 +1,5 @@
-//! Mode-graph synthesis (Sec. V) — inherited + incremental multi-mode
-//! synthesis against independent from-scratch synthesis, the sparse revised
+//! Mode-graph synthesis (Sec. V) — inherited multi-mode synthesis against
+//! independent per-mode synthesis, the sparse revised
 //! simplex against the dense reference tableau, and the 4-mode diamond
 //! stressing the parallel synthesis waves.
 //!
@@ -7,10 +7,10 @@
 //!
 //! * **independent vs inherited** on `fixtures::two_mode_graph()`
 //!   (`normal ⇄ emergency`, sharing the Fig. 3 control application):
-//!   `independent` rebuilds the full ILP per `R_M` attempt with no
-//!   inheritance (the seed behaviour); `inherited` pins the shared
-//!   application, grows one ILP instance per mode and warm-starts every
-//!   solve from the previous basis.
+//!   `independent` runs each mode's `R_M` sweep with no inheritance;
+//!   `inherited` pins the shared application through the mode-graph
+//!   pipeline. Both grow one ILP instance per mode and warm-start every
+//!   attempt from the previous one's basis.
 //! * **dense vs sparse**: the LP relaxations of both two-mode instances
 //!   solved by the production sparse revised simplex and by the retired
 //!   dense tableau (`ttw-milp`'s `dense-reference` feature), reporting pivot
@@ -49,11 +49,10 @@ fn config() -> SchedulerConfig {
     SchedulerConfig::new(millis(10), 5)
 }
 
-/// The seed strategy: each mode from scratch, no inheritance, full rebuild
-/// per `R_M` attempt.
+/// Each mode on its own: the `R_M` sweep with no inheritance.
 fn synthesize_independent() -> SystemSchedule {
     let (sys, _, _) = fixtures::two_mode_system();
-    let backend = IlpSynthesizer::from_scratch();
+    let backend = IlpSynthesizer;
     let mut result = SystemSchedule::new();
     for (mode, _) in sys.modes() {
         let (schedule, _) = backend
@@ -65,16 +64,16 @@ fn synthesize_independent() -> SystemSchedule {
     result
 }
 
-/// The mode-graph pipeline: minimal inheritance + incremental `R_M` sweep.
+/// The mode-graph pipeline: minimal inheritance.
 fn synthesize_inherited() -> SystemSchedule {
     let (sys, graph, _, _) = fixtures::two_mode_graph();
-    synthesize_system(&sys, &graph, &config(), &IlpSynthesizer::default()).expect("feasible")
+    synthesize_system(&sys, &graph, &config(), &IlpSynthesizer).expect("feasible")
 }
 
 /// The 4-mode diamond through the (parallel-wave) mode-graph pipeline.
 fn synthesize_diamond() -> SystemSchedule {
     let (sys, graph, _) = fixtures::four_mode_diamond();
-    synthesize_system(&sys, &graph, &config(), &IlpSynthesizer::default()).expect("feasible")
+    synthesize_system(&sys, &graph, &config(), &IlpSynthesizer).expect("feasible")
 }
 
 /// Largest offset disagreement (µs) of the shared application across modes.
@@ -155,7 +154,7 @@ fn cache_cold_then_warm() -> (usize, usize, bool) {
         env!("CARGO_MANIFEST_DIR"),
         "/../../target/schedule-cache"
     ));
-    let backend = IlpSynthesizer::default();
+    let backend = IlpSynthesizer;
     // Evict so the first run is a genuine synthesis (CI caches target/).
     cache.evict(&synthesis_key(&sys, &graph, &config(), backend.name()));
 
@@ -217,14 +216,14 @@ fn main() {
 
     let (independent_totals, inherited_totals, diamond_totals) =
         (independent.totals(), inherited.totals(), diamond.totals());
-    eprintln!("\n=== Mode-graph synthesis: inherited + incremental vs independent ===");
+    eprintln!("\n=== Mode-graph synthesis: inherited vs independent ===");
     eprintln!(
         "{:<28} {:>12} {:>12} {:>14} {:>22}",
         "strategy", "one run", "B&B nodes", "simplex", "shared-offset gap"
     );
     eprintln!(
         "{:<28} {:>9.3} s {:>12} {:>14} {:>19.3} µs",
-        "independent (from scratch)",
+        "independent",
         independent_s,
         independent_totals.nodes_explored,
         independent_totals.simplex_iterations,
@@ -232,7 +231,7 @@ fn main() {
     );
     eprintln!(
         "{:<28} {:>9.3} s {:>12} {:>14} {:>19.3} µs",
-        "inherited (incremental)",
+        "inherited",
         inherited_s,
         inherited_totals.nodes_explored,
         inherited_totals.simplex_iterations,
@@ -289,10 +288,7 @@ fn main() {
     .section(
         "strategies",
         Report::default()
-            .section(
-                "independent_from_scratch",
-                strategy(independent_gap, &independent),
-            )
+            .section("independent", strategy(independent_gap, &independent))
             .section("inherited_incremental", strategy(inherited_gap, &inherited)),
     )
     .section(

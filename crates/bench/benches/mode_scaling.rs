@@ -58,7 +58,7 @@ fn measure(shape: GraphShape, num_modes: usize) -> Measurement {
     let scenario = generate(&GeneratorConfig::bench(num_modes, shape), SEED);
     let sys = &scenario.system;
     let config = scenario.scheduler_config();
-    let backend = IlpSynthesizer::default();
+    let backend = IlpSynthesizer;
 
     let waves = scenario.graph.synthesis_waves(sys);
     let (sequential, sequential_s) =

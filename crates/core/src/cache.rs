@@ -949,7 +949,7 @@ mod tests {
     fn second_synthesis_hits_and_matches_bytes() {
         let (sys, graph, _, _) = fixtures::two_mode_graph();
         let cache = temp_cache("hit");
-        let backend = IlpSynthesizer::default();
+        let backend = IlpSynthesizer;
         let (first, outcome) =
             synthesize_system_cached(&sys, &graph, &config(), &backend, &cache).expect("feasible");
         assert_eq!(outcome, CacheOutcome::Miss);
@@ -973,7 +973,7 @@ mod tests {
     fn disk_tier_survives_the_instance_and_promotes_to_memory() {
         let (sys, graph, _, _) = fixtures::two_mode_graph();
         let dir = temp_dir("disk-tier");
-        let backend = IlpSynthesizer::default();
+        let backend = IlpSynthesizer;
         let key = synthesis_key(&sys, &graph, &config(), backend.name());
         {
             let cache = ScheduleCache::new(&dir);
@@ -1003,7 +1003,7 @@ mod tests {
         let (sys, graph, _, _) = fixtures::two_mode_graph();
         let cache = ScheduleCache::in_memory();
         assert!(cache.dir().is_none());
-        let backend = IlpSynthesizer::default();
+        let backend = IlpSynthesizer;
         let key = synthesis_key(&sys, &graph, &config(), backend.name());
         assert!(cache.path_for(&key).is_none());
         let (_, outcome) =
@@ -1063,12 +1063,12 @@ mod tests {
         let (sys, graph, _, _) = fixtures::two_mode_graph();
         assert_eq!(
             synthesis_key(&sys, &graph, &config(), "ilp-incremental"),
-            "c686169aee1ffce2"
+            "a0398e55a28e7b06"
         );
         let (diamond_sys, diamond_graph, _) = fixtures::four_mode_diamond();
         assert_eq!(
             synthesis_key(&diamond_sys, &diamond_graph, &config(), "greedy-heuristic"),
-            "e7e417aa60683379"
+            "91abcbd8d3f200f1"
         );
         // One `write_str` of the whole text hashes like the many small ones
         // `write!` makes of it.
@@ -1087,8 +1087,7 @@ mod tests {
     #[test]
     fn wire_body_is_built_once_and_dies_with_its_entry() {
         let (sys, graph, _, _) = fixtures::two_mode_graph();
-        let first = synthesize_system(&sys, &graph, &config(), &IlpSynthesizer::default())
-            .expect("feasible");
+        let first = synthesize_system(&sys, &graph, &config(), &IlpSynthesizer).expect("feasible");
         let mut second = first.clone();
         second.inheritance.clear();
         let body_of = |s: &SystemSchedule| s.to_json();
@@ -1128,8 +1127,8 @@ mod tests {
     #[test]
     fn concurrent_first_hits_share_one_wire_body() {
         let (sys, graph, _, _) = fixtures::two_mode_graph();
-        let schedule = synthesize_system(&sys, &graph, &config(), &IlpSynthesizer::default())
-            .expect("feasible");
+        let schedule =
+            synthesize_system(&sys, &graph, &config(), &IlpSynthesizer).expect("feasible");
         let cache = ScheduleCache::in_memory();
         cache.store("key", &schedule);
         const THREADS: usize = 4;
@@ -1159,7 +1158,7 @@ mod tests {
     fn corrupt_entries_are_counted_and_overwritten() {
         let (sys, graph, _, _) = fixtures::two_mode_graph();
         let cache = temp_cache("corrupt");
-        let backend = IlpSynthesizer::default();
+        let backend = IlpSynthesizer;
         let key = synthesis_key(&sys, &graph, &config(), backend.name());
         let dir = cache.dir().expect("disk-backed").to_path_buf();
         std::fs::create_dir_all(&dir).expect("mkdir");
@@ -1194,7 +1193,7 @@ mod tests {
     fn entry_with_a_schedule_under_the_wrong_mode_counts_as_corrupt() {
         let (sys, graph, _, _) = fixtures::two_mode_graph();
         let cache = temp_cache("wrong-mode");
-        let backend = IlpSynthesizer::default();
+        let backend = IlpSynthesizer;
         let key = synthesis_key(&sys, &graph, &config(), backend.name());
         let mut schedule = synthesize_system(&sys, &graph, &config(), &backend).expect("feasible");
         let (first, second) = (ModeId::from_index(0), ModeId::from_index(1));
@@ -1225,7 +1224,7 @@ mod tests {
     fn evict_forces_a_cold_run() {
         let (sys, graph, _, _) = fixtures::two_mode_graph();
         let cache = temp_cache("evict");
-        let backend = IlpSynthesizer::default();
+        let backend = IlpSynthesizer;
         let key = synthesis_key(&sys, &graph, &config(), backend.name());
         let (_, first) =
             synthesize_system_cached(&sys, &graph, &config(), &backend, &cache).expect("feasible");
@@ -1265,7 +1264,7 @@ mod tests {
     fn concurrent_stores_of_one_key_never_tear_or_leak() {
         let (sys, graph, _, _) = fixtures::two_mode_graph();
         let dir = temp_dir("hammer");
-        let backend = IlpSynthesizer::default();
+        let backend = IlpSynthesizer;
         let key = synthesis_key(&sys, &graph, &config(), backend.name());
         let schedule = synthesize_system(&sys, &graph, &config(), &backend).expect("feasible");
 
@@ -1380,7 +1379,7 @@ mod tests {
     #[test]
     fn warm_artifacts_round_trip_through_json_and_sidecar() {
         let (sys, graph, _, _) = fixtures::two_mode_graph();
-        let backend = IlpSynthesizer::default();
+        let backend = IlpSynthesizer;
         let (schedule, warm, _) =
             synthesize_waves(&sys, &graph, &config(), &backend, true, None).expect("feasible");
         assert!(!warm.is_empty(), "ILP synthesis yields root bases");
@@ -1463,7 +1462,7 @@ mod tests {
     fn hammer_counters_reconcile_exactly() {
         let (sys, graph, _, _) = fixtures::two_mode_graph();
         let cache = temp_cache("counters");
-        let backend = IlpSynthesizer::default();
+        let backend = IlpSynthesizer;
         let schedule = synthesize_system(&sys, &graph, &config(), &backend).expect("feasible");
         let keys: Vec<String> = (0..8).map(|i| format!("{i:016x}")).collect();
         const PROBES_PER_THREAD: usize = 40;

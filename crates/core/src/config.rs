@@ -1,4 +1,8 @@
-//! Scheduler configuration: round length, slots per round and solver knobs.
+//! Scheduler configuration: round length, slots per round, the optional
+//! round caps and the solver's budgets.
+//!
+//! The ILP's strict-inequality constant `mm` and big-M factor are fixed by
+//! the formulation (see [`crate::ilp`]), not configured.
 
 use crate::error::ScheduleError;
 use crate::time::{micros_from_secs, Micros};
@@ -8,9 +12,9 @@ use ttw_timing::{round, GlossyConstants, NetworkParams};
 /// Configuration of the TTW schedule synthesis.
 ///
 /// The round length `T_r` and the number of slots per round `B` are the two
-/// central parameters of the paper (Fig. 6/7); the remaining fields mirror the
-/// constants of the ILP formulation (Table II) and the budgets of the MILP
-/// solver substitute.
+/// central parameters of the paper (Fig. 6/7); the remaining fields bound the
+/// rounds (constraint C2.2 and Algorithm 1's `R_max`), gate the analysis and
+/// budget the MILP solver substitute.
 #[derive(Debug, Clone)]
 pub struct SchedulerConfig {
     /// Round length `T_r` in microseconds (all slots plus the beacon).
@@ -20,11 +24,6 @@ pub struct SchedulerConfig {
     /// Optional upper bound on the gap between consecutive rounds
     /// (`T_max`, constraint C2.2). `None` disables the constraint.
     pub max_inter_round_gap: Option<Micros>,
-    /// Small constant `mm` used to emulate strict inequalities, expressed in
-    /// units of `T_r` (the paper uses `1e-4` time units).
-    pub epsilon: f64,
-    /// Big-M constant factor: `MM = big_m_factor · LCM` (the paper uses 10).
-    pub big_m_factor: f64,
     /// Optional cap on the number of rounds Algorithm 1 will try; by default
     /// the cap is `R_max = ⌊LCM / T_r⌋`.
     pub max_rounds: Option<usize>,
@@ -47,8 +46,6 @@ impl SchedulerConfig {
             round_duration,
             slots_per_round,
             max_inter_round_gap: None,
-            epsilon: 1e-4,
-            big_m_factor: 10.0,
             max_rounds: None,
             analyze_first: true,
             solver: SolveParams::default(),
@@ -93,8 +90,7 @@ impl SchedulerConfig {
     /// # Errors
     ///
     /// Returns [`ScheduleError::InvalidConfig`] when the round length or slot
-    /// count is zero, when `epsilon` is not in `(0, 1)`, or when the big-M
-    /// factor is not at least 1.
+    /// count is zero, or when the inter-round gap is shorter than a round.
     pub fn validate(&self) -> Result<(), ScheduleError> {
         if self.round_duration == 0 {
             return Err(ScheduleError::InvalidConfig {
@@ -104,16 +100,6 @@ impl SchedulerConfig {
         if self.slots_per_round == 0 {
             return Err(ScheduleError::InvalidConfig {
                 reason: "slots_per_round must be at least 1".into(),
-            });
-        }
-        if !(self.epsilon > 0.0 && self.epsilon < 1.0) {
-            return Err(ScheduleError::InvalidConfig {
-                reason: format!("epsilon must be in (0, 1), got {}", self.epsilon),
-            });
-        }
-        if self.big_m_factor < 1.0 {
-            return Err(ScheduleError::InvalidConfig {
-                reason: format!("big_m_factor must be ≥ 1, got {}", self.big_m_factor),
             });
         }
         if let Some(gap) = self.max_inter_round_gap {
@@ -166,16 +152,6 @@ mod tests {
     #[test]
     fn validation_catches_zero_slots() {
         let c = SchedulerConfig::new(millis(10), 0);
-        assert!(c.validate().is_err());
-    }
-
-    #[test]
-    fn validation_catches_bad_epsilon_and_big_m() {
-        let mut c = SchedulerConfig::new(millis(10), 5);
-        c.epsilon = 0.0;
-        assert!(c.validate().is_err());
-        c.epsilon = 1e-4;
-        c.big_m_factor = 0.5;
         assert!(c.validate().is_err());
     }
 

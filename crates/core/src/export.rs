@@ -36,11 +36,10 @@ crate::json_object!(ApplicationSpec as "application spec" {
 crate::json_object!(Mode as "mode" { name, applications });
 
 crate::json_object!(SolveParams as "`solver`" {
-    max_nodes, max_simplex_iterations, relative_gap, presolve, cuts, max_cut_rounds, pseudocost
+    max_nodes, max_simplex_iterations, presolve, cuts, pseudocost
 });
 crate::json_object!(SchedulerConfig as "scheduler config" {
-    round_duration, slots_per_round, max_inter_round_gap, epsilon, big_m_factor, max_rounds,
-    analyze_first, solver
+    round_duration, slots_per_round, max_inter_round_gap, max_rounds, analyze_first, solver
 });
 
 /// The solver's counters sit directly in the stats object, under the wire
@@ -529,7 +528,7 @@ mod tests {
             &sys,
             &graph,
             &config,
-            &crate::synthesis::IlpSynthesizer::default(),
+            &crate::synthesis::IlpSynthesizer,
         )
         .expect("feasible");
         let json = system_schedule_to_json(&schedule).expect("serializes");
@@ -639,16 +638,15 @@ mod tests {
     fn scheduler_config_round_trips_to_the_same_cache_key_text() {
         let mut config = SchedulerConfig::new(millis(10), 5);
         config.max_inter_round_gap = Some(millis(7));
-        config.epsilon = 0.125;
         config.max_rounds = Some(12);
         config.analyze_first = true;
         config.solver.max_nodes = 999;
-        config.solver.relative_gap = 1e-7;
+        config.solver.max_simplex_iterations = 1234;
         config.solver.pseudocost = false;
         let json = scheduler_config_to_json(&config).expect("serializes");
         let back = scheduler_config_from_json(&json).expect("parses");
         // The cache key hashes the Debug form, so the round trip must be
-        // byte-identical — including f64 formatting.
+        // byte-identical.
         assert_eq!(format!("{config:?}"), format!("{back:?}"));
     }
 
@@ -667,8 +665,7 @@ mod tests {
         assert!(scheduler_config_from_json("{oops").is_err());
         assert!(scheduler_config_from_json("{}").is_err());
         let bad_gap = r#"{"round_duration": 1, "slots_per_round": 1,
-            "max_inter_round_gap": "soon", "epsilon": 0.5, "big_m_factor": 2.0,
-            "max_rounds": null, "analyze_first": false, "solver": {}}"#;
+            "max_inter_round_gap": "soon", "max_rounds": null, "analyze_first": false, "solver": {}}"#;
         assert!(scheduler_config_from_json(bad_gap).is_err());
     }
 

@@ -131,37 +131,18 @@ pub trait Synthesizer: Sync {
     ) -> Result<(ModeSchedule, Option<ModeWarmStart>), SynthesisFailure>;
 }
 
-/// The exact backend: Algorithm 1 over the ILP of Sec. IV.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct IlpSynthesizer {
-    /// When `true` (the default), the `R_M` sweep grows one ILP instance in
-    /// place instead of rebuilding the model per round count — the
-    /// round-independent constraint blocks (precedence, deadlines, the
-    /// quadratic task non-overlap block) are built once.
-    pub incremental: bool,
-}
-
-impl Default for IlpSynthesizer {
-    fn default() -> Self {
-        IlpSynthesizer { incremental: true }
-    }
-}
-
-impl IlpSynthesizer {
-    /// A backend that rebuilds the ILP from scratch for every round count —
-    /// the pre-incremental behaviour, kept for benchmarking the difference.
-    pub fn from_scratch() -> Self {
-        IlpSynthesizer { incremental: false }
-    }
-}
+/// The exact backend: Algorithm 1 over the ILP of Sec. IV, as one instance
+/// grown round by round — the round-independent constraint blocks
+/// (precedence, deadlines, the quadratic task non-overlap block) are built
+/// once per mode, not once per `R_M` attempt.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct IlpSynthesizer;
 
 impl Synthesizer for IlpSynthesizer {
+    /// Part of every cache key, so it keeps the name it had when a
+    /// rebuild-per-attempt backend stood beside it.
     fn name(&self) -> &'static str {
-        if self.incremental {
-            "ilp-incremental"
-        } else {
-            "ilp-from-scratch"
-        }
+        "ilp-incremental"
     }
 
     /// The `R_M` sweep, optionally seeding the attempt at `warm.rounds`
@@ -204,28 +185,13 @@ impl Synthesizer for IlpSynthesizer {
             return Err(infeasible(stats));
         }
 
-        let mut instance = if self.incremental {
-            Some(
-                ilp::build_ilp_inherited(system, mode, config, min_rounds, inherited)
-                    .map_err(SynthesisFailure::from)?,
-            )
-        } else {
-            None
-        };
+        let mut current = ilp::build_ilp_inherited(system, mode, config, min_rounds, inherited)
+            .map_err(SynthesisFailure::from)?;
 
         for num_rounds in min_rounds..=r_max {
-            let current = match instance.as_mut() {
-                Some(current) => {
-                    while current.num_rounds() < num_rounds {
-                        current.add_round(system, mode, config);
-                    }
-                    current
-                }
-                None => instance.insert(
-                    ilp::build_ilp_inherited(system, mode, config, num_rounds, inherited)
-                        .map_err(SynthesisFailure::from)?,
-                ),
-            };
+            while current.num_rounds() < num_rounds {
+                current.add_round(system, mode, config);
+            }
             // Seed the cached predecessor basis into the attempt at its own
             // round count. The seed replaces the basis chained from smaller
             // attempts — it came from the optimum of a nearly identical model
@@ -254,11 +220,8 @@ impl Synthesizer for IlpSynthesizer {
                     basis,
                 });
                 let schedule =
-                    ilp::extract_schedule(system, mode, config, current, &solution, stats);
+                    ilp::extract_schedule(system, mode, config, &current, &solution, stats);
                 return Ok((schedule, artifact));
-            }
-            if !self.incremental {
-                instance = None;
             }
         }
 
@@ -321,7 +284,7 @@ pub fn synthesize_mode(
     mode: ModeId,
     config: &SchedulerConfig,
 ) -> Result<ModeSchedule, SynthesisFailure> {
-    let (backend, pins) = (IlpSynthesizer::default(), InheritedOffsets::none());
+    let (backend, pins) = (IlpSynthesizer, InheritedOffsets::none());
     solve_mode(system, mode, config, &backend, &pins, None).map(|(schedule, _)| schedule)
 }
 
@@ -620,7 +583,7 @@ pub fn synthesize_all_modes(
         system,
         &ModeGraph::complete(system),
         config,
-        &IlpSynthesizer::default(),
+        &IlpSynthesizer,
     )
 }
 
@@ -660,7 +623,7 @@ mod tests {
             graph: 4,
             system: 2,
         });
-        let backend = IlpSynthesizer::default();
+        let backend = IlpSynthesizer;
         let error = synthesize_system(&sys, &diamond, &config(), &backend).expect_err("mismatch");
         assert_eq!(error.error, expected);
         assert!(error.partial.stats.is_empty(), "nothing was attempted");
@@ -694,24 +657,6 @@ mod tests {
     }
 
     #[test]
-    fn incremental_and_from_scratch_backends_agree() {
-        let (sys, mode) = fixtures::fig3_system();
-        let pins = InheritedOffsets::none();
-        let (incremental, _) = IlpSynthesizer::default()
-            .synthesize(&sys, mode, &config(), &pins, None)
-            .expect("feasible");
-        let (scratch, _) = IlpSynthesizer::from_scratch()
-            .synthesize(&sys, mode, &config(), &pins, None)
-            .expect("feasible");
-        assert_eq!(incremental.num_rounds(), scratch.num_rounds());
-        assert!((incremental.total_latency - scratch.total_latency).abs() < 1e-6);
-        assert_eq!(
-            incremental.stats.rounds_attempted,
-            scratch.stats.rounds_attempted
-        );
-    }
-
-    #[test]
     fn tasks_only_mode_needs_zero_rounds() {
         let (sys, mode) = fixtures::synthetic_mode(2, 1, 2, millis(50));
         let schedule = synthesize_mode(&sys, mode, &config()).expect("feasible");
@@ -733,7 +678,7 @@ mod tests {
         // static round-capacity certificate fires before any ILP is built.
         let (sys, mode) = fixtures::synthetic_mode(1, 2, 2, millis(5));
         let graph = ModeGraph::complete(&sys);
-        let err = synthesize_system(&sys, &graph, &config(), &IlpSynthesizer::default())
+        let err = synthesize_system(&sys, &graph, &config(), &IlpSynthesizer)
             .expect_err("certified infeasible");
         match &err.error {
             ScheduleError::Infeasible { explanation, .. } => {
@@ -755,7 +700,7 @@ mod tests {
         let (sys, mode) = fixtures::synthetic_mode(1, 2, 2, millis(5));
         let graph = ModeGraph::complete(&sys);
         let config = config().with_analyze_first(false);
-        let err = synthesize_system(&sys, &graph, &config, &IlpSynthesizer::default())
+        let err = synthesize_system(&sys, &graph, &config, &IlpSynthesizer)
             .expect_err("still infeasible");
         assert!(matches!(
             err.error,
@@ -770,13 +715,12 @@ mod tests {
     #[test]
     fn analyze_gate_is_invisible_on_feasible_systems() {
         let (sys, graph, _, _) = fixtures::two_mode_graph();
-        let on = synthesize_system(&sys, &graph, &config(), &IlpSynthesizer::default())
-            .expect("feasible");
+        let on = synthesize_system(&sys, &graph, &config(), &IlpSynthesizer).expect("feasible");
         let off = synthesize_system(
             &sys,
             &graph,
             &config().with_analyze_first(false),
-            &IlpSynthesizer::default(),
+            &IlpSynthesizer,
         )
         .expect("feasible");
         assert_eq!(on, off);
@@ -815,7 +759,7 @@ mod tests {
     #[test]
     fn inherited_synthesis_makes_shared_apps_switch_consistent() {
         let (sys, graph, normal, emergency) = fixtures::two_mode_graph();
-        let result = synthesize_system(&sys, &graph, &config(), &IlpSynthesizer::default())
+        let result = synthesize_system(&sys, &graph, &config(), &IlpSynthesizer)
             .expect("both modes feasible");
 
         // The shared control application keeps its exact offsets across modes.
@@ -854,7 +798,7 @@ mod tests {
         // shared control application, the other three modes form one parallel
         // wave. The result must be deterministic and switch-consistent.
         let (sys, graph, [boot, normal, emergency, maintenance]) = fixtures::four_mode_diamond();
-        let result = synthesize_system(&sys, &graph, &config(), &IlpSynthesizer::default())
+        let result = synthesize_system(&sys, &graph, &config(), &IlpSynthesizer)
             .expect("all four modes feasible");
         assert_eq!(result.num_modes(), 4);
         let ctrl = sys.application_id("ctrl").expect("app exists");
@@ -867,7 +811,7 @@ mod tests {
 
         // Running it again produces the identical schedules (parallel waves
         // must not introduce nondeterminism).
-        let again = synthesize_system(&sys, &graph, &config(), &IlpSynthesizer::default())
+        let again = synthesize_system(&sys, &graph, &config(), &IlpSynthesizer)
             .expect("all four modes feasible");
         for (mode, schedule) in result.iter() {
             let other = again.get(mode).expect("same modes");
@@ -879,11 +823,10 @@ mod tests {
     #[test]
     fn sequential_driver_matches_the_parallel_driver() {
         let (sys, graph, _) = fixtures::four_mode_diamond();
-        let parallel = synthesize_system(&sys, &graph, &config(), &IlpSynthesizer::default())
+        let parallel = synthesize_system(&sys, &graph, &config(), &IlpSynthesizer)
             .expect("all four modes feasible");
-        let sequential =
-            synthesize_system_sequential(&sys, &graph, &config(), &IlpSynthesizer::default())
-                .expect("all four modes feasible");
+        let sequential = synthesize_system_sequential(&sys, &graph, &config(), &IlpSynthesizer)
+            .expect("all four modes feasible");
         assert_eq!(parallel.num_modes(), sequential.num_modes());
         for (mode, schedule) in parallel.iter() {
             let other = sequential.get(mode).expect("same modes");
@@ -984,13 +927,6 @@ mod tests {
 
     #[test]
     fn synthesizer_names_are_distinct() {
-        assert_ne!(
-            IlpSynthesizer::default().name(),
-            IlpSynthesizer::from_scratch().name()
-        );
-        assert_ne!(
-            IlpSynthesizer::default().name(),
-            HeuristicSynthesizer.name()
-        );
+        assert_ne!(IlpSynthesizer.name(), HeuristicSynthesizer.name());
     }
 }

@@ -510,7 +510,7 @@ mod tests {
             &sys,
             &graph,
             &config(),
-            &crate::synthesis::IlpSynthesizer::default(),
+            &crate::synthesis::IlpSynthesizer,
         )
         .expect("feasible");
         assert!(

@@ -11,9 +11,8 @@
 //! columns the objective never prices, and coefficient magnitude ranges wide
 //! enough to strain the simplex tolerances.
 //!
-//! Two consumers run the audit: the differential test harness audits every
-//! generated scheduler model, and [`Model::solve`] re-checks in debug builds
-//! when `TTW_MILP_AUDIT` is set in the environment.
+//! The differential test harness runs it on every generated scheduler model;
+//! the solver itself never does.
 
 use crate::expr::LinExpr;
 use crate::model::{ConstraintOp, Model, VarKind};
@@ -258,26 +257,6 @@ pub fn audit_model(model: &Model) -> Vec<AuditFinding> {
 /// `true` if any finding is an [`AuditSeverity::Error`].
 pub fn has_errors(findings: &[AuditFinding]) -> bool {
     findings.iter().any(|f| f.severity == AuditSeverity::Error)
-}
-
-/// Debug-build hook for [`Model::solve`]: when the `TTW_MILP_AUDIT`
-/// environment variable is set (to anything but `0`), audits the model and
-/// panics on error-severity findings before the solver runs.
-#[cfg(debug_assertions)]
-pub(crate) fn debug_audit(model: &Model) {
-    match std::env::var("TTW_MILP_AUDIT") {
-        Ok(value) if value != "0" => {}
-        _ => return,
-    }
-    let findings = audit_model(model);
-    if has_errors(&findings) {
-        let rendered: Vec<String> = findings.iter().map(|f| f.to_string()).collect();
-        panic!(
-            "TTW_MILP_AUDIT: model `{}` failed the structural audit:\n{}",
-            model.name(),
-            rendered.join("\n")
-        );
-    }
 }
 
 #[cfg(test)]

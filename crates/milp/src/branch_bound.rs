@@ -41,6 +41,13 @@ use std::rc::Rc;
 
 /// Score floor for the pseudocost product rule.
 const SCORE_EPS: f64 = 1e-12;
+/// Relative gap at which an incumbent is accepted as optimal: a node whose
+/// bound is within it of the incumbent is pruned.
+const RELATIVE_GAP: f64 = 1e-9;
+/// Root separation rounds when [`SolveParams::cuts`] is on. Each round
+/// derives cuts from the current fractional root optimum, filters them
+/// through the cut pool and reoptimizes the root.
+const MAX_CUT_ROUNDS: usize = 8;
 /// Snapshots whose factor state a tree remembers ([`TreeLp`]). Over the 103
 /// systems of the repo benchmark's `cold_solve` workload (solved one after
 /// another), the 31,691 factorizations of a memo-less run fall to 22,886
@@ -459,7 +466,7 @@ fn search(
     let mut pool = CutPool::new();
 
     if params.cuts {
-        for _ in 0..params.max_cut_rounds {
+        for _ in 0..MAX_CUT_ROUNDS {
             let Some(b) = basis.as_ref() else { break };
             let candidates = separate_round(
                 tree.lp(),
@@ -592,7 +599,7 @@ fn search(
         // A node whose bound cannot improve on the incumbent is pruned; with
         // best-first ordering this also proves optimality of the incumbent.
         if let Some((best, _)) = &incumbent {
-            if node.bound >= *best - params.relative_gap * best.abs().max(1.0) {
+            if node.bound >= *best - RELATIVE_GAP * best.abs().max(1.0) {
                 break;
             }
         }
@@ -641,7 +648,7 @@ fn search(
 
         // Prune by bound against the incumbent.
         if let Some((best, _)) = &incumbent {
-            if lp_result.objective >= *best - params.relative_gap * best.abs().max(1.0) {
+            if lp_result.objective >= *best - RELATIVE_GAP * best.abs().max(1.0) {
                 continue;
             }
         }

@@ -63,7 +63,7 @@
 //!   `presolve_rows_removed` / `presolve_cols_removed`.
 //! * **Root cutting planes.** Before the tree search starts, the root
 //!   relaxation is tightened by separation rounds (enabled by
-//!   [`SolveParams::cuts`], bounded by [`SolveParams::max_cut_rounds`]):
+//!   [`SolveParams::cuts`], at most eight rounds):
 //!   **Gomory mixed-integer cuts** are derived from tableau rows whose basic
 //!   integer variable is fractional. Candidates pass a
 //!   violation filter and a parallelism filter before entering the cut pool;

@@ -94,8 +94,6 @@ pub struct SolveParams {
     pub max_nodes: usize,
     /// Maximum number of simplex pivots per LP solve.
     pub max_simplex_iterations: usize,
-    /// Relative gap at which branch-and-bound accepts an incumbent as optimal.
-    pub relative_gap: f64,
     /// Run the LP presolve (fixed-column substitution, empty/singleton row
     /// elimination, activity-based bound tightening) before the simplex.
     /// Enabled by default; disable to get the raw equality-form solve (used
@@ -106,10 +104,6 @@ pub struct SolveParams {
     /// relaxation tree (used by the differential harness to prove cuts never
     /// change the verdict or the objective).
     pub cuts: bool,
-    /// Maximum number of root separation rounds when [`SolveParams::cuts`] is
-    /// enabled. Each round derives cuts from the current fractional root
-    /// optimum, filters them through the cut pool and reoptimizes the root.
-    pub max_cut_rounds: usize,
     /// Branch on pseudocost scores (per-variable up/down objective
     /// degradation averages, learned from every node LP) instead of the
     /// lowest-index fractional variable. Enabled by default; disabled, the
@@ -123,10 +117,8 @@ impl Default for SolveParams {
         SolveParams {
             max_nodes: 200_000,
             max_simplex_iterations: 50_000,
-            relative_gap: 1e-9,
             presolve: true,
             cuts: true,
-            max_cut_rounds: 8,
             pseudocost: true,
         }
     }
@@ -450,10 +442,6 @@ impl Model {
     /// (nodes, simplex pivots) is exhausted.
     pub fn solve(&self) -> Result<Solution, SolveError> {
         self.validate()?;
-        // Opt-in structural audit for debug builds: set TTW_MILP_AUDIT=1 to
-        // panic on error-severity findings before the solver runs.
-        #[cfg(debug_assertions)]
-        crate::audit::debug_audit(self);
         branch_bound::solve(self)
     }
 

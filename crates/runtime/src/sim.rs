@@ -730,13 +730,9 @@ mod tests {
         // The full pipeline: mode graph -> inherited synthesis -> runtime.
         let (sys, graph, normal, emergency) = fixtures::two_mode_graph();
         let config = SchedulerConfig::new(millis(10), 5);
-        let schedule = synthesis::synthesize_system(
-            &sys,
-            &graph,
-            &config,
-            &synthesis::IlpSynthesizer::default(),
-        )
-        .expect("feasible");
+        let schedule =
+            synthesis::synthesize_system(&sys, &graph, &config, &synthesis::IlpSynthesizer)
+                .expect("feasible");
         let mut sim = Simulation::clustered_from_system_schedule(
             &sys,
             &schedule,
@@ -761,13 +757,9 @@ mod tests {
     fn inconsistent_system_schedule_refuses_the_mode_change() {
         let (sys, graph, normal, emergency) = fixtures::two_mode_graph();
         let config = SchedulerConfig::new(millis(10), 5);
-        let mut schedule = synthesis::synthesize_system(
-            &sys,
-            &graph,
-            &config,
-            &synthesis::IlpSynthesizer::default(),
-        )
-        .expect("feasible");
+        let mut schedule =
+            synthesis::synthesize_system(&sys, &graph, &config, &synthesis::IlpSynthesizer)
+                .expect("feasible");
         // Sabotage: re-time a shared control task in the emergency mode only.
         let tau3 = sys.task_id("ctrl.tau3").expect("task exists");
         *schedule

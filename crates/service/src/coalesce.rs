@@ -183,7 +183,7 @@ mod tests {
                 &sys,
                 &graph,
                 &SchedulerConfig::new(millis(10), 5),
-                &ttw_core::synthesis::IlpSynthesizer::default(),
+                &ttw_core::synthesis::IlpSynthesizer,
             )
             .expect("feasible"),
         )

@@ -499,7 +499,7 @@ mod tests {
             &system,
             &graph,
             &config,
-            &ttw_core::synthesis::IlpSynthesizer::default(),
+            &ttw_core::synthesis::IlpSynthesizer,
         )
         .expect("feasible");
         let reply = Response::Schedule(Box::new(ScheduleReply {
@@ -527,7 +527,7 @@ mod tests {
             &system,
             &graph,
             &SchedulerConfig::new(millis(10), 5),
-            &ttw_core::synthesis::IlpSynthesizer::default(),
+            &ttw_core::synthesis::IlpSynthesizer,
         )
         .expect("feasible");
         let body: Arc<str> = Arc::from(schedule.to_json());

@@ -144,7 +144,7 @@ impl SchedulerService {
             inflight: InflightTable::new(),
             admission,
             stats: ServiceStats::default(),
-            ilp: IlpSynthesizer::default(),
+            ilp: IlpSynthesizer,
             heuristic: HeuristicSynthesizer,
         }
     }
@@ -531,13 +531,8 @@ mod tests {
     fn a_coalesced_reply_encodes_to_the_response_codec_bytes() {
         let req = request(BackendKind::Ilp);
         let schedule = Arc::new(
-            synthesize_system(
-                &req.system,
-                &req.graph,
-                &req.config,
-                &IlpSynthesizer::default(),
-            )
-            .expect("feasible"),
+            synthesize_system(&req.system, &req.graph, &req.config, &IlpSynthesizer)
+                .expect("feasible"),
         );
         // This test is the leader, so the request below can only follow —
         // provided it joins before the flight lands. Nothing outside the

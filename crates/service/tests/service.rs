@@ -259,7 +259,7 @@ fn resynthesize_over_tcp_reports_incremental_provenance() {
         system: base.system.clone(),
         graph: base.graph.clone(),
         config: base.config.clone(),
-        backend: IlpSynthesizer::default().name().to_owned(),
+        backend: IlpSynthesizer.name().to_owned(),
         warm: Default::default(),
     };
     (service.cache()).store_with_artifacts(&predecessor, &cold.schedule, Some(&artifacts));
@@ -303,7 +303,7 @@ fn resynthesize_over_tcp_reports_incremental_provenance() {
         &edited,
         &scenario.graph,
         &scenario.scheduler_config(),
-        &ttw_core::synthesis::IlpSynthesizer::default(),
+        &ttw_core::synthesis::IlpSynthesizer,
     )
     .expect("scratch solve");
     assert_eq!(
@@ -389,13 +389,23 @@ fn a_number_no_f64_holds_is_a_bad_request_and_the_server_keeps_serving() {
     let server = start_server();
     let mut stream = std::net::TcpStream::connect(server.addr()).expect("connect");
     let honest = Request::Synthesize(Box::new(fig3_request(BackendKind::Ilp))).to_json();
-    let epsilon = honest
-        .find("\"epsilon\":")
-        .expect("a config has an epsilon")
-        + 10;
-    let end = epsilon + honest[epsilon..].find(',').expect("more members follow");
-    let hostile = format!("{}1e999{}", &honest[..epsilon], &honest[end..]);
-    for frame in [hostile.as_str(), r#"{"type":"stats","unknown":[-1e999]}"#] {
+    let round = "\"round_duration\":";
+    let at = honest.find(round).expect("a config has a round length") + round.len();
+    let end = at + honest[at..].find(',').expect("more members follow");
+    let hostile = format!("{}1e999{}", &honest[..at], &honest[end..]);
+    // A member the config no longer has is skipped, but its number is still
+    // read, and refused.
+    let config = honest.find("\"config\":{").expect("a config") + "\"config\":{".len();
+    let legacy = format!(
+        "{}\"epsilon\":1e999,{}",
+        &honest[..config],
+        &honest[config..]
+    );
+    for frame in [
+        hostile.as_str(),
+        legacy.as_str(),
+        r#"{"type":"stats","unknown":[-1e999]}"#,
+    ] {
         write_frame(&mut stream, frame.as_bytes()).expect("write");
         let payload = read_frame(&mut stream).expect("read").expect("a response");
         let text = String::from_utf8(payload).expect("utf-8");

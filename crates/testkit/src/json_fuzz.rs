@@ -411,23 +411,19 @@ pub struct TypedSample {
 }
 
 /// A configuration whose every field differs from the default somewhere in
-/// the stream: both states of each optional field and switch, fractions
-/// with long shortest forms, integers of every size.
+/// the stream: both states of each optional field and switch, integers of
+/// every size.
 fn random_config(rng: &mut SplitMix64, base: &SchedulerConfig) -> SchedulerConfig {
     let mut config = base.clone();
     let coin = |rng: &mut SplitMix64| below(rng, 2) == 0;
     config.max_inter_round_gap = coin(rng).then(|| rng.next_u64() >> 20);
     config.max_rounds = coin(rng).then(|| below(rng, 64));
-    config.epsilon = rng.next_f64();
-    config.big_m_factor = 1.0 + rng.next_f64() * 100.0;
     config.analyze_first = coin(rng);
     let solver = &mut config.solver;
     solver.max_nodes = below(rng, 1 << 20);
     solver.max_simplex_iterations = (rng.next_u64() >> 12) as usize;
-    solver.relative_gap = rng.next_f64() * 1e-4;
     solver.presolve = coin(rng);
     solver.cuts = coin(rng);
-    solver.max_cut_rounds = below(rng, 16);
     solver.pseudocost = coin(rng);
     config
 }
@@ -495,7 +491,7 @@ fn draw_scenario(seed: u64, draw: usize) -> Scenario {
 
 fn synthesize_sample(scenario: Scenario, rng: &mut SplitMix64) -> Option<TypedSample> {
     let solve_config = scenario.scheduler_config();
-    let backend = IlpSynthesizer::default();
+    let backend = IlpSynthesizer;
     let cache = ScheduleCache::in_memory();
     let (schedule, _) = synthesize_system_cached(
         &scenario.system,

@@ -853,7 +853,7 @@ mod tests {
             &scenario.system,
             &scenario.graph,
             &scenario.scheduler_config(),
-            &IlpSynthesizer::default(),
+            &IlpSynthesizer,
         )
         .expect("small single-rate scenarios are feasible");
         let violations =

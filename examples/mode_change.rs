@@ -24,7 +24,7 @@ fn run(
         &system,
         &graph,
         &config,
-        &synthesis::IlpSynthesizer::default(),
+        &synthesis::IlpSynthesizer,
         &cache,
     )?;
     println!(
@@ -87,12 +87,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     ] {
         let (system, graph, normal, emergency) = fixtures::two_mode_graph();
         let config = SchedulerConfig::new(millis(10), 5);
-        let schedule = synthesis::synthesize_system(
-            &system,
-            &graph,
-            &config,
-            &synthesis::IlpSynthesizer::default(),
-        )?;
+        let schedule =
+            synthesis::synthesize_system(&system, &graph, &config, &synthesis::IlpSynthesizer)?;
         let sensor1 = system.node_id("sensor1").expect("node exists").index();
         let sim_config = SimulationConfig {
             policy,

@@ -111,8 +111,7 @@ fn generated_scenarios_uphold_the_differential_invariants() {
         let config = scenario.scheduler_config();
         let repro = scenario.repro();
 
-        let ilp_result =
-            synthesize_system(sys, &scenario.graph, &config, &IlpSynthesizer::default());
+        let ilp_result = synthesize_system(sys, &scenario.graph, &config, &IlpSynthesizer);
         let heur_result = synthesize_system(sys, &scenario.graph, &config, &HeuristicSynthesizer);
 
         match &ilp_result {
@@ -595,13 +594,8 @@ fn tree_layers_preserve_verdicts() {
         let config_on = scenario.scheduler_config();
         let mut config_off = scenario.scheduler_config();
         disable_tree_layers(&mut config_off);
-        let on = synthesize_system(sys, &scenario.graph, &config_on, &IlpSynthesizer::default());
-        let off = synthesize_system(
-            sys,
-            &scenario.graph,
-            &config_off,
-            &IlpSynthesizer::default(),
-        );
+        let on = synthesize_system(sys, &scenario.graph, &config_on, &IlpSynthesizer);
+        let off = synthesize_system(sys, &scenario.graph, &config_off, &IlpSynthesizer);
         match (on, off) {
             (Ok(on), Ok(off)) => {
                 let on_json = system_schedule_to_json(&normalize_stats(on)).expect("serialize");
@@ -681,7 +675,7 @@ fn cache_hits_byte_match_fresh_synthesis() {
         let sys = &scenario.system;
         let config = scenario.scheduler_config();
         let repro = scenario.repro();
-        let backend = IlpSynthesizer::default();
+        let backend = IlpSynthesizer;
 
         let fresh = match synthesize_system(sys, &scenario.graph, &config, &backend) {
             Ok(result) => result,
@@ -848,13 +842,8 @@ fn analyzer_gate_on_off_agree() {
         let config_on = scenario.scheduler_config().with_analyze_first(true);
         let config_off = scenario.scheduler_config().with_analyze_first(false);
 
-        let on = synthesize_system(sys, &scenario.graph, &config_on, &IlpSynthesizer::default());
-        let off = synthesize_system(
-            sys,
-            &scenario.graph,
-            &config_off,
-            &IlpSynthesizer::default(),
-        );
+        let on = synthesize_system(sys, &scenario.graph, &config_on, &IlpSynthesizer);
+        let off = synthesize_system(sys, &scenario.graph, &config_off, &IlpSynthesizer);
         match (on, off) {
             (Ok(on), Ok(off)) => {
                 let on_json = system_schedule_to_json(&on).expect("serialize");
@@ -950,18 +939,13 @@ fn numerically_hard_cut_root_degrades_instead_of_failing() {
     let scenario = generate(&GeneratorConfig::bench(16, GraphShape::Diamond), 7);
     let sys = &scenario.system;
     let config = scenario.scheduler_config();
-    let with_cuts = synthesize_system(sys, &scenario.graph, &config, &IlpSynthesizer::default())
+    let with_cuts = synthesize_system(sys, &scenario.graph, &config, &IlpSynthesizer)
         .expect("cut-enabled synthesis must survive the numerically hard root");
 
     let mut no_cuts_config = scenario.scheduler_config();
     no_cuts_config.solver.cuts = false;
-    let without_cuts = synthesize_system(
-        sys,
-        &scenario.graph,
-        &no_cuts_config,
-        &IlpSynthesizer::default(),
-    )
-    .expect("cut-free synthesis is the reference");
+    let without_cuts = synthesize_system(sys, &scenario.graph, &no_cuts_config, &IlpSynthesizer)
+        .expect("cut-free synthesis is the reference");
 
     for (mode, schedule) in without_cuts.iter() {
         let other = with_cuts.get(mode).expect("same modes");
@@ -994,7 +978,7 @@ fn incremental_resynthesis_matches_from_scratch() {
                  edit: &[TaskId],
                  repro: &str|
      -> Option<ResynthesisReport> {
-        let backend = IlpSynthesizer::default();
+        let backend = IlpSynthesizer;
         let cache = ScheduleCache::in_memory();
         // An infeasible predecessor leaves nothing to resynthesize from.
         synthesize_system_cached(system, graph, config, &backend, &cache).ok()?;
@@ -1094,7 +1078,7 @@ fn mismatched_predecessor_degrades_to_cold_with_identical_schedule() {
     let a = generate(&family, 11);
     let b = generate(&family, 12);
     let config = a.scheduler_config();
-    let backend = IlpSynthesizer::default();
+    let backend = IlpSynthesizer;
     let cache = ScheduleCache::in_memory();
     synthesize_system_cached(&a.system, &a.graph, &config, &backend, &cache)
         .expect("predecessor feasible");
@@ -1148,7 +1132,7 @@ fn schedule_deltas_reproduce_full_redeployments() {
     for seed in start..start + seed_count(6) as u64 {
         let scenario = scenario_for_seed(seed, false);
         let config = scenario.scheduler_config();
-        let backend = IlpSynthesizer::default();
+        let backend = IlpSynthesizer;
         let Ok(old) = synthesize_system(&scenario.system, &scenario.graph, &config, &backend)
         else {
             continue;

@@ -111,7 +111,7 @@ fn build_fixture(shape: GraphShape, first_seed: u64) -> Fixture {
             &scenario.system,
             &scenario.graph,
             &scenario.scheduler_config(),
-            &IlpSynthesizer::default(),
+            &IlpSynthesizer,
         );
         if let Ok(schedule) = result {
             if !modes_diverge(&scenario.system, &schedule) {

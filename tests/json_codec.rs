@@ -216,7 +216,7 @@ fn fixture_dir() -> PathBuf {
 type Recode = fn(&str) -> Result<String, JsonError>;
 
 /// The key `examples/mode_change` stores its schedule under.
-const MODE_CHANGE_KEY: &str = "c686169aee1ffce2";
+const MODE_CHANGE_KEY: &str = "a0398e55a28e7b06";
 
 /// Every committed document with the decoder and encoder that own it. The
 /// files were written by the build that preceded the field-table codec (see
@@ -254,10 +254,10 @@ const FIXTURES: &[(&str, Recode)] = &[
     ("response_stats.json", recode_response),
     ("response_error.json", recode_response),
     ("response_shutdown_ack.json", recode_response),
-    ("ttw-c686169aee1ffce2.json", |text| {
+    ("ttw-a0398e55a28e7b06.json", |text| {
         system_schedule_to_json(&system_schedule_from_json(text)?)
     }),
-    ("ttw-c686169aee1ffce2.warm.json", |text| {
+    ("ttw-a0398e55a28e7b06.warm.json", |text| {
         Ok(artifacts_to_json(&artifacts_from_json(text)?))
     }),
 ];
@@ -336,7 +336,7 @@ fn disk_entry_written_by_the_previous_build_is_a_first_probe_hit() {
 fn write_codec_fixtures() {
     let (system, graph, _, _) = fixtures::two_mode_graph();
     let mut config = SchedulerConfig::new(millis(10), 5);
-    let backend = IlpSynthesizer::default();
+    let backend = IlpSynthesizer;
     let schedule = synthesize_system(&system, &graph, &config, &backend).expect("feasible");
     let greedy =
         synthesize_system(&system, &graph, &config, &HeuristicSynthesizer).expect("feasible");
@@ -374,7 +374,6 @@ fn write_codec_fixtures() {
     // document and the requests.
     config.max_inter_round_gap = Some(millis(70));
     config.max_rounds = Some(12);
-    config.solver.relative_gap = 1e-7;
     let base = SynthesizeRequest {
         system: system.clone(),
         graph: graph.clone(),

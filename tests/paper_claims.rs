@@ -110,9 +110,8 @@ fn multi_mode_synthesis_is_switch_consistent() {
     // by minimal inheritance, and the cross-mode validator double-checks it.
     let (sys, graph, normal, emergency) = fixtures::two_mode_graph();
     let config = SchedulerConfig::new(millis(10), 5);
-    let schedule =
-        synthesis::synthesize_system(&sys, &graph, &config, &synthesis::IlpSynthesizer::default())
-            .expect("both modes feasible");
+    let schedule = synthesis::synthesize_system(&sys, &graph, &config, &synthesis::IlpSynthesizer)
+        .expect("both modes feasible");
     assert!(validate::validate_system_schedule(&sys, &config, &schedule).is_empty());
 
     let ctrl = sys.application_id("ctrl").expect("app exists");

@@ -56,7 +56,7 @@ fn two_mode_relaxations_agree_with_and_without_pins() {
         &sys,
         &graph,
         &config(),
-        &ttw::core::synthesis::IlpSynthesizer::default(),
+        &ttw::core::synthesis::IlpSynthesizer,
     )
     .expect("both modes feasible");
 

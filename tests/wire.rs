@@ -297,7 +297,9 @@ fn a_reply_the_client_has_read_is_already_counted() {
 /// has dropped — decodes, the members are skipped, and the schedule served
 /// is valid. Taken from the request, a tolerance of 0.01 let branch-and-bound
 /// accept a fractional LP point as integral: on this seed the rounded
-/// schedule missed an application deadline (125.5 ms against 100 ms).
+/// schedule missed an application deadline (125.5 ms against 100 ms). The
+/// ILP's `mm` and big-M and the solver's gap and cut-round count left the
+/// wire the same way; hostile values for them are skipped as well.
 #[test]
 fn a_request_carrying_a_loose_integrality_tolerance_gets_a_valid_schedule() {
     let scenario = generate(&GeneratorConfig::small(2, GraphShape::Chain), 6);
@@ -314,7 +316,9 @@ fn a_request_carrying_a_loose_integrality_tolerance_gets_a_valid_schedule() {
     let removed = [
         ("feasibility_tolerance", "0.000001"),
         ("integrality_tolerance", "0.01"),
+        ("max_cut_rounds", "0"),
         ("pump", "true"),
+        ("relative_gap", "0.5"),
         ("reliability", "4"),
         ("strong_branch_limit", "128"),
     ];
@@ -332,6 +336,14 @@ fn a_request_carrying_a_loose_integrality_tolerance_gets_a_valid_schedule() {
         &request[..start],
         members.join(","),
         &request[end..]
+    );
+    // A strict inequality relaxed by 0.9 rounds and a big-M of one
+    // hyperperiod, first in the config object.
+    let config = request.find("\"config\":{").expect("a config object") + "\"config\":{".len();
+    let request = format!(
+        "{}\"epsilon\":0.9,\"big_m_factor\":1,{}",
+        &request[..config],
+        &request[config..]
     );
 
     let Request::Synthesize(request) = Request::from_json(request.as_bytes()).expect("decodes")
