@@ -1,5 +1,5 @@
 //! Scheduler configuration: round length, slots per round, the optional
-//! round caps and the solver's budgets.
+//! bounds on rounds, the analysis gate and the solver's budgets.
 //!
 //! The ILP's strict-inequality constant `mm` and big-M factor are fixed by
 //! the formulation (see [`crate::ilp`]), not configured.

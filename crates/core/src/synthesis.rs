@@ -139,8 +139,7 @@ pub trait Synthesizer: Sync {
 pub struct IlpSynthesizer;
 
 impl Synthesizer for IlpSynthesizer {
-    /// Part of every cache key, so it keeps the name it had when a
-    /// rebuild-per-attempt backend stood beside it.
+    /// Part of every cache key: another name would move every key.
     fn name(&self) -> &'static str {
         "ilp-incremental"
     }

@@ -47,7 +47,7 @@
 //! for the ratio test, and updates `d_j −= θ_d·α_j` from that same row; the
 //! costs are recomputed from scratch only where the factorization is
 //! rebuilt. A branch-and-bound child starts from the basis its parent's LP
-//! ended on, so it can also start from the parent's [`FactorState`] — LU
+//! ended on, so it can also start from the parent's `FactorState` — LU
 //! factors, eta file and, when the parent ended through the dual, its
 //! reduced costs — instead of factorizing that basis from scratch.
 //!
@@ -76,7 +76,7 @@
 //! solution and factor state stay in the workspace, and the caller reads
 //! values and snapshot out of it in its own numbering (`presolve` straight
 //! into the original one), and the factor state with
-//! [`SimplexWorkspace::capture`].
+//! `SimplexWorkspace::capture`.
 
 use crate::error::SolveError;
 use crate::model::{ConstraintOp, Model};
@@ -127,7 +127,7 @@ pub struct LpResult {
     /// enough for full pricing).
     pub candidate_list_size: usize,
     /// From-scratch LU factorizations of the basis this solve computed (a
-    /// warm start that restores a captured [`FactorState`] computes none).
+    /// warm start that restores a captured `FactorState` computes none).
     pub lu_factorizations: usize,
 }
 
