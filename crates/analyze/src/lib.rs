@@ -117,11 +117,6 @@ impl AnalysisReport {
         self.errors().next().is_some()
     }
 
-    /// Modes proven infeasible, in ascending id order.
-    pub fn certified_infeasible_modes(&self) -> BTreeSet<ModeId> {
-        self.errors().filter_map(|d| d.mode).collect()
-    }
-
     /// The first certificate proving `mode` infeasible, if any.
     pub fn certified_infeasible(&self, mode: ModeId) -> Option<&Diagnostic> {
         self.errors().find(|d| d.mode == Some(mode))
@@ -325,7 +320,6 @@ mod tests {
         let graph = ModeGraph::complete(&sys);
         let report = analyze_system(&sys, &graph, &config());
         assert!(report.has_errors());
-        assert_eq!(report.certified_infeasible_modes().len(), 1);
         let diagnostic = report.certified_infeasible(mode).expect("certified");
         assert_eq!(diagnostic.code, "node-over-utilized");
         assert!(diagnostic.message.contains("120000"));
@@ -421,7 +415,7 @@ mod tests {
         assert_eq!(flagged.len(), 1);
         assert_eq!(flagged[0].mode, Some(m2));
         // The single-donor modes are not flagged.
-        assert!(report.certified_infeasible_modes().is_empty());
+        assert!(!report.has_errors());
     }
 
     #[test]

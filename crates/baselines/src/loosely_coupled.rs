@@ -52,12 +52,6 @@ pub fn latency_improvement_factor(system: &System, app: AppId, round_duration: M
     loose as f64 / ttw as f64
 }
 
-/// The communication-only improvement factor (ignoring task execution), which
-/// is exactly the paper's per-message claim.
-pub fn communication_improvement_factor() -> f64 {
-    2.0
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -67,7 +61,6 @@ mod tests {
     #[test]
     fn per_message_factor_is_exactly_two() {
         assert_eq!(loose_message_latency(millis(10)), millis(20));
-        assert_eq!(communication_improvement_factor(), 2.0);
     }
 
     #[test]

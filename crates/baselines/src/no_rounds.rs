@@ -1,6 +1,6 @@
 //! The per-message-beacon ("no rounds") design of Eq. 20.
 
-use ttw_timing::{energy, round, GlossyConstants, NetworkParams};
+use ttw_timing::{energy, GlossyConstants, NetworkParams};
 
 /// A design in which every message transmission is preceded by its own beacon,
 /// i.e. messages are not grouped into rounds.
@@ -35,11 +35,6 @@ impl NoRoundsDesign {
         energy::radio_on_without_rounds(&self.constants, &self.network, messages, payload)
     }
 
-    /// Wall-clock time to serve `messages` messages of `payload` bytes (Eq. 20).
-    pub fn wall_clock_time(&self, messages: usize, payload: usize) -> f64 {
-        energy::wall_clock_without_rounds(&self.constants, &self.network, messages, payload)
-    }
-
     /// Radio-on time of the TTW round serving the same messages.
     pub fn ttw_radio_on_time(&self, messages: usize, payload: usize) -> f64 {
         energy::radio_on_with_rounds(&self.constants, &self.network, messages, payload)
@@ -48,12 +43,6 @@ impl NoRoundsDesign {
     /// Relative radio-on-time saving of TTW rounds over this baseline (Fig. 7).
     pub fn ttw_saving(&self, messages: usize, payload: usize) -> f64 {
         energy::relative_saving(&self.constants, &self.network, messages, payload)
-    }
-
-    /// Round length of the TTW design serving the same messages (Eq. 19), for
-    /// latency comparisons.
-    pub fn ttw_round_length(&self, messages: usize, payload: usize) -> f64 {
-        round::round_length(&self.constants, &self.network, messages, payload)
     }
 }
 
@@ -85,13 +74,5 @@ mod tests {
     fn single_message_has_no_saving() {
         let b = NoRoundsDesign::paper_setting();
         assert!(b.ttw_saving(1, 10).abs() < 1e-12);
-    }
-
-    #[test]
-    fn wall_clock_is_linear_in_messages() {
-        let b = NoRoundsDesign::paper_setting();
-        let one = b.wall_clock_time(1, 10);
-        let four = b.wall_clock_time(4, 10);
-        assert!((four - 4.0 * one).abs() < 1e-12);
     }
 }

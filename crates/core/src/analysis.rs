@@ -27,28 +27,6 @@ pub fn min_latency_bound(system: &System, app: AppId, round_duration: Micros) ->
         .unwrap_or(0)
 }
 
-/// Length (number of messages) of the longest chain of an application.
-///
-/// This is the factor multiplying `T_r` in Eq. 13 and the quantity the
-/// latency-comparison benchmark sweeps.
-pub fn longest_chain_messages(system: &System, app: AppId) -> usize {
-    system
-        .chains(app)
-        .iter()
-        .map(|c| c.messages().count())
-        .max()
-        .unwrap_or(0)
-}
-
-/// Checks whether an application can possibly meet its deadline with the given
-/// round length: `min_latency_bound ≤ a.d`.
-///
-/// A `false` result means *no* schedule (with any number of rounds) meets the
-/// end-to-end deadline; Algorithm 1 would enumerate every `R_M` and fail.
-pub fn is_deadline_attainable(system: &System, app: AppId, round_duration: Micros) -> bool {
-    min_latency_bound(system, app, round_duration) <= system.application(app).deadline
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -62,7 +40,6 @@ mod tests {
         // = 8 ms execution + 2 rounds.
         let tr = millis(10);
         assert_eq!(min_latency_bound(&sys, app, tr), millis(8) + 2 * tr);
-        assert_eq!(longest_chain_messages(&sys, app), 2);
     }
 
     #[test]
@@ -74,18 +51,9 @@ mod tests {
     }
 
     #[test]
-    fn attainability_flips_when_rounds_too_long() {
-        let (sys, app) = fixtures::fig3_system_single_app();
-        assert!(is_deadline_attainable(&sys, app, millis(10)));
-        // Two 60 ms rounds plus 8 ms execution exceed the 100 ms deadline.
-        assert!(!is_deadline_attainable(&sys, app, millis(60)));
-    }
-
-    #[test]
     fn app_without_messages_has_pure_execution_bound() {
         let (sys, mode) = fixtures::synthetic_mode(1, 1, 1, millis(50));
         let app = sys.mode(mode).applications[0];
         assert_eq!(min_latency_bound(&sys, app, millis(10)), millis(1));
-        assert_eq!(longest_chain_messages(&sys, app), 0);
     }
 }

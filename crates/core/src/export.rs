@@ -1,10 +1,8 @@
-//! Schedule export and rendering.
+//! Schedule export.
 //!
-//! Synthesized schedules are plain data, but two extra representations are
-//! convenient in practice: a JSON document that can be shipped to the nodes at
-//! deployment time (Sec. II.B: "the node's task and communication schedule is
-//! loaded into its memory"), and a human-readable text timeline for inspecting
-//! what the optimizer produced.
+//! Synthesized schedules are plain data; this module gives them a JSON
+//! document that can be shipped to the nodes at deployment time (Sec. II.B:
+//! "the node's task and communication schedule is loaded into its memory").
 //!
 //! The JSON form of every model and schedule type is declared here, once per
 //! type, on the field-table mechanism of [`crate::json`]: a
@@ -24,7 +22,6 @@ use crate::modegraph::ModeGraph;
 use crate::schedule::{ModeSchedule, ScheduledRound, SynthesisStats, SystemSchedule};
 use crate::spec::{ApplicationSpec, MessageSpec, TaskSpec};
 use crate::system::{Mode, System};
-use std::fmt::Write as _;
 use std::sync::OnceLock;
 use ttw_milp::{SolveParams, SolverCounters};
 
@@ -377,103 +374,6 @@ pub fn scheduler_config_from_json(json: &str) -> Result<SchedulerConfig, JsonErr
     Json::from_json(json)
 }
 
-/// Renders a schedule as a human-readable text report: one line per round with
-/// its slot allocation, then one line per task and per message with its timing.
-///
-/// Entity ids are resolved to their names through `system`.
-pub fn render_schedule(system: &System, mode: ModeId, schedule: &ModeSchedule) -> String {
-    let mut out = String::new();
-    let mode_name = &system.mode(mode).name;
-    let _ = writeln!(
-        out,
-        "mode `{mode_name}`: hyperperiod {:.1} ms, {} rounds of {:.1} ms ({} slots max), duty cycle {:.1}%",
-        schedule.hyperperiod as f64 / 1e3,
-        schedule.num_rounds(),
-        schedule.round_duration as f64 / 1e3,
-        schedule.slots_per_round,
-        schedule.communication_duty_cycle() * 100.0,
-    );
-
-    let _ = writeln!(out, "rounds:");
-    for (i, round) in schedule.rounds.iter().enumerate() {
-        let slots: Vec<&str> = round
-            .slots
-            .iter()
-            .map(|&m| system.message(m).name.as_str())
-            .collect();
-        let _ = writeln!(
-            out,
-            "  r{i}: [{:>8.1} ms, {:>8.1} ms)  slots: {}",
-            round.start / 1e3,
-            (round.start + schedule.round_duration as f64) / 1e3,
-            if slots.is_empty() {
-                "(empty)".to_string()
-            } else {
-                slots.join(", ")
-            }
-        );
-    }
-
-    let _ = writeln!(out, "tasks:");
-    for (&task, &offset) in &schedule.task_offsets {
-        let t = system.task(task);
-        let _ = writeln!(
-            out,
-            "  {:<24} on {:<12} offset {:>8.1} ms, wcet {:>6.1} ms",
-            t.name,
-            system.node(t.node).name,
-            offset / 1e3,
-            t.wcet as f64 / 1e3
-        );
-    }
-
-    let _ = writeln!(out, "messages:");
-    for (&message, &offset) in &schedule.message_offsets {
-        let m = system.message(message);
-        let deadline = schedule.message_deadline(message).unwrap_or(f64::NAN);
-        let _ = writeln!(
-            out,
-            "  {:<24} from {:<12} offset {:>8.1} ms, deadline {:>6.1} ms, rounds {:?}",
-            m.name,
-            system.node(m.source_node).name,
-            offset / 1e3,
-            deadline / 1e3,
-            schedule.rounds_carrying(message)
-        );
-    }
-
-    let _ = writeln!(out, "application latencies:");
-    for (&app, &latency) in &schedule.app_latencies {
-        let a = system.application(app);
-        let _ = writeln!(
-            out,
-            "  {:<24} {:>8.1} ms (deadline {:>8.1} ms)",
-            a.name,
-            latency / 1e3,
-            a.deadline as f64 / 1e3
-        );
-    }
-    out
-}
-
-/// Renders an ASCII timeline of the rounds over one hyperperiod, one character
-/// per `resolution` microseconds (`#` inside a round, `.` outside).
-///
-/// Useful to eyeball how communication is spread over the hyperperiod.
-pub fn render_round_timeline(schedule: &ModeSchedule, resolution: u64) -> String {
-    let resolution = resolution.max(1);
-    let width = (schedule.hyperperiod / resolution) as usize;
-    let mut line = vec!['.'; width.max(1)];
-    for round in &schedule.rounds {
-        let start = (round.start as u64 / resolution) as usize;
-        let end = (((round.start + schedule.round_duration as f64) as u64) / resolution) as usize;
-        for cell in line.iter_mut().take(end.min(width)).skip(start.min(width)) {
-            *cell = '#';
-        }
-    }
-    line.into_iter().collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -482,16 +382,14 @@ mod tests {
     use crate::synthesis::synthesize_mode;
     use crate::time::millis;
 
-    fn fig3_schedule() -> (System, ModeId, ModeSchedule) {
+    fn fig3_schedule() -> ModeSchedule {
         let (sys, mode) = fixtures::fig3_system();
-        let schedule =
-            synthesize_mode(&sys, mode, &SchedulerConfig::new(millis(10), 5)).expect("feasible");
-        (sys, mode, schedule)
+        synthesize_mode(&sys, mode, &SchedulerConfig::new(millis(10), 5)).expect("feasible")
     }
 
     #[test]
     fn json_round_trips() {
-        let (_, _, schedule) = fig3_schedule();
+        let schedule = fig3_schedule();
         let json = schedule_to_json(&schedule).expect("serializes");
         let back = schedule_from_json(&json).expect("parses");
         assert_eq!(schedule, back);
@@ -507,7 +405,7 @@ mod tests {
     /// does not: the document is refused at the token.
     #[test]
     fn a_round_start_no_f64_holds_is_rejected() {
-        let (_, _, schedule) = fig3_schedule();
+        let schedule = fig3_schedule();
         let json = schedule_to_json(&schedule).expect("serializes");
         let start = json.find("\"start\": ").expect("a round") + 9;
         let end = start + json[start..].find('\n').expect("pretty");
@@ -667,34 +565,5 @@ mod tests {
         let bad_gap = r#"{"round_duration": 1, "slots_per_round": 1,
             "max_inter_round_gap": "soon", "max_rounds": null, "analyze_first": false, "solver": {}}"#;
         assert!(scheduler_config_from_json(bad_gap).is_err());
-    }
-
-    #[test]
-    fn report_mentions_every_entity() {
-        let (sys, mode, schedule) = fig3_schedule();
-        let report = render_schedule(&sys, mode, &schedule);
-        for name in ["ctrl.tau1", "ctrl.tau3", "ctrl.m1", "ctrl.m3", "normal"] {
-            assert!(report.contains(name), "report missing `{name}`:\n{report}");
-        }
-        assert!(report.contains("rounds:"));
-        assert!(report.contains("application latencies:"));
-    }
-
-    #[test]
-    fn timeline_marks_rounds() {
-        let (_, _, schedule) = fig3_schedule();
-        let timeline = render_round_timeline(&schedule, millis(1));
-        assert_eq!(timeline.len(), 100);
-        let busy = timeline.chars().filter(|&c| c == '#').count();
-        // Two 10 ms rounds over a 100 ms hyperperiod.
-        assert!((19..=21).contains(&busy), "busy cells: {busy}");
-        assert!(timeline.contains('.'));
-    }
-
-    #[test]
-    fn timeline_handles_coarse_resolution() {
-        let (_, _, schedule) = fig3_schedule();
-        let coarse = render_round_timeline(&schedule, schedule.hyperperiod);
-        assert_eq!(coarse.len(), 1);
     }
 }

@@ -6,7 +6,6 @@
 //!
 //! * [`System`] / [`spec`] — the system model of Sec. III: nodes, applications
 //!   described by precedence graphs of tasks and messages, and operation modes.
-//! * [`calculus`] — arrival/demand/service counting functions (Eq. 1–3, 10).
 //! * [`ilp`] — the ILP formulation of the appendix (constraints C1–C4 and the
 //!   latency objective), built on the [`ttw_milp`] solver.
 //! * [`modegraph`] — the mode graph and minimal inheritance of Sec. V:
@@ -53,7 +52,6 @@
 
 pub mod analysis;
 pub mod cache;
-pub mod calculus;
 pub mod chains;
 pub mod config;
 pub mod delta;
@@ -81,7 +79,7 @@ pub use delta::{NodeDeployment, NodeModeTable, NodePatchOp, ScheduleDelta};
 pub use error::{ModelError, ScheduleError, ScheduleViolation};
 pub use feasibility::InfeasibilityCertificate;
 pub use ids::{AppId, MessageId, ModeId, NodeId, TaskId};
-pub use modegraph::{InheritedOffsets, ModeGraph, VirtualLegacyMode};
+pub use modegraph::{InheritedOffsets, ModeGraph};
 pub use resynth::{resynthesize_system, ResynthesisReport};
 pub use schedule::{ModeSchedule, ScheduledRound, SynthesisStats, SystemSchedule};
 pub use spec::{ApplicationSpec, MessageSpec, TaskSpec};

@@ -13,9 +13,8 @@
 //! The set of applications a mode inherits, together with the modes they are
 //! inherited from, is the paper's *virtual legacy mode*: a fictitious mode
 //! whose schedule is imported verbatim before the remaining applications are
-//! co-scheduled around it. [`ModeGraph::virtual_legacy_modes`] materializes
-//! that view; [`ModeGraph::inheritance_plan`] is the per-application mapping
-//! the synthesis driver consumes.
+//! co-scheduled around it. [`ModeGraph::inheritance_plan`] is that view as the
+//! per-application mapping the synthesis driver consumes.
 //!
 //! The graph also fixes the synthesis order ([`ModeGraph::synthesis_order`]):
 //! breadth-first from the root mode (ties broken by mode id), then any
@@ -305,43 +304,11 @@ impl ModeGraph {
         }
         waves
     }
-
-    /// The virtual legacy mode of every mode that inherits at least one
-    /// application (paper Sec. V), in synthesis order.
-    pub fn virtual_legacy_modes(&self, system: &System) -> Vec<VirtualLegacyMode> {
-        let mut plan = self.inheritance_plan(system);
-        self.synthesis_order()
-            .into_iter()
-            .filter_map(|mode| {
-                let sources = plan.remove(&mode)?;
-                if sources.is_empty() {
-                    return None;
-                }
-                Some(VirtualLegacyMode {
-                    mode,
-                    applications: sources.keys().copied().collect(),
-                    sources,
-                })
-            })
-            .collect()
-    }
-}
-
-/// The fictitious mode whose schedule a real mode imports verbatim before its
-/// remaining applications are co-scheduled around it (paper Sec. V).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct VirtualLegacyMode {
-    /// The real mode this virtual legacy mode precedes.
-    pub mode: ModeId,
-    /// Applications whose schedule is imported, in id order.
-    pub applications: Vec<AppId>,
-    /// The mode each application's schedule is imported from.
-    pub sources: BTreeMap<AppId, ModeId>,
 }
 
 /// Task and message offsets pinned during synthesis because an earlier mode
-/// already scheduled them (the materialized schedule of a
-/// [`VirtualLegacyMode`]).
+/// already scheduled them (the materialized schedule of a mode's virtual
+/// legacy mode).
 ///
 /// All values are microseconds, relative to the application release — the same
 /// convention as [`ModeSchedule`].
@@ -479,17 +446,6 @@ mod tests {
         let mut order = graph.synthesis_order();
         order.sort_unstable();
         assert_eq!(sorted, order, "waves cover every mode exactly once");
-    }
-
-    #[test]
-    fn virtual_legacy_mode_collects_inherited_apps() {
-        let (sys, graph, normal, emergency) = fixtures::two_mode_graph();
-        let ctrl = sys.application_id("ctrl").expect("app exists");
-        let virtuals = graph.virtual_legacy_modes(&sys);
-        assert_eq!(virtuals.len(), 1);
-        assert_eq!(virtuals[0].mode, emergency);
-        assert_eq!(virtuals[0].applications, vec![ctrl]);
-        assert_eq!(virtuals[0].sources[&ctrl], normal);
     }
 
     #[test]

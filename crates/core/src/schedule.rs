@@ -137,17 +137,6 @@ impl ModeSchedule {
     pub fn total_slots_used(&self) -> usize {
         self.rounds.iter().map(ScheduledRound::num_slots).sum()
     }
-
-    /// Fraction of the hyperperiod spent inside communication rounds.
-    ///
-    /// This is the airtime the communication schedule claims; the rest is
-    /// available for the radio to stay off.
-    pub fn communication_duty_cycle(&self) -> f64 {
-        if self.hyperperiod == 0 {
-            return 0.0;
-        }
-        self.num_rounds() as f64 * self.round_duration as f64 / self.hyperperiod as f64
-    }
 }
 
 /// The schedules of every mode of a system, plus the inheritance metadata the
@@ -285,12 +274,6 @@ mod tests {
         assert_eq!(s.rounds_carrying(MessageId::from_index(0)), vec![0, 1]);
         assert_eq!(s.rounds_carrying(MessageId::from_index(1)), vec![0]);
         assert!(s.rounds_carrying(MessageId::from_index(9)).is_empty());
-    }
-
-    #[test]
-    fn duty_cycle_is_rounds_over_hyperperiod() {
-        let s = sample_schedule();
-        assert!((s.communication_duty_cycle() - 0.2).abs() < 1e-12);
     }
 
     #[test]

@@ -3,10 +3,11 @@
 //!
 //! Single-mode synthesis works as before: the number of communication rounds
 //! `R_M` is not known in advance, so the driver formulates the ILP for
-//! `R_M = 0, 1, 2, …` and returns the first feasible schedule, which is
-//! therefore optimal in the number of rounds; the latency objective of each
-//! ILP then makes that schedule latency-optimal among all schedules using
-//! `R_M` rounds. The sweep is *incremental*: one ILP instance is built and
+//! `R_M = ⌈message instances / slots per round⌉, …, R_max` (fewer rounds
+//! cannot carry every message instance) and returns the first feasible
+//! schedule, which is therefore optimal in the number of rounds; the latency
+//! objective of each ILP then makes that schedule latency-optimal among all
+//! schedules using `R_M` rounds. The sweep is *incremental*: one ILP instance is built and
 //! grown round by round ([`crate::ilp::IlpInstance::add_round`]) instead of
 //! being rebuilt per attempt.
 //!
@@ -156,21 +157,13 @@ impl Synthesizer for IlpSynthesizer {
     ) -> Result<(ModeSchedule, Option<ModeWarmStart>), SynthesisFailure> {
         config.validate()?;
 
-        let hyperperiod = system.hyperperiod(mode);
-        let fit = (hyperperiod / config.round_duration) as usize;
-        let r_max = config.max_rounds.map_or(fit, |cap| cap.min(fit));
-
+        let r_max = feasibility::r_max_for_mode(system, mode, config);
         let mut stats = SynthesisStats::default();
-        let messages = system.messages_in_mode(mode);
-
         // Lower bound on the number of rounds: enough slots must exist for
         // every message instance of the hyperperiod. Starting there skips
         // ILPs that are trivially infeasible, without affecting optimality.
-        let total_instances: usize = messages
-            .iter()
-            .map(|&m| (hyperperiod / system.message_period(m)) as usize)
-            .sum();
-        let min_rounds = total_instances.div_ceil(config.slots_per_round.max(1));
+        let min_rounds =
+            feasibility::message_instances(system, mode).div_ceil(config.slots_per_round);
 
         let infeasible = |stats: SynthesisStats| SynthesisFailure {
             error: ScheduleError::Infeasible {
@@ -262,9 +255,10 @@ impl Synthesizer for HeuristicSynthesizer {
 /// `AnalyzeFirst` gate first (when [`SchedulerConfig::analyze_first`] is
 /// set), the `R_M` sweep second.
 ///
-/// Tries `R_M = 0, 1, …, R_max` rounds, where
-/// `R_max = ⌊LCM / T_r⌋` (or the explicit cap from the configuration), and
-/// returns the first feasible — hence round-minimal — schedule.
+/// Tries `R_M = ⌈message instances / B⌉, …, R_max` rounds, where `B` is the
+/// slot count of a round and `R_max = ⌊LCM / T_r⌋` (or the explicit cap from
+/// the configuration), and returns the first feasible — hence round-minimal
+/// — schedule.
 ///
 /// # Errors
 ///
@@ -607,6 +601,12 @@ mod tests {
             "Fig. 3 needs two rounds (m1, m2 | m3)"
         );
         assert!(schedule.stats.rounds_attempted.contains(&2));
+        // The sweep starts where the slots can first carry every instance.
+        let instances = feasibility::message_instances(&sys, mode);
+        assert_eq!(
+            schedule.stats.rounds_attempted[0],
+            instances.div_ceil(config().slots_per_round)
+        );
         let violations = validate_schedule(&sys, mode, &config(), &schedule);
         assert!(violations.is_empty(), "validator found: {violations:?}");
     }

@@ -360,11 +360,6 @@ impl System {
         self.tasks.len()
     }
 
-    /// Number of messages.
-    pub fn num_messages(&self) -> usize {
-        self.messages.len()
-    }
-
     // ------------------------------------------------------------------
     // Derived quantities
     // ------------------------------------------------------------------
@@ -463,21 +458,6 @@ impl System {
             .iter()
             .copied()
             .filter(|t| self.tasks[t.index()].preceding_messages.is_empty())
-            .collect()
-    }
-
-    /// Tasks of an application that produce no message (chain sinks).
-    pub fn sink_tasks(&self, app: AppId) -> Vec<TaskId> {
-        let producing: HashSet<TaskId> = self.applications[app.index()]
-            .messages
-            .iter()
-            .flat_map(|m| self.messages[m.index()].preceding_tasks.iter().copied())
-            .collect();
-        self.applications[app.index()]
-            .tasks
-            .iter()
-            .copied()
-            .filter(|t| !producing.contains(t))
             .collect()
     }
 
@@ -818,13 +798,11 @@ mod tests {
     }
 
     #[test]
-    fn source_and_sink_tasks() {
+    fn source_tasks() {
         let mut sys = two_node_system();
         let app = sys.add_application(&simple_app()).unwrap();
         let sense = sys.task_id("sense").unwrap();
-        let act = sys.task_id("act").unwrap();
         assert_eq!(sys.source_tasks(app), vec![sense]);
-        assert_eq!(sys.sink_tasks(app), vec![act]);
     }
 
     #[test]
@@ -849,7 +827,7 @@ mod tests {
             .with_message("m", ["missing"], ["t"]);
         assert!(sys.add_application(&bad).is_err());
         assert_eq!(sys.num_tasks(), 0);
-        assert_eq!(sys.num_messages(), 0);
+        assert!(sys.messages().next().is_none());
         assert!(sys.applications().next().is_none());
     }
 }

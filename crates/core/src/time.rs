@@ -25,11 +25,6 @@ pub fn micros_from_secs(seconds: f64) -> Micros {
     (seconds * 1e6).ceil() as Micros
 }
 
-/// Converts [`Micros`] to seconds.
-pub fn secs_from_micros(micros: Micros) -> f64 {
-    micros as f64 / 1e6
-}
-
 /// Greatest common divisor.
 pub fn gcd(a: u64, b: u64) -> u64 {
     if b == 0 {
@@ -65,7 +60,6 @@ mod tests {
         assert_eq!(millis(20), 20_000);
         assert_eq!(seconds(2), 2_000_000);
         assert_eq!(micros_from_secs(0.05), 50_000);
-        assert_eq!(secs_from_micros(50_000), 0.05);
     }
 
     #[test]

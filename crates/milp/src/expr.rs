@@ -136,16 +136,6 @@ impl LinExpr {
         self.terms.iter().map(|(v, c)| (*v, *c))
     }
 
-    /// Evaluates the expression for a full assignment of variable values
-    /// indexed by [`VarId::index`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `values` is shorter than the largest variable index used.
-    pub fn evaluate(&self, values: &[f64]) -> f64 {
-        self.constant + self.terms.iter().map(|(v, c)| c * values[v.0]).sum::<f64>()
-    }
-
     /// Returns `true` if every coefficient and the constant are finite.
     pub fn is_finite(&self) -> bool {
         self.constant.is_finite() && self.terms.values().all(|c| c.is_finite())
@@ -277,13 +267,6 @@ mod tests {
         e.add_term(v(1), -3.0);
         assert!(e.is_empty());
         assert_eq!(e.coeff(v(1)), 0.0);
-    }
-
-    #[test]
-    fn evaluate_matches_manual_computation() {
-        let e = LinExpr::from_terms([(v(0), 2.0), (v(2), -1.0)]) + LinExpr::constant(5.0);
-        let values = [3.0, 100.0, 4.0];
-        assert_eq!(e.evaluate(&values), 2.0 * 3.0 - 4.0 + 5.0);
     }
 
     #[test]

@@ -252,15 +252,6 @@ impl Model {
         self.constraints[id.0].expr.add_term(var, coeff);
     }
 
-    /// Replaces the right-hand side of an existing constraint.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` does not belong to this model.
-    pub fn set_constraint_rhs(&mut self, id: ConstraintId, rhs: f64) {
-        self.constraints[id.0].rhs = rhs;
-    }
-
     /// Returns the constraint with the given handle.
     ///
     /// # Panics
@@ -595,20 +586,19 @@ mod tests {
 
     #[test]
     fn growing_a_constraint_changes_the_solution() {
-        // minimize x + y s.t. x >= 2; later the row becomes x + y >= 2 and
-        // the rhs rises to 3, so the optimum moves from (2, 0) to sum 3.
+        // minimize x + y/2 s.t. x >= 2; once y joins the row (x + y >= 2),
+        // the cheaper y covers it and the optimum falls from 2 to 1.
         let mut m = Model::new("grow");
         let x = m.add_continuous("x", 0.0, 10.0);
         let y = m.add_continuous("y", 0.0, 10.0);
-        m.set_objective(Sense::Minimize, &[(x, 1.0), (y, 1.0)]);
+        m.set_objective(Sense::Minimize, &[(x, 1.0), (y, 0.5)]);
         let c = m.add_ge(&[(x, 1.0)], 2.0);
         let s = m.solve().unwrap();
         assert!((s.objective - 2.0).abs() < 1e-6);
         m.add_term_to_constraint(c, y, 1.0);
-        m.set_constraint_rhs(c, 3.0);
-        assert_eq!(m.constraint(c).rhs, 3.0);
+        assert_eq!(m.constraint(c).expr.coeff(y), 1.0);
         let s = m.solve().unwrap();
-        assert!((s.objective - 3.0).abs() < 1e-6);
+        assert!((s.objective - 1.0).abs() < 1e-6);
     }
 
     #[test]

@@ -19,15 +19,14 @@
 //! scored by `d_j² / w_j`, and only a rotating segment of the column range is
 //! scanned per iteration (a full rotation without an eligible column proves
 //! optimality, so partial pricing never affects correctness — the weights are
-//! a selection heuristic only). After each basis change the weights of the
-//! nonbasic columns are updated from the pivot row — one extra BTRAN and
-//! column pass in the primal phases, none in the dual simplex, whose ratio
-//! test has formed that row and every `α_j` already; when a weight overflows
-//! the reset limit the reference framework is reset to all-ones and the
-//! reset is counted. Weights travel inside [`Basis`]
-//! snapshots so warm-started reoptimizations (branch-and-bound children, the
-//! incremental `R_M` sweep) keep the accumulated edge information instead of
-//! restarting from Dantzig-equivalent unit weights.
+//! a selection heuristic only). After each primal basis change the weights
+//! of the nonbasic columns are updated from the pivot row, at the cost of one
+//! extra BTRAN and column pass; when a weight overflows the reset limit the
+//! reference framework is reset to all-ones and the reset is counted. The
+//! dual simplex prices by its ratio test and leaves the weights alone. Weights
+//! travel inside [`Basis`] snapshots so warm-started primal reoptimizations
+//! (cut rounds, the incremental `R_M` sweep) keep the accumulated edge
+//! information instead of restarting from Dantzig-equivalent unit weights.
 //!
 //! Three solve strategies share the machinery:
 //!
@@ -442,9 +441,9 @@ pub(crate) struct EngineState {
     c1_touched: Vec<usize>,
     /// Devex reference weights per column (approximate steepest-edge norms).
     devex: Vec<f64>,
-    /// `α_j = ρ·a_j` of the last pivot row `ρ`, for every column the Devex
-    /// update visits (nonbasic, not fixed); the dual ratio test stores what
-    /// it computes here and the update reads it back.
+    /// `α_j = ρ·a_j` of the dual's last pivot row `ρ`, for every nonbasic,
+    /// non-fixed column; the dual ratio test stores what it computes here and
+    /// the reduced-cost update and the Farkas check read it back.
     alpha: Vec<f64>,
     /// Reduced costs `d_j = c_j − a_j·B⁻ᵀc_B` of the nonbasic, non-fixed
     /// columns while the dual simplex keeps them (other entries are not
@@ -980,44 +979,31 @@ impl<'a> Engine<'a> {
     }
 
     /// Devex update of a primal pivot `basic[row] := q`, against the
-    /// *outgoing* basis (before [`Engine::pivot`]): forms the pivot row
-    /// `ρ = B⁻ᵀ e_row` with one BTRAN and `α_j = ρ·a_j` for every column the
-    /// update visits, then runs [`Engine::update_devex`]. The dual simplex
-    /// has both already, from its ratio test, and goes to the update
-    /// directly.
-    fn update_devex_primal(&mut self, q: usize, row: usize) {
-        let lp = self.lp;
-        let ws = &mut *self.ws;
-        ws.y.iter_mut().for_each(|v| *v = 0.0);
-        ws.y[row] = 1.0;
-        ws.factor.btran(&mut ws.y);
-        for j in 0..lp.ncols() {
-            if ws.status[j] != VarStatus::Basic && ws.lower[j] != ws.upper[j] {
-                ws.alpha[j] = lp.cols.column_dot(j, &ws.y);
-            }
-        }
-        self.update_devex(q, row);
-    }
-
-    /// Core of the Devex update, given `α_j` of the outgoing basis's pivot
-    /// row for every nonbasic, non-fixed column: every such weight is lifted
-    /// to `(α_j / α_q)² · w_q` where it falls short, and the leaving variable
-    /// re-enters the nonbasic set with the entering column's weight seen
-    /// through the pivot. Weights only steer column *selection*, never
-    /// eligibility, so any drift here costs pivots, not correctness.
+    /// *outgoing* basis (before [`Engine::pivot`]): one BTRAN forms the pivot
+    /// row `ρ = B⁻ᵀ e_row`, every nonbasic, non-fixed weight is lifted to
+    /// `(α_j / α_q)² · w_q` where it falls short (`α_j = ρ·a_j`), and the
+    /// leaving variable re-enters the nonbasic set with the entering column's
+    /// weight seen through the pivot. Only primal pricing reads the weights,
+    /// so the dual simplex never updates them. Weights only steer column
+    /// *selection*, never eligibility, so any drift here costs pivots, not
+    /// correctness.
     fn update_devex(&mut self, q: usize, row: usize) {
+        let lp = self.lp;
         let ws = &mut *self.ws;
         let alpha_rq = ws.w[row];
         if alpha_rq.abs() <= PIVOT_TOL {
             return;
         }
+        ws.y.iter_mut().for_each(|v| *v = 0.0);
+        ws.y[row] = 1.0;
+        ws.factor.btran(&mut ws.y);
         let scale = ws.devex[q].max(1.0) / (alpha_rq * alpha_rq);
         let mut max_weight = 0.0f64;
-        for j in 0..self.lp.ncols() {
+        for j in 0..lp.ncols() {
             if ws.status[j] == VarStatus::Basic || ws.lower[j] == ws.upper[j] || j == q {
                 continue;
             }
-            let alpha = ws.alpha[j];
+            let alpha = lp.cols.column_dot(j, &ws.y);
             if alpha != 0.0 {
                 let candidate = alpha * alpha * scale;
                 if candidate > ws.devex[j] {
@@ -1389,7 +1375,7 @@ impl<'a> Engine<'a> {
             fresh = false;
             match blocking {
                 Some((row, leave)) => {
-                    self.update_devex_primal(q, row);
+                    self.update_devex(q, row);
                     if !self.pivot(row, q, dir * t_best, leave) {
                         if retried {
                             return Err(EngineError::Numerical);
@@ -1451,7 +1437,7 @@ impl<'a> Engine<'a> {
             self.charge_iteration()?;
             match blocking {
                 Some((row, leave)) => {
-                    self.update_devex_primal(q, row);
+                    self.update_devex(q, row);
                     if !self.pivot(row, q, dir * t_best, leave) {
                         if retried {
                             return Err(EngineError::Numerical);
@@ -1542,8 +1528,8 @@ impl<'a> Engine<'a> {
                 if status == VarStatus::Basic || ws.lower[j] == ws.upper[j] {
                     continue;
                 }
-                // α_j = ρ·a_j, kept for the reduced-cost and Devex updates of
-                // this pivot and for a Farkas check.
+                // α_j = ρ·a_j, kept for the reduced-cost update of this
+                // pivot and for a Farkas check.
                 let alpha = lp.cols.column_dot(j, rho);
                 ws.alpha[j] = alpha;
                 if alpha.abs() <= PIVOT_TOL {
@@ -1626,10 +1612,9 @@ impl<'a> Engine<'a> {
             self.charge_iteration()?;
             fresh = false;
             hard_fresh = false;
-            // The ratio test above stored α_j for exactly the columns both
-            // updates visit: no second BTRAN and no second column pass.
+            // The ratio test above stored α_j for exactly the columns the
+            // update visits: no second BTRAN and no second column pass.
             self.update_dj(q, row, alpha_q);
-            self.update_devex(q, row);
             let factorizations = self.lu_factorizations;
             if !self.pivot(row, q, step, leave_status) {
                 return Ok(DualOutcome::Stuck);

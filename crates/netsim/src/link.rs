@@ -63,7 +63,7 @@ struct BurstState {
 
 /// How likely a single transmission over one link is received.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum LossModel {
+enum LossModel {
     /// Every transmission is received (an ideal cable-like link).
     Perfect,
     /// Every transmission is independently received with probability
@@ -139,11 +139,6 @@ impl LinkModel {
         self
     }
 
-    /// The burst overlay's parameters, if one is installed.
-    pub fn burst_params(&self) -> Option<GilbertElliott> {
-        self.burst.as_ref().map(|state| state.params)
-    }
-
     /// Installs (or clears, with `None`) a partition mask: `groups[node]` is
     /// the partition group of each topology node, and links crossing groups
     /// drop every transmission.
@@ -154,11 +149,6 @@ impl LinkModel {
     /// The current partition mask, if any.
     pub fn partition(&self) -> Option<&[usize]> {
         self.partition.as_deref()
-    }
-
-    /// The configured loss model.
-    pub fn loss_model(&self) -> LossModel {
-        self.loss
     }
 
     /// Samples whether one transmission from `tx` to `rx` is received.
@@ -201,16 +191,6 @@ impl LinkModel {
         }
         received
     }
-
-    /// Expected single-transmission reception probability of the *base* model
-    /// (partition and burst overlays are not folded in — they are transient,
-    /// per-link state).
-    pub fn reception_probability(&self) -> f64 {
-        match self.loss {
-            LossModel::Perfect => 1.0,
-            LossModel::Uniform { loss } => 1.0 - loss,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -221,7 +201,6 @@ mod tests {
     fn perfect_links_always_receive() {
         let mut m = LinkModel::perfect();
         assert!((0..100).all(|i| m.sample_reception(0, i)));
-        assert_eq!(m.reception_probability(), 1.0);
     }
 
     #[test]

@@ -49,15 +49,6 @@ impl RadioAccounting {
         }
     }
 
-    /// Records a whole round (one beacon slot plus `data_slots` data slots of
-    /// `payload` bytes) for the participating nodes.
-    pub fn record_round(&mut self, participants: &[bool], data_slots: usize, payload: usize) {
-        self.record_slot(participants, self.constants.l_beacon);
-        for _ in 0..data_slots {
-            self.record_slot(participants, payload);
-        }
-    }
-
     /// Radio-on time accumulated by `node`, in seconds.
     pub fn on_time(&self, node: usize) -> f64 {
         self.on_time[node]
@@ -93,18 +84,21 @@ mod tests {
     #[test]
     fn non_participants_accumulate_nothing() {
         let mut acc = accounting(3);
-        acc.record_round(&[true, false, true], 5, 10);
+        acc.record_slot(&[true, false, true], 10);
         assert!(acc.on_time(0) > 0.0);
         assert_eq!(acc.on_time(1), 0.0);
         assert!((acc.on_time(0) - acc.on_time(2)).abs() < 1e-12);
     }
 
     #[test]
-    fn round_matches_timing_model() {
+    fn a_round_of_slots_matches_timing_model() {
         let constants = GlossyConstants::table1();
         let network = NetworkParams::with_paper_retransmissions(4);
         let mut acc = RadioAccounting::new(1, constants, network);
-        acc.record_round(&[true], 5, 10);
+        acc.record_slot(&[true], constants.l_beacon);
+        for _ in 0..5 {
+            acc.record_slot(&[true], 10);
+        }
         let expected = ttw_timing::round::round_radio_on_time(&constants, &network, 5, 10);
         assert!((acc.on_time(0) - expected).abs() < 1e-12);
     }
@@ -112,7 +106,7 @@ mod tests {
     #[test]
     fn duty_cycle_is_on_time_over_elapsed() {
         let mut acc = accounting(2);
-        acc.record_round(&[true, true], 2, 16);
+        acc.record_slot(&[true, true], 16);
         let elapsed = 1.0;
         let expected = acc.total_on_time() / 2.0;
         assert!((acc.average_duty_cycle(elapsed) - expected).abs() < 1e-12);

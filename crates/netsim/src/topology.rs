@@ -116,11 +116,6 @@ impl Topology {
         &self.adjacency[node]
     }
 
-    /// Returns `true` if `a` and `b` are directly connected.
-    pub fn are_neighbors(&self, a: usize, b: usize) -> bool {
-        self.adjacency[a].binary_search(&b).is_ok()
-    }
-
     /// Hop distances from `source` to every node (BFS); `usize::MAX` marks
     /// unreachable nodes.
     pub fn hop_distances(&self, source: usize) -> Vec<usize> {
@@ -202,8 +197,7 @@ mod tests {
         assert_eq!(t.num_nodes(), 9);
         assert_eq!(t.diameter(), 4); // opposite corners
         assert_eq!(t.hop_distance(0, 8), Some(4));
-        assert!(t.are_neighbors(0, 1));
-        assert!(!t.are_neighbors(0, 8));
+        assert_eq!(t.neighbors(0), &[1, 3]);
     }
 
     #[test]

@@ -6,8 +6,9 @@
 //!
 //! * the [`host::Host`] emits one [`beacon::Beacon`] per communication round
 //!   and drives the two-phase mode change of Fig. 2;
-//! * every node stores its [`slot_table::NodeSlotTable`] and only needs to
-//!   receive a single beacon to know the full system state;
+//! * every node reads its slots from the [`slot_table::ModeTable`]s and only
+//!   needs to receive a single beacon to know the full system state
+//!   ([`slot_table::RoundDirectory`]);
 //! * a node that misses a beacon stays silent for the round
 //!   ([`node::BeaconLossPolicy::SkipRound`]), which guarantees that packet
 //!   loss never causes message collisions — the unsafe

@@ -181,46 +181,6 @@ pub fn build_mode_tables(
     Ok(tables)
 }
 
-/// The per-node view of a mode table: which slots the node initiates.
-///
-/// This mirrors the `(slot id, message id)` pairs the paper says are loaded
-/// into each node's memory at deployment time.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct NodeSlotTable {
-    /// The node this table belongs to.
-    pub node: NodeId,
-    /// For each round of the mode (by position), the slots this node initiates.
-    pub transmissions: Vec<Vec<(usize, MessageId)>>,
-}
-
-impl NodeSlotTable {
-    /// Extracts the slots `node` initiates from a mode table.
-    pub fn for_node(table: &ModeTable, node: NodeId) -> Self {
-        let transmissions = table
-            .rounds
-            .iter()
-            .map(|round| {
-                round
-                    .slots
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, slot)| slot.initiator == node)
-                    .map(|(idx, slot)| (idx, slot.message))
-                    .collect()
-            })
-            .collect();
-        NodeSlotTable {
-            node,
-            transmissions,
-        }
-    }
-
-    /// Total number of transmissions the node performs per hyperperiod.
-    pub fn transmissions_per_hyperperiod(&self) -> usize {
-        self.transmissions.iter().map(Vec::len).sum()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -256,20 +216,6 @@ mod tests {
             .expect("m3 is allocated");
         assert_eq!(slot.destinations.len(), 2);
         assert_eq!(slot.initiator, sys.node_id("controller").expect("node"));
-    }
-
-    #[test]
-    fn node_slot_table_extracts_initiator_slots() {
-        let (sys, tables) = fig3_tables();
-        let controller = sys.node_id("controller").expect("node");
-        let table = NodeSlotTable::for_node(&tables[0], controller);
-        assert_eq!(table.transmissions_per_hyperperiod(), 1);
-        let sensor1 = sys.node_id("sensor1").expect("node");
-        let table = NodeSlotTable::for_node(&tables[0], sensor1);
-        assert_eq!(table.transmissions_per_hyperperiod(), 1);
-        let actuator = sys.node_id("actuator1").expect("node");
-        let table = NodeSlotTable::for_node(&tables[0], actuator);
-        assert_eq!(table.transmissions_per_hyperperiod(), 0);
     }
 
     #[test]

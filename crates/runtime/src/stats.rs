@@ -56,24 +56,6 @@ impl RuntimeStats {
         }
         self.messages_delivered as f64 / scheduled as f64
     }
-
-    /// Fraction of (node, round) beacons that were received.
-    pub fn beacon_reception_ratio(&self, nodes: usize) -> f64 {
-        let total = self.rounds_executed * nodes;
-        if total == 0 {
-            return 1.0;
-        }
-        1.0 - self.beacons_missed as f64 / total as f64
-    }
-
-    /// Average number of rounds a dropped-out node stayed desynchronized
-    /// before rejoining (`None` if no node ever rejoined).
-    pub fn avg_rejoin_latency_rounds(&self) -> Option<f64> {
-        if self.rejoins == 0 {
-            return None;
-        }
-        Some(self.rejoin_rounds_total as f64 / self.rejoins as f64)
-    }
 }
 
 #[cfg(test)]
@@ -92,30 +74,8 @@ mod tests {
     }
 
     #[test]
-    fn empty_run_has_perfect_ratios() {
+    fn empty_run_has_a_perfect_delivery_ratio() {
         let stats = RuntimeStats::default();
         assert_eq!(stats.delivery_ratio(), 1.0);
-        assert_eq!(stats.beacon_reception_ratio(5), 1.0);
-    }
-
-    #[test]
-    fn rejoin_latency_averages_over_rejoins() {
-        let stats = RuntimeStats {
-            rejoins: 4,
-            rejoin_rounds_total: 10,
-            ..RuntimeStats::default()
-        };
-        assert_eq!(stats.avg_rejoin_latency_rounds(), Some(2.5));
-        assert_eq!(RuntimeStats::default().avg_rejoin_latency_rounds(), None);
-    }
-
-    #[test]
-    fn beacon_ratio_uses_rounds_times_nodes() {
-        let stats = RuntimeStats {
-            rounds_executed: 10,
-            beacons_missed: 5,
-            ..RuntimeStats::default()
-        };
-        assert!((stats.beacon_reception_ratio(5) - 0.9).abs() < 1e-12);
     }
 }

@@ -164,11 +164,6 @@ impl SchedulerService {
         self.stats.snapshot(&self.cache)
     }
 
-    /// Requests currently waiting for or holding solver slots.
-    pub fn solver_load(&self) -> (usize, usize) {
-        (self.admission.active(), self.admission.waiting())
-    }
-
     fn backend(&self, kind: BackendKind) -> &dyn Synthesizer {
         match kind {
             BackendKind::Ilp => &self.ilp,

@@ -59,19 +59,6 @@ pub fn relative_saving(
     (without - with) / without
 }
 
-/// Wall-clock duration of serving `messages` messages without rounds
-/// (Eq. 20 in full, including radio-off portions).
-pub fn wall_clock_without_rounds(
-    constants: &GlossyConstants,
-    network: &NetworkParams,
-    messages: usize,
-    payload: usize,
-) -> f64 {
-    let beacon = round::beacon_slot_length(constants, network);
-    let data = round::data_slot_length(constants, network, payload);
-    messages as f64 * (beacon + data)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -86,8 +73,8 @@ mod tests {
     #[test]
     fn paper_headline_33_percent_for_5_slots_10_bytes() {
         // "5-slot rounds already induce 33% energy savings for 10 Bytes of payload."
-        // Our model reproduces ≈ 32–33 %; the exact figure is recorded in
-        // EXPERIMENTS.md.
+        // Our model reproduces ≈ 32–33 %; the `energy_savings` example prints
+        // the exact figure.
         let (c, net) = setup();
         let saving = relative_saving(&c, &net, 5, 10);
         assert!(
@@ -161,14 +148,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn wall_clock_without_rounds_matches_eq20() {
-        let (c, net) = setup();
-        let b = 4;
-        let expected = b as f64
-            * (round::beacon_slot_length(&c, &net) + round::data_slot_length(&c, &net, 10));
-        assert!((wall_clock_without_rounds(&c, &net, b, 10) - expected).abs() < 1e-12);
     }
 }

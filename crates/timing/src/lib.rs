@@ -31,7 +31,6 @@
 pub mod constants;
 pub mod energy;
 pub mod flood;
-pub mod lifetime;
 pub mod round;
 pub mod slot;
 pub mod sweep;
