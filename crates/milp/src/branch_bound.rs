@@ -29,11 +29,13 @@
 //! reoptimizations and node LPs that fell back to the uncut relaxation
 //! included.
 
-use crate::cuts::{lp_with_cuts, separate_round, CutPool};
+use crate::cuts::{lp_with_cuts, CutPool, Separator};
 use crate::error::SolveError;
 use crate::model::{Model, SolveParams, INTEGRALITY_TOL};
 use crate::presolve::NodeSolver;
-use crate::simplex::{Basis, FactorState, LpResult, LpStatus, SimplexWorkspace, SparseLp, Warm};
+use crate::simplex::{
+    Basis, FactorState, LpResult, LpStatus, RowView, SimplexWorkspace, SparseLp, Warm,
+};
 use crate::solution::{Solution, SolverCounters, Status};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -101,9 +103,11 @@ struct Node {
 /// recently used one.
 struct TreeLp<'a> {
     base_lp: &'a SparseLp,
+    base_rows: &'a RowView,
     base_solver: &'a NodeSolver,
-    /// The base LP with the kept cut rows appended, and its presolve.
-    cut: Option<(SparseLp, NodeSolver)>,
+    /// The base LP with the kept cut rows appended, its rows and its
+    /// presolve.
+    cut: Option<(SparseLp, RowView, NodeSolver)>,
     /// Least recently used first. The key is held, not just compared: while
     /// the memo owns the `Rc`, its address cannot be recycled for another
     /// snapshot.
@@ -116,9 +120,15 @@ struct TreeLp<'a> {
 }
 
 impl<'a> TreeLp<'a> {
-    fn new(base_lp: &'a SparseLp, base_solver: &'a NodeSolver, memo_capacity: usize) -> Self {
+    fn new(
+        base_lp: &'a SparseLp,
+        base_rows: &'a RowView,
+        base_solver: &'a NodeSolver,
+        memo_capacity: usize,
+    ) -> Self {
         TreeLp {
             base_lp,
+            base_rows,
             base_solver,
             cut: None,
             memo: Vec::with_capacity(memo_capacity),
@@ -130,15 +140,22 @@ impl<'a> TreeLp<'a> {
 
     /// The LP the tree's nodes solve: the cut LP once there is one.
     fn lp(&self) -> &SparseLp {
-        self.cut.as_ref().map_or(self.base_lp, |(lp, _)| lp)
+        self.cut.as_ref().map_or(self.base_lp, |(lp, ..)| lp)
     }
 
-    /// Makes `lp` (the base LP plus cut rows) and its presolve the LP the
-    /// tree's nodes solve.
-    fn install_cuts(&mut self, lp: SparseLp, solver: NodeSolver) {
+    /// The [`RowView`] of [`TreeLp::lp`].
+    fn rows(&self) -> &RowView {
+        self.cut
+            .as_ref()
+            .map_or(self.base_rows, |(_, rows, _)| rows)
+    }
+
+    /// Makes `lp` (the base LP plus cut rows), its rows and its presolve
+    /// the LP the tree's nodes solve.
+    fn install_cuts(&mut self, lp: SparseLp, rows: RowView, solver: NodeSolver) {
         // Memo entries are factor states of bases over the previous LP.
         self.memo.clear();
-        self.cut = Some((lp, solver));
+        self.cut = Some((lp, rows, solver));
     }
 
     /// Solves the base LP — cut rows excluded — under `bounds` from `warm`.
@@ -176,7 +193,7 @@ impl<'a> TreeLp<'a> {
             _ => None,
         };
         let (lp, solver) = match &self.cut {
-            Some((lp, solver)) => (lp, solver),
+            Some((lp, _, solver)) => (lp, solver),
             None => (self.base_lp, self.base_solver),
         };
         let start = match warm {
@@ -364,13 +381,18 @@ fn solve_tree(
     // rows folded into bounds); every node then solves the reduction and maps
     // results back, so warm-started bases stay in the original numbering.
     let base_lp = SparseLp::from_model(model);
+    let base_rows = RowView::of(&base_lp);
     let integral: Vec<bool> = model
         .variables()
         .map(|(_, v)| v.kind.is_integral())
         .collect();
-    let Some(base_solver) =
-        NodeSolver::build(&base_lp, &root_bounds, &integral, model.params().presolve)
-    else {
+    let Some(base_solver) = NodeSolver::build(
+        &base_lp,
+        &base_rows,
+        &root_bounds,
+        &integral,
+        model.params().presolve,
+    ) else {
         // Presolve proved the root infeasible before a single pivot.
         let untouched = SolverCounters::default();
         return Ok((
@@ -379,7 +401,7 @@ fn solve_tree(
         ));
     };
 
-    let mut tree = TreeLp::new(&base_lp, &base_solver, memo_capacity);
+    let mut tree = TreeLp::new(&base_lp, &base_rows, &base_solver, memo_capacity);
     let searched = search(model, warm, &mut tree, &root_bounds, &integral);
     // Every LP of the search ran in the tree's workspace, which counts the
     // pivots it charged; whichever way the search ended, the counters must
@@ -405,7 +427,7 @@ fn search(
 ) -> Result<(Solution, Option<Basis>), SolveError> {
     let params = model.params().clone();
     let max_iters = params.max_simplex_iterations;
-    let (base_lp, base_solver) = (tree.base_lp, tree.base_solver);
+    let (base_lp, base_rows, base_solver) = (tree.base_lp, tree.base_rows, tree.base_solver);
 
     let integer_vars: Vec<usize> = model
         .variables()
@@ -464,12 +486,14 @@ fn search(
     let mut root = root_lp;
     let mut basis = root_basis;
     let mut pool = CutPool::new();
+    let mut separator = Separator::default();
 
     if params.cuts {
         for _ in 0..MAX_CUT_ROUNDS {
             let Some(b) = basis.as_ref() else { break };
-            let candidates = separate_round(
+            let candidates = separator.separate_round(
                 tree.lp(),
+                tree.rows(),
                 root_bounds,
                 integral,
                 b,
@@ -488,9 +512,9 @@ fn search(
             counters.cuts_added += added;
             counters.cut_rounds += 1;
 
-            let new_lp = lp_with_cuts(base_lp, pool.cuts());
+            let (new_lp, new_rows) = lp_with_cuts(base_lp, base_rows, pool.cuts());
             let Some(new_solver) =
-                NodeSolver::build(&new_lp, root_bounds, integral, params.presolve)
+                NodeSolver::build(&new_lp, &new_rows, root_bounds, integral, params.presolve)
             else {
                 // Every cut is valid for every integer point, so an
                 // infeasible tightened root proves the MILP infeasible.
@@ -535,7 +559,7 @@ fn search(
             }
             root = res;
             basis = new_basis;
-            tree.install_cuts(new_lp, new_solver);
+            tree.install_cuts(new_lp, new_rows, new_solver);
             pool.age_and_purge(&root.values);
         }
 
@@ -543,9 +567,9 @@ fn search(
         // into the tree LP; rebuild and reoptimize once so the tree never
         // drags purged rows along.
         if base_lp.nrows + pool.len() < tree.lp().nrows {
-            let new_lp = lp_with_cuts(base_lp, pool.cuts());
+            let (new_lp, new_rows) = lp_with_cuts(base_lp, base_rows, pool.cuts());
             if let Some(new_solver) =
-                NodeSolver::build(&new_lp, root_bounds, integral, params.presolve)
+                NodeSolver::build(&new_lp, &new_rows, root_bounds, integral, params.presolve)
             {
                 // The old basis has more rows than the slimmed LP, so it
                 // cannot seed it; the base-space caller basis can.
@@ -563,7 +587,7 @@ fn search(
                         if res.status == LpStatus::Optimal {
                             root = res;
                             basis = new_basis;
-                            tree.install_cuts(new_lp, new_solver);
+                            tree.install_cuts(new_lp, new_rows, new_solver);
                         }
                     }
                     // The previous root and LP stay valid; the pivots spent

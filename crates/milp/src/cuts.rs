@@ -1,6 +1,6 @@
 //! Root cutting planes: Gomory mixed-integer cuts.
 //!
-//! Branch-and-bound calls [`separate_round`] on the optimal basis of the root
+//! Branch-and-bound calls [`Separator::separate_round`] on the optimal basis of the root
 //! relaxation. It derives **Gomory mixed-integer (GMI) cuts** from tableau
 //! rows whose basic variable is integral but fractional. The derivation
 //! works on the exact row identity `x_k + Σ α_j x_j = β_r` (`α = B⁻¹A`,
@@ -22,8 +22,8 @@
 //! slack absorbs the floating-point error of the derivation, so the
 //! cuts-on/cuts-off differential parity never hinges on the last ulp.
 
-use crate::simplex::{Basis, SparseLp, VarStatus};
-use crate::sparse::BasisFactor;
+use crate::simplex::{Basis, RowView, SparseLp, VarStatus};
+use crate::sparse::{BasisFactor, CscMatrix};
 
 /// Fractional parts closer than this to the lattice produce no GMI cut.
 const MIN_FRACTIONALITY: f64 = 5e-3;
@@ -180,7 +180,8 @@ impl CutPool {
     }
 }
 
-/// Materializes `base` plus one `≤` row per cut as a fresh equality-form LP.
+/// Materializes `base` plus one `≤` row per cut as a fresh equality-form LP,
+/// with its [`RowView`]: `base_rows` with the cut rows appended.
 ///
 /// The cut rows are appended after the base rows; each gets a `[0, ∞)`
 /// logical column, zero cost and the cut's right-hand side. Structural
@@ -188,34 +189,51 @@ impl CutPool {
 /// extended LP unchanged.
 pub(crate) fn lp_with_cuts<'c>(
     base: &SparseLp,
-    cuts: impl Iterator<Item = &'c Cut> + Clone,
-) -> SparseLp {
-    use crate::sparse::CscMatrix;
-    let ncuts = cuts.clone().count();
-    let nrows = base.nrows + ncuts;
+    base_rows: &RowView,
+    cuts: impl Iterator<Item = &'c Cut>,
+) -> (SparseLp, RowView) {
     let nstruct = base.nstruct;
-
-    // Per-structural-column extra entries contributed by the cut rows.
-    let mut extra: Vec<Vec<(usize, f64)>> = vec![Vec::new(); nstruct];
+    let mut rows = base_rows.clone();
     let mut rhs = base.rhs.clone();
-    let mut logical_lower = base.logical_lower.clone();
-    let mut logical_upper = base.logical_upper.clone();
-    for (k, cut) in cuts.enumerate() {
-        for &(j, c) in &cut.coeffs {
-            extra[j].push((base.nrows + k, c));
-        }
+    for cut in cuts {
+        rows.push_row(cut.coeffs.iter().copied());
         rhs.push(cut.rhs);
-        logical_lower.push(0.0);
-        logical_upper.push(f64::INFINITY);
+    }
+    let nrows = rhs.len();
+    let mut logical_lower = base.logical_lower.clone();
+    logical_lower.resize(nrows, 0.0);
+    let mut logical_upper = base.logical_upper.clone();
+    logical_upper.resize(nrows, f64::INFINITY);
+
+    // The cut rows' entries column by column (a counting sort), so that
+    // every structural column is its base column followed by its cut
+    // entries, rows ascending.
+    let mut start = vec![0usize; nstruct + 1];
+    for i in base.nrows..nrows {
+        for &(j, _) in rows.row(i) {
+            start[j + 1] += 1;
+        }
+    }
+    for j in 0..nstruct {
+        start[j + 1] += start[j];
+    }
+    let mut extra = vec![(0, 0.0); start[nstruct]];
+    let mut next = start.clone();
+    for i in base.nrows..nrows {
+        for &(j, c) in rows.row(i) {
+            extra[next[j]] = (i, c);
+            next[j] += 1;
+        }
     }
 
     let mut cols = CscMatrix::new(nrows);
-    for (j, extra_col) in extra.iter().enumerate() {
-        let (rows, vals) = base.cols.column(j);
-        let mut entries: Vec<(usize, f64)> =
-            rows.iter().copied().zip(vals.iter().copied()).collect();
-        entries.extend(extra_col.iter().copied());
-        cols.push_column(&entries);
+    let mut column: Vec<(usize, f64)> = Vec::new();
+    for j in 0..nstruct {
+        let (base_rows, vals) = base.cols.column(j);
+        column.clear();
+        column.extend(base_rows.iter().copied().zip(vals.iter().copied()));
+        column.extend_from_slice(&extra[start[j]..start[j + 1]]);
+        cols.push_column(&column);
     }
     for i in 0..nrows {
         cols.push_column(&[(i, 1.0)]);
@@ -224,7 +242,7 @@ pub(crate) fn lp_with_cuts<'c>(
     let mut cost = base.cost[..nstruct].to_vec();
     cost.resize(nstruct + nrows, 0.0);
 
-    SparseLp {
+    let lp = SparseLp {
         nrows,
         nstruct,
         cols,
@@ -233,111 +251,131 @@ pub(crate) fn lp_with_cuts<'c>(
         obj_offset: base.obj_offset,
         logical_lower,
         logical_upper,
-    }
+    };
+    (lp, rows)
 }
 
-/// Derives one round of candidate GMI cuts from the fractional basic integer
-/// variables of `basis`, the optimal basis of `lp` at the structural point
-/// `values`.
-///
-/// `bounds` are the structural bounds the relaxation was solved under (the
-/// root bounds of the tree) and `integral` flags the integer-constrained
-/// structural columns. Candidates are returned unfiltered — the caller runs
-/// them through the [`CutPool`]. The basis factorization the tableau rows are
-/// read through is added to `lu_factorizations`.
-pub(crate) fn separate_round(
-    lp: &SparseLp,
-    bounds: &[(f64, f64)],
-    integral: &[bool],
-    basis: &Basis,
-    values: &[f64],
-    lu_factorizations: &mut usize,
-) -> Vec<Cut> {
-    debug_assert_eq!(bounds.len(), lp.nstruct);
-    debug_assert_eq!(integral.len(), lp.nstruct);
-    let (nstruct, nrows) = (lp.nstruct, lp.nrows);
-    if values.len() != nstruct || basis.dims() != (nstruct, nrows) || nrows == 0 {
-        return Vec::new();
-    }
-    let (status, basic, _) = basis.parts();
+/// The buffers of [`Separator::separate_round`], kept from one cut round
+/// of a tree to the next: the basis factorization the tableau rows are read
+/// through, and the dense and sparse work vectors of the derivation.
+#[derive(Debug, Default)]
+pub(crate) struct Separator {
+    factor: BasisFactor,
+    /// β = B⁻¹ b.
+    beta: Vec<f64>,
+    /// The tableau row being derived from, `ρ = B⁻ᵀ e_r`.
+    rho: Vec<f64>,
+    /// Full column bounds, structural from the round's bounds, logical
+    /// from the LP.
+    lower: Vec<f64>,
+    upper: Vec<f64>,
+    /// `(row, basic column, distance of its fractional part from ½)`.
+    candidates: Vec<(usize, usize, f64)>,
+    gmi: GmiScratch,
+}
 
-    let mut factor = BasisFactor::default();
-    let basis_columns = basic.iter().map(|&j| lp.cols.column(j));
-    *lu_factorizations += 1;
-    if factor.refactorize(nrows, basis_columns).is_err() {
-        return Vec::new();
-    }
+/// Work vectors of one GMI derivation ([`gmi_from_row`]).
+#[derive(Debug, Default)]
+struct GmiScratch {
+    /// `(column, â, at upper)` of every shifted nonbasic column.
+    shifted: Vec<(usize, f64, bool)>,
+    /// `(column, γ, at upper)` of every kept GMI term.
+    terms: Vec<(usize, f64, bool)>,
+    /// The cut over the full column space, before the logicals are
+    /// substituted out.
+    coeff: Vec<f64>,
+}
 
-    // β = B⁻¹ b, the tableau right-hand side.
-    let mut beta = lp.rhs.clone();
-    factor.ftran(&mut beta);
-
-    let (lower, upper) = full_bounds(lp, bounds);
-
-    // Row-major view of the structural part, to substitute logical columns
-    // out of the cuts.
-    let mut rows_struct: Vec<Vec<(usize, f64)>> = vec![Vec::new(); nrows];
-    for j in 0..nstruct {
-        let (rows, vals) = lp.cols.column(j);
-        for (&r, &v) in rows.iter().zip(vals) {
-            rows_struct[r].push((j, v));
+impl Separator {
+    /// Derives one round of candidate GMI cuts from the fractional basic
+    /// integer variables of `basis`, the optimal basis of `lp` at the
+    /// structural point `values`; `rows` is `lp`'s [`RowView`].
+    ///
+    /// `bounds` are the structural bounds the relaxation was solved under
+    /// (the root bounds of the tree) and `integral` flags the
+    /// integer-constrained structural columns. Candidates are returned
+    /// unfiltered — the caller runs them through the [`CutPool`]. The basis
+    /// factorization the tableau rows are read through is added to
+    /// `lu_factorizations`.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn separate_round(
+        &mut self,
+        lp: &SparseLp,
+        rows: &RowView,
+        bounds: &[(f64, f64)],
+        integral: &[bool],
+        basis: &Basis,
+        values: &[f64],
+        lu_factorizations: &mut usize,
+    ) -> Vec<Cut> {
+        debug_assert_eq!(bounds.len(), lp.nstruct);
+        debug_assert_eq!(integral.len(), lp.nstruct);
+        let (nstruct, nrows) = (lp.nstruct, lp.nrows);
+        if values.len() != nstruct || basis.dims() != (nstruct, nrows) || nrows == 0 {
+            return Vec::new();
         }
-    }
+        let (status, basic, _) = basis.parts();
 
-    // Candidate rows: basic structural integer variable with a usefully
-    // fractional value, most fractional first.
-    let mut candidates: Vec<(usize, usize, f64)> = Vec::new();
-    for (r, &k) in basic.iter().enumerate() {
-        if k < nstruct && integral[k] {
-            let frac = values[k] - values[k].floor();
-            if frac > MIN_FRACTIONALITY && frac < 1.0 - MIN_FRACTIONALITY {
-                candidates.push((r, k, (frac - 0.5).abs()));
+        let basis_columns = basic.iter().map(|&j| lp.cols.column(j));
+        *lu_factorizations += 1;
+        if self.factor.refactorize(nrows, basis_columns).is_err() {
+            return Vec::new();
+        }
+
+        // β = B⁻¹ b, the tableau right-hand side.
+        self.beta.clone_from(&lp.rhs);
+        self.factor.ftran(&mut self.beta);
+
+        self.lower.clear();
+        self.lower.extend(bounds.iter().map(|&(l, _)| l));
+        self.lower.extend_from_slice(&lp.logical_lower);
+        self.upper.clear();
+        self.upper.extend(bounds.iter().map(|&(_, u)| u));
+        self.upper.extend_from_slice(&lp.logical_upper);
+
+        // Candidate rows: basic structural integer variable with a usefully
+        // fractional value, most fractional first.
+        let candidates = &mut self.candidates;
+        candidates.clear();
+        for (r, &k) in basic.iter().enumerate() {
+            if k < nstruct && integral[k] {
+                let frac = values[k] - values[k].floor();
+                if frac > MIN_FRACTIONALITY && frac < 1.0 - MIN_FRACTIONALITY {
+                    candidates.push((r, k, (frac - 0.5).abs()));
+                }
             }
         }
-    }
-    candidates.sort_by(|a, b| {
-        a.2.partial_cmp(&b.2)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(a.1.cmp(&b.1))
-    });
-    candidates.truncate(MAX_GOMORY_PER_ROUND);
+        candidates.sort_by(|a, b| {
+            a.2.partial_cmp(&b.2)
+                .unwrap_or(std::cmp::Ordering::Equal)
+                .then(a.1.cmp(&b.1))
+        });
+        candidates.truncate(MAX_GOMORY_PER_ROUND);
 
-    let mut cuts = Vec::new();
-    let mut unit = vec![0.0; nrows];
-    for &(r, k, _) in &candidates {
-        unit.iter_mut().for_each(|v| *v = 0.0);
-        unit[r] = 1.0;
-        let mut rho = unit.clone();
-        factor.btran(&mut rho);
+        let mut cuts = Vec::new();
+        for &(r, k, _) in candidates.iter() {
+            self.rho.clear();
+            self.rho.resize(nrows, 0.0);
+            self.rho[r] = 1.0;
+            self.factor.btran(&mut self.rho);
 
-        if let Some(cut) = gmi_from_row(
-            lp,
-            &lower,
-            &upper,
-            integral,
-            status,
-            &rho,
-            beta[r],
-            values[k],
-            &rows_struct,
-        ) {
-            cuts.push(cut);
+            if let Some(cut) = gmi_from_row(
+                lp,
+                &self.lower,
+                &self.upper,
+                integral,
+                status,
+                &self.rho,
+                self.beta[r],
+                values[k],
+                rows,
+                &mut self.gmi,
+            ) {
+                cuts.push(cut);
+            }
         }
+        cuts
     }
-    cuts
-}
-
-/// Full column bounds: structural overridden by `bounds`, logical from `lp`.
-fn full_bounds(lp: &SparseLp, bounds: &[(f64, f64)]) -> (Vec<f64>, Vec<f64>) {
-    let mut lower = Vec::with_capacity(lp.ncols());
-    let mut upper = Vec::with_capacity(lp.ncols());
-    for &(l, u) in bounds {
-        lower.push(l);
-        upper.push(u);
-    }
-    lower.extend_from_slice(&lp.logical_lower);
-    upper.extend_from_slice(&lp.logical_upper);
-    (lower, upper)
 }
 
 /// Derives one GMI cut from the tableau row `x_k + Σ α_j x_j = β_r` given by
@@ -355,15 +393,21 @@ fn gmi_from_row(
     rho: &[f64],
     beta_r: f64,
     basic_value: f64,
-    rows_struct: &[Vec<(usize, f64)>],
+    rows: &RowView,
+    scratch: &mut GmiScratch,
 ) -> Option<Cut> {
     let nstruct = lp.nstruct;
     let ncols = lp.ncols();
+    let GmiScratch {
+        shifted,
+        terms,
+        coeff,
+    } = scratch;
 
     // Shift every nonbasic column to its bound: collect (column, â_j) with
     // â_j the coefficient of the nonnegative shifted variable t_j, and
     // accumulate the bound mass so β̂ = β_r − Σ α_j·bound_j is exact.
-    let mut shifted: Vec<(usize, f64, bool)> = Vec::new(); // (col, â, at_upper)
+    shifted.clear();
     let mut bound_mass = 0.0;
     for j in 0..ncols {
         if status[j] == VarStatus::Basic {
@@ -419,9 +463,9 @@ fn gmi_from_row(
 
     // GMI coefficients on the shifted variables: Σ γ_j t_j ≥ f0.
     let ratio = f0 / (1.0 - f0);
-    let mut terms: Vec<(usize, f64, bool)> = Vec::new(); // (col, γ, at_upper)
+    terms.clear();
     let mut rhs_ge = f0;
-    for &(j, a_hat, at_upper) in &shifted {
+    for &(j, a_hat, at_upper) in shifted.iter() {
         // Integrality of t_j needs an integral column shifted by an integral
         // bound; anything else is treated as continuous (always valid).
         let bound = if at_upper { upper[j] } else { lower[j] };
@@ -457,9 +501,10 @@ fn gmi_from_row(
 
     // Translate t_j back to x_j: t = x − l (at lower) or u − x (at upper),
     // giving Σ c_j x_j ≥ d over the full column space.
-    let mut coeff = vec![0.0; ncols];
+    coeff.clear();
+    coeff.resize(ncols, 0.0);
     let mut d = rhs_ge;
-    for &(j, gamma, at_upper) in &terms {
+    for &(j, gamma, at_upper) in terms.iter() {
         if at_upper {
             coeff[j] -= gamma;
             d -= gamma * upper[j];
@@ -476,7 +521,7 @@ fn gmi_from_row(
             continue;
         }
         d -= c * lp.rhs[i];
-        for &(p, a) in &rows_struct[i] {
+        for &(p, a) in rows.row(i) {
             coeff[p] -= c * a;
         }
         coeff[nstruct + i] = 0.0;
@@ -606,7 +651,15 @@ mod tests {
         let m = knapsack_fixture();
         let (lp, bounds, integral, basis, values) = root_relaxation(&m);
         let mut factorized = 0;
-        let cuts = separate_round(&lp, &bounds, &integral, &basis, &values, &mut factorized);
+        let cuts = Separator::default().separate_round(
+            &lp,
+            &RowView::of(&lp),
+            &bounds,
+            &integral,
+            &basis,
+            &values,
+            &mut factorized,
+        );
         assert_eq!(factorized, 1);
         assert_cuts_valid(&cuts, &values, &integer_feasible_points(&m));
     }
@@ -621,7 +674,9 @@ mod tests {
         m.add_ge(&[(x, 2.0)], 3.0);
         let (lp, bounds, integral, basis, values) = root_relaxation(&m);
         assert!((values[0] - 1.5).abs() < 1e-9);
-        let cuts = separate_round(&lp, &bounds, &integral, &basis, &values, &mut 0);
+        let rows = RowView::of(&lp);
+        let cuts = Separator::default()
+            .separate_round(&lp, &rows, &bounds, &integral, &basis, &values, &mut 0);
         assert_cuts_valid(&cuts, &values, &integer_feasible_points(&m));
     }
 
@@ -691,7 +746,7 @@ mod tests {
             coeffs: vec![(0, 1.0), (1, 1.0)],
             rhs: 1.0,
         };
-        let ext = lp_with_cuts(&base, std::iter::once(&cut));
+        let (ext, rows) = lp_with_cuts(&base, &RowView::of(&base), std::iter::once(&cut));
         assert_eq!(ext.nrows, base.nrows + 1);
         assert_eq!(ext.nstruct, base.nstruct);
         assert_eq!(ext.rhs.last().copied(), Some(1.0));
@@ -704,5 +759,10 @@ mod tests {
             .iter()
             .zip(vals_a)
             .any(|(&r, &v)| r == base.nrows && v == 1.0));
+        // The appended row view is the extended LP's own.
+        assert_eq!(rows.row(base.nrows), cut.coeffs.as_slice());
+        for i in 0..ext.nrows {
+            assert_eq!(rows.row(i), RowView::of(&ext).row(i), "row {i}");
+        }
     }
 }

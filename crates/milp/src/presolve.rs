@@ -44,8 +44,8 @@
 use crate::error::SolveError;
 use crate::model::INTEGRALITY_TOL;
 use crate::simplex::{
-    solve_in, solve_sparse, Basis, EngineState, LpResult, LpStatus, SimplexWorkspace, SparseLp,
-    VarStatus, Warm,
+    solve_in, solve_sparse, Basis, EngineState, LpResult, LpStatus, RowView, SimplexWorkspace,
+    SparseLp, VarStatus, Warm,
 };
 
 /// Feasibility tolerance used when presolve checks a dropped row.
@@ -104,9 +104,11 @@ impl Presolve {
         self.cols_removed
     }
 
-    /// Reduces `lp` under the given root bounds.
+    /// Reduces `lp` under the given root bounds; `rows` is `lp`'s
+    /// [`RowView`] (presolve is row-driven).
     pub(crate) fn build(
         lp: &SparseLp,
+        rows: &RowView,
         root_bounds: &[(f64, f64)],
         integral: &[bool],
     ) -> PresolveOutcome {
@@ -114,15 +116,6 @@ impl Presolve {
         debug_assert_eq!(integral.len(), lp.nstruct);
         let n = lp.nstruct;
         let m = lp.nrows;
-
-        // Row-major view of the structural block (presolve is row-driven).
-        let mut rows: Vec<Vec<(usize, f64)>> = vec![Vec::new(); m];
-        for j in 0..n {
-            let (ridx, vals) = lp.cols.column(j);
-            for (&i, &a) in ridx.iter().zip(vals) {
-                rows[i].push((j, a));
-            }
-        }
 
         let mut lower: Vec<f64> = root_bounds.iter().map(|&(l, _)| l).collect();
         let mut upper: Vec<f64> = root_bounds.iter().map(|&(_, u)| u).collect();
@@ -148,16 +141,18 @@ impl Presolve {
             .map(|j| (lower[j] == upper[j]).then(|| lower[j]))
             .collect();
         let mut row_alive = vec![true; m];
+        // The entries of the row at hand whose column is not fixed.
+        let mut live: Vec<(usize, f64)> = Vec::new();
 
         for _pass in 0..MAX_PASSES {
             let mut changed = false;
-            for i in 0..m {
-                if !row_alive[i] {
+            for (i, alive) in row_alive.iter_mut().enumerate() {
+                if !*alive {
                     continue;
                 }
                 let mut fixed_contrib = 0.0;
-                let mut live: Vec<(usize, f64)> = Vec::new();
-                for &(j, a) in &rows[i] {
+                live.clear();
+                for &(j, a) in rows.row(i) {
                     match fixed[j] {
                         Some(v) => fixed_contrib += a * v,
                         None => live.push((j, a)),
@@ -173,7 +168,7 @@ impl Presolve {
                         {
                             return PresolveOutcome::Infeasible;
                         }
-                        row_alive[i] = false;
+                        *alive = false;
                         changed = true;
                     }
                     1 => {
@@ -208,7 +203,7 @@ impl Presolve {
                             upper[j] = v;
                             fixed[j] = Some(v);
                         }
-                        row_alive[i] = false;
+                        *alive = false;
                         changed = true;
                     }
                     _ => {
@@ -219,7 +214,7 @@ impl Presolve {
                         let mut max_act = 0.0;
                         let mut min_inf = 0usize;
                         let mut max_inf = 0usize;
-                        for &(j, a) in &live {
+                        for &(j, a) in live.iter() {
                             let (c0, c1) = (a * lower[j], a * upper[j]);
                             let (clo, chi) = if c0 <= c1 { (c0, c1) } else { (c1, c0) };
                             if clo.is_finite() {
@@ -241,7 +236,7 @@ impl Presolve {
                         {
                             return PresolveOutcome::Infeasible;
                         }
-                        for &(j, a) in &live {
+                        for &(j, a) in live.iter() {
                             let (c0, c1) = (a * lower[j], a * upper[j]);
                             let (clo, chi) = if c0 <= c1 { (c0, c1) } else { (c1, c0) };
                             // Residual activity of the other columns.
@@ -326,13 +321,15 @@ impl Presolve {
 
         let red_m = kept_rows.len();
         let mut cols = crate::sparse::CscMatrix::new(red_m);
+        let mut entries: Vec<(usize, f64)> = Vec::new();
         for &j in &kept_cols {
             let (ridx, vals) = lp.cols.column(j);
-            let entries: Vec<(usize, f64)> = ridx
-                .iter()
-                .zip(vals)
-                .filter_map(|(&i, &a)| row_map[i].map(|ri| (ri, a)))
-                .collect();
+            entries.clear();
+            entries.extend(
+                ridx.iter()
+                    .zip(vals)
+                    .filter_map(|(&i, &a)| row_map[i].map(|ri| (ri, a))),
+            );
             cols.push_column(&entries);
         }
         for i in 0..red_m {
@@ -353,7 +350,7 @@ impl Presolve {
         let mut logical_upper = Vec::with_capacity(red_m);
         for &i in &kept_rows {
             let mut fixed_contrib = 0.0;
-            for &(j, a) in &rows[i] {
+            for &(j, a) in rows.row(i) {
                 if let ColFate::Fixed(v) = col_fate[j] {
                     fixed_contrib += a * v;
                 }
@@ -599,11 +596,12 @@ pub(crate) enum NodeSolver {
 }
 
 impl NodeSolver {
-    /// Builds the solver family for `lp` under `root_bounds`; `enabled`
-    /// mirrors [`crate::SolveParams::presolve`]. Returns `None` when presolve
-    /// proves the root infeasible.
+    /// Builds the solver family for `lp` (whose [`RowView`] is `rows`)
+    /// under `root_bounds`; `enabled` mirrors [`crate::SolveParams::presolve`].
+    /// Returns `None` when presolve proves the root infeasible.
     pub(crate) fn build(
         lp: &SparseLp,
+        rows: &RowView,
         root_bounds: &[(f64, f64)],
         integral: &[bool],
         enabled: bool,
@@ -611,7 +609,7 @@ impl NodeSolver {
         if !enabled {
             return Some(NodeSolver::Direct);
         }
-        match Presolve::build(lp, root_bounds, integral) {
+        match Presolve::build(lp, rows, root_bounds, integral) {
             PresolveOutcome::Reduced(p) => Some(NodeSolver::Reduced(p)),
             PresolveOutcome::Infeasible => None,
         }
@@ -663,7 +661,7 @@ mod tests {
         let direct = solve_sparse(&lp, &bounds, 10_000, Warm::Cold, ws)
             .expect("direct solve")
             .0;
-        let reduced = match Presolve::build(&lp, &bounds, &continuous(model)) {
+        let reduced = match Presolve::build(&lp, &RowView::of(&lp), &bounds, &continuous(model)) {
             PresolveOutcome::Reduced(p) => {
                 p.solve(&lp, &bounds, 10_000, Warm::Cold, ws)
                     .expect("presolved solve")
@@ -684,7 +682,8 @@ mod tests {
         m.set_objective(Sense::Minimize, &[(y, 1.0)]);
         m.add_ge(&[(y, 1.0), (x, -1.0)], 0.0);
         let lp = SparseLp::from_model(&m);
-        let PresolveOutcome::Reduced(p) = Presolve::build(&lp, &bounds_of(&m), &continuous(&m))
+        let PresolveOutcome::Reduced(p) =
+            Presolve::build(&lp, &RowView::of(&lp), &bounds_of(&m), &continuous(&m))
         else {
             panic!("feasible instance");
         };
@@ -706,7 +705,8 @@ mod tests {
         m.add_ge(&[(x, 1.0)], 3.0);
         m.add_le(&[(x, 1.0)], 7.0);
         let lp = SparseLp::from_model(&m);
-        let PresolveOutcome::Reduced(p) = Presolve::build(&lp, &bounds_of(&m), &continuous(&m))
+        let PresolveOutcome::Reduced(p) =
+            Presolve::build(&lp, &RowView::of(&lp), &bounds_of(&m), &continuous(&m))
         else {
             panic!("feasible instance");
         };
@@ -726,7 +726,7 @@ mod tests {
         m.add_eq(&[(x, 1.0), (y, 1.0)], 5.0);
         let lp = SparseLp::from_model(&m);
         assert!(matches!(
-            Presolve::build(&lp, &bounds_of(&m), &continuous(&m)),
+            Presolve::build(&lp, &RowView::of(&lp), &bounds_of(&m), &continuous(&m)),
             PresolveOutcome::Infeasible
         ));
         let (direct, _) = solve_both(&m);
@@ -784,7 +784,9 @@ mod tests {
         m.fix_var(x, 2.0);
         let lp2 = SparseLp::from_model(&m);
         let bounds2 = bounds_of(&m);
-        let PresolveOutcome::Reduced(p) = Presolve::build(&lp2, &bounds2, &continuous(&m)) else {
+        let PresolveOutcome::Reduced(p) =
+            Presolve::build(&lp2, &RowView::of(&lp2), &bounds2, &continuous(&m))
+        else {
             panic!("feasible instance");
         };
         assert!(p.cols_removed() >= 1);
@@ -806,7 +808,8 @@ mod tests {
         let x = m.add_continuous("x", 2.5, 2.5);
         m.add_ge(&[(x, 1.0)], 0.0);
         let lp = SparseLp::from_model(&m);
-        let PresolveOutcome::Reduced(p) = Presolve::build(&lp, &bounds_of(&m), &continuous(&m))
+        let PresolveOutcome::Reduced(p) =
+            Presolve::build(&lp, &RowView::of(&lp), &bounds_of(&m), &continuous(&m))
         else {
             panic!("feasible instance");
         };

@@ -313,6 +313,55 @@ impl SparseLp {
     }
 }
 
+/// The structural block of a [`SparseLp`] row by row, in one flat buffer:
+/// every row's `(structural column, coefficient)` entries, columns
+/// ascending. Presolve and the cut separator read the LP by rows, so a tree
+/// builds the view once per LP it solves ([`RowView::of`] for the base LP;
+/// the cut LP's is the base LP's with the cut rows appended).
+#[derive(Debug, Clone)]
+pub(crate) struct RowView {
+    /// Row `i`'s entries are `entries[start[i]..start[i + 1]]`.
+    start: Vec<usize>,
+    entries: Vec<(usize, f64)>,
+}
+
+impl RowView {
+    /// The rows of `lp`'s structural columns: one counting pass over the
+    /// columns, one scatter in column order.
+    pub(crate) fn of(lp: &SparseLp) -> Self {
+        let mut start = vec![0usize; lp.nrows + 1];
+        for j in 0..lp.nstruct {
+            for &i in lp.cols.column(j).0 {
+                start[i + 1] += 1;
+            }
+        }
+        for i in 0..lp.nrows {
+            start[i + 1] += start[i];
+        }
+        let mut entries = vec![(0, 0.0); start[lp.nrows]];
+        let mut next = start.clone();
+        for j in 0..lp.nstruct {
+            let (rows, vals) = lp.cols.column(j);
+            for (&i, &a) in rows.iter().zip(vals) {
+                entries[next[i]] = (j, a);
+                next[i] += 1;
+            }
+        }
+        RowView { start, entries }
+    }
+
+    /// The entries of row `i`, columns ascending.
+    pub(crate) fn row(&self, i: usize) -> &[(usize, f64)] {
+        &self.entries[self.start[i]..self.start[i + 1]]
+    }
+
+    /// Appends a row; its entries must already be in column order.
+    pub(crate) fn push_row(&mut self, entries: impl IntoIterator<Item = (usize, f64)>) {
+        self.entries.extend(entries);
+        self.start.push(self.entries.len());
+    }
+}
+
 /// Warm-start strategy for [`solve_sparse`].
 pub(crate) enum Warm<'a> {
     /// All-logical basis, two-phase primal.
@@ -535,7 +584,9 @@ pub(crate) fn solve_lp(model: &Model, bounds: &[(f64, f64)]) -> Result<LpResult,
     // No integrality here: this entry point solves the pure relaxation, so
     // presolve must not round derived bounds onto the integer lattice.
     let integral = vec![false; lp.nstruct];
-    match crate::presolve::NodeSolver::build(&lp, bounds, &integral, model.params().presolve) {
+    let rows = RowView::of(&lp);
+    match crate::presolve::NodeSolver::build(&lp, &rows, bounds, &integral, model.params().presolve)
+    {
         Some(solver) => {
             let mut workspace = SimplexWorkspace::default();
             solver

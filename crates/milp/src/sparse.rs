@@ -92,8 +92,20 @@ impl CscMatrix {
     }
 
     /// Appends a column given as `(row, value)` pairs; rows may repeat (the
-    /// duplicates are merged) and zero entries are dropped.
+    /// duplicates are merged) and zero entries are dropped. A column whose
+    /// rows already ascend strictly — what every LP builder hands in — is
+    /// copied straight in, without a sorted copy.
     pub(crate) fn push_column(&mut self, entries: &[(usize, f64)]) {
+        if entries.windows(2).all(|pair| pair[0].0 < pair[1].0) {
+            for &(r, v) in entries {
+                debug_assert!(r < self.nrows);
+                if v.abs() > DROP_TOL {
+                    self.push_entry(r, v);
+                }
+            }
+            self.end_column();
+            return;
+        }
         let mut merged: Vec<(usize, f64)> = Vec::with_capacity(entries.len());
         let mut sorted = entries.to_vec();
         sorted.sort_unstable_by_key(|&(r, _)| r);
@@ -711,11 +723,14 @@ mod tests {
         let mut csc = CscMatrix::new(3);
         csc.push_column(&[(0, 1.0), (2, -2.0)]);
         csc.push_column(&[(1, 3.0), (1, 1.0), (0, 0.0)]);
-        assert_eq!(csc.ncols(), 2);
-        assert_eq!(csc.nnz(), 3);
+        // Already ascending: copied straight in, the zero still dropped.
+        csc.push_column(&[(0, 0.0), (2, 5.0)]);
+        assert_eq!(csc.ncols(), 3);
+        assert_eq!(csc.nnz(), 4);
         let (rows, vals) = csc.column(1);
         assert_eq!(rows, &[1]);
         assert_eq!(vals, &[4.0]);
+        assert_eq!(csc.column(2), (&[2usize][..], &[5.0][..]));
         let dense = [2.0, 5.0, 1.0];
         assert_eq!(csc.column_dot(0, &dense), 2.0 - 2.0);
         assert_eq!(csc.column_dot(1, &dense), 20.0);
