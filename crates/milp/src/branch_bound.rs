@@ -12,7 +12,10 @@
 //!
 //! 1. **Root cutting planes** (the private `cuts` module): rounds of Gomory
 //!    mixed-integer cuts tighten the root relaxation, so the whole tree
-//!    starts from a stronger bound.
+//!    starts from a stronger bound. Each round's LP is the base LP plus the
+//!    pool, which the last round's purge may have thinned; it starts from
+//!    the last round's optimal basis with the purged rows taken out
+//!    (`Basis::without_rows`), so it pays only for the cuts it adds.
 //! 2. **Pseudocost branching** replaces lowest-index-first variable
 //!    selection: fractional candidates are ranked by the product of their
 //!    estimated down and up objective degradations, ties going to the lowest
@@ -427,7 +430,7 @@ fn search(
 ) -> Result<(Solution, Option<Basis>), SolveError> {
     let params = model.params().clone();
     let max_iters = params.max_simplex_iterations;
-    let (base_lp, base_rows, base_solver) = (tree.base_lp, tree.base_rows, tree.base_solver);
+    let (base_lp, base_solver) = (tree.base_lp, tree.base_solver);
 
     let integer_vars: Vec<usize> = model
         .variables()
@@ -485,117 +488,27 @@ fn search(
     // ------------------------------------------------------------------
     let mut root = root_lp;
     let mut basis = root_basis;
-    let mut pool = CutPool::new();
-    let mut separator = Separator::default();
-
     if params.cuts {
+        let mut cuts = CutLoop::new(&params, root_bounds, integral);
         for _ in 0..MAX_CUT_ROUNDS {
-            let Some(b) = basis.as_ref() else { break };
-            let candidates = separator.separate_round(
-                tree.lp(),
-                tree.rows(),
-                root_bounds,
-                integral,
-                b,
-                &root.values,
-                &mut counters.lu_factorizations,
-            );
-            let mut added = 0usize;
-            for cut in candidates {
-                if pool.try_add(cut, &root.values) {
-                    added += 1;
-                }
-            }
-            if added == 0 {
-                break;
-            }
-            counters.cuts_added += added;
-            counters.cut_rounds += 1;
-
-            let (new_lp, new_rows) = lp_with_cuts(base_lp, base_rows, pool.cuts());
-            let Some(new_solver) =
-                NodeSolver::build(&new_lp, &new_rows, root_bounds, integral, params.presolve)
-            else {
-                // Every cut is valid for every integer point, so an
-                // infeasible tightened root proves the MILP infeasible.
-                return Ok((
-                    Solution::without_values(Status::Infeasible, counters),
-                    caller_basis,
-                ));
-            };
-            // The extended LP only ever *grew* relative to the basis (rows
-            // appended), so a primal warm start applies directly.
-            let warm_primal = basis.as_ref().map_or(Warm::Cold, Warm::Primal);
-            let solved = new_solver.solve(
-                &new_lp,
-                root_bounds,
-                max_iters,
-                warm_primal,
-                &mut tree.workspace,
-            );
-            let (res, new_basis) = match solved {
-                Ok(solved) => solved,
-                // A tightened root can be numerically harder than the
-                // model itself. A dead end here only rejects this cut
-                // round — the previous root and LP stay valid.
-                Err(e @ SolveError::NumericalInstability { .. }) => {
-                    count_failed_lp(&mut counters, &e);
-                    break;
-                }
-                Err(e) => return Err(e),
-            };
-            count_lp(&mut counters, &res);
-            match res.status {
-                LpStatus::Infeasible => {
+            match cuts.round(tree, &mut root, &mut basis, &mut counters)? {
+                Round::Kept => {}
+                Round::Done => break,
+                Round::Infeasible => {
                     return Ok((
                         Solution::without_values(Status::Infeasible, counters),
                         caller_basis,
                     ));
                 }
-                // Cuts only shrink the feasible region; an unbounded outcome
-                // here is numerical trouble — keep the previous root.
-                LpStatus::Unbounded => break,
-                LpStatus::Optimal => {}
-            }
-            root = res;
-            basis = new_basis;
-            tree.install_cuts(new_lp, new_rows, new_solver);
-            pool.age_and_purge(&root.values);
-        }
-
-        // Age-based purging may have shrunk the pool below the rows baked
-        // into the tree LP; rebuild and reoptimize once so the tree never
-        // drags purged rows along.
-        if base_lp.nrows + pool.len() < tree.lp().nrows {
-            let (new_lp, new_rows) = lp_with_cuts(base_lp, base_rows, pool.cuts());
-            if let Some(new_solver) =
-                NodeSolver::build(&new_lp, &new_rows, root_bounds, integral, params.presolve)
-            {
-                // The old basis has more rows than the slimmed LP, so it
-                // cannot seed it; the base-space caller basis can.
-                let warm_primal = caller_basis.as_ref().map_or(Warm::Cold, Warm::Primal);
-                let solved = new_solver.solve(
-                    &new_lp,
-                    root_bounds,
-                    max_iters,
-                    warm_primal,
-                    &mut tree.workspace,
-                );
-                match solved {
-                    Ok((res, new_basis)) => {
-                        count_lp(&mut counters, &res);
-                        if res.status == LpStatus::Optimal {
-                            root = res;
-                            basis = new_basis;
-                            tree.install_cuts(new_lp, new_rows, new_solver);
-                        }
-                    }
-                    // The previous root and LP stay valid; the pivots spent
-                    // finding that out are booked all the same.
-                    Err(e) => count_failed_lp(&mut counters, &e),
-                }
             }
         }
+        cuts.drop_purged(
+            tree,
+            caller_basis.as_ref(),
+            &mut root,
+            &mut basis,
+            &mut counters,
+        );
     }
 
     // ------------------------------------------------------------------
@@ -707,6 +620,182 @@ fn search(
         None => Solution::without_values(Status::Infeasible, counters),
     };
     Ok((solution, caller_basis))
+}
+
+/// The root cutting loop of a tree: the cut pool, the separator's buffers
+/// and which cuts of the tree LP the pool kept at its last purge.
+struct CutLoop<'b> {
+    root_bounds: &'b [(f64, f64)],
+    integral: &'b [bool],
+    presolve: bool,
+    max_iters: usize,
+    pool: CutPool,
+    separator: Separator,
+    /// For every cut row of the tree LP, whether the pool kept its cut at
+    /// the purge that ended the last round.
+    kept: Vec<bool>,
+}
+
+/// How a cut round ended.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Round {
+    /// The round's LP, with its cuts, is the tree LP now.
+    Kept,
+    /// No cut was adopted, or the round's LP dead-ended and its cuts left
+    /// the pool again: the tree LP stays.
+    Done,
+    /// The tightened root is infeasible. Every cut is valid for every
+    /// integer point, so the MILP is.
+    Infeasible,
+}
+
+impl<'b> CutLoop<'b> {
+    fn new(params: &SolveParams, root_bounds: &'b [(f64, f64)], integral: &'b [bool]) -> Self {
+        CutLoop {
+            root_bounds,
+            integral,
+            presolve: params.presolve,
+            max_iters: params.max_simplex_iterations,
+            pool: CutPool::new(),
+            separator: Separator::default(),
+            kept: Vec::new(),
+        }
+    }
+
+    /// One round: separates at the root optimum `root`, whose basis over
+    /// the tree LP is `basis`, filters the cuts through the pool and
+    /// reoptimizes the base LP extended by the pool. When the round is kept,
+    /// `root` and `basis` are its LP's and the pool is aged and purged
+    /// against its optimum.
+    fn round(
+        &mut self,
+        tree: &mut TreeLp<'_>,
+        root: &mut LpResult,
+        basis: &mut Option<Basis>,
+        counters: &mut SolverCounters,
+    ) -> Result<Round, SolveError> {
+        let Some(last) = basis.as_ref() else {
+            return Ok(Round::Done);
+        };
+        let candidates = self.separator.separate_round(
+            tree.lp(),
+            tree.rows(),
+            self.root_bounds,
+            self.integral,
+            last,
+            &root.values,
+            &mut counters.lu_factorizations,
+        );
+        let before = self.pool.len();
+        for cut in candidates {
+            self.pool.try_add(cut, &root.values);
+        }
+        let added = self.pool.len() - before;
+        if added == 0 {
+            return Ok(Round::Done);
+        }
+        counters.cuts_added += added;
+        counters.cut_rounds += 1;
+
+        let (lp, rows) = lp_with_cuts(tree.base_lp, tree.base_rows, self.pool.cuts());
+        let Some(solver) =
+            NodeSolver::build(&lp, &rows, self.root_bounds, self.integral, self.presolve)
+        else {
+            return Ok(Round::Infeasible);
+        };
+        // The round's LP is the base LP, the cuts the last purge kept and
+        // the new ones. It starts from the last round's optimal basis with
+        // the purged cuts' rows taken out — a purged cut was slack, so its
+        // logical is basic — and the new rows entering on their logicals.
+        // Were a purged cut's logical nonbasic, the round would start cold.
+        let realigned;
+        let warm = if self.kept.iter().all(|&kept| kept) {
+            Warm::Primal(last)
+        } else {
+            realigned = last.without_rows(&self.kept);
+            realigned.as_ref().map_or(Warm::Cold, Warm::Primal)
+        };
+        let solved = solver.solve(
+            &lp,
+            self.root_bounds,
+            self.max_iters,
+            warm,
+            &mut tree.workspace,
+        );
+        let (res, new_basis) = match solved {
+            Ok(solved) => solved,
+            // A tightened root can be numerically harder than the model
+            // itself. A dead end here only rejects this round, and its cuts
+            // with it: the previous root and LP stay valid.
+            Err(e @ SolveError::NumericalInstability { .. }) => {
+                count_failed_lp(counters, &e);
+                self.pool.truncate(before);
+                return Ok(Round::Done);
+            }
+            Err(e) => return Err(e),
+        };
+        count_lp(counters, &res);
+        match res.status {
+            LpStatus::Infeasible => return Ok(Round::Infeasible),
+            // Cuts only shrink the feasible region; an unbounded outcome
+            // here is numerical trouble — keep the previous root.
+            LpStatus::Unbounded => {
+                self.pool.truncate(before);
+                return Ok(Round::Done);
+            }
+            LpStatus::Optimal => {}
+        }
+        *root = res;
+        *basis = new_basis;
+        tree.install_cuts(lp, rows, solver);
+        self.kept = self.pool.age_and_purge(&root.values);
+        Ok(Round::Kept)
+    }
+
+    /// After the last round: when the pool has purged cuts whose rows the
+    /// tree LP still carries, rebuilds it from the pool and reoptimizes
+    /// once, from `caller_basis` (the base-space root basis), so the tree
+    /// never drags purged rows along. `root` and `basis` follow when that LP
+    /// solves to optimality; otherwise the tree LP stays.
+    fn drop_purged(
+        &self,
+        tree: &mut TreeLp<'_>,
+        caller_basis: Option<&Basis>,
+        root: &mut LpResult,
+        basis: &mut Option<Basis>,
+        counters: &mut SolverCounters,
+    ) {
+        if tree.base_lp.nrows + self.pool.len() >= tree.lp().nrows {
+            return;
+        }
+        let (lp, rows) = lp_with_cuts(tree.base_lp, tree.base_rows, self.pool.cuts());
+        let Some(solver) =
+            NodeSolver::build(&lp, &rows, self.root_bounds, self.integral, self.presolve)
+        else {
+            return;
+        };
+        let warm = caller_basis.map_or(Warm::Cold, Warm::Primal);
+        let solved = solver.solve(
+            &lp,
+            self.root_bounds,
+            self.max_iters,
+            warm,
+            &mut tree.workspace,
+        );
+        match solved {
+            Ok((res, new_basis)) => {
+                count_lp(counters, &res);
+                if res.status == LpStatus::Optimal {
+                    *root = res;
+                    *basis = new_basis;
+                    tree.install_cuts(lp, rows, solver);
+                }
+            }
+            // The previous root and LP stay valid; the pivots spent finding
+            // that out are booked all the same.
+            Err(e) => count_failed_lp(counters, &e),
+        }
+    }
 }
 
 /// Accepts an integral LP solution as incumbent or branches: selects the
@@ -1022,8 +1111,14 @@ mod tests {
     /// A multi-row knapsack the root cuts do not close: a tree of some
     /// dozens of nodes, enough for the factorization memo to be hit.
     fn tree_fixture() -> Model {
+        knapsack_fixture(14, 4)
+    }
+
+    /// `rows` knapsack rows over `columns` integers in `[0, 3]`, with
+    /// deterministic, irregular coefficients.
+    fn knapsack_fixture(columns: usize, rows: usize) -> Model {
         let mut m = Model::new("tree");
-        let vars: Vec<_> = (0..14)
+        let vars: Vec<_> = (0..columns)
             .map(|i| m.add_integer(format!("v{i}"), 0.0, 3.0))
             .collect();
         // Deterministic, irregular coefficients.
@@ -1035,7 +1130,7 @@ mod tests {
             .map(|(j, &v)| (v, coeff(9, j) + 0.5 * coeff(4, j)))
             .collect();
         m.set_objective(Sense::Maximize, &obj);
-        for row in 0..4 {
+        for row in 0..rows {
             let terms: Vec<_> = vars
                 .iter()
                 .enumerate()
@@ -1044,6 +1139,68 @@ mod tests {
             m.add_le(&terms, 97.0 + 11.0 * row as f64);
         }
         m
+    }
+
+    /// Drives the root cut loop of `model` as [`search`] does and returns,
+    /// for every round that started after a purge, how many pivots the
+    /// purged LP (the base LP and the cuts the purge kept) takes from the
+    /// last basis realigned onto it, `None` when it does not realign, how
+    /// the round ended and how many factorizations its LP computed.
+    fn rounds_after_purges(model: &Model) -> Vec<(Option<usize>, Round, usize)> {
+        let bounds: Vec<(f64, f64)> = model
+            .variables()
+            .map(|(_, v)| (v.lower.ceil(), v.upper.floor()))
+            .collect();
+        let integral = vec![true; bounds.len()];
+        let lp = SparseLp::from_model(model);
+        let rows = RowView::of(&lp);
+        let solver = NodeSolver::build(&lp, &rows, &bounds, &integral, true).expect("feasible");
+        let mut tree = TreeLp::new(&lp, &rows, &solver, MEMO_CAPACITY);
+        let (mut root, mut basis) = tree.solve_base(&bounds, 10_000, Warm::Cold).unwrap();
+        let mut counters = SolverCounters::default();
+        let mut cuts = CutLoop::new(model.params(), &bounds, &integral);
+        let mut after_purges = Vec::new();
+        for _ in 0..MAX_CUT_ROUNDS {
+            let purged = cuts.kept.contains(&false);
+            let realigned = basis.as_ref().and_then(|b| b.without_rows(&cuts.kept));
+            let resolve = realigned.map(|start| {
+                let (slim, slim_rows) = lp_with_cuts(&lp, &rows, cuts.pool.cuts());
+                let solver = NodeSolver::build(&slim, &slim_rows, &bounds, &integral, true)
+                    .expect("feasible");
+                let ws = &mut SimplexWorkspace::default();
+                let (res, _) = (solver.solve(&slim, &bounds, 10_000, Warm::Primal(&start), ws))
+                    .expect("solve");
+                assert_eq!(res.status, LpStatus::Optimal);
+                res.iterations
+            });
+            let factorized = counters.lu_factorizations;
+            let round = cuts
+                .round(&mut tree, &mut root, &mut basis, &mut counters)
+                .unwrap();
+            if purged {
+                // The separator's factorization is the first.
+                let lp_factorizations = counters.lu_factorizations - factorized - 1;
+                after_purges.push((resolve, round, lp_factorizations));
+            }
+            if round != Round::Kept {
+                break;
+            }
+        }
+        after_purges
+    }
+
+    #[test]
+    fn a_cut_round_after_a_purge_starts_from_the_realigned_basis() {
+        // Five rows and sixteen columns of the tree fixture's knapsack: a
+        // round purges a cut and the next one still adopts new ones.
+        let rounds = rounds_after_purges(&knapsack_fixture(16, 5));
+        // The realigned basis is optimal for the purged LP…
+        assert!(rounds.iter().all(|r| r.0 == Some(0)), "{rounds:?}");
+        // …and the next round's LP installs it: a singular start would be
+        // factorized, and then the cold basis.
+        let kept: Vec<_> = rounds.iter().filter(|r| r.1 == Round::Kept).collect();
+        assert!(!kept.is_empty(), "no round kept after a purge: {rounds:?}");
+        assert!(kept.iter().all(|r| r.2 == 1), "{rounds:?}");
     }
 
     #[test]

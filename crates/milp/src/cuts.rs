@@ -12,10 +12,13 @@
 //!
 //! Accepted cuts live in a [`CutPool`] which enforces a minimum violation, a
 //! maximum pairwise parallelism, and purges cuts that stayed slack at the
-//! root optimum for consecutive separation rounds (age-based purging).
-//! [`lp_with_cuts`] materializes the base equality form plus the active pool
-//! as a fresh [`SparseLp`] (each cut is one extra `≤` row with its own
-//! logical column), which the tree then solves at every node.
+//! root optimum for consecutive separation rounds (age-based purging); the
+//! purge says which cuts it kept, so the next round can take the purged
+//! rows out of its warm-start basis. [`lp_with_cuts`] materializes the base
+//! equality form plus the active pool as a fresh [`SparseLp`] (each cut is
+//! one extra `≤` row with its own logical column), and its [`RowView`] as
+//! the base LP's plus the cut rows, which the tree then solves at every
+//! node.
 //!
 //! Every cut right-hand side is relaxed by a tiny epsilon before it is
 //! emitted: the relaxed cut is still valid for every integer point, and the
@@ -164,19 +167,27 @@ impl CutPool {
 
     /// Ages every active cut against the latest root optimum and purges the
     /// ones that stayed slack for more than [`MAX_SLACK_AGE`] consecutive
-    /// re-solves. Returns the number of cuts purged.
-    pub(crate) fn age_and_purge(&mut self, x: &[f64]) -> usize {
-        for p in &mut self.active {
-            let slack = p.cut.rhs - p.cut.activity(x);
-            if slack > 1e-7 * p.cut.rhs.abs().max(1.0) {
-                p.slack_age += 1;
-            } else {
-                p.slack_age = 0;
-            }
-        }
-        let before = self.active.len();
-        self.active.retain(|p| p.slack_age <= MAX_SLACK_AGE);
-        before - self.active.len()
+    /// re-solves. Returns, for every cut active before, whether it was kept.
+    pub(crate) fn age_and_purge(&mut self, x: &[f64]) -> Vec<bool> {
+        let kept: Vec<bool> = (self.active.iter_mut())
+            .map(|p| {
+                let slack = p.cut.rhs - p.cut.activity(x);
+                if slack > 1e-7 * p.cut.rhs.abs().max(1.0) {
+                    p.slack_age += 1;
+                } else {
+                    p.slack_age = 0;
+                }
+                p.slack_age <= MAX_SLACK_AGE
+            })
+            .collect();
+        let mut verdicts = kept.iter();
+        self.active.retain(|_| verdicts.next() == Some(&true));
+        kept
+    }
+
+    /// Drops the cuts adopted after the first `len`.
+    pub(crate) fn truncate(&mut self, len: usize) {
+        self.active.truncate(len);
     }
 }
 
@@ -718,11 +729,11 @@ mod tests {
         ));
         // Stays while the slack age is within the limit…
         for _ in 0..MAX_SLACK_AGE {
-            assert_eq!(pool.age_and_purge(&slack), 0);
+            assert_eq!(pool.age_and_purge(&slack), [true]);
         }
         assert_eq!(pool.len(), 1);
         // …and is purged one slack round later.
-        assert_eq!(pool.age_and_purge(&slack), 1);
+        assert_eq!(pool.age_and_purge(&slack), [false]);
         assert_eq!(pool.len(), 0);
         // A tight cut never ages.
         assert!(pool.try_add(
@@ -733,9 +744,69 @@ mod tests {
             &tight,
         ));
         for _ in 0..4 {
-            assert_eq!(pool.age_and_purge(&tight), 0);
+            assert_eq!(pool.age_and_purge(&tight), [true]);
         }
         assert_eq!(pool.len(), 1);
+    }
+
+    #[test]
+    fn a_purged_cuts_rows_leave_the_basis_without_costing_a_pivot() {
+        // max x + ½y s.t. x + y ≤ 4 in [0, 10]², and the cuts x ≤ 8 and
+        // y ≤ 9, both slack at the optimum x = 4, y = 0. In the start, the
+        // first cut's logical is basic at the base row's position and x at
+        // the first cut's: purging that cut moves x into the freed place.
+        let mut m = Model::new("purge");
+        let x = m.add_continuous("x", 0.0, 10.0);
+        let y = m.add_continuous("y", 0.0, 10.0);
+        m.set_objective(Sense::Maximize, &[(x, 1.0), (y, 0.5)]);
+        m.add_le(&[(x, 1.0), (y, 1.0)], 4.0);
+        let base = SparseLp::from_model(&m);
+        let rows = RowView::of(&base);
+        let purged = Cut {
+            coeffs: vec![(0, 1.0)],
+            rhs: 8.0,
+        };
+        let kept = Cut {
+            coeffs: vec![(1, 1.0)],
+            rhs: 9.0,
+        };
+        let (full, _) = lp_with_cuts(&base, &rows, [&purged, &kept].into_iter());
+        let (slim, _) = lp_with_cuts(&base, &rows, std::iter::once(&kept));
+        let (s0, s1, s2) = (2, 3, 4);
+        let mut status = vec![VarStatus::Basic; 5];
+        status[1] = VarStatus::AtLower;
+        status[s0] = VarStatus::AtLower;
+        let start = Basis::from_parts(2, 3, status, vec![s1, 0, s2], vec![1.0; 5]);
+        let bounds = [(0.0, 10.0), (0.0, 10.0)];
+        let ws = &mut SimplexWorkspace::default();
+
+        let (before, _) =
+            solve_sparse(&full, &bounds, 100, Warm::Primal(&start), ws).expect("solve");
+        assert_eq!((before.status, before.iterations), (LpStatus::Optimal, 0));
+
+        let remapped = start
+            .without_rows(&[false, true])
+            .expect("the purged logical is basic");
+        assert_eq!(remapped.dims(), (2, 2));
+        // x took the base row's position; the kept cut's logical is now the
+        // second row's.
+        assert_eq!(remapped.parts().1, &[0, 3]);
+        let mut factor = BasisFactor::default();
+        let columns = remapped.parts().1.iter().map(|&j| slim.cols.column(j));
+        assert!(factor.refactorize(slim.nrows, columns).is_ok());
+        let (after, _) =
+            solve_sparse(&slim, &bounds, 100, Warm::Primal(&remapped), ws).expect("solve");
+        assert_eq!((after.status, after.iterations), (LpStatus::Optimal, 0));
+        assert_eq!(after.lu_factorizations, 1);
+        assert_eq!(after.objective, before.objective);
+        assert_eq!(after.values, before.values);
+
+        // A purged cut whose logical is nonbasic has no remap.
+        assert!(start.without_rows(&[true, true]).is_some());
+        let mut tight = start.parts().0.to_vec();
+        tight.swap(s1, s0);
+        let tight = Basis::from_parts(2, 3, tight, vec![s0, 0, s2], vec![1.0; 5]);
+        assert!(tight.without_rows(&[false, true]).is_none());
     }
 
     #[test]

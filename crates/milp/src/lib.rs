@@ -69,7 +69,12 @@
 //!   violation filter and a parallelism filter before entering the cut pool;
 //!   cuts that stay slack at the root optimum for consecutive rounds are
 //!   purged (age-based purging), and the surviving pool is appended to the
-//!   equality form as extra `≤` rows the whole tree then solves. Every cut
+//!   equality form as extra `≤` rows the whole tree then solves. A round
+//!   reoptimizes with the primal simplex from the last round's optimal
+//!   basis, realigned onto its rows: a purged cut's row leaves with its
+//!   logical column, which is basic because the cut was slack, and each new
+//!   cut's row enters on its logical. A round whose LP dead-ends
+//!   numerically is rejected together with its cuts. Every cut
 //!   is globally valid for the integer hull, so the verdict and objective
 //!   are provably identical with cuts on or off — the differential harness
 //!   asserts exactly that. Counters: `cuts_added`, `cut_rounds`.

@@ -39,7 +39,10 @@
 //!   typically needs a handful of pivots;
 //! * **warm dual**: for bound-change-only reoptimization (branch-and-bound
 //!   children), the parent's optimal basis stays dual feasible, so the dual
-//!   simplex drives out the primal infeasibilities directly.
+//!   simplex drives out the primal infeasibilities directly. Where it ends
+//!   primal feasible, the signs of the reduced costs are checked (derived
+//!   afresh when pivots updated them); a basis that is not dual feasible
+//!   after all is finished by primal phase 2.
 //!
 //! The dual simplex keeps the nonbasic reduced costs `d_j` across its
 //! pivots: each iteration BTRANs the pivot row `ρ` once, forms `α_j = ρ·a_j`
@@ -220,6 +223,62 @@ impl Basis {
         (&self.status, &self.basic, &self.devex)
     }
 
+    /// The snapshot with some of its last `keep.len()` rows taken out: the
+    /// rows whose `keep` entry is `false` leave together with their logical
+    /// columns, and the other rows keep their order. `None` when one of
+    /// those logicals is nonbasic.
+    ///
+    /// A basic logical at the row it leaves with is a unit column, so the
+    /// basis stays nonsingular, and the basic solution and the duals of the
+    /// rows that stay do not move: a basis optimal before is optimal after.
+    /// A column that was basic at a leaving row's position takes the
+    /// position that row's logical frees (following the chain when that
+    /// position leaves too).
+    pub(crate) fn without_rows(&self, keep: &[bool]) -> Option<Basis> {
+        let (n, m) = (self.nstruct, self.nrows);
+        let first = m - keep.len();
+        let stays = |i: usize| i < first || keep[i - first];
+        // The new index of every row that stays.
+        let mut renumbered = vec![usize::MAX; m];
+        let mut rows = 0;
+        for (i, new) in renumbered.iter_mut().enumerate() {
+            if stays(i) {
+                *new = rows;
+                rows += 1;
+            } else if self.status[n + i] != VarStatus::Basic {
+                return None;
+            }
+        }
+        let column = |j: usize| match j.checked_sub(n) {
+            None => Some(j),
+            Some(i) => stays(i).then(|| n + renumbered[i]),
+        };
+        let mut status = self.status[..n].to_vec();
+        let mut devex = self.devex[..n].to_vec();
+        for i in (0..m).filter(|&i| stays(i)) {
+            status.push(self.status[n + i]);
+            devex.push(self.devex[n + i]);
+        }
+        let mut basic = Vec::with_capacity(rows);
+        for (p, &j) in self.basic.iter().enumerate() {
+            if !stays(p) {
+                continue;
+            }
+            // A leaving logical's place goes to what sat at its row's
+            // position or, when that is a leaving logical too, at the
+            // position of that one's row, and so on.
+            let mut at = j;
+            for _ in 0..m {
+                if column(at).is_some() {
+                    break;
+                }
+                at = self.basic[at - n];
+            }
+            basic.push(column(at)?);
+        }
+        Some(Basis::from_parts(n, rows, status, basic, devex))
+    }
+
     /// Empties the snapshot into an `nstruct × nrows` one — every status
     /// `AtLower`, every weight 1, no basic column — keeping its buffers, and
     /// hands out its parts for the presolve mapping layer to fill.
@@ -370,8 +429,9 @@ pub(crate) enum Warm<'a> {
     /// primal — the snapshot only has to be *near* feasible.
     Primal(&'a Basis),
     /// Dual simplex from a snapshot that is dual feasible for the current
-    /// costs (bound changes only since the snapshot was taken). Falls back to
-    /// a cold primal solve when the snapshot cannot be applied.
+    /// costs (bound changes only since the snapshot was taken); one that
+    /// turns out not to be is finished by the primal. Falls back to a cold
+    /// primal solve when the snapshot cannot be applied.
     ///
     /// The slot is for a caller that starts LPs over one LP from one
     /// snapshot again and again (a tree node's children, `TreeLp` in
@@ -657,6 +717,9 @@ pub(crate) fn solve_in(
                 match outcome {
                     DualOutcome::Optimal => return Ok(engine.result(LpStatus::Optimal)),
                     DualOutcome::Infeasible => return Ok(engine.result(LpStatus::Infeasible)),
+                    // Primal feasible but not optimal: the primal finishes
+                    // from this basis below (its phase 1 has nothing to do).
+                    DualOutcome::DualInfeasible => false,
                     // Numerical trouble: restart from scratch below.
                     DualOutcome::Stuck => true,
                 }
@@ -699,6 +762,9 @@ pub(crate) fn solve_in(
 enum DualOutcome {
     Optimal,
     Infeasible,
+    /// Primal feasible, but some reduced cost has the wrong sign even when
+    /// derived afresh: the basis is not optimal.
+    DualInfeasible,
     Stuck,
 }
 
@@ -1189,6 +1255,69 @@ impl<'a> Engine<'a> {
         );
     }
 
+    /// Whether the kept reduced costs `d_j` have the sign the status of
+    /// their nonbasic, non-fixed column needs — `d_j ≥ 0` at a lower bound,
+    /// `≤ 0` at an upper one, 0 for a free column — to `FEAS_TOL`, the
+    /// tolerance basic values are held to as well.
+    fn dual_feasible(&self) -> bool {
+        let ws = &*self.ws;
+        (0..self.lp.ncols()).all(|j| {
+            ws.lower[j] == ws.upper[j]
+                || match ws.status[j] {
+                    VarStatus::Basic => true,
+                    VarStatus::AtLower => ws.dj[j] >= -FEAS_TOL,
+                    VarStatus::AtUpper => ws.dj[j] <= FEAS_TOL,
+                    VarStatus::Free => ws.dj[j].abs() <= FEAS_TOL,
+                }
+        })
+    }
+
+    /// Debug cross-check of a dual `Optimal`: the reduced costs of the same
+    /// basis under a from-scratch factorization, built in scratch buffers so
+    /// that the engine's state is untouched, must have the right signs too —
+    /// to `FEAS_TOL` relative to the terms that form them, for the drift the
+    /// kept costs may carry. A pivot on a tiny element can leave a basis the
+    /// factorization kernel calls singular, and the LP's answer then rests
+    /// on its eta file alone; such a basis has no fresh costs to compare.
+    fn assert_fresh_costs_dual_feasible(&self) {
+        let (lp, ws) = (self.lp, &*self.ws);
+        let mut lu = LuFactors::default();
+        let columns = ws.basic.iter().map(|&j| lp.cols.column(j));
+        if lu
+            .factorize(lp.nrows, columns, &mut LuWorkspace::default())
+            .is_err()
+        {
+            return;
+        }
+        let mut y: Vec<f64> = ws.basic.iter().map(|&j| lp.cost[j]).collect();
+        lu.btran(&mut y, &mut Vec::new());
+        for j in 0..lp.ncols() {
+            if ws.status[j] == VarStatus::Basic || ws.lower[j] == ws.upper[j] {
+                continue;
+            }
+            let (rows, vals) = lp.cols.column(j);
+            let d = lp.cost[j] - lp.cols.column_dot(j, &y);
+            let size = lp.cost[j].abs()
+                + rows
+                    .iter()
+                    .zip(vals)
+                    .map(|(&i, &a)| (a * y[i]).abs())
+                    .sum::<f64>();
+            let wrong = match ws.status[j] {
+                VarStatus::AtLower => -d,
+                VarStatus::AtUpper => d,
+                _ => d.abs(),
+            };
+            assert!(
+                wrong <= FEAS_TOL * (1.0 + size),
+                "column {j} ({:?}) has the reduced cost {d} from a fresh factorization \
+                 (kept {}) at a dual optimum",
+                ws.status[j],
+                ws.dj[j]
+            );
+        }
+    }
+
     /// Dual vector `y = B⁻ᵀ c_B` for the given per-column costs.
     fn btran_costs(&mut self, cost: &[f64]) {
         let ws = &mut *self.ws;
@@ -1524,6 +1653,9 @@ impl<'a> Engine<'a> {
         // a pruning proof.
         let mut fresh = true;
         let mut hard_fresh = from_scratch;
+        // Whether the kept reduced costs have been updated across a pivot
+        // since they were last derived through the factorization.
+        let mut updated = false;
         if self.ws.dj.is_empty() {
             self.compute_dj();
         }
@@ -1543,6 +1675,24 @@ impl<'a> Engine<'a> {
             }
             let Some((row, below, total_viol)) = leaving else {
                 if fresh {
+                    // Primal feasible; optimal only if dual feasible too.
+                    // The ratio test keeps the reduced costs' signs only as
+                    // far as they were right at the start and its updates
+                    // stay accurate: a start can come from a snapshot that
+                    // was never dual feasible for these bounds, and a pivot
+                    // on a tiny α_q (≈ 1e-8 to 3e-7, its row- and
+                    // column-wise values apart by up to 1 %) multiplies the
+                    // drift of every α_j by θ_d = d_q/α_q. So costs a pivot
+                    // updated are derived afresh before their signs count.
+                    if updated {
+                        self.compute_dj();
+                    }
+                    if !self.dual_feasible() {
+                        return Ok(DualOutcome::DualInfeasible);
+                    }
+                    if cfg!(debug_assertions) {
+                        self.assert_fresh_costs_dual_feasible();
+                    }
                     return Ok(DualOutcome::Optimal);
                 }
                 self.compute_xb();
@@ -1639,6 +1789,7 @@ impl<'a> Engine<'a> {
                 }
                 self.compute_xb();
                 self.compute_dj();
+                updated = false;
                 fresh = true;
                 hard_fresh = true;
                 continue;
@@ -1666,6 +1817,7 @@ impl<'a> Engine<'a> {
             // The ratio test above stored α_j for exactly the columns the
             // update visits: no second BTRAN and no second column pass.
             self.update_dj(q, row, alpha_q);
+            updated = true;
             let factorizations = self.lu_factorizations;
             if !self.pivot(row, q, step, leave_status) {
                 return Ok(DualOutcome::Stuck);
@@ -1676,6 +1828,7 @@ impl<'a> Engine<'a> {
             // A rebuilt factorization re-derives the reduced costs with it.
             if self.lu_factorizations != factorizations {
                 self.compute_dj();
+                updated = false;
             }
         }
     }
@@ -2048,6 +2201,39 @@ mod tests {
             certified >= cases / 10 && certified * 10 >= infeasible * 9,
             "{certified} of {infeasible} infeasible children certified"
         );
+    }
+
+    #[test]
+    fn a_dual_start_that_is_not_dual_feasible_ends_at_the_optimum() {
+        // min x + 3y s.t. x + y ≥ 2, x in [0, 10]: the optimum under y ≤ 1
+        // is x = 2, y = 0, objective 2. The start has y basic in the row
+        // with x at its lower bound, which is not dual feasible
+        // (d_x = 1 − 3 = −2 at a lower bound). The dual simplex drives y
+        // down to its new bound by bringing x in, and stops at the primal
+        // feasible x = y = 1 with d_y = 2 at an upper bound: objective 4
+        // unless the signs are checked and the primal finishes.
+        let mut m = Model::new("dual-infeasible-start");
+        let x = m.add_continuous("x", 0.0, 10.0);
+        let y = m.add_continuous("y", 0.0, 10.0);
+        m.set_objective(Sense::Minimize, &[(x, 1.0), (y, 3.0)]);
+        m.add_ge(&[(x, 1.0), (y, 1.0)], 2.0);
+        let lp = SparseLp::from_model(&m);
+        let status = vec![VarStatus::AtLower, VarStatus::Basic, VarStatus::AtUpper];
+        let start = Basis::from_parts(2, 1, status, vec![1], vec![1.0; 3]);
+        let child = [(0.0, 10.0), (0.0, 1.0)];
+        let dense = crate::dense::solve_lp_dense(&m, &child).expect("dense solve");
+        assert_eq!(dense.status, LpStatus::Optimal);
+        let ws = &mut SimplexWorkspace::default();
+        let warm = Warm::Dual(&start, None);
+        let (r, _) = super::solve_sparse(&lp, &child, 10_000, warm, ws).expect("solve");
+        assert_eq!(r.status, LpStatus::Optimal);
+        assert!(
+            (r.objective - dense.objective).abs() < 1e-9,
+            "{} against the dense reference's {}",
+            r.objective,
+            dense.objective
+        );
+        assert_eq!(r.values, vec![2.0, 0.0]);
     }
 
     #[test]
