@@ -144,7 +144,7 @@ impl CutPool {
     }
 
     /// Active cuts in pool order.
-    pub(crate) fn cuts(&self) -> impl Iterator<Item = &Cut> + Clone {
+    pub(crate) fn cuts(&self) -> impl Iterator<Item = &Cut> {
         self.active.iter().map(|p| &p.cut)
     }
 
@@ -207,7 +207,7 @@ pub(crate) fn lp_with_cuts<'c>(
     let mut rows = base_rows.clone();
     let mut rhs = base.rhs.clone();
     for cut in cuts {
-        rows.push_row(cut.coeffs.iter().copied());
+        rows.push_row(&cut.coeffs);
         rhs.push(cut.rhs);
     }
     let nrows = rhs.len();

@@ -415,8 +415,8 @@ impl RowView {
     }
 
     /// Appends a row; its entries must already be in column order.
-    pub(crate) fn push_row(&mut self, entries: impl IntoIterator<Item = (usize, f64)>) {
-        self.entries.extend(entries);
+    pub(crate) fn push_row(&mut self, entries: &[(usize, f64)]) {
+        self.entries.extend_from_slice(entries);
         self.start.push(self.entries.len());
     }
 }
@@ -1681,7 +1681,7 @@ impl<'a> Engine<'a> {
                     // stay accurate: a start can come from a snapshot that
                     // was never dual feasible for these bounds, and a pivot
                     // on a tiny α_q (≈ 1e-8 to 3e-7, its row- and
-                    // column-wise values apart by up to 1 %) multiplies the
+                    // column-wise values apart by up to 3 %) multiplies the
                     // drift of every α_j by θ_d = d_q/α_q. So costs a pivot
                     // updated are derived afresh before their signs count.
                     if updated {
