@@ -40,7 +40,7 @@ use ttw_analyze::analyze_system;
 use ttw_bench::{timed, Report};
 use ttw_core::cache::{synthesis_key, synthesize_system_cached, ScheduleCache};
 use ttw_core::export::system_schedule_to_json;
-use ttw_core::synthesis::{synthesize_system, IlpSynthesizer, Synthesizer};
+use ttw_core::synthesis::{synthesize_system, IlpSynthesizer, ModePrior, Synthesizer};
 use ttw_core::time::millis;
 use ttw_core::validate::check_cross_mode_consistency;
 use ttw_core::{fixtures, ilp, InheritedOffsets, ModeSchedule, SchedulerConfig, SystemSchedule};
@@ -55,9 +55,16 @@ fn synthesize_independent() -> SystemSchedule {
     let backend = IlpSynthesizer;
     let mut result = SystemSchedule::new();
     for (mode, _) in sys.modes() {
-        let (schedule, _) = backend
-            .synthesize(&sys, mode, &config(), &InheritedOffsets::none(), None)
-            .expect("feasible");
+        let schedule = backend
+            .synthesize(
+                &sys,
+                mode,
+                &config(),
+                &InheritedOffsets::none(),
+                ModePrior::default(),
+            )
+            .expect("feasible")
+            .schedule;
         result.stats.insert(mode, schedule.stats.clone());
         result.schedules.insert(mode, schedule);
     }

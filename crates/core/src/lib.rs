@@ -84,7 +84,7 @@ pub use resynth::{resynthesize_system, ResynthesisReport};
 pub use schedule::{ModeSchedule, ScheduledRound, SynthesisStats, SystemSchedule};
 pub use spec::{ApplicationSpec, MessageSpec, TaskSpec};
 pub use synthesis::{
-    HeuristicSynthesizer, IlpSynthesizer, ModeWarmStart, SynthesisFailure, Synthesizer,
-    SystemSynthesisError,
+    HeuristicSynthesizer, IlpSynthesizer, ModePrior, ModeWarmStart, SolvedMode, SynthesisFailure,
+    Synthesizer, SystemSynthesisError,
 };
 pub use system::{Application, Message, Mode, Node, PrecedenceEdge, System, Task};

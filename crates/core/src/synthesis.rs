@@ -9,7 +9,9 @@
 //! objective of each ILP then makes that schedule latency-optimal among all
 //! schedules using `R_M` rounds. The sweep is *incremental*: one ILP instance is built and
 //! grown round by round ([`crate::ilp::IlpInstance::add_round`]) instead of
-//! being rebuilt per attempt.
+//! being rebuilt per attempt. A re-synthesis may start the sweep higher, at a
+//! round count below which every count is already proven infeasible
+//! ([`ModePrior::floor`]; see [`crate::resynth`]).
 //!
 //! Multi-mode synthesis ([`synthesize_system`]) walks a [`ModeGraph`] in its
 //! deterministic synthesis order and applies *minimal inheritance*: every
@@ -34,7 +36,7 @@ use crate::heuristic;
 use crate::ids::{AppId, ModeId};
 use crate::ilp;
 use crate::modegraph::{InheritedOffsets, ModeGraph};
-use crate::resynth::{reusable_schedule, ResynthesisReport};
+use crate::resynth::{reusable_schedule, round_floor, ResynthesisReport};
 use crate::schedule::{ModeSchedule, SynthesisStats, SystemSchedule};
 use crate::system::System;
 use std::collections::BTreeMap;
@@ -88,6 +90,30 @@ pub struct ModeWarmStart {
     pub basis: ttw_milp::Basis,
 }
 
+/// What a cached predecessor hands the solve of one mode (see
+/// [`crate::resynth`]). The default is a solve from nothing.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct ModePrior<'a> {
+    /// A root basis to seed the attempt at `warm.rounds` rounds with.
+    pub warm: Option<&'a ModeWarmStart>,
+    /// Every round count below this one is proven infeasible for the mode,
+    /// so the `R_M` sweep may start here.
+    pub floor: usize,
+}
+
+/// One mode's solve: its schedule, the warm-start material it leaves for
+/// the next re-synthesis, and whether the prior's basis reached the solver.
+#[derive(Debug, Clone)]
+pub struct SolvedMode {
+    /// The mode's schedule.
+    pub schedule: ModeSchedule,
+    /// Root basis of the winning attempt, ready to be cached.
+    pub warm: Option<ModeWarmStart>,
+    /// Whether [`ModePrior::warm`] was installed into an attempt: the sweep
+    /// arrived at its round count and its shape fit the model there.
+    pub seeded: bool,
+}
+
 /// A per-mode schedule synthesis backend.
 ///
 /// Implementations receive the offsets inherited from already-synthesized
@@ -104,14 +130,14 @@ pub trait Synthesizer: Sync {
     /// Synthesizes the schedule of one mode under the given inherited
     /// offsets, consuming and producing MILP warm-start material.
     ///
-    /// `warm` seeds the attempt at the matching round count from a cached
-    /// basis (a stale basis degrades to a cold start, never an error); the
-    /// returned [`ModeWarmStart`] is the root basis of the winning attempt,
-    /// ready to be cached. A warm start changes how fast the solver gets to
-    /// the optimum, not which optimum the deterministic tie-breaking selects:
-    /// the schedule is **identical** with and without it. Backends with no
-    /// LP underneath (the greedy heuristic) ignore `warm` and return no
-    /// basis.
+    /// `prior.warm` seeds the attempt at the matching round count from a
+    /// cached basis (a stale basis degrades to a cold start, never an error);
+    /// `prior.floor` lets the `R_M` sweep skip counts already proven
+    /// infeasible. The returned [`SolvedMode::warm`] is the root basis of
+    /// the winning attempt, ready to be cached. Neither changes which optimum
+    /// the deterministic tie-breaking selects: the schedule is **identical**
+    /// with and without them. Backends with no LP underneath (the greedy
+    /// heuristic) ignore the prior and return no basis.
     ///
     /// # Errors
     ///
@@ -128,8 +154,8 @@ pub trait Synthesizer: Sync {
         mode: ModeId,
         config: &SchedulerConfig,
         inherited: &InheritedOffsets,
-        warm: Option<&ModeWarmStart>,
-    ) -> Result<(ModeSchedule, Option<ModeWarmStart>), SynthesisFailure>;
+        prior: ModePrior<'_>,
+    ) -> Result<SolvedMode, SynthesisFailure>;
 }
 
 /// The exact backend: Algorithm 1 over the ILP of Sec. IV, as one instance
@@ -145,16 +171,17 @@ impl Synthesizer for IlpSynthesizer {
         "ilp-incremental"
     }
 
-    /// The `R_M` sweep, optionally seeding the attempt at `warm.rounds`
-    /// rounds from a cached basis.
+    /// The `R_M` sweep from `prior.floor` (or the slot bound, if higher),
+    /// optionally seeding the attempt at `warm.rounds` rounds from a cached
+    /// basis.
     fn synthesize(
         &self,
         system: &System,
         mode: ModeId,
         config: &SchedulerConfig,
         inherited: &InheritedOffsets,
-        warm: Option<&ModeWarmStart>,
-    ) -> Result<(ModeSchedule, Option<ModeWarmStart>), SynthesisFailure> {
+        prior: ModePrior<'_>,
+    ) -> Result<SolvedMode, SynthesisFailure> {
         config.validate()?;
 
         let r_max = feasibility::r_max_for_mode(system, mode, config);
@@ -177,10 +204,14 @@ impl Synthesizer for IlpSynthesizer {
             return Err(infeasible(stats));
         }
 
+        // Counts below the floor are not attempted, but the instance still
+        // grows through them: it is built exactly as a sweep from the slot
+        // bound would have built it.
         let mut current = ilp::build_ilp_inherited(system, mode, config, min_rounds, inherited)
             .map_err(SynthesisFailure::from)?;
+        let mut seeded = false;
 
-        for num_rounds in min_rounds..=r_max {
+        for num_rounds in min_rounds.max(prior.floor)..=r_max {
             while current.num_rounds() < num_rounds {
                 current.add_round(system, mode, config);
             }
@@ -188,10 +219,8 @@ impl Synthesizer for IlpSynthesizer {
             // round count. The seed replaces the basis chained from smaller
             // attempts — it came from the optimum of a nearly identical model
             // of exactly this shape, which is the better starting point.
-            if let Some(warm) = warm {
-                if warm.rounds == num_rounds {
-                    current.seed_warm_basis(warm.basis.clone());
-                }
+            if let Some(warm) = prior.warm.filter(|warm| warm.rounds == num_rounds) {
+                seeded = current.seed_warm_basis(warm.basis.clone());
             }
             stats.rounds_attempted.push(num_rounds);
             stats.variables = current.model.num_vars();
@@ -213,7 +242,11 @@ impl Synthesizer for IlpSynthesizer {
                 });
                 let schedule =
                     ilp::extract_schedule(system, mode, config, &current, &solution, stats);
-                return Ok((schedule, artifact));
+                return Ok(SolvedMode {
+                    schedule,
+                    warm: artifact,
+                    seeded,
+                });
             }
         }
 
@@ -242,10 +275,14 @@ impl Synthesizer for HeuristicSynthesizer {
         mode: ModeId,
         config: &SchedulerConfig,
         inherited: &InheritedOffsets,
-        _warm: Option<&ModeWarmStart>,
-    ) -> Result<(ModeSchedule, Option<ModeWarmStart>), SynthesisFailure> {
+        _prior: ModePrior<'_>,
+    ) -> Result<SolvedMode, SynthesisFailure> {
         heuristic::synthesize_mode_heuristic_inherited(system, mode, config, inherited)
-            .map(|schedule| (schedule, None))
+            .map(|schedule| SolvedMode {
+                schedule,
+                warm: None,
+                seeded: false,
+            })
             .map_err(SynthesisFailure::from)
     }
 }
@@ -278,7 +315,8 @@ pub fn synthesize_mode(
     config: &SchedulerConfig,
 ) -> Result<ModeSchedule, SynthesisFailure> {
     let (backend, pins) = (IlpSynthesizer, InheritedOffsets::none());
-    solve_mode(system, mode, config, &backend, &pins, None).map(|(schedule, _)| schedule)
+    solve_mode(system, mode, config, &backend, &pins, ModePrior::default())
+        .map(|solved| solved.schedule)
 }
 
 /// A multi-mode synthesis failure: which mode failed, why, and everything that
@@ -401,8 +439,8 @@ fn analyze_gate(
     })
 }
 
-/// The one place a mode is solved: gate, then backend (warm-started when a
-/// basis is cached for the mode).
+/// The one place a mode is solved: gate, then backend (started from what a
+/// cached predecessor offers for the mode).
 // Same unboxed-Err trade-off as `Synthesizer::synthesize`.
 #[allow(clippy::result_large_err)]
 fn solve_mode(
@@ -411,11 +449,11 @@ fn solve_mode(
     config: &SchedulerConfig,
     backend: &dyn Synthesizer,
     inherited: &InheritedOffsets,
-    warm: Option<&ModeWarmStart>,
-) -> Result<(ModeSchedule, Option<ModeWarmStart>), SynthesisFailure> {
+    prior: ModePrior<'_>,
+) -> Result<SolvedMode, SynthesisFailure> {
     match analyze_gate(system, mode, config) {
         Some(failure) => Err(failure),
-        None => backend.synthesize(system, mode, config, inherited, warm),
+        None => backend.synthesize(system, mode, config, inherited, prior),
     }
 }
 
@@ -426,9 +464,10 @@ struct WaveJob<'a> {
     inherited: InheritedOffsets,
     /// The predecessor's schedule of the mode, when provably reusable.
     reused: Option<&'a ModeSchedule>,
-    /// The predecessor's root basis of the mode: carried over verbatim with a
-    /// reused schedule, the warm start of a re-solve.
-    warm: Option<&'a ModeWarmStart>,
+    /// The predecessor's root basis of the mode — carried over verbatim with
+    /// a reused schedule, the warm start of a re-solve — and the round count
+    /// a re-solve's sweep may start at.
+    prior: ModePrior<'a>,
 }
 
 /// The wave driver behind every system-level entry point: walks the mode
@@ -491,19 +530,29 @@ pub(crate) fn synthesize_waves(
                     reusable_schedule(system, mode, &sources, &inherited, artifacts, schedule)
                 });
                 let warm = predecessor.and_then(|(_, artifacts)| artifacts.warm.get(&mode));
+                let floor = match predecessor {
+                    Some((schedule, artifacts)) if reused.is_none() => {
+                        round_floor(system, mode, &sources, &inherited, artifacts, schedule)
+                    }
+                    _ => 0,
+                };
                 WaveJob {
                     mode,
                     sources,
                     inherited,
                     reused,
-                    warm,
+                    prior: ModePrior { warm, floor },
                 }
             })
             .collect();
 
         let run = |job: &WaveJob| match job.reused {
-            Some(schedule) => Ok((schedule.clone(), job.warm.cloned())),
-            None => solve_mode(system, job.mode, config, backend, &job.inherited, job.warm),
+            Some(schedule) => Ok(SolvedMode {
+                schedule: schedule.clone(),
+                warm: job.prior.warm.cloned(),
+                seeded: false,
+            }),
+            None => solve_mode(system, job.mode, config, backend, &job.inherited, job.prior),
         };
         let to_solve = jobs.iter().filter(|job| job.reused.is_none()).count();
         let outcomes: Vec<_> = if !parallel || to_solve <= 1 {
@@ -529,12 +578,16 @@ pub(crate) fn synthesize_waves(
         for (job, outcome) in jobs.into_iter().zip(outcomes) {
             let mode = job.mode;
             match outcome {
-                Ok((schedule, artifact)) => {
+                Ok(SolvedMode {
+                    schedule,
+                    warm: artifact,
+                    seeded,
+                }) => {
                     if job.reused.is_some() {
                         report.modes_reused += 1;
                     } else {
                         report.modes_resolved += 1;
-                        report.warm_started_modes += usize::from(job.warm.is_some());
+                        report.warm_started_modes += usize::from(seeded);
                         report.solved_milp_nodes += schedule.stats.nodes_explored;
                         report.solved_simplex_iterations += schedule.stats.simplex_iterations;
                     }
@@ -895,9 +948,10 @@ mod tests {
         let app = sys.application_id("ctrl").expect("app exists");
         let mut pins = InheritedOffsets::none();
         pins.import_application(&sys, app, &schedule);
-        let (pinned, _) = HeuristicSynthesizer
-            .synthesize(&sys, mode, &config(), &pins, None)
-            .expect("pins honored");
+        let pinned = HeuristicSynthesizer
+            .synthesize(&sys, mode, &config(), &pins, ModePrior::default())
+            .expect("pins honored")
+            .schedule;
         for (t, &offset) in &schedule.task_offsets {
             assert!(
                 (pinned.task_offsets[t] - offset).abs() < 1e-6,
@@ -906,9 +960,16 @@ mod tests {
             );
         }
         // Without pins the heuristic backend works through the same trait.
-        let (greedy, _) = HeuristicSynthesizer
-            .synthesize(&sys, mode, &config(), &InheritedOffsets::none(), None)
-            .expect("feasible");
+        let greedy = HeuristicSynthesizer
+            .synthesize(
+                &sys,
+                mode,
+                &config(),
+                &InheritedOffsets::none(),
+                ModePrior::default(),
+            )
+            .expect("feasible")
+            .schedule;
         assert!(greedy.num_rounds() >= 2);
     }
 

@@ -25,6 +25,9 @@
 //!   optimum respects the dense oracle's relaxation bound;
 //! * a schedule served from the fingerprint-keyed cache byte-matches fresh
 //!   synthesis;
+//! * an incremental re-synthesis byte-matches a from-scratch solve; a mode
+//!   whose edit only tightens its ILP skips only round counts re-proven
+//!   infeasible here, and any other edit sweeps from the slot bound;
 //! * the static analyzer is sound: every mode it certifies infeasible is
 //!   proven infeasible by the gate-free ILP sweep (zero false positives);
 //! * the `AnalyzeFirst` gate is invisible: gate-on and gate-off pipelines
@@ -40,16 +43,22 @@
 //! TTW_TEST_SEEDS=1 TTW_TEST_SEED_START=37 cargo test --test differential
 //! ```
 
-use ttw::core::cache::{synthesize_system_cached, CacheOutcome, ScheduleCache};
+use ttw::core::cache::{synthesis_key, synthesize_system_cached, CacheOutcome, ScheduleCache};
 use ttw::core::export::system_schedule_to_json;
+use ttw::core::resynth::{resynthesize_system, ResynthesisReport};
 use ttw::core::synthesis::{
-    synthesize_mode, synthesize_system, HeuristicSynthesizer, IlpSynthesizer, Synthesizer,
+    synthesize_mode, synthesize_system, HeuristicSynthesizer, IlpSynthesizer, ModePrior,
+    Synthesizer,
 };
+use ttw::core::time::{millis, Micros};
 use ttw::core::validate::{validate_schedule, validate_system_schedule};
-use ttw::core::{feasibility, ilp, InheritedOffsets, ScheduleError};
+use ttw::core::{
+    feasibility, fixtures, ilp, ApplicationSpec, InheritedOffsets, ModeGraph, ModeId, ModeSchedule,
+    ScheduleError, SchedulerConfig, SynthesisStats, System, SystemSchedule, TaskId,
+};
 use ttw::testkit::{generate, GeneratorConfig, GraphShape, InfeasibleKind, Scenario};
 use ttw_milp::dense::compare_relaxations;
-use ttw_milp::{audit_model, AuditSeverity};
+use ttw_milp::{audit_model, AuditSeverity, ConstraintOp, LinExpr, Model};
 
 /// Absolute tolerance (µs) for latency comparisons (same as the validator).
 const LATENCY_TOL: f64 = 0.5;
@@ -170,8 +179,9 @@ fn generated_scenarios_uphold_the_differential_invariants() {
                         let donor = result.get(donor_mode).expect("donor precedes heir");
                         pins.import_application(sys, app, donor);
                     }
-                    let Ok((greedy, _)) =
-                        HeuristicSynthesizer.synthesize(sys, mode, &config, &pins, None)
+                    let Ok(greedy) = HeuristicSynthesizer
+                        .synthesize(sys, mode, &config, &pins, ModePrior::default())
+                        .map(|solved| solved.schedule)
                     else {
                         continue; // incompleteness is allowed; wrongness is not
                     };
@@ -381,7 +391,7 @@ fn generated_multi_rate_modes_are_rejected_not_mis_scheduled() {
         for mode in scenario.multi_rate_modes() {
             multi_rate_modes_seen += 1;
             let pins = InheritedOffsets::none();
-            match HeuristicSynthesizer.synthesize(sys, mode, &config, &pins, None) {
+            match HeuristicSynthesizer.synthesize(sys, mode, &config, &pins, ModePrior::default()) {
                 Err(failure) => assert!(
                     matches!(failure.error, ScheduleError::Unsupported { .. }),
                     "heuristic rejected multi-rate {mode} with the wrong error \
@@ -958,17 +968,195 @@ fn numerically_hard_cut_root_degrades_instead_of_failing() {
     assert!(violations.is_empty(), "invalid schedule: {violations:?}");
 }
 
+/// One admission edit: the predecessor's schedule, and the edited system
+/// both solved from scratch and re-synthesized from the cached predecessor.
+struct Admission {
+    predecessor: SystemSchedule,
+    scratch: SystemSchedule,
+    incremental: SystemSchedule,
+    report: ResynthesisReport,
+}
+
+/// Caches a solve of `system`, then solves `edited` from scratch and
+/// re-synthesizes it from the cached predecessor. Asserts the incremental
+/// admission invariant: the same verdict, and byte-identical content (solver
+/// work counters stripped: warm starts and round floors change how fast the
+/// solver gets to the optimum, never which optimum the tie-broken ILP
+/// selects). `None` when the predecessor or the edited system is infeasible.
+fn admit(
+    system: &System,
+    graph: &ModeGraph,
+    config: &SchedulerConfig,
+    edited: &System,
+    repro: &str,
+) -> Option<Admission> {
+    let backend = IlpSynthesizer;
+    let cache = ScheduleCache::in_memory();
+    // An infeasible predecessor leaves nothing to resynthesize from.
+    let (predecessor, _) =
+        synthesize_system_cached(system, graph, config, &backend, &cache).ok()?;
+    let predecessor_key = synthesis_key(system, graph, config, backend.name());
+
+    let scratch = synthesize_system(edited, graph, config, &backend);
+    let incremental =
+        resynthesize_system(edited, graph, config, &backend, &cache, &predecessor_key);
+    match (scratch, incremental) {
+        (Ok(scratch), Ok((incremental, report))) => {
+            assert!(report.predecessor_found, "{repro}");
+            assert_eq!(
+                report.modes_reused + report.modes_resolved,
+                scratch.num_modes(),
+                "{repro}"
+            );
+            assert_eq!(
+                system_schedule_to_json(&scratch.content_only()).expect("serialize"),
+                system_schedule_to_json(&incremental.content_only()).expect("serialize"),
+                "incremental result diverged from scratch: {repro}"
+            );
+            Some(Admission {
+                predecessor,
+                scratch,
+                incremental,
+                report,
+            })
+        }
+        (Err(_), Err(_)) => None,
+        (scratch, incremental) => panic!(
+            "verdict mismatch: scratch {:?} vs incremental {:?} ({repro})",
+            scratch.map(|_| "ok"),
+            incremental.map(|_| "ok"),
+        ),
+    }
+}
+
+/// `system` with `delta` µs added to the WCET of every task in `edit`.
+fn with_wcets_moved(system: &System, edit: &[TaskId], delta: i64) -> System {
+    let mut edited = system.clone();
+    for &task in edit {
+        let wcet = edited.task(task).wcet.saturating_add_signed(delta);
+        edited
+            .set_task_wcet(task, wcet)
+            .expect("edited WCET is non-zero");
+    }
+    edited
+}
+
+/// The admission edit of a generated scenario: the first task of an
+/// application of the last mode, preferring one private to that mode (the
+/// smallest possible edit).
+fn admission_task(scenario: &Scenario) -> TaskId {
+    let system = &scenario.system;
+    let last_mode = *scenario.modes().last().expect("modes exist");
+    let apps = &system.mode(last_mode).applications;
+    let app = apps
+        .iter()
+        .copied()
+        .find(|&a| system.modes_of_application(a).len() == 1)
+        .unwrap_or(apps[0]);
+    system.application(app).tasks[0]
+}
+
+/// Three applications whose senders share node `a`, each sending one
+/// message to its receiver on node `b`. A round serves only messages whose
+/// senders have finished, so under a deadline one round cannot wait for all
+/// three: at `T_r` = 10 ms, a 20 ms WCET and a 40 ms deadline the mode needs
+/// two rounds; a 10 ms WCET or a 60 ms deadline lets one round do.
+fn three_senders(wcet: Micros, deadline: Micros) -> (System, ModeGraph) {
+    let mut system = System::new();
+    system.add_node("a").expect("node");
+    system.add_node("b").expect("node");
+    let apps: Vec<_> = ["s0", "s1", "s2"]
+        .iter()
+        .map(|name| {
+            let (send, receive) = (format!("{name}.send"), format!("{name}.receive"));
+            let spec = ApplicationSpec::new(*name, millis(100), deadline)
+                .with_task(send.as_str(), "a", wcet)
+                .with_task(receive.as_str(), "b", millis(1))
+                .with_message(
+                    format!("{name}.m").as_str(),
+                    [send.as_str()],
+                    [receive.as_str()],
+                );
+            system.add_application(&spec).expect("valid application")
+        })
+        .collect();
+    system.add_mode("only", &apps).expect("valid mode");
+    let graph = ModeGraph::complete(&system);
+    (system, graph)
+}
+
+/// The configuration [`three_senders`] is sized for: 10 ms rounds of 5 slots.
+fn three_senders_config() -> SchedulerConfig {
+    SchedulerConfig::new(millis(10), 5)
+}
+
+/// The offsets `mode` inherits in `schedule`: each inherited application's
+/// offsets as its donor mode holds them.
+fn pins_of(system: &System, schedule: &SystemSchedule, mode: ModeId) -> InheritedOffsets {
+    let mut pins = InheritedOffsets::none();
+    for (&app, &donor) in &schedule.inheritance[&mode] {
+        let donor = schedule.get(donor).expect("donors precede their heirs");
+        pins.import_application(system, app, donor);
+    }
+    pins
+}
+
+/// Asserts that `tight` is a right-hand-side tightening of `loose`, row by
+/// row: the same variables (names, kinds, bitwise bounds), the same
+/// objective, the same rows (names, operators, coefficients), and every
+/// right-hand side moved only inward — lower on a `≤` row, higher on a `≥`
+/// row, unchanged on an equality. Every point feasible for `tight` is then
+/// feasible for `loose`.
+fn assert_rhs_tightening(loose: &Model, tight: &Model, context: &str) {
+    assert_eq!(loose.num_vars(), tight.num_vars(), "{context}");
+    for ((_, a), (_, b)) in loose.variables().zip(tight.variables()) {
+        assert_eq!(a.name, b.name, "{context}");
+        assert_eq!(a.kind, b.kind, "{}: {context}", a.name);
+        assert_eq!(
+            a.lower.to_bits(),
+            b.lower.to_bits(),
+            "{}: {context}",
+            a.name
+        );
+        assert_eq!(
+            a.upper.to_bits(),
+            b.upper.to_bits(),
+            "{}: {context}",
+            a.name
+        );
+    }
+    let terms = |expr: &LinExpr| -> Vec<_> { expr.iter().map(|(v, c)| (v, c.to_bits())).collect() };
+    let ((loose_objective, loose_sense), (tight_objective, tight_sense)) =
+        (loose.objective(), tight.objective());
+    assert_eq!(loose_sense, tight_sense, "{context}");
+    assert_eq!(terms(loose_objective), terms(tight_objective), "{context}");
+    assert_eq!(
+        loose.num_constraints(),
+        tight.num_constraints(),
+        "{context}"
+    );
+    for (a, b) in loose.constraints().zip(tight.constraints()) {
+        assert_eq!(a.name, b.name, "{context}");
+        assert_eq!(a.op, b.op, "{}: {context}", a.name);
+        assert_eq!(terms(&a.expr), terms(&b.expr), "{}: {context}", a.name);
+        let inward = match a.op {
+            ConstraintOp::Le => b.rhs <= a.rhs,
+            ConstraintOp::Ge => b.rhs >= a.rhs,
+            ConstraintOp::Eq => b.rhs.to_bits() == a.rhs.to_bits(),
+        };
+        assert!(
+            inward,
+            "{}: rhs {} → {} loosens the row ({context})",
+            a.name, a.rhs, b.rhs
+        );
+    }
+}
+
 /// The incremental admission invariant: `resynthesize_system` from a cached
 /// predecessor produces the *same schedule* as a from-scratch solve of the
-/// edited system — same verdict, and byte-identical content (solver work
-/// counters stripped: warm starts change how fast the solver gets to the
-/// optimum, never which optimum the tie-broken ILP selects).
+/// edited system (see [`admit`]).
 #[test]
 fn incremental_resynthesis_matches_from_scratch() {
-    use ttw::core::cache::synthesis_key;
-    use ttw::core::resynth::{resynthesize_system, ResynthesisReport};
-    use ttw::core::{fixtures, ModeGraph, SchedulerConfig, System, TaskId};
-
     // Solves `system`, bumps the WCET of every task in `edit` by one, then
     // compares a from-scratch solve of the edited system with its incremental
     // re-synthesis. Returns the report when both are feasible.
@@ -978,65 +1166,25 @@ fn incremental_resynthesis_matches_from_scratch() {
                  edit: &[TaskId],
                  repro: &str|
      -> Option<ResynthesisReport> {
-        let backend = IlpSynthesizer;
-        let cache = ScheduleCache::in_memory();
-        // An infeasible predecessor leaves nothing to resynthesize from.
-        synthesize_system_cached(system, graph, config, &backend, &cache).ok()?;
-        let predecessor_key = synthesis_key(system, graph, config, backend.name());
-
-        let mut edited = system.clone();
-        for &task in edit {
-            let wcet = edited.task(task).wcet;
-            edited
-                .set_task_wcet(task, wcet + 1)
-                .expect("bumped WCET is non-zero");
-        }
-
-        let scratch = synthesize_system(&edited, graph, config, &backend);
-        let incremental =
-            resynthesize_system(&edited, graph, config, &backend, &cache, &predecessor_key);
-        match (scratch, incremental) {
-            (Ok(scratch), Ok((incremental, report))) => {
-                assert!(report.predecessor_found, "{repro}");
-                assert_eq!(
-                    report.modes_reused + report.modes_resolved,
-                    scratch.num_modes(),
-                    "{repro}"
-                );
-                assert!(report.modes_resolved >= 1, "{repro}");
-                assert_eq!(
-                    system_schedule_to_json(&scratch.content_only()).expect("serialize"),
-                    system_schedule_to_json(&incremental.content_only()).expect("serialize"),
-                    "incremental result diverged from scratch: {repro}"
-                );
-                Some(report)
-            }
-            (Err(_), Err(_)) => None,
-            (scratch, incremental) => panic!(
-                "verdict mismatch: scratch {:?} vs incremental {:?} ({repro})",
-                scratch.map(|_| "ok"),
-                incremental.map(|_| "ok"),
-            ),
-        }
+        let edited = with_wcets_moved(system, edit, 1);
+        let admission = admit(system, graph, config, &edited, repro)?;
+        assert!(admission.report.modes_resolved >= 1, "{repro}");
+        Some(admission.report)
     };
 
     let start = seed_start();
     let mut exercised = 0usize;
     for seed in start..start + seed_count(8) as u64 {
         let scenario = scenario_for_seed(seed, false);
-        // The admission edit: bump one WCET in the last mode, preferring an
-        // application private to that mode (the smallest possible edit).
-        let system = &scenario.system;
-        let last_mode = *scenario.modes().last().expect("modes exist");
-        let apps = &system.mode(last_mode).applications;
-        let app = apps
-            .iter()
-            .copied()
-            .find(|&a| system.modes_of_application(a).len() == 1)
-            .unwrap_or(apps[0]);
-        let task = system.application(app).tasks[0];
+        let task = admission_task(&scenario);
         let config = scenario.scheduler_config();
-        let report = check(system, &scenario.graph, &config, &[task], &scenario.repro());
+        let report = check(
+            &scenario.system,
+            &scenario.graph,
+            &config,
+            &[task],
+            &scenario.repro(),
+        );
         exercised += usize::from(report.is_some());
     }
     if !knobs_overridden() {
@@ -1065,15 +1213,241 @@ fn incremental_resynthesis_matches_from_scratch() {
     );
 }
 
+/// A re-solve whose ILP only tightens the predecessor's starts its `R_M`
+/// sweep at the predecessor's round count. For every mode that started above
+/// the slot bound, each skipped count is re-proven here:
+///
+/// * the edited mode's ILP at that count is a right-hand-side tightening of
+///   the predecessor's, row by row, pins included;
+/// * a gate-free solve of it is infeasible;
+/// * the floor removes only the failed attempts: the skipped counts' own
+///   sweep (capped below the floor) followed by the floored sweep adds up,
+///   counter for counter, to a sweep from the slot bound with the same seed,
+///   and both land on the same schedule.
+#[test]
+fn floored_sweeps_skip_only_counts_proven_infeasible() {
+    // Per case: predecessor, graph, config, edited system, repro.
+    let mut cases: Vec<(System, ModeGraph, SchedulerConfig, System, String)> = Vec::new();
+    let start = seed_start();
+    for seed in start..start + seed_count(8) as u64 {
+        let scenario = scenario_for_seed(seed, false);
+        let edited = with_wcets_moved(&scenario.system, &[admission_task(&scenario)], 1);
+        let (config, repro) = (scenario.scheduler_config(), scenario.repro());
+        cases.push((scenario.system, scenario.graph, config, edited, repro));
+    }
+    // Two rounds at a 40 ms deadline; +1 µs of WCET and −1 ms of deadline
+    // both keep two rounds.
+    let (system, graph) = three_senders(millis(20), millis(40));
+    for (wcet, deadline, label) in [
+        (millis(20) + 1, millis(40), "three senders, +1 µs WCET"),
+        (millis(20), millis(39), "three senders, −1 ms deadline"),
+    ] {
+        let (edited, _) = three_senders(wcet, deadline);
+        cases.push((
+            system.clone(),
+            graph.clone(),
+            three_senders_config(),
+            edited,
+            label.into(),
+        ));
+    }
+
+    let backend = IlpSynthesizer;
+    let mut skipped = 0usize;
+    for (system, graph, config, edited, repro) in &cases {
+        let cache = ScheduleCache::in_memory();
+        let Ok((predecessor, _)) =
+            synthesize_system_cached(system, graph, config, &backend, &cache)
+        else {
+            continue;
+        };
+        let key = synthesis_key(system, graph, config, backend.name());
+        let artifacts = cache.artifacts(&key).expect("stored with the predecessor");
+        let Ok((incremental, _)) =
+            resynthesize_system(edited, graph, config, &backend, &cache, &key)
+        else {
+            continue;
+        };
+        for (mode, solved) in incremental.iter() {
+            let stats = &solved.stats;
+            let slot_bound =
+                feasibility::message_instances(edited, mode).div_ceil(config.slots_per_round);
+            let floor = stats.rounds_attempted[0];
+            if floor == slot_bound {
+                continue;
+            }
+            let context = format!("{mode} skipped {slot_bound}..{floor} ({repro})");
+            let old = predecessor.get(mode).expect("solved");
+            assert_eq!(
+                old.num_rounds(),
+                floor,
+                "the floor is the predecessor's round count: {context}"
+            );
+            let old_pins = pins_of(system, &predecessor, mode);
+            let pins = pins_of(edited, &incremental, mode);
+            for rounds in slot_bound..floor {
+                let loose = ilp::build_ilp_inherited(system, mode, config, rounds, &old_pins)
+                    .expect("valid instance");
+                let tight = ilp::build_ilp_inherited(edited, mode, config, rounds, &pins)
+                    .expect("valid instance");
+                assert_rhs_tightening(&loose.model, &tight.model, &context);
+                let proof = tight.model.solve().expect("solver runs");
+                assert!(!proof.is_optimal(), "R = {rounds} is feasible: {context}");
+                skipped += 1;
+            }
+
+            // The same sweep from the slot bound, seeded alike, lands on the
+            // same schedule; its failed attempts alone make up the difference.
+            let prior = ModePrior {
+                warm: artifacts.warm.get(&mode),
+                floor: 0,
+            };
+            let from_bottom = backend
+                .synthesize(edited, mode, config, &pins, prior)
+                .expect("feasible from the slot bound")
+                .schedule;
+            let failed = backend
+                .synthesize(
+                    edited,
+                    mode,
+                    &config.clone().with_max_rounds(floor - 1),
+                    &pins,
+                    prior,
+                )
+                .expect_err("every count below the floor is infeasible");
+            let mut sum = failed.stats;
+            sum.solver.add_attempt(&stats.solver);
+            sum.rounds_attempted.extend(&stats.rounds_attempted);
+            sum.variables = stats.variables;
+            sum.constraints = stats.constraints;
+            assert_eq!(sum, from_bottom.stats, "{context}");
+            assert_eq!(
+                ModeSchedule {
+                    stats: SynthesisStats::default(),
+                    ..from_bottom
+                },
+                ModeSchedule {
+                    stats: SynthesisStats::default(),
+                    ..solved.clone()
+                },
+                "{context}"
+            );
+        }
+    }
+    if !knobs_overridden() {
+        assert!(skipped >= 3, "no count was skipped: {skipped}");
+    }
+    eprintln!("round floors: {skipped} skipped counts re-proven infeasible");
+}
+
+/// An edit that loosens a mode — a WCET decrease, a deadline increase —
+/// gets no floor: its sweep starts at the slot bound, attempts exactly the
+/// counts a from-scratch solve attempts, and may win below the predecessor's
+/// round count. A predecessor basis is counted as a warm start only when the
+/// sweep reaches its round count.
+#[test]
+fn loosening_edits_sweep_from_the_bottom() {
+    let check = |system: &System,
+                 graph: &ModeGraph,
+                 config: &SchedulerConfig,
+                 edited: &System,
+                 repro: &str|
+     -> Option<Admission> {
+        let admission = admit(system, graph, config, edited, repro)?;
+        for (mode, stats) in &admission.incremental.stats {
+            assert_eq!(
+                stats.rounds_attempted, admission.scratch.stats[mode].rounds_attempted,
+                "{mode} ({repro})"
+            );
+        }
+        Some(admission)
+    };
+
+    // The round count drops from two to one.
+    let (system, graph) = three_senders(millis(20), millis(40));
+    let config = three_senders_config();
+    let edits = [
+        (
+            three_senders(millis(10), millis(40)).0,
+            "three senders, −10 ms WCET",
+        ),
+        (
+            three_senders(millis(20), millis(60)).0,
+            "three senders, +20 ms deadline",
+        ),
+    ];
+    for (edited, repro) in &edits {
+        let admission = check(&system, &graph, &config, edited, repro).expect("feasible");
+        let mode = ModeId::from_index(0);
+        assert_eq!(
+            admission
+                .predecessor
+                .get(mode)
+                .expect("solved")
+                .num_rounds(),
+            2,
+            "{repro}"
+        );
+        assert_eq!(
+            admission
+                .incremental
+                .get(mode)
+                .expect("solved")
+                .num_rounds(),
+            1,
+            "{repro}"
+        );
+        assert_eq!(
+            admission.incremental.stats[&mode].rounds_attempted,
+            [1],
+            "{repro}"
+        );
+        assert_eq!(
+            admission.report,
+            ResynthesisReport {
+                predecessor_found: true,
+                modes_reused: 0,
+                modes_resolved: 1,
+                warm_started_modes: 0,
+                solved_milp_nodes: admission.incremental.stats[&mode].nodes_explored,
+                solved_simplex_iterations: admission.incremental.stats[&mode].simplex_iterations,
+            },
+            "the basis cached at two rounds never reached the solver ({repro})"
+        );
+    }
+
+    // −1 µs on the admission task of generated scenarios.
+    let start = seed_start();
+    let mut exercised = 0usize;
+    for seed in start..start + seed_count(8) as u64 {
+        let scenario = scenario_for_seed(seed, false);
+        let task = admission_task(&scenario);
+        if scenario.system.task(task).wcet == 1 {
+            continue;
+        }
+        let edited = with_wcets_moved(&scenario.system, &[task], -1);
+        let config = scenario.scheduler_config();
+        let admission = check(
+            &scenario.system,
+            &scenario.graph,
+            &config,
+            &edited,
+            &scenario.repro(),
+        );
+        exercised += usize::from(admission.is_some());
+    }
+    if !knobs_overridden() {
+        assert!(exercised >= 3, "sweep was vacuous: {exercised} scenarios");
+    }
+}
+
 /// Stale warm material must be harmless: re-synthesizing system B from
 /// system A's cached entry (same config, different structure) finds zero
-/// reusable modes and possibly shape-mismatched bases — and still lands on
-/// exactly the schedule a cold from-scratch solve of B produces.
+/// reusable modes, no round floor and possibly shape-mismatched bases — and
+/// still lands on exactly the schedule a cold from-scratch solve of B
+/// produces, attempting exactly the round counts that solve attempts.
 #[test]
 fn mismatched_predecessor_degrades_to_cold_with_identical_schedule() {
-    use ttw::core::cache::synthesis_key;
-    use ttw::core::resynth::resynthesize_system;
-
     let family = GeneratorConfig::small(3, GraphShape::Chain);
     let a = generate(&family, 11);
     let b = generate(&family, 12);
@@ -1093,10 +1467,20 @@ fn mismatched_predecessor_degrades_to_cold_with_identical_schedule() {
     assert_eq!(report.modes_reused, 0, "nothing of A is reusable for B");
     assert_eq!(report.modes_resolved, scratch.num_modes());
     assert_eq!(
+        report.warm_started_modes, 3,
+        "only bases that fit B's models are installed"
+    );
+    assert_eq!(
         system_schedule_to_json(&scratch.content_only()).expect("serialize"),
         system_schedule_to_json(&incremental.content_only()).expect("serialize"),
         "stale predecessor changed the solution"
     );
+    for (mode, stats) in &incremental.stats {
+        assert_eq!(
+            stats.rounds_attempted, scratch.stats[mode].rounds_attempted,
+            "a structural edit gets no round floor: {mode}"
+        );
+    }
 
     // A predecessor key that simply does not exist degrades to a plain full
     // synthesis: exact byte identity, solver counters included.
