@@ -1,7 +1,7 @@
 //! Mode-graph synthesis (Sec. V) — inherited multi-mode synthesis against
 //! independent per-mode synthesis, the sparse revised
 //! simplex against the dense reference tableau, and the 4-mode diamond
-//! stressing the parallel synthesis waves.
+//! whose synthesis waves are wider than one mode.
 //!
 //! Measured workloads:
 //!
@@ -17,7 +17,7 @@
 //!   counts.
 //! * **diamond**: `fixtures::four_mode_diamond()`
 //!   (`boot → normal → {emergency, maintenance}`), whose three non-boot
-//!   modes form one parallel wave of `synthesize_system`; the bench asserts
+//!   modes form one wave of `synthesize_system`; the bench asserts
 //!   switch-consistency of the shared application across all four modes.
 //!
 //! * **schedule cache**: the inherited two-mode synthesis through
@@ -77,7 +77,7 @@ fn synthesize_inherited() -> SystemSchedule {
     synthesize_system(&sys, &graph, &config(), &IlpSynthesizer).expect("feasible")
 }
 
-/// The 4-mode diamond through the (parallel-wave) mode-graph pipeline.
+/// The 4-mode diamond through the mode-graph pipeline.
 fn synthesize_diamond() -> SystemSchedule {
     let (sys, graph, _) = fixtures::four_mode_diamond();
     synthesize_system(&sys, &graph, &config(), &IlpSynthesizer).expect("feasible")
@@ -202,13 +202,13 @@ fn main() {
     // Inherited synthesis must be switch-consistent by construction …
     let (sys, graph, _, _) = fixtures::two_mode_graph();
     assert!(
-        check_cross_mode_consistency(&sys, &inherited).is_empty(),
+        check_cross_mode_consistency(&sys, inherited.schedules.values()).is_empty(),
         "inherited synthesis must keep shared applications switch-consistent"
     );
-    // … and so must the 4-mode diamond, whose leaves are synthesized on
-    // parallel workers.
+    // … and so must the 4-mode diamond, whose leaves share one wave.
     let (diamond_sys, _, _) = fixtures::four_mode_diamond();
-    let diamond_consistent = check_cross_mode_consistency(&diamond_sys, &diamond).is_empty();
+    let diamond_consistent =
+        check_cross_mode_consistency(&diamond_sys, diamond.schedules.values()).is_empty();
     assert!(
         diamond_consistent,
         "diamond synthesis must keep the shared application switch-consistent"
@@ -246,7 +246,7 @@ fn main() {
     );
     eprintln!(
         "{:<28} {:>9.3} s {:>12} {:>14} {:>19} µs",
-        "diamond (4 modes, parallel)",
+        "diamond (4 modes)",
         diamond_s,
         diamond_totals.nodes_explored,
         diamond_totals.simplex_iterations,

@@ -1,29 +1,25 @@
-//! Parallel-scaling of multi-mode synthesis over generated N-mode graphs.
+//! Scaling of multi-mode synthesis over generated N-mode graphs.
 //!
 //! The `mode_graph_synthesis` bench measures the fixed 2- and 4-mode
 //! fixtures; this bench closes the ROADMAP item "bench scaling in the number
 //! of modes": it sweeps `ttw-testkit` scenarios with N ∈ {2, 4, 8, 16, 32}
-//! modes across three graph shapes — a chain (inheritance forces fully
-//! sequential synthesis), a diamond (all middle modes form one wide parallel
-//! wave) and a layered DAG (bounded-width waves) — and runs the sequential
-//! driver (`synthesize_system_sequential`) and the parallel wave driver
-//! (`synthesize_system`) once each on identical workloads, asserting they
-//! produce the identical, valid deployment.
+//! modes across three graph shapes — a chain (one mode per wave), a diamond
+//! (all middle modes form one wide wave) and a layered DAG (bounded-width
+//! waves) — and runs `synthesize_system` once per scenario, asserting the
+//! deployment is valid.
 //!
 //! Per (shape, N) combination the wave structure (count and maximum width)
 //! and the solver work counters go to `BENCH_mode_scaling.json` at the
 //! workspace root, which the CI perf-regression job regenerates and diffs
-//! against the committed copy; the two wall times and their ratio are printed
-//! on stderr only. Every scenario also records the `AnalyzeFirst` fast-fail
-//! count (`analyze_fast_fails`, 0 on this feasible family), and an
-//! `infeasible` section sweeps the provably infeasible
-//! `GeneratorConfig::infeasible` family to demonstrate that the gate rejects
-//! certified modes without spending a single B&B node.
+//! against the committed copy; the wall time is printed on stderr only.
+//! Every scenario also records the `AnalyzeFirst` fast-fail count
+//! (`analyze_fast_fails`, 0 on this feasible family), and an `infeasible`
+//! section sweeps the provably infeasible `GeneratorConfig::infeasible`
+//! family to demonstrate that the gate rejects certified modes without
+//! spending a single B&B node.
 
 use ttw_bench::{timed, Report};
-use ttw_core::synthesis::{
-    synthesize_mode, synthesize_system, synthesize_system_sequential, IlpSynthesizer,
-};
+use ttw_core::synthesis::{synthesize_mode, synthesize_system, IlpSynthesizer};
 use ttw_core::validate::validate_system_schedule;
 use ttw_core::SynthesisStats;
 use ttw_testkit::{generate, GeneratorConfig, GraphShape, InfeasibleKind};
@@ -47,8 +43,7 @@ struct Measurement {
     num_modes: usize,
     wave_count: usize,
     max_wave_width: usize,
-    sequential_s: f64,
-    parallel_s: f64,
+    seconds: f64,
     total_rounds: usize,
     /// Every work counter, totalled over the modes.
     totals: SynthesisStats,
@@ -61,29 +56,10 @@ fn measure(shape: GraphShape, num_modes: usize) -> Measurement {
     let backend = IlpSynthesizer;
 
     let waves = scenario.graph.synthesis_waves(sys);
-    let (sequential, sequential_s) =
-        timed(|| synthesize_system_sequential(sys, &scenario.graph, &config, &backend));
-    let sequential = sequential.unwrap_or_else(|e| {
-        panic!(
-            "{} N={num_modes} infeasible sequentially: {e}",
-            shape.name()
-        )
-    });
-    let (parallel, parallel_s) =
-        timed(|| synthesize_system(sys, &scenario.graph, &config, &backend));
-    let parallel = parallel
-        .unwrap_or_else(|e| panic!("{} N={num_modes} infeasible in parallel: {e}", shape.name()));
-
-    // Both drivers must produce the identical, valid deployment.
-    for (mode, schedule) in sequential.iter() {
-        let other = parallel.get(mode).expect("same modes");
-        assert_eq!(
-            schedule.task_offsets, other.task_offsets,
-            "driver divergence"
-        );
-        assert_eq!(schedule.rounds, other.rounds, "driver divergence");
-    }
-    let violations = validate_system_schedule(sys, &config, &parallel);
+    let (schedule, seconds) = timed(|| synthesize_system(sys, &scenario.graph, &config, &backend));
+    let schedule =
+        schedule.unwrap_or_else(|e| panic!("{} N={num_modes} infeasible: {e}", shape.name()));
+    let violations = validate_system_schedule(sys, &config, &schedule);
     assert!(violations.is_empty(), "invalid schedule: {violations:?}");
 
     Measurement {
@@ -91,10 +67,9 @@ fn measure(shape: GraphShape, num_modes: usize) -> Measurement {
         num_modes,
         wave_count: waves.len(),
         max_wave_width: waves.iter().map(Vec::len).max().unwrap_or(0),
-        sequential_s,
-        parallel_s,
-        total_rounds: parallel.iter().map(|(_, s)| s.num_rounds()).sum(),
-        totals: parallel.totals(),
+        seconds,
+        total_rounds: schedule.iter().map(|(_, s)| s.num_rounds()).sum(),
+        totals: schedule.totals(),
     }
 }
 
@@ -141,23 +116,21 @@ fn measure_infeasible(kind: InfeasibleKind) -> InfeasibleMeasurement {
 fn main() {
     let mut scenarios = Report::default();
 
-    eprintln!("\n=== Mode scaling: sequential vs parallel synthesis waves (one run each) ===");
+    eprintln!("\n=== Mode scaling: synthesis over N-mode graphs (one run each) ===");
     eprintln!(
-        "{:<10} {:>5} {:>7} {:>10} {:>14} {:>12} {:>9} {:>10}",
-        "shape", "N", "waves", "max width", "sequential", "parallel", "speedup", "simplex"
+        "{:<10} {:>5} {:>7} {:>10} {:>12} {:>10}",
+        "shape", "N", "waves", "max width", "wall", "simplex"
     );
     for shape in shapes() {
         for n in MODE_COUNTS {
             let m = measure(shape, n);
             eprintln!(
-                "{:<10} {:>5} {:>7} {:>10} {:>12.3} s {:>10.3} s {:>8.2}x {:>10}",
+                "{:<10} {:>5} {:>7} {:>10} {:>10.3} s {:>10}",
                 m.shape,
                 m.num_modes,
                 m.wave_count,
                 m.max_wave_width,
-                m.sequential_s,
-                m.parallel_s,
-                m.sequential_s / m.parallel_s.max(1e-12),
+                m.seconds,
                 m.totals.simplex_iterations,
             );
             scenarios = scenarios.section(
@@ -215,6 +188,9 @@ fn main() {
     }
     eprintln!();
 
+    // The workload label is part of the committed snapshot, so it still
+    // names the two-driver comparison the report once made; the counters are
+    // those of the one driver there is.
     Report::new(
         "mode_scaling",
         "ttw-testkit GeneratorConfig::bench scenarios, ILP backend, \

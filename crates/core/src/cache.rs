@@ -369,9 +369,8 @@ struct Persister {
 
 /// The two-tier schedule cache described in the [module docs](self).
 ///
-/// All methods take `&self`; the cache is designed to be shared across
-/// synthesis worker threads (and across the scheduler service's connection
-/// handlers) behind an `Arc`.
+/// All methods take `&self`; the cache is designed to be shared across the
+/// scheduler service's solver and connection threads behind an `Arc`.
 #[derive(Debug)]
 pub struct ScheduleCache {
     /// Disk-tier root; `None` for a memory-only cache.
@@ -907,7 +906,7 @@ pub fn synthesize_system_cached(
         CacheProbe::Corrupt => CacheOutcome::Corrupt,
         CacheProbe::Absent => CacheOutcome::Miss,
     };
-    let (schedule, warm, _) = synthesize_waves(system, graph, config, backend, true, None)?;
+    let (schedule, warm, _) = synthesize_waves(system, graph, config, backend, None)?;
     cache.store_synthesis(system, graph, config, backend, &schedule, warm);
     Ok((schedule, outcome))
 }
@@ -1381,7 +1380,7 @@ mod tests {
         let (sys, graph, _, _) = fixtures::two_mode_graph();
         let backend = IlpSynthesizer;
         let (schedule, warm, _) =
-            synthesize_waves(&sys, &graph, &config(), &backend, true, None).expect("feasible");
+            synthesize_waves(&sys, &graph, &config(), &backend, None).expect("feasible");
         assert!(!warm.is_empty(), "ILP synthesis yields root bases");
         let artifacts = SynthesisArtifacts {
             system: sys.clone(),

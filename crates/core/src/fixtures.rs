@@ -167,7 +167,8 @@ pub fn two_mode_graph() -> (System, crate::modegraph::ModeGraph, ModeId, ModeId)
 ///
 /// Because `emergency` and `maintenance` both become ready as soon as their
 /// shared donor is done and own disjoint applications, this fixture exercises
-/// the parallel wave of [`crate::synthesis::synthesize_system`]. Returned as
+/// a wave of [`crate::synthesis::synthesize_system`] wider than one mode.
+/// Returned as
 /// `(system, graph, [boot, normal, emergency, maintenance])`.
 pub fn four_mode_diamond() -> (System, crate::modegraph::ModeGraph, [ModeId; 4]) {
     let mut sys = System::new();

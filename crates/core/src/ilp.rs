@@ -60,8 +60,7 @@ struct VariableMap {
 /// instead of rebuilding the whole model per attempt.
 #[derive(Debug, Clone)]
 pub struct IlpInstance {
-    /// The underlying MILP; exposed so callers can inspect it or dump it with
-    /// [`ttw_milp::lp_format::to_lp_string`].
+    /// The underlying MILP; exposed so callers can inspect or audit it.
     pub model: Model,
     vars: VariableMap,
     /// Microseconds per internal time unit (= the round length `T_r`).
@@ -92,11 +91,6 @@ impl IlpInstance {
     /// Number of communication rounds this instance schedules.
     pub fn num_rounds(&self) -> usize {
         self.num_rounds
-    }
-
-    /// Renders the instance in CPLEX LP format for auditing.
-    pub fn to_lp_string(&self) -> String {
-        ttw_milp::lp_format::to_lp_string(&self.model)
     }
 
     /// Solves the instance, warm-starting from the basis of the previous
@@ -804,8 +798,6 @@ mod tests {
         }
         assert_eq!(instance.num_rounds(), 2);
         assert!(instance.model.num_constraints() > 20);
-        // The LP dump renders without panicking and mentions the objective.
-        assert!(instance.to_lp_string().contains("Minimize"));
     }
 
     #[test]

@@ -15,9 +15,8 @@
 //!   end-to-end latency) per mode ([`synthesis::synthesize_mode`]), lifted to
 //!   the mode graph by [`synthesis::synthesize_system`] with inherited
 //!   offsets pinned through the solver's bound-tightening API. One wave
-//!   driver solves every mode; the other system-level doors
-//!   ([`synthesis::synthesize_system_sequential`],
-//!   [`synthesis::synthesize_all_modes`], the two below) wrap it.
+//!   driver solves every mode, one after the other on the calling thread;
+//!   the two doors below are the same driver behind the cache.
 //! * [`cache`] — a fingerprint-keyed two-tier (memory, then disk) schedule
 //!   cache: [`cache::synthesize_system_cached`] skips synthesis entirely when
 //!   the same system/graph/config/backend was already solved by this build.

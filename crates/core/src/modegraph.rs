@@ -54,10 +54,9 @@ impl ModeGraph {
     /// Creates the complete switch graph over the modes of `system`: every
     /// mode can switch to every other mode.
     ///
-    /// This is the conservative default used by
-    /// [`crate::synthesis::synthesize_all_modes`]: the runtime host accepts a
-    /// change request towards any mode, so every pair must be
-    /// switch-consistent.
+    /// This is the conservative default when the legal switches are not
+    /// known: the runtime host accepts a change request towards any mode, so
+    /// every pair must be switch-consistent.
     pub fn complete(system: &System) -> Self {
         let mut graph = Self::new(system);
         for a in 0..graph.num_modes {
@@ -263,11 +262,12 @@ impl ModeGraph {
         plan
     }
 
-    /// The waves of the parallel synthesis driver: wave `k` holds the modes
-    /// whose inheritance donors all lie in waves `< k` (wave `0` holds the
-    /// modes that inherit nothing). Modes of the same wave are independent —
-    /// first-wins inheritance gives every application exactly one owner — and
-    /// [`crate::synthesis::synthesize_system`] solves them concurrently.
+    /// The waves of the synthesis driver: wave `k` holds the modes whose
+    /// inheritance donors all lie in waves `< k` (wave `0` holds the modes
+    /// that inherit nothing). Modes of the same wave are independent —
+    /// first-wins inheritance gives every application exactly one owner —
+    /// and [`crate::synthesis::synthesize_system`] solves the waves in order,
+    /// one mode at a time.
     ///
     /// Within a wave, modes keep their [`ModeGraph::synthesis_order`] relative
     /// order; concatenating the waves therefore yields a permutation of the

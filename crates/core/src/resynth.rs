@@ -25,7 +25,7 @@
 //!    below the answer costs a full branch-and-bound proof of infeasibility.
 //!    When the changed mode's ILP only *tightens* the predecessor's — the
 //!    same structure and pins, no WCET decreased, no deadline increased (see
-//!    [`round_floor`]) — every count the predecessor proved infeasible stays
+//!    `round_floor`) — every count the predecessor proved infeasible stays
 //!    infeasible, so the sweep starts at the predecessor's round count, which
 //!    is also the count its basis is seeded at. The winning attempt is the
 //!    one a sweep from the bottom would have run; only the failed attempts
@@ -194,7 +194,6 @@ pub fn resynthesize_system(
         graph,
         config,
         backend,
-        true,
         predecessor.as_ref().map(|(s, a)| (&**s, &**a)),
     )?;
     cache.store_synthesis(system, graph, config, backend, &schedule, warm);

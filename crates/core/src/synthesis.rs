@@ -13,8 +13,8 @@
 //! round count below which every count is already proven infeasible
 //! ([`ModePrior::floor`]; see [`crate::resynth`]).
 //!
-//! Multi-mode synthesis ([`synthesize_system`]) walks a [`ModeGraph`] in its
-//! deterministic synthesis order and applies *minimal inheritance*: every
+//! Multi-mode synthesis ([`synthesize_system`]) walks a [`ModeGraph`] wave by
+//! wave, on the calling thread, and applies *minimal inheritance*: every
 //! application already scheduled in an earlier mode has its task and message
 //! offsets pinned when later modes are synthesized, so all modes sharing an
 //! application agree on its timing — the switch-consistency property the
@@ -33,7 +33,7 @@ use crate::config::SchedulerConfig;
 use crate::error::ScheduleError;
 use crate::feasibility;
 use crate::heuristic;
-use crate::ids::{AppId, ModeId};
+use crate::ids::ModeId;
 use crate::ilp;
 use crate::modegraph::{InheritedOffsets, ModeGraph};
 use crate::resynth::{reusable_schedule, round_floor, ResynthesisReport};
@@ -119,11 +119,7 @@ pub struct SolvedMode {
 /// Implementations receive the offsets inherited from already-synthesized
 /// modes and must either honor them exactly or reject the request with
 /// [`ScheduleError::Unsupported`].
-///
-/// Backends must be [`Sync`]: [`synthesize_system`] synthesizes independent
-/// modes of the same mode-graph depth on parallel worker threads, all sharing
-/// one backend reference.
-pub trait Synthesizer: Sync {
+pub trait Synthesizer {
     /// Human-readable backend name (used in reports and benches).
     fn name(&self) -> &'static str;
 
@@ -354,60 +350,29 @@ impl Error for SystemSynthesisError {
 }
 
 /// Synthesizes every mode of the system over a mode graph with minimal
-/// inheritance (paper Sec. V), solving independent modes in parallel.
+/// inheritance (paper Sec. V).
 ///
-/// Modes are processed in waves: a mode is *ready* as soon as every mode it
-/// inherits from has been synthesized. All ready modes are independent —
-/// first-wins inheritance gives every application exactly one owner, so two
-/// ready modes never co-schedule the same application from scratch — and are
-/// solved concurrently on [`std::thread::scope`] workers (one wave of the
-/// 4-mode diamond fixture, for example, synthesizes `normal`, `emergency`
-/// and `maintenance` side by side once `boot` has pinned the shared
-/// application). Results and statistics are merged back in
-/// [`ModeGraph::synthesis_order`], so the outcome is deterministic and
-/// identical to the sequential pipeline.
+/// Modes are processed in the waves of [`ModeGraph::synthesis_waves`]: a
+/// mode is *ready* as soon as every mode it inherits from has been
+/// synthesized (one wave of the 4-mode diamond fixture, for example, holds
+/// `normal`, `emergency` and `maintenance` once `boot` has pinned the shared
+/// application). Every mode is solved on the calling thread, wave after
+/// wave and each wave in [`ModeGraph::synthesis_order`], so the outcome is
+/// deterministic and one call runs one solver at a time.
 ///
 /// # Errors
 ///
 /// Returns a boxed [`SystemSynthesisError`] carrying the partial
-/// [`SystemSchedule`] if any mode cannot be scheduled. As in the sequential
-/// pipeline, the partial result contains exactly the modes that precede the
-/// failed mode in the synthesis order (plus the failed mode's statistics).
+/// [`SystemSchedule`] if any mode cannot be scheduled. The partial result
+/// contains exactly the modes solved before the failed mode (plus the failed
+/// mode's statistics).
 pub fn synthesize_system(
     system: &System,
     graph: &ModeGraph,
     config: &SchedulerConfig,
     backend: &dyn Synthesizer,
 ) -> Result<SystemSchedule, Box<SystemSynthesisError>> {
-    synthesize_waves(system, graph, config, backend, true, None).map(|(schedule, ..)| schedule)
-}
-
-/// The sequential twin of [`synthesize_system`]: identical wave structure,
-/// inheritance and failure semantics, but every mode is synthesized on the
-/// calling thread.
-///
-/// The parallel driver is deterministic and always produces the same result.
-/// This twin stays as the reference that result is checked against
-/// (`sequential_driver_matches_the_parallel_driver`, and per scenario in the
-/// `mode_scaling` report) and as the baseline of the comparison that report
-/// prints. That comparison is what keeps the scoped-thread branch: on a
-/// 2-core machine with the second core free it reads 1.27 / 1.47 / 1.50× on
-/// diamonds of 8 / 16 / 32 modes and 1.32 / 1.46 / 1.27× on layered DAGs of
-/// the same sizes (one run each), 0.94–1.03× on chains, whose waves are one
-/// mode wide, and 0.92–1.12× everywhere when a neighbour holds the second
-/// core — a win wherever a wave is wider than one and a core is there to
-/// take it, never a loss.
-///
-/// # Errors
-///
-/// Exactly as [`synthesize_system`].
-pub fn synthesize_system_sequential(
-    system: &System,
-    graph: &ModeGraph,
-    config: &SchedulerConfig,
-    backend: &dyn Synthesizer,
-) -> Result<SystemSchedule, Box<SystemSynthesisError>> {
-    synthesize_waves(system, graph, config, backend, false, None).map(|(schedule, ..)| schedule)
+    synthesize_waves(system, graph, config, backend, None).map(|(schedule, ..)| schedule)
 }
 
 /// The `AnalyzeFirst` gate: when enabled, converts a mode with a static
@@ -457,35 +422,18 @@ fn solve_mode(
     }
 }
 
-/// One wave member: its pins, and what the predecessor offers for it.
-struct WaveJob<'a> {
-    mode: ModeId,
-    sources: BTreeMap<AppId, ModeId>,
-    inherited: InheritedOffsets,
-    /// The predecessor's schedule of the mode, when provably reusable.
-    reused: Option<&'a ModeSchedule>,
-    /// The predecessor's root basis of the mode — carried over verbatim with
-    /// a reused schedule, the warm start of a re-solve — and the round count
-    /// a re-solve's sweep may start at.
-    prior: ModePrior<'a>,
-}
-
 /// The wave driver behind every system-level entry point: walks the mode
 /// graph wave by wave, pins the inherited offsets, and per mode either keeps
 /// the `predecessor`'s schedule verbatim (see
 /// [`crate::resynth::reusable_schedule`]) or solves it through
-/// [`solve_mode`] — on scoped worker threads when `parallel` is set and the
-/// wave has more than one mode to solve. Returns the schedule, each mode's
-/// warm-start material and what was reused against what was solved.
-// The per-mode closures' Err is `SynthesisFailure` — see the size note on
-// `Synthesizer::synthesize`.
-#[allow(clippy::result_large_err)]
+/// [`solve_mode`], one mode after the other on the calling thread. Returns
+/// the schedule, each mode's warm-start material and what was reused against
+/// what was solved.
 pub(crate) fn synthesize_waves(
     system: &System,
     graph: &ModeGraph,
     config: &SchedulerConfig,
     backend: &dyn Synthesizer,
-    parallel: bool,
     predecessor: Option<(&SystemSchedule, &SynthesisArtifacts)>,
 ) -> Result<
     (
@@ -513,91 +461,37 @@ pub(crate) fn synthesize_waves(
         ..ResynthesisReport::default()
     };
 
-    for wave in graph.waves_of_plan(&plan) {
-        // Pin the inherited offsets for the whole wave up front (every donor
-        // lies in an earlier wave), then synthesize the wave members.
-        let jobs: Vec<WaveJob> = wave
-            .into_iter()
-            .map(|mode| {
-                let sources = plan.get(&mode).cloned().unwrap_or_default();
-                let mut inherited = InheritedOffsets::none();
-                for (&app, &source) in &sources {
-                    if let Some(donor) = result.get(source) {
-                        inherited.import_application(system, app, donor);
-                    }
-                }
-                let reused = predecessor.and_then(|(schedule, artifacts)| {
-                    reusable_schedule(system, mode, &sources, &inherited, artifacts, schedule)
-                });
-                let warm = predecessor.and_then(|(_, artifacts)| artifacts.warm.get(&mode));
-                let floor = match predecessor {
-                    Some((schedule, artifacts)) if reused.is_none() => {
-                        round_floor(system, mode, &sources, &inherited, artifacts, schedule)
-                    }
-                    _ => 0,
-                };
-                WaveJob {
-                    mode,
-                    sources,
-                    inherited,
-                    reused,
-                    prior: ModePrior { warm, floor },
-                }
-            })
-            .collect();
-
-        let run = |job: &WaveJob| match job.reused {
-            Some(schedule) => Ok(SolvedMode {
+    // Wave by wave, each wave in synthesis order: every donor lies in an
+    // earlier wave, so its schedule is merged before an heir pins it, and the
+    // first failure leaves exactly the modes ahead of it in `partial`.
+    for mode in graph.waves_of_plan(&plan).into_iter().flatten() {
+        let sources = plan.get(&mode).cloned().unwrap_or_default();
+        let mut inherited = InheritedOffsets::none();
+        for (&app, &source) in &sources {
+            if let Some(donor) = result.get(source) {
+                inherited.import_application(system, app, donor);
+            }
+        }
+        // The predecessor's root basis of the mode is carried over verbatim
+        // with a reused schedule and is the warm start of a re-solve.
+        let warm = predecessor.and_then(|(_, artifacts)| artifacts.warm.get(&mode));
+        let reused = predecessor.and_then(|(schedule, artifacts)| {
+            reusable_schedule(system, mode, &sources, &inherited, artifacts, schedule)
+        });
+        let solved = if let Some(schedule) = reused {
+            report.modes_reused += 1;
+            SolvedMode {
                 schedule: schedule.clone(),
-                warm: job.prior.warm.cloned(),
+                warm: warm.cloned(),
                 seeded: false,
-            }),
-            None => solve_mode(system, job.mode, config, backend, &job.inherited, job.prior),
-        };
-        let to_solve = jobs.iter().filter(|job| job.reused.is_none()).count();
-        let outcomes: Vec<_> = if !parallel || to_solve <= 1 {
-            jobs.iter().map(run).collect()
+            }
         } else {
-            std::thread::scope(|scope| {
-                let workers: Vec<_> = jobs
-                    .iter()
-                    .map(|job| job.reused.is_none().then(|| scope.spawn(|| run(job))))
-                    .collect();
-                jobs.iter()
-                    .zip(workers)
-                    .map(|(job, worker)| match worker {
-                        Some(worker) => worker.join().expect("synthesis worker panicked"),
-                        None => run(job),
-                    })
-                    .collect()
-            })
-        };
-
-        // Merge in synthesis order; the first failure wins and discards any
-        // later-in-order wave results, exactly like the sequential driver.
-        for (job, outcome) in jobs.into_iter().zip(outcomes) {
-            let mode = job.mode;
-            match outcome {
-                Ok(SolvedMode {
-                    schedule,
-                    warm: artifact,
-                    seeded,
-                }) => {
-                    if job.reused.is_some() {
-                        report.modes_reused += 1;
-                    } else {
-                        report.modes_resolved += 1;
-                        report.warm_started_modes += usize::from(seeded);
-                        report.solved_milp_nodes += schedule.stats.nodes_explored;
-                        report.solved_simplex_iterations += schedule.stats.simplex_iterations;
-                    }
-                    result.stats.insert(mode, schedule.stats.clone());
-                    result.inheritance.insert(mode, job.sources);
-                    result.schedules.insert(mode, schedule);
-                    if let Some(artifact) = artifact {
-                        artifacts.insert(mode, artifact);
-                    }
-                }
+            let floor = predecessor.map_or(0, |(schedule, artifacts)| {
+                round_floor(system, mode, &sources, &inherited, artifacts, schedule)
+            });
+            let prior = ModePrior { warm, floor };
+            let solved = match solve_mode(system, mode, config, backend, &inherited, prior) {
+                Ok(solved) => solved,
                 Err(failure) => {
                     result.stats.insert(mode, failure.stats);
                     return Err(Box::new(SystemSynthesisError {
@@ -606,31 +500,21 @@ pub(crate) fn synthesize_waves(
                         partial: result,
                     }));
                 }
-            }
+            };
+            report.modes_resolved += 1;
+            report.warm_started_modes += usize::from(solved.seeded);
+            report.solved_milp_nodes += solved.schedule.stats.nodes_explored;
+            report.solved_simplex_iterations += solved.schedule.stats.simplex_iterations;
+            solved
+        };
+        result.stats.insert(mode, solved.schedule.stats.clone());
+        result.inheritance.insert(mode, sources);
+        result.schedules.insert(mode, solved.schedule);
+        if let Some(artifact) = solved.warm {
+            artifacts.insert(mode, artifact);
         }
     }
     Ok((result, artifacts, report))
-}
-
-/// Synthesizes the schedules of every mode of the system with the same
-/// configuration, assuming the complete switch graph (any mode can change to
-/// any other) and therefore full cross-mode inheritance.
-///
-/// # Errors
-///
-/// Fails on the first mode that cannot be scheduled; unlike the pre-mode-graph
-/// driver, the schedules **and statistics** of earlier modes are preserved in
-/// [`SystemSynthesisError::partial`].
-pub fn synthesize_all_modes(
-    system: &System,
-    config: &SchedulerConfig,
-) -> Result<SystemSchedule, Box<SystemSynthesisError>> {
-    synthesize_system(
-        system,
-        &ModeGraph::complete(system),
-        config,
-        &IlpSynthesizer,
-    )
 }
 
 #[cfg(test)]
@@ -679,9 +563,6 @@ mod tests {
         let error = synthesize_system(&sys, &diamond, &config(), &backend).expect_err("mismatch");
         assert_eq!(error.error, expected);
         assert!(error.partial.stats.is_empty(), "nothing was attempted");
-        let error = synthesize_system_sequential(&sys, &diamond, &config(), &backend)
-            .expect_err("mismatch");
-        assert_eq!(error.error, expected);
         let cache = crate::cache::ScheduleCache::in_memory();
         let cached =
             crate::cache::synthesize_system_cached(&sys, &diamond, &config(), &backend, &cache);
@@ -789,9 +670,11 @@ mod tests {
     }
 
     #[test]
-    fn synthesize_all_modes_covers_every_mode() {
+    fn complete_graph_synthesis_covers_every_mode() {
         let (sys, normal, emergency) = fixtures::two_mode_system();
-        let result = synthesize_all_modes(&sys, &config()).expect("both modes feasible");
+        let graph = ModeGraph::complete(&sys);
+        let result = synthesize_system(&sys, &graph, &config(), &IlpSynthesizer)
+            .expect("both modes feasible");
         assert_eq!(result.num_modes(), 2);
         assert!(result.get(normal).is_some());
         assert!(result.get(emergency).is_some());
@@ -847,8 +730,8 @@ mod tests {
     #[test]
     fn diamond_mode_graph_synthesizes_switch_consistently() {
         // boot → normal → {emergency, maintenance}: after boot pins the
-        // shared control application, the other three modes form one parallel
-        // wave. The result must be deterministic and switch-consistent.
+        // shared control application, the other three modes form one wave.
+        // The result must be deterministic and switch-consistent.
         let (sys, graph, [boot, normal, emergency, maintenance]) = fixtures::four_mode_diamond();
         let result = synthesize_system(&sys, &graph, &config(), &IlpSynthesizer)
             .expect("all four modes feasible");
@@ -861,8 +744,7 @@ mod tests {
         let violations = validate_system_schedule(&sys, &config(), &result);
         assert!(violations.is_empty(), "validator found: {violations:?}");
 
-        // Running it again produces the identical schedules (parallel waves
-        // must not introduce nondeterminism).
+        // Running it again produces the identical schedules.
         let again = synthesize_system(&sys, &graph, &config(), &IlpSynthesizer)
             .expect("all four modes feasible");
         for (mode, schedule) in result.iter() {
@@ -870,23 +752,6 @@ mod tests {
             assert_eq!(schedule.task_offsets, other.task_offsets);
             assert_eq!(schedule.message_offsets, other.message_offsets);
         }
-    }
-
-    #[test]
-    fn sequential_driver_matches_the_parallel_driver() {
-        let (sys, graph, _) = fixtures::four_mode_diamond();
-        let parallel = synthesize_system(&sys, &graph, &config(), &IlpSynthesizer)
-            .expect("all four modes feasible");
-        let sequential = synthesize_system_sequential(&sys, &graph, &config(), &IlpSynthesizer)
-            .expect("all four modes feasible");
-        assert_eq!(parallel.num_modes(), sequential.num_modes());
-        for (mode, schedule) in parallel.iter() {
-            let other = sequential.get(mode).expect("same modes");
-            assert_eq!(schedule.task_offsets, other.task_offsets);
-            assert_eq!(schedule.message_offsets, other.message_offsets);
-            assert_eq!(schedule.rounds, other.rounds);
-        }
-        assert_eq!(parallel.inheritance, sequential.inheritance);
     }
 
     #[test]
@@ -926,7 +791,9 @@ mod tests {
         let m0 = sys.add_mode("first", &[ok]).expect("valid mode");
         let m1 = sys.add_mode("second", &[bad]).expect("valid mode");
 
-        let err = *synthesize_all_modes(&sys, &config()).expect_err("second mode infeasible");
+        let graph = ModeGraph::complete(&sys);
+        let err = *synthesize_system(&sys, &graph, &config(), &IlpSynthesizer)
+            .expect_err("second mode infeasible");
         assert_eq!(err.mode, m1);
         assert!(matches!(err.error, ScheduleError::Infeasible { .. }));
         // Partial progress: the first mode's schedule and stats survive.

@@ -13,6 +13,7 @@ use crate::error::ScheduleViolation;
 use crate::ids::ModeId;
 use crate::schedule::{ModeSchedule, SystemSchedule};
 use crate::system::{PrecedenceEdge, System};
+use std::collections::BTreeMap;
 
 /// Absolute tolerance (µs) used when comparing schedule times.
 const TOL: f64 = 0.5;
@@ -65,7 +66,10 @@ pub fn validate_system_schedule(
     for (mode, mode_schedule) in schedule.iter() {
         violations.extend(validate_schedule(system, mode, config, mode_schedule));
     }
-    violations.extend(check_cross_mode_consistency(system, schedule));
+    violations.extend(check_cross_mode_consistency(
+        system,
+        schedule.schedules.values(),
+    ));
     violations
 }
 
@@ -78,56 +82,62 @@ pub fn validate_system_schedule(
 /// **pairwise** over all scheduled modes containing the application (not
 /// against a single reference mode): the runtime uses the reported pairs to
 /// refuse individual switches, so every inconsistent pair must be named.
-pub fn check_cross_mode_consistency(
+///
+/// `schedules` holds at most one schedule per mode (a [`SystemSchedule`]'s
+/// `schedules.values()`, or the slice a runtime deploys); modes without one
+/// are not compared.
+pub fn check_cross_mode_consistency<'a>(
     system: &System,
-    schedule: &SystemSchedule,
+    schedules: impl IntoIterator<Item = &'a ModeSchedule>,
 ) -> Vec<ScheduleViolation> {
+    let by_mode: BTreeMap<ModeId, &ModeSchedule> = schedules
+        .into_iter()
+        .map(|schedule| (schedule.mode, schedule))
+        .collect();
+    // The offsets as compared (a missing one reads as NaN) when they differ.
+    let differ = |first: Option<f64>, second: Option<f64>| {
+        let first = first.unwrap_or(f64::NAN);
+        let second = second.unwrap_or(f64::NAN);
+        (!(first.is_finite() && second.is_finite()) || (first - second).abs() > CROSS_MODE_TOL)
+            .then_some((first, second))
+    };
     let mut violations = Vec::new();
     for (app, spec) in system.applications() {
-        let scheduled_modes: Vec<ModeId> = system
+        let scheduled: Vec<(ModeId, &ModeSchedule)> = system
             .modes_of_application(app)
             .into_iter()
-            .filter(|m| schedule.get(*m).is_some())
+            .filter_map(|mode| Some((mode, *by_mode.get(&mode)?)))
             .collect();
-        for (i, &first_mode) in scheduled_modes.iter().enumerate() {
-            let reference = schedule.get(first_mode).expect("filtered above");
-            for &second_mode in scheduled_modes.iter().skip(i + 1) {
-                let other = schedule.get(second_mode).expect("filtered above");
-                let mut mismatch = |what: String, first: Option<f64>, second: Option<f64>| {
-                    let first = first.unwrap_or(f64::NAN);
-                    let second = second.unwrap_or(f64::NAN);
-                    if !(first.is_finite() && second.is_finite())
-                        || (first - second).abs() > CROSS_MODE_TOL
-                    {
-                        violations.push(ScheduleViolation::CrossModeOffsetMismatch {
-                            app,
-                            what: what.clone(),
-                            first_mode,
-                            second_mode,
-                            first,
-                            second,
-                        });
-                    }
+        for (i, &(first_mode, reference)) in scheduled.iter().enumerate() {
+            for &(second_mode, other) in scheduled.iter().skip(i + 1) {
+                // The label is formatted only for a mismatch: a runtime built
+                // from consistent schedules compares every offset once.
+                let mut mismatch = |what: String, (first, second)| {
+                    violations.push(ScheduleViolation::CrossModeOffsetMismatch {
+                        app,
+                        what,
+                        first_mode,
+                        second_mode,
+                        first,
+                        second,
+                    });
                 };
                 for &t in &spec.tasks {
-                    mismatch(
-                        format!("task {} offset", system.task(t).name),
-                        reference.task_offset(t),
-                        other.task_offset(t),
-                    );
+                    if let Some(pair) = differ(reference.task_offset(t), other.task_offset(t)) {
+                        mismatch(format!("task {} offset", system.task(t).name), pair);
+                    }
                 }
                 for &m in &spec.messages {
                     let name = &system.message(m).name;
-                    mismatch(
-                        format!("message {name} offset"),
-                        reference.message_offset(m),
-                        other.message_offset(m),
-                    );
-                    mismatch(
-                        format!("message {name} deadline"),
-                        reference.message_deadline(m),
-                        other.message_deadline(m),
-                    );
+                    if let Some(pair) = differ(reference.message_offset(m), other.message_offset(m))
+                    {
+                        mismatch(format!("message {name} offset"), pair);
+                    }
+                    if let Some(pair) =
+                        differ(reference.message_deadline(m), other.message_deadline(m))
+                    {
+                        mismatch(format!("message {name} deadline"), pair);
+                    }
                 }
             }
         }
@@ -514,7 +524,7 @@ mod tests {
         )
         .expect("feasible");
         assert!(
-            check_cross_mode_consistency(&sys, &system_schedule).is_empty(),
+            check_cross_mode_consistency(&sys, system_schedule.schedules.values()).is_empty(),
             "inherited synthesis is consistent"
         );
         // Re-time one shared task in the emergency mode only: the runtime
@@ -528,7 +538,7 @@ mod tests {
             .task_offsets
             .get_mut(&tau3)
             .expect("offset exists") += 500.0;
-        let violations = check_cross_mode_consistency(&sys, &system_schedule);
+        let violations = check_cross_mode_consistency(&sys, system_schedule.schedules.values());
         assert!(
             violations.iter().any(|v| matches!(
                 v,
@@ -589,7 +599,7 @@ mod tests {
             .schedules
             .insert(m2, schedule_with_offset(m2, 5000.0));
 
-        let violations = check_cross_mode_consistency(&sys, &system_schedule);
+        let violations = check_cross_mode_consistency(&sys, system_schedule.schedules.values());
         let pairs: Vec<(crate::ModeId, crate::ModeId)> = violations
             .iter()
             .filter_map(|v| match v {

@@ -144,7 +144,6 @@ mod cuts;
 pub mod dense;
 pub mod error;
 pub mod expr;
-pub mod lp_format;
 pub mod model;
 mod presolve;
 pub mod simplex;

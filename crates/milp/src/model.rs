@@ -47,7 +47,7 @@ pub enum ConstraintOp {
 /// A decision variable with its bounds.
 #[derive(Debug, Clone)]
 pub struct Variable {
-    /// Human-readable name (used by the LP writer and error messages).
+    /// Human-readable name (used by the model audit and error messages).
     pub name: String,
     /// Variable kind.
     pub kind: VarKind,

@@ -58,8 +58,7 @@ pub enum RuntimeError {
     /// A mode change was requested between two modes whose schedules disagree
     /// on the offsets of a shared application. Executing the switch would
     /// silently re-time an application that keeps running across it, so a
-    /// [`crate::Simulation`] built from a
-    /// [`ttw_core::SystemSchedule`] refuses the request.
+    /// [`crate::Simulation`] refuses the request.
     SwitchInconsistent {
         /// The mode executing when the change was requested.
         from: ModeId,

@@ -193,13 +193,15 @@ impl Host {
 mod tests {
     use super::*;
     use crate::slot_table::build_mode_tables;
+    use ttw_core::synthesis::IlpSynthesizer;
     use ttw_core::time::millis;
-    use ttw_core::{fixtures, synthesis, SchedulerConfig};
+    use ttw_core::{fixtures, synthesis, ModeGraph, SchedulerConfig};
 
     fn two_mode_host() -> (Host, ModeId, ModeId) {
         let (sys, normal, emergency) = fixtures::two_mode_system();
         let config = SchedulerConfig::new(millis(10), 5);
-        let schedules = synthesis::synthesize_all_modes(&sys, &config)
+        let graph = ModeGraph::complete(&sys);
+        let schedules = synthesis::synthesize_system(&sys, &graph, &config, &IlpSynthesizer)
             .expect("feasible")
             .to_vec();
         let tables = build_mode_tables(&sys, &schedules).expect("tables build");

@@ -14,7 +14,7 @@ use crate::node::{BeaconLossPolicy, NodeRuntime, RoundBelief};
 use crate::safety::SafetyMonitor;
 use crate::slot_table::{build_mode_tables, RoundDirectory};
 use crate::stats::RuntimeStats;
-use ttw_core::{AppId, ModeId, ModeSchedule, ScheduleViolation, System, SystemSchedule};
+use ttw_core::{AppId, ModeId, ModeSchedule, ScheduleViolation, System};
 use ttw_netsim::faults::{ClockState, FaultPlan};
 use ttw_netsim::flood::{simulate_flood, FloodConfig, FloodOutcome};
 use ttw_netsim::link::LinkModel;
@@ -88,8 +88,7 @@ pub struct Simulation {
     flood_config: FloodConfig,
     config: SimulationConfig,
     stats: RuntimeStats,
-    /// Mode pairs whose schedules disagree on a shared application's offsets.
-    /// Populated only when the simulation is built from a [`SystemSchedule`];
+    /// Mode pairs whose schedules disagree on a shared application's offsets;
     /// a mode change across such a pair is refused (switch consistency).
     switch_conflicts: Vec<(ModeId, ModeId, AppId)>,
     /// Per-node simulated clock, `Some` only for nodes with a clock fault.
@@ -103,6 +102,12 @@ pub struct Simulation {
 impl Simulation {
     /// Creates a simulation of `system` executing `schedules`, starting in
     /// `initial_mode`, over an explicit topology and node placement.
+    ///
+    /// The simulation records which mode pairs are *not* switch-consistent
+    /// (shared applications with differing offsets) and refuses mode-change
+    /// requests across them — asserting at mode-change time the property the
+    /// two-phase procedure of Fig. 2 silently assumes. Schedules from the
+    /// mode-graph synthesis pipeline have no such pair.
     ///
     /// # Errors
     ///
@@ -149,6 +154,7 @@ impl Simulation {
 
         let tables = build_mode_tables(system, schedules)?;
         let directory = RoundDirectory::new(&tables);
+        let switch_conflicts = switch_conflicts(system, schedules);
         let initial_table = tables
             .iter()
             .find(|t| t.mode == initial_mode)
@@ -197,70 +203,11 @@ impl Simulation {
             flood_config,
             config,
             stats: RuntimeStats::default(),
-            switch_conflicts: Vec::new(),
+            switch_conflicts,
             clocks,
             desynced_since: vec![None; system.num_nodes()],
             monitor,
         })
-    }
-
-    /// Creates a simulation from the [`SystemSchedule`] the mode-graph
-    /// synthesis pipeline produced.
-    ///
-    /// Unlike the raw `&[ModeSchedule]` constructor, this records which mode
-    /// pairs are *not* switch-consistent (shared applications with differing
-    /// offsets) and refuses mode-change requests across them — asserting at
-    /// mode-change time the property the two-phase procedure of Fig. 2
-    /// silently assumes.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Simulation::new`].
-    pub fn from_system_schedule(
-        system: &System,
-        schedule: &SystemSchedule,
-        initial_mode: ModeId,
-        topology: Topology,
-        placement: NodePlacement,
-        config: SimulationConfig,
-    ) -> Result<Self, RuntimeError> {
-        let conflicts = switch_conflicts(system, schedule);
-        let mut sim = Self::new(
-            system,
-            &schedule.to_vec(),
-            initial_mode,
-            topology,
-            placement,
-            config,
-        )?;
-        sim.switch_conflicts = conflicts;
-        Ok(sim)
-    }
-
-    /// Convenience constructor: [`Simulation::from_system_schedule`] over a
-    /// clustered multi-hop topology (see
-    /// [`Simulation::with_clustered_topology`]).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Simulation::new`].
-    pub fn clustered_from_system_schedule(
-        system: &System,
-        schedule: &SystemSchedule,
-        initial_mode: ModeId,
-        diameter: usize,
-        config: SimulationConfig,
-    ) -> Result<Self, RuntimeError> {
-        let conflicts = switch_conflicts(system, schedule);
-        let mut sim = Self::with_clustered_topology(
-            system,
-            &schedule.to_vec(),
-            initial_mode,
-            diameter,
-            config,
-        )?;
-        sim.switch_conflicts = conflicts;
-        Ok(sim)
     }
 
     /// Convenience constructor: builds a clustered multi-hop topology with the
@@ -298,10 +245,9 @@ impl Simulation {
     /// # Errors
     ///
     /// * [`RuntimeError::UnknownMode`] for a mode without a schedule.
-    /// * [`RuntimeError::SwitchInconsistent`] if the simulation was built from
-    ///   a [`SystemSchedule`] and the current and target schedules disagree on
-    ///   a shared application's offsets — the change would re-time a running
-    ///   application.
+    /// * [`RuntimeError::SwitchInconsistent`] if the current and target
+    ///   schedules disagree on a shared application's offsets — the change
+    ///   would re-time a running application.
     pub fn request_mode_change(&mut self, target: ModeId) -> Result<(), RuntimeError> {
         let from = self.host.current_mode();
         if let Some(&(_, _, app)) = self
@@ -567,8 +513,8 @@ impl Simulation {
         &self.monitor
     }
 
-    /// Mode pairs whose schedules disagree on a shared application (empty for
-    /// simulations built from raw schedule slices).
+    /// Mode pairs whose schedules disagree on a shared application; a mode
+    /// change across one is refused.
     pub fn switch_conflicts(&self) -> &[(ModeId, ModeId, AppId)] {
         &self.switch_conflicts
     }
@@ -588,12 +534,12 @@ impl Simulation {
     }
 }
 
-/// Derives the switch-inconsistent mode pairs of a [`SystemSchedule`] from
-/// the core cross-mode validator: one entry per `(mode, mode, application)`
+/// Derives the switch-inconsistent mode pairs of deployed schedules from the
+/// core cross-mode validator: one entry per `(mode, mode, application)`
 /// whose offsets disagree.
-fn switch_conflicts(system: &System, schedule: &SystemSchedule) -> Vec<(ModeId, ModeId, AppId)> {
+fn switch_conflicts(system: &System, schedules: &[ModeSchedule]) -> Vec<(ModeId, ModeId, AppId)> {
     let mut conflicts: Vec<(ModeId, ModeId, AppId)> =
-        ttw_core::validate::check_cross_mode_consistency(system, schedule)
+        ttw_core::validate::check_cross_mode_consistency(system, schedules)
             .into_iter()
             .filter_map(|violation| match violation {
                 ScheduleViolation::CrossModeOffsetMismatch {
@@ -613,8 +559,9 @@ fn switch_conflicts(system: &System, schedule: &SystemSchedule) -> Vec<(ModeId, 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ttw_core::synthesis::IlpSynthesizer;
     use ttw_core::time::millis;
-    use ttw_core::{fixtures, synthesis, SchedulerConfig};
+    use ttw_core::{fixtures, synthesis, ModeGraph, ScheduledRound, SchedulerConfig};
 
     fn schedules(system: &System) -> (Vec<ModeSchedule>, ModeId, ModeId) {
         // The inherited pipeline keeps the shared control application
@@ -622,7 +569,8 @@ mod tests {
         // synthesizing the emergency mode from scratch.
         let config = SchedulerConfig::new(millis(10), 5);
         let modes: Vec<ModeId> = system.modes().map(|(id, _)| id).collect();
-        let schedules = synthesis::synthesize_all_modes(system, &config)
+        let graph = ModeGraph::complete(system);
+        let schedules = synthesis::synthesize_system(system, &graph, &config, &IlpSynthesizer)
             .expect("feasible")
             .to_vec();
         (schedules, modes[0], modes[1])
@@ -733,9 +681,9 @@ mod tests {
         let schedule =
             synthesis::synthesize_system(&sys, &graph, &config, &synthesis::IlpSynthesizer)
                 .expect("feasible");
-        let mut sim = Simulation::clustered_from_system_schedule(
+        let mut sim = Simulation::with_clustered_topology(
             &sys,
-            &schedule,
+            &schedule.to_vec(),
             normal,
             4,
             SimulationConfig::default(),
@@ -769,9 +717,11 @@ mod tests {
             .task_offsets
             .get_mut(&tau3)
             .expect("offset exists") += 1000.0;
-        let mut sim = Simulation::clustered_from_system_schedule(
+        // The schedules arrive as a plain slice, as every constructor takes
+        // them; the slice path used to let this switch through.
+        let mut sim = Simulation::with_clustered_topology(
             &sys,
-            &schedule,
+            &schedule.to_vec(),
             normal,
             4,
             SimulationConfig::default(),
@@ -780,19 +730,38 @@ mod tests {
         assert!(!sim.switch_conflicts().is_empty());
         let err = sim.request_mode_change(emergency).unwrap_err();
         assert!(matches!(err, RuntimeError::SwitchInconsistent { .. }));
+        sim.run_hyperperiods(2);
         assert_eq!(sim.current_mode(), normal, "the unsafe switch never ran");
-        // The raw-slice constructor keeps the old permissive behaviour.
-        let mut legacy = Simulation::with_clustered_topology(
-            &sys,
-            &schedule.to_vec(),
-            normal,
-            4,
-            SimulationConfig::default(),
-        )
-        .expect("simulation builds");
-        legacy
-            .request_mode_change(emergency)
-            .expect("raw-slice path does not assert consistency");
+        assert_eq!(sim.stats().mode_changes, 0);
+    }
+
+    #[test]
+    fn a_mode_owning_all_256_round_ids_survives_missed_beacons() {
+        // The Fig. 3 schedule padded with empty rounds up to the 256 round
+        // ids a beacon can name: the directory used to store the mode's round
+        // count as `256 as u8 = 0` and divide by it on the first beacon.
+        let (sys, mode) = fixtures::fig3_system();
+        let config = SchedulerConfig::new(millis(10), 5);
+        let mut schedule = synthesis::synthesize_mode(&sys, mode, &config).expect("feasible");
+        let round_duration = schedule.round_duration;
+        let used = schedule.num_rounds();
+        schedule.rounds.extend((used..256).map(|j| ScheduledRound {
+            start: (j as u64 * round_duration) as f64,
+            slots: vec![],
+        }));
+        schedule.hyperperiod = 256 * round_duration;
+        let sensor = sys.node_id("sensor1").expect("node").index();
+        let config = SimulationConfig {
+            forced_beacon_misses: vec![(0, sensor), (254, sensor), (255, sensor)],
+            ..SimulationConfig::default()
+        };
+        let mut sim = Simulation::with_clustered_topology(&sys, &[schedule], mode, 4, config)
+            .expect("256 rounds fit the beacon");
+        sim.run_hyperperiods(2);
+        let stats = sim.stats();
+        assert_eq!(stats.rounds_executed, 512);
+        assert_eq!(stats.beacons_missed, 3);
+        assert_eq!(stats.collisions, 0);
     }
 
     #[test]

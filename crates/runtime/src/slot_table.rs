@@ -63,7 +63,9 @@ impl ModeTable {
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RoundDirectory {
     /// `round id → (mode id, position within the mode, rounds in the mode)`.
-    entries: BTreeMap<u8, (u8, u8, u8)>,
+    /// A single mode may own all 256 round ids, so the position and count
+    /// are wider than a round id.
+    entries: BTreeMap<u8, (u8, usize, usize)>,
     /// `mode id → first round id`.
     first_round: BTreeMap<u8, u8>,
 }
@@ -74,12 +76,12 @@ impl RoundDirectory {
         let mut entries = BTreeMap::new();
         let mut first_round = BTreeMap::new();
         for table in tables {
-            let count = table.rounds.len() as u8;
+            let count = table.rounds.len();
             if let Some(first) = table.rounds.first() {
                 first_round.insert(table.mode_id, first.round_id);
             }
             for (pos, round) in table.rounds.iter().enumerate() {
-                entries.insert(round.round_id, (table.mode_id, pos as u8, count));
+                entries.insert(round.round_id, (table.mode_id, pos, count));
             }
         }
         RoundDirectory {
@@ -101,7 +103,8 @@ impl RoundDirectory {
     pub fn next_in_mode(&self, round_id: u8) -> Option<u8> {
         let &(mode, pos, count) = self.entries.get(&round_id)?;
         let first = *self.first_round.get(&mode)?;
-        Some(first.wrapping_add((pos + 1) % count))
+        // `count <= 256`, so the step back to the first round fits a `u8`.
+        Some(first.wrapping_add(((pos + 1) % count) as u8))
     }
 
     /// First round id of `mode_id`, if the mode has any round.
@@ -184,8 +187,9 @@ pub fn build_mode_tables(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ttw_core::synthesis::IlpSynthesizer;
     use ttw_core::time::millis;
-    use ttw_core::{fixtures, synthesis, SchedulerConfig};
+    use ttw_core::{fixtures, synthesis, ModeGraph, SchedulerConfig};
 
     fn fig3_tables() -> (System, Vec<ModeTable>) {
         let (sys, mode) = fixtures::fig3_system();
@@ -257,10 +261,34 @@ mod tests {
     }
 
     #[test]
+    fn round_directory_cycles_a_mode_owning_all_256_round_ids() {
+        // `build_mode_tables` admits 256 rounds in all, so one mode may own
+        // every id; its count used to be stored as `256 as u8 = 0`.
+        let table = ModeTable {
+            mode: ttw_core::ModeId::from_index(0),
+            mode_id: 0,
+            hyperperiod: 2_560_000,
+            round_duration: 10_000,
+            rounds: (0..=u8::MAX)
+                .map(|round_id| RoundEntry {
+                    round_id,
+                    start: u64::from(round_id) * 10_000,
+                    slots: vec![],
+                })
+                .collect(),
+        };
+        let dir = RoundDirectory::new(&[table]);
+        assert_eq!(dir.next_in_mode(0), Some(1));
+        assert_eq!(dir.next_in_mode(254), Some(255));
+        assert_eq!(dir.next_in_mode(255), Some(0), "cycles back to the first");
+    }
+
+    #[test]
     fn two_modes_get_disjoint_round_ids() {
         let (sys, _, _) = fixtures::two_mode_system();
         let config = SchedulerConfig::new(millis(10), 5);
-        let schedules = synthesis::synthesize_all_modes(&sys, &config)
+        let graph = ModeGraph::complete(&sys);
+        let schedules = synthesis::synthesize_system(&sys, &graph, &config, &IlpSynthesizer)
             .expect("feasible")
             .to_vec();
         let tables = build_mode_tables(&sys, &schedules).expect("tables build");

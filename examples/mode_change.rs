@@ -38,7 +38,7 @@ fn run(
         ..SimulationConfig::default()
     };
     let mut sim =
-        Simulation::clustered_from_system_schedule(&system, &schedule, normal, 4, sim_config)?;
+        Simulation::with_clustered_topology(&system, &schedule.to_vec(), normal, 4, sim_config)?;
     // Normal operation, then switch to the emergency mode mid-run.
     sim.run_hyperperiods(4);
     sim.request_mode_change(emergency)?;
@@ -95,8 +95,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             forced_beacon_misses: vec![(3, sensor1), (4, sensor1)],
             ..SimulationConfig::default()
         };
-        let mut sim =
-            Simulation::clustered_from_system_schedule(&system, &schedule, normal, 4, sim_config)?;
+        let mut sim = Simulation::with_clustered_topology(
+            &system,
+            &schedule.to_vec(),
+            normal,
+            4,
+            sim_config,
+        )?;
         sim.run_hyperperiods(1);
         sim.request_mode_change(emergency)?;
         sim.run_hyperperiods(4);

@@ -212,9 +212,8 @@ fn run_storm(sim: &mut Simulation, fixture: &Fixture, storm_seed: u64) {
     let mut rng = SplitMix64::new(storm_seed ^ 0x73746f726d);
     for _ in 0..STORM_HYPERPERIODS {
         let target = fixture.modes[rng.next_u64() as usize % fixture.modes.len()];
-        // Generated inherited synthesis is switch-consistent, and the
-        // raw-slice constructor does not track conflicts anyway: the request
-        // only ever fails for unknown modes.
+        // Generated inherited synthesis is switch-consistent, so the
+        // simulation records no conflicting pair and refuses no change.
         sim.request_mode_change(target).expect("known mode");
         sim.run_hyperperiods(1);
     }
@@ -363,7 +362,8 @@ fn pinned_legacy_violation_reproduction() {
     let run = |policy: BeaconLossPolicy| {
         let (sys, _, _) = ttw::core::fixtures::two_mode_system();
         let config = ttw::core::SchedulerConfig::new(ttw::core::time::millis(10), 5);
-        let schedules = ttw::core::synthesis::synthesize_all_modes(&sys, &config)
+        let graph = ttw::core::ModeGraph::complete(&sys);
+        let schedules = synthesize_system(&sys, &graph, &config, &IlpSynthesizer)
             .expect("feasible")
             .to_vec();
         let modes: Vec<ModeId> = sys.modes().map(|(id, _)| id).collect();
@@ -409,7 +409,8 @@ fn faults_off_matches_the_pre_fault_layer_baseline() {
     let run = |loss: f64, seed: u64, policy: BeaconLossPolicy| {
         let (sys, _, _) = ttw::core::fixtures::two_mode_system();
         let config = ttw::core::SchedulerConfig::new(ttw::core::time::millis(10), 5);
-        let schedules = ttw::core::synthesis::synthesize_all_modes(&sys, &config)
+        let graph = ttw::core::ModeGraph::complete(&sys);
+        let schedules = synthesize_system(&sys, &graph, &config, &IlpSynthesizer)
             .expect("feasible")
             .to_vec();
         let modes: Vec<ModeId> = sys.modes().map(|(id, _)| id).collect();

@@ -84,7 +84,8 @@ fn fig3_schedule_is_round_minimal_and_latency_optimal() {
 fn safety_no_collisions_under_loss_and_mode_change() {
     let (sys, normal, emergency) = fixtures::two_mode_system();
     let config = SchedulerConfig::new(millis(10), 5);
-    let schedules = synthesis::synthesize_all_modes(&sys, &config)
+    let graph = ModeGraph::complete(&sys);
+    let schedules = synthesis::synthesize_system(&sys, &graph, &config, &IlpSynthesizer)
         .expect("feasible")
         .to_vec();
     // Five seeds at 60 % loss, and a sweep from a perfect channel to 75 %
@@ -136,9 +137,9 @@ fn multi_mode_synthesis_is_switch_consistent() {
 
     // The runtime accepts the switch in both directions and stays collision
     // free end to end.
-    let mut sim = Simulation::clustered_from_system_schedule(
+    let mut sim = Simulation::with_clustered_topology(
         &sys,
-        &schedule,
+        &schedule.to_vec(),
         normal,
         4,
         SimulationConfig::default(),
