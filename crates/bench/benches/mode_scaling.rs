@@ -188,13 +188,10 @@ fn main() {
     }
     eprintln!();
 
-    // The workload label is part of the committed snapshot, so it still
-    // names the two-driver comparison the report once made; the counters are
-    // those of the one driver there is.
     Report::new(
         "mode_scaling",
         "ttw-testkit GeneratorConfig::bench scenarios, ILP backend, \
-         sequential vs parallel wave driver",
+         synthesize_system over each mode graph",
     )
     .set("generator_seed", SEED)
     .section("scenarios", scenarios)

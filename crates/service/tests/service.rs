@@ -157,6 +157,51 @@ fn infeasible_budget_reports_a_remote_error_and_keeps_the_connection() {
 }
 
 #[test]
+fn a_starved_solve_fails_every_waiting_client_and_is_not_cached() {
+    let server = start_server();
+    let addr = server.addr();
+    const CLIENTS: usize = 4;
+    let mut starved = fig3_request(BackendKind::Ilp);
+    starved.budget = BudgetCaps {
+        max_nodes: Some(0),
+        max_simplex_iterations: Some(1),
+    };
+    let expect_failure = |client: &mut Client| match client.synthesize(starved.clone()) {
+        Err(ClientError::Remote(message)) => {
+            assert!(message.contains("synthesis failed"), "{message}")
+        }
+        other => panic!("expected a remote error, got {other:?}"),
+    };
+    // A client may follow the leader's flight, or arrive after it failed
+    // and lead a flight of its own: either way it gets the failure.
+    std::thread::scope(|scope| {
+        for _ in 0..CLIENTS {
+            scope.spawn(|| expect_failure(&mut Client::connect(addr).expect("connect")));
+        }
+    });
+    let stats = server.service().snapshot();
+    assert_eq!(
+        (stats.solve_errors, stats.solved),
+        (CLIENTS, 0),
+        "{stats:?}"
+    );
+    assert_eq!(stats.cache_resident, 0, "{stats:?}");
+    assert!(stats.reconciles(), "{stats:?}");
+
+    // A failure is not cached: the same request runs, and fails, again.
+    let mut client = Client::connect(addr).expect("connect");
+    expect_failure(&mut client);
+    let stats = server.service().snapshot();
+    assert_eq!(stats.solve_errors, CLIENTS + 1, "{stats:?}");
+    assert_eq!(stats.cache_resident, 0, "{stats:?}");
+    let ok = client
+        .synthesize(fig3_request(BackendKind::Ilp))
+        .expect("a default budget solves");
+    assert_eq!(ok.served, ServedFrom::Solved);
+    assert!(server.service().snapshot().reconciles());
+}
+
+#[test]
 fn malformed_frames_get_an_error_response_not_a_hangup() {
     use ttw_service::frame::{read_frame, write_frame};
     let server = start_server();
