@@ -119,7 +119,10 @@ fn dense_vs_sparse_relaxations() -> (usize, f64, usize, f64) {
     let mut instances = Vec::new();
     for &mode in &[normal, emergency] {
         for rounds in 2..=5 {
-            instances.push(ilp::build_ilp(&sys, mode, &config(), rounds).expect("valid instance"));
+            instances.push(
+                ilp::build_ilp_inherited(&sys, mode, &config(), rounds, &InheritedOffsets::none())
+                    .expect("valid instance"),
+            );
         }
     }
 

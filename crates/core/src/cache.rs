@@ -10,9 +10,8 @@
 //! [`ScheduleCache`] keys a synthesized [`SystemSchedule`] by a content hash
 //! of everything the result depends on:
 //!
-//! * the structural fingerprint of the system and mode graph
-//!   ([`system_fingerprint`] — the same machinery `ttw_testkit::Scenario::
-//!   fingerprint` exposes for scenario reproducibility),
+//! * the structure of the system and mode graph: every node, task,
+//!   message, application, mode and switch edge in id order,
 //! * the full scheduler configuration (round length, slots, solver budgets
 //!   and tolerances, presolve switch),
 //! * the backend name, and
@@ -107,21 +106,8 @@ const MEMORY_SHARDS: usize = 16;
 /// temp-file name unique, even across cache instances sharing one directory.
 static STORE_SEQ: AtomicU64 = AtomicU64::new(0);
 
-/// A deterministic textual digest of a system and its mode graph: every
-/// node, task, message, application, mode and switch edge in id order. Two
-/// system/graph pairs are structurally identical iff their fingerprints are
-/// equal (unlike `Debug` output, which iterates name-lookup hash maps in
-/// arbitrary order).
-///
-/// `ttw_testkit::Scenario::fingerprint` delegates here, so harness
-/// reproducibility and cache keying share one definition.
-pub fn system_fingerprint(system: &System, graph: &ModeGraph) -> String {
-    let mut out = String::new();
-    // Writing into a `String` cannot fail.
-    let _ = write_fingerprint(&mut out, system, graph);
-    out
-}
-
+/// Writes the structural part of the key text: every node, task, message,
+/// application, mode and switch edge of `system` and `graph` in id order.
 fn write_fingerprint(out: &mut impl fmt::Write, system: &System, graph: &ModeGraph) -> fmt::Result {
     for (id, node) in system.nodes() {
         writeln!(out, "node {id} {}", node.name)?;
@@ -156,8 +142,8 @@ fn write_fingerprint(out: &mut impl fmt::Write, system: &System, graph: &ModeGra
     Ok(())
 }
 
-/// The full key text a cache entry is hashed from: system/graph fingerprint
-/// plus everything else the synthesized bytes depend on.
+/// The full key text a cache entry is hashed from: the system/graph
+/// structure plus everything else the synthesized bytes depend on.
 fn write_key_text(
     out: &mut impl fmt::Write,
     system: &System,
@@ -1074,7 +1060,7 @@ mod tests {
         let mut text = String::new();
         write_key_text(&mut text, &sys, &graph, &config(), "ilp-incremental").expect("string sink");
         assert!(text.starts_with("format=1\nversion="));
-        assert!(text.ends_with(&system_fingerprint(&sys, &graph)));
+        assert!(text.ends_with(&fingerprint(&sys, &graph)));
         let mut whole = Fnv1a64::new();
         whole.write_str(&text).expect("hash sink");
         assert_eq!(
@@ -1237,17 +1223,21 @@ mod tests {
         let _ = std::fs::remove_dir_all(dir);
     }
 
+    /// The structural part of the key text on its own.
+    fn fingerprint(system: &System, graph: &ModeGraph) -> String {
+        let mut text = String::new();
+        write_fingerprint(&mut text, system, graph).expect("string sink");
+        text
+    }
+
     #[test]
     fn fingerprint_is_deterministic_and_structure_sensitive() {
         let (sys, graph, _, _) = fixtures::two_mode_graph();
-        assert_eq!(
-            system_fingerprint(&sys, &graph),
-            system_fingerprint(&sys, &graph)
-        );
+        assert_eq!(fingerprint(&sys, &graph), fingerprint(&sys, &graph));
         let (other_sys, other_graph, _) = fixtures::four_mode_diamond();
         assert_ne!(
-            system_fingerprint(&sys, &graph),
-            system_fingerprint(&other_sys, &other_graph)
+            fingerprint(&sys, &graph),
+            fingerprint(&other_sys, &other_graph)
         );
     }
 
@@ -1393,14 +1383,9 @@ mod tests {
         // Codec round trip preserves everything the incremental path reads.
         let parsed = artifacts_from_json(&artifacts_to_json(&artifacts)).expect("parses");
         assert_eq!(parsed.backend, artifacts.backend);
-        assert_eq!(
-            format!("{:?}", parsed.config),
-            format!("{:?}", artifacts.config)
-        );
-        assert_eq!(
-            system_fingerprint(&parsed.system, &parsed.graph),
-            system_fingerprint(&artifacts.system, &artifacts.graph)
-        );
+        assert_eq!(parsed.config, artifacts.config);
+        assert_eq!(parsed.system, artifacts.system);
+        assert_eq!(parsed.graph, artifacts.graph);
         assert_eq!(
             parsed.warm.keys().collect::<Vec<_>>(),
             artifacts.warm.keys().collect::<Vec<_>>()

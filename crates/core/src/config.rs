@@ -15,7 +15,7 @@ use ttw_timing::{round, GlossyConstants, NetworkParams};
 /// central parameters of the paper (Fig. 6/7); the remaining fields bound the
 /// rounds (constraint C2.2 and Algorithm 1's `R_max`), gate the analysis and
 /// budget the MILP solver substitute.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SchedulerConfig {
     /// Round length `T_r` in microseconds (all slots plus the beacon).
     pub round_duration: Micros,

@@ -330,8 +330,8 @@ pub fn app_spec_from_json(json: &str) -> Result<ApplicationSpec, JsonError> {
 
 /// Serializes a complete [`System`] — nodes, applications and modes in
 /// construction order — to pretty-printed JSON, so that
-/// [`system_from_json`] rebuilds a system whose entity ids (and therefore
-/// [`crate::cache::system_fingerprint`]) are identical to the original's.
+/// [`system_from_json`] rebuilds a system equal to the original, entity ids
+/// included.
 ///
 /// # Errors
 ///
@@ -355,8 +355,8 @@ pub fn system_from_json(json: &str) -> Result<System, JsonError> {
 /// and tolerance — to pretty-printed JSON.
 ///
 /// The round trip is exact (numbers print in shortest-round-trip form), so a
-/// config that crossed the wire produces the same cache key as the
-/// original: `format!("{config:?}")` of the two is byte-identical.
+/// config that crossed the wire equals the original and so produces the
+/// same cache key.
 ///
 /// # Errors
 ///
@@ -494,16 +494,13 @@ mod tests {
     }
 
     #[test]
-    fn system_round_trips_with_identical_fingerprint() {
-        let (sys, graph, _, _) = fixtures::two_mode_graph();
+    fn system_round_trips_to_an_equal_system() {
+        let (sys, _, _, _) = fixtures::two_mode_graph();
         let json = system_to_json(&sys).expect("serializes");
         let back = system_from_json(&json).expect("parses");
-        // Fingerprints cover every entity in id order, so equality means the
-        // ids were reproduced exactly, not just the names.
-        assert_eq!(
-            crate::cache::system_fingerprint(&sys, &graph),
-            crate::cache::system_fingerprint(&back, &graph)
-        );
+        // Equality covers every entity under its id, so the ids were
+        // reproduced exactly, not just the names.
+        assert_eq!(sys, back);
         // Round-tripping the JSON again is byte-stable.
         assert_eq!(json, system_to_json(&back).expect("serializes"));
     }
@@ -511,12 +508,8 @@ mod tests {
     #[test]
     fn fig3_system_round_trips() {
         let (sys, _) = fixtures::fig3_system();
-        let graph = ModeGraph::new(&sys);
         let back = system_from_json(&system_to_json(&sys).expect("serializes")).expect("parses");
-        assert_eq!(
-            crate::cache::system_fingerprint(&sys, &graph),
-            crate::cache::system_fingerprint(&back, &graph)
-        );
+        assert_eq!(sys, back);
     }
 
     #[test]
@@ -543,9 +536,8 @@ mod tests {
         config.solver.pseudocost = false;
         let json = scheduler_config_to_json(&config).expect("serializes");
         let back = scheduler_config_from_json(&json).expect("parses");
-        // The cache key hashes the Debug form, so the round trip must be
-        // byte-identical.
-        assert_eq!(format!("{config:?}"), format!("{back:?}"));
+        // The cache key hashes every field, so the round trip must be exact.
+        assert_eq!(config, back);
     }
 
     #[test]
@@ -553,7 +545,7 @@ mod tests {
         let config = SchedulerConfig::new(millis(10), 5);
         let back = scheduler_config_from_json(&scheduler_config_to_json(&config).expect("json"))
             .expect("parses");
-        assert_eq!(format!("{config:?}"), format!("{back:?}"));
+        assert_eq!(config, back);
         assert!(back.max_inter_round_gap.is_none());
         assert!(back.max_rounds.is_none());
     }

@@ -1,6 +1,7 @@
 //! ILP formulation of the co-scheduling problem (Sec. IV and Appendix).
 //!
-//! For a fixed number of communication rounds `R_M`, [`build_ilp`] produces a
+//! For a fixed number of communication rounds `R_M`, [`build_ilp_inherited`]
+//! (with [`InheritedOffsets::none`] when no offset is pinned) produces a
 //! mixed-integer linear program whose feasible points are exactly the valid
 //! mode schedules, and whose objective is the sum of application end-to-end
 //! latencies (Eq. 49). The constraint classes follow the paper's appendix:
@@ -299,21 +300,6 @@ impl IlpInstance {
 
         self.num_rounds += 1;
     }
-}
-
-/// Builds the ILP for scheduling `mode` with exactly `num_rounds` rounds.
-///
-/// # Errors
-///
-/// Returns [`ScheduleError::InvalidConfig`] if the configuration fails
-/// validation.
-pub fn build_ilp(
-    system: &System,
-    mode: ModeId,
-    config: &SchedulerConfig,
-    num_rounds: usize,
-) -> Result<IlpInstance, ScheduleError> {
-    build_ilp_inherited(system, mode, config, num_rounds, &InheritedOffsets::none())
 }
 
 /// Builds the ILP for scheduling `mode` with exactly `num_rounds` rounds,
@@ -779,7 +765,9 @@ mod tests {
     #[test]
     fn build_produces_expected_variable_classes() {
         let (sys, mode) = fixtures::fig3_system();
-        let instance = build_ilp(&sys, mode, &fig3_config(), 2).expect("valid instance");
+        let instance =
+            build_ilp_inherited(&sys, mode, &fig3_config(), 2, &InheritedOffsets::none())
+                .expect("valid instance");
         // Offsets, allocations, sigma, ka/kd and latency variables all appear.
         let names: Vec<String> = instance
             .model
@@ -803,7 +791,9 @@ mod tests {
     #[test]
     fn zero_round_instance_with_messages_is_infeasible() {
         let (sys, mode) = fixtures::fig3_system();
-        let instance = build_ilp(&sys, mode, &fig3_config(), 0).expect("valid instance");
+        let instance =
+            build_ilp_inherited(&sys, mode, &fig3_config(), 0, &InheritedOffsets::none())
+                .expect("valid instance");
         let solution = instance.model.solve().expect("solver runs");
         assert!(!solution.is_optimal());
     }
@@ -813,7 +803,9 @@ mod tests {
         // m1/m2 must be served before τ3 which produces m3, so a single round
         // cannot carry all three messages.
         let (sys, mode) = fixtures::fig3_system();
-        let instance = build_ilp(&sys, mode, &fig3_config(), 1).expect("valid instance");
+        let instance =
+            build_ilp_inherited(&sys, mode, &fig3_config(), 1, &InheritedOffsets::none())
+                .expect("valid instance");
         let solution = instance.model.solve().expect("solver runs");
         assert!(!solution.is_optimal());
     }
@@ -821,7 +813,9 @@ mod tests {
     #[test]
     fn two_rounds_are_feasible_for_fig3() {
         let (sys, mode) = fixtures::fig3_system();
-        let instance = build_ilp(&sys, mode, &fig3_config(), 2).expect("valid instance");
+        let instance =
+            build_ilp_inherited(&sys, mode, &fig3_config(), 2, &InheritedOffsets::none())
+                .expect("valid instance");
         let solution = instance.model.solve().expect("solver runs");
         assert!(solution.is_optimal(), "Fig. 3 schedules with 2 rounds");
         let schedule = extract_schedule(
@@ -841,16 +835,18 @@ mod tests {
     fn invalid_config_is_rejected() {
         let (sys, mode) = fixtures::fig3_system();
         let bad = SchedulerConfig::new(0, 5);
-        assert!(build_ilp(&sys, mode, &bad, 1).is_err());
+        assert!(build_ilp_inherited(&sys, mode, &bad, 1, &InheritedOffsets::none()).is_err());
     }
 
     #[test]
     fn growing_an_instance_matches_a_from_scratch_build() {
         let (sys, mode) = fixtures::fig3_system();
         let config = fig3_config();
-        let mut grown = build_ilp(&sys, mode, &config, 1).expect("valid instance");
+        let mut grown = build_ilp_inherited(&sys, mode, &config, 1, &InheritedOffsets::none())
+            .expect("valid instance");
         grown.add_round(&sys, mode, &config);
-        let fresh = build_ilp(&sys, mode, &config, 2).expect("valid instance");
+        let fresh = build_ilp_inherited(&sys, mode, &config, 2, &InheritedOffsets::none())
+            .expect("valid instance");
         assert_eq!(grown.num_rounds(), 2);
         assert_eq!(grown.model.num_vars(), fresh.model.num_vars());
         assert_eq!(grown.model.num_constraints(), fresh.model.num_constraints());
@@ -921,7 +917,8 @@ mod tests {
             )
             .total_latency
         };
-        let mut grown = build_ilp(&sys, mode, &config, 0).expect("valid instance");
+        let mut grown = build_ilp_inherited(&sys, mode, &config, 0, &InheritedOffsets::none())
+            .expect("valid instance");
         let (mut warm_iterations, mut cold_iterations) = (0usize, 0usize);
         let mut winner = None;
         for rounds in 0..=3usize {
@@ -929,7 +926,8 @@ mod tests {
                 grown.add_round(&sys, mode, &config);
             }
             let warm = grown.solve().expect("solver runs");
-            let fresh = build_ilp(&sys, mode, &config, rounds).expect("valid instance");
+            let fresh = build_ilp_inherited(&sys, mode, &config, rounds, &InheritedOffsets::none())
+                .expect("valid instance");
             let cold = fresh.model.solve().expect("solver runs");
             warm_iterations += warm.simplex_iterations;
             cold_iterations += cold.simplex_iterations;

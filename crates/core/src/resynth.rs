@@ -10,12 +10,13 @@
 //! reuse levels, all anchored on the [`crate::cache::SynthesisArtifacts`] the
 //! schedule cache stores alongside each entry:
 //!
-//! 1. **Schedule reuse** — the predecessor and successor systems are diffed
-//!    mode-by-mode ([`mode_fingerprint`]); a mode whose content, inheritance
-//!    sources and pinned offsets are all unchanged has the *identical* ILP,
-//!    and the deterministic pipeline would reproduce the identical schedule
-//!    — so the cached [`crate::schedule::ModeSchedule`] (stats included) is
-//!    kept verbatim, zero solver work.
+//! 1. **Schedule reuse** — the predecessor and successor systems are
+//!    compared mode by mode, one walk over each mode's entities that reads
+//!    the edit as unchanged, tightened or changed; a mode whose content,
+//!    inheritance sources and pinned offsets are all unchanged has the
+//!    *identical* ILP, and the deterministic pipeline would reproduce the
+//!    identical schedule — so the cached [`crate::schedule::ModeSchedule`]
+//!    (stats included) is kept verbatim, zero solver work.
 //! 2. **Basis warm starts** — a mode that *did* change is re-solved, but its
 //!    ILP is seeded with the predecessor's cached root basis at the matching
 //!    round count. The solver repairs feasibility from a near-optimal basis
@@ -25,7 +26,7 @@
 //!    below the answer costs a full branch-and-bound proof of infeasibility.
 //!    When the changed mode's ILP only *tightens* the predecessor's — the
 //!    same structure and pins, no WCET decreased, no deadline increased (see
-//!    `round_floor`) — every count the predecessor proved infeasible stays
+//!    `mode_edit`) — every count the predecessor proved infeasible stays
 //!    infeasible, so the sweep starts at the predecessor's round count, which
 //!    is also the count its basis is seeded at. The winning attempt is the
 //!    one a sweep from the bottom would have run; only the failed attempts
@@ -40,13 +41,12 @@
 
 use crate::cache::{ScheduleCache, SynthesisArtifacts};
 use crate::config::SchedulerConfig;
-use crate::ids::{AppId, ModeId};
+use crate::ids::{AppId, ModeId, NodeId};
 use crate::modegraph::{InheritedOffsets, ModeGraph};
 use crate::schedule::{ModeSchedule, SystemSchedule};
 use crate::synthesis::{synthesize_waves, Synthesizer, SystemSynthesisError};
 use crate::system::System;
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 
 /// How one incremental re-synthesis went: what was reused, what was
 /// re-solved, and how much solver work the re-solved modes cost.
@@ -75,91 +75,89 @@ pub struct ResynthesisReport {
     pub solved_simplex_iterations: usize,
 }
 
-/// A deterministic textual digest of everything one mode's ILP depends on:
-/// the mode (id and name), its hyperperiod, and — in id order — each of its
-/// applications with their full task/message structure, WCETs, node
-/// mappings and precedence.
+/// How an edit changed one mode's ILP, as [`mode_edit`] finds it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum ModeEdit {
+    /// The identical ILP.
+    Unchanged,
+    /// A right-hand-side tightening: the same structure, no WCET decreased,
+    /// no application deadline increased and at least one of them moved.
+    Tightened,
+    /// Anything else.
+    Changed,
+}
+
+/// Compares everything `mode`'s ILP depends on in `system` against `old`:
+/// the mode's name and application list, then in id order each
+/// application's name, period, deadline and task and message lists, each
+/// task's name, node, WCET and preceding messages and each message's name,
+/// source node and precedence. The hyperperiod follows from the periods.
 ///
-/// Ids are included alongside names on purpose: a cached
+/// Ids are compared alongside names on purpose: a cached
 /// [`crate::schedule::ModeSchedule`] keys its offsets by id, so an id drift
 /// between predecessor and successor (an application inserted earlier in
-/// the build order) must read as "changed" even when the renamed content is
-/// identical — correctness over reuse.
-pub fn mode_fingerprint(system: &System, mode: ModeId) -> String {
-    fingerprint(system, mode, true)
-}
-
-/// [`mode_fingerprint`], with the WCETs and application deadlines left out
-/// when `timing` is unset: what stays is the mode's structure.
-fn fingerprint(system: &System, mode: ModeId, timing: bool) -> String {
-    let mut out = String::new();
-    let m = system.mode(mode);
-    let _ = writeln!(
-        out,
-        "mode {mode} {} hyperperiod={}",
-        m.name,
-        system.hyperperiod(mode)
-    );
-    for &app_id in &m.applications {
-        let app = system.application(app_id);
-        let _ = write!(out, "app {app_id} {} period={}", app.name, app.period);
-        if timing {
-            let _ = write!(out, " deadline={}", app.deadline);
+/// the build order) must read as changed even when the renamed content is
+/// identical — correctness over reuse. The id lists are compared before any
+/// entity they name is read from `old`, so every lookup stays in range.
+///
+/// A WCET or a deadline enters the ILP only through the right-hand side of a
+/// `≤` row (`prec_tm`, `deadline`, `latency`, `noexec1/2`). Raising a WCET or
+/// lowering a deadline only lowers it, so every point feasible for a
+/// [`ModeEdit::Tightened`] mode is feasible for its predecessor.
+fn mode_edit(system: &System, old: &System, mode: ModeId) -> ModeEdit {
+    let (new_mode, old_mode) = (system.mode(mode), old.mode(mode));
+    if new_mode.name != old_mode.name || new_mode.applications != old_mode.applications {
+        return ModeEdit::Changed;
+    }
+    let node_alike = |new: NodeId, old_node: NodeId| {
+        new == old_node && system.node(new).name == old.node(old_node).name
+    };
+    let mut tightened = false;
+    for &app in &new_mode.applications {
+        let (a, b) = (system.application(app), old.application(app));
+        if a.name != b.name
+            || a.period != b.period
+            || a.deadline > b.deadline
+            || a.tasks != b.tasks
+            || a.messages != b.messages
+        {
+            return ModeEdit::Changed;
         }
-        out.push('\n');
-        for &task_id in &app.tasks {
-            let task = system.task(task_id);
-            let _ = write!(
-                out,
-                "task {task_id} {} node={}:{}",
-                task.name,
-                task.node,
-                system.node(task.node).name
-            );
-            if timing {
-                let _ = write!(out, " wcet={}", task.wcet);
+        tightened |= a.deadline < b.deadline;
+        for &task in &a.tasks {
+            let (t, u) = (system.task(task), old.task(task));
+            if t.name != u.name
+                || !node_alike(t.node, u.node)
+                || t.wcet < u.wcet
+                || t.preceding_messages != u.preceding_messages
+            {
+                return ModeEdit::Changed;
             }
-            let _ = writeln!(out, " prec={:?}", task.preceding_messages);
+            tightened |= t.wcet > u.wcet;
         }
-        for &msg_id in &app.messages {
-            let msg = system.message(msg_id);
-            let _ = writeln!(
-                out,
-                "message {msg_id} {} source={}:{} prec={:?} succ={:?}",
-                msg.name,
-                msg.source_node,
-                system.node(msg.source_node).name,
-                msg.preceding_tasks,
-                msg.successor_tasks
-            );
+        for &message in &a.messages {
+            let (m, n) = (system.message(message), old.message(message));
+            if m.name != n.name
+                || !node_alike(m.source_node, n.source_node)
+                || m.preceding_tasks != n.preceding_tasks
+                || m.successor_tasks != n.successor_tasks
+            {
+                return ModeEdit::Changed;
+            }
         }
     }
-    out
-}
-
-/// Whether `mode`'s ILP in `system` is a right-hand-side tightening of its
-/// ILP in `old`: the same structure, no WCET decreased and no application
-/// deadline increased. A WCET or a deadline enters the ILP only through the
-/// right-hand side of a `≤` row (`prec_tm`, `deadline`, `latency`,
-/// `noexec1/2`), and these changes only lower it, so every point feasible
-/// for `system` is feasible for `old`.
-fn tightens(system: &System, old: &System, mode: ModeId) -> bool {
-    fingerprint(system, mode, false) == fingerprint(old, mode, false)
-        && system.mode(mode).applications.iter().all(|&app| {
-            let (new_app, old_app) = (system.application(app), old.application(app));
-            new_app.deadline <= old_app.deadline
-                && new_app
-                    .tasks
-                    .iter()
-                    .all(|&task| system.task(task).wcet >= old.task(task).wcet)
-        })
+    if tightened {
+        ModeEdit::Tightened
+    } else {
+        ModeEdit::Unchanged
+    }
 }
 
 /// Synthesizes `system` incrementally from the cached predecessor entry
 /// under `predecessor_key`, storing the result (and fresh warm-start
 /// artifacts) under the successor's own cache key.
 ///
-/// Modes whose fingerprint, inheritance sources and pinned offsets are
+/// Modes whose content, inheritance sources and pinned offsets are
 /// unchanged keep their cached schedules verbatim; every other mode is
 /// re-solved with the predecessor's root basis as a warm start when one is
 /// cached for it, from the predecessor's round count when the edit only
@@ -186,8 +184,7 @@ pub fn resynthesize_system(
         .peek(predecessor_key)
         .zip(cache.artifacts(predecessor_key))
         .filter(|(_, artifacts)| {
-            artifacts.backend == backend.name()
-                && format!("{:?}", artifacts.config) == format!("{config:?}")
+            artifacts.backend == backend.name() && artifacts.config == *config
         });
     let (schedule, warm, report) = synthesize_waves(
         system,
@@ -200,42 +197,41 @@ pub fn resynthesize_system(
     Ok((schedule, report))
 }
 
-/// The cached predecessor schedule of `mode`, when it is provably reusable:
-/// identical mode content and the predecessor's pins (see
-/// [`pinned_alike`]). Under those conditions the successor's ILP for the mode
-/// is the predecessor's ILP, and the deterministic pipeline would reproduce
-/// the cached schedule bit for bit — so it is returned for verbatim reuse.
-pub(crate) fn reusable_schedule<'a>(
+/// Where the wave driver starts one mode of a re-synthesis.
+pub(crate) enum ModeStart<'a> {
+    /// Keep the predecessor's schedule (stats included) verbatim: the mode's
+    /// ILP is the predecessor's, so the pipeline would reproduce it bit for
+    /// bit.
+    Reuse(&'a ModeSchedule),
+    /// Solve the mode, sweeping `R_M` upward from `floor`: the predecessor's
+    /// round count after a tightening edit (every smaller count is proven
+    /// infeasible, see the module docs), `0` for a cold sweep otherwise.
+    Solve { floor: usize },
+}
+
+/// The one per-mode decision of a re-synthesis: reuse the predecessor's
+/// schedule of `mode`, solve it from the predecessor's round count, or
+/// solve it cold. Only a mode that keeps the predecessor's pins (see
+/// [`pinned_alike`]) is reused or floored, by what [`mode_edit`] finds.
+pub(crate) fn mode_start<'a>(
     system: &System,
     mode: ModeId,
     sources: &BTreeMap<AppId, ModeId>,
     inherited: &InheritedOffsets,
     artifacts: &SynthesisArtifacts,
     predecessor: &'a SystemSchedule,
-) -> Option<&'a ModeSchedule> {
-    pinned_alike(mode, sources, inherited, artifacts, predecessor)
-        .filter(|_| mode_fingerprint(system, mode) == mode_fingerprint(&artifacts.system, mode))
-}
-
-/// The round count the `R_M` sweep of `mode` may start at: the predecessor's
-/// winning count when the mode keeps the predecessor's pins (see
-/// [`pinned_alike`]) and its ILP only [`tightens`] the predecessor's, `0`
-/// otherwise.
-///
-/// Every smaller count is infeasible for the predecessor — its sweep proved
-/// so, or started at a floor that held by the same argument — and a
-/// tightened ILP cannot be feasible where the looser one was not.
-pub(crate) fn round_floor(
-    system: &System,
-    mode: ModeId,
-    sources: &BTreeMap<AppId, ModeId>,
-    inherited: &InheritedOffsets,
-    artifacts: &SynthesisArtifacts,
-    predecessor: &SystemSchedule,
-) -> usize {
-    pinned_alike(mode, sources, inherited, artifacts, predecessor)
-        .filter(|_| tightens(system, &artifacts.system, mode))
-        .map_or(0, ModeSchedule::num_rounds)
+) -> ModeStart<'a> {
+    let cold = ModeStart::Solve { floor: 0 };
+    let Some(old) = pinned_alike(mode, sources, inherited, artifacts, predecessor) else {
+        return cold;
+    };
+    match mode_edit(system, &artifacts.system, mode) {
+        ModeEdit::Unchanged => ModeStart::Reuse(old),
+        ModeEdit::Tightened => ModeStart::Solve {
+            floor: old.num_rounds(),
+        },
+        ModeEdit::Changed => cold,
+    }
 }
 
 /// The predecessor's schedule of `mode` when the mode existed there with the
@@ -271,4 +267,141 @@ fn pinned_alike<'a>(
             .iter()
             .all(|(m, &d)| old.message_deadlines.get(m) == Some(&d));
     agrees.then_some(old)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::spec::ApplicationSpec;
+    use crate::time::{millis, Micros};
+
+    /// The knobs of [`build`]: everything one row of the table edits.
+    struct Shape {
+        node: &'static str,
+        mode: &'static str,
+        wcet: Micros,
+        deadline: Micros,
+        destination: &'static str,
+        inserted_first: bool,
+    }
+
+    const BASE: Shape = Shape {
+        node: "sensor",
+        mode: "normal",
+        wcet: millis(2),
+        deadline: millis(80),
+        destination: "act",
+        inserted_first: false,
+    };
+
+    /// One mode running a sense → act application, optionally behind an
+    /// application built earlier that the mode does not run.
+    fn build(shape: Shape) -> System {
+        let mut sys = System::new();
+        sys.add_node(shape.node).unwrap();
+        sys.add_node("actuator").unwrap();
+        if shape.inserted_first {
+            let extra = ApplicationSpec::new("extra", millis(100), millis(100)).with_task(
+                "idle",
+                "actuator",
+                millis(1),
+            );
+            sys.add_application(&extra).unwrap();
+        }
+        let app = ApplicationSpec::new("app", millis(100), shape.deadline)
+            .with_task("sense", shape.node, shape.wcet)
+            .with_task("act", "actuator", millis(1))
+            .with_task("log", "actuator", millis(1))
+            .with_message("m", ["sense"], [shape.destination]);
+        let app = sys.add_application(&app).unwrap();
+        sys.add_mode(shape.mode, &[app]).unwrap();
+        sys
+    }
+
+    #[test]
+    fn the_walk_reads_each_edit_as_unchanged_tightened_or_changed() {
+        let old = build(BASE);
+        let mode = ModeId(0);
+        let table = [
+            ("identical", BASE, ModeEdit::Unchanged),
+            (
+                "WCET up, deadline down",
+                Shape {
+                    wcet: millis(3),
+                    deadline: millis(70),
+                    ..BASE
+                },
+                ModeEdit::Tightened,
+            ),
+            (
+                "WCET up",
+                Shape {
+                    wcet: millis(3),
+                    ..BASE
+                },
+                ModeEdit::Tightened,
+            ),
+            (
+                "deadline down",
+                Shape {
+                    deadline: millis(70),
+                    ..BASE
+                },
+                ModeEdit::Tightened,
+            ),
+            (
+                "WCET down, deadline up",
+                Shape {
+                    wcet: millis(1),
+                    deadline: millis(90),
+                    ..BASE
+                },
+                ModeEdit::Changed,
+            ),
+            (
+                "WCET up, deadline up",
+                Shape {
+                    wcet: millis(3),
+                    deadline: millis(90),
+                    ..BASE
+                },
+                ModeEdit::Changed,
+            ),
+            (
+                "renamed node",
+                Shape {
+                    node: "probe",
+                    ..BASE
+                },
+                ModeEdit::Changed,
+            ),
+            (
+                "renamed mode",
+                Shape {
+                    mode: "degraded",
+                    ..BASE
+                },
+                ModeEdit::Changed,
+            ),
+            (
+                "changed message destination",
+                Shape {
+                    destination: "log",
+                    ..BASE
+                },
+                ModeEdit::Changed,
+            ),
+            (
+                "application inserted earlier",
+                Shape {
+                    inserted_first: true,
+                    ..BASE
+                },
+                ModeEdit::Changed,
+            ),
+        ];
+        for (case, shape, expected) in table {
+            assert_eq!(mode_edit(&build(shape), &old, mode), expected, "{case}");
+        }
+    }
 }

@@ -36,7 +36,7 @@ use crate::heuristic;
 use crate::ids::ModeId;
 use crate::ilp;
 use crate::modegraph::{InheritedOffsets, ModeGraph};
-use crate::resynth::{reusable_schedule, round_floor, ResynthesisReport};
+use crate::resynth::{mode_start, ModeStart, ResynthesisReport};
 use crate::schedule::{ModeSchedule, SynthesisStats, SystemSchedule};
 use crate::system::System;
 use std::collections::BTreeMap;
@@ -424,11 +424,10 @@ fn solve_mode(
 
 /// The wave driver behind every system-level entry point: walks the mode
 /// graph wave by wave, pins the inherited offsets, and per mode either keeps
-/// the `predecessor`'s schedule verbatim (see
-/// [`crate::resynth::reusable_schedule`]) or solves it through
-/// [`solve_mode`], one mode after the other on the calling thread. Returns
-/// the schedule, each mode's warm-start material and what was reused against
-/// what was solved.
+/// the `predecessor`'s schedule verbatim or solves it through [`solve_mode`]
+/// (see [`crate::resynth::mode_start`]), one mode after the other on the
+/// calling thread. Returns the schedule, each mode's warm-start material and
+/// what was reused against what was solved.
 pub(crate) fn synthesize_waves(
     system: &System,
     graph: &ModeGraph,
@@ -475,37 +474,37 @@ pub(crate) fn synthesize_waves(
         // The predecessor's root basis of the mode is carried over verbatim
         // with a reused schedule and is the warm start of a re-solve.
         let warm = predecessor.and_then(|(_, artifacts)| artifacts.warm.get(&mode));
-        let reused = predecessor.and_then(|(schedule, artifacts)| {
-            reusable_schedule(system, mode, &sources, &inherited, artifacts, schedule)
+        let start = predecessor.map_or(ModeStart::Solve { floor: 0 }, |(schedule, artifacts)| {
+            mode_start(system, mode, &sources, &inherited, artifacts, schedule)
         });
-        let solved = if let Some(schedule) = reused {
-            report.modes_reused += 1;
-            SolvedMode {
-                schedule: schedule.clone(),
-                warm: warm.cloned(),
-                seeded: false,
-            }
-        } else {
-            let floor = predecessor.map_or(0, |(schedule, artifacts)| {
-                round_floor(system, mode, &sources, &inherited, artifacts, schedule)
-            });
-            let prior = ModePrior { warm, floor };
-            let solved = match solve_mode(system, mode, config, backend, &inherited, prior) {
-                Ok(solved) => solved,
-                Err(failure) => {
-                    result.stats.insert(mode, failure.stats);
-                    return Err(Box::new(SystemSynthesisError {
-                        mode,
-                        error: failure.error,
-                        partial: result,
-                    }));
+        let solved = match start {
+            ModeStart::Reuse(schedule) => {
+                report.modes_reused += 1;
+                SolvedMode {
+                    schedule: schedule.clone(),
+                    warm: warm.cloned(),
+                    seeded: false,
                 }
-            };
-            report.modes_resolved += 1;
-            report.warm_started_modes += usize::from(solved.seeded);
-            report.solved_milp_nodes += solved.schedule.stats.nodes_explored;
-            report.solved_simplex_iterations += solved.schedule.stats.simplex_iterations;
-            solved
+            }
+            ModeStart::Solve { floor } => {
+                let prior = ModePrior { warm, floor };
+                let solved = match solve_mode(system, mode, config, backend, &inherited, prior) {
+                    Ok(solved) => solved,
+                    Err(failure) => {
+                        result.stats.insert(mode, failure.stats);
+                        return Err(Box::new(SystemSynthesisError {
+                            mode,
+                            error: failure.error,
+                            partial: result,
+                        }));
+                    }
+                };
+                report.modes_resolved += 1;
+                report.warm_started_modes += usize::from(solved.seeded);
+                report.solved_milp_nodes += solved.schedule.stats.nodes_explored;
+                report.solved_simplex_iterations += solved.schedule.stats.simplex_iterations;
+                solved
+            }
         };
         result.stats.insert(mode, solved.schedule.stats.clone());
         result.inheritance.insert(mode, sources);

@@ -100,7 +100,11 @@ pub enum PrecedenceEdge {
 /// A `System` is immutable once built except through its `add_*` methods, and
 /// every `add_*` method validates the rules of the paper's system model before
 /// mutating anything.
-#[derive(Debug, Clone, Default)]
+///
+/// Two systems are equal when they hold the same entities under the same
+/// ids; this is how a re-synthesis, a codec round trip or a seeded generator
+/// decides that two models are the same.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct System {
     nodes: Vec<Node>,
     tasks: Vec<Task>,
@@ -254,11 +258,23 @@ impl System {
     ///
     /// # Errors
     ///
-    /// [`ModelError::ZeroDuration`] for a zero WCET.
+    /// [`ModelError::ZeroDuration`] for a zero WCET and
+    /// [`ModelError::WcetExceedsPeriod`] for a WCET larger than the task's
+    /// application period — the two WCETs [`System::add_application`]
+    /// rejects. The task is left as it was.
     pub fn set_task_wcet(&mut self, task: TaskId, wcet: Micros) -> Result<(), ModelError> {
+        let name = &self.tasks[task.index()].name;
         if wcet == 0 {
             return Err(ModelError::ZeroDuration {
-                what: format!("WCET of task `{}`", self.tasks[task.index()].name),
+                what: format!("WCET of task `{name}`"),
+            });
+        }
+        let period = self.task_period(task);
+        if wcet > period {
+            return Err(ModelError::WcetExceedsPeriod {
+                task: name.clone(),
+                wcet,
+                period,
             });
         }
         self.tasks[task.index()].wcet = wcet;
@@ -745,6 +761,34 @@ mod tests {
             sys.add_application(&spec),
             Err(ModelError::WcetExceedsPeriod { .. })
         ));
+    }
+
+    #[test]
+    fn set_task_wcet_rejects_a_wcet_above_the_period() {
+        let (mut sys, _) = crate::fixtures::fig3_system();
+        let tau1 = sys.task_id("ctrl.tau1").unwrap();
+        let before = sys.clone();
+        assert!(matches!(
+            sys.set_task_wcet(tau1, millis(100) + 1),
+            Err(ModelError::WcetExceedsPeriod {
+                wcet: 100_001,
+                period: 100_000,
+                ..
+            })
+        ));
+        assert!(matches!(
+            sys.set_task_wcet(tau1, 0),
+            Err(ModelError::ZeroDuration { .. })
+        ));
+        assert_eq!(sys, before);
+
+        // A WCET of exactly the period is accepted, and the edited system
+        // still round-trips through its JSON codec.
+        sys.set_task_wcet(tau1, millis(100)).unwrap();
+        assert_eq!(sys.task(tau1).wcet, millis(100));
+        assert_ne!(sys, before);
+        let json = crate::export::system_to_json(&sys).unwrap();
+        assert_eq!(crate::export::system_from_json(&json).unwrap(), sys);
     }
 
     #[test]

@@ -88,7 +88,7 @@ pub struct ConstraintId(pub(crate) usize);
 pub(crate) const INTEGRALITY_TOL: f64 = 1e-6;
 
 /// Resource budgets of the solver and the layers it may switch off.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SolveParams {
     /// Maximum number of branch-and-bound nodes to explore.
     pub max_nodes: usize,

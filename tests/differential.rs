@@ -294,7 +294,9 @@ fn warm_started_incremental_sweeps_match_cold_solves_on_generated_instances() {
         let repro = scenario.repro();
 
         for (mode, _) in sys.modes().take(2) {
-            let mut grown = ilp::build_ilp(sys, mode, &config, 0).expect("valid instance");
+            let mut grown =
+                ilp::build_ilp_inherited(sys, mode, &config, 0, &InheritedOffsets::none())
+                    .expect("valid instance");
             let max_attempts = 4usize;
             let mut optimal_at = None;
             for rounds in 0..=max_attempts {
@@ -313,10 +315,11 @@ fn warm_started_incremental_sweeps_match_cold_solves_on_generated_instances() {
                 continue; // unfinished within the probe window — skip
             };
 
-            let Ok(cold) = ilp::build_ilp(sys, mode, &config, rounds)
-                .expect("valid instance")
-                .model
-                .solve()
+            let Ok(cold) =
+                ilp::build_ilp_inherited(sys, mode, &config, rounds, &InheritedOffsets::none())
+                    .expect("valid instance")
+                    .model
+                    .solve()
             else {
                 continue;
             };
@@ -338,10 +341,11 @@ fn warm_started_incremental_sweeps_match_cold_solves_on_generated_instances() {
             let Ok(warm_grown) = grown.solve() else {
                 continue;
             };
-            let Ok(cold_grown) = ilp::build_ilp(sys, mode, &config, rounds + 1)
-                .expect("valid instance")
-                .model
-                .solve()
+            let Ok(cold_grown) =
+                ilp::build_ilp_inherited(sys, mode, &config, rounds + 1, &InheritedOffsets::none())
+                    .expect("valid instance")
+                    .model
+                    .solve()
             else {
                 continue;
             };
@@ -447,7 +451,9 @@ fn presolved_solves_agree_with_presolve_disabled_solves() {
 
         for (mode, _) in sys.modes().take(2) {
             for rounds in 2..=3 {
-                let instance = ilp::build_ilp(sys, mode, &config, rounds).expect("valid instance");
+                let instance =
+                    ilp::build_ilp_inherited(sys, mode, &config, rounds, &InheritedOffsets::none())
+                        .expect("valid instance");
                 let with = instance.model.clone();
                 let mut without = instance.model.clone();
                 without.params_mut().presolve = false;
@@ -544,7 +550,9 @@ fn tree_layers_preserve_verdicts() {
         // Instance level: identical verdicts and objectives.
         for (mode, _) in sys.modes().take(2) {
             for rounds in 2..=3 {
-                let instance = ilp::build_ilp(sys, mode, &config, rounds).expect("valid instance");
+                let instance =
+                    ilp::build_ilp_inherited(sys, mode, &config, rounds, &InheritedOffsets::none())
+                        .expect("valid instance");
                 let with = instance.model.clone();
                 let mut without = instance.model.clone();
                 {
@@ -742,7 +750,9 @@ fn generated_relaxations_agree_with_the_dense_oracle() {
 
         for (mode, _) in sys.modes().take(2) {
             for rounds in 2..=3 {
-                let instance = ilp::build_ilp(sys, mode, &config, rounds).expect("valid instance");
+                let instance =
+                    ilp::build_ilp_inherited(sys, mode, &config, rounds, &InheritedOffsets::none())
+                        .expect("valid instance");
                 let cmp = compare_relaxations(&instance.model).expect("both LP solves run");
                 assert!(
                     cmp.agree_on_feasibility(),
@@ -916,7 +926,9 @@ fn generated_ilp_models_audit_without_errors() {
 
         for (mode, _) in sys.modes().take(2) {
             for rounds in 1..=3 {
-                let instance = ilp::build_ilp(sys, mode, &config, rounds).expect("valid instance");
+                let instance =
+                    ilp::build_ilp_inherited(sys, mode, &config, rounds, &InheritedOffsets::none())
+                        .expect("valid instance");
                 let findings = audit_model(&instance.model);
                 let errors: Vec<_> = findings
                     .iter()

@@ -10,8 +10,8 @@
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use ttw::core::cache::{
-    artifacts_from_json, artifacts_to_json, synthesis_key, synthesize_system_cached,
-    system_fingerprint, CacheProbe, ScheduleCache,
+    artifacts_from_json, artifacts_to_json, synthesis_key, synthesize_system_cached, CacheProbe,
+    ScheduleCache,
 };
 use ttw::core::delta::{delta_from_json, delta_to_json, diff, node_deployments};
 use ttw::core::export::{
@@ -84,8 +84,9 @@ fn random_count(rng: &mut SplitMix64) -> usize {
 }
 
 fn same_request(a: &SynthesizeRequest, b: &SynthesizeRequest) -> bool {
-    system_fingerprint(&a.system, &a.graph) == system_fingerprint(&b.system, &b.graph)
-        && format!("{:?}", a.config) == format!("{:?}", b.config)
+    a.system == b.system
+        && a.graph == b.graph
+        && a.config == b.config
         && a.backend == b.backend
         && a.budget == b.budget
 }

@@ -44,7 +44,9 @@ fn assert_relaxations_agree(model: &Model, context: &str) -> Option<f64> {
 fn fig3_relaxations_agree_across_round_counts() {
     let (sys, mode) = fixtures::fig3_system();
     for rounds in 0..=3 {
-        let instance = ilp::build_ilp(&sys, mode, &config(), rounds).expect("valid instance");
+        let instance =
+            ilp::build_ilp_inherited(&sys, mode, &config(), rounds, &InheritedOffsets::none())
+                .expect("valid instance");
         assert_relaxations_agree(&instance.model, &format!("fig3 R={rounds}"));
     }
 }
@@ -62,7 +64,14 @@ fn two_mode_relaxations_agree_with_and_without_pins() {
 
     // Unpinned emergency instance.
     for rounds in 2..=3 {
-        let instance = ilp::build_ilp(&sys, emergency, &config(), rounds).expect("valid instance");
+        let instance = ilp::build_ilp_inherited(
+            &sys,
+            emergency,
+            &config(),
+            rounds,
+            &InheritedOffsets::none(),
+        )
+        .expect("valid instance");
         assert_relaxations_agree(&instance.model, &format!("emergency unpinned R={rounds}"));
     }
 
@@ -82,9 +91,11 @@ fn grown_instances_agree_with_fresh_builds_under_both_solvers() {
     // The incremental add_round path must produce models both solvers price
     // identically to a from-scratch build of the same size.
     let (sys, mode) = fixtures::fig3_system();
-    let mut grown = ilp::build_ilp(&sys, mode, &config(), 1).expect("valid instance");
+    let mut grown = ilp::build_ilp_inherited(&sys, mode, &config(), 1, &InheritedOffsets::none())
+        .expect("valid instance");
     grown.add_round(&sys, mode, &config());
-    let fresh = ilp::build_ilp(&sys, mode, &config(), 2).expect("valid instance");
+    let fresh = ilp::build_ilp_inherited(&sys, mode, &config(), 2, &InheritedOffsets::none())
+        .expect("valid instance");
     let grown_obj = assert_relaxations_agree(&grown.model, "grown R=2");
     let fresh_obj = assert_relaxations_agree(&fresh.model, "fresh R=2");
     match (grown_obj, fresh_obj) {
