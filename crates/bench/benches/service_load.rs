@@ -44,13 +44,16 @@ const CLIENTS: usize = 4;
 /// Counters split by who wins a race: a request that finds its fingerprint
 /// in flight coalesces, one that arrives a moment later hits the cache. A
 /// reply's length follows its provenance string and the digits of its
-/// `service_micros`, so no byte count repeats either.
-const RACING: [&str; 5] = [
+/// `service_micros`, so no byte count repeats either. Of an entry's memory
+/// hits the first decoded one records the request and later ones repeat it,
+/// unless two first hits race, so `repeat_hits` does not repeat.
+const RACING: [&str; 6] = [
     "coalesced",
     "cache_hits",
     "cache_mem_hits",
     "cache_misses",
     "reply_bytes",
+    "repeat_hits",
 ];
 
 fn request_for(scenario: &Scenario) -> SynthesizeRequest {

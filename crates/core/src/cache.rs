@@ -34,9 +34,13 @@
 //!    a hit is a shard read-lock plus an `Arc` clone — no parsing, no I/O.
 //!    An entry also keeps the compact JSON of its schedule once a hit has
 //!    been served over the wire ([`ScheduleCache::wire_body`]), so later
-//!    hits ship those bytes instead of encoding the schedule again; the
-//!    text is built by the first such hit, not by the store, and goes with
-//!    the entry when it is evicted or overwritten.
+//!    hits ship those bytes instead of encoding the schedule again, and the
+//!    request payload that hit asked with ([`ScheduleCache::record_request`]),
+//!    so the same bytes asked again find the entry through a payload index
+//!    without being decoded or keyed ([`ScheduleCache::probe_repeat`]). Both
+//!    are built by the first such hit, not by the store, and go with the
+//!    entry when it is evicted or overwritten; a recorded payload is never
+//!    longer than the body beside it.
 //!    The tier is optionally bounded ([`ScheduleCache::with_memory_cap`]):
 //!    beyond the cap the oldest-inserted entries are evicted (memory copy
 //!    only — the disk tier is the archive), and the
@@ -68,7 +72,11 @@
 //! *miss* (no entry) or *corrupt* (an entry exists on disk but does not
 //! parse — it is left to be overwritten by the next store). The per-instance
 //! counters therefore reconcile exactly: `hits + misses + corrupt` equals
-//! the number of probes, and `mem_hits + disk_hits` equals `hits`.
+//! the number of probes, and `mem_hits + disk_hits` equals `hits`. A repeat
+//! served through the payload index is a memory hit like any other, also
+//! counted in `repeat_hits`; one that finds no resident entry counts
+//! nothing. Every recorded payload belongs to one resident entry, so
+//! `recorded <= resident`.
 //!
 //! [`synthesize_system_cached`] is the drop-in entry point: a hit
 //! deserializes/clones the stored schedule and skips synthesis entirely; a
@@ -310,9 +318,9 @@ pub fn artifacts_from_json(text: &str) -> Result<SynthesisArtifacts, JsonError> 
 
 /// One memory-tier entry: the schedule plus (when the entry came through
 /// [`ScheduleCache::store_with_artifacts`]) its warm-start material and
-/// (once a hit has been served over the wire) its encoded reply body. They
-/// live and die together under the eviction policy, and a later store under
-/// the same key replaces all three.
+/// (once a hit has been served over the wire) its encoded reply body and the
+/// request payload that hit came in. They live and die together under the
+/// eviction policy, and a later store under the same key replaces all four.
 #[derive(Debug)]
 struct CacheEntry {
     schedule: Arc<SystemSchedule>,
@@ -321,6 +329,9 @@ struct CacheEntry {
     /// most entries of an edit stream are stored and never read again, and
     /// must not pay memory for bytes nobody requests.
     wire_body: OnceLock<Arc<str>>,
+    /// See [`ScheduleCache::record_request`]; shared with the payload index,
+    /// which holds it exactly as long as the entry is resident.
+    request: OnceLock<Arc<[u8]>>,
 }
 
 /// One memory-tier shard: the entry map plus the insertion-order queue the
@@ -367,6 +378,9 @@ pub struct ScheduleCache {
     /// The configured total memory-tier cap (before the per-shard split).
     memory_cap: Option<usize>,
     persister: Mutex<Option<Persister>>,
+    /// Recorded request payloads, each to the key of the resident entry that
+    /// holds it. Lock order: a shard before the index, never the reverse.
+    requests: RwLock<HashMap<Arc<[u8]>, String>>,
     hits: AtomicUsize,
     misses: AtomicUsize,
     corrupt: AtomicUsize,
@@ -374,6 +388,7 @@ pub struct ScheduleCache {
     disk_hits: AtomicUsize,
     insertions: AtomicUsize,
     evictions: AtomicUsize,
+    repeat_hits: AtomicUsize,
 }
 
 impl ScheduleCache {
@@ -399,6 +414,7 @@ impl ScheduleCache {
             shard_cap: None,
             memory_cap: None,
             persister: Mutex::new(None),
+            requests: RwLock::new(HashMap::new()),
             hits: AtomicUsize::new(0),
             misses: AtomicUsize::new(0),
             corrupt: AtomicUsize::new(0),
@@ -406,6 +422,7 @@ impl ScheduleCache {
             disk_hits: AtomicUsize::new(0),
             insertions: AtomicUsize::new(0),
             evictions: AtomicUsize::new(0),
+            repeat_hits: AtomicUsize::new(0),
         }
     }
 
@@ -485,6 +502,22 @@ impl ScheduleCache {
         self.evictions.load(Ordering::Relaxed)
     }
 
+    /// Memory hits served through the payload index by
+    /// [`ScheduleCache::probe_repeat`]; each is also one of
+    /// [`ScheduleCache::mem_hits`].
+    pub fn repeat_hits(&self) -> usize {
+        self.repeat_hits.load(Ordering::Relaxed)
+    }
+
+    /// Request payloads recorded on resident entries, at most one per entry:
+    /// `recorded <= resident` always holds.
+    pub fn recorded(&self) -> usize {
+        self.requests
+            .read()
+            .unwrap_or_else(|e| e.into_inner())
+            .len()
+    }
+
     /// Entries currently resident in the memory tier.
     pub fn resident(&self) -> usize {
         self.shards
@@ -511,9 +544,10 @@ impl ScheduleCache {
         self.flush();
         {
             let mut shard = self.shard(key).write().unwrap_or_else(|e| e.into_inner());
-            if shard.map.remove(key).is_some() {
+            if let Some(entry) = shard.map.remove(key) {
                 shard.order.retain(|k| k != key);
                 self.evictions.fetch_add(1, Ordering::Relaxed);
+                self.forget_request(&entry);
             }
         }
         if let Some(path) = self.path_for(key) {
@@ -542,18 +576,23 @@ impl ScheduleCache {
         }
     }
 
-    /// The two-tier fetch behind [`ScheduleCache::probe`] and
-    /// [`ScheduleCache::peek`]: memory first, then disk, promoting a disk
-    /// hit into the memory tier. Bumps no counter.
-    fn fetch(&self, key: &str) -> CacheProbe {
-        if let Some(entry) = self
-            .shard(key)
+    /// The memory tier's schedule under `key`, if resident. Bumps no
+    /// counter.
+    fn resident_schedule(&self, key: &str) -> Option<Arc<SystemSchedule>> {
+        self.shard(key)
             .read()
             .unwrap_or_else(|e| e.into_inner())
             .map
             .get(key)
-        {
-            return CacheProbe::Memory(Arc::clone(&entry.schedule));
+            .map(|entry| Arc::clone(&entry.schedule))
+    }
+
+    /// The two-tier fetch behind [`ScheduleCache::probe`] and
+    /// [`ScheduleCache::peek`]: memory first, then disk, promoting a disk
+    /// hit into the memory tier. Bumps no counter.
+    fn fetch(&self, key: &str) -> CacheProbe {
+        if let Some(schedule) = self.resident_schedule(key) {
+            return CacheProbe::Memory(schedule);
         }
         let Some(text) = self
             .path_for(key)
@@ -575,6 +614,12 @@ impl ScheduleCache {
     /// hit/miss/corrupt counters.
     pub fn probe(&self, key: &str) -> CacheProbe {
         let probe = self.fetch(key);
+        self.count(&probe);
+        probe
+    }
+
+    /// Bumps the one hit/miss/corrupt counter `probe` classifies as.
+    fn count(&self, probe: &CacheProbe) {
         let (counter, is_hit) = match probe {
             CacheProbe::Memory(_) => (&self.mem_hits, true),
             CacheProbe::Disk(_) => (&self.disk_hits, true),
@@ -585,7 +630,77 @@ impl ScheduleCache {
         if is_hit {
             self.hits.fetch_add(1, Ordering::Relaxed);
         }
-        probe
+    }
+
+    /// The memory tier's entry for a request payload recorded by
+    /// [`ScheduleCache::record_request`], with its key: the bytes are
+    /// compared in full, and nothing is decoded or keyed.
+    ///
+    /// A hit is counted as the memory hit [`ScheduleCache::probe`] would
+    /// count for that key, and as a repeat hit. A payload that is not
+    /// recorded, or whose entry has left the memory tier, counts nothing:
+    /// the caller then decodes the request and probes its key as usual.
+    pub fn probe_repeat(&self, request: &[u8]) -> Option<(String, Arc<SystemSchedule>)> {
+        // The index guard is a temporary of this statement: it is released
+        // before the shard lock below is taken.
+        let key = self
+            .requests
+            .read()
+            .unwrap_or_else(|e| e.into_inner())
+            .get(request)
+            .cloned()?;
+        let schedule = self.resident_schedule(&key)?;
+        self.count(&CacheProbe::Memory(Arc::clone(&schedule)));
+        self.repeat_hits.fetch_add(1, Ordering::Relaxed);
+        Some((key, schedule))
+    }
+
+    /// Records `request` — the payload of a request that resolved to `key`
+    /// and was served `schedule` from this cache — on that entry, so that
+    /// [`ScheduleCache::probe_repeat`] finds the entry from the same bytes.
+    ///
+    /// The caller vouches that the payload always resolves to `key`. It is
+    /// recorded only while `schedule` is still the memory tier's entry
+    /// under `key`, the entry has no payload yet (at most one per entry),
+    /// the entry's [`ScheduleCache::wire_body`] has been built and the
+    /// payload is no longer than it, and no other entry holds the same
+    /// bytes. So a recorded request never costs more memory than the reply
+    /// bytes its entry already keeps. It leaves the index with its entry.
+    pub fn record_request(&self, key: &str, schedule: &Arc<SystemSchedule>, request: &[u8]) {
+        let shard = self.shard(key).read().unwrap_or_else(|e| e.into_inner());
+        let Some(entry) = shard
+            .map
+            .get(key)
+            .filter(|entry| Arc::ptr_eq(&entry.schedule, schedule))
+        else {
+            return;
+        };
+        let fits = entry
+            .wire_body
+            .get()
+            .is_some_and(|body| request.len() <= body.len());
+        if !fits || entry.request.get().is_some() {
+            return;
+        }
+        let mut index = self.requests.write().unwrap_or_else(|e| e.into_inner());
+        if index.contains_key(request) {
+            return;
+        }
+        let request: Arc<[u8]> = Arc::from(request);
+        if entry.request.set(Arc::clone(&request)).is_ok() {
+            index.insert(request, key.to_string());
+        }
+    }
+
+    /// Drops a removed entry's recorded payload from the index. Called with
+    /// the entry's shard write-locked (lock order: shard, then index).
+    fn forget_request(&self, entry: &CacheEntry) {
+        if let Some(request) = entry.request.get() {
+            self.requests
+                .write()
+                .unwrap_or_else(|e| e.into_inner())
+                .remove(request);
+        }
     }
 
     /// Fetches a key's warm-start artifacts, memory tier first, then the
@@ -734,11 +849,13 @@ impl ScheduleCache {
             schedule,
             artifacts,
             wire_body: OnceLock::new(),
+            request: OnceLock::new(),
         };
         let mut shard = self.shard(key).write().unwrap_or_else(|e| e.into_inner());
-        if shard.map.insert(key.to_string(), entry).is_some() {
+        if let Some(replaced) = shard.map.insert(key.to_string(), entry) {
             // Overwrite of a resident key: neither an insertion nor an
             // eviction, and its position in the order queue is unchanged.
+            self.forget_request(&replaced);
             return;
         }
         shard.order.push_back(key.to_string());
@@ -748,8 +865,9 @@ impl ScheduleCache {
                 let Some(oldest) = shard.order.pop_front() else {
                     break;
                 };
-                if shard.map.remove(&oldest).is_some() {
+                if let Some(evicted) = shard.map.remove(&oldest) {
                     self.evictions.fetch_add(1, Ordering::Relaxed);
+                    self.forget_request(&evicted);
                 }
             }
         }
@@ -1107,6 +1225,101 @@ mod tests {
         assert!(cache.peek("key").is_none(), "evicted");
         assert_eq!(Arc::strong_count(&new_body), 1, "eviction dropped the body");
         assert_eq!(&*cache.wire_body("key", &new_hit), body_of(&second));
+    }
+
+    /// The payload index under every way an entry leaves the memory tier,
+    /// with `recorded <= resident` checked at each step.
+    #[test]
+    fn recorded_requests_leave_the_index_with_their_entry() {
+        let (sys, graph, _, _) = fixtures::two_mode_graph();
+        let schedule =
+            synthesize_system(&sys, &graph, &config(), &IlpSynthesizer).expect("feasible");
+        let cache = ScheduleCache::in_memory().with_memory_cap(1);
+        let holds = |cache: &ScheduleCache| assert!(cache.recorded() <= cache.resident());
+        let request = |tag: &str| format!("request {tag}").into_bytes();
+
+        cache.store("key", &schedule);
+        let (hit, _) = cache.probe("key").hit().expect("resident");
+        // Nothing is recorded before the entry's body exists to bound it.
+        cache.record_request("key", &hit, &request("a"));
+        assert_eq!(cache.recorded(), 0);
+        let body = cache.wire_body("key", &hit);
+        let too_long = vec![b' '; body.len() + 1];
+        cache.record_request("key", &hit, &too_long);
+        assert_eq!(cache.recorded(), 0, "longer than the body");
+        cache.record_request("key", &hit, &request("a"));
+        cache.record_request("key", &hit, &request("b"));
+        assert_eq!(cache.recorded(), 1, "one payload per entry");
+        holds(&cache);
+
+        // A repeat is a memory hit and a repeat hit; other bytes count
+        // nothing.
+        let (key, repeat) = cache.probe_repeat(&request("a")).expect("recorded");
+        assert_eq!(key, "key");
+        assert!(Arc::ptr_eq(&repeat, &hit));
+        assert!(cache.probe_repeat(&request("b")).is_none());
+        assert!(cache.probe_repeat(&too_long).is_none());
+        assert_eq!(
+            (cache.hits(), cache.mem_hits(), cache.repeat_hits()),
+            (2, 2, 1)
+        );
+        assert_eq!(cache.misses(), 0);
+
+        // No second entry can hold the same bytes ("other" hashes to
+        // another shard, so the cap keeps "key").
+        cache.store("other", &schedule);
+        assert!(cache.peek("key").is_some());
+        let (other, _) = cache.probe("other").hit().expect("resident");
+        cache.wire_body("other", &other);
+        cache.record_request("other", &other, &request("a"));
+        assert_eq!(cache.recorded(), 1);
+        assert_eq!(
+            cache.probe_repeat(&request("a")).expect("recorded").0,
+            "key"
+        );
+
+        // An overwrite drops the payload; the new entry records afresh, and
+        // a holder of the replaced schedule records nothing.
+        cache.store("key", &schedule);
+        assert_eq!(cache.recorded(), 0);
+        let hits = cache.hits();
+        assert!(cache.probe_repeat(&request("a")).is_none());
+        assert_eq!(cache.hits(), hits, "a miss in the index counts nothing");
+        cache.wire_body("key", &hit);
+        cache.record_request("key", &hit, &request("a"));
+        assert_eq!(cache.recorded(), 0, "not the resident schedule");
+        let (fresh, _) = cache.probe("key").hit().expect("resident");
+        cache.wire_body("key", &fresh);
+        cache.record_request("key", &fresh, &request("a"));
+        assert_eq!(cache.recorded(), 1);
+        holds(&cache);
+
+        // `evict` drops it.
+        cache.evict("key");
+        assert_eq!(cache.recorded(), 0);
+        assert!(cache.probe_repeat(&request("a")).is_none());
+
+        // So does the entry cap: one entry per shard, so storing over every
+        // shard evicts every recorded entry.
+        for i in 0..4 {
+            let key = format!("recorded/{i}");
+            cache.store(&key, &schedule);
+            let (hit, _) = cache.probe(&key).hit().expect("resident");
+            cache.wire_body(&key, &hit);
+            cache.record_request(&key, &hit, &request(&key));
+        }
+        assert!(cache.recorded() >= 1);
+        holds(&cache);
+        for i in 0..4 * MEMORY_SHARDS {
+            cache.store(&format!("{i:016x}"), &schedule);
+            holds(&cache);
+        }
+        let resident = (0..4)
+            .filter(|i| cache.peek(&format!("recorded/{i}")).is_some())
+            .count();
+        assert_eq!(cache.recorded(), resident);
+        assert_eq!(resident, 0, "the cap evicted every recorded entry");
+        assert_eq!(cache.repeat_hits(), 2);
     }
 
     #[test]

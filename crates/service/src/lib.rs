@@ -18,8 +18,9 @@
 //!   hashes).
 //! * [`stats`] — relaxed-atomic service counters and their wire snapshot;
 //!   `requests == solved + incremental + coalesced + cache_hits + rejected +
-//!   solve_errors` reconciles across the whole pipeline, and the bounded
-//!   memory tier's `insertions == resident + evictions`.
+//!   solve_errors` reconciles across the whole pipeline, every
+//!   `repeat_hits` is a memory hit, and the bounded memory tier's
+//!   `insertions == resident + evictions`.
 //! * [`coalesce`] — the in-flight table: identical synthesis keys share one
 //!   solve (leader/follower on a condvar), with panic-safe leader tokens.
 //! * [`admission`] — a bounded semaphore with a bounded wait line in front
@@ -30,7 +31,8 @@
 //!   re-probe that makes "identical concurrent requests solve exactly once"
 //!   a hard invariant, and routing to the ILP or heuristic backend.
 //! * [`server`] / [`client`] — the thread-per-connection TCP front end and
-//!   its blocking counterpart.
+//!   its blocking counterpart. The server answers a payload whose exact
+//!   bytes the memory tier already answered from that entry, undecoded.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

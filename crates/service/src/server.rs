@@ -6,6 +6,11 @@
 //! `shutdown` request — or [`ServerHandle::shutdown`] — flips the stop
 //! flag and pokes the listener with a throwaway connection so the accept
 //! loop observes it without resorting to non-blocking accept polling.
+//!
+//! A payload is looked up by its bytes before it is decoded: bytes the
+//! memory tier has already answered are answered again from the same entry
+//! (see [`crate::service`]), and only the rest go through the protocol
+//! decoder and the full pipeline.
 
 use crate::frame::{begin_frame, payload_len, read_frame, send_frame};
 use crate::protocol::{Request, Response};
@@ -137,12 +142,20 @@ fn serve_connection(
 /// the connection loop to initiate server shutdown. A served schedule is
 /// spliced — envelope around the already encoded body — and every other
 /// response is written into the frame by the [`Response`] codec.
+///
+/// Bytes already answered from the memory tier are answered again from the
+/// entry they were recorded on, before anything is decoded; everything
+/// else is decoded and served through the full pipeline.
 fn respond(payload: &[u8], service: &SchedulerService, frame: &mut Vec<u8>) -> bool {
+    if let Some(repeat) = service.serve_repeat(payload) {
+        repeat.write_json(frame);
+        return false;
+    }
     let mut encode = |response: Response| response.write(&mut Writer::compact(frame));
     let served = match Request::from_json(payload) {
-        Ok(Request::Synthesize(request)) => service.serve_encoded(&request, None),
+        Ok(Request::Synthesize(request)) => service.serve_encoded(&request, None, payload),
         Ok(Request::Resynthesize(request)) => {
-            service.serve_encoded(&request.base, Some(&request.predecessor))
+            service.serve_encoded(&request.base, Some(&request.predecessor), payload)
         }
         Ok(Request::Stats) => {
             encode(Response::Stats(service.snapshot()));

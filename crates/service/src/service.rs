@@ -23,6 +23,16 @@
 //! 5. **Solve, store, publish** — the backend runs (from scratch, or
 //!    incrementally from the request's predecessor entry), the result lands
 //!    in the cache *before* the flight retires, and followers wake.
+//!
+//! The TCP front end asks one thing first. A payload whose exact bytes were
+//! already answered from the memory tier — recorded on the entry by its
+//! first wire hit — is served from that entry as it stands
+//! ([`ScheduleCache::probe_repeat`]): no decode, no key, no probe of the
+//! disk tier. A decoded request depends only on its bytes, and the key only
+//! on the request and this service's fixed [`ServiceConfig`], so the bytes
+//! name the entry step 2 would find. A repeat counts as the request and
+//! memory hit it is; bytes with no resident entry count nothing and are
+//! decoded. Both doors turn a hit into the reply frame through one function.
 
 use crate::admission::AdmissionQueue;
 use crate::coalesce::{InflightTable, Role};
@@ -241,7 +251,9 @@ impl SchedulerService {
     }
 
     /// The pipeline for the TCP front end: the same request served, with
-    /// the schedule as the compact JSON the reply frame carries.
+    /// the schedule as the compact JSON the reply frame carries. `payload`
+    /// is the bytes `request` (and `predecessor`) were decoded from; a warm
+    /// reply records them on its entry for [`SchedulerService::serve_repeat`].
     ///
     /// # Errors
     ///
@@ -250,14 +262,47 @@ impl SchedulerService {
         &self,
         request: &SynthesizeRequest,
         predecessor: Option<&str>,
+        payload: &[u8],
     ) -> Result<EncodedReply, ServiceError> {
         let served = self.serve(request, predecessor)?;
+        Ok(self.encode(served, Some(payload)))
+    }
+
+    /// The reply to a request payload that was already answered from the
+    /// memory tier, served from the entry its bytes were recorded on: one
+    /// request and one memory hit, and nothing decoded. `None` when the
+    /// bytes are not recorded or their entry has left the memory tier;
+    /// nothing is counted then, and the caller decodes the payload and
+    /// serves it through [`SchedulerService::serve_encoded`].
+    pub(crate) fn serve_repeat(&self, payload: &[u8]) -> Option<EncodedReply> {
+        let start = Instant::now();
+        let (key, schedule) = self.cache.probe_repeat(payload)?;
+        ServiceStats::bump(&self.stats.requests);
+        let served = Served {
+            key,
+            schedule,
+            served: ServedFrom::Memory,
+            request_milp_nodes: 0,
+            service_micros: start.elapsed().as_micros() as u64,
+        };
+        Some(self.encode(served, None))
+    }
+
+    /// Shapes a served request into its reply frame's fields; a warm reply
+    /// also records `payload` on its entry.
+    fn encode(&self, served: Served, payload: Option<&[u8]>) -> EncodedReply {
         let body = match served.served {
             // A hit's schedule is the memory tier's entry (a disk hit was
-            // promoted into it): the first such reply builds the body, the
-            // entry keeps it, and every later hit is a copy of those bytes.
+            // promoted into it): the first such reply builds the body and
+            // records the request bytes, the entry keeps both, and every
+            // later hit is a copy of that body.
             ServedFrom::Memory | ServedFrom::Disk => {
-                self.cache.wire_body(&served.key, &served.schedule)
+                let body = self.cache.wire_body(&served.key, &served.schedule);
+                if let Some(payload) = payload {
+                    self.cache
+                        .record_request(&served.key, &served.schedule, payload);
+                }
+                body
             }
             // A fresh result is encoded for this reply alone: an edit stream
             // stores entry after entry that nobody asks for again.
@@ -265,12 +310,12 @@ impl SchedulerService {
                 Arc::from(served.schedule.to_json())
             }
         };
-        Ok(EncodedReply {
+        EncodedReply {
             served: served.served,
             request_milp_nodes: served.request_milp_nodes,
             service_micros: served.service_micros,
             body,
-        })
+        }
     }
 
     /// The pipeline of the module docs. `predecessor` selects the leader's
@@ -446,10 +491,17 @@ mod tests {
         base: &SynthesizeRequest,
         predecessor: Option<&str>,
     ) -> ScheduleReply {
-        use crate::protocol::Response;
+        use crate::protocol::{Request, Response};
+        let request = match predecessor {
+            None => Request::Synthesize(Box::new(base.clone())),
+            Some(predecessor) => Request::Resynthesize(Box::new(ResynthesizeRequest {
+                base: base.clone(),
+                predecessor: predecessor.into(),
+            })),
+        };
         let mut bytes = Vec::new();
         service
-            .serve_encoded(base, predecessor)
+            .serve_encoded(base, predecessor, request.to_json().as_bytes())
             .expect("served")
             .write_json(&mut bytes);
         let Ok(Response::Schedule(reply)) = Response::from_json(&bytes) else {

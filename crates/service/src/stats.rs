@@ -6,8 +6,8 @@
 //! counters are folded in at snapshot time from
 //! [`ttw_core::cache::ScheduleCache`], so one snapshot reconciles the whole
 //! pipeline: `requests == solved + incremental + coalesced + cache_hits +
-//! rejected + solve_errors`, and the bounded memory tier's
-//! `insertions == resident + evictions`.
+//! rejected + solve_errors`, `repeat_hits <= cache_mem_hits`, and the
+//! bounded memory tier's `insertions == resident + evictions`.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use ttw_core::cache::ScheduleCache;
@@ -17,12 +17,13 @@ use ttw_core::cache::ScheduleCache;
 /// are read off the [`ScheduleCache`] getter named after `=` at snapshot
 /// time. The table yields both structs, [`ServiceStats::snapshot`],
 /// [`StatsSnapshot::fields`] and the snapshot's wire form (one member per
-/// counter, named like the field), so a counter is added or removed in one
-/// line.
+/// counter, named like the field; `or default` lets a snapshot written
+/// before the counter existed decode it as 0), so a counter is added or
+/// removed in one line.
 macro_rules! service_counters {
     (
         live { $( $(#[$live_doc:meta])* $live:ident, )* }
-        cache { $( $(#[$cache_doc:meta])* $cached:ident = $getter:ident, )* }
+        cache { $( $(#[$cache_doc:meta])* $cached:ident = $getter:ident $(or $rule:ident)?, )* }
     ) => {
         /// Live request-path counters. All loads/stores are relaxed: the
         /// counters are monotonic telemetry, never control flow.
@@ -60,7 +61,7 @@ macro_rules! service_counters {
             }
         }
 
-        ttw_core::json_object!(StatsSnapshot as "stats" { $($live,)* $($cached,)* });
+        ttw_core::json_object!(StatsSnapshot as "stats" { $($live,)* $($cached $(or $rule)?,)* });
     };
 }
 
@@ -101,6 +102,9 @@ service_counters! {
         cache_evictions = evictions,
         /// Entries resident in the memory tier right now.
         cache_resident = resident,
+        /// Memory hits served from a recorded request payload, without
+        /// decoding the request (each is also one of `cache_mem_hits`).
+        repeat_hits = repeat_hits or default,
     }
 }
 
@@ -119,8 +123,8 @@ impl ServiceStats {
 impl StatsSnapshot {
     /// Checks the pipeline-wide accounting identities: every accepted
     /// request is explained by exactly one outcome, every cache hit by
-    /// exactly one tier, and every memory-tier insertion is either still
-    /// resident or was evicted.
+    /// exactly one tier, every repeat hit is a memory hit, and every
+    /// memory-tier insertion is either still resident or was evicted.
     pub fn reconciles(&self) -> bool {
         self.requests
             == self.solved
@@ -130,6 +134,7 @@ impl StatsSnapshot {
                 + self.rejected
                 + self.solve_errors
             && self.cache_hits == self.cache_mem_hits + self.cache_disk_hits
+            && self.repeat_hits <= self.cache_mem_hits
             && self.cache_insertions == self.cache_resident + self.cache_evictions
     }
 }
@@ -157,16 +162,47 @@ mod tests {
             cache_insertions: 6,
             cache_evictions: 2,
             cache_resident: 4,
+            repeat_hits: 2,
         };
         let value = snapshot.to_value();
         // One member per counter, under the name `fields` gives it.
         let members = value.as_object().expect("an object");
-        assert_eq!(members.len(), 15);
+        assert_eq!(members.len(), 16);
         for (name, count) in snapshot.fields() {
             assert_eq!(members[name].as_u64(), Some(count as u64), "{name}");
         }
         assert_eq!(StatsSnapshot::from_value(&value), Ok(snapshot));
         assert!(snapshot.reconciles());
+
+        // A snapshot from before `repeat_hits` existed reads it as 0.
+        let mut older = value.as_object().expect("an object").clone();
+        older.remove("repeat_hits");
+        let older = StatsSnapshot::from_value(&ttw_core::json::Value::Object(older));
+        assert_eq!(
+            older,
+            Ok(StatsSnapshot {
+                repeat_hits: 0,
+                ..snapshot
+            })
+        );
+    }
+
+    #[test]
+    fn reconciliation_catches_repeats_beyond_the_memory_hits() {
+        let snapshot = StatsSnapshot {
+            requests: 2,
+            cache_hits: 2,
+            cache_mem_hits: 1,
+            cache_disk_hits: 1,
+            repeat_hits: 2,
+            ..StatsSnapshot::default()
+        };
+        assert!(!snapshot.reconciles());
+        assert!(StatsSnapshot {
+            repeat_hits: 1,
+            ..snapshot
+        }
+        .reconciles());
     }
 
     #[test]

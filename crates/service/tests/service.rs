@@ -698,3 +698,284 @@ fn concurrent_first_hits_of_one_entry_get_identical_replies() {
     assert_eq!(stats.cache_mem_hits, CLIENTS);
     assert!(stats.reconciles(), "{stats:?}");
 }
+
+/// Sends one raw payload and returns the reply frame's bytes.
+fn exchange_raw(stream: &mut std::net::TcpStream, payload: &[u8]) -> Vec<u8> {
+    use ttw_service::frame::{read_frame, write_frame};
+    write_frame(stream, payload).expect("write");
+    read_frame(stream).expect("read").expect("a response")
+}
+
+/// The schedule reply a frame holds.
+fn schedule_of(frame: &[u8]) -> ttw_service::ScheduleReply {
+    match ttw_service::Response::from_json(frame).expect("decodes") {
+        ttw_service::Response::Schedule(reply) => *reply,
+        other => panic!("not a schedule: {other:?}"),
+    }
+}
+
+/// A reply frame with the digits of its `service_micros` blanked: the only
+/// bytes two replies of one entry may differ in.
+fn without_micros(frame: &[u8]) -> String {
+    let text = String::from_utf8(frame.to_vec()).expect("utf-8");
+    let member = "\"service_micros\":";
+    let at = text.find(member).expect("a schedule reply") + member.len();
+    let digits = text[at..].bytes().take_while(u8::is_ascii_digit).count();
+    format!("{}{}", &text[..at], &text[at + digits..])
+}
+
+/// The second hit of a payload is answered from the bytes its first hit
+/// recorded, without decoding them: the frame is the decode path's frame to
+/// the byte (`service_micros` aside), and it counts as the memory hit it is.
+#[test]
+fn a_repeated_request_is_answered_undecoded_with_the_decode_paths_frame() {
+    use ttw_service::{Request, Response};
+    let server = start_server();
+    let service = server.service();
+    let mut stream = std::net::TcpStream::connect(server.addr()).expect("connect");
+    let payload = Request::Synthesize(Box::new(fig3_request(BackendKind::Ilp))).to_json();
+
+    let solved = exchange_raw(&mut stream, payload.as_bytes());
+    assert_eq!(schedule_of(&solved).served, ServedFrom::Solved);
+    assert_eq!(service.cache().recorded(), 0, "a solve records nothing");
+
+    let decoded = exchange_raw(&mut stream, payload.as_bytes());
+    assert_eq!(schedule_of(&decoded).served, ServedFrom::Memory);
+    let stats = service.snapshot();
+    assert_eq!((stats.cache_mem_hits, stats.repeat_hits), (1, 0));
+    assert_eq!(service.cache().recorded(), 1, "the first hit records");
+
+    let repeat = exchange_raw(&mut stream, payload.as_bytes());
+    assert_eq!(without_micros(&repeat), without_micros(&decoded));
+    let reply = schedule_of(&repeat);
+    assert_eq!(reply.schedule, schedule_of(&solved).schedule);
+    assert_eq!(
+        Response::Schedule(Box::new(reply)).to_json().as_bytes(),
+        repeat,
+        "a repeat's frame is the response codec's bytes"
+    );
+    let stats = service.snapshot();
+    assert_eq!(stats.requests, 3);
+    assert_eq!((stats.cache_mem_hits, stats.repeat_hits), (2, 1));
+    assert!(stats.reconciles(), "{stats:?}");
+    assert!(service.cache().recorded() <= stats.cache_resident);
+}
+
+/// Bytes that decode to the same request but differ from the recorded ones
+/// are decoded: the same schedule, served from memory, and no second
+/// payload is recorded for the entry.
+#[test]
+fn padded_and_pretty_variants_of_a_request_take_the_decode_path_and_record_nothing() {
+    use ttw_core::json::Json;
+    use ttw_service::Request;
+    let server = start_server();
+    let service = server.service();
+    let mut stream = std::net::TcpStream::connect(server.addr()).expect("connect");
+    let request = Request::Synthesize(Box::new(fig3_request(BackendKind::Ilp)));
+    let compact = request.to_json();
+    let solved = schedule_of(&exchange_raw(&mut stream, compact.as_bytes()));
+    let recorded = exchange_raw(&mut stream, compact.as_bytes());
+    assert_eq!(schedule_of(&recorded).served, ServedFrom::Memory);
+    assert_eq!(service.cache().recorded(), 1);
+
+    let padded = format!(" {compact}\n");
+    for variant in [padded.as_str(), request.to_json_pretty().as_str()] {
+        assert_ne!(variant, compact);
+        for _ in 0..2 {
+            let frame = exchange_raw(&mut stream, variant.as_bytes());
+            let reply = schedule_of(&frame);
+            assert_eq!(reply.served, ServedFrom::Memory);
+            assert_eq!(reply.schedule, solved.schedule);
+            assert_eq!(without_micros(&frame), without_micros(&recorded));
+        }
+    }
+    let stats = service.snapshot();
+    assert_eq!(stats.repeat_hits, 0, "{stats:?}");
+    assert_eq!(stats.cache_mem_hits, 5, "{stats:?}");
+    assert_eq!(service.cache().recorded(), 1, "one payload per entry");
+    assert!(stats.reconciles(), "{stats:?}");
+
+    // The recorded bytes themselves still repeat.
+    exchange_raw(&mut stream, compact.as_bytes());
+    assert_eq!(service.snapshot().repeat_hits, 1);
+}
+
+/// An entry the memory cap (or `evict`) removes takes its recorded payload
+/// out of the index with it; the same bytes are then decoded and solved
+/// again, and the new entry records them afresh.
+#[test]
+fn an_evicted_entrys_request_leaves_the_index_and_is_decoded_again() {
+    let service = Arc::new(SchedulerService::new(ServiceConfig {
+        memory_cap: Some(1),
+        ..ServiceConfig::default()
+    }));
+    let server = ServerHandle::bind(Arc::clone(&service), "127.0.0.1:0").expect("bind loopback");
+    let mut client = Client::connect(server.addr()).expect("connect");
+    let request = fig3_request(BackendKind::Ilp);
+    let key = service.request_key(&request);
+    let recorded_and_repeated = |client: &mut Client| {
+        let solved = client.synthesize(request.clone()).expect("solves");
+        assert_eq!(solved.served, ServedFrom::Solved);
+        let repeats = service.snapshot().repeat_hits;
+        for served in [ServedFrom::Memory; 2] {
+            let hit = client.synthesize(request.clone()).expect("hit");
+            assert_eq!(hit.served, served);
+            assert_eq!(hit.schedule, solved.schedule);
+        }
+        assert_eq!(service.snapshot().repeat_hits, repeats + 1);
+        assert_eq!(service.cache().recorded(), 1);
+        solved
+    };
+
+    let first = recorded_and_repeated(&mut client);
+    // One entry per shard: storing over every shard evicts the entry.
+    for i in 0..64 {
+        service.cache().store(&format!("{i:016x}"), &first.schedule);
+        if service.cache().peek(&key).is_none() {
+            break;
+        }
+    }
+    assert!(service.cache().peek(&key).is_none(), "evicted by the cap");
+    assert_eq!(service.cache().recorded(), 0, "the payload left with it");
+    assert!(service.cache().recorded() <= service.snapshot().cache_resident);
+    let again = recorded_and_repeated(&mut client);
+    assert_eq!(again.schedule, first.schedule);
+
+    // An explicit eviction does the same.
+    service.cache().evict(&key);
+    assert_eq!(service.cache().recorded(), 0);
+    recorded_and_repeated(&mut client);
+
+    let stats = service.snapshot();
+    assert_eq!((stats.solved, stats.repeat_hits), (3, 3), "{stats:?}");
+    assert!(stats.reconciles(), "{stats:?}");
+}
+
+/// A payload that does not decode is never recorded, so it is decoded, and
+/// refused, every time.
+#[test]
+fn a_bad_request_sent_twice_is_a_bad_request_twice() {
+    use ttw_service::Request;
+    let server = start_server();
+    let mut stream = std::net::TcpStream::connect(server.addr()).expect("connect");
+    // Served once, so the memory tier has an entry a bad payload could alias.
+    let honest = Request::Synthesize(Box::new(fig3_request(BackendKind::Ilp))).to_json();
+    for _ in 0..2 {
+        exchange_raw(&mut stream, honest.as_bytes());
+    }
+    let mismatched = honest.replace("\"num_modes\":2", "\"num_modes\":3");
+    assert_ne!(mismatched, honest);
+    for bad in [b"not json".as_slice(), mismatched.as_bytes()] {
+        for _ in 0..2 {
+            let frame = exchange_raw(&mut stream, bad);
+            let text = String::from_utf8(frame).expect("utf-8");
+            assert!(text.contains("\"error\""), "{text}");
+            assert!(text.contains("bad request"), "{text}");
+        }
+    }
+    let stats = server.service().snapshot();
+    assert_eq!((stats.requests, stats.repeat_hits), (2, 0), "{stats:?}");
+    assert_eq!(server.service().cache().recorded(), 1);
+    assert!(stats.reconciles(), "{stats:?}");
+}
+
+/// An overwrite takes the recorded payload with the replaced entry: the
+/// next hit is decoded and serves the new schedule, records the bytes on the
+/// new entry, and the repeat after it serves the new schedule too.
+#[test]
+fn a_repeat_after_an_overwrite_serves_the_new_schedule() {
+    let server = start_server();
+    let service = server.service();
+    let mut client = Client::connect(server.addr()).expect("connect");
+    let request = fig3_request(BackendKind::Ilp);
+    let solved = client.synthesize(request.clone()).expect("solves");
+    for _ in 0..2 {
+        assert_eq!(
+            client.synthesize(request.clone()).expect("hit").schedule,
+            solved.schedule
+        );
+    }
+    assert_eq!(service.snapshot().repeat_hits, 1);
+
+    let key = service.request_key(&request);
+    let mut replaced = solved.schedule.clone();
+    replaced.inheritance.clear();
+    assert_ne!(replaced, solved.schedule);
+    service.cache().store_with_artifacts(&key, &replaced, None);
+    assert_eq!(service.cache().recorded(), 0, "the overwrite purged it");
+    for repeats in [1, 2, 3] {
+        let hit = client.synthesize(request.clone()).expect("hit");
+        assert_eq!(hit.served, ServedFrom::Memory);
+        assert_eq!(hit.schedule, replaced);
+        assert_eq!(service.snapshot().repeat_hits, repeats);
+    }
+    let stats = service.snapshot();
+    assert_eq!(stats.cache_mem_hits, 5, "{stats:?}");
+    assert!(stats.reconciles(), "{stats:?}");
+}
+
+/// A client that hangs up while its request leads a solve takes nothing
+/// with it: the solve finishes and is stored, a follower on another
+/// connection is served the flight's result, and the server keeps serving.
+#[test]
+fn a_leader_whose_client_disconnects_still_serves_its_followers() {
+    use ttw_service::frame::write_frame;
+    use ttw_service::Request;
+    // Sixteen modes: a solve long enough for a follower to join it.
+    let scenario = generate(&GeneratorConfig::bench(16, GraphShape::Chain), 6);
+    let request = SynthesizeRequest {
+        config: scenario.scheduler_config(),
+        system: scenario.system,
+        graph: scenario.graph,
+        backend: BackendKind::Ilp,
+        budget: BudgetCaps::default(),
+    };
+    let payload = Request::Synthesize(Box::new(request.clone())).to_json();
+    // Nothing outside the server says when the follower has joined; one
+    // that arrives after the flight landed is served from memory instead,
+    // which is correct but not this case, and the round is run again.
+    let round = || {
+        let server = start_server();
+        let service = Arc::clone(server.service());
+        let mut leader = std::net::TcpStream::connect(server.addr()).expect("connect");
+        write_frame(&mut leader, payload.as_bytes()).expect("write");
+        // The leader's cold probe and its leadership re-probe both miss
+        // before it solves.
+        while service.snapshot().cache_misses < 2 {
+            std::thread::yield_now();
+        }
+        drop(leader);
+        let follower = Client::connect(server.addr())
+            .expect("connect")
+            .synthesize(request.clone())
+            .expect("the follower is served");
+        (server, follower)
+    };
+    let (server, follower) = (0..10)
+        .map(|_| round())
+        .find(|(_, follower)| follower.served == ServedFrom::Coalesced)
+        .expect("a follower joined the flight in one of 10 rounds");
+    assert_eq!(follower.request_milp_nodes, 0);
+    let service = server.service();
+    let key = service.request_key(&request);
+    assert_eq!(
+        service.cache().peek(&key).as_deref(),
+        Some(&follower.schedule),
+        "the disconnected leader's solve was cached"
+    );
+    let stats = service.snapshot();
+    assert_eq!(
+        (stats.requests, stats.solved, stats.coalesced),
+        (2, 1, 1),
+        "{stats:?}"
+    );
+    assert!(stats.reconciles(), "{stats:?}");
+
+    let mut client = Client::connect(server.addr()).expect("connect");
+    let hit = client
+        .synthesize(request)
+        .expect("the server keeps serving");
+    assert_eq!(hit.served, ServedFrom::Memory);
+    assert_eq!(hit.schedule, follower.schedule);
+    assert!(client.stats().expect("stats").reconciles());
+}
