@@ -29,28 +29,29 @@
 //!
 //! The cache has two schedule tiers plus a warm-start sidecar:
 //!
-//! 1. **Memory** — a sharded `RwLock` map of entries. This is the hot path
-//!    of the scheduler service: many worker threads probe concurrently, and
-//!    a hit is a shard read-lock plus an `Arc` clone — no parsing, no I/O.
-//!    An entry also keeps the compact JSON of its schedule once a hit has
-//!    been served over the wire ([`ScheduleCache::wire_body`]), so later
-//!    hits ship those bytes instead of encoding the schedule again, and the
-//!    request payload that hit asked with ([`ScheduleCache::record_request`]),
-//!    so the same bytes asked again find the entry through a payload index
-//!    without being decoded or keyed ([`ScheduleCache::probe_repeat`]). Both
-//!    are built by the first such hit, not by the store, and go with the
-//!    entry when it is evicted or overwritten; a recorded payload is never
-//!    longer than the body beside it.
+//! 1. **Memory** — one map of entries behind one `RwLock`, shared by the
+//!    scheduler service's threads: a hit is a read lock plus an `Arc`
+//!    clone — no parsing, no I/O. An entry also keeps the compact JSON of
+//!    its schedule once a hit has been served over the wire
+//!    ([`ScheduleCache::wire_body`]), so later hits ship those bytes instead
+//!    of encoding the schedule again, and the request payload that hit
+//!    asked with ([`ScheduleCache::record_request`]), so the same bytes
+//!    asked again find the entry through a payload index without being
+//!    decoded or keyed ([`ScheduleCache::probe_repeat`]). Both are built by
+//!    the first such hit, not by the store, and go with the entry when it is
+//!    evicted or overwritten; a recorded payload is never longer than the
+//!    body beside it. The payload index sits under the same lock as the
+//!    entries it points into, so it never names an entry that has left.
 //!    The tier is optionally bounded ([`ScheduleCache::with_memory_cap`]):
 //!    beyond the cap the oldest-inserted entries are evicted (memory copy
 //!    only — the disk tier is the archive), and the
 //!    `insertions - evictions == resident` identity reconciles exactly.
 //! 2. **Disk** — one pretty-printed JSON file per key (the
-//!    [`crate::export::system_schedule_to_json`] codec), demoted to a
-//!    *write-behind* persistence layer: [`ScheduleCache::store`] inserts
-//!    into the memory tier synchronously and hands the serialization and
-//!    file write to a background persister thread. A disk hit (fresh
-//!    process, warm `target/`) is promoted into the memory tier.
+//!    [`crate::export::system_schedule_to_json`] codec).
+//!    [`ScheduleCache::store`] updates the memory tier and then writes the
+//!    file on the calling thread, so the entry is on disk when `store`
+//!    returns. A disk hit (fresh process, warm `target/`) is promoted into
+//!    the memory tier.
 //! 3. **Warm artifacts** — entries stored through
 //!    [`ScheduleCache::store_with_artifacts`] additionally carry
 //!    [`SynthesisArtifacts`]: the inputs the schedule was synthesized from
@@ -74,8 +75,8 @@
 //! counters therefore reconcile exactly: `hits + misses + corrupt` equals
 //! the number of probes, and `mem_hits + disk_hits` equals `hits`. A repeat
 //! served through the payload index is a memory hit like any other, also
-//! counted in `repeat_hits`; one that finds no resident entry counts
-//! nothing. Every recorded payload belongs to one resident entry, so
+//! counted in `repeat_hits`; bytes that are not recorded count nothing.
+//! Every recorded payload belongs to one resident entry, so
 //! `recorded <= resident`.
 //!
 //! [`synthesize_system_cached`] is the drop-in entry point: a hit
@@ -93,10 +94,10 @@ use crate::schedule::SystemSchedule;
 use crate::synthesis::{synthesize_waves, ModeWarmStart, Synthesizer, SystemSynthesisError};
 use crate::system::System;
 use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::fmt::{self, Write as _};
+use std::fmt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex, OnceLock, RwLock};
+use std::sync::{Arc, OnceLock, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use ttw_milp::Basis;
 
 /// Bumped whenever the cached representation (or anything influencing the
@@ -104,11 +105,6 @@ use ttw_milp::Basis;
 /// same-version solver change that lands on a different co-optimal
 /// schedule) changes. See the module docs for the invalidation rule.
 const CACHE_FORMAT_VERSION: u32 = 1;
-
-/// Number of independent memory-tier shards. Sixteen is far beyond the
-/// worker-thread counts the service runs with, so shard write locks are
-/// effectively uncontended.
-const MEMORY_SHARDS: usize = 16;
 
 /// Process-wide store sequence: combined with the process id it makes every
 /// temp-file name unique, even across cache instances sharing one directory.
@@ -327,41 +323,51 @@ struct CacheEntry {
     artifacts: Option<Arc<SynthesisArtifacts>>,
     /// See [`ScheduleCache::wire_body`]. Empty until the first caller asks:
     /// most entries of an edit stream are stored and never read again, and
-    /// must not pay memory for bytes nobody requests.
+    /// must not pay memory for bytes nobody requests. Filled under the read
+    /// lock, so concurrent first callers share one encode.
     wire_body: OnceLock<Arc<str>>,
-    /// See [`ScheduleCache::record_request`]; shared with the payload index,
-    /// which holds it exactly as long as the entry is resident.
-    request: OnceLock<Arc<[u8]>>,
+    /// See [`ScheduleCache::record_request`]; the same bytes key the payload
+    /// index. Written only under the write lock.
+    request: Option<Arc<[u8]>>,
 }
 
-/// One memory-tier shard: the entry map plus the insertion-order queue the
-/// entry cap evicts from (oldest first).
+/// The memory tier: the entry map, the insertion-order queue the entry cap
+/// evicts from (oldest first), and the payload index from each recorded
+/// request to the key of the resident entry that holds it.
 #[derive(Debug, Default)]
-struct Shard {
+struct MemoryTier {
     map: HashMap<String, CacheEntry>,
     order: VecDeque<String>,
+    requests: HashMap<Arc<[u8]>, String>,
 }
 
-/// A job for the write-behind persister thread.
-enum PersistJob {
-    /// Serialize and publish one entry.
-    Write {
-        key: String,
-        schedule: Arc<SystemSchedule>,
-        artifacts: Option<Arc<SynthesisArtifacts>>,
-    },
-    /// Acknowledge once every previously enqueued write has been published.
-    Flush(mpsc::SyncSender<()>),
-}
+impl MemoryTier {
+    /// Drops `key`'s entry and its recorded payload together, leaving the
+    /// order queue to the caller; `false` when the key was not resident.
+    fn remove(&mut self, key: &str) -> bool {
+        let Some(entry) = self.map.remove(key) else {
+            return false;
+        };
+        if let Some(request) = &entry.request {
+            self.requests.remove(request);
+        }
+        true
+    }
 
-/// The write-behind persister: a channel into a background thread that
-/// serializes entries and publishes them via temp-file rename.
-#[derive(Debug)]
-struct Persister {
-    sender: mpsc::Sender<PersistJob>,
-    /// `None` when the thread could not be spawned (resource exhaustion);
-    /// `store` then publishes inline through the dead channel's error path.
-    handle: Option<std::thread::JoinHandle<()>>,
+    /// Whether [`ScheduleCache::record_request`] may record `request` on
+    /// `key`'s entry: `schedule` is still that entry, which has no payload
+    /// yet and a wire body at least as long, and no entry holds the bytes.
+    fn can_record(&self, key: &str, schedule: &Arc<SystemSchedule>, request: &[u8]) -> bool {
+        let fits = |entry: &CacheEntry| {
+            Arc::ptr_eq(&entry.schedule, schedule)
+                && entry.request.is_none()
+                && entry
+                    .wire_body
+                    .get()
+                    .is_some_and(|body| request.len() <= body.len())
+        };
+        self.map.get(key).is_some_and(fits) && !self.requests.contains_key(request)
+    }
 }
 
 /// The two-tier schedule cache described in the [module docs](self).
@@ -372,15 +378,9 @@ struct Persister {
 pub struct ScheduleCache {
     /// Disk-tier root; `None` for a memory-only cache.
     dir: Option<PathBuf>,
-    shards: Vec<RwLock<Shard>>,
-    /// Per-shard entry cap; `None` means unbounded.
-    shard_cap: Option<usize>,
-    /// The configured total memory-tier cap (before the per-shard split).
+    memory: RwLock<MemoryTier>,
+    /// Memory-tier entry cap; `None` means unbounded.
     memory_cap: Option<usize>,
-    persister: Mutex<Option<Persister>>,
-    /// Recorded request payloads, each to the key of the resident entry that
-    /// holds it. Lock order: a shard before the index, never the reverse.
-    requests: RwLock<HashMap<Arc<[u8]>, String>>,
     hits: AtomicUsize,
     misses: AtomicUsize,
     corrupt: AtomicUsize,
@@ -408,13 +408,8 @@ impl ScheduleCache {
     fn build(dir: Option<PathBuf>) -> Self {
         ScheduleCache {
             dir,
-            shards: (0..MEMORY_SHARDS)
-                .map(|_| RwLock::new(Shard::default()))
-                .collect(),
-            shard_cap: None,
+            memory: RwLock::default(),
             memory_cap: None,
-            persister: Mutex::new(None),
-            requests: RwLock::new(HashMap::new()),
             hits: AtomicUsize::new(0),
             misses: AtomicUsize::new(0),
             corrupt: AtomicUsize::new(0),
@@ -426,18 +421,15 @@ impl ScheduleCache {
         }
     }
 
-    /// Bounds the memory tier to roughly `cap` entries (insertion-order
-    /// eviction; a cap of 0 is treated as 1).
+    /// Bounds the memory tier to `cap` entries, evicting the oldest-inserted
+    /// first (a cap of 0 is treated as 1).
     ///
-    /// The cap is split evenly across the internal shards, so the effective
-    /// bound is `cap` rounded up to a multiple of the shard count. Evicted
-    /// entries lose only their memory copy — a disk-backed cache still
-    /// serves them from disk (and re-promotes them) afterwards, which is the
-    /// intended shape for a long service run: memory stays bounded, disk is
-    /// the archive.
+    /// Evicted entries lose only their memory copy — a disk-backed cache
+    /// still serves them from disk (and re-promotes them) afterwards, which
+    /// is the intended shape for a long service run: memory stays bounded,
+    /// disk is the archive.
     pub fn with_memory_cap(mut self, cap: usize) -> Self {
         self.memory_cap = Some(cap);
-        self.shard_cap = Some(cap.div_ceil(MEMORY_SHARDS).max(1));
         self
     }
 
@@ -512,18 +504,22 @@ impl ScheduleCache {
     /// Request payloads recorded on resident entries, at most one per entry:
     /// `recorded <= resident` always holds.
     pub fn recorded(&self) -> usize {
-        self.requests
-            .read()
-            .unwrap_or_else(|e| e.into_inner())
-            .len()
+        self.read().requests.len()
     }
 
     /// Entries currently resident in the memory tier.
     pub fn resident(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.read().unwrap_or_else(|e| e.into_inner()).map.len())
-            .sum()
+        self.read().map.len()
+    }
+
+    /// The memory tier under its read lock.
+    fn read(&self) -> RwLockReadGuard<'_, MemoryTier> {
+        self.memory.read().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// The memory tier under its write lock.
+    fn write(&self) -> RwLockWriteGuard<'_, MemoryTier> {
+        self.memory.write().unwrap_or_else(|e| e.into_inner())
     }
 
     /// File path of a key's disk entry; `None` for a memory-only cache.
@@ -538,16 +534,13 @@ impl ScheduleCache {
     }
 
     /// Removes a key's entry from both tiers, if present (used by benches to
-    /// force a cold first run). Flushes the write-behind queue first so an
-    /// in-flight store of the key cannot resurrect the disk entry.
+    /// force a cold first run).
     pub fn evict(&self, key: &str) {
-        self.flush();
         {
-            let mut shard = self.shard(key).write().unwrap_or_else(|e| e.into_inner());
-            if let Some(entry) = shard.map.remove(key) {
-                shard.order.retain(|k| k != key);
+            let mut memory = self.write();
+            if memory.remove(key) {
+                memory.order.retain(|k| k != key);
                 self.evictions.fetch_add(1, Ordering::Relaxed);
-                self.forget_request(&entry);
             }
         }
         if let Some(path) = self.path_for(key) {
@@ -558,30 +551,10 @@ impl ScheduleCache {
         }
     }
 
-    /// Blocks until every store enqueued so far has been published to disk.
-    ///
-    /// Stores are write-behind: `store` returns as soon as the memory tier
-    /// is updated. Call this before handing the cache directory to another
-    /// process (the persister is also drained when the cache is dropped).
-    pub fn flush(&self) {
-        let sender = {
-            let guard = self.persister.lock().unwrap_or_else(|e| e.into_inner());
-            guard.as_ref().map(|p| p.sender.clone())
-        };
-        if let Some(sender) = sender {
-            let (ack, done) = mpsc::sync_channel(1);
-            if sender.send(PersistJob::Flush(ack)).is_ok() {
-                let _ = done.recv();
-            }
-        }
-    }
-
     /// The memory tier's schedule under `key`, if resident. Bumps no
     /// counter.
     fn resident_schedule(&self, key: &str) -> Option<Arc<SystemSchedule>> {
-        self.shard(key)
-            .read()
-            .unwrap_or_else(|e| e.into_inner())
+        self.read()
             .map
             .get(key)
             .map(|entry| Arc::clone(&entry.schedule))
@@ -638,18 +611,15 @@ impl ScheduleCache {
     ///
     /// A hit is counted as the memory hit [`ScheduleCache::probe`] would
     /// count for that key, and as a repeat hit. A payload that is not
-    /// recorded, or whose entry has left the memory tier, counts nothing:
-    /// the caller then decodes the request and probes its key as usual.
+    /// recorded (its entry may have left the memory tier and taken it
+    /// along) counts nothing: the caller then decodes the request and
+    /// probes its key as usual.
     pub fn probe_repeat(&self, request: &[u8]) -> Option<(String, Arc<SystemSchedule>)> {
-        // The index guard is a temporary of this statement: it is released
-        // before the shard lock below is taken.
-        let key = self
-            .requests
-            .read()
-            .unwrap_or_else(|e| e.into_inner())
-            .get(request)
-            .cloned()?;
-        let schedule = self.resident_schedule(&key)?;
+        let (key, schedule) = {
+            let memory = self.read();
+            let key = memory.requests.get(request)?;
+            (key.clone(), Arc::clone(&memory.map.get(key)?.schedule))
+        };
         self.count(&CacheProbe::Memory(Arc::clone(&schedule)));
         self.repeat_hits.fetch_add(1, Ordering::Relaxed);
         Some((key, schedule))
@@ -666,40 +636,24 @@ impl ScheduleCache {
     /// payload is no longer than it, and no other entry holds the same
     /// bytes. So a recorded request never costs more memory than the reply
     /// bytes its entry already keeps. It leaves the index with its entry.
+    ///
+    /// The write lock is taken only when the read lock shows there is
+    /// something to record, so a hit whose entry already holds its payload
+    /// waits on no other reader.
     pub fn record_request(&self, key: &str, schedule: &Arc<SystemSchedule>, request: &[u8]) {
-        let shard = self.shard(key).read().unwrap_or_else(|e| e.into_inner());
-        let Some(entry) = shard
-            .map
-            .get(key)
-            .filter(|entry| Arc::ptr_eq(&entry.schedule, schedule))
-        else {
-            return;
-        };
-        let fits = entry
-            .wire_body
-            .get()
-            .is_some_and(|body| request.len() <= body.len());
-        if !fits || entry.request.get().is_some() {
+        if !self.read().can_record(key, schedule, request) {
             return;
         }
-        let mut index = self.requests.write().unwrap_or_else(|e| e.into_inner());
-        if index.contains_key(request) {
+        let mut memory = self.write();
+        if !memory.can_record(key, schedule, request) {
             return;
         }
         let request: Arc<[u8]> = Arc::from(request);
-        if entry.request.set(Arc::clone(&request)).is_ok() {
-            index.insert(request, key.to_string());
-        }
-    }
-
-    /// Drops a removed entry's recorded payload from the index. Called with
-    /// the entry's shard write-locked (lock order: shard, then index).
-    fn forget_request(&self, entry: &CacheEntry) {
-        if let Some(request) = entry.request.get() {
-            self.requests
-                .write()
-                .unwrap_or_else(|e| e.into_inner())
-                .remove(request);
+        memory
+            .requests
+            .insert(Arc::clone(&request), key.to_string());
+        if let Some(entry) = memory.map.get_mut(key) {
+            entry.request = Some(request);
         }
     }
 
@@ -708,28 +662,22 @@ impl ScheduleCache {
     /// hit/miss accounting — artifacts are an optimization input, not a
     /// served schedule — and an unreadable sidecar is simply `None`.
     pub fn artifacts(&self, key: &str) -> Option<Arc<SynthesisArtifacts>> {
-        if let Some(entry) = self
-            .shard(key)
+        if let Some(artifacts) = self
             .read()
-            .unwrap_or_else(|e| e.into_inner())
             .map
             .get(key)
+            .and_then(|entry| entry.artifacts.clone())
         {
-            if let Some(artifacts) = &entry.artifacts {
-                return Some(Arc::clone(artifacts));
-            }
+            return Some(artifacts);
         }
         let text = std::fs::read_to_string(self.warm_path_for(key)?).ok()?;
         let artifacts = Arc::new(artifacts_from_json(&text).ok()?);
         // Re-attach to the resident entry (if any) so the next fetch skips
         // the sidecar parse.
-        {
-            let mut shard = self.shard(key).write().unwrap_or_else(|e| e.into_inner());
-            if let Some(entry) = shard.map.get_mut(key) {
-                entry
-                    .artifacts
-                    .get_or_insert_with(|| Arc::clone(&artifacts));
-            }
+        if let Some(entry) = self.write().map.get_mut(key) {
+            entry
+                .artifacts
+                .get_or_insert_with(|| Arc::clone(&artifacts));
         }
         Some(artifacts)
     }
@@ -744,14 +692,12 @@ impl ScheduleCache {
     /// the resident entry is encoded for this caller alone, so the answer is
     /// always the encoding of the schedule passed in, never of its successor.
     ///
-    /// The one cached encode runs under the shard's read lock: other readers
-    /// of the shard go on, a store into it waits that once.
+    /// The one cached encode runs under the memory tier's read lock: other
+    /// readers go on, a store waits that once.
     pub fn wire_body(&self, key: &str, schedule: &Arc<SystemSchedule>) -> Arc<str> {
         let encode = || Arc::from(schedule.to_json());
         let cached = self
-            .shard(key)
             .read()
-            .unwrap_or_else(|e| e.into_inner())
             .map
             .get(key)
             .filter(|entry| Arc::ptr_eq(&entry.schedule, schedule))
@@ -767,10 +713,10 @@ impl ScheduleCache {
         self.fetch(key).hit().map(|(schedule, _)| schedule)
     }
 
-    /// Stores a schedule under a key: the memory tier is updated
-    /// synchronously, the disk write happens behind the caller's back on
-    /// the persister thread (best effort — an unwritable cache directory
-    /// degrades to "memory only", never to an error).
+    /// Stores a schedule under a key: the memory tier is updated, then a
+    /// disk-backed cache publishes the entry's file before returning (best
+    /// effort — an unwritable cache directory degrades to "memory only",
+    /// never to an error).
     pub fn store(&self, key: &str, schedule: &SystemSchedule) {
         self.store_with_artifacts(key, schedule, None);
     }
@@ -784,28 +730,13 @@ impl ScheduleCache {
         schedule: &SystemSchedule,
         artifacts: Option<&SynthesisArtifacts>,
     ) {
-        let schedule = Arc::new(schedule.clone());
-        let artifacts = artifacts.map(|a| Arc::new(a.clone()));
-        self.insert_memory(key, Arc::clone(&schedule), artifacts.clone());
-        let Some(dir) = self.dir.clone() else {
-            return;
-        };
-        let job = PersistJob::Write {
-            key: key.to_string(),
-            schedule,
-            artifacts,
-        };
-        let mut guard = self.persister.lock().unwrap_or_else(|e| e.into_inner());
-        let persister = guard.get_or_insert_with(|| spawn_persister(dir.clone()));
-        if let Err(mpsc::SendError(PersistJob::Write {
+        self.insert_memory(
             key,
-            schedule,
-            artifacts,
-        })) = persister.sender.send(job)
-        {
-            // The persister thread died (it never panics by construction,
-            // but stay safe): publish inline instead of losing the entry.
-            persist_entry(&dir, &key, &schedule, artifacts.as_deref());
+            Arc::new(schedule.clone()),
+            artifacts.map(|a| Arc::new(a.clone())),
+        );
+        if let Some(dir) = &self.dir {
+            persist_entry(dir, key, schedule, artifacts);
         }
     }
 
@@ -832,13 +763,6 @@ impl ScheduleCache {
         self.store_with_artifacts(&key, schedule, Some(&artifacts));
     }
 
-    fn shard(&self, key: &str) -> &RwLock<Shard> {
-        let mut hash = Fnv1a64::new();
-        let _ = hash.write_str(key);
-        let index = (hash.0 as usize) % self.shards.len();
-        &self.shards[index]
-    }
-
     fn insert_memory(
         &self,
         key: &str,
@@ -849,45 +773,27 @@ impl ScheduleCache {
             schedule,
             artifacts,
             wire_body: OnceLock::new(),
-            request: OnceLock::new(),
+            request: None,
         };
-        let mut shard = self.shard(key).write().unwrap_or_else(|e| e.into_inner());
-        if let Some(replaced) = shard.map.insert(key.to_string(), entry) {
-            // Overwrite of a resident key: neither an insertion nor an
-            // eviction, and its position in the order queue is unchanged.
-            self.forget_request(&replaced);
+        let mut memory = self.write();
+        // Overwrite of a resident key: neither an insertion nor an eviction,
+        // and its position in the order queue is unchanged.
+        let overwrite = memory.remove(key);
+        memory.map.insert(key.to_string(), entry);
+        if overwrite {
             return;
         }
-        shard.order.push_back(key.to_string());
+        memory.order.push_back(key.to_string());
         self.insertions.fetch_add(1, Ordering::Relaxed);
-        if let Some(cap) = self.shard_cap {
-            while shard.map.len() > cap {
-                let Some(oldest) = shard.order.pop_front() else {
-                    break;
-                };
-                if let Some(evicted) = shard.map.remove(&oldest) {
-                    self.evictions.fetch_add(1, Ordering::Relaxed);
-                    self.forget_request(&evicted);
-                }
-            }
-        }
-    }
-}
-
-impl Drop for ScheduleCache {
-    /// Drains the write-behind queue so entries stored just before the cache
-    /// goes away still reach the disk tier (e.g. a process exiting right
-    /// after its last synthesis).
-    fn drop(&mut self) {
-        let persister = self
-            .persister
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .take();
-        if let Some(Persister { sender, handle }) = persister {
-            drop(sender);
-            if let Some(handle) = handle {
-                let _ = handle.join();
+        let Some(cap) = self.memory_cap else {
+            return;
+        };
+        while memory.map.len() > cap.max(1) {
+            let Some(oldest) = memory.order.pop_front() else {
+                break;
+            };
+            if memory.remove(&oldest) {
+                self.evictions.fetch_add(1, Ordering::Relaxed);
             }
         }
     }
@@ -901,42 +807,6 @@ fn entry_path(dir: &Path, key: &str) -> PathBuf {
 /// File path of a key's warm-artifacts sidecar under `dir`.
 fn warm_path(dir: &Path, key: &str) -> PathBuf {
     dir.join(format!("ttw-{key}.warm.json"))
-}
-
-/// Spawns the write-behind persister thread for `dir`.
-fn spawn_persister(dir: PathBuf) -> Persister {
-    let (sender, receiver) = mpsc::channel::<PersistJob>();
-    let handle = std::thread::Builder::new()
-        .name("ttw-cache-persister".into())
-        .spawn(move || {
-            while let Ok(job) = receiver.recv() {
-                match job {
-                    PersistJob::Write {
-                        key,
-                        schedule,
-                        artifacts,
-                    } => persist_entry(&dir, &key, &schedule, artifacts.as_deref()),
-                    PersistJob::Flush(ack) => {
-                        let _ = ack.send(());
-                    }
-                }
-            }
-        });
-    match handle {
-        Ok(handle) => Persister {
-            sender,
-            handle: Some(handle),
-        },
-        Err(_) => {
-            // Could not spawn (resource exhaustion): fall back to a sender
-            // whose receiver is gone, so `store` publishes inline.
-            let (dead_sender, _) = mpsc::channel();
-            Persister {
-                sender: dead_sender,
-                handle: None,
-            }
-        }
-    }
 }
 
 /// Serializes and publishes one disk entry (best effort), plus the
@@ -1021,6 +891,7 @@ mod tests {
     use crate::fixtures;
     use crate::synthesis::{synthesize_system, IlpSynthesizer};
     use crate::time::millis;
+    use std::fmt::Write as _;
 
     fn temp_cache(tag: &str) -> ScheduleCache {
         ScheduleCache::new(temp_dir(tag))
@@ -1083,7 +954,13 @@ mod tests {
             let (_, outcome) = synthesize_system_cached(&sys, &graph, &config(), &backend, &cache)
                 .expect("feasible");
             assert_eq!(outcome, CacheOutcome::Miss);
-            // Dropping the cache drains the write-behind queue.
+            // The store published before it returned: another instance
+            // finds the entry and its sidecar while this one is alive.
+            assert!(matches!(
+                ScheduleCache::new(&dir).probe(&key),
+                CacheProbe::Disk(_)
+            ));
+            assert!(cache.warm_path_for(&key).expect("disk-backed").exists());
         }
         let cache = ScheduleCache::new(&dir);
         assert!(
@@ -1196,7 +1073,6 @@ mod tests {
         let body_of = |s: &SystemSchedule| s.to_json();
         assert_ne!(body_of(&first), body_of(&second));
 
-        // One shard slot per key: the 17th key evicts at least one other.
         let cache = ScheduleCache::in_memory().with_memory_cap(1);
         cache.store("key", &first);
         let (hit, _) = cache.probe("key").hit().expect("resident");
@@ -1218,10 +1094,8 @@ mod tests {
         assert_eq!(Arc::strong_count(&stale), 1);
         assert!(Arc::ptr_eq(&new_body, &cache.wire_body("key", &new_hit)));
 
-        // Eviction by the entry cap drops it too.
-        for i in 0..4 * MEMORY_SHARDS {
-            cache.store(&format!("{i:016x}"), &first);
-        }
+        // Eviction by the entry cap drops it too: one more key is enough.
+        cache.store("other", &first);
         assert!(cache.peek("key").is_none(), "evicted");
         assert_eq!(Arc::strong_count(&new_body), 1, "eviction dropped the body");
         assert_eq!(&*cache.wire_body("key", &new_hit), body_of(&second));
@@ -1234,7 +1108,7 @@ mod tests {
         let (sys, graph, _, _) = fixtures::two_mode_graph();
         let schedule =
             synthesize_system(&sys, &graph, &config(), &IlpSynthesizer).expect("feasible");
-        let cache = ScheduleCache::in_memory().with_memory_cap(1);
+        let cache = ScheduleCache::in_memory().with_memory_cap(2);
         let holds = |cache: &ScheduleCache| assert!(cache.recorded() <= cache.resident());
         let request = |tag: &str| format!("request {tag}").into_bytes();
 
@@ -1265,8 +1139,7 @@ mod tests {
         );
         assert_eq!(cache.misses(), 0);
 
-        // No second entry can hold the same bytes ("other" hashes to
-        // another shard, so the cap keeps "key").
+        // No second entry can hold the same bytes (the cap of 2 keeps both).
         cache.store("other", &schedule);
         assert!(cache.peek("key").is_some());
         let (other, _) = cache.probe("other").hit().expect("resident");
@@ -1299,18 +1172,23 @@ mod tests {
         assert_eq!(cache.recorded(), 0);
         assert!(cache.probe_repeat(&request("a")).is_none());
 
-        // So does the entry cap: one entry per shard, so storing over every
-        // shard evicts every recorded entry.
+        // So does the entry cap: of four recorded entries the two newest
+        // stay, and two more stores evict those as well.
         for i in 0..4 {
             let key = format!("recorded/{i}");
             cache.store(&key, &schedule);
             let (hit, _) = cache.probe(&key).hit().expect("resident");
             cache.wire_body(&key, &hit);
             cache.record_request(&key, &hit, &request(&key));
+            holds(&cache);
         }
-        assert!(cache.recorded() >= 1);
-        holds(&cache);
-        for i in 0..4 * MEMORY_SHARDS {
+        assert_eq!((cache.recorded(), cache.resident()), (2, 2));
+        let (key, _) = cache
+            .probe_repeat(&request("recorded/3"))
+            .expect("recorded");
+        assert_eq!(key, "recorded/3");
+        assert!(cache.probe_repeat(&request("recorded/1")).is_none());
+        for i in 0..2 {
             cache.store(&format!("{i:016x}"), &schedule);
             holds(&cache);
         }
@@ -1319,7 +1197,7 @@ mod tests {
             .count();
         assert_eq!(cache.recorded(), resident);
         assert_eq!(resident, 0, "the cap evicted every recorded entry");
-        assert_eq!(cache.repeat_hits(), 2);
+        assert_eq!(cache.repeat_hits(), 3);
     }
 
     #[test]
@@ -1409,7 +1287,6 @@ mod tests {
             synthesize_system_cached(&sys, &graph, &config(), &backend, &cache).expect("feasible");
         assert_eq!(outcome, CacheOutcome::Corrupt);
         assert_eq!((cache.corrupt(), cache.misses(), cache.hits()), (2, 0, 0));
-        cache.flush();
         assert!(matches!(
             ScheduleCache::new(&dir).probe(&key),
             CacheProbe::Disk(_)
@@ -1501,8 +1378,6 @@ mod tests {
                 }
             });
         });
-        writer_a.flush();
-        writer_b.flush();
 
         // The published entry is complete and correct.
         let reader = ScheduleCache::new(&dir);
@@ -1551,31 +1426,32 @@ mod tests {
             cache.store(&format!("{i:016x}"), &schedule);
         }
         assert_eq!(cache.insertions(), KEYS);
-        // Sharding rounds the cap up (one entry per shard minimum), but the
-        // tier stays bounded well below the insertion count.
-        assert!(cache.resident() <= MEMORY_SHARDS, "{}", cache.resident());
-        assert!(cache.evictions() >= KEYS - MEMORY_SHARDS);
+        assert_eq!(cache.resident(), 4);
+        assert_eq!(cache.evictions(), KEYS - 4);
         assert_eq!(
             cache.insertions(),
             cache.resident() + cache.evictions(),
             "every insertion is resident or evicted"
         );
-        // Overwriting a resident key is not an insertion and evicts nothing.
-        let resident_key = (0..KEYS)
-            .map(|i| format!("{i:016x}"))
-            .find(|k| cache.peek(k).is_some())
-            .expect("some key is resident");
+        let resident: Vec<usize> = (0..KEYS)
+            .filter(|i| cache.peek(&format!("{i:016x}")).is_some())
+            .collect();
+        assert_eq!(resident, [36, 37, 38, 39], "the four newest keys stay");
+        // Overwriting a resident key is not an insertion, evicts nothing and
+        // keeps its place in the order: the oldest key still goes first.
         let (insertions, evictions) = (cache.insertions(), cache.evictions());
-        cache.store(&resident_key, &schedule);
+        cache.store(&format!("{:016x}", 36), &schedule);
         assert_eq!(cache.insertions(), insertions);
         assert_eq!(cache.evictions(), evictions);
+        cache.store(&format!("{KEYS:016x}"), &schedule);
+        assert!(cache.peek(&format!("{:016x}", 36)).is_none());
+        assert_eq!(cache.resident(), 4);
         // An evicted key is a genuine miss (memory-only cache: no disk tier
         // to fall back to).
-        let evicted_key = (0..KEYS)
-            .map(|i| format!("{i:016x}"))
-            .find(|k| cache.peek(k).is_none())
-            .expect("some key was evicted");
-        assert!(matches!(cache.probe(&evicted_key), CacheProbe::Absent));
+        assert!(matches!(
+            cache.probe(&format!("{:016x}", 0)),
+            CacheProbe::Absent
+        ));
     }
 
     #[test]
@@ -1614,7 +1490,6 @@ mod tests {
         let cache = temp_cache("warm-sidecar");
         let key = synthesis_key(&sys, &graph, &config(), backend.name());
         cache.store_with_artifacts(&key, &schedule, Some(&artifacts));
-        cache.flush();
         let dir = cache.dir().expect("disk-backed").to_path_buf();
         drop(cache);
         let reopened = ScheduleCache::new(dir.clone());

@@ -22,7 +22,8 @@
 //!    the bounded [`AdmissionQueue`] (or bounce with `overloaded`).
 //! 5. **Solve, store, publish** — the backend runs (from scratch, or
 //!    incrementally from the request's predecessor entry), the result lands
-//!    in the cache *before* the flight retires, and followers wake.
+//!    in the cache — its file too, when the cache has a disk tier — *before*
+//!    the flight retires, and followers wake.
 //!
 //! The TCP front end asks one thing first. A payload whose exact bytes were
 //! already answered from the memory tier — recorded on the entry by its
@@ -65,8 +66,8 @@ pub struct ServiceConfig {
     /// Service-wide hard cap on simplex iterations per request.
     pub max_simplex_cap: Option<usize>,
     /// Cap on schedules resident in the cache's memory tier; `None` is
-    /// unbounded. Eviction is per-shard insertion order, accounted by the
-    /// `insertions == resident + evictions` identity.
+    /// unbounded. The oldest-inserted entry is evicted first, accounted by
+    /// the `insertions == resident + evictions` identity.
     pub memory_cap: Option<usize>,
 }
 
@@ -560,7 +561,6 @@ mod tests {
         assert_eq!(incremental.served, ServedFrom::Incremental);
         assert_ne!(incremental.schedule, solved.schedule);
         assert!(service.snapshot().reconciles());
-        service.cache().flush();
         drop(service);
 
         // A new process over the same directory: a disk hit, promoted, whose

@@ -234,7 +234,6 @@ fn disk_tier_survives_a_server_restart() {
             .expect("cold");
         first_nodes = cold.request_milp_nodes;
         assert!(first_nodes > 0);
-        server.service().cache().flush();
     }
     // A brand-new server process-equivalent over the same cache dir: the
     // first request is served from disk, with zero solver nodes.
@@ -247,6 +246,68 @@ fn disk_tier_survives_a_server_restart() {
     assert_eq!(warm.served, ServedFrom::Disk);
     assert_eq!(warm.request_milp_nodes, 0);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A cache directory that cannot be created (its parent is a regular file)
+/// degrades the service to memory only: requests are served, the failed
+/// store leaves nothing behind, and a new service over the same path solves
+/// again — a miss, not a corrupt entry.
+#[test]
+fn an_unwritable_cache_dir_serves_from_memory_and_leaves_no_temp_files() {
+    let root = std::env::temp_dir().join(format!("ttw-service-unwritable-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    std::fs::create_dir_all(&root).expect("mkdir");
+    let blocker = root.join("blocker");
+    std::fs::write(&blocker, "a regular file").expect("write");
+    let config = ServiceConfig {
+        cache_dir: Some(blocker.join("cache")),
+        ..ServiceConfig::default()
+    };
+    let bind = || {
+        ServerHandle::bind(
+            Arc::new(SchedulerService::new(config.clone())),
+            "127.0.0.1:0",
+        )
+        .expect("bind")
+    };
+    let request = fig3_request(BackendKind::Ilp);
+
+    let server = bind();
+    let mut client = Client::connect(server.addr()).expect("connect");
+    let solved = client.synthesize(request.clone()).expect("solves");
+    assert_eq!(solved.served, ServedFrom::Solved);
+    let hit = client.synthesize(request.clone()).expect("memory hit");
+    assert_eq!(hit.served, ServedFrom::Memory);
+    assert_eq!(hit.schedule, solved.schedule);
+    let first = server.service().snapshot();
+    assert_eq!((first.cache_insertions, first.cache_resident), (1, 1));
+    assert!(first.reconciles(), "{first:?}");
+    drop((client, server));
+    let left: Vec<_> = std::fs::read_dir(&root)
+        .expect("read root")
+        .flatten()
+        .map(|entry| entry.file_name())
+        .collect();
+    assert_eq!(left, ["blocker"], "no directory, entry or temp file");
+    assert_eq!(
+        std::fs::read_to_string(&blocker).expect("read"),
+        "a regular file"
+    );
+
+    let server = bind();
+    let mut client = Client::connect(server.addr()).expect("connect");
+    let again = client.synthesize(request).expect("solves");
+    assert_eq!(again.served, ServedFrom::Solved);
+    assert_eq!(again.schedule, solved.schedule);
+    let stats = server.service().snapshot();
+    assert_eq!(
+        (stats.cache_misses, stats.cache_corrupt, stats.cache_hits),
+        (first.cache_misses, 0, 0),
+        "the same misses as the first solve, and no corrupt entry: {stats:?}"
+    );
+    assert!(stats.reconciles(), "{stats:?}");
+    drop((client, server));
+    let _ = std::fs::remove_dir_all(&root);
 }
 
 #[test]
@@ -621,7 +682,6 @@ fn reply_frames_are_the_codec_bytes_and_are_counted() {
     write_frame(&mut stream, b"not json").expect("write");
     written += read_frame(&mut stream).expect("read").expect("error").len();
     assert_eq!(counted(&mut stream), written);
-    server.service().cache().flush();
     drop((stream, server));
 
     // After a restart the first reply comes off the disk tier.
@@ -828,13 +888,8 @@ fn an_evicted_entrys_request_leaves_the_index_and_is_decoded_again() {
     };
 
     let first = recorded_and_repeated(&mut client);
-    // One entry per shard: storing over every shard evicts the entry.
-    for i in 0..64 {
-        service.cache().store(&format!("{i:016x}"), &first.schedule);
-        if service.cache().peek(&key).is_none() {
-            break;
-        }
-    }
+    // With a cap of one, one store of another key evicts the entry.
+    service.cache().store("0000000000000000", &first.schedule);
     assert!(service.cache().peek(&key).is_none(), "evicted by the cap");
     assert_eq!(service.cache().recorded(), 0, "the payload left with it");
     assert!(service.cache().recorded() <= service.snapshot().cache_resident);

@@ -23,7 +23,7 @@ fn fig3_request() -> SynthesizeRequest {
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A memory-only service on an OS-assigned loopback port. Pass a
-    // `cache_dir` in `ServiceConfig` to add the write-behind disk tier.
+    // `cache_dir` in `ServiceConfig` to add the disk tier.
     let server = ServerHandle::bind(
         Arc::new(SchedulerService::new(ServiceConfig::default())),
         "127.0.0.1:0",

@@ -361,7 +361,6 @@ fn write_codec_fixtures() {
     let _ = std::fs::remove_dir_all(&dir);
     let cache = ScheduleCache::new(&dir);
     synthesize_system_cached(&system, &graph, &config, &backend, &cache).expect("feasible");
-    cache.flush();
     let entry = |suffix: &str| {
         let name = format!("ttw-{MODE_CHANGE_KEY}.{suffix}");
         let text = std::fs::read_to_string(dir.join(&name)).expect("entry written");
