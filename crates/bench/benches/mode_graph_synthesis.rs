@@ -66,7 +66,7 @@ fn synthesize_independent() -> SystemSchedule {
             .expect("feasible")
             .schedule;
         result.stats.insert(mode, schedule.stats.clone());
-        result.schedules.insert(mode, schedule);
+        result.schedules.insert(mode, schedule.into());
     }
     result
 }

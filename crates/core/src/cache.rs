@@ -42,10 +42,17 @@
 //!    evicted or overwritten; a recorded payload is never longer than the
 //!    body beside it. The payload index sits under the same lock as the
 //!    entries it points into, so it never names an entry that has left.
+//!    An entry stored by a re-synthesis shares every mode schedule it kept
+//!    with its predecessor's entry (see [`crate::resynth`]), so storing an
+//!    edit costs memory for the modes it re-solved, not for the whole system.
 //!    The tier is optionally bounded ([`ScheduleCache::with_memory_cap`]):
 //!    beyond the cap the oldest-inserted entries are evicted (memory copy
 //!    only — the disk tier is the archive), and the
 //!    `insertions - evictions == resident` identity reconciles exactly.
+//!    Evicting an entry frees what only it holds: its own maps, the modes
+//!    and bases no other entry shares, its `System` copy, its wire body and
+//!    its recorded payload. A mode a successor shares stays with the
+//!    successor.
 //! 2. **Disk** — one pretty-printed JSON file per key (the
 //!    [`crate::export::system_schedule_to_json`] codec).
 //!    [`ScheduleCache::store`] updates the memory tier and then writes the
@@ -58,6 +65,9 @@
 //!    plus each mode's MILP root basis, persisted to a `.warm.json` sidecar.
 //!    This is the material [`crate::resynth::resynthesize_system`] uses to
 //!    warm-start an edited system's re-solve from its cached predecessor.
+//!    Each basis sits behind an `Arc`, and a successor shares the bases of
+//!    the modes it kept just as it shares their schedules; the sidecar still
+//!    holds every basis in full.
 //!
 //! Disk files are published via write-to-temp-then-rename so a concurrent
 //! reader never observes a torn entry. Temp names carry the process id
@@ -315,8 +325,9 @@ pub fn artifacts_from_json(text: &str) -> Result<SynthesisArtifacts, JsonError> 
 /// One memory-tier entry: the schedule plus (when the entry came through
 /// [`ScheduleCache::store_with_artifacts`]) its warm-start material and
 /// (once a hit has been served over the wire) its encoded reply body and the
-/// request payload that hit came in. They live and die together under the
-/// eviction policy, and a later store under the same key replaces all four.
+/// request payload that hit came in. Eviction, or a later store under the
+/// same key, drops all four together; the mode schedules and bases the entry
+/// shares with a successor's entry live on with that successor.
 #[derive(Debug)]
 struct CacheEntry {
     schedule: Arc<SystemSchedule>,
@@ -730,19 +741,32 @@ impl ScheduleCache {
         schedule: &SystemSchedule,
         artifacts: Option<&SynthesisArtifacts>,
     ) {
-        self.insert_memory(
+        self.store_entry(
             key,
             Arc::new(schedule.clone()),
             artifacts.map(|a| Arc::new(a.clone())),
         );
+    }
+
+    /// The one store path: the memory tier keeps `schedule` and `artifacts`
+    /// as given, then a disk-backed cache publishes them.
+    fn store_entry(
+        &self,
+        key: &str,
+        schedule: Arc<SystemSchedule>,
+        artifacts: Option<Arc<SynthesisArtifacts>>,
+    ) {
+        self.insert_memory(key, Arc::clone(&schedule), artifacts.clone());
         if let Some(dir) = &self.dir {
-            persist_entry(dir, key, schedule, artifacts);
+            persist_entry(dir, key, &schedule, artifacts.as_deref());
         }
     }
 
     /// Stores a freshly synthesized schedule under the key of its own
     /// inputs, together with the [`SynthesisArtifacts`] (those inputs plus
-    /// the per-mode `warm` bases) a later re-synthesis starts from.
+    /// the per-mode `warm` bases) a later re-synthesis starts from. The
+    /// artifacts built here move into the entry, and the entry's schedule
+    /// shares every mode with `schedule`.
     pub(crate) fn store_synthesis(
         &self,
         system: &System,
@@ -760,7 +784,7 @@ impl ScheduleCache {
             backend: backend.name().to_string(),
             warm,
         };
-        self.store_with_artifacts(&key, schedule, Some(&artifacts));
+        self.store_entry(&key, Arc::new(schedule.clone()), Some(Arc::new(artifacts)));
     }
 
     fn insert_memory(

@@ -48,6 +48,7 @@ use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::io::Write as _;
+use std::sync::Arc;
 
 /// Deepest nesting of arrays and objects a [`Reader`] accepts. The
 /// documents of this workspace nest fewer than ten levels; the reader
@@ -1449,6 +1450,22 @@ impl<T: Json> Json for Option<T> {
 
     fn from_absent(_field: &str) -> Result<Self, JsonError> {
         Ok(None)
+    }
+}
+
+/// A shared value has the JSON form of the value it shares: a schedule's
+/// modes are shared between cache entries, never on the wire.
+impl<T: Json> Json for Arc<T> {
+    fn write(&self, w: &mut Writer<'_>) {
+        T::write(self, w);
+    }
+
+    fn read(r: &mut Reader<'_>) -> Result<Self, JsonError> {
+        T::read(r).map(Arc::new)
+    }
+
+    fn from_absent(field: &str) -> Result<Self, JsonError> {
+        T::from_absent(field).map(Arc::new)
     }
 }
 

@@ -21,7 +21,8 @@
 //!   cache: [`cache::synthesize_system_cached`] skips synthesis entirely when
 //!   the same system/graph/config/backend was already solved by this build.
 //! * [`resynth`] — [`resynth::resynthesize_system`]: the same driver started
-//!   from a cached predecessor — unchanged modes kept verbatim, edited ones
+//!   from a cached predecessor — unchanged modes kept verbatim and shared
+//!   with the predecessor's cache entry, edited ones
 //!   re-solved from their cached root basis — and [`delta`], the per-node
 //!   patches that ship the difference.
 //! * [`validate`] — an independent checker that re-verifies every synthesized

@@ -16,7 +16,10 @@
 //!    inheritance sources and pinned offsets are all unchanged has the
 //!    *identical* ILP, and the deterministic pipeline would reproduce the
 //!    identical schedule — so the cached [`crate::schedule::ModeSchedule`]
-//!    (stats included) is kept verbatim, zero solver work.
+//!    (stats included) and its root basis are kept by reference, zero solver
+//!    work: the successor's cache entry shares them with the predecessor's
+//!    instead of holding a copy, so storing an edit costs memory only for
+//!    the modes it re-solved.
 //! 2. **Basis warm starts** — a mode that *did* change is re-solved, but its
 //!    ILP is seeded with the predecessor's cached root basis at the matching
 //!    round count. The solver repairs feasibility from a near-optimal basis
@@ -47,6 +50,7 @@ use crate::schedule::{ModeSchedule, SystemSchedule};
 use crate::synthesis::{synthesize_waves, Synthesizer, SystemSynthesisError};
 use crate::system::System;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// How one incremental re-synthesis went: what was reused, what was
 /// re-solved, and how much solver work the re-solved modes cost.
@@ -61,7 +65,7 @@ pub struct ResynthesisReport {
     /// and backend) was found in the cache. `false` means the call degraded
     /// to a plain full synthesis.
     pub predecessor_found: bool,
-    /// Modes whose cached schedule was kept verbatim.
+    /// Modes whose cached schedule was kept verbatim (shared, not copied).
     pub modes_reused: usize,
     /// Modes that were re-solved.
     pub modes_resolved: usize,
@@ -158,7 +162,8 @@ fn mode_edit(system: &System, old: &System, mode: ModeId) -> ModeEdit {
 /// artifacts) under the successor's own cache key.
 ///
 /// Modes whose content, inheritance sources and pinned offsets are
-/// unchanged keep their cached schedules verbatim; every other mode is
+/// unchanged keep their cached schedules and bases verbatim, shared with the
+/// predecessor's entry rather than copied; every other mode is
 /// re-solved with the predecessor's root basis as a warm start when one is
 /// cached for it, from the predecessor's round count when the edit only
 /// tightens the mode. When the predecessor entry is missing, or was produced by
@@ -201,8 +206,8 @@ pub fn resynthesize_system(
 pub(crate) enum ModeStart<'a> {
     /// Keep the predecessor's schedule (stats included) verbatim: the mode's
     /// ILP is the predecessor's, so the pipeline would reproduce it bit for
-    /// bit.
-    Reuse(&'a ModeSchedule),
+    /// bit. The successor shares this allocation.
+    Reuse(&'a Arc<ModeSchedule>),
     /// Solve the mode, sweeping `R_M` upward from `floor`: the predecessor's
     /// round count after a tightening edit (every smaller count is proven
     /// infeasible, see the module docs), `0` for a cold sweep otherwise.
@@ -244,8 +249,8 @@ fn pinned_alike<'a>(
     inherited: &InheritedOffsets,
     artifacts: &SynthesisArtifacts,
     predecessor: &'a SystemSchedule,
-) -> Option<&'a ModeSchedule> {
-    let old = predecessor.get(mode)?;
+) -> Option<&'a Arc<ModeSchedule>> {
+    let old = predecessor.schedules.get(&mode)?;
     if mode.index() >= artifacts.system.modes().count() {
         return None;
     }

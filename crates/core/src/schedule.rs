@@ -3,6 +3,7 @@
 use crate::ids::{AppId, MessageId, ModeId, TaskId};
 use crate::time::Micros;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 use ttw_milp::SolverCounters;
 
 /// One communication round of a mode schedule.
@@ -147,10 +148,16 @@ impl ModeSchedule {
 /// inherited (and from where), and the per-mode synthesis statistics — the
 /// latter kept even for modes whose synthesis *failed*, so partial progress
 /// stays reportable.
+///
+/// Each mode schedule sits behind an [`Arc`]: a re-synthesis that keeps a
+/// predecessor's mode shares it instead of copying it, so a clone of a
+/// system schedule copies its maps, not its modes. Mutating one mode in
+/// place goes through [`Arc::make_mut`], which copies it first if it is
+/// shared.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SystemSchedule {
     /// Successfully synthesized schedules, keyed by mode.
-    pub schedules: BTreeMap<ModeId, ModeSchedule>,
+    pub schedules: BTreeMap<ModeId, Arc<ModeSchedule>>,
     /// For every scheduled mode, the applications whose offsets were
     /// inherited and the mode each was inherited from. The root mode (and any
     /// mode without shared applications) maps to an empty table.
@@ -169,7 +176,7 @@ impl SystemSchedule {
 
     /// The schedule of `mode`, if it was synthesized.
     pub fn get(&self, mode: ModeId) -> Option<&ModeSchedule> {
-        self.schedules.get(&mode)
+        self.schedules.get(&mode).map(Arc::as_ref)
     }
 
     /// Number of modes with a schedule.
@@ -179,13 +186,13 @@ impl SystemSchedule {
 
     /// Iterates over the mode schedules in mode-id order.
     pub fn iter(&self) -> impl Iterator<Item = (ModeId, &ModeSchedule)> {
-        self.schedules.iter().map(|(&m, s)| (m, s))
+        self.schedules.iter().map(|(&m, s)| (m, &**s))
     }
 
     /// Clones the schedules into a vector in mode-id order (the shape the
     /// runtime's slot-table builder consumes).
     pub fn to_vec(&self) -> Vec<ModeSchedule> {
-        self.schedules.values().cloned().collect()
+        self.iter().map(|(_, s)| s.clone()).collect()
     }
 
     /// The mode `app`'s offsets were inherited from when `mode` was
@@ -205,7 +212,7 @@ impl SystemSchedule {
     pub fn content_only(&self) -> SystemSchedule {
         let mut copy = self.clone();
         for schedule in copy.schedules.values_mut() {
-            schedule.stats = SynthesisStats::default();
+            Arc::make_mut(schedule).stats = SynthesisStats::default();
         }
         for stats in copy.stats.values_mut() {
             *stats = SynthesisStats::default();
@@ -296,7 +303,7 @@ mod tests {
         sched.stats.pump_incumbents = 1;
         sched.stats.candidate_list_size = 4;
         ss.stats.insert(mode, sched.stats.clone());
-        ss.schedules.insert(mode, sched);
+        ss.schedules.insert(mode, Arc::new(sched));
         ss.inheritance.insert(mode, BTreeMap::new());
         // A second mode that was attempted but failed still contributes stats.
         let failed = ModeId::from_index(1);

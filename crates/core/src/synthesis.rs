@@ -42,6 +42,7 @@ use crate::system::System;
 use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
+use std::sync::Arc;
 
 /// A failed synthesis attempt, carrying the statistics of the work performed
 /// before the failure (rounds attempted, B&B nodes, simplex pivots).
@@ -82,12 +83,15 @@ impl From<ScheduleError> for SynthesisFailure {
 /// attempt at the same round count and the solver repairs feasibility from
 /// there. A stale or shape-mismatched basis is degraded to a cold start by
 /// the solver, never an error, so callers may cache these aggressively.
+///
+/// The basis is shared: a re-synthesis that keeps a mode keeps its basis by
+/// reference, so a clone of a warm start copies no basis.
 #[derive(Debug, Clone)]
 pub struct ModeWarmStart {
     /// Round count (`R_M`) of the attempt the basis was captured at.
     pub rounds: usize,
     /// Root basis of that attempt's MILP solve.
-    pub basis: ttw_milp::Basis,
+    pub basis: Arc<ttw_milp::Basis>,
 }
 
 /// What a cached predecessor hands the solve of one mode (see
@@ -216,7 +220,7 @@ impl Synthesizer for IlpSynthesizer {
             // attempts — it came from the optimum of a nearly identical model
             // of exactly this shape, which is the better starting point.
             if let Some(warm) = prior.warm.filter(|warm| warm.rounds == num_rounds) {
-                seeded = current.seed_warm_basis(warm.basis.clone());
+                seeded = current.seed_warm_basis(ttw_milp::Basis::clone(&warm.basis));
             }
             stats.rounds_attempted.push(num_rounds);
             stats.variables = current.model.num_vars();
@@ -234,7 +238,7 @@ impl Synthesizer for IlpSynthesizer {
             if solution.is_optimal() {
                 let artifact = current.root_basis().cloned().map(|basis| ModeWarmStart {
                     rounds: num_rounds,
-                    basis,
+                    basis: Arc::new(basis),
                 });
                 let schedule =
                     ilp::extract_schedule(system, mode, config, &current, &solution, stats);
@@ -424,10 +428,11 @@ fn solve_mode(
 
 /// The wave driver behind every system-level entry point: walks the mode
 /// graph wave by wave, pins the inherited offsets, and per mode either keeps
-/// the `predecessor`'s schedule verbatim or solves it through [`solve_mode`]
-/// (see [`crate::resynth::mode_start`]), one mode after the other on the
-/// calling thread. Returns the schedule, each mode's warm-start material and
-/// what was reused against what was solved.
+/// the `predecessor`'s schedule or solves it through [`solve_mode`] (see
+/// [`crate::resynth::mode_start`]), one mode after the other on the calling
+/// thread. A kept mode shares the predecessor's schedule and basis, copying
+/// neither. Returns the schedule, each mode's warm-start material and what
+/// was reused against what was solved.
 pub(crate) fn synthesize_waves(
     system: &System,
     graph: &ModeGraph,
@@ -471,20 +476,16 @@ pub(crate) fn synthesize_waves(
                 inherited.import_application(system, app, donor);
             }
         }
-        // The predecessor's root basis of the mode is carried over verbatim
-        // with a reused schedule and is the warm start of a re-solve.
+        // The predecessor's root basis of the mode is kept by reference with
+        // a reused schedule and is the warm start of a re-solve.
         let warm = predecessor.and_then(|(_, artifacts)| artifacts.warm.get(&mode));
         let start = predecessor.map_or(ModeStart::Solve { floor: 0 }, |(schedule, artifacts)| {
             mode_start(system, mode, &sources, &inherited, artifacts, schedule)
         });
-        let solved = match start {
+        let (schedule, warm) = match start {
             ModeStart::Reuse(schedule) => {
                 report.modes_reused += 1;
-                SolvedMode {
-                    schedule: schedule.clone(),
-                    warm: warm.cloned(),
-                    seeded: false,
-                }
+                (Arc::clone(schedule), warm.cloned())
             }
             ModeStart::Solve { floor } => {
                 let prior = ModePrior { warm, floor };
@@ -503,13 +504,13 @@ pub(crate) fn synthesize_waves(
                 report.warm_started_modes += usize::from(solved.seeded);
                 report.solved_milp_nodes += solved.schedule.stats.nodes_explored;
                 report.solved_simplex_iterations += solved.schedule.stats.simplex_iterations;
-                solved
+                (Arc::new(solved.schedule), solved.warm)
             }
         };
-        result.stats.insert(mode, solved.schedule.stats.clone());
+        result.stats.insert(mode, schedule.stats.clone());
         result.inheritance.insert(mode, sources);
-        result.schedules.insert(mode, solved.schedule);
-        if let Some(artifact) = solved.warm {
+        result.schedules.insert(mode, schedule);
+        if let Some(artifact) = warm {
             artifacts.insert(mode, artifact);
         }
     }

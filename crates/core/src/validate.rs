@@ -13,6 +13,7 @@ use crate::error::ScheduleViolation;
 use crate::ids::ModeId;
 use crate::schedule::{ModeSchedule, SystemSchedule};
 use crate::system::{PrecedenceEdge, System};
+use std::borrow::Borrow;
 use std::collections::BTreeMap;
 
 /// Absolute tolerance (µs) used when comparing schedule times.
@@ -86,13 +87,13 @@ pub fn validate_system_schedule(
 /// `schedules` holds at most one schedule per mode (a [`SystemSchedule`]'s
 /// `schedules.values()`, or the slice a runtime deploys); modes without one
 /// are not compared.
-pub fn check_cross_mode_consistency<'a>(
+pub fn check_cross_mode_consistency<'a, S: Borrow<ModeSchedule> + 'a>(
     system: &System,
-    schedules: impl IntoIterator<Item = &'a ModeSchedule>,
+    schedules: impl IntoIterator<Item = &'a S>,
 ) -> Vec<ScheduleViolation> {
     let by_mode: BTreeMap<ModeId, &ModeSchedule> = schedules
         .into_iter()
-        .map(|schedule| (schedule.mode, schedule))
+        .map(|schedule| (schedule.borrow().mode, schedule.borrow()))
         .collect();
     // The offsets as compared (a missing one reads as NaN) when they differ.
     let differ = |first: Option<f64>, second: Option<f64>| {
@@ -530,10 +531,12 @@ mod tests {
         // Re-time one shared task in the emergency mode only: the runtime
         // would now glitch the control loop on every mode change.
         let tau3 = sys.task_id("ctrl.tau3").expect("task exists");
-        let emergency_schedule = system_schedule
-            .schedules
-            .get_mut(&emergency)
-            .expect("scheduled");
+        let emergency_schedule = std::sync::Arc::make_mut(
+            system_schedule
+                .schedules
+                .get_mut(&emergency)
+                .expect("scheduled"),
+        );
         *emergency_schedule
             .task_offsets
             .get_mut(&tau3)
@@ -591,13 +594,13 @@ mod tests {
         let mut system_schedule = crate::schedule::SystemSchedule::new();
         system_schedule
             .schedules
-            .insert(m0, schedule_with_offset(m0, 0.0));
+            .insert(m0, schedule_with_offset(m0, 0.0).into());
         system_schedule
             .schedules
-            .insert(m1, schedule_with_offset(m1, 0.0));
+            .insert(m1, schedule_with_offset(m1, 0.0).into());
         system_schedule
             .schedules
-            .insert(m2, schedule_with_offset(m2, 5000.0));
+            .insert(m2, schedule_with_offset(m2, 5000.0).into());
 
         let violations = check_cross_mode_consistency(&sys, system_schedule.schedules.values());
         let pairs: Vec<(crate::ModeId, crate::ModeId)> = violations

@@ -710,10 +710,7 @@ mod tests {
                 .expect("feasible");
         // Sabotage: re-time a shared control task in the emergency mode only.
         let tau3 = sys.task_id("ctrl.tau3").expect("task exists");
-        *schedule
-            .schedules
-            .get_mut(&emergency)
-            .expect("scheduled")
+        *std::sync::Arc::make_mut(schedule.schedules.get_mut(&emergency).expect("scheduled"))
             .task_offsets
             .get_mut(&tau3)
             .expect("offset exists") += 1000.0;

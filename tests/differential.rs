@@ -506,19 +506,6 @@ fn presolved_solves_agree_with_presolve_disabled_solves() {
     );
 }
 
-/// Returns a copy of `result` with every per-mode work-counter block zeroed,
-/// so byte comparisons see only the schedule content (offsets, deadlines,
-/// rounds, latencies) and not how much solver work produced it.
-fn normalize_stats(mut result: ttw::core::SystemSchedule) -> ttw::core::SystemSchedule {
-    for schedule in result.schedules.values_mut() {
-        schedule.stats = Default::default();
-    }
-    for stats in result.stats.values_mut() {
-        *stats = Default::default();
-    }
-    result
-}
-
 #[test]
 fn tree_layers_preserve_verdicts() {
     // The tree-shrinking invariant: Gomory cuts and pseudocost branching may
@@ -616,8 +603,8 @@ fn tree_layers_preserve_verdicts() {
         let off = synthesize_system(sys, &scenario.graph, &config_off, &IlpSynthesizer);
         match (on, off) {
             (Ok(on), Ok(off)) => {
-                let on_json = system_schedule_to_json(&normalize_stats(on)).expect("serialize");
-                let off_json = system_schedule_to_json(&normalize_stats(off)).expect("serialize");
+                let on_json = system_schedule_to_json(&on.content_only()).expect("serialize");
+                let off_json = system_schedule_to_json(&off.content_only()).expect("serialize");
                 assert_eq!(
                     on_json, off_json,
                     "tree layers changed the synthesized schedule ({repro})"
