@@ -104,114 +104,18 @@ use crate::schedule::SystemSchedule;
 use crate::synthesis::{synthesize_waves, ModeWarmStart, Synthesizer, SystemSynthesisError};
 use crate::system::System;
 use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::fmt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use ttw_milp::Basis;
 
-/// Bumped whenever the cached representation (or anything influencing the
-/// synthesized bytes that the key text does not already capture — e.g. a
-/// same-version solver change that lands on a different co-optimal
-/// schedule) changes. See the module docs for the invalidation rule.
-const CACHE_FORMAT_VERSION: u32 = 1;
+mod key;
+
+pub use key::synthesis_key;
 
 /// Process-wide store sequence: combined with the process id it makes every
 /// temp-file name unique, even across cache instances sharing one directory.
 static STORE_SEQ: AtomicU64 = AtomicU64::new(0);
-
-/// Writes the structural part of the key text: every node, task, message,
-/// application, mode and switch edge of `system` and `graph` in id order.
-fn write_fingerprint(out: &mut impl fmt::Write, system: &System, graph: &ModeGraph) -> fmt::Result {
-    for (id, node) in system.nodes() {
-        writeln!(out, "node {id} {}", node.name)?;
-    }
-    for (id, task) in system.tasks() {
-        writeln!(
-            out,
-            "task {id} {} node={} wcet={} app={}",
-            task.name, task.node, task.wcet, task.app
-        )?;
-    }
-    for (id, msg) in system.messages() {
-        writeln!(
-            out,
-            "message {id} {} app={} prec={:?} succ={:?}",
-            msg.name, msg.app, msg.preceding_tasks, msg.successor_tasks
-        )?;
-    }
-    for (id, app) in system.applications() {
-        writeln!(
-            out,
-            "app {id} {} period={} deadline={} tasks={:?} messages={:?}",
-            app.name, app.period, app.deadline, app.tasks, app.messages
-        )?;
-    }
-    for (id, mode) in system.modes() {
-        writeln!(out, "mode {id} {} apps={:?}", mode.name, mode.applications)?;
-    }
-    for (from, to) in graph.edges() {
-        writeln!(out, "edge {from} -> {to}")?;
-    }
-    Ok(())
-}
-
-/// The full key text a cache entry is hashed from: the system/graph
-/// structure plus everything else the synthesized bytes depend on.
-fn write_key_text(
-    out: &mut impl fmt::Write,
-    system: &System,
-    graph: &ModeGraph,
-    config: &SchedulerConfig,
-    backend_name: &str,
-) -> fmt::Result {
-    write!(
-        out,
-        "format={CACHE_FORMAT_VERSION}\nversion={}\nbackend={backend_name}\nconfig={config:?}\n",
-        env!("CARGO_PKG_VERSION"),
-    )?;
-    write_fingerprint(out, system, graph)
-}
-
-/// FNV-1a 64-bit over the key text — stable across platforms and runs, and
-/// good enough for a content-addressed cache whose entries are also
-/// self-describing (a collision would merely serve a valid schedule of a
-/// different system, and the key text includes every byte the schedule
-/// depends on, making that astronomically unlikely within one cache dir).
-///
-/// The state is a [`fmt::Write`] sink, so the key text is hashed as it is
-/// rendered and never materialised; the value depends only on the byte
-/// stream, not on how it is cut into `write_str` calls.
-struct Fnv1a64(u64);
-
-impl Fnv1a64 {
-    fn new() -> Self {
-        Fnv1a64(0xcbf2_9ce4_8422_2325)
-    }
-}
-
-impl fmt::Write for Fnv1a64 {
-    fn write_str(&mut self, text: &str) -> fmt::Result {
-        for byte in text.bytes() {
-            self.0 ^= u64::from(byte);
-            self.0 = self.0.wrapping_mul(0x1000_0000_01b3);
-        }
-        Ok(())
-    }
-}
-
-/// Computes the cache key for a synthesis request.
-pub fn synthesis_key(
-    system: &System,
-    graph: &ModeGraph,
-    config: &SchedulerConfig,
-    backend_name: &str,
-) -> String {
-    let mut hash = Fnv1a64::new();
-    // The sink never fails.
-    let _ = write_key_text(&mut hash, system, graph, config, backend_name);
-    format!("{:016x}", hash.0)
-}
 
 /// Whether a cached-synthesis call was served from the cache or had to run
 /// the full pipeline.
@@ -915,7 +819,6 @@ mod tests {
     use crate::fixtures;
     use crate::synthesis::{synthesize_system, IlpSynthesizer};
     use crate::time::millis;
-    use std::fmt::Write as _;
 
     fn temp_cache(tag: &str) -> ScheduleCache {
         ScheduleCache::new(temp_dir(tag))
@@ -1018,74 +921,6 @@ mod tests {
         assert_eq!(outcome, CacheOutcome::Hit);
         assert_eq!(cache.mem_hits(), 1);
         assert_eq!(cache.disk_hits(), 0);
-    }
-
-    #[test]
-    fn key_separates_config_backend_and_structure() {
-        let (sys, graph, _, _) = fixtures::two_mode_graph();
-        let base = synthesis_key(&sys, &graph, &config(), "ilp-incremental");
-        assert_ne!(
-            base,
-            synthesis_key(&sys, &graph, &config(), "greedy-heuristic"),
-            "backend must be part of the key"
-        );
-        let other_config = SchedulerConfig::new(millis(20), 5);
-        assert_ne!(
-            base,
-            synthesis_key(&sys, &graph, &other_config, "ilp-incremental"),
-            "config must be part of the key"
-        );
-        let mut presolve_off = config();
-        presolve_off.solver.presolve = false;
-        assert_ne!(
-            base,
-            synthesis_key(&sys, &graph, &presolve_off, "ilp-incremental"),
-            "solver params must be part of the key"
-        );
-        let mut tighter_budget = config();
-        tighter_budget.solver.max_nodes = 10;
-        assert_ne!(
-            base,
-            synthesis_key(&sys, &graph, &tighter_budget, "ilp-incremental"),
-            "per-request solver budgets must be part of the key"
-        );
-        let (diamond_sys, diamond_graph, _) = fixtures::four_mode_diamond();
-        assert_ne!(
-            base,
-            synthesis_key(&diamond_sys, &diamond_graph, &config(), "ilp-incremental"),
-            "system structure must be part of the key"
-        );
-    }
-
-    /// Disk entries and `request_key` predecessors outlive a build, so the
-    /// key values are part of the format. The literals are what the
-    /// `String`-materialising implementation returned for these inputs; they
-    /// move only with `CACHE_FORMAT_VERSION`, the crate version, or a change
-    /// to what the key text says.
-    #[test]
-    fn key_values_are_pinned_and_do_not_depend_on_how_the_text_is_streamed() {
-        let (sys, graph, _, _) = fixtures::two_mode_graph();
-        assert_eq!(
-            synthesis_key(&sys, &graph, &config(), "ilp-incremental"),
-            "a0398e55a28e7b06"
-        );
-        let (diamond_sys, diamond_graph, _) = fixtures::four_mode_diamond();
-        assert_eq!(
-            synthesis_key(&diamond_sys, &diamond_graph, &config(), "greedy-heuristic"),
-            "91abcbd8d3f200f1"
-        );
-        // One `write_str` of the whole text hashes like the many small ones
-        // `write!` makes of it.
-        let mut text = String::new();
-        write_key_text(&mut text, &sys, &graph, &config(), "ilp-incremental").expect("string sink");
-        assert!(text.starts_with("format=1\nversion="));
-        assert!(text.ends_with(&fingerprint(&sys, &graph)));
-        let mut whole = Fnv1a64::new();
-        whole.write_str(&text).expect("hash sink");
-        assert_eq!(
-            format!("{:016x}", whole.0),
-            synthesis_key(&sys, &graph, &config(), "ilp-incremental")
-        );
     }
 
     #[test]
@@ -1335,24 +1170,6 @@ mod tests {
         let dir = cache.dir().expect("disk-backed").to_path_buf();
         drop(cache);
         let _ = std::fs::remove_dir_all(dir);
-    }
-
-    /// The structural part of the key text on its own.
-    fn fingerprint(system: &System, graph: &ModeGraph) -> String {
-        let mut text = String::new();
-        write_fingerprint(&mut text, system, graph).expect("string sink");
-        text
-    }
-
-    #[test]
-    fn fingerprint_is_deterministic_and_structure_sensitive() {
-        let (sys, graph, _, _) = fixtures::two_mode_graph();
-        assert_eq!(fingerprint(&sys, &graph), fingerprint(&sys, &graph));
-        let (other_sys, other_graph, _) = fixtures::four_mode_diamond();
-        assert_ne!(
-            fingerprint(&sys, &graph),
-            fingerprint(&other_sys, &other_graph)
-        );
     }
 
     /// Regression test for the two `store` concurrency bugs: same-process
