@@ -7,23 +7,28 @@
 //! asking for an already-solved configuration would otherwise re-pay the full
 //! MILP cost for an answer that has not changed.
 //!
-//! [`ScheduleCache`] keys a synthesized [`SystemSchedule`] by a content hash
-//! of everything the result depends on:
+//! [`ScheduleCache`] keys a synthesized [`SystemSchedule`] by
+//! [`synthesis_key`]: the FNV-1a 64 hash of one compact JSON document,
+//! written by the [`crate::json`] codec that writes every wire and disk
+//! document, of everything the result depends on:
 //!
-//! * the structure of the system and mode graph: every node, task,
-//!   message, application, mode and switch edge in id order,
-//! * the full scheduler configuration (round length, slots, solver budgets
-//!   and tolerances, presolve switch),
+//! * the system, its mode graph (root included) and the full scheduler
+//!   configuration, each in its codec form,
 //! * the backend name, and
 //! * the crate version plus a cache format version.
+//!
+//! Two requests share a key exactly when those documents are byte-equal, so
+//! no field the codec carries can be left out of the key.
 //!
 //! The version pair is the staleness guard, and it is deliberate about what
 //! it does and does not catch: a *released* version change always misses,
 //! but an uncommitted same-version solver edit (which can legitimately move
 //! the pipeline to a different co-optimal schedule) is invisible to the key.
-//! The rule for such changes is to bump the module's `CACHE_FORMAT_VERSION`
-//! in the same commit — or, during local iteration, wipe the cache directory
-//! (it lives under `target/` by default, so `cargo clean` also clears it).
+//! The rule for such changes is to bump the key module's
+//! `CACHE_FORMAT_VERSION` in the same commit — or, during local iteration,
+//! wipe the cache directory (it lives under `target/` by default, so
+//! `cargo clean` also clears it). A disk entry keyed by an older format
+//! version is never found again: it simply misses.
 //!
 //! # Tiers
 //!

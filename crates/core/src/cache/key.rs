@@ -1,96 +1,53 @@
-//! The cache key of a synthesis request: a 64-bit content hash of
-//! everything the synthesized schedule depends on. See the
-//! [parent module](super) for what the key covers and how it goes stale.
+//! The cache key of a synthesis request: the FNV-1a 64 hash of one compact
+//! JSON document, written by the codec every wire and disk document goes
+//! through. See the [parent module](super) for what the key covers and how
+//! it goes stale.
 
 use crate::config::SchedulerConfig;
+use crate::json::{Json, Writer};
 use crate::modegraph::ModeGraph;
 use crate::system::System;
-use std::fmt;
 
 /// Bumped whenever the cached representation (or anything influencing the
-/// synthesized bytes that the key text does not already capture — e.g. a
-/// same-version solver change that lands on a different co-optimal
+/// synthesized bytes that the key document does not already capture — e.g.
+/// a same-version solver change that lands on a different co-optimal
 /// schedule) changes. See the module docs for the invalidation rule.
-const CACHE_FORMAT_VERSION: u32 = 1;
+const CACHE_FORMAT_VERSION: u64 = 2;
 
-/// Writes the structural part of the key text: every node, task, message,
-/// application, mode and switch edge of `system` and `graph` in id order.
-fn write_fingerprint(out: &mut impl fmt::Write, system: &System, graph: &ModeGraph) -> fmt::Result {
-    for (id, node) in system.nodes() {
-        writeln!(out, "node {id} {}", node.name)?;
-    }
-    for (id, task) in system.tasks() {
-        writeln!(
-            out,
-            "task {id} {} node={} wcet={} app={}",
-            task.name, task.node, task.wcet, task.app
-        )?;
-    }
-    for (id, msg) in system.messages() {
-        writeln!(
-            out,
-            "message {id} {} app={} prec={:?} succ={:?}",
-            msg.name, msg.app, msg.preceding_tasks, msg.successor_tasks
-        )?;
-    }
-    for (id, app) in system.applications() {
-        writeln!(
-            out,
-            "app {id} {} period={} deadline={} tasks={:?} messages={:?}",
-            app.name, app.period, app.deadline, app.tasks, app.messages
-        )?;
-    }
-    for (id, mode) in system.modes() {
-        writeln!(out, "mode {id} {} apps={:?}", mode.name, mode.applications)?;
-    }
-    for (from, to) in graph.edges() {
-        writeln!(out, "edge {from} -> {to}")?;
-    }
-    Ok(())
-}
-
-/// The full key text a cache entry is hashed from: the system/graph
-/// structure plus everything else the synthesized bytes depend on.
-fn write_key_text(
-    out: &mut impl fmt::Write,
+/// Writes the key document of a request to `out`: one object of the format
+/// and crate versions, the backend name and the codec's forms of `system`,
+/// `graph` (root included) and `config`. Two requests share a key exactly
+/// when these bytes are equal, so a field the codec carries cannot be left
+/// out of the key.
+fn write_key_document(
+    out: &mut Vec<u8>,
     system: &System,
     graph: &ModeGraph,
     config: &SchedulerConfig,
     backend_name: &str,
-) -> fmt::Result {
-    write!(
-        out,
-        "format={CACHE_FORMAT_VERSION}\nversion={}\nbackend={backend_name}\nconfig={config:?}\n",
-        env!("CARGO_PKG_VERSION"),
-    )?;
-    write_fingerprint(out, system, graph)
+) {
+    Writer::compact(out).object(&mut [
+        ("format", &|w| w.integer(CACHE_FORMAT_VERSION)),
+        ("version", &|w| w.string(env!("CARGO_PKG_VERSION"))),
+        ("backend", &|w| w.string(backend_name)),
+        ("config", &|w| config.write(w)),
+        ("mode_graph", &|w| graph.write(w)),
+        ("system", &|w| system.write(w)),
+    ]);
 }
 
-/// FNV-1a 64-bit over the key text — stable across platforms and runs, and
-/// good enough for a content-addressed cache whose entries are also
-/// self-describing (a collision would merely serve a valid schedule of a
-/// different system, and the key text includes every byte the schedule
-/// depends on, making that astronomically unlikely within one cache dir).
+/// FNV-1a 64-bit over the key document — stable across platforms and runs.
 ///
-/// The state is a [`fmt::Write`] sink, so the key text is hashed as it is
-/// rendered and never materialised; the value depends only on the byte
-/// stream, not on how it is cut into `write_str` calls.
-struct Fnv1a64(u64);
-
-impl Fnv1a64 {
-    fn new() -> Self {
-        Fnv1a64(0xcbf2_9ce4_8422_2325)
-    }
-}
-
-impl fmt::Write for Fnv1a64 {
-    fn write_str(&mut self, text: &str) -> fmt::Result {
-        for byte in text.bytes() {
-            self.0 ^= u64::from(byte);
-            self.0 = self.0.wrapping_mul(0x1000_0000_01b3);
-        }
-        Ok(())
-    }
+/// 64 bits make a collision unlikely within one cache directory, not
+/// impossible, and an entry does not keep the document it was keyed by, so
+/// a hit is trusted on the hash alone. A collision would serve a valid
+/// schedule of *another* system, which for a scheduler is a safety risk,
+/// not a wasted lookup. Storing the document (or a 128-bit digest) in the
+/// entry and comparing it on every hit is the open fix.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &byte| {
+        (hash ^ u64::from(byte)).wrapping_mul(0x1000_0000_01b3)
+    })
 }
 
 /// Computes the cache key for a synthesis request.
@@ -100,10 +57,9 @@ pub fn synthesis_key(
     config: &SchedulerConfig,
     backend_name: &str,
 ) -> String {
-    let mut hash = Fnv1a64::new();
-    // The sink never fails.
-    let _ = write_key_text(&mut hash, system, graph, config, backend_name);
-    format!("{:016x}", hash.0)
+    let mut document = Vec::new();
+    write_key_document(&mut document, system, graph, config, backend_name);
+    format!("{:016x}", fnv1a64(&document))
 }
 
 #[cfg(test)]
@@ -111,7 +67,6 @@ mod tests {
     use super::*;
     use crate::fixtures;
     use crate::time::millis;
-    use std::fmt::Write as _;
 
     fn config() -> SchedulerConfig {
         SchedulerConfig::new(millis(10), 5)
@@ -119,7 +74,7 @@ mod tests {
 
     #[test]
     fn key_separates_config_backend_and_structure() {
-        let (sys, graph, _, _) = fixtures::two_mode_graph();
+        let (sys, graph, _, emergency) = fixtures::two_mode_graph();
         let base = synthesis_key(&sys, &graph, &config(), "ilp-incremental");
         assert_ne!(
             base,
@@ -152,54 +107,52 @@ mod tests {
             synthesis_key(&diamond_sys, &diamond_graph, &config(), "ilp-incremental"),
             "system structure must be part of the key"
         );
+        // The root decides which mode fixes a shared application's offsets,
+        // so the same graph rooted elsewhere synthesizes another schedule.
+        let rerooted = graph
+            .clone()
+            .with_root(emergency)
+            .expect("a mode of the graph");
+        assert_ne!(
+            base,
+            synthesis_key(&sys, &rerooted, &config(), "ilp-incremental"),
+            "the mode-graph root must be part of the key"
+        );
     }
 
     /// Disk entries and `request_key` predecessors outlive a build, so the
-    /// key values are part of the format. The literals are what the
-    /// `String`-materialising implementation returned for these inputs; they
-    /// move only with `CACHE_FORMAT_VERSION`, the crate version, or a change
-    /// to what the key text says.
+    /// key values are part of the format. They move only with
+    /// `CACHE_FORMAT_VERSION`, the crate version, or a change to a codec
+    /// form the key document embeds.
     #[test]
-    fn key_values_are_pinned_and_do_not_depend_on_how_the_text_is_streamed() {
+    fn key_values_are_pinned() {
         let (sys, graph, _, _) = fixtures::two_mode_graph();
         assert_eq!(
             synthesis_key(&sys, &graph, &config(), "ilp-incremental"),
-            "a0398e55a28e7b06"
+            "a25972618d19d494"
         );
         let (diamond_sys, diamond_graph, _) = fixtures::four_mode_diamond();
         assert_eq!(
             synthesis_key(&diamond_sys, &diamond_graph, &config(), "greedy-heuristic"),
-            "91abcbd8d3f200f1"
-        );
-        // One `write_str` of the whole text hashes like the many small ones
-        // `write!` makes of it.
-        let mut text = String::new();
-        write_key_text(&mut text, &sys, &graph, &config(), "ilp-incremental").expect("string sink");
-        assert!(text.starts_with("format=1\nversion="));
-        assert!(text.ends_with(&fingerprint(&sys, &graph)));
-        let mut whole = Fnv1a64::new();
-        whole.write_str(&text).expect("hash sink");
-        assert_eq!(
-            format!("{:016x}", whole.0),
-            synthesis_key(&sys, &graph, &config(), "ilp-incremental")
+            "2555e6219955440c"
         );
     }
 
-    /// The structural part of the key text on its own.
-    fn fingerprint(system: &System, graph: &ModeGraph) -> String {
-        let mut text = String::new();
-        write_fingerprint(&mut text, system, graph).expect("string sink");
-        text
-    }
-
+    /// The key document embeds each input's codec bytes verbatim, members in
+    /// sorted order.
     #[test]
-    fn fingerprint_is_deterministic_and_structure_sensitive() {
+    fn key_document_is_the_codec_forms_of_the_request() {
         let (sys, graph, _, _) = fixtures::two_mode_graph();
-        assert_eq!(fingerprint(&sys, &graph), fingerprint(&sys, &graph));
-        let (other_sys, other_graph, _) = fixtures::four_mode_diamond();
-        assert_ne!(
-            fingerprint(&sys, &graph),
-            fingerprint(&other_sys, &other_graph)
+        let mut document = Vec::new();
+        write_key_document(&mut document, &sys, &graph, &config(), "ilp");
+        let expected = format!(
+            "{{\"backend\":\"ilp\",\"config\":{},\"format\":2,\"mode_graph\":{},\"system\":{},\
+             \"version\":\"{}\"}}",
+            config().to_json(),
+            graph.to_json(),
+            sys.to_json(),
+            env!("CARGO_PKG_VERSION"),
         );
+        assert_eq!(String::from_utf8(document).expect("utf-8"), expected);
     }
 }

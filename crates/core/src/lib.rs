@@ -17,7 +17,7 @@
 //!   offsets pinned through the solver's bound-tightening API. One wave
 //!   driver solves every mode, one after the other on the calling thread;
 //!   the two doors below are the same driver behind the cache.
-//! * [`cache`] — a fingerprint-keyed two-tier (memory, then disk) schedule
+//! * [`cache`] — a content-keyed two-tier (memory, then disk) schedule
 //!   cache: [`cache::synthesize_system_cached`] skips synthesis entirely when
 //!   the same system/graph/config/backend was already solved by this build.
 //! * [`resynth`] — [`resynth::resynthesize_system`]: the same driver started

@@ -12,10 +12,10 @@
 //! * [`frame`] — 4-byte big-endian length prefix + JSON payload over any
 //!   `Read`/`Write` pair (no HTTP crate exists offline; the framing is the
 //!   maelstrom-style minimum that survives TCP segmentation).
-//! * [`protocol`] — typed request/response documents over the `Value`-level
-//!   codecs of [`ttw_core::export`], so wire payloads round-trip exactly
-//!   like deployment JSON (including the f64 formatting the cache key
-//!   hashes).
+//! * [`protocol`] — typed request/response documents over the codec forms
+//!   [`ttw_core::export`] declares, so wire payloads round-trip exactly like
+//!   deployment JSON, and a decoded request hashes to the same cache key as
+//!   its in-process twin (the key is a hash of those same codec bytes).
 //! * [`stats`] — relaxed-atomic service counters and their wire snapshot;
 //!   `requests == solved + incremental + coalesced + cache_hits + rejected +
 //!   solve_errors` reconciles across the whole pipeline, every

@@ -5,7 +5,7 @@
 //! [`json_object!`](ttw_core::json_object) table and embeds the entity types
 //! through the [`Json`] impls `ttw_core` gives them, so anything that
 //! round-trips through the deployment JSON also round-trips through the
-//! service — including the f64 formatting that the cache key depends on. The
+//! service — including the cache key, which hashes those same codec bytes. The
 //! two tagged enums, [`Request`] and [`Response`], are written by hand around
 //! those tables: a variant is its table's members with `"type"` merged in at
 //! its sorted place, and a frame is read with the tables of every variant

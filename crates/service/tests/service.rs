@@ -8,7 +8,7 @@ use std::sync::Arc;
 use ttw_core::cache::SynthesisArtifacts;
 use ttw_core::config::SchedulerConfig;
 use ttw_core::fixtures;
-use ttw_core::synthesis::{IlpSynthesizer, Synthesizer};
+use ttw_core::synthesis::{synthesize_system, IlpSynthesizer, Synthesizer};
 use ttw_core::time::millis;
 use ttw_service::{
     BackendKind, BudgetCaps, Client, ClientError, SchedulerService, ServedFrom, ServerHandle,
@@ -719,6 +719,38 @@ fn a_hit_after_an_overwrite_serves_the_new_schedule() {
     let after = client.synthesize(request).expect("hit");
     assert_eq!(after.served, ServedFrom::Memory);
     assert_eq!(after.schedule, replaced);
+}
+
+/// The root of a mode graph decides which mode fixes a shared application's
+/// offsets, so the same graph rooted at another mode is another problem: it
+/// is solved, not served the first root's schedule from the cache.
+#[test]
+fn the_same_graph_rooted_at_another_mode_is_solved_not_a_cache_hit() {
+    let server = start_server();
+    let mut client = Client::connect(server.addr()).expect("connect");
+    let (_, _, _, emergency) = fixtures::two_mode_graph();
+    let at_normal = fig3_request(BackendKind::Ilp);
+    let mut at_emergency = at_normal.clone();
+    at_emergency.graph = at_normal
+        .graph
+        .clone()
+        .with_root(emergency)
+        .expect("a mode of the graph");
+    let first = client.synthesize(at_normal).expect("solves");
+    assert_eq!(first.served, ServedFrom::Solved);
+    let second = client.synthesize(at_emergency.clone()).expect("solves");
+    assert_eq!(second.served, ServedFrom::Solved);
+
+    let fresh = synthesize_system(
+        &at_emergency.system,
+        &at_emergency.graph,
+        &at_emergency.config,
+        &IlpSynthesizer,
+    )
+    .expect("feasible");
+    assert_eq!(second.schedule.inheritance, fresh.inheritance);
+    assert_eq!(second.schedule.content_only(), fresh.content_only());
+    assert_ne!(second.schedule.inheritance, first.schedule.inheritance);
 }
 
 /// Two connections take the first hit of one entry at the same moment: one

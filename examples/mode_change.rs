@@ -17,7 +17,7 @@ fn run(
     // The mode-graph pipeline: the emergency mode inherits the control
     // application's offsets from the normal mode, so the switch never re-times
     // the running control loop (switch consistency, Sec. V). Synthesis goes
-    // through the fingerprint-keyed schedule cache, so only the first run of
+    // through the content-keyed schedule cache, so only the first run of
     // this example (per build) pays the MILP cost.
     let cache = ttw::core::cache::ScheduleCache::at_default_location();
     let (schedule, outcome) = ttw::core::cache::synthesize_system_cached(

@@ -217,7 +217,7 @@ fn fixture_dir() -> PathBuf {
 type Recode = fn(&str) -> Result<String, JsonError>;
 
 /// The key `examples/mode_change` stores its schedule under.
-const MODE_CHANGE_KEY: &str = "a0398e55a28e7b06";
+const MODE_CHANGE_KEY: &str = "a25972618d19d494";
 
 /// Every committed document with the decoder and encoder that own it. The
 /// files were written by the build that preceded the field-table codec (see
@@ -255,10 +255,10 @@ const FIXTURES: &[(&str, Recode)] = &[
     ("response_stats.json", recode_response),
     ("response_error.json", recode_response),
     ("response_shutdown_ack.json", recode_response),
-    ("ttw-a0398e55a28e7b06.json", |text| {
+    ("ttw-a25972618d19d494.json", |text| {
         system_schedule_to_json(&system_schedule_from_json(text)?)
     }),
-    ("ttw-a0398e55a28e7b06.warm.json", |text| {
+    ("ttw-a25972618d19d494.warm.json", |text| {
         Ok(artifacts_to_json(&artifacts_from_json(text)?))
     }),
 ];
