@@ -155,11 +155,13 @@ impl System {
     /// without a sender, senders on different nodes, or a cyclic precedence
     /// graph.
     pub fn add_application(&mut self, spec: &ApplicationSpec) -> Result<AppId, ModelError> {
-        self.check_application_spec(spec)?;
+        let local_tasks = self.check_application_spec(spec)?;
 
         let app_id = AppId(self.applications.len());
+        // The spec's tasks get consecutive ids from here, in spec order.
+        let first_task = self.tasks.len();
+        let task_id = |name: &String| TaskId(first_task + local_tasks[name.as_str()]);
         let mut task_ids = Vec::with_capacity(spec.tasks.len());
-        let mut local_tasks: HashMap<&str, TaskId> = HashMap::new();
 
         for t in &spec.tasks {
             let node = self.node_names[&t.node];
@@ -172,19 +174,13 @@ impl System {
                 app: app_id,
                 preceding_messages: Vec::new(),
             });
-            local_tasks.insert(t.name.as_str(), id);
             task_ids.push(id);
         }
 
         let mut message_ids = Vec::with_capacity(spec.messages.len());
         for m in &spec.messages {
-            let preceding_tasks: Vec<TaskId> =
-                m.sources.iter().map(|s| local_tasks[s.as_str()]).collect();
-            let successor_tasks: Vec<TaskId> = m
-                .destinations
-                .iter()
-                .map(|d| local_tasks[d.as_str()])
-                .collect();
+            let preceding_tasks: Vec<TaskId> = m.sources.iter().map(task_id).collect();
+            let successor_tasks: Vec<TaskId> = m.destinations.iter().map(task_id).collect();
             let source_node = self.tasks[preceding_tasks[0].index()].node;
             let id = MessageId(self.messages.len());
             self.message_names.insert(m.name.clone(), id);
@@ -481,7 +477,13 @@ impl System {
     // Validation helpers
     // ------------------------------------------------------------------
 
-    fn check_application_spec(&self, spec: &ApplicationSpec) -> Result<(), ModelError> {
+    /// Checks `spec` against the model rules [`System::add_application`]
+    /// documents and returns the index of its task names: each name's
+    /// position in `spec.tasks`, what the cycle test and the build share.
+    fn check_application_spec<'s>(
+        &self,
+        spec: &'s ApplicationSpec,
+    ) -> Result<TaskIndex<'s>, ModelError> {
         if spec.period == 0 {
             return Err(ModelError::ZeroDuration {
                 what: format!("period of application `{}`", spec.name),
@@ -506,8 +508,8 @@ impl System {
             });
         }
 
-        let mut local_task_nodes: HashMap<&str, &str> = HashMap::new();
-        for t in &spec.tasks {
+        let mut local_tasks = TaskIndex::with_capacity(spec.tasks.len());
+        for (i, t) in spec.tasks.iter().enumerate() {
             if t.wcet == 0 {
                 return Err(ModelError::ZeroDuration {
                     what: format!("WCET of task `{}`", t.name),
@@ -527,9 +529,7 @@ impl System {
                 });
             }
             if self.task_names.contains_key(&t.name)
-                || local_task_nodes
-                    .insert(t.name.as_str(), t.node.as_str())
-                    .is_some()
+                || local_tasks.insert(t.name.as_str(), i).is_some()
             {
                 return Err(ModelError::DuplicateName {
                     name: t.name.clone(),
@@ -552,55 +552,48 @@ impl System {
                 });
             }
             for reference in m.sources.iter().chain(m.destinations.iter()) {
-                if !local_task_nodes.contains_key(reference.as_str()) {
+                if !local_tasks.contains_key(reference.as_str()) {
                     return Err(ModelError::UnknownName {
                         name: reference.clone(),
                         kind: "task",
                     });
                 }
             }
-            let first_node = local_task_nodes[m.sources[0].as_str()];
-            if m.sources
-                .iter()
-                .any(|s| local_task_nodes[s.as_str()] != first_node)
-            {
+            let node_of = |name: &String| &spec.tasks[local_tasks[name.as_str()]].node;
+            let first_node = node_of(&m.sources[0]);
+            if m.sources.iter().any(|s| node_of(s) != first_node) {
                 return Err(ModelError::SendersOnDifferentNodes {
                     message: m.name.clone(),
                 });
             }
         }
 
-        if has_cycle(spec) {
+        if has_cycle(spec, &local_tasks) {
             return Err(ModelError::CyclicPrecedence {
                 application: spec.name.clone(),
             });
         }
-        Ok(())
+        Ok(local_tasks)
     }
 }
 
-/// Cycle detection over the bipartite task/message precedence graph of a spec.
-fn has_cycle(spec: &ApplicationSpec) -> bool {
+/// The position of each task of an [`ApplicationSpec`] in its `tasks`, by
+/// name.
+type TaskIndex<'s> = HashMap<&'s str, usize>;
+
+/// Cycle detection over the bipartite task/message precedence graph of a
+/// spec whose every message endpoint `task_index` names.
+fn has_cycle(spec: &ApplicationSpec, task_index: &TaskIndex<'_>) -> bool {
     // Vertices: tasks 0..T, messages T..T+M (by index in the spec).
-    let task_index: HashMap<&str, usize> = spec
-        .tasks
-        .iter()
-        .enumerate()
-        .map(|(i, t)| (t.name.as_str(), i))
-        .collect();
     let t = spec.tasks.len();
     let total = t + spec.messages.len();
     let mut adjacency: Vec<Vec<usize>> = vec![Vec::new(); total];
     for (mi, m) in spec.messages.iter().enumerate() {
         for s in &m.sources {
-            if let Some(&si) = task_index.get(s.as_str()) {
-                adjacency[si].push(t + mi);
-            }
+            adjacency[task_index[s.as_str()]].push(t + mi);
         }
         for d in &m.destinations {
-            if let Some(&di) = task_index.get(d.as_str()) {
-                adjacency[t + mi].push(di);
-            }
+            adjacency[t + mi].push(task_index[d.as_str()]);
         }
     }
 
