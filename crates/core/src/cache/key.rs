@@ -11,7 +11,8 @@ use crate::system::System;
 /// Bumped whenever the cached representation (or anything influencing the
 /// synthesized bytes that the key document does not already capture — e.g.
 /// a same-version solver change that lands on a different co-optimal
-/// schedule) changes. See the module docs for the invalidation rule.
+/// schedule) changes. See the [parent module](super) for the invalidation
+/// rule.
 const CACHE_FORMAT_VERSION: u64 = 2;
 
 /// Writes the key document of a request to `out`: one object of the format
