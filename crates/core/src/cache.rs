@@ -185,8 +185,8 @@ pub struct SynthesisArtifacts {
     pub config: SchedulerConfig,
     /// Backend name (the artifacts are only reusable by the same backend).
     pub backend: String,
-    /// Root basis (and its round count) of each mode's winning ILP attempt.
-    /// Empty for backends with no LP underneath.
+    /// Root basis (and its round count) of each mode's winning ILP attempt;
+    /// a mode whose winning attempt left no root basis has no entry.
     pub warm: BTreeMap<ModeId, ModeWarmStart>,
 }
 

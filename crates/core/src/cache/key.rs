@@ -79,7 +79,7 @@ mod tests {
         let base = synthesis_key(&sys, &graph, &config(), "ilp-incremental");
         assert_ne!(
             base,
-            synthesis_key(&sys, &graph, &config(), "greedy-heuristic"),
+            synthesis_key(&sys, &graph, &config(), "another-backend"),
             "backend must be part of the key"
         );
         let other_config = SchedulerConfig::new(millis(20), 5);
@@ -134,8 +134,8 @@ mod tests {
         );
         let (diamond_sys, diamond_graph, _) = fixtures::four_mode_diamond();
         assert_eq!(
-            synthesis_key(&diamond_sys, &diamond_graph, &config(), "greedy-heuristic"),
-            "2555e6219955440c"
+            synthesis_key(&diamond_sys, &diamond_graph, &config(), "ilp-incremental"),
+            "294f2d91e7d179a3"
         );
     }
 

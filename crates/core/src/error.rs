@@ -162,16 +162,6 @@ pub enum ScheduleError {
         /// Explanation of what is wrong.
         reason: String,
     },
-    /// The request is well-formed but outside what the chosen scheduler
-    /// backend implements (e.g. the greedy heuristic on multi-instance modes,
-    /// or inherited offsets on a backend without pinning support).
-    ///
-    /// Distinguishing this from [`ScheduleError::InvalidConfig`] lets callers
-    /// fall back to another backend instead of reporting a user error.
-    Unsupported {
-        /// What the backend cannot do.
-        reason: String,
-    },
 }
 
 impl fmt::Display for ScheduleError {
@@ -195,9 +185,6 @@ impl fmt::Display for ScheduleError {
             ScheduleError::Model(e) => write!(f, "invalid system model: {e}"),
             ScheduleError::InvalidConfig { reason } => {
                 write!(f, "invalid scheduler configuration: {reason}")
-            }
-            ScheduleError::Unsupported { reason } => {
-                write!(f, "unsupported by this scheduler backend: {reason}")
             }
         }
     }

@@ -460,7 +460,7 @@ mod tests {
             &sys,
             &graph,
             &SchedulerConfig::new(millis(10), 5),
-            &crate::synthesis::HeuristicSynthesizer,
+            &crate::synthesis::IlpSynthesizer,
         )
         .expect("feasible");
         let mut swapped = schedule.clone();

@@ -27,7 +27,6 @@
 //!   patches that ship the difference.
 //! * [`validate`] — an independent checker that re-verifies every synthesized
 //!   schedule against the model semantics.
-//! * [`heuristic`] — a greedy co-scheduler used as an ablation baseline.
 //! * [`analysis`] — the closed-form latency lower bound of Eq. 13.
 //! * [`feasibility`] — sound static infeasibility certificates (utilization,
 //!   round capacity, Eq. 13 deadlines) powering the `AnalyzeFirst` gate and
@@ -59,7 +58,6 @@ pub mod error;
 pub mod export;
 pub mod feasibility;
 pub mod fixtures;
-pub mod heuristic;
 pub mod ids;
 pub mod ilp;
 pub mod json;
@@ -84,7 +82,7 @@ pub use resynth::{resynthesize_system, ResynthesisReport};
 pub use schedule::{ModeSchedule, ScheduledRound, SynthesisStats, SystemSchedule};
 pub use spec::{ApplicationSpec, MessageSpec, TaskSpec};
 pub use synthesis::{
-    HeuristicSynthesizer, IlpSynthesizer, ModePrior, ModeWarmStart, SolvedMode, SynthesisFailure,
-    Synthesizer, SystemSynthesisError,
+    IlpSynthesizer, ModePrior, ModeWarmStart, SolvedMode, SynthesisFailure, Synthesizer,
+    SystemSynthesisError,
 };
 pub use system::{Application, Message, Mode, Node, PrecedenceEdge, System, Task};

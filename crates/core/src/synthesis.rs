@@ -24,15 +24,13 @@
 //! ([`crate::resynth::resynthesize_system`]) ones included, and is the only
 //! place a mode is ever solved.
 //!
-//! The actual per-mode backend is abstracted behind the [`Synthesizer`]
-//! trait, with the exact ILP ([`IlpSynthesizer`]) and the greedy list
-//! scheduler ([`HeuristicSynthesizer`]) as the two implementations.
+//! Each mode is solved through the [`Synthesizer`] trait, whose one
+//! implementation is the exact ILP sweep ([`IlpSynthesizer`]).
 
 use crate::cache::SynthesisArtifacts;
 use crate::config::SchedulerConfig;
 use crate::error::ScheduleError;
 use crate::feasibility;
-use crate::heuristic;
 use crate::ids::ModeId;
 use crate::ilp;
 use crate::modegraph::{InheritedOffsets, ModeGraph};
@@ -121,8 +119,7 @@ pub struct SolvedMode {
 /// A per-mode schedule synthesis backend.
 ///
 /// Implementations receive the offsets inherited from already-synthesized
-/// modes and must either honor them exactly or reject the request with
-/// [`ScheduleError::Unsupported`].
+/// modes and must honor them exactly.
 pub trait Synthesizer {
     /// Human-readable backend name (used in reports and benches).
     fn name(&self) -> &'static str;
@@ -136,8 +133,7 @@ pub trait Synthesizer {
     /// infeasible. The returned [`SolvedMode::warm`] is the root basis of
     /// the winning attempt, ready to be cached. Neither changes which optimum
     /// the deterministic tie-breaking selects: the schedule is **identical**
-    /// with and without them. Backends with no LP underneath (the greedy
-    /// heuristic) ignore the prior and return no basis.
+    /// with and without them.
     ///
     /// # Errors
     ///
@@ -251,39 +247,6 @@ impl Synthesizer for IlpSynthesizer {
         }
 
         Err(infeasible(stats))
-    }
-}
-
-/// The greedy list-scheduling backend (ablation baseline and fast
-/// approximate pipeline for large mode graphs).
-///
-/// Inherited offsets are honored exactly: pinned tasks and the rounds serving
-/// pinned messages are laid down first, and the remaining applications are
-/// list-scheduled into the gaps around them (see
-/// [`heuristic::synthesize_mode_heuristic_inherited`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct HeuristicSynthesizer;
-
-impl Synthesizer for HeuristicSynthesizer {
-    fn name(&self) -> &'static str {
-        "greedy-heuristic"
-    }
-
-    fn synthesize(
-        &self,
-        system: &System,
-        mode: ModeId,
-        config: &SchedulerConfig,
-        inherited: &InheritedOffsets,
-        _prior: ModePrior<'_>,
-    ) -> Result<SolvedMode, SynthesisFailure> {
-        heuristic::synthesize_mode_heuristic_inherited(system, mode, config, inherited)
-            .map(|schedule| SolvedMode {
-                schedule,
-                warm: None,
-                seeded: false,
-            })
-            .map_err(SynthesisFailure::from)
     }
 }
 
@@ -755,16 +718,6 @@ mod tests {
     }
 
     #[test]
-    fn diamond_mode_graph_works_with_the_heuristic_backend() {
-        let (sys, graph, _) = fixtures::four_mode_diamond();
-        let result = synthesize_system(&sys, &graph, &config(), &HeuristicSynthesizer)
-            .expect("all four modes feasible");
-        assert_eq!(result.num_modes(), 4);
-        let violations = validate_system_schedule(&sys, &config(), &result);
-        assert!(violations.is_empty(), "validator found: {violations:?}");
-    }
-
-    #[test]
     fn failed_mode_keeps_partial_progress_and_stats() {
         // Mode 0 is schedulable; mode 1 has a 5 ms period that cannot fit a
         // single 10 ms round, so it fails — but mode 0's schedule and both
@@ -806,54 +759,8 @@ mod tests {
     }
 
     #[test]
-    fn heuristic_backend_honors_inheritance() {
-        // The heuristic backend packs around pinned offsets through the same
-        // trait: re-synthesizing Fig. 3 with its own ILP offsets pinned must
-        // reproduce them exactly.
-        let (sys, mode) = fixtures::fig3_system();
-        let schedule = synthesize_mode(&sys, mode, &config()).expect("feasible");
-        let app = sys.application_id("ctrl").expect("app exists");
-        let mut pins = InheritedOffsets::none();
-        pins.import_application(&sys, app, &schedule);
-        let pinned = HeuristicSynthesizer
-            .synthesize(&sys, mode, &config(), &pins, ModePrior::default())
-            .expect("pins honored")
-            .schedule;
-        for (t, &offset) in &schedule.task_offsets {
-            assert!(
-                (pinned.task_offsets[t] - offset).abs() < 1e-6,
-                "task {t} moved from {offset} to {}",
-                pinned.task_offsets[t]
-            );
-        }
-        // Without pins the heuristic backend works through the same trait.
-        let greedy = HeuristicSynthesizer
-            .synthesize(
-                &sys,
-                mode,
-                &config(),
-                &InheritedOffsets::none(),
-                ModePrior::default(),
-            )
-            .expect("feasible")
-            .schedule;
-        assert!(greedy.num_rounds() >= 2);
-    }
-
-    #[test]
-    fn heuristic_backend_drives_a_whole_mode_graph() {
-        // The inheritance-aware heuristic makes the full mode-graph pipeline
-        // available without the ILP: the result must be switch-consistent.
-        let (sys, graph, _, _) = fixtures::two_mode_graph();
-        let result = synthesize_system(&sys, &graph, &config(), &HeuristicSynthesizer)
-            .expect("both modes feasible");
-        assert_eq!(result.num_modes(), 2);
-        let violations = validate_system_schedule(&sys, &config(), &result);
-        assert!(violations.is_empty(), "validator found: {violations:?}");
-    }
-
-    #[test]
-    fn synthesizer_names_are_distinct() {
-        assert_ne!(IlpSynthesizer.name(), HeuristicSynthesizer.name());
+    fn backend_name_is_pinned() {
+        // The name is hashed into every cache key and fixture file name.
+        assert_eq!(IlpSynthesizer.name(), "ilp-incremental");
     }
 }

@@ -29,7 +29,7 @@
 //! * [`service`] — [`service::SchedulerService`]: budget-cap folding, the
 //!   two-tier [`ttw_core::cache::ScheduleCache`] probe, the leadership
 //!   re-probe that makes "identical concurrent requests solve exactly once"
-//!   a hard invariant, and routing to the ILP or heuristic backend.
+//!   a hard invariant, and the solve through the ILP backend.
 //! * [`server`] / [`client`] — the thread-per-connection TCP front end and
 //!   its blocking counterpart. The server answers a payload whose exact
 //!   bytes the memory tier already answered from that entry, undecoded.

@@ -48,8 +48,6 @@ use ttw_core::system::System;
 pub enum BackendKind {
     /// The exact ILP backend (`ilp-incremental`).
     Ilp,
-    /// The greedy heuristic backend (`greedy-heuristic`).
-    Heuristic,
 }
 
 impl BackendKind {
@@ -57,7 +55,6 @@ impl BackendKind {
     pub fn wire_name(self) -> &'static str {
         match self {
             BackendKind::Ilp => "ilp",
-            BackendKind::Heuristic => "heuristic",
         }
     }
 
@@ -69,7 +66,6 @@ impl BackendKind {
     pub fn from_wire(name: &str) -> Result<Self, JsonError> {
         match name {
             "ilp" => Ok(BackendKind::Ilp),
-            "heuristic" => Ok(BackendKind::Heuristic),
             other => Err(JsonError::custom(format!("unknown backend `{other}`"))),
         }
     }

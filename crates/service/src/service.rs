@@ -20,7 +20,7 @@
 //!    requests solve exactly once" a hard invariant rather than a race.
 //! 4. **Admission** — leaders that still need a solver acquire a slot from
 //!    the bounded [`AdmissionQueue`] (or bounce with `overloaded`).
-//! 5. **Solve, store, publish** — the backend runs (from scratch, or
+//! 5. **Solve, store, publish** — the ILP backend runs (from scratch, or
 //!    incrementally from the request's predecessor entry), the result lands
 //!    in the cache — its file too, when the cache has a disk tier — *before*
 //!    the flight retires, and followers wake.
@@ -38,7 +38,7 @@
 use crate::admission::AdmissionQueue;
 use crate::coalesce::{InflightTable, Role};
 use crate::protocol::{
-    BackendKind, EncodedReply, ResynthesizeRequest, ScheduleReply, ServedFrom, SynthesizeRequest,
+    EncodedReply, ResynthesizeRequest, ScheduleReply, ServedFrom, SynthesizeRequest,
 };
 use crate::stats::{ServiceStats, StatsSnapshot};
 use std::fmt;
@@ -50,7 +50,7 @@ use ttw_core::config::SchedulerConfig;
 use ttw_core::json::Json;
 use ttw_core::resynth::resynthesize_system;
 use ttw_core::schedule::SystemSchedule;
-use ttw_core::synthesis::{synthesize_system, HeuristicSynthesizer, IlpSynthesizer, Synthesizer};
+use ttw_core::synthesis::{synthesize_system, IlpSynthesizer, Synthesizer};
 
 /// Tuning knobs of a [`SchedulerService`].
 #[derive(Debug, Clone)]
@@ -134,8 +134,6 @@ pub struct SchedulerService {
     inflight: InflightTable,
     admission: AdmissionQueue,
     stats: ServiceStats,
-    ilp: IlpSynthesizer,
-    heuristic: HeuristicSynthesizer,
 }
 
 impl SchedulerService {
@@ -155,8 +153,6 @@ impl SchedulerService {
             inflight: InflightTable::new(),
             admission,
             stats: ServiceStats::default(),
-            ilp: IlpSynthesizer,
-            heuristic: HeuristicSynthesizer,
         }
     }
 
@@ -173,13 +169,6 @@ impl SchedulerService {
     /// A point-in-time copy of every service and cache counter.
     pub fn snapshot(&self) -> StatsSnapshot {
         self.stats.snapshot(&self.cache)
-    }
-
-    fn backend(&self, kind: BackendKind) -> &dyn Synthesizer {
-        match kind {
-            BackendKind::Ilp => &self.ilp,
-            BackendKind::Heuristic => &self.heuristic,
-        }
     }
 
     /// Folds per-request and service-wide budget caps into the config.
@@ -221,7 +210,7 @@ impl SchedulerService {
     /// [`ResynthesizeRequest`] for an edited system.
     pub fn request_key(&self, request: &SynthesizeRequest) -> String {
         let config = self.effective_config(request);
-        let backend = self.backend(request.backend);
+        let backend = IlpSynthesizer;
         synthesis_key(&request.system, &request.graph, &config, backend.name())
     }
 
@@ -330,7 +319,7 @@ impl SchedulerService {
         ServiceStats::bump(&self.stats.requests);
         let start = Instant::now();
         let config = self.effective_config(request);
-        let backend = self.backend(request.backend);
+        let backend = IlpSynthesizer;
         let key = synthesis_key(&request.system, &request.graph, &config, backend.name());
         let reply = |schedule: Arc<SystemSchedule>, served, request_milp_nodes| Served {
             key: key.clone(),
@@ -397,13 +386,13 @@ impl SchedulerService {
         // warm artifacts, under the successor key itself.
         let (system, graph) = (&request.system, &request.graph);
         let result = match predecessor {
-            None => synthesize_system(system, graph, &config, backend).map(|schedule| {
+            None => synthesize_system(system, graph, &config, &backend).map(|schedule| {
                 self.cache.store(&key, &schedule);
                 let nodes = schedule.totals().nodes_explored;
                 (schedule, nodes)
             }),
             Some(predecessor) => {
-                resynthesize_system(system, graph, &config, backend, &self.cache, predecessor)
+                resynthesize_system(system, graph, &config, &backend, &self.cache, predecessor)
                     .map(|(schedule, report)| (schedule, report.solved_milp_nodes))
             }
         };
@@ -433,17 +422,17 @@ impl SchedulerService {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::BudgetCaps;
+    use crate::protocol::{BackendKind, BudgetCaps};
     use ttw_core::fixtures;
     use ttw_core::time::millis;
 
-    fn request(backend: BackendKind) -> SynthesizeRequest {
+    fn request() -> SynthesizeRequest {
         let (system, graph, _, _) = fixtures::two_mode_graph();
         SynthesizeRequest {
             system,
             graph,
             config: SchedulerConfig::new(millis(10), 5),
-            backend,
+            backend: BackendKind::Ilp,
             budget: BudgetCaps::default(),
         }
     }
@@ -468,7 +457,7 @@ mod tests {
     #[test]
     fn cold_then_warm_serves_from_memory_with_zero_nodes() {
         let service = SchedulerService::in_memory();
-        let req = request(BackendKind::Ilp);
+        let req = request();
         let cold = service.handle_synthesize(&req).expect("feasible");
         assert_eq!(cold.served, ServedFrom::Solved);
         assert!(cold.request_milp_nodes > 0);
@@ -530,7 +519,7 @@ mod tests {
                 ..ServiceConfig::default()
             })
         };
-        let req = request(BackendKind::Ilp);
+        let req = request();
 
         let service = disk_backed();
         let solved = encoded(&service, &req, None);
@@ -576,7 +565,7 @@ mod tests {
 
     #[test]
     fn a_coalesced_reply_encodes_to_the_response_codec_bytes() {
-        let req = request(BackendKind::Ilp);
+        let req = request();
         let schedule = Arc::new(
             synthesize_system(&req.system, &req.graph, &req.config, &IlpSynthesizer)
                 .expect("feasible"),
@@ -609,24 +598,10 @@ mod tests {
     }
 
     #[test]
-    fn backends_do_not_alias_each_others_entries() {
-        let service = SchedulerService::in_memory();
-        let ilp = service
-            .handle_synthesize(&request(BackendKind::Ilp))
-            .expect("ilp feasible");
-        let heuristic = service
-            .handle_synthesize(&request(BackendKind::Heuristic))
-            .expect("heuristic feasible");
-        assert_eq!(ilp.served, ServedFrom::Solved);
-        assert_eq!(heuristic.served, ServedFrom::Solved);
-        assert_eq!(service.snapshot().solved, 2);
-    }
-
-    #[test]
     fn budget_caps_change_the_cache_key_and_can_fail_the_solve() {
         for resynthesize in [false, true] {
             let service = SchedulerService::in_memory();
-            let mut req = request(BackendKind::Ilp);
+            let mut req = request();
             service.handle_synthesize(&req).expect("uncapped feasible");
             // A starved budget must not alias the uncapped entry: it has to
             // run (and fail) rather than hit the cache.
@@ -650,7 +625,7 @@ mod tests {
             ..ServiceConfig::default()
         };
         let service = SchedulerService::new(config);
-        let starved = service.handle_synthesize(&request(BackendKind::Ilp));
+        let starved = service.handle_synthesize(&request());
         assert!(matches!(starved, Err(ServiceError::Synthesis(_))));
     }
 
@@ -662,7 +637,7 @@ mod tests {
         let mixed = [false, true, false, true, false, true];
         for kinds in [[false; CLIENTS], [true; CLIENTS], mixed] {
             let service = Arc::new(SchedulerService::in_memory());
-            let req = request(BackendKind::Ilp);
+            let req = request();
             let replies: Vec<ScheduleReply> = std::thread::scope(|scope| {
                 let workers: Vec<_> = kinds
                     .iter()
@@ -699,11 +674,11 @@ mod tests {
         // Distinct systems so the requests cannot coalesce.
         let (system_b, graph_b, _) = fixtures::four_mode_diamond();
         let reqs = [
-            request(BackendKind::Ilp),
+            request(),
             SynthesizeRequest {
                 system: system_b,
                 graph: graph_b,
-                ..request(BackendKind::Ilp)
+                ..request()
             },
         ];
         for resynthesize in [false, true] {

@@ -16,13 +16,13 @@ use ttw_service::{
 };
 use ttw_testkit::{generate, GeneratorConfig, GraphShape};
 
-fn fig3_request(backend: BackendKind) -> SynthesizeRequest {
+fn fig3_request() -> SynthesizeRequest {
     let (system, graph, _, _) = fixtures::two_mode_graph();
     SynthesizeRequest {
         system,
         graph,
         config: SchedulerConfig::new(millis(10), 5),
-        backend,
+        backend: BackendKind::Ilp,
         budget: BudgetCaps::default(),
     }
 }
@@ -36,18 +36,14 @@ fn start_server() -> ServerHandle {
 fn cold_solve_then_warm_hit_over_tcp() {
     let server = start_server();
     let mut client = Client::connect(server.addr()).expect("connect");
-    let cold = client
-        .synthesize(fig3_request(BackendKind::Ilp))
-        .expect("cold solve");
+    let cold = client.synthesize(fig3_request()).expect("cold solve");
     assert_eq!(cold.served, ServedFrom::Solved);
     assert!(cold.request_milp_nodes > 0);
 
     // Same request on a *different* connection: the cache is shared
     // process-wide, not per-connection.
     let mut second = Client::connect(server.addr()).expect("connect");
-    let warm = second
-        .synthesize(fig3_request(BackendKind::Ilp))
-        .expect("warm hit");
+    let warm = second.synthesize(fig3_request()).expect("warm hit");
     assert_eq!(warm.served, ServedFrom::Memory);
     assert_eq!(warm.request_milp_nodes, 0);
     assert_eq!(warm.schedule, cold.schedule);
@@ -69,9 +65,7 @@ fn two_concurrent_identical_requests_solve_once() {
             .map(|_| {
                 scope.spawn(move || {
                     let mut client = Client::connect(addr).expect("connect");
-                    client
-                        .synthesize(fig3_request(BackendKind::Ilp))
-                        .expect("feasible")
+                    client.synthesize(fig3_request()).expect("feasible")
                 })
             })
             .collect();
@@ -117,28 +111,34 @@ fn generated_scenario_round_trips_through_the_wire() {
     assert_eq!(warm.schedule, cold.schedule);
 }
 
+/// A request for a backend the service does not have is refused with an
+/// error frame: never a panic, and never another backend's schedule. The
+/// connection keeps serving, and the refusal never counts as a request.
 #[test]
-fn heuristic_backend_is_routed_independently() {
+fn an_unknown_backend_is_refused_and_the_connection_keeps_serving() {
+    use ttw_service::Request;
     let server = start_server();
+    let mut stream = std::net::TcpStream::connect(server.addr()).expect("connect");
+    let honest = Request::Synthesize(Box::new(fig3_request())).to_json();
+    let retired = honest.replacen("\"backend\":\"ilp\"", "\"backend\":\"heuristic\"", 1);
+    assert_ne!(retired, honest, "a request names its backend");
+    let refused = String::from_utf8(exchange_raw(&mut stream, retired.as_bytes())).expect("utf-8");
+    assert!(refused.contains("\"error\""), "{refused}");
+    assert!(refused.contains("unknown backend `heuristic`"), "{refused}");
+
+    let solved = schedule_of(&exchange_raw(&mut stream, honest.as_bytes()));
+    assert_eq!(solved.served, ServedFrom::Solved);
     let mut client = Client::connect(server.addr()).expect("connect");
-    let ilp = client
-        .synthesize(fig3_request(BackendKind::Ilp))
-        .expect("ilp");
-    let heuristic = client
-        .synthesize(fig3_request(BackendKind::Heuristic))
-        .expect("heuristic");
-    // Distinct backends must not share cache entries.
-    assert_eq!(ilp.served, ServedFrom::Solved);
-    assert_eq!(heuristic.served, ServedFrom::Solved);
     let stats = client.stats().expect("stats");
-    assert_eq!(stats.solved, 2);
+    assert_eq!((stats.requests, stats.solved), (1, 1), "{stats:?}");
+    assert!(stats.reconciles(), "{stats:?}");
 }
 
 #[test]
 fn infeasible_budget_reports_a_remote_error_and_keeps_the_connection() {
     let server = start_server();
     let mut client = Client::connect(server.addr()).expect("connect");
-    let mut starved = fig3_request(BackendKind::Ilp);
+    let mut starved = fig3_request();
     starved.budget = BudgetCaps {
         max_nodes: Some(0),
         max_simplex_iterations: Some(1),
@@ -151,7 +151,7 @@ fn infeasible_budget_reports_a_remote_error_and_keeps_the_connection() {
     }
     // The connection survives an application-level error.
     let ok = client
-        .synthesize(fig3_request(BackendKind::Ilp))
+        .synthesize(fig3_request())
         .expect("connection still usable");
     assert_eq!(ok.served, ServedFrom::Solved);
 }
@@ -161,7 +161,7 @@ fn a_starved_solve_fails_every_waiting_client_and_is_not_cached() {
     let server = start_server();
     let addr = server.addr();
     const CLIENTS: usize = 4;
-    let mut starved = fig3_request(BackendKind::Ilp);
+    let mut starved = fig3_request();
     starved.budget = BudgetCaps {
         max_nodes: Some(0),
         max_simplex_iterations: Some(1),
@@ -195,7 +195,7 @@ fn a_starved_solve_fails_every_waiting_client_and_is_not_cached() {
     assert_eq!(stats.solve_errors, CLIENTS + 1, "{stats:?}");
     assert_eq!(stats.cache_resident, 0, "{stats:?}");
     let ok = client
-        .synthesize(fig3_request(BackendKind::Ilp))
+        .synthesize(fig3_request())
         .expect("a default budget solves");
     assert_eq!(ok.served, ServedFrom::Solved);
     assert!(server.service().snapshot().reconciles());
@@ -229,9 +229,7 @@ fn disk_tier_survives_a_server_restart() {
         )
         .expect("bind");
         let mut client = Client::connect(server.addr()).expect("connect");
-        let cold = client
-            .synthesize(fig3_request(BackendKind::Ilp))
-            .expect("cold");
+        let cold = client.synthesize(fig3_request()).expect("cold");
         first_nodes = cold.request_milp_nodes;
         assert!(first_nodes > 0);
     }
@@ -240,9 +238,7 @@ fn disk_tier_survives_a_server_restart() {
     let server =
         ServerHandle::bind(Arc::new(SchedulerService::new(config)), "127.0.0.1:0").expect("bind");
     let mut client = Client::connect(server.addr()).expect("connect");
-    let warm = client
-        .synthesize(fig3_request(BackendKind::Ilp))
-        .expect("warm");
+    let warm = client.synthesize(fig3_request()).expect("warm");
     assert_eq!(warm.served, ServedFrom::Disk);
     assert_eq!(warm.request_milp_nodes, 0);
     let _ = std::fs::remove_dir_all(&dir);
@@ -270,7 +266,7 @@ fn an_unwritable_cache_dir_serves_from_memory_and_leaves_no_temp_files() {
         )
         .expect("bind")
     };
-    let request = fig3_request(BackendKind::Ilp);
+    let request = fig3_request();
 
     let server = bind();
     let mut client = Client::connect(server.addr()).expect("connect");
@@ -474,7 +470,7 @@ fn deeply_nested_frame_gets_an_error_and_the_server_keeps_serving() {
     assert!(read_frame(&mut hostile).expect("read").is_some());
     let mut client = Client::connect(server.addr()).expect("connect");
     let served = client
-        .synthesize(fig3_request(BackendKind::Ilp))
+        .synthesize(fig3_request())
         .expect("the server survived");
     assert_eq!(served.served, ServedFrom::Solved);
     let stats = client.stats().expect("stats");
@@ -494,7 +490,7 @@ fn a_number_no_f64_holds_is_a_bad_request_and_the_server_keeps_serving() {
     use ttw_service::Request;
     let server = start_server();
     let mut stream = std::net::TcpStream::connect(server.addr()).expect("connect");
-    let honest = Request::Synthesize(Box::new(fig3_request(BackendKind::Ilp))).to_json();
+    let honest = Request::Synthesize(Box::new(fig3_request())).to_json();
     let round = "\"round_duration\":";
     let at = honest.find(round).expect("a config has a round length") + round.len();
     let end = at + honest[at..].find(',').expect("more members follow");
@@ -543,7 +539,7 @@ fn mode_graph_over_other_modes_than_the_systems_is_a_bad_request() {
     use ttw_service::Request;
     let server = start_server();
     let mut stream = std::net::TcpStream::connect(server.addr()).expect("connect");
-    let honest = Request::Synthesize(Box::new(fig3_request(BackendKind::Ilp))).to_value();
+    let honest = Request::Synthesize(Box::new(fig3_request())).to_value();
     for (kind, num_modes) in [
         ("synthesize", 3.0),
         ("resynthesize", 3.0),
@@ -586,7 +582,7 @@ fn mode_graph_over_other_modes_than_the_systems_is_a_bad_request() {
 #[test]
 fn mismatched_mode_graph_in_process_is_a_counted_solve_error() {
     let service = SchedulerService::in_memory();
-    let mut request = fig3_request(BackendKind::Ilp);
+    let mut request = fig3_request();
     let (_, diamond, _) = fixtures::four_mode_diamond();
     request.graph = diamond;
     let error = service
@@ -645,7 +641,7 @@ fn reply_frames_are_the_codec_bytes_and_are_counted() {
         }
     };
 
-    let base = fig3_request(BackendKind::Ilp);
+    let base = fig3_request();
     let mut edited = base.clone();
     let task = edited
         .system
@@ -702,7 +698,7 @@ fn reply_frames_are_the_codec_bytes_and_are_counted() {
 fn a_hit_after_an_overwrite_serves_the_new_schedule() {
     let server = start_server();
     let mut client = Client::connect(server.addr()).expect("connect");
-    let request = fig3_request(BackendKind::Ilp);
+    let request = fig3_request();
     let solved = client.synthesize(request.clone()).expect("solves");
     let hit = client.synthesize(request.clone()).expect("hit");
     assert_eq!(hit.served, ServedFrom::Memory);
@@ -729,7 +725,7 @@ fn the_same_graph_rooted_at_another_mode_is_solved_not_a_cache_hit() {
     let server = start_server();
     let mut client = Client::connect(server.addr()).expect("connect");
     let (_, _, _, emergency) = fixtures::two_mode_graph();
-    let at_normal = fig3_request(BackendKind::Ilp);
+    let at_normal = fig3_request();
     let mut at_emergency = at_normal.clone();
     at_emergency.graph = at_normal
         .graph
@@ -761,7 +757,7 @@ fn concurrent_first_hits_of_one_entry_get_identical_replies() {
     let addr = server.addr();
     let solved = Client::connect(addr)
         .expect("connect")
-        .synthesize(fig3_request(BackendKind::Ilp))
+        .synthesize(fig3_request())
         .expect("solves");
     const CLIENTS: usize = 4;
     let barrier = std::sync::Barrier::new(CLIENTS);
@@ -771,9 +767,7 @@ fn concurrent_first_hits_of_one_entry_get_identical_replies() {
                 scope.spawn(|| {
                     let mut client = Client::connect(addr).expect("connect");
                     barrier.wait();
-                    client
-                        .synthesize(fig3_request(BackendKind::Ilp))
-                        .expect("hit")
+                    client.synthesize(fig3_request()).expect("hit")
                 })
             })
             .collect();
@@ -825,7 +819,7 @@ fn a_repeated_request_is_answered_undecoded_with_the_decode_paths_frame() {
     let server = start_server();
     let service = server.service();
     let mut stream = std::net::TcpStream::connect(server.addr()).expect("connect");
-    let payload = Request::Synthesize(Box::new(fig3_request(BackendKind::Ilp))).to_json();
+    let payload = Request::Synthesize(Box::new(fig3_request())).to_json();
 
     let solved = exchange_raw(&mut stream, payload.as_bytes());
     assert_eq!(schedule_of(&solved).served, ServedFrom::Solved);
@@ -863,7 +857,7 @@ fn padded_and_pretty_variants_of_a_request_take_the_decode_path_and_record_nothi
     let server = start_server();
     let service = server.service();
     let mut stream = std::net::TcpStream::connect(server.addr()).expect("connect");
-    let request = Request::Synthesize(Box::new(fig3_request(BackendKind::Ilp)));
+    let request = Request::Synthesize(Box::new(fig3_request()));
     let compact = request.to_json();
     let solved = schedule_of(&exchange_raw(&mut stream, compact.as_bytes()));
     let recorded = exchange_raw(&mut stream, compact.as_bytes());
@@ -903,7 +897,7 @@ fn an_evicted_entrys_request_leaves_the_index_and_is_decoded_again() {
     }));
     let server = ServerHandle::bind(Arc::clone(&service), "127.0.0.1:0").expect("bind loopback");
     let mut client = Client::connect(server.addr()).expect("connect");
-    let request = fig3_request(BackendKind::Ilp);
+    let request = fig3_request();
     let key = service.request_key(&request);
     let recorded_and_repeated = |client: &mut Client| {
         let solved = client.synthesize(request.clone()).expect("solves");
@@ -946,7 +940,7 @@ fn a_bad_request_sent_twice_is_a_bad_request_twice() {
     let server = start_server();
     let mut stream = std::net::TcpStream::connect(server.addr()).expect("connect");
     // Served once, so the memory tier has an entry a bad payload could alias.
-    let honest = Request::Synthesize(Box::new(fig3_request(BackendKind::Ilp))).to_json();
+    let honest = Request::Synthesize(Box::new(fig3_request())).to_json();
     for _ in 0..2 {
         exchange_raw(&mut stream, honest.as_bytes());
     }
@@ -974,7 +968,7 @@ fn a_repeat_after_an_overwrite_serves_the_new_schedule() {
     let server = start_server();
     let service = server.service();
     let mut client = Client::connect(server.addr()).expect("connect");
-    let request = fig3_request(BackendKind::Ilp);
+    let request = fig3_request();
     let solved = client.synthesize(request.clone()).expect("solves");
     for _ in 0..2 {
         assert_eq!(

@@ -314,7 +314,8 @@ impl GeneratorConfig {
 
     /// Switches the family to mixed 50/100 ms periods, so generated modes can
     /// contain applications whose period differs from the mode hyperperiod
-    /// (the multi-rate case the greedy heuristic must reject).
+    /// (the multi-rate case, with several instances of a task per
+    /// hyperperiod).
     pub fn with_multi_rate(mut self) -> Self {
         self.period_choices_us = vec![millis(50), millis(100)];
         self
@@ -401,7 +402,7 @@ impl Scenario {
     }
 
     /// `true` if `mode` contains an application whose period differs from the
-    /// mode hyperperiod (the case the greedy heuristic rejects).
+    /// mode hyperperiod.
     pub fn is_multi_rate(&self, mode: ModeId) -> bool {
         let hyper = self.system.hyperperiod(mode);
         self.system

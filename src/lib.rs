@@ -56,7 +56,7 @@ pub mod prelude {
     pub use ttw_analyze::{analyze_mode, analyze_system, AnalysisReport, Diagnostic, Severity};
     pub use ttw_baselines::{latency_improvement_factor, NoRoundsDesign};
     pub use ttw_core::synthesis::{
-        synthesize_mode, synthesize_system, HeuristicSynthesizer, IlpSynthesizer, Synthesizer,
+        synthesize_mode, synthesize_system, IlpSynthesizer, Synthesizer,
     };
     pub use ttw_core::validate::{is_valid_schedule, validate_schedule, validate_system_schedule};
     pub use ttw_core::{

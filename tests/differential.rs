@@ -6,14 +6,10 @@
 //!
 //! * every `Ok` system schedule passes `validate_system_schedule`;
 //! * inherited offsets match the mode graph's inheritance plan exactly;
-//! * the greedy heuristic never beats the exact ILP (fewer rounds, or lower
-//!   latency at the same round count) when both run under the same pins;
-//! * the heuristic never succeeds on a system the exact solver proved
-//!   infeasible;
 //! * the warm-started incremental `R_M` sweep reaches the same objective as
 //!   cold from-scratch solves (regression guard for stale-basis bugs);
-//! * generated multi-rate modes make the heuristic return
-//!   `ScheduleError::Unsupported` — never a panic, never a wrong schedule;
+//! * generated multi-rate systems are either scheduled validly or refused
+//!   as infeasible or over budget — never a panic, never another error;
 //! * the production sparse simplex agrees with the dense reference oracle on
 //!   every generated LP relaxation;
 //! * presolved solves agree with presolve-disabled solves (status and
@@ -47,11 +43,10 @@ use ttw::core::cache::{synthesis_key, synthesize_system_cached, CacheOutcome, Sc
 use ttw::core::export::system_schedule_to_json;
 use ttw::core::resynth::{resynthesize_system, ResynthesisReport};
 use ttw::core::synthesis::{
-    synthesize_mode, synthesize_system, HeuristicSynthesizer, IlpSynthesizer, ModePrior,
-    Synthesizer,
+    synthesize_mode, synthesize_system, IlpSynthesizer, ModePrior, Synthesizer,
 };
 use ttw::core::time::{millis, Micros};
-use ttw::core::validate::{validate_schedule, validate_system_schedule};
+use ttw::core::validate::validate_system_schedule;
 use ttw::core::{
     feasibility, fixtures, ilp, ApplicationSpec, InheritedOffsets, ModeGraph, ModeId, ModeSchedule,
     ScheduleError, SchedulerConfig, SynthesisStats, System, SystemSchedule, TaskId,
@@ -60,8 +55,6 @@ use ttw::testkit::{generate, GeneratorConfig, GraphShape, InfeasibleKind, Scenar
 use ttw_milp::dense::compare_relaxations;
 use ttw_milp::{audit_model, AuditSeverity, ConstraintOp, LinExpr, Model};
 
-/// Absolute tolerance (µs) for latency comparisons (same as the validator).
-const LATENCY_TOL: f64 = 0.5;
 /// Absolute tolerance (µs) for pinned-offset agreement.
 const PIN_TOL: f64 = 1e-6;
 
@@ -110,8 +103,6 @@ fn generated_scenarios_uphold_the_differential_invariants() {
     let start = seed_start();
     let count = seed_count(72);
     let mut ilp_feasible = 0usize;
-    let mut heuristic_system_ok = 0usize;
-    let mut heuristic_mode_comparisons = 0usize;
     let mut budget_skips = 0usize;
 
     for seed in start..start + count as u64 {
@@ -120,10 +111,7 @@ fn generated_scenarios_uphold_the_differential_invariants() {
         let config = scenario.scheduler_config();
         let repro = scenario.repro();
 
-        let ilp_result = synthesize_system(sys, &scenario.graph, &config, &IlpSynthesizer);
-        let heur_result = synthesize_system(sys, &scenario.graph, &config, &HeuristicSynthesizer);
-
-        match &ilp_result {
+        match &synthesize_system(sys, &scenario.graph, &config, &IlpSynthesizer) {
             Ok(result) => {
                 ilp_feasible += 1;
 
@@ -169,100 +157,26 @@ fn generated_scenarios_uphold_the_differential_invariants() {
                         }
                     }
                 }
-
-                // Invariant 3: under the *same* pins, the greedy heuristic is
-                // valid but never better than the exact solver — at least as
-                // many rounds, and no lower latency at the same round count.
-                for (&mode, sources) in &result.inheritance {
-                    let mut pins = InheritedOffsets::none();
-                    for (&app, &donor_mode) in sources {
-                        let donor = result.get(donor_mode).expect("donor precedes heir");
-                        pins.import_application(sys, app, donor);
-                    }
-                    let Ok(greedy) = HeuristicSynthesizer
-                        .synthesize(sys, mode, &config, &pins, ModePrior::default())
-                        .map(|solved| solved.schedule)
-                    else {
-                        continue; // incompleteness is allowed; wrongness is not
-                    };
-                    heuristic_mode_comparisons += 1;
-                    let exact = result.get(mode).expect("mode was synthesized");
-                    let mode_violations = validate_schedule(sys, mode, &config, &greedy);
-                    assert!(
-                        mode_violations.is_empty(),
-                        "heuristic schedule of {mode} failed validation ({repro}): \
-                         {mode_violations:?}"
-                    );
-                    assert!(
-                        greedy.num_rounds() >= exact.num_rounds(),
-                        "heuristic used {} rounds, below the ILP round-minimum {} \
-                         for {mode} ({repro})",
-                        greedy.num_rounds(),
-                        exact.num_rounds()
-                    );
-                    if greedy.num_rounds() == exact.num_rounds() {
-                        assert!(
-                            greedy.total_latency + LATENCY_TOL >= exact.total_latency,
-                            "heuristic latency {} µs beats the ILP optimum {} µs \
-                             at equal round count for {mode} ({repro})",
-                            greedy.total_latency,
-                            exact.total_latency
-                        );
-                    }
-                }
             }
             Err(failure) => match &failure.error {
-                // Invariant 4: feasibility agreement. Sound only when the
-                // failed mode inherited nothing: then the ILP's `R_M` sweep
-                // exhaustively disproved that exact pin-free instance under
-                // the same round budget, so the heuristic pipeline — which
-                // reaches the mode with the same empty pins — must fail too
-                // (on this mode or an earlier one). When the failed mode has
-                // pins, its infeasibility is relative to the ILP's own donor
-                // choices and the heuristic may legitimately do better.
-                ScheduleError::Infeasible { .. } => {
-                    let plan = scenario.graph.inheritance_plan(sys);
-                    let pin_free = plan
-                        .get(&failure.mode)
-                        .map_or(true, |sources| sources.is_empty());
-                    if pin_free {
-                        assert!(
-                            heur_result.is_err(),
-                            "heuristic scheduled {} although the ILP proved it \
-                             infeasible without pins ({repro})",
-                            failure.mode
-                        );
-                    }
-                }
+                // An infeasible verdict is a legitimate outcome of the sweep.
+                ScheduleError::Infeasible { .. } => {}
                 // A budget-exhausted draw proves nothing either way; skip it
                 // (the vacuousness guard below bounds how often this happens).
                 ScheduleError::Solver(_) => budget_skips += 1,
                 other => panic!("ILP pipeline failed unexpectedly ({repro}): {other}"),
             },
         }
-
-        if let Ok(result) = &heur_result {
-            heuristic_system_ok += 1;
-            let violations = validate_system_schedule(sys, &config, result);
-            assert!(
-                violations.is_empty(),
-                "heuristic schedule failed validation ({repro}): {violations:?}"
-            );
-        }
     }
 
     // The default sweep must not be vacuous: most small single-rate scenarios
-    // are feasible, and the per-mode comparison must actually run. Skipped
-    // when the seed knobs are overridden — a single replayed seed (the
-    // printed repro one-liner) may legitimately be an infeasible scenario.
+    // are feasible. Skipped when the seed knobs are overridden — a single
+    // replayed seed (the printed repro one-liner) may legitimately be an
+    // infeasible scenario.
     if !knobs_overridden() {
         assert!(
             ilp_feasible * 2 >= count,
             "only {ilp_feasible}/{count} scenarios were ILP-feasible — generator drifted"
-        );
-        assert!(
-            heuristic_mode_comparisons > 0,
-            "no per-mode heuristic-vs-ILP comparison ran"
         );
         assert!(
             budget_skips * 4 <= count,
@@ -271,8 +185,7 @@ fn generated_scenarios_uphold_the_differential_invariants() {
     }
     eprintln!(
         "differential sweep: {count} scenarios from seed {start} — {ilp_feasible} ILP-feasible, \
-         {heuristic_system_ok} heuristic-feasible, {heuristic_mode_comparisons} per-mode \
-         comparisons, {budget_skips} budget skips"
+         {budget_skips} budget skips"
     );
 }
 
@@ -378,13 +291,14 @@ fn warm_started_incremental_sweeps_match_cold_solves_on_generated_instances() {
 }
 
 #[test]
-fn generated_multi_rate_modes_are_rejected_not_mis_scheduled() {
-    // Pins the heuristic's contract until the multi-rate heuristic lands: a
-    // mode containing an application whose period differs from the hyperperiod
-    // must yield `ScheduleError::Unsupported` — not a panic and not a schedule.
+fn generated_multi_rate_systems_are_solved_or_refused() {
+    // Modes whose applications run at different rates hold several instances
+    // of a task per hyperperiod. The ILP either schedules them validly or
+    // refuses with a verdict (infeasible) or a spent budget — nothing else.
     let start = seed_start();
-    let count = seed_count(16);
-    let mut multi_rate_modes_seen = 0usize;
+    let count = seed_count(8);
+    let (mut solved, mut infeasible, mut budget_capped) = (0usize, 0usize, 0usize);
+    let mut multi_rate_modes_solved = 0usize;
 
     for seed in start..start + count as u64 {
         let scenario = scenario_for_seed(seed, true);
@@ -392,44 +306,39 @@ fn generated_multi_rate_modes_are_rejected_not_mis_scheduled() {
         let config = scenario.scheduler_config();
         let repro = scenario.repro();
 
-        for mode in scenario.multi_rate_modes() {
-            multi_rate_modes_seen += 1;
-            let pins = InheritedOffsets::none();
-            match HeuristicSynthesizer.synthesize(sys, mode, &config, &pins, ModePrior::default()) {
-                Err(failure) => assert!(
-                    matches!(failure.error, ScheduleError::Unsupported { .. }),
-                    "heuristic rejected multi-rate {mode} with the wrong error \
-                     ({repro}): {}",
-                    failure.error
-                ),
-                Ok(_) => panic!(
-                    "heuristic produced a schedule for multi-rate {mode} — the \
-                     single-instance restriction is documented ({repro})"
-                ),
+        match synthesize_system(sys, &scenario.graph, &config, &IlpSynthesizer) {
+            Ok(result) => {
+                solved += 1;
+                multi_rate_modes_solved += scenario.multi_rate_modes().len();
+                let violations = validate_system_schedule(sys, &config, &result);
+                assert!(
+                    violations.is_empty(),
+                    "multi-rate schedule failed validation ({repro}): {violations:?}"
+                );
             }
-        }
-
-        // The system-level heuristic pipeline surfaces the same error instead
-        // of silently skipping the mode.
-        if !scenario.multi_rate_modes().is_empty() {
-            let err = synthesize_system(sys, &scenario.graph, &config, &HeuristicSynthesizer)
-                .expect_err("pipeline contains a multi-rate mode");
-            assert!(
-                matches!(err.error, ScheduleError::Unsupported { .. })
-                    || matches!(err.error, ScheduleError::Infeasible { .. }),
-                "heuristic pipeline failed with an unexpected error ({repro}): {}",
-                err.error
-            );
+            Err(failure) => match failure.error {
+                ScheduleError::Infeasible { .. } => infeasible += 1,
+                ScheduleError::Solver(_) => budget_capped += 1,
+                other => panic!("multi-rate pipeline failed unexpectedly ({repro}): {other}"),
+            },
         }
     }
     if !knobs_overridden() {
         assert!(
-            multi_rate_modes_seen > 0,
-            "the multi-rate family generated no multi-rate mode in {count} seeds \
-             from {start} — widen the window"
+            solved > 0,
+            "no multi-rate system solved in {count} seeds from {start}"
+        );
+        assert!(
+            multi_rate_modes_solved > 0,
+            "no solved system had a multi-rate mode in {count} seeds from {start} — \
+             widen the window"
         );
     }
-    eprintln!("multi-rate sweep: {multi_rate_modes_seen} modes pinned to Unsupported");
+    eprintln!(
+        "multi-rate sweep: {count} systems from seed {start} — {solved} solved \
+         ({multi_rate_modes_solved} multi-rate modes), {infeasible} infeasible, \
+         {budget_capped} budget-capped"
+    );
 }
 
 #[test]
@@ -767,7 +676,7 @@ fn generated_relaxations_agree_with_the_dense_oracle() {
 fn analyzer_infeasible_implies_ilp_infeasible() {
     // Soundness of the static analyzer: a certified-infeasible mode must be
     // proven infeasible by the exact ILP `R_M` sweep with the `AnalyzeFirst`
-    // gate disabled — a certificate is a theorem, not a heuristic, so a
+    // gate disabled — a certificate is a theorem, not an estimate, so a
     // single `Ok` here is a bug. Sweeps the feasible-leaning `small()` family
     // (where certificates are rare) and the provably-infeasible family
     // (where every mode carries one).

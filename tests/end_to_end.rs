@@ -1,10 +1,9 @@
 //! End-to-end integration tests spanning every crate: model → ILP synthesis →
-//! validation → runtime execution, plus the heuristic ablation and the
-//! consistency between the simulation's energy accounting and the analytical
-//! model.
+//! validation → runtime execution, plus the consistency between the
+//! simulation's energy accounting and the analytical model.
 
 use ttw::core::time::millis;
-use ttw::core::{fixtures, heuristic, validate, ApplicationSpec};
+use ttw::core::{fixtures, validate, ApplicationSpec};
 use ttw::prelude::*;
 
 #[test]
@@ -56,17 +55,6 @@ fn full_pipeline_on_a_custom_system() {
     sim.run_hyperperiods(5);
     assert_eq!(sim.stats().collisions, 0);
     assert!((sim.stats().delivery_ratio() - 1.0).abs() < 1e-12);
-}
-
-#[test]
-fn heuristic_is_valid_but_never_better_than_ilp() {
-    let (sys, mode) = fixtures::fig3_system();
-    let config = SchedulerConfig::new(millis(10), 5);
-    let optimal = synthesize_mode(&sys, mode, &config).expect("feasible");
-    let greedy = heuristic::synthesize_mode_heuristic(&sys, mode, &config).expect("feasible");
-    assert!(validate::is_valid_schedule(&sys, mode, &config, &greedy));
-    assert!(greedy.num_rounds() >= optimal.num_rounds());
-    assert!(greedy.total_latency + 0.5 >= optimal.total_latency);
 }
 
 #[test]

@@ -21,7 +21,7 @@ use ttw::core::export::{
     system_to_json,
 };
 use ttw::core::json::{JsonError, Value};
-use ttw::core::synthesis::{synthesize_system, HeuristicSynthesizer, IlpSynthesizer};
+use ttw::core::synthesis::{synthesize_system, IlpSynthesizer};
 use ttw::core::time::millis;
 use ttw::core::{fixtures, ApplicationSpec, NodePatchOp, SchedulerConfig};
 use ttw::netsim::rng::SplitMix64;
@@ -30,7 +30,8 @@ use ttw::service::{
     StatsSnapshot, SynthesizeRequest,
 };
 use ttw::testkit::json_fuzz::{
-    check_document, check_json_codec, check_typed_documents, random_string, TypedSample,
+    check_document, check_json_codec, check_typed_documents, random_string, retimed_deployment,
+    TypedSample,
 };
 
 /// ~4 MiB of long strings. The parser used to re-validate the rest of the
@@ -112,16 +113,16 @@ fn stats_with(mut value: impl FnMut(usize) -> usize) -> Result<StatsSnapshot, St
 }
 
 /// The frames of `ttw-service` built from one sample: every request and
-/// response variant, the envelope fields (backend, budget, predecessor,
-/// provenance, counters, message) drawn at random around the sample's
-/// system, mode graph, configuration and schedule.
+/// response variant, the envelope fields (budget, predecessor, provenance,
+/// counters, message) drawn at random around the sample's system, mode
+/// graph, configuration and schedule.
 fn check_protocol_documents(sample: &TypedSample, rng: &mut SplitMix64) -> Result<(), String> {
     let cap = |rng: &mut SplitMix64| (rng.next_u64() % 2 == 0).then(|| random_count(rng));
     let base = SynthesizeRequest {
         system: sample.scenario.system.clone(),
         graph: sample.scenario.graph.clone(),
         config: sample.config.clone(),
-        backend: [BackendKind::Ilp, BackendKind::Heuristic][(rng.next_u64() % 2) as usize],
+        backend: BackendKind::Ilp,
         budget: BudgetCaps {
             max_nodes: cap(rng),
             max_simplex_iterations: cap(rng),
@@ -191,10 +192,33 @@ fn check_protocol_documents(sample: &TypedSample, rng: &mut SplitMix64) -> Resul
     Ok(())
 }
 
+/// Besides the properties of `check_document`, the sweep's deltas must
+/// reach every patch op kind and a node that leaves, so the delta codec is
+/// fuzzed over all of its shapes.
 #[test]
 fn seeded_typed_fuzz_small_budget() {
-    check_typed_documents(1, 3, check_protocol_documents)
-        .unwrap_or_else(|failure| panic!("{failure}"));
+    let mut rendered = String::new();
+    check_typed_documents(1, 3, |sample, rng| {
+        for delta in &sample.deltas {
+            rendered.push_str(&delta_to_json(delta));
+        }
+        check_protocol_documents(sample, rng)
+    })
+    .unwrap_or_else(|failure| panic!("{failure}"));
+    for op in [
+        "set_mode",
+        "remove_mode",
+        "set_task",
+        "remove_task",
+        "set_round",
+        "truncate_rounds",
+    ] {
+        assert!(rendered.contains(op), "never generated {op}");
+    }
+    assert!(
+        rendered.contains("\"removed_nodes\":[0,"),
+        "no node ever left"
+    );
 }
 
 /// The same sweep — every property of `check_document`, the direct writer
@@ -339,13 +363,11 @@ fn write_codec_fixtures() {
     let mut config = SchedulerConfig::new(millis(10), 5);
     let backend = IlpSynthesizer;
     let schedule = synthesize_system(&system, &graph, &config, &backend).expect("feasible");
-    let greedy =
-        synthesize_system(&system, &graph, &config, &HeuristicSynthesizer).expect("feasible");
-    // What the ILP changes against the greedy deployment (retimed tasks,
+    // What turns the deployment into its retimed copy (retimed tasks,
     // replaced and truncated rounds), plus the op kinds that only a change
     // of the system itself produces.
     let deployed = node_deployments(&system, &schedule);
-    let mut delta = diff(&node_deployments(&system, &greedy), &deployed);
+    let mut delta = diff(&deployed, &retimed_deployment(&deployed));
     let (node, deployment) = deployed.iter().next().expect("a node");
     let (mode, table) = deployment.modes.iter().next().expect("a mode");
     let task = *table.task_offsets.keys().next().expect("a task");

@@ -1,7 +1,7 @@
 //! Repository source lints, run in CI as `cargo run -p xtask -- lint`.
 //!
 //! Hand-rolled on `std::fs` only (the build image has no network, so no
-//! external lint crates). Four invariants are enforced:
+//! external lint crates). Five invariants are enforced:
 //!
 //! 1. **Crate-root headers** — every crate root (`src/lib.rs` of the facade
 //!    and of each `crates/*` member) carries both `#![forbid(unsafe_code)]`
@@ -25,6 +25,10 @@
 //!    `xtask/codec-allow.txt`. `Value::parse(` outside the codec, the bench
 //!    crate and the testkit (the fuzz oracle) is a typed path growing a tree
 //!    again: its budget is 0 everywhere.
+//! 5. **The allowlists are a ratchet** — every entry of `lint-allow.txt` and
+//!    `codec-allow.txt` names a file that still exists, with a budget no
+//!    higher than that file's current count, so a removed call site lowers
+//!    the budget in the same change instead of leaving room for a new one.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -87,7 +91,7 @@ fn workspace_root() -> PathBuf {
         .to_path_buf()
 }
 
-/// Runs all four lints rooted at `root` and returns every violation found.
+/// Runs all five lints rooted at `root` and returns every violation found.
 fn run_lints(
     root: &Path,
     unwraps: &BTreeMap<String, usize>,
@@ -97,6 +101,10 @@ fn run_lints(
     violations.extend(lint_no_unwrap(root, unwraps));
     violations.extend(lint_bench_determinism(root));
     violations.extend(lint_one_codec(root, codec));
+    violations.extend(lint_ratchet(root, "lint-allow.txt", unwraps, count_unwraps));
+    violations.extend(lint_ratchet(root, "codec-allow.txt", codec, |text| {
+        count_in_code(text, HAND_BUILT_OBJECT)
+    }));
     violations
 }
 
@@ -282,6 +290,33 @@ fn lint_one_codec(root: &Path, allowlist: &BTreeMap<String, usize>) -> Vec<Strin
     violations
 }
 
+/// Lint 5: every entry of the allowlist `name` names an existing file, with
+/// a budget no higher than what `count` finds in it today.
+fn lint_ratchet(
+    root: &Path,
+    name: &str,
+    allowlist: &BTreeMap<String, usize>,
+    count: impl Fn(&str) -> usize,
+) -> Vec<String> {
+    let mut violations = Vec::new();
+    for (path, &budget) in allowlist {
+        let Ok(text) = fs::read_to_string(root.join(path)) else {
+            violations.push(format!(
+                "xtask/{name}: {path} no longer exists; delete its entry"
+            ));
+            continue;
+        };
+        let count = count(&text);
+        if budget > count {
+            violations.push(format!(
+                "xtask/{name}: {path} has budget {budget} but {count} occurrence(s); \
+                 lower the budget to {count}"
+            ));
+        }
+    }
+    violations
+}
+
 /// Lint 3: bench sources must not use wall-clock dates or entropy.
 fn lint_bench_determinism(root: &Path) -> Vec<String> {
     let mut violations = Vec::new();
@@ -447,6 +482,33 @@ mod tests {
         let violations = lint_one_codec(&scratch.0, &vetted);
         assert_eq!(violations.len(), 1, "{violations:?}");
         assert!(violations[0].contains("crates/service/src/protocol.rs: 1 `Value::parse(`"));
+    }
+
+    #[test]
+    fn an_entry_for_a_missing_file_is_a_violation() {
+        let scratch = Scratch::new("stale");
+        let mut allowlist = BTreeMap::new();
+        allowlist.insert("crates/core/src/gone.rs".to_string(), 2);
+        let violations = lint_ratchet(&scratch.0, "lint-allow.txt", &allowlist, count_unwraps);
+        assert_eq!(violations.len(), 1, "{violations:?}");
+        assert!(violations[0].contains("crates/core/src/gone.rs no longer exists"));
+    }
+
+    #[test]
+    fn a_budget_above_the_current_count_is_a_violation() {
+        let scratch = Scratch::new("loose");
+        scratch.write(
+            "crates/core/src/x.rs",
+            "fn f() { Some(1).unwrap(); }\n#[cfg(test)]\nmod tests { fn t() { x.unwrap(); } }\n",
+        );
+        let mut allowlist = BTreeMap::new();
+        allowlist.insert("crates/core/src/x.rs".to_string(), 2);
+        let violations = lint_ratchet(&scratch.0, "lint-allow.txt", &allowlist, count_unwraps);
+        assert_eq!(violations.len(), 1, "{violations:?}");
+        assert!(violations[0].contains("budget 2 but 1 occurrence(s)"));
+
+        allowlist.insert("crates/core/src/x.rs".to_string(), 1);
+        assert!(lint_ratchet(&scratch.0, "lint-allow.txt", &allowlist, count_unwraps).is_empty());
     }
 
     #[test]
