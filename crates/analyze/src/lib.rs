@@ -235,33 +235,26 @@ pub fn analyze_system(
     graph: &ModeGraph,
     config: &SchedulerConfig,
 ) -> AnalysisReport {
+    let order = graph.synthesis_order();
     let mut diagnostics = Vec::new();
-    for mode in graph.synthesis_order() {
+    for &mode in &order {
         diagnostics.extend(analyze_mode(system, mode, config));
     }
 
-    // Reachability: BFS from the root over the switch edges.
-    let mut reachable = BTreeSet::new();
-    let mut queue = vec![graph.root()];
-    while let Some(mode) = queue.pop() {
-        if reachable.insert(mode) {
-            queue.extend(graph.successors(mode));
-        }
-    }
-    for mode in graph.synthesis_order() {
-        if !reachable.contains(&mode) {
-            diagnostics.push(Diagnostic {
-                severity: Severity::Warning,
-                mode: Some(mode),
-                code: "mode-unreachable",
-                message: format!(
-                    "mode {mode} (`{}`) is unreachable from the root mode {} via switch \
-                     edges; it is still synthesized, after all reachable modes",
-                    system.mode(mode).name,
-                    graph.root()
-                ),
-            });
-        }
+    // Reachability: the synthesis order lists the modes reachable from the
+    // root first, so the modes after them are the unreachable ones.
+    for &mode in &order[graph.reachable().len()..] {
+        diagnostics.push(Diagnostic {
+            severity: Severity::Warning,
+            mode: Some(mode),
+            code: "mode-unreachable",
+            message: format!(
+                "mode {mode} (`{}`) is unreachable from the root mode {} via switch \
+                 edges; it is still synthesized, after all reachable modes",
+                system.mode(mode).name,
+                graph.root()
+            ),
+        });
     }
 
     // Inheritance pins from several independent donors: each donor fixed its

@@ -1,7 +1,7 @@
 //! Mode-graph synthesis (Sec. V) — inherited multi-mode synthesis against
 //! independent per-mode synthesis, the sparse revised
 //! simplex against the dense reference tableau, and the 4-mode diamond
-//! whose synthesis waves are wider than one mode.
+//! whose leaves inherit from a mode that is not their graph parent.
 //!
 //! Measured workloads:
 //!
@@ -17,7 +17,7 @@
 //!   counts.
 //! * **diamond**: `fixtures::four_mode_diamond()`
 //!   (`boot → normal → {emergency, maintenance}`), whose three non-boot
-//!   modes form one wave of `synthesize_system`; the bench asserts
+//!   modes all inherit the shared application from `boot`; the bench asserts
 //!   switch-consistency of the shared application across all four modes.
 //!
 //! * **schedule cache**: the inherited two-mode synthesis through
@@ -208,7 +208,7 @@ fn main() {
         check_cross_mode_consistency(&sys, inherited.schedules.values()).is_empty(),
         "inherited synthesis must keep shared applications switch-consistent"
     );
-    // … and so must the 4-mode diamond, whose leaves share one wave.
+    // … and so must the 4-mode diamond, whose leaves inherit from `boot`.
     let (diamond_sys, _, _) = fixtures::four_mode_diamond();
     let diamond_consistent =
         check_cross_mode_consistency(&diamond_sys, diamond.schedules.values()).is_empty();

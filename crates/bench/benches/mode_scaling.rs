@@ -3,13 +3,13 @@
 //! The `mode_graph_synthesis` bench measures the fixed 2- and 4-mode
 //! fixtures; this bench closes the ROADMAP item "bench scaling in the number
 //! of modes": it sweeps `ttw-testkit` scenarios with N ∈ {2, 4, 8, 16, 32}
-//! modes across three graph shapes — a chain (one mode per wave), a diamond
-//! (all middle modes form one wide wave) and a layered DAG (bounded-width
-//! waves) — and runs `synthesize_system` once per scenario, asserting the
-//! deployment is valid.
+//! modes across three graph shapes — a chain (every mode inherits from the
+//! one before it), a diamond (the middle modes inherit only from the root)
+//! and a layered DAG (modes inherit from earlier layers) — and runs
+//! `synthesize_system` once per scenario, asserting the deployment is valid.
 //!
-//! Per (shape, N) combination the wave structure (count and maximum width)
-//! and the solver work counters go to `BENCH_mode_scaling.json` at the
+//! Per (shape, N) combination the round total and the solver work counters
+//! go to `BENCH_mode_scaling.json` at the
 //! workspace root, which the CI perf-regression job regenerates and diffs
 //! against the committed copy; the wall time is printed on stderr only.
 //! Every scenario also records the `AnalyzeFirst` fast-fail count
@@ -41,8 +41,6 @@ fn shapes() -> [GraphShape; 3] {
 struct Measurement {
     shape: &'static str,
     num_modes: usize,
-    wave_count: usize,
-    max_wave_width: usize,
     seconds: f64,
     total_rounds: usize,
     /// Every work counter, totalled over the modes.
@@ -55,7 +53,6 @@ fn measure(shape: GraphShape, num_modes: usize) -> Measurement {
     let config = scenario.scheduler_config();
     let backend = IlpSynthesizer;
 
-    let waves = scenario.graph.synthesis_waves(sys);
     let (schedule, seconds) = timed(|| synthesize_system(sys, &scenario.graph, &config, &backend));
     let schedule =
         schedule.unwrap_or_else(|e| panic!("{} N={num_modes} infeasible: {e}", shape.name()));
@@ -65,8 +62,6 @@ fn measure(shape: GraphShape, num_modes: usize) -> Measurement {
     Measurement {
         shape: shape.name(),
         num_modes,
-        wave_count: waves.len(),
-        max_wave_width: waves.iter().map(Vec::len).max().unwrap_or(0),
         seconds,
         total_rounds: schedule.iter().map(|(_, s)| s.num_rounds()).sum(),
         totals: schedule.totals(),
@@ -118,18 +113,16 @@ fn main() {
 
     eprintln!("\n=== Mode scaling: synthesis over N-mode graphs (one run each) ===");
     eprintln!(
-        "{:<10} {:>5} {:>7} {:>10} {:>12} {:>10}",
-        "shape", "N", "waves", "max width", "wall", "simplex"
+        "{:<10} {:>5} {:>12} {:>10}",
+        "shape", "N", "wall", "simplex"
     );
     for shape in shapes() {
         for n in MODE_COUNTS {
             let m = measure(shape, n);
             eprintln!(
-                "{:<10} {:>5} {:>7} {:>10} {:>10.3} s {:>10}",
+                "{:<10} {:>5} {:>10.3} s {:>10}",
                 m.shape,
                 m.num_modes,
-                m.wave_count,
-                m.max_wave_width,
                 m.seconds,
                 m.totals.simplex_iterations,
             );
@@ -137,8 +130,6 @@ fn main() {
                 &format!("{}_n{}", m.shape, m.num_modes),
                 Report::default()
                     .set("modes", m.num_modes)
-                    .set("wave_count", m.wave_count)
-                    .set("max_wave_width", m.max_wave_width)
                     .set("total_rounds", m.total_rounds)
                     .set("analyze_fast_fails", m.totals.analyze_fast_fails)
                     .fields(&m.totals.solver),

@@ -106,7 +106,7 @@ use crate::ids::ModeId;
 use crate::json::{Json, JsonError, Reader, Writer};
 use crate::modegraph::ModeGraph;
 use crate::schedule::SystemSchedule;
-use crate::synthesis::{synthesize_waves, ModeWarmStart, Synthesizer, SystemSynthesisError};
+use crate::synthesis::{synthesize_in_order, ModeWarmStart, Synthesizer, SystemSynthesisError};
 use crate::system::System;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::path::{Path, PathBuf};
@@ -813,7 +813,7 @@ pub fn synthesize_system_cached(
         CacheProbe::Corrupt => CacheOutcome::Corrupt,
         CacheProbe::Absent => CacheOutcome::Miss,
     };
-    let (schedule, warm, _) = synthesize_waves(system, graph, config, backend, None)?;
+    let (schedule, warm, _) = synthesize_in_order(system, graph, config, backend, None)?;
     cache.store_synthesis(system, graph, config, backend, &schedule, warm);
     Ok((schedule, outcome))
 }
@@ -1305,7 +1305,7 @@ mod tests {
         let (sys, graph, _, _) = fixtures::two_mode_graph();
         let backend = IlpSynthesizer;
         let (schedule, warm, _) =
-            synthesize_waves(&sys, &graph, &config(), &backend, None).expect("feasible");
+            synthesize_in_order(&sys, &graph, &config(), &backend, None).expect("feasible");
         assert!(!warm.is_empty(), "ILP synthesis yields root bases");
         let artifacts = SynthesisArtifacts {
             system: sys.clone(),

@@ -165,10 +165,9 @@ pub fn two_mode_graph() -> (System, crate::modegraph::ModeGraph, ModeId, ModeId)
 /// * `emergency` — the diagnostics app of [`two_mode_system`];
 /// * `maintenance` — a maintenance logger (controller polls an actuator).
 ///
-/// Because `emergency` and `maintenance` both become ready as soon as their
-/// shared donor is done and own disjoint applications, this fixture exercises
-/// a wave of [`crate::synthesis::synthesize_system`] wider than one mode.
-/// Returned as
+/// `emergency` and `maintenance` inherit from `boot` although the synthesis
+/// order reaches them through `normal`, so this fixture exercises heirs whose
+/// donor is not their graph parent. Returned as
 /// `(system, graph, [boot, normal, emergency, maintenance])`.
 pub fn four_mode_diamond() -> (System, crate::modegraph::ModeGraph, [ModeId; 4]) {
     let mut sys = System::new();

@@ -14,8 +14,9 @@
 //! * [`synthesis`] — Algorithm 1 (minimal number of rounds, then minimal
 //!   end-to-end latency) per mode ([`synthesis::synthesize_mode`]), lifted to
 //!   the mode graph by [`synthesis::synthesize_system`] with inherited
-//!   offsets pinned through the solver's bound-tightening API. One wave
-//!   driver solves every mode, one after the other on the calling thread;
+//!   offsets pinned through the solver's bound-tightening API. One driver
+//!   solves every mode, in the mode graph's synthesis order on the calling
+//!   thread;
 //!   the two doors below are the same driver behind the cache.
 //! * [`cache`] — a content-keyed two-tier (memory, then disk) schedule
 //!   cache: [`cache::synthesize_system_cached`] skips synthesis entirely when

@@ -178,45 +178,14 @@ impl ModeGraph {
             .collect()
     }
 
-    /// Returns `true` if the switch graph has no directed cycle.
-    ///
-    /// Mode graphs with back-switches (e.g. `normal ⇄ emergency`) are cyclic
-    /// and perfectly valid; the synthesis order does not require acyclicity.
-    /// A DAG guarantees that the breadth-first order visits every parent of a
-    /// mode before the mode itself.
-    pub fn is_acyclic(&self) -> bool {
-        // Kahn's algorithm: the graph is a DAG iff every mode can be peeled.
-        let mut indegree = vec![0usize; self.num_modes];
-        for &(_, to) in &self.edges {
-            indegree[to.index()] += 1;
-        }
-        let mut queue: VecDeque<usize> =
-            (0..self.num_modes).filter(|&m| indegree[m] == 0).collect();
-        let mut peeled = 0;
-        while let Some(m) = queue.pop_front() {
-            peeled += 1;
-            for to in self.successors(ModeId::from_index(m)) {
-                indegree[to.index()] -= 1;
-                if indegree[to.index()] == 0 {
-                    queue.push_back(to.index());
-                }
-            }
-        }
-        peeled == self.num_modes
-    }
-
-    /// The deterministic order in which modes are synthesized: breadth-first
-    /// from the root (ties broken by mode id), then any mode unreachable from
-    /// the root in id order.
-    ///
-    /// On a DAG rooted at the boot mode this is a topological-style order in
-    /// which every mode is visited after the mode it inherits from.
-    pub fn synthesis_order(&self) -> Vec<ModeId> {
+    /// The modes reachable from the root over switch edges, breadth-first
+    /// (ties broken by mode id): the head of [`ModeGraph::synthesis_order`].
+    pub fn reachable(&self) -> Vec<ModeId> {
         let mut order = Vec::with_capacity(self.num_modes);
-        let mut visited = vec![false; self.num_modes];
         if self.num_modes == 0 {
             return order;
         }
+        let mut visited = vec![false; self.num_modes];
         let mut queue = VecDeque::from([self.root]);
         visited[self.root.index()] = true;
         while let Some(mode) = queue.pop_front() {
@@ -228,11 +197,26 @@ impl ModeGraph {
                 }
             }
         }
-        for (m, seen) in visited.iter().enumerate() {
-            if !seen {
-                order.push(ModeId::from_index(m));
-            }
+        order
+    }
+
+    /// The deterministic order in which modes are synthesized: the
+    /// [`ModeGraph::reachable`] modes, then every mode unreachable from the
+    /// root in id order.
+    ///
+    /// [`ModeGraph::inheritance_plan`] is first-wins along this order, so
+    /// every mode an heir inherits from comes before the heir in it.
+    pub fn synthesis_order(&self) -> Vec<ModeId> {
+        let mut order = self.reachable();
+        let mut seen = vec![false; self.num_modes];
+        for mode in &order {
+            seen[mode.index()] = true;
         }
+        order.extend(
+            (0..self.num_modes)
+                .filter(|&m| !seen[m])
+                .map(ModeId::from_index),
+        );
         order
     }
 
@@ -260,49 +244,6 @@ impl ModeGraph {
             plan.insert(mode, inherited);
         }
         plan
-    }
-
-    /// The waves of the synthesis driver: wave `k` holds the modes whose
-    /// inheritance donors all lie in waves `< k` (wave `0` holds the modes
-    /// that inherit nothing). Modes of the same wave are independent —
-    /// first-wins inheritance gives every application exactly one owner —
-    /// and [`crate::synthesis::synthesize_system`] solves the waves in order,
-    /// one mode at a time.
-    ///
-    /// Within a wave, modes keep their [`ModeGraph::synthesis_order`] relative
-    /// order; concatenating the waves therefore yields a permutation of the
-    /// synthesis order in which every donor precedes its heirs.
-    pub fn synthesis_waves(&self, system: &System) -> Vec<Vec<ModeId>> {
-        self.waves_of_plan(&self.inheritance_plan(system))
-    }
-
-    /// [`ModeGraph::synthesis_waves`] for a caller that already computed the
-    /// inheritance plan (the synthesis driver needs both and the plan is the
-    /// expensive part).
-    pub(crate) fn waves_of_plan(
-        &self,
-        plan: &BTreeMap<ModeId, BTreeMap<AppId, ModeId>>,
-    ) -> Vec<Vec<ModeId>> {
-        let mut wave_of: BTreeMap<ModeId, usize> = BTreeMap::new();
-        let mut waves: Vec<Vec<ModeId>> = Vec::new();
-        for mode in self.synthesis_order() {
-            let wave = plan
-                .get(&mode)
-                .map(|sources| {
-                    sources
-                        .values()
-                        .map(|src| wave_of[src] + 1)
-                        .max()
-                        .unwrap_or(0)
-                })
-                .unwrap_or(0);
-            wave_of.insert(mode, wave);
-            if waves.len() <= wave {
-                waves.push(Vec::new());
-            }
-            waves[wave].push(mode);
-        }
-        waves
     }
 }
 
@@ -374,7 +315,6 @@ mod tests {
         assert_eq!(graph.num_modes(), 2);
         assert_eq!(graph.successors(normal), vec![emergency]);
         assert_eq!(graph.successors(emergency), vec![normal]);
-        assert!(!graph.is_acyclic(), "a complete graph has back-switches");
     }
 
     #[test]
@@ -406,6 +346,7 @@ mod tests {
     fn unreachable_modes_still_appear_in_the_order() {
         let (sys, normal, emergency) = fixtures::two_mode_system();
         let graph = ModeGraph::new(&sys); // no edges at all
+        assert_eq!(graph.reachable(), vec![normal]);
         assert_eq!(graph.synthesis_order(), vec![normal, emergency]);
     }
 
@@ -419,33 +360,6 @@ mod tests {
         // The diagnostics app is exclusive to the emergency mode.
         let diag = sys.application_id("emergency_diag").expect("app exists");
         assert!(!plan[&emergency].contains_key(&diag));
-    }
-
-    #[test]
-    fn synthesis_waves_follow_the_inheritance_plan() {
-        let (sys, graph, normal, emergency) = fixtures::two_mode_graph();
-        assert_eq!(
-            graph.synthesis_waves(&sys),
-            vec![vec![normal], vec![emergency]]
-        );
-
-        // The diamond: boot alone, then one wave of three independent modes.
-        let (sys, graph, [boot, normal, emergency, maintenance]) = fixtures::four_mode_diamond();
-        assert_eq!(
-            graph.synthesis_waves(&sys),
-            vec![vec![boot], vec![normal, emergency, maintenance]]
-        );
-    }
-
-    #[test]
-    fn synthesis_waves_concatenate_to_the_synthesis_order_modes() {
-        let (sys, graph, _, _) = fixtures::two_mode_graph();
-        let flat: Vec<ModeId> = graph.synthesis_waves(&sys).into_iter().flatten().collect();
-        let mut sorted = flat.clone();
-        sorted.sort_unstable();
-        let mut order = graph.synthesis_order();
-        order.sort_unstable();
-        assert_eq!(sorted, order, "waves cover every mode exactly once");
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! application and redeploy — a first-class operation, but a full
 //! [`crate::synthesis::synthesize_system`] run re-pays the MILP cost of
 //! *every* mode even when the edit touches one. [`resynthesize_system`]
-//! closes that gap by starting the same wave driver from the cached
+//! closes that gap by starting the same synthesis driver from the cached
 //! predecessor — load predecessor, run driver, store — which gives three
 //! reuse levels, all anchored on the [`crate::cache::SynthesisArtifacts`] the
 //! schedule cache stores alongside each entry:
@@ -47,7 +47,7 @@ use crate::config::SchedulerConfig;
 use crate::ids::{AppId, ModeId, NodeId};
 use crate::modegraph::{InheritedOffsets, ModeGraph};
 use crate::schedule::{ModeSchedule, SystemSchedule};
-use crate::synthesis::{synthesize_waves, Synthesizer, SystemSynthesisError};
+use crate::synthesis::{synthesize_in_order, Synthesizer, SystemSynthesisError};
 use crate::system::System;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -191,7 +191,7 @@ pub fn resynthesize_system(
         .filter(|(_, artifacts)| {
             artifacts.backend == backend.name() && artifacts.config == *config
         });
-    let (schedule, warm, report) = synthesize_waves(
+    let (schedule, warm, report) = synthesize_in_order(
         system,
         graph,
         config,
@@ -202,7 +202,7 @@ pub fn resynthesize_system(
     Ok((schedule, report))
 }
 
-/// Where the wave driver starts one mode of a re-synthesis.
+/// Where the synthesis driver starts one mode of a re-synthesis.
 pub(crate) enum ModeStart<'a> {
     /// Keep the predecessor's schedule (stats included) verbatim: the mode's
     /// ILP is the predecessor's, so the pipeline would reproduce it bit for

@@ -13,13 +13,13 @@
 //! round count below which every count is already proven infeasible
 //! ([`ModePrior::floor`]; see [`crate::resynth`]).
 //!
-//! Multi-mode synthesis ([`synthesize_system`]) walks a [`ModeGraph`] wave by
-//! wave, on the calling thread, and applies *minimal inheritance*: every
-//! application already scheduled in an earlier mode has its task and message
-//! offsets pinned when later modes are synthesized, so all modes sharing an
-//! application agree on its timing — the switch-consistency property the
-//! runtime's two-phase mode change relies on. One private wave driver does
-//! that walk for every system-level entry point, cached
+//! Multi-mode synthesis ([`synthesize_system`]) walks a [`ModeGraph`] in
+//! [`ModeGraph::synthesis_order`], on the calling thread, and applies
+//! *minimal inheritance*: every application already scheduled in an earlier
+//! mode has its task and message offsets pinned when later modes are
+//! synthesized, so all modes sharing an application agree on its timing — the
+//! switch-consistency property the runtime's two-phase mode change relies on.
+//! One private driver does that walk for every system-level entry point, cached
 //! ([`crate::cache::synthesize_system_cached`]) and incremental
 //! ([`crate::resynth::resynthesize_system`]) ones included, and is the only
 //! place a mode is ever solved.
@@ -319,27 +319,24 @@ impl Error for SystemSynthesisError {
 /// Synthesizes every mode of the system over a mode graph with minimal
 /// inheritance (paper Sec. V).
 ///
-/// Modes are processed in the waves of [`ModeGraph::synthesis_waves`]: a
-/// mode is *ready* as soon as every mode it inherits from has been
-/// synthesized (one wave of the 4-mode diamond fixture, for example, holds
-/// `normal`, `emergency` and `maintenance` once `boot` has pinned the shared
-/// application). Every mode is solved on the calling thread, wave after
-/// wave and each wave in [`ModeGraph::synthesis_order`], so the outcome is
-/// deterministic and one call runs one solver at a time.
+/// Modes are solved one after the other on the calling thread, in
+/// [`ModeGraph::synthesis_order`]. The inheritance plan is first-wins along
+/// that order, so every mode an heir inherits from is solved before the heir
+/// pins its offsets, and the outcome is deterministic.
 ///
 /// # Errors
 ///
 /// Returns a boxed [`SystemSynthesisError`] carrying the partial
-/// [`SystemSchedule`] if any mode cannot be scheduled. The partial result
-/// contains exactly the modes solved before the failed mode (plus the failed
-/// mode's statistics).
+/// [`SystemSchedule`] if any mode cannot be scheduled: the first mode of the
+/// synthesis order that fails. The partial result contains exactly the modes
+/// ahead of it in that order (plus the failed mode's statistics).
 pub fn synthesize_system(
     system: &System,
     graph: &ModeGraph,
     config: &SchedulerConfig,
     backend: &dyn Synthesizer,
 ) -> Result<SystemSchedule, Box<SystemSynthesisError>> {
-    synthesize_waves(system, graph, config, backend, None).map(|(schedule, ..)| schedule)
+    synthesize_in_order(system, graph, config, backend, None).map(|(schedule, ..)| schedule)
 }
 
 /// The `AnalyzeFirst` gate: when enabled, converts a mode with a static
@@ -389,14 +386,14 @@ fn solve_mode(
     }
 }
 
-/// The wave driver behind every system-level entry point: walks the mode
-/// graph wave by wave, pins the inherited offsets, and per mode either keeps
-/// the `predecessor`'s schedule or solves it through [`solve_mode`] (see
-/// [`crate::resynth::mode_start`]), one mode after the other on the calling
-/// thread. A kept mode shares the predecessor's schedule and basis, copying
-/// neither. Returns the schedule, each mode's warm-start material and what
-/// was reused against what was solved.
-pub(crate) fn synthesize_waves(
+/// The driver behind every system-level entry point: walks the mode graph in
+/// [`ModeGraph::synthesis_order`], pins the inherited offsets, and per mode
+/// either keeps the `predecessor`'s schedule or solves it through
+/// [`solve_mode`] (see [`crate::resynth::mode_start`]), one mode after the
+/// other on the calling thread. A kept mode shares the predecessor's schedule
+/// and basis, copying neither. Returns the schedule, each mode's warm-start
+/// material and what was reused against what was solved.
+pub(crate) fn synthesize_in_order(
     system: &System,
     graph: &ModeGraph,
     config: &SchedulerConfig,
@@ -420,7 +417,7 @@ pub(crate) fn synthesize_waves(
             error: error.into(),
             partial: SystemSchedule::new(),
         })?;
-    let plan = graph.inheritance_plan(system);
+    let mut plan = graph.inheritance_plan(system);
     let mut result = SystemSchedule::new();
     let mut artifacts = BTreeMap::new();
     let mut report = ResynthesisReport {
@@ -428,11 +425,11 @@ pub(crate) fn synthesize_waves(
         ..ResynthesisReport::default()
     };
 
-    // Wave by wave, each wave in synthesis order: every donor lies in an
-    // earlier wave, so its schedule is merged before an heir pins it, and the
-    // first failure leaves exactly the modes ahead of it in `partial`.
-    for mode in graph.waves_of_plan(&plan).into_iter().flatten() {
-        let sources = plan.get(&mode).cloned().unwrap_or_default();
+    // The plan is first-wins along the synthesis order, so every donor's
+    // schedule is merged before an heir pins it, and the first failure leaves
+    // exactly the modes ahead of it in `partial`.
+    for mode in graph.synthesis_order() {
+        let sources = plan.remove(&mode).unwrap_or_default();
         let mut inherited = InheritedOffsets::none();
         for (&app, &source) in &sources {
             if let Some(donor) = result.get(source) {
@@ -692,9 +689,9 @@ mod tests {
 
     #[test]
     fn diamond_mode_graph_synthesizes_switch_consistently() {
-        // boot → normal → {emergency, maintenance}: after boot pins the
-        // shared control application, the other three modes form one wave.
-        // The result must be deterministic and switch-consistent.
+        // boot → normal → {emergency, maintenance}: boot pins the shared
+        // control application for the other three modes. The result must be
+        // deterministic and switch-consistent.
         let (sys, graph, [boot, normal, emergency, maintenance]) = fixtures::four_mode_diamond();
         let result = synthesize_system(&sys, &graph, &config(), &IlpSynthesizer)
             .expect("all four modes feasible");

@@ -27,9 +27,9 @@
 //!   keeps running everywhere" premise;
 //! * a **handoff application**: each non-root mode re-runs the local
 //!   application of one of its mode-graph parents, which chains the
-//!   inheritance plan along the graph edges — a [`GraphShape::Chain`]
-//!   therefore synthesizes fully sequentially, while a
-//!   [`GraphShape::Diamond`] produces one wide parallel wave;
+//!   inheritance plan along the graph edges — in a [`GraphShape::Chain`]
+//!   every mode inherits from the one before it, while in a
+//!   [`GraphShape::Diamond`] the middle modes inherit only from the root;
 //! * **local/private applications** exclusive to the mode.
 //!
 //! ```
@@ -66,18 +66,20 @@ use ttw_netsim::rng::SplitMix64;
 
 /// Topology of the generated mode graph (the shape of the legal-switch DAG).
 ///
-/// The shape drives the *wave structure* of the parallel synthesis driver
-/// because each non-root mode inherits an application from one of its graph
-/// parents: a chain synthesizes one mode per wave, a diamond packs all middle
-/// modes into a single wide wave.
+/// The shape drives the *inheritance plan* because each non-root mode
+/// inherits an application from one of its graph parents: in a chain every
+/// mode inherits from its predecessor, in a diamond the middle modes inherit
+/// only from the root and never from each other.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GraphShape {
-    /// `M0 → M1 → … → M(N−1)`: maximal inheritance depth, no parallelism.
+    /// `M0 → M1 → … → M(N−1)`: maximal inheritance depth.
     Chain,
-    /// `M0 → {M1 … M(N−2)} → M(N−1)`: one wave of width `N − 2`.
+    /// `M0 → {M1 … M(N−2)} → M(N−1)`: `N − 2` middle modes that inherit
+    /// only from the root.
     Diamond,
     /// Layers of `width` modes; every mode of a layer switches to every mode
-    /// of the next layer. Wave count ≈ `N / width`, wave width ≈ `width`.
+    /// of the next layer. A mode inherits only from earlier layers, so the
+    /// donor chains are ≈ `N / width` modes deep.
     LayeredDag {
         /// Number of modes per layer (≥ 1).
         width: usize,
@@ -452,8 +454,8 @@ pub fn generate(config: &GeneratorConfig, seed: u64) -> Scenario {
     }
 
     // The switch topology is drawn first: the handoff applications below
-    // follow its edges, which is what chains the inheritance plan (and hence
-    // the synthesis waves) along the graph.
+    // follow its edges, which is what chains the inheritance plan along the
+    // graph.
     let edge_list = config.shape.edges(config.num_modes, &mut rng);
     let parents_of = |mode: usize| -> Vec<usize> {
         edge_list
@@ -699,6 +701,7 @@ pub fn generate_fault_plan(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
     use ttw_core::synthesis::{synthesize_system, IlpSynthesizer};
     use ttw_core::validate::validate_system_schedule;
 
@@ -780,31 +783,50 @@ mod tests {
         }
     }
 
+    /// Per mode index, the indexes of the modes it inherits from.
+    fn donors(scenario: &Scenario) -> Vec<BTreeSet<usize>> {
+        let plan = scenario.graph.inheritance_plan(&scenario.system);
+        let donors_of = |mode| plan[&mode].values().map(|donor| donor.index()).collect();
+        scenario.modes().into_iter().map(donors_of).collect()
+    }
+
     #[test]
-    fn chain_shape_synthesizes_one_mode_per_wave() {
+    fn chain_shape_hands_each_mode_to_the_next() {
         let config = GeneratorConfig::small(5, GraphShape::Chain);
-        let scenario = generate(&config, 3);
-        let waves = scenario.graph.synthesis_waves(&scenario.system);
-        assert_eq!(waves.len(), 5, "a 5-mode chain has 5 sequential waves");
-        assert!(waves.iter().all(|w| w.len() == 1));
+        let donors = donors(&generate(&config, 3));
+        assert!(donors[0].is_empty(), "the root inherits nothing");
+        for (k, donors) in donors.iter().enumerate().skip(1) {
+            assert!(donors.contains(&(k - 1)), "M{k} inherits from M{}", k - 1);
+            assert!(donors.iter().all(|&d| d < k), "M{k} inherits {donors:?}");
+        }
     }
 
     #[test]
-    fn diamond_shape_packs_the_middle_modes_into_one_wave() {
+    fn diamond_shape_middle_modes_inherit_only_from_the_root() {
         let config = GeneratorConfig::small(6, GraphShape::Diamond);
-        let scenario = generate(&config, 3);
-        let waves = scenario.graph.synthesis_waves(&scenario.system);
-        assert_eq!(waves.len(), 3, "root, middle wave, sink");
-        assert_eq!(waves[1].len(), 4, "all four middle modes are independent");
+        let donors = donors(&generate(&config, 3));
+        for (mid, donors) in donors.iter().enumerate().take(5).skip(1) {
+            assert_eq!(donors, &BTreeSet::from([0]), "M{mid} inherits {donors:?}");
+        }
+        assert!(
+            donors[5].iter().any(|d| (1..5).contains(d)),
+            "the sink inherits from a middle mode: {:?}",
+            donors[5]
+        );
     }
 
     #[test]
-    fn layered_shape_produces_width_bounded_waves() {
+    fn layered_shape_inherits_only_from_earlier_layers() {
+        // Layers {M0}, {M1, M2}, {M3, M4}, {M5, M6}.
         let config = GeneratorConfig::small(7, GraphShape::LayeredDag { width: 2 });
-        let scenario = generate(&config, 9);
-        let waves = scenario.graph.synthesis_waves(&scenario.system);
-        assert!(waves.len() >= 3);
-        assert!(waves.iter().all(|w| w.len() <= 2));
+        let layer = |mode: usize| (mode + 1) / 2;
+        for (mode, donors) in donors(&generate(&config, 9)).iter().enumerate().skip(1) {
+            assert!(
+                donors.iter().any(|&d| layer(d) + 1 == layer(mode)),
+                "M{mode} inherits from the previous layer: {donors:?}"
+            );
+            assert!(donors.iter().all(|&d| layer(d) < layer(mode)));
+        }
     }
 
     #[test]
@@ -812,12 +834,15 @@ mod tests {
         for seed in 0..8 {
             let config = GeneratorConfig::small(6, GraphShape::RandomDag);
             let scenario = generate(&config, seed);
-            assert!(scenario.graph.is_acyclic(), "edges only point forward");
-            // Every mode is reachable from the root: BFS covers all modes
-            // before the "unreachable" fallback of synthesis_order kicks in.
-            let waves = scenario.graph.synthesis_waves(&scenario.system);
-            let covered: usize = waves.iter().map(Vec::len).sum();
-            assert_eq!(covered, 6);
+            assert!(
+                scenario.graph.edges().all(|(from, to)| from < to),
+                "edges only point forward (seed {seed})"
+            );
+            assert_eq!(
+                scenario.graph.reachable().len(),
+                6,
+                "every mode is reachable from the root (seed {seed})"
+            );
         }
     }
 

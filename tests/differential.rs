@@ -1100,10 +1100,8 @@ fn incremental_resynthesis_matches_from_scratch() {
     }
 
     // The four-mode diamond, with the private applications of `normal` and
-    // `maintenance` edited: its width-3 wave then holds two modes to re-solve
-    // around one kept verbatim, the only shape that runs the wave driver's
-    // worker threads with a predecessor. The report is pinned to what the
-    // sequential pre-merge implementation produced.
+    // `maintenance` edited: of the three modes that inherit from `boot`, two
+    // are re-solved around one kept verbatim. The report is pinned.
     let (system, graph, _) = fixtures::four_mode_diamond();
     let edit = ["tele.sample", "maint.poll"].map(|name| system.task_id(name).expect("fixture"));
     let config = SchedulerConfig::new(10_000, 5);
