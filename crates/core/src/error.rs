@@ -152,6 +152,19 @@ pub enum ScheduleError {
         /// expensive way, by exhausting every round count.
         explanation: Option<String>,
     },
+    /// The mode's ILP was not built because it would be too large: its C3
+    /// block or its first round count exceeds
+    /// [`crate::synthesis::MAX_MODE_SIZE`]. This proves nothing about
+    /// feasibility.
+    TooLarge {
+        /// Mode that was being scheduled.
+        mode: ModeId,
+        /// `λ` binaries of the C3 block: `Σ (H/pᵢ)(H/pⱼ)` over same-node task
+        /// pairs (see [`crate::feasibility::task_instance_pairs`]).
+        task_pairs: u128,
+        /// Round count of the first attempt, `⌈message instances / B⌉`.
+        rounds: usize,
+    },
     /// The underlying MILP solver failed (budget exhausted or malformed model).
     Solver(ttw_milp::SolveError),
     /// The system model itself is invalid.
@@ -181,6 +194,16 @@ impl fmt::Display for ScheduleError {
                 }
                 Ok(())
             }
+            ScheduleError::TooLarge {
+                mode,
+                task_pairs,
+                rounds,
+            } => write!(
+                f,
+                "mode {mode} is too large to synthesize: {task_pairs} same-node task instance \
+                 pairs and {rounds} rounds in the first attempt, against a bound of {}",
+                crate::synthesis::MAX_MODE_SIZE
+            ),
             ScheduleError::Solver(e) => write!(f, "MILP solver error: {e}"),
             ScheduleError::Model(e) => write!(f, "invalid system model: {e}"),
             ScheduleError::InvalidConfig { reason } => {

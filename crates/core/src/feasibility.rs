@@ -173,6 +173,28 @@ pub fn node_demands(system: &System, mode: ModeId) -> Vec<u128> {
     demand_per_node
 }
 
+/// Task instance pairs on a shared node over one hyperperiod of `mode`:
+/// `Σ (H/pᵢ)(H/pⱼ)` over same-node task pairs, which is the number of `λ`
+/// binaries in the ILP's C3 block. Saturates at `u128::MAX`.
+pub fn task_instance_pairs(system: &System, mode: ModeId) -> u128 {
+    let hyperperiod = system.hyperperiod(mode);
+    // Per node, Σ n and Σ n²: the pairs are ((Σ n)² − Σ n²) / 2.
+    let mut per_node: Vec<(u128, u128)> = vec![(0, 0); system.num_nodes()];
+    for &task in &system.tasks_in_mode(mode) {
+        let instances = (hyperperiod / system.task_period(task).max(1)) as u128;
+        let (sum, squares) = &mut per_node[system.task(task).node.index()];
+        *sum = sum.saturating_add(instances);
+        *squares = squares.saturating_add(instances * instances);
+    }
+    per_node
+        .into_iter()
+        .map(|(sum, squares)| {
+            sum.checked_mul(sum)
+                .map_or(u128::MAX, |all| (all - squares) / 2)
+        })
+        .fold(0, u128::saturating_add)
+}
+
 /// Message instances released per hyperperiod of `mode` (each needs a slot).
 pub fn message_instances(system: &System, mode: ModeId) -> usize {
     let hyperperiod = system.hyperperiod(mode);

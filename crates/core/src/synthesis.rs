@@ -154,6 +154,16 @@ pub trait Synthesizer {
     ) -> Result<SolvedMode, SynthesisFailure>;
 }
 
+/// Largest C3 block (`λ` binaries, [`feasibility::task_instance_pairs`]) and
+/// largest first round count (`⌈message instances / B⌉`) of a mode whose ILP
+/// [`IlpSynthesizer`] builds. A larger mode is refused with
+/// [`ScheduleError::TooLarge`] before any allocation: two co-prime periods
+/// near one second give a hyperperiod of 10¹² µs and a C3 block of 10¹²
+/// binaries, which no certificate catches. The bound is on rounds too
+/// because the C4.1/C4.2 rows of round `j` hold `j` allocation terms per
+/// message, so the round block grows with the square of the round count.
+pub const MAX_MODE_SIZE: u128 = 1_000;
+
 /// The exact backend: Algorithm 1 over the ILP of Sec. IV, as one instance
 /// grown round by round — the round-independent constraint blocks
 /// (precedence, deadlines, the quadratic task non-overlap block) are built
@@ -198,6 +208,17 @@ impl Synthesizer for IlpSynthesizer {
         };
         if min_rounds > r_max {
             return Err(infeasible(stats));
+        }
+        let task_pairs = feasibility::task_instance_pairs(system, mode);
+        if task_pairs > MAX_MODE_SIZE || min_rounds as u128 > MAX_MODE_SIZE {
+            return Err(SynthesisFailure {
+                error: ScheduleError::TooLarge {
+                    mode,
+                    task_pairs,
+                    rounds: min_rounds,
+                },
+                stats,
+            });
         }
 
         // Counts below the floor are not attempted, but the instance still
@@ -753,6 +774,117 @@ mod tests {
             err.partial.stats.contains_key(&m1),
             "the failed mode's attempted work is reported too"
         );
+    }
+
+    /// A system of two applications with co-prime periods near one second
+    /// (`H` ≈ 10¹² µs): `same_node` puts their tasks on one node, which makes
+    /// the C3 block ≈ 10¹² binaries; otherwise the first app sends
+    /// `H / 999,983` ≈ 10⁶ message instances between two other nodes.
+    fn coprime_periods_mode(same_node: bool) -> (System, ModeId) {
+        use crate::spec::ApplicationSpec;
+        let mut sys = System::new();
+        for node in ["a", "b", "c"] {
+            sys.add_node(node).expect("node");
+        }
+        let mut first =
+            ApplicationSpec::new("first", 999_983, 999_983).with_task("first.t0", "a", 10);
+        if !same_node {
+            first = first.with_task("first.t1", "b", 10).with_message(
+                "first.m",
+                ["first.t0"],
+                ["first.t1"],
+            );
+        }
+        let second_node = if same_node { "a" } else { "c" };
+        let second = ApplicationSpec::new("second", 1_000_003, 1_000_003).with_task(
+            "second.t0",
+            second_node,
+            10,
+        );
+        let apps = [first, second].map(|spec| sys.add_application(&spec).expect("valid app"));
+        let mode = sys.add_mode("m", &apps).expect("valid mode");
+        (sys, mode)
+    }
+
+    #[test]
+    fn an_oversized_c3_block_is_refused_before_the_ilp_is_built() {
+        let (sys, mode) = coprime_periods_mode(true);
+        assert!(feasibility::certify_mode_infeasible(&sys, mode, &config()).is_none());
+        let failure = synthesize_mode(&sys, mode, &config()).expect_err("refused");
+        let ScheduleError::TooLarge {
+            task_pairs, rounds, ..
+        } = failure.error
+        else {
+            panic!("expected TooLarge, got {:?}", failure.error);
+        };
+        assert_eq!(task_pairs, 999_983 * 1_000_003);
+        assert_eq!(rounds, 0);
+        assert!(task_pairs > MAX_MODE_SIZE);
+        // Refused before any model was allocated.
+        assert_eq!(failure.stats, SynthesisStats::default());
+    }
+
+    #[test]
+    fn an_oversized_first_round_count_is_refused_before_the_ilp_is_built() {
+        let (sys, mode) = coprime_periods_mode(false);
+        let config = SchedulerConfig::new(millis(10), 1);
+        assert!(feasibility::certify_mode_infeasible(&sys, mode, &config).is_none());
+        let failure = synthesize_mode(&sys, mode, &config).expect_err("refused");
+        assert_eq!(
+            failure.error,
+            ScheduleError::TooLarge {
+                mode,
+                task_pairs: 0,
+                rounds: 1_000_003,
+            }
+        );
+        assert!(
+            failure.error.to_string().contains("too large"),
+            "{}",
+            failure.error
+        );
+        assert_eq!(failure.stats, SynthesisStats::default());
+    }
+
+    /// `M0 → M1 → M2`: `M1` inherits `ctrl` from `M0` and fails, `M2`
+    /// inherits nothing. The walk stops at `M1`, so `M2` is never solved,
+    /// although it does not depend on the failed mode.
+    #[test]
+    fn a_failing_heir_stops_the_walk_in_synthesis_order() {
+        use crate::spec::ApplicationSpec;
+        let (mut sys, _) = fixtures::fig3_system();
+        let ctrl = sys.application_id("ctrl").expect("fixture app");
+        let [bad, lone] = [("bad", millis(5)), ("lone", millis(100))].map(|(name, period)| {
+            let spec = ApplicationSpec::new(name, period, period)
+                .with_task(format!("{name}.t0"), "sensor1", millis(1))
+                .with_task(format!("{name}.t1"), "actuator1", millis(1))
+                .with_message(
+                    format!("{name}.m"),
+                    [format!("{name}.t0")],
+                    [format!("{name}.t1")],
+                );
+            sys.add_application(&spec).expect("valid app")
+        });
+        let m0 = ModeId::from_index(0);
+        let m1 = sys.add_mode("heir", &[ctrl, bad]).expect("valid mode");
+        let m2 = sys.add_mode("lone", &[lone]).expect("valid mode");
+        let mut graph = ModeGraph::new(&sys);
+        graph.add_edge(m0, m1).expect("edge");
+        graph.add_edge(m1, m2).expect("edge");
+        assert_eq!(graph.synthesis_order(), [m0, m1, m2]);
+        let plan = graph.inheritance_plan(&sys);
+        assert_eq!(plan[&m1].get(&ctrl), Some(&m0));
+        assert!(plan[&m2].is_empty(), "the last mode inherits nothing");
+
+        let err = synthesize_system(&sys, &graph, &config(), &IlpSynthesizer).expect_err("M1");
+        assert_eq!(err.mode, m1);
+        assert!(matches!(err.error, ScheduleError::Infeasible { .. }));
+        let solved: Vec<ModeId> = err.partial.iter().map(|(mode, _)| mode).collect();
+        assert_eq!(solved, [m0], "exactly the modes ahead of the failed one");
+        let attempted: Vec<ModeId> = err.partial.stats.keys().copied().collect();
+        assert_eq!(attempted, [m0, m1]);
+        // Alone, the mode the walk never reached solves.
+        assert!(synthesize_mode(&sys, m2, &config()).is_ok());
     }
 
     #[test]

@@ -577,6 +577,50 @@ fn mode_graph_over_other_modes_than_the_systems_is_a_bad_request() {
     assert!(stats.reconciles(), "{stats:?}");
 }
 
+/// Two one-task applications on one node with co-prime periods near one
+/// second: `H` ≈ 10¹² µs, so the mode's C3 block would be ≈ 10¹² binaries
+/// while no infeasibility certificate fires. The service refuses it before
+/// building anything, and the connection keeps serving.
+#[test]
+fn an_oversized_mode_is_a_solve_error_and_the_server_keeps_serving() {
+    use ttw_core::spec::ApplicationSpec;
+    let mut system = ttw_core::System::new();
+    system.add_node("n0").expect("node");
+    let apps = [("first", 999_983), ("second", 1_000_003)].map(|(name, period)| {
+        let spec =
+            ApplicationSpec::new(name, period, period).with_task(format!("{name}.t0"), "n0", 10);
+        system.add_application(&spec).expect("valid app")
+    });
+    system.add_mode("m", &apps).expect("valid mode");
+    let oversized = SynthesizeRequest {
+        graph: ttw_core::ModeGraph::complete(&system),
+        system,
+        ..fig3_request()
+    };
+
+    let server = start_server();
+    let mut client = Client::connect(server.addr()).expect("connect");
+    let started = std::time::Instant::now();
+    match client.synthesize(oversized) {
+        Err(ClientError::Remote(message)) => assert!(message.contains("too large"), "{message}"),
+        other => panic!("expected a remote error, got {other:?}"),
+    }
+    assert!(
+        started.elapsed() < std::time::Duration::from_secs(10),
+        "the refusal took {:?}",
+        started.elapsed()
+    );
+    let reply = client.synthesize(fig3_request()).expect("still serving");
+    assert_eq!(reply.served, ServedFrom::Solved);
+    let stats = client.stats().expect("stats");
+    assert_eq!(
+        (stats.requests, stats.solve_errors, stats.solved),
+        (2, 1, 1)
+    );
+    assert_eq!(stats.cache_insertions, 1, "the refusal is not cached");
+    assert!(stats.reconciles(), "{stats:?}");
+}
+
 /// The same pair handed to the service in process (no decoder in front of
 /// it) is a failed solve with an outcome, not a panic with none.
 #[test]
