@@ -46,7 +46,7 @@ impl JsonObject for SolverCounters {
 
     fn members() -> &'static [Member] {
         static MEMBERS: OnceLock<Vec<Member>> = OnceLock::new();
-        MEMBERS.get_or_init(|| sorted_members(&SolverCounters::FIELDS.map(|(name, _)| name), &[]))
+        MEMBERS.get_or_init(|| sorted_members(&SolverCounters::FIELDS, &[]))
     }
 
     fn write_member(&self, index: usize, w: &mut Writer<'_>) {
@@ -58,19 +58,17 @@ impl JsonObject for SolverCounters {
         fields_partial(move |step| match step {
             Step::Member(key, r) => {
                 let field = SolverCounters::FIELDS.iter().zip(&mut slots);
-                match field.into_iter().find(|((name, _), _)| *name == key) {
-                    Some(((name, true), slot)) => slot.read(r, name)?,
-                    Some(((name, false), slot)) => slot.read_or_default(r, name)?,
+                match field.into_iter().find(|(name, _)| **name == key) {
+                    Some((name, slot)) => slot.read(r, name)?,
                     None => return Ok(Progress::Unknown),
                 }
                 Ok(Progress::Taken)
             }
             Step::End => {
                 let mut slots = slots.iter_mut();
-                SolverCounters::from_fields(|name, required| match (slots.next(), required) {
-                    (Some(slot), true) => slot.take(name),
-                    (Some(slot), false) => slot.take_or_default(),
-                    (None, _) => usize::from_absent(name),
+                SolverCounters::from_fields(|name| match slots.next() {
+                    Some(slot) => slot.take(name),
+                    None => usize::from_absent(name),
                 })
                 .map(Progress::Done)
             }
@@ -79,7 +77,7 @@ impl JsonObject for SolverCounters {
 }
 
 crate::json_object!(SynthesisStats as "stats" {
-    rounds_attempted, variables, constraints, analyze_fast_fails or default;
+    rounds_attempted, variables, constraints, analyze_fast_fails;
     ..solver
 });
 crate::json_object!(ScheduledRound as "round" { start, slots });
@@ -399,6 +397,21 @@ mod tests {
     fn invalid_json_is_an_error() {
         assert!(schedule_from_json("{not json").is_err());
         assert!(schedule_from_json("{}").is_err());
+    }
+
+    /// Every writer emits every counter, so a stats object without one is
+    /// malformed, whichever counter it is.
+    #[test]
+    fn stats_without_a_counter_are_an_error() {
+        let json = schedule_to_json(&fig3_schedule()).expect("serializes");
+        for name in SolverCounters::FIELDS.iter().chain(&["analyze_fast_fails"]) {
+            let member = format!("\"{name}\": ");
+            let start = json.find(&member).expect("every counter is written");
+            let end = start + json[start..].find('\n').expect("pretty") + 1;
+            let without = format!("{}{}", &json[..start], &json[end..]);
+            let error = schedule_from_json(&without).expect_err(name);
+            assert!(error.to_string().contains(name), "{name}: {error}");
+        }
     }
 
     /// Infinity would decode as a round start and encode as `null`, which

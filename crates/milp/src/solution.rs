@@ -14,8 +14,7 @@ pub enum Status {
 }
 
 /// Declares [`SolverCounters`] from one table: per counter its docs, field
-/// name, wire name, whether a document without it still decodes, and how
-/// values combine. Adding or removing a counter is one line here plus the
+/// name, wire name and how values combine. Adding or removing a counter is one line here plus the
 /// place in the solver that counts it.
 ///
 /// Combination rules — across the attempts of one mode's round sweep
@@ -27,7 +26,7 @@ pub enum Status {
 ///   attempt's value stands for the mode; added up across modes;
 /// * `widest` — as `of_last_attempt`, but the largest value across modes.
 macro_rules! solver_counters {
-    ($( $(#[$doc:meta])* $field:ident: $wire:literal, $presence:ident, $rule:ident; )*) => {
+    ($( $(#[$doc:meta])* $field:ident: $wire:literal, $rule:ident; )*) => {
         /// The work counters of a solve — one type from the branch-and-bound
         /// loop through [`Solution`] to the synthesis statistics, the wire and
         /// the bench reports.
@@ -37,11 +36,8 @@ macro_rules! solver_counters {
         }
 
         impl SolverCounters {
-            /// `(wire name, required)` of every counter, in declaration
-            /// order: a counter that is not required was added after
-            /// documents were first persisted, and its absence reads as 0.
-            pub const FIELDS: [(&'static str, bool); [$($wire),*].len()] =
-                [$( ($wire, solver_counters!(@required $presence)) ),*];
+            /// The wire name of every counter, in declaration order.
+            pub const FIELDS: [&'static str; [$($wire),*].len()] = [$($wire),*];
 
             /// `(wire name, value)` of every counter, in declaration order.
             pub fn fields(&self) -> [(&'static str, usize); [$($wire),*].len()] {
@@ -49,19 +45,15 @@ macro_rules! solver_counters {
             }
 
             /// The dual of [`SolverCounters::fields`]: pulls every counter
-            /// through `get(wire name, required)`. A counter that is not
-            /// `required` was added after documents were first persisted;
-            /// `get` is expected to read its absence as 0.
+            /// through `get(wire name)`.
             ///
             /// # Errors
             ///
             /// The first error `get` returns.
             pub fn from_fields<E>(
-                mut get: impl FnMut(&'static str, bool) -> Result<usize, E>,
+                mut get: impl FnMut(&'static str) -> Result<usize, E>,
             ) -> Result<Self, E> {
-                Ok(SolverCounters {
-                    $( $field: get($wire, solver_counters!(@required $presence))?, )*
-                })
+                Ok(SolverCounters { $( $field: get($wire)?, )* })
             }
 
             /// Folds the counters of one more solve of the same mode in.
@@ -75,8 +67,6 @@ macro_rules! solver_counters {
             }
         }
     };
-    (@required required) => { true };
-    (@required optional) => { false };
     (@attempt summed, $total:expr, $value:expr) => { $total += $value };
     (@attempt $shape:ident, $total:expr, $value:expr) => { $total = $value };
     (@mode widest, $total:expr, $value:expr) => { $total = $total.max($value) };
@@ -85,42 +75,42 @@ macro_rules! solver_counters {
 
 solver_counters! {
     /// Branch-and-bound nodes explored (0 for pure LP solves).
-    nodes_explored: "milp_nodes", required, summed;
+    nodes_explored: "milp_nodes", summed;
     /// Simplex pivots across all LP solves.
-    simplex_iterations: "simplex_iterations", required, summed;
+    simplex_iterations: "simplex_iterations", summed;
     /// Constraint rows removed by the LP presolve (0 when presolve is off).
-    presolve_rows_removed: "presolve_rows_removed", optional, of_last_attempt;
+    presolve_rows_removed: "presolve_rows_removed", of_last_attempt;
     /// Structural columns eliminated by the LP presolve (0 when presolve is
     /// off).
-    presolve_cols_removed: "presolve_cols_removed", optional, of_last_attempt;
+    presolve_cols_removed: "presolve_cols_removed", of_last_attempt;
     /// Devex reference-framework resets across all LP solves.
-    devex_resets: "devex_resets", optional, summed;
+    devex_resets: "devex_resets", summed;
     /// Partial-pricing segment size of the root LP solve (columns scanned per
     /// pricing chunk).
-    candidate_list_size: "candidate_list_size", optional, widest;
+    candidate_list_size: "candidate_list_size", widest;
     /// Cutting planes accepted into the root LP across all separation rounds
     /// (0 when [`crate::SolveParams::cuts`] is off or the root is integral).
-    cuts_added: "cuts_added", optional, summed;
+    cuts_added: "cuts_added", summed;
     /// Root separation rounds that added at least one cut.
-    cut_rounds: "cut_rounds", optional, summed;
+    cut_rounds: "cut_rounds", summed;
     /// Branching decisions taken from pseudocost averages alone (0 when
     /// [`crate::SolveParams::pseudocost`] is off).
-    pseudocost_branchings: "pseudocost_branchings", optional, summed;
+    pseudocost_branchings: "pseudocost_branchings", summed;
     /// Always 0: the solver no longer runs strong-branching probes. Kept on
     /// the wire only because the repo benchmark
     /// (`benchmark/src/service_lap.rs`) reads it; it goes when that
     /// benchmark next changes.
-    strong_branch_probes: "strong_branch_probes", optional, summed;
+    strong_branch_probes: "strong_branch_probes", summed;
     /// Always 0: the solver no longer runs a feasibility pump. Kept for the
     /// same reason as `strong_branch_probes`.
-    pump_incumbents: "pump_incumbents", optional, summed;
+    pump_incumbents: "pump_incumbents", summed;
     /// From-scratch LU factorizations of a basis, across the LP solves that
     /// returned and the Gomory separator. A node LP that restores the factor
     /// state its parent's LP ended on (see [`crate::branch_bound`]) counts
     /// none, so this is the counter that moves if the tree's memo stops
     /// being hit; a dual-unbounded verdict certified by its Farkas ray
     /// counts none either.
-    lu_factorizations: "lu_factorizations", optional, summed;
+    lu_factorizations: "lu_factorizations", summed;
 }
 
 /// Result of solving a [`crate::Model`]. The work counters are reached
@@ -237,7 +227,7 @@ mod tests {
         counters.nodes_explored = 3;
         counters.pump_incumbents = 1;
         let fields = counters.fields();
-        let back = SolverCounters::from_fields(|name, _| {
+        let back = SolverCounters::from_fields(|name| {
             fields
                 .iter()
                 .find(|(field, _)| *field == name)
@@ -245,15 +235,7 @@ mod tests {
                 .ok_or(name)
         });
         assert_eq!(back, Ok(counters));
-        // Only the two counters every persisted document has are required.
-        let mut required = Vec::new();
-        let _ = SolverCounters::from_fields(|name, is_required| {
-            if is_required {
-                required.push(name);
-            }
-            Ok::<_, ()>(0)
-        });
-        assert_eq!(required, ["milp_nodes", "simplex_iterations"]);
+        assert_eq!(SolverCounters::FIELDS, names.as_slice());
     }
 
     #[test]

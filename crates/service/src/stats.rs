@@ -17,13 +17,12 @@ use ttw_core::cache::ScheduleCache;
 /// are read off the [`ScheduleCache`] getter named after `=` at snapshot
 /// time. The table yields both structs, [`ServiceStats::snapshot`],
 /// [`StatsSnapshot::fields`] and the snapshot's wire form (one member per
-/// counter, named like the field; `or default` lets a snapshot written
-/// before the counter existed decode it as 0), so a counter is added or
-/// removed in one line.
+/// counter, named like the field, every one required), so a counter is added
+/// or removed in one line.
 macro_rules! service_counters {
     (
         live { $( $(#[$live_doc:meta])* $live:ident, )* }
-        cache { $( $(#[$cache_doc:meta])* $cached:ident = $getter:ident $(or $rule:ident)?, )* }
+        cache { $( $(#[$cache_doc:meta])* $cached:ident = $getter:ident, )* }
     ) => {
         /// Live request-path counters. All loads/stores are relaxed: the
         /// counters are monotonic telemetry, never control flow.
@@ -61,7 +60,7 @@ macro_rules! service_counters {
             }
         }
 
-        ttw_core::json_object!(StatsSnapshot as "stats" { $($live,)* $($cached $(or $rule)?,)* });
+        ttw_core::json_object!(StatsSnapshot as "stats" { $($live,)* $($cached,)* });
     };
 }
 
@@ -104,7 +103,7 @@ service_counters! {
         cache_resident = resident,
         /// Memory hits served from a recorded request payload, without
         /// decoding the request (each is also one of `cache_mem_hits`).
-        repeat_hits = repeat_hits or default,
+        repeat_hits = repeat_hits,
     }
 }
 
@@ -174,17 +173,11 @@ mod tests {
         assert_eq!(StatsSnapshot::from_value(&value), Ok(snapshot));
         assert!(snapshot.reconciles());
 
-        // A snapshot from before `repeat_hits` existed reads it as 0.
-        let mut older = value.as_object().expect("an object").clone();
-        older.remove("repeat_hits");
-        let older = StatsSnapshot::from_value(&ttw_core::json::Value::Object(older));
-        assert_eq!(
-            older,
-            Ok(StatsSnapshot {
-                repeat_hits: 0,
-                ..snapshot
-            })
-        );
+        // Every counter is required: a snapshot without one is malformed.
+        let mut partial = value.as_object().expect("an object").clone();
+        partial.remove("repeat_hits");
+        let partial = StatsSnapshot::from_value(&ttw_core::json::Value::Object(partial));
+        assert!(partial.is_err(), "{partial:?}");
     }
 
     #[test]
