@@ -368,6 +368,22 @@ mod tests {
         assert_eq!(unreachable.len(), 1);
     }
 
+    /// Rooted at `emergency`, the diamond reaches `normal` and `maintenance`
+    /// through switch edges but never `boot`, which only switches out.
+    #[test]
+    fn only_modes_no_switch_path_reaches_are_flagged_unreachable() {
+        let (sys, graph, [boot, normal, emergency, maintenance]) = fixtures::four_mode_diamond();
+        let graph = graph.with_root(emergency).unwrap();
+        assert_eq!(graph.reachable(), [emergency, normal, maintenance]);
+        let report = analyze_system(&sys, &graph, &config());
+        let unreachable: Vec<_> = report
+            .warnings()
+            .filter(|d| d.code == "mode-unreachable")
+            .map(|d| d.mode)
+            .collect();
+        assert_eq!(unreachable, [Some(boot)]);
+    }
+
     #[test]
     fn multi_donor_inheritance_is_flagged() {
         // Mode m2 runs both apps; `a` is first scheduled in m0 and `b` in m1,

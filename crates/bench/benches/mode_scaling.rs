@@ -121,10 +121,7 @@ fn main() {
             let m = measure(shape, n);
             eprintln!(
                 "{:<10} {:>5} {:>10.3} s {:>10}",
-                m.shape,
-                m.num_modes,
-                m.seconds,
-                m.totals.simplex_iterations,
+                m.shape, m.num_modes, m.seconds, m.totals.simplex_iterations,
             );
             scenarios = scenarios.section(
                 &format!("{}_n{}", m.shape, m.num_modes),

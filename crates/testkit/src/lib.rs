@@ -819,7 +819,7 @@ mod tests {
     fn layered_shape_inherits_only_from_earlier_layers() {
         // Layers {M0}, {M1, M2}, {M3, M4}, {M5, M6}.
         let config = GeneratorConfig::small(7, GraphShape::LayeredDag { width: 2 });
-        let layer = |mode: usize| (mode + 1) / 2;
+        let layer = |mode: usize| mode.div_ceil(2);
         for (mode, donors) in donors(&generate(&config, 9)).iter().enumerate().skip(1) {
             assert!(
                 donors.iter().any(|&d| layer(d) + 1 == layer(mode)),
