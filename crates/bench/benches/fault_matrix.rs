@@ -17,125 +17,13 @@
 //!   million) — all integers, so the file repeats byte for byte and the CI
 //!   perf-regression job can diff it against the committed copy.
 
+use ttw_bench::fault_matrix::{build_fixture, run_cell, Fixture, RESYNC_MAX_MISSES};
 use ttw_bench::Report;
-use ttw_core::synthesis::{synthesize_system, IlpSynthesizer};
-use ttw_core::{ModeId, System, SystemSchedule};
-use ttw_netsim::rng::SplitMix64;
-use ttw_runtime::{BeaconLossPolicy, Simulation, SimulationConfig};
-use ttw_testkit::{generate, generate_fault_plan, FaultKind, GeneratorConfig, GraphShape};
+use ttw_runtime::{BeaconLossPolicy, Simulation};
+use ttw_testkit::{FaultKind, GraphShape};
 
-/// Hyperperiods per scenario, with one mode-change request at every
-/// hyperperiod boundary (the same storm the `fault_matrix` integration test
-/// drives).
-const STORM_HYPERPERIODS: usize = 8;
-/// Miss budget of the benched `Resync` policy.
-const RESYNC_MAX_MISSES: u32 = 2;
-/// Fault-free per-link loss floor of every run.
-const BASE_LINK_LOSS: f64 = 0.05;
 /// Fault-plan seeds swept per fault kind and fixture.
 const FAULT_SEEDS: u64 = 10;
-
-struct Fixture {
-    system: System,
-    schedule: SystemSchedule,
-    modes: Vec<ModeId>,
-}
-
-/// `true` if the two benched modes ever disagree on a slot initiator at the
-/// same round/slot position — the precondition for a stale `LegacyTransmit`
-/// node to collide at all (see `tests/fault_matrix.rs`).
-fn modes_diverge(system: &System, schedule: &SystemSchedule) -> bool {
-    let v = schedule.to_vec();
-    let (a, b) = (&v[0].rounds, &v[1].rounds);
-    if a.is_empty() || b.is_empty() {
-        return false;
-    }
-    let gcd = |mut x: usize, mut y: usize| {
-        while y != 0 {
-            (x, y) = (y, x % y);
-        }
-        x
-    };
-    let lcm = a.len() / gcd(a.len(), b.len()) * b.len();
-    (0..lcm).any(|p| {
-        let (ra, rb) = (&a[p % a.len()], &b[p % b.len()]);
-        (0..ra.slots.len().min(rb.slots.len())).any(|s| {
-            system.message(ra.slots[s]).source_node != system.message(rb.slots[s]).source_node
-        })
-    })
-}
-
-fn build_fixture(shape: GraphShape) -> Fixture {
-    for seed in 0..32 {
-        let scenario = generate(&GeneratorConfig::small(2, shape), seed);
-        let modes = scenario.modes();
-        if modes.len() < 2 {
-            continue;
-        }
-        let result = synthesize_system(
-            &scenario.system,
-            &scenario.graph,
-            &scenario.scheduler_config(),
-            &IlpSynthesizer,
-        );
-        if let Ok(schedule) = result {
-            if !modes_diverge(&scenario.system, &schedule) {
-                continue;
-            }
-            return Fixture {
-                system: scenario.system,
-                schedule,
-                modes,
-            };
-        }
-    }
-    panic!("no feasible divergent {shape:?} scenario within 32 seeds");
-}
-
-fn build_sim(
-    fixture: &Fixture,
-    policy: BeaconLossPolicy,
-    plan: Option<ttw_netsim::FaultPlan>,
-) -> Simulation {
-    let config = SimulationConfig {
-        link_loss: BASE_LINK_LOSS,
-        seed: 11,
-        policy,
-        faults: plan,
-        ..SimulationConfig::default()
-    };
-    Simulation::with_clustered_topology(
-        &fixture.system,
-        &fixture.schedule.to_vec(),
-        fixture.modes[0],
-        4,
-        config,
-    )
-    .expect("fault-matrix simulation builds")
-}
-
-fn run_storm(sim: &mut Simulation, fixture: &Fixture, storm_seed: u64) {
-    let mut rng = SplitMix64::new(storm_seed ^ 0x73746f726d);
-    for _ in 0..STORM_HYPERPERIODS {
-        let target = fixture.modes[rng.next_u64() as usize % fixture.modes.len()];
-        sim.request_mode_change(target).expect("known mode");
-        sim.run_hyperperiods(1);
-    }
-}
-
-fn run_cell(
-    fixture: &Fixture,
-    kind: FaultKind,
-    fault_seed: u64,
-    policy: BeaconLossPolicy,
-) -> Simulation {
-    let probe = build_sim(fixture, policy, None);
-    let horizon = probe.rounds_per_hyperperiod() * STORM_HYPERPERIODS;
-    let plan = generate_fault_plan(kind, fixture.system.num_nodes(), horizon, fault_seed);
-    let mut sim = build_sim(fixture, policy, Some(plan));
-    run_storm(&mut sim, fixture, fault_seed);
-    sim
-}
 
 /// Per-policy aggregates over one fault kind's (shape × seed) sweep.
 #[derive(Default)]
@@ -190,7 +78,8 @@ fn sweep_kind(fixtures: &[Fixture], kind: FaultKind, policy: BeaconLossPolicy) -
     let mut agg = PolicyAggregate::default();
     for fixture in fixtures {
         for fault_seed in 0..FAULT_SEEDS {
-            let sim = run_cell(fixture, kind, fault_seed, policy);
+            let sim = run_cell(fixture, kind, fault_seed, policy)
+                .expect("a fault-matrix cell builds and runs");
             agg.absorb(&sim);
         }
     }
@@ -225,10 +114,8 @@ fn kind_report(
 }
 
 fn main() {
-    let fixtures = [
-        build_fixture(GraphShape::Chain),
-        build_fixture(GraphShape::Diamond),
-    ];
+    let fixtures = [GraphShape::Chain, GraphShape::Diamond]
+        .map(|shape| build_fixture(shape).expect("a feasible divergent scenario within 32 seeds"));
 
     eprintln!("\n=== Fault matrix: safety and recovery per fault kind ===");
     eprintln!(

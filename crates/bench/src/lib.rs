@@ -13,6 +13,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod fault_matrix;
+
 use std::time::Instant;
 use ttw_core::json::{Json, JsonObject, Object, Value};
 

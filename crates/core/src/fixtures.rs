@@ -309,8 +309,14 @@ mod tests {
         let (sys, graph, normal, emergency) = two_mode_graph();
         assert_eq!(graph.num_modes(), 2);
         assert_eq!(graph.root(), normal);
-        assert_eq!(graph.successors(normal), vec![emergency]);
-        assert_eq!(graph.successors(emergency), vec![normal]);
+        assert_eq!(
+            graph.successors(normal).collect::<Vec<_>>(),
+            vec![emergency]
+        );
+        assert_eq!(
+            graph.successors(emergency).collect::<Vec<_>>(),
+            vec![normal]
+        );
         assert_eq!(sys.shared_applications(normal, emergency).len(), 1);
     }
 

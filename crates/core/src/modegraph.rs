@@ -169,13 +169,12 @@ impl ModeGraph {
         self.edges.iter().copied()
     }
 
-    /// Modes directly reachable from `mode`, in id order.
-    pub fn successors(&self, mode: ModeId) -> Vec<ModeId> {
+    /// Modes directly reachable from `mode`, in id order: the edges out of
+    /// `mode` are one contiguous range of the ordered edge set.
+    pub fn successors(&self, mode: ModeId) -> impl Iterator<Item = ModeId> + '_ {
         self.edges
-            .iter()
-            .filter(|(from, _)| *from == mode)
+            .range((mode, ModeId::from_index(0))..=(mode, ModeId::from_index(usize::MAX)))
             .map(|&(_, to)| to)
-            .collect()
     }
 
     /// The modes reachable from the root over switch edges, breadth-first
@@ -313,8 +312,46 @@ mod tests {
         let (sys, normal, emergency) = fixtures::two_mode_system();
         let graph = ModeGraph::complete(&sys);
         assert_eq!(graph.num_modes(), 2);
-        assert_eq!(graph.successors(normal), vec![emergency]);
-        assert_eq!(graph.successors(emergency), vec![normal]);
+        assert_eq!(
+            graph.successors(normal).collect::<Vec<_>>(),
+            vec![emergency]
+        );
+        assert_eq!(
+            graph.successors(emergency).collect::<Vec<_>>(),
+            vec![normal]
+        );
+    }
+
+    #[test]
+    fn successors_are_the_edges_out_of_a_mode_in_id_order() {
+        let mut state = 0x6d6f_6465_u64;
+        let mut next = |bound: usize| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (state >> 33) as usize % bound
+        };
+        for _ in 0..100 {
+            let modes = 1 + next(12);
+            let edges: Vec<(ModeId, ModeId)> = (0..next(40))
+                .map(|_| {
+                    (
+                        ModeId::from_index(next(modes)),
+                        ModeId::from_index(next(modes)),
+                    )
+                })
+                .collect();
+            let graph = ModeGraph::from_parts(modes, ModeId::from_index(0), edges)
+                .expect("every endpoint is a mode");
+            for m in (0..modes).map(ModeId::from_index) {
+                let scanned: Vec<ModeId> = graph
+                    .edges()
+                    .filter(|&(from, _)| from == m)
+                    .map(|(_, to)| to)
+                    .collect();
+                assert_eq!(graph.successors(m).collect::<Vec<_>>(), scanned);
+            }
+        }
     }
 
     #[test]

@@ -66,7 +66,11 @@ pub struct BeaconCorruption {
     /// Per-(round, node) probability that a received beacon arrives corrupted.
     pub probability: f64,
     /// `(round, node)` pairs corrupted unconditionally — for deterministic
-    /// repros independent of the sampled stream.
+    /// repros independent of the sampled stream; rounds count executed rounds
+    /// from 0. A delivered forced beacon fails its checksum (and counts as
+    /// corrupted) and a lost one is a miss anyway, so this makes targeted
+    /// scenarios (e.g. "the actuator misses exactly the mode-change trigger
+    /// beacon") deterministic and reproducible.
     pub forced: Vec<(usize, usize)>,
 }
 

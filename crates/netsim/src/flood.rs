@@ -5,19 +5,21 @@
 //! following slots, up to `N` times per node. Concurrent transmissions of the
 //! same packet interfere constructively, so a node receives the packet in a
 //! slot if *any* of its transmitting neighbours reaches it. The flood lasts
-//! `H + 2N − 1` slots (Eq. 14 of the paper), after which (almost) every node
-//! has received and forwarded the packet.
+//! `H + 2N − 1` slots (Eq. 14 of the paper,
+//! [`ttw_timing::flood::flood_steps`]), after which (almost) every node has
+//! received and forwarded the packet.
 
 use crate::link::LinkModel;
 use crate::topology::Topology;
+use ttw_timing::flood::flood_steps;
 
 /// Parameters of a single flood.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FloodConfig {
     /// Number of times each node transmits the packet (`N`, the paper uses 2).
     pub retransmissions: usize,
-    /// Number of protocol slots to simulate; `None` uses `H + 2N − 1` with `H`
-    /// the topology diameter.
+    /// Number of protocol slots to simulate; `None` uses `H + 2N − 1`
+    /// ([`flood_steps`]) with `H` the topology diameter, at least 1.
     pub max_slots: Option<usize>,
 }
 
@@ -80,10 +82,9 @@ pub fn simulate_flood(
     assert!(config.retransmissions >= 1, "N must be at least 1");
 
     let n = topology.num_nodes();
-    let h = topology.diameter().max(1);
     let slots = config
         .max_slots
-        .unwrap_or(h + 2 * config.retransmissions - 1);
+        .unwrap_or_else(|| flood_steps(topology.diameter().max(1), config.retransmissions));
 
     let mut received = vec![false; n];
     let mut first_reception = vec![None; n];
@@ -237,6 +238,41 @@ mod tests {
         };
         let reliability = estimate_flood_reliability(&topo, &mut links, 0, &cfg, 500);
         assert!(reliability > 0.98, "flood reliability {reliability}");
+    }
+
+    #[test]
+    fn default_flood_lasts_eq_14_steps() {
+        let shapes = [
+            Topology::line(2),
+            Topology::line(6),
+            Topology::ring(7),
+            Topology::star(5),
+            Topology::grid(3, 4),
+            Topology::clustered_line(4, 3),
+        ];
+        for topo in &shapes {
+            for retransmissions in 1..=3 {
+                let config = FloodConfig {
+                    retransmissions,
+                    max_slots: None,
+                };
+                let mut links = LinkModel::perfect();
+                let out = simulate_flood(topo, &mut links, 0, &config);
+                assert_eq!(
+                    out.slots,
+                    flood_steps(topo.diameter(), retransmissions),
+                    "{topo:?}, N = {retransmissions}"
+                );
+            }
+        }
+        // A single node has diameter 0; its flood counts `H` as 1.
+        let out = simulate_flood(
+            &Topology::line(1),
+            &mut LinkModel::perfect(),
+            0,
+            &FloodConfig::default(),
+        );
+        assert_eq!(out.slots, flood_steps(1, 2));
     }
 
     #[test]

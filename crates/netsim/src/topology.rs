@@ -5,11 +5,13 @@ use std::collections::VecDeque;
 /// An undirected connectivity graph over `num_nodes` nodes (indices `0..n`).
 ///
 /// Node `0` conventionally hosts the TTW host (the LWB/TTW host is just
-/// another node of the network).
+/// another node of the network). A topology never changes after it is built,
+/// so its diameter is measured once, by [`Topology::from_edges`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Topology {
     num_nodes: usize,
     adjacency: Vec<Vec<usize>>,
+    diameter: usize,
 }
 
 impl Topology {
@@ -31,10 +33,17 @@ impl Topology {
         for list in &mut adjacency {
             list.sort_unstable();
         }
-        Topology {
+        let mut topology = Topology {
             num_nodes,
             adjacency,
-        }
+            diameter: 0,
+        };
+        topology.diameter = (0..num_nodes)
+            .flat_map(|v| topology.hop_distances(v))
+            .filter(|&d| d != usize::MAX)
+            .max()
+            .unwrap_or(0);
+        topology
     }
 
     /// A line (chain) of `n` nodes: `0 – 1 – … – n−1`. Diameter `n − 1`.
@@ -144,15 +153,7 @@ impl Topology {
     ///
     /// Returns 0 for a single-node network.
     pub fn diameter(&self) -> usize {
-        let mut best = 0;
-        for v in 0..self.num_nodes {
-            for (w, &d) in self.hop_distances(v).iter().enumerate() {
-                if w != v && d != usize::MAX {
-                    best = best.max(d);
-                }
-            }
-        }
-        best
+        self.diameter
     }
 
     /// Returns `true` if every node can reach every other node.
@@ -167,6 +168,65 @@ impl Topology {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rng::SplitMix64;
+
+    /// The largest finite hop distance, by a breadth-first search from every
+    /// node over `neighbors` — the measurement `from_edges` stores.
+    fn brute_force_diameter(t: &Topology) -> usize {
+        let mut best = 0;
+        for source in 0..t.num_nodes() {
+            let mut dist: Vec<Option<usize>> = vec![None; t.num_nodes()];
+            dist[source] = Some(0);
+            let mut queue = VecDeque::from([source]);
+            while let Some(v) = queue.pop_front() {
+                for &w in t.neighbors(v) {
+                    if dist[w].is_none() {
+                        let d = dist[v].expect("a queued node has a distance") + 1;
+                        best = best.max(d);
+                        dist[w] = Some(d);
+                        queue.push_back(w);
+                    }
+                }
+            }
+        }
+        best
+    }
+
+    #[test]
+    fn stored_diameter_equals_an_all_pairs_search() {
+        let mut shapes = Vec::new();
+        for n in 1usize..12 {
+            shapes.push(Topology::line(n));
+            shapes.push(Topology::grid(n, 3));
+            if n >= 2 {
+                shapes.push(Topology::star(n));
+            }
+            if n >= 3 {
+                shapes.push(Topology::ring(n));
+            }
+        }
+        for h in 1..6 {
+            for size in 1..4 {
+                shapes.push(Topology::clustered_line(h, size));
+            }
+        }
+        let mut rng = SplitMix64::new(0x746f_706f);
+        for _ in 0..200 {
+            let n = 1 + (rng.next_u64() % 16) as usize;
+            let edges: Vec<(usize, usize)> = (0..rng.next_u64() % 24)
+                .map(|_| {
+                    let a = (rng.next_u64() % n as u64) as usize;
+                    (a, (a + 1 + (rng.next_u64() % n as u64) as usize) % n)
+                })
+                .filter(|&(a, b)| a != b)
+                .collect();
+            shapes.push(Topology::from_edges(n, &edges));
+        }
+        for t in &shapes {
+            assert_eq!(t.diameter(), brute_force_diameter(t), "{t:?}");
+        }
+        assert!(shapes.iter().any(|t| !t.is_connected()));
+    }
 
     #[test]
     fn line_topology_properties() {

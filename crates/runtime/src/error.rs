@@ -39,16 +39,6 @@ pub enum RuntimeError {
         /// The requested mode.
         mode: ModeId,
     },
-    /// A forced beacon miss in
-    /// [`crate::SimulationConfig::forced_beacon_misses`] names a node index
-    /// the system does not have — it would silently never fire, so the
-    /// simulation refuses to build.
-    ForcedMissOutOfRange {
-        /// The offending system node index.
-        node: usize,
-        /// Number of nodes in the system.
-        nodes: usize,
-    },
     /// The configured [`ttw_netsim::FaultPlan`] is inconsistent with the
     /// system (out-of-range node, empty window, invalid probability, …).
     InvalidFaultPlan {
@@ -94,10 +84,6 @@ impl fmt::Display for RuntimeError {
             RuntimeError::UnknownMode { mode } => {
                 write!(f, "mode {mode} is not known to the runtime")
             }
-            RuntimeError::ForcedMissOutOfRange { node, nodes } => write!(
-                f,
-                "forced beacon miss names node {node} but the system has {nodes} nodes"
-            ),
             RuntimeError::InvalidFaultPlan { reason } => {
                 write!(f, "invalid fault plan: {reason}")
             }

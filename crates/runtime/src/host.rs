@@ -104,12 +104,25 @@ impl Host {
     /// Emits the next round: its absolute start time, the beacon to flood and
     /// the slot assignments to execute. Advances the host state, completing a
     /// pending mode change when the trigger round has been emitted.
-    pub fn next_round(&mut self) -> (HostRound, RoundEntry) {
+    ///
+    /// With `host_up` false the host is crashed for this round: the round
+    /// clock advances but no beacon is flooded. The schedule is a global time
+    /// base, so rounds keep their absolute start times and the host resumes
+    /// on-grid after a restart. A pending mode change deliberately survives
+    /// the crash un-completed: phase 1 of Fig. 2 cannot progress while no
+    /// beacons are flooded (the trigger bit was never distributed), so after
+    /// the restart the host re-announces the in-flight change and the switch
+    /// happens at the end of a *later* hyperperiod. The returned
+    /// [`HostRound`] still describes the round slot layout the schedule
+    /// reserves (callers need it for time accounting and to know which slots
+    /// desynchronized legacy nodes might fire into); its beacon is the one
+    /// the host *would* have sent with no change in progress.
+    pub fn next_round(&mut self, host_up: bool) -> (HostRound, RoundEntry) {
         let table = &self.tables[&self.current_mode];
         let round = table.rounds[self.next_index].clone();
         let is_last_of_hyperperiod = self.next_index + 1 == table.rounds.len();
 
-        let (announced_mode, trigger) = match self.pending_change {
+        let (announced_mode, trigger) = match self.pending_change.filter(|_| host_up) {
             Some(target) => {
                 let target_id = self.tables[&target].mode_id;
                 (target_id, is_last_of_hyperperiod)
@@ -136,51 +149,6 @@ impl Host {
             if trigger {
                 self.current_mode = self.pending_change.take().expect("trigger implies pending");
             }
-        } else {
-            self.next_index += 1;
-        }
-
-        (host_round, round)
-    }
-
-    /// Advances the round clock *without* emitting a beacon — the host is
-    /// crashed for this round.
-    ///
-    /// The schedule is a global time base, so rounds keep their absolute
-    /// start times and the host resumes on-grid after a restart. A pending
-    /// mode change deliberately survives the crash un-completed: phase 1 of
-    /// Fig. 2 cannot progress while no beacons are flooded (the trigger bit
-    /// was never distributed), so after the restart the host re-announces the
-    /// in-flight change and the switch happens at the end of a *later*
-    /// hyperperiod.
-    ///
-    /// The returned [`HostRound`] describes the round slot layout the
-    /// schedule reserves for this round (callers need it for time accounting
-    /// and to know which slots desynchronized legacy nodes might fire into);
-    /// its beacon is the one the host *would* have sent with no change in
-    /// progress, and is never flooded.
-    pub fn skip_round(&mut self) -> (HostRound, RoundEntry) {
-        let table = &self.tables[&self.current_mode];
-        let round = table.rounds[self.next_index].clone();
-        let is_last_of_hyperperiod = self.next_index + 1 == table.rounds.len();
-
-        let beacon = Beacon {
-            round_id: round.round_id,
-            mode_id: table.mode_id,
-            trigger: false,
-        };
-        let host_round = HostRound {
-            start: self.hyperperiod_start + round.start,
-            mode: self.current_mode,
-            index: self.next_index,
-            beacon,
-            switches_after: false,
-        };
-
-        // Advance the clock but never complete a pending change.
-        if is_last_of_hyperperiod {
-            self.hyperperiod_start += table.hyperperiod;
-            self.next_index = 0;
         } else {
             self.next_index += 1;
         }
@@ -214,7 +182,7 @@ mod tests {
         let per_hyperperiod = host.current_table().rounds.len();
         let mut last_start = 0;
         for i in 0..3 * per_hyperperiod {
-            let (round, entry) = host.next_round();
+            let (round, entry) = host.next_round(true);
             assert_eq!(round.mode, normal);
             assert_eq!(round.index, i % per_hyperperiod);
             assert!(round.start >= last_start);
@@ -241,7 +209,7 @@ mod tests {
     fn mode_change_follows_fig2_two_phases() {
         let (mut host, normal, emergency) = two_mode_host();
         // Execute the first round of the normal mode, then request the change.
-        let (first, _) = host.next_round();
+        let (first, _) = host.next_round(true);
         assert!(!first.beacon.trigger);
         host.request_mode_change(emergency).expect("known mode");
         assert!(host.change_in_progress());
@@ -251,7 +219,7 @@ mod tests {
         let per_hyperperiod = host.table(normal).expect("table").rounds.len();
         let emergency_id = host.table(emergency).expect("table").mode_id;
         for i in 1..per_hyperperiod {
-            let (round, _) = host.next_round();
+            let (round, _) = host.next_round(true);
             assert_eq!(round.mode, normal, "old mode keeps executing in phase 1");
             assert_eq!(
                 round.beacon.mode_id, emergency_id,
@@ -263,7 +231,7 @@ mod tests {
         }
 
         // After the trigger round the emergency mode executes.
-        let (round, _) = host.next_round();
+        let (round, _) = host.next_round(true);
         assert_eq!(round.mode, emergency);
         assert_eq!(host.current_mode(), emergency);
         assert!(!host.change_in_progress());
@@ -285,7 +253,7 @@ mod tests {
         // The host crashes for more than a full hyperperiod, covering the
         // round that would have carried the trigger bit.
         for _ in 0..per_hyperperiod + 1 {
-            let (round, _) = host.skip_round();
+            let (round, _) = host.next_round(false);
             assert_eq!(round.mode, normal, "no switch can complete while down");
             assert!(!round.beacon.trigger);
             assert!(!round.switches_after);
@@ -300,29 +268,32 @@ mod tests {
         // end of the current hyperperiod.
         let emergency_id = host.table(emergency).expect("table").mode_id;
         for i in 1..per_hyperperiod {
-            let (round, _) = host.next_round();
+            let (round, _) = host.next_round(true);
             assert_eq!(round.beacon.mode_id, emergency_id, "re-announced");
             assert_eq!(round.beacon.trigger, i + 1 == per_hyperperiod);
         }
-        let (round, _) = host.next_round();
+        let (round, _) = host.next_round(true);
         assert_eq!(round.mode, emergency, "switch completes after restart");
         assert!(!host.change_in_progress());
     }
 
     #[test]
-    fn skip_round_keeps_the_round_clock_on_grid() {
+    fn a_crashed_round_keeps_the_round_clock_on_grid() {
         let (mut host, _, _) = two_mode_host();
         let mut reference = host.clone();
         // Crash for three rounds: start times and indices must match the
         // uncrashed host exactly afterwards.
         for _ in 0..3 {
-            let (skipped, _) = host.skip_round();
-            let (emitted, _) = reference.next_round();
+            let (skipped, _) = host.next_round(false);
+            let (emitted, _) = reference.next_round(true);
             assert_eq!(skipped.start, emitted.start);
             assert_eq!(skipped.index, emitted.index);
             assert_eq!(skipped.beacon.round_id, emitted.beacon.round_id);
         }
-        assert_eq!(host.next_round().0.start, reference.next_round().0.start);
+        assert_eq!(
+            host.next_round(true).0.start,
+            reference.next_round(true).0.start
+        );
     }
 
     #[test]
@@ -331,10 +302,10 @@ mod tests {
         let hyper = host.current_table().hyperperiod;
         let per_hyperperiod = host.current_table().rounds.len();
         let first_pass: Vec<u64> = (0..per_hyperperiod)
-            .map(|_| host.next_round().0.start)
+            .map(|_| host.next_round(true).0.start)
             .collect();
         let second_pass: Vec<u64> = (0..per_hyperperiod)
-            .map(|_| host.next_round().0.start)
+            .map(|_| host.next_round(true).0.start)
             .collect();
         for (a, b) in first_pass.iter().zip(&second_pass) {
             assert_eq!(b - a, hyper);

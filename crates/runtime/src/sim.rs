@@ -46,13 +46,6 @@ pub struct SimulationConfig {
     pub retransmissions: usize,
     /// Radio constants used for energy accounting.
     pub constants: GlossyConstants,
-    /// Failure injection: `(round sequence number, system node index)` pairs
-    /// for which the beacon is forcibly dropped at that node, regardless of
-    /// the channel. Round sequence numbers count executed rounds from 0.
-    ///
-    /// This makes targeted scenarios (e.g. "the actuator misses exactly the
-    /// mode-change trigger beacon") deterministic and reproducible.
-    pub forced_beacon_misses: Vec<(usize, usize)>,
     /// Declarative fault injection: burst loss, partitions, clock drift,
     /// beacon corruption and host crash windows (see
     /// [`ttw_netsim::faults`]). `None` — and a vacuous plan — leave the
@@ -69,7 +62,6 @@ impl Default for SimulationConfig {
             policy: BeaconLossPolicy::SkipRound,
             retransmissions: 2,
             constants: GlossyConstants::table1(),
-            forced_beacon_misses: Vec::new(),
             faults: None,
         }
     }
@@ -139,14 +131,6 @@ impl Simulation {
             }
         }
 
-        for &(_, node) in &config.forced_beacon_misses {
-            if node >= system.num_nodes() {
-                return Err(RuntimeError::ForcedMissOutOfRange {
-                    node,
-                    nodes: system.num_nodes(),
-                });
-            }
-        }
         if let Some(plan) = &config.faults {
             plan.validate(system.num_nodes())
                 .map_err(|reason| RuntimeError::InvalidFaultPlan { reason })?;
@@ -312,12 +296,10 @@ impl Simulation {
             self.apply_partition(sequence);
         }
 
-        let (host_round, entry) = if crashed {
+        if crashed {
             self.stats.host_crash_rounds += 1;
-            self.host.skip_round()
-        } else {
-            self.host.next_round()
-        };
+        }
+        let (host_round, entry) = self.host.next_round(!crashed);
         self.stats.rounds_executed += 1;
         if host_round.switches_after {
             self.stats.mode_changes += 1;
@@ -351,7 +333,6 @@ impl Simulation {
         let mut ghost_beliefs: Vec<Option<RoundBelief>> = vec![None; n];
         for i in 0..n {
             let topo_idx = self.placement.nodes[i];
-            let forced_miss = self.config.forced_beacon_misses.contains(&(sequence, i));
             // A desynchronized node listens continuously, so slot alignment
             // is irrelevant to it; a synchronized node whose clock drifted
             // past the tolerance can no longer hit the beacon slot.
@@ -364,7 +345,7 @@ impl Simulation {
                 .as_ref()
                 .is_some_and(|outcome| outcome.received[topo_idx]);
             let mut decoded = None;
-            if channel_ok && !forced_miss && aligned {
+            if channel_ok && aligned {
                 // Receptions go through the real wire format so the checksum
                 // is load-bearing: a corrupted frame is detected, counted,
                 // and treated as a miss.
@@ -562,6 +543,7 @@ mod tests {
     use ttw_core::synthesis::IlpSynthesizer;
     use ttw_core::time::millis;
     use ttw_core::{fixtures, synthesis, ModeGraph, ScheduledRound, SchedulerConfig};
+    use ttw_netsim::faults::BeaconCorruption;
 
     fn schedules(system: &System) -> (Vec<ModeSchedule>, ModeId, ModeId) {
         // The inherited pipeline keeps the shared control application
@@ -651,7 +633,13 @@ mod tests {
             // first emergency round is sequence 4. sensor1 misses both.
             let config = SimulationConfig {
                 policy,
-                forced_beacon_misses: vec![(3, sensor1), (4, sensor1)],
+                faults: Some(FaultPlan {
+                    beacon_corruption: Some(BeaconCorruption {
+                        probability: 0.0,
+                        forced: vec![(3, sensor1), (4, sensor1)],
+                    }),
+                    ..FaultPlan::none()
+                }),
                 ..SimulationConfig::default()
             };
             let mut sim = Simulation::with_clustered_topology(&sys, &scheds, normal, 4, config)
@@ -671,6 +659,10 @@ mod tests {
             legacy.collisions >= 1,
             "the out-of-sync legacy node must collide with the new mode's initiator"
         );
+        // The channel is perfect, so it delivers both forced beacons and each
+        // fails its checksum.
+        assert_eq!(safe.beacons_corrupted, 2);
+        assert_eq!(legacy.beacons_corrupted, 2);
     }
 
     #[test]
@@ -749,7 +741,13 @@ mod tests {
         schedule.hyperperiod = 256 * round_duration;
         let sensor = sys.node_id("sensor1").expect("node").index();
         let config = SimulationConfig {
-            forced_beacon_misses: vec![(0, sensor), (254, sensor), (255, sensor)],
+            faults: Some(FaultPlan {
+                beacon_corruption: Some(BeaconCorruption {
+                    probability: 0.0,
+                    forced: vec![(0, sensor), (254, sensor), (255, sensor)],
+                }),
+                ..FaultPlan::none()
+            }),
             ..SimulationConfig::default()
         };
         let mut sim = Simulation::with_clustered_topology(&sys, &[schedule], mode, 4, config)
@@ -758,6 +756,10 @@ mod tests {
         let stats = sim.stats();
         assert_eq!(stats.rounds_executed, 512);
         assert_eq!(stats.beacons_missed, 3);
+        assert_eq!(
+            stats.beacons_corrupted, 3,
+            "the perfect channel delivers all three"
+        );
         assert_eq!(stats.collisions, 0);
     }
 

@@ -6,6 +6,7 @@
 
 use ttw::core::time::millis;
 use ttw::core::{fixtures, synthesis};
+use ttw::netsim::{BeaconCorruption, FaultPlan};
 use ttw::prelude::*;
 
 fn run(
@@ -92,7 +93,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let sensor1 = system.node_id("sensor1").expect("node exists").index();
         let sim_config = SimulationConfig {
             policy,
-            forced_beacon_misses: vec![(3, sensor1), (4, sensor1)],
+            faults: Some(FaultPlan {
+                beacon_corruption: Some(BeaconCorruption {
+                    probability: 0.0,
+                    forced: vec![(3, sensor1), (4, sensor1)],
+                }),
+                ..FaultPlan::none()
+            }),
             ..SimulationConfig::default()
         };
         let mut sim = Simulation::with_clustered_topology(

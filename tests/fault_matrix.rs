@@ -24,20 +24,13 @@
 //! repro string naming the fault kind, shape, seed and policy.
 
 use ttw::core::synthesis::{synthesize_system, IlpSynthesizer};
-use ttw::core::{ModeId, SystemSchedule};
-use ttw::netsim::rng::SplitMix64;
-use ttw::netsim::FaultPlan;
+use ttw::core::ModeId;
+use ttw::netsim::{BeaconCorruption, FaultPlan};
 use ttw::runtime::{BeaconLossPolicy, RuntimeStats, Simulation, SimulationConfig};
-use ttw::testkit::{generate, generate_fault_plan, FaultKind, GeneratorConfig, GraphShape};
-
-/// Hyperperiods executed per scenario (with one mode-change request per
-/// hyperperiod boundary, this is an 8-change storm).
-const STORM_HYPERPERIODS: usize = 8;
-/// Miss budget of the `Resync` policy under test.
-const RESYNC_MAX_MISSES: u32 = 2;
-/// Base (fault-free) per-link loss of every fault run: small enough that the
-/// injected faults dominate, non-zero so the base RNG stream is live.
-const BASE_LINK_LOSS: f64 = 0.05;
+use ttw::testkit::{FaultKind, GraphShape};
+use ttw_bench::fault_matrix::{
+    build_fixture, build_sim, run_cell, run_storm, Fixture, RESYNC_MAX_MISSES,
+};
 
 fn env_usize(name: &str, default: usize) -> usize {
     std::env::var(name)
@@ -58,77 +51,6 @@ fn knobs_overridden() -> bool {
     std::env::var("TTW_TEST_SEEDS").is_ok() || std::env::var("TTW_TEST_SEED_START").is_ok()
 }
 
-/// A synthesized two-mode workload the fault matrix executes.
-struct Fixture {
-    system: ttw::core::System,
-    schedule: SystemSchedule,
-    modes: Vec<ModeId>,
-    shape: GraphShape,
-    scenario_seed: u64,
-}
-
-/// `true` if the first two modes of `schedule` ever disagree on the slot
-/// initiator at the same round/slot position. With inherited synthesis, many
-/// generated mode pairs are prefix-identical (mode 1 = mode 0 plus appended
-/// slots) — under such a pair a stale `LegacyTransmit` node can never collide
-/// with the new mode's owner, so the unsafety half of the matrix would be
-/// vacuous. The sweep only uses scenarios where ownership genuinely diverges.
-fn modes_diverge(system: &ttw::core::System, schedule: &SystemSchedule) -> bool {
-    let v = schedule.to_vec();
-    let (a, b) = (&v[0].rounds, &v[1].rounds);
-    if a.is_empty() || b.is_empty() {
-        return false;
-    }
-    let gcd = |mut x: usize, mut y: usize| {
-        while y != 0 {
-            (x, y) = (y, x % y);
-        }
-        x
-    };
-    let lcm = a.len() / gcd(a.len(), b.len()) * b.len();
-    // A stale node's ghost round position and the live round position advance
-    // in lockstep (one round per round), each cycling its own mode, so the
-    // alignment of interest is exactly `p mod len` on both sides.
-    (0..lcm).any(|p| {
-        let (ra, rb) = (&a[p % a.len()], &b[p % b.len()]);
-        (0..ra.slots.len().min(rb.slots.len())).any(|s| {
-            system.message(ra.slots[s]).source_node != system.message(rb.slots[s]).source_node
-        })
-    })
-}
-
-/// Generates and synthesizes the first feasible scenario of `shape` at or
-/// after `first_seed` whose mode pair has divergent slot ownership
-/// (deterministic; in practice this lands within a few seeds).
-fn build_fixture(shape: GraphShape, first_seed: u64) -> Fixture {
-    for seed in first_seed..first_seed + 32 {
-        let scenario = generate(&GeneratorConfig::small(2, shape), seed);
-        let modes = scenario.modes();
-        if modes.len() < 2 {
-            continue;
-        }
-        let result = synthesize_system(
-            &scenario.system,
-            &scenario.graph,
-            &scenario.scheduler_config(),
-            &IlpSynthesizer,
-        );
-        if let Ok(schedule) = result {
-            if !modes_diverge(&scenario.system, &schedule) {
-                continue;
-            }
-            return Fixture {
-                system: scenario.system,
-                schedule,
-                modes,
-                shape,
-                scenario_seed: seed,
-            };
-        }
-    }
-    panic!("no feasible divergent {shape:?} scenario within 32 seeds of {first_seed}");
-}
-
 /// One cell of the fault matrix.
 struct Cell<'a> {
     fixture: &'a Fixture,
@@ -138,6 +60,13 @@ struct Cell<'a> {
 }
 
 impl Cell<'_> {
+    /// Runs the cell: installs the generated fault plan, runs a mode-change
+    /// storm, returns the finished simulation for inspection.
+    fn run(&self) -> Simulation {
+        run_cell(self.fixture, self.kind, self.fault_seed, self.policy)
+            .unwrap_or_else(|e| panic!("{e} — {}", self.repro()))
+    }
+
     fn repro(&self) -> String {
         format!(
             "kind={} shape={:?} scenario_seed={} fault_seed={} policy={:?} \
@@ -152,78 +81,19 @@ impl Cell<'_> {
     }
 }
 
-/// Executes one cell: installs the generated fault plan, runs a mode-change
-/// storm, returns the finished simulation for inspection.
-fn run_cell(cell: &Cell<'_>) -> Simulation {
-    let fixture = cell.fixture;
-    let mut sim = probe_sim(fixture, cell.policy, None);
-    let horizon = sim.rounds_per_hyperperiod() * STORM_HYPERPERIODS;
-    let plan = generate_fault_plan(
-        cell.kind,
-        fixture.system.num_nodes(),
-        horizon,
-        cell.fault_seed,
-    );
-    let config = SimulationConfig {
-        faults: Some(plan),
-        ..sim_config(cell.policy)
-    };
-    sim = Simulation::with_clustered_topology(
-        &fixture.system,
-        &fixture.schedule.to_vec(),
-        fixture.modes[0],
-        4,
-        config,
-    )
-    .expect("fault-matrix simulation builds");
-    run_storm(&mut sim, fixture, cell.fault_seed);
-    sim
-}
-
-fn sim_config(policy: BeaconLossPolicy) -> SimulationConfig {
-    SimulationConfig {
-        link_loss: BASE_LINK_LOSS,
-        seed: 11,
-        policy,
-        ..SimulationConfig::default()
-    }
-}
-
-/// A simulation of `fixture` with an optional fault plan (used both for the
-/// probe that measures the hyperperiod and for the transparency runs).
+/// A simulation of `fixture` with an optional fault plan, for the runs
+/// outside the matrix's cells.
 fn probe_sim(fixture: &Fixture, policy: BeaconLossPolicy, faults: Option<FaultPlan>) -> Simulation {
-    let config = SimulationConfig {
-        faults,
-        ..sim_config(policy)
-    };
-    Simulation::with_clustered_topology(
-        &fixture.system,
-        &fixture.schedule.to_vec(),
-        fixture.modes[0],
-        4,
-        config,
-    )
-    .expect("simulation builds")
+    build_sim(fixture, policy, faults).expect("simulation builds")
 }
 
-/// Runs the mode-change storm: one (seeded) mode-change request per
-/// hyperperiod boundary.
-fn run_storm(sim: &mut Simulation, fixture: &Fixture, storm_seed: u64) {
-    let mut rng = SplitMix64::new(storm_seed ^ 0x73746f726d);
-    for _ in 0..STORM_HYPERPERIODS {
-        let target = fixture.modes[rng.next_u64() as usize % fixture.modes.len()];
-        // Generated inherited synthesis is switch-consistent, so the
-        // simulation records no conflicting pair and refuses no change.
-        sim.request_mode_change(target).expect("known mode");
-        sim.run_hyperperiods(1);
-    }
+fn fixture(shape: GraphShape) -> Fixture {
+    build_fixture(shape)
+        .unwrap_or_else(|| panic!("no feasible divergent {shape:?} scenario within 32 seeds"))
 }
 
 fn fixtures() -> Vec<Fixture> {
-    vec![
-        build_fixture(GraphShape::Chain, 0),
-        build_fixture(GraphShape::Diamond, 0),
-    ]
+    vec![fixture(GraphShape::Chain), fixture(GraphShape::Diamond)]
 }
 
 /// Safety: zero monitor violations and zero collisions under `SkipRound` and
@@ -253,7 +123,7 @@ fn safe_policies_survive_the_fault_matrix() {
                         fault_seed,
                         policy,
                     };
-                    let sim = run_cell(&cell);
+                    let sim = cell.run();
                     let stats = sim.stats();
                     assert!(
                         sim.safety().is_safe(),
@@ -321,7 +191,7 @@ fn legacy_policy_reproduces_violations_across_the_matrix() {
                     fault_seed,
                     policy: BeaconLossPolicy::LegacyTransmit,
                 };
-                let sim = run_cell(&cell);
+                let sim = cell.run();
                 violations += sim.safety().total_violations();
                 collisions += sim.stats().collisions;
                 assert_eq!(
@@ -370,7 +240,13 @@ fn pinned_legacy_violation_reproduction() {
         let sensor1 = sys.node_id("sensor1").expect("node").index();
         let sim_config = SimulationConfig {
             policy,
-            forced_beacon_misses: vec![(3, sensor1), (4, sensor1)],
+            faults: Some(FaultPlan {
+                beacon_corruption: Some(BeaconCorruption {
+                    probability: 0.0,
+                    forced: vec![(3, sensor1), (4, sensor1)],
+                }),
+                ..FaultPlan::none()
+            }),
             ..SimulationConfig::default()
         };
         let mut sim =
@@ -389,6 +265,9 @@ fn pinned_legacy_violation_reproduction() {
     );
     assert!(legacy_stats.collisions >= 1);
     assert_eq!(legacy_stats.safety_violations, legacy_violations);
+    // The channel is perfect, so it delivers both forced beacons and each
+    // fails its checksum.
+    assert_eq!(legacy_stats.beacons_corrupted, 2);
 
     for policy in [
         BeaconLossPolicy::SkipRound,
@@ -397,6 +276,7 @@ fn pinned_legacy_violation_reproduction() {
         let (violations, stats) = run(policy);
         assert_eq!(violations, 0, "safe policy flagged under {policy:?}");
         assert_eq!(stats.collisions, 0);
+        assert_eq!(stats.beacons_corrupted, 2);
     }
 }
 
@@ -495,9 +375,9 @@ fn vacuous_fault_plan_is_transparent() {
             BeaconLossPolicy::Resync { max_misses: 2 },
         ] {
             let mut without = probe_sim(&fixture, policy, None);
-            run_storm(&mut without, &fixture, 5);
+            run_storm(&mut without, &fixture, 5).expect("known mode");
             let mut with = probe_sim(&fixture, policy, Some(FaultPlan::none()));
-            run_storm(&mut with, &fixture, 5);
+            run_storm(&mut with, &fixture, 5).expect("known mode");
             assert_eq!(
                 without.stats(),
                 with.stats(),
@@ -521,7 +401,7 @@ fn vacuous_fault_plan_is_transparent() {
 /// channel so the partition is the only fault.
 #[test]
 fn resync_node_rejoins_after_partition_heals() {
-    let fixture = build_fixture(GraphShape::Chain, 0);
+    let fixture = fixture(GraphShape::Chain);
     let plan = FaultPlan {
         partitions: vec![ttw::netsim::PartitionWindow {
             from_round: 2,
@@ -556,16 +436,23 @@ fn resync_node_rejoins_after_partition_heals() {
     assert_eq!(stats.collisions, 0);
 }
 
-/// Build-time validation: an out-of-range forced beacon miss is rejected
+/// Build-time validation: an out-of-range forced beacon loss is rejected
 /// instead of silently never firing, and an invalid fault plan is rejected
 /// with the offending reason.
 #[test]
 fn invalid_configs_are_rejected_at_build_time() {
-    let fixture = build_fixture(GraphShape::Chain, 0);
+    let fixture = fixture(GraphShape::Chain);
     let nodes = fixture.system.num_nodes();
 
+    let forced_out_of_range = FaultPlan {
+        beacon_corruption: Some(BeaconCorruption {
+            probability: 0.0,
+            forced: vec![(0, nodes)],
+        }),
+        ..FaultPlan::none()
+    };
     let config = SimulationConfig {
-        forced_beacon_misses: vec![(0, nodes)],
+        faults: Some(forced_out_of_range),
         ..SimulationConfig::default()
     };
     let err = Simulation::with_clustered_topology(
@@ -578,9 +465,9 @@ fn invalid_configs_are_rejected_at_build_time() {
     .unwrap_err();
     assert!(
         matches!(
-            err,
-            ttw::runtime::RuntimeError::ForcedMissOutOfRange { node, nodes: n }
-                if node == nodes && n == nodes
+            &err,
+            ttw::runtime::RuntimeError::InvalidFaultPlan { reason }
+                if reason.contains(&format!("node {nodes}"))
         ),
         "got {err:?}"
     );
@@ -616,7 +503,7 @@ fn invalid_configs_are_rejected_at_build_time() {
 /// connected node observes it — end to end through the simulation.
 #[test]
 fn mode_change_survives_a_host_crash_end_to_end() {
-    let fixture = build_fixture(GraphShape::Chain, 0);
+    let fixture = fixture(GraphShape::Chain);
     let probe = probe_sim(&fixture, BeaconLossPolicy::SkipRound, None);
     let rph = probe.rounds_per_hyperperiod();
     drop(probe);
