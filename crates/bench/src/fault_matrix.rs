@@ -4,7 +4,7 @@
 //! mode-change storm.
 
 use ttw_core::synthesis::{synthesize_system, IlpSynthesizer};
-use ttw_core::{ModeId, System, SystemSchedule};
+use ttw_core::{ModeId, ModeSchedule, System, SystemSchedule};
 use ttw_netsim::rng::SplitMix64;
 use ttw_netsim::FaultPlan;
 use ttw_runtime::{BeaconLossPolicy, RuntimeError, Simulation, SimulationConfig};
@@ -140,8 +140,13 @@ pub fn run_cell(
     fault_seed: u64,
     policy: BeaconLossPolicy,
 ) -> Result<Simulation, RuntimeError> {
-    let probe = build_sim(fixture, policy, None)?;
-    let horizon = probe.rounds_per_hyperperiod() * STORM_HYPERPERIODS;
+    // The storm starts in the first mode; a missing schedule is refused by
+    // `build_sim` below, whatever horizon the plan got.
+    let rounds = fixture
+        .schedule
+        .get(fixture.modes[0])
+        .map_or(0, ModeSchedule::num_rounds);
+    let horizon = rounds * STORM_HYPERPERIODS;
     let plan = generate_fault_plan(kind, fixture.system.num_nodes(), horizon, fault_seed);
     let mut sim = build_sim(fixture, policy, Some(plan))?;
     run_storm(&mut sim, fixture, fault_seed)?;

@@ -214,9 +214,15 @@ impl FaultPlan {
     /// The partition window active at `round`, if any. Overlapping windows
     /// resolve to the first one declared.
     pub fn partition_at(&self, round: usize) -> Option<&PartitionWindow> {
+        self.partition_index_at(round).map(|i| &self.partitions[i])
+    }
+
+    /// Index into [`Self::partitions`] of the window [`Self::partition_at`]
+    /// returns for `round`.
+    pub fn partition_index_at(&self, round: usize) -> Option<usize> {
         self.partitions
             .iter()
-            .find(|w| (w.from_round..=w.until_round).contains(&round))
+            .position(|w| (w.from_round..=w.until_round).contains(&round))
     }
 
     /// Whether the beacon received by `node` in `round` arrives corrupted.

@@ -1,5 +1,10 @@
 //! The Glossy flood engine.
 //!
+//! [`Flood`] is the engine: it runs one flood at a time on buffers it keeps
+//! between floods, so a caller flooding every slot allocates nothing once
+//! the buffers have grown. [`simulate_flood`] is its one-shot form,
+//! returning an owned [`FloodOutcome`].
+//!
 //! A Glossy flood proceeds in slots of length `T_hop`: the initiator transmits
 //! first, and every node that has received the packet retransmits it in the
 //! following slots, up to `N` times per node. Concurrent transmissions of the
@@ -66,7 +71,146 @@ impl FloodOutcome {
     }
 }
 
-/// Simulates one Glossy flood initiated by `initiator`.
+/// The flood engine: runs one Glossy flood at a time and owns the buffers a
+/// flood needs, so a caller that floods every slot (the runtime simulation,
+/// a Monte-Carlo estimate) reuses them instead of allocating per flood.
+///
+/// After [`Flood::run`] the accessors describe that flood, exactly as the
+/// [`FloodOutcome`] of [`simulate_flood`] — the engine's one-shot form —
+/// would.
+#[derive(Debug, Clone, Default)]
+pub struct Flood {
+    received: Vec<bool>,
+    first_reception: Vec<Option<usize>>,
+    remaining_tx: Vec<usize>,
+    /// Nodes scheduled to transmit in the current slot.
+    transmitting: Vec<usize>,
+    /// Nodes scheduled to transmit in the next slot; swapped with
+    /// `transmitting` at the end of every slot.
+    next: Vec<usize>,
+    slots: usize,
+    transmissions: usize,
+}
+
+impl Flood {
+    /// An engine with empty buffers; the first [`Flood::run`] sizes them.
+    pub fn new() -> Self {
+        Flood::default()
+    }
+
+    /// Simulates one Glossy flood initiated by `initiator`, overwriting the
+    /// previous flood's result. Once the buffers have grown to the topology's
+    /// size, a run allocates nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `initiator` is not a node of the topology or if
+    /// `config.retransmissions` is zero.
+    pub fn run(
+        &mut self,
+        topology: &Topology,
+        links: &mut LinkModel,
+        initiator: usize,
+        config: &FloodConfig,
+    ) {
+        assert!(initiator < topology.num_nodes(), "initiator out of range");
+        assert!(config.retransmissions >= 1, "N must be at least 1");
+
+        let n = topology.num_nodes();
+        self.slots = config
+            .max_slots
+            .unwrap_or_else(|| flood_steps(topology.diameter().max(1), config.retransmissions));
+        self.transmissions = 0;
+
+        self.received.clear();
+        self.received.resize(n, false);
+        self.first_reception.clear();
+        self.first_reception.resize(n, None);
+        self.remaining_tx.clear();
+        self.remaining_tx.resize(n, config.retransmissions);
+        // A slot's transmitters are distinct nodes, so `n` entries always
+        // suffice and neither swap buffer grows after its first flood.
+        self.transmitting.clear();
+        self.transmitting.reserve(n);
+        self.next.clear();
+        self.next.reserve(n);
+        self.transmitting.push(initiator);
+        self.received[initiator] = true;
+        self.first_reception[initiator] = Some(0);
+
+        for slot in 0..self.slots {
+            if self.transmitting.is_empty() {
+                break;
+            }
+            // Nodes that receive in this slot transmit in the next one.
+            self.next.clear();
+            for &tx in &self.transmitting {
+                self.transmissions += 1;
+                for &rx in topology.neighbors(tx) {
+                    if !self.received[rx] && links.sample_reception(tx, rx) {
+                        self.received[rx] = true;
+                        self.first_reception[rx] = Some(slot + 1);
+                        self.next.push(rx);
+                    }
+                }
+            }
+            for &tx in &self.transmitting {
+                self.remaining_tx[tx] = self.remaining_tx[tx].saturating_sub(1);
+            }
+            // Next slot: nodes that just received plus nodes that still have
+            // retransmissions left (Glossy alternates RX/TX; this compact
+            // model keeps them transmitting until their budget is exhausted).
+            for &tx in &self.transmitting {
+                if self.remaining_tx[tx] > 0 {
+                    self.next.push(tx);
+                }
+            }
+            self.next.sort_unstable();
+            self.next.dedup();
+            std::mem::swap(&mut self.transmitting, &mut self.next);
+        }
+    }
+
+    /// Which nodes received the last flood's packet (the initiator counts as
+    /// receiving).
+    pub fn received(&self) -> &[bool] {
+        &self.received
+    }
+
+    /// Slot index at which each node first received the last flood's packet
+    /// (`None` if never received; `Some(0)` for the initiator).
+    pub fn first_reception_slot(&self) -> &[Option<usize>] {
+        &self.first_reception
+    }
+
+    /// Number of protocol slots the last flood lasted.
+    pub fn slots(&self) -> usize {
+        self.slots
+    }
+
+    /// Total number of transmissions the last flood performed.
+    pub fn transmissions(&self) -> usize {
+        self.transmissions
+    }
+
+    /// Returns `true` if every node received the last flood's packet.
+    pub fn all_received(&self) -> bool {
+        self.received.iter().all(|&r| r)
+    }
+
+    /// Moves the last flood's result out of the engine.
+    pub fn into_outcome(self) -> FloodOutcome {
+        FloodOutcome {
+            received: self.received,
+            first_reception_slot: self.first_reception,
+            slots: self.slots,
+            transmissions: self.transmissions,
+        }
+    }
+}
+
+/// Simulates one Glossy flood initiated by `initiator`: the one-shot form of
+/// [`Flood::run`], for a caller that floods once.
 ///
 /// # Panics
 ///
@@ -78,65 +222,14 @@ pub fn simulate_flood(
     initiator: usize,
     config: &FloodConfig,
 ) -> FloodOutcome {
-    assert!(initiator < topology.num_nodes(), "initiator out of range");
-    assert!(config.retransmissions >= 1, "N must be at least 1");
-
-    let n = topology.num_nodes();
-    let slots = config
-        .max_slots
-        .unwrap_or_else(|| flood_steps(topology.diameter().max(1), config.retransmissions));
-
-    let mut received = vec![false; n];
-    let mut first_reception = vec![None; n];
-    let mut remaining_tx = vec![config.retransmissions; n];
-    // Nodes scheduled to transmit in the current slot.
-    let mut transmitting: Vec<usize> = vec![initiator];
-    received[initiator] = true;
-    first_reception[initiator] = Some(0);
-    let mut transmissions = 0usize;
-
-    for slot in 0..slots {
-        if transmitting.is_empty() {
-            break;
-        }
-        let mut newly_received: Vec<usize> = Vec::new();
-        for &tx in &transmitting {
-            transmissions += 1;
-            for &rx in topology.neighbors(tx) {
-                if !received[rx] && links.sample_reception(tx, rx) {
-                    received[rx] = true;
-                    first_reception[rx] = Some(slot + 1);
-                    newly_received.push(rx);
-                }
-            }
-        }
-        for &tx in &transmitting {
-            remaining_tx[tx] = remaining_tx[tx].saturating_sub(1);
-        }
-        // Next slot: nodes that just received plus nodes that still have
-        // retransmissions left (Glossy alternates RX/TX; this compact model
-        // keeps them transmitting until their budget is exhausted).
-        let mut next: Vec<usize> = newly_received;
-        for &tx in &transmitting {
-            if remaining_tx[tx] > 0 {
-                next.push(tx);
-            }
-        }
-        next.sort_unstable();
-        next.dedup();
-        transmitting = next;
-    }
-
-    FloodOutcome {
-        received,
-        first_reception_slot: first_reception,
-        slots,
-        transmissions,
-    }
+    let mut flood = Flood::new();
+    flood.run(topology, links, initiator, config);
+    flood.into_outcome()
 }
 
 /// Estimates the flood reliability (probability that a given node receives the
-/// packet) by Monte-Carlo simulation over `trials` independent floods.
+/// packet) by Monte-Carlo simulation over `trials` independent floods, all run
+/// on one [`Flood`].
 pub fn estimate_flood_reliability(
     topology: &Topology,
     links: &mut LinkModel,
@@ -147,9 +240,11 @@ pub fn estimate_flood_reliability(
     if trials == 0 {
         return 0.0;
     }
+    let mut flood = Flood::new();
     let mut successes = 0usize;
     for _ in 0..trials {
-        if simulate_flood(topology, links, initiator, config).all_received() {
+        flood.run(topology, links, initiator, config);
+        if flood.all_received() {
             successes += 1;
         }
     }
@@ -273,6 +368,64 @@ mod tests {
             &FloodConfig::default(),
         );
         assert_eq!(out.slots, flood_steps(1, 2));
+    }
+
+    #[test]
+    fn a_reused_flood_matches_fresh_one_shot_floods() {
+        use crate::link::GilbertElliott;
+        use crate::rng::SplitMix64;
+
+        // Sizes grow and shrink between floods, so the engine's buffers are
+        // both enlarged and truncated while holding a previous result.
+        let shapes = [
+            Topology::line(3),
+            Topology::clustered_line(4, 3),
+            Topology::star(5),
+            Topology::grid(4, 4),
+            Topology::line(1),
+            Topology::ring(7),
+            Topology::clustered_line(2, 2),
+        ];
+        let mut reused_links = LinkModel::uniform(0.3, 19).with_burst(
+            GilbertElliott {
+                p_good_to_bad: 0.1,
+                p_bad_to_good: 0.3,
+                loss_good: 0.05,
+                loss_bad: 0.8,
+            },
+            23,
+        );
+        let mut fresh_links = reused_links.clone();
+        let mut rng = SplitMix64::new(5);
+        let mut flood = Flood::new();
+        for step in 0..64 {
+            let topo = &shapes[rng.next_u64() as usize % shapes.len()];
+            let initiator = rng.next_u64() as usize % topo.num_nodes();
+            let retransmissions = 1 + rng.next_u64() as usize % 3;
+            let max_slots = (rng.next_u64() % 2 == 0).then(|| rng.next_u64() as usize % 12);
+            let config = FloodConfig {
+                retransmissions,
+                max_slots,
+            };
+            flood.run(topo, &mut reused_links, initiator, &config);
+            let fresh = simulate_flood(topo, &mut fresh_links, initiator, &config);
+            assert_eq!(flood.received(), fresh.received.as_slice(), "flood {step}");
+            assert_eq!(
+                flood.first_reception_slot(),
+                fresh.first_reception_slot.as_slice(),
+                "flood {step}"
+            );
+            assert_eq!(flood.slots(), fresh.slots, "flood {step}");
+            assert_eq!(flood.transmissions(), fresh.transmissions, "flood {step}");
+            assert_eq!(flood.all_received(), fresh.all_received(), "flood {step}");
+        }
+        // Both link models consumed exactly the same draws.
+        let next = |links: &mut LinkModel| {
+            (0..64)
+                .map(|i| links.sample_reception(i % 5, (i + 1) % 5))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(next(&mut reused_links), next(&mut fresh_links));
     }
 
     #[test]

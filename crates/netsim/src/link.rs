@@ -1,7 +1,5 @@
 //! Per-link packet reception models.
 
-use std::collections::BTreeMap;
-
 use crate::rng::SplitMix64;
 
 /// Parameters of a two-state Gilbert–Elliott burst-loss channel.
@@ -57,8 +55,39 @@ impl GilbertElliott {
 struct BurstState {
     params: GilbertElliott,
     rng: SplitMix64,
-    /// `true` = currently in the bad state, keyed by `(tx, rx)`.
-    bad: BTreeMap<(usize, usize), bool>,
+    /// `bad[tx][rx]` is `true` while link `tx → rx` is in the bad state.
+    /// Rows and columns grow the first time a link is sampled; a link never
+    /// sampled is good.
+    bad: Vec<Vec<bool>>,
+}
+
+impl BurstState {
+    /// Steps the chain of link `tx → rx` and draws its loss: `true` drops the
+    /// packet. The table grows to hold a link seen for the first time.
+    fn drops(&mut self, tx: usize, rx: usize) -> bool {
+        if tx >= self.bad.len() {
+            self.bad.resize_with(tx + 1, Vec::new);
+        }
+        let row = &mut self.bad[tx];
+        if rx >= row.len() {
+            row.resize(rx + 1, false);
+        }
+        let bad = &mut row[rx];
+        let flip = if *bad {
+            self.params.p_bad_to_good
+        } else {
+            self.params.p_good_to_bad
+        };
+        if self.rng.next_f64() < flip {
+            *bad = !*bad;
+        }
+        let loss = if *bad {
+            self.params.loss_bad
+        } else {
+            self.params.loss_good
+        };
+        self.rng.next_f64() < loss
+    }
 }
 
 /// How likely a single transmission over one link is received.
@@ -134,7 +163,7 @@ impl LinkModel {
         self.burst = Some(BurstState {
             params,
             rng: SplitMix64::new(seed),
-            bad: BTreeMap::new(),
+            bad: Vec::new(),
         });
         self
     }
@@ -171,21 +200,7 @@ impl LinkModel {
             LossModel::Uniform { loss } => self.rng.next_f64() >= loss,
         };
         if let Some(burst) = &mut self.burst {
-            let bad = burst.bad.entry((tx, rx)).or_insert(false);
-            let flip = if *bad {
-                burst.params.p_bad_to_good
-            } else {
-                burst.params.p_good_to_bad
-            };
-            if burst.rng.next_f64() < flip {
-                *bad = !*bad;
-            }
-            let loss = if *bad {
-                burst.params.loss_bad
-            } else {
-                burst.params.loss_good
-            };
-            if burst.rng.next_f64() < loss {
+            if burst.drops(tx, rx) {
                 received = false;
             }
         }
@@ -328,6 +343,72 @@ mod tests {
         };
         assert_eq!(draw(5), draw(5));
         assert_ne!(draw(5), draw(6));
+    }
+
+    #[test]
+    fn dense_burst_table_matches_a_keyed_reference() {
+        use std::collections::BTreeMap;
+
+        /// The burst overlay as it was first written: one chain state per
+        /// `(tx, rx)` key, created good on first use.
+        struct Reference {
+            base: SplitMix64,
+            loss: f64,
+            burst: SplitMix64,
+            params: GilbertElliott,
+            bad: BTreeMap<(usize, usize), bool>,
+        }
+        impl Reference {
+            fn sample(&mut self, tx: usize, rx: usize) -> bool {
+                let mut received = self.base.next_f64() >= self.loss;
+                let bad = self.bad.entry((tx, rx)).or_insert(false);
+                let flip = if *bad {
+                    self.params.p_bad_to_good
+                } else {
+                    self.params.p_good_to_bad
+                };
+                if self.burst.next_f64() < flip {
+                    *bad = !*bad;
+                }
+                let loss = if *bad {
+                    self.params.loss_bad
+                } else {
+                    self.params.loss_good
+                };
+                if self.burst.next_f64() < loss {
+                    received = false;
+                }
+                received
+            }
+        }
+
+        let params = GilbertElliott {
+            p_good_to_bad: 0.2,
+            p_bad_to_good: 0.3,
+            loss_good: 0.05,
+            loss_bad: 0.9,
+        };
+        let mut model = LinkModel::uniform(0.2, 31).with_burst(params, 37);
+        let mut reference = Reference {
+            base: SplitMix64::new(31),
+            loss: 0.2,
+            burst: SplitMix64::new(37),
+            params,
+            bad: BTreeMap::new(),
+        };
+        let mut picks = SplitMix64::new(41);
+        for step in 0..4000 {
+            // The index range widens as the trace goes on, so the table grows
+            // in both dimensions, and links come back in no particular order.
+            let bound = 2 + step / 200;
+            let tx = picks.next_u64() as usize % bound;
+            let rx = picks.next_u64() as usize % bound;
+            assert_eq!(
+                model.sample_reception(tx, rx),
+                reference.sample(tx, rx),
+                "sample {step}: {tx} -> {rx}"
+            );
+        }
     }
 
     #[test]

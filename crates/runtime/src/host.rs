@@ -2,7 +2,7 @@
 
 use crate::beacon::Beacon;
 use crate::error::RuntimeError;
-use crate::slot_table::{ModeTable, RoundEntry};
+use crate::slot_table::ModeTable;
 use std::collections::BTreeMap;
 use ttw_core::ModeId;
 
@@ -101,9 +101,11 @@ impl Host {
         Ok(())
     }
 
-    /// Emits the next round: its absolute start time, the beacon to flood and
-    /// the slot assignments to execute. Advances the host state, completing a
-    /// pending mode change when the trigger round has been emitted.
+    /// Emits the next round: its absolute start time and the beacon to flood.
+    /// The slot assignments to execute stay in the host's tables, at
+    /// `rounds[index]` of the round's `mode`. Advances the host state,
+    /// completing a pending mode change when the trigger round has been
+    /// emitted.
     ///
     /// With `host_up` false the host is crashed for this round: the round
     /// clock advances but no beacon is flooded. The schedule is a global time
@@ -117,9 +119,9 @@ impl Host {
     /// reserves (callers need it for time accounting and to know which slots
     /// desynchronized legacy nodes might fire into); its beacon is the one
     /// the host *would* have sent with no change in progress.
-    pub fn next_round(&mut self, host_up: bool) -> (HostRound, RoundEntry) {
+    pub fn next_round(&mut self, host_up: bool) -> HostRound {
         let table = &self.tables[&self.current_mode];
-        let round = table.rounds[self.next_index].clone();
+        let round = &table.rounds[self.next_index];
         let is_last_of_hyperperiod = self.next_index + 1 == table.rounds.len();
 
         let (announced_mode, trigger) = match self.pending_change.filter(|_| host_up) {
@@ -153,7 +155,7 @@ impl Host {
             self.next_index += 1;
         }
 
-        (host_round, round)
+        host_round
     }
 }
 
@@ -182,11 +184,12 @@ mod tests {
         let per_hyperperiod = host.current_table().rounds.len();
         let mut last_start = 0;
         for i in 0..3 * per_hyperperiod {
-            let (round, entry) = host.next_round(true);
+            let round = host.next_round(true);
             assert_eq!(round.mode, normal);
             assert_eq!(round.index, i % per_hyperperiod);
             assert!(round.start >= last_start);
             last_start = round.start;
+            let entry = &host.current_table().rounds[round.index];
             assert_eq!(entry.round_id, round.beacon.round_id);
             assert!(!round.beacon.trigger);
         }
@@ -209,7 +212,7 @@ mod tests {
     fn mode_change_follows_fig2_two_phases() {
         let (mut host, normal, emergency) = two_mode_host();
         // Execute the first round of the normal mode, then request the change.
-        let (first, _) = host.next_round(true);
+        let first = host.next_round(true);
         assert!(!first.beacon.trigger);
         host.request_mode_change(emergency).expect("known mode");
         assert!(host.change_in_progress());
@@ -219,7 +222,7 @@ mod tests {
         let per_hyperperiod = host.table(normal).expect("table").rounds.len();
         let emergency_id = host.table(emergency).expect("table").mode_id;
         for i in 1..per_hyperperiod {
-            let (round, _) = host.next_round(true);
+            let round = host.next_round(true);
             assert_eq!(round.mode, normal, "old mode keeps executing in phase 1");
             assert_eq!(
                 round.beacon.mode_id, emergency_id,
@@ -231,7 +234,7 @@ mod tests {
         }
 
         // After the trigger round the emergency mode executes.
-        let (round, _) = host.next_round(true);
+        let round = host.next_round(true);
         assert_eq!(round.mode, emergency);
         assert_eq!(host.current_mode(), emergency);
         assert!(!host.change_in_progress());
@@ -253,7 +256,7 @@ mod tests {
         // The host crashes for more than a full hyperperiod, covering the
         // round that would have carried the trigger bit.
         for _ in 0..per_hyperperiod + 1 {
-            let (round, _) = host.next_round(false);
+            let round = host.next_round(false);
             assert_eq!(round.mode, normal, "no switch can complete while down");
             assert!(!round.beacon.trigger);
             assert!(!round.switches_after);
@@ -268,11 +271,11 @@ mod tests {
         // end of the current hyperperiod.
         let emergency_id = host.table(emergency).expect("table").mode_id;
         for i in 1..per_hyperperiod {
-            let (round, _) = host.next_round(true);
+            let round = host.next_round(true);
             assert_eq!(round.beacon.mode_id, emergency_id, "re-announced");
             assert_eq!(round.beacon.trigger, i + 1 == per_hyperperiod);
         }
-        let (round, _) = host.next_round(true);
+        let round = host.next_round(true);
         assert_eq!(round.mode, emergency, "switch completes after restart");
         assert!(!host.change_in_progress());
     }
@@ -284,15 +287,15 @@ mod tests {
         // Crash for three rounds: start times and indices must match the
         // uncrashed host exactly afterwards.
         for _ in 0..3 {
-            let (skipped, _) = host.next_round(false);
-            let (emitted, _) = reference.next_round(true);
+            let skipped = host.next_round(false);
+            let emitted = reference.next_round(true);
             assert_eq!(skipped.start, emitted.start);
             assert_eq!(skipped.index, emitted.index);
             assert_eq!(skipped.beacon.round_id, emitted.beacon.round_id);
         }
         assert_eq!(
-            host.next_round(true).0.start,
-            reference.next_round(true).0.start
+            host.next_round(true).start,
+            reference.next_round(true).start
         );
     }
 
@@ -302,10 +305,10 @@ mod tests {
         let hyper = host.current_table().hyperperiod;
         let per_hyperperiod = host.current_table().rounds.len();
         let first_pass: Vec<u64> = (0..per_hyperperiod)
-            .map(|_| host.next_round(true).0.start)
+            .map(|_| host.next_round(true).start)
             .collect();
         let second_pass: Vec<u64> = (0..per_hyperperiod)
-            .map(|_| host.next_round(true).0.start)
+            .map(|_| host.next_round(true).start)
             .collect();
         for (a, b) in first_pass.iter().zip(&second_pass) {
             assert_eq!(b - a, hyper);

@@ -16,7 +16,7 @@ use crate::slot_table::{build_mode_tables, RoundDirectory};
 use crate::stats::RuntimeStats;
 use ttw_core::{AppId, ModeId, ModeSchedule, ScheduleViolation, System};
 use ttw_netsim::faults::{ClockState, FaultPlan};
-use ttw_netsim::flood::{simulate_flood, FloodConfig, FloodOutcome};
+use ttw_netsim::flood::{Flood, FloodConfig};
 use ttw_netsim::link::LinkModel;
 use ttw_netsim::radio::RadioAccounting;
 use ttw_netsim::topology::Topology;
@@ -89,6 +89,28 @@ pub struct Simulation {
     /// desynchronized, while it is waiting to rejoin.
     desynced_since: Vec<Option<usize>>,
     monitor: SafetyMonitor,
+    /// Index into the fault plan's partitions of the window whose mask is
+    /// installed in `links`.
+    partition_window: Option<usize>,
+    /// The flood engine every beacon and data flood runs on.
+    flood: Flood,
+    /// Round buffers, cleared and refilled by every round.
+    round: RoundBuffers,
+}
+
+/// Per-round working state of [`Simulation::execute_round`], kept between
+/// rounds so that a round allocates nothing.
+#[derive(Debug, Clone, Default)]
+struct RoundBuffers {
+    /// Per system node: decoded this round's beacon.
+    participates: Vec<bool>,
+    /// Per system node: the round a node that missed the beacon acts on
+    /// anyway (`LegacyTransmit` only).
+    ghost_beliefs: Vec<Option<RoundBelief>>,
+    /// Per radio (system nodes, then the host): on for the slot.
+    radio_on: Vec<bool>,
+    /// `(system node, believed mode id)` of every initiator of one data slot.
+    transmitters: Vec<(usize, u8)>,
 }
 
 impl Simulation {
@@ -191,6 +213,9 @@ impl Simulation {
             clocks,
             desynced_since: vec![None; system.num_nodes()],
             monitor,
+            partition_window: None,
+            flood: Flood::new(),
+            round: RoundBuffers::default(),
         })
     }
 
@@ -299,7 +324,7 @@ impl Simulation {
         if crashed {
             self.stats.host_crash_rounds += 1;
         }
-        let (host_round, entry) = self.host.next_round(!crashed);
+        let host_round = self.host.next_round(!crashed);
         self.stats.rounds_executed += 1;
         if host_round.switches_after {
             self.stats.mode_changes += 1;
@@ -315,22 +340,26 @@ impl Simulation {
             .faults
             .as_ref()
             .map_or(f64::INFINITY, |plan| plan.clock_tolerance_us);
-        let executing_mode_id = self
-            .host
-            .table(host_round.mode)
-            .map_or(host_round.beacon.mode_id, |table| table.mode_id);
+        let table = &self.host.tables()[&host_round.mode];
+        let executing_mode_id = table.mode_id;
+        let entry = &table.rounds[host_round.index];
 
         // --- Beacon flood from the host (none while the host is down). ---
-        let beacon_outcome: Option<FloodOutcome> = (!crashed).then(|| {
-            simulate_flood(
+        // Its result is read in full by the node loop below, before the
+        // first data flood reuses the engine.
+        if !crashed {
+            self.flood.run(
                 &self.topology,
                 &mut self.links,
                 self.placement.host,
                 &self.flood_config,
-            )
-        });
-        let mut participates = vec![false; n];
-        let mut ghost_beliefs: Vec<Option<RoundBelief>> = vec![None; n];
+            );
+        }
+        let round = &mut self.round;
+        round.participates.clear();
+        round.participates.resize(n, false);
+        round.ghost_beliefs.clear();
+        round.ghost_beliefs.resize(n, None);
         for i in 0..n {
             let topo_idx = self.placement.nodes[i];
             // A desynchronized node listens continuously, so slot alignment
@@ -341,9 +370,7 @@ impl Simulation {
                     Some(clock) => clock.aligned(now, tolerance),
                     None => true,
                 };
-            let channel_ok = beacon_outcome
-                .as_ref()
-                .is_some_and(|outcome| outcome.received[topo_idx]);
+            let channel_ok = !crashed && self.flood.received()[topo_idx];
             let mut decoded = None;
             if channel_ok && aligned {
                 // Receptions go through the real wire format so the checksum
@@ -362,7 +389,7 @@ impl Simulation {
             }
             match decoded {
                 Some(beacon) => {
-                    participates[i] = true;
+                    round.participates[i] = true;
                     self.node_states[i].on_beacon(beacon, &self.directory);
                     if let Some(clock) = &mut self.clocks[i] {
                         clock.resync(now);
@@ -382,7 +409,7 @@ impl Simulation {
                     if belief.is_none() {
                         self.stats.rounds_skipped += 1;
                     }
-                    ghost_beliefs[i] = belief;
+                    round.ghost_beliefs[i] = belief;
                     if self.node_states[i].is_desynced() && self.desynced_since[i].is_none() {
                         self.desynced_since[i] = Some(sequence);
                         self.stats.resync_dropouts += 1;
@@ -392,28 +419,31 @@ impl Simulation {
         }
 
         // --- Data slots. ---
+        // A slot's transmitters are distinct nodes.
+        round.transmitters.reserve(n);
         for (slot_idx, slot) in entry.slots.iter().enumerate() {
             let legit = slot.initiator.index();
-            let mut transmitters: Vec<(usize, u8)> = Vec::new();
-            if participates[legit] {
+            let transmitters = &mut round.transmitters;
+            transmitters.clear();
+            if round.participates[legit] {
                 transmitters.push((legit, executing_mode_id));
             }
-            for (i, belief) in ghost_beliefs.iter().enumerate() {
+            for (i, belief) in round.ghost_beliefs.iter().enumerate() {
                 if let Some(belief) = belief {
-                    if self.node_initiates(i, belief.round_id, slot_idx)
+                    if node_initiates(&self.host, &self.directory, i, belief.round_id, slot_idx)
                         && !transmitters.iter().any(|&(t, _)| t == i)
                     {
                         transmitters.push((i, belief.mode_id));
                     }
                 }
             }
-            self.monitor.check_slot(sequence, slot_idx, &transmitters);
+            self.monitor.check_slot(sequence, slot_idx, transmitters);
 
             match transmitters.len() {
                 0 => self.stats.slots_unused += 1,
-                1 if transmitters[0].0 == legit && participates[legit] => {
+                1 if transmitters[0].0 == legit && round.participates[legit] => {
                     self.stats.messages_attempted += 1;
-                    let outcome = simulate_flood(
+                    self.flood.run(
                         &self.topology,
                         &mut self.links,
                         self.placement.nodes[legit],
@@ -421,7 +451,7 @@ impl Simulation {
                     );
                     let delivered = slot.destinations.iter().all(|d| {
                         let di = d.index();
-                        participates[di] && outcome.received[self.placement.nodes[di]]
+                        round.participates[di] && self.flood.received()[self.placement.nodes[di]]
                     });
                     if delivered {
                         self.stats.messages_delivered += 1;
@@ -437,7 +467,7 @@ impl Simulation {
                     // packets: the constructive-interference assumption of
                     // Glossy breaks and the slot is lost for everyone.
                     self.stats.collisions += 1;
-                    if participates[legit] {
+                    if round.participates[legit] {
                         self.stats.messages_attempted += 1;
                     }
                 }
@@ -450,19 +480,21 @@ impl Simulation {
         // received the beacon (or erroneously believe they participate, or
         // are desynchronized and listening for a rejoin beacon) stay on for
         // the data slots.
-        let mut everyone = vec![true; n + 1];
-        everyone[n] = !crashed;
+        let radio_on = &mut round.radio_on;
+        radio_on.clear();
+        radio_on.resize(n + 1, true);
+        radio_on[n] = !crashed;
         self.radio
-            .record_slot(&everyone, self.config.constants.l_beacon);
-        for i in 0..n {
+            .record_slot(radio_on, self.config.constants.l_beacon);
+        for (i, on) in radio_on[..n].iter_mut().enumerate() {
             let listening_wide = self.node_states[i].is_desynced();
             if listening_wide {
                 self.stats.rejoin_listen_rounds += 1;
             }
-            everyone[i] = participates[i] || ghost_beliefs[i].is_some() || listening_wide;
+            *on = round.participates[i] || round.ghost_beliefs[i].is_some() || listening_wide;
         }
         for _ in 0..entry.slots.len() {
-            self.radio.record_slot(&everyone, self.config.payload);
+            self.radio.record_slot(radio_on, self.config.payload);
         }
 
         self.stats.safety_violations = self.monitor.total_violations();
@@ -470,16 +502,22 @@ impl Simulation {
     }
 
     /// Applies (or heals) the fault plan's partition for executed round
-    /// `sequence`, translating system node indices to topology indices.
+    /// `sequence`, translating system node indices to topology indices. The
+    /// mask is rebuilt only when the active window changes.
     fn apply_partition(&mut self, sequence: usize) {
         let Some(plan) = &self.config.faults else {
             return;
         };
-        let groups = plan.partition_at(sequence).map(|window| {
+        let active = plan.partition_index_at(sequence);
+        if active == self.partition_window {
+            return;
+        }
+        self.partition_window = active;
+        let groups = active.map(|index| {
             // Group 0 is the mainland (host + unlisted nodes); every island
             // gets its own group id.
             let mut assignment = vec![0usize; self.topology.num_nodes()];
-            for (island_idx, island) in window.islands.iter().enumerate() {
+            for (island_idx, island) in plan.partitions[index].islands.iter().enumerate() {
                 for &node in island {
                     assignment[self.placement.nodes[node]] = island_idx + 1;
                 }
@@ -499,20 +537,27 @@ impl Simulation {
     pub fn switch_conflicts(&self) -> &[(ModeId, ModeId, AppId)] {
         &self.switch_conflicts
     }
+}
 
-    /// Whether system node `node_index` initiates slot `slot_idx` of the round
-    /// with id `round_id` according to its deployed tables.
-    fn node_initiates(&self, node_index: usize, round_id: u8, slot_idx: usize) -> bool {
-        self.host.tables().values().any(|table| {
-            table.rounds.iter().any(|round| {
-                round.round_id == round_id
-                    && round
-                        .slots
-                        .get(slot_idx)
-                        .is_some_and(|slot| slot.initiator.index() == node_index)
-            })
-        })
-    }
+/// Whether system node `node_index` initiates slot `slot_idx` of the round
+/// with id `round_id` according to its deployed tables. Round ids are
+/// globally unique, so the directory names the one round to look at.
+fn node_initiates(
+    host: &Host,
+    directory: &RoundDirectory,
+    node_index: usize,
+    round_id: u8,
+    slot_idx: usize,
+) -> bool {
+    let Some((mode_id, position)) = directory.locate(round_id) else {
+        return false;
+    };
+    host.tables()
+        .values()
+        .find(|table| table.mode_id == mode_id)
+        .and_then(|table| table.rounds.get(position))
+        .and_then(|round| round.slots.get(slot_idx))
+        .is_some_and(|slot| slot.initiator.index() == node_index)
 }
 
 /// Derives the switch-inconsistent mode pairs of deployed schedules from the
@@ -543,7 +588,7 @@ mod tests {
     use ttw_core::synthesis::IlpSynthesizer;
     use ttw_core::time::millis;
     use ttw_core::{fixtures, synthesis, ModeGraph, ScheduledRound, SchedulerConfig};
-    use ttw_netsim::faults::BeaconCorruption;
+    use ttw_netsim::faults::{BeaconCorruption, PartitionWindow};
 
     fn schedules(system: &System) -> (Vec<ModeSchedule>, ModeId, ModeId) {
         // The inherited pipeline keeps the shared control application
@@ -761,6 +806,50 @@ mod tests {
             "the perfect channel delivers all three"
         );
         assert_eq!(stats.collisions, 0);
+    }
+
+    #[test]
+    fn partition_mask_follows_the_plan_round_by_round() {
+        let window = |from_round, until_round, islands: &[&[usize]]| PartitionWindow {
+            from_round,
+            until_round,
+            islands: islands.iter().map(|island| island.to_vec()).collect(),
+        };
+        let plan = FaultPlan {
+            partitions: vec![
+                window(2, 4, &[&[0]]),
+                // Back to back with the first window.
+                window(5, 7, &[&[1], &[2]]),
+                // Overlaps the second, which wins until round 7.
+                window(6, 9, &[&[0, 1]]),
+                // After a heal (rounds 10 and 11), a window of one round.
+                window(12, 12, &[&[2]]),
+            ],
+            ..FaultPlan::none()
+        };
+        let config = SimulationConfig {
+            link_loss: 0.2,
+            faults: Some(plan.clone()),
+            ..SimulationConfig::default()
+        };
+        let (mut sim, _, _) = two_mode_simulation(config);
+        for sequence in 0..16 {
+            sim.run_rounds(1);
+            let expected = plan.partition_at(sequence).map(|window| {
+                let mut mask = vec![0; sim.topology.num_nodes()];
+                for (group, island) in window.islands.iter().enumerate() {
+                    for &node in island {
+                        mask[sim.placement.nodes[node]] = group + 1;
+                    }
+                }
+                mask
+            });
+            assert_eq!(
+                sim.links.partition(),
+                expected.as_deref(),
+                "round {sequence}"
+            );
+        }
     }
 
     #[test]

@@ -8,7 +8,6 @@
 //! enough for any node to locate itself in the overall schedule.
 
 use crate::error::RuntimeError;
-use std::collections::BTreeMap;
 use ttw_core::{MessageId, ModeId, ModeSchedule, NodeId, System};
 
 /// One data slot of a round: which message is sent, by whom, to whom.
@@ -55,44 +54,71 @@ impl ModeTable {
     }
 }
 
+/// Where one round id sits in its mode's cyclic round sequence.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct RoundPosition {
+    mode_id: u8,
+    /// Position within the mode. A single mode may own all 256 round ids, so
+    /// the position and the count are wider than a round id.
+    position: u16,
+    /// Rounds in the mode.
+    count: u16,
+}
+
 /// Directory of every round id in the system: which mode owns it and at which
 /// position it sits in that mode's cyclic round sequence.
 ///
 /// Nodes use this exactly as described in the paper: receiving a single beacon
-/// `{round id, mode id, SB}` is enough to know the full system state.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+/// `{round id, mode id, SB}` is enough to know the full system state. Both
+/// ids are 8-bit, so the directory is two 256-entry tables indexed by them.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RoundDirectory {
-    /// `round id → (mode id, position within the mode, rounds in the mode)`.
-    /// A single mode may own all 256 round ids, so the position and count
-    /// are wider than a round id.
-    entries: BTreeMap<u8, (u8, usize, usize)>,
-    /// `mode id → first round id`.
-    first_round: BTreeMap<u8, u8>,
+    /// Indexed by round id.
+    entries: [Option<RoundPosition>; 256],
+    /// Indexed by mode id: the mode's first round id.
+    first_round: [Option<u8>; 256],
+}
+
+impl Default for RoundDirectory {
+    fn default() -> Self {
+        RoundDirectory {
+            entries: [None; 256],
+            first_round: [None; 256],
+        }
+    }
 }
 
 impl RoundDirectory {
     /// Builds the directory from a set of mode tables.
     pub fn new(tables: &[ModeTable]) -> Self {
-        let mut entries = BTreeMap::new();
-        let mut first_round = BTreeMap::new();
+        let mut directory = RoundDirectory::default();
         for table in tables {
-            let count = table.rounds.len();
+            // `build_mode_tables` admits at most 256 rounds in all.
+            let count = table.rounds.len() as u16;
             if let Some(first) = table.rounds.first() {
-                first_round.insert(table.mode_id, first.round_id);
+                directory.first_round[usize::from(table.mode_id)] = Some(first.round_id);
             }
-            for (pos, round) in table.rounds.iter().enumerate() {
-                entries.insert(round.round_id, (table.mode_id, pos, count));
+            for (position, round) in table.rounds.iter().enumerate() {
+                directory.entries[usize::from(round.round_id)] = Some(RoundPosition {
+                    mode_id: table.mode_id,
+                    position: position as u16,
+                    count,
+                });
             }
         }
-        RoundDirectory {
-            entries,
-            first_round,
-        }
+        directory
     }
 
     /// Mode id owning `round_id`, if known.
     pub fn mode_of(&self, round_id: u8) -> Option<u8> {
-        self.entries.get(&round_id).map(|&(m, _, _)| m)
+        self.entries[usize::from(round_id)].map(|entry| entry.mode_id)
+    }
+
+    /// Mode id owning `round_id` and the round's position within that mode's
+    /// round sequence, if known.
+    pub fn locate(&self, round_id: u8) -> Option<(u8, usize)> {
+        self.entries[usize::from(round_id)]
+            .map(|entry| (entry.mode_id, usize::from(entry.position)))
     }
 
     /// Round id that follows `round_id` in its mode's cyclic sequence.
@@ -101,15 +127,15 @@ impl RoundDirectory {
     /// `wrapping_add` across modes), so a mode's ids can straddle the 255 → 0
     /// wrap; the offset from the mode's first round must wrap likewise.
     pub fn next_in_mode(&self, round_id: u8) -> Option<u8> {
-        let &(mode, pos, count) = self.entries.get(&round_id)?;
-        let first = *self.first_round.get(&mode)?;
+        let entry = self.entries[usize::from(round_id)]?;
+        let first = self.first_round_of(entry.mode_id)?;
         // `count <= 256`, so the step back to the first round fits a `u8`.
-        Some(first.wrapping_add(((pos + 1) % count) as u8))
+        Some(first.wrapping_add(((entry.position + 1) % entry.count) as u8))
     }
 
     /// First round id of `mode_id`, if the mode has any round.
     pub fn first_round_of(&self, mode_id: u8) -> Option<u8> {
-        self.first_round.get(&mode_id).copied()
+        self.first_round[usize::from(mode_id)]
     }
 }
 
@@ -230,7 +256,9 @@ mod tests {
         assert_eq!(dir.next_in_mode(0), Some(1));
         assert_eq!(dir.next_in_mode(1), Some(0), "round sequence is cyclic");
         assert_eq!(dir.first_round_of(tables[0].mode_id), Some(0));
+        assert_eq!(dir.locate(1), Some((tables[0].mode_id, 1)));
         assert_eq!(dir.mode_of(99), None);
+        assert_eq!(dir.locate(99), None);
     }
 
     #[test]
@@ -281,6 +309,7 @@ mod tests {
         assert_eq!(dir.next_in_mode(0), Some(1));
         assert_eq!(dir.next_in_mode(254), Some(255));
         assert_eq!(dir.next_in_mode(255), Some(0), "cycles back to the first");
+        assert_eq!(dir.locate(255), Some((0, 255)));
     }
 
     #[test]
