@@ -152,8 +152,9 @@ pub enum ScheduleError {
         /// expensive way, by exhausting every round count.
         explanation: Option<String>,
     },
-    /// The mode's ILP was not built because it would be too large: its C3
-    /// block or its first round count exceeds
+    /// The mode's ILP was not built, or not grown to an `R_M` attempt,
+    /// because it would be too large: its C3 block or the attempt's round
+    /// block ([`crate::synthesis::round_block`]) exceeds
     /// [`crate::synthesis::MAX_MODE_SIZE`]. This proves nothing about
     /// feasibility.
     TooLarge {
@@ -162,7 +163,8 @@ pub enum ScheduleError {
         /// `λ` binaries of the C3 block: `Σ (H/pᵢ)(H/pⱼ)` over same-node task
         /// pairs (see [`crate::feasibility::task_instance_pairs`]).
         task_pairs: u128,
-        /// Round count of the first attempt, `⌈message instances / B⌉`.
+        /// Round count of the refused attempt; `⌈message instances / B⌉`
+        /// when the ILP was not built at all.
         rounds: usize,
     },
     /// The underlying MILP solver failed (budget exhausted or malformed model).
@@ -201,7 +203,8 @@ impl fmt::Display for ScheduleError {
             } => write!(
                 f,
                 "mode {mode} is too large to synthesize: {task_pairs} same-node task instance \
-                 pairs and {rounds} rounds in the first attempt, against a bound of {}",
+                 pairs and an attempt at {rounds} rounds, against a bound of {} pairs and \
+                 allocation terms",
                 crate::synthesis::MAX_MODE_SIZE
             ),
             ScheduleError::Solver(e) => write!(f, "MILP solver error: {e}"),

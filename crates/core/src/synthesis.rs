@@ -155,14 +155,26 @@ pub trait Synthesizer {
 }
 
 /// Largest C3 block (`λ` binaries, [`feasibility::task_instance_pairs`]) and
-/// largest first round count (`⌈message instances / B⌉`) of a mode whose ILP
-/// [`IlpSynthesizer`] builds. A larger mode is refused with
-/// [`ScheduleError::TooLarge`] before any allocation: two co-prime periods
-/// near one second give a hyperperiod of 10¹² µs and a C3 block of 10¹²
-/// binaries, which no certificate catches. The bound is on rounds too
-/// because the C4.1/C4.2 rows of round `j` hold `j` allocation terms per
-/// message, so the round block grows with the square of the round count.
+/// largest round block ([`round_block`]) of an instance [`IlpSynthesizer`]
+/// builds. A larger mode is refused with [`ScheduleError::TooLarge`] before
+/// its ILP is built, and a larger `R_M` attempt before the instance grows to
+/// it: two co-prime periods near one second give a hyperperiod of 10¹² µs
+/// and a C3 block of 10¹² binaries, which no certificate catches, and the
+/// round block grows with the square of the round count. The largest values
+/// reached by `cargo test --workspace`, the five bench targets, the
+/// examples and the four benchmark workloads are 36 task instance pairs and
+/// a round block of 90 (6 messages, 5 rounds). The round block is at least
+/// the round count of any mode with a message, so it bounds the rounds of
+/// an attempt too.
 pub const MAX_MODE_SIZE: u128 = 1_000;
+
+/// Allocation terms in the C4.1/C4.2 rows of an instance of `rounds`
+/// rounds over `messages` messages: round `j` (from 1) holds `j` per
+/// message, so `messages × R(R+1)/2`, saturating at `u128::MAX`.
+pub fn round_block(messages: usize, rounds: usize) -> u128 {
+    let rounds = rounds as u128;
+    (messages as u128).saturating_mul(rounds * (rounds + 1) / 2)
+}
 
 /// The exact backend: Algorithm 1 over the ILP of Sec. IV, as one instance
 /// grown round by round — the round-independent constraint blocks
@@ -210,15 +222,17 @@ impl Synthesizer for IlpSynthesizer {
             return Err(infeasible(stats));
         }
         let task_pairs = feasibility::task_instance_pairs(system, mode);
-        if task_pairs > MAX_MODE_SIZE || min_rounds as u128 > MAX_MODE_SIZE {
-            return Err(SynthesisFailure {
-                error: ScheduleError::TooLarge {
-                    mode,
-                    task_pairs,
-                    rounds: min_rounds,
-                },
-                stats,
-            });
+        let messages = system.messages_in_mode(mode).len();
+        let too_large = |rounds: usize, stats: SynthesisStats| SynthesisFailure {
+            error: ScheduleError::TooLarge {
+                mode,
+                task_pairs,
+                rounds,
+            },
+            stats,
+        };
+        if task_pairs > MAX_MODE_SIZE || round_block(messages, min_rounds) > MAX_MODE_SIZE {
+            return Err(too_large(min_rounds, stats));
         }
 
         // Counts below the floor are not attempted, but the instance still
@@ -229,6 +243,9 @@ impl Synthesizer for IlpSynthesizer {
         let mut seeded = false;
 
         for num_rounds in min_rounds.max(prior.floor)..=r_max {
+            if round_block(messages, num_rounds) > MAX_MODE_SIZE {
+                return Err(too_large(num_rounds, stats));
+            }
             while current.num_rounds() < num_rounds {
                 current.add_round(system, mode, config);
             }
@@ -844,6 +861,61 @@ mod tests {
             failure.error
         );
         assert_eq!(failure.stats, SynthesisStats::default());
+    }
+
+    /// One message between nodes `a` and `b` every 10 ms, in a mode whose
+    /// hyperperiod a task on `c` stretches to `instances` periods.
+    fn one_message_mode(instances: u64) -> (System, ModeId) {
+        use crate::spec::ApplicationSpec;
+        let mut sys = System::new();
+        for node in ["a", "b", "c"] {
+            sys.add_node(node).expect("node");
+        }
+        let sender = ApplicationSpec::new("sender", millis(10), millis(10))
+            .with_task("sender.t0", "a", 10)
+            .with_task("sender.t1", "b", 10)
+            .with_message("sender.m", ["sender.t0"], ["sender.t1"]);
+        let long = millis(10) * instances;
+        let stretch = ApplicationSpec::new("stretch", long, long).with_task("stretch.t0", "c", 10);
+        let apps = [sender, stretch].map(|spec| sys.add_application(&spec).expect("valid app"));
+        let mode = sys.add_mode("m", &apps).expect("valid mode");
+        (sys, mode)
+    }
+
+    #[test]
+    fn an_attempt_whose_round_block_is_oversized_is_refused_before_it_is_grown() {
+        // One slot a round: 50 instances need 50 rounds, within the bound,
+        // but the round block of 50 rounds is 50 · 51 / 2 = 1,275 terms.
+        let config = SchedulerConfig::new(millis(1), 1);
+        let (sys, mode) = one_message_mode(50);
+        assert!(feasibility::certify_mode_infeasible(&sys, mode, &config).is_none());
+        assert_eq!(round_block(1, 50), 1_275);
+        let failure = synthesize_mode(&sys, mode, &config).expect_err("refused");
+        let too_large = |rounds| ScheduleError::TooLarge {
+            mode,
+            task_pairs: 0,
+            rounds,
+        };
+        assert_eq!(failure.error, too_large(50));
+        assert_eq!(failure.stats, SynthesisStats::default());
+
+        // Five instances solve in five rounds, but a sweep that may start
+        // at 45 (round block 1,035) is refused before it grows the instance
+        // past the five rounds it was built with.
+        let (sys, mode) = one_message_mode(5);
+        let solved = synthesize_mode(&sys, mode, &config).expect("solves");
+        assert_eq!(solved.rounds.len(), 5);
+        let (pins, prior) = (
+            InheritedOffsets::none(),
+            ModePrior {
+                warm: None,
+                floor: 45,
+            },
+        );
+        let failure =
+            (IlpSynthesizer.synthesize(&sys, mode, &config, &pins, prior)).expect_err("refused");
+        assert_eq!(failure.error, too_large(45));
+        assert!(failure.stats.rounds_attempted.is_empty());
     }
 
     /// `M0 → M1 → M2`: `M1` inherits `ctrl` from `M0` and fails, `M2`

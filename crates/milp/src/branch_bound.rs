@@ -7,6 +7,15 @@
 //! parent basis stays dual feasible, so a child typically needs a handful of
 //! pivots instead of a full two-phase solve.
 //!
+//! The nodes all solve one LP — the tree LP, presolve-reduced unless
+//! presolve is off — and live in its numbering: the root basis is mapped
+//! into it once after the cut loop, and a node's final basis goes to its
+//! children as the engine left it. A node holds only the branching that
+//! created it, chained to the branchings above it (`Branch`); its bounds
+//! are materialized into one buffer in the tree numbering as it is solved,
+//! and its values are read into another. Only the root, the cut rounds and
+//! the basis handed back to the caller cross the reduction.
+//!
 //! Two tree-shrinking layers run before and during the search (each
 //! toggleable via [`crate::SolveParams`]):
 //!
@@ -76,26 +85,83 @@ const FLAT_ROUND_TOL: f64 = 1e-6;
 /// at 8, 142,689 at 16, 141,367 without). An entry is a few KB.
 const MEMO_CAPACITY: usize = 4;
 
-/// A subproblem: the variable bounds of the node and the LP bound of its parent.
+/// A subproblem: the branching that created it and the LP bound of its
+/// parent.
 #[derive(Debug, Clone)]
 struct Node {
-    bounds: Vec<(f64, f64)>,
+    /// The branching that created this node, chained to the ones above it.
+    branch: Rc<Branch>,
     /// Lower bound on the node's optimal value: its parent's LP objective.
     bound: f64,
     depth: usize,
-    /// The parent's optimal basis, used to warm-start the dual simplex.
+    /// The parent's optimal basis in the tree numbering, used to
+    /// warm-start the dual simplex.
     warm: Option<Rc<Basis>>,
-    /// The branching that created this node — (variable, down-branch?,
-    /// parent fractionality, parent LP objective). Once this node's own LP
-    /// solves, the measured objective degradation is fed back into the
-    /// pseudocost averages.
-    branched: Option<(usize, bool, f64, f64)>,
+    /// Whether the branching lowered the variable's upper bound, and the
+    /// parent's fractionality of it. Once this node's own LP solves, the
+    /// measured objective degradation is fed back into the pseudocost
+    /// averages.
+    down: bool,
+    frac: f64,
+}
+
+/// One branching: the bounds `[lo, hi]` it gave original column `var`, and
+/// the branching that created the node it branched from (`None` at the
+/// root). Both children of a node share that node's chain.
+///
+/// A branching only tightens — a fractional value `v` of a variable in
+/// `[lo, hi]` gives `⌊v⌋ ≤ hi` and `⌈v⌉ ≥ lo` — so a node's bounds are the
+/// root bounds tightened by `max`/`min` along its chain, in any order, and
+/// the nearest branching on a variable holds that variable's bounds.
+#[derive(Debug)]
+struct Branch {
+    var: usize,
+    lo: f64,
+    hi: f64,
+    parent: Option<Rc<Branch>>,
+}
+
+impl Branch {
+    /// This branching and every one above it, nearest first.
+    fn chain(&self) -> impl Iterator<Item = &Branch> {
+        std::iter::successors(Some(self), |branch| branch.parent.as_deref())
+    }
+
+    /// The original-space bounds of `var` at a node created by `branch`
+    /// (the root when `None`), whose root bounds are `root`.
+    fn bounds_of(branch: Option<&Branch>, var: usize, root: &[(f64, f64)]) -> (f64, f64) {
+        (branch.into_iter().flat_map(Branch::chain))
+            .find(|b| b.var == var)
+            .map_or(root[var], |b| (b.lo, b.hi))
+    }
+}
+
+/// Materializes into `out` the bounds, in `solver`'s tree numbering, of the
+/// node `branch` created: `root`, the tree root bounds, tightened by every
+/// branching of the chain. `false` when the node is infeasible outright
+/// ([`NodeSolver::tighten`]).
+fn materialize(
+    solver: &NodeSolver,
+    root: &[(f64, f64)],
+    branch: &Branch,
+    out: &mut Vec<(f64, f64)>,
+) -> bool {
+    out.clear();
+    out.extend_from_slice(root);
+    (branch.chain()).all(|b| solver.tighten(out, b.var, b.lo, b.hi))
 }
 
 /// The LPs of one tree — the base equality form and its presolve reduction,
 /// then the base extended by the root cuts once the cut loop keeps a round —
-/// with the tree's memo of warm-start factor states and the one
-/// [`SimplexWorkspace`] every LP of the tree runs in.
+/// with the tree's memo of warm-start factor states, its node buffers and
+/// the one [`SimplexWorkspace`] every LP of the tree runs in.
+///
+/// The nodes solve [`TreeLp::lp`] through its [`NodeSolver`], in that
+/// solver's numbering (the tree numbering): the snapshots the nodes hold,
+/// the memo's keys and states, and the bounds a node is materialized into
+/// ([`TreeLp::root`] tightened along the node's [`Branch`] chain) are all
+/// in it. A node's values are read into [`TreeLp::values`] in the original
+/// numbering.
 ///
 /// The workspace serves the root, the cut rounds and every node, and is
 /// dropped with the tree: per-LP buffers, LU buffers and
@@ -116,7 +182,11 @@ struct Node {
 /// Farkas ray of the dual-unbounded row rather than by a fresh
 /// factorization: the memo moves pivots, not verdicts. When the memo is
 /// full, a new entry takes the place, and the buffers, of the least
-/// recently used one.
+/// recently used one. A state also carries the `x_B` derived through its
+/// factors when that was fresh — at the end of a node LP the dual simplex
+/// finished optimal, and at every from-scratch start — and a child takes
+/// it as it is when its branched column is basic in the snapshot
+/// ([`Warm::Branch`]).
 struct TreeLp<'a> {
     base_lp: &'a SparseLp,
     base_rows: &'a RowView,
@@ -132,6 +202,14 @@ struct TreeLp<'a> {
     /// Whether the workspace holds what the last [`TreeLp::solve`] ended on,
     /// an optimal node LP over [`TreeLp::lp`].
     fileable: bool,
+    /// The root bounds in the tree numbering ([`TreeLp::start`]).
+    root: Vec<(f64, f64)>,
+    /// The bounds of the node being solved, in the tree numbering, or in
+    /// the original one when it falls back to the uncut LP.
+    bounds: Vec<(f64, f64)>,
+    /// The values of the last node LP that solved to optimality, in the
+    /// original numbering.
+    values: Vec<f64>,
     workspace: SimplexWorkspace,
 }
 
@@ -150,8 +228,32 @@ impl<'a> TreeLp<'a> {
             memo: Vec::with_capacity(memo_capacity),
             memo_capacity,
             fileable: false,
+            root: Vec::new(),
+            bounds: Vec::new(),
+            values: Vec::new(),
             workspace: SimplexWorkspace::default(),
         }
+    }
+
+    /// The [`NodeSolver`] of [`TreeLp::lp`].
+    fn solver(&self) -> &NodeSolver {
+        self.cut
+            .as_ref()
+            .map_or(self.base_solver, |(_, _, solver)| solver)
+    }
+
+    /// Readies the tree LP for the search below the root, whose bounds in
+    /// the original numbering are `root_bounds`, and maps `basis`, the root
+    /// basis over it, into the tree numbering.
+    fn start(&mut self, root_bounds: &[(f64, f64)], basis: Option<Basis>) -> Option<Rc<Basis>> {
+        self.root = self.solver().tree_root_bounds(root_bounds);
+        basis.and_then(|b| self.tree_basis(b)).map(Rc::new)
+    }
+
+    /// `basis`, in the original numbering, in the tree numbering.
+    fn tree_basis(&mut self, basis: Basis) -> Option<Basis> {
+        let solver = self.cut.as_ref().map_or(self.base_solver, |(.., s)| s);
+        solver.tree_basis(basis, &mut self.workspace.mapped_used)
     }
 
     /// The LP the tree's nodes solve: the cut LP once there is one.
@@ -186,13 +288,14 @@ impl<'a> TreeLp<'a> {
             .solve(self.base_lp, bounds, max_iters, warm, &mut self.workspace)
     }
 
-    /// Solves the LP under `bounds`: by the dual simplex from `warm` — the
-    /// optimal basis of the node whose bounds were tightened into `bounds`,
-    /// from the factor state that node's LP ended on when the memo has it —
-    /// or cold without one.
+    /// Solves the node `branch` created: by the dual simplex from `warm` —
+    /// the optimal basis of the node it branched from, from the factor state
+    /// that node's LP ended on when the memo has it — or cold without one.
+    /// The values go to [`TreeLp::values`]; the basis comes back in the tree
+    /// numbering.
     fn solve(
         &mut self,
-        bounds: &[(f64, f64)],
+        branch: &Branch,
         max_iters: usize,
         warm: Option<&Rc<Basis>>,
     ) -> Result<(LpResult, Option<Basis>), SolveError> {
@@ -212,11 +315,19 @@ impl<'a> TreeLp<'a> {
             Some((lp, _, solver)) => (lp, solver),
             None => (self.base_lp, self.base_solver),
         };
-        let start = match warm {
-            Some(snapshot) => Warm::Dual(snapshot, slot.as_mut()),
-            None => Warm::Cold,
+        let solved = if materialize(solver, &self.root, branch, &mut self.bounds) {
+            // The node's bounds differ from its parent's, and its sibling's,
+            // on the branched column alone.
+            let start = match (warm, solver.tree_column(branch.var)) {
+                (Some(snapshot), Some(column)) => Warm::Branch(snapshot, slot.as_mut(), column),
+                (Some(snapshot), None) => Warm::Dual(snapshot, slot.as_mut()),
+                (None, _) => Warm::Cold,
+            };
+            let (workspace, values) = (&mut self.workspace, &mut self.values);
+            solver.solve_node(lp, &self.bounds, max_iters, start, workspace, values)
+        } else {
+            Ok((LpResult::infeasible_without_pivots(), None))
         };
-        let solved = solver.solve(lp, bounds, max_iters, start, &mut self.workspace);
         // The start's state, restored or left by the install, stays for the
         // snapshot's other child; most recently used last.
         if let (Some(snapshot), Some(state)) = (warm, slot) {
@@ -226,6 +337,25 @@ impl<'a> TreeLp<'a> {
         }
         self.fileable = matches!(&solved, Ok((r, _)) if r.status == LpStatus::Optimal);
         solved
+    }
+
+    /// Solves the node `branch` created on the base LP, cut rows excluded,
+    /// cold: the fallback of a node whose LP dead-ends on the cut LP. Its
+    /// values go to [`TreeLp::values`] and its basis comes back in the tree
+    /// numbering, mapped once for the children that will hold it.
+    fn solve_uncut(
+        &mut self,
+        branch: &Branch,
+        root_bounds: &[(f64, f64)],
+        max_iters: usize,
+    ) -> Result<(LpResult, Option<Basis>), SolveError> {
+        let mut bounds = std::mem::take(&mut self.bounds);
+        materialize(&NodeSolver::Direct, root_bounds, branch, &mut bounds);
+        let solved = self.solve_base(&bounds, max_iters, Warm::Cold);
+        self.bounds = bounds;
+        let (mut result, basis) = solved?;
+        self.values = std::mem::take(&mut result.values);
+        Ok((result, basis.and_then(|b| self.tree_basis(b))))
     }
 
     /// Files the factor state the last [`TreeLp::solve`] ended on under
@@ -298,7 +428,9 @@ impl Ord for Node {
 /// `record_*` feeds a measured degradation *per unit of fractionality*;
 /// `estimate_*` multiplies the average back by the fractional distance. A
 /// variable with no observations in a direction borrows the global average
-/// over all variables, the textbook initialization.
+/// over all variables, the textbook initialization. That average is a pass
+/// over every variable, so a branching computes it at most once per
+/// direction and hands it to every estimate through `global`.
 struct Pseudocosts {
     down_sum: Vec<f64>,
     down_count: Vec<usize>,
@@ -336,20 +468,20 @@ impl Pseudocosts {
         }
     }
 
-    fn estimate_down(&self, var: usize, frac: f64) -> f64 {
+    fn estimate_down(&self, var: usize, frac: f64, global: &mut Option<f64>) -> f64 {
         let avg = if self.down_count[var] > 0 {
             self.down_sum[var] / self.down_count[var] as f64
         } else {
-            Self::global_average(&self.down_sum, &self.down_count)
+            *global.get_or_insert_with(|| Self::global_average(&self.down_sum, &self.down_count))
         };
         avg * frac
     }
 
-    fn estimate_up(&self, var: usize, frac: f64) -> f64 {
+    fn estimate_up(&self, var: usize, frac: f64, global: &mut Option<f64>) -> f64 {
         let avg = if self.up_count[var] > 0 {
             self.up_sum[var] / self.up_count[var] as f64
         } else {
-            Self::global_average(&self.up_sum, &self.up_count)
+            *global.get_or_insert_with(|| Self::global_average(&self.up_sum, &self.up_count))
         };
         avg * (1.0 - frac)
     }
@@ -393,9 +525,10 @@ fn solve_tree(
         .collect();
 
     // The sparse equality form is shared by every node; only bounds differ.
-    // Presolve reduces it once per tree (fixed columns out, empty/singleton
-    // rows folded into bounds); every node then solves the reduction and maps
-    // results back, so warm-started bases stay in the original numbering.
+    // Presolve reduces it once per tree LP (fixed columns out, empty/singleton
+    // rows folded into bounds). The root and the cut rounds solve through the
+    // reduction and map results back, so the caller's basis is in the
+    // original numbering; the nodes stay in the reduction's.
     let base_lp = SparseLp::from_model(model);
     let base_rows = RowView::of(&base_lp);
     let integral: Vec<bool> = model
@@ -537,17 +670,18 @@ fn search(
     let mut pseudo = Pseudocosts::new(base_lp.nstruct);
     let mut heap = BinaryHeap::new();
 
+    let root_snapshot = tree.start(root_bounds, basis);
     expand_node(
         &params,
         &integer_vars,
         &pseudo,
         &mut heap,
         &mut incumbent,
-        root_bounds,
+        (root_bounds, None),
         root.objective,
-        root.values,
+        &root.values,
         0,
-        basis.map(Rc::new),
+        root_snapshot,
         &mut counters,
     );
 
@@ -566,7 +700,7 @@ fn search(
         }
         counters.nodes_explored += 1;
 
-        let (lp_result, node_basis) = match tree.solve(&node.bounds, max_iters, node.warm.as_ref())
+        let (lp_result, node_basis) = match tree.solve(&node.branch, max_iters, node.warm.as_ref())
         {
             Ok(solved) => solved,
             // Appended cut rows can make a node LP numerically harder than
@@ -576,7 +710,7 @@ fn search(
             // the search stays sound instead of aborting the whole tree.
             Err(e @ SolveError::NumericalInstability { .. }) if tree.cut.is_some() => {
                 count_failed_lp(&mut counters, &e);
-                tree.solve_base(&node.bounds, max_iters, Warm::Cold)?
+                tree.solve_uncut(&node.branch, root_bounds, max_iters)?
             }
             Err(e) => return Err(e),
         };
@@ -591,15 +725,14 @@ fn search(
 
         // The realized degradation of the branching that created this node
         // is a full-accuracy pseudocost observation, free of charge.
-        if let Some((var, down, frac, parent_obj)) = node.branched {
-            let degrade = (lp_result.objective - parent_obj).max(0.0);
-            if down {
-                if frac > 0.0 {
-                    pseudo.record_down(var, degrade / frac);
-                }
-            } else if frac < 1.0 {
-                pseudo.record_up(var, degrade / (1.0 - frac));
+        let (var, frac) = (node.branch.var, node.frac);
+        let degrade = (lp_result.objective - node.bound).max(0.0);
+        if node.down {
+            if frac > 0.0 {
+                pseudo.record_down(var, degrade / frac);
             }
+        } else if frac < 1.0 {
+            pseudo.record_up(var, degrade / (1.0 - frac));
         }
 
         // Prune by bound against the incumbent.
@@ -616,9 +749,9 @@ fn search(
             &pseudo,
             &mut heap,
             &mut incumbent,
-            &node.bounds,
+            (root_bounds, Some(&node.branch)),
             lp_result.objective,
-            lp_result.values,
+            &tree.values,
             node.depth,
             node_basis.clone(),
             &mut counters,
@@ -819,7 +952,8 @@ impl<'b> CutLoop<'b> {
 
 /// Accepts an integral LP solution as incumbent or branches: selects the
 /// branching variable and pushes the children, each bounded by this node's
-/// LP objective.
+/// LP objective. The node is the one `branch` created below root bounds
+/// `root_bounds` (the root itself when `branch` is `None`).
 #[allow(clippy::too_many_arguments)]
 fn expand_node(
     params: &SolveParams,
@@ -827,9 +961,9 @@ fn expand_node(
     pseudo: &Pseudocosts,
     heap: &mut BinaryHeap<Node>,
     incumbent: &mut Option<(f64, Vec<f64>)>,
-    bounds: &[(f64, f64)],
+    (root_bounds, branch): (&[(f64, f64)], Option<&Rc<Branch>>),
     lp_objective: f64,
-    lp_values: Vec<f64>,
+    lp_values: &[f64],
     depth: usize,
     warm: Option<Rc<Basis>>,
     counters: &mut SolverCounters,
@@ -847,7 +981,7 @@ fn expand_node(
             .map(|(best, _)| lp_objective < *best)
             .unwrap_or(true);
         if better {
-            *incumbent = Some((lp_objective, lp_values));
+            *incumbent = Some((lp_objective, lp_values.to_vec()));
         }
         return;
     }
@@ -856,28 +990,30 @@ fn expand_node(
     let floor = value.floor();
     let ceil = value.ceil();
     let frac = value - floor;
-    let (lo, hi) = bounds[var];
+    let (lo, hi) = Branch::bounds_of(branch.map(|b| &**b), var, root_bounds);
+    // What lets a node's bounds be materialized by `max`/`min`.
+    debug_assert!(
+        floor <= hi && ceil >= lo,
+        "{value} is fractional in [{lo}, {hi}]"
+    );
+    let child = |lo, hi, down, warm| Node {
+        branch: Rc::new(Branch {
+            var,
+            lo,
+            hi,
+            parent: branch.cloned(),
+        }),
+        bound: lp_objective,
+        depth: depth + 1,
+        warm,
+        down,
+        frac,
+    };
     if floor >= lo {
-        let mut b = bounds.to_vec();
-        b[var].1 = floor;
-        heap.push(Node {
-            bounds: b,
-            bound: lp_objective,
-            depth: depth + 1,
-            warm: warm.clone(),
-            branched: Some((var, true, frac, lp_objective)),
-        });
+        heap.push(child(lo, floor, true, warm.clone()));
     }
     if ceil <= hi {
-        let mut b = bounds.to_vec();
-        b[var].0 = ceil;
-        heap.push(Node {
-            bounds: b,
-            bound: lp_objective,
-            depth: depth + 1,
-            warm,
-            branched: Some((var, false, frac, lp_objective)),
-        });
+        heap.push(child(ceil, hi, false, warm));
     }
 }
 
@@ -897,10 +1033,12 @@ fn select_branch_var(
         return fractional[0];
     }
     counters.pseudocost_branchings += 1;
+    // The global averages (down, up), once a candidate needs one.
+    let mut global = (None, None);
     let scored = fractional.iter().map(|&(var, value)| {
         let frac = value - value.floor();
-        let down = pseudo.estimate_down(var, frac);
-        let up = pseudo.estimate_up(var, frac);
+        let down = pseudo.estimate_down(var, frac, &mut global.0);
+        let up = pseudo.estimate_up(var, frac, &mut global.1);
         (var, value, down.max(SCORE_EPS) * up.max(SCORE_EPS))
     });
     // On equal scores the lower index compares as the larger.
@@ -1338,6 +1476,119 @@ mod tests {
             with_memo.lu_factorizations,
             without.lu_factorizations
         );
+    }
+
+    /// SplitMix64, as everywhere else in the workspace.
+    struct Rng(u64);
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+    }
+
+    #[test]
+    fn chain_materialization_equals_the_assigned_bounds() {
+        // Seeded chains of branchings on a few integers — so that one
+        // variable is branched on again and again — over knapsack rows with
+        // a pinned column and singleton rows, which presolve folds into
+        // fixed columns and derived bounds. Each node's materialized bounds
+        // equal what copying the parent's bounds and assigning the branched
+        // one built: in the original numbering, and in the reduced one
+        // against `map_bounds` of those bounds, infeasible verdicts included.
+        let bits = |v: &[(f64, f64)]| -> Vec<_> {
+            v.iter().map(|(l, h)| (l.to_bits(), h.to_bits())).collect()
+        };
+        let mut rng = Rng(0x00C4_A125);
+        let (mut nodes, mut infeasible) = (0, 0);
+        for _ in 0..60 {
+            let mut model = knapsack_fixture(4 + rng.below(4), 2);
+            let vars: Vec<_> = model.variables().map(|(id, _)| id).collect();
+            model.fix_var(vars[0], 2.0);
+            model.add_le(&[(vars[1], 1.0)], 0.5 + rng.below(3) as f64);
+            model.add_ge(&[(vars[2], 2.0)], 1.0);
+            let root: Vec<(f64, f64)> =
+                model.variables().map(|(_, v)| (v.lower, v.upper)).collect();
+            let integral = vec![true; root.len()];
+            let lp = SparseLp::from_model(&model);
+            let rows = RowView::of(&lp);
+            let Some(solver) = NodeSolver::build(&lp, &rows, &root, &integral, true) else {
+                continue;
+            };
+            let NodeSolver::Reduced(presolve) = &solver else {
+                panic!("presolve is on");
+            };
+            let tree_root = solver.tree_root_bounds(&root);
+            let (mut chain, mut assigned) = (None::<Rc<Branch>>, root.clone());
+            let (mut original, mut mapped, mut expected) = (Vec::new(), Vec::new(), Vec::new());
+            for _ in 0..16 {
+                let var = rng.below(4);
+                let (lo, hi) = assigned[var];
+                if hi - lo < 1.0 {
+                    continue;
+                }
+                // A fractional value inside the bounds, branched either way.
+                let value = lo + rng.below((hi - lo) as usize) as f64 + 0.5;
+                let (lo, hi) = if rng.below(2) == 0 {
+                    (lo, value.floor())
+                } else {
+                    (value.ceil(), hi)
+                };
+                assigned[var] = (lo, hi);
+                let parent = chain.take();
+                let branch = Rc::new(Branch {
+                    var,
+                    lo,
+                    hi,
+                    parent,
+                });
+                for (j, &bounds) in assigned.iter().enumerate() {
+                    assert_eq!(Branch::bounds_of(Some(&branch), j, &root), bounds);
+                }
+                assert!(materialize(
+                    &NodeSolver::Direct,
+                    &root,
+                    &branch,
+                    &mut original
+                ));
+                assert_eq!(bits(&original), bits(&assigned));
+                let feasible = materialize(&solver, &tree_root, &branch, &mut mapped);
+                assert_eq!(feasible, presolve.map_bounds(&assigned, &mut expected));
+                if feasible {
+                    assert_eq!(bits(&mapped), bits(&expected));
+                } else {
+                    infeasible += 1;
+                }
+                nodes += 1;
+                chain = Some(branch);
+            }
+        }
+        assert!(
+            nodes >= 300 && infeasible >= 20,
+            "{nodes} nodes, {infeasible} infeasible"
+        );
+    }
+
+    #[test]
+    fn tree_fixture_counters_are_pinned() {
+        // Every pivot of the tree in the same order: bases kept in the tree
+        // numbering, carried `x_B` and chained branchings change how a node
+        // is set up, never what it computes.
+        for (model, pinned) in [
+            (tree_fixture(), (159, 290, 58)),
+            (knapsack_fixture(16, 5), (651, 1291, 316)),
+        ] {
+            let (s, _) = solve_tree(&model, None, MEMO_CAPACITY).unwrap();
+            assert_eq!(s.status, Status::Optimal);
+            let counted = (s.nodes_explored, s.simplex_iterations, s.lu_factorizations);
+            assert_eq!(counted, pinned, "nodes, pivots, factorizations");
+        }
     }
 
     #[test]

@@ -25,21 +25,34 @@
 //! The passes iterate until a fixpoint (bounded by [`MAX_PASSES`]); a fixed
 //! column discovered by tightening feeds back into substitution.
 //!
-//! Everything the reduced solve produces is mapped back to the *original*
-//! numbering: variable values (eliminated columns report their fixed value)
-//! and — crucially for the warm-start pipeline — [`Basis`] snapshots. A
-//! snapshot handed in by a caller may predate the current problem shape
-//! (the model grew, or a different pin set eliminated different columns);
-//! [`Presolve::map_basis`] sanitizes such snapshots instead of erroring:
-//! unknown or eliminated basic columns fall back to the row's own logical
-//! column, and an unusable snapshot degrades to a cold start — a stale basis
-//! can cost pivots, never correctness.
+//! The LPs that cross reductions — a tree's root, its cut rounds,
+//! `solve_lp`, and so the basis a tree hands back to its caller — go through
+//! [`Presolve::solve`], which maps what the reduced solve produces back to
+//! the *original* numbering: variable values (eliminated columns report
+//! their fixed value) and [`Basis`] snapshots. A snapshot handed in by a
+//! caller may predate the current problem shape (the model grew, or a
+//! different pin set eliminated different columns); [`Presolve::map_basis`]
+//! sanitizes such snapshots instead of erroring: unknown or eliminated basic
+//! columns fall back to the row's own logical column, and an unusable
+//! snapshot degrades to a cold start — a stale basis can cost pivots, never
+//! correctness.
+//!
+//! A branch-and-bound tree's nodes all solve one reduction, so they stay in
+//! its numbering ([`NodeSolver::solve_node`]): the root basis is mapped in
+//! once, a node's final basis is handed to its children as the engine left
+//! it, and only the node's values are read out in the original numbering.
+//! That rests on `map_basis(unmap_basis(b)) == b` for an engine's final
+//! basis `b` — statuses, basic order and Devex weights, which every install
+//! raises to at least 1 either way.
 //!
 //! Presolve-derived bounds are computed from the **root** bounds of a solve
 //! family. Branch-and-bound children only ever tighten bounds, so every
 //! derived bound (an implication of constraints plus root bounds) remains
-//! valid for every child; [`Presolve::map_bounds`] intersects the child's
-//! bounds with the derived ones per node.
+//! valid for every child: a node's bounds in the reduced numbering are the
+//! root's intersected with the derived ones
+//! ([`NodeSolver::tree_root_bounds`]), tightened by each branching above the
+//! node ([`NodeSolver::tighten`]) — what [`Presolve::map_bounds`] makes of
+//! the node's original-space bounds.
 
 use crate::error::SolveError;
 use crate::model::INTEGRALITY_TOL;
@@ -387,7 +400,7 @@ impl Presolve {
     /// with the presolve-derived bounds. `false` means the node is infeasible
     /// outright (crossed bounds, or a node bound excludes an eliminated
     /// column's fixed value).
-    fn map_bounds(&self, bounds: &[(f64, f64)], out: &mut Vec<(f64, f64)>) -> bool {
+    pub(crate) fn map_bounds(&self, bounds: &[(f64, f64)], out: &mut Vec<(f64, f64)>) -> bool {
         out.clear();
         for (j, &(node_lo, node_hi)) in bounds.iter().enumerate() {
             let (dlo, dhi) = self.derived[j];
@@ -535,9 +548,9 @@ impl Presolve {
         Basis::from_parts(n_orig, m_orig, status, basic, devex)
     }
 
-    /// Solves one node subproblem through the reduced LP in `workspace`,
-    /// returning the result and basis in the **original** space. The node
-    /// bounds and the warm basis are mapped into the workspace's buffers, and
+    /// Solves `lp` under `bounds` through the reduced LP in `workspace`,
+    /// returning the result and basis in the **original** space. The bounds
+    /// and the warm basis are mapped into the workspace's buffers, and
     /// values and basis are read out of its final state straight into the
     /// original numbering.
     pub(crate) fn solve(
@@ -558,20 +571,32 @@ impl Presolve {
             return Ok((LpResult::infeasible_without_pivots(), None));
         }
         let mut map = |b: &Basis| self.map_basis(b, mapped_basis, mapped_used);
+        // A named column is in the original numbering, so a branch start
+        // through here recomputes its `x_B` like any dual start.
         let warm = match warm {
             Warm::Cold => Warm::Cold,
             Warm::Primal(b) if map(b) => Warm::Primal(mapped_basis),
-            // A snapshot this solver unmapped from its final reduced basis
-            // maps back to that basis, basic order included, so the factor
-            // state captured when that solve ended fits the install.
-            Warm::Dual(b, restored) if map(b) => Warm::Dual(mapped_basis, restored),
-            Warm::Primal(_) | Warm::Dual(..) => Warm::Cold,
+            Warm::Dual(b, slot) | Warm::Branch(b, slot, _) if map(b) => {
+                Warm::Dual(mapped_basis, slot)
+            }
+            Warm::Primal(_) | Warm::Dual(..) | Warm::Branch(..) => Warm::Cold,
         };
         let mut result = solve_in(&self.reduced, mapped_bounds, max_iters, warm, engine)?;
         if result.status != LpStatus::Optimal {
             return Ok((result, None));
         }
-        let mut values = vec![0.0; lp.nstruct];
+        let mut values = Vec::new();
+        self.values(engine, lp.nstruct, &mut values);
+        result.values = values;
+        Ok((result, Some(self.unmap_basis(engine, lp.nstruct, lp.nrows))))
+    }
+
+    /// Reads the values of the last solve's final basic solution out of
+    /// `engine` into `values`, in the original numbering of `nstruct`
+    /// columns: eliminated columns report their fixed value.
+    fn values(&self, engine: &EngineState, nstruct: usize, values: &mut Vec<f64>) {
+        values.clear();
+        values.resize(nstruct, 0.0);
         for (value, fate) in values.iter_mut().zip(&self.col_fate) {
             if let ColFate::Fixed(v) = *fate {
                 *value = v;
@@ -580,14 +605,14 @@ impl Presolve {
         engine.structural_values(self.reduced.nstruct, |rc, v| {
             values[self.kept_cols[rc]] = v;
         });
-        result.values = values;
-        Ok((result, Some(self.unmap_basis(engine, lp.nstruct, lp.nrows))))
     }
 }
 
 /// One solver family: either the raw equality form, or its presolved
-/// reduction. Built once per branch-and-bound tree; every node solve goes
-/// through it.
+/// reduction. Built once per branch-and-bound tree LP. The LPs that cross
+/// reductions go through [`NodeSolver::solve`]; a tree's nodes stay in the
+/// numbering of the LP the engine solves — the reduction's, or the raw
+/// form's — and go through [`NodeSolver::solve_node`].
 pub(crate) enum NodeSolver {
     /// Presolve disabled (or not applicable): solve the raw form.
     Direct,
@@ -623,8 +648,8 @@ impl NodeSolver {
         }
     }
 
-    /// Solves one node subproblem (original-space bounds, result and basis)
-    /// in `workspace`.
+    /// Solves `lp` under `bounds` in `workspace`, with bounds, warm basis,
+    /// values and the final basis all in the original numbering.
     pub(crate) fn solve(
         &self,
         lp: &SparseLp,
@@ -637,6 +662,100 @@ impl NodeSolver {
             NodeSolver::Direct => solve_sparse(lp, bounds, max_iters, warm, workspace),
             NodeSolver::Reduced(p) => p.solve(lp, bounds, max_iters, warm, workspace),
         }
+    }
+
+    /// `root_bounds`, `lp`'s root bounds, in the tree numbering: intersected
+    /// with the derived bounds of the reduction's columns, as
+    /// [`Presolve::map_bounds`] intersects them. The root LP solved through
+    /// that mapping, so no bound crosses.
+    pub(crate) fn tree_root_bounds(&self, root_bounds: &[(f64, f64)]) -> Vec<(f64, f64)> {
+        match self {
+            NodeSolver::Direct => root_bounds.to_vec(),
+            NodeSolver::Reduced(p) => (p.kept_cols.iter())
+                .map(|&j| {
+                    let ((lo, hi), (dlo, dhi)) = (root_bounds[j], p.derived[j]);
+                    (lo.max(dlo), hi.min(dhi))
+                })
+                .collect(),
+        }
+    }
+
+    /// Tightens `bounds`, in the tree numbering, by the branching that gave
+    /// original column `var` the bounds `[lo, hi]`. `false` when the node
+    /// is infeasible outright: its bounds crossed, or they exclude an
+    /// eliminated column's fixed value (the verdicts of
+    /// [`Presolve::map_bounds`]).
+    pub(crate) fn tighten(&self, bounds: &mut [(f64, f64)], var: usize, lo: f64, hi: f64) -> bool {
+        let column = match self {
+            NodeSolver::Direct => var,
+            NodeSolver::Reduced(p) => match p.col_fate[var] {
+                ColFate::Kept(rc) => rc,
+                ColFate::Fixed(v) => return v >= lo - FEAS_TOL && v <= hi + FEAS_TOL,
+            },
+        };
+        let bound = &mut bounds[column];
+        bound.0 = bound.0.max(lo);
+        bound.1 = bound.1.min(hi);
+        bound.0 <= bound.1
+    }
+
+    /// The tree numbering's column of original column `var`; `None` when
+    /// presolve eliminated it.
+    pub(crate) fn tree_column(&self, var: usize) -> Option<usize> {
+        match self {
+            NodeSolver::Direct => Some(var),
+            NodeSolver::Reduced(p) => match p.col_fate[var] {
+                ColFate::Kept(rc) => Some(rc),
+                ColFate::Fixed(_) => None,
+            },
+        }
+    }
+
+    /// Maps `basis`, in the original numbering, into the tree numbering;
+    /// `used` is scratch. `None` when it cannot be mapped, and a node
+    /// holding it would start cold. The raw form's snapshot is its own
+    /// mapping: one over fewer rows is extended when it is installed.
+    pub(crate) fn tree_basis(&self, basis: Basis, used: &mut Vec<bool>) -> Option<Basis> {
+        match self {
+            NodeSolver::Direct => Some(basis),
+            NodeSolver::Reduced(p) => {
+                let mut mapped = Basis::from_parts(0, 0, Vec::new(), Vec::new(), Vec::new());
+                p.map_basis(&basis, &mut mapped, used).then_some(mapped)
+            }
+        }
+    }
+
+    /// Solves a node of a tree over `lp` in `workspace`, all in the tree
+    /// numbering: `bounds` and the warm basis go to the engine as they are,
+    /// and the final basis comes back as the engine left it. Only the
+    /// values are read out in the original numbering, into `values`.
+    pub(crate) fn solve_node(
+        &self,
+        lp: &SparseLp,
+        bounds: &[(f64, f64)],
+        max_iters: usize,
+        warm: Warm<'_>,
+        workspace: &mut SimplexWorkspace,
+        values: &mut Vec<f64>,
+    ) -> Result<(LpResult, Option<Basis>), SolveError> {
+        let engine = &mut workspace.engine;
+        let node_lp = match self {
+            NodeSolver::Direct => lp,
+            NodeSolver::Reduced(p) => &p.reduced,
+        };
+        let result = solve_in(node_lp, bounds, max_iters, warm, engine)?;
+        if result.status != LpStatus::Optimal {
+            return Ok((result, None));
+        }
+        match self {
+            NodeSolver::Direct => {
+                values.clear();
+                values.resize(lp.nstruct, 0.0);
+                engine.structural_values(lp.nstruct, |j, v| values[j] = v);
+            }
+            NodeSolver::Reduced(p) => p.values(engine, lp.nstruct, values),
+        }
+        Ok((result, Some(engine.snapshot(node_lp))))
     }
 }
 
@@ -800,6 +919,119 @@ mod tests {
             assert!((res.values[0] - 2.0).abs() < 1e-9);
             assert!((res.values[1] - 3.0).abs() < 1e-6);
         }
+    }
+
+    /// SplitMix64, as everywhere else in the workspace.
+    struct Rng(u64);
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+    }
+
+    /// A random LP with what presolve takes out — pinned columns, singleton
+    /// rows — next to sparse rows of every relation through a point inside
+    /// the bounds, so that most are feasible.
+    fn reducible_lp(rng: &mut Rng) -> (SparseLp, Vec<(f64, f64)>) {
+        let mut m = Model::new("reducible");
+        let n = 4 + rng.below(12);
+        let mut point = Vec::with_capacity(n);
+        let vars: Vec<_> = (0..n)
+            .map(|j| {
+                let upper = (1 + rng.below(20)) as f64;
+                let at = rng.below(upper as usize + 1) as f64;
+                point.push(at);
+                match rng.below(5) {
+                    0 => m.add_continuous(format!("x{j}"), at, at),
+                    _ => m.add_continuous(format!("x{j}"), 0.0, upper),
+                }
+            })
+            .collect();
+        let cost = |rng: &mut Rng| rng.below(11) as f64 - 5.0;
+        let objective: Vec<_> = vars.iter().map(|&v| (v, cost(rng))).collect();
+        m.set_objective(Sense::Minimize, &objective);
+        for _ in 0..3 + rng.below(15) {
+            let terms = if rng.below(4) == 0 {
+                1
+            } else {
+                2 + rng.below(3)
+            };
+            let row: Vec<_> = (0..terms)
+                .map(|_| (rng.below(n), rng.below(7) as f64 - 3.0))
+                .filter(|&(_, c)| c != 0.0)
+                .collect();
+            let activity: f64 = row.iter().map(|&(j, c)| c * point[j]).sum();
+            let row: Vec<_> = row.into_iter().map(|(j, c)| (vars[j], c)).collect();
+            let slack = rng.below(4) as f64;
+            match rng.below(5) {
+                0 => m.add_eq(&row, activity),
+                1 | 2 => m.add_ge(&row, activity - slack),
+                _ => m.add_le(&row, activity + slack),
+            };
+        }
+        let lp = SparseLp::from_model(&m);
+        (lp, bounds_of(&m))
+    }
+
+    #[test]
+    fn mapping_an_unmapped_final_basis_gives_the_engines_basis_back() {
+        // What lets a tree's nodes stay in the reduced numbering: the
+        // original-space snapshot of an engine's final basis maps back to
+        // that basis — statuses, basic order, Devex weights to the bit —
+        // after a primal solve and after a dual reoptimization.
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let check = |p: &Presolve, ws: &SimplexWorkspace, unmapped: &Basis| {
+            let last = ws.engine.snapshot(&p.reduced);
+            let mut mapped = Basis::from_parts(0, 0, Vec::new(), Vec::new(), Vec::new());
+            assert!(p.map_basis(unmapped, &mut mapped, &mut Vec::new()));
+            assert_eq!(mapped.dims(), last.dims());
+            let ((status, basic, devex), (status0, basic0, devex0)) =
+                (mapped.parts(), last.parts());
+            assert_eq!(status, status0, "statuses");
+            assert_eq!(basic, basic0, "basic order");
+            assert_eq!(bits(devex), bits(devex0), "Devex weights");
+        };
+        let mut rng = Rng(0x0BA5_15ED);
+        let (mut checked, mut reduced, mut reoptimized) = (0, 0, 0);
+        for _ in 0..200 {
+            let (lp, bounds) = reducible_lp(&mut rng);
+            let integral = vec![false; lp.nstruct];
+            let PresolveOutcome::Reduced(p) =
+                Presolve::build(&lp, &RowView::of(&lp), &bounds, &integral)
+            else {
+                continue;
+            };
+            let ws = &mut SimplexWorkspace::default();
+            let Ok((root, Some(unmapped))) = p.solve(&lp, &bounds, 10_000, Warm::Cold, ws) else {
+                continue;
+            };
+            check(&p, ws, &unmapped);
+            checked += 1;
+            if p.rows_removed() + p.cols_removed() > 0 {
+                reduced += 1;
+            }
+            // Halve one column's upper bound below its optimal value, as a
+            // branching does, and reoptimize by the dual simplex.
+            let j = rng.below(lp.nstruct);
+            let mut child = bounds.clone();
+            child[j].1 = (root.values[j] * 0.5).floor().max(child[j].0);
+            let warm = Warm::Dual(&unmapped, None);
+            if let Ok((_, Some(unmapped))) = p.solve(&lp, &child, 10_000, warm, ws) {
+                check(&p, ws, &unmapped);
+                reoptimized += 1;
+            }
+        }
+        assert!(
+            checked >= 100 && reduced >= 50 && reoptimized >= 50,
+            "{checked} checked, {reduced} reduced, {reoptimized} reoptimized"
+        );
     }
 
     #[test]

@@ -51,7 +51,11 @@
 //! rebuilt. A branch-and-bound child starts from the basis its parent's LP
 //! ended on, so it can also start from the parent's `FactorState` — LU
 //! factors, eta file and, when the parent ended through the dual, its
-//! reduced costs — instead of factorizing that basis from scratch.
+//! reduced costs — instead of factorizing that basis from scratch. The state
+//! also carries the `x_B` derived through those factors, which a child whose
+//! branched column is basic takes as it is (`Warm::Branch`): its bounds
+//! differ from the parent's only on that column, and `x_B` reads none of a
+//! basic column's bounds.
 //!
 //! A dual-unbounded row proves the LP infeasible. Reached from a
 //! factorization computed from scratch, the verdict stands; otherwise the
@@ -77,8 +81,8 @@
 //! exactly as a fresh one. After an optimal solve the final basis, basic
 //! solution and factor state stay in the workspace, and the caller reads
 //! values and snapshot out of it in its own numbering (`presolve` straight
-//! into the original one), and the factor state with
-//! `SimplexWorkspace::capture`.
+//! into the original one; a tree's nodes take the snapshot as it is), and
+//! the factor state with `SimplexWorkspace::capture`.
 
 use crate::error::SolveError;
 use crate::model::{ConstraintOp, Model};
@@ -440,21 +444,34 @@ pub(crate) enum Warm<'a> {
     /// on, or the start an earlier LP from the snapshot left — the start
     /// restores it instead of factorizing the snapshot's basis from scratch.
     /// When it is empty, the start factorizes and leaves its state there for
-    /// the next. `None` factorizes and keeps nothing.
+    /// the next. `None` factorizes and keeps nothing. A restored start
+    /// derives `x_B` afresh through the restored factorization.
     Dual(&'a Basis, Option<&'a mut FactorState>),
+    /// A [`Warm::Dual`] start of a branch-and-bound child that names the
+    /// column its branching tightened: the one column whose bounds differ
+    /// from those the slot's state was captured under (its parent's, or
+    /// its sibling's, which branched on the same column). When that column
+    /// is basic in the snapshot, a restored start takes the `x_B` the state
+    /// carries instead of recomputing it: `x_B = B⁻¹(b − N·x_N)` reads the
+    /// bounds of nonbasic columns only, so it is the same to the bit. A
+    /// named column that is nonbasic recomputes, as [`Warm::Dual`] does.
+    Branch(&'a Basis, Option<&'a mut FactorState>, usize),
 }
 
 /// The factorization of a basis as an engine held it, for the LPs that
-/// start from that basis: its LU factors and eta file ([`FactorSnapshot`])
-/// and — when the dual simplex kept them — the reduced costs of its
-/// nonbasic columns. Filled by [`SimplexWorkspace::capture`] from the state
-/// an LP ended on, or by a [`Warm::Dual`] start from its own factorization;
-/// read by [`Warm::Dual`].
+/// start from that basis: its LU factors and eta file ([`FactorSnapshot`]),
+/// when the dual simplex kept them the reduced costs of its nonbasic
+/// columns, and when it was fresh the `x_B` that `compute_xb` derived
+/// through exactly those factors. Filled by [`SimplexWorkspace::capture`]
+/// from the state an LP ended on, or by a [`Warm::Dual`] start from its own
+/// factorization; read by [`Warm::Dual`] and [`Warm::Branch`].
 #[derive(Debug, Default)]
 pub(crate) struct FactorState {
     factor: FactorSnapshot,
     /// `d_j` per column of the LP; empty when not carried.
     dj: Vec<f64>,
+    /// `x_B` per row; empty when not carried.
+    xb: Vec<f64>,
 }
 
 impl FactorState {
@@ -485,7 +502,8 @@ impl FactorState {
 pub(crate) struct SimplexWorkspace {
     /// The engine's buffers; after an optimal solve, its final state.
     pub(crate) engine: EngineState,
-    /// Node bounds mapped into the presolve-reduced column space.
+    /// Bounds mapped into the presolve-reduced column space, for an LP
+    /// that crosses the reduction (`Presolve::solve`).
     pub(crate) mapped_bounds: Vec<(f64, f64)>,
     /// A warm basis mapped into the presolve-reduced numbering.
     pub(crate) mapped_basis: Basis,
@@ -539,6 +557,10 @@ pub(crate) struct EngineState {
     basic: Vec<usize>,
     /// Basic values per row.
     xb: Vec<f64>,
+    /// Whether `xb` is what `compute_xb` derives through the current
+    /// factorization, statuses and bounds: set by `compute_xb` and by a
+    /// start that carries it, cleared by every pivot and bound flip.
+    xb_fresh: bool,
     factor: BasisFactor,
     /// Dense workspaces (length `nrows`).
     w: Vec<f64>,
@@ -612,14 +634,19 @@ impl EngineState {
     }
 
     /// Copies the current factor state into `into` (see
-    /// [`SimplexWorkspace::capture`]).
+    /// [`SimplexWorkspace::capture`]), with `x_B` while it is fresh.
     fn capture(&mut self, into: &mut FactorState) {
         self.factor.capture(&mut into.factor);
         into.dj.clone_from(&self.dj);
+        if self.xb_fresh {
+            into.xb.clone_from(&self.xb);
+        } else {
+            into.xb.clear();
+        }
     }
 
     /// The final basis of the last solve, over `lp`, as a snapshot.
-    fn snapshot(&self, lp: &SparseLp) -> Basis {
+    pub(crate) fn snapshot(&self, lp: &SparseLp) -> Basis {
         Basis {
             nstruct: lp.nstruct,
             nrows: lp.nrows,
@@ -697,34 +724,40 @@ pub(crate) fn solve_in(
     }
 
     let mut engine = Engine::new(lp, bounds, max_iters, state);
+    let branched = match warm {
+        Warm::Branch(_, _, column) => Some(column),
+        _ => None,
+    };
     // A snapshot that cannot be applied degrades to the cold basis.
     let mut started_cold = match warm {
         Warm::Cold => true,
-        Warm::Primal(basis) => engine.install_warm_basis(basis, None).is_none(),
-        Warm::Dual(basis, slot) => match engine.install_warm_basis(basis, slot) {
-            None => true,
-            Some(start) => {
-                let mut outcome = engine.dual(start == Start::Factorized)?;
-                // A restored start that gets stuck tries once more from a
-                // from-scratch factorization of the same basis before going
-                // cold: the trouble is usually the drift it carried.
-                if start == Start::Restored
-                    && outcome == DualOutcome::Stuck
-                    && engine.install_warm_basis(basis, None).is_some()
-                {
-                    outcome = engine.dual(true)?;
-                }
-                match outcome {
-                    DualOutcome::Optimal => return Ok(engine.result(LpStatus::Optimal)),
-                    DualOutcome::Infeasible => return Ok(engine.result(LpStatus::Infeasible)),
-                    // Primal feasible but not optimal: the primal finishes
-                    // from this basis below (its phase 1 has nothing to do).
-                    DualOutcome::DualInfeasible => false,
-                    // Numerical trouble: restart from scratch below.
-                    DualOutcome::Stuck => true,
+        Warm::Primal(basis) => engine.install_warm_basis(basis, None, None).is_none(),
+        Warm::Dual(basis, slot) | Warm::Branch(basis, slot, _) => {
+            match engine.install_warm_basis(basis, slot, branched) {
+                None => true,
+                Some(start) => {
+                    let mut outcome = engine.dual(start == Start::Factorized)?;
+                    // A restored start that gets stuck tries once more from a
+                    // from-scratch factorization of the same basis before going
+                    // cold: the trouble is usually the drift it carried.
+                    if start != Start::Factorized
+                        && outcome == DualOutcome::Stuck
+                        && engine.install_warm_basis(basis, None, None).is_some()
+                    {
+                        outcome = engine.dual(true)?;
+                    }
+                    match outcome {
+                        DualOutcome::Optimal => return Ok(engine.result(LpStatus::Optimal)),
+                        DualOutcome::Infeasible => return Ok(engine.result(LpStatus::Infeasible)),
+                        // Primal feasible but not optimal: the primal finishes
+                        // from this basis below (its phase 1 has nothing to do).
+                        DualOutcome::DualInfeasible => false,
+                        // Numerical trouble: restart from scratch below.
+                        DualOutcome::Stuck => true,
+                    }
                 }
             }
-        },
+        }
     };
     if started_cold {
         engine.install_cold_basis();
@@ -768,13 +801,16 @@ enum DualOutcome {
     Stuck,
 }
 
-/// Where an installed warm basis got its factorization.
+/// Where an installed warm basis got its factorization and `x_B`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Start {
     /// Computed from scratch for exactly the installed basis.
     Factorized,
-    /// Restored from a [`FactorState`].
+    /// Restored from a [`FactorState`], `x_B` derived through it.
     Restored,
+    /// Restored from a [`FactorState`], `x_B` carried with it
+    /// ([`Warm::Branch`]).
+    Carried,
 }
 
 /// Internal failure of a primal phase.
@@ -828,6 +864,7 @@ impl<'a> Engine<'a> {
         refill(&mut ws.status, ncols, VarStatus::AtLower);
         ws.basic.clear();
         ws.xb.clear();
+        ws.xb_fresh = false;
         refill(&mut ws.w, nrows, 0.0);
         refill(&mut ws.y, nrows, 0.0);
         refill(&mut ws.c1, ncols, 0.0);
@@ -882,21 +919,25 @@ impl<'a> Engine<'a> {
     }
 
     /// Installs a snapshot, extending it if the problem has grown since it
-    /// was taken, and says where its factorization came from. Returns `None`
-    /// (leaving the engine unusable until another install) when the snapshot
-    /// does not fit or its basis is singular.
+    /// was taken, and says where its factorization and `x_B` came from.
+    /// Returns `None` (leaving the engine unusable until another install)
+    /// when the snapshot does not fit or its basis is singular.
     ///
     /// A captured state in the `slot` ([`Warm::Dual`]) is the factorization
     /// of exactly the installed basis over this `lp` — the snapshot is the
     /// final basis of the solve it was captured from, or the start of one
     /// installed from the same snapshot — and is restored, with its reduced
-    /// costs, instead of a from-scratch factorization. An empty slot is
-    /// filled with the from-scratch one. A snapshot of another size neither
-    /// takes nor leaves a state.
+    /// costs, instead of a from-scratch factorization. It also carries its
+    /// `x_B` when `branched` ([`Warm::Branch`]) names a column that is basic
+    /// in the installed basis and the state holds one. An empty slot is
+    /// filled with the from-scratch factorization and the `x_B` derived
+    /// through it. A snapshot of another size neither takes nor leaves a
+    /// state.
     fn install_warm_basis(
         &mut self,
         basis: &Basis,
         slot: Option<&mut FactorState>,
+        branched: Option<usize>,
     ) -> Option<Start> {
         let (s0, r0) = (basis.nstruct, basis.nrows);
         let (s1, r1) = (self.lp.nstruct, self.lp.nrows);
@@ -904,6 +945,7 @@ impl<'a> Engine<'a> {
             return None;
         }
         let ws = &mut *self.ws;
+        ws.xb_fresh = false;
         // Map a snapshot column index to the current numbering.
         let remap = |j: usize| if j < s0 { j } else { s1 + (j - s0) };
         for j in 0..s1 {
@@ -954,27 +996,49 @@ impl<'a> Engine<'a> {
             }
         }
         let slot = slot.filter(|_| (s0, r0) == (s1, r1));
-        let start = match slot {
+        match slot {
             Some(state) if state.is_captured() => {
                 let lp = self.lp;
                 let columns = ws.basic.iter().map(|&j| lp.cols.column(j));
                 ws.factor.restore(&state.factor, columns);
                 ws.dj.clone_from(&state.dj);
-                Start::Restored
+                let basic = |j: usize| ws.status.get(j) == Some(&VarStatus::Basic);
+                if state.xb.len() == r1 && branched.is_some_and(basic) {
+                    ws.xb.clone_from(&state.xb);
+                    ws.xb_fresh = true;
+                    if cfg!(debug_assertions) {
+                        self.assert_carried_xb_is_fresh();
+                    }
+                    return Some(Start::Carried);
+                }
+                self.compute_xb();
+                Some(Start::Restored)
             }
             slot => {
                 ws.dj.clear();
                 if !self.refactorize() {
                     return None;
                 }
+                self.compute_xb();
                 if let Some(state) = slot {
                     self.ws.capture(state);
                 }
-                Start::Factorized
+                Some(Start::Factorized)
             }
-        };
+        }
+    }
+
+    /// Debug check of a carried `x_B`: `compute_xb` through the restored
+    /// factorization must give it back bit for bit.
+    fn assert_carried_xb_is_fresh(&mut self) {
+        let carried = std::mem::take(&mut self.ws.xb);
         self.compute_xb();
-        Some(start)
+        let bits = |xb: &[f64]| xb.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(
+            bits(&carried),
+            bits(&self.ws.xb),
+            "a carried x_B differs from the one its factorization derives"
+        );
     }
 
     /// Factorizes the current basis from scratch. Returns `false` if singular.
@@ -1001,6 +1065,7 @@ impl<'a> Engine<'a> {
             }
         }
         ws.factor.ftran(&mut ws.xb);
+        ws.xb_fresh = true;
     }
 
     /// Refactorizes (recomputing `x_B` to purge drift) when the eta file is
@@ -1343,6 +1408,7 @@ impl<'a> Engine<'a> {
     /// after a refactorization (caller treats this as numerical trouble).
     fn pivot(&mut self, row: usize, q: usize, step: f64, leave_status: VarStatus) -> bool {
         let ws = &mut *self.ws;
+        ws.xb_fresh = false;
         let entering_prev_status = ws.status[q];
         let entering_value = ws.nonbasic_value(q) + step;
         if step != 0.0 {
@@ -1474,6 +1540,7 @@ impl<'a> Engine<'a> {
     /// Flips the entering column to its opposite bound (no basis change).
     fn bound_flip(&mut self, q: usize, dir: f64, t: f64) {
         let ws = &mut *self.ws;
+        ws.xb_fresh = false;
         for (x, &wi) in ws.xb.iter_mut().zip(&ws.w) {
             *x -= dir * wi * t;
         }
@@ -1644,7 +1711,8 @@ impl<'a> Engine<'a> {
         // means `xb` was re-derived through the factorization (one FTRAN —
         // cheap, the eta chain is length-bounded by `maybe_refactorize`),
         // which certifies the Optimal bound check; it holds on entry, since
-        // `install_warm_basis` recomputes `xb` as its last step.
+        // `install_warm_basis` ends with `xb` derived through the installed
+        // factorization, or carried bit-equal to that.
         // `hard_fresh` means the factorization itself was just computed from
         // scratch, so that a dual-unbounded row is an Infeasible verdict as
         // it stands. Otherwise — after a pivot, or from a restored start —
@@ -2133,7 +2201,7 @@ mod tests {
             let mut state = EngineState::default();
             let mut engine = Engine::new(&lp, &bounds, 100, &mut state);
             assert_eq!(
-                engine.install_warm_basis(&basis, None),
+                engine.install_warm_basis(&basis, None, None),
                 Some(Start::Factorized)
             );
             let drifted = [(&[0usize][..], &[1.0][..]), (&[0, 1][..], &[0.5, 1.0][..])];
@@ -2450,6 +2518,135 @@ mod tests {
             what,
         );
         outcome.ok()
+    }
+
+    /// Seeded LPs and their children: a child tightens one column, basic in
+    /// the parent's optimal basis, as a branching does. From the state its
+    /// sibling's start left, and from the state a dual child ended on, a
+    /// [`Warm::Branch`] start naming that column carries the state's `x_B`,
+    /// bit-equal to what `compute_xb` derives, and answers exactly as a
+    /// [`Warm::Dual`] start from the same state, which recomputes it. Naming
+    /// a nonbasic column, or none, recomputes.
+    #[test]
+    fn a_child_naming_its_basic_branched_column_carries_x_b() {
+        // How a start under `bounds` installs from the state a start under
+        // `left_by` left, and its `x_B` against `compute_xb` through the
+        // same factorization.
+        fn install(
+            lp: &SparseLp,
+            left_by: &[(f64, f64)],
+            bounds: &[(f64, f64)],
+            basis: &Basis,
+            column: Option<usize>,
+        ) -> Option<Start> {
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            let (mut state, mut from) = (EngineState::default(), FactorState::default());
+            let warm = Warm::Dual(basis, Some(&mut from));
+            let _ =
+                super::solve_sparse(lp, left_by, 10_000, warm, &mut SimplexWorkspace::default());
+            let mut engine = Engine::new(lp, bounds, 10_000, &mut state);
+            let start = engine.install_warm_basis(basis, Some(&mut from), column);
+            let installed = engine.ws.xb.clone();
+            engine.compute_xb();
+            assert_eq!(
+                bits(&installed),
+                bits(&engine.ws.xb),
+                "x_B of a {start:?} start"
+            );
+            start
+        }
+        let mut rng = Rng(0x00C4_A77E);
+        let (mut from_sibling, mut from_ended) = (0, 0);
+        for case in 0..80 {
+            let m = 3 + rng.below(24);
+            let (_, lp, bounds) = random_lp(&mut rng, m);
+            let ws = &mut SimplexWorkspace::default();
+            let Ok((root, Some(basis))) = super::solve_sparse(&lp, &bounds, 10_000, Warm::Cold, ws)
+            else {
+                continue;
+            };
+            let basic = |b: &Basis, j: usize| b.status[j] == VarStatus::Basic;
+            let Some(j) = (0..lp.nstruct).find(|&j| basic(&basis, j)) else {
+                continue;
+            };
+            let nonbasic = (0..lp.nstruct).find(|&k| !basic(&basis, k));
+            // The down child and its up sibling on column `j`.
+            let (lo, hi) = bounds[j];
+            let mut down = bounds.clone();
+            down[j].1 = (root.values[j] * 0.5).floor().max(lo);
+            let mut up = bounds.clone();
+            up[j].0 = (root.values[j] + 1.0).ceil().min(hi);
+
+            // Both siblings start from the state the down child's start
+            // left; the up one carries its x_B only when it names `j`.
+            assert_eq!(
+                install(&lp, &down, &up, &basis, Some(j)),
+                Some(Start::Carried)
+            );
+            assert_eq!(
+                install(&lp, &down, &up, &basis, None),
+                Some(Start::Restored)
+            );
+            if let Some(k) = nonbasic {
+                assert_eq!(
+                    install(&lp, &down, &up, &basis, Some(k)),
+                    Some(Start::Restored)
+                );
+            }
+            let (mut left, mut same) = (FactorState::default(), FactorState::default());
+            for slot in [&mut left, &mut same] {
+                let warm = Warm::Branch(&basis, Some(slot), j);
+                let _ = super::solve_sparse(&lp, &down, 10_000, warm, ws);
+                assert!(slot.xb.len() == m, "case {case}: a fresh start left no x_B");
+            }
+            let what = format!("case {case} (m = {m}), the sibling");
+            let sibling = reused_against_fresh(
+                &lp,
+                &up,
+                10_000,
+                ws,
+                (
+                    Warm::Branch(&basis, Some(&mut left), j),
+                    Warm::Dual(&basis, Some(&mut same)),
+                ),
+                &what,
+            );
+            from_sibling += 1;
+
+            // A child of the sibling, from the state the sibling ended on.
+            let Some((done, Some(ended))) = sibling else {
+                continue;
+            };
+            let (mut mine, mut theirs) = (FactorState::default(), FactorState::default());
+            ws.capture(&mut mine);
+            ws.capture(&mut theirs);
+            let Some(g) = (0..lp.nstruct).find(|&g| basic(&ended, g)) else {
+                continue;
+            };
+            if mine.xb.is_empty() {
+                // The sibling finished in the primal simplex.
+                continue;
+            }
+            let mut grandchild = up.clone();
+            grandchild[g].1 = (done.values[g] * 0.5).floor().max(grandchild[g].0);
+            let what = format!("case {case} (m = {m}), the grandchild");
+            reused_against_fresh(
+                &lp,
+                &grandchild,
+                10_000,
+                ws,
+                (
+                    Warm::Branch(&ended, Some(&mut mine), g),
+                    Warm::Dual(&ended, Some(&mut theirs)),
+                ),
+                &what,
+            );
+            from_ended += 1;
+        }
+        assert!(
+            from_sibling >= 30 && from_ended >= 10,
+            "{from_sibling} siblings, {from_ended} grandchildren carried an x_B"
+        );
     }
 
     /// One workspace through a seeded sequence of unrelated LPs — sizes

@@ -3,7 +3,6 @@
 use crate::beacon::Beacon;
 use crate::error::RuntimeError;
 use crate::slot_table::ModeTable;
-use std::collections::BTreeMap;
 use ttw_core::ModeId;
 
 /// One round as emitted by the host.
@@ -29,55 +28,114 @@ pub struct HostRound {
 /// announce the new mode id while the current mode's applications drain; the
 /// trigger bit `SB` is set in the last round of the current hyperperiod, and
 /// the new mode starts right after that round.
+///
+/// The tables sit in a `Vec` indexed by their 8-bit mode id — the id beacons
+/// carry and the round directory resolves — so that emitting a round, and
+/// a node looking up the round a beacon names, index it directly.
 #[derive(Debug, Clone)]
 pub struct Host {
-    tables: BTreeMap<ModeId, ModeTable>,
-    current_mode: ModeId,
+    /// `tables[id]` is the table of mode id `id`, `None` where no mode has
+    /// that id.
+    tables: Vec<Option<ModeTable>>,
+    /// Mode id of the mode being executed.
+    current: u8,
+    /// Mode id of the mode the last emitted round belonged to.
+    emitted: u8,
     /// Index (within the current mode) of the next round to emit.
     next_index: usize,
     /// Absolute start time (µs) of the current hyperperiod.
     hyperperiod_start: u64,
-    pending_change: Option<ModeId>,
+    /// Mode id of the mode a change in progress switches to.
+    pending_change: Option<u8>,
 }
 
 impl Host {
-    /// Creates a host executing `initial_mode` from the given mode tables.
+    /// Creates a host executing `initial_mode` from the given mode tables. A
+    /// later table of the same mode replaces an earlier one.
     ///
     /// # Errors
     ///
-    /// Returns [`RuntimeError::UnknownMode`] if `initial_mode` has no table.
+    /// * [`RuntimeError::UnknownMode`] if `initial_mode` has no table;
+    /// * [`RuntimeError::TooManyModes`] if two modes share a mode id, which
+    ///   happens when their ids exceed the 8-bit space of the beacon.
     pub fn new(tables: Vec<ModeTable>, initial_mode: ModeId) -> Result<Self, RuntimeError> {
-        let tables: BTreeMap<ModeId, ModeTable> = tables.into_iter().map(|t| (t.mode, t)).collect();
-        if !tables.contains_key(&initial_mode) {
-            return Err(RuntimeError::UnknownMode { mode: initial_mode });
+        let modes = tables.len();
+        let mut by_id: Vec<Option<ModeTable>> = Vec::new();
+        for table in tables {
+            let id = usize::from(table.mode_id);
+            if by_id.len() <= id {
+                by_id.resize(id + 1, None);
+            }
+            let same_mode = |held: &Option<ModeTable>| held.as_ref().map(|held| held.mode);
+            if let Some(earlier) = by_id
+                .iter_mut()
+                .find(|held| same_mode(held) == Some(table.mode))
+            {
+                *earlier = None;
+            }
+            if by_id[id]
+                .as_ref()
+                .is_some_and(|held| held.mode != table.mode)
+            {
+                return Err(RuntimeError::TooManyModes { modes });
+            }
+            by_id[id] = Some(table);
         }
+        let Some(initial) = (by_id.iter().flatten())
+            .find(|table| table.mode == initial_mode)
+            .map(|table| table.mode_id)
+        else {
+            return Err(RuntimeError::UnknownMode { mode: initial_mode });
+        };
         Ok(Host {
-            tables,
-            current_mode: initial_mode,
+            tables: by_id,
+            current: initial,
+            emitted: initial,
             next_index: 0,
             hyperperiod_start: 0,
             pending_change: None,
         })
     }
 
+    /// The table of mode id `id`, which the host's state only ever names
+    /// when it has one.
+    fn at(&self, id: u8) -> &ModeTable {
+        match &self.tables[usize::from(id)] {
+            Some(table) => table,
+            None => unreachable!("the host names mode id {id}, which has no table"),
+        }
+    }
+
     /// The mode currently being executed.
     pub fn current_mode(&self) -> ModeId {
-        self.current_mode
+        self.current_table().mode
     }
 
     /// The mode table of the currently executing mode.
     pub fn current_table(&self) -> &ModeTable {
-        &self.tables[&self.current_mode]
+        self.at(self.current)
+    }
+
+    /// The mode table the last round [`Host::next_round`] emitted belongs
+    /// to: the executing mode's, also when a switch completed right after
+    /// that round. Before the first round, the initial mode's.
+    pub fn emitted_table(&self) -> &ModeTable {
+        self.at(self.emitted)
     }
 
     /// Table of an arbitrary mode, if known.
     pub fn table(&self, mode: ModeId) -> Option<&ModeTable> {
-        self.tables.get(&mode)
+        self.tables().find(|table| table.mode == mode)
     }
 
-    /// All mode tables, keyed by mode.
-    pub fn tables(&self) -> &BTreeMap<ModeId, ModeTable> {
-        &self.tables
+    /// Table of the mode whose 8-bit mode id is `mode_id`, if known.
+    pub fn table_by_id(&self, mode_id: u8) -> Option<&ModeTable> {
+        self.tables.get(usize::from(mode_id))?.as_ref()
+    }
+
+    /// All mode tables, in mode id order.
+    pub fn tables(&self) -> impl Iterator<Item = &ModeTable> {
+        self.tables.iter().flatten()
     }
 
     /// Whether a mode change is currently in progress (phase 1 of Fig. 2).
@@ -92,10 +150,10 @@ impl Host {
     ///
     /// Returns [`RuntimeError::UnknownMode`] if `target` has no table.
     pub fn request_mode_change(&mut self, target: ModeId) -> Result<(), RuntimeError> {
-        if !self.tables.contains_key(&target) {
+        let Some(target) = self.table(target).map(|table| table.mode_id) else {
             return Err(RuntimeError::UnknownMode { mode: target });
-        }
-        if target != self.current_mode {
+        };
+        if target != self.current {
             self.pending_change = Some(target);
         }
         Ok(())
@@ -120,15 +178,13 @@ impl Host {
     /// desynchronized legacy nodes might fire into); its beacon is the one
     /// the host *would* have sent with no change in progress.
     pub fn next_round(&mut self, host_up: bool) -> HostRound {
-        let table = &self.tables[&self.current_mode];
+        let table = self.at(self.current);
         let round = &table.rounds[self.next_index];
         let is_last_of_hyperperiod = self.next_index + 1 == table.rounds.len();
+        let hyperperiod = table.hyperperiod;
 
         let (announced_mode, trigger) = match self.pending_change.filter(|_| host_up) {
-            Some(target) => {
-                let target_id = self.tables[&target].mode_id;
-                (target_id, is_last_of_hyperperiod)
-            }
+            Some(target) => (target, is_last_of_hyperperiod),
             None => (table.mode_id, false),
         };
         let beacon = Beacon {
@@ -138,18 +194,19 @@ impl Host {
         };
         let host_round = HostRound {
             start: self.hyperperiod_start + round.start,
-            mode: self.current_mode,
+            mode: table.mode,
             index: self.next_index,
             beacon,
             switches_after: trigger,
         };
 
         // Advance to the next round / hyperperiod / mode.
+        self.emitted = self.current;
         if is_last_of_hyperperiod {
-            self.hyperperiod_start += table.hyperperiod;
+            self.hyperperiod_start += hyperperiod;
             self.next_index = 0;
             if trigger {
-                self.current_mode = self.pending_change.take().expect("trigger implies pending");
+                self.current = self.pending_change.take().expect("trigger implies pending");
             }
         } else {
             self.next_index += 1;
@@ -238,6 +295,59 @@ mod tests {
         assert_eq!(round.mode, emergency);
         assert_eq!(host.current_mode(), emergency);
         assert!(!host.change_in_progress());
+    }
+
+    #[test]
+    fn tables_are_indexed_by_mode_id_and_the_emitted_one_follows_the_switch() {
+        let (mut host, normal, emergency) = two_mode_host();
+        let ids: Vec<u8> = host.tables().map(|table| table.mode_id).collect();
+        assert!(
+            ids.windows(2).all(|w| w[0] < w[1]),
+            "mode id order: {ids:?}"
+        );
+        for table in host.tables() {
+            let by_id = host.table_by_id(table.mode_id).expect("known id");
+            assert_eq!(by_id.mode, table.mode);
+            assert_eq!(host.table(table.mode), Some(by_id));
+        }
+        let unused = (0..=u8::MAX)
+            .find(|id| !ids.contains(id))
+            .expect("a free id");
+        assert!(host.table_by_id(unused).is_none());
+
+        // Through a mode change, the emitted table is the one each round
+        // belongs to, the trigger round included.
+        host.request_mode_change(emergency).expect("known mode");
+        let per_hyperperiod = host.current_table().rounds.len();
+        for _ in 0..2 * per_hyperperiod {
+            let round = host.next_round(true);
+            let emitted = host.emitted_table();
+            assert_eq!(emitted.mode, round.mode);
+            assert_eq!(emitted.rounds[round.index].round_id, round.beacon.round_id);
+        }
+        assert_eq!(host.current_mode(), emergency);
+        assert_ne!(normal, emergency);
+
+        // A later table of a mode replaces the earlier one, also under
+        // another mode id.
+        let mut tables: Vec<ModeTable> = host.tables().cloned().collect();
+        let mut moved = tables[0].clone();
+        moved.mode_id = u8::MAX;
+        tables.push(moved);
+        let replaced = Host::new(tables.clone(), normal).expect("one table a mode");
+        assert_eq!(replaced.tables().count(), 2);
+        assert_eq!(
+            replaced.table(tables[0].mode).map(|t| t.mode_id),
+            Some(u8::MAX)
+        );
+        tables.pop();
+
+        // Two modes with one mode id cannot both be addressed by beacons.
+        tables[1].mode_id = tables[0].mode_id;
+        assert!(matches!(
+            Host::new(tables, normal),
+            Err(RuntimeError::TooManyModes { modes: 2 })
+        ));
     }
 
     #[test]

@@ -340,7 +340,7 @@ impl Simulation {
             .faults
             .as_ref()
             .map_or(f64::INFINITY, |plan| plan.clock_tolerance_us);
-        let table = &self.host.tables()[&host_round.mode];
+        let table = self.host.emitted_table();
         let executing_mode_id = table.mode_id;
         let entry = &table.rounds[host_round.index];
 
@@ -552,9 +552,7 @@ fn node_initiates(
     let Some((mode_id, position)) = directory.locate(round_id) else {
         return false;
     };
-    host.tables()
-        .values()
-        .find(|table| table.mode_id == mode_id)
+    host.table_by_id(mode_id)
         .and_then(|table| table.rounds.get(position))
         .and_then(|round| round.slots.get(slot_idx))
         .is_some_and(|slot| slot.initiator.index() == node_index)
