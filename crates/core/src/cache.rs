@@ -72,7 +72,11 @@
 //!    warm-start an edited system's re-solve from its cached predecessor.
 //!    Each basis sits behind an `Arc`, and a successor shares the bases of
 //!    the modes it kept just as it shares their schedules; the sidecar still
-//!    holds every basis in full.
+//!    holds every basis in full, each as a JSON object of the same codec
+//!    (`basic`, `devex`, `status`, `version`) that
+//!    [`Basis::from_letters`] checks on the way in. A sidecar whose basis
+//!    is of another form, another solver build or inconsistent reads as no
+//!    artifacts, and the re-synthesis that wanted it solves cold.
 //!
 //! Disk files are published via write-to-temp-then-rename so a concurrent
 //! reader never observes a torn entry. Temp names carry the process id
@@ -190,17 +194,44 @@ pub struct SynthesisArtifacts {
     pub warm: BTreeMap<ModeId, ModeWarmStart>,
 }
 
-/// A basis travels as the one-line text of [`Basis::encode`].
+/// What a basis object holds on the way in, before [`Basis::from_letters`]
+/// checks it.
+struct BasisMembers {
+    basic: Vec<usize>,
+    devex: Vec<f64>,
+    status: String,
+    version: String,
+}
+
+crate::json_object!(BasisMembers as "basis" { basic, devex, status, version });
+
+/// A basis travels as the object of its read accessors,
+/// `{"basic":[…],"devex":[…],"status":"BLU…","version":"…"}`: Devex weights
+/// in the shortest digits that read back to the same bits, and the crate
+/// version of the solver build that wrote it, which is the only build that
+/// reads it back.
 impl Json for Basis {
     fn write(&self, w: &mut Writer<'_>) {
-        w.string(&self.encode());
+        w.object(&mut [
+            ("basic", &|w| {
+                w.array(self.basic(), |w, &j| w.integer(j as u64))
+            }),
+            ("devex", &|w| {
+                w.array(self.devex(), |w, &weight| w.number(weight))
+            }),
+            ("status", &|w| w.string(&self.status_letters())),
+            ("version", &|w| w.string(env!("CARGO_PKG_VERSION"))),
+        ]);
     }
 
     fn read(r: &mut Reader<'_>) -> Result<Self, JsonError> {
         let at = r.offset();
-        Basis::decode(&r.string()?).ok_or_else(|| {
-            JsonError::custom("expected a basis snapshot of this solver build").at(at)
-        })
+        let members = BasisMembers::read(r)?;
+        if members.version != env!("CARGO_PKG_VERSION") {
+            return Err(JsonError::custom("expected a basis of this solver build").at(at));
+        }
+        Basis::from_letters(&members.status, members.basic, members.devex)
+            .ok_or_else(|| JsonError::custom("expected a consistent basis").at(at))
     }
 }
 
@@ -224,9 +255,9 @@ pub fn artifacts_to_json(artifacts: &SynthesisArtifacts) -> String {
 ///
 /// Returns a [`JsonError`] when the document is not a valid artifacts entry:
 /// malformed, a mode graph over other modes than the system's, or a basis
-/// that no longer decodes (written by a different solver build, tampered
-/// with). [`ScheduleCache::artifacts`] reads all of them as "no artifacts",
-/// and the re-synthesis solves cold.
+/// that does not decode (written by a different solver build or in another
+/// form, tampered with). [`ScheduleCache::artifacts`] reads all of them as
+/// "no artifacts", and the re-synthesis solves cold.
 pub fn artifacts_from_json(text: &str) -> Result<SynthesisArtifacts, JsonError> {
     SynthesisArtifacts::from_json(text)
 }
@@ -1328,7 +1359,7 @@ mod tests {
         for (mode, warm) in &artifacts.warm {
             let back = &parsed.warm[mode];
             assert_eq!(back.rounds, warm.rounds);
-            assert_eq!(back.basis.encode(), warm.basis.encode());
+            assert_eq!(back.basis.to_json(), warm.basis.to_json());
         }
 
         // Sidecar trip: a fresh cache instance on the same directory serves

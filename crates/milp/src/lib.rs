@@ -104,7 +104,11 @@
 //!   extended basis. The warm-start contract is: appending variables or
 //!   constraints and adjusting coefficients/bounds of existing rows keeps a
 //!   snapshot usable; removing anything invalidates it (the solver then falls
-//!   back to a cold start automatically).
+//!   back to a cold start automatically). A snapshot has no format of its
+//!   own: [`Basis::status_letters`], [`Basis::basic`] and [`Basis::devex`]
+//!   read it out, and [`Basis::from_letters`] builds it back, refusing any
+//!   inconsistent input with `None`, so a caller that persists bases (the
+//!   schedule cache writes them as JSON objects) needs no solver code.
 //! * **Dense reference oracle.** The retired dense tableau solver lives in
 //!   the `dense` module (under `cfg(test)` or the `dense-reference` feature)
 //!   and is used by agreement tests and the dense-vs-sparse benchmarks.
@@ -151,7 +155,6 @@ pub mod expr;
 pub mod model;
 mod presolve;
 pub mod simplex;
-pub mod snapshot;
 pub mod solution;
 mod sparse;
 

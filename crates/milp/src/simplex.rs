@@ -166,6 +166,28 @@ pub(crate) enum VarStatus {
     Free,
 }
 
+impl VarStatus {
+    /// The status's letter in [`Basis::status_letters`].
+    fn letter(self) -> char {
+        match self {
+            VarStatus::Basic => 'B',
+            VarStatus::AtLower => 'L',
+            VarStatus::AtUpper => 'U',
+            VarStatus::Free => 'F',
+        }
+    }
+
+    fn of_letter(letter: u8) -> Option<Self> {
+        match letter {
+            b'B' => Some(VarStatus::Basic),
+            b'L' => Some(VarStatus::AtLower),
+            b'U' => Some(VarStatus::AtUpper),
+            b'F' => Some(VarStatus::Free),
+            _ => None,
+        }
+    }
+}
+
 /// A simplex basis snapshot used for warm starts.
 ///
 /// Obtained from [`crate::Model::solve_with_basis`] and accepted back by the
@@ -174,6 +196,14 @@ pub(crate) enum VarStatus {
 /// adjusted): new columns enter at a bound, new rows enter on their logical
 /// column, and the solver repairs feasibility from there — the warm-start
 /// contract behind [`IlpInstance::add_round`]-style incremental sweeps.
+///
+/// A snapshot is plain data with no format of its own: its three read
+/// accessors ([`Basis::status_letters`], [`Basis::basic`],
+/// [`Basis::devex`]) hand out everything it holds, and
+/// [`Basis::from_letters`] builds one back from them, checked. The schedule
+/// cache of `ttw-core` persists a snapshot as a JSON object of those three
+/// members and the crate version. A snapshot that passes the checks can still be stale for the
+/// model it is applied to; the warm install then degrades to a cold start.
 ///
 /// [`IlpInstance::add_round`]: https://docs.rs/ttw-core
 #[derive(Debug, Clone)]
@@ -220,6 +250,54 @@ impl Basis {
     /// covers models at least this large).
     pub fn dims(&self) -> (usize, usize) {
         (self.nstruct, self.nrows)
+    }
+
+    /// The basic column of each row, in the snapshot's column numbering:
+    /// structural columns `0..nstruct`, then the logical column of each row.
+    pub fn basic(&self) -> &[usize] {
+        &self.basic
+    }
+
+    /// The Devex reference weight of each column, in the numbering of
+    /// [`Basis::basic`].
+    pub fn devex(&self) -> &[f64] {
+        &self.devex
+    }
+
+    /// The status of each column as one letter: `B` basic, `L` at its
+    /// lower bound, `U` at its upper bound, `F` free and parked at zero.
+    pub fn status_letters(&self) -> String {
+        self.status.iter().map(|s| s.letter()).collect()
+    }
+
+    /// The snapshot the three read accessors describe: one column per
+    /// status letter, one row per basic entry. `None` — never a panic —
+    /// unless there are at least as many columns as rows, one Devex weight
+    /// per column, each finite and positive, every letter is one of
+    /// `BLUF`, and the basic entries name distinct in-range columns that are
+    /// exactly the ones marked `B`. Every buffer it allocates is as long as
+    /// one of its arguments.
+    pub fn from_letters(status: &str, basic: Vec<usize>, devex: Vec<f64>) -> Option<Basis> {
+        let (ncols, nrows) = (status.len(), basic.len());
+        let nstruct = ncols.checked_sub(nrows)?;
+        if devex.len() != ncols || !devex.iter().all(|&w| w.is_finite() && w > 0.0) {
+            return None;
+        }
+        let status: Vec<VarStatus> = status
+            .bytes()
+            .map(VarStatus::of_letter)
+            .collect::<Option<_>>()?;
+        let mut seen = vec![false; ncols];
+        for &j in &basic {
+            if j >= ncols || std::mem::replace(&mut seen[j], true) || status[j] != VarStatus::Basic
+            {
+                return None;
+            }
+        }
+        if status.iter().filter(|&&s| s == VarStatus::Basic).count() != nrows {
+            return None;
+        }
+        Some(Basis::from_parts(nstruct, nrows, status, basic, devex))
     }
 
     /// Raw parts `(status, basic, devex)` for the presolve mapping layer.
@@ -2752,5 +2830,77 @@ mod tests {
             restored > 0 && budget_stops > 0,
             "{restored} restored starts, {budget_stops} budget stops"
         );
+    }
+
+    /// A small LP whose optimal basis has structural columns in it, and
+    /// that basis.
+    fn sample_basis() -> (Model, Basis) {
+        let mut m = Model::new("accessor-sample");
+        let x = m.add_continuous("x", 0.0, 10.0);
+        let y = m.add_continuous("y", 0.0, 10.0);
+        m.set_objective(Sense::Maximize, &[(x, 3.0), (y, 2.0)]);
+        m.add_le(&[(x, 1.0), (y, 1.0)], 12.0);
+        m.add_le(&[(x, 2.0), (y, 1.0)], 18.0);
+        let (solution, basis) = m.solve_with_basis(None).expect("solvable");
+        assert_eq!(solution.status, crate::Status::Optimal);
+        (m, basis.expect("an optimal solve returns a basis"))
+    }
+
+    /// The snapshot its read accessors describe.
+    fn rebuilt(basis: &Basis) -> Option<Basis> {
+        let status = basis.status_letters();
+        Basis::from_letters(&status, basis.basic().to_vec(), basis.devex().to_vec())
+    }
+
+    #[test]
+    fn the_read_accessors_rebuild_the_same_snapshot() {
+        let (_, basis) = sample_basis();
+        assert!(basis.basic().iter().any(|&j| j < basis.dims().0));
+        let back = rebuilt(&basis).expect("a solver's own basis is consistent");
+        assert_eq!(back.dims(), basis.dims());
+        assert_eq!(back.parts().0, basis.parts().0);
+        assert_eq!(back.basic(), basis.basic());
+        let bits = |b: &Basis| b.devex().iter().map(|w| w.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&back), bits(&basis));
+        assert_eq!(back.status_letters(), basis.status_letters());
+    }
+
+    #[test]
+    fn a_rebuilt_snapshot_warm_starts_to_the_same_optimum() {
+        let (model, basis) = sample_basis();
+        let (cold, _) = model.solve_with_basis(None).expect("cold solve");
+        let rebuilt = rebuilt(&basis).expect("consistent");
+        let (warm, _) = model.solve_with_basis(Some(&rebuilt)).expect("warm solve");
+        assert_eq!(warm.status, cold.status);
+        assert_eq!(warm.objective, cold.objective);
+        assert_eq!(warm.values(), cold.values());
+    }
+
+    #[test]
+    fn a_rebuilt_snapshot_of_another_shape_degrades_to_a_cold_start() {
+        // A larger model's basis applied to a smaller model: the warm
+        // install rejects it and the solve matches the cold one.
+        let mut big = Model::new("accessor-big");
+        let vars: Vec<_> = (0..6)
+            .map(|i| big.add_continuous(format!("v{i}"), 0.0, 5.0))
+            .collect();
+        let profits: Vec<_> = (0..)
+            .zip(&vars)
+            .map(|(i, &v)| (v, 1.0 + i as f64))
+            .collect();
+        big.set_objective(Sense::Maximize, &profits);
+        let ones: Vec<_> = vars.iter().map(|&v| (v, 1.0)).collect();
+        big.add_le(&ones, 14.0);
+        let (_, stale) = big.solve_with_basis(None).expect("solvable");
+        let stale = rebuilt(&stale.expect("a basis")).expect("consistent");
+
+        let (small, _) = sample_basis();
+        let (cold, _) = small.solve_with_basis(None).expect("cold solve");
+        let (warm, _) = small
+            .solve_with_basis(Some(&stale))
+            .expect("stale warm solve");
+        assert_eq!(warm.status, cold.status);
+        assert_eq!(warm.objective, cold.objective);
+        assert_eq!(warm.values(), cold.values());
     }
 }

@@ -1104,3 +1104,45 @@ fn a_leader_whose_client_disconnects_still_serves_its_followers() {
     assert_eq!(hit.schedule, follower.schedule);
     assert!(client.stats().expect("stats").reconciles());
 }
+
+/// A slow-loris peer — the first two bytes of a frame header, then nothing —
+/// holds up only its own connection: another client's Fig. 3 solve is
+/// answered within 10 s, and `ServerHandle::shutdown` returns while the
+/// stalled socket is still open.
+#[test]
+fn a_stalled_frame_header_holds_up_neither_another_client_nor_shutdown() {
+    use std::io::Write;
+    use std::sync::mpsc;
+    use std::time::Duration;
+    const BOUND: Duration = Duration::from_secs(10);
+    let mut server = start_server();
+    let addr = server.addr();
+    let mut stalled = std::net::TcpStream::connect(addr).expect("connect");
+    let header = 1024u32.to_be_bytes();
+    stalled.write_all(&header[..2]).expect("two header bytes");
+    stalled.flush().expect("flush");
+
+    // Each step runs on its own thread, so a hang fails the test at the
+    // bound instead of stalling it.
+    let (solved, solved_rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        let mut client = Client::connect(addr).expect("connect");
+        let _ = solved.send(client.synthesize(fig3_request()));
+    });
+    let reply = solved_rx
+        .recv_timeout(BOUND)
+        .expect("a second client is answered while a header stalls")
+        .expect("feasible");
+    assert_eq!(reply.served, ServedFrom::Solved);
+
+    let (stopped, stopped_rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        server.shutdown();
+        let _ = stopped.send(server);
+    });
+    let server = stopped_rx
+        .recv_timeout(BOUND)
+        .expect("shutdown returns while a header stalls");
+    assert_eq!(server.service().snapshot().requests, 1);
+    drop(stalled);
+}

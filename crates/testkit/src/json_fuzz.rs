@@ -58,7 +58,7 @@ use ttw_core::export::{
     scheduler_config_from_json, scheduler_config_to_json, system_from_json,
     system_schedule_from_json, system_schedule_to_json, system_to_json,
 };
-use ttw_core::json::{JsonError, Object, Value};
+use ttw_core::json::{Json, JsonError, Object, Value};
 use ttw_core::synthesis::{IlpSynthesizer, Synthesizer};
 use ttw_core::{NodeId, SchedulerConfig, SystemSchedule};
 use ttw_netsim::rng::SplitMix64;
@@ -438,7 +438,7 @@ fn same_artifacts(a: &SynthesisArtifacts, b: &SynthesisArtifacts) -> bool {
     let warm = |x: &SynthesisArtifacts| -> Vec<_> {
         x.warm
             .iter()
-            .map(|(mode, start)| (*mode, start.rounds, start.basis.encode()))
+            .map(|(mode, start)| (*mode, start.rounds, start.basis.to_json()))
             .collect()
     };
     a.backend == b.backend

@@ -5,7 +5,9 @@
 //! the service's frames) — over `Value` and over every typed document, the
 //! service's request and response frames included; and the committed
 //! documents of `tests/fixtures/codec`, each of which must decode and encode
-//! back to its own bytes.
+//! back to its own bytes. Last, the warm-start sidecar's basis objects:
+//! hostile ones are refused, and a sidecar whose bases are in the text form
+//! of earlier builds (`tests/fixtures/legacy`) goes cold, not wrong.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -20,10 +22,12 @@ use ttw::core::export::{
     system_from_json, system_schedule_from_json, system_schedule_to_json, system_schedule_to_value,
     system_to_json,
 };
-use ttw::core::json::{JsonError, Value};
-use ttw::core::synthesis::{synthesize_system, IlpSynthesizer};
+use ttw::core::json::{Json, JsonError, Value};
+use ttw::core::resynth::resynthesize_system;
+use ttw::core::synthesis::{synthesize_system, IlpSynthesizer, Synthesizer};
 use ttw::core::time::millis;
 use ttw::core::{fixtures, ApplicationSpec, NodePatchOp, SchedulerConfig};
+use ttw::milp::Basis;
 use ttw::netsim::rng::SplitMix64;
 use ttw::service::{
     BackendKind, BudgetCaps, Request, Response, ResynthesizeRequest, ScheduleReply, ServedFrom,
@@ -245,7 +249,9 @@ const MODE_CHANGE_KEY: &str = "a25972618d19d494";
 
 /// Every committed document with the decoder and encoder that own it. The
 /// files were written by the build that preceded the field-table codec (see
-/// `write_codec_fixtures`), so what they pin is the format, not a build.
+/// `write_codec_fixtures`), so what they pin is the format, not a build; the
+/// `.warm.json` was written again, with the same bases, when bases became
+/// JSON objects.
 const FIXTURES: &[(&str, Recode)] = &[
     ("app_spec.json", |text| {
         app_spec_to_json(&app_spec_from_json(text)?)
@@ -348,6 +354,236 @@ fn disk_entry_written_by_the_previous_build_is_a_first_probe_hit() {
     );
     assert!(matches!(cache.probe(MODE_CHANGE_KEY), CacheProbe::Disk(_)));
     assert_eq!((cache.hits(), cache.misses(), cache.corrupt()), (1, 0, 0));
+    drop(cache);
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+/// A fresh, empty directory under the system's temp dir for one test.
+fn empty_temp_dir(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("ttw-codec-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    dir
+}
+
+/// The warm-start sidecar at `path` as a generic document.
+fn read_sidecar(path: &Path) -> Value {
+    Value::parse(&std::fs::read_to_string(path).expect("read")).expect("parses")
+}
+
+/// The basis of mode 0 in a sidecar document.
+fn first_basis(sidecar: &mut Value) -> &mut Value {
+    let mut value = sidecar;
+    for name in ["warm", "0", "basis"] {
+        let Value::Object(members) = value else {
+            panic!("`{name}` is not in an object");
+        };
+        value = members.get_mut(name).expect("member");
+    }
+    value
+}
+
+/// Every invariant a basis object is checked for, broken in turn — plus an
+/// unknown status letter, each missing member, a foreign version, the text
+/// form bases had before they were objects, garbage and truncations — is a
+/// decode error, never a panic, and a sidecar holding such a basis reads as
+/// no artifacts.
+#[test]
+fn hostile_basis_objects_are_refused_and_their_sidecar_reads_as_no_artifacts() {
+    let name = format!("ttw-{MODE_CHANGE_KEY}.warm.json");
+    let mut sidecar = read_sidecar(&fixture_dir().join(&name));
+    let basis = first_basis(&mut sidecar);
+    let valid = Basis::from_value(basis).expect("the committed basis decodes");
+    // The sidecar with the first basis left to each case.
+    *basis = Value::String("hostile basis".to_owned());
+    let with_basis = |text: &str| {
+        sidecar
+            .to_json_pretty()
+            .replacen("\"hostile basis\"", text, 1)
+    };
+    let Value::Object(good) = valid.to_value() else {
+        panic!("a basis is an object");
+    };
+    let with = |name: &str, value: Value| {
+        let mut members = good.clone();
+        members.insert(name.to_owned(), value);
+        Value::Object(members).to_json()
+    };
+    let numbers =
+        |numbers: Vec<f64>| Value::Array(numbers.into_iter().map(Value::Number).collect());
+    let letters = |edit: &dyn Fn(&mut Vec<char>)| {
+        let mut letters: Vec<char> = valid.status_letters().chars().collect();
+        edit(&mut letters);
+        Value::String(letters.into_iter().collect())
+    };
+    let basic = |edit: &dyn Fn(&mut Vec<f64>)| {
+        let mut basic: Vec<f64> = valid.basic().iter().map(|&j| j as f64).collect();
+        edit(&mut basic);
+        numbers(basic)
+    };
+    let devex = |edit: &dyn Fn(&mut Vec<f64>)| {
+        let mut devex = valid.devex().to_vec();
+        edit(&mut devex);
+        numbers(devex)
+    };
+    let columns = valid.status_letters().len();
+    let nonbasic = valid
+        .status_letters()
+        .find(|c| c != 'B')
+        .expect("some column is nonbasic");
+    let text_form = first_basis(&mut read_sidecar(Path::new(LEGACY_SIDECAR))).to_json();
+    let valid_text = valid.to_json();
+
+    let mut cases = vec![
+        // Columns are the status letters: the weights must match them.
+        (
+            "one status letter short",
+            with("status", letters(&|s| s.truncate(s.len() - 1))),
+        ),
+        (
+            "one weight more than columns",
+            with("devex", devex(&|d| d.push(1.0))),
+        ),
+        // Rows are the basic entries, no more than the columns.
+        (
+            "more rows than columns",
+            with("basic", numbers((0..=columns).map(|j| j as f64).collect())),
+        ),
+        (
+            "a duplicate basic entry",
+            with("basic", basic(&|b| b[1] = b[0])),
+        ),
+        (
+            "a basic entry one past the columns",
+            with("basic", basic(&|b| b[0] = columns as f64)),
+        ),
+        (
+            "a basic entry far out of range",
+            with("basic", basic(&|b| b[0] = 9999.0)),
+        ),
+        // No buffer is sized by a number: 2^53 allocates nothing.
+        (
+            "a basic entry of 2^53",
+            with("basic", basic(&|b| b[0] = 2f64.powi(53))),
+        ),
+        (
+            "a basic entry at a nonbasic column",
+            with("basic", basic(&|b| b[0] = nonbasic as f64)),
+        ),
+        (
+            "a B no basic entry names",
+            with("status", letters(&|s| s[nonbasic] = 'B')),
+        ),
+        (
+            "a basic entry that is no integer",
+            with("basic", basic(&|b| b[0] += 0.5)),
+        ),
+        ("a zero weight", with("devex", devex(&|d| d[0] = 0.0))),
+        ("a negative weight", with("devex", devex(&|d| d[0] = -1.0))),
+        // A NaN weight is written `null`, an infinite one overflows.
+        ("a NaN weight", with("devex", devex(&|d| d[0] = f64::NAN))),
+        (
+            "an infinite weight",
+            with("devex", devex(&|d| d[0] = 12345.5)).replacen("12345.5", "1e999", 1),
+        ),
+        (
+            "an unknown status letter",
+            with("status", letters(&|s| s[0] = 'X')),
+        ),
+        (
+            "a lowercase status letter",
+            with("status", letters(&|s| s[0] = 'b')),
+        ),
+        (
+            "a two-byte status letter",
+            with("status", letters(&|s| s[0] = 'é')),
+        ),
+        (
+            "a foreign version",
+            with("version", Value::String("0.0.0-other".to_owned())),
+        ),
+        // The text form's format number has no place in the object.
+        ("a version number", with("version", Value::Number(1.0))),
+        // Ported from the text form's own refusals.
+        ("the text form", text_form),
+        ("an empty document", String::new()),
+        ("garbage", "not a basis".to_owned()),
+        (
+            "half of a basis",
+            valid_text[..valid_text.len() / 2].to_owned(),
+        ),
+        ("an array", numbers(vec![1.0]).to_json()),
+    ];
+    for name in ["basic", "devex", "status", "version"] {
+        let mut members = good.clone();
+        members.remove(name);
+        cases.push(("a missing member", Value::Object(members).to_json()));
+    }
+
+    let dir = empty_temp_dir("hostile-basis");
+    let artifacts = |text: &str| {
+        std::fs::write(dir.join(&name), with_basis(text)).expect("write");
+        ScheduleCache::new(&dir).artifacts(MODE_CHANGE_KEY)
+    };
+    assert!(artifacts(&valid_text).is_some(), "the valid basis is read");
+    for (what, text) in cases {
+        assert!(Basis::from_json(&text).is_err(), "{what}: {text}");
+        assert!(artifacts(&text).is_none(), "{what}: {text}");
+    }
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+/// The warm-start sidecar of [`MODE_CHANGE_KEY`] as the build before bases
+/// became JSON objects wrote it, each basis in that build's text form.
+const LEGACY_SIDECAR: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/tests/fixtures/legacy/ttw-a25972618d19d494.warm.json"
+);
+
+/// A cache directory whose sidecar holds bases in the text form goes cold,
+/// not wrong: the sidecar reads as no artifacts, the schedule entry beside it
+/// is still a disk hit, and a re-synthesis of an edit from that key solves
+/// every mode cold to the from-scratch schedule.
+#[test]
+fn a_sidecar_of_text_bases_degrades_to_a_cold_resynthesis() {
+    let dir = empty_temp_dir("text-bases");
+    let entry = format!("ttw-{MODE_CHANGE_KEY}.json");
+    std::fs::copy(fixture_dir().join(&entry), dir.join(&entry)).expect("copy");
+    std::fs::copy(
+        LEGACY_SIDECAR,
+        dir.join(format!("ttw-{MODE_CHANGE_KEY}.warm.json")),
+    )
+    .expect("copy");
+    let cache = ScheduleCache::new(&dir);
+    assert!(cache.artifacts(MODE_CHANGE_KEY).is_none());
+    assert!(matches!(cache.probe(MODE_CHANGE_KEY), CacheProbe::Disk(_)));
+
+    let (system, graph, _, _) = fixtures::two_mode_graph();
+    let config = SchedulerConfig::new(millis(10), 5);
+    let backend = IlpSynthesizer;
+    assert_eq!(
+        synthesis_key(&system, &graph, &config, backend.name()),
+        MODE_CHANGE_KEY
+    );
+    let mut edited = system.clone();
+    let (task, wcet) = system
+        .tasks()
+        .map(|(id, task)| (id, task.wcet))
+        .next()
+        .expect("a task");
+    edited
+        .set_task_wcet(task, wcet + 1)
+        .expect("a larger WCET is valid");
+    let (schedule, report) =
+        resynthesize_system(&edited, &graph, &config, &backend, &cache, MODE_CHANGE_KEY)
+            .expect("feasible");
+    assert!(!report.predecessor_found);
+    assert_eq!(report.warm_started_modes, 0);
+    let scratch = synthesize_system(&edited, &graph, &config, &backend).expect("feasible");
+    assert_eq!(
+        system_schedule_to_json(&schedule),
+        system_schedule_to_json(&scratch)
+    );
     drop(cache);
     let _ = std::fs::remove_dir_all(dir);
 }

@@ -1,18 +1,20 @@
-//! Tier-1 gates on what crosses a wire or a disk below and beside JSON: the
-//! basis snapshot text (`Basis::encode` / `decode`), the 4-byte beacon and the
-//! frame header, each swept with the seeded generator and mutator of
-//! `ttw_testkit::json_fuzz` — `decode(encode(x)) == x`, and hostile bytes get
-//! `None` or an error, never a panic or an allocation the bytes did not pay
-//! for — and the server's reply-byte accounting, which a client must never be
-//! able to observe behind the replies it already holds. Last, solver
-//! settings a request may carry cannot make the service serve an invalid
-//! schedule.
+//! Tier-1 gates on what crosses a wire or a disk beside the typed documents:
+//! the warm-start basis object (`Json::to_json` / `from_json` of a
+//! `ttw_milp::Basis`, the `"basis"` members of a cache sidecar), the 4-byte
+//! beacon and the frame header, each swept with the seeded generator and
+//! mutator of `ttw_testkit::json_fuzz` — `decode(encode(x)) == x`, and
+//! hostile bytes get `None` or an error, never a panic or an allocation the
+//! bytes did not pay for — and the server's reply-byte accounting, which a
+//! client must never be able to observe behind the replies it already holds.
+//! Last, solver settings a request may carry cannot make the service serve
+//! an invalid schedule.
 //!
 //! The three sweeps run a small budget here; CI runs the large one
 //! (`-- --ignored decoder_fuzz_large_budget`).
 
 use std::io::{self, Read};
 use std::sync::Arc;
+use ttw::core::json::Json;
 use ttw::core::time::millis;
 use ttw::core::validate::validate_system_schedule;
 use ttw::core::{fixtures, SchedulerConfig};
@@ -52,47 +54,48 @@ fn random_basis(rng: &mut SplitMix64) -> Basis {
     basis.expect("an optimal solve returns its basis")
 }
 
-/// `cases` random snapshots of `seed`'s stream: each decodes back to itself,
-/// re-versioned and cut-short text is refused, and whatever a byte-level
-/// mutation still decodes to is a basis with a stable encoding.
-fn check_basis_snapshots(seed: u64, cases: usize) {
+/// `cases` random bases of `seed`'s stream: each basis document decodes back
+/// to the same bits, one of a foreign solver build or cut short is refused,
+/// and whatever a byte-level mutation still decodes to is a basis whose
+/// document re-encodes stably.
+fn check_basis_documents(seed: u64, cases: usize) {
     let mut rng = SplitMix64::new(seed);
+    let bits = |basis: &Basis| {
+        let devex: Vec<u64> = basis.devex().iter().map(|w| w.to_bits()).collect();
+        (basis.status_letters(), basis.basic().to_vec(), devex)
+    };
     for case in 0..cases {
         let at = format!("seed {seed}, case {case}");
         let basis = random_basis(&mut rng);
-        let text = basis.encode();
-        let back =
-            Basis::decode(&text).unwrap_or_else(|| panic!("own text refused ({at}): {text}"));
+        let text = basis.to_json();
+        let back = Basis::from_json(&text)
+            .unwrap_or_else(|error| panic!("own text refused ({at}): {error}: {text}"));
         assert_eq!(back.dims(), basis.dims(), "{at}");
-        assert_eq!(back.encode(), text, "{at}");
+        assert_eq!(bits(&back), bits(&basis), "{at}");
+        assert_eq!(back.to_json(), text, "{at}");
 
-        // Another format or solver build wrote it: never trusted.
-        let fields: Vec<&str> = text.split(';').collect();
-        for (field, other) in [(0, "ttw-bases"), (1, "2"), (2, "0.0.0-other")] {
-            let mut reversioned = fields.clone();
-            reversioned[field] = other;
-            assert!(Basis::decode(&reversioned.join(";")).is_none(), "{at}");
-        }
-        // Cut anywhere up to the last separator, a section or an element of
-        // the weight list is missing.
-        let last_separator = text.rfind([',', ';']).expect("a snapshot has sections");
-        let cut = below(&mut rng, last_separator + 2);
+        // Another solver build wrote it: never trusted.
+        let version = format!(r#""version":"{}""#, env!("CARGO_PKG_VERSION"));
+        assert!(text.contains(&version), "{at}: {text}");
+        let reversioned = text.replacen(&version, r#""version":"0.0.0-other""#, 1);
+        assert!(Basis::from_json(&reversioned).is_err(), "{at}");
+        // Cut anywhere, the object is not closed.
+        let cut = below(&mut rng, text.len());
         assert!(
-            Basis::decode(&text[..cut]).is_none(),
+            Basis::from_json(&text[..cut]).is_err(),
             "{at}: cut at {cut}: {text}"
         );
 
         for _ in 0..8 {
             let mutated = mutate(&mut rng, text.as_bytes());
-            // The snapshot travels inside a JSON string: only UTF-8 arrives.
             let Ok(mutated) = String::from_utf8(mutated) else {
                 continue;
             };
-            if let Some(other) = Basis::decode(&mutated) {
-                let canonical = other.encode();
-                let again = Basis::decode(&canonical)
-                    .unwrap_or_else(|| panic!("{at}: {mutated} decoded to an unencodable basis"));
-                assert_eq!(again.encode(), canonical, "{at}: {mutated}");
+            if let Ok(other) = Basis::from_json(&mutated) {
+                let canonical = other.to_json();
+                let again = Basis::from_json(&canonical)
+                    .unwrap_or_else(|error| panic!("{at}: {mutated} decoded to {error}"));
+                assert_eq!(again.to_json(), canonical, "{at}: {mutated}");
             }
         }
     }
@@ -222,7 +225,7 @@ fn check_frame_headers(seed: u64, cases: usize) {
 
 #[test]
 fn basis_snapshot_fuzz_small_budget() {
-    check_basis_snapshots(1, 150);
+    check_basis_documents(1, 150);
 }
 
 #[test]
@@ -239,7 +242,7 @@ fn frame_header_fuzz_small_budget() {
 #[ignore = "the large budget; a named CI step runs it"]
 fn decoder_fuzz_large_budget() {
     for seed in 2..6 {
-        check_basis_snapshots(seed, 5_000);
+        check_basis_documents(seed, 5_000);
         check_beacons(seed, 5_000_000);
         check_frame_headers(seed, 20_000);
     }
