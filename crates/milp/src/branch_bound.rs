@@ -7,14 +7,15 @@
 //! parent basis stays dual feasible, so a child typically needs a handful of
 //! pivots instead of a full two-phase solve.
 //!
-//! The nodes all solve one LP — the tree LP, presolve-reduced unless
-//! presolve is off — and live in its numbering: the root basis is mapped
-//! into it once after the cut loop, and a node's final basis goes to its
-//! children as the engine left it. A node holds only the branching that
-//! created it, chained to the branchings above it (`Branch`); its bounds
-//! are materialized into one buffer in the tree numbering as it is solved,
-//! and its values are read into another. Only the root, the cut rounds and
-//! the basis handed back to the caller cross the reduction.
+//! The nodes all solve one LP — the tree LP's presolve reduction, the
+//! identity when presolve is off — and live in its numbering: the root
+//! basis is mapped into it once after the cut loop, and a node's final
+//! basis goes to its children as the engine left it. A node holds only the
+//! branching that created it, chained to the branchings above it
+//! (`Branch`); its bounds are materialized into one buffer in the tree
+//! numbering as it is solved, and its values are read into another. Only
+//! the root, the cut rounds, a node's fallback to the uncut LP and the
+//! basis handed back to the caller cross the reduction.
 //!
 //! Two tree-shrinking layers run before and during the search (each
 //! toggleable via [`crate::SolveParams`]):
@@ -45,7 +46,7 @@
 use crate::cuts::{lp_with_cuts, CutPool, Separator};
 use crate::error::SolveError;
 use crate::model::{Model, SolveParams, INTEGRALITY_TOL};
-use crate::presolve::NodeSolver;
+use crate::presolve::Presolve;
 use crate::simplex::{
     Basis, FactorState, LpResult, LpStatus, RowView, SimplexWorkspace, SparseLp, Warm,
 };
@@ -136,29 +137,52 @@ impl Branch {
     }
 }
 
-/// Materializes into `out` the bounds, in `solver`'s tree numbering, of the
-/// node `branch` created: `root`, the tree root bounds, tightened by every
-/// branching of the chain. `false` when the node is infeasible outright
-/// ([`NodeSolver::tighten`]).
+/// Materializes into `out` the bounds, in `presolve`'s tree numbering, of
+/// the node `branch` created: `root`, the tree root bounds, tightened by
+/// every branching of the chain. `false` when the node is infeasible
+/// outright ([`Presolve::tighten`]).
 fn materialize(
-    solver: &NodeSolver,
+    presolve: &Presolve,
     root: &[(f64, f64)],
     branch: &Branch,
     out: &mut Vec<(f64, f64)>,
 ) -> bool {
     out.clear();
     out.extend_from_slice(root);
-    (branch.chain()).all(|b| solver.tighten(out, b.var, b.lo, b.hi))
+    (branch.chain()).all(|b| presolve.tighten(out, b.var, b.lo, b.hi))
 }
 
-/// The LPs of one tree — the base equality form and its presolve reduction,
-/// then the base extended by the root cuts once the cut loop keeps a round —
-/// with the tree's memo of warm-start factor states, its node buffers and
-/// the one [`SimplexWorkspace`] every LP of the tree runs in.
+/// An LP of a tree — the base equality form, or the base extended by the
+/// root cuts — with its [`RowView`] and its presolve.
+struct TreeForm {
+    lp: SparseLp,
+    rows: RowView,
+    presolve: Presolve,
+}
+
+impl TreeForm {
+    /// Presolves `lp`, whose rows are `rows`, under the tree's root bounds;
+    /// `None` when presolve proves it infeasible.
+    fn build(
+        lp: SparseLp,
+        rows: RowView,
+        root_bounds: &[(f64, f64)],
+        integral: &[bool],
+        presolve: bool,
+    ) -> Option<Self> {
+        let presolve = Presolve::build(&lp, &rows, root_bounds, integral, presolve)?;
+        Some(TreeForm { lp, rows, presolve })
+    }
+}
+
+/// The LPs of one tree — the base equality form, then the base extended by
+/// the root cuts once the cut loop keeps a round — with the tree's memo of
+/// warm-start factor states, its node buffers and the one
+/// [`SimplexWorkspace`] every LP of the tree runs in.
 ///
-/// The nodes solve [`TreeLp::lp`] through its [`NodeSolver`], in that
-/// solver's numbering (the tree numbering): the snapshots the nodes hold,
-/// the memo's keys and states, and the bounds a node is materialized into
+/// The nodes solve the [current](TreeLp::current) form's reduction, in its
+/// numbering (the tree numbering): the snapshots the nodes hold, the memo's
+/// keys and states, and the bounds a node is materialized into
 /// ([`TreeLp::root`] tightened along the node's [`Branch`] chain) are all
 /// in it. A node's values are read into [`TreeLp::values`] in the original
 /// numbering.
@@ -186,14 +210,11 @@ fn materialize(
 /// factors when that was fresh — at the end of a node LP the dual simplex
 /// finished optimal, and at every from-scratch start — and a child takes
 /// it as it is when its branched column is basic in the snapshot
-/// ([`Warm::Branch`]).
-struct TreeLp<'a> {
-    base_lp: &'a SparseLp,
-    base_rows: &'a RowView,
-    base_solver: &'a NodeSolver,
-    /// The base LP with the kept cut rows appended, its rows and its
-    /// presolve.
-    cut: Option<(SparseLp, RowView, NodeSolver)>,
+/// (a [`Warm::Dual`] start that names it).
+struct TreeLp {
+    base: TreeForm,
+    /// The base LP with the kept cut rows appended.
+    cut: Option<TreeForm>,
     /// Least recently used first. The key is held, not just compared: while
     /// the memo owns the `Rc`, its address cannot be recycled for another
     /// snapshot.
@@ -213,17 +234,10 @@ struct TreeLp<'a> {
     workspace: SimplexWorkspace,
 }
 
-impl<'a> TreeLp<'a> {
-    fn new(
-        base_lp: &'a SparseLp,
-        base_rows: &'a RowView,
-        base_solver: &'a NodeSolver,
-        memo_capacity: usize,
-    ) -> Self {
+impl TreeLp {
+    fn new(base: TreeForm, memo_capacity: usize) -> Self {
         TreeLp {
-            base_lp,
-            base_rows,
-            base_solver,
+            base,
             cut: None,
             memo: Vec::with_capacity(memo_capacity),
             memo_capacity,
@@ -235,45 +249,31 @@ impl<'a> TreeLp<'a> {
         }
     }
 
-    /// The [`NodeSolver`] of [`TreeLp::lp`].
-    fn solver(&self) -> &NodeSolver {
-        self.cut
-            .as_ref()
-            .map_or(self.base_solver, |(_, _, solver)| solver)
+    /// The form the tree's nodes solve: the cut LP once there is one.
+    fn current(&self) -> &TreeForm {
+        self.cut.as_ref().unwrap_or(&self.base)
     }
 
     /// Readies the tree LP for the search below the root, whose bounds in
     /// the original numbering are `root_bounds`, and maps `basis`, the root
     /// basis over it, into the tree numbering.
     fn start(&mut self, root_bounds: &[(f64, f64)], basis: Option<Basis>) -> Option<Rc<Basis>> {
-        self.root = self.solver().tree_root_bounds(root_bounds);
-        basis.and_then(|b| self.tree_basis(b)).map(Rc::new)
+        self.root = self.current().presolve.tree_root_bounds(root_bounds);
+        basis.and_then(|b| self.tree_basis(&b)).map(Rc::new)
     }
 
     /// `basis`, in the original numbering, in the tree numbering.
-    fn tree_basis(&mut self, basis: Basis) -> Option<Basis> {
-        let solver = self.cut.as_ref().map_or(self.base_solver, |(.., s)| s);
-        solver.tree_basis(basis, &mut self.workspace.mapped_used)
+    fn tree_basis(&mut self, basis: &Basis) -> Option<Basis> {
+        let presolve = &self.cut.as_ref().unwrap_or(&self.base).presolve;
+        presolve.tree_basis(basis, &mut self.workspace.mapped_used)
     }
 
-    /// The LP the tree's nodes solve: the cut LP once there is one.
-    fn lp(&self) -> &SparseLp {
-        self.cut.as_ref().map_or(self.base_lp, |(lp, ..)| lp)
-    }
-
-    /// The [`RowView`] of [`TreeLp::lp`].
-    fn rows(&self) -> &RowView {
-        self.cut
-            .as_ref()
-            .map_or(self.base_rows, |(_, rows, _)| rows)
-    }
-
-    /// Makes `lp` (the base LP plus cut rows), its rows and its presolve
-    /// the LP the tree's nodes solve.
-    fn install_cuts(&mut self, lp: SparseLp, rows: RowView, solver: NodeSolver) {
+    /// Makes `form` (the base LP plus cut rows) the LP the tree's nodes
+    /// solve.
+    fn install_cuts(&mut self, form: TreeForm) {
         // Memo entries are factor states of bases over the previous LP.
         self.memo.clear();
-        self.cut = Some((lp, rows, solver));
+        self.cut = Some(form);
     }
 
     /// Solves the base LP — cut rows excluded — under `bounds` from `warm`.
@@ -284,8 +284,7 @@ impl<'a> TreeLp<'a> {
         warm: Warm<'_>,
     ) -> Result<(LpResult, Option<Basis>), SolveError> {
         self.fileable = false;
-        self.base_solver
-            .solve(self.base_lp, bounds, max_iters, warm, &mut self.workspace)
+        (self.base.presolve).solve(bounds, max_iters, warm, &mut self.workspace)
     }
 
     /// Solves the node `branch` created: by the dual simplex from `warm` —
@@ -311,20 +310,18 @@ impl<'a> TreeLp<'a> {
             }
             _ => None,
         };
-        let (lp, solver) = match &self.cut {
-            Some((lp, _, solver)) => (lp, solver),
-            None => (self.base_lp, self.base_solver),
-        };
-        let solved = if materialize(solver, &self.root, branch, &mut self.bounds) {
+        let presolve = &self.cut.as_ref().unwrap_or(&self.base).presolve;
+        let solved = if materialize(presolve, &self.root, branch, &mut self.bounds) {
             // The node's bounds differ from its parent's, and its sibling's,
             // on the branched column alone.
-            let start = match (warm, solver.tree_column(branch.var)) {
-                (Some(snapshot), Some(column)) => Warm::Branch(snapshot, slot.as_mut(), column),
-                (Some(snapshot), None) => Warm::Dual(snapshot, slot.as_mut()),
-                (None, _) => Warm::Cold,
+            let start = match warm {
+                Some(snapshot) => {
+                    Warm::Dual(snapshot, slot.as_mut(), presolve.tree_column(branch.var))
+                }
+                None => Warm::Cold,
             };
             let (workspace, values) = (&mut self.workspace, &mut self.values);
-            solver.solve_node(lp, &self.bounds, max_iters, start, workspace, values)
+            presolve.solve_node(&self.bounds, max_iters, start, workspace, values)
         } else {
             Ok((LpResult::infeasible_without_pivots(), None))
         };
@@ -350,12 +347,15 @@ impl<'a> TreeLp<'a> {
         max_iters: usize,
     ) -> Result<(LpResult, Option<Basis>), SolveError> {
         let mut bounds = std::mem::take(&mut self.bounds);
-        materialize(&NodeSolver::Direct, root_bounds, branch, &mut bounds);
+        bounds.clear();
+        bounds.extend(
+            (0..root_bounds.len()).map(|var| Branch::bounds_of(Some(branch), var, root_bounds)),
+        );
         let solved = self.solve_base(&bounds, max_iters, Warm::Cold);
         self.bounds = bounds;
         let (mut result, basis) = solved?;
         self.values = std::mem::take(&mut result.values);
-        Ok((result, basis.and_then(|b| self.tree_basis(b))))
+        Ok((result, basis.and_then(|b| self.tree_basis(&b))))
     }
 
     /// Files the factor state the last [`TreeLp::solve`] ended on under
@@ -535,13 +535,8 @@ fn solve_tree(
         .variables()
         .map(|(_, v)| v.kind.is_integral())
         .collect();
-    let Some(base_solver) = NodeSolver::build(
-        &base_lp,
-        &base_rows,
-        &root_bounds,
-        &integral,
-        model.params().presolve,
-    ) else {
+    let presolve = model.params().presolve;
+    let Some(base) = TreeForm::build(base_lp, base_rows, &root_bounds, &integral, presolve) else {
         // Presolve proved the root infeasible before a single pivot.
         let untouched = SolverCounters::default();
         return Ok((
@@ -550,7 +545,7 @@ fn solve_tree(
         ));
     };
 
-    let mut tree = TreeLp::new(&base_lp, &base_rows, &base_solver, memo_capacity);
+    let mut tree = TreeLp::new(base, memo_capacity);
     let searched = search(model, warm, &mut tree, &root_bounds, &integral);
     // Every LP of the search ran in the tree's workspace, which counts the
     // pivots it charged; whichever way the search ended, the counters must
@@ -570,13 +565,12 @@ fn solve_tree(
 fn search(
     model: &Model,
     warm: Option<&Basis>,
-    tree: &mut TreeLp<'_>,
+    tree: &mut TreeLp,
     root_bounds: &[(f64, f64)],
     integral: &[bool],
 ) -> Result<(Solution, Option<Basis>), SolveError> {
     let params = model.params().clone();
     let max_iters = params.max_simplex_iterations;
-    let (base_lp, base_solver) = (tree.base_lp, tree.base_solver);
 
     let integer_vars: Vec<usize> = model
         .variables()
@@ -593,10 +587,8 @@ fn search(
     let (root_lp, root_basis) = tree.solve_base(root_bounds, max_iters, root_warm)?;
     count_lp(&mut counters, &root_lp);
     counters.candidate_list_size = root_lp.candidate_list_size;
-    (
-        counters.presolve_rows_removed,
-        counters.presolve_cols_removed,
-    ) = base_solver.presolve_stats();
+    counters.presolve_rows_removed = tree.base.presolve.rows_removed();
+    counters.presolve_cols_removed = tree.base.presolve.cols_removed();
 
     // Pure LPs never need branching.
     if integer_vars.is_empty() {
@@ -667,7 +659,7 @@ fn search(
     // Best-first tree search.
     // ------------------------------------------------------------------
     let mut incumbent: Option<(f64, Vec<f64>)> = None;
-    let mut pseudo = Pseudocosts::new(base_lp.nstruct);
+    let mut pseudo = Pseudocosts::new(tree.base.lp.nstruct);
     let mut heap = BinaryHeap::new();
 
     let root_snapshot = tree.start(root_bounds, basis);
@@ -814,6 +806,13 @@ impl<'b> CutLoop<'b> {
         }
     }
 
+    /// The base LP of `tree` extended by the pool, presolved; `None` when
+    /// presolve proves it infeasible.
+    fn form(&self, tree: &TreeLp) -> Option<TreeForm> {
+        let (lp, rows) = lp_with_cuts(&tree.base.lp, &tree.base.rows, self.pool.cuts());
+        TreeForm::build(lp, rows, self.root_bounds, self.integral, self.presolve)
+    }
+
     /// One round: separates at the root optimum `root`, whose basis over
     /// the tree LP is `basis`, filters the cuts through the pool and
     /// reoptimizes the base LP extended by the pool. When the round is kept,
@@ -821,7 +820,7 @@ impl<'b> CutLoop<'b> {
     /// against its optimum.
     fn round(
         &mut self,
-        tree: &mut TreeLp<'_>,
+        tree: &mut TreeLp,
         root: &mut LpResult,
         basis: &mut Option<Basis>,
         counters: &mut SolverCounters,
@@ -829,9 +828,10 @@ impl<'b> CutLoop<'b> {
         let Some(last) = basis.as_ref() else {
             return Ok(Round::Done);
         };
+        let current = tree.current();
         let candidates = self.separator.separate_round(
-            tree.lp(),
-            tree.rows(),
+            &current.lp,
+            &current.rows,
             self.root_bounds,
             self.integral,
             last,
@@ -849,10 +849,7 @@ impl<'b> CutLoop<'b> {
         counters.cuts_added += added;
         counters.cut_rounds += 1;
 
-        let (lp, rows) = lp_with_cuts(tree.base_lp, tree.base_rows, self.pool.cuts());
-        let Some(solver) =
-            NodeSolver::build(&lp, &rows, self.root_bounds, self.integral, self.presolve)
-        else {
+        let Some(form) = self.form(tree) else {
             return Ok(Round::Infeasible);
         };
         // The round's LP is the base LP, the cuts the last purge kept and
@@ -867,13 +864,8 @@ impl<'b> CutLoop<'b> {
             realigned = last.without_rows(&self.kept);
             realigned.as_ref().map_or(Warm::Cold, Warm::Primal)
         };
-        let solved = solver.solve(
-            &lp,
-            self.root_bounds,
-            self.max_iters,
-            warm,
-            &mut tree.workspace,
-        );
+        let solved =
+            (form.presolve).solve(self.root_bounds, self.max_iters, warm, &mut tree.workspace);
         let (res, new_basis) = match solved {
             Ok(solved) => solved,
             // A tightened root can be numerically harder than the model
@@ -899,7 +891,7 @@ impl<'b> CutLoop<'b> {
         }
         *root = res;
         *basis = new_basis;
-        tree.install_cuts(lp, rows, solver);
+        tree.install_cuts(form);
         self.kept = self.pool.age_and_purge(&root.values);
         Ok(Round::Kept)
     }
@@ -911,36 +903,28 @@ impl<'b> CutLoop<'b> {
     /// solves to optimality; otherwise the tree LP stays.
     fn drop_purged(
         &self,
-        tree: &mut TreeLp<'_>,
+        tree: &mut TreeLp,
         caller_basis: Option<&Basis>,
         root: &mut LpResult,
         basis: &mut Option<Basis>,
         counters: &mut SolverCounters,
     ) {
-        if tree.base_lp.nrows + self.pool.len() >= tree.lp().nrows {
+        if tree.base.lp.nrows + self.pool.len() >= tree.current().lp.nrows {
             return;
         }
-        let (lp, rows) = lp_with_cuts(tree.base_lp, tree.base_rows, self.pool.cuts());
-        let Some(solver) =
-            NodeSolver::build(&lp, &rows, self.root_bounds, self.integral, self.presolve)
-        else {
+        let Some(form) = self.form(tree) else {
             return;
         };
         let warm = caller_basis.map_or(Warm::Cold, Warm::Primal);
-        let solved = solver.solve(
-            &lp,
-            self.root_bounds,
-            self.max_iters,
-            warm,
-            &mut tree.workspace,
-        );
+        let solved =
+            (form.presolve).solve(self.root_bounds, self.max_iters, warm, &mut tree.workspace);
         match solved {
             Ok((res, new_basis)) => {
                 count_lp(counters, &res);
                 if res.status == LpStatus::Optimal {
                     *root = res;
                     *basis = new_basis;
-                    tree.install_cuts(lp, rows, solver);
+                    tree.install_cuts(form);
                 }
             }
             // The previous root and LP stay valid; the pivots spent finding
@@ -1327,8 +1311,8 @@ mod tests {
             .collect();
         let lp = SparseLp::from_model(model);
         let rows = RowView::of(&lp);
-        let solver = NodeSolver::build(&lp, &rows, &bounds, &integral, true).expect("feasible");
-        let mut tree = TreeLp::new(&lp, &rows, &solver, MEMO_CAPACITY);
+        let base = TreeForm::build(lp, rows, &bounds, &integral, true).expect("feasible");
+        let mut tree = TreeLp::new(base, MEMO_CAPACITY);
         let (mut root, mut basis) = tree.solve_base(&bounds, 10_000, Warm::Cold).unwrap();
         let first = root.objective;
         let mut counters = SolverCounters::default();
@@ -1338,12 +1322,12 @@ mod tests {
             let purged = cuts.kept.contains(&false);
             let resolve = purged.then(|| {
                 let start = basis.as_ref().and_then(|b| b.without_rows(&cuts.kept))?;
-                let (slim, slim_rows) = lp_with_cuts(&lp, &rows, cuts.pool.cuts());
-                let solver = NodeSolver::build(&slim, &slim_rows, &bounds, &integral, true)
-                    .expect("feasible");
+                let slim = cuts.form(&tree).expect("feasible");
                 let ws = &mut SimplexWorkspace::default();
-                let (res, _) = (solver.solve(&slim, &bounds, 10_000, Warm::Primal(&start), ws))
-                    .expect("solve");
+                let (res, _) = (slim
+                    .presolve
+                    .solve(&bounds, 10_000, Warm::Primal(&start), ws))
+                .expect("solve");
                 assert_eq!(res.status, LpStatus::Optimal);
                 Some(res.iterations)
             });
@@ -1500,8 +1484,9 @@ mod tests {
         // a pinned column and singleton rows, which presolve folds into
         // fixed columns and derived bounds. Each node's materialized bounds
         // equal what copying the parent's bounds and assigning the branched
-        // one built: in the original numbering, and in the reduced one
-        // against `map_bounds` of those bounds, infeasible verdicts included.
+        // one built: in the original numbering (presolve off, whose reduction
+        // is the identity), and in the reduced one against `map_bounds` of
+        // those bounds, infeasible verdicts included.
         let bits = |v: &[(f64, f64)]| -> Vec<_> {
             v.iter().map(|(l, h)| (l.to_bits(), h.to_bits())).collect()
         };
@@ -1518,13 +1503,14 @@ mod tests {
             let integral = vec![true; root.len()];
             let lp = SparseLp::from_model(&model);
             let rows = RowView::of(&lp);
-            let Some(solver) = NodeSolver::build(&lp, &rows, &root, &integral, true) else {
+            let Some(presolve) = Presolve::build(&lp, &rows, &root, &integral, true) else {
                 continue;
             };
-            let NodeSolver::Reduced(presolve) = &solver else {
-                panic!("presolve is on");
-            };
-            let tree_root = solver.tree_root_bounds(&root);
+            let identity = Presolve::build(&lp, &rows, &root, &integral, false).expect("identity");
+            let (tree_root, identity_root) = (
+                presolve.tree_root_bounds(&root),
+                identity.tree_root_bounds(&root),
+            );
             let (mut chain, mut assigned) = (None::<Rc<Branch>>, root.clone());
             let (mut original, mut mapped, mut expected) = (Vec::new(), Vec::new(), Vec::new());
             for _ in 0..16 {
@@ -1552,13 +1538,13 @@ mod tests {
                     assert_eq!(Branch::bounds_of(Some(&branch), j, &root), bounds);
                 }
                 assert!(materialize(
-                    &NodeSolver::Direct,
-                    &root,
+                    &identity,
+                    &identity_root,
                     &branch,
                     &mut original
                 ));
                 assert_eq!(bits(&original), bits(&assigned));
-                let feasible = materialize(&solver, &tree_root, &branch, &mut mapped);
+                let feasible = materialize(&presolve, &tree_root, &branch, &mut mapped);
                 assert_eq!(feasible, presolve.map_bounds(&assigned, &mut expected));
                 if feasible {
                     assert_eq!(bits(&mapped), bits(&expected));

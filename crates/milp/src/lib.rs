@@ -20,9 +20,13 @@
 //!   bounds, tightens bounds from row-activity ranges (rounding derived
 //!   bounds of integral columns inward to the lattice) and can prove
 //!   infeasibility outright. The reduction is built **once per
-//!   branch-and-bound tree** from the root bounds — children only tighten
-//!   bounds, so every derived bound stays valid — and each node solve maps
-//!   its bounds in and its solution out. The presolve contract: results
+//!   branch-and-bound tree LP** from the root bounds — children only tighten
+//!   bounds, so every derived bound stays valid. Every LP goes through it:
+//!   the root and the cut rounds map bounds and basis in and solution and
+//!   basis out, and the nodes stay in its numbering. With presolve off the
+//!   reduction is the identity (nothing fixed, nothing dropped, every map
+//!   one-to-one), so the raw solve is the same path with nothing taken out,
+//!   pivot for pivot. The presolve contract: results
 //!   (status, objective, variable values) are identical to the raw solve;
 //!   [`Basis`] snapshots stay in the *original* column numbering, so a
 //!   snapshot taken before the model grew — or before a different pin set
@@ -158,7 +162,7 @@ pub mod simplex;
 pub mod solution;
 mod sparse;
 
-pub use audit::{audit_model, AuditFinding, AuditSeverity};
+pub use audit::{audit_model, AuditFinding};
 pub use error::SolveError;
 pub use expr::{LinExpr, Term, VarId};
 pub use model::{Constraint, ConstraintId, ConstraintOp, Model, Sense, SolveParams, VarKind};

@@ -96,8 +96,9 @@ pub struct SolveParams {
     pub max_simplex_iterations: usize,
     /// Run the LP presolve (fixed-column substitution, empty/singleton row
     /// elimination, activity-based bound tightening) before the simplex.
-    /// Enabled by default; disable to get the raw equality-form solve (used
-    /// by the differential harness to cross-check the reduction).
+    /// Enabled by default; disabled, the reduction is the identity, and every
+    /// LP is the raw equality-form solve (used by the differential harness
+    /// to cross-check the reduction).
     pub presolve: bool,
     /// Separate Gomory mixed-integer cutting planes at the root of the
     /// branch-and-bound tree. Enabled by default; disable to get the pure

@@ -4,7 +4,7 @@
 //! through pivot by pivot: inherited offsets arrive as `fix_var`-pinned
 //! columns, the incremental `R_M` sweep leaves empty total-count rows, and
 //! the counting constraints carry many near-redundant bounds. This module
-//! reduces a [`SparseLp`] once per branch-and-bound tree:
+//! reduces a [`SparseLp`] once per branch-and-bound tree LP:
 //!
 //! 1. **Fixed columns** (`lower == upper`, i.e. `fix_var` pins and bounds
 //!    collapsed by tightening) are substituted into the right-hand sides and
@@ -23,7 +23,12 @@
 //!    region, which no downstream consumer can observe.
 //!
 //! The passes iterate until a fixpoint (bounded by [`MAX_PASSES`]); a fixed
-//! column discovered by tightening feeds back into substitution.
+//! column discovered by tightening feeds back into substitution. With
+//! [`crate::SolveParams::presolve`] off, the reduction is the identity: no
+//! column is fixed, no row dropped, and the reduced LP is the input column
+//! for column and row for row, so every LP reaches the engine through this
+//! one layer and an unreduced solve is the same code path with nothing
+//! taken out.
 //!
 //! The LPs that cross reductions — a tree's root, its cut rounds,
 //! `solve_lp`, and so the basis a tree hands back to its caller — go through
@@ -38,7 +43,7 @@
 //! correctness.
 //!
 //! A branch-and-bound tree's nodes all solve one reduction, so they stay in
-//! its numbering ([`NodeSolver::solve_node`]): the root basis is mapped in
+//! its numbering ([`Presolve::solve_node`]): the root basis is mapped in
 //! once, a node's final basis is handed to its children as the engine left
 //! it, and only the node's values are read out in the original numbering.
 //! That rests on `map_basis(unmap_basis(b)) == b` for an engine's final
@@ -50,15 +55,15 @@
 //! derived bound (an implication of constraints plus root bounds) remains
 //! valid for every child: a node's bounds in the reduced numbering are the
 //! root's intersected with the derived ones
-//! ([`NodeSolver::tree_root_bounds`]), tightened by each branching above the
-//! node ([`NodeSolver::tighten`]) — what [`Presolve::map_bounds`] makes of
+//! ([`Presolve::tree_root_bounds`]), tightened by each branching above the
+//! node ([`Presolve::tighten`]) — what [`Presolve::map_bounds`] makes of
 //! the node's original-space bounds.
 
 use crate::error::SolveError;
 use crate::model::INTEGRALITY_TOL;
 use crate::simplex::{
-    solve_in, solve_sparse, Basis, EngineState, LpResult, LpStatus, RowView, SimplexWorkspace,
-    SparseLp, VarStatus, Warm,
+    solve_in, Basis, EngineState, LpResult, LpStatus, RowView, SimplexWorkspace, SparseLp,
+    VarStatus, Warm,
 };
 
 /// Feasibility tolerance used when presolve checks a dropped row.
@@ -76,15 +81,6 @@ enum ColFate {
     Kept(usize),
     /// Eliminated; always takes this value.
     Fixed(f64),
-}
-
-/// Outcome of [`Presolve::build`].
-pub(crate) enum PresolveOutcome {
-    /// The reduced problem, ready to solve node subproblems.
-    Reduced(Box<Presolve>),
-    /// Presolve proved the root problem infeasible (an empty row cannot
-    /// hold, or derived bounds crossed).
-    Infeasible,
 }
 
 /// A presolved equality-form LP plus the original↔reduced mappings.
@@ -118,13 +114,17 @@ impl Presolve {
     }
 
     /// Reduces `lp` under the given root bounds; `rows` is `lp`'s
-    /// [`RowView`] (presolve is row-driven).
+    /// [`RowView`] (presolve is row-driven). `enabled` mirrors
+    /// [`crate::SolveParams::presolve`]: disabled, the reduction is the
+    /// identity. `None` when presolve proves the root infeasible (an empty
+    /// row cannot hold, or derived bounds crossed).
     pub(crate) fn build(
         lp: &SparseLp,
         rows: &RowView,
         root_bounds: &[(f64, f64)],
         integral: &[bool],
-    ) -> PresolveOutcome {
+        enabled: bool,
+    ) -> Option<Presolve> {
         debug_assert_eq!(root_bounds.len(), lp.nstruct);
         debug_assert_eq!(integral.len(), lp.nstruct);
         let n = lp.nstruct;
@@ -150,14 +150,16 @@ impl Presolve {
                 hi
             }
         };
+        // Disabled, nothing is fixed and no pass runs: the identity.
+        let passes = if enabled { MAX_PASSES } else { 0 };
         let mut fixed: Vec<Option<f64>> = (0..n)
-            .map(|j| (lower[j] == upper[j]).then(|| lower[j]))
+            .map(|j| (enabled && lower[j] == upper[j]).then(|| lower[j]))
             .collect();
         let mut row_alive = vec![true; m];
         // The entries of the row at hand whose column is not fixed.
         let mut live: Vec<(usize, f64)> = Vec::new();
 
-        for _pass in 0..MAX_PASSES {
+        for _pass in 0..passes {
             let mut changed = false;
             for (i, alive) in row_alive.iter_mut().enumerate() {
                 if !*alive {
@@ -179,7 +181,7 @@ impl Presolve {
                         if rhs < slo - FEAS_TOL * (1.0 + rhs.abs())
                             || rhs > shi + FEAS_TOL * (1.0 + rhs.abs())
                         {
-                            return PresolveOutcome::Infeasible;
+                            return None;
                         }
                         *alive = false;
                         changed = true;
@@ -206,7 +208,7 @@ impl Presolve {
                             upper[j] = hi;
                         }
                         if lower[j] > upper[j] + FEAS_TOL {
-                            return PresolveOutcome::Infeasible;
+                            return None;
                         }
                         if fixed[j].is_none() && lower[j] >= upper[j] {
                             // Bounds crossed within tolerance or met exactly:
@@ -247,7 +249,7 @@ impl Presolve {
                         if (min_inf == 0 && min_act > sum_hi + FEAS_TOL * (1.0 + sum_hi.abs()))
                             || (max_inf == 0 && max_act < sum_lo - FEAS_TOL * (1.0 + sum_lo.abs()))
                         {
-                            return PresolveOutcome::Infeasible;
+                            return None;
                         }
                         for &(j, a) in live.iter() {
                             let (c0, c1) = (a * lower[j], a * upper[j]);
@@ -294,7 +296,7 @@ impl Presolve {
                                 changed = true;
                             }
                             if lower[j] > upper[j] + FEAS_TOL {
-                                return PresolveOutcome::Infeasible;
+                                return None;
                             }
                             if fixed[j].is_none() && lower[j] >= upper[j] {
                                 let v = 0.5 * (lower[j] + upper[j]);
@@ -384,7 +386,7 @@ impl Presolve {
             logical_upper,
         };
         let derived: Vec<(f64, f64)> = lower.into_iter().zip(upper).collect();
-        PresolveOutcome::Reduced(Box::new(Presolve {
+        Some(Presolve {
             rows_removed: m - red_m,
             cols_removed: n - kept_cols.len(),
             reduced,
@@ -393,7 +395,7 @@ impl Presolve {
             row_map,
             kept_rows,
             derived,
-        }))
+        })
     }
 
     /// Maps node bounds into `out`, in the reduced column space, intersected
@@ -512,7 +514,8 @@ impl Presolve {
     /// their (equal) bounds and dropped rows carry their own logical column,
     /// which keeps the original-space basis square, nonsingular and primal
     /// feasible.
-    fn unmap_basis(&self, state: &EngineState, n_orig: usize, m_orig: usize) -> Basis {
+    fn unmap_basis(&self, state: &EngineState) -> Basis {
+        let (n_orig, m_orig) = (self.col_fate.len(), self.row_map.len());
         let red_n = self.reduced.nstruct;
         let (status_r, basic_r, devex_r) = state.basis_parts();
         let ncols = n_orig + m_orig;
@@ -548,14 +551,13 @@ impl Presolve {
         Basis::from_parts(n_orig, m_orig, status, basic, devex)
     }
 
-    /// Solves `lp` under `bounds` through the reduced LP in `workspace`,
-    /// returning the result and basis in the **original** space. The bounds
-    /// and the warm basis are mapped into the workspace's buffers, and
-    /// values and basis are read out of its final state straight into the
-    /// original numbering.
+    /// Solves the LP this reduction was built from under `bounds` through
+    /// the reduced LP in `workspace`, returning the result and basis in the
+    /// **original** space. The bounds and the warm basis are mapped into the
+    /// workspace's buffers, and values and basis are read out of its final
+    /// state straight into the original numbering.
     pub(crate) fn solve(
         &self,
-        lp: &SparseLp,
         bounds: &[(f64, f64)],
         max_iters: usize,
         warm: Warm<'_>,
@@ -571,32 +573,30 @@ impl Presolve {
             return Ok((LpResult::infeasible_without_pivots(), None));
         }
         let mut map = |b: &Basis| self.map_basis(b, mapped_basis, mapped_used);
-        // A named column is in the original numbering, so a branch start
-        // through here recomputes its `x_B` like any dual start.
+        // A named column is in the original numbering, so a dual start
+        // through here recomputes its `x_B`.
         let warm = match warm {
             Warm::Cold => Warm::Cold,
             Warm::Primal(b) if map(b) => Warm::Primal(mapped_basis),
-            Warm::Dual(b, slot) | Warm::Branch(b, slot, _) if map(b) => {
-                Warm::Dual(mapped_basis, slot)
-            }
-            Warm::Primal(_) | Warm::Dual(..) | Warm::Branch(..) => Warm::Cold,
+            Warm::Dual(b, slot, _) if map(b) => Warm::Dual(mapped_basis, slot, None),
+            Warm::Primal(_) | Warm::Dual(..) => Warm::Cold,
         };
         let mut result = solve_in(&self.reduced, mapped_bounds, max_iters, warm, engine)?;
         if result.status != LpStatus::Optimal {
             return Ok((result, None));
         }
         let mut values = Vec::new();
-        self.values(engine, lp.nstruct, &mut values);
+        self.values(engine, &mut values);
         result.values = values;
-        Ok((result, Some(self.unmap_basis(engine, lp.nstruct, lp.nrows))))
+        Ok((result, Some(self.unmap_basis(engine))))
     }
 
     /// Reads the values of the last solve's final basic solution out of
-    /// `engine` into `values`, in the original numbering of `nstruct`
-    /// columns: eliminated columns report their fixed value.
-    fn values(&self, engine: &EngineState, nstruct: usize, values: &mut Vec<f64>) {
+    /// `engine` into `values`, in the original numbering: eliminated columns
+    /// report their fixed value.
+    fn values(&self, engine: &EngineState, values: &mut Vec<f64>) {
         values.clear();
-        values.resize(nstruct, 0.0);
+        values.resize(self.col_fate.len(), 0.0);
         for (value, fate) in values.iter_mut().zip(&self.col_fate) {
             if let ColFate::Fixed(v) = *fate {
                 *value = v;
@@ -606,78 +606,18 @@ impl Presolve {
             values[self.kept_cols[rc]] = v;
         });
     }
-}
 
-/// One solver family: either the raw equality form, or its presolved
-/// reduction. Built once per branch-and-bound tree LP. The LPs that cross
-/// reductions go through [`NodeSolver::solve`]; a tree's nodes stay in the
-/// numbering of the LP the engine solves — the reduction's, or the raw
-/// form's — and go through [`NodeSolver::solve_node`].
-pub(crate) enum NodeSolver {
-    /// Presolve disabled (or not applicable): solve the raw form.
-    Direct,
-    /// Solve through the reduction.
-    Reduced(Box<Presolve>),
-}
-
-impl NodeSolver {
-    /// Builds the solver family for `lp` (whose [`RowView`] is `rows`)
-    /// under `root_bounds`; `enabled` mirrors [`crate::SolveParams::presolve`].
-    /// Returns `None` when presolve proves the root infeasible.
-    pub(crate) fn build(
-        lp: &SparseLp,
-        rows: &RowView,
-        root_bounds: &[(f64, f64)],
-        integral: &[bool],
-        enabled: bool,
-    ) -> Option<Self> {
-        if !enabled {
-            return Some(NodeSolver::Direct);
-        }
-        match Presolve::build(lp, rows, root_bounds, integral) {
-            PresolveOutcome::Reduced(p) => Some(NodeSolver::Reduced(p)),
-            PresolveOutcome::Infeasible => None,
-        }
-    }
-
-    /// `(rows removed, columns removed)` by presolve (zero when disabled).
-    pub(crate) fn presolve_stats(&self) -> (usize, usize) {
-        match self {
-            NodeSolver::Direct => (0, 0),
-            NodeSolver::Reduced(p) => (p.rows_removed(), p.cols_removed()),
-        }
-    }
-
-    /// Solves `lp` under `bounds` in `workspace`, with bounds, warm basis,
-    /// values and the final basis all in the original numbering.
-    pub(crate) fn solve(
-        &self,
-        lp: &SparseLp,
-        bounds: &[(f64, f64)],
-        max_iters: usize,
-        warm: Warm<'_>,
-        workspace: &mut SimplexWorkspace,
-    ) -> Result<(LpResult, Option<Basis>), SolveError> {
-        match self {
-            NodeSolver::Direct => solve_sparse(lp, bounds, max_iters, warm, workspace),
-            NodeSolver::Reduced(p) => p.solve(lp, bounds, max_iters, warm, workspace),
-        }
-    }
-
-    /// `root_bounds`, `lp`'s root bounds, in the tree numbering: intersected
-    /// with the derived bounds of the reduction's columns, as
+    /// `root_bounds`, the original LP's root bounds, in the tree numbering:
+    /// intersected with the derived bounds of the reduction's columns, as
     /// [`Presolve::map_bounds`] intersects them. The root LP solved through
     /// that mapping, so no bound crosses.
     pub(crate) fn tree_root_bounds(&self, root_bounds: &[(f64, f64)]) -> Vec<(f64, f64)> {
-        match self {
-            NodeSolver::Direct => root_bounds.to_vec(),
-            NodeSolver::Reduced(p) => (p.kept_cols.iter())
-                .map(|&j| {
-                    let ((lo, hi), (dlo, dhi)) = (root_bounds[j], p.derived[j]);
-                    (lo.max(dlo), hi.min(dhi))
-                })
-                .collect(),
-        }
+        (self.kept_cols.iter())
+            .map(|&j| {
+                let ((lo, hi), (dlo, dhi)) = (root_bounds[j], self.derived[j]);
+                (lo.max(dlo), hi.min(dhi))
+            })
+            .collect()
     }
 
     /// Tightens `bounds`, in the tree numbering, by the branching that gave
@@ -686,12 +626,9 @@ impl NodeSolver {
     /// eliminated column's fixed value (the verdicts of
     /// [`Presolve::map_bounds`]).
     pub(crate) fn tighten(&self, bounds: &mut [(f64, f64)], var: usize, lo: f64, hi: f64) -> bool {
-        let column = match self {
-            NodeSolver::Direct => var,
-            NodeSolver::Reduced(p) => match p.col_fate[var] {
-                ColFate::Kept(rc) => rc,
-                ColFate::Fixed(v) => return v >= lo - FEAS_TOL && v <= hi + FEAS_TOL,
-            },
+        let column = match self.col_fate[var] {
+            ColFate::Kept(rc) => rc,
+            ColFate::Fixed(v) => return v >= lo - FEAS_TOL && v <= hi + FEAS_TOL,
         };
         let bound = &mut bounds[column];
         bound.0 = bound.0.max(lo);
@@ -702,36 +639,26 @@ impl NodeSolver {
     /// The tree numbering's column of original column `var`; `None` when
     /// presolve eliminated it.
     pub(crate) fn tree_column(&self, var: usize) -> Option<usize> {
-        match self {
-            NodeSolver::Direct => Some(var),
-            NodeSolver::Reduced(p) => match p.col_fate[var] {
-                ColFate::Kept(rc) => Some(rc),
-                ColFate::Fixed(_) => None,
-            },
+        match self.col_fate[var] {
+            ColFate::Kept(rc) => Some(rc),
+            ColFate::Fixed(_) => None,
         }
     }
 
     /// Maps `basis`, in the original numbering, into the tree numbering;
     /// `used` is scratch. `None` when it cannot be mapped, and a node
-    /// holding it would start cold. The raw form's snapshot is its own
-    /// mapping: one over fewer rows is extended when it is installed.
-    pub(crate) fn tree_basis(&self, basis: Basis, used: &mut Vec<bool>) -> Option<Basis> {
-        match self {
-            NodeSolver::Direct => Some(basis),
-            NodeSolver::Reduced(p) => {
-                let mut mapped = Basis::from_parts(0, 0, Vec::new(), Vec::new(), Vec::new());
-                p.map_basis(&basis, &mut mapped, used).then_some(mapped)
-            }
-        }
+    /// holding it would start cold.
+    pub(crate) fn tree_basis(&self, basis: &Basis, used: &mut Vec<bool>) -> Option<Basis> {
+        let mut mapped = Basis::from_parts(0, 0, Vec::new(), Vec::new(), Vec::new());
+        self.map_basis(basis, &mut mapped, used).then_some(mapped)
     }
 
-    /// Solves a node of a tree over `lp` in `workspace`, all in the tree
-    /// numbering: `bounds` and the warm basis go to the engine as they are,
-    /// and the final basis comes back as the engine left it. Only the
-    /// values are read out in the original numbering, into `values`.
+    /// Solves a node of a tree over the reduced LP in `workspace`, all in
+    /// the tree numbering: `bounds` and the warm basis go to the engine as
+    /// they are, and the final basis comes back as the engine left it. Only
+    /// the values are read out in the original numbering, into `values`.
     pub(crate) fn solve_node(
         &self,
-        lp: &SparseLp,
         bounds: &[(f64, f64)],
         max_iters: usize,
         warm: Warm<'_>,
@@ -739,23 +666,12 @@ impl NodeSolver {
         values: &mut Vec<f64>,
     ) -> Result<(LpResult, Option<Basis>), SolveError> {
         let engine = &mut workspace.engine;
-        let node_lp = match self {
-            NodeSolver::Direct => lp,
-            NodeSolver::Reduced(p) => &p.reduced,
-        };
-        let result = solve_in(node_lp, bounds, max_iters, warm, engine)?;
+        let result = solve_in(&self.reduced, bounds, max_iters, warm, engine)?;
         if result.status != LpStatus::Optimal {
             return Ok((result, None));
         }
-        match self {
-            NodeSolver::Direct => {
-                values.clear();
-                values.resize(lp.nstruct, 0.0);
-                engine.structural_values(lp.nstruct, |j, v| values[j] = v);
-            }
-            NodeSolver::Reduced(p) => p.values(engine, lp.nstruct, values),
-        }
-        Ok((result, Some(engine.snapshot(node_lp))))
+        self.values(engine, values);
+        Ok((result, Some(engine.snapshot(&self.reduced))))
     }
 }
 
@@ -763,7 +679,7 @@ impl NodeSolver {
 mod tests {
     use super::*;
     use crate::model::{Model, Sense};
-    use crate::simplex::{SimplexWorkspace, SparseLp};
+    use crate::simplex::{solve_sparse, SimplexWorkspace, SparseLp};
 
     fn bounds_of(model: &Model) -> Vec<(f64, f64)> {
         model.variables().map(|(_, v)| (v.lower, v.upper)).collect()
@@ -780,14 +696,15 @@ mod tests {
         let direct = solve_sparse(&lp, &bounds, 10_000, Warm::Cold, ws)
             .expect("direct solve")
             .0;
-        let reduced = match Presolve::build(&lp, &RowView::of(&lp), &bounds, &continuous(model)) {
-            PresolveOutcome::Reduced(p) => {
-                p.solve(&lp, &bounds, 10_000, Warm::Cold, ws)
-                    .expect("presolved solve")
-                    .0
-            }
-            PresolveOutcome::Infeasible => LpResult::infeasible_without_pivots(),
-        };
+        let reduced =
+            match Presolve::build(&lp, &RowView::of(&lp), &bounds, &continuous(model), true) {
+                Some(p) => {
+                    p.solve(&bounds, 10_000, Warm::Cold, ws)
+                        .expect("presolved solve")
+                        .0
+                }
+                None => LpResult::infeasible_without_pivots(),
+            };
         (direct, reduced)
     }
 
@@ -801,9 +718,13 @@ mod tests {
         m.set_objective(Sense::Minimize, &[(y, 1.0)]);
         m.add_ge(&[(y, 1.0), (x, -1.0)], 0.0);
         let lp = SparseLp::from_model(&m);
-        let PresolveOutcome::Reduced(p) =
-            Presolve::build(&lp, &RowView::of(&lp), &bounds_of(&m), &continuous(&m))
-        else {
+        let Some(p) = Presolve::build(
+            &lp,
+            &RowView::of(&lp),
+            &bounds_of(&m),
+            &continuous(&m),
+            true,
+        ) else {
             panic!("feasible instance");
         };
         assert_eq!(p.cols_removed(), 1);
@@ -824,9 +745,13 @@ mod tests {
         m.add_ge(&[(x, 1.0)], 3.0);
         m.add_le(&[(x, 1.0)], 7.0);
         let lp = SparseLp::from_model(&m);
-        let PresolveOutcome::Reduced(p) =
-            Presolve::build(&lp, &RowView::of(&lp), &bounds_of(&m), &continuous(&m))
-        else {
+        let Some(p) = Presolve::build(
+            &lp,
+            &RowView::of(&lp),
+            &bounds_of(&m),
+            &continuous(&m),
+            true,
+        ) else {
             panic!("feasible instance");
         };
         assert_eq!(p.rows_removed(), 2);
@@ -844,10 +769,14 @@ mod tests {
         let y = m.add_continuous("y", 1.0, 1.0);
         m.add_eq(&[(x, 1.0), (y, 1.0)], 5.0);
         let lp = SparseLp::from_model(&m);
-        assert!(matches!(
-            Presolve::build(&lp, &RowView::of(&lp), &bounds_of(&m), &continuous(&m)),
-            PresolveOutcome::Infeasible
-        ));
+        assert!(Presolve::build(
+            &lp,
+            &RowView::of(&lp),
+            &bounds_of(&m),
+            &continuous(&m),
+            true
+        )
+        .is_none());
         let (direct, _) = solve_both(&m);
         assert_eq!(direct.status, LpStatus::Infeasible);
     }
@@ -903,16 +832,13 @@ mod tests {
         m.fix_var(x, 2.0);
         let lp2 = SparseLp::from_model(&m);
         let bounds2 = bounds_of(&m);
-        let PresolveOutcome::Reduced(p) =
-            Presolve::build(&lp2, &RowView::of(&lp2), &bounds2, &continuous(&m))
+        let Some(p) = Presolve::build(&lp2, &RowView::of(&lp2), &bounds2, &continuous(&m), true)
         else {
             panic!("feasible instance");
         };
         assert!(p.cols_removed() >= 1);
-        for warm in [Warm::Primal(&basis), Warm::Dual(&basis, None)] {
-            let (res, _) = p
-                .solve(&lp2, &bounds2, 10_000, warm, ws)
-                .expect("warm solve");
+        for warm in [Warm::Primal(&basis), Warm::Dual(&basis, None, None)] {
+            let (res, _) = p.solve(&bounds2, 10_000, warm, ws).expect("warm solve");
             assert_eq!(res.status, LpStatus::Optimal);
             // x = 2 pinned, so y = 3 and the objective is 2 + 6.
             assert!((res.objective - 8.0).abs() < 1e-6, "{}", res.objective);
@@ -1003,13 +929,11 @@ mod tests {
         for _ in 0..200 {
             let (lp, bounds) = reducible_lp(&mut rng);
             let integral = vec![false; lp.nstruct];
-            let PresolveOutcome::Reduced(p) =
-                Presolve::build(&lp, &RowView::of(&lp), &bounds, &integral)
-            else {
+            let Some(p) = Presolve::build(&lp, &RowView::of(&lp), &bounds, &integral, true) else {
                 continue;
             };
             let ws = &mut SimplexWorkspace::default();
-            let Ok((root, Some(unmapped))) = p.solve(&lp, &bounds, 10_000, Warm::Cold, ws) else {
+            let Ok((root, Some(unmapped))) = p.solve(&bounds, 10_000, Warm::Cold, ws) else {
                 continue;
             };
             check(&p, ws, &unmapped);
@@ -1022,8 +946,8 @@ mod tests {
             let j = rng.below(lp.nstruct);
             let mut child = bounds.clone();
             child[j].1 = (root.values[j] * 0.5).floor().max(child[j].0);
-            let warm = Warm::Dual(&unmapped, None);
-            if let Ok((_, Some(unmapped))) = p.solve(&lp, &child, 10_000, warm, ws) {
+            let warm = Warm::Dual(&unmapped, None, None);
+            if let Ok((_, Some(unmapped))) = p.solve(&child, 10_000, warm, ws) {
                 check(&p, ws, &unmapped);
                 reoptimized += 1;
             }
@@ -1034,21 +958,135 @@ mod tests {
         );
     }
 
+    /// The LP of `lp`'s first `nstruct` structural columns and first
+    /// `nrows` rows, as `lp` was before it grew.
+    fn leading(lp: &SparseLp, nstruct: usize, nrows: usize) -> SparseLp {
+        let mut cols = crate::sparse::CscMatrix::new(nrows);
+        for j in 0..nstruct {
+            let (rows, vals) = lp.cols.column(j);
+            let entries: Vec<_> = (rows.iter().zip(vals))
+                .filter(|&(&i, _)| i < nrows)
+                .map(|(&i, &a)| (i, a))
+                .collect();
+            cols.push_column(&entries);
+        }
+        for i in 0..nrows {
+            cols.push_column(&[(i, 1.0)]);
+        }
+        let mut cost = lp.cost[..nstruct].to_vec();
+        cost.resize(nstruct + nrows, 0.0);
+        SparseLp {
+            nrows,
+            nstruct,
+            cols,
+            cost,
+            rhs: lp.rhs[..nrows].to_vec(),
+            obj_offset: lp.obj_offset,
+            logical_lower: lp.logical_lower[..nrows].to_vec(),
+            logical_upper: lp.logical_upper[..nrows].to_vec(),
+        }
+    }
+
+    #[test]
+    fn presolve_off_is_the_raw_engine_solve() {
+        // Presolve off takes nothing out, and a solve through it is the
+        // engine's solve of the raw LP to the bit: counters, objective,
+        // values and final basis, from a cold start, a primal start from a
+        // snapshot of the LP before it grew, and a dual start from the
+        // optimum with one bound tightened.
+        let f64_bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let compare = |p: &Presolve, lp: &SparseLp, bounds: &[(f64, f64)], warm: &Warm<'_>| {
+            let start = || match warm {
+                Warm::Cold => Warm::Cold,
+                Warm::Primal(b) => Warm::Primal(b),
+                Warm::Dual(b, ..) => Warm::Dual(b, None, None),
+            };
+            let ws = &mut SimplexWorkspace::default();
+            let (layered, basis) = p.solve(bounds, 10_000, start(), ws).expect("layered solve");
+            let engine = &mut SimplexWorkspace::default().engine;
+            let raw = solve_in(lp, bounds, 10_000, start(), engine).expect("raw solve");
+            let counts = |r: &LpResult| {
+                let counters = (r.iterations, r.lu_factorizations, r.devex_resets);
+                (r.status, counters, r.objective.to_bits())
+            };
+            assert_eq!(
+                counts(&layered),
+                counts(&raw),
+                "status, counters, objective"
+            );
+            if raw.status != LpStatus::Optimal {
+                assert!(basis.is_none());
+                return None;
+            }
+            let mut values = vec![0.0; lp.nstruct];
+            engine.structural_values(lp.nstruct, |j, v| values[j] = v);
+            assert_eq!(f64_bits(&layered.values), f64_bits(&values), "values");
+            let (basis, snapshot) = (basis.expect("optimal basis"), engine.snapshot(lp));
+            assert_eq!(basis.dims(), snapshot.dims());
+            assert_eq!(
+                basis.status_letters(),
+                snapshot.status_letters(),
+                "statuses"
+            );
+            assert_eq!(basis.basic(), snapshot.basic(), "basic list");
+            assert_eq!(f64_bits(basis.devex()), f64_bits(snapshot.devex()), "Devex");
+            Some((layered, basis))
+        };
+        let mut rng = Rng(0x000F_F5E7);
+        let (mut cold, mut grown, mut dual) = (0, 0, 0);
+        for _ in 0..200 {
+            let (lp, bounds) = reducible_lp(&mut rng);
+            let integral = vec![false; lp.nstruct];
+            let p = Presolve::build(&lp, &RowView::of(&lp), &bounds, &integral, false)
+                .expect("presolve off proves nothing");
+            assert_eq!((p.rows_removed(), p.cols_removed()), (0, 0));
+            cold += 1;
+            let Some((root, basis)) = compare(&p, &lp, &bounds, &Warm::Cold) else {
+                continue;
+            };
+            // A snapshot of the LP before its last column and rows.
+            let (s0, r0) = (lp.nstruct - 1, lp.nrows - 1 - rng.below(lp.nrows.min(3)));
+            let small = leading(&lp, s0, r0);
+            let ws = &mut SimplexWorkspace::default();
+            if let Ok((_, Some(before))) =
+                solve_sparse(&small, &bounds[..s0], 10_000, Warm::Cold, ws)
+            {
+                compare(&p, &lp, &bounds, &Warm::Primal(&before));
+                grown += 1;
+            }
+            // Halve one column's upper bound below its optimal value, as a
+            // branching does.
+            let j = rng.below(lp.nstruct);
+            let mut child = bounds.clone();
+            child[j].1 = (root.values[j] * 0.5).floor().max(child[j].0);
+            compare(&p, &lp, &child, &Warm::Dual(&basis, None, None));
+            dual += 1;
+        }
+        assert!(
+            cold == 200 && grown >= 100 && dual >= 150,
+            "{cold} cold, {grown} grown, {dual} dual"
+        );
+    }
+
     #[test]
     fn node_bounds_excluding_a_fixed_value_are_infeasible() {
         let mut m = Model::new("node-clash");
         let x = m.add_continuous("x", 2.5, 2.5);
         m.add_ge(&[(x, 1.0)], 0.0);
         let lp = SparseLp::from_model(&m);
-        let PresolveOutcome::Reduced(p) =
-            Presolve::build(&lp, &RowView::of(&lp), &bounds_of(&m), &continuous(&m))
-        else {
+        let Some(p) = Presolve::build(
+            &lp,
+            &RowView::of(&lp),
+            &bounds_of(&m),
+            &continuous(&m),
+            true,
+        ) else {
             panic!("feasible instance");
         };
         // A branch-style child bound [3, 10] excludes the pinned 2.5.
         let ws = &mut SimplexWorkspace::default();
         let (res, basis) = p
-            .solve(&lp, &[(3.0, 10.0)], 10_000, Warm::Cold, ws)
+            .solve(&[(3.0, 10.0)], 10_000, Warm::Cold, ws)
             .expect("solve");
         assert_eq!(res.status, LpStatus::Infeasible);
         assert!(basis.is_none());

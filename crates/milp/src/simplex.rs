@@ -53,9 +53,9 @@
 //! factors, eta file and, when the parent ended through the dual, its
 //! reduced costs — instead of factorizing that basis from scratch. The state
 //! also carries the `x_B` derived through those factors, which a child whose
-//! branched column is basic takes as it is (`Warm::Branch`): its bounds
-//! differ from the parent's only on that column, and `x_B` reads none of a
-//! basic column's bounds.
+//! branched column is basic takes as it is (a `Warm::Dual` start naming that
+//! column): its bounds differ from the parent's only on that column, and
+//! `x_B` reads none of a basic column's bounds.
 //!
 //! A dual-unbounded row proves the LP infeasible. Reached from a
 //! factorization computed from scratch, the verdict stands; otherwise the
@@ -86,6 +86,7 @@
 
 use crate::error::SolveError;
 use crate::model::{ConstraintOp, Model};
+use crate::presolve::Presolve;
 use crate::sparse::{BasisFactor, CscMatrix, FactorSnapshot, LuFactors, LuWorkspace};
 
 /// Reduced-cost and pivot tolerance.
@@ -503,7 +504,7 @@ impl RowView {
     }
 }
 
-/// Warm-start strategy for [`solve_sparse`].
+/// Warm-start strategy for [`solve_in`].
 pub(crate) enum Warm<'a> {
     /// All-logical basis, two-phase primal.
     Cold,
@@ -524,16 +525,15 @@ pub(crate) enum Warm<'a> {
     /// When it is empty, the start factorizes and leaves its state there for
     /// the next. `None` factorizes and keeps nothing. A restored start
     /// derives `x_B` afresh through the restored factorization.
-    Dual(&'a Basis, Option<&'a mut FactorState>),
-    /// A [`Warm::Dual`] start of a branch-and-bound child that names the
-    /// column its branching tightened: the one column whose bounds differ
-    /// from those the slot's state was captured under (its parent's, or
-    /// its sibling's, which branched on the same column). When that column
-    /// is basic in the snapshot, a restored start takes the `x_B` the state
-    /// carries instead of recomputing it: `x_B = B⁻¹(b − N·x_N)` reads the
-    /// bounds of nonbasic columns only, so it is the same to the bit. A
-    /// named column that is nonbasic recomputes, as [`Warm::Dual`] does.
-    Branch(&'a Basis, Option<&'a mut FactorState>, usize),
+    ///
+    /// The named column is for a branch-and-bound child: the one column
+    /// whose bounds differ from those the slot's state was captured under
+    /// (its parent's, or its sibling's, which branched on the same column).
+    /// When that column is basic in the snapshot, a restored start takes the
+    /// `x_B` the state carries instead of recomputing it: `x_B = B⁻¹(b −
+    /// N·x_N)` reads the bounds of nonbasic columns only, so it is the same
+    /// to the bit. A named column that is nonbasic, or none, recomputes.
+    Dual(&'a Basis, Option<&'a mut FactorState>, Option<usize>),
 }
 
 /// The factorization of a basis as an engine held it, for the LPs that
@@ -542,7 +542,7 @@ pub(crate) enum Warm<'a> {
 /// columns, and when it was fresh the `x_B` that `compute_xb` derived
 /// through exactly those factors. Filled by [`SimplexWorkspace::capture`]
 /// from the state an LP ended on, or by a [`Warm::Dual`] start from its own
-/// factorization; read by [`Warm::Dual`] and [`Warm::Branch`].
+/// factorization; read by [`Warm::Dual`].
 #[derive(Debug, Default)]
 pub(crate) struct FactorState {
     factor: FactorSnapshot,
@@ -750,45 +750,24 @@ pub(crate) fn solve_lp(model: &Model, bounds: &[(f64, f64)]) -> Result<LpResult,
     // presolve must not round derived bounds onto the integer lattice.
     let integral = vec![false; lp.nstruct];
     let rows = RowView::of(&lp);
-    match crate::presolve::NodeSolver::build(&lp, &rows, bounds, &integral, model.params().presolve)
-    {
-        Some(solver) => {
+    match Presolve::build(&lp, &rows, bounds, &integral, model.params().presolve) {
+        Some(presolve) => {
             let mut workspace = SimplexWorkspace::default();
-            solver
-                .solve(&lp, bounds, max_iters, Warm::Cold, &mut workspace)
-                .map(|(r, _)| r)
+            (presolve.solve(bounds, max_iters, Warm::Cold, &mut workspace)).map(|(r, _)| r)
         }
         None => Ok(LpResult::infeasible_without_pivots()),
     }
-}
-
-/// Solves a prepared [`SparseLp`] under the given structural bounds, in
-/// `workspace`.
-///
-/// On an optimal outcome the returned [`Basis`] snapshot can warm-start the
-/// next related solve.
-pub(crate) fn solve_sparse(
-    lp: &SparseLp,
-    bounds: &[(f64, f64)],
-    max_iters: usize,
-    warm: Warm<'_>,
-    workspace: &mut SimplexWorkspace,
-) -> Result<(LpResult, Option<Basis>), SolveError> {
-    let state = &mut workspace.engine;
-    let mut result = solve_in(lp, bounds, max_iters, warm, state)?;
-    if result.status != LpStatus::Optimal {
-        return Ok((result, None));
-    }
-    let mut values = vec![0.0; lp.nstruct];
-    state.structural_values(lp.nstruct, |j, v| values[j] = v);
-    result.values = values;
-    Ok((result, Some(state.snapshot(lp))))
 }
 
 /// Solves `lp` under `bounds` in `state` and returns the outcome without
 /// values; after an optimal outcome `state` holds the final basis and basic
 /// solution ([`EngineState::structural_values`],
 /// [`EngineState::basis_parts`]).
+///
+/// No bound pair may cross: every LP reaches the engine through
+/// `Presolve::map_bounds` or, for a tree's nodes, through
+/// `Presolve::tighten`, and both answer a crossed pair as infeasible
+/// without a pivot.
 pub(crate) fn solve_in(
     lp: &SparseLp,
     bounds: &[(f64, f64)],
@@ -796,21 +775,16 @@ pub(crate) fn solve_in(
     warm: Warm<'_>,
     state: &mut EngineState,
 ) -> Result<LpResult, SolveError> {
-    // A bound pair with lower > upper makes the subproblem trivially infeasible.
-    if bounds.iter().any(|(l, u)| l > u) {
-        return Ok(LpResult::infeasible_without_pivots());
-    }
-
+    debug_assert!(
+        !bounds.iter().any(|(l, u)| l > u),
+        "crossed bounds reached the engine"
+    );
     let mut engine = Engine::new(lp, bounds, max_iters, state);
-    let branched = match warm {
-        Warm::Branch(_, _, column) => Some(column),
-        _ => None,
-    };
     // A snapshot that cannot be applied degrades to the cold basis.
     let mut started_cold = match warm {
         Warm::Cold => true,
         Warm::Primal(basis) => engine.install_warm_basis(basis, None, None).is_none(),
-        Warm::Dual(basis, slot) | Warm::Branch(basis, slot, _) => {
+        Warm::Dual(basis, slot, branched) => {
             match engine.install_warm_basis(basis, slot, branched) {
                 None => true,
                 Some(start) => {
@@ -886,8 +860,8 @@ enum Start {
     Factorized,
     /// Restored from a [`FactorState`], `x_B` derived through it.
     Restored,
-    /// Restored from a [`FactorState`], `x_B` carried with it
-    /// ([`Warm::Branch`]).
+    /// Restored from a [`FactorState`], `x_B` carried with it (a
+    /// [`Warm::Dual`] start naming a basic column).
     Carried,
 }
 
@@ -1006,7 +980,7 @@ impl<'a> Engine<'a> {
     /// final basis of the solve it was captured from, or the start of one
     /// installed from the same snapshot — and is restored, with its reduced
     /// costs, instead of a from-scratch factorization. It also carries its
-    /// `x_B` when `branched` ([`Warm::Branch`]) names a column that is basic
+    /// `x_B` when `branched` (the column a [`Warm::Dual`] start names) is basic
     /// in the installed basis and the state holds one. An empty slot is
     /// filled with the from-scratch factorization and the `x_B` derived
     /// through it. A snapshot of another size neither takes nor leaves a
@@ -2014,6 +1988,28 @@ impl<'a> Engine<'a> {
     }
 }
 
+/// The raw engine solve of `lp` under `bounds` in `workspace`, values and
+/// snapshot in `lp`'s own numbering: the unreduced reference tests hold the
+/// presolve layer and the engine's warm starts to.
+#[cfg(test)]
+pub(crate) fn solve_sparse(
+    lp: &SparseLp,
+    bounds: &[(f64, f64)],
+    max_iters: usize,
+    warm: Warm<'_>,
+    workspace: &mut SimplexWorkspace,
+) -> Result<(LpResult, Option<Basis>), SolveError> {
+    let state = &mut workspace.engine;
+    let mut result = solve_in(lp, bounds, max_iters, warm, state)?;
+    if result.status != LpStatus::Optimal {
+        return Ok((result, None));
+    }
+    let mut values = vec![0.0; lp.nstruct];
+    state.structural_values(lp.nstruct, |j, v| values[j] = v);
+    result.values = values;
+    Ok((result, Some(state.snapshot(lp))))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -2176,7 +2172,7 @@ mod tests {
         // Tighten x <= 1: dual simplex should recover x=1, y=3 → obj 5.
         let tightened = [(0.0, 1.0), (0.0, 3.0)];
         let (child, child_basis) =
-            solve_sparse(&lp, &tightened, 10_000, Warm::Dual(&basis, None)).expect("child");
+            solve_sparse(&lp, &tightened, 10_000, Warm::Dual(&basis, None, None)).expect("child");
         assert_eq!(child.status, LpStatus::Optimal);
         assert!(
             (-child.objective - 5.0).abs() < 1e-6,
@@ -2195,13 +2191,23 @@ mod tests {
         // the factor state the root ended on, the same start computes none
         // and reaches the same optimum.
         let mut slot = FactorState::default();
-        let (first, _) = solve_sparse(&lp, &tightened, 10_000, Warm::Dual(&basis, Some(&mut slot)))
-            .expect("first");
+        let (first, _) = solve_sparse(
+            &lp,
+            &tightened,
+            10_000,
+            Warm::Dual(&basis, Some(&mut slot), None),
+        )
+        .expect("first");
         assert_eq!(first.lu_factorizations, 1);
         assert!(slot.is_captured());
         for state in [&mut slot, &mut ended] {
-            let (again, _) = solve_sparse(&lp, &tightened, 10_000, Warm::Dual(&basis, Some(state)))
-                .expect("again");
+            let (again, _) = solve_sparse(
+                &lp,
+                &tightened,
+                10_000,
+                Warm::Dual(&basis, Some(state), None),
+            )
+            .expect("again");
             assert_eq!(again.lu_factorizations, 0);
             assert_eq!(again.status, LpStatus::Optimal);
             assert!((again.objective - child.objective).abs() < 1e-9);
@@ -2244,7 +2250,7 @@ mod tests {
         for restore in [false, true] {
             let slot = restore.then_some(&mut ended);
             let (r, _) =
-                solve_sparse(&lp, &child, 10_000, Warm::Dual(&basis, slot)).expect("child");
+                solve_sparse(&lp, &child, 10_000, Warm::Dual(&basis, slot, None)).expect("child");
             assert_eq!(r.status, LpStatus::Infeasible);
             assert!(r.iterations >= 1, "no pivot before the verdict");
             assert_eq!(r.lu_factorizations, usize::from(!restore));
@@ -2329,7 +2335,7 @@ mod tests {
                 };
                 child[j] = (pin, pin);
             }
-            let warm = Warm::Dual(&basis, Some(&mut ended));
+            let warm = Warm::Dual(&basis, Some(&mut ended), None);
             let Ok((r, _)) = super::solve_sparse(&lp, &child, 10_000, warm, ws) else {
                 continue;
             };
@@ -2370,7 +2376,7 @@ mod tests {
         let dense = crate::dense::solve_lp_dense(&m, &child).expect("dense solve");
         assert_eq!(dense.status, LpStatus::Optimal);
         let ws = &mut SimplexWorkspace::default();
-        let warm = Warm::Dual(&start, None);
+        let warm = Warm::Dual(&start, None, None);
         let (r, _) = super::solve_sparse(&lp, &child, 10_000, warm, ws).expect("solve");
         assert_eq!(r.status, LpStatus::Optimal);
         assert!(
@@ -2399,7 +2405,7 @@ mod tests {
             &lp,
             &[(0.0, 1.0), (0.0, 1.0)],
             10_000,
-            Warm::Dual(&basis, None),
+            Warm::Dual(&basis, None, None),
         )
         .expect("child");
         assert_eq!(child.status, LpStatus::Infeasible);
@@ -2424,7 +2430,7 @@ mod tests {
         assert_eq!(root.values[0], 0.0, "free column parks at 0");
         let basis = basis.expect("optimal basis");
 
-        for warm in [Warm::Dual(&basis, None), Warm::Primal(&basis)] {
+        for warm in [Warm::Dual(&basis, None, None), Warm::Primal(&basis)] {
             let (child, _) =
                 solve_sparse(&lp, &[(2.0, 10.0), (0.0, 10.0)], 10_000, warm).expect("child");
             assert_eq!(child.status, LpStatus::Optimal);
@@ -2601,10 +2607,10 @@ mod tests {
     /// Seeded LPs and their children: a child tightens one column, basic in
     /// the parent's optimal basis, as a branching does. From the state its
     /// sibling's start left, and from the state a dual child ended on, a
-    /// [`Warm::Branch`] start naming that column carries the state's `x_B`,
+    /// [`Warm::Dual`] start naming that column carries the state's `x_B`,
     /// bit-equal to what `compute_xb` derives, and answers exactly as a
-    /// [`Warm::Dual`] start from the same state, which recomputes it. Naming
-    /// a nonbasic column, or none, recomputes.
+    /// start from the same state that names none, which recomputes it.
+    /// Naming a nonbasic column recomputes too.
     #[test]
     fn a_child_naming_its_basic_branched_column_carries_x_b() {
         // How a start under `bounds` installs from the state a start under
@@ -2619,7 +2625,7 @@ mod tests {
         ) -> Option<Start> {
             let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
             let (mut state, mut from) = (EngineState::default(), FactorState::default());
-            let warm = Warm::Dual(basis, Some(&mut from));
+            let warm = Warm::Dual(basis, Some(&mut from), None);
             let _ =
                 super::solve_sparse(lp, left_by, 10_000, warm, &mut SimplexWorkspace::default());
             let mut engine = Engine::new(lp, bounds, 10_000, &mut state);
@@ -2673,7 +2679,7 @@ mod tests {
             }
             let (mut left, mut same) = (FactorState::default(), FactorState::default());
             for slot in [&mut left, &mut same] {
-                let warm = Warm::Branch(&basis, Some(slot), j);
+                let warm = Warm::Dual(&basis, Some(slot), Some(j));
                 let _ = super::solve_sparse(&lp, &down, 10_000, warm, ws);
                 assert!(slot.xb.len() == m, "case {case}: a fresh start left no x_B");
             }
@@ -2684,8 +2690,8 @@ mod tests {
                 10_000,
                 ws,
                 (
-                    Warm::Branch(&basis, Some(&mut left), j),
-                    Warm::Dual(&basis, Some(&mut same)),
+                    Warm::Dual(&basis, Some(&mut left), Some(j)),
+                    Warm::Dual(&basis, Some(&mut same), None),
                 ),
                 &what,
             );
@@ -2714,8 +2720,8 @@ mod tests {
                 10_000,
                 ws,
                 (
-                    Warm::Branch(&ended, Some(&mut mine), g),
-                    Warm::Dual(&ended, Some(&mut theirs)),
+                    Warm::Dual(&ended, Some(&mut mine), Some(g)),
+                    Warm::Dual(&ended, Some(&mut theirs), None),
                 ),
                 &what,
             );
@@ -2782,7 +2788,10 @@ mod tests {
                 status[j] = VarStatus::Basic;
             }
             let singular = Basis::from_parts(lp.nstruct, m, status, basic, vec![1.0; ncols]);
-            let dual = (Warm::Dual(&singular, None), Warm::Dual(&singular, None));
+            let dual = (
+                Warm::Dual(&singular, None, None),
+                Warm::Dual(&singular, None, None),
+            );
             reused_against_fresh(&lp, &bounds, 10_000, reused, dual, &what("singular dual"));
             let primal = (Warm::Primal(&singular), Warm::Primal(&singular));
             reused_against_fresh(
@@ -2808,14 +2817,14 @@ mod tests {
             let mut slots = (FactorState::default(), FactorState::default());
             for what in [what("dual"), what("dual from the start it left")] {
                 let dual = (
-                    Warm::Dual(&basis, Some(&mut slots.0)),
-                    Warm::Dual(&basis, Some(&mut slots.1)),
+                    Warm::Dual(&basis, Some(&mut slots.0), None),
+                    Warm::Dual(&basis, Some(&mut slots.1), None),
                 );
                 reused_against_fresh(&lp, &child, 10_000, reused, dual, &what);
             }
             let dual = (
-                Warm::Dual(&basis, Some(&mut mine)),
-                Warm::Dual(&basis, Some(&mut theirs)),
+                Warm::Dual(&basis, Some(&mut mine), None),
+                Warm::Dual(&basis, Some(&mut theirs), None),
             );
             reused_against_fresh(&lp, &child, 10_000, reused, dual, &what("restored dual"));
             restored += 1;
