@@ -13,15 +13,15 @@
 //! have always had.
 
 use crate::config::SchedulerConfig;
-use crate::ids::{AppId, ModeId};
+use crate::ids::{AppId, MessageId, ModeId, TaskId};
 use crate::json::{
-    fields_partial, sorted_members, Json, JsonError, JsonObject, Member, Partial, Progress, Reader,
-    Slot, Step, Value, Writer,
+    fields_partial, sorted_members, Json, JsonError, JsonObject, Member, Partial, Reader, Slot,
+    Step, Value, Writer,
 };
 use crate::modegraph::ModeGraph;
 use crate::schedule::{ModeSchedule, ScheduledRound, SynthesisStats, SystemSchedule};
 use crate::spec::{ApplicationSpec, MessageSpec, TaskSpec};
-use crate::system::{Mode, System};
+use crate::system::{Application, Mode, System};
 use std::sync::OnceLock;
 use ttw_milp::{SolveParams, SolverCounters};
 
@@ -57,20 +57,19 @@ impl JsonObject for SolverCounters {
         let mut slots = SolverCounters::FIELDS.map(|_| Slot::<usize>::new());
         fields_partial(move |step| match step {
             Step::Member(key, r) => {
-                let field = SolverCounters::FIELDS.iter().zip(&mut slots);
-                match field.into_iter().find(|(name, _)| **name == key) {
-                    Some((name, slot)) => slot.read(r, name)?,
-                    None => return Ok(Progress::Unknown),
-                }
-                Ok(Progress::Taken)
+                let Some(index) = SolverCounters::field_index(key) else {
+                    return Ok(false);
+                };
+                slots[index].read(r, SolverCounters::FIELDS[index])?;
+                Ok(true)
             }
-            Step::End => {
+            Step::End(value) => {
                 let mut slots = slots.iter_mut();
-                SolverCounters::from_fields(|name| match slots.next() {
+                *value = Some(SolverCounters::from_fields(|name| match slots.next() {
                     Some(slot) => slot.take(name),
                     None => usize::from_absent(name),
-                })
-                .map(Progress::Done)
+                })?);
+                Ok(true)
             }
         })
     }
@@ -132,24 +131,55 @@ impl Json for ModeGraph {
 }
 
 /// A system is its *construction order*: nodes, applications (as
-/// [`ApplicationSpec`] documents) and modes in id order. Decoding reads the
-/// three lists — `"applications"` sorts before the `"nodes"` it refers to, so
-/// nothing can be built while reading — and then replays `add_node` /
-/// `add_application` / `add_mode`, so the model rules of Sec. III are checked
-/// and every entity gets the id it had.
+/// [`ApplicationSpec`] documents) and modes in id order. Writing renders each
+/// application's spec document from the system's own entities — task and
+/// message entries in id order, every reference by name — without building
+/// the spec. Decoding reads the three lists — `"applications"` sorts before
+/// the `"nodes"` it refers to, so nothing can be built while reading — and
+/// then replays `add_node` / `add_application` / `add_mode`, so the model
+/// rules of Sec. III are checked and every entity gets the id it had.
 impl Json for System {
     fn write(&self, w: &mut Writer<'_>) {
+        let task_names = |w: &mut Writer<'_>, tasks: &[TaskId]| {
+            w.array(tasks, |w, &task| self.task(task).name.write(w));
+        };
+        // The members the `TaskSpec`, `MessageSpec` and `ApplicationSpec`
+        // tables write; `tests/json_codec.rs` holds the bytes of the two
+        // renderings together.
+        let task = |w: &mut Writer<'_>, task: &TaskId| {
+            let task = self.task(*task);
+            w.object(&mut [
+                ("name", &|w| task.name.write(w)),
+                ("node", &|w| self.node(task.node).name.write(w)),
+                ("wcet", &|w| task.wcet.write(w)),
+            ]);
+        };
+        let message = |w: &mut Writer<'_>, message: &MessageId| {
+            let message = self.message(*message);
+            w.object(&mut [
+                ("destinations", &|w| task_names(w, &message.successor_tasks)),
+                ("name", &|w| message.name.write(w)),
+                ("sources", &|w| task_names(w, &message.preceding_tasks)),
+            ]);
+        };
+        let application = |w: &mut Writer<'_>, (_, app): (AppId, &Application)| {
+            w.object(&mut [
+                ("deadline", &|w| app.deadline.write(w)),
+                ("messages", &|w| w.array(&app.messages, message)),
+                ("name", &|w| app.name.write(w)),
+                ("period", &|w| app.period.write(w)),
+                ("tasks", &|w| w.array(&app.tasks, task)),
+            ]);
+        };
         w.object(&mut [
-            ("nodes", &|w| {
-                w.array(self.nodes(), |w, (_, node)| node.name.write(w));
-            }),
             ("applications", &|w| {
-                w.array(self.applications(), |w, (id, _)| {
-                    application_spec_of(self, id).write(w);
-                });
+                w.array(self.applications(), application)
             }),
             ("modes", &|w| {
-                w.array(self.modes(), |w, (_, mode)| mode.write(w));
+                w.array(self.modes(), |w, (_, mode)| mode.write(w))
+            }),
+            ("nodes", &|w| {
+                w.array(self.nodes(), |w, (_, node)| node.name.write(w));
             }),
         ]);
     }
@@ -190,47 +220,6 @@ impl Json for System {
             Ok(system)
         };
         replay().map_err(|error| error.at(at))
-    }
-}
-
-/// Reconstructs the [`ApplicationSpec`] an application was built from: task
-/// and message entries in id order with all name references resolved.
-fn application_spec_of(system: &System, app: AppId) -> ApplicationSpec {
-    let application = system.application(app);
-    let task_names = |tasks: &[crate::ids::TaskId]| {
-        tasks
-            .iter()
-            .map(|&task| system.task(task).name.clone())
-            .collect()
-    };
-    ApplicationSpec {
-        name: application.name.clone(),
-        period: application.period,
-        deadline: application.deadline,
-        tasks: application
-            .tasks
-            .iter()
-            .map(|&task| {
-                let t = system.task(task);
-                TaskSpec {
-                    name: t.name.clone(),
-                    node: system.node(t.node).name.clone(),
-                    wcet: t.wcet,
-                }
-            })
-            .collect(),
-        messages: application
-            .messages
-            .iter()
-            .map(|&message| {
-                let m = system.message(message);
-                MessageSpec {
-                    name: m.name.clone(),
-                    sources: task_names(&m.preceding_tasks),
-                    destinations: task_names(&m.successor_tasks),
-                }
-            })
-            .collect(),
     }
 }
 

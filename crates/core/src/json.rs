@@ -45,7 +45,7 @@
 //! several faults is the one reported is said at [`Json::read`].
 
 use std::borrow::Cow;
-use std::collections::BTreeMap;
+use std::collections::{btree_map, BTreeMap};
 use std::fmt;
 use std::io::Write as _;
 use std::sync::Arc;
@@ -552,16 +552,15 @@ impl<'a> Reader<'a> {
     ///
     /// "trailing characters" at the first byte that is left.
     pub fn finish(&mut self) -> Result<(), JsonError> {
-        self.skip_whitespace();
-        if self.pos != self.input.len() {
-            return Err(JsonError::grammar("trailing characters", self.pos));
+        match self.next_byte() {
+            None => Ok(()),
+            Some(_) => Err(JsonError::grammar("trailing characters", self.pos)),
         }
-        Ok(())
     }
 
     /// The byte offset of the next value.
     pub fn offset(&mut self) -> usize {
-        self.skip_whitespace();
+        self.next_byte();
         self.pos
     }
 
@@ -570,10 +569,21 @@ impl<'a> Reader<'a> {
         JsonError::custom(expected.to_string()).at(self.offset())
     }
 
-    fn skip_whitespace(&mut self) {
-        while let Some(b' ' | b'\t' | b'\n' | b'\r') = self.peek() {
-            self.pos += 1;
+    /// The first byte of the next token, the whitespace before it passed
+    /// over; `None` at the end of the input.
+    #[inline]
+    fn next_byte(&mut self) -> Option<u8> {
+        let bytes = self.input.as_bytes();
+        let mut pos = self.pos;
+        while let Some(&byte) = bytes.get(pos) {
+            if !matches!(byte, b' ' | b'\t' | b'\n' | b'\r') {
+                self.pos = pos;
+                return Some(byte);
+            }
+            pos += 1;
         }
+        self.pos = pos;
+        None
     }
 
     fn peek(&self) -> Option<u8> {
@@ -594,8 +604,7 @@ impl<'a> Reader<'a> {
 
     /// The first byte of the next value, which says what kind it is.
     fn kind(&mut self) -> Result<u8, JsonError> {
-        self.skip_whitespace();
-        match self.peek() {
+        match self.next_byte() {
             Some(b @ (b'n' | b't' | b'f' | b'"' | b'[' | b'{' | b'-' | b'0'..=b'9')) => Ok(b),
             Some(_) => Err(JsonError::grammar("unexpected character", self.pos)),
             None => Err(JsonError::grammar("unexpected end of input", self.pos)),
@@ -647,9 +656,28 @@ impl<'a> Reader<'a> {
     /// token no `f64` holds.
     pub fn number(&mut self, expected: &str) -> Result<f64, JsonError> {
         match self.kind()? {
-            b'-' | b'0'..=b'9' => self.parse_number(),
+            b'-' | b'0'..=b'9' => self.scan_number().map(|number| number.to_f64()),
             _ => Err(self.mismatch(expected)),
         }
+    }
+
+    /// Reads a non-negative integer: a number whose value is an integer no
+    /// larger than 2^53.
+    ///
+    /// # Errors
+    ///
+    /// `expected` for another kind of value or another number; "number out
+    /// of range" for a token no `f64` holds.
+    fn integer(&mut self, expected: &str) -> Result<u64, JsonError> {
+        if !matches!(self.kind()?, b'-' | b'0'..=b'9') {
+            return Err(self.mismatch(expected));
+        }
+        let at = self.pos;
+        match self.scan_number()? {
+            Number::Digits(n) if n <= 1 << 53 => Some(n),
+            value => integer(value.to_f64()),
+        }
+        .ok_or_else(|| JsonError::custom(expected).at(at))
     }
 
     /// Reads a string, borrowed from the text when it holds no escape.
@@ -679,14 +707,12 @@ impl<'a> Reader<'a> {
             return Err(self.mismatch(expected));
         }
         self.open()?;
-        self.skip_whitespace();
-        if self.peek() == Some(b']') {
+        if self.next_byte() == Some(b']') {
             self.pos += 1;
         } else {
             loop {
                 each(self)?;
-                self.skip_whitespace();
-                match self.peek() {
+                match self.next_byte() {
                     Some(b',') => self.pos += 1,
                     Some(b']') => {
                         self.pos += 1;
@@ -718,21 +744,20 @@ impl<'a> Reader<'a> {
         }
         let at = self.pos;
         self.open()?;
-        self.skip_whitespace();
-        if self.peek() == Some(b'}') {
+        if self.next_byte() == Some(b'}') {
             self.pos += 1;
         } else {
             loop {
-                self.skip_whitespace();
-                if self.peek() != Some(b'"') {
+                if self.next_byte() != Some(b'"') {
                     return Err(JsonError::grammar("expected `\"`", self.pos));
                 }
                 let key = self.parse_string()?;
-                self.skip_whitespace();
-                self.eat(b':')?;
+                if self.next_byte() != Some(b':') {
+                    return Err(JsonError::grammar("expected `:`", self.pos));
+                }
+                self.pos += 1;
                 each(&key, self)?;
-                self.skip_whitespace();
-                match self.peek() {
+                match self.next_byte() {
                     Some(b',') => self.pos += 1,
                     Some(b'}') => {
                         self.pos += 1;
@@ -760,7 +785,7 @@ impl<'a> Reader<'a> {
             b'"' => self.parse_string().map(drop),
             b'[' => self.array("", Self::skip),
             b'{' => self.object("", |_, r| r.skip()).map(drop),
-            _ => self.parse_number().map(drop),
+            _ => self.scan_number().map(drop),
         }
     }
 
@@ -778,70 +803,110 @@ impl<'a> Reader<'a> {
         Ok(())
     }
 
-    /// Consumes one or more ASCII digits and returns the number they spell
-    /// (meaningless beyond nineteen of them); errors if none are present.
-    fn parse_digits(&mut self) -> Result<u64, JsonError> {
+    /// Scans a number following the JSON grammar exactly: an optional
+    /// minus, an integer part without leading zeros, then optional fraction
+    /// and exponent parts that each require at least one digit.
+    fn scan_number(&mut self) -> Result<Number, JsonError> {
+        let bytes = self.input.as_bytes();
         let start = self.pos;
-        let mut value = 0u64;
-        while let Some(digit @ b'0'..=b'9') = self.peek() {
-            value = value.wrapping_mul(10).wrapping_add(u64::from(digit - b'0'));
-            self.pos += 1;
+        let negative = bytes.get(start) == Some(&b'-');
+        let int_start = start + usize::from(negative);
+        let mut mantissa = 0;
+        let int_end = digits(bytes, int_start, &mut mantissa);
+        if int_end == int_start {
+            return Err(JsonError::grammar("expected a digit", int_start));
         }
-        if self.pos == start {
-            return Err(JsonError::grammar("expected a digit", start));
-        }
-        Ok(value)
-    }
-
-    /// Parses a number following the JSON grammar exactly: an optional minus,
-    /// an integer part without leading zeros, then optional fraction and
-    /// exponent parts that each require at least one digit.
-    fn parse_number(&mut self) -> Result<f64, JsonError> {
-        let start = self.pos;
-        let negative = self.peek() == Some(b'-');
-        if negative {
-            self.pos += 1;
-        }
-        let int_start = self.pos;
-        let magnitude = self.parse_digits()?;
-        if self.input.as_bytes()[int_start] == b'0' && self.pos > int_start + 1 {
+        if bytes[int_start] == b'0' && int_end > int_start + 1 {
             return Err(JsonError::grammar(
                 "leading zeros are not allowed",
                 int_start,
             ));
         }
-        // Up to fifteen digits and nothing else is an integer an f64 holds
-        // exactly — most numbers of a schedule — and needs no float parser.
-        let mut exact = self.pos - int_start <= 15;
-        if self.peek() == Some(b'.') {
-            exact = false;
-            self.pos += 1;
-            self.parse_digits()?;
-        }
-        if matches!(self.peek(), Some(b'e') | Some(b'E')) {
-            exact = false;
-            self.pos += 1;
-            if matches!(self.peek(), Some(b'+') | Some(b'-')) {
-                self.pos += 1;
+        let mut end = int_end;
+        let mut fraction = 0;
+        if bytes.get(end) == Some(&b'.') {
+            end = digits(bytes, int_end + 1, &mut mantissa);
+            fraction = end - int_end - 1;
+            if fraction == 0 {
+                return Err(JsonError::grammar("expected a digit", end));
             }
-            self.parse_digits()?;
         }
-        let value = match (exact, negative) {
-            (true, false) => magnitude as f64,
-            (true, true) => -(magnitude as f64),
-            (false, _) => self.input[start..self.pos]
-                .parse()
-                .map_err(|_| JsonError::grammar("invalid number", start))?,
-        };
+        let mut exponent = false;
+        if let Some(b'e' | b'E') = bytes.get(end) {
+            exponent = true;
+            end += 1;
+            if let Some(b'+' | b'-') = bytes.get(end) {
+                end += 1;
+            }
+            let exponent_start = end;
+            end = digits(bytes, end, &mut 0);
+            if end == exponent_start {
+                return Err(JsonError::grammar("expected a digit", end));
+            }
+        }
+        self.pos = end;
+        // Up to nineteen digits spell the mantissa exactly.
+        if !exponent && int_end - int_start + fraction <= 19 {
+            if !negative && fraction == 0 {
+                return Ok(Number::Digits(mantissa));
+            }
+            // A mantissa of at most 2^53 is an exact double, and so is its
+            // quotient by the power of ten of a fraction, which the division
+            // rounds correctly by itself: the standard parser's own fast
+            // path, without its second pass over the digits — most numbers
+            // of a schedule.
+            if mantissa <= 1 << 53 {
+                let magnitude = mantissa as f64 / POWERS_OF_TEN[fraction];
+                return Ok(Number::Double(if negative {
+                    -magnitude
+                } else {
+                    magnitude
+                }));
+            }
+        }
+        let value = self.input[start..end]
+            .parse::<f64>()
+            .map_err(|_| JsonError::grammar("invalid number", start))?;
         if !value.is_finite() {
             // Written back it would be `null`, which no number member reads.
             return Err(JsonError::grammar("number out of range", start));
         }
-        Ok(value)
+        Ok(Number::Double(value))
     }
 
+    /// The string whose opening quote is at `pos`.
     fn parse_string(&mut self) -> Result<Cow<'a, str>, JsonError> {
-        self.eat(b'"')?;
+        let bytes = self.input.as_bytes();
+        let start = self.pos + 1;
+        // Most strings hold no escape: they are the text between the quotes.
+        // The search for the first quote or backslash goes a word at a time.
+        let mut end = start;
+        while let Some(Ok(word)) = bytes.get(end..end + 8).map(<[u8; 8]>::try_from) {
+            let word = u64::from_le_bytes(word);
+            let stops = bytes_equal(word, b'"') | bytes_equal(word, b'\\');
+            if stops != 0 {
+                end += stops.trailing_zeros() as usize / 8;
+                break;
+            }
+            end += 8;
+        }
+        while let Some(&byte) = bytes.get(end) {
+            match byte {
+                b'"' => {
+                    self.pos = end + 1;
+                    return Ok(Cow::Borrowed(&self.input[start..end]));
+                }
+                b'\\' => break,
+                _ => end += 1,
+            }
+        }
+        self.pos = start;
+        self.parse_escaped_string()
+    }
+
+    /// [`Reader::parse_string`] from just past the opening quote, escapes
+    /// resolved.
+    fn parse_escaped_string(&mut self) -> Result<Cow<'a, str>, JsonError> {
         let mut out = String::new();
         loop {
             // A run of plain content ends at the next quote or backslash.
@@ -922,6 +987,57 @@ impl<'a> Reader<'a> {
         self.pos += 4;
         Ok(code)
     }
+}
+
+/// The value of a number token.
+enum Number {
+    /// Up to nineteen digits alone (no sign, fraction or exponent): the
+    /// integer they spell.
+    Digits(u64),
+    /// Any other number, which is finite.
+    Double(f64),
+}
+
+impl Number {
+    /// The value as the `f64` it travels as: the nearest one to a run of
+    /// digits, as the standard parser would read it.
+    fn to_f64(&self) -> f64 {
+        match *self {
+            Number::Digits(n) => n as f64,
+            Number::Double(n) => n,
+        }
+    }
+}
+
+/// The powers of ten of a fraction of up to nineteen digits, each exact as
+/// a double.
+const POWERS_OF_TEN: [f64; 20] = [
+    1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16,
+    1e17, 1e18, 1e19,
+];
+
+/// The bytes of `word` equal to `byte`, each as its top bit: exact up to
+/// the first one, which is all a search needs (a borrow may mark a byte
+/// above it too).
+fn bytes_equal(word: u64, byte: u8) -> u64 {
+    const ONES: u64 = u64::from_le_bytes([1; 8]);
+    let zeros = word ^ (ONES * u64::from(byte));
+    zeros.wrapping_sub(ONES) & !zeros & (ONES << 7)
+}
+
+/// Passes over the run of ASCII digits of `bytes` from `from`, appending
+/// them to `mantissa` (meaningless beyond nineteen digits in all), and
+/// returns where the run ends.
+#[inline]
+fn digits(bytes: &[u8], from: usize, mantissa: &mut u64) -> usize {
+    let mut end = from;
+    while let Some(&digit @ b'0'..=b'9') = bytes.get(end) {
+        *mantissa = mantissa
+            .wrapping_mul(10)
+            .wrapping_add(u64::from(digit - b'0'));
+        end += 1;
+    }
+    end
 }
 
 // ---------------------------------------------------------------------------
@@ -1099,24 +1215,15 @@ pub trait Partial<T> {
     fn finish(&mut self) -> Result<T, JsonError>;
 }
 
-/// What a [`FieldsPartial`] closure is asked to do.
+/// What a [`FieldsPartial`] closure is asked to do. It answers whether it
+/// took the member; the finished value goes where [`Step::End`] says, so
+/// that offering a member returns a flag, not a value the size of `T`.
 #[derive(Debug)]
-pub enum Step<'k, 'r, 'a> {
+pub enum Step<'k, 'r, 'a, T> {
     /// [`Partial::offer`].
     Member(&'k str, &'r mut Reader<'a>),
-    /// [`Partial::finish`].
-    End,
-}
-
-/// What a [`FieldsPartial`] closure answers.
-#[derive(Debug)]
-pub enum Progress<T> {
-    /// The member was a field and has been read.
-    Taken,
-    /// The member is not a field.
-    Unknown,
-    /// The finished value.
-    Done(T),
+    /// [`Partial::finish`], into the place given.
+    End(&'r mut Option<T>),
 }
 
 /// A [`Partial`] whose fields are the captured [`Slot`]s of one closure —
@@ -1127,26 +1234,23 @@ pub struct FieldsPartial<F>(F);
 
 impl<T, F> Partial<T> for FieldsPartial<F>
 where
-    F: FnMut(Step<'_, '_, '_>) -> Result<Progress<T>, JsonError>,
+    F: FnMut(Step<'_, '_, '_, T>) -> Result<bool, JsonError>,
 {
     fn offer(&mut self, key: &str, r: &mut Reader<'_>) -> Result<bool, JsonError> {
-        Ok(matches!((self.0)(Step::Member(key, r))?, Progress::Taken))
+        (self.0)(Step::Member(key, r))
     }
 
     fn finish(&mut self) -> Result<T, JsonError> {
-        match (self.0)(Step::End)? {
-            Progress::Done(value) => Ok(value),
-            Progress::Taken | Progress::Unknown => Err(JsonError::custom(
-                "a partial answered its end with a member",
-            )),
-        }
+        let mut value = None;
+        (self.0)(Step::End(&mut value))?;
+        value.ok_or_else(|| JsonError::custom("a partial ended without its value"))
     }
 }
 
 /// A [`FieldsPartial`] around `f`, whose signature this call pins.
 pub fn fields_partial<T, F>(f: F) -> FieldsPartial<F>
 where
-    F: FnMut(Step<'_, '_, '_>) -> Result<Progress<T>, JsonError>,
+    F: FnMut(Step<'_, '_, '_, T>) -> Result<bool, JsonError>,
 {
     FieldsPartial(f)
 }
@@ -1338,17 +1442,14 @@ macro_rules! json_object {
                                     @read $field, reader,
                                     $crate::json_object!(@name $field $($wire)?) $(, $rule)?
                                 )?;
-                                return Ok($crate::json::Progress::Taken);
+                                return Ok(true);
                             }
                         )*
-                        $(
-                            if $crate::json::Partial::offer(&mut $flat, key, reader)? {
-                                return Ok($crate::json::Progress::Taken);
-                            }
-                        )?
-                        Ok($crate::json::Progress::Unknown)
+                        $( return $crate::json::Partial::offer(&mut $flat, key, reader); )?
+                        #[allow(unreachable_code)]
+                        Ok(false)
                     }
-                    $crate::json::Step::End => {
+                    $crate::json::Step::End(value) => {
                         let decoded = Self {
                             $(
                                 $field: $crate::json_object!(
@@ -1359,7 +1460,8 @@ macro_rules! json_object {
                             $( $flat: $crate::json::Partial::finish(&mut $flat)?, )?
                         };
                         $( $check(&decoded)?; )?
-                        Ok($crate::json::Progress::Done(decoded))
+                        *value = Some(decoded);
+                        Ok(true)
                     }
                 })
             }
@@ -1405,9 +1507,7 @@ impl Json for u64 {
     }
 
     fn read(r: &mut Reader<'_>) -> Result<Self, JsonError> {
-        const EXPECTED: &str = "expected a non-negative integer";
-        let at = r.offset();
-        integer(r.number(EXPECTED)?).ok_or_else(|| JsonError::custom(EXPECTED).at(at))
+        r.integer("expected a non-negative integer")
     }
 }
 
@@ -1526,13 +1626,13 @@ pub trait JsonKey: Ord + Sized {
 /// The index an object key spells. Only the canonical decimal form is a key:
 /// `"+7"` and `"007"` would otherwise both be index 7, and of two members
 /// that name one index the later silently replaces the earlier.
-fn parse_index_key(key: &str) -> Result<usize, JsonError> {
-    let canonical =
-        key.bytes().all(|b| b.is_ascii_digit()) && (key.len() == 1 || !key.starts_with('0'));
-    key.parse()
-        .ok()
-        .filter(|_| canonical)
-        .ok_or_else(|| JsonError::custom(format!("key `{key}` is not an index")))
+fn parse_index_key(key: &str) -> Option<usize> {
+    let canonical = !key.is_empty() && (key.len() == 1 || !key.starts_with('0'));
+    let index = key.bytes().try_fold(0usize, |index, byte| {
+        let digit = byte.checked_sub(b'0').filter(|digit| *digit <= 9)?;
+        index.checked_mul(10)?.checked_add(usize::from(digit))
+    });
+    index.filter(|_| canonical)
 }
 
 /// How the decimal spellings of two indices compare as strings — the order
@@ -1553,18 +1653,38 @@ fn compare_as_decimal_keys(a: usize, b: usize) -> std::cmp::Ordering {
 /// written — like every object — in the string order of those keys.
 impl<K: JsonKey, V: Json> Json for BTreeMap<K, V> {
     fn write(&self, w: &mut Writer<'_>) {
-        let digits = |entry: Option<(&K, &V)>| entry.map(|(key, _)| key.index().checked_ilog10());
+        let length = |key: &K| key.index().checked_ilog10().unwrap_or(0) as usize;
+        let shortest = self.first_key_value().map_or(0, |(key, _)| length(key));
+        let longest = self.last_key_value().map_or(0, |(key, _)| length(key));
         let mut members = Members::open(w);
-        if digits(self.first_key_value()) == digits(self.last_key_value()) {
+        if shortest == longest {
             // Indices of equal length are in string order as they are.
             for (key, value) in self {
                 value.write(members.index_key(key.index()));
             }
         } else {
-            let mut entries: Vec<(usize, &V)> = self.iter().map(|(k, v)| (k.index(), v)).collect();
-            entries.sort_unstable_by(|a, b| compare_as_decimal_keys(a.0, b.0));
-            for (index, value) in entries {
-                value.write(members.index_key(index));
+            // So is each length's run of the map. Every run has a cursor,
+            // and the next member is the head of whichever run spells first.
+            let mut heads: [Option<(&K, &V)>; 20] = [None; 20];
+            let mut runs: [Option<btree_map::Iter<'_, K, V>>; 20] = std::array::from_fn(|_| None);
+            let mut entries = self.iter();
+            while let Some((key, value)) = entries.next() {
+                let run = length(key);
+                if heads[run].is_none() {
+                    heads[run] = Some((key, value));
+                    runs[run] = Some(entries.clone());
+                }
+            }
+            while let Some((run, index)) = (shortest..=longest)
+                .filter_map(|run| heads[run].map(|(key, _)| (run, key.index())))
+                .min_by(|a, b| compare_as_decimal_keys(a.1, b.1))
+            {
+                if let Some((_, value)) = heads[run] {
+                    value.write(members.index_key(index));
+                }
+                heads[run] = (runs[run].as_mut())
+                    .and_then(Iterator::next)
+                    .filter(|(key, _)| length(key) == run);
             }
         }
         members.close();
@@ -1576,15 +1696,20 @@ impl<K: JsonKey, V: Json> Json for BTreeMap<K, V> {
         // member of the same key replaces it.
         let mut failed: Vec<(K, JsonError)> = Vec::new();
         r.object("expected an object", |key, r| {
-            let at = r.offset();
-            let index = K::from_index(parse_index_key(key).map_err(|error| error.at(at))?);
+            let Some(index) = parse_index_key(key) else {
+                let error = JsonError::custom(format!("key `{key}` is not an index"));
+                return Err(error.at(r.offset()));
+            };
+            let index = K::from_index(index);
             let value = read_or_pass_over(r)?;
-            failed.retain(|(earlier, _)| *earlier != index);
-            match value.map_err(|error| error.within(key)) {
+            if !failed.is_empty() {
+                failed.retain(|(earlier, _)| *earlier != index);
+            }
+            match value {
                 Ok(value) => {
                     map.insert(index, value);
                 }
-                Err(error) => failed.push((index, error)),
+                Err(error) => failed.push((index, error.within(key))),
             }
             Ok(())
         })?;
@@ -2054,6 +2179,34 @@ mod tests {
             2.0
         );
         assert!(decode(r#"{"3":2,"3":"x"}"#).is_err());
+    }
+
+    #[test]
+    fn index_maps_of_every_key_length_write_in_string_order() {
+        use crate::ids::TaskId;
+        let indices = [
+            usize::MAX,
+            0,
+            10_usize.pow(19),
+            5,
+            10_usize.pow(19) - 1,
+            10,
+            9,
+            100,
+            99,
+            10_usize.pow(18),
+            1,
+        ];
+        let map: BTreeMap<TaskId, usize> =
+            indices.map(|index| (TaskId::from_index(index), 0)).into();
+        let mut spellings = indices.map(|index| index.to_string());
+        spellings.sort();
+        let text = map.to_json();
+        let members = text.trim_start_matches('{').trim_end_matches('}');
+        let written: Vec<&str> = (members.split(','))
+            .map(|member| member.trim_end_matches(":0").trim_matches('"'))
+            .collect();
+        assert_eq!(written, spellings, "members are written in string order");
     }
 
     #[test]

@@ -39,6 +39,17 @@ macro_rules! solver_counters {
             /// The wire name of every counter, in declaration order.
             pub const FIELDS: [&'static str; [$($wire),*].len()] = [$($wire),*];
 
+            /// The position in [`SolverCounters::FIELDS`] of the counter
+            /// with wire name `name`.
+            pub fn field_index(name: &str) -> Option<usize> {
+                #[allow(non_camel_case_types)]
+                enum Field { $( $field, )* }
+                match name {
+                    $( $wire => Some(Field::$field as usize), )*
+                    _ => None,
+                }
+            }
+
             /// `(wire name, value)` of every counter, in declaration order.
             pub fn fields(&self) -> [(&'static str, usize); [$($wire),*].len()] {
                 [$( ($wire, self.$field) ),*]

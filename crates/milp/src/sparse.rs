@@ -169,14 +169,8 @@ impl CscMatrix {
         self.nrows == other.nrows
             && self.col_ptr == other.col_ptr
             && self.row_idx == other.row_idx
-            && same_bits(&self.values, &other.values)
+            && tests::same_bits(&self.values, &other.values)
     }
-}
-
-/// Bitwise equality of two float slices (`==` would equate `0.0` and `-0.0`).
-#[cfg(test)]
-fn same_bits(a: &[f64], b: &[f64]) -> bool {
-    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
 /// LU factors of the (row-permuted) basis: `P·B = L·U`.
@@ -421,7 +415,7 @@ impl LuFactors {
         self.perm == other.perm
             && self.l.same_bits(&other.l)
             && self.u.same_bits(&other.u)
-            && same_bits(&self.u_diag, &other.u_diag)
+            && tests::same_bits(&self.u_diag, &other.u_diag)
     }
 }
 
@@ -675,6 +669,12 @@ impl BasisFactor {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Bitwise equality of two float slices (`==` would equate `0.0` and
+    /// `-0.0`).
+    pub(super) fn same_bits(a: &[f64], b: &[f64]) -> bool {
+        a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+    }
 
     type Columns = Vec<(Vec<usize>, Vec<f64>)>;
 

@@ -7,7 +7,9 @@
 //! documents of `tests/fixtures/codec`, each of which must decode and encode
 //! back to its own bytes. Last, the warm-start sidecar's basis objects:
 //! hostile ones are refused, and a sidecar whose bases are in the text form
-//! of earlier builds (`tests/fixtures/legacy`) goes cold, not wrong.
+//! of earlier builds (`tests/fixtures/legacy`) goes cold, not wrong. And a
+//! system, which is written from its borrowed entities, renders the bytes
+//! of its applications' specs.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -22,11 +24,13 @@ use ttw::core::export::{
     system_from_json, system_schedule_from_json, system_schedule_to_json, system_schedule_to_value,
     system_to_json,
 };
-use ttw::core::json::{Json, JsonError, Value};
+use ttw::core::json::{Json, JsonError, Value, Writer};
 use ttw::core::resynth::resynthesize_system;
 use ttw::core::synthesis::{synthesize_system, IlpSynthesizer, Synthesizer};
 use ttw::core::time::millis;
-use ttw::core::{fixtures, ApplicationSpec, NodePatchOp, SchedulerConfig};
+use ttw::core::{
+    fixtures, ApplicationSpec, MessageSpec, NodePatchOp, SchedulerConfig, System, TaskId, TaskSpec,
+};
 use ttw::milp::Basis;
 use ttw::netsim::rng::SplitMix64;
 use ttw::service::{
@@ -37,6 +41,7 @@ use ttw::testkit::json_fuzz::{
     check_document, check_json_codec, check_typed_documents, random_string, retimed_deployment,
     TypedSample,
 };
+use ttw::testkit::{generate, GeneratorConfig, GraphShape};
 
 /// ~4 MiB of long strings. The parser used to re-validate the rest of the
 /// document for every character of every string — about 10^13 byte visits
@@ -719,5 +724,106 @@ fn write_codec_fixtures() {
     std::fs::create_dir_all(fixture_dir()).expect("mkdir");
     for (name, text) in documents {
         std::fs::write(fixture_dir().join(name), text.expect("encodes")).expect("write");
+    }
+}
+
+/// The rendering of a system through its applications' specs: each one
+/// rebuilt as the [`ApplicationSpec`] it was added from — tasks and messages
+/// in id order, every reference by name — and written by that spec's table.
+/// The oracle the borrowed rendering of `impl Json for System` must match.
+fn system_through_specs(system: &System, pretty: bool) -> String {
+    let task_names = |tasks: &[TaskId]| {
+        let names = tasks.iter().map(|&task| system.task(task).name.clone());
+        names.collect()
+    };
+    let specs: Vec<ApplicationSpec> = system
+        .applications()
+        .map(|(_, app)| ApplicationSpec {
+            name: app.name.clone(),
+            period: app.period,
+            deadline: app.deadline,
+            tasks: (app.tasks.iter())
+                .map(|&task| {
+                    let task = system.task(task);
+                    TaskSpec {
+                        name: task.name.clone(),
+                        node: system.node(task.node).name.clone(),
+                        wcet: task.wcet,
+                    }
+                })
+                .collect(),
+            messages: (app.messages.iter())
+                .map(|&message| {
+                    let message = system.message(message);
+                    MessageSpec {
+                        name: message.name.clone(),
+                        sources: task_names(&message.preceding_tasks),
+                        destinations: task_names(&message.successor_tasks),
+                    }
+                })
+                .collect(),
+        })
+        .collect();
+    let mut out = Vec::new();
+    let mut w = match pretty {
+        true => Writer::pretty(&mut out),
+        false => Writer::compact(&mut out),
+    };
+    w.object(&mut [
+        ("nodes", &|w| {
+            w.array(system.nodes(), |w, (_, node)| node.name.write(w));
+        }),
+        ("applications", &|w| specs.write(w)),
+        ("modes", &|w| {
+            w.array(system.modes(), |w, (_, mode)| mode.write(w));
+        }),
+    ]);
+    String::from_utf8(out).expect("the writer emits UTF-8")
+}
+
+/// Every testkit family — the nine `small` shapes, the same with multi-rate
+/// periods, `bench(4/8/16, Chain)`, seeds 0–19 each — and every fixture
+/// system renders the bytes of its specs, compact and pretty.
+#[test]
+fn a_system_renders_the_bytes_of_its_application_specs() {
+    const SMALL_SHAPES: [(usize, GraphShape); 9] = [
+        (2, GraphShape::Chain),
+        (2, GraphShape::RandomDag),
+        (3, GraphShape::Chain),
+        (3, GraphShape::LayeredDag { width: 3 }),
+        (3, GraphShape::RandomDag),
+        (4, GraphShape::Chain),
+        (4, GraphShape::Diamond),
+        (4, GraphShape::LayeredDag { width: 3 }),
+        (4, GraphShape::RandomDag),
+    ];
+    let small = SMALL_SHAPES.map(|(modes, shape)| GeneratorConfig::small(modes, shape));
+    let families = (small.iter().cloned())
+        .chain(small.iter().map(|config| config.clone().with_multi_rate()))
+        .chain([4, 8, 16].map(|modes| GeneratorConfig::bench(modes, GraphShape::Chain)));
+    let mut systems: Vec<System> = families
+        .flat_map(|config| (0..20).map(move |seed| generate(&config, seed).system))
+        .collect();
+    systems.extend([
+        fixtures::fig3_system_single_app().0,
+        fixtures::fig3_system().0,
+        fixtures::two_mode_system().0,
+        fixtures::two_mode_graph().0,
+        fixtures::four_mode_diamond().0,
+        fixtures::synthetic_mode(3, 4, 5, millis(100)).0,
+    ]);
+    assert_eq!(systems.len(), 21 * 20 + 6);
+    for (i, system) in systems.iter().enumerate() {
+        assert_eq!(
+            system.to_json(),
+            system_through_specs(system, false),
+            "system {i}"
+        );
+        let pretty = system_through_specs(system, true);
+        assert_eq!(
+            system_to_json(system).expect("renders"),
+            pretty,
+            "system {i}"
+        );
     }
 }
