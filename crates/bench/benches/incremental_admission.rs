@@ -35,7 +35,7 @@ use ttw_core::cache::{synthesis_key, synthesize_system_cached, ScheduleCache};
 use ttw_core::delta::verified_delta;
 use ttw_core::export::system_schedule_to_json;
 use ttw_core::resynth::resynthesize_system;
-use ttw_core::synthesis::{synthesize_system, IlpSynthesizer, Synthesizer};
+use ttw_core::synthesis::{synthesize_system, IlpSynthesizer};
 use ttw_core::system::System;
 use ttw_core::TaskId;
 use ttw_testkit::{generate, GeneratorConfig, GraphShape, Scenario};
@@ -143,9 +143,9 @@ fn run_case(num_modes: usize) -> Case {
 
     // Predecessor: cold solve, schedules + warm artifacts into the cache.
     let (predecessor, _) =
-        synthesize_system_cached(&scenario.system, &scenario.graph, &config, &backend, &cache)
+        synthesize_system_cached(&scenario.system, &scenario.graph, &config, &cache)
             .expect("feasible_scenario pre-checked this");
-    let predecessor_key = synthesis_key(&scenario.system, &scenario.graph, &config, backend.name());
+    let predecessor_key = synthesis_key(&scenario.system, &scenario.graph, &config);
 
     let (edited, _) = edited_system(&scenario);
 

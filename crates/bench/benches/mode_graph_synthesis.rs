@@ -40,7 +40,7 @@ use ttw_analyze::analyze_system;
 use ttw_bench::{timed, Report};
 use ttw_core::cache::{synthesis_key, synthesize_system_cached, ScheduleCache};
 use ttw_core::export::system_schedule_to_json;
-use ttw_core::synthesis::{synthesize_system, IlpSynthesizer, ModePrior, Synthesizer};
+use ttw_core::synthesis::{synthesize_system, IlpSynthesizer, ModePrior};
 use ttw_core::time::millis;
 use ttw_core::validate::check_cross_mode_consistency;
 use ttw_core::{fixtures, ilp, InheritedOffsets, ModeSchedule, SchedulerConfig, SystemSchedule};
@@ -164,16 +164,15 @@ fn cache_cold_then_warm() -> (usize, usize, bool) {
         env!("CARGO_MANIFEST_DIR"),
         "/../../target/schedule-cache"
     ));
-    let backend = IlpSynthesizer;
     // Evict so the first run is a genuine synthesis (CI caches target/).
-    cache.evict(&synthesis_key(&sys, &graph, &config(), backend.name()));
+    cache.evict(&synthesis_key(&sys, &graph, &config()));
 
     let (cold, outcome) =
-        synthesize_system_cached(&sys, &graph, &config(), &backend, &cache).expect("feasible");
+        synthesize_system_cached(&sys, &graph, &config(), &cache).expect("feasible");
     assert!(!outcome.is_hit(), "evicted entry cannot hit");
 
     let (warm, outcome) =
-        synthesize_system_cached(&sys, &graph, &config(), &backend, &cache).expect("feasible");
+        synthesize_system_cached(&sys, &graph, &config(), &cache).expect("feasible");
     assert!(outcome.is_hit(), "second run must hit the cache");
 
     let byte_match = system_schedule_to_json(&cold).expect("serialize")

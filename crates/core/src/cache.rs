@@ -1,7 +1,7 @@
 //! Fingerprint-keyed two-tier schedule cache.
 //!
-//! Multi-mode synthesis is deterministic: the same [`System`], [`ModeGraph`],
-//! [`SchedulerConfig`] and backend always produce the byte-identical
+//! Multi-mode synthesis is deterministic: the same [`System`], [`ModeGraph`]
+//! and [`SchedulerConfig`] always produce the byte-identical
 //! [`SystemSchedule`]. Benches, examples, repeated deployments and — since the
 //! scheduler became a long-running service (`ttw-service`) — every client
 //! asking for an already-solved configuration would otherwise re-pay the full
@@ -14,7 +14,7 @@
 //!
 //! * the system, its mode graph (root included) and the full scheduler
 //!   configuration, each in its codec form,
-//! * the backend name, and
+//! * the synthesizer's name ([`crate::synthesis::IlpSynthesizer::NAME`]), and
 //! * the crate version plus a cache format version.
 //!
 //! Two requests share a key exactly when those documents are byte-equal, so
@@ -76,7 +76,9 @@
 //!    (`basic`, `devex`, `status`, `version`) that
 //!    [`Basis::from_letters`] checks on the way in. A sidecar whose basis
 //!    is of another form, another solver build or inconsistent reads as no
-//!    artifacts, and the re-synthesis that wanted it solves cold.
+//!    artifacts, and the re-synthesis that wanted it solves cold. So does a
+//!    sidecar whose inputs do not key to the name it is filed under: the
+//!    file of another key, copied or misnamed.
 //!
 //! Disk files are published via write-to-temp-then-rename so a concurrent
 //! reader never observes a torn entry. Temp names carry the process id
@@ -110,7 +112,7 @@ use crate::ids::ModeId;
 use crate::json::{Json, JsonError, Reader, Writer};
 use crate::modegraph::ModeGraph;
 use crate::schedule::SystemSchedule;
-use crate::synthesis::{synthesize_in_order, ModeWarmStart, Synthesizer, SystemSynthesisError};
+use crate::synthesis::{synthesize_in_order, ModeWarmStart, SystemSynthesisError};
 use crate::system::System;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::path::{Path, PathBuf};
@@ -187,8 +189,6 @@ pub struct SynthesisArtifacts {
     pub graph: ModeGraph,
     /// The scheduler configuration used.
     pub config: SchedulerConfig,
-    /// Backend name (the artifacts are only reusable by the same backend).
-    pub backend: String,
     /// Root basis (and its round count) of each mode's winning ILP attempt;
     /// a mode whose winning attempt left no root basis has no entry.
     pub warm: BTreeMap<ModeId, ModeWarmStart>,
@@ -237,7 +237,7 @@ impl Json for Basis {
 
 crate::json_object!(ModeWarmStart as "warm entry" { rounds, basis });
 crate::json_object!(SynthesisArtifacts as "artifacts entry" {
-    system, graph, config, backend, warm
+    system, graph, config, warm
 } check graph_covers_system);
 
 fn graph_covers_system(artifacts: &SynthesisArtifacts) -> Result<(), JsonError> {
@@ -612,6 +612,11 @@ impl ScheduleCache {
     /// disk sidecar. Unlike [`ScheduleCache::probe`] this does not touch the
     /// hit/miss accounting — artifacts are an optimization input, not a
     /// served schedule — and an unreadable sidecar is simply `None`.
+    ///
+    /// A sidecar is trusted by its key: it is read only when its own system,
+    /// mode graph and configuration key to `key`, so another key's file
+    /// under this name is `None` too. Memory-tier artifacts were stored under
+    /// the key this process computed and are not checked again.
     pub fn artifacts(&self, key: &str) -> Option<Arc<SynthesisArtifacts>> {
         if let Some(artifacts) = self
             .read()
@@ -622,7 +627,10 @@ impl ScheduleCache {
             return Some(artifacts);
         }
         let text = std::fs::read_to_string(self.warm_path_for(key)?).ok()?;
-        let artifacts = Arc::new(artifacts_from_json(&text).ok()?);
+        let artifacts = artifacts_from_json(&text)
+            .ok()
+            .filter(|a| synthesis_key(&a.system, &a.graph, &a.config) == key)
+            .map(Arc::new)?;
         // Re-attach to the resident entry (if any) so the next fetch skips
         // the sidecar parse.
         if let Some(entry) = self.write().map.get_mut(key) {
@@ -712,16 +720,14 @@ impl ScheduleCache {
         system: &System,
         graph: &ModeGraph,
         config: &SchedulerConfig,
-        backend: &dyn Synthesizer,
         schedule: &SystemSchedule,
         warm: BTreeMap<ModeId, ModeWarmStart>,
     ) {
-        let key = synthesis_key(system, graph, config, backend.name());
+        let key = synthesis_key(system, graph, config);
         let artifacts = SynthesisArtifacts {
             system: system.clone(),
             graph: graph.clone(),
             config: config.clone(),
-            backend: backend.name().to_string(),
             warm,
         };
         self.store_entry(&key, Arc::new(schedule.clone()), Some(Arc::new(artifacts)));
@@ -833,10 +839,9 @@ pub fn synthesize_system_cached(
     system: &System,
     graph: &ModeGraph,
     config: &SchedulerConfig,
-    backend: &dyn Synthesizer,
     cache: &ScheduleCache,
 ) -> Result<(SystemSchedule, CacheOutcome), Box<SystemSynthesisError>> {
-    let key = synthesis_key(system, graph, config, backend.name());
+    let key = synthesis_key(system, graph, config);
     let outcome = match cache.probe(&key) {
         CacheProbe::Memory(schedule) | CacheProbe::Disk(schedule) => {
             return Ok(((*schedule).clone(), CacheOutcome::Hit));
@@ -844,8 +849,8 @@ pub fn synthesize_system_cached(
         CacheProbe::Corrupt => CacheOutcome::Corrupt,
         CacheProbe::Absent => CacheOutcome::Miss,
     };
-    let (schedule, warm, _) = synthesize_in_order(system, graph, config, backend, None)?;
-    cache.store_synthesis(system, graph, config, backend, &schedule, warm);
+    let (schedule, warm, _) = synthesize_in_order(system, graph, config, None)?;
+    cache.store_synthesis(system, graph, config, &schedule, warm);
     Ok((schedule, outcome))
 }
 
@@ -886,12 +891,11 @@ mod tests {
     fn second_synthesis_hits_and_matches_bytes() {
         let (sys, graph, _, _) = fixtures::two_mode_graph();
         let cache = temp_cache("hit");
-        let backend = IlpSynthesizer;
         let (first, outcome) =
-            synthesize_system_cached(&sys, &graph, &config(), &backend, &cache).expect("feasible");
+            synthesize_system_cached(&sys, &graph, &config(), &cache).expect("feasible");
         assert_eq!(outcome, CacheOutcome::Miss);
         let (second, outcome) =
-            synthesize_system_cached(&sys, &graph, &config(), &backend, &cache).expect("feasible");
+            synthesize_system_cached(&sys, &graph, &config(), &cache).expect("feasible");
         assert_eq!(outcome, CacheOutcome::Hit);
         assert_eq!(cache.hits(), 1);
         assert_eq!(cache.misses(), 1);
@@ -910,12 +914,11 @@ mod tests {
     fn disk_tier_survives_the_instance_and_promotes_to_memory() {
         let (sys, graph, _, _) = fixtures::two_mode_graph();
         let dir = temp_dir("disk-tier");
-        let backend = IlpSynthesizer;
-        let key = synthesis_key(&sys, &graph, &config(), backend.name());
+        let key = synthesis_key(&sys, &graph, &config());
         {
             let cache = ScheduleCache::new(&dir);
-            let (_, outcome) = synthesize_system_cached(&sys, &graph, &config(), &backend, &cache)
-                .expect("feasible");
+            let (_, outcome) =
+                synthesize_system_cached(&sys, &graph, &config(), &cache).expect("feasible");
             assert_eq!(outcome, CacheOutcome::Miss);
             // The store published before it returned: another instance
             // finds the entry and its sidecar while this one is alive.
@@ -946,14 +949,13 @@ mod tests {
         let (sys, graph, _, _) = fixtures::two_mode_graph();
         let cache = ScheduleCache::in_memory();
         assert!(cache.dir().is_none());
-        let backend = IlpSynthesizer;
-        let key = synthesis_key(&sys, &graph, &config(), backend.name());
+        let key = synthesis_key(&sys, &graph, &config());
         assert!(cache.path_for(&key).is_none());
         let (_, outcome) =
-            synthesize_system_cached(&sys, &graph, &config(), &backend, &cache).expect("feasible");
+            synthesize_system_cached(&sys, &graph, &config(), &cache).expect("feasible");
         assert_eq!(outcome, CacheOutcome::Miss);
         let (_, outcome) =
-            synthesize_system_cached(&sys, &graph, &config(), &backend, &cache).expect("feasible");
+            synthesize_system_cached(&sys, &graph, &config(), &cache).expect("feasible");
         assert_eq!(outcome, CacheOutcome::Hit);
         assert_eq!(cache.mem_hits(), 1);
         assert_eq!(cache.disk_hits(), 0);
@@ -1129,13 +1131,12 @@ mod tests {
     fn corrupt_entries_are_counted_and_overwritten() {
         let (sys, graph, _, _) = fixtures::two_mode_graph();
         let cache = temp_cache("corrupt");
-        let backend = IlpSynthesizer;
-        let key = synthesis_key(&sys, &graph, &config(), backend.name());
+        let key = synthesis_key(&sys, &graph, &config());
         let dir = cache.dir().expect("disk-backed").to_path_buf();
         std::fs::create_dir_all(&dir).expect("mkdir");
         std::fs::write(cache.path_for(&key).expect("path"), "{not json").expect("write");
         let (_, outcome) =
-            synthesize_system_cached(&sys, &graph, &config(), &backend, &cache).expect("feasible");
+            synthesize_system_cached(&sys, &graph, &config(), &cache).expect("feasible");
         assert_eq!(
             outcome,
             CacheOutcome::Corrupt,
@@ -1149,7 +1150,7 @@ mod tests {
         );
         // The corrupt entry was overwritten by the fresh result.
         let (_, outcome) =
-            synthesize_system_cached(&sys, &graph, &config(), &backend, &cache).expect("feasible");
+            synthesize_system_cached(&sys, &graph, &config(), &cache).expect("feasible");
         assert_eq!(outcome, CacheOutcome::Hit);
         // Exact accounting: 2 probes = 1 hit + 0 misses + 1 corrupt.
         assert_eq!(cache.hits() + cache.misses() + cache.corrupt(), 2);
@@ -1164,9 +1165,9 @@ mod tests {
     fn entry_with_a_schedule_under_the_wrong_mode_counts_as_corrupt() {
         let (sys, graph, _, _) = fixtures::two_mode_graph();
         let cache = temp_cache("wrong-mode");
-        let backend = IlpSynthesizer;
-        let key = synthesis_key(&sys, &graph, &config(), backend.name());
-        let mut schedule = synthesize_system(&sys, &graph, &config(), &backend).expect("feasible");
+        let key = synthesis_key(&sys, &graph, &config());
+        let mut schedule =
+            synthesize_system(&sys, &graph, &config(), &IlpSynthesizer).expect("feasible");
         let (first, second) = (ModeId::from_index(0), ModeId::from_index(1));
         let misfiled = schedule.schedules[&second].clone();
         schedule.schedules.insert(first, misfiled);
@@ -1179,7 +1180,7 @@ mod tests {
         .expect("write");
         assert!(matches!(cache.probe(&key), CacheProbe::Corrupt));
         let (_, outcome) =
-            synthesize_system_cached(&sys, &graph, &config(), &backend, &cache).expect("feasible");
+            synthesize_system_cached(&sys, &graph, &config(), &cache).expect("feasible");
         assert_eq!(outcome, CacheOutcome::Corrupt);
         assert_eq!((cache.corrupt(), cache.misses(), cache.hits()), (2, 0, 0));
         assert!(matches!(
@@ -1194,14 +1195,13 @@ mod tests {
     fn evict_forces_a_cold_run() {
         let (sys, graph, _, _) = fixtures::two_mode_graph();
         let cache = temp_cache("evict");
-        let backend = IlpSynthesizer;
-        let key = synthesis_key(&sys, &graph, &config(), backend.name());
+        let key = synthesis_key(&sys, &graph, &config());
         let (_, first) =
-            synthesize_system_cached(&sys, &graph, &config(), &backend, &cache).expect("feasible");
+            synthesize_system_cached(&sys, &graph, &config(), &cache).expect("feasible");
         assert_eq!(first, CacheOutcome::Miss);
         cache.evict(&key);
         let (_, second) =
-            synthesize_system_cached(&sys, &graph, &config(), &backend, &cache).expect("feasible");
+            synthesize_system_cached(&sys, &graph, &config(), &cache).expect("feasible");
         assert_eq!(second, CacheOutcome::Miss, "evict clears both tiers");
         let dir = cache.dir().expect("disk-backed").to_path_buf();
         drop(cache);
@@ -1220,9 +1220,9 @@ mod tests {
     fn concurrent_stores_of_one_key_never_tear_or_leak() {
         let (sys, graph, _, _) = fixtures::two_mode_graph();
         let dir = temp_dir("hammer");
-        let backend = IlpSynthesizer;
-        let key = synthesis_key(&sys, &graph, &config(), backend.name());
-        let schedule = synthesize_system(&sys, &graph, &config(), &backend).expect("feasible");
+        let key = synthesis_key(&sys, &graph, &config());
+        let schedule =
+            synthesize_system(&sys, &graph, &config(), &IlpSynthesizer).expect("feasible");
 
         // A stray temp file from a "crashed" writer of an earlier process:
         // it must neither be served nor corrupt anything.
@@ -1334,21 +1334,18 @@ mod tests {
     #[test]
     fn warm_artifacts_round_trip_through_json_and_sidecar() {
         let (sys, graph, _, _) = fixtures::two_mode_graph();
-        let backend = IlpSynthesizer;
         let (schedule, warm, _) =
-            synthesize_in_order(&sys, &graph, &config(), &backend, None).expect("feasible");
+            synthesize_in_order(&sys, &graph, &config(), None).expect("feasible");
         assert!(!warm.is_empty(), "ILP synthesis yields root bases");
         let artifacts = SynthesisArtifacts {
             system: sys.clone(),
             graph: graph.clone(),
             config: config(),
-            backend: backend.name().to_string(),
             warm,
         };
 
         // Codec round trip preserves everything the incremental path reads.
         let parsed = artifacts_from_json(&artifacts_to_json(&artifacts)).expect("parses");
-        assert_eq!(parsed.backend, artifacts.backend);
         assert_eq!(parsed.config, artifacts.config);
         assert_eq!(parsed.system, artifacts.system);
         assert_eq!(parsed.graph, artifacts.graph);
@@ -1365,13 +1362,13 @@ mod tests {
         // Sidecar trip: a fresh cache instance on the same directory serves
         // the artifacts back from disk.
         let cache = temp_cache("warm-sidecar");
-        let key = synthesis_key(&sys, &graph, &config(), backend.name());
+        let key = synthesis_key(&sys, &graph, &config());
         cache.store_with_artifacts(&key, &schedule, Some(&artifacts));
         let dir = cache.dir().expect("disk-backed").to_path_buf();
         drop(cache);
         let reopened = ScheduleCache::new(dir.clone());
         let from_disk = reopened.artifacts(&key).expect("sidecar present");
-        assert_eq!(from_disk.backend, artifacts.backend);
+        assert_eq!(from_disk.system, artifacts.system);
         assert_eq!(
             from_disk.warm.keys().collect::<Vec<_>>(),
             artifacts.warm.keys().collect::<Vec<_>>()
@@ -1393,7 +1390,6 @@ mod tests {
             system: sys.clone(),
             graph,
             config: config(),
-            backend: "ilp-incremental".into(),
             warm: BTreeMap::new(),
         };
         assert!(artifacts_from_json(&artifacts_to_json(&artifacts(graph))).is_ok());
@@ -1411,8 +1407,8 @@ mod tests {
     fn hammer_counters_reconcile_exactly() {
         let (sys, graph, _, _) = fixtures::two_mode_graph();
         let cache = temp_cache("counters");
-        let backend = IlpSynthesizer;
-        let schedule = synthesize_system(&sys, &graph, &config(), &backend).expect("feasible");
+        let schedule =
+            synthesize_system(&sys, &graph, &config(), &IlpSynthesizer).expect("feasible");
         let keys: Vec<String> = (0..8).map(|i| format!("{i:016x}")).collect();
         const PROBES_PER_THREAD: usize = 40;
         const THREADS: usize = 4;

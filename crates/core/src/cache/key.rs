@@ -6,6 +6,7 @@
 use crate::config::SchedulerConfig;
 use crate::json::{Json, Writer};
 use crate::modegraph::ModeGraph;
+use crate::synthesis::IlpSynthesizer;
 use crate::system::System;
 
 /// Bumped whenever the cached representation (or anything influencing the
@@ -16,21 +17,20 @@ use crate::system::System;
 const CACHE_FORMAT_VERSION: u64 = 2;
 
 /// Writes the key document of a request to `out`: one object of the format
-/// and crate versions, the backend name and the codec's forms of `system`,
-/// `graph` (root included) and `config`. Two requests share a key exactly
-/// when these bytes are equal, so a field the codec carries cannot be left
-/// out of the key.
+/// and crate versions, [`IlpSynthesizer::NAME`] and the codec's forms of
+/// `system`, `graph` (root included) and `config`. Two requests share a key
+/// exactly when these bytes are equal, so a field the codec carries cannot
+/// be left out of the key.
 fn write_key_document(
     out: &mut Vec<u8>,
     system: &System,
     graph: &ModeGraph,
     config: &SchedulerConfig,
-    backend_name: &str,
 ) {
     Writer::compact(out).object(&mut [
         ("format", &|w| w.integer(CACHE_FORMAT_VERSION)),
         ("version", &|w| w.string(env!("CARGO_PKG_VERSION"))),
-        ("backend", &|w| w.string(backend_name)),
+        ("backend", &|w| w.string(IlpSynthesizer::NAME)),
         ("config", &|w| config.write(w)),
         ("mode_graph", &|w| graph.write(w)),
         ("system", &|w| system.write(w)),
@@ -52,14 +52,9 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
 }
 
 /// Computes the cache key for a synthesis request.
-pub fn synthesis_key(
-    system: &System,
-    graph: &ModeGraph,
-    config: &SchedulerConfig,
-    backend_name: &str,
-) -> String {
+pub fn synthesis_key(system: &System, graph: &ModeGraph, config: &SchedulerConfig) -> String {
     let mut document = Vec::new();
-    write_key_document(&mut document, system, graph, config, backend_name);
+    write_key_document(&mut document, system, graph, config);
     format!("{:016x}", fnv1a64(&document))
 }
 
@@ -74,38 +69,33 @@ mod tests {
     }
 
     #[test]
-    fn key_separates_config_backend_and_structure() {
+    fn key_separates_config_and_structure() {
         let (sys, graph, _, emergency) = fixtures::two_mode_graph();
-        let base = synthesis_key(&sys, &graph, &config(), "ilp-incremental");
-        assert_ne!(
-            base,
-            synthesis_key(&sys, &graph, &config(), "another-backend"),
-            "backend must be part of the key"
-        );
+        let base = synthesis_key(&sys, &graph, &config());
         let other_config = SchedulerConfig::new(millis(20), 5);
         assert_ne!(
             base,
-            synthesis_key(&sys, &graph, &other_config, "ilp-incremental"),
+            synthesis_key(&sys, &graph, &other_config),
             "config must be part of the key"
         );
         let mut presolve_off = config();
         presolve_off.solver.presolve = false;
         assert_ne!(
             base,
-            synthesis_key(&sys, &graph, &presolve_off, "ilp-incremental"),
+            synthesis_key(&sys, &graph, &presolve_off),
             "solver params must be part of the key"
         );
         let mut tighter_budget = config();
         tighter_budget.solver.max_nodes = 10;
         assert_ne!(
             base,
-            synthesis_key(&sys, &graph, &tighter_budget, "ilp-incremental"),
+            synthesis_key(&sys, &graph, &tighter_budget),
             "per-request solver budgets must be part of the key"
         );
         let (diamond_sys, diamond_graph, _) = fixtures::four_mode_diamond();
         assert_ne!(
             base,
-            synthesis_key(&diamond_sys, &diamond_graph, &config(), "ilp-incremental"),
+            synthesis_key(&diamond_sys, &diamond_graph, &config()),
             "system structure must be part of the key"
         );
         // The root decides which mode fixes a shared application's offsets,
@@ -116,7 +106,7 @@ mod tests {
             .expect("a mode of the graph");
         assert_ne!(
             base,
-            synthesis_key(&sys, &rerooted, &config(), "ilp-incremental"),
+            synthesis_key(&sys, &rerooted, &config()),
             "the mode-graph root must be part of the key"
         );
     }
@@ -128,13 +118,10 @@ mod tests {
     #[test]
     fn key_values_are_pinned() {
         let (sys, graph, _, _) = fixtures::two_mode_graph();
-        assert_eq!(
-            synthesis_key(&sys, &graph, &config(), "ilp-incremental"),
-            "a25972618d19d494"
-        );
+        assert_eq!(synthesis_key(&sys, &graph, &config()), "a25972618d19d494");
         let (diamond_sys, diamond_graph, _) = fixtures::four_mode_diamond();
         assert_eq!(
-            synthesis_key(&diamond_sys, &diamond_graph, &config(), "ilp-incremental"),
+            synthesis_key(&diamond_sys, &diamond_graph, &config()),
             "294f2d91e7d179a3"
         );
     }
@@ -145,10 +132,10 @@ mod tests {
     fn key_document_is_the_codec_forms_of_the_request() {
         let (sys, graph, _, _) = fixtures::two_mode_graph();
         let mut document = Vec::new();
-        write_key_document(&mut document, &sys, &graph, &config(), "ilp");
+        write_key_document(&mut document, &sys, &graph, &config());
         let expected = format!(
-            "{{\"backend\":\"ilp\",\"config\":{},\"format\":2,\"mode_graph\":{},\"system\":{},\
-             \"version\":\"{}\"}}",
+            "{{\"backend\":\"ilp-incremental\",\"config\":{},\"format\":2,\"mode_graph\":{},\
+             \"system\":{},\"version\":\"{}\"}}",
             config().to_json(),
             graph.to_json(),
             sys.to_json(),

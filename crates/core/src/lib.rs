@@ -20,7 +20,7 @@
 //!   the two doors below are the same driver behind the cache.
 //! * [`cache`] — a content-keyed two-tier (memory, then disk) schedule
 //!   cache: [`cache::synthesize_system_cached`] skips synthesis entirely when
-//!   the same system/graph/config/backend was already solved by this build.
+//!   the same system/graph/config was already solved by this build.
 //! * [`resynth`] — [`resynth::resynthesize_system`]: the same driver started
 //!   from a cached predecessor — unchanged modes kept verbatim and shared
 //!   with the predecessor's cache entry, edited ones
@@ -83,7 +83,6 @@ pub use resynth::{resynthesize_system, ResynthesisReport};
 pub use schedule::{ModeSchedule, ScheduledRound, SynthesisStats, SystemSchedule};
 pub use spec::{ApplicationSpec, MessageSpec, TaskSpec};
 pub use synthesis::{
-    IlpSynthesizer, ModePrior, ModeWarmStart, SolvedMode, SynthesisFailure, Synthesizer,
-    SystemSynthesisError,
+    IlpSynthesizer, ModePrior, ModeWarmStart, SolvedMode, SynthesisFailure, SystemSynthesisError,
 };
 pub use system::{Application, Message, Mode, Node, PrecedenceEdge, System, Task};

@@ -24,8 +24,8 @@
 //! ([`crate::resynth::resynthesize_system`]) ones included, and is the only
 //! place a mode is ever solved.
 //!
-//! Each mode is solved through the [`Synthesizer`] trait, whose one
-//! implementation is the exact ILP sweep ([`IlpSynthesizer`]).
+//! Each mode is solved by [`IlpSynthesizer::synthesize`]: the `AnalyzeFirst`
+//! gate, then the exact ILP sweep.
 
 use crate::cache::SynthesisArtifacts;
 use crate::config::SchedulerConfig;
@@ -116,44 +116,6 @@ pub struct SolvedMode {
     pub seeded: bool,
 }
 
-/// A per-mode schedule synthesis backend.
-///
-/// Implementations receive the offsets inherited from already-synthesized
-/// modes and must honor them exactly.
-pub trait Synthesizer {
-    /// Human-readable backend name (used in reports and benches).
-    fn name(&self) -> &'static str;
-
-    /// Synthesizes the schedule of one mode under the given inherited
-    /// offsets, consuming and producing MILP warm-start material.
-    ///
-    /// `prior.warm` seeds the attempt at the matching round count from a
-    /// cached basis (a stale basis degrades to a cold start, never an error);
-    /// `prior.floor` lets the `R_M` sweep skip counts already proven
-    /// infeasible. The returned [`SolvedMode::warm`] is the root basis of
-    /// the winning attempt, ready to be cached. Neither changes which optimum
-    /// the deterministic tie-breaking selects: the schedule is **identical**
-    /// with and without them.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`SynthesisFailure`] wrapping the underlying
-    /// [`ScheduleError`] together with the statistics of the attempted work.
-    // The Err carries the full per-attempt counter block by design (partial
-    // progress reporting); it crossed clippy's 128-byte threshold when the
-    // presolve/pricing counters landed, and boxing it would push the
-    // boilerplate onto every backend implementation for a cold error path.
-    #[allow(clippy::result_large_err)]
-    fn synthesize(
-        &self,
-        system: &System,
-        mode: ModeId,
-        config: &SchedulerConfig,
-        inherited: &InheritedOffsets,
-        prior: ModePrior<'_>,
-    ) -> Result<SolvedMode, SynthesisFailure>;
-}
-
 /// Largest C3 block (`λ` binaries, [`feasibility::task_instance_pairs`]) and
 /// largest round block ([`round_block`]) of an instance [`IlpSynthesizer`]
 /// builds. A larger mode is refused with [`ScheduleError::TooLarge`] before
@@ -176,23 +138,47 @@ pub fn round_block(messages: usize, rounds: usize) -> u128 {
     (messages as u128).saturating_mul(rounds * (rounds + 1) / 2)
 }
 
-/// The exact backend: Algorithm 1 over the ILP of Sec. IV, as one instance
+/// The synthesizer: Algorithm 1 over the ILP of Sec. IV, as one instance
 /// grown round by round — the round-independent constraint blocks
 /// (precedence, deadlines, the quadratic task non-overlap block) are built
 /// once per mode, not once per `R_M` attempt.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IlpSynthesizer;
 
-impl Synthesizer for IlpSynthesizer {
+impl IlpSynthesizer {
     /// Part of every cache key: another name would move every key.
-    fn name(&self) -> &'static str {
-        "ilp-incremental"
-    }
+    pub const NAME: &'static str = "ilp-incremental";
 
-    /// The `R_M` sweep from `prior.floor` (or the slot bound, if higher),
-    /// optionally seeding the attempt at `warm.rounds` rounds from a cached
-    /// basis.
-    fn synthesize(
+    /// Synthesizes the schedule of one mode under the offsets inherited from
+    /// already-synthesized modes, which it honors exactly. Every mode of
+    /// every system-level entry point is solved here.
+    ///
+    /// When [`SchedulerConfig::analyze_first`] is set, a mode with a static
+    /// infeasibility certificate fails at once — zero ILPs built, zero
+    /// branch-and-bound nodes — with the certificate as the explanation.
+    /// Every certificate of [`crate::feasibility`] is a *sound* necessary
+    /// condition independent of the pins, so this never rejects a mode the
+    /// sweep would have scheduled.
+    ///
+    /// Otherwise the `R_M` sweep runs from `prior.floor` (or the slot bound,
+    /// if higher): `prior.floor` lets it skip counts already proven
+    /// infeasible, and `prior.warm` seeds the attempt at the matching round
+    /// count from a cached basis (a stale basis degrades to a cold start,
+    /// never an error). The returned [`SolvedMode::warm`] is the root basis
+    /// of the winning attempt, ready to be cached. Neither changes which
+    /// optimum the deterministic tie-breaking selects: the schedule is
+    /// **identical** with and without them.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`SynthesisFailure`] wrapping the underlying
+    /// [`ScheduleError`] together with the statistics of the attempted work.
+    // The Err carries the full per-attempt counter block by design (partial
+    // progress reporting); it crossed clippy's 128-byte threshold when the
+    // presolve/pricing counters landed, and the error path is too cold for
+    // boxing it to pay.
+    #[allow(clippy::result_large_err)]
+    pub fn synthesize(
         &self,
         system: &System,
         mode: ModeId,
@@ -200,6 +186,21 @@ impl Synthesizer for IlpSynthesizer {
         inherited: &InheritedOffsets,
         prior: ModePrior<'_>,
     ) -> Result<SolvedMode, SynthesisFailure> {
+        if config.analyze_first {
+            if let Some(certificate) = feasibility::certify_mode_infeasible(system, mode, config) {
+                return Err(SynthesisFailure {
+                    error: ScheduleError::Infeasible {
+                        mode,
+                        max_rounds_tried: feasibility::r_max_for_mode(system, mode, config),
+                        explanation: Some(certificate.to_string()),
+                    },
+                    stats: SynthesisStats {
+                        analyze_fast_fails: 1,
+                        ..SynthesisStats::default()
+                    },
+                });
+            }
+        }
         config.validate()?;
 
         let r_max = feasibility::r_max_for_mode(system, mode, config);
@@ -288,10 +289,9 @@ impl Synthesizer for IlpSynthesizer {
     }
 }
 
-/// Synthesizes the schedule of one pin-free mode (Algorithm 1) with the
-/// default exact backend, exactly as the system pipeline would: the
-/// `AnalyzeFirst` gate first (when [`SchedulerConfig::analyze_first`] is
-/// set), the `R_M` sweep second.
+/// Synthesizes the schedule of one pin-free mode (Algorithm 1), exactly as
+/// the system pipeline would: the `AnalyzeFirst` gate first (when
+/// [`SchedulerConfig::analyze_first`] is set), the `R_M` sweep second.
 ///
 /// Tries `R_M = ⌈message instances / B⌉, …, R_max` rounds, where `B` is the
 /// slot count of a round and `R_max = ⌊LCM / T_r⌋` (or the explicit cap from
@@ -308,15 +308,16 @@ impl Synthesizer for IlpSynthesizer {
 ///   solver work when the gate certified it;
 /// * [`ScheduleError::InvalidConfig`] if the configuration is malformed;
 /// * [`ScheduleError::Solver`] if the MILP solver exhausts its budgets.
-// Same unboxed-Err trade-off as `Synthesizer::synthesize`.
+// Same unboxed-Err trade-off as `IlpSynthesizer::synthesize`.
 #[allow(clippy::result_large_err)]
 pub fn synthesize_mode(
     system: &System,
     mode: ModeId,
     config: &SchedulerConfig,
 ) -> Result<ModeSchedule, SynthesisFailure> {
-    let (backend, pins) = (IlpSynthesizer, InheritedOffsets::none());
-    solve_mode(system, mode, config, &backend, &pins, ModePrior::default())
+    let pins = InheritedOffsets::none();
+    IlpSynthesizer
+        .synthesize(system, mode, config, &pins, ModePrior::default())
         .map(|solved| solved.schedule)
 }
 
@@ -368,74 +369,30 @@ impl Error for SystemSynthesisError {
 /// [`SystemSchedule`] if any mode cannot be scheduled: the first mode of the
 /// synthesis order that fails. The partial result contains exactly the modes
 /// ahead of it in that order (plus the failed mode's statistics).
+///
+/// The fourth argument is read by nothing: it stays only because the
+/// repository's benchmark passes one, and goes with the next change to the
+/// benchmark.
 pub fn synthesize_system(
     system: &System,
     graph: &ModeGraph,
     config: &SchedulerConfig,
-    backend: &dyn Synthesizer,
+    _: &IlpSynthesizer,
 ) -> Result<SystemSchedule, Box<SystemSynthesisError>> {
-    synthesize_in_order(system, graph, config, backend, None).map(|(schedule, ..)| schedule)
-}
-
-/// The `AnalyzeFirst` gate: when enabled, converts a mode with a static
-/// infeasibility certificate into an immediate failure — zero ILPs built,
-/// zero branch-and-bound nodes — with the certificate as the explanation.
-///
-/// Every certificate of [`crate::feasibility`] is a *sound* necessary
-/// condition and is independent of any inherited pins, so the gate can never
-/// reject a mode any backend would have scheduled.
-fn analyze_gate(
-    system: &System,
-    mode: ModeId,
-    config: &SchedulerConfig,
-) -> Option<SynthesisFailure> {
-    if !config.analyze_first {
-        return None;
-    }
-    let certificate = feasibility::certify_mode_infeasible(system, mode, config)?;
-    Some(SynthesisFailure {
-        error: ScheduleError::Infeasible {
-            mode,
-            max_rounds_tried: feasibility::r_max_for_mode(system, mode, config),
-            explanation: Some(certificate.to_string()),
-        },
-        stats: SynthesisStats {
-            analyze_fast_fails: 1,
-            ..SynthesisStats::default()
-        },
-    })
-}
-
-/// The one place a mode is solved: gate, then backend (started from what a
-/// cached predecessor offers for the mode).
-// Same unboxed-Err trade-off as `Synthesizer::synthesize`.
-#[allow(clippy::result_large_err)]
-fn solve_mode(
-    system: &System,
-    mode: ModeId,
-    config: &SchedulerConfig,
-    backend: &dyn Synthesizer,
-    inherited: &InheritedOffsets,
-    prior: ModePrior<'_>,
-) -> Result<SolvedMode, SynthesisFailure> {
-    match analyze_gate(system, mode, config) {
-        Some(failure) => Err(failure),
-        None => backend.synthesize(system, mode, config, inherited, prior),
-    }
+    synthesize_in_order(system, graph, config, None).map(|(schedule, ..)| schedule)
 }
 
 /// The driver behind every system-level entry point: walks the mode graph in
 /// [`ModeGraph::synthesis_order`], pins the inherited offsets, and per mode
 /// either keeps the `predecessor`'s schedule or solves it through
-/// [`solve_mode`] (see [`crate::resynth::mode_start`]), one mode after the
-/// other on the calling thread. A kept mode shares the predecessor's schedule
+/// [`IlpSynthesizer::synthesize`] (see [`crate::resynth::mode_start`]), one
+/// mode after the other on the calling thread. A kept mode shares the predecessor's schedule
 /// and basis, copying neither. Returns the schedule, each mode's warm-start
 /// material and what was reused against what was solved.
 pub(crate) fn synthesize_in_order(
     system: &System,
     graph: &ModeGraph,
     config: &SchedulerConfig,
-    backend: &dyn Synthesizer,
     predecessor: Option<(&SystemSchedule, &SynthesisArtifacts)>,
 ) -> Result<
     (
@@ -487,7 +444,8 @@ pub(crate) fn synthesize_in_order(
             }
             ModeStart::Solve { floor } => {
                 let prior = ModePrior { warm, floor };
-                let solved = match solve_mode(system, mode, config, backend, &inherited, prior) {
+                let outcome = IlpSynthesizer.synthesize(system, mode, config, &inherited, prior);
+                let solved = match outcome {
                     Ok(solved) => solved,
                     Err(failure) => {
                         result.stats.insert(mode, failure.stats);
@@ -562,8 +520,7 @@ mod tests {
         assert_eq!(error.error, expected);
         assert!(error.partial.stats.is_empty(), "nothing was attempted");
         let cache = crate::cache::ScheduleCache::in_memory();
-        let cached =
-            crate::cache::synthesize_system_cached(&sys, &diamond, &config(), &backend, &cache);
+        let cached = crate::cache::synthesize_system_cached(&sys, &diamond, &config(), &cache);
         assert_eq!(cached.expect_err("mismatch").error, expected);
         let resynthesized =
             crate::resynth::resynthesize_system(&sys, &diamond, &config(), &backend, &cache, "k");
@@ -962,6 +919,6 @@ mod tests {
     #[test]
     fn backend_name_is_pinned() {
         // The name is hashed into every cache key and fixture file name.
-        assert_eq!(IlpSynthesizer.name(), "ilp-incremental");
+        assert_eq!(IlpSynthesizer::NAME, "ilp-incremental");
     }
 }

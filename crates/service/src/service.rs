@@ -50,7 +50,7 @@ use ttw_core::config::SchedulerConfig;
 use ttw_core::json::Json;
 use ttw_core::resynth::resynthesize_system;
 use ttw_core::schedule::SystemSchedule;
-use ttw_core::synthesis::{synthesize_system, IlpSynthesizer, Synthesizer};
+use ttw_core::synthesis::{synthesize_system, IlpSynthesizer};
 
 /// Tuning knobs of a [`SchedulerService`].
 #[derive(Debug, Clone)]
@@ -210,8 +210,7 @@ impl SchedulerService {
     /// [`ResynthesizeRequest`] for an edited system.
     pub fn request_key(&self, request: &SynthesizeRequest) -> String {
         let config = self.effective_config(request);
-        let backend = IlpSynthesizer;
-        synthesis_key(&request.system, &request.graph, &config, backend.name())
+        synthesis_key(&request.system, &request.graph, &config)
     }
 
     /// Counts the payload bytes of a response; called by the framing layer
@@ -319,8 +318,7 @@ impl SchedulerService {
         ServiceStats::bump(&self.stats.requests);
         let start = Instant::now();
         let config = self.effective_config(request);
-        let backend = IlpSynthesizer;
-        let key = synthesis_key(&request.system, &request.graph, &config, backend.name());
+        let key = synthesis_key(&request.system, &request.graph, &config);
         let reply = |schedule: Arc<SystemSchedule>, served, request_milp_nodes| Served {
             key: key.clone(),
             schedule,
@@ -384,15 +382,15 @@ impl SchedulerService {
         // wake (and the key frees up) the cache is warm. A plain solve stores
         // the schedule alone; `resynthesize_system` stores it, with fresh
         // warm artifacts, under the successor key itself.
-        let (system, graph) = (&request.system, &request.graph);
+        let (system, graph, ilp) = (&request.system, &request.graph, &IlpSynthesizer);
         let result = match predecessor {
-            None => synthesize_system(system, graph, &config, &backend).map(|schedule| {
+            None => synthesize_system(system, graph, &config, ilp).map(|schedule| {
                 self.cache.store(&key, &schedule);
                 let nodes = schedule.totals().nodes_explored;
                 (schedule, nodes)
             }),
             Some(predecessor) => {
-                resynthesize_system(system, graph, &config, &backend, &self.cache, predecessor)
+                resynthesize_system(system, graph, &config, ilp, &self.cache, predecessor)
                     .map(|(schedule, report)| (schedule, report.solved_milp_nodes))
             }
         };

@@ -8,7 +8,7 @@ use std::sync::Arc;
 use ttw_core::cache::SynthesisArtifacts;
 use ttw_core::config::SchedulerConfig;
 use ttw_core::fixtures;
-use ttw_core::synthesis::{synthesize_system, IlpSynthesizer, Synthesizer};
+use ttw_core::synthesis::{synthesize_system, IlpSynthesizer};
 use ttw_core::time::millis;
 use ttw_service::{
     BackendKind, BudgetCaps, Client, ClientError, SchedulerService, ServedFrom, ServerHandle,
@@ -361,7 +361,6 @@ fn resynthesize_over_tcp_reports_incremental_provenance() {
         system: base.system.clone(),
         graph: base.graph.clone(),
         config: base.config.clone(),
-        backend: IlpSynthesizer.name().to_owned(),
         warm: Default::default(),
     };
     (service.cache()).store_with_artifacts(&predecessor, &cold.schedule, Some(&artifacts));

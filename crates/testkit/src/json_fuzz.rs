@@ -59,7 +59,6 @@ use ttw_core::export::{
     system_schedule_from_json, system_schedule_to_json, system_to_json,
 };
 use ttw_core::json::{Json, JsonError, Object, Value};
-use ttw_core::synthesis::{IlpSynthesizer, Synthesizer};
 use ttw_core::{NodeId, SchedulerConfig, SystemSchedule};
 use ttw_netsim::rng::SplitMix64;
 
@@ -441,11 +440,7 @@ fn same_artifacts(a: &SynthesisArtifacts, b: &SynthesisArtifacts) -> bool {
             .map(|(mode, start)| (*mode, start.rounds, start.basis.to_json()))
             .collect()
     };
-    a.backend == b.backend
-        && a.config == b.config
-        && a.system == b.system
-        && a.graph == b.graph
-        && warm(a) == warm(b)
+    a.config == b.config && a.system == b.system && a.graph == b.graph && warm(a) == warm(b)
 }
 
 /// Runs the typed documents of `scenarios` generated scenarios of `seed`'s
@@ -502,22 +497,10 @@ fn synthesize_sample(
     rng: &mut SplitMix64,
 ) -> Option<TypedSample> {
     let solve_config = scenario.scheduler_config();
-    let backend = IlpSynthesizer;
     let cache = ScheduleCache::in_memory();
-    let (schedule, _) = synthesize_system_cached(
-        &scenario.system,
-        &scenario.graph,
-        &solve_config,
-        &backend,
-        &cache,
-    )
-    .ok()?;
-    let key = ttw_core::cache::synthesis_key(
-        &scenario.system,
-        &scenario.graph,
-        &solve_config,
-        backend.name(),
-    );
+    let (schedule, _) =
+        synthesize_system_cached(&scenario.system, &scenario.graph, &solve_config, &cache).ok()?;
+    let key = ttw_core::cache::synthesis_key(&scenario.system, &scenario.graph, &solve_config);
     let artifacts = SynthesisArtifacts::clone(&*cache.artifacts(&key)?);
     // Deltas of every op kind: the deployment against its retimed copy
     // (retimed tasks, replaced and truncated rounds), against nothing (whole

@@ -21,13 +21,8 @@ fn run(
     // through the content-keyed schedule cache, so only the first run of
     // this example (per build) pays the MILP cost.
     let cache = ttw::core::cache::ScheduleCache::at_default_location();
-    let (schedule, outcome) = ttw::core::cache::synthesize_system_cached(
-        &system,
-        &graph,
-        &config,
-        &synthesis::IlpSynthesizer,
-        &cache,
-    )?;
+    let (schedule, outcome) =
+        ttw::core::cache::synthesize_system_cached(&system, &graph, &config, &cache)?;
     println!(
         "schedule cache: {}",
         if outcome.is_hit() { "hit" } else { "miss" }

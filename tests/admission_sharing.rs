@@ -24,7 +24,7 @@ use ttw::core::cache::{
 use ttw::core::export::system_schedule_to_json;
 use ttw::core::json::Json;
 use ttw::core::resynth::{resynthesize_system, ResynthesisReport};
-use ttw::core::synthesis::{IlpSynthesizer, ModeWarmStart, Synthesizer};
+use ttw::core::synthesis::{IlpSynthesizer, ModeWarmStart};
 use ttw::core::{ModeSchedule, System, SystemSchedule};
 use ttw::testkit::{generate, GeneratorConfig, GraphShape};
 
@@ -68,9 +68,9 @@ fn edit_chain(cache: &ScheduleCache, modes: usize, mut before: impl FnMut(&str))
     let scenario = generate(&GeneratorConfig::bench(modes, GraphShape::Chain), SEED);
     let (config, backend) = (scenario.scheduler_config(), IlpSynthesizer);
     let (mut system, graph) = (scenario.system, scenario.graph);
-    synthesize_system_cached(&system, &graph, &config, &backend, cache).expect("feasible");
+    synthesize_system_cached(&system, &graph, &config, cache).expect("feasible");
     let mut chain = EditChain {
-        keys: vec![synthesis_key(&system, &graph, &config, backend.name())],
+        keys: vec![synthesis_key(&system, &graph, &config)],
         reports: Vec::new(),
     };
     for _ in 0..EDITS {
@@ -80,9 +80,7 @@ fn edit_chain(cache: &ScheduleCache, modes: usize, mut before: impl FnMut(&str))
         let (_, report) =
             resynthesize_system(&system, &graph, &config, &backend, cache, predecessor)
                 .expect("a one-microsecond edit stays feasible");
-        chain
-            .keys
-            .push(synthesis_key(&system, &graph, &config, backend.name()));
+        chain.keys.push(synthesis_key(&system, &graph, &config));
         chain.reports.push(report);
     }
     chain

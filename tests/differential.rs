@@ -42,9 +42,7 @@
 use ttw::core::cache::{synthesis_key, synthesize_system_cached, CacheOutcome, ScheduleCache};
 use ttw::core::export::system_schedule_to_json;
 use ttw::core::resynth::{resynthesize_system, ResynthesisReport};
-use ttw::core::synthesis::{
-    synthesize_mode, synthesize_system, IlpSynthesizer, ModePrior, Synthesizer,
-};
+use ttw::core::synthesis::{synthesize_mode, synthesize_system, IlpSynthesizer, ModePrior};
 use ttw::core::time::{millis, Micros};
 use ttw::core::validate::validate_system_schedule;
 use ttw::core::{
@@ -595,17 +593,15 @@ fn cache_hits_byte_match_fresh_synthesis() {
             Ok(result) => result,
             Err(_) => continue, // infeasible or budget-limited — nothing to cache
         };
-        let (first, outcome) =
-            synthesize_system_cached(sys, &scenario.graph, &config, &backend, &cache)
-                .expect("same inputs stay feasible");
+        let (first, outcome) = synthesize_system_cached(sys, &scenario.graph, &config, &cache)
+            .expect("same inputs stay feasible");
         assert_eq!(
             outcome,
             CacheOutcome::Miss,
             "fresh key cannot hit ({repro})"
         );
-        let (second, outcome) =
-            synthesize_system_cached(sys, &scenario.graph, &config, &backend, &cache)
-                .expect("same inputs stay feasible");
+        let (second, outcome) = synthesize_system_cached(sys, &scenario.graph, &config, &cache)
+            .expect("same inputs stay feasible");
         assert_eq!(outcome, CacheOutcome::Hit, "second call must hit ({repro})");
 
         let fresh_json = system_schedule_to_json(&fresh).expect("serialize");
@@ -897,9 +893,8 @@ fn admit(
     let backend = IlpSynthesizer;
     let cache = ScheduleCache::in_memory();
     // An infeasible predecessor leaves nothing to resynthesize from.
-    let (predecessor, _) =
-        synthesize_system_cached(system, graph, config, &backend, &cache).ok()?;
-    let predecessor_key = synthesis_key(system, graph, config, backend.name());
+    let (predecessor, _) = synthesize_system_cached(system, graph, config, &cache).ok()?;
+    let predecessor_key = synthesis_key(system, graph, config);
 
     let scratch = synthesize_system(edited, graph, config, &backend);
     let incremental =
@@ -1158,12 +1153,10 @@ fn floored_sweeps_skip_only_counts_proven_infeasible() {
     let mut skipped = 0usize;
     for (system, graph, config, edited, repro) in &cases {
         let cache = ScheduleCache::in_memory();
-        let Ok((predecessor, _)) =
-            synthesize_system_cached(system, graph, config, &backend, &cache)
-        else {
+        let Ok((predecessor, _)) = synthesize_system_cached(system, graph, config, &cache) else {
             continue;
         };
-        let key = synthesis_key(system, graph, config, backend.name());
+        let key = synthesis_key(system, graph, config);
         let artifacts = cache.artifacts(&key).expect("stored with the predecessor");
         let Ok((incremental, _)) =
             resynthesize_system(edited, graph, config, &backend, &cache, &key)
@@ -1356,16 +1349,15 @@ fn mismatched_predecessor_degrades_to_cold_with_identical_schedule() {
     let config = a.scheduler_config();
     let backend = IlpSynthesizer;
     let cache = ScheduleCache::in_memory();
-    synthesize_system_cached(&a.system, &a.graph, &config, &backend, &cache)
-        .expect("predecessor feasible");
-    let key_a = synthesis_key(&a.system, &a.graph, &config, backend.name());
+    synthesize_system_cached(&a.system, &a.graph, &config, &cache).expect("predecessor feasible");
+    let key_a = synthesis_key(&a.system, &a.graph, &config);
 
     let scratch =
         synthesize_system(&b.system, &b.graph, &config, &backend).expect("successor feasible");
     let (incremental, report) =
         resynthesize_system(&b.system, &b.graph, &config, &backend, &cache, &key_a)
             .expect("successor feasible incrementally");
-    assert!(report.predecessor_found, "same config and backend");
+    assert!(report.predecessor_found, "same config");
     assert_eq!(report.modes_reused, 0, "nothing of A is reusable for B");
     assert_eq!(report.modes_resolved, scratch.num_modes());
     assert_eq!(

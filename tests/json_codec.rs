@@ -4,10 +4,12 @@
 //! run the large one; `typed_fuzz_large_budget` here, ignored, runs it with
 //! the service's frames) — over `Value` and over every typed document, the
 //! service's request and response frames included; and the committed
-//! documents of `tests/fixtures/codec`, each of which must decode and encode
-//! back to its own bytes. Last, the warm-start sidecar's basis objects:
-//! hostile ones are refused, and a sidecar whose bases are in the text form
-//! of earlier builds (`tests/fixtures/legacy`) goes cold, not wrong. And a
+//! documents of `tests/fixtures/codec`, each of which must be this build's
+//! output and decode and encode back to its own bytes. Last, the warm-start
+//! sidecar: hostile basis objects are refused, a sidecar whose bases are in
+//! the text form of earlier builds (`tests/fixtures/legacy`) goes cold, not
+//! wrong, one that still names its backend warm-starts, and one filed under
+//! another key reads as no artifacts. And a
 //! system, which is written from its borrowed entities, renders the bytes
 //! of its applications' specs.
 
@@ -25,8 +27,8 @@ use ttw::core::export::{
     system_to_json,
 };
 use ttw::core::json::{Json, JsonError, Value, Writer};
-use ttw::core::resynth::resynthesize_system;
-use ttw::core::synthesis::{synthesize_system, IlpSynthesizer, Synthesizer};
+use ttw::core::resynth::{resynthesize_system, ResynthesisReport};
+use ttw::core::synthesis::{synthesize_system, IlpSynthesizer};
 use ttw::core::time::millis;
 use ttw::core::{
     fixtures, ApplicationSpec, MessageSpec, NodePatchOp, SchedulerConfig, System, TaskId, TaskSpec,
@@ -253,10 +255,8 @@ type Recode = fn(&str) -> Result<String, JsonError>;
 const MODE_CHANGE_KEY: &str = "a25972618d19d494";
 
 /// Every committed document with the decoder and encoder that own it. The
-/// files were written by the build that preceded the field-table codec (see
-/// `write_codec_fixtures`), so what they pin is the format, not a build; the
-/// `.warm.json` was written again, with the same bases, when bases became
-/// JSON objects.
+/// files are this build's output of [`codec_fixtures`]
+/// (`committed_fixtures_are_this_builds_output`).
 const FIXTURES: &[(&str, Recode)] = &[
     ("app_spec.json", |text| {
         app_spec_to_json(&app_spec_from_json(text)?)
@@ -349,12 +349,7 @@ fn disk_entry_written_by_the_previous_build_is_a_first_probe_hit() {
     let cache = ScheduleCache::new(&dir);
     let artifacts = cache.artifacts(MODE_CHANGE_KEY).expect("sidecar decodes");
     assert_eq!(
-        synthesis_key(
-            &artifacts.system,
-            &artifacts.graph,
-            &artifacts.config,
-            &artifacts.backend
-        ),
+        synthesis_key(&artifacts.system, &artifacts.graph, &artifacts.config),
         MODE_CHANGE_KEY
     );
     assert!(matches!(cache.probe(MODE_CHANGE_KEY), CacheProbe::Disk(_)));
@@ -545,31 +540,16 @@ const LEGACY_SIDECAR: &str = concat!(
     "/tests/fixtures/legacy/ttw-a25972618d19d494.warm.json"
 );
 
-/// A cache directory whose sidecar holds bases in the text form goes cold,
-/// not wrong: the sidecar reads as no artifacts, the schedule entry beside it
-/// is still a disk hit, and a re-synthesis of an edit from that key solves
-/// every mode cold to the from-scratch schedule.
-#[test]
-fn a_sidecar_of_text_bases_degrades_to_a_cold_resynthesis() {
-    let dir = empty_temp_dir("text-bases");
-    let entry = format!("ttw-{MODE_CHANGE_KEY}.json");
-    std::fs::copy(fixture_dir().join(&entry), dir.join(&entry)).expect("copy");
-    std::fs::copy(
-        LEGACY_SIDECAR,
-        dir.join(format!("ttw-{MODE_CHANGE_KEY}.warm.json")),
-    )
-    .expect("copy");
-    let cache = ScheduleCache::new(&dir);
-    assert!(cache.artifacts(MODE_CHANGE_KEY).is_none());
-    assert!(matches!(cache.probe(MODE_CHANGE_KEY), CacheProbe::Disk(_)));
+/// The warm-start sidecar of [`MODE_CHANGE_KEY`] as the build before
+/// [`SynthesisArtifacts`] lost their `"backend"` member wrote it.
+const BACKEND_SIDECAR: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/tests/fixtures/legacy/ttw-a25972618d19d494.with-backend.warm.json"
+);
 
-    let (system, graph, _, _) = fixtures::two_mode_graph();
-    let config = SchedulerConfig::new(millis(10), 5);
-    let backend = IlpSynthesizer;
-    assert_eq!(
-        synthesis_key(&system, &graph, &config, backend.name()),
-        MODE_CHANGE_KEY
-    );
+/// `system` with its first task's WCET one microsecond longer: an edit that
+/// only tightens the mode.
+fn longer_first_task(system: &System) -> System {
     let mut edited = system.clone();
     let (task, wcet) = system
         .tasks()
@@ -579,31 +559,124 @@ fn a_sidecar_of_text_bases_degrades_to_a_cold_resynthesis() {
     edited
         .set_task_wcet(task, wcet + 1)
         .expect("a larger WCET is valid");
+    edited
+}
+
+/// Re-synthesizes `edited` from the entry under `key` in `cache`, and checks
+/// that the result has the content of a from-scratch solve.
+fn resynthesize_like_scratch(
+    cache: &ScheduleCache,
+    edited: &System,
+    key: &str,
+) -> ResynthesisReport {
+    let ((_, graph, _, _), config) = (fixtures::two_mode_graph(), mode_change_config());
     let (schedule, report) =
-        resynthesize_system(&edited, &graph, &config, &backend, &cache, MODE_CHANGE_KEY)
+        resynthesize_system(edited, &graph, &config, &IlpSynthesizer, cache, key)
             .expect("feasible");
+    let scratch = synthesize_system(edited, &graph, &config, &IlpSynthesizer).expect("feasible");
+    assert_eq!(
+        system_schedule_to_json(&schedule.content_only()),
+        system_schedule_to_json(&scratch.content_only())
+    );
+    report
+}
+
+fn mode_change_config() -> SchedulerConfig {
+    SchedulerConfig::new(millis(10), 5)
+}
+
+/// A fresh directory holding the committed schedule entry of
+/// [`MODE_CHANGE_KEY`] and `sidecar` as its warm-start sidecar.
+fn mode_change_entry_beside(tag: &str, sidecar: &str) -> PathBuf {
+    let dir = empty_temp_dir(tag);
+    let entry = format!("ttw-{MODE_CHANGE_KEY}.json");
+    std::fs::copy(fixture_dir().join(&entry), dir.join(&entry)).expect("copy");
+    std::fs::copy(
+        sidecar,
+        dir.join(format!("ttw-{MODE_CHANGE_KEY}.warm.json")),
+    )
+    .expect("copy");
+    dir
+}
+
+/// A cache directory whose sidecar holds bases in the text form goes cold,
+/// not wrong: the sidecar reads as no artifacts, the schedule entry beside it
+/// is still a disk hit, and a re-synthesis of an edit from that key solves
+/// every mode cold to the from-scratch schedule.
+#[test]
+fn a_sidecar_of_text_bases_degrades_to_a_cold_resynthesis() {
+    let dir = mode_change_entry_beside("text-bases", LEGACY_SIDECAR);
+    let cache = ScheduleCache::new(&dir);
+    assert!(cache.artifacts(MODE_CHANGE_KEY).is_none());
+    assert!(matches!(cache.probe(MODE_CHANGE_KEY), CacheProbe::Disk(_)));
+
+    let (system, graph, _, _) = fixtures::two_mode_graph();
+    assert_eq!(
+        synthesis_key(&system, &graph, &mode_change_config()),
+        MODE_CHANGE_KEY
+    );
+    let report = resynthesize_like_scratch(&cache, &longer_first_task(&system), MODE_CHANGE_KEY);
     assert!(!report.predecessor_found);
     assert_eq!(report.warm_started_modes, 0);
-    let scratch = synthesize_system(&edited, &graph, &config, &backend).expect("feasible");
-    assert_eq!(
-        system_schedule_to_json(&schedule),
-        system_schedule_to_json(&scratch)
-    );
     drop(cache);
     let _ = std::fs::remove_dir_all(dir);
 }
 
-/// Writes `tests/fixtures/codec` from this build:
-/// `cargo test --test json_codec -- --ignored write_codec_fixtures`. Only a
-/// deliberate change of a wire or disk format is a reason to run it; the
-/// committed files came from the last build with the hand-written codec.
+/// A sidecar written while artifacts still named their backend decodes, the
+/// `"backend"` member skipped, under its own key, and warm-starts the
+/// re-synthesis of an edit.
 #[test]
-#[ignore = "overwrites the committed fixtures"]
-fn write_codec_fixtures() {
+fn a_sidecar_with_a_backend_member_still_warm_starts() {
+    let dir = mode_change_entry_beside("backend-member", BACKEND_SIDECAR);
+    let cache = ScheduleCache::new(&dir);
+    let artifacts = cache.artifacts(MODE_CHANGE_KEY).expect("sidecar decodes");
+    assert_eq!(
+        synthesis_key(&artifacts.system, &artifacts.graph, &artifacts.config),
+        MODE_CHANGE_KEY
+    );
+    let (system, _, _, _) = fixtures::two_mode_graph();
+    let report = resynthesize_like_scratch(&cache, &longer_first_task(&system), MODE_CHANGE_KEY);
+    assert!(report.predecessor_found);
+    assert!(report.warm_started_modes >= 1, "{report:?}");
+    drop(cache);
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+/// A sidecar is trusted by its key: another system's valid sidecar, copied
+/// over the sidecar of an entry on disk, reads as no artifacts, and a
+/// re-synthesis from that entry solves cold to the from-scratch schedule
+/// instead of diffing against the foreign system.
+#[test]
+fn a_sidecar_filed_under_another_key_reads_as_no_artifacts() {
+    let dir = empty_temp_dir("foreign-sidecar");
     let (system, graph, _, _) = fixtures::two_mode_graph();
-    let mut config = SchedulerConfig::new(millis(10), 5);
-    let backend = IlpSynthesizer;
-    let schedule = synthesize_system(&system, &graph, &config, &backend).expect("feasible");
+    let config = mode_change_config();
+    let predecessor = longer_first_task(&system);
+    let key = synthesis_key(&predecessor, &graph, &config);
+    assert_ne!(key, MODE_CHANGE_KEY);
+    synthesize_system_cached(&predecessor, &graph, &config, &ScheduleCache::new(&dir))
+        .expect("feasible");
+    let sidecar = dir.join(format!("ttw-{key}.warm.json"));
+    assert!(ScheduleCache::new(&dir).artifacts(&key).is_some());
+    let foreign = fixture_dir().join(format!("ttw-{MODE_CHANGE_KEY}.warm.json"));
+    assert!(artifacts_from_json(&std::fs::read_to_string(&foreign).expect("read")).is_ok());
+    std::fs::copy(foreign, sidecar).expect("copy");
+
+    let cache = ScheduleCache::new(&dir);
+    assert!(cache.artifacts(&key).is_none());
+    let report = resynthesize_like_scratch(&cache, &longer_first_task(&predecessor), &key);
+    assert!(!report.predecessor_found);
+    assert_eq!(report.warm_started_modes, 0);
+    drop(cache);
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+/// Every document of `tests/fixtures/codec` as this build writes it, by
+/// file name.
+fn codec_fixtures() -> Vec<(String, String)> {
+    let (system, graph, _, _) = fixtures::two_mode_graph();
+    let mut config = mode_change_config();
+    let schedule = synthesize_system(&system, &graph, &config, &IlpSynthesizer).expect("feasible");
     // What turns the deployment into its retimed copy (retimed tasks,
     // replaced and truncated rounds), plus the op kinds that only a change
     // of the system itself produces.
@@ -623,7 +696,7 @@ fn write_codec_fixtures() {
     let dir = std::env::temp_dir().join(format!("ttw-codec-write-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let cache = ScheduleCache::new(&dir);
-    synthesize_system_cached(&system, &graph, &config, &backend, &cache).expect("feasible");
+    synthesize_system_cached(&system, &graph, &config, &cache).expect("feasible");
     let entry = |suffix: &str| {
         let name = format!("ttw-{MODE_CHANGE_KEY}.{suffix}");
         let text = std::fs::read_to_string(dir.join(&name)).expect("entry written");
@@ -721,9 +794,37 @@ fn write_codec_fixtures() {
         (entry.0, Ok(entry.1)),
         (sidecar.0, Ok(sidecar.1)),
     ];
+    documents
+        .into_iter()
+        .map(|(name, text)| (name, text.expect("encodes")))
+        .collect()
+}
+
+/// Writes `tests/fixtures/codec` from this build:
+/// `cargo test --test json_codec -- --ignored write_codec_fixtures`. A
+/// deliberate change of a wire or disk format, or of the solver counters a
+/// schedule carries, is the reason to run it.
+#[test]
+#[ignore = "overwrites the committed fixtures"]
+fn write_codec_fixtures() {
     std::fs::create_dir_all(fixture_dir()).expect("mkdir");
-    for (name, text) in documents {
-        std::fs::write(fixture_dir().join(name), text.expect("encodes")).expect("write");
+    for (name, text) in codec_fixtures() {
+        std::fs::write(fixture_dir().join(name), text).expect("write");
+    }
+}
+
+/// The committed fixtures are this build's output, byte for byte: a change
+/// that moves a wire or disk byte, or a counter a schedule carries, fails
+/// here until the fixtures are written again (`write_codec_fixtures`).
+/// [`every_fixture_decodes_and_encodes_back_to_its_bytes`] only re-encodes
+/// what is committed, so it cannot see a stale file.
+#[test]
+fn committed_fixtures_are_this_builds_output() {
+    for (name, text) in codec_fixtures() {
+        let path = fixture_dir().join(&name);
+        let committed = std::fs::read_to_string(&path)
+            .unwrap_or_else(|error| panic!("{}: {error}", path.display()));
+        assert_eq!(committed, text, "{name} is not this build's output");
     }
 }
 
