@@ -615,8 +615,8 @@ impl ScheduleCache {
     ///
     /// A sidecar is trusted by its key: it is read only when its own system,
     /// mode graph and configuration key to `key`, so another key's file
-    /// under this name is `None` too. Memory-tier artifacts were stored under
-    /// the key this process computed and are not checked again.
+    /// under this name is `None` too. Memory-tier artifacts are whatever a
+    /// caller stored under `key` and are not checked.
     pub fn artifacts(&self, key: &str) -> Option<Arc<SynthesisArtifacts>> {
         if let Some(artifacts) = self
             .read()
