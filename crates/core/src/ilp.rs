@@ -29,8 +29,12 @@ use crate::ids::{AppId, MessageId, ModeId, TaskId};
 use crate::modegraph::InheritedOffsets;
 use crate::schedule::{ModeSchedule, ScheduledRound, SynthesisStats};
 use crate::system::{PrecedenceEdge, System};
+use std::cell::RefCell;
 use std::collections::BTreeMap;
-use ttw_milp::{Basis, ConstraintId, LinExpr, Model, Sense, Solution, SolveError, VarId};
+use ttw_milp::{
+    Basis, ConstraintId, LinExpr, Model, Sense, SimplexWorkspace, Solution, SolveError, VarId,
+    VarKind,
+};
 
 /// The constant `mm` that turns the paper's strict inequalities into `≤`
 /// rows, in internal time units (`T_r = 1`); the paper uses `1e-4`.
@@ -59,7 +63,14 @@ struct VariableMap {
 /// (precedence, deadlines, the quadratic task non-overlap block C3) is reused.
 /// This is what makes the `R_M = min..max` sweep of Algorithm 1 incremental
 /// instead of rebuilding the whole model per attempt.
-#[derive(Debug, Clone)]
+///
+/// An instance also owns the one [`SimplexWorkspace`] every LP of its mode
+/// runs in: the branch-and-bound trees of its `R_M` attempts
+/// ([`IlpInstance::solve`]) and the LP that polishes the optimum
+/// ([`extract_schedule`]). Their simplex, factorization and node buffers
+/// are allocated once per mode instead of once per attempt and per node;
+/// every answer is the one a fresh workspace gives, bit for bit.
+#[derive(Debug)]
 pub struct IlpInstance {
     /// The underlying MILP; exposed so callers can inspect or audit it.
     pub model: Model,
@@ -86,6 +97,9 @@ pub struct IlpInstance {
     /// next solve so the grown model warm-starts instead of re-running the
     /// two-phase simplex from scratch.
     warm_basis: Option<Basis>,
+    /// The buffers every solve of this instance reuses. A cell, so that
+    /// [`extract_schedule`], which reads the instance, can polish in it.
+    workspace: RefCell<SimplexWorkspace>,
 }
 
 impl IlpInstance {
@@ -108,7 +122,9 @@ impl IlpInstance {
     ///
     /// Same error conditions as [`ttw_milp::Model::solve`].
     pub fn solve(&mut self) -> Result<Solution, SolveError> {
-        let (solution, basis) = self.model.solve_with_basis(self.warm_basis.as_ref())?;
+        let workspace = self.workspace.get_mut();
+        let (solution, basis) =
+            (self.model).solve_with_basis_in(self.warm_basis.as_ref(), workspace)?;
         if let Some(basis) = basis {
             self.warm_basis = Some(basis);
         }
@@ -137,6 +153,35 @@ impl IlpInstance {
     /// (or seeded via [`IlpInstance::seed_warm_basis`]), if any.
     pub fn root_basis(&self) -> Option<&Basis> {
         self.warm_basis.as_ref()
+    }
+
+    /// Re-solves the instance's LP with every integral variable fixed to its
+    /// rounded value in `solution`, yielding canonical continuous values (see
+    /// the comment in [`extract_schedule`]). Returns `None` when the polish
+    /// solve does not reach an optimum — the caller then keeps the raw
+    /// branch-and-bound values.
+    ///
+    /// The model is solved as it is, under a bounds slice that fixes the
+    /// integral columns — binaries clamped into `[0, 1]` as
+    /// [`Model::fix_var`] would — in the instance's workspace: the answer of
+    /// a copy of the model pinned by `fix_var`, without the copy.
+    pub fn polish(&self, solution: &Solution) -> Option<Solution> {
+        let bounds: Vec<(f64, f64)> = (self.model.variables())
+            .map(|(id, var)| {
+                if !var.kind.is_integral() {
+                    return (var.lower, var.upper);
+                }
+                let fixed = solution.value(id).round().clamp(var.lower, var.upper);
+                match var.kind {
+                    VarKind::Binary => (fixed.clamp(0.0, 1.0), fixed.clamp(0.0, 1.0)),
+                    _ => (fixed, fixed),
+                }
+            })
+            .collect();
+        let workspace = &mut self.workspace.borrow_mut();
+        (self.model.solve_relaxation_in(&bounds, workspace))
+            .ok()
+            .filter(Solution::is_optimal)
     }
 
     /// Appends one more communication round to the instance in place.
@@ -622,6 +667,7 @@ pub fn build_ilp_inherited(
         leftover,
         c44,
         warm_basis: None,
+        workspace: RefCell::default(),
     };
     for _ in 0..num_rounds {
         instance.add_round(system, mode, config);
@@ -651,24 +697,6 @@ pub fn build_ilp_inherited(
     Ok(instance)
 }
 
-/// Re-solves the instance's LP with every integral variable fixed to its
-/// rounded optimum, yielding canonical continuous values (see the comment in
-/// [`extract_schedule`]). Returns `None` when the polish solve does not reach
-/// an optimum — the caller then keeps the raw branch-and-bound values.
-fn polish_continuous(instance: &IlpInstance, solution: &Solution) -> Option<Solution> {
-    let mut lp = instance.model.clone();
-    for (id, var) in instance.model.variables() {
-        if var.kind.is_integral() {
-            let fixed = solution.value(id).round().clamp(var.lower, var.upper);
-            lp.fix_var(id, fixed);
-        }
-    }
-    match lp.solve_relaxation() {
-        Ok(polished) if polished.is_optimal() => Some(polished),
-        _ => None,
-    }
-}
-
 /// Converts an optimal MILP solution back into a [`ModeSchedule`].
 ///
 /// # Panics
@@ -696,7 +724,7 @@ pub fn extract_schedule(
     // reaches the same integers exports byte-identical schedules (the
     // differential harness compares them byte-for-byte). Falls back to the
     // raw solution values if the polish solve fails for any reason.
-    let polished = polish_continuous(instance, solution);
+    let polished = instance.polish(solution);
     let solution = polished.as_ref().unwrap_or(solution);
 
     let task_offsets = vars

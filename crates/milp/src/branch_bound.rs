@@ -35,15 +35,18 @@
 //!    from the search itself at no extra LP.
 //!
 //! Every LP of a tree — the root, the cut rounds and the nodes — runs in the
-//! one `SimplexWorkspace` its `TreeLp` owns, so the simplex buffers, LU
-//! buffers and eta file are allocated once per tree and freed with it; each
-//! LP resets what it uses as it starts. The workspace also counts the pivots
-//! charged in it, and at every successful return of `solve_tree` debug
-//! builds check that `simplex_iterations` booked them all — failed cut
-//! reoptimizations and node LPs that fell back to the uncut relaxation
-//! included.
+//! one `SimplexWorkspace` its `TreeLp` borrows, which the caller keeps for
+//! every tree of a mode, so the simplex buffers, LU buffers and eta file are
+//! allocated once per mode; each LP resets what it uses as it starts. A
+//! node's basis snapshot and a memo entry's factor state are refilled in
+//! buffers the workspace took back once nobody read them any more, so after
+//! its first few nodes a tree allocates per node only the `Branch` links of
+//! the children it pushes. The workspace also counts the pivots charged in
+//! it, and at every successful return of `solve_tree` debug builds check
+//! that `simplex_iterations` booked the tree's — failed cut reoptimizations
+//! and node LPs that fell back to the uncut relaxation included.
 
-use crate::cuts::{lp_with_cuts, CutPool, Separator};
+use crate::cuts::{lp_with_cuts, CutPool};
 use crate::error::SolveError;
 use crate::model::{Model, SolveParams, INTEGRALITY_TOL};
 use crate::presolve::Presolve;
@@ -177,7 +180,7 @@ impl TreeForm {
 
 /// The LPs of one tree — the base equality form, then the base extended by
 /// the root cuts once the cut loop keeps a round — with the tree's memo of
-/// warm-start factor states, its node buffers and the one
+/// warm-start factor states, its node buffers and the
 /// [`SimplexWorkspace`] every LP of the tree runs in.
 ///
 /// The nodes solve the [current](TreeLp::current) form's reduction, in its
@@ -187,12 +190,17 @@ impl TreeForm {
 /// in it. A node's values are read into [`TreeLp::values`] in the original
 /// numbering.
 ///
-/// The workspace serves the root, the cut rounds and every node, and is
-/// dropped with the tree: per-LP buffers, LU buffers and
-/// the eta file are allocated once per tree instead of once per LP, and
-/// every LP resets them as it starts, so reuse cannot change an answer. It
-/// also counts every pivot charged in it, which is what lets `solve_tree`
-/// check that the counters book them all.
+/// The workspace serves the root, the cut rounds and every node, and
+/// outlives the tree: its caller keeps it for every tree of a mode. Per-LP
+/// buffers, LU buffers and the eta file are allocated once per mode
+/// instead of once per LP, and every LP resets them as it starts, so reuse
+/// cannot change an answer. A node's snapshot comes from the workspace's
+/// released ones ([`SimplexWorkspace::snapshot`]) and goes back when its
+/// last holder — the node, a child or the memo — lets go
+/// ([`TreeLp::release`]); a memo entry's state comes from and goes back to
+/// the workspace too, the entries left when the tree is dropped included.
+/// The workspace also counts every pivot charged in it, which is what lets
+/// `solve_tree` check that the counters book the tree's.
 ///
 /// A node's children start from the basis its LP ended on, and the
 /// workspace still holds the factor state that LP ended on when the search
@@ -211,7 +219,7 @@ impl TreeForm {
 /// finished optimal, and at every from-scratch start — and a child takes
 /// it as it is when its branched column is basic in the snapshot
 /// (a [`Warm::Dual`] start that names it).
-struct TreeLp {
+struct TreeLp<'w> {
     base: TreeForm,
     /// The base LP with the kept cut rows appended.
     cut: Option<TreeForm>,
@@ -231,11 +239,11 @@ struct TreeLp {
     /// The values of the last node LP that solved to optimality, in the
     /// original numbering.
     values: Vec<f64>,
-    workspace: SimplexWorkspace,
+    workspace: &'w mut SimplexWorkspace,
 }
 
-impl TreeLp {
-    fn new(base: TreeForm, memo_capacity: usize) -> Self {
+impl<'w> TreeLp<'w> {
+    fn new(base: TreeForm, memo_capacity: usize, workspace: &'w mut SimplexWorkspace) -> Self {
         TreeLp {
             base,
             cut: None,
@@ -245,7 +253,7 @@ impl TreeLp {
             root: Vec::new(),
             bounds: Vec::new(),
             values: Vec::new(),
-            workspace: SimplexWorkspace::default(),
+            workspace,
         }
     }
 
@@ -259,6 +267,8 @@ impl TreeLp {
     /// basis over it, into the tree numbering.
     fn start(&mut self, root_bounds: &[(f64, f64)], basis: Option<Basis>) -> Option<Rc<Basis>> {
         self.root = self.current().presolve.tree_root_bounds(root_bounds);
+        self.bounds.reserve(root_bounds.len());
+        self.values.reserve(root_bounds.len());
         basis.and_then(|b| self.tree_basis(&b)).map(Rc::new)
     }
 
@@ -272,8 +282,24 @@ impl TreeLp {
     /// solve.
     fn install_cuts(&mut self, form: TreeForm) {
         // Memo entries are factor states of bases over the previous LP.
-        self.memo.clear();
+        self.clear_memo();
         self.cut = Some(form);
+    }
+
+    /// Empties the memo, giving its snapshots and states back to the
+    /// workspace.
+    fn clear_memo(&mut self) {
+        for (snapshot, state) in self.memo.drain(..) {
+            self.workspace.release(snapshot);
+            self.workspace.give_back(state);
+        }
+    }
+
+    /// Lets go of a holder of a node snapshot ([`SimplexWorkspace::release`]).
+    fn release(&mut self, snapshot: Option<Rc<Basis>>) {
+        if let Some(snapshot) = snapshot {
+            self.workspace.release(snapshot);
+        }
     }
 
     /// Solves the base LP — cut rows excluded — under `bounds` from `warm`.
@@ -284,7 +310,7 @@ impl TreeLp {
         warm: Warm<'_>,
     ) -> Result<(LpResult, Option<Basis>), SolveError> {
         self.fileable = false;
-        (self.base.presolve).solve(bounds, max_iters, warm, &mut self.workspace)
+        (self.base.presolve).solve(bounds, max_iters, warm, self.workspace)
     }
 
     /// Solves the node `branch` created: by the dual simplex from `warm` —
@@ -297,7 +323,7 @@ impl TreeLp {
         branch: &Branch,
         max_iters: usize,
         warm: Option<&Rc<Basis>>,
-    ) -> Result<(LpResult, Option<Basis>), SolveError> {
+    ) -> Result<(LpResult, Option<Rc<Basis>>), SolveError> {
         // The snapshot's slot: its memo entry, or an empty one for the start
         // to fill.
         let mut slot = match warm {
@@ -320,7 +346,7 @@ impl TreeLp {
                 }
                 None => Warm::Cold,
             };
-            let (workspace, values) = (&mut self.workspace, &mut self.values);
+            let (workspace, values) = (&mut *self.workspace, &mut self.values);
             presolve.solve_node(&self.bounds, max_iters, start, workspace, values)
         } else {
             Ok((LpResult::infeasible_without_pivots(), None))
@@ -330,6 +356,8 @@ impl TreeLp {
         if let (Some(snapshot), Some(state)) = (warm, slot) {
             if state.is_captured() {
                 self.memo.push((Rc::clone(snapshot), state));
+            } else {
+                self.workspace.give_back(state);
             }
         }
         self.fileable = matches!(&solved, Ok((r, _)) if r.status == LpStatus::Optimal);
@@ -345,7 +373,7 @@ impl TreeLp {
         branch: &Branch,
         root_bounds: &[(f64, f64)],
         max_iters: usize,
-    ) -> Result<(LpResult, Option<Basis>), SolveError> {
+    ) -> Result<(LpResult, Option<Rc<Basis>>), SolveError> {
         let mut bounds = std::mem::take(&mut self.bounds);
         bounds.clear();
         bounds.extend(
@@ -355,7 +383,7 @@ impl TreeLp {
         self.bounds = bounds;
         let (mut result, basis) = solved?;
         self.values = std::mem::take(&mut result.values);
-        Ok((result, basis.and_then(|b| self.tree_basis(&b))))
+        Ok((result, basis.and_then(|b| self.tree_basis(&b)).map(Rc::new)))
     }
 
     /// Files the factor state the last [`TreeLp::solve`] ended on under
@@ -370,15 +398,23 @@ impl TreeLp {
         self.memo.push((Rc::clone(snapshot), state));
     }
 
-    /// An empty state to fill: a new one while the memo has room, else the
-    /// least recently used entry's, emptied.
+    /// An empty state to fill: one from the workspace while the memo has
+    /// room, else the least recently used entry's, emptied.
     fn vacancy(&mut self) -> FactorState {
         if self.memo.len() < self.memo_capacity {
-            return FactorState::default();
+            return self.workspace.vacant_state();
         }
-        let (_, mut evicted) = self.memo.remove(0);
+        let (snapshot, mut evicted) = self.memo.remove(0);
+        self.workspace.release(snapshot);
         self.workspace.recycle(&mut evicted);
         evicted
+    }
+}
+
+impl Drop for TreeLp<'_> {
+    /// The workspace outlives the tree: what the memo holds goes back to it.
+    fn drop(&mut self) {
+        self.clear_memo();
     }
 }
 
@@ -487,24 +523,20 @@ impl Pseudocosts {
     }
 }
 
-/// Solves the mixed-integer program by branch-and-bound.
+/// Solves the mixed-integer program by branch-and-bound in `workspace`,
+/// optionally warm-starting the root LP from `warm` (a [`Basis`] snapshot of
+/// an earlier, related solve).
 ///
-/// The returned objective is expressed in the user's optimization sense.
-pub(crate) fn solve(model: &Model) -> Result<Solution, SolveError> {
-    solve_warm(model, None).map(|(solution, _)| solution)
-}
-
-/// Solves the mixed-integer program, optionally warm-starting the root LP
-/// from `warm` (a [`Basis`] snapshot of an earlier, related solve).
-///
-/// Returns the solution together with the optimal basis of the **root**
-/// relaxation *of the base model* (cut rows excluded, so the snapshot stays
-/// valid for callers growing the model incrementally and feeding it back).
+/// Returns the solution, its objective in the user's optimization sense,
+/// together with the optimal basis of the **root** relaxation *of the base
+/// model* (cut rows excluded, so the snapshot stays valid for callers
+/// growing the model incrementally and feeding it back).
 pub(crate) fn solve_warm(
     model: &Model,
     warm: Option<&Basis>,
+    workspace: &mut SimplexWorkspace,
 ) -> Result<(Solution, Option<Basis>), SolveError> {
-    solve_tree(model, warm, MEMO_CAPACITY)
+    solve_tree(model, warm, MEMO_CAPACITY, workspace)
 }
 
 /// [`solve_warm`] with the tree remembering the factorizations of
@@ -514,6 +546,7 @@ fn solve_tree(
     model: &Model,
     warm: Option<&Basis>,
     memo_capacity: usize,
+    workspace: &mut SimplexWorkspace,
 ) -> Result<(Solution, Option<Basis>), SolveError> {
     let root_bounds: Vec<(f64, f64)> = model
         .variables()
@@ -545,7 +578,8 @@ fn solve_tree(
         ));
     };
 
-    let mut tree = TreeLp::new(base, memo_capacity);
+    let pivots_before = workspace.pivots();
+    let mut tree = TreeLp::new(base, memo_capacity, workspace);
     let searched = search(model, warm, &mut tree, &root_bounds, &integral);
     // Every LP of the search ran in the tree's workspace, which counts the
     // pivots it charged; whichever way the search ended, the counters must
@@ -553,7 +587,7 @@ fn solve_tree(
     if let Ok((solution, _)) = &searched {
         debug_assert_eq!(
             solution.counters.simplex_iterations,
-            tree.workspace.pivots(),
+            tree.workspace.pivots() - pivots_before,
             "a pivot charged in the tree's workspace went unbooked"
         );
     }
@@ -661,11 +695,12 @@ fn search(
     let mut incumbent: Option<(f64, Vec<f64>)> = None;
     let mut pseudo = Pseudocosts::new(tree.base.lp.nstruct);
     let mut heap = BinaryHeap::new();
+    let mut fractional = Vec::new();
 
     let root_snapshot = tree.start(root_bounds, basis);
     expand_node(
         &params,
-        &integer_vars,
+        (&integer_vars, &mut fractional),
         &pseudo,
         &mut heap,
         &mut incumbent,
@@ -682,6 +717,7 @@ fn search(
         // best-first ordering this also proves optimality of the incumbent.
         if let Some((best, _)) = &incumbent {
             if node.bound >= *best - RELATIVE_GAP * best.abs().max(1.0) {
+                tree.release(node.warm);
                 break;
             }
         }
@@ -692,8 +728,10 @@ fn search(
         }
         counters.nodes_explored += 1;
 
-        let (lp_result, node_basis) = match tree.solve(&node.branch, max_iters, node.warm.as_ref())
-        {
+        let solved = tree.solve(&node.branch, max_iters, node.warm.as_ref());
+        // This node is done with its parent's snapshot.
+        tree.release(node.warm);
+        let (lp_result, node_basis) = match solved {
             Ok(solved) => solved,
             // Appended cut rows can make a node LP numerically harder than
             // the base model. A node that dead-ends on the cut LP even after
@@ -730,14 +768,14 @@ fn search(
         // Prune by bound against the incumbent.
         if let Some((best, _)) = &incumbent {
             if lp_result.objective >= *best - RELATIVE_GAP * best.abs().max(1.0) {
+                tree.release(node_basis);
                 continue;
             }
         }
 
-        let node_basis = node_basis.map(Rc::new);
         expand_node(
             &params,
-            &integer_vars,
+            (&integer_vars, &mut fractional),
             &pseudo,
             &mut heap,
             &mut incumbent,
@@ -751,6 +789,11 @@ fn search(
         if let Some(snapshot) = &node_basis {
             tree.file(snapshot);
         }
+        tree.release(node_basis);
+    }
+    // The nodes the incumbent pruned unsolved let go of their snapshots.
+    for node in heap {
+        tree.release(node.warm);
     }
 
     let solution = match incumbent {
@@ -766,15 +809,15 @@ fn search(
     Ok((solution, caller_basis))
 }
 
-/// The root cutting loop of a tree: the cut pool, the separator's buffers
-/// and which cuts of the tree LP the pool kept at its last purge.
+/// The root cutting loop of a tree: the cut pool and which cuts of the tree
+/// LP the pool kept at its last purge. The separator's buffers are the
+/// workspace's.
 struct CutLoop<'b> {
     root_bounds: &'b [(f64, f64)],
     integral: &'b [bool],
     presolve: bool,
     max_iters: usize,
     pool: CutPool,
-    separator: Separator,
     /// For every cut row of the tree LP, whether the pool kept its cut at
     /// the purge that ended the last round.
     kept: Vec<bool>,
@@ -801,7 +844,6 @@ impl<'b> CutLoop<'b> {
             presolve: params.presolve,
             max_iters: params.max_simplex_iterations,
             pool: CutPool::new(),
-            separator: Separator::default(),
             kept: Vec::new(),
         }
     }
@@ -828,8 +870,8 @@ impl<'b> CutLoop<'b> {
         let Some(last) = basis.as_ref() else {
             return Ok(Round::Done);
         };
-        let current = tree.current();
-        let candidates = self.separator.separate_round(
+        let current = tree.cut.as_ref().unwrap_or(&tree.base);
+        let candidates = (tree.workspace.separator).separate_round(
             &current.lp,
             &current.rows,
             self.root_bounds,
@@ -864,8 +906,7 @@ impl<'b> CutLoop<'b> {
             realigned = last.without_rows(&self.kept);
             realigned.as_ref().map_or(Warm::Cold, Warm::Primal)
         };
-        let solved =
-            (form.presolve).solve(self.root_bounds, self.max_iters, warm, &mut tree.workspace);
+        let solved = (form.presolve).solve(self.root_bounds, self.max_iters, warm, tree.workspace);
         let (res, new_basis) = match solved {
             Ok(solved) => solved,
             // A tightened root can be numerically harder than the model
@@ -916,8 +957,7 @@ impl<'b> CutLoop<'b> {
             return;
         };
         let warm = caller_basis.map_or(Warm::Cold, Warm::Primal);
-        let solved =
-            (form.presolve).solve(self.root_bounds, self.max_iters, warm, &mut tree.workspace);
+        let solved = (form.presolve).solve(self.root_bounds, self.max_iters, warm, tree.workspace);
         match solved {
             Ok((res, new_basis)) => {
                 count_lp(counters, &res);
@@ -937,11 +977,12 @@ impl<'b> CutLoop<'b> {
 /// Accepts an integral LP solution as incumbent or branches: selects the
 /// branching variable and pushes the children, each bounded by this node's
 /// LP objective. The node is the one `branch` created below root bounds
-/// `root_bounds` (the root itself when `branch` is `None`).
+/// `root_bounds` (the root itself when `branch` is `None`). Its fractional
+/// integer variables are listed in `fractional`, the tree's buffer.
 #[allow(clippy::too_many_arguments)]
 fn expand_node(
     params: &SolveParams,
-    integer_vars: &[usize],
+    (integer_vars, fractional): (&[usize], &mut Vec<(usize, f64)>),
     pseudo: &Pseudocosts,
     heap: &mut BinaryHeap<Node>,
     incumbent: &mut Option<(f64, Vec<f64>)>,
@@ -952,25 +993,28 @@ fn expand_node(
     warm: Option<Rc<Basis>>,
     counters: &mut SolverCounters,
 ) {
-    let fractional: Vec<(usize, f64)> = integer_vars
-        .iter()
-        .map(|&vi| (vi, lp_values[vi]))
-        .filter(|&(_, val)| (val - val.round()).abs() > INTEGRALITY_TOL)
-        .collect();
+    fractional.clear();
+    fractional.extend(
+        (integer_vars.iter())
+            .map(|&vi| (vi, lp_values[vi]))
+            .filter(|&(_, val)| (val - val.round()).abs() > INTEGRALITY_TOL),
+    );
 
     if fractional.is_empty() {
         // Integral solution: new incumbent if it improves.
-        let better = incumbent
-            .as_ref()
-            .map(|(best, _)| lp_objective < *best)
-            .unwrap_or(true);
-        if better {
-            *incumbent = Some((lp_objective, lp_values.to_vec()));
+        match incumbent {
+            Some((best, values)) if lp_objective < *best => {
+                *best = lp_objective;
+                values.clear();
+                values.extend_from_slice(lp_values);
+            }
+            Some(_) => {}
+            None => *incumbent = Some((lp_objective, lp_values.to_vec())),
         }
         return;
     }
 
-    let (var, value) = select_branch_var(params, pseudo, &fractional, counters);
+    let (var, value) = select_branch_var(params, pseudo, fractional, counters);
     let floor = value.floor();
     let ceil = value.ceil();
     let frac = value - floor;
@@ -1040,6 +1084,15 @@ fn select_branch_var(
 mod tests {
     use super::*;
     use crate::model::{Sense, VarKind};
+
+    /// [`super::solve_tree`] in a fresh workspace of its own.
+    fn solve_tree(
+        model: &Model,
+        warm: Option<&Basis>,
+        memo_capacity: usize,
+    ) -> Result<(Solution, Option<Basis>), SolveError> {
+        super::solve_tree(model, warm, memo_capacity, &mut SimplexWorkspace::default())
+    }
 
     #[test]
     fn knapsack_small() {
@@ -1312,7 +1365,8 @@ mod tests {
         let lp = SparseLp::from_model(model);
         let rows = RowView::of(&lp);
         let base = TreeForm::build(lp, rows, &bounds, &integral, true).expect("feasible");
-        let mut tree = TreeLp::new(base, MEMO_CAPACITY);
+        let mut workspace = SimplexWorkspace::default();
+        let mut tree = TreeLp::new(base, MEMO_CAPACITY, &mut workspace);
         let (mut root, mut basis) = tree.solve_base(&bounds, 10_000, Warm::Cold).unwrap();
         let first = root.objective;
         let mut counters = SolverCounters::default();

@@ -267,8 +267,9 @@ pub(crate) fn lp_with_cuts<'c>(
 }
 
 /// The buffers of [`Separator::separate_round`], kept from one cut round
-/// of a tree to the next: the basis factorization the tableau rows are read
-/// through, and the dense and sparse work vectors of the derivation.
+/// to the next, in every tree of a mode (the `SimplexWorkspace` owns it):
+/// the basis factorization the tableau rows are read through, and the dense
+/// and sparse work vectors of the derivation.
 #[derive(Debug, Default)]
 pub(crate) struct Separator {
     factor: BasisFactor,

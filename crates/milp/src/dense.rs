@@ -552,12 +552,13 @@ fn effective_op(op: ConstraintOp, rhs_negative: bool) -> ConstraintOp {
 mod tests {
     use super::*;
     use crate::model::{Model, Sense, VarKind};
-    use crate::simplex::solve_lp;
+    use crate::simplex::{solve_lp, SimplexWorkspace};
 
     fn both(model: &Model) -> (LpResult, LpResult) {
         let bounds: Vec<(f64, f64)> = model.variables().map(|(_, v)| (v.lower, v.upper)).collect();
         let dense = solve_lp_dense(model, &bounds).expect("dense solve");
-        let sparse = solve_lp(model, &bounds).expect("sparse solve");
+        let sparse =
+            solve_lp(model, &bounds, &mut SimplexWorkspace::default()).expect("sparse solve");
         (dense, sparse)
     }
 
@@ -685,7 +686,8 @@ mod tests {
                     .map(|f| f.map_or((0.0, 1.0), |v| (v, v)))
                     .collect();
                 let dense = solve_lp_dense(&m, &bounds).expect("dense");
-                let sparse = solve_lp(&m, &bounds).expect("sparse");
+                let sparse =
+                    solve_lp(&m, &bounds, &mut SimplexWorkspace::default()).expect("sparse");
                 assert_eq!(dense.status, sparse.status, "bounds {bounds:?}");
                 if dense.status == LpStatus::Optimal {
                     assert!(

@@ -166,5 +166,5 @@ pub use audit::{audit_model, AuditFinding};
 pub use error::SolveError;
 pub use expr::{LinExpr, Term, VarId};
 pub use model::{Constraint, ConstraintId, ConstraintOp, Model, Sense, SolveParams, VarKind};
-pub use simplex::Basis;
+pub use simplex::{Basis, SimplexWorkspace};
 pub use solution::{Solution, SolverCounters, Status};

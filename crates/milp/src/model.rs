@@ -3,7 +3,7 @@
 use crate::branch_bound;
 use crate::error::SolveError;
 use crate::expr::{LinExpr, VarId};
-use crate::simplex;
+use crate::simplex::{self, SimplexWorkspace};
 use crate::solution::{Solution, SolverCounters, Status};
 
 /// The kind of a decision variable.
@@ -381,20 +381,32 @@ impl Model {
     ///
     /// Returns the first [`SolveError`] found, if any.
     pub fn validate(&self) -> Result<(), SolveError> {
-        for v in &self.variables {
-            if v.lower > v.upper {
+        self.validate_bounds(self.variables.iter().map(|v| (v.lower, v.upper)))?;
+        self.validate_expressions()
+    }
+
+    /// The bound checks of [`Model::validate`] on `bounds`, one pair per
+    /// variable in column order: no crossed pair, no NaN.
+    fn validate_bounds(&self, bounds: impl Iterator<Item = (f64, f64)>) -> Result<(), SolveError> {
+        for (v, (lower, upper)) in self.variables.iter().zip(bounds) {
+            if lower > upper {
                 return Err(SolveError::InvalidBounds {
                     name: v.name.clone(),
-                    lower: v.lower,
-                    upper: v.upper,
+                    lower,
+                    upper,
                 });
             }
-            if v.lower.is_nan() || v.upper.is_nan() {
+            if lower.is_nan() || upper.is_nan() {
                 return Err(SolveError::NonFiniteCoefficient {
                     context: format!("bounds of variable `{}`", v.name),
                 });
             }
         }
+        Ok(())
+    }
+
+    /// The checks of [`Model::validate`] on the objective and the rows.
+    fn validate_expressions(&self) -> Result<(), SolveError> {
         let check_expr = |expr: &LinExpr, context: &str| -> Result<(), SolveError> {
             for (var, coeff) in expr.iter() {
                 if var.0 >= self.variables.len() {
@@ -433,8 +445,7 @@ impl Model {
     /// Returns a [`SolveError`] if the model is malformed or a resource budget
     /// (nodes, simplex pivots) is exhausted.
     pub fn solve(&self) -> Result<Solution, SolveError> {
-        self.validate()?;
-        branch_bound::solve(self)
+        self.solve_with_basis(None).map(|(solution, _)| solution)
     }
 
     /// Solves the mixed-integer program, optionally warm-starting from the
@@ -458,8 +469,25 @@ impl Model {
         &self,
         warm: Option<&simplex::Basis>,
     ) -> Result<(Solution, Option<simplex::Basis>), SolveError> {
+        self.solve_with_basis_in(warm, &mut SimplexWorkspace::default())
+    }
+
+    /// [`Model::solve_with_basis`] in `workspace`, whose buffers the solve
+    /// reuses and leaves for the next. A caller that solves one model again
+    /// and again — the `R_M` sweep of one mode, as it grows the model —
+    /// keeps one workspace for all of them; the answer is the same, bit for
+    /// bit, as from a fresh workspace.
+    ///
+    /// # Errors
+    ///
+    /// Same error conditions as [`Model::solve`].
+    pub fn solve_with_basis_in(
+        &self,
+        warm: Option<&simplex::Basis>,
+        workspace: &mut SimplexWorkspace,
+    ) -> Result<(Solution, Option<simplex::Basis>), SolveError> {
         self.validate()?;
-        branch_bound::solve_warm(self, warm)
+        branch_bound::solve_warm(self, warm, workspace)
     }
 
     /// Solves only the LP relaxation (integrality constraints dropped).
@@ -468,9 +496,39 @@ impl Model {
     ///
     /// Same error conditions as [`Model::solve`].
     pub fn solve_relaxation(&self) -> Result<Solution, SolveError> {
-        self.validate()?;
         let bounds: Vec<(f64, f64)> = self.variables.iter().map(|v| (v.lower, v.upper)).collect();
-        let lp = simplex::solve_lp(self, &bounds)?;
+        self.solve_relaxation_in(&bounds, &mut SimplexWorkspace::default())
+    }
+
+    /// Solves the LP relaxation with the variable bounds replaced by
+    /// `bounds`, one `(lower, upper)` pair per variable in column order, in
+    /// `workspace` (see [`Model::solve_with_basis_in`]): the same answer as
+    /// [`Model::solve_relaxation`] on a copy of the model whose bounds were
+    /// set to `bounds`, without the copy.
+    ///
+    /// # Errors
+    ///
+    /// As [`Model::solve_relaxation`], with the bound checks of
+    /// [`Model::validate`] made on `bounds`: a crossed pair is
+    /// [`SolveError::InvalidBounds`], a NaN one
+    /// [`SolveError::NonFiniteCoefficient`].
+    ///
+    /// # Panics
+    ///
+    /// When `bounds` does not hold one pair per variable.
+    pub fn solve_relaxation_in(
+        &self,
+        bounds: &[(f64, f64)],
+        workspace: &mut SimplexWorkspace,
+    ) -> Result<Solution, SolveError> {
+        assert_eq!(
+            bounds.len(),
+            self.variables.len(),
+            "one bound pair per variable"
+        );
+        self.validate_bounds(bounds.iter().copied())?;
+        self.validate_expressions()?;
+        let lp = simplex::solve_lp(self, bounds, workspace)?;
         let counters = SolverCounters {
             simplex_iterations: lp.iterations,
             ..SolverCounters::default()
@@ -625,6 +683,43 @@ mod tests {
         let s = m.solve_relaxation().unwrap();
         assert_eq!(s.status, Status::Optimal);
         assert!((s.objective - 1.5).abs() < 1e-6);
+    }
+
+    #[test]
+    fn the_bounds_form_of_the_relaxation_is_a_pinned_copy_without_the_copy() {
+        // min x + 2y + 3b s.t. x + y + b >= 2.5 over x ∈ [0, 10], y ∈ [0, 10],
+        // b binary; bounds that pin y to 1 and b to 1 (a 3 clamped into
+        // [0, 1]) answer bit for bit as a copy pinned by `fix_var`.
+        let mut m = Model::new("bounds");
+        let x = m.add_continuous("x", 0.0, 10.0);
+        let y = m.add_continuous("y", 0.0, 10.0);
+        let b = m.add_binary("b");
+        m.set_objective(Sense::Minimize, &[(x, 1.0), (y, 2.0), (b, 3.0)]);
+        m.add_ge(&[(x, 1.0), (y, 1.0), (b, 1.0)], 2.5);
+        let mut pinned = m.clone();
+        pinned.fix_var(y, 1.0);
+        pinned.fix_var(b, 3.0);
+        let workspace = &mut SimplexWorkspace::default();
+        let bounds = [(0.0, 10.0), (1.0, 1.0), (1.0, 1.0)];
+        let mine = m.solve_relaxation_in(&bounds, workspace).unwrap();
+        let copy = pinned.solve_relaxation().unwrap();
+        assert_eq!(mine.status, Status::Optimal);
+        assert_eq!(mine.objective.to_bits(), copy.objective.to_bits());
+        let bits = |s: &Solution| s.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&mine), bits(&copy));
+        assert_eq!(mine.value(x), 0.5);
+
+        // The pairs are checked as `validate` checks a model's bounds.
+        let crossed = [(0.0, 10.0), (2.0, 1.0), (0.0, 1.0)];
+        assert!(matches!(
+            m.solve_relaxation_in(&crossed, workspace),
+            Err(SolveError::InvalidBounds { ref name, lower: 2.0, upper: 1.0 }) if name == "y"
+        ));
+        let nan = [(0.0, 10.0), (0.0, 10.0), (f64::NAN, 1.0)];
+        assert!(matches!(
+            m.solve_relaxation_in(&nan, workspace),
+            Err(SolveError::NonFiniteCoefficient { .. })
+        ));
     }
 
     #[test]

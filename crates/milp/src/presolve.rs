@@ -65,6 +65,7 @@ use crate::simplex::{
     solve_in, Basis, EngineState, LpResult, LpStatus, RowView, SimplexWorkspace, SparseLp,
     VarStatus, Warm,
 };
+use std::rc::Rc;
 
 /// Feasibility tolerance used when presolve checks a dropped row.
 const FEAS_TOL: f64 = 1e-7;
@@ -335,7 +336,8 @@ impl Presolve {
         }
 
         let red_m = kept_rows.len();
-        let mut cols = crate::sparse::CscMatrix::new(red_m);
+        let nnz = lp.cols.nnz() - lp.nrows + red_m;
+        let mut cols = crate::sparse::CscMatrix::with_capacity(red_m, kept_cols.len() + red_m, nnz);
         let mut entries: Vec<(usize, f64)> = Vec::new();
         for &j in &kept_cols {
             let (ridx, vals) = lp.cols.column(j);
@@ -568,6 +570,7 @@ impl Presolve {
             mapped_bounds,
             mapped_basis,
             mapped_used,
+            ..
         } = workspace;
         if !self.map_bounds(bounds, mapped_bounds) {
             return Ok((LpResult::infeasible_without_pivots(), None));
@@ -655,8 +658,10 @@ impl Presolve {
 
     /// Solves a node of a tree over the reduced LP in `workspace`, all in
     /// the tree numbering: `bounds` and the warm basis go to the engine as
-    /// they are, and the final basis comes back as the engine left it. Only
-    /// the values are read out in the original numbering, into `values`.
+    /// they are, and the final basis comes back as the engine left it, in a
+    /// snapshot the workspace refills when it has a released one
+    /// ([`SimplexWorkspace::snapshot`]). Only the values are read out in the
+    /// original numbering, into `values`.
     pub(crate) fn solve_node(
         &self,
         bounds: &[(f64, f64)],
@@ -664,14 +669,14 @@ impl Presolve {
         warm: Warm<'_>,
         workspace: &mut SimplexWorkspace,
         values: &mut Vec<f64>,
-    ) -> Result<(LpResult, Option<Basis>), SolveError> {
+    ) -> Result<(LpResult, Option<Rc<Basis>>), SolveError> {
         let engine = &mut workspace.engine;
         let result = solve_in(&self.reduced, bounds, max_iters, warm, engine)?;
         if result.status != LpStatus::Optimal {
             return Ok((result, None));
         }
         self.values(engine, values);
-        Ok((result, Some(engine.snapshot(&self.reduced))))
+        Ok((result, Some(workspace.snapshot(&self.reduced))))
     }
 }
 

@@ -69,25 +69,30 @@
 //! Every per-LP buffer — bounds, statuses, the basic list, `x_B`, the dense
 //! work vectors, phase-1 costs, Devex weights, the dual ratio test's `α`
 //! row, the presolve layer's mapped bounds and basis, and the
-//! `BasisFactor` with its LU buffers, spare and LU workspace, the reduced
-//! costs — lives in a `SimplexWorkspace` that outlives the LP (the eta
-//! file's buffer, whose length follows an LP's pivots rather than its size,
-//! is freed as each LP starts). A branch-and-bound
-//! tree owns one for all its LPs (`TreeLp` in `branch_bound`) and drops it
-//! with the tree; `solve_lp` makes a local one. An LP resets every per-LP
-//! field as it starts (`Engine::new`: statuses, Devex weights back to 1, the
-//! eta file, the reduced costs) and keeps its counts and pricing cursor in
-//! the `Engine`, which is built per LP, so a reused workspace answers
-//! exactly as a fresh one. After an optimal solve the final basis, basic
-//! solution and factor state stay in the workspace, and the caller reads
-//! values and snapshot out of it in its own numbering (`presolve` straight
-//! into the original one; a tree's nodes take the snapshot as it is), and
+//! `BasisFactor` with its LU buffers, spare, pool of released
+//! factorizations, LU workspace and eta file, the reduced costs — lives in a
+//! [`SimplexWorkspace`] that outlives the LP, together with the released
+//! node snapshots and memo states a tree refills. One workspace serves
+//! every LP of a mode: the `ttw-core` ILP instance owns one for its `R_M`
+//! attempts' trees and its polish LP, and the entry points that take none
+//! make a local one. (The eta file's entries buffer, whose length follows
+//! an LP's pivots rather than its size, is kept only up to a cap tied to
+//! the next LP's row count.) An LP resets every per-LP field as it starts
+//! (`Engine::new`: statuses, Devex weights back to 1, the eta file, the
+//! reduced costs) and keeps its counts and pricing cursor in the `Engine`,
+//! which is built per LP, so a reused workspace answers exactly as a fresh
+//! one. After an optimal solve the final basis, basic solution and factor
+//! state stay in the workspace, and the caller reads values and snapshot
+//! out of it in its own numbering (`presolve` straight into the original
+//! one; a tree's nodes take the snapshot as it is, refilled in place), and
 //! the factor state with `SimplexWorkspace::capture`.
 
+use crate::cuts::Separator;
 use crate::error::SolveError;
 use crate::model::{ConstraintOp, Model};
 use crate::presolve::Presolve;
 use crate::sparse::{BasisFactor, CscMatrix, FactorSnapshot, LuFactors, LuWorkspace};
+use std::rc::Rc;
 
 /// Reduced-cost and pivot tolerance.
 const EPS: f64 = 1e-9;
@@ -401,19 +406,23 @@ pub(crate) struct SparseLp {
 
 impl SparseLp {
     /// Builds the equality-form problem from a model.
+    ///
+    /// The structural columns are gathered from the rows in two passes: one
+    /// counts each column's entries, the other scatters them, rows
+    /// ascending, into one flat buffer that holds every column back to
+    /// back.
     pub(crate) fn from_model(model: &Model) -> Self {
         let nrows = model.num_constraints();
         let nstruct = model.num_vars();
-        let mut cols = CscMatrix::new(nrows);
 
-        // Structural columns: gather the per-column entries from the rows.
-        let mut entries: Vec<Vec<(usize, f64)>> = vec![Vec::new(); nstruct];
+        // `start[j]..start[j + 1]` will hold column `j`'s entries.
+        let mut start = vec![0usize; nstruct + 1];
         let mut rhs = Vec::with_capacity(nrows);
         let mut logical_lower = Vec::with_capacity(nrows);
         let mut logical_upper = Vec::with_capacity(nrows);
-        for (i, c) in model.constraints().enumerate() {
-            for (var, coeff) in c.expr.iter() {
-                entries[var.index()].push((i, coeff));
+        for c in model.constraints() {
+            for (var, _) in c.expr.iter() {
+                start[var.index() + 1] += 1;
             }
             rhs.push(c.rhs);
             let (lo, hi) = match c.op {
@@ -424,8 +433,22 @@ impl SparseLp {
             logical_lower.push(lo);
             logical_upper.push(hi);
         }
-        for col in &entries {
-            cols.push_column(col);
+        for j in 0..nstruct {
+            start[j + 1] += start[j];
+        }
+        let nnz = start[nstruct];
+        let mut entries = vec![(0, 0.0); nnz];
+        let mut next = start.clone();
+        for (i, c) in model.constraints().enumerate() {
+            for (var, coeff) in c.expr.iter() {
+                let at = &mut next[var.index()];
+                entries[*at] = (i, coeff);
+                *at += 1;
+            }
+        }
+        let mut cols = CscMatrix::with_capacity(nrows, nstruct + nrows, nnz + nrows);
+        for j in 0..nstruct {
+            cols.push_column(&entries[start[j]..start[j + 1]]);
         }
         // Logical identity columns.
         for i in 0..nrows {
@@ -562,10 +585,14 @@ impl FactorState {
 /// Every per-LP buffer of the simplex, kept from one LP to the next.
 ///
 /// A branch-and-bound tree solves tens of thousands of small LPs, each a
-/// handful of pivots long; allocating an engine's vectors and its LU buffers
-/// afresh for each was a measurable share of the solve. One
-/// workspace serves every LP of a tree (`TreeLp` in `branch_bound` owns it
-/// and drops it with the tree); [`solve_lp`] makes a local one.
+/// handful of pivots long; allocating an engine's vectors, its LU buffers
+/// and a node's basis snapshot afresh for each was a measurable share of
+/// the solve. One workspace serves every LP of a mode: the trees of its
+/// `R_M` attempts, root, cut rounds and nodes, and the LP that polishes its
+/// optimum ([`Model::solve_with_basis_in`],
+/// [`Model::solve_relaxation_in`]). The entry points that take none
+/// ([`Model::solve`], [`Model::solve_with_basis`],
+/// [`Model::solve_relaxation`]) make a local one.
 ///
 /// Reuse is invisible: an LP's answer never depends on what ran in the
 /// workspace before it. Every per-LP field is reset when an LP starts —
@@ -574,10 +601,12 @@ impl FactorState {
 /// costs — and the per-LP counts and the pricing cursor live in the engine,
 /// which is built per LP. Only buffer capacity and the factorization
 /// buffers carry over, and a factorization is a pure function of the basis
-/// it is computed from. What an LP starts from besides is what its caller
-/// hands it: a snapshot, and possibly a [`FactorState`].
+/// it is computed from. A node snapshot or memo state taken from the
+/// workspace's pools is overwritten whole before anyone reads it. What an
+/// LP starts from besides is what its caller hands it: a snapshot, and
+/// possibly a `FactorState`.
 #[derive(Debug)]
-pub(crate) struct SimplexWorkspace {
+pub struct SimplexWorkspace {
     /// The engine's buffers; after an optimal solve, its final state.
     pub(crate) engine: EngineState,
     /// Bounds mapped into the presolve-reduced column space, for an LP
@@ -587,6 +616,13 @@ pub(crate) struct SimplexWorkspace {
     pub(crate) mapped_basis: Basis,
     /// Which reduced columns the mapped basis has made basic so far.
     pub(crate) mapped_used: Vec<bool>,
+    /// The cut separator's factorization and work vectors.
+    pub(crate) separator: Separator,
+    /// Node snapshots whose last holder let go, each held only here, for
+    /// [`SimplexWorkspace::snapshot`] to refill.
+    snapshots: Vec<Rc<Basis>>,
+    /// Emptied factor states, for a tree's memo to fill.
+    states: Vec<FactorState>,
 }
 
 impl Default for SimplexWorkspace {
@@ -596,6 +632,9 @@ impl Default for SimplexWorkspace {
             mapped_bounds: Vec::new(),
             mapped_basis: Basis::from_parts(0, 0, Vec::new(), Vec::new(), Vec::new()),
             mapped_used: Vec::new(),
+            separator: Separator::default(),
+            snapshots: Vec::new(),
+            states: Vec::new(),
         }
     }
 }
@@ -620,6 +659,41 @@ impl SimplexWorkspace {
     pub(crate) fn recycle(&mut self, state: &mut FactorState) {
         if let Some(lu) = state.factor.release() {
             self.engine.factor.recycle(lu);
+        }
+    }
+
+    /// An empty factor state to fill: one a tree gave back
+    /// ([`SimplexWorkspace::give_back`]), or a new one.
+    pub(crate) fn vacant_state(&mut self) -> FactorState {
+        self.states.pop().unwrap_or_default()
+    }
+
+    /// Takes back a factor state nobody restores any more: its factors are
+    /// [recycled](SimplexWorkspace::recycle) and its buffers wait for
+    /// [`SimplexWorkspace::vacant_state`].
+    pub(crate) fn give_back(&mut self, mut state: FactorState) {
+        self.recycle(&mut state);
+        self.states.push(state);
+    }
+
+    /// The final basis of the last LP solved here, over `lp`, as a snapshot
+    /// for the nodes that start from it: a released one refilled in place
+    /// when there is one ([`SimplexWorkspace::release`]), else a new one.
+    pub(crate) fn snapshot(&mut self, lp: &SparseLp) -> Rc<Basis> {
+        if let Some(mut shared) = self.snapshots.pop() {
+            if let Some(basis) = Rc::get_mut(&mut shared) {
+                self.engine.refill_snapshot(lp, basis);
+                return shared;
+            }
+        }
+        Rc::new(self.engine.snapshot(lp))
+    }
+
+    /// Lets go of a holder of `snapshot`; when it was the last one, the
+    /// snapshot waits for [`SimplexWorkspace::snapshot`] to refill it.
+    pub(crate) fn release(&mut self, mut snapshot: Rc<Basis>) {
+        if Rc::get_mut(&mut snapshot).is_some() {
+            self.snapshots.push(snapshot);
         }
     }
 }
@@ -725,24 +799,34 @@ impl EngineState {
 
     /// The final basis of the last solve, over `lp`, as a snapshot.
     pub(crate) fn snapshot(&self, lp: &SparseLp) -> Basis {
-        Basis {
-            nstruct: lp.nstruct,
-            nrows: lp.nrows,
-            status: self.status.clone(),
-            basic: self.basic.clone(),
-            devex: self.devex.clone(),
-        }
+        let mut basis = Basis::from_parts(0, 0, Vec::new(), Vec::new(), Vec::new());
+        self.refill_snapshot(lp, &mut basis);
+        basis
+    }
+
+    /// Overwrites `basis` with [`EngineState::snapshot`], in its buffers.
+    fn refill_snapshot(&self, lp: &SparseLp, basis: &mut Basis) {
+        basis.nstruct = lp.nstruct;
+        basis.nrows = lp.nrows;
+        basis.status.clone_from(&self.status);
+        basis.basic.clone_from(&self.basic);
+        basis.devex.clone_from(&self.devex);
     }
 }
 
 /// Solves the LP relaxation of `model` with the variable bounds overridden by
-/// `bounds` (one `(lower, upper)` pair per model variable, in column order).
+/// `bounds` (one `(lower, upper)` pair per model variable, in column order)
+/// in `workspace`.
 ///
 /// # Errors
 ///
 /// Returns [`SolveError::IterationLimitReached`] if the pivot budget from the
 /// model's [`crate::SolveParams`] is exhausted.
-pub(crate) fn solve_lp(model: &Model, bounds: &[(f64, f64)]) -> Result<LpResult, SolveError> {
+pub(crate) fn solve_lp(
+    model: &Model,
+    bounds: &[(f64, f64)],
+    workspace: &mut SimplexWorkspace,
+) -> Result<LpResult, SolveError> {
     debug_assert_eq!(bounds.len(), model.num_vars());
     let lp = SparseLp::from_model(model);
     let max_iters = model.params().max_simplex_iterations;
@@ -752,8 +836,7 @@ pub(crate) fn solve_lp(model: &Model, bounds: &[(f64, f64)]) -> Result<LpResult,
     let rows = RowView::of(&lp);
     match Presolve::build(&lp, &rows, bounds, &integral, model.params().presolve) {
         Some(presolve) => {
-            let mut workspace = SimplexWorkspace::default();
-            (presolve.solve(bounds, max_iters, Warm::Cold, &mut workspace)).map(|(r, _)| r)
+            (presolve.solve(bounds, max_iters, Warm::Cold, workspace)).map(|(r, _)| r)
         }
         None => Ok(LpResult::infeasible_without_pivots()),
     }
@@ -924,7 +1007,7 @@ impl<'a> Engine<'a> {
         refill(&mut ws.devex, ncols, 1.0);
         refill(&mut ws.alpha, ncols, 0.0);
         ws.dj.clear();
-        ws.factor.release_etas();
+        ws.factor.start_lp(nrows);
         Engine {
             lp,
             ws,
@@ -2017,7 +2100,7 @@ mod tests {
 
     fn solve(model: &Model) -> LpResult {
         let bounds: Vec<(f64, f64)> = model.variables().map(|(_, v)| (v.lower, v.upper)).collect();
-        solve_lp(model, &bounds).expect("lp solve")
+        solve_lp(model, &bounds, &mut SimplexWorkspace::default()).expect("lp solve")
     }
 
     /// [`super::solve_sparse`] in a fresh workspace of its own.
@@ -2733,11 +2816,64 @@ mod tests {
         );
     }
 
+    /// A random knapsack MILP of `columns` integers and `rows` rows: a
+    /// branch-and-bound tree of another shape than the LPs around it.
+    fn random_milp(rng: &mut Rng, columns: usize, rows: usize) -> Model {
+        let mut model = Model::new("tree");
+        let vars: Vec<_> = (0..columns)
+            .map(|j| model.add_integer(format!("v{j}"), 0.0, (1 + rng.below(4)) as f64))
+            .collect();
+        let objective: Vec<_> = (vars.iter())
+            .map(|&v| (v, (3 + rng.below(20)) as f64))
+            .collect();
+        model.set_objective(Sense::Maximize, &objective);
+        for _ in 0..rows {
+            let terms: Vec<_> = (vars.iter())
+                .map(|&v| (v, (2 + rng.below(15)) as f64))
+                .collect();
+            model.add_le(&terms, (10 + rng.below(10 * columns)) as f64);
+        }
+        model
+    }
+
+    /// Field-by-field equality of two tree outcomes, floats bit for bit.
+    fn assert_same_tree(
+        reused: &Result<(crate::Solution, Option<Basis>), SolveError>,
+        fresh: &Result<(crate::Solution, Option<Basis>), SolveError>,
+        what: &str,
+    ) {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        match (reused, fresh) {
+            (Ok((a, a_basis)), Ok((b, b_basis))) => {
+                assert_eq!(a.status, b.status, "{what}: status");
+                assert_eq!(a.objective.to_bits(), b.objective.to_bits(), "{what}");
+                assert_eq!(bits(a.values()), bits(b.values()), "{what}: values");
+                assert_eq!(a.counters, b.counters, "{what}: counters");
+                match (a_basis, b_basis) {
+                    (Some(a), Some(b)) => {
+                        assert_eq!(a.dims(), b.dims(), "{what}: basis dims");
+                        assert_eq!(a.status, b.status, "{what}: basis statuses");
+                        assert_eq!(a.basic, b.basic, "{what}: basic columns");
+                        assert_eq!(bits(&a.devex), bits(&b.devex), "{what}: Devex weights");
+                    }
+                    (None, None) => {}
+                    _ => panic!("{what}: one outcome has a basis, the other none"),
+                }
+            }
+            (Err(a), Err(b)) => assert_eq!(a, b, "{what}"),
+            _ => panic!("{what}: {reused:?} against {fresh:?}"),
+        }
+    }
+
     /// One workspace through a seeded sequence of unrelated LPs — sizes
     /// alternating below and above 64 rows; cold, primal-warm and dual-warm
     /// starts; a dual start that restores the factor state a solve ended on; singular
     /// warm bases; solves stopped by the pivot budget — answers every LP
-    /// exactly as a fresh workspace does. The `dense-reference` CI job runs
+    /// exactly as a fresh workspace does. Before every LP case the workspace
+    /// runs a whole branch-and-bound tree of another shape, which answers as
+    /// in a fresh workspace too, so what a tree leaves behind — released
+    /// snapshots and memo states, pooled factorizations, a kept eta file —
+    /// moves no pivot of what runs next. The `dense-reference` CI job runs
     /// the large budget.
     #[test]
     fn a_reused_workspace_answers_like_a_fresh_one() {
@@ -2747,8 +2883,9 @@ mod tests {
             40
         };
         let mut rng = Rng(0x5EED_2018);
+        let mut trees = Rng(0x7EE5_2018);
         let reused = &mut SimplexWorkspace::default();
-        let (mut restored, mut budget_stops) = (0, 0);
+        let (mut restored, mut budget_stops, mut tree_nodes) = (0, 0, 0);
         for case in 0..cases {
             let m = if case % 2 == 0 {
                 3 + rng.below(60)
@@ -2757,6 +2894,14 @@ mod tests {
             };
             let (_, lp, bounds) = random_lp(&mut rng, m);
             let what = |step: &str| format!("case {case} (m = {m}), {step}");
+            let (columns, rows) = (4 + trees.below(9), 1 + trees.below(4));
+            let milp = random_milp(&mut trees, columns, rows);
+            let tree = crate::branch_bound::solve_warm(&milp, None, reused);
+            let fresh_tree =
+                crate::branch_bound::solve_warm(&milp, None, &mut SimplexWorkspace::default());
+            let tree_what = what(&format!("a {columns} × {rows} tree before it"));
+            assert_same_tree(&tree, &fresh_tree, &tree_what);
+            tree_nodes += tree.map_or(0, |(solution, _)| solution.nodes_explored);
             let cold = (Warm::Cold, Warm::Cold);
             let root = reused_against_fresh(&lp, &bounds, 10_000, reused, cold, &what("cold"));
             let (mut mine, mut theirs) = (FactorState::default(), FactorState::default());
@@ -2836,8 +2981,8 @@ mod tests {
             reused_against_fresh(&lp, &other, 10_000, reused, primal, &what("primal"));
         }
         assert!(
-            restored > 0 && budget_stops > 0,
-            "{restored} restored starts, {budget_stops} budget stops"
+            restored > 0 && budget_stops > 0 && tree_nodes >= 10 * cases,
+            "{restored} restored starts, {budget_stops} budget stops, {tree_nodes} tree nodes"
         );
     }
 

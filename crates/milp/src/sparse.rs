@@ -33,10 +33,13 @@
 //!
 //! `L` and `U` are themselves [`CscMatrix`]es whose buffers — like the
 //! [`LuWorkspace`] — are reused from one refactorization to the next, and
-//! across the LPs of a whole branch-and-bound tree (the `SimplexWorkspace` in
-//! `simplex` owns the [`BasisFactor`]). FTRAN/BTRAN walk them front to back.
-//! The eta file is one entries buffer plus a range per eta, reused across
-//! the refactorizations of one LP and freed when the next LP starts.
+//! across every LP of a mode: its `R_M` attempts' trees and its polish LP
+//! (the `SimplexWorkspace` in `simplex` owns the [`BasisFactor`]).
+//! FTRAN/BTRAN walk them front to back. The eta file is one entries buffer
+//! plus a range per eta; it is kept from LP to LP too and emptied as each
+//! LP starts, and an entries buffer that outgrew a cap tied to the new LP's
+//! row count is replaced by one of the cap's size
+//! ([`BasisFactor::start_lp`]).
 //!
 //! [`BasisFactor`] holds its factors behind an `Rc`, separate from its own eta
 //! file. A branch-and-bound node's children start from the basis its LP
@@ -49,7 +52,8 @@
 //! every basic column to its unit vector (to a backward error of 1e-7). A
 //! shared factorization is never written; once its last other holder lets
 //! go, its buffers come back as the spare the next factorization is built in
-//! ([`recycle`](BasisFactor::recycle)).
+//! ([`recycle`](BasisFactor::recycle)), or wait in a small pool for the next
+//! factorization whose spare is still shared.
 
 use std::rc::Rc;
 
@@ -76,10 +80,25 @@ impl CscMatrix {
         }
     }
 
-    /// Empties the matrix to `nrows` rows and no columns, keeping its buffers.
-    fn reset(&mut self, nrows: usize) {
+    /// An empty matrix with `nrows` rows and room for `ncols` columns of
+    /// `nnz` entries in all.
+    pub(crate) fn with_capacity(nrows: usize, ncols: usize, nnz: usize) -> Self {
+        let mut col_ptr = Vec::with_capacity(ncols + 1);
+        col_ptr.push(0);
+        CscMatrix {
+            nrows,
+            col_ptr,
+            row_idx: Vec::with_capacity(nnz),
+            values: Vec::with_capacity(nnz),
+        }
+    }
+
+    /// Empties the matrix to `nrows` rows and no columns, keeping its buffers
+    /// and making room for `ncols` columns.
+    fn reset(&mut self, nrows: usize, ncols: usize) {
         self.nrows = nrows;
         self.col_ptr.clear();
+        self.col_ptr.reserve(ncols + 1);
         self.col_ptr.push(0);
         self.row_idx.clear();
         self.values.clear();
@@ -157,7 +176,6 @@ impl CscMatrix {
     }
 
     /// Total number of stored entries.
-    #[cfg(test)]
     pub(crate) fn nnz(&self) -> usize {
         self.values.len()
     }
@@ -269,9 +287,10 @@ impl LuFactors {
         self.m = m;
         self.perm.clear();
         self.perm.extend(0..m);
-        self.l.reset(m);
-        self.u.reset(m);
+        self.l.reset(m, m);
+        self.u.reset(m, m);
         self.u_diag.clear();
+        self.u_diag.reserve(m);
         ws.work.resize(m, 0.0);
         ws.marks.resize(m.div_ceil(64), 0);
         ws.pos.clear();
@@ -466,6 +485,9 @@ pub(crate) struct BasisFactor {
     /// Where the next factorization is built, so that a singular basis leaves
     /// `lu` and the eta file as they were.
     spare: Rc<LuFactors>,
+    /// Factorizations nobody reads any more, each held only here, for a
+    /// refactorization whose spare is still shared; at most [`LU_POOL`].
+    pool: Vec<Rc<LuFactors>>,
     etas: Vec<Eta>,
     /// The entries of every eta vector, one after another.
     eta_entries: Vec<(usize, f64)>,
@@ -480,6 +502,18 @@ pub(crate) const REFACTOR_INTERVAL: usize = 60;
 /// Smallest eta pivot accepted before forcing a refactorization.
 pub(crate) const MIN_ETA_PIVOT: f64 = 1e-8;
 
+/// Released factorizations a [`BasisFactor`] keeps for later
+/// refactorizations. A tree's memo holds at most four factor states, so
+/// after a few nodes every factorization is built in buffers that exist.
+const LU_POOL: usize = 4;
+
+/// Eta entries per row of an LP that the eta file's entries buffer may keep
+/// from the LPs before it ([`BasisFactor::start_lp`]). An eta holds at most
+/// one entry per row, and most node LPs pivot a handful of times, so 16
+/// etas' worth covers them; a buffer a long LP grew past that is not held
+/// for the rest of the mode.
+const KEPT_ETA_ENTRIES_PER_ROW: usize = 16;
+
 impl BasisFactor {
     /// Factorizes the basis columns from scratch and clears the eta file.
     ///
@@ -492,8 +526,9 @@ impl BasisFactor {
         columns: impl Iterator<Item = (&'c [usize], &'c [f64])>,
     ) -> Result<(), SingularBasis> {
         if Rc::strong_count(&self.spare) > 1 {
-            // Still held by a memo: leave it alone and build in a fresh one.
-            self.spare = Rc::default();
+            // Still held by a memo: leave it alone and build in a released
+            // one, or a fresh one when none is left.
+            self.spare = self.pool.pop().unwrap_or_default();
         }
         Rc::make_mut(&mut self.spare).factorize(m, columns, &mut self.workspace)?;
         std::mem::swap(&mut self.lu, &mut self.spare);
@@ -575,12 +610,18 @@ impl BasisFactor {
     }
 
     /// Takes a factorization nobody reads any more — the one a restore
-    /// replaced, or one a memo evicted — as the spare, when it is the last
-    /// holder and the spare is still shared: its buffers then serve the next
-    /// factorization instead of being freed while a fresh one is allocated.
+    /// replaced, or one a memo evicted — when it is the last holder: as the
+    /// spare while the spare is still shared, else into the pool while it
+    /// has room. Its buffers then serve a later factorization instead of
+    /// being freed while a fresh one is allocated.
     pub(crate) fn recycle(&mut self, lu: Rc<LuFactors>) {
-        if Rc::strong_count(&lu) == 1 && Rc::strong_count(&self.spare) > 1 {
+        if Rc::strong_count(&lu) > 1 {
+            return;
+        }
+        if Rc::strong_count(&self.spare) > 1 {
             self.spare = lu;
+        } else if self.pool.len() < LU_POOL {
+            self.pool.push(lu);
         }
     }
 
@@ -590,15 +631,21 @@ impl BasisFactor {
         self.eta_entries.clear();
     }
 
-    /// Empties the eta file and frees its buffers, for the start of an LP.
-    /// Unlike the factors, whose size follows the basis, an eta file is as
-    /// long as one LP's pivots — a handful on most node LPs, up to
-    /// [`REFACTOR_INTERVAL`] columns on a few — and a buffer kept from LP to
-    /// LP would hold the longest one a tree ever ran for the rest of the
-    /// tree: 0.3–0.4 MB more peak memory when `warm_hit` primes its systems.
-    pub(crate) fn release_etas(&mut self) {
-        self.etas = Vec::new();
-        self.eta_entries = Vec::new();
+    /// Empties the eta file for the start of an LP with `nrows` rows,
+    /// keeping its buffers up to a cap. Unlike the factors, whose size
+    /// follows the basis, an eta file is as long as one LP's pivots — a
+    /// handful on most node LPs, up to [`REFACTOR_INTERVAL`] columns on a
+    /// few — and a buffer kept without a bound would hold the longest one a
+    /// mode ever ran for the rest of the mode (0.3–0.4 MB more peak memory
+    /// when `warm_hit` primes its systems). So the entries buffer keeps at
+    /// most [`KEPT_ETA_ENTRIES_PER_ROW`] entries per row of the new LP: one
+    /// that outgrew that is replaced by one of exactly that size.
+    pub(crate) fn start_lp(&mut self, nrows: usize) {
+        self.clear_etas();
+        let kept = KEPT_ETA_ENTRIES_PER_ROW * nrows;
+        if self.eta_entries.capacity() > kept {
+            self.eta_entries = Vec::with_capacity(kept);
+        }
     }
 
     /// Returns `true` when the eta file is long enough to warrant a

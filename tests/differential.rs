@@ -29,7 +29,10 @@
 //! * the `AnalyzeFirst` gate is invisible: gate-on and gate-off pipelines
 //!   reach the same verdict, byte-identical schedules on success;
 //! * every generated ILP model passes the `ttw-milp` structural audit with
-//!   no findings.
+//!   no findings;
+//! * the polish of every solved mode — the model solved under a bounds
+//!   slice that fixes the integral columns, in the instance's workspace —
+//!   returns the value bits of the clone-and-`fix_var` polish it replaced.
 //!
 //! Seed windows are controlled by two environment knobs so any failure is
 //! reproducible from the printed assertion message alone:
@@ -51,7 +54,7 @@ use ttw::core::{
 };
 use ttw::testkit::{generate, GeneratorConfig, GraphShape, InfeasibleKind, Scenario};
 use ttw_milp::dense::compare_relaxations;
-use ttw_milp::{audit_model, ConstraintOp, LinExpr, Model};
+use ttw_milp::{audit_model, ConstraintOp, LinExpr, Model, Solution};
 
 /// Absolute tolerance (µs) for pinned-offset agreement.
 const PIN_TOL: f64 = 1e-6;
@@ -836,6 +839,83 @@ fn generated_ilp_models_audit_without_errors() {
         assert!(audited > 0, "no model was audited");
     }
     eprintln!("model-audit sweep: {audited} generated models audited clean");
+}
+
+/// The polish as it was before it ran on a bounds slice: a copy of the
+/// model with every integral variable pinned to its rounded value by
+/// `fix_var`, solved as a relaxation in a fresh workspace.
+fn polish_by_clone(instance: &ilp::IlpInstance, solution: &Solution) -> Option<Solution> {
+    let mut lp = instance.model.clone();
+    for (id, var) in instance.model.variables() {
+        if var.kind.is_integral() {
+            let fixed = solution.value(id).round().clamp(var.lower, var.upper);
+            lp.fix_var(id, fixed);
+        }
+    }
+    lp.solve_relaxation().ok().filter(Solution::is_optimal)
+}
+
+#[test]
+fn the_bounds_form_polish_returns_the_clone_forms_value_bits() {
+    // Every solved mode of the single- and multi-rate families, rebuilt at
+    // its round count under its pins and solved in its instance: the
+    // polish, run in the workspace the tree ran in, against the reference.
+    let start = seed_start();
+    let count = seed_count(24);
+    let mut polished = 0usize;
+    let bits = |s: &Solution| s.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+
+    for seed in start..start + count as u64 {
+        for multi_rate in [false, true] {
+            let scenario = scenario_for_seed(seed, multi_rate);
+            let (sys, config) = (&scenario.system, scenario.scheduler_config());
+            let repro = scenario.repro();
+            let Ok(result) = synthesize_system(sys, &scenario.graph, &config, &IlpSynthesizer)
+            else {
+                continue;
+            };
+            for (mode, done) in result.iter() {
+                let rounds = done.num_rounds();
+                let pins = pins_of(sys, &result, mode);
+                let mut instance = ilp::build_ilp_inherited(sys, mode, &config, rounds, &pins)
+                    .expect("valid instance");
+                let Ok(solution) = instance.solve() else {
+                    continue; // budget exhausted — skip this mode
+                };
+                if !solution.is_optimal() {
+                    continue;
+                }
+                let what = format!("{mode} at R={rounds} ({repro})");
+                match (
+                    instance.polish(&solution),
+                    polish_by_clone(&instance, &solution),
+                ) {
+                    (Some(mine), Some(reference)) => {
+                        assert_eq!(mine.status, reference.status, "{what}");
+                        assert_eq!(
+                            mine.objective.to_bits(),
+                            reference.objective.to_bits(),
+                            "objective of {what}"
+                        );
+                        assert_eq!(bits(&mine), bits(&reference), "values of {what}");
+                        assert_eq!(mine.counters, reference.counters, "counters of {what}");
+                    }
+                    (None, None) => {}
+                    (mine, reference) => panic!(
+                        "{what}: the bounds form polished {}, the clone form {}",
+                        mine.is_some(),
+                        reference.is_some()
+                    ),
+                }
+                polished += 1;
+            }
+        }
+    }
+
+    if !knobs_overridden() {
+        assert!(polished >= 40, "only {polished} solved modes were polished");
+    }
+    eprintln!("polish sweep: {polished} solved modes polished alike");
 }
 
 #[test]
